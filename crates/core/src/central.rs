@@ -15,11 +15,11 @@
 
 use tiger_layout::ids::ViewerInstance;
 use tiger_layout::{BlockNum, FileId, ViewerId};
+use tiger_proto::msg::FRAME_BYTES;
 use tiger_sched::{DiskSchedule, ScheduleParams, SlotId, StreamKind, ViewerState};
 use tiger_sim::{Bandwidth, SimDuration, SimTime};
 
 use crate::cpu::CpuModel;
-use crate::msg::FRAME_BYTES;
 
 /// Per-block command size in the centralized design (§3.3: "If the message
 /// that the controller sends instructing a cub to deliver a block to a

@@ -11,21 +11,25 @@
 
 use tiger_sim::{DetHashMap as HashMap, DetHashSet as HashSet};
 
-use tiger_disk::{DiskError, DiskRequest, RequestKind};
 use tiger_layout::ids::ViewerInstance;
 use tiger_layout::{BlockIndex, BlockNum, CubId, DiskId, DiskSpace, FileId};
+use tiger_proto::msg::Message;
 use tiger_proto::{InsertMachine, RingConfig, RingMachine};
-use tiger_sched::view::ViewApply;
 use tiger_sched::{Deschedule, ScheduleView, SlotId, StreamKind, ViewerState};
 use tiger_sim::{Counter, SimDuration, SimTime};
 use tiger_trace::TraceEvent;
 
 use crate::config::ForwardingPolicy;
 use crate::event::{Event, ServiceToken};
-use crate::msg::Message;
-use crate::system::{CodedRuntime, Shared};
+use crate::system::Shared;
 
 pub use tiger_proto::insert::PendingStart;
+
+/// The block-service half of `impl Cub` (acceptance, read, send, reclaim):
+/// a child module, its file beside this one, to share the private fields.
+#[path = "service.rs"]
+pub mod service;
+use service::{Active, ServiceKey};
 
 /// The ring machine's timing constants, as this driver configures them.
 fn ring_cfg(sh: &Shared) -> RingConfig {
@@ -33,110 +37,6 @@ fn ring_cfg(sh: &Shared) -> RingConfig {
         deadman_timeout: sh.cfg.deadman_timeout,
         deadman_interval: sh.cfg.deadman_interval,
         min_vstate_lead: sh.cfg.min_vstate_lead,
-    }
-}
-
-/// Key identifying one active service on this cub.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-struct ServiceKey {
-    slot: SlotId,
-    instance: ViewerInstance,
-    kind: KindKey,
-    /// Distinguishes successive laps of the same slot: on small rings a
-    /// slot's next-lap record can arrive while the previous block is still
-    /// being transmitted.
-    play_seq: u32,
-}
-
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-enum KindKey {
-    Primary,
-    Mirror(u32),
-    Coded(u32),
-}
-
-fn kind_key(k: StreamKind) -> KindKey {
-    match k {
-        StreamKind::Primary => KindKey::Primary,
-        StreamKind::Mirror { piece, .. } => KindKey::Mirror(piece),
-        StreamKind::Coded { shard, .. } => KindKey::Coded(shard),
-    }
-}
-
-/// Per-block key under which the coded backend's load rings account a
-/// block's shard reservations: the play sequence number stands in for the
-/// incarnation, so consecutive blocks of one stream hold distinct
-/// reservations (their `2k`-disk windows overlap as the stream advances,
-/// and releasing one block must not free the next one's).
-fn coded_load_key(vs: &ViewerState) -> ViewerInstance {
-    ViewerInstance {
-        viewer: vs.instance.viewer,
-        incarnation: vs.play_seq,
-    }
-}
-
-/// One block (or mirror piece) this cub has committed to send.
-#[derive(Clone, Copy, Debug)]
-struct Active {
-    vs: ViewerState,
-    /// Local index of the disk that holds the bytes.
-    disk_local: u32,
-    send_at: SimTime,
-    /// Paced transmission duration (bpt for primaries, bpt/decluster for
-    /// mirror pieces).
-    send_duration: SimDuration,
-    /// Payload bytes delivered to the client.
-    payload: u64,
-    /// On-disk extent size charged against the buffer cache.
-    read_bytes: u64,
-    read_issued: bool,
-    read_ready: bool,
-    /// A read-ahead buffer is charged to this service.
-    buffer_held: bool,
-    transmitting: bool,
-    /// The block went out (or its transmission is in progress).
-    sent: bool,
-    /// The deadline passed before the read completed; the block was
-    /// dropped but the viewer continues (only this block is lost).
-    missed: bool,
-    forwarded: bool,
-    /// Cancelled by a deschedule or failure; do not send or forward.
-    dropped: bool,
-}
-
-impl Active {
-    fn new(
-        vs: ViewerState,
-        disk_local: u32,
-        send_at: SimTime,
-        send_duration: SimDuration,
-        payload: u64,
-        forwarded: bool,
-    ) -> Self {
-        Active {
-            vs,
-            disk_local,
-            send_at,
-            send_duration,
-            payload,
-            read_bytes: 0,
-            read_issued: false,
-            read_ready: false,
-            buffer_held: false,
-            transmitting: false,
-            sent: false,
-            missed: false,
-            forwarded,
-            dropped: false,
-        }
-    }
-
-    /// Whether the entry's work is finished and it can be reclaimed.
-    fn finished(&self) -> bool {
-        self.forwarded
-            && !self.transmitting
-            && (self.sent || self.missed || self.dropped)
-            && (!self.read_issued || self.read_ready)
     }
 }
 
@@ -163,9 +63,10 @@ pub struct Cub {
     by_key: HashMap<ServiceKey, ServiceToken>,
     next_token: ServiceToken,
     shadows: HashMap<(SlotId, ViewerInstance), Shadow>,
-    /// Blocks for which this cub (as acting successor) already created
-    /// mirror viewer states, to make creation idempotent.
-    mirrors_created: HashSet<(SlotId, ViewerInstance, u32)>,
+    /// Blocks this cub (as acting successor) already covered, by due
+    /// time, to make cover idempotent: a double-forwarded copy must not
+    /// drive the mirrors (or count the block) twice.
+    mirrors_created: HashMap<(SlotId, ViewerInstance, u32), SimTime>,
     /// The sans-io insertion machine: queued and redundant starts, and
     /// the one-armed attempt timer (`tiger_proto::insert`).
     ins: InsertMachine,
@@ -224,7 +125,7 @@ impl Cub {
             by_key: HashMap::default(),
             next_token: 0,
             shadows: HashMap::default(),
-            mirrors_created: HashSet::default(),
+            mirrors_created: HashMap::default(),
             ins: InsertMachine::new(),
             ring: RingMachine::new(id, num_cubs),
             buffer_bytes_in_use: 0,
@@ -559,7 +460,7 @@ impl Cub {
                         .catalog
                         .locate(s.vs.file, s.vs.position)
                         .is_some_and(|loc| loc.cub == to)
-                    && !self.mirrors_created.contains(&(
+                    && !self.mirrors_created.contains_key(&(
                         s.vs.slot,
                         s.vs.instance,
                         s.vs.position.raw(),
@@ -595,10 +496,23 @@ impl Cub {
             StreamKind::Mirror { failed_disk, piece } => {
                 self.on_mirror_state(sh, now, vs, failed_disk, piece);
             }
-            StreamKind::Coded { home_disk, shard } => {
-                self.on_coded_state(sh, now, vs, home_disk, shard);
-            }
+            StreamKind::Coded { .. } => self.on_coded_state(sh, now, vs),
         }
+    }
+
+    /// Traces the refusal of a stale or double-forwarded copy of `vs`.
+    fn trace_duplicate(&self, sh: &mut Shared, now: SimTime, vs: &ViewerState) {
+        let (slot, viewer, inc) = vkey(vs);
+        sh.tracer.record(
+            now,
+            self.id.raw(),
+            TraceEvent::VsDuplicate {
+                slot,
+                viewer,
+                inc,
+                play_seq: vs.play_seq,
+            },
+        );
     }
 
     fn on_primary_state(&mut self, sh: &mut Shared, now: SimTime, vs: ViewerState) {
@@ -629,18 +543,7 @@ impl Cub {
         // it would put a second, lagging copy of the stream into
         // circulation that re-delivers every block.
         if self.already_served(&vs) {
-            let (slot, viewer, inc) = vkey(&vs);
-            sh.tracer.record(
-                now,
-                self.id.raw(),
-                TraceEvent::VsDuplicate {
-                    slot,
-                    viewer,
-                    inc,
-                    play_seq: vs.play_seq,
-                },
-            );
-            return;
+            return self.trace_duplicate(sh, now, &vs);
         }
 
         if loc.cub == self.id {
@@ -673,1215 +576,41 @@ impl Cub {
         }
     }
 
-    /// Begins normal service of `vs` on local disk `disk`.
-    fn accept_service(&mut self, sh: &mut Shared, now: SimTime, vs: ViewerState, disk: DiskId) {
-        let me = self.id.raw();
-        let (slot, viewer, inc) = vkey(&vs);
-        match self.view.apply_viewer_state(vs, now) {
-            ViewApply::Inserted | ViewApply::Updated => {}
-            ViewApply::Duplicate => {
-                sh.tracer.record(
-                    now,
-                    me,
-                    TraceEvent::VsDuplicate {
-                        slot,
-                        viewer,
-                        inc,
-                        play_seq: vs.play_seq,
-                    },
-                );
-                return;
-            }
-            ViewApply::Blocked => {
-                sh.tracer
-                    .record(now, me, TraceEvent::VsBlocked { slot, viewer, inc });
-                return;
-            }
-            ViewApply::Conflict => {
-                sh.tracer
-                    .record(now, me, TraceEvent::VsConflict { slot, viewer, inc });
-                sh.metrics.violations.push(format!(
-                    "{}: conflicting viewer state for {} in {}",
-                    self.id, vs.instance, vs.slot
-                ));
-                return;
-            }
-        }
-        let key = ServiceKey {
-            slot: vs.slot,
-            instance: vs.instance,
-            kind: KindKey::Primary,
-            play_seq: vs.play_seq,
-        };
-        if self.by_key.contains_key(&key) {
-            // Already servicing this entry (double-forward duplicate).
-            sh.tracer.record(
-                now,
-                me,
-                TraceEvent::VsDuplicate {
-                    slot,
-                    viewer,
-                    inc,
-                    play_seq: vs.play_seq,
-                },
-            );
-            return;
-        }
-        let send_at = sh.params.slot_send_time(disk, vs.slot, now);
-        // A record can only legitimately be up to maxVStateLead early plus
-        // one block play time per bridged failure (the cover chain advances
-        // past each dead disk instantly); a send time further out means
-        // the record arrived *after* its due time and wrapped to the next
-        // schedule lap. §4.1.2 prescribes discarding such late arrivals
-        // (the viewer is "spontaneously descheduled" in the worst case).
-        // On rings too short to tell the two cases apart, skip the guard.
-        let max_legit_lead = sh.cfg.max_vstate_lead
-            + sh.params
-                .block_play_time()
-                .mul_u64(u64::from(sh.params.stripe().decluster) + 1);
-        if max_legit_lead < sh.params.schedule_len()
-            && send_at.saturating_since(now) > max_legit_lead
-        {
-            sh.tracer.record(
-                now,
-                me,
-                TraceEvent::VsLate {
-                    slot,
-                    viewer,
-                    inc,
-                    play_seq: vs.play_seq,
-                },
-            );
-            self.view.retire(vs.slot, &vs);
-            sh.metrics.loss.failover_lost += 1;
-            return;
-        }
-        sh.tracer.record(
-            now,
-            me,
-            TraceEvent::VsAccept {
-                slot,
-                viewer,
-                inc,
-                play_seq: vs.play_seq,
-                position: u64::from(vs.position.raw()),
-            },
-        );
-        if self.rejoined_at.take().is_some() {
-            // First primary acceptance of this cub's new life: the rejoin
-            // has converged (the ring is feeding it schedule state again).
-            sh.tracer
-                .record(now, me, TraceEvent::RejoinDone { cub: me });
-        }
-        let meta = sh.catalog.get(vs.file).copied().expect("file known");
-        // Under the coded backend the home's primary extent is one shard
-        // (1/k of the block): a shorter read, a shorter paced send.
-        let (payload, send_duration) = match &sh.coded {
-            Some(c) => (
-                meta.payload_size
-                    .div_u64_ceil(u64::from(c.placement.k()))
-                    .as_bytes(),
-                sh.params
-                    .block_play_time()
-                    .div_u64(u64::from(c.placement.k())),
-            ),
-            None => (meta.payload_size.as_bytes(), sh.params.block_play_time()),
-        };
-        let token = self.alloc_token();
-        self.active.insert(
-            token,
-            Active::new(
-                vs,
-                sh.params.stripe().local_index_of(disk),
-                send_at,
-                send_duration,
-                payload,
-                false,
-            ),
-        );
-        self.by_key.insert(key, token);
-        // §3.1: "the disks run at least one block service time ahead of the
-        // schedule. Usually, they run a little earlier, trading off buffer
-        // usage to cover for slight variations in disk … performance."
-        // Steady-state records arrive minVStateLead+ early, so their reads
-        // go out two scheduling leads ahead; a freshly inserted viewer's
-        // first read is issued immediately (it has only the scheduling
-        // lead).
-        let read_at = send_at
-            .saturating_sub(sh.cfg.scheduling_lead.mul_u64(2))
-            .max(now);
-        sh.queue.schedule(
-            read_at,
-            Event::ReadIssue {
-                cub: self.id,
-                token,
-            },
-        );
-        sh.queue.schedule(
-            send_at,
-            Event::SendDue {
-                cub: self.id,
-                token,
-            },
-        );
-        sh.metrics.loss.blocks_scheduled += 1;
-        if sh.coded.is_some() {
-            self.fan_out_coded(sh, now, vs, disk, send_at);
-        }
-        // If waiting for the next periodic pass would let the successor's
-        // lead fall below minVStateLead ("Cubs endeavor to keep the
-        // schedule updated at least minVStateLead into the future"),
-        // forward promptly instead of batching. This is what keeps freshly
-        // inserted streams alive while their lead pipeline builds up.
-        let successor_breach =
-            (send_at + sh.params.block_play_time()).saturating_sub(sh.cfg.min_vstate_lead);
-        if successor_breach < self.next_forward_pass {
-            sh.queue.schedule(
-                now + SimDuration::from_millis(1),
-                Event::ForwardPass { cub: self.id },
-            );
-        }
-    }
-
-    /// Acting-successor work for a viewer state addressed to a failed disk:
-    /// create mirror viewer states for its declustered pieces, and keep the
-    /// record propagating (§4.1.1, Figure 5).
-    fn cover_failed_disk(
-        &mut self,
-        sh: &mut Shared,
-        now: SimTime,
-        vs: ViewerState,
-        failed_disk: DiskId,
-    ) {
-        if sh.coded.is_some() {
-            self.cover_failed_disk_coded(sh, now, vs, failed_disk);
-            return;
-        }
-        let created_key = (vs.slot, vs.instance, vs.position.raw());
-        if self.mirrors_created.insert(created_key) {
-            let (slot, viewer, inc) = vkey(&vs);
-            sh.tracer.record(
-                now,
-                self.id.raw(),
-                TraceEvent::MirrorCreate {
-                    slot,
-                    viewer,
-                    inc,
-                    failed_disk: failed_disk.raw(),
-                },
-            );
-            sh.metrics.loss.blocks_scheduled += 1;
-            // "When the succeeding cub makes this decision, it creates a
-            // special kind of viewer state called a mirror viewer state"
-            // (§4.1.1). Mirror viewer states then propagate along the ring
-            // of piece-holding cubs "much like normal ones": each holder
-            // serves its piece and forwards the record for the next piece.
-            let mut mvs = vs;
-            mvs.kind = StreamKind::Mirror {
-                failed_disk,
-                piece: 0,
-            };
-            self.on_mirror_state(sh, now, mvs, failed_disk, 0);
-        }
-        // Continue normal propagation past the failed machine: the next
-        // block is due on the disk after the failed one, which may be ours
-        // or (with consecutive failures) dead as well — recurse.
-        self.on_primary_state(sh, now, vs.advanced(1));
-    }
-
-    /// Accepts mirror service for the declustered piece this cub holds,
-    /// then forwards the record toward the next piece's holder.
-    ///
-    /// The embedded `piece` is the *next expected* piece; the receiving cub
-    /// re-derives which piece it actually holds from ring geometry (with
-    /// consecutive failures the expected holder may be dead, in which case
-    /// the skipped pieces are unrecoverable, §2.3).
-    fn on_mirror_state(
-        &mut self,
-        sh: &mut Shared,
-        now: SimTime,
-        mut vs: ViewerState,
-        failed_disk: DiskId,
-        expected_piece: u32,
-    ) {
-        let stripe = sh.params.stripe();
-        // Which piece of this failed disk lives on one of our disks?
-        // Consecutive disks are on consecutive cubs, so at most one does.
-        let Some(piece) = (0..stripe.decluster)
-            .find(|&i| stripe.cub_of(stripe.disk_after(failed_disk, i + 1)) == self.id)
-        else {
-            return; // No piece of this block here (over-forwarded copy).
-        };
-        if piece < expected_piece {
-            return; // A double-forwarded duplicate for a piece already done.
-        }
-        // Pieces between the expected one and ours whose holders are dead
-        // are unrecoverable (double-forwarded copies also skip ahead, but
-        // those skipped holders are alive and serve from their own copies —
-        // only dead holders count as losses) — unless the spare shield
-        // holds ready copies of the span, in which case the dead holder's
-        // record routes to the serving spare instead.
-        for j in expected_piece..piece {
-            let holder_cub = stripe.cub_of(stripe.disk_after(failed_disk, j + 1));
-            if self.ring.believes_failed(holder_cub)
-                && !self.route_to_shield(sh, now, vs, failed_disk, j)
-            {
-                sh.metrics.loss.failover_lost += 1;
-            }
-        }
-        let holder = stripe.disk_after(failed_disk, piece + 1);
-        vs.kind = StreamKind::Mirror { failed_disk, piece };
-        match self.view.apply_viewer_state(vs, now) {
-            ViewApply::Inserted | ViewApply::Updated => {}
-            _ => return,
-        }
-        let key = ServiceKey {
-            slot: vs.slot,
-            instance: vs.instance,
-            kind: KindKey::Mirror(piece),
-            play_seq: vs.play_seq,
-        };
-        if self.by_key.contains_key(&key) {
-            return;
-        }
-        // Piece i goes out i/decluster of a block play time after the
-        // block's nominal send time (§4.1.1 mirror timing).
-        let block_due = sh.params.slot_send_time(failed_disk, vs.slot, now);
-        // Same staleness rule as primary acceptance: a "next" due time more
-        // than the maximum legitimate lead away means the block's real due
-        // time already passed (it wrapped to the next lap) — the block is
-        // lost, not a minute late.
-        let max_legit_lead = sh.cfg.max_vstate_lead
-            + sh.params
-                .block_play_time()
-                .mul_u64(u64::from(stripe.decluster) + 1);
-        let (slot, viewer, inc) = vkey(&vs);
-        if max_legit_lead < sh.params.schedule_len()
-            && block_due.saturating_since(now) > max_legit_lead
-        {
-            sh.tracer.record(
-                now,
-                self.id.raw(),
-                TraceEvent::VsLate {
-                    slot,
-                    viewer,
-                    inc,
-                    play_seq: vs.play_seq,
-                },
-            );
-            sh.metrics.loss.failover_lost += 1;
-            self.view.retire(vs.slot, &vs);
-            return;
-        }
-        let piece_gap = sh
-            .params
-            .block_play_time()
-            .div_u64(u64::from(stripe.decluster));
-        let send_at = block_due + piece_gap.mul_u64(u64::from(piece));
-        if send_at <= now + SimDuration::from_millis(5) {
-            // Too late to read and send this piece.
-            sh.tracer.record(
-                now,
-                self.id.raw(),
-                TraceEvent::VsLate {
-                    slot,
-                    viewer,
-                    inc,
-                    play_seq: vs.play_seq,
-                },
-            );
-            sh.metrics.loss.failover_lost += 1;
-            self.view.retire(vs.slot, &vs);
-            return;
-        }
-        sh.tracer.record(
-            now,
-            self.id.raw(),
-            TraceEvent::MirrorAccept {
-                slot,
-                viewer,
-                inc,
-                piece,
-            },
-        );
-        let meta = sh.catalog.get(vs.file).copied().expect("file known");
-        let piece_payload = meta.payload_size.div_u64_ceil(u64::from(stripe.decluster));
-        let token = self.alloc_token();
-        self.active.insert(
-            token,
-            Active::new(
-                vs,
-                stripe.local_index_of(holder),
-                send_at,
-                piece_gap,
-                piece_payload.as_bytes(),
-                true, // Mirror records forward immediately (below), not in the periodic pass.
-            ),
-        );
-        self.by_key.insert(key, token);
-        // Mirror reads land on disks already running near saturation; issue
-        // them extra-early ("the cubs take these timing differences into
-        // consideration", §4.1.1) to ride out queueing convoys.
-        let read_at = send_at
-            .saturating_sub(sh.cfg.scheduling_lead.mul_u64(3))
-            .max(now);
-        sh.queue.schedule(
-            read_at,
-            Event::ReadIssue {
-                cub: self.id,
-                token,
-            },
-        );
-        sh.queue.schedule(
-            send_at,
-            Event::SendDue {
-                cub: self.id,
-                token,
-            },
-        );
-
-        // Forward the mirror record toward the next piece's holder, doubly
-        // (mirror viewer states propagate "much like normal ones").
-        if piece + 1 < stripe.decluster {
-            let mut next = vs;
-            next.kind = StreamKind::Mirror {
-                failed_disk,
-                piece: piece + 1,
-            };
-            let me = sh.cub_node(self.id);
-            if let Some(succ) = self.next_living(self.id) {
-                sh.tracer.record(
-                    now,
-                    self.id.raw(),
-                    TraceEvent::VsForward {
-                        dst: succ.raw(),
-                        count: 1,
-                        second: false,
-                    },
-                );
-                sh.send_control(now, me, sh.cub_node(succ), Message::ViewerState(next));
-                if sh.cfg.forwarding == ForwardingPolicy::Double {
-                    if let Some(second) = self.next_living(succ) {
-                        if second != self.id {
-                            sh.tracer.record(
-                                now,
-                                self.id.raw(),
-                                TraceEvent::VsForward {
-                                    dst: second.raw(),
-                                    count: 1,
-                                    second: true,
-                                },
-                            );
-                            sh.send_control(
-                                now,
-                                me,
-                                sh.cub_node(second),
-                                Message::ViewerState(next),
-                            );
-                        }
-                    }
-                }
-            }
-        }
-        // Dead holders *ahead* of this piece whose spans the shield
-        // holds: route their records to the serving spare now. The living
-        // chain never reaches pieces past its last living holder (the
-        // successor outside the span drops the record), and for mid-chain
-        // dead holders the next living holder's receive loop routes a
-        // duplicate — the spare's by-key table dedups it.
-        for j in piece + 1..stripe.decluster {
-            let holder_cub = stripe.cub_of(stripe.disk_after(failed_disk, j + 1));
-            if self.ring.believes_failed(holder_cub) {
-                self.route_to_shield(sh, now, vs, failed_disk, j);
-            }
-        }
-    }
-
-    /// Routes a dead holder's mirror record to the spare shielding its
-    /// span, if one is ready. Returns whether the record was routed.
-    fn route_to_shield(
-        &self,
-        sh: &mut Shared,
-        now: SimTime,
-        mut vs: ViewerState,
-        failed_disk: DiskId,
-        piece: u32,
-    ) -> bool {
-        let Some(spare) = sh.shield.serving_spare(failed_disk, piece) else {
-            return false;
-        };
-        vs.kind = StreamKind::Mirror { failed_disk, piece };
-        let me = sh.cub_node(self.id);
-        sh.send_control(now, me, sh.cub_node(spare), Message::ViewerState(vs));
-        true
-    }
-
-    /// Shield service entry: a record routed to this spare because a
-    /// mirror piece's normal holder is dead. Only records for spans this
-    /// spare actually holds ready copies of are served; anything else is
-    /// an over-forwarded duplicate and drops.
-    fn on_shield_state(&mut self, sh: &mut Shared, now: SimTime, vs: ViewerState) {
-        let StreamKind::Mirror { failed_disk, piece } = vs.kind else {
-            return;
-        };
-        if sh.shield.serving_spare(failed_disk, piece) != Some(self.id) {
-            return;
-        }
-        self.serve_shielded_piece(sh, now, vs, failed_disk, piece);
-    }
-
-    /// Serves one shielded mirror piece in a dead holder's place: the
-    /// same acceptance, timing, and too-late rules as
-    /// [`Self::on_mirror_state`], minus the span-geometry derivation
-    /// (the spare is not in the span — the routed record already names
-    /// its piece) and minus forwarding (the living holders' chain keeps
-    /// propagating the record; the spare only fills dead holders' gaps).
-    fn serve_shielded_piece(
-        &mut self,
-        sh: &mut Shared,
-        now: SimTime,
-        vs: ViewerState,
-        failed_disk: DiskId,
-        piece: u32,
-    ) {
-        let stripe = sh.params.stripe();
-        match self.view.apply_viewer_state(vs, now) {
-            ViewApply::Inserted | ViewApply::Updated => {}
-            _ => return,
-        }
-        let key = ServiceKey {
-            slot: vs.slot,
-            instance: vs.instance,
-            kind: KindKey::Mirror(piece),
-            play_seq: vs.play_seq,
-        };
-        if self.by_key.contains_key(&key) {
-            return;
-        }
-        let block_due = sh.params.slot_send_time(failed_disk, vs.slot, now);
-        let max_legit_lead = sh.cfg.max_vstate_lead
-            + sh.params
-                .block_play_time()
-                .mul_u64(u64::from(stripe.decluster) + 1);
-        let (slot, viewer, inc) = vkey(&vs);
-        let piece_gap = sh
-            .params
-            .block_play_time()
-            .div_u64(u64::from(stripe.decluster));
-        let send_at = block_due + piece_gap.mul_u64(u64::from(piece));
-        let wrapped = max_legit_lead < sh.params.schedule_len()
-            && block_due.saturating_since(now) > max_legit_lead;
-        if wrapped || send_at <= now + SimDuration::from_millis(5) {
-            sh.tracer.record(
-                now,
-                self.id.raw(),
-                TraceEvent::VsLate {
-                    slot,
-                    viewer,
-                    inc,
-                    play_seq: vs.play_seq,
-                },
-            );
-            sh.metrics.loss.failover_lost += 1;
-            self.view.retire(vs.slot, &vs);
-            return;
-        }
-        sh.tracer.record(
-            now,
-            self.id.raw(),
-            TraceEvent::MirrorAccept {
-                slot,
-                viewer,
-                inc,
-                piece,
-            },
-        );
-        let meta = sh.catalog.get(vs.file).copied().expect("file known");
-        let piece_payload = meta.payload_size.div_u64_ceil(u64::from(stripe.decluster));
-        let token = self.alloc_token();
-        self.active.insert(
-            token,
-            Active::new(
-                vs,
-                // The copy's extent lives on the spare's local disk that
-                // mirrors the failed home's local index.
-                stripe.local_index_of(failed_disk),
-                send_at,
-                piece_gap,
-                piece_payload.as_bytes(),
-                true, // Shield records never enter the forward pass.
-            ),
-        );
-        self.by_key.insert(key, token);
-        let read_at = send_at
-            .saturating_sub(sh.cfg.scheduling_lead.mul_u64(3))
-            .max(now);
-        sh.queue.schedule(
-            read_at,
-            Event::ReadIssue {
-                cub: self.id,
-                token,
-            },
-        );
-        sh.queue.schedule(
-            send_at,
-            Event::SendDue {
-                cub: self.id,
-                token,
-            },
-        );
-    }
-
-    // --- Coded-backend service (tiger-coded) --------------------------------
-
-    /// Coded-backend fan-out, run by the home after it accepts a block's
-    /// primary record: the home's own entry serves shard 0 from its
-    /// primary region; the other `k − 1` of the block's `k` sends are
-    /// assigned to holders chosen from the `2k − 1` remote shard disks by
-    /// the per-disk load index — mirroring's fixed partner lookup becomes
-    /// an admission-aware choice. Chosen holders are driven by unicast
-    /// coded viewer states, and the block's send window is reserved on
-    /// every participating disk so later choices see this one's load.
-    fn fan_out_coded(
-        &mut self,
-        sh: &mut Shared,
-        now: SimTime,
-        vs: ViewerState,
-        home: DiskId,
-        block_due: SimTime,
-    ) {
-        let (k, n) = match sh.coded.as_ref() {
-            Some(c) => (c.placement.k(), c.placement.n()),
-            None => return,
-        };
-        let stripe = sh.params.stripe();
-        // Rank candidates: believed-alive holders, least loaded at the
-        // block's ring position first, shard index breaking ties. Every
-        // input is deterministic, so the choice is too.
-        let mut ranked: Vec<(u64, u32)> = Vec::new();
-        if let Some(c) = sh.coded.as_ref() {
-            for j in 1..n {
-                let d = stripe.disk_after(home, j);
-                if self.ring.believes_failed(stripe.cub_of(d)) {
-                    continue;
-                }
-                ranked.push((c.load_at(d, block_due).bits_per_sec(), j));
-            }
-        }
-        ranked.sort_unstable();
-        let want = k as usize - 1;
-        if ranked.len() < want {
-            // Too few surviving holders to assemble the block: the sends
-            // that do go out cannot complete it at the client.
-            sh.metrics.loss.failover_lost += 1;
-        }
-        ranked.truncate(want);
-        let key = coded_load_key(&vs);
-        if let Some(c) = sh.coded.as_mut() {
-            c.reserve(home, key, block_due, vs.bitrate);
-            for &(_, j) in &ranked {
-                let d = stripe.disk_after(home, j);
-                c.reserve(d, key, block_due, vs.bitrate);
-            }
-        }
-        let me = sh.cub_node(self.id);
-        for (_, j) in ranked {
-            let mut cvs = vs;
-            cvs.kind = StreamKind::Coded {
-                home_disk: home,
-                shard: j,
-            };
-            let holder_cub = stripe.cub_of(stripe.disk_after(home, j));
-            if holder_cub == self.id {
-                self.on_coded_state(sh, now, cvs, home, j);
-            } else {
-                sh.send_control(now, me, sh.cub_node(holder_cub), Message::ViewerState(cvs));
-            }
-        }
-    }
-
-    /// Acting-successor cover under the coded backend: shard 0 died with
-    /// the home, so pick `k` of the block's surviving remote shard
-    /// holders — by the same load-ranked choice the home makes in healthy
-    /// operation — and drive them with coded viewer states, then keep the
-    /// record propagating past the failed machine.
-    fn cover_failed_disk_coded(
-        &mut self,
-        sh: &mut Shared,
-        now: SimTime,
-        vs: ViewerState,
-        failed_disk: DiskId,
-    ) {
-        let created_key = (vs.slot, vs.instance, vs.position.raw());
-        if self.mirrors_created.insert(created_key) {
-            let (slot, viewer, inc) = vkey(&vs);
-            sh.tracer.record(
-                now,
-                self.id.raw(),
-                TraceEvent::CodedRepair {
-                    slot,
-                    viewer,
-                    inc,
-                    failed_disk: failed_disk.raw(),
-                },
-            );
-            sh.metrics.loss.blocks_scheduled += 1;
-            let (k, n) = sh
-                .coded
-                .as_ref()
-                .map(|c| (c.placement.k(), c.placement.n()))
-                .expect("coded mode");
-            let stripe = sh.params.stripe();
-            let block_due = sh.params.slot_send_time(failed_disk, vs.slot, now);
-            let mut ranked: Vec<(u64, u32)> = Vec::new();
-            if let Some(c) = sh.coded.as_ref() {
-                for j in 1..n {
-                    let d = stripe.disk_after(failed_disk, j);
-                    if self.ring.believes_failed(stripe.cub_of(d)) {
-                        continue;
-                    }
-                    ranked.push((c.load_at(d, block_due).bits_per_sec(), j));
-                }
-            }
-            ranked.sort_unstable();
-            if ranked.len() < k as usize {
-                // Fewer than k surviving shards: the block is gone (the
-                // code's loss window), not worth partial sends.
-                sh.metrics.loss.failover_lost += 1;
-            } else {
-                ranked.truncate(k as usize);
-                let me = sh.cub_node(self.id);
-                for (_, j) in ranked {
-                    let mut cvs = vs;
-                    cvs.kind = StreamKind::Coded {
-                        home_disk: failed_disk,
-                        shard: j,
-                    };
-                    let holder_cub = stripe.cub_of(stripe.disk_after(failed_disk, j));
-                    if holder_cub == self.id {
-                        self.on_coded_state(sh, now, cvs, failed_disk, j);
-                    } else {
-                        sh.send_control(
-                            now,
-                            me,
-                            sh.cub_node(holder_cub),
-                            Message::ViewerState(cvs),
-                        );
-                    }
-                }
-            }
-        }
-        // Continue normal propagation past the failed machine (§2.3), the
-        // same advance the mirror cover makes.
-        self.on_primary_state(sh, now, vs.advanced(1));
-    }
-
-    /// Accepts unicast coded-shard service: this cub holds `shard` of the
-    /// block homed on `home_disk` and was chosen by the block's
-    /// coordinator (the home in healthy operation, the acting successor
-    /// after a failure) to deliver it.
-    ///
-    /// Unlike mirror viewer states, coded records do not chain along a
-    /// piece ring: the coordinator picked the exact holders, so each
-    /// record is final and never forwarded.
-    fn on_coded_state(
-        &mut self,
-        sh: &mut Shared,
-        now: SimTime,
-        mut vs: ViewerState,
-        home_disk: DiskId,
-        shard: u32,
-    ) {
-        let Some((k, n)) = sh
-            .coded
-            .as_ref()
-            .map(|c| (c.placement.k(), c.placement.n()))
-        else {
-            return; // Stray coded record under mirroring.
-        };
-        if shard == 0 || shard >= n {
-            return;
-        }
-        let stripe = sh.params.stripe();
-        let holder = stripe.disk_after(home_disk, shard);
-        if stripe.cub_of(holder) != self.id {
-            return; // Misrouted copy.
-        }
-        vs.kind = StreamKind::Coded { home_disk, shard };
-        match self.view.apply_viewer_state(vs, now) {
-            ViewApply::Inserted | ViewApply::Updated => {}
-            _ => return,
-        }
-        let key = ServiceKey {
-            slot: vs.slot,
-            instance: vs.instance,
-            kind: KindKey::Coded(shard),
-            play_seq: vs.play_seq,
-        };
-        if self.by_key.contains_key(&key) {
-            return;
-        }
-        let block_due = sh.params.slot_send_time(home_disk, vs.slot, now);
-        let (slot, viewer, inc) = vkey(&vs);
-        // Same staleness rule as primary and mirror acceptance.
-        let max_legit_lead = sh.cfg.max_vstate_lead
-            + sh.params
-                .block_play_time()
-                .mul_u64(u64::from(stripe.decluster) + 1);
-        if max_legit_lead < sh.params.schedule_len()
-            && block_due.saturating_since(now) > max_legit_lead
-        {
-            sh.tracer.record(
-                now,
-                self.id.raw(),
-                TraceEvent::VsLate {
-                    slot,
-                    viewer,
-                    inc,
-                    play_seq: vs.play_seq,
-                },
-            );
-            sh.metrics.loss.failover_lost += 1;
-            self.view.retire(vs.slot, &vs);
-            return;
-        }
-        // Shard sends stagger across the block play time by shard index,
-        // so whichever subset the coordinator picked, every send fits in
-        // the block's play window: the highest possible shard (2k − 1)
-        // starts at bpt − bpt/k and ends exactly at block_due + bpt.
-        let shard_time = sh.params.block_play_time().div_u64(u64::from(k));
-        let gap = (sh.params.block_play_time() - shard_time).div_u64(u64::from(n - 1));
-        let send_at = block_due + gap.mul_u64(u64::from(shard));
-        if send_at <= now + SimDuration::from_millis(5) {
-            // Too late to read and send this shard.
-            sh.tracer.record(
-                now,
-                self.id.raw(),
-                TraceEvent::VsLate {
-                    slot,
-                    viewer,
-                    inc,
-                    play_seq: vs.play_seq,
-                },
-            );
-            sh.metrics.loss.failover_lost += 1;
-            self.view.retire(vs.slot, &vs);
-            return;
-        }
-        if self.ring.believes_failed(stripe.cub_of(home_disk)) {
-            // Degraded service: this shard stands in for data whose home
-            // machine is down.
-            sh.tracer.record(
-                now,
-                self.id.raw(),
-                TraceEvent::DegradedPieceRead {
-                    slot,
-                    viewer,
-                    inc,
-                    shard,
-                },
-            );
-        }
-        let meta = sh.catalog.get(vs.file).copied().expect("file known");
-        let shard_payload = meta.payload_size.div_u64_ceil(u64::from(k));
-        let token = self.alloc_token();
-        self.active.insert(
-            token,
-            Active::new(
-                vs,
-                stripe.local_index_of(holder),
-                send_at,
-                shard_time,
-                shard_payload.as_bytes(),
-                true, // Coded records never forward: the fan-out is complete.
-            ),
-        );
-        self.by_key.insert(key, token);
-        // Like mirror reads: issue extra-early to ride out queueing
-        // convoys on disks already running near saturation.
-        let read_at = send_at
-            .saturating_sub(sh.cfg.scheduling_lead.mul_u64(3))
-            .max(now);
-        sh.queue.schedule(
-            read_at,
-            Event::ReadIssue {
-                cub: self.id,
-                token,
-            },
-        );
-        sh.queue.schedule(
-            send_at,
-            Event::SendDue {
-                cub: self.id,
-                token,
-            },
-        );
-    }
-
-    // --- Disk service ------------------------------------------------------
-
-    /// Issues the disk read for `token` (one scheduling lead early).
-    ///
-    /// Reads are issued as early as the buffer cache allows ("trading off
-    /// buffer usage to cover for slight variations in disk and I/O system
-    /// performance", §3.1): when the 20 MB cache is full, the read is
-    /// retried shortly, down to a hard floor of one scheduling lead before
-    /// the send.
-    pub fn on_read_issue(&mut self, sh: &mut Shared, now: SimTime, token: ServiceToken) {
-        if self.failed && !sh.shield.is_serving_spare(self.id) {
-            return;
-        }
-        let Some(entry) = self.active.get_mut(&token) else {
-            return; // Descheduled before the read was due.
-        };
-        if entry.dropped || entry.read_issued {
-            return;
-        }
-        let must_issue_by = entry.send_at.saturating_sub(sh.cfg.scheduling_lead);
-        if now < must_issue_by
-            && self.buffer_bytes_in_use + u64::from(sh.cfg.block_size().as_bytes() as u32)
-                > sh.cfg.buffer_cache.as_bytes()
-        {
-            // Cache full: retry soon, no later than the hard floor.
-            let retry = (now + SimDuration::from_millis(50)).min(must_issue_by);
-            sh.queue.schedule(
-                retry,
-                Event::ReadIssue {
-                    cub: self.id,
-                    token,
-                },
-            );
-            return;
-        }
-        let stripe = sh.params.stripe();
-        let local = entry.disk_local;
-        let disk_id = match entry.vs.kind {
-            // A shield-serving spare's copies are keyed under the failed
-            // home disk: spares have no ids in the stripe's disk
-            // namespace (only their physical `local` index is real).
-            StreamKind::Mirror { failed_disk, .. } if self.failed => failed_disk,
-            _ => stripe.disk_of(self.id, local),
-        };
-        if entry.vs.kind == StreamKind::Primary {
-            // Buffer-cache check (§5 measured <0.05% hits: staggered
-            // viewers rarely re-read a block while it is still resident).
-            self.cache_lookups.incr();
-            let key = (disk_id, entry.vs.file, entry.vs.position);
-            if self.cache_resident.contains(&key) {
-                self.cache_hits.incr();
-                entry.read_ready = true;
-                return;
-            }
-        }
-        let lookup = match entry.vs.kind {
-            StreamKind::Primary => {
-                self.index
-                    .lookup_primary(disk_id, entry.vs.file, entry.vs.position)
-            }
-            StreamKind::Mirror { piece, .. } => {
-                self.index
-                    .lookup_secondary(disk_id, entry.vs.file, entry.vs.position, piece)
-            }
-            StreamKind::Coded { shard, .. } => {
-                self.index
-                    .lookup_secondary(disk_id, entry.vs.file, entry.vs.position, shard)
-            }
-        };
-        let Some(extent) = lookup else {
-            // Content not on this disk (stale record after a restripe).
-            // The block is lost but the viewer continues.
-            entry.missed = true;
-            sh.metrics.loss.failover_lost += 1;
-            return;
-        };
-        let req = DiskRequest {
-            offset: extent.offset(),
-            len: extent.length(),
-            kind: match entry.vs.kind {
-                StreamKind::Primary => RequestKind::Primary,
-                // Coded shards 1..2k live in the secondary region too.
-                StreamKind::Mirror { .. } | StreamKind::Coded { .. } => RequestKind::Mirror,
-            },
-        };
-        match self.disks[local as usize].submit(now, req) {
-            Ok(done) => {
-                let (slot, viewer, inc) = vkey(&entry.vs);
-                sh.tracer.record(
-                    now,
-                    self.id.raw(),
-                    TraceEvent::DiskIssue {
-                        slot,
-                        viewer,
-                        inc,
-                        disk: disk_id.raw(),
-                    },
-                );
-                entry.read_issued = true;
-                entry.buffer_held = true;
-                entry.read_bytes = req.len.as_bytes();
-                self.buffer_bytes_in_use += entry.read_bytes;
-                self.peak_buffer_bytes = self.peak_buffer_bytes.max(self.buffer_bytes_in_use);
-                if entry.vs.kind == StreamKind::Primary {
-                    let key = (disk_id, entry.vs.file, entry.vs.position);
-                    self.cache_resident.push_back(key);
-                    let max_resident = (sh.cfg.buffer_cache.as_bytes()
-                        / sh.cfg.block_size().as_bytes().max(1))
-                        as usize;
-                    while self.cache_resident.len() > max_resident {
-                        self.cache_resident.pop_front();
-                    }
-                }
-                sh.queue.schedule(
-                    done,
-                    Event::DiskDone {
-                        cub: self.id,
-                        token,
-                    },
-                );
-            }
-            Err(DiskError::Failed) => {
-                entry.missed = true;
-                sh.metrics.loss.failover_lost += 1;
-            }
-            Err(DiskError::Transient) => {
-                // Injected transient read error: the block is lost (no
-                // retry path — the send deadline leaves no slack for one),
-                // but the disk and the viewer both continue.
-                entry.missed = true;
-                sh.metrics.loss.failover_lost += 1;
-                let (slot, viewer, inc) = vkey(&entry.vs);
-                sh.tracer.record(
-                    now,
-                    self.id.raw(),
-                    TraceEvent::DiskTransient {
-                        slot,
-                        viewer,
-                        inc,
-                        disk: disk_id.raw(),
-                    },
-                );
-            }
-            Err(DiskError::OutOfRange) => {
-                unreachable!("index produced an out-of-range extent");
-            }
-        }
-    }
-
-    /// Handles a disk-read completion.
-    pub fn on_disk_done(&mut self, sh: &mut Shared, now: SimTime, token: ServiceToken) {
-        if self.failed && !sh.shield.is_serving_spare(self.id) {
-            return;
-        }
-        let Some(entry) = self.active.get_mut(&token) else {
-            // Unreachable in a correct run: entries with outstanding reads
-            // are never force-removed (see the deschedule path).
-            debug_assert!(false, "disk completion for a vanished service");
-            return;
-        };
-        if self.disks[entry.disk_local as usize].is_failed() {
-            // The disk died while this read was in flight: the data never
-            // arrived. The block is lost; the viewer continues.
-            entry.missed = true;
-            sh.metrics.loss.failover_lost += 1;
-            if self.active.get(&token).is_some_and(Active::finished) {
-                self.reclaim(now, token, sh.coded.as_mut());
-            }
-            return;
-        }
-        entry.read_ready = true;
-        let (slot, viewer, inc) = vkey(&entry.vs);
-        sh.tracer.record(
-            now,
-            self.id.raw(),
-            TraceEvent::DiskDone { slot, viewer, inc },
-        );
-        let disk_local = entry.disk_local;
-        // The buffer pool recycles aggressively (§2.2's zero-copy path
-        // keeps no long-lived cache), so a block is shareable only while
-        // its read is in flight — I/O coalescing, which is what keeps the
-        // §5 buffer-cache hit rate "less than 0.05%".
-        if entry.vs.kind == StreamKind::Primary {
-            let disk_id = sh.params.stripe().disk_of(self.id, disk_local);
-            let key = (disk_id, entry.vs.file, entry.vs.position);
-            if let Some(pos) = self.cache_resident.iter().position(|k| *k == key) {
-                self.cache_resident.remove(pos);
-            }
-        }
-        self.disks[disk_local as usize].complete(now);
-        if self.active.get(&token).is_some_and(Active::finished) {
-            self.reclaim(now, token, sh.coded.as_mut());
-        }
-    }
-
-    /// The block (or piece) for `token` is due at the network.
-    pub fn on_send_due(&mut self, sh: &mut Shared, now: SimTime, token: ServiceToken) {
-        if self.failed && !sh.shield.is_serving_spare(self.id) {
-            return;
-        }
-        let Some(entry) = self.active.get_mut(&token) else {
-            return; // Descheduled.
-        };
-        if entry.dropped {
-            return;
-        }
-        let (slot, viewer, inc) = vkey(&entry.vs);
-        sh.tracer.record(
-            now,
-            self.id.raw(),
-            TraceEvent::SendDue {
-                slot,
-                viewer,
-                inc,
-                ok: entry.read_ready && !entry.missed,
-            },
-        );
-        if entry.missed {
-            // The read path already declared this block lost.
-            if entry.finished() {
-                self.reclaim(now, token, sh.coded.as_mut());
-            }
-            return;
-        }
-        if !entry.read_ready {
-            // "the server failed to place 15 blocks on the network, each
-            // because the disk read hadn't completed in time" — the block
-            // is dropped, not sent late, and the viewer continues with its
-            // subsequent blocks (the entry still gets forwarded).
-            sh.metrics.loss.server_missed += 1;
-            if entry.vs.kind != StreamKind::Primary {
-                sh.metrics.loss.mirror_missed += 1;
-            }
-            entry.missed = true;
-            if entry.finished() {
-                self.reclaim(now, token, sh.coded.as_mut());
-            }
-            return;
-        }
-        let rate = entry.vs.bitrate;
-        let node = sh.cub_node(self.id);
-        let ok = sh.net.begin_stream(now, node, rate);
-        if !ok {
-            // NIC overcommitted — the schedule should prevent this; report
-            // it as a violation but keep sending (degraded).
-            sh.metrics
-                .violations
-                .push(format!("{}: NIC overcommit at {now}", self.id));
-        }
-        entry.transmitting = true;
-        entry.sent = true;
-        if entry.vs.kind == StreamKind::Primary {
-            if let Some(omni) = sh.omniscient.as_mut() {
-                omni.on_send(&entry.vs, now);
-            }
-        }
-        let done_at = now + entry.send_duration;
-        sh.queue.schedule(
-            done_at,
-            Event::SendDone {
-                cub: self.id,
-                token,
-            },
-        );
-    }
-
-    /// A paced transmission finished: free the NIC, deliver to the client.
-    pub fn on_send_done(&mut self, sh: &mut Shared, now: SimTime, token: ServiceToken) {
-        if self.failed && !sh.shield.is_serving_spare(self.id) {
-            return;
-        }
-        let Some(entry) = self.active.get(&token).copied() else {
-            return;
-        };
-        let (slot, viewer, inc) = vkey(&entry.vs);
-        sh.tracer.record(
-            now,
-            self.id.raw(),
-            TraceEvent::SendDone { slot, viewer, inc },
-        );
-        let node = sh.cub_node(self.id);
-        sh.net
-            .end_stream(now, node, entry.vs.bitrate, entry.payload);
-        sh.metrics.loss.blocks_sent += 1;
-        // Deliver to the client (receive time = last byte arrival, §5).
-        let client = tiger_net::NetNode(entry.vs.client);
-        let at = sh.net.send_data(now, node, client);
-        sh.trace_net_injections(now);
-        if let Some(at) = at {
-            let (piece, total) = match entry.vs.kind {
-                // Under the coded backend the home's primary send is
-                // shard 0 of the k the client assembles.
-                StreamKind::Primary => match &sh.coded {
-                    Some(c) => (Some(0), c.placement.k()),
-                    None => (None, 1),
-                },
-                StreamKind::Mirror { piece, .. } => (Some(piece), sh.params.stripe().decluster),
-                StreamKind::Coded { shard, .. } => (
-                    Some(shard),
-                    sh.coded.as_ref().map_or(1, |c| c.placement.k()),
-                ),
-            };
-            sh.queue.schedule(
-                at,
-                Event::Deliver {
-                    dst: client,
-                    msg: Message::StreamData {
-                        instance: entry.vs.instance,
-                        block: entry.vs.position.raw(),
-                        piece,
-                        total_pieces: total,
-                        bytes: entry.payload,
-                    },
-                },
-            );
-        }
-        self.view.retire(entry.vs.slot, &entry.vs);
-        if let Some(e) = self.active.get_mut(&token) {
-            e.transmitting = false;
-        }
-        if self.active.get(&token).is_some_and(Active::finished) {
-            self.reclaim(now, token, sh.coded.as_mut());
-        }
-        // Otherwise forwarding has not happened yet (fresh inserts with
-        // very short leads); the next forward pass reclaims the entry.
-    }
-
-    /// Removes a finished or cancelled service, returning its buffer.
-    /// Serviced primary records are retained in the retired log for one
-    /// failure-detection window (gap bridging, §2.3). Under the coded
-    /// backend, retiring the home's primary entry releases the block's
-    /// shard reservations from the per-disk load rings (`coded` is `None`
-    /// only at restripe cut-over, which rebuilds the rings wholesale).
-    fn reclaim(&mut self, now: SimTime, token: ServiceToken, coded: Option<&mut CodedRuntime>) {
-        if let Some(e) = self.active.remove(&token) {
-            if e.buffer_held {
-                self.buffer_bytes_in_use = self.buffer_bytes_in_use.saturating_sub(e.read_bytes);
-            }
-            let key = ServiceKey {
-                slot: e.vs.slot,
-                instance: e.vs.instance,
-                kind: kind_key(e.vs.kind),
-                play_seq: e.vs.play_seq,
-            };
-            self.by_key.remove(&key);
-            if e.vs.kind == StreamKind::Primary {
-                if let Some(c) = coded {
-                    let home = c.placement.config().disk_of(self.id, e.disk_local);
-                    c.release(home, coded_load_key(&e.vs));
-                }
-            }
-            if !e.dropped && e.vs.kind == StreamKind::Primary {
-                self.retired_log.push((now, e.vs));
-            }
-        }
-    }
-
-    fn alloc_token(&mut self) -> ServiceToken {
-        let t = self.next_token;
-        self.next_token += 1;
-        t
-    }
-
     // --- Forwarding (§4.1.1) ------------------------------------------------
+
+    /// The two hops a record is sent to: the first living cub after `from`
+    /// and the living cub after that (left out when the ring is so short
+    /// that it would be this cub again).
+    fn successor_pair(&self, from: CubId) -> impl Iterator<Item = CubId> {
+        let succ = self.next_living(from);
+        let second = succ
+            .and_then(|s| self.next_living(s))
+            .filter(|&s| s != self.id);
+        succ.into_iter().chain(second)
+    }
+
+    /// Sends `msg` — carrying `count` viewer states — to the successor
+    /// and, under double forwarding, to the second successor, tracing
+    /// each hop.
+    fn forward_pair(&self, sh: &mut Shared, now: SimTime, count: u32, msg: Message) {
+        let hops = match sh.cfg.forwarding {
+            ForwardingPolicy::Double => 2,
+            ForwardingPolicy::Single => 1,
+        };
+        let me = sh.cub_node(self.id);
+        for (hop, dst) in self.successor_pair(self.id).take(hops).enumerate() {
+            sh.tracer.record(
+                now,
+                self.id.raw(),
+                TraceEvent::VsForward {
+                    dst: dst.raw(),
+                    count,
+                    second: hop == 1,
+                },
+            );
+            sh.send_control(now, me, sh.cub_node(dst), msg.clone());
+        }
+    }
 
     /// Periodic batching pass: forward viewer states whose receiver lead
     /// has dropped to `maxVStateLead`, to the successor and (policy
@@ -1929,60 +658,21 @@ impl Cub {
             }
         }
         if !batch.is_empty() {
-            let me = sh.cub_node(self.id);
-            if let Some(succ) = self.next_living(self.id) {
-                let batch: std::sync::Arc<[ViewerState]> = batch.into();
-                sh.tracer.record(
-                    now,
-                    self.id.raw(),
-                    TraceEvent::VsForward {
-                        dst: succ.raw(),
-                        count: batch.len() as u32,
-                        second: false,
-                    },
-                );
-                sh.send_control(
-                    now,
-                    me,
-                    sh.cub_node(succ),
-                    Message::ViewerStates(batch.clone()),
-                );
-                if sh.cfg.forwarding == ForwardingPolicy::Double {
-                    if let Some(second) = self.next_living(succ) {
-                        if second != self.id {
-                            sh.tracer.record(
-                                now,
-                                self.id.raw(),
-                                TraceEvent::VsForward {
-                                    dst: second.raw(),
-                                    count: batch.len() as u32,
-                                    second: true,
-                                },
-                            );
-                            sh.send_control(
-                                now,
-                                me,
-                                sh.cub_node(second),
-                                Message::ViewerStates(batch),
-                            );
-                        }
-                    }
-                }
-            }
+            let count = batch.len() as u32;
+            self.forward_pair(sh, now, count, Message::ViewerStates(batch.into()));
         }
         // Shadow GC: drop records whose due time is well past.
         let horizon = now.saturating_sub(sh.cfg.deschedule_hold);
         self.shadows.retain(|_, s| s.due >= horizon);
-        // Retired-log GC: keep one failure-detection window.
-        crate::recovery::prune_retired(
-            &mut self.retired_log,
-            now,
-            crate::recovery::retired_retention(&sh.cfg),
-        );
-        // Mirror-creation memory GC is keyed the same way; bound its size.
-        if self.mirrors_created.len() > 100_000 {
-            self.mirrors_created.clear();
-        }
+        // Retired-log GC: keep one failure-detection window. The cover
+        // memory ages out on the same window past each block's due time:
+        // whatever re-delivers a record (double forwarding, the gap
+        // redrive, shadow takeover) does so within it, and forgetting any
+        // sooner would let the copy re-create and double-count the block.
+        let retention = crate::recovery::retired_retention(&sh.cfg);
+        crate::recovery::prune_retired(&mut self.retired_log, now, retention);
+        let cover_horizon = now.saturating_sub(retention);
+        self.mirrors_created.retain(|_, due| *due >= cover_horizon);
         if sh.tracer.on() {
             // Traced runs observe each hold expiry (at this pass's
             // granularity); gc_report is behaviorally identical to gc.
@@ -2026,11 +716,9 @@ impl Cub {
             entry.dropped = true;
             entry.forwarded = true; // Never forward a descheduled entry.
             killed += 1;
-            if entry.finished() {
-                self.reclaim(now, token, sh.coded.as_mut());
-            }
-            // Otherwise an outstanding read completes first; DiskDone
-            // reclaims it then.
+            // An outstanding read completes first; DiskDone reclaims the
+            // entry then.
+            self.reclaim_if_finished(sh, now, token);
         }
         sh.tracer.record(
             now,
@@ -2055,13 +743,8 @@ impl Cub {
                 request: d,
                 hops_left: hops_left - 1,
             };
-            if let Some(succ) = self.next_living(self.id) {
-                sh.send_control(now, me, sh.cub_node(succ), msg.clone());
-                if let Some(second) = self.next_living(succ) {
-                    if second != self.id {
-                        sh.send_control(now, me, sh.cub_node(second), msg);
-                    }
-                }
+            for dst in self.successor_pair(self.id) {
+                sh.send_control(now, me, sh.cub_node(dst), msg.clone());
             }
         }
     }
@@ -2374,33 +1057,21 @@ impl Cub {
                 Event::ForwardPass { cub: self.id },
             );
         }
-        if !redrive.is_empty() {
-            let me = sh.cub_node(self.id);
-            // Group by destination: the acting successor of each record's
-            // dead cub (and its successor, for redundancy).
-            for next in redrive {
-                let loc = sh
-                    .catalog
-                    .locate(next.file, next.position)
-                    .expect("filtered above");
-                if let Some(succ) = self.next_living(loc.cub) {
-                    if succ == self.id {
-                        // Unreachable in practice (we precede the gap), but
-                        // handle the two-cub ring degenerately.
-                        continue;
-                    }
-                    sh.send_control(now, me, sh.cub_node(succ), Message::ViewerState(next));
-                    if let Some(second) = self.next_living(succ) {
-                        if second != self.id {
-                            sh.send_control(
-                                now,
-                                me,
-                                sh.cub_node(second),
-                                Message::ViewerState(next),
-                            );
-                        }
-                    }
-                }
+        let me = sh.cub_node(self.id);
+        for next in redrive {
+            let loc = sh
+                .catalog
+                .locate(next.file, next.position)
+                .expect("filtered above");
+            // To the acting successor of the record's dead cub (and its
+            // successor, for redundancy) — unless that is this cub itself:
+            // unreachable in practice (we precede the gap) save on a
+            // two-cub ring, where nothing is sent.
+            for dst in self
+                .successor_pair(loc.cub)
+                .take_while(|&dst| dst != self.id)
+            {
+                sh.send_control(now, me, sh.cub_node(dst), Message::ViewerState(next));
             }
         }
         self.takeover_if_acting_successor(sh, now, failed);

@@ -9,7 +9,7 @@
 use tiger_layout::CubId;
 use tiger_net::NetNode;
 
-use crate::msg::Message;
+use tiger_proto::msg::Message;
 
 /// A token identifying one scheduled block (or mirror-piece) service on a
 /// cub: the key into the cub's active-service table.

@@ -41,7 +41,6 @@ pub mod event;
 pub mod mbr;
 pub mod mbr_dist;
 pub mod metrics;
-pub mod msg;
 pub mod recovery;
 pub mod restripe;
 pub mod shield;
@@ -56,8 +55,8 @@ pub use cub::Cub;
 pub use mbr::{MbrConfig, MbrCoordinator, MbrOutcome};
 pub use mbr_dist::{MbrDistStats, MbrSystem};
 pub use metrics::{LossReport, Metrics, WindowSample};
-pub use msg::Message;
 pub use restripe::LiveRestripe;
 pub use shield::ShieldMap;
 pub use system::{RestripeStep, TigerSystem};
 pub use tiger_layout::RedundancyMode;
+pub use tiger_proto::msg::Message;

@@ -1,0 +1,1036 @@
+//! Block service, the second half of `impl Cub`: the one pipeline every
+//! primary block, mirror piece, shielded piece, and coded shard goes
+//! through (paper §4.1.1), then the read → send → reclaim life of an
+//! accepted entry.
+//!
+//! A viewer state arrives, the cub dates the block from a disk pointer,
+//! reads ahead, and sends paced; mirror viewer states "propagate much
+//! like normal ones". [`Cub::admit`] is that mechanism, written once.
+//! What the four kinds of service differ in is a plain [`PieceSpec`]
+//! value, and each caller keeps only what is its own: the primary its
+//! outcome traces, coded fan-out, and prompt forwarding; a mirror
+//! holder its piece derivation, dead-holder accounting, and chain
+//! forwarding; a shard holder its degraded-read trace.
+
+use std::collections::hash_map::Entry;
+
+use tiger_disk::{DiskError, DiskRequest, RequestKind};
+use tiger_layout::ids::ViewerInstance;
+use tiger_layout::DiskId;
+use tiger_proto::msg::Message;
+use tiger_sched::view::ViewApply;
+use tiger_sched::{ScheduleParams, SlotId, StreamKind, ViewerState};
+use tiger_sim::{ByteSize, SimDuration, SimTime};
+use tiger_trace::TraceEvent;
+
+use super::{vkey, Cub};
+use crate::event::{Event, ServiceToken};
+use crate::system::{CodedRuntime, Shared};
+
+/// Key identifying one active service on this cub: slot, instance, kind,
+/// and play sequence. The last distinguishes successive laps of the same
+/// slot: on small rings a slot's next-lap record can arrive while the
+/// previous block is still being transmitted.
+pub(super) type ServiceKey = (SlotId, ViewerInstance, StreamKind, u32);
+
+fn service_key(vs: &ViewerState) -> ServiceKey {
+    (vs.slot, vs.instance, vs.kind, vs.play_seq)
+}
+
+/// Per-block key under which the coded backend's load rings account a
+/// block's shard reservations: the play sequence number stands in for the
+/// incarnation, so consecutive blocks of one stream hold distinct
+/// reservations (their `2k`-disk windows overlap as the stream advances,
+/// and releasing one block must not free the next one's).
+fn coded_load_key(vs: &ViewerState) -> ViewerInstance {
+    ViewerInstance {
+        viewer: vs.instance.viewer,
+        incarnation: vs.play_seq,
+    }
+}
+
+/// One block (or mirror piece) this cub has committed to send.
+#[derive(Clone, Copy, Debug)]
+pub(super) struct Active {
+    pub(super) vs: ViewerState,
+    /// Local index of the disk that holds the bytes.
+    disk_local: u32,
+    pub(super) send_at: SimTime,
+    /// Paced transmission duration (bpt for primaries, bpt/decluster for
+    /// mirror pieces).
+    send_duration: SimDuration,
+    /// Payload bytes delivered to the client.
+    payload: u64,
+    /// On-disk extent size charged against the buffer cache.
+    read_bytes: u64,
+    read_issued: bool,
+    read_ready: bool,
+    /// A read-ahead buffer is charged to this service.
+    buffer_held: bool,
+    transmitting: bool,
+    /// The block went out (or its transmission is in progress).
+    pub(super) sent: bool,
+    /// The deadline passed before the read completed; the block was
+    /// dropped but the viewer continues (only this block is lost).
+    missed: bool,
+    pub(super) forwarded: bool,
+    /// Cancelled by a deschedule or failure; do not send or forward.
+    pub(super) dropped: bool,
+}
+
+impl Active {
+    fn new(vs: ViewerState, spec: &PieceSpec, send_at: SimTime) -> Self {
+        Active {
+            vs,
+            disk_local: spec.disk_local,
+            send_at,
+            send_duration: spec.duration,
+            payload: spec.payload,
+            read_bytes: 0,
+            read_issued: false,
+            read_ready: false,
+            buffer_held: false,
+            transmitting: false,
+            sent: false,
+            missed: false,
+            // Only primary records wait for the periodic forward pass:
+            // mirror records forward at acceptance, shielded and coded
+            // ones never do (the living chain, or the coordinator's
+            // fan-out, is already complete).
+            forwarded: vs.kind != StreamKind::Primary,
+            dropped: false,
+        }
+    }
+
+    /// Whether the entry's work is finished and it can be reclaimed.
+    pub(super) fn finished(&self) -> bool {
+        self.forwarded
+            && !self.transmitting
+            && (self.sent || self.missed || self.dropped)
+            && (!self.read_issued || self.read_ready)
+    }
+}
+
+/// What the kinds of block service differ in; the rest of accepting a
+/// viewer state is [`Cub::admit`]. The constructors are the rows of the
+/// spec table in `docs/PROTOCOL.md` (a shielded piece is a mirror piece).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PieceSpec {
+    /// The kind the accepted record is rewritten to (and keyed under).
+    pub kind: StreamKind,
+    /// The disk whose pointer dates the block (`slot_send_time`): the
+    /// block's home, whether or not it is alive.
+    pub dating_disk: DiskId,
+    /// Local index of the disk holding the bytes.
+    pub disk_local: u32,
+    /// Stagger of this send after the block's due time.
+    pub offset: SimDuration,
+    /// Paced transmission duration.
+    pub duration: SimDuration,
+    /// Payload bytes delivered to the client.
+    pub payload: u64,
+    /// How many scheduling leads ahead of the send the read is issued.
+    pub read_leads: u64,
+    /// Whether a send due within 5 ms of acceptance is given up as too
+    /// late to read for. (A primary that close is a fresh insert: its
+    /// read goes out at once and a miss is counted at send time.)
+    pub late_guard: bool,
+}
+
+impl PieceSpec {
+    /// Pacing time and bytes of one of `parts` equal shares of a block.
+    fn share(params: &ScheduleParams, block: ByteSize, parts: u32) -> (SimDuration, u64) {
+        let parts = u64::from(parts);
+        let bpt = params.block_play_time();
+        (bpt.div_u64(parts), block.div_u64_ceil(parts).as_bytes())
+    }
+
+    /// The home disk's own send of a block: all of it under mirroring
+    /// (`shards == 1`), shard 0 of `shards` under the coded backend — a
+    /// shorter read, a shorter paced send.
+    pub fn primary(params: &ScheduleParams, block: ByteSize, disk: DiskId, shards: u32) -> Self {
+        let (duration, payload) = Self::share(params, block, shards);
+        PieceSpec {
+            kind: StreamKind::Primary,
+            dating_disk: disk,
+            disk_local: params.stripe().local_index_of(disk),
+            offset: SimDuration::ZERO,
+            duration,
+            payload,
+            // §3.1: "the disks run at least one block service time ahead
+            // of the schedule. Usually, they run a little earlier, trading
+            // off buffer usage to cover for slight variations in disk …
+            // performance." Steady-state records arrive minVStateLead+
+            // early, so their reads go out two scheduling leads ahead; a
+            // freshly inserted viewer's first read is issued immediately
+            // (it has only the scheduling lead).
+            read_leads: 2,
+            late_guard: false,
+        }
+    }
+
+    /// Mirror piece `piece` of a block homed on `failed_disk`, read from
+    /// local disk `disk_local`. Piece i goes out i/decluster of a block
+    /// play time after the block's nominal send time (§4.1.1 mirror
+    /// timing).
+    pub fn mirror_piece(
+        params: &ScheduleParams,
+        block: ByteSize,
+        failed_disk: DiskId,
+        piece: u32,
+        disk_local: u32,
+    ) -> Self {
+        let (gap, payload) = Self::share(params, block, params.stripe().decluster);
+        PieceSpec {
+            kind: StreamKind::Mirror { failed_disk, piece },
+            dating_disk: failed_disk,
+            disk_local,
+            offset: gap.mul_u64(u64::from(piece)),
+            duration: gap,
+            payload,
+            // Mirror reads land on disks already running near saturation;
+            // issue them extra-early ("the cubs take these timing
+            // differences into consideration", §4.1.1) to ride out
+            // queueing convoys.
+            read_leads: 3,
+            late_guard: true,
+        }
+    }
+
+    /// Coded shard `shard` (of `2k`, `k = decluster`) of a block homed on
+    /// `home_disk`. Shard sends stagger across the block play time by
+    /// shard index, so whichever subset the coordinator picked, every
+    /// send fits in the block's play window: the highest possible shard
+    /// (`2k − 1`) starts at `bpt − bpt/k` and ends at `block_due + bpt`
+    /// (less the nanoseconds integer division drops).
+    pub fn coded_shard(
+        params: &ScheduleParams,
+        block: ByteSize,
+        home_disk: DiskId,
+        shard: u32,
+    ) -> Self {
+        let stripe = params.stripe();
+        let k = stripe.decluster;
+        let (shard_time, payload) = Self::share(params, block, k);
+        let gap = (params.block_play_time() - shard_time).div_u64(u64::from(2 * k - 1));
+        PieceSpec {
+            kind: StreamKind::Coded { home_disk, shard },
+            dating_disk: home_disk,
+            disk_local: stripe.local_index_of(stripe.disk_after(home_disk, shard)),
+            offset: gap.mul_u64(u64::from(shard)),
+            duration: shard_time,
+            payload,
+            // Like mirror reads: extra-early, onto near-saturated disks.
+            read_leads: 3,
+            late_guard: true,
+        }
+    }
+}
+
+/// What [`Cub::admit`] did with a viewer state.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(super) enum Admit {
+    /// Service committed: the read and the send (at `send_at`) are scheduled.
+    Accepted { send_at: SimTime },
+    /// Already in the view or the service table (a double-forwarded copy).
+    Duplicate,
+    /// A held deschedule blocks the record.
+    Blocked,
+    /// Another instance occupies the slot.
+    Conflict,
+    /// Due time passed or too near to read for; traced and counted lost.
+    Late,
+}
+
+/// The block payload size of `vs`'s file, if the file is known.
+fn block_payload(sh: &Shared, vs: &ViewerState) -> Option<ByteSize> {
+    sh.catalog.get(vs.file).map(|m| m.payload_size)
+}
+
+impl Cub {
+    // --- Acceptance ---------------------------------------------------------
+
+    /// Commits this cub to serve `vs` as `spec` describes: the schedule
+    /// view takes the record, duplicates and late arrivals are turned
+    /// away, and the read and the paced send are scheduled.
+    pub(super) fn admit(
+        &mut self,
+        sh: &mut Shared,
+        now: SimTime,
+        mut vs: ViewerState,
+        spec: PieceSpec,
+    ) -> Admit {
+        vs.kind = spec.kind;
+        match self.view.apply_viewer_state(vs, now) {
+            ViewApply::Inserted | ViewApply::Updated => {}
+            ViewApply::Duplicate => return Admit::Duplicate,
+            ViewApply::Blocked => return Admit::Blocked,
+            ViewApply::Conflict => return Admit::Conflict,
+        }
+        let key = service_key(&vs);
+        if self.by_key.contains_key(&key) {
+            return Admit::Duplicate;
+        }
+        let block_due = sh.params.slot_send_time(spec.dating_disk, vs.slot, now);
+        let send_at = block_due + spec.offset;
+        // A record can only legitimately be up to maxVStateLead early plus
+        // one block play time per bridged failure (the cover chain advances
+        // past each dead disk instantly); a due time further out means the
+        // record arrived *after* its due time and wrapped to the next
+        // schedule lap — the block is lost, not a lap late. §4.1.2
+        // prescribes discarding such late arrivals (the viewer is
+        // "spontaneously descheduled" in the worst case). On rings too
+        // short to tell the two cases apart, skip the guard.
+        let max_legit_lead = sh.cfg.max_vstate_lead
+            + sh.params
+                .block_play_time()
+                .mul_u64(u64::from(sh.params.stripe().decluster) + 1);
+        let wrapped = max_legit_lead < sh.params.schedule_len()
+            && block_due.saturating_since(now) > max_legit_lead;
+        let me = self.id.raw();
+        let (slot, viewer, inc) = vkey(&vs);
+        if wrapped || (spec.late_guard && send_at <= now + SimDuration::from_millis(5)) {
+            sh.tracer.record(
+                now,
+                me,
+                TraceEvent::VsLate {
+                    slot,
+                    viewer,
+                    inc,
+                    play_seq: vs.play_seq,
+                },
+            );
+            sh.metrics.loss.failover_lost += 1;
+            self.view.retire(vs.slot, &vs);
+            return Admit::Late;
+        }
+        match vs.kind {
+            StreamKind::Primary => sh.tracer.record(
+                now,
+                me,
+                TraceEvent::VsAccept {
+                    slot,
+                    viewer,
+                    inc,
+                    play_seq: vs.play_seq,
+                    position: u64::from(vs.position.raw()),
+                },
+            ),
+            StreamKind::Mirror { piece, .. } => sh.tracer.record(
+                now,
+                me,
+                TraceEvent::MirrorAccept {
+                    slot,
+                    viewer,
+                    inc,
+                    piece,
+                },
+            ),
+            StreamKind::Coded { .. } => {}
+        }
+        let token = self.next_token;
+        self.next_token += 1;
+        self.active.insert(token, Active::new(vs, &spec, send_at));
+        self.by_key.insert(key, token);
+        let read_at = send_at
+            .saturating_sub(sh.cfg.scheduling_lead.mul_u64(spec.read_leads))
+            .max(now);
+        let cub = self.id;
+        sh.queue.schedule(read_at, Event::ReadIssue { cub, token });
+        sh.queue.schedule(send_at, Event::SendDue { cub, token });
+        Admit::Accepted { send_at }
+    }
+
+    /// Begins normal service of `vs` on local disk `disk`.
+    pub(super) fn accept_service(
+        &mut self,
+        sh: &mut Shared,
+        now: SimTime,
+        vs: ViewerState,
+        disk: DiskId,
+    ) {
+        let Some(block) = block_payload(sh, &vs) else {
+            return;
+        };
+        let spec = PieceSpec::primary(&sh.params, block, disk, sh.primary_shards());
+        let me = self.id.raw();
+        let (slot, viewer, inc) = vkey(&vs);
+        let send_at = match self.admit(sh, now, vs, spec) {
+            Admit::Accepted { send_at } => send_at,
+            Admit::Duplicate => return self.trace_duplicate(sh, now, &vs),
+            Admit::Blocked => {
+                return sh
+                    .tracer
+                    .record(now, me, TraceEvent::VsBlocked { slot, viewer, inc });
+            }
+            Admit::Conflict => {
+                sh.tracer
+                    .record(now, me, TraceEvent::VsConflict { slot, viewer, inc });
+                sh.metrics.violations.push(format!(
+                    "{}: conflicting viewer state for {} in {}",
+                    self.id, vs.instance, vs.slot
+                ));
+                return;
+            }
+            Admit::Late => return,
+        };
+        if self.rejoined_at.take().is_some() {
+            // First primary acceptance of this cub's new life: the rejoin
+            // has converged (the ring is feeding it schedule state again).
+            sh.tracer
+                .record(now, me, TraceEvent::RejoinDone { cub: me });
+        }
+        sh.metrics.loss.blocks_scheduled += 1;
+        if sh.coded.is_some() {
+            self.fan_out_coded(sh, now, vs, disk, send_at);
+        }
+        // If waiting for the next periodic pass would let the successor's
+        // lead fall below minVStateLead ("Cubs endeavor to keep the
+        // schedule updated at least minVStateLead into the future"),
+        // forward promptly instead of batching. This is what keeps freshly
+        // inserted streams alive while their lead pipeline builds up.
+        let successor_breach =
+            (send_at + sh.params.block_play_time()).saturating_sub(sh.cfg.min_vstate_lead);
+        if successor_breach < self.next_forward_pass {
+            sh.queue.schedule(
+                now + SimDuration::from_millis(1),
+                Event::ForwardPass { cub: self.id },
+            );
+        }
+    }
+
+    /// Acting-successor work for a viewer state addressed to a failed
+    /// disk: drive the block's redundant copies — declustered mirror
+    /// pieces, or `k` surviving coded shards — and keep the record
+    /// propagating (§4.1.1, Figure 5).
+    pub(super) fn cover_failed_disk(
+        &mut self,
+        sh: &mut Shared,
+        now: SimTime,
+        vs: ViewerState,
+        failed_disk: DiskId,
+    ) {
+        let block_due = sh.params.slot_send_time(failed_disk, vs.slot, now);
+        let created_key = (vs.slot, vs.instance, vs.position.raw());
+        if let Entry::Vacant(unseen) = self.mirrors_created.entry(created_key) {
+            unseen.insert(block_due);
+            let (slot, viewer, inc) = vkey(&vs);
+            let ev = if sh.coded.is_some() {
+                TraceEvent::CodedRepair {
+                    slot,
+                    viewer,
+                    inc,
+                    failed_disk: failed_disk.raw(),
+                }
+            } else {
+                TraceEvent::MirrorCreate {
+                    slot,
+                    viewer,
+                    inc,
+                    failed_disk: failed_disk.raw(),
+                }
+            };
+            sh.tracer.record(now, self.id.raw(), ev);
+            sh.metrics.loss.blocks_scheduled += 1;
+            if sh.coded.is_some() {
+                // Shard 0 died with the home, so pick `k` of the block's
+                // surviving remote holders — by the same load-ranked
+                // choice the home makes in healthy operation.
+                let k = sh.primary_shards() as usize;
+                let ranked = self.rank_holders(sh, failed_disk, block_due, k);
+                if ranked.len() < k {
+                    // Fewer than k surviving shards: the block is gone
+                    // (the code's loss window), not worth partial sends.
+                    sh.metrics.loss.failover_lost += 1;
+                } else {
+                    self.drive_shards(sh, now, vs, failed_disk, &ranked);
+                }
+            } else {
+                // "When the succeeding cub makes this decision, it creates
+                // a special kind of viewer state called a mirror viewer
+                // state" (§4.1.1). Mirror viewer states then propagate
+                // along the ring of piece-holding cubs "much like normal
+                // ones": each holder serves its piece and forwards the
+                // record for the next piece.
+                self.on_mirror_state(sh, now, vs, failed_disk, 0);
+            }
+        }
+        // Continue normal propagation past the failed machine: the next
+        // block is due on the disk after the failed one, which may be ours
+        // or (with consecutive failures) dead as well — recurse.
+        self.on_primary_state(sh, now, vs.advanced(1));
+    }
+
+    /// Accepts mirror service for the declustered piece this cub holds,
+    /// then forwards the record toward the next piece's holder.
+    ///
+    /// `expected_piece` is the *next expected* piece; the receiving cub
+    /// re-derives which piece it actually holds from ring geometry (with
+    /// consecutive failures the expected holder may be dead, in which case
+    /// the skipped pieces are unrecoverable, §2.3).
+    pub(super) fn on_mirror_state(
+        &mut self,
+        sh: &mut Shared,
+        now: SimTime,
+        vs: ViewerState,
+        failed_disk: DiskId,
+        expected_piece: u32,
+    ) {
+        let stripe = sh.params.stripe();
+        // Which piece of this failed disk lives on one of our disks?
+        // Consecutive disks are on consecutive cubs, so at most one does.
+        let Some(piece) = (0..stripe.decluster)
+            .find(|&i| stripe.cub_of(stripe.disk_after(failed_disk, i + 1)) == self.id)
+        else {
+            return; // No piece of this block here (over-forwarded copy).
+        };
+        if piece < expected_piece {
+            return; // A double-forwarded duplicate for a piece already done.
+        }
+        // Pieces between the expected one and ours whose holders are dead
+        // are unrecoverable (double-forwarded copies also skip ahead, but
+        // those skipped holders are alive and serve from their own copies —
+        // only dead holders count as losses) — unless the spare shield
+        // holds ready copies of the span, in which case the dead holder's
+        // record routes to the serving spare instead.
+        for j in expected_piece..piece {
+            let holder_cub = stripe.cub_of(stripe.disk_after(failed_disk, j + 1));
+            if self.ring.believes_failed(holder_cub)
+                && !self.route_to_shield(sh, now, vs, failed_disk, j)
+            {
+                sh.metrics.loss.failover_lost += 1;
+            }
+        }
+        let Some(block) = block_payload(sh, &vs) else {
+            return;
+        };
+        let holder = stripe.local_index_of(stripe.disk_after(failed_disk, piece + 1));
+        let spec = PieceSpec::mirror_piece(&sh.params, block, failed_disk, piece, holder);
+        if !matches!(self.admit(sh, now, vs, spec), Admit::Accepted { .. }) {
+            return;
+        }
+        // Forward the mirror record toward the next piece's holder, doubly
+        // (mirror viewer states propagate "much like normal ones").
+        if piece + 1 < stripe.decluster {
+            let mut next = vs;
+            next.kind = StreamKind::Mirror {
+                failed_disk,
+                piece: piece + 1,
+            };
+            self.forward_pair(sh, now, 1, Message::ViewerState(next));
+        }
+        // Dead holders *ahead* of this piece whose spans the shield
+        // holds: route their records to the serving spare now. The living
+        // chain never reaches pieces past its last living holder (the
+        // successor outside the span drops the record), and for mid-chain
+        // dead holders the next living holder's receive loop routes a
+        // duplicate — the spare's by-key table dedups it.
+        for j in piece + 1..stripe.decluster {
+            let holder_cub = stripe.cub_of(stripe.disk_after(failed_disk, j + 1));
+            if self.ring.believes_failed(holder_cub) {
+                self.route_to_shield(sh, now, vs, failed_disk, j);
+            }
+        }
+    }
+
+    /// Routes a dead holder's mirror record to the spare shielding its
+    /// span, if one is ready. Returns whether the record was routed.
+    fn route_to_shield(
+        &self,
+        sh: &mut Shared,
+        now: SimTime,
+        mut vs: ViewerState,
+        failed_disk: DiskId,
+        piece: u32,
+    ) -> bool {
+        let Some(spare) = sh.shield.serving_spare(failed_disk, piece) else {
+            return false;
+        };
+        vs.kind = StreamKind::Mirror { failed_disk, piece };
+        let me = sh.cub_node(self.id);
+        sh.send_control(now, me, sh.cub_node(spare), Message::ViewerState(vs));
+        true
+    }
+
+    /// Shield service entry: a record routed to this spare because a
+    /// mirror piece's normal holder is dead. Only records for spans this
+    /// spare holds ready copies of are served; anything else is an
+    /// over-forwarded duplicate and drops. A shielded piece is the mirror
+    /// piece with the holder overridden: the routed record already names
+    /// its piece (the spare is not in the span), the copy's extent lives
+    /// on the spare's local disk that mirrors the failed home's local
+    /// index, and nothing is forwarded (the living holders' chain does
+    /// that; the spare only fills dead holders' gaps).
+    pub(super) fn on_shield_state(&mut self, sh: &mut Shared, now: SimTime, vs: ViewerState) {
+        let StreamKind::Mirror { failed_disk, piece } = vs.kind else {
+            return;
+        };
+        if sh.shield.serving_spare(failed_disk, piece) != Some(self.id) {
+            return;
+        }
+        let Some(block) = block_payload(sh, &vs) else {
+            return;
+        };
+        let local = sh.params.stripe().local_index_of(failed_disk);
+        let spec = PieceSpec::mirror_piece(&sh.params, block, failed_disk, piece, local);
+        self.admit(sh, now, vs, spec);
+    }
+
+    // --- Coded-backend holder choice (tiger-coded) ---------------------------
+
+    /// The believed-alive remote shard holders of the block homed on
+    /// `home`, least loaded at the block's ring position first (shard
+    /// index breaking ties), cut to the `want` best, as `(load, shard)`.
+    /// Mirroring's fixed partner lookup becomes an admission-aware
+    /// choice; every input is deterministic, so the choice is too.
+    fn rank_holders(
+        &self,
+        sh: &Shared,
+        home: DiskId,
+        block_due: SimTime,
+        want: usize,
+    ) -> Vec<(u64, u32)> {
+        let stripe = sh.params.stripe();
+        let mut ranked: Vec<(u64, u32)> = Vec::new();
+        if let Some(c) = sh.coded.as_ref() {
+            for j in 1..c.placement.n() {
+                let d = stripe.disk_after(home, j);
+                if !self.ring.believes_failed(stripe.cub_of(d)) {
+                    ranked.push((c.load_at(d, block_due).bits_per_sec(), j));
+                }
+            }
+        }
+        ranked.sort_unstable();
+        ranked.truncate(want);
+        ranked
+    }
+
+    /// Drives the chosen holders with unicast coded viewer states (a
+    /// chosen shard on this very cub is accepted in place).
+    fn drive_shards(
+        &mut self,
+        sh: &mut Shared,
+        now: SimTime,
+        vs: ViewerState,
+        home: DiskId,
+        ranked: &[(u64, u32)],
+    ) {
+        let stripe = sh.params.stripe();
+        let me = sh.cub_node(self.id);
+        for &(_, shard) in ranked {
+            let mut cvs = vs;
+            cvs.kind = StreamKind::Coded {
+                home_disk: home,
+                shard,
+            };
+            let holder_cub = stripe.cub_of(stripe.disk_after(home, shard));
+            if holder_cub == self.id {
+                self.on_coded_state(sh, now, cvs);
+            } else {
+                sh.send_control(now, me, sh.cub_node(holder_cub), Message::ViewerState(cvs));
+            }
+        }
+    }
+
+    /// Coded-backend fan-out, run by the home after it accepts a block's
+    /// primary record: the home's own entry serves shard 0 from its
+    /// primary region; the other `k − 1` of the block's `k` sends go to
+    /// the best-ranked of the `2k − 1` remote shard disks, and the
+    /// block's send window is reserved on every participating disk — home
+    /// first, before any holder is driven — so later choices see this
+    /// one's load.
+    fn fan_out_coded(
+        &mut self,
+        sh: &mut Shared,
+        now: SimTime,
+        vs: ViewerState,
+        home: DiskId,
+        block_due: SimTime,
+    ) {
+        let want = sh.primary_shards() as usize - 1;
+        let ranked = self.rank_holders(sh, home, block_due, want);
+        if ranked.len() < want {
+            // Too few surviving holders to assemble the block: the sends
+            // that do go out cannot complete it at the client.
+            sh.metrics.loss.failover_lost += 1;
+        }
+        let stripe = sh.params.stripe();
+        let key = coded_load_key(&vs);
+        if let Some(c) = sh.coded.as_mut() {
+            c.reserve(home, key, block_due, vs.bitrate);
+            for &(_, j) in &ranked {
+                c.reserve(stripe.disk_after(home, j), key, block_due, vs.bitrate);
+            }
+        }
+        self.drive_shards(sh, now, vs, home, &ranked);
+    }
+
+    /// Accepts unicast coded-shard service: this cub holds `shard` of the
+    /// block homed on `home_disk` and was chosen by the block's
+    /// coordinator (the home in healthy operation, the acting successor
+    /// after a failure) to deliver it.
+    ///
+    /// Unlike mirror viewer states, coded records do not chain along a
+    /// piece ring: the coordinator picked the exact holders, so each
+    /// record is final and never forwarded.
+    pub(super) fn on_coded_state(&mut self, sh: &mut Shared, now: SimTime, vs: ViewerState) {
+        let (StreamKind::Coded { home_disk, shard }, Some(c)) = (vs.kind, sh.coded.as_ref()) else {
+            return; // Not a coded record, or a stray one under mirroring.
+        };
+        if shard == 0 || shard >= c.placement.n() {
+            return;
+        }
+        let stripe = sh.params.stripe();
+        if stripe.cub_of(stripe.disk_after(home_disk, shard)) != self.id {
+            return; // Misrouted copy.
+        }
+        let Some(block) = block_payload(sh, &vs) else {
+            return;
+        };
+        let spec = PieceSpec::coded_shard(&sh.params, block, home_disk, shard);
+        if matches!(self.admit(sh, now, vs, spec), Admit::Accepted { .. })
+            && self.ring.believes_failed(stripe.cub_of(home_disk))
+        {
+            // Degraded service: this shard stands in for data whose home
+            // machine is down.
+            let (slot, viewer, inc) = vkey(&vs);
+            sh.tracer.record(
+                now,
+                self.id.raw(),
+                TraceEvent::DegradedPieceRead {
+                    slot,
+                    viewer,
+                    inc,
+                    shard,
+                },
+            );
+        }
+    }
+
+    // --- Disk service ------------------------------------------------------
+
+    /// A power-cut cub serves nothing — except a spare holding ready
+    /// shield spans, which keeps the narrow data path (read, send,
+    /// reclaim) alive for the pieces the cover path routes to it.
+    fn out_of_service(&self, sh: &Shared) -> bool {
+        self.failed && !sh.shield.is_serving_spare(self.id)
+    }
+
+    /// Issues the disk read for `token` (one scheduling lead early).
+    ///
+    /// Reads are issued as early as the buffer cache allows ("trading off
+    /// buffer usage to cover for slight variations in disk and I/O system
+    /// performance", §3.1): when the 20 MB cache is full, the read is
+    /// retried shortly, down to a hard floor of one scheduling lead before
+    /// the send.
+    pub fn on_read_issue(&mut self, sh: &mut Shared, now: SimTime, token: ServiceToken) {
+        if self.out_of_service(sh) {
+            return;
+        }
+        let Some(entry) = self.active.get_mut(&token) else {
+            return; // Descheduled before the read was due.
+        };
+        if entry.dropped || entry.read_issued {
+            return;
+        }
+        let must_issue_by = entry.send_at.saturating_sub(sh.cfg.scheduling_lead);
+        if now < must_issue_by
+            && self.buffer_bytes_in_use + u64::from(sh.cfg.block_size().as_bytes() as u32)
+                > sh.cfg.buffer_cache.as_bytes()
+        {
+            // Cache full: retry soon, no later than the hard floor.
+            let retry = (now + SimDuration::from_millis(50)).min(must_issue_by);
+            let cub = self.id;
+            sh.queue.schedule(retry, Event::ReadIssue { cub, token });
+            return;
+        }
+        let local = entry.disk_local;
+        let disk_id = match entry.vs.kind {
+            // A shield-serving spare's copies are keyed under the failed
+            // home disk: spares have no ids in the stripe's disk
+            // namespace (only their physical `local` index is real).
+            StreamKind::Mirror { failed_disk, .. } if self.failed => failed_disk,
+            _ => sh.params.stripe().disk_of(self.id, local),
+        };
+        if entry.vs.kind == StreamKind::Primary {
+            // Buffer-cache check (§5 measured <0.05% hits: staggered
+            // viewers rarely re-read a block while it is still resident).
+            self.cache_lookups.incr();
+            let key = (disk_id, entry.vs.file, entry.vs.position);
+            if self.cache_resident.contains(&key) {
+                self.cache_hits.incr();
+                entry.read_ready = true;
+                return;
+            }
+        }
+        let (file, block) = (entry.vs.file, entry.vs.position);
+        let (lookup, kind) = match entry.vs.kind {
+            StreamKind::Primary => (
+                self.index.lookup_primary(disk_id, file, block),
+                RequestKind::Primary,
+            ),
+            // Coded shards 1..2k live in the secondary region too.
+            StreamKind::Mirror { piece, .. } | StreamKind::Coded { shard: piece, .. } => (
+                self.index.lookup_secondary(disk_id, file, block, piece),
+                RequestKind::Mirror,
+            ),
+        };
+        let Some(extent) = lookup else {
+            // Content not on this disk (stale record after a restripe).
+            // The block is lost but the viewer continues.
+            entry.missed = true;
+            sh.metrics.loss.failover_lost += 1;
+            return;
+        };
+        let req = DiskRequest {
+            offset: extent.offset(),
+            len: extent.length(),
+            kind,
+        };
+        match self.disks[local as usize].submit(now, req) {
+            Ok(done) => {
+                let (slot, viewer, inc) = vkey(&entry.vs);
+                sh.tracer.record(
+                    now,
+                    self.id.raw(),
+                    TraceEvent::DiskIssue {
+                        slot,
+                        viewer,
+                        inc,
+                        disk: disk_id.raw(),
+                    },
+                );
+                entry.read_issued = true;
+                entry.buffer_held = true;
+                entry.read_bytes = req.len.as_bytes();
+                self.buffer_bytes_in_use += entry.read_bytes;
+                self.peak_buffer_bytes = self.peak_buffer_bytes.max(self.buffer_bytes_in_use);
+                if entry.vs.kind == StreamKind::Primary {
+                    let key = (disk_id, entry.vs.file, entry.vs.position);
+                    self.cache_resident.push_back(key);
+                    while self.cache_resident.len() > sh.cfg.buffer_blocks() as usize {
+                        self.cache_resident.pop_front();
+                    }
+                }
+                let cub = self.id;
+                sh.queue.schedule(done, Event::DiskDone { cub, token });
+            }
+            Err(DiskError::Failed) => {
+                entry.missed = true;
+                sh.metrics.loss.failover_lost += 1;
+            }
+            Err(DiskError::Transient) => {
+                // Injected transient read error: the block is lost (no
+                // retry path — the send deadline leaves no slack for one),
+                // but the disk and the viewer both continue.
+                entry.missed = true;
+                sh.metrics.loss.failover_lost += 1;
+                let (slot, viewer, inc) = vkey(&entry.vs);
+                sh.tracer.record(
+                    now,
+                    self.id.raw(),
+                    TraceEvent::DiskTransient {
+                        slot,
+                        viewer,
+                        inc,
+                        disk: disk_id.raw(),
+                    },
+                );
+            }
+            Err(DiskError::OutOfRange) => {
+                unreachable!("index produced an out-of-range extent");
+            }
+        }
+    }
+
+    /// Handles a disk-read completion.
+    pub fn on_disk_done(&mut self, sh: &mut Shared, now: SimTime, token: ServiceToken) {
+        if self.out_of_service(sh) {
+            return;
+        }
+        let Some(entry) = self.active.get_mut(&token) else {
+            // Unreachable in a correct run: entries with outstanding reads
+            // are never force-removed (see the deschedule path).
+            debug_assert!(false, "disk completion for a vanished service");
+            return;
+        };
+        if self.disks[entry.disk_local as usize].is_failed() {
+            // The disk died while this read was in flight: the data never
+            // arrived. The block is lost; the viewer continues.
+            entry.missed = true;
+            sh.metrics.loss.failover_lost += 1;
+            return self.reclaim_if_finished(sh, now, token);
+        }
+        entry.read_ready = true;
+        let (slot, viewer, inc) = vkey(&entry.vs);
+        sh.tracer.record(
+            now,
+            self.id.raw(),
+            TraceEvent::DiskDone { slot, viewer, inc },
+        );
+        let disk_local = entry.disk_local;
+        // The buffer pool recycles aggressively (§2.2's zero-copy path
+        // keeps no long-lived cache), so a block is shareable only while
+        // its read is in flight — I/O coalescing, which is what keeps the
+        // §5 buffer-cache hit rate "less than 0.05%".
+        if entry.vs.kind == StreamKind::Primary {
+            let disk_id = sh.params.stripe().disk_of(self.id, disk_local);
+            let key = (disk_id, entry.vs.file, entry.vs.position);
+            if let Some(pos) = self.cache_resident.iter().position(|k| *k == key) {
+                self.cache_resident.remove(pos);
+            }
+        }
+        self.disks[disk_local as usize].complete(now);
+        self.reclaim_if_finished(sh, now, token);
+    }
+
+    /// The block (or piece) for `token` is due at the network.
+    pub fn on_send_due(&mut self, sh: &mut Shared, now: SimTime, token: ServiceToken) {
+        if self.out_of_service(sh) {
+            return;
+        }
+        let Some(entry) = self.active.get_mut(&token) else {
+            return; // Descheduled.
+        };
+        if entry.dropped {
+            return;
+        }
+        let (slot, viewer, inc) = vkey(&entry.vs);
+        sh.tracer.record(
+            now,
+            self.id.raw(),
+            TraceEvent::SendDue {
+                slot,
+                viewer,
+                inc,
+                ok: entry.read_ready && !entry.missed,
+            },
+        );
+        if !entry.missed && !entry.read_ready {
+            // "the server failed to place 15 blocks on the network, each
+            // because the disk read hadn't completed in time" — the block
+            // is dropped, not sent late, and the viewer continues with its
+            // subsequent blocks (the entry still gets forwarded).
+            sh.metrics.loss.server_missed += 1;
+            if entry.vs.kind != StreamKind::Primary {
+                sh.metrics.loss.mirror_missed += 1;
+            }
+            entry.missed = true;
+        }
+        if entry.missed {
+            // Lost just now, or already by the read path.
+            return self.reclaim_if_finished(sh, now, token);
+        }
+        let node = sh.cub_node(self.id);
+        if !sh.net.begin_stream(now, node, entry.vs.bitrate) {
+            // NIC overcommitted — the schedule should prevent this; report
+            // it as a violation but keep sending (degraded).
+            sh.metrics
+                .violations
+                .push(format!("{}: NIC overcommit at {now}", self.id));
+        }
+        entry.transmitting = true;
+        entry.sent = true;
+        if entry.vs.kind == StreamKind::Primary {
+            if let Some(omni) = sh.omniscient.as_mut() {
+                omni.on_send(&entry.vs, now);
+            }
+        }
+        let (cub, done_at) = (self.id, now + entry.send_duration);
+        sh.queue.schedule(done_at, Event::SendDone { cub, token });
+    }
+
+    /// A paced transmission finished: free the NIC, deliver to the client.
+    pub fn on_send_done(&mut self, sh: &mut Shared, now: SimTime, token: ServiceToken) {
+        if self.out_of_service(sh) {
+            return;
+        }
+        let Some(entry) = self.active.get(&token).copied() else {
+            return;
+        };
+        let (slot, viewer, inc) = vkey(&entry.vs);
+        sh.tracer.record(
+            now,
+            self.id.raw(),
+            TraceEvent::SendDone { slot, viewer, inc },
+        );
+        let node = sh.cub_node(self.id);
+        sh.net
+            .end_stream(now, node, entry.vs.bitrate, entry.payload);
+        sh.metrics.loss.blocks_sent += 1;
+        // Deliver to the client (receive time = last byte arrival, §5).
+        let client = tiger_net::NetNode(entry.vs.client);
+        let at = sh.net.send_data(now, node, client);
+        sh.trace_net_injections(now);
+        if let Some(at) = at {
+            let (piece, total) = match entry.vs.kind {
+                // Under the coded backend the home's primary send is
+                // shard 0 of the k the client assembles.
+                StreamKind::Primary => (sh.coded.is_some().then_some(0), sh.primary_shards()),
+                StreamKind::Mirror { piece, .. } => (Some(piece), sh.params.stripe().decluster),
+                StreamKind::Coded { shard, .. } => (Some(shard), sh.primary_shards()),
+            };
+            sh.queue.schedule(
+                at,
+                Event::Deliver {
+                    dst: client,
+                    msg: Message::StreamData {
+                        instance: entry.vs.instance,
+                        block: entry.vs.position.raw(),
+                        piece,
+                        total_pieces: total,
+                        bytes: entry.payload,
+                    },
+                },
+            );
+        }
+        self.view.retire(entry.vs.slot, &entry.vs);
+        if let Some(e) = self.active.get_mut(&token) {
+            e.transmitting = false;
+        }
+        self.reclaim_if_finished(sh, now, token);
+        // Otherwise forwarding has not happened yet (fresh inserts with
+        // very short leads); the next forward pass reclaims the entry.
+    }
+
+    /// Reclaims `token`'s entry once nothing is outstanding on it.
+    pub(super) fn reclaim_if_finished(
+        &mut self,
+        sh: &mut Shared,
+        now: SimTime,
+        token: ServiceToken,
+    ) {
+        if self.active.get(&token).is_some_and(Active::finished) {
+            self.reclaim(now, token, sh.coded.as_mut());
+        }
+    }
+
+    /// Removes a finished or cancelled service, returning its buffer.
+    /// Serviced primary records are retained in the retired log for one
+    /// failure-detection window (gap bridging, §2.3). Under the coded
+    /// backend, retiring the home's primary entry releases the block's
+    /// shard reservations from the per-disk load rings (`coded` is `None`
+    /// only at restripe cut-over, which rebuilds the rings wholesale).
+    pub(super) fn reclaim(
+        &mut self,
+        now: SimTime,
+        token: ServiceToken,
+        coded: Option<&mut CodedRuntime>,
+    ) {
+        if let Some(e) = self.active.remove(&token) {
+            if e.buffer_held {
+                self.buffer_bytes_in_use = self.buffer_bytes_in_use.saturating_sub(e.read_bytes);
+            }
+            self.by_key.remove(&service_key(&e.vs));
+            if e.vs.kind == StreamKind::Primary {
+                if let Some(c) = coded {
+                    let home = c.placement.config().disk_of(self.id, e.disk_local);
+                    c.release(home, coded_load_key(&e.vs));
+                }
+                if !e.dropped {
+                    self.retired_log.push((now, e.vs));
+                }
+            }
+        }
+    }
+}

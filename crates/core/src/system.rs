@@ -14,6 +14,8 @@ use tiger_layout::{
     RedundancyMode, StripeConfig, ViewerId,
 };
 use tiger_net::{NetNode, Network};
+use tiger_proto::msg::Message;
+use tiger_proto::Membership;
 use tiger_sched::disk_schedule::Omniscient;
 use tiger_sched::{Deschedule, NetworkSchedule, ScheduleParams};
 use tiger_sim::{Bandwidth, ByteSize, EventQueue, RngTree, SimDuration, SimTime};
@@ -26,8 +28,6 @@ use crate::cpu::CpuModel;
 use crate::cub::Cub;
 use crate::event::Event;
 use crate::metrics::{Metrics, WindowSample};
-use crate::msg::Message;
-use tiger_proto::Membership;
 
 /// State shared by all component handlers: the event queue, the network,
 /// static configuration, and measurement sinks.
@@ -199,13 +199,17 @@ impl Shared {
         }
     }
 
+    /// How many sends a healthy block is assembled from, the home's own
+    /// being the first: 1 under mirroring (the whole block), `k` under
+    /// the coded backend (the home's primary extent is shard 0).
+    pub fn primary_shards(&self) -> u32 {
+        self.coded.as_ref().map_or(1, |c| c.placement.k())
+    }
+
     /// Bytes of a block stored in the home disk's primary region: the
     /// whole block under mirroring, one shard under the coded backend.
     pub fn primary_extent(&self, block_size: ByteSize) -> ByteSize {
-        match &self.coded {
-            Some(c) => c.placement.shard_size(block_size),
-            None => block_size,
-        }
+        block_size.div_u64_ceil(u64::from(self.primary_shards()))
     }
 
     /// The secondary pieces of a block homed on `home`, per the active

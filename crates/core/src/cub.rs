@@ -547,7 +547,7 @@ impl Cub {
         }
 
         if loc.cub == self.id {
-            self.accept_service(sh, now, vs, loc.disk);
+            self.accept_service(sh, now, vs, loc.disk, meta.payload_size);
         } else if self.ring.believes_failed(loc.cub) && self.acting_successor_of(loc.cub) {
             self.cover_failed_disk(sh, now, vs, loc.disk);
         } else {
@@ -716,8 +716,8 @@ impl Cub {
             entry.dropped = true;
             entry.forwarded = true; // Never forward a descheduled entry.
             killed += 1;
-            // An outstanding read completes first; DiskDone reclaims the
-            // entry then.
+            // Unless a read is outstanding: DiskDone reclaims the entry
+            // when it completes.
             self.reclaim_if_finished(sh, now, token);
         }
         sh.tracer.record(
@@ -899,7 +899,7 @@ impl Cub {
             omni.on_insert(vs, now);
         }
         if d0_is_local(sh, self.id, d0) {
-            self.accept_service(sh, now, vs, d0);
+            self.accept_service(sh, now, vs, d0, meta.payload_size);
         } else {
             // Acting-successor insertion for a dead start disk: service via
             // mirrors straight away.

@@ -5,8 +5,8 @@
 //!
 //! A viewer state arrives, the cub dates the block from a disk pointer,
 //! reads ahead, and sends paced; mirror viewer states "propagate much
-//! like normal ones". [`Cub::admit`] is that mechanism, written once.
-//! What the four kinds of service differ in is a plain [`PieceSpec`]
+//! like normal ones". `Cub::admit` is that mechanism, written once.
+//! What the four kinds of service differ in is a plain `PieceSpec`
 //! value, and each caller keeps only what is its own: the primary its
 //! outcome traces, coded fan-out, and prompt forwarding; a mirror
 //! holder its piece derivation, dead-holder accounting, and chain
@@ -112,7 +112,7 @@ impl Active {
 }
 
 /// What the kinds of block service differ in; the rest of accepting a
-/// viewer state is [`Cub::admit`]. The constructors are the rows of the
+/// viewer state is `Cub::admit`. The constructors are the rows of the
 /// spec table in `docs/PROTOCOL.md` (a shielded piece is a mirror piece).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PieceSpec {
@@ -228,8 +228,8 @@ impl PieceSpec {
 }
 
 /// What [`Cub::admit`] did with a viewer state.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(super) enum Admit {
+#[derive(Clone, Copy, Debug)]
+enum Admit {
     /// Service committed: the read and the send (at `send_at`) are scheduled.
     Accepted { send_at: SimTime },
     /// Already in the view or the service table (a double-forwarded copy).
@@ -253,7 +253,7 @@ impl Cub {
     /// Commits this cub to serve `vs` as `spec` describes: the schedule
     /// view takes the record, duplicates and late arrivals are turned
     /// away, and the read and the paced send are scheduled.
-    pub(super) fn admit(
+    fn admit(
         &mut self,
         sh: &mut Shared,
         now: SimTime,
@@ -341,17 +341,16 @@ impl Cub {
         Admit::Accepted { send_at }
     }
 
-    /// Begins normal service of `vs` on local disk `disk`.
+    /// Begins normal service of `vs`, a record for a `block`-byte block
+    /// of its file, on local disk `disk`.
     pub(super) fn accept_service(
         &mut self,
         sh: &mut Shared,
         now: SimTime,
         vs: ViewerState,
         disk: DiskId,
+        block: ByteSize,
     ) {
-        let Some(block) = block_payload(sh, &vs) else {
-            return;
-        };
         let spec = PieceSpec::primary(&sh.params, block, disk, sh.primary_shards());
         let me = self.id.raw();
         let (slot, viewer, inc) = vkey(&vs);

@@ -145,6 +145,17 @@ cmp results/trace_shrink_timeline.txt "$DEMO_OUT"
 echo "== driver conformance: DES oracle vs thread/socket driver (rt_conformance)" >&2
 cargo run --release -q -p tiger-rt --bin rt_conformance
 
+# End-to-end harness: benchmark/ is a package of its own (the steps above
+# never compile it) that builds against crates/* by path — it imports
+# tiger_core::event::Event, Cub::{id, failed, disks,
+# schedule_information_held} and Shared::{queue, net, cub_node}. A
+# refactor that disturbs those must fail here, not in the acceptance
+# pipeline. --quick: fmt + clippy + harness self-tests + one quick pass
+# with every correctness check, under 30 s. Fatal, and ahead of the
+# timing-sensitive micro-bench gate so host noise there cannot mask it.
+echo "== benchmark harness: benchmark/run.sh --quick" >&2
+bash benchmark/run.sh --quick >/dev/null
+
 # Bench trajectory: compare fresh micro-bench medians (the full family,
 # not just the event queue) against the checked-in snapshot. Fatal — a
 # >10% median regression on a hot-path primitive fails the gate. On

@@ -79,6 +79,12 @@ impl ViewerProgress {
         }
     }
 
+    /// The first block not yet received in order: where a resume or a
+    /// restripe cut-over picks the viewer back up.
+    pub fn resume_block(&self) -> u32 {
+        self.high_water.map_or(self.base_block, |h| h + 1)
+    }
+
     /// Whether every block arrived.
     pub fn complete(&self) -> bool {
         self.received.iter().all(|&b| b)

@@ -3,6 +3,7 @@
 use tiger_disk::DiskProfile;
 use tiger_layout::{RedundancyMode, StripeConfig};
 use tiger_net::LatencyModel;
+use tiger_sched::ScheduleParams;
 use tiger_sim::{Bandwidth, ByteSize, SimDuration};
 
 /// How many successors receive each forwarded viewer state.
@@ -178,6 +179,20 @@ impl TigerConfig {
                 .disk
                 .worst_case_coded_read(self.block_size(), self.stripe.decluster),
         }
+    }
+
+    /// The schedule parameters this configuration implies; re-derived at a
+    /// restripe cut-over, when the stripe changes.
+    pub fn schedule_params(&self) -> ScheduleParams {
+        ScheduleParams::derive(
+            self.stripe,
+            self.block_play_time,
+            self.block_size(),
+            self.disk_worst_read(),
+            self.nic_capacity,
+        )
+        .with_scheduling_lead(self.scheduling_lead)
+        .with_ownership_duration(self.ownership_duration)
     }
 
     /// Total cub machines built: striped members plus spares. Node

@@ -7,18 +7,24 @@
 //! cub currently serving the viewer, and does *no* per-block work — which
 //! is what keeps its load flat as the system grows.
 //!
-//! The controller's ring-membership view lives in a sans-io
-//! `tiger_proto::Membership` held by `TigerSystem` (see
-//! `docs/PROTOCOL.md`); this module only keeps the viewer table and
-//! request counters that the routing decisions read.
+//! [`Controller`] is one controller's viewer table and request counters;
+//! [`ControlPlane`] is the DES driver around it: the primary, an optional
+//! hot standby fed the same notices, their ring-membership view (a
+//! sans-io `tiger_proto::Membership`, see `docs/PROTOCOL.md`), and the
+//! one message handler both roles run.
 
 use std::collections::HashMap;
 
 use tiger_layout::ids::ViewerInstance;
-use tiger_layout::{CubId, FileId};
-use tiger_sched::{ScheduleParams, SlotId};
+use tiger_layout::{BlockNum, CubId, DiskId, FileId};
+use tiger_net::NetNode;
+use tiger_proto::msg::Message;
+use tiger_proto::Membership;
+use tiger_sched::{Deschedule, ScheduleParams, SlotId};
 use tiger_sim::{Counter, SimTime};
-use tiger_trace::{TraceEvent, Tracer, CTRL};
+use tiger_trace::{TraceEvent, CTRL};
+
+use crate::system::Shared;
 
 /// What the controller remembers about one viewer.
 #[derive(Clone, Copy, Debug)]
@@ -110,7 +116,6 @@ impl Controller {
         instance: ViewerInstance,
         params: &ScheduleParams,
         now: SimTime,
-        tracer: &mut Tracer,
     ) -> Option<(SlotId, CubId)> {
         self.requests.incr();
         let rec = self.viewers.get_mut(&instance)?;
@@ -125,27 +130,10 @@ impl Controller {
         // "The controller determines from which cub the viewer is receiving
         // data": the disk that will next cross the viewer's slot.
         let stripe = params.stripe();
-        let mut best: Option<(SimTime, CubId)> = None;
-        for d in 0..stripe.num_disks() {
-            let t = params.slot_send_time(tiger_layout::DiskId(d), slot, now);
-            if best.is_none_or(|(bt, _)| t < bt) {
-                best = Some((t, stripe.cub_of(tiger_layout::DiskId(d))));
-            }
-        }
-        let routed = best.map(|(_, cub)| (slot, cub));
-        if let Some((slot, cub)) = routed {
-            tracer.record(
-                now,
-                CTRL,
-                TraceEvent::CtrlRouteDesched {
-                    viewer: instance.viewer.raw(),
-                    inc: instance.incarnation,
-                    slot: slot.raw(),
-                    target: cub.raw(),
-                },
-            );
-        }
-        routed
+        let next = (0..stripe.num_disks())
+            .map(DiskId)
+            .min_by_key(|&d| params.slot_send_time(d, slot, now));
+        next.map(|d| (slot, stripe.cub_of(d)))
     }
 
     /// Marks a viewer finished (EOF); frees its record.
@@ -173,6 +161,248 @@ impl Controller {
     /// Starts a fresh measurement window.
     pub fn reset_window(&mut self, now: SimTime) {
         self.requests.reset_window(now);
+    }
+}
+
+/// The control plane: the primary controller, its optional hot standby,
+/// and the failure beliefs they route by. Both roles run the one handler
+/// `ControlPlane::on_message`; until it is promoted the standby runs it
+/// *muted* — the same state transitions, but no sends, no trace records,
+/// no omniscient-checker updates and no shield launches.
+#[derive(Debug)]
+pub struct ControlPlane {
+    /// The acting controller's state: the primary's, until a promotion
+    /// installs what the standby mirrored.
+    acting: Controller,
+    /// The hot standby's state (idle when no backup is configured).
+    standby: Controller,
+    /// The controllers' failure beliefs (for routing around dead cubs) —
+    /// the same sans-io [`Membership`] vector the cubs' ring machines use.
+    /// A restripe cut-over resets it from the ground-truth map.
+    pub(crate) believes_failed: Membership,
+    /// The node the acting controller sends from.
+    node: NetNode,
+    /// Whether the standby has taken over.
+    promoted: bool,
+}
+
+impl ControlPlane {
+    /// An idle control plane that routes around the spares (cubs past
+    /// `striped`) until a cut-over absorbs them.
+    pub(crate) fn new(total_cubs: u32, striped: u32) -> Self {
+        ControlPlane {
+            acting: Controller::new(),
+            standby: Controller::new(),
+            believes_failed: Membership::with_spares(total_cubs, striped),
+            node: NetNode(0),
+            promoted: false,
+        }
+    }
+
+    /// The acting controller's state.
+    pub fn acting(&self) -> &Controller {
+        &self.acting
+    }
+
+    /// The record either role holds for `instance`.
+    pub(crate) fn viewer(&self, instance: &ViewerInstance) -> Option<&ViewerRecord> {
+        self.acting
+            .viewer(instance)
+            .or_else(|| self.standby.viewer(instance))
+    }
+
+    /// Restripe cut-over: both roles drop the fenced `instance`.
+    pub(crate) fn forget_viewer(&mut self, instance: ViewerInstance) {
+        self.acting.on_viewer_finished(instance);
+        self.standby.on_viewer_finished(instance);
+    }
+
+    /// Starts a fresh measurement window.
+    pub(crate) fn reset_window(&mut self, now: SimTime) {
+        self.acting.reset_window(now);
+    }
+
+    /// The standby's silence timer fired: its mirrored state becomes
+    /// authoritative and it starts answering from its own address.
+    pub(crate) fn promote(&mut self, standby_node: NetNode) {
+        if !self.promoted {
+            self.promoted = true;
+            self.acting = std::mem::take(&mut self.standby);
+            self.node = standby_node;
+        }
+    }
+
+    /// The state a message updates: the standby's while it is muted.
+    fn role(&mut self, muted: bool) -> &mut Controller {
+        if muted {
+            &mut self.standby
+        } else {
+            &mut self.acting
+        }
+    }
+
+    /// Handles a message delivered to the primary's address, or — with
+    /// `to_standby` — to the standby's. Returns a cub the (unmuted)
+    /// controller just learned has failed, for the caller to shield.
+    pub(crate) fn on_message(
+        &mut self,
+        sh: &mut Shared,
+        now: SimTime,
+        to_standby: bool,
+        msg: Message,
+    ) -> Option<CubId> {
+        let muted = to_standby && !self.promoted;
+        let role = self.role(muted);
+        match msg {
+            Message::StartRequest {
+                client,
+                instance,
+                file,
+                from_block,
+                requested_at,
+            } => {
+                // Admission control (disabled for the §5 tests).
+                if let Some(limit) = sh.cfg.admission_limit {
+                    let cap = f64::from(sh.params.capacity());
+                    if f64::from(role.active_streams()) >= limit * cap {
+                        return None; // Rejected; the client never starts.
+                    }
+                }
+                if !role.on_start_request(instance, file, client, requested_at) || muted {
+                    return None; // Duplicate, or nothing to route.
+                }
+                let loc = sh.catalog.locate(file, BlockNum(from_block))?;
+                let home = sh.params.stripe().cub_of(loc.disk);
+                let (primary, redundant) = self.living_pair(sh, home);
+                sh.tracer.record(
+                    now,
+                    CTRL,
+                    TraceEvent::CtrlRouteStart {
+                        viewer: instance.viewer.raw(),
+                        inc: instance.incarnation,
+                        primary: primary.raw(),
+                        redundant: redundant.map_or(u32::MAX, CubId::raw),
+                    },
+                );
+                self.send_pair(sh, now, (primary, redundant), |redundant| {
+                    Message::RoutedStart {
+                        client,
+                        instance,
+                        file,
+                        from_block,
+                        requested_at,
+                        redundant,
+                    }
+                });
+            }
+            Message::StopRequest { instance } => self.route_deschedule(sh, now, instance, muted),
+            Message::InsertCommitted {
+                instance,
+                slot,
+                first_send,
+                ..
+            } => {
+                if role.on_insert_committed(instance, slot, first_send) {
+                    // The viewer was stopped while its start was still
+                    // queued (the §4.1.3 stop/insert race). Now that a cub
+                    // has committed it into a slot, honour the stop —
+                    // otherwise the stream would play on with nobody left
+                    // to deschedule it (and the standby would keep
+                    // counting it).
+                    self.route_deschedule(sh, now, instance, muted);
+                }
+            }
+            Message::ViewerFinished { instance } => {
+                let slot = role.viewer(&instance).and_then(|rec| rec.slot);
+                if let (false, Some(slot), Some(omni)) = (muted, slot, sh.omniscient.as_mut()) {
+                    omni.on_remove(slot, instance, now);
+                }
+                role.on_viewer_finished(instance);
+            }
+            Message::FailureNotice { failed } => {
+                let first = !self.believes_failed.is_failed(failed);
+                self.believes_failed.set_failed(failed, true);
+                return (first && !muted).then_some(failed);
+            }
+            Message::RejoinRequest { from } => {
+                // A restarted cub is routable again.
+                self.believes_failed.set_failed(from, false);
+            }
+            other => {
+                debug_assert!(false, "controller received unexpected message: {other:?}");
+            }
+        }
+        None
+    }
+
+    /// Routes a deschedule for `instance` if the role knows its slot: the
+    /// cub whose disk next services the slot (plus its successor) gets the
+    /// kill. A viewer without a committed slot is tombstoned inside
+    /// [`Controller::on_stop_request`] and descheduled when its
+    /// `InsertCommitted` arrives.
+    fn route_deschedule(
+        &mut self,
+        sh: &mut Shared,
+        now: SimTime,
+        instance: ViewerInstance,
+        muted: bool,
+    ) {
+        let routed = self.role(muted).on_stop_request(instance, &sh.params, now);
+        let Some((slot, cub)) = routed else {
+            return;
+        };
+        if muted {
+            return; // The standby mirrors the state change; it routes nothing.
+        }
+        sh.tracer.record(
+            now,
+            CTRL,
+            TraceEvent::CtrlRouteDesched {
+                viewer: instance.viewer.raw(),
+                inc: instance.incarnation,
+                slot: slot.raw(),
+                target: cub.raw(),
+            },
+        );
+        if let Some(omni) = sh.omniscient.as_mut() {
+            omni.on_remove(slot, instance, now);
+        }
+        // §4.1.2: deschedules propagate "until they're more than
+        // maxVStateLead in front of the slot being descheduled".
+        let cfg = &sh.cfg;
+        let lead_cubs = (cfg.max_vstate_lead.as_nanos() + cfg.deschedule_hold.as_nanos())
+            .div_ceil(cfg.block_play_time.as_nanos()) as u32;
+        let hops_left = (lead_cubs + 2).min(cfg.stripe.num_cubs);
+        let request = Deschedule { instance, slot };
+        let pair = self.living_pair(sh, cub);
+        self.send_pair(sh, now, pair, |_| Message::Deschedule {
+            request,
+            hops_left,
+        });
+    }
+
+    /// The first living cub at or after `cub` and its living successor,
+    /// per the controllers' beliefs: every routed request goes to both
+    /// (§4.1.3's redundant start, §4.1.2's doubled deschedule).
+    fn living_pair(&self, sh: &Shared, cub: CubId) -> (CubId, Option<CubId>) {
+        let n = sh.cfg.stripe.num_cubs;
+        let target = self.believes_failed.first_living_at(cub, n);
+        (target, self.believes_failed.next_living_within(target, n))
+    }
+
+    /// Sends `msg(false)` to the pair's target and `msg(true)` to its
+    /// successor, from the acting controller's address.
+    fn send_pair(
+        &self,
+        sh: &mut Shared,
+        now: SimTime,
+        (target, successor): (CubId, Option<CubId>),
+        msg: impl Fn(bool) -> Message,
+    ) {
+        sh.send_control(now, self.node, sh.cub_node(target), msg(false));
+        if let Some(succ) = successor {
+            sh.send_control(now, self.node, sh.cub_node(succ), msg(true));
+        }
     }
 }
 
@@ -212,13 +442,13 @@ mod tests {
         c.on_insert_committed(inst(1), SlotId(7), SimTime::from_secs(2));
         assert_eq!(c.active_streams(), 1);
         let (slot, cub) = c
-            .on_stop_request(inst(1), &p, SimTime::from_secs(10), &mut Tracer::disabled())
+            .on_stop_request(inst(1), &p, SimTime::from_secs(10))
             .expect("known viewer");
         assert_eq!(slot, SlotId(7));
         assert!(cub.raw() < 4);
         assert_eq!(c.active_streams(), 0);
         assert!(c
-            .on_stop_request(inst(1), &p, SimTime::from_secs(10), &mut Tracer::disabled())
+            .on_stop_request(inst(1), &p, SimTime::from_secs(10))
             .is_none());
     }
 
@@ -229,9 +459,7 @@ mod tests {
         c.on_start_request(inst(1), FileId(0), 5, SimTime::ZERO);
         c.on_insert_committed(inst(1), SlotId(0), SimTime::from_secs(1));
         let now = SimTime::from_secs(10);
-        let (slot, cub) = c
-            .on_stop_request(inst(1), &p, now, &mut Tracer::disabled())
-            .expect("known");
+        let (slot, cub) = c.on_stop_request(inst(1), &p, now).expect("known");
         // Verify the chosen cub really is the next to service the slot.
         let stripe = p.stripe();
         let mut times: Vec<(SimTime, CubId)> = (0..stripe.num_disks())
@@ -251,14 +479,14 @@ mod tests {
         c.on_start_request(inst(4), FileId(0), 5, SimTime::ZERO);
         // Stop while the start is still queued at a cub: unroutable now …
         assert!(c
-            .on_stop_request(inst(4), &p, SimTime::from_secs(1), &mut Tracer::disabled())
+            .on_stop_request(inst(4), &p, SimTime::from_secs(1))
             .is_none());
         // … but the record survives with the stop pinned to it.
         assert!(c.viewer(&inst(4)).expect("record kept").stop_wanted);
         // The commit reports the pending stop so the caller deschedules.
         assert!(c.on_insert_committed(inst(4), SlotId(2), SimTime::from_secs(3)));
         let (slot, _) = c
-            .on_stop_request(inst(4), &p, SimTime::from_secs(3), &mut Tracer::disabled())
+            .on_stop_request(inst(4), &p, SimTime::from_secs(3))
             .expect("routable once committed");
         assert_eq!(slot, SlotId(2));
         assert_eq!(c.active_streams(), 0, "commit+stop nets out");

@@ -92,6 +92,10 @@ pub struct Cub {
     /// When this cub's next periodic forwarding pass is due (maintained by
     /// the event loop; lets acceptance decide whether a record can wait).
     pub next_forward_pass: SimTime,
+    /// When this cub's next deadman ping and check are due: the event
+    /// loop's guard against a previous life's periodic events.
+    pub(crate) next_deadman_ping: SimTime,
+    pub(crate) next_deadman_check: SimTime,
     /// Recently serviced-and-forwarded primary records, retained for one
     /// failure-detection window so that, as "the preceding living cub",
     /// this cub can re-send scheduling information across a gap of
@@ -134,6 +138,8 @@ impl Cub {
             cache_lookups: Counter::new(),
             peak_buffer_bytes: 0,
             next_forward_pass: SimTime::ZERO,
+            next_deadman_ping: SimTime::ZERO,
+            next_deadman_check: SimTime::ZERO,
             retired_log: Vec::new(),
             msgs_processed: Counter::new(),
             eof_sent: HashSet::default(),

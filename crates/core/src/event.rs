@@ -11,6 +11,8 @@ use tiger_net::NetNode;
 
 use tiger_proto::msg::Message;
 
+use crate::copy::Lane;
+
 /// A token identifying one scheduled block (or mirror-piece) service on a
 /// cub: the key into the cub's active-service table.
 pub type ServiceToken = u64;
@@ -105,35 +107,34 @@ pub enum Event {
         /// The cub to restart.
         cub: CubId,
     },
-    /// Live restripe: begin executing the planned block moves in the
-    /// background of the stream schedule.
+    /// Live restripe: begin executing the next queued step's planned block
+    /// moves in the background of the stream schedule.
     RestripeStart,
-    /// Live restripe: periodic pump — issue eligible background reads,
-    /// retry stalled transfers, cut over when every move has landed.
-    RestripeTick,
-    /// Live restripe: a background read of move `idx` completed on its
-    /// source disk; the block now transfers over the network.
-    RestripeRead {
-        /// Index into the restripe plan's move list.
+    /// Background copy: periodic pump of one lane's pipeline — issue
+    /// eligible background reads (idle source disk, pacing rest elapsed).
+    /// Re-armed every 100 ms while the lane has work; a tick left over
+    /// from a finished chain is dropped by the lane's due-time guard
+    /// instead of doubling the next campaign's pump rate.
+    CopyTick {
+        /// The lane to pump: restripe moves or spare-shield copies.
+        lane: Lane,
+    },
+    /// Background copy: the read of job `idx` completed on its source
+    /// disk; the data now transfers over the network (or re-queues if
+    /// the source died with the read in flight).
+    CopyRead {
+        /// The lane the job belongs to.
+        lane: Lane,
+        /// Index into that lane's job list.
         idx: u32,
     },
-    /// Live restripe: move `idx` arrived at its destination cub.
-    RestripeArrive {
-        /// Index into the restripe plan's move list.
-        idx: u32,
-    },
-    /// Spare shield: periodic pump — issue eligible background reads of
-    /// the mirror pieces being copied to a provisioned spare.
-    ShieldTick,
-    /// Spare shield: a background read of copy `idx` completed on its
-    /// source disk; the piece now transfers over the network.
-    ShieldRead {
-        /// Index into the shield executor's copy list.
-        idx: u32,
-    },
-    /// Spare shield: copy `idx` arrived at its spare.
-    ShieldArrive {
-        /// Index into the shield executor's copy list.
+    /// Background copy: job `idx` arrived at its destination machine and
+    /// commits there. The restripe lane cuts over when its last move
+    /// lands; the shield lane marks a span ready when its last piece does.
+    CopyArrive {
+        /// The lane the job belongs to.
+        lane: Lane,
+        /// Index into that lane's job list.
         idx: u32,
     },
     /// The backup controller's silence timer fired: promote it.

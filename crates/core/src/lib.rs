@@ -35,14 +35,15 @@ pub mod central;
 pub mod client;
 pub mod config;
 pub mod controller;
+pub mod copy;
 pub mod cpu;
 pub mod cub;
 pub mod event;
 pub mod mbr;
 pub mod mbr_dist;
 pub mod metrics;
+pub mod reconfig;
 pub mod recovery;
-pub mod restripe;
 pub mod shield;
 pub mod system;
 
@@ -55,8 +56,8 @@ pub use cub::Cub;
 pub use mbr::{MbrConfig, MbrCoordinator, MbrOutcome};
 pub use mbr_dist::{MbrDistStats, MbrSystem};
 pub use metrics::{LossReport, Metrics, WindowSample};
-pub use restripe::LiveRestripe;
+pub use reconfig::RestripeStep;
 pub use shield::ShieldMap;
-pub use system::{RestripeStep, TigerSystem};
+pub use system::TigerSystem;
 pub use tiger_layout::RedundancyMode;
 pub use tiger_proto::msg::Message;

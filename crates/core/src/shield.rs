@@ -6,27 +6,18 @@
 //! failure loses them outright until a restripe cut-over rebuilds full
 //! redundancy. A provisioned spare is powered, idle, and has empty
 //! secondary regions — so, while the cut-over is pending, the shield
-//! background-copies those mirror pieces onto a spare using the same
-//! paced, admission-gated pipeline the live restriper uses. Once every
-//! block of a `(failed disk, piece)` span has landed, the span is *ready*:
+//! background-copies those mirror pieces onto a spare through the
+//! [`crate::copy`] pipeline's shield lane (the campaign is planned in
+//! [`crate::reconfig`]). Once every block of a `(failed disk, piece)` span
+//! has landed, the span is *ready* and is recorded in the [`ShieldMap`]:
 //! the cover path routes records for dead holders to the spare, which
 //! serves them from its own copies. The shield evaporates at the next
 //! restripe cut-over, when `relay_secondaries` rebuilds permanent
 //! redundancy for the new geometry.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 
-use tiger_disk::{DiskError, DiskRequest, RequestKind};
-use tiger_layout::{BlockNum, CubId, DiskId, FileId, StripeConfig};
-use tiger_sim::{ByteSize, SimDuration, SimTime};
-use tiger_trace::{TraceEvent, CTRL};
-
-use crate::cub::Cub;
-use crate::event::Event;
-use crate::system::Shared;
-
-/// Retry delay after a transient read error on a source disk.
-const TRANSIENT_RETRY: SimDuration = SimDuration::from_millis(100);
+use tiger_layout::{CubId, DiskId};
 
 /// Which spare serves which exposed decluster span, consulted by the
 /// cover path when a mirror piece's normal holder is dead.
@@ -63,226 +54,5 @@ impl ShieldMap {
     pub(crate) fn clear(&mut self) {
         self.ready.clear();
         self.serving.clear();
-    }
-}
-
-/// One mirror-piece copy: read `piece` of `(file, block)` — homed on the
-/// failed cub's disk `home` — from its surviving holder's disk `src` and
-/// commit it on `spare`'s local disk `home_local`.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct ShieldCopy {
-    /// The surviving holder's disk (source of the read).
-    pub src: DiskId,
-    /// The failed cub's disk the block is homed on.
-    pub home: DiskId,
-    /// Local index of `home` — also the spare's local disk the copy
-    /// lands on, so the spare's disk geometry mirrors the failed cub's.
-    pub home_local: u32,
-    /// The receiving spare.
-    pub spare: CubId,
-    /// The block's file.
-    pub file: FileId,
-    /// The block.
-    pub block: BlockNum,
-    /// The decluster piece index.
-    pub piece: u32,
-    /// Piece size.
-    pub size: ByteSize,
-}
-
-/// Where one copy is in its pipeline (same stages as a restripe move).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum CopyState {
-    Queued,
-    Reading,
-    Transferring,
-    Arrived,
-}
-
-/// The background copy pipeline: every queued [`ShieldCopy`] across all
-/// active campaigns, paced per source disk exactly like the live
-/// restriper (idle disks only, rest at least as long as each read took).
-#[derive(Debug)]
-pub(crate) struct ShieldExec {
-    stripe: StripeConfig,
-    copies: Vec<ShieldCopy>,
-    state: Vec<CopyState>,
-    /// Copies not yet arrived (parked copies — source dead — count).
-    pending: usize,
-    /// Per-source-disk FIFO of queued copy indices.
-    disk_queue: Vec<VecDeque<u32>>,
-    /// Earliest next background issue per source disk.
-    next_eligible: Vec<SimTime>,
-    /// `(remaining, total)` copies per `(home disk, piece)` span; the
-    /// span becomes ready (and traces) when remaining hits zero. Spans
-    /// whose source holder is dead park forever, so completion is
-    /// tracked — and traced — per span, never per whole home disk.
-    span_left: HashMap<(u32, u32), (u32, u32)>,
-}
-
-impl ShieldExec {
-    /// An empty pipeline over the current (frozen) stripe geometry.
-    pub(crate) fn new(stripe: StripeConfig, now: SimTime) -> Self {
-        let num_disks = stripe.num_disks() as usize;
-        ShieldExec {
-            stripe,
-            copies: Vec::new(),
-            state: Vec::new(),
-            pending: 0,
-            disk_queue: vec![VecDeque::new(); num_disks],
-            next_eligible: vec![now; num_disks],
-            span_left: HashMap::new(),
-        }
-    }
-
-    /// Queues one campaign's copies (idempotence is the caller's job:
-    /// one campaign per failed cub, one per spare).
-    pub(crate) fn extend(&mut self, copies: Vec<ShieldCopy>) {
-        for c in copies {
-            let idx = self.copies.len() as u32;
-            let s = self
-                .span_left
-                .entry((c.home.raw(), c.piece))
-                .or_insert((0, 0));
-            s.0 += 1;
-            s.1 += 1;
-            self.copies.push(c);
-            self.state.push(CopyState::Queued);
-            self.pending += 1;
-            self.disk_queue[c.src.index()].push_back(idx);
-        }
-    }
-
-    /// Copies not yet landed (the tick re-arms while nonzero).
-    pub(crate) fn pending(&self) -> usize {
-        self.pending
-    }
-
-    /// The periodic pump: issue one background read per idle, eligible
-    /// source disk. Sources that are down stay parked — if the holder
-    /// never comes back, the span simply never becomes ready.
-    pub(crate) fn pump(&mut self, sh: &mut Shared, cubs: &mut [Cub], now: SimTime) {
-        for d in 0..self.disk_queue.len() {
-            if self.disk_queue[d].is_empty() {
-                continue;
-            }
-            let disk_id = DiskId(d as u32);
-            let src_cub = self.stripe.cub_of(disk_id);
-            let local = self.stripe.local_index_of(disk_id) as usize;
-            let cub = &mut cubs[src_cub.index()];
-            if cub.failed || cub.disks()[local].is_failed() {
-                continue;
-            }
-            if cub.disks()[local].outstanding() > 0 || now < self.next_eligible[d] {
-                continue;
-            }
-            let idx = *self.disk_queue[d].front().expect("queue non-empty");
-            let c = self.copies[idx as usize];
-            let Some(extent) = cub
-                .index()
-                .lookup_secondary(c.src, c.file, c.block, c.piece)
-            else {
-                // The holder's mirror layout changed under us (cut-over
-                // already dropped the exec in that case) — drop the copy.
-                self.disk_queue[d].pop_front();
-                self.state[idx as usize] = CopyState::Arrived;
-                self.pending -= 1;
-                continue;
-            };
-            let req = DiskRequest {
-                offset: extent.offset(),
-                len: extent.length(),
-                // Background class, same lane as restripe moves.
-                kind: RequestKind::Mirror,
-            };
-            match cub.disks_mut()[local].submit(now, req) {
-                Ok(done) => {
-                    self.disk_queue[d].pop_front();
-                    self.state[idx as usize] = CopyState::Reading;
-                    self.next_eligible[d] = done + done.saturating_since(now);
-                    sh.queue.schedule(done, Event::ShieldRead { idx });
-                }
-                Err(DiskError::Transient) => {
-                    self.next_eligible[d] = now + TRANSIENT_RETRY;
-                }
-                Err(_) => {} // Disk died under us; the span stays parked.
-            }
-        }
-    }
-
-    /// A background read finished: hand the piece to the network.
-    pub(crate) fn on_read_done(
-        &mut self,
-        sh: &mut Shared,
-        cubs: &mut [Cub],
-        now: SimTime,
-        idx: u32,
-    ) {
-        if self.state[idx as usize] != CopyState::Reading {
-            return;
-        }
-        let c = self.copies[idx as usize];
-        let src_cub = self.stripe.cub_of(c.src);
-        let local = self.stripe.local_index_of(c.src) as usize;
-        let cub = &mut cubs[src_cub.index()];
-        if cub.failed || cub.disks()[local].is_failed() {
-            self.requeue(c.src, idx);
-            return;
-        }
-        cub.disks_mut()[local].complete(now);
-        let src_node = sh.cub_node(src_cub);
-        let dst_node = sh.cub_node(c.spare);
-        let at = sh.net.send_data(now, src_node, dst_node);
-        sh.trace_net_injections(now);
-        match at {
-            Some(at) => {
-                self.state[idx as usize] = CopyState::Transferring;
-                sh.queue.schedule(at, Event::ShieldArrive { idx });
-            }
-            None => self.requeue(c.src, idx),
-        }
-    }
-
-    /// A piece landed on its spare: commit it keyed under the *failed
-    /// home disk's* id (spares have no ids in the stripe's disk
-    /// namespace; the spare's read path looks shield pieces up under the
-    /// home disk from the record's mirror kind), with the extent
-    /// allocated on the spare's physical disk `home_local`.
-    pub(crate) fn on_arrive(&mut self, sh: &mut Shared, cubs: &mut [Cub], now: SimTime, idx: u32) {
-        if self.state[idx as usize] != CopyState::Transferring {
-            return;
-        }
-        let c = self.copies[idx as usize];
-        let cub = &mut cubs[c.spare.index()];
-        if cub.disks()[c.home_local as usize].is_failed() {
-            self.requeue(c.src, idx);
-            return;
-        }
-        cub.load_secondary(c.home, c.home_local, c.file, c.block, c.piece, c.size);
-        self.state[idx as usize] = CopyState::Arrived;
-        self.pending -= 1;
-        let span = self
-            .span_left
-            .get_mut(&(c.home.raw(), c.piece))
-            .expect("span counted at extend");
-        span.0 -= 1;
-        if span.0 == 0 {
-            sh.shield.mark_ready(c.home, c.piece, c.spare);
-            sh.tracer.record(
-                now,
-                CTRL,
-                TraceEvent::SpareShadow {
-                    spare: c.spare.raw(),
-                    disk: c.home.raw(),
-                    piece: c.piece,
-                    count: span.1,
-                },
-            );
-        }
-    }
-
-    fn requeue(&mut self, src: DiskId, idx: u32) {
-        self.state[idx as usize] = CopyState::Queued;
-        self.disk_queue[src.index()].push_back(idx);
     }
 }

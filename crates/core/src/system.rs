@@ -15,19 +15,20 @@ use tiger_layout::{
 };
 use tiger_net::{NetNode, Network};
 use tiger_proto::msg::Message;
-use tiger_proto::Membership;
 use tiger_sched::disk_schedule::Omniscient;
-use tiger_sched::{Deschedule, NetworkSchedule, ScheduleParams};
+use tiger_sched::{NetworkSchedule, ScheduleParams};
 use tiger_sim::{Bandwidth, ByteSize, EventQueue, RngTree, SimDuration, SimTime};
 use tiger_trace::{TraceEvent, Tracer, CTRL};
 
 use crate::client::{Client, ClientReport};
 use crate::config::TigerConfig;
-use crate::controller::Controller;
+use crate::controller::{ControlPlane, Controller};
 use crate::cpu::CpuModel;
 use crate::cub::Cub;
 use crate::event::Event;
 use crate::metrics::{Metrics, WindowSample};
+use crate::reconfig::Reconfig;
+use crate::shield::ShieldMap;
 
 /// State shared by all component handlers: the event queue, the network,
 /// static configuration, and measurement sinks.
@@ -65,7 +66,7 @@ pub struct Shared {
     /// mirror pieces. Cubs consult it on the cover path; empty (and
     /// costing one hash probe on the failure paths only) unless a shield
     /// campaign completed spans.
-    pub shield: crate::shield::ShieldMap,
+    pub shield: ShieldMap,
 }
 
 /// Runtime state of the `tiger-coded` backend: the shard placement and
@@ -172,6 +173,14 @@ impl Shared {
         NetNode(1 + cub.raw())
     }
 
+    /// The cub machine at network node `node`, if it is one (the inverse
+    /// of [`Shared::cub_node`]).
+    pub fn cub_at(&self, node: NetNode) -> Option<CubId> {
+        (1..=self.cfg.total_cubs())
+            .contains(&node.raw())
+            .then(|| CubId(node.raw() - 1))
+    }
+
     /// The network node of client machine `client` (0-based).
     pub fn client_node(&self, client: u32) -> NetNode {
         NetNode(1 + self.cfg.total_cubs() + client)
@@ -224,12 +233,7 @@ impl Shared {
     /// Trace cub id for a fault event on network node `node`: cubs record
     /// on their own lane, everything else (controllers, clients) on CTRL.
     fn fault_lane(&self, node: u32) -> u32 {
-        let cubs = self.cfg.total_cubs();
-        if node >= 1 && node <= cubs {
-            node - 1
-        } else {
-            CTRL
-        }
+        self.cub_at(NetNode(node)).map_or(CTRL, CubId::raw)
     }
 
     fn record_net_injection(&mut self, now: SimTime, inj: &NetInjection) {
@@ -272,57 +276,16 @@ impl Shared {
 /// The whole simulated Tiger system.
 #[derive(Debug)]
 pub struct TigerSystem {
-    shared: Shared,
-    cubs: Vec<Cub>,
-    controller: Controller,
-    clients: Vec<Client>,
+    pub(crate) shared: Shared,
+    pub(crate) cubs: Vec<Cub>,
+    pub(crate) clients: Vec<Client>,
     cpu: CpuModel,
-    /// The controller's failure beliefs (for routing around dead cubs) —
-    /// the same sans-io [`Membership`] vector the cubs' ring machines use.
-    controller_believes_failed: Membership,
-    /// Hot-standby controller state, mirrored from the cubs' notices.
-    backup: Controller,
-    /// Where clients currently address controller requests.
-    active_controller: NetNode,
-    /// Whether the backup has taken over.
-    promoted: bool,
+    /// The primary controller and its optional hot standby.
+    pub(crate) ctl: ControlPlane,
+    /// Restripe steps, shield campaigns and their copy lanes.
+    pub(crate) reconfig: Reconfig,
     next_viewer: u64,
     clients_handed: u32,
-    window_start: SimTime,
-    /// When each cub's next *periodic* forward pass is due (extra one-shot
-    /// passes triggered by fresh inserts do not reschedule).
-    periodic_forward_due: Vec<SimTime>,
-    /// An in-progress live restripe, if one is executing.
-    restripe: Option<crate::restripe::LiveRestripe>,
-    /// The geometry delta the restripe currently executing (or armed to
-    /// start) applies at its cut-over.
-    restripe_step: Option<RestripeStep>,
-    /// Queued follow-on restripe steps, executed in order: each starts at
-    /// the previous step's cut-over (or at its own armed start time,
-    /// whichever is later).
-    restripe_queue: std::collections::VecDeque<RestripeStep>,
-    /// How many [`Event::RestripeStart`] instants have fired while an
-    /// earlier step was still executing: each arms the next queued step
-    /// to begin at that step's cut-over.
-    restripe_armed: usize,
-    /// Background spare-shield copy pipeline (None when idle).
-    shield_exec: Option<crate::shield::ShieldExec>,
-    /// Striped cubs already shielded in the current geometry epoch (the
-    /// campaign runs once per failure declaration; cleared at cut-over).
-    shield_done: std::collections::HashSet<CubId>,
-    /// Spares currently holding shield copies (one campaign per spare).
-    shield_spares_used: std::collections::HashSet<CubId>,
-}
-
-/// One queued restripe step: the membership delta applied at its
-/// cut-over. Exactly one of `add`/`remove` is nonzero.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RestripeStep {
-    /// Spares absorbed into the stripe.
-    pub add: u32,
-    /// Trailing stripe members drained and fenced out (they rejoin the
-    /// spare pool).
-    pub remove: u32,
 }
 
 impl TigerSystem {
@@ -334,15 +297,7 @@ impl TigerSystem {
     /// [`TigerConfig::validate`]).
     pub fn new(cfg: TigerConfig) -> Self {
         cfg.validate();
-        let params = ScheduleParams::derive(
-            cfg.stripe,
-            cfg.block_play_time,
-            cfg.block_size(),
-            cfg.disk_worst_read(),
-            cfg.nic_capacity,
-        )
-        .with_scheduling_lead(cfg.scheduling_lead)
-        .with_ownership_duration(cfg.ownership_duration);
+        let params = cfg.schedule_params();
         let catalog = FileCatalog::new(
             cfg.stripe,
             cfg.block_play_time,
@@ -382,8 +337,7 @@ impl TigerSystem {
         let placement = MirrorPlacement::new(cfg.stripe);
         let coded = (cfg.redundancy == RedundancyMode::Coded)
             .then(|| CodedRuntime::new(cfg.stripe, cfg.block_play_time));
-        let num_cubs = total_cubs;
-        let cfg_striped = cfg.stripe.num_cubs;
+        let striped = cfg.stripe.num_cubs;
         // Pre-size the event queue for a full-load steady state so long
         // ramps never regrow the heap mid-run: each active stream keeps a
         // handful of events in flight (read issue/done, send due/done,
@@ -402,30 +356,20 @@ impl TigerSystem {
                 tracer: Tracer::from_env(),
                 faults: ProcFaults::disabled(),
                 coded,
-                shield: crate::shield::ShieldMap::default(),
+                shield: ShieldMap::default(),
             },
             cubs,
-            controller: Controller::new(),
             clients,
             cpu: CpuModel::pentium133(),
             // The controller, too, routes around spares until cut-over.
-            controller_believes_failed: Membership::with_spares(num_cubs, cfg_striped),
-            backup: Controller::new(),
-            active_controller: NetNode(0),
-            promoted: false,
+            ctl: ControlPlane::new(total_cubs, striped),
+            reconfig: Reconfig::default(),
             next_viewer: 0,
             clients_handed: 0,
-            window_start: SimTime::ZERO,
-            periodic_forward_due: vec![SimTime::ZERO; num_cubs as usize],
-            restripe: None,
-            restripe_step: None,
-            restripe_queue: std::collections::VecDeque::new(),
-            restripe_armed: 0,
-            shield_exec: None,
-            shield_done: std::collections::HashSet::new(),
-            shield_spares_used: std::collections::HashSet::new(),
         };
-        sys.schedule_periodic_events();
+        for c in 0..striped {
+            sys.arm_periodic(CubId(c), SimTime::ZERO, true);
+        }
         sys
     }
 
@@ -464,29 +408,45 @@ impl TigerSystem {
         f(&mut self.cubs[cub.index()], &mut self.shared)
     }
 
-    fn schedule_periodic_events(&mut self) {
+    /// The one place a cub's periodic work — forwarding passes, deadman
+    /// pings and checks — is armed: at start-up, after a restart, and when
+    /// a cut-over absorbs a spare. Each chain's due time is recorded on
+    /// the cub and `dispatch` honours a periodic event only at or after
+    /// it, so an event still queued from the cub's previous life dies
+    /// instead of running a second chain beside the new one.
+    ///
+    /// Start-up staggers the work across cubs so the simulation does not
+    /// synchronize artificial load spikes, and pings at once. A revived or
+    /// absorbed cub starts a full interval out — its deadman check one
+    /// full timeout after `restart` reset every last-heard clock, so the
+    /// fresh baseline can never declare a predecessor on stale silence.
+    pub(crate) fn arm_periodic(&mut self, cub: CubId, now: SimTime, startup: bool) {
         let cfg = &self.shared.cfg;
-        let n = u64::from(cfg.stripe.num_cubs);
-        for c in 0..cfg.stripe.num_cubs {
-            // Stagger periodic work across cubs so the simulation does not
-            // synchronize artificial load spikes.
-            let offset =
-                SimDuration::from_nanos(cfg.forward_interval.as_nanos() * u64::from(c) / n);
-            self.shared.queue.schedule(
-                SimTime::ZERO + cfg.forward_interval + offset,
-                Event::ForwardPass { cub: CubId(c) },
-            );
-            let ping_offset =
-                SimDuration::from_nanos(cfg.deadman_interval.as_nanos() * u64::from(c) / n);
-            self.shared.queue.schedule(
-                SimTime::ZERO + ping_offset + SimDuration::from_millis(1),
-                Event::DeadmanPing { cub: CubId(c) },
-            );
-            self.shared.queue.schedule(
-                SimTime::ZERO + cfg.deadman_timeout + ping_offset,
-                Event::DeadmanCheck { cub: CubId(c) },
-            );
+        let slice = |interval: SimDuration| {
+            let n = u64::from(cfg.stripe.num_cubs);
+            let nanos = interval.as_nanos() * u64::from(cub.raw()) / n;
+            SimDuration::from_nanos(if startup { nanos } else { 0 })
+        };
+        let forward = now + cfg.forward_interval + slice(cfg.forward_interval);
+        let check = now + cfg.deadman_timeout + slice(cfg.deadman_interval);
+        let ping = if startup {
+            now + slice(cfg.deadman_interval) + SimDuration::from_millis(1)
+        } else {
+            now + cfg.deadman_interval
+        };
+        let c = &mut self.cubs[cub.index()];
+        // Until the first start-up pass fires `next_forward_pass` stays
+        // ZERO ("a pass is overdue"): acceptance reads it to decide whether
+        // a record can wait, and must not forward promptly before then.
+        if !startup {
+            c.next_forward_pass = forward;
         }
+        c.next_deadman_ping = ping;
+        c.next_deadman_check = check;
+        let queue = &mut self.shared.queue;
+        queue.schedule(forward, Event::ForwardPass { cub });
+        queue.schedule(ping, Event::DeadmanPing { cub });
+        queue.schedule(check, Event::DeadmanCheck { cub });
     }
 
     // --- Content loading ---------------------------------------------------
@@ -511,19 +471,10 @@ impl TigerSystem {
                 BlockNum(b),
                 self.shared.primary_extent(meta.block_size),
             );
-            for piece in self.shared.secondary_pieces(loc.disk, meta.block_size) {
-                let pcub = stripe.cub_of(piece.disk);
-                let plocal = stripe.local_index_of(piece.disk);
-                self.cubs[pcub.index()].load_secondary(
-                    piece.disk,
-                    plocal,
-                    file,
-                    BlockNum(b),
-                    piece.piece,
-                    piece.size,
-                );
-            }
         }
+        // The secondary region allocates independently of the primary one,
+        // so the mirror pieces are laid out in a pass of their own.
+        self.lay_secondaries(&meta);
         file
     }
 
@@ -592,10 +543,7 @@ impl TigerSystem {
         self.shared
             .queue
             .schedule(at, Event::ClientResume { instance });
-        ViewerInstance {
-            viewer: instance.viewer,
-            incarnation: instance.incarnation + 1,
-        }
+        instance.next_incarnation()
     }
 
     /// Schedules a seek: stop the current play instance and start a new
@@ -609,10 +557,7 @@ impl TigerSystem {
         self.shared
             .queue
             .schedule(at, Event::ClientSeek { instance, to_block });
-        ViewerInstance {
-            viewer: instance.viewer,
-            incarnation: instance.incarnation + 1,
-        }
+        instance.next_incarnation()
     }
 
     /// Schedules a power-cut of `cub` at time `at`.
@@ -626,9 +571,13 @@ impl TigerSystem {
     /// protocol events land in, so churn can be correlated against its
     /// cause in one dump. A no-op unless tracing is enabled.
     pub fn trace_note_at(&mut self, at: SimTime, ev: TraceEvent) {
-        self.shared
-            .queue
-            .schedule(at, Event::FaultNote { cub: CTRL, ev });
+        self.note_at(at, CTRL, ev);
+    }
+
+    /// Schedules trace marker `ev` on `lane` (a cub id, or `CTRL`) at `at`.
+    fn note_at(&mut self, at: SimTime, lane: u32, ev: TraceEvent) {
+        let note = Event::FaultNote { cub: lane, ev };
+        self.shared.queue.schedule(at, note);
     }
 
     /// Compiles and installs a declarative fault plan (see
@@ -682,26 +631,10 @@ impl TigerSystem {
                     }
                 }
                 ProcessFault::Freeze { cub, from, until } => {
-                    self.shared.queue.schedule(
-                        *from,
-                        Event::FaultNote {
-                            cub: *cub,
-                            ev: TraceEvent::CubFreeze { cub: *cub },
-                        },
-                    );
-                    self.shared.queue.schedule(
-                        *until,
-                        Event::FaultNote {
-                            cub: *cub,
-                            ev: TraceEvent::CubResume { cub: *cub },
-                        },
-                    );
+                    self.note_at(*from, *cub, TraceEvent::CubFreeze { cub: *cub });
+                    self.note_at(*until, *cub, TraceEvent::CubResume { cub: *cub });
                 }
-                ProcessFault::Restart { cub, at } => {
-                    self.shared
-                        .queue
-                        .schedule(*at, Event::RestartCub { cub: CubId(*cub) });
-                }
+                ProcessFault::Restart { cub, at } => self.restart_cub_at(*at, CubId(*cub)),
             }
         }
         for decl in &plan.restripes {
@@ -719,21 +652,9 @@ impl TigerSystem {
             }
         }
         for w in plan.windows() {
-            self.shared.queue.schedule(
-                w.from,
-                Event::FaultNote {
-                    cub: CTRL,
-                    ev: TraceEvent::FaultStart { clause: w.clause },
-                },
-            );
+            self.note_at(w.from, CTRL, TraceEvent::FaultStart { clause: w.clause });
             if w.until < SimTime::MAX {
-                self.shared.queue.schedule(
-                    w.until,
-                    Event::FaultNote {
-                        cub: CTRL,
-                        ev: TraceEvent::FaultEnd { clause: w.clause },
-                    },
-                );
+                self.note_at(w.until, CTRL, TraceEvent::FaultEnd { clause: w.clause });
             }
         }
     }
@@ -799,489 +720,6 @@ impl TigerSystem {
         self.shared.queue.schedule(at, Event::FailController);
     }
 
-    // --- Online recovery -----------------------------------------------------
-
-    /// Schedules a restart of a crashed/fenced cub at time `at`: it comes
-    /// back with empty schedule state and re-learns its slots via the
-    /// rejoin protocol.
-    pub fn restart_cub_at(&mut self, at: SimTime, cub: CubId) {
-        self.shared.queue.schedule(at, Event::RestartCub { cub });
-    }
-
-    /// Schedules a live restripe at time `at` that absorbs `add_cubs` of
-    /// the provisioned spares into the stripe. The moves execute as
-    /// background work inside the event loop; when the last block lands,
-    /// the system cuts over to the new geometry and re-inserts every
-    /// running viewer. Steps queue: a request issued while an earlier
-    /// step is still executing arms the next step to begin at that
-    /// step's cut-over.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the step is invalid against the membership projected
-    /// through every step already accepted (see `enqueue_restripe`).
-    pub fn request_restripe(&mut self, at: SimTime, add_cubs: u32) {
-        self.enqueue_restripe(at, add_cubs, 0);
-    }
-
-    /// Schedules a live *shrink* at time `at`: the last `remove_cubs`
-    /// stripe members drain their primaries to the survivors through the
-    /// background mirror lane, then are fenced out of the ring at the
-    /// cut-over and rejoin the spare pool.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the step is invalid (see `enqueue_restripe`).
-    pub fn request_restripe_remove(&mut self, at: SimTime, remove_cubs: u32) {
-        self.enqueue_restripe(at, 0, remove_cubs);
-    }
-
-    /// Queues one restripe step (grow or shrink; both-zero is a legal
-    /// no-op step that cuts over immediately), validating it against the
-    /// membership *projected* through every previously accepted step.
-    ///
-    /// # Panics
-    ///
-    /// Panics if both of `add`/`remove` are nonzero, if a grow exceeds
-    /// the projected spare pool, or if a shrink would not leave at least
-    /// one striped cub.
-    pub fn enqueue_restripe(&mut self, at: SimTime, add: u32, remove: u32) {
-        assert!(
-            add == 0 || remove == 0,
-            "a restripe step adds or removes cubs, not both (add={add}, remove={remove})"
-        );
-        // Project membership through the executing step and the queue.
-        let mut striped = self.shared.cfg.stripe.num_cubs;
-        let mut spares = self.shared.cfg.spare_cubs;
-        for step in self.restripe_step.iter().chain(self.restripe_queue.iter()) {
-            striped = striped + step.add - step.remove;
-            spares = spares - step.add + step.remove;
-        }
-        assert!(
-            add <= spares,
-            "restripe adds {add} cubs but only {spares} spares are (projected) provisioned"
-        );
-        assert!(
-            remove < striped,
-            "restripe removes {remove} of {striped} (projected) striped cubs; at least one must remain"
-        );
-        self.restripe_queue.push_back(RestripeStep { add, remove });
-        self.shared.queue.schedule(at, Event::RestripeStart);
-    }
-
-    /// Handles [`Event::RestartCub`]: revive the machine with empty
-    /// schedule state, announce the rejoin, and resume periodic work
-    /// under a fresh monitoring baseline.
-    fn restart_cub(&mut self, now: SimTime, cub: CubId) {
-        let striped = self.shared.cfg.stripe.num_cubs;
-        if cub.raw() >= striped {
-            return; // Spares join via a restripe cut-over, not a rejoin.
-        }
-        if !self.cubs[cub.index()].failed {
-            return; // Never crashed, or already restarted.
-        }
-        self.shared
-            .tracer
-            .record(now, CTRL, TraceEvent::CubRestart { cub: cub.raw() });
-        let node = self.shared.cub_node(cub);
-        self.shared.net.revive_node(now, node);
-        self.cubs[cub.index()].restart(now, striped);
-        // Announce the rejoin to every striped cub and the controllers:
-        // receivers clear their failure belief and re-baseline deadman
-        // monitoring; ring neighbours answer with their own belief lists
-        // (bounded-view exchange) and the covering mirror partner opens
-        // its hand-back window.
-        for c in 0..striped {
-            if c != cub.raw() {
-                let dst = self.shared.cub_node(CubId(c));
-                self.shared
-                    .send_control(now, node, dst, Message::RejoinRequest { from: cub });
-            }
-        }
-        self.shared
-            .send_to_controllers(now, node, Message::RejoinRequest { from: cub });
-        // Restart periodic work. The deadman check fires one full timeout
-        // out, and `restart` reset every last-heard clock to `now`, so the
-        // fresh baseline can never declare a predecessor on stale silence.
-        let next_fwd = now + self.shared.cfg.forward_interval;
-        self.periodic_forward_due[cub.index()] = next_fwd;
-        self.cubs[cub.index()].next_forward_pass = next_fwd;
-        self.shared
-            .queue
-            .schedule(next_fwd, Event::ForwardPass { cub });
-        self.shared.queue.schedule(
-            now + self.shared.cfg.deadman_interval,
-            Event::DeadmanPing { cub },
-        );
-        self.shared.queue.schedule(
-            now + self.shared.cfg.deadman_timeout,
-            Event::DeadmanCheck { cub },
-        );
-    }
-
-    /// Handles [`Event::RestripeStart`]: pop the next queued step and
-    /// start its background pipeline — or, if an earlier step is still
-    /// executing, arm the step to begin at that step's cut-over.
-    fn restripe_start(&mut self, now: SimTime) {
-        if self.restripe_step.is_some() {
-            // Busy: remember that this step's start time has passed so
-            // the cut-over launches it immediately.
-            self.restripe_armed += 1;
-            return;
-        }
-        let Some(step) = self.restripe_queue.pop_front() else {
-            return;
-        };
-        self.restripe_step = Some(step);
-        self.begin_restripe(now, step);
-    }
-
-    /// Plans and launches one restripe step's background move pipeline.
-    fn begin_restripe(&mut self, now: SimTime, step: RestripeStep) {
-        let old = self.shared.cfg.stripe;
-        let new = tiger_layout::StripeConfig::new(
-            old.num_cubs + step.add - step.remove,
-            old.disks_per_cub,
-            old.decluster,
-        );
-        let plan = tiger_layout::RestripePlan::plan(&self.shared.catalog, old, new);
-        self.shared.tracer.record(
-            now,
-            CTRL,
-            TraceEvent::RestripeStart {
-                moves: plan.moves().len() as u32,
-            },
-        );
-        self.restripe = Some(crate::restripe::LiveRestripe::new(plan, now));
-        if self.restripe.as_ref().is_some_and(|lr| lr.pending() == 0) {
-            self.restripe_cutover(now);
-        } else {
-            self.with_restripe(now, |lr, sh, cubs| lr.pump(sh, cubs, now));
-            self.shared
-                .queue
-                .schedule(now + SimDuration::from_millis(100), Event::RestripeTick);
-        }
-    }
-
-    /// The live-restripe cut-over barrier: every moved block has landed,
-    /// so swap the system to the new geometry in one event. Running
-    /// viewers are carried across by re-insertion — their old-incarnation
-    /// records are fenced with deschedules and a fresh incarnation starts
-    /// at each viewer's high-water mark, so no block is played twice and
-    /// at most the in-flight window is re-requested.
-    fn restripe_cutover(&mut self, now: SimTime) {
-        let Some(lr) = self.restripe.take() else {
-            return;
-        };
-        self.restripe_step = None;
-        let plan = lr.into_plan();
-        let old = plan.old_config();
-        let new = plan.new_config();
-        self.shared.tracer.record(
-            now,
-            CTRL,
-            TraceEvent::RestripeCutover {
-                moved: plan.moves().len() as u32,
-            },
-        );
-        // 1. Collect the live viewers (deterministically: clients in index
-        // order, instances sorted) before any state is torn down.
-        let mut live: Vec<(u32, ViewerInstance, FileId, u32)> = Vec::new();
-        for ci in 0..self.clients.len() as u32 {
-            let mut here: Vec<(u32, ViewerInstance, FileId, u32)> = self.clients[ci as usize]
-                .viewers()
-                .filter(|(_, v)| !v.stopped && !v.complete())
-                .map(|(&inst, v)| {
-                    let resume = v.high_water.map_or(v.base_block, |h| h + 1);
-                    (ci, inst, v.file, resume)
-                })
-                .collect();
-            here.sort_by_key(|&(_, inst, _, _)| (inst.viewer.raw(), inst.incarnation));
-            live.extend(here);
-        }
-        // 2. Fence the old incarnations: deschedules (slot from the
-        // controller's commit record) block any old-geometry record still
-        // in flight from re-entering a view after the swap.
-        let fences: Vec<Deschedule> = live
-            .iter()
-            .filter_map(|&(_, inst, _, _)| {
-                let rec = self
-                    .controller
-                    .viewer(&inst)
-                    .or_else(|| self.backup.viewer(&inst))?;
-                rec.slot.map(|slot| Deschedule {
-                    instance: inst,
-                    slot,
-                })
-            })
-            .collect();
-        let hold_until = now + self.shared.cfg.deschedule_hold + self.shared.cfg.max_vstate_lead;
-        for &(ci, inst, _, _) in &live {
-            self.controller.on_viewer_finished(inst);
-            self.backup.on_viewer_finished(inst);
-            self.clients[ci as usize].on_stopped(inst);
-        }
-        for cub in &mut self.cubs {
-            cub.cutover_reset(now, &fences, hold_until);
-        }
-        // 3. Swap the geometry: config, derived parameters, catalog
-        // start-disks, mirror placement. Absorbed spares leave the spare
-        // pool; shrunk-out members rejoin it.
-        self.shared.cfg.stripe = new;
-        if new.num_cubs >= old.num_cubs {
-            self.shared.cfg.spare_cubs -= new.num_cubs - old.num_cubs;
-        } else {
-            self.shared.cfg.spare_cubs += old.num_cubs - new.num_cubs;
-        }
-        self.shared.params = ScheduleParams::derive(
-            new,
-            self.shared.cfg.block_play_time,
-            self.shared.cfg.block_size(),
-            self.shared.cfg.disk_worst_read(),
-            self.shared.cfg.nic_capacity,
-        )
-        .with_scheduling_lead(self.shared.cfg.scheduling_lead)
-        .with_ownership_duration(self.shared.cfg.ownership_duration);
-        self.shared.catalog.restripe(new);
-        self.shared.placement = MirrorPlacement::new(new);
-        if self.shared.coded.is_some() {
-            // Fresh rings: cut-over re-inserts every carried viewer, so
-            // stale load reservations must not leak into the new geometry.
-            self.shared.coded = Some(CodedRuntime::new(new, self.shared.cfg.block_play_time));
-        }
-        // 4. Layout: drop the source entries of every moved block (the
-        // copy already landed at its destination during the background
-        // phase) and re-derive the mirror layout wholesale.
-        for mv in plan.moves() {
-            let src = old.cub_of(mv.from);
-            self.cubs[src.index()].remove_primary_entry(mv.from, mv.file, mv.block);
-        }
-        self.relay_secondaries();
-        // 5. Ring: activate the absorbed spares (their disks were live all
-        // along) / fence out the shrunk members (their disks and NICs
-        // stay alive — they are spares again, with emptied primaries) and
-        // distribute the ground-truth membership map — the restriper's
-        // cut-over barrier is the one moment it is known.
-        for j in old.num_cubs..new.num_cubs {
-            self.cubs[j as usize].failed = false;
-        }
-        for j in new.num_cubs..old.num_cubs {
-            self.cubs[j as usize].failed = true;
-            self.shared
-                .tracer
-                .record(now, CTRL, TraceEvent::ShrinkFence { cub: j });
-        }
-        let failed_map: Vec<bool> = self.cubs.iter().map(|c| c.failed).collect();
-        for cub in &mut self.cubs {
-            cub.set_ring_state(&failed_map, now);
-        }
-        self.controller_believes_failed.reset_from(&failed_map);
-        for j in old.num_cubs..new.num_cubs {
-            let cub = CubId(j);
-            let next_fwd = now + self.shared.cfg.forward_interval;
-            self.periodic_forward_due[j as usize] = next_fwd;
-            self.cubs[j as usize].next_forward_pass = next_fwd;
-            self.shared
-                .queue
-                .schedule(next_fwd, Event::ForwardPass { cub });
-            self.shared.queue.schedule(
-                now + self.shared.cfg.deadman_interval,
-                Event::DeadmanPing { cub },
-            );
-            self.shared.queue.schedule(
-                now + self.shared.cfg.deadman_timeout,
-                Event::DeadmanCheck { cub },
-            );
-        }
-        // 6. The omniscient checker's materialized schedule is keyed to
-        // the old geometry; rebuild it fresh (with its insertion grace).
-        if self.shared.omniscient.is_some() {
-            self.enable_omniscient();
-        }
-        // 7. Re-insert every carried viewer as a fresh incarnation at its
-        // high-water mark (a normal start request through the controller).
-        for (ci, inst, file, resume) in live {
-            let renewed = ViewerInstance {
-                viewer: inst.viewer,
-                incarnation: inst.incarnation + 1,
-            };
-            self.on_client_start(now, ci, file, resume, renewed);
-        }
-        // 8. Shield copies rode the secondary layout `relay_secondaries`
-        // just rebuilt: the permanent mirror geometry has absorbed the
-        // exposure, so the interim shield evaporates with it.
-        self.shared.shield.clear();
-        self.shield_exec = None;
-        self.shield_done.clear();
-        self.shield_spares_used.clear();
-        // 9. Launch the next queued step if its start time already passed
-        // while this step was executing.
-        if self.restripe_armed > 0 {
-            self.restripe_armed -= 1;
-            self.restripe_start(now);
-        }
-    }
-
-    /// Re-derives every cub's mirror (secondary) layout for the current
-    /// stripe: the declustered pieces of each block, placed by the same
-    /// rule content loading uses.
-    fn relay_secondaries(&mut self) {
-        for cub in &mut self.cubs {
-            cub.clear_secondary_layout();
-        }
-        let stripe = self.shared.params.stripe();
-        let files = self.shared.catalog.files().to_vec();
-        for meta in files {
-            for b in 0..meta.num_blocks {
-                let loc = self
-                    .shared
-                    .catalog
-                    .locate(meta.id, BlockNum(b))
-                    .expect("in range");
-                for piece in self.shared.secondary_pieces(loc.disk, meta.block_size) {
-                    let pcub = stripe.cub_of(piece.disk);
-                    let plocal = stripe.local_index_of(piece.disk);
-                    self.cubs[pcub.index()].load_secondary(
-                        piece.disk,
-                        plocal,
-                        meta.id,
-                        BlockNum(b),
-                        piece.piece,
-                        piece.size,
-                    );
-                }
-            }
-        }
-    }
-
-    // --- Spare shield --------------------------------------------------------
-
-    /// A cub was first declared failed: if the shield is enabled and a
-    /// free spare exists, start background-copying the mirror pieces
-    /// shadowing the failed cub's disks (the now most-exposed decluster
-    /// spans) onto the spare, which serves them if a second failure lands
-    /// before the restripe cut-over rebuilds permanent redundancy.
-    fn maybe_shield(&mut self, now: SimTime, failed: CubId) {
-        let stripe = self.shared.cfg.stripe;
-        if !self.shared.cfg.spare_shield
-            || self.shared.cfg.redundancy != RedundancyMode::Mirrored
-            || failed.raw() >= stripe.num_cubs
-            || !self.shield_done.insert(failed)
-        {
-            return;
-        }
-        // Lowest free spare: powered, not a stripe member, not already
-        // holding another campaign's copies.
-        let total = self.shared.cfg.total_cubs();
-        let Some(spare) = (stripe.num_cubs..total).map(CubId).find(|&s| {
-            self.cubs[s.index()].failed
-                && !self.shield_spares_used.contains(&s)
-                && self.cubs[s.index()].disks().iter().all(|d| !d.is_failed())
-        }) else {
-            self.shield_done.remove(&failed);
-            return; // No spare free; a later declaration may find one.
-        };
-        // Build the copy list: for every block homed on a failed cub's
-        // disk, each surviving holder's mirror piece (skipping holders
-        // the controller already believes failed — those pieces are the
-        // already-lost case the shield cannot help).
-        let mut copies = Vec::new();
-        let files = self.shared.catalog.files().to_vec();
-        for l in 0..stripe.disks_per_cub {
-            let home = stripe.disk_of(failed, l);
-            for meta in &files {
-                for b in 0..meta.num_blocks {
-                    let loc = self
-                        .shared
-                        .catalog
-                        .locate(meta.id, BlockNum(b))
-                        .expect("in range");
-                    if loc.disk != home {
-                        continue;
-                    }
-                    for piece in self.shared.secondary_pieces(home, meta.block_size) {
-                        let holder = stripe.cub_of(piece.disk);
-                        if self.controller_believes_failed.is_failed(holder) {
-                            continue;
-                        }
-                        copies.push(crate::shield::ShieldCopy {
-                            src: piece.disk,
-                            home,
-                            home_local: l,
-                            spare,
-                            file: meta.id,
-                            block: BlockNum(b),
-                            piece: piece.piece,
-                            size: piece.size,
-                        });
-                    }
-                }
-            }
-        }
-        if copies.is_empty() {
-            self.shield_done.remove(&failed);
-            return;
-        }
-        self.shield_spares_used.insert(spare);
-        let was_idle = self.shield_exec.is_none();
-        self.shield_exec
-            .get_or_insert_with(|| crate::shield::ShieldExec::new(stripe, now))
-            .extend(copies);
-        self.with_shield(|se, sh, cubs| se.pump(sh, cubs, now));
-        if was_idle && self.shield_exec.is_some() {
-            self.shared
-                .queue
-                .schedule(now + SimDuration::from_millis(100), Event::ShieldTick);
-        }
-    }
-
-    /// Handles [`Event::ShieldTick`]: pump the copy pipeline and re-arm
-    /// while work remains.
-    fn shield_tick(&mut self, now: SimTime) {
-        self.with_shield(|se, sh, cubs| se.pump(sh, cubs, now));
-        if self.shield_exec.is_some() {
-            self.shared
-                .queue
-                .schedule(now + SimDuration::from_millis(100), Event::ShieldTick);
-        }
-    }
-
-    /// Runs `f` against the in-progress shield pipeline (no-op if none),
-    /// dropping it once every copy has landed.
-    fn with_shield(
-        &mut self,
-        f: impl FnOnce(&mut crate::shield::ShieldExec, &mut Shared, &mut [Cub]),
-    ) {
-        let Some(mut se) = self.shield_exec.take() else {
-            return;
-        };
-        f(&mut se, &mut self.shared, &mut self.cubs);
-        if se.pending() > 0 {
-            self.shield_exec = Some(se);
-        }
-    }
-
-    /// A canonical digest of the primary block layout: every indexed
-    /// `(file, block, disk)` triple, sorted. Two systems with byte-equal
-    /// digests place every block identically — the live-restripe test
-    /// compares against a statically restriped target.
-    pub fn layout_digest(&self) -> String {
-        let mut lines: Vec<String> = self
-            .cubs
-            .iter()
-            .flat_map(|cub| {
-                cub.index()
-                    .primary_keys()
-                    .map(|(disk, file, block)| {
-                        format!("{:08} {:08} {:08}", file.raw(), block.raw(), disk.raw())
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        lines.sort();
-        lines.join("\n")
-    }
-
     // --- Event loop ----------------------------------------------------------
 
     /// Runs the simulation until `horizon` (inclusive).
@@ -1323,15 +761,16 @@ impl TigerSystem {
             Event::SendDone { cub, token } => {
                 self.cubs[cub.index()].on_send_done(&mut self.shared, now, token);
             }
+            // Periodic work. An event ahead of its chain's due time is not
+            // the chain's own: an extra one-shot forward pass (commit_insert
+            // schedules those; they run but must not multiply), or a ping or
+            // check queued before a crash that a fast restart overtook.
             Event::ForwardPass { cub } => {
                 let c = &mut self.cubs[cub.index()];
-                let was_periodic = self.periodic_forward_due[cub.index()] <= now;
+                let periodic = c.next_forward_pass <= now;
                 c.on_forward_pass(&mut self.shared, now);
-                // Reschedule only the periodic pass (commit_insert schedules
-                // extra one-shot passes that must not multiply).
-                if was_periodic && !c.failed {
+                if periodic && !c.failed {
                     let next = now + self.shared.cfg.forward_interval;
-                    self.periodic_forward_due[cub.index()] = next;
                     c.next_forward_pass = next;
                     self.shared.queue.schedule(next, Event::ForwardPass { cub });
                 }
@@ -1339,23 +778,25 @@ impl TigerSystem {
             Event::InsertAttempt { cub } => {
                 self.cubs[cub.index()].on_insert_attempt(&mut self.shared, now);
             }
-            Event::DeadmanPing { cub } => {
+            ev @ (Event::DeadmanPing { cub } | Event::DeadmanCheck { cub }) => {
                 let c = &mut self.cubs[cub.index()];
-                c.on_deadman_ping(&mut self.shared, now);
-                if !c.failed {
-                    self.shared
-                        .queue
-                        .schedule_in(self.shared.cfg.deadman_interval, Event::DeadmanPing { cub });
-                }
-            }
-            Event::DeadmanCheck { cub } => {
-                let c = &mut self.cubs[cub.index()];
-                c.on_deadman_check(&mut self.shared, now);
-                if !c.failed {
-                    self.shared.queue.schedule_in(
-                        self.shared.cfg.deadman_interval,
-                        Event::DeadmanCheck { cub },
-                    );
+                let ping = matches!(ev, Event::DeadmanPing { .. });
+                let due = if ping {
+                    &mut c.next_deadman_ping
+                } else {
+                    &mut c.next_deadman_check
+                };
+                if *due <= now {
+                    let next = now + self.shared.cfg.deadman_interval;
+                    *due = next;
+                    if ping {
+                        c.on_deadman_ping(&mut self.shared, now);
+                    } else {
+                        c.on_deadman_check(&mut self.shared, now);
+                    }
+                    if !c.failed {
+                        self.shared.queue.schedule(next, ev);
+                    }
                 }
             }
             Event::FailCub { cub } => {
@@ -1391,16 +832,9 @@ impl TigerSystem {
                 }
             }
             Event::PromoteBackup => {
-                if !self.promoted {
-                    self.promoted = true;
-                    // The mirrored state becomes authoritative and clients
-                    // are re-pointed at the backup's address.
-                    self.controller = std::mem::take(&mut self.backup);
-                    self.active_controller = self
-                        .shared
-                        .backup_controller_node()
-                        .expect("promotion requires a configured backup");
-                }
+                let node = self.shared.backup_controller_node();
+                self.ctl
+                    .promote(node.expect("promotion requires a configured backup"));
             }
             Event::ClientStart {
                 client,
@@ -1411,51 +845,19 @@ impl TigerSystem {
                 self.on_client_start(now, client, file, from_block, instance);
             }
             Event::ClientStop { instance } => self.on_client_stop(now, instance),
-            Event::ClientResume { instance } => self.on_client_resume(now, instance),
+            Event::ClientResume { instance } => self.reincarnate(now, instance, None),
             Event::ClientSeek { instance, to_block } => {
-                self.on_client_seek(now, instance, to_block);
+                self.reincarnate(now, instance, Some(to_block));
             }
             Event::RestartCub { cub } => self.restart_cub(now, cub),
             Event::RestripeStart => self.restripe_start(now),
-            Event::RestripeTick => {
-                self.with_restripe(now, |lr, sh, cubs| lr.pump(sh, cubs, now));
-                if self.restripe.is_some() {
-                    self.shared
-                        .queue
-                        .schedule(now + SimDuration::from_millis(100), Event::RestripeTick);
-                }
+            Event::CopyTick { lane } => self.copy_tick(now, lane),
+            Event::CopyRead { lane, idx } => {
+                self.with_lane(now, lane, |p, sh, cubs| p.on_read_done(sh, cubs, now, idx));
             }
-            Event::RestripeRead { idx } => {
-                self.with_restripe(now, |lr, sh, cubs| lr.on_read_done(sh, cubs, now, idx));
+            Event::CopyArrive { lane, idx } => {
+                self.with_lane(now, lane, |p, sh, cubs| p.on_arrive(sh, cubs, now, idx));
             }
-            Event::RestripeArrive { idx } => {
-                self.with_restripe(now, |lr, sh, cubs| lr.on_arrive(sh, cubs, now, idx));
-            }
-            Event::ShieldTick => self.shield_tick(now),
-            Event::ShieldRead { idx } => {
-                self.with_shield(|se, sh, cubs| se.on_read_done(sh, cubs, now, idx));
-            }
-            Event::ShieldArrive { idx } => {
-                self.with_shield(|se, sh, cubs| se.on_arrive(sh, cubs, now, idx));
-            }
-        }
-    }
-
-    /// Runs `f` against the in-progress restripe (no-op if none), then
-    /// cuts over if every move has landed.
-    fn with_restripe(
-        &mut self,
-        now: SimTime,
-        f: impl FnOnce(&mut crate::restripe::LiveRestripe, &mut Shared, &mut [Cub]),
-    ) {
-        let Some(mut lr) = self.restripe.take() else {
-            return;
-        };
-        f(&mut lr, &mut self.shared, &mut self.cubs);
-        let done = lr.pending() == 0;
-        self.restripe = Some(lr);
-        if done {
-            self.restripe_cutover(now);
         }
     }
 
@@ -1464,11 +866,8 @@ impl TigerSystem {
     /// a frozen cub), as is controller and client work: freezes model a
     /// stalled cub process, nothing else.
     fn frozen_target(&self, event: &Event) -> Option<CubId> {
-        let num_cubs = self.shared.cfg.total_cubs();
         match event {
-            Event::Deliver { dst, .. } => {
-                (dst.raw() >= 1 && dst.raw() <= num_cubs).then(|| CubId(dst.raw() - 1))
-            }
+            Event::Deliver { dst, .. } => self.shared.cub_at(*dst),
             Event::ReadIssue { cub, .. }
             | Event::DiskDone { cub, .. }
             | Event::SendDue { cub, .. }
@@ -1482,236 +881,18 @@ impl TigerSystem {
     }
 
     fn on_deliver(&mut self, now: SimTime, dst: NetNode, msg: Message) {
-        let num_cubs = self.shared.cfg.total_cubs();
-        if dst == self.shared.controller_node() {
-            self.on_controller_message(now, msg);
-        } else if Some(dst) == self.shared.backup_controller_node() {
-            self.on_backup_message(now, msg);
-        } else if dst.raw() >= 1 && dst.raw() <= num_cubs {
-            let cub = CubId(dst.raw() - 1);
-            self.cubs[cub.index()].on_message(&mut self.shared, now, msg);
+        if let Some(cub) = self.shared.cub_at(dst) {
+            return self.cubs[cub.index()].on_message(&mut self.shared, now, msg);
+        }
+        let to_standby = Some(dst) == self.shared.backup_controller_node();
+        if to_standby || dst == self.shared.controller_node() {
+            if let Some(failed) = self.ctl.on_message(&mut self.shared, now, to_standby, msg) {
+                self.maybe_shield(now, failed);
+            }
         } else {
-            let client = dst.raw() - 1 - num_cubs;
+            let client = dst.raw() - 1 - self.shared.cfg.total_cubs();
             self.on_client_message(now, client, msg);
         }
-    }
-
-    /// The backup controller: before promotion it only mirrors state;
-    /// after promotion it runs the full controller logic.
-    fn on_backup_message(&mut self, now: SimTime, msg: Message) {
-        if self.promoted {
-            return self.on_controller_message(now, msg);
-        }
-        match msg {
-            Message::StartRequest {
-                client,
-                instance,
-                file,
-                requested_at,
-                ..
-            } => {
-                self.backup
-                    .on_start_request(instance, file, client, requested_at);
-            }
-            Message::InsertCommitted {
-                instance,
-                slot,
-                first_send,
-                ..
-            } => {
-                self.backup.on_insert_committed(instance, slot, first_send);
-            }
-            Message::StopRequest { instance } => {
-                // The un-promoted backup only mirrors state; its routing
-                // decision is discarded, so it must not trace one.
-                let _ = self.backup.on_stop_request(
-                    instance,
-                    &self.shared.params,
-                    now,
-                    &mut Tracer::disabled(),
-                );
-            }
-            Message::ViewerFinished { instance } => {
-                self.backup.on_viewer_finished(instance);
-            }
-            Message::FailureNotice { failed } => {
-                self.controller_believes_failed.set_failed(failed, true);
-            }
-            Message::RejoinRequest { from } => {
-                self.controller_believes_failed.set_failed(from, false);
-            }
-            _ => {}
-        }
-    }
-
-    fn on_controller_message(&mut self, now: SimTime, msg: Message) {
-        match msg {
-            Message::StartRequest {
-                client,
-                instance,
-                file,
-                from_block,
-                requested_at,
-            } => {
-                // Admission control (disabled for the §5 tests).
-                if let Some(limit) = self.shared.cfg.admission_limit {
-                    let cap = f64::from(self.shared.params.capacity());
-                    if f64::from(self.controller.active_streams()) >= limit * cap {
-                        return; // Rejected; the client never starts.
-                    }
-                }
-                if !self
-                    .controller
-                    .on_start_request(instance, file, client, requested_at)
-                {
-                    return; // Duplicate.
-                }
-                let Some(loc) = self
-                    .shared
-                    .catalog
-                    .locate(file, tiger_layout::BlockNum(from_block))
-                else {
-                    return;
-                };
-                let stripe = self.shared.params.stripe();
-                let primary_cub = stripe.cub_of(loc.disk);
-                let primary = self.routed_target(primary_cub);
-                let redundant = self.next_living_for_controller(primary);
-                self.shared.tracer.record(
-                    now,
-                    CTRL,
-                    TraceEvent::CtrlRouteStart {
-                        viewer: instance.viewer.raw(),
-                        inc: instance.incarnation,
-                        primary: primary.raw(),
-                        redundant: redundant.map_or(u32::MAX, CubId::raw),
-                    },
-                );
-                let ctrl = self.active_controller;
-                let route = |redundant_flag: bool| Message::RoutedStart {
-                    client,
-                    instance,
-                    file,
-                    from_block,
-                    requested_at,
-                    redundant: redundant_flag,
-                };
-                let primary_node = self.shared.cub_node(primary);
-                self.shared
-                    .send_control(now, ctrl, primary_node, route(false));
-                if let Some(r) = redundant {
-                    let r_node = self.shared.cub_node(r);
-                    self.shared.send_control(now, ctrl, r_node, route(true));
-                }
-            }
-            Message::StopRequest { instance } => {
-                self.route_deschedule(now, instance);
-            }
-            Message::InsertCommitted {
-                instance,
-                slot,
-                first_send,
-                ..
-            } => {
-                if self
-                    .controller
-                    .on_insert_committed(instance, slot, first_send)
-                {
-                    // The viewer was stopped while its start was still
-                    // queued (the §4.1.3 stop/insert race). Now that a cub
-                    // has committed it into a slot, honour the stop —
-                    // otherwise the stream would play on with nobody left
-                    // to deschedule it.
-                    self.route_deschedule(now, instance);
-                }
-            }
-            Message::ViewerFinished { instance } => {
-                if let Some(rec) = self.controller.viewer(&instance) {
-                    if let (Some(slot), Some(omni)) = (rec.slot, self.shared.omniscient.as_mut()) {
-                        omni.on_remove(slot, instance, now);
-                    }
-                }
-                self.controller.on_viewer_finished(instance);
-            }
-            Message::FailureNotice { failed } => {
-                let first = !self.controller_believes_failed.is_failed(failed);
-                self.controller_believes_failed.set_failed(failed, true);
-                if first {
-                    self.maybe_shield(now, failed);
-                }
-            }
-            Message::RejoinRequest { from } => {
-                // A restarted cub is routable again.
-                self.controller_believes_failed.set_failed(from, false);
-            }
-            other => {
-                debug_assert!(false, "controller received unexpected message: {other:?}");
-            }
-        }
-    }
-
-    /// Routes a deschedule for `instance` if the controller knows its
-    /// slot: the cub whose disk next services the slot (plus its
-    /// successor) gets the kill. A viewer without a committed slot is
-    /// tombstoned inside [`Controller::on_stop_request`] and descheduled
-    /// when its `InsertCommitted` arrives.
-    fn route_deschedule(&mut self, now: SimTime, instance: ViewerInstance) {
-        if let Some((slot, cub)) = self.controller.on_stop_request(
-            instance,
-            &self.shared.params,
-            now,
-            &mut self.shared.tracer,
-        ) {
-            if let Some(omni) = self.shared.omniscient.as_mut() {
-                omni.on_remove(slot, instance, now);
-            }
-            let hops = self.deschedule_hops();
-            let request = Deschedule { instance, slot };
-            let ctrl = self.active_controller;
-            let target = self.routed_target(cub);
-            let target_node = self.shared.cub_node(target);
-            self.shared.send_control(
-                now,
-                ctrl,
-                target_node,
-                Message::Deschedule {
-                    request,
-                    hops_left: hops,
-                },
-            );
-            if let Some(succ) = self.next_living_for_controller(target) {
-                let succ_node = self.shared.cub_node(succ);
-                self.shared.send_control(
-                    now,
-                    ctrl,
-                    succ_node,
-                    Message::Deschedule {
-                        request,
-                        hops_left: hops,
-                    },
-                );
-            }
-        }
-    }
-
-    /// The first living cub at or after `cub`, per the controller's beliefs.
-    fn routed_target(&self, cub: CubId) -> CubId {
-        self.controller_believes_failed
-            .first_living_at(cub, self.shared.cfg.stripe.num_cubs)
-    }
-
-    fn next_living_for_controller(&self, from: CubId) -> Option<CubId> {
-        self.controller_believes_failed
-            .next_living_within(from, self.shared.cfg.stripe.num_cubs)
-    }
-
-    /// §4.1.2: deschedules propagate "until they're more than maxVStateLead
-    /// in front of the slot being descheduled".
-    fn deschedule_hops(&self) -> u32 {
-        let cfg = &self.shared.cfg;
-        let lead_cubs = (cfg.max_vstate_lead.as_nanos() + cfg.deschedule_hold.as_nanos())
-            .div_ceil(cfg.block_play_time.as_nanos()) as u32;
-        (lead_cubs + 2).min(cfg.stripe.num_cubs)
     }
 
     fn on_client_message(&mut self, now: SimTime, client: u32, msg: Message) {
@@ -1741,7 +922,7 @@ impl TigerSystem {
         }
     }
 
-    fn on_client_start(
+    pub(crate) fn on_client_start(
         &mut self,
         now: SimTime,
         client: u32,
@@ -1755,8 +936,8 @@ impl TigerSystem {
         if from_block >= meta.num_blocks {
             return; // Nothing to play.
         }
-        let load =
-            f64::from(self.controller.active_streams()) / f64::from(self.shared.params.capacity());
+        let load = f64::from(self.controller().active_streams())
+            / f64::from(self.shared.params.capacity());
         self.clients[client as usize].on_request(
             instance,
             file,
@@ -1779,80 +960,43 @@ impl TigerSystem {
         );
     }
 
-    /// Finds which client machine holds `instance`.
-    fn client_of(&self, instance: &ViewerInstance) -> Option<u32> {
-        (0..self.clients.len() as u32)
-            .find(|&i| self.clients[i as usize].viewer(instance).is_some())
-    }
-
-    fn on_client_resume(&mut self, now: SimTime, instance: ViewerInstance) {
-        let Some(client) = self.client_of(&instance) else {
+    /// The one VCR transition: starts `instance`'s next incarnation (the
+    /// number bumps, so stale deschedules cannot kill it, §4.1.2) at
+    /// `seek_to`, or — a resume — at the first block the paused instance
+    /// did not receive.
+    fn reincarnate(&mut self, now: SimTime, instance: ViewerInstance, seek_to: Option<u32>) {
+        let held = self.clients.iter().enumerate().find_map(|(i, c)| {
+            let v = c.viewer(&instance)?;
+            Some((i as u32, v.file, v.resume_block()))
+        });
+        let Some((client, file, resume_at)) = held else {
             return;
         };
-        let (file, resume_at) = {
-            let v = self.clients[client as usize]
-                .viewer(&instance)
-                .expect("client_of found it");
-            let next = v.high_water.map_or(v.base_block, |h| h + 1);
-            (v.file, next)
-        };
-        let resumed = ViewerInstance {
-            viewer: instance.viewer,
-            incarnation: instance.incarnation + 1,
-        };
+        if seek_to.is_some() {
+            // Stop the old instance (idempotent if already gone) first.
+            self.on_client_stop(now, instance);
+        }
+        let next = instance.next_incarnation();
+        let to_block = seek_to.unwrap_or(resume_at);
         self.shared.tracer.record(
             now,
             CTRL,
             TraceEvent::SessionTransition {
-                viewer: resumed.viewer.raw(),
-                inc: resumed.incarnation,
-                kind: 1,
-                to_block: resume_at,
-            },
-        );
-        self.on_client_start(now, client, file, resume_at, resumed);
-    }
-
-    fn on_client_seek(&mut self, now: SimTime, instance: ViewerInstance, to_block: u32) {
-        let Some(client) = self.client_of(&instance) else {
-            return;
-        };
-        let file = self.clients[client as usize]
-            .viewer(&instance)
-            .expect("client_of found it")
-            .file;
-        // Stop the old instance (idempotent if already gone) …
-        self.on_client_stop(now, instance);
-        // … and start the new incarnation at the target block.
-        let moved = ViewerInstance {
-            viewer: instance.viewer,
-            incarnation: instance.incarnation + 1,
-        };
-        self.shared.tracer.record(
-            now,
-            CTRL,
-            TraceEvent::SessionTransition {
-                viewer: moved.viewer.raw(),
-                inc: moved.incarnation,
-                kind: 2,
+                viewer: next.viewer.raw(),
+                inc: next.incarnation,
+                kind: if seek_to.is_some() { 2 } else { 1 },
                 to_block,
             },
         );
-        self.on_client_start(now, client, file, to_block, moved);
+        self.on_client_start(now, client, file, to_block, next);
     }
 
     fn on_client_stop(&mut self, now: SimTime, instance: ViewerInstance) {
-        // Find the owning client to mark it stopped.
+        // Mark it stopped at its owning client (a no-op everywhere else).
         for c in &mut self.clients {
-            if c.viewer(&instance).is_some() {
-                c.on_stopped(instance);
-            }
+            c.on_stopped(instance);
         }
-        let rec = self
-            .controller
-            .viewer(&instance)
-            .or_else(|| self.backup.viewer(&instance));
-        let Some(rec) = rec else {
+        let Some(rec) = self.ctl.viewer(&instance) else {
             return; // Already finished or never started.
         };
         let node = NetNode(rec.client);
@@ -1877,9 +1021,9 @@ impl TigerSystem {
         &self.cubs
     }
 
-    /// The controller (read-only).
+    /// The acting controller (read-only).
     pub fn controller(&self) -> &Controller {
-        &self.controller
+        self.ctl.acting()
     }
 
     /// Aggregate report for one client machine.
@@ -1983,14 +1127,10 @@ impl TigerSystem {
         // NIC utilization is reported for the selected cub, matching the
         // paper's per-cub send-rate quotes (a mirroring cub in the failed
         // test).
-        let report_node_for_nic = self.shared.cub_node(report_cub);
-        let nic_util = self
-            .shared
-            .net
-            .nic_mut(report_node_for_nic)
-            .window_utilization(now);
+        let report_node = self.shared.cub_node(report_cub);
+        let nic_util = self.shared.net.nic_mut(report_node).window_utilization(now);
         let controller_cpu = self.cpu.controller_load(
-            self.controller.request_rate(now),
+            self.controller().request_rate(now),
             self.shared
                 .net
                 .control_msg_rate(now, self.shared.controller_node()),
@@ -2016,10 +1156,9 @@ impl TigerSystem {
                 sum / f64::from(n)
             }
         };
-        let report_node = self.shared.cub_node(report_cub);
         let sample = WindowSample {
             at: now,
-            streams: self.controller.active_streams(),
+            streams: self.controller().active_streams(),
             cub_cpu: if living == 0 {
                 0.0
             } else {
@@ -2036,9 +1175,8 @@ impl TigerSystem {
     }
 
     fn reset_windows(&mut self, now: SimTime) {
-        self.window_start = now;
         self.shared.net.reset_windows(now);
-        self.controller.reset_window(now);
+        self.ctl.reset_window(now);
         for cub in &mut self.cubs {
             cub.reset_window(now);
         }

@@ -126,3 +126,75 @@ fn backup_also_covers_cub_failure_routing() {
         p.blocks_received()
     );
 }
+
+#[test]
+fn promoted_backup_counts_only_streams_that_play() {
+    // The §4.1.3 stop/insert race under a hot standby: a stop that
+    // reaches the controllers while the start is still queued at a cub is
+    // pinned to the record and honoured when `InsertCommitted` arrives.
+    // The standby must take that deferred stop too — otherwise it keeps a
+    // slot per race and, once promoted, reports and admission-limits on
+    // streams nobody is watching.
+    let mut sys = TigerSystem::new(quiet(true));
+    sys.enable_trace(65_536);
+    let file = sys.add_file(rate(), SimDuration::from_secs(120));
+    for i in 0..3u64 {
+        let client = sys.add_client();
+        sys.request_start(SimTime::from_millis(100 + i * 400), client, file);
+    }
+    let mut raced = Vec::new();
+    for i in 0..3u64 {
+        let client = sys.add_client();
+        let at = SimTime::from_millis(2_000 + i * 400);
+        let v = sys.request_start(at, client, file);
+        // After the controllers have the start, before any cub commits it.
+        let stop_at = at + SimDuration::from_millis(5);
+        sys.request_stop(stop_at, v);
+        raced.push((v, stop_at));
+    }
+    sys.fail_controller_at(SimTime::from_secs(10));
+    // A stream is delivering if its client's high-water mark still moves
+    // (clients log data for stopped viewers too).
+    let marks = |sys: &TigerSystem| -> Vec<Option<u32>> {
+        let viewers = sys.clients().iter().flat_map(|c| c.viewers());
+        let mut marks: Vec<_> = viewers.map(|(v, p)| (*v, p.high_water)).collect();
+        marks.sort();
+        marks.into_iter().map(|(_, high)| high).collect()
+    };
+    sys.run_until(SimTime::from_secs(20));
+    let before = marks(&sys);
+    sys.run_until(SimTime::from_secs(25));
+    let after = marks(&sys);
+    let delivering = before.iter().zip(&after).filter(|(b, a)| a > b).count();
+
+    let records = sys.tracer().records();
+    for (v, stop_at) in &raced {
+        let committed_at = records
+            .iter()
+            .find_map(|r| match r.ev {
+                tiger_trace::TraceEvent::InsertCommit { viewer, .. }
+                    if viewer == v.viewer.raw() =>
+                {
+                    Some(r.at)
+                }
+                _ => None,
+            })
+            .expect("raced start never committed");
+        assert!(
+            committed_at > *stop_at,
+            "the stop did not race the insert; the scenario needs retiming"
+        );
+    }
+    // At least one deferred stop took effect (a stop that beats its own
+    // start request to the controller is simply lost, and that stream
+    // plays on), and the three ordinary streams are untouched.
+    assert!(
+        (3..6).contains(&delivering),
+        "{delivering} streams delivering"
+    );
+    assert_eq!(
+        sys.controller().active_streams() as usize,
+        delivering,
+        "the promoted backup counts streams that were stopped while queued"
+    );
+}

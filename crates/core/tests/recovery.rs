@@ -373,3 +373,32 @@ fn restripe_noop_when_no_moves_needed() {
     sys.run_until(SimTime::from_secs(30));
     assert_eq!(sys.layout_digest(), before, "no-op restripe moved blocks");
 }
+
+#[test]
+fn sub_interval_restart_keeps_one_deadman_chain() {
+    // A restart faster than one deadman interval leaves the previous
+    // life's periodic events in the queue (cub 1's next ping is due at
+    // 10.126 s, after the 10.1 s restart). They must die there: a revived
+    // cub that adopted them would ping and check at twice the rate forever.
+    let mut sys = TigerSystem::new(TigerConfig::small_test());
+    sys.enable_trace(65_536);
+    sys.fail_cub_at(SimTime::from_secs(10), CubId(1));
+    sys.restart_cub_at(SimTime::from_millis(10_100), CubId(1));
+    sys.run_until(SimTime::from_millis(20_100));
+    let interval = sys.shared().cfg.deadman_interval;
+    let pings = sys
+        .tracer()
+        .records()
+        .iter()
+        .filter(|r| {
+            r.cub == 1
+                && r.at > SimTime::from_millis(10_100)
+                && matches!(r.ev, TraceEvent::DeadmanPing { .. })
+        })
+        .count() as u64;
+    assert_eq!(
+        pings,
+        SimDuration::from_secs(10).as_nanos() / interval.as_nanos(),
+        "exactly one ping per deadman interval after the restart"
+    );
+}

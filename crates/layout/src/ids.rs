@@ -81,6 +81,17 @@ pub struct ViewerInstance {
     pub incarnation: u32,
 }
 
+impl ViewerInstance {
+    /// The viewer's next play request: what a resume, a seek or a restripe
+    /// cut-over re-inserts, so deschedules of this instance cannot kill it.
+    pub fn next_incarnation(self) -> Self {
+        ViewerInstance {
+            viewer: self.viewer,
+            incarnation: self.incarnation + 1,
+        }
+    }
+}
+
 impl fmt::Display for ViewerInstance {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}#{}", self.viewer, self.incarnation)

@@ -114,6 +114,124 @@ fn bench_view_ops(c: &mut Runner) {
     });
 }
 
+/// A deschedule for viewer `i` in a slot of its own.
+fn desched(i: u64) -> Deschedule {
+    Deschedule {
+        instance: ViewerInstance {
+            viewer: ViewerId(i),
+            incarnation: 0,
+        },
+        slot: SlotId((i % 602) as u32),
+    }
+}
+
+/// The view of a cub under `vcr-churn`: ≈30 deschedules a second, each
+/// held for `deschedule_hold + maxVStateLead` = 12 s, so ≈360 holds at
+/// any instant (`benchmark/README.md`, finding 2). The empty-view
+/// `view/apply_deschedule` above is what the ruler's `sched.view_apply_ns`
+/// probe times, and why it predicted "<5 % everywhere"; these two are
+/// the same calls at the occupancy the cub actually runs them at.
+fn bench_view_held(c: &mut Runner) {
+    const HELD: u64 = 360;
+    let hold = SimDuration::from_secs(12);
+    let gap = SimDuration::from_nanos(hold.as_nanos() / HELD);
+    c.bench_function("view/apply_deschedule_held360", |b| {
+        // What `Cub::on_deschedule` asks of the view, in steady state:
+        // each deschedule arrives twice (double forwarding) — a first
+        // sighting that takes a new hold while the oldest lapses, then
+        // a repeat that extends it. One iteration is one arrival.
+        let mut view = ScheduleView::new();
+        let mut now = SimTime::ZERO;
+        for i in 0..HELD {
+            now += gap;
+            view.apply_deschedule(desched(i), now, now + hold);
+        }
+        let mut arrivals = 2 * HELD;
+        b.iter(|| {
+            arrivals += 1;
+            let d = desched(arrivals / 2);
+            if arrivals.is_multiple_of(2) {
+                now += gap;
+            }
+            let first = !view.holds_deschedule(&d);
+            black_box(first);
+            black_box(view.apply_deschedule(d, now, now + hold))
+        })
+    });
+    c.bench_function("view/apply_viewer_state_held360", |b| {
+        // `view/apply_viewer_state_fresh` with the holds in place: every
+        // viewer state on every workload checks them before it is
+        // accepted.
+        let mut view = ScheduleView::new();
+        for i in 0..HELD {
+            view.apply_deschedule(desched(1_000_000 + i), SimTime::ZERO, SimTime::MAX);
+        }
+        let mut i = 0u64;
+        b.iter(|| {
+            i += 1;
+            let record = vs((i % 602) as u32, i, 0);
+            black_box(view.apply_viewer_state(record, SimTime::ZERO));
+            view.retire(record.slot, &record);
+        })
+    });
+}
+
+/// `Cub::already_served` — the §4.1.2 staleness test every arriving
+/// primary viewer state pays — on a cub with 400 services in its
+/// active table, the occupancy of a `steady-full` cub. The probe is a
+/// state of a viewer the cub has never seen: the common case, and the
+/// one that cannot stop at a match.
+fn bench_cub_tables(c: &mut Runner) {
+    use tiger_core::{Message, TigerConfig, TigerSystem};
+    use tiger_layout::CubId;
+    const ACTIVE: usize = 400;
+    let mut cfg = TigerConfig::sosp97();
+    cfg.disk = cfg.disk.without_blips();
+    let mut sys = TigerSystem::new(cfg);
+    let file = sys.add_file(
+        Bandwidth::from_mbit_per_sec(2),
+        SimDuration::from_secs(3_600),
+    );
+    let probe = ViewerState {
+        file,
+        ..vs(0, u64::MAX, 7)
+    };
+    sys.with_cub_mut(CubId(0), |cub, sh| {
+        // Fill the table the way the ring does: one viewer state per
+        // slot whose block on one of this cub's disks comes due within
+        // a legitimate lead (maxVStateLead, plus two bridged failures).
+        let now = sh.queue.now();
+        let lead = sh.cfg.max_vstate_lead + sh.params.block_play_time().mul_u64(2);
+        let mut wanted = ACTIVE;
+        for pos in 0..sh.params.stripe().num_disks() {
+            let loc = sh.catalog.locate(file, BlockNum(pos)).expect("in range");
+            if loc.cub != cub.id {
+                continue;
+            }
+            for slot in 0..sh.params.capacity() {
+                let due = sh.params.slot_send_time(loc.disk, SlotId(slot), now);
+                if wanted == 0 || due.saturating_since(now) > lead {
+                    continue;
+                }
+                wanted -= 1;
+                let state = ViewerState {
+                    file,
+                    position: BlockNum(pos),
+                    ..vs(slot, u64::from(slot), 7)
+                };
+                cub.on_message(sh, now, Message::ViewerState(state));
+            }
+        }
+        // One view entry and one active service per accepted state.
+        assert_eq!(cub.schedule_information_held(), 2 * ACTIVE);
+    });
+    c.bench_function("cub/already_served_active400", |b| {
+        sys.with_cub_mut(CubId(0), |cub, _| {
+            b.iter(|| black_box(cub.already_served(&probe)))
+        })
+    });
+}
+
 fn bench_rejoin(c: &mut Runner) {
     // A rejoined cub restarts with an empty schedule view and re-learns
     // its slots from the hand-back batch its ring neighbors and covering
@@ -626,6 +744,8 @@ fn main() {
     let mut c = Runner::from_args();
     bench_slot_math(&mut c);
     bench_view_ops(&mut c);
+    bench_view_held(&mut c);
+    bench_cub_tables(&mut c);
     bench_rejoin(&mut c);
     bench_layout(&mut c);
     bench_net_schedule(&mut c);

@@ -788,7 +788,7 @@ impl Cub {
     /// Whether this cub has already serviced `vs.play_seq` (or a later
     /// block) of the instance — the staleness test behind the §4.1.2
     /// receipt idempotence in `on_primary_state`.
-    pub(crate) fn already_served(&self, vs: &ViewerState) -> bool {
+    pub fn already_served(&self, vs: &ViewerState) -> bool {
         // Coded shard actives carry the *home* block's play_seq and say
         // nothing about this cub's own primary progression — counting one
         // here would reject the double-forwarded redundancy copy of the

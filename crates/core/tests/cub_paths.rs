@@ -1,0 +1,256 @@
+//! Byte-level goldens for the cub's per-stream tables: the paths that
+//! read or edit the active-service table, the shadow records, the
+//! retired log and the held deschedules — VCR churn with deschedules
+//! circulating, a power-cut with deschedules in flight and a takeover
+//! promoting shadows, and the two halves of a rejoin.
+//!
+//! Same discipline as `service_paths.rs` and `reconfig_paths.rs`: each
+//! scenario is a small fixed-seed run whose *entire* observable output —
+//! every trace line (so every `DeschedApply`'s `first` and `killed`,
+//! every `DeschedExpire` and its order within a forward pass), the loss
+//! ledger and the aggregate client report — is folded into one FNV-1a
+//! digest and compared against a checked-in value produced before the
+//! tables were indexed. A digest changes only when behaviour does;
+//! regenerate by running with `-- --nocapture` and copying the printed
+//! values.
+
+use tiger_core::{TigerConfig, TigerSystem};
+use tiger_layout::ids::ViewerInstance;
+use tiger_layout::{CubId, StripeConfig};
+use tiger_sim::{Bandwidth, RngTree, SimDuration, SimTime};
+use tiger_trace::{TraceEvent, TraceRecord};
+
+/// Large enough that no scenario overwrites a record: the digest covers
+/// the whole run, not the ring's tail.
+const TRACE_CAP: usize = 1 << 21;
+
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// An 8-cub ring, blip-free for deterministic loss accounting.
+fn eight_cubs() -> TigerConfig {
+    let mut cfg = TigerConfig::small_test();
+    cfg.stripe = StripeConfig::new(8, 1, 2);
+    cfg.num_clients = 8;
+    cfg.disk = cfg.disk.without_blips();
+    cfg.deadman_timeout = SimDuration::from_millis(1_500);
+    cfg.seed = 1997;
+    cfg
+}
+
+/// Starts `viewers` staggered plays alternating over two `secs`-long
+/// files; returns `(client, instance)` in start order.
+fn load(sys: &mut TigerSystem, viewers: u64, secs: u64) -> Vec<(u32, ViewerInstance)> {
+    sys.enable_trace(TRACE_CAP);
+    let rate = Bandwidth::from_mbit_per_sec(2);
+    let files = [
+        sys.add_file(rate, SimDuration::from_secs(secs)),
+        sys.add_file(rate, SimDuration::from_secs(secs)),
+    ];
+    (0..viewers)
+        .map(|i| {
+            let client = sys.add_client();
+            let at = SimTime::from_millis(100 + i * 400);
+            (
+                client,
+                sys.request_start(at, client, files[(i % 2) as usize]),
+            )
+        })
+        .collect()
+}
+
+/// The run's records and the digest over everything it produced.
+fn finish(sys: &TigerSystem, name: &str) -> (Vec<TraceRecord>, u64) {
+    let records = sys.tracer().records();
+    assert!(
+        (records.len() as u64) == sys.tracer().recorded(),
+        "{name}: trace ring overflowed; raise TRACE_CAP"
+    );
+    let text = format!(
+        "{}{:?}\n{:?}\n",
+        sys.tracer().dump().expect("tracing is on"),
+        sys.metrics().loss,
+        sys.all_clients_report()
+    );
+    let digest = fnv1a(&text);
+    println!("{name}: {digest:#018x} ({} records)", records.len());
+    (records, digest)
+}
+
+fn count(records: &[TraceRecord], pred: impl Fn(&TraceRecord) -> bool) -> usize {
+    records.iter().filter(|r| pred(r)).count()
+}
+
+#[test]
+fn vcr_churn_circulates_deschedules_twice_per_cub() {
+    // Sixteen interactive sessions on eight cubs: every second or so one
+    // of them pauses (and resumes five seconds on), seeks, or abandons
+    // and is replaced by a fresh start. Every operation but the resume
+    // circulates a deschedule, double-forwarded, so each cub applies it
+    // once as a first sighting and once as a repeat.
+    let mut sys = TigerSystem::new(eight_cubs());
+    let mut live = load(&mut sys, 16, 300);
+    let file = tiger_layout::FileId(0);
+    let mut rng = RngTree::new(1997).fork("cub-paths-churn", 0);
+    let mut t = SimTime::from_secs(12);
+    for _ in 0..60 {
+        let idx = rng.gen_range(0..live.len());
+        let (client, victim) = live[idx];
+        match rng.gen_range(0u32..3) {
+            0 => {
+                sys.request_pause(t, victim);
+                let resumed = sys.request_resume(t + SimDuration::from_secs(5), victim);
+                live[idx] = (client, resumed);
+            }
+            1 => {
+                let to = rng.gen_range(0u32..200);
+                live[idx] = (client, sys.request_seek(t, victim, to));
+            }
+            _ => {
+                sys.request_stop(t, victim);
+                let at = t + SimDuration::from_millis(50);
+                live[idx] = (client, sys.request_start(at, client, file));
+            }
+        }
+        t += SimDuration::from_millis(rng.gen_range(400u64..1_600));
+    }
+    sys.run_until(t + SimDuration::from_secs(30));
+    let (records, digest) = finish(&sys, "vcr_churn_circulates_deschedules_twice_per_cub");
+    let applied = |first: bool| {
+        count(
+            &records,
+            |r| matches!(r.ev, TraceEvent::DeschedApply { first: f, .. } if f == first),
+        )
+    };
+    println!("  first {}, repeat {}", applied(true), applied(false));
+    assert!(applied(true) >= 60, "an operation circulated no deschedule");
+    assert!(
+        applied(false) >= applied(true) / 2,
+        "deschedules were not sighted twice: {} first, {} repeat",
+        applied(true),
+        applied(false)
+    );
+    let kills = count(
+        &records,
+        |r| matches!(r.ev, TraceEvent::DeschedApply { killed, .. } if killed > 0),
+    );
+    assert!(kills > 0, "no deschedule killed an active service");
+    let blocked = count(&records, |r| matches!(r.ev, TraceEvent::VsBlocked { .. }));
+    let expired = count(&records, |r| {
+        matches!(r.ev, TraceEvent::DeschedExpire { .. })
+    });
+    assert!(expired > 0, "no hold expiry was traced");
+    println!("  kills {kills}, blocked {blocked}, expired {expired}");
+    assert!(sys.take_violations().is_empty());
+    assert_eq!(digest, 0x47dc_5530_faab_a06c);
+}
+
+#[test]
+fn power_cut_with_deschedules_in_flight_promotes_shadows() {
+    // Five viewers stop within the 20 ms before cub 3 dies, so their
+    // deschedules are between cubs when it goes, and three more inside
+    // the detection window; the survivors circulate them across the
+    // gap. Cub 4 then takes over, promoting the shadows it holds for cub
+    // 3's disk — minus the ones a deschedule has just dropped. Five
+    // more stop under mirror service, when a piece holder has the
+    // primary of the viewer's next block in service beside the piece:
+    // one deschedule, two victims.
+    let mut sys = TigerSystem::new(eight_cubs());
+    let live = load(&mut sys, 16, 120);
+    let stop = |sys: &mut TigerSystem, at_ms: u64, i: usize| {
+        sys.request_stop(SimTime::from_millis(at_ms), live[i].1);
+    };
+    for (n, i) in [0, 3, 6, 12, 15].into_iter().enumerate() {
+        stop(&mut sys, 14_980 + 4 * n as u64, i);
+    }
+    sys.fail_cub_at(SimTime::from_secs(15), CubId(3));
+    for (n, i) in [1, 5, 13].into_iter().enumerate() {
+        stop(&mut sys, 15_400 + 300 * n as u64, i);
+    }
+    for (n, i) in [2, 4, 7, 8, 10].into_iter().enumerate() {
+        stop(&mut sys, 20_000 + 700 * n as u64, i);
+    }
+    sys.run_until(SimTime::from_secs(60));
+    let (records, digest) = finish(
+        &sys,
+        "power_cut_with_deschedules_in_flight_promotes_shadows",
+    );
+    let takeover_at = records
+        .iter()
+        .find(|r| r.cub == 4 && r.ev == TraceEvent::MirrorTakeover { failed_cub: 3 })
+        .expect("cub 4 never took over")
+        .at;
+    let promoted = count(&records, |r| {
+        r.cub == 4 && r.at == takeover_at && matches!(r.ev, TraceEvent::MirrorCreate { .. })
+    });
+    assert!(promoted > 0, "the takeover promoted no shadow");
+    let in_gap = count(&records, |r| {
+        matches!(r.ev, TraceEvent::DeschedApply { .. })
+            && r.at >= SimTime::from_secs(15)
+            && r.at < SimTime::from_millis(16_500)
+    });
+    assert!(in_gap > 0, "no deschedule was applied during the gap");
+    println!("  promoted {promoted}, applied in the gap {in_gap}");
+    let pairs = count(
+        &records,
+        |r| matches!(r.ev, TraceEvent::DeschedApply { killed, .. } if killed > 1),
+    );
+    assert!(
+        pairs > 0,
+        "no deschedule killed a piece and a primary at once"
+    );
+    assert_eq!(digest, 0xdaa1_175f_a235_6e7e);
+}
+
+#[test]
+fn rejoin_reads_shadows_and_the_retired_log() {
+    // Three restarts. Cub 2 comes back after its declaration: covering
+    // cub 3 filters its shadows for the hand-back (`grant_handback`) and
+    // predecessor cub 1 replays the tail of its retired log
+    // (`replay_retired_tail`). Cub 3 then dies inside the hand-back
+    // window, so cub 4's takeover walks its shadows for records the
+    // fresh rejoiner never saw, and cub 3's own return repeats both
+    // halves against cub 4 and cub 2. Last, cub 6 blips for less than
+    // the deadman timeout: nobody covered it, so only the replay runs —
+    // against a log the forward pass has been pruning for a minute.
+    // Stops around each restart keep deschedules held throughout.
+    let mut sys = TigerSystem::new(eight_cubs());
+    let live = load(&mut sys, 16, 150);
+    sys.fail_cub_at(SimTime::from_secs(12), CubId(2));
+    sys.request_stop(SimTime::from_millis(19_700), live[3].1);
+    sys.restart_cub_at(SimTime::from_secs(20), CubId(2));
+    sys.request_stop(SimTime::from_millis(20_300), live[7].1);
+    sys.fail_cub_at(SimTime::from_millis(20_400), CubId(3));
+    sys.restart_cub_at(SimTime::from_secs(40), CubId(3));
+    sys.fail_cub_at(SimTime::from_secs(60), CubId(6));
+    sys.restart_cub_at(SimTime::from_millis(60_600), CubId(6));
+    sys.request_stop(SimTime::from_millis(60_700), live[11].1);
+    sys.run_until(SimTime::from_secs(100));
+    let (records, digest) = finish(&sys, "rejoin_reads_shadows_and_the_retired_log");
+    let grants = count(&records, |r| matches!(r.ev, TraceEvent::RejoinGrant { .. }));
+    assert_eq!(grants, 2, "each declared failure ends in one hand-back");
+    let replayed: Vec<u32> = records
+        .iter()
+        .filter_map(|r| match r.ev {
+            TraceEvent::RetiredReplay { count, .. } => Some(count),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(replayed.len(), 3, "every restart draws one replay");
+    assert!(
+        replayed.iter().all(|&n| n > 0),
+        "a replay carried no record: {replayed:?}"
+    );
+    for cub in [2, 3, 6] {
+        assert_eq!(
+            count(&records, |r| r.ev == TraceEvent::RejoinDone { cub }),
+            1,
+            "cub {cub} did not converge"
+        );
+    }
+    assert_eq!(sys.all_clients_report().dup_blocks, 0);
+    assert_eq!(digest, 0xd04f_c625_1d93_ae32);
+}

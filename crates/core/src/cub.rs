@@ -20,7 +20,7 @@ use tiger_sim::{Counter, SimDuration, SimTime};
 use tiger_trace::TraceEvent;
 
 use crate::config::ForwardingPolicy;
-use crate::event::{Event, ServiceToken};
+use crate::event::Event;
 use crate::system::Shared;
 
 pub use tiger_proto::insert::PendingStart;
@@ -29,7 +29,10 @@ pub use tiger_proto::insert::PendingStart;
 /// a child module, its file beside this one, to share the private fields.
 #[path = "service.rs"]
 pub mod service;
-use service::{Active, ServiceKey};
+/// The tables those services live in, and their indexes.
+#[path = "table.rs"]
+mod table;
+use table::ServiceTable;
 
 /// The ring machine's timing constants, as this driver configures them.
 fn ring_cfg(sh: &Shared) -> RingConfig {
@@ -59,9 +62,9 @@ pub struct Cub {
     space: Vec<DiskSpace>,
     index: BlockIndex,
     view: ScheduleView,
-    active: HashMap<ServiceToken, Active>,
-    by_key: HashMap<ServiceKey, ServiceToken>,
-    next_token: ServiceToken,
+    /// Active services, the retired log, and the per-instance indexes
+    /// over both.
+    services: ServiceTable,
     shadows: HashMap<(SlotId, ViewerInstance), Shadow>,
     /// Blocks this cub (as acting successor) already covered, by due
     /// time, to make cover idempotent: a double-forwarded copy must not
@@ -96,11 +99,6 @@ pub struct Cub {
     /// loop's guard against a previous life's periodic events.
     pub(crate) next_deadman_ping: SimTime,
     pub(crate) next_deadman_check: SimTime,
-    /// Recently serviced-and-forwarded primary records, retained for one
-    /// failure-detection window so that, as "the preceding living cub",
-    /// this cub can re-send scheduling information across a gap of
-    /// consecutive failures (§2.3).
-    retired_log: Vec<(SimTime, ViewerState)>,
     /// Control messages processed (receive side, for the CPU model).
     msgs_processed: Counter,
     /// Viewer instances for which an EOF notice was already sent.
@@ -125,9 +123,7 @@ impl Cub {
             space,
             index: BlockIndex::new(),
             view: ScheduleView::new(),
-            active: HashMap::default(),
-            by_key: HashMap::default(),
-            next_token: 0,
+            services: ServiceTable::default(),
             shadows: HashMap::default(),
             mirrors_created: HashMap::default(),
             ins: InsertMachine::new(),
@@ -140,7 +136,6 @@ impl Cub {
             next_forward_pass: SimTime::ZERO,
             next_deadman_ping: SimTime::ZERO,
             next_deadman_check: SimTime::ZERO,
-            retired_log: Vec::new(),
             msgs_processed: Counter::new(),
             eof_sent: HashSet::default(),
             rejoined_at: None,
@@ -216,7 +211,7 @@ impl Cub {
     /// function of the scale of the system" — the boundedness test samples
     /// this.
     pub fn schedule_information_held(&self) -> usize {
-        self.view.len() + self.shadows.len() + self.active.len() + self.retired_log.len()
+        self.view.len() + self.shadows.len() + self.services.information_held()
     }
 
     /// Control messages processed per second over the current window.
@@ -408,7 +403,7 @@ impl Cub {
             + bpt.mul_u64(u64::from(sh.params.stripe().decluster) + 1)
             + sh.cfg.forward_interval;
         let states = crate::recovery::replay_batch(
-            &self.retired_log,
+            self.services.retired(),
             now,
             bpt,
             clear_horizon,
@@ -627,7 +622,7 @@ impl Cub {
         }
         let mut batch: Vec<ViewerState> = Vec::new();
         let mut finished: Vec<ViewerInstance> = Vec::new();
-        for entry in self.active.values_mut() {
+        for entry in self.services.values_mut() {
             if entry.forwarded || entry.dropped || entry.vs.kind != StreamKind::Primary {
                 continue;
             }
@@ -645,15 +640,7 @@ impl Cub {
                 batch.push(advanced);
             }
         }
-        let done: Vec<ServiceToken> = self
-            .active
-            .iter()
-            .filter(|(_, e)| e.finished())
-            .map(|(&t, _)| t)
-            .collect();
-        for token in done {
-            self.reclaim(now, token, sh.coded.as_mut());
-        }
+        self.reclaim_finished(now, sh.coded.as_mut());
         for instance in finished {
             if self.eof_sent.insert(instance) {
                 sh.send_to_controllers(
@@ -676,7 +663,7 @@ impl Cub {
         // redrive, shadow takeover) does so within it, and forgetting any
         // sooner would let the copy re-create and double-count the block.
         let retention = crate::recovery::retired_retention(&sh.cfg);
-        crate::recovery::prune_retired(&mut self.retired_log, now, retention);
+        self.services.prune_retired(now, retention);
         let cover_horizon = now.saturating_sub(retention);
         self.mirrors_created.retain(|_, due| *due >= cover_horizon);
         if sh.tracer.on() {
@@ -706,16 +693,13 @@ impl Cub {
         let first_sighting = !self.view.holds_deschedule(&d);
         let hold_until = now + sh.cfg.deschedule_hold + sh.cfg.max_vstate_lead;
         self.view.apply_deschedule(d, now, hold_until);
-        // Kill matching active services that have not yet gone out.
-        let tokens: Vec<ServiceToken> = self
-            .active
-            .iter()
-            .filter(|(_, e)| d.matches(&e.vs))
-            .map(|(&t, _)| t)
-            .collect();
-        let mut killed = 0u32;
-        for token in tokens {
-            let entry = self.active.get_mut(&token).expect("token just listed");
+        // Kill matching active services that have not yet gone out. The
+        // order they die in is immaterial: reclaiming one returns its
+        // buffer and its coded reservation, and a dropped entry never
+        // reaches the retired log.
+        let (mut killed, mut from) = (0u32, 0);
+        while let Some((token, entry)) = self.services.next_match(&d, from) {
+            from = token + 1;
             if entry.sent {
                 continue; // Already went out; harmless.
             }
@@ -739,7 +723,7 @@ impl Cub {
             },
         );
         // Drop matching shadows and queued starts.
-        self.shadows.retain(|_, s| !d.matches(&s.vs));
+        self.shadows.remove(&(d.slot, d.instance));
         self.ins.drop_instance(&d.instance);
         // Forward on first sighting, immediately (§4.1.2: deschedules are
         // not batched; they must outrun viewer states).
@@ -777,31 +761,15 @@ impl Cub {
     /// after the original start was inserted must not insert the viewer
     /// into a second slot (every block would be delivered twice).
     fn carries_instance(&self, instance: &ViewerInstance) -> bool {
-        self.view.iter().any(|(_, e)| e.instance == *instance)
-            || self.active.values().any(|a| a.vs.instance == *instance)
-            || self
-                .retired_log
-                .iter()
-                .any(|(_, vs)| vs.instance == *instance)
+        self.services.carries_instance(instance)
+            || self.view.iter().any(|(_, e)| e.instance == *instance)
     }
 
     /// Whether this cub has already serviced `vs.play_seq` (or a later
     /// block) of the instance — the staleness test behind the §4.1.2
     /// receipt idempotence in `on_primary_state`.
     pub fn already_served(&self, vs: &ViewerState) -> bool {
-        // Coded shard actives carry the *home* block's play_seq and say
-        // nothing about this cub's own primary progression — counting one
-        // here would reject the double-forwarded redundancy copy of the
-        // very record the shard serves, exactly when the home just died
-        // and that copy is the stream's only survivor.
-        self.active.values().any(|a| {
-            !matches!(a.vs.kind, StreamKind::Coded { .. })
-                && a.vs.instance == vs.instance
-                && a.vs.play_seq >= vs.play_seq
-        }) || self
-            .retired_log
-            .iter()
-            .any(|(_, r)| r.instance == vs.instance && r.play_seq >= vs.play_seq)
+        self.services.already_served(vs)
     }
 
     fn schedule_insert_attempt(&mut self, sh: &mut Shared, at: SimTime) {
@@ -1024,7 +992,8 @@ impl Cub {
         // span with mirror viewer states. Receipt is idempotent, so this
         // is safe even when the normal double-forwarded copies survived.
         let redrive: Vec<ViewerState> = self
-            .retired_log
+            .services
+            .retired()
             .iter()
             .map(|&(_, vs)| vs.advanced(1))
             .filter(|next| {
@@ -1043,7 +1012,7 @@ impl Cub {
         // dead window must be re-forwarded: clear their flag so the next
         // pass sends them to the new next-living successor.
         let mut reforward = false;
-        for e in self.active.values_mut() {
+        for e in self.services.values_mut() {
             if !e.forwarded || e.dropped || e.vs.kind != StreamKind::Primary {
                 continue;
             }
@@ -1193,7 +1162,7 @@ impl Cub {
         self.view = ScheduleView::new();
         self.shadows.clear();
         self.ins.clear_queues();
-        self.retired_log.clear();
+        self.services.clear_retired();
     }
 
     /// Power-cut: the cub stops doing anything; its disks die with it.
@@ -1202,8 +1171,7 @@ impl Cub {
         for d in &mut self.disks {
             d.fail(now);
         }
-        self.active.clear();
-        self.by_key.clear();
+        self.services.clear();
         self.reset_viewer_state();
         self.buffer_bytes_in_use = 0;
     }
@@ -1221,8 +1189,7 @@ impl Cub {
         for d in &mut self.disks {
             d.revive(now);
         }
-        self.active.clear();
-        self.by_key.clear();
+        self.services.clear();
         self.reset_viewer_state();
         self.mirrors_created.clear();
         self.cache_resident.clear();
@@ -1285,17 +1252,13 @@ impl Cub {
         fences: &[Deschedule],
         hold_until: SimTime,
     ) {
-        let tokens: Vec<ServiceToken> = self.active.keys().copied().collect();
-        for token in tokens {
-            let entry = self.active.get_mut(&token).expect("token just listed");
+        for entry in self.services.values_mut() {
             if !entry.sent {
                 entry.dropped = true;
             }
             entry.forwarded = true;
-            if entry.finished() {
-                self.reclaim(now, token, None);
-            }
         }
+        self.reclaim_finished(now, None);
         self.reset_viewer_state();
         for &d in fences {
             self.view.apply_deschedule(d, now, hold_until);

@@ -26,11 +26,24 @@ pub fn retired_retention(cfg: &TigerConfig) -> SimDuration {
     cfg.deadman_timeout + cfg.deadman_interval.mul_u64(2) + cfg.deschedule_hold
 }
 
-/// Drops retired-log entries older than `retention` before `now`. Service
-/// order (ascending time) is preserved; [`replay_batch`] depends on it.
-pub fn prune_retired(log: &mut Vec<(SimTime, ViewerState)>, now: SimTime, retention: SimDuration) {
+/// Drops retired-log entries older than `retention` before `now`, naming
+/// each to `dropped` (the cub's per-instance index follows the log through
+/// it). Service order (ascending time) is preserved; [`replay_batch`]
+/// depends on it.
+pub fn prune_retired(
+    log: &mut Vec<(SimTime, ViewerState)>,
+    now: SimTime,
+    retention: SimDuration,
+    mut dropped: impl FnMut(&ViewerState),
+) {
     let horizon = now.saturating_sub(retention);
-    log.retain(|&(at, _)| at >= horizon);
+    log.retain(|(at, vs)| {
+        let keep = *at >= horizon;
+        if !keep {
+            dropped(vs);
+        }
+        keep
+    });
 }
 
 /// Builds the batch a ring predecessor replays to a rejoining cub.
@@ -259,7 +272,7 @@ mod tests {
                     pruned.push(entry);
                     full.push(entry);
                 } else {
-                    prune_retired(&mut pruned, now, retention);
+                    prune_retired(&mut pruned, now, retention, |_| {});
                     horizon = now.saturating_sub(retention);
                 }
                 let expect: Vec<_> = full

@@ -19,23 +19,13 @@ use tiger_layout::ids::ViewerInstance;
 use tiger_layout::DiskId;
 use tiger_proto::msg::Message;
 use tiger_sched::view::ViewApply;
-use tiger_sched::{ScheduleParams, SlotId, StreamKind, ViewerState};
+use tiger_sched::{ScheduleParams, StreamKind, ViewerState};
 use tiger_sim::{ByteSize, SimDuration, SimTime};
 use tiger_trace::TraceEvent;
 
 use super::{vkey, Cub};
 use crate::event::{Event, ServiceToken};
 use crate::system::{CodedRuntime, Shared};
-
-/// Key identifying one active service on this cub: slot, instance, kind,
-/// and play sequence. The last distinguishes successive laps of the same
-/// slot: on small rings a slot's next-lap record can arrive while the
-/// previous block is still being transmitted.
-pub(super) type ServiceKey = (SlotId, ViewerInstance, StreamKind, u32);
-
-fn service_key(vs: &ViewerState) -> ServiceKey {
-    (vs.slot, vs.instance, vs.kind, vs.play_seq)
-}
 
 /// Per-block key under which the coded backend's load rings account a
 /// block's shard reservations: the play sequence number stands in for the
@@ -79,7 +69,7 @@ pub(super) struct Active {
 }
 
 impl Active {
-    fn new(vs: ViewerState, spec: &PieceSpec, send_at: SimTime) -> Self {
+    pub(super) fn new(vs: ViewerState, spec: &PieceSpec, send_at: SimTime) -> Self {
         Active {
             vs,
             disk_local: spec.disk_local,
@@ -267,8 +257,7 @@ impl Cub {
             ViewApply::Blocked => return Admit::Blocked,
             ViewApply::Conflict => return Admit::Conflict,
         }
-        let key = service_key(&vs);
-        if self.by_key.contains_key(&key) {
+        if self.services.serves(&vs) {
             return Admit::Duplicate;
         }
         let block_due = sh.params.slot_send_time(spec.dating_disk, vs.slot, now);
@@ -328,10 +317,7 @@ impl Cub {
             ),
             StreamKind::Coded { .. } => {}
         }
-        let token = self.next_token;
-        self.next_token += 1;
-        self.active.insert(token, Active::new(vs, &spec, send_at));
-        self.by_key.insert(key, token);
+        let token = self.services.insert(Active::new(vs, &spec, send_at));
         let read_at = send_at
             .saturating_sub(sh.cfg.scheduling_lead.mul_u64(spec.read_leads))
             .max(now);
@@ -726,7 +712,7 @@ impl Cub {
         if self.out_of_service(sh) {
             return;
         }
-        let Some(entry) = self.active.get_mut(&token) else {
+        let Some(entry) = self.services.get_mut(token) else {
             return; // Descheduled before the read was due.
         };
         if entry.dropped || entry.read_issued {
@@ -847,7 +833,7 @@ impl Cub {
         if self.out_of_service(sh) {
             return;
         }
-        let Some(entry) = self.active.get_mut(&token) else {
+        let Some(entry) = self.services.get_mut(token) else {
             // Unreachable in a correct run: entries with outstanding reads
             // are never force-removed (see the deschedule path).
             debug_assert!(false, "disk completion for a vanished service");
@@ -888,7 +874,7 @@ impl Cub {
         if self.out_of_service(sh) {
             return;
         }
-        let Some(entry) = self.active.get_mut(&token) else {
+        let Some(entry) = self.services.get_mut(token) else {
             return; // Descheduled.
         };
         if entry.dropped {
@@ -944,7 +930,7 @@ impl Cub {
         if self.out_of_service(sh) {
             return;
         }
-        let Some(entry) = self.active.get(&token).copied() else {
+        let Some(entry) = self.services.get(token).copied() else {
             return;
         };
         let (slot, viewer, inc) = vkey(&entry.vs);
@@ -984,7 +970,7 @@ impl Cub {
             );
         }
         self.view.retire(entry.vs.slot, &entry.vs);
-        if let Some(e) = self.active.get_mut(&token) {
+        if let Some(e) = self.services.get_mut(token) {
             e.transmitting = false;
         }
         self.reclaim_if_finished(sh, now, token);
@@ -999,8 +985,22 @@ impl Cub {
         now: SimTime,
         token: ServiceToken,
     ) {
-        if self.active.get(&token).is_some_and(Active::finished) {
+        if self.services.get(token).is_some_and(Active::finished) {
             self.reclaim(now, token, sh.coded.as_mut());
+        }
+    }
+
+    /// Reclaims every service with nothing outstanding, in table order —
+    /// the order their records enter the retired log.
+    pub(super) fn reclaim_finished(&mut self, now: SimTime, mut coded: Option<&mut CodedRuntime>) {
+        let done: Vec<ServiceToken> = self
+            .services
+            .iter()
+            .filter(|(_, e)| e.finished())
+            .map(|(token, _)| token)
+            .collect();
+        for token in done {
+            self.reclaim(now, token, coded.as_deref_mut());
         }
     }
 
@@ -1016,18 +1016,17 @@ impl Cub {
         token: ServiceToken,
         coded: Option<&mut CodedRuntime>,
     ) {
-        if let Some(e) = self.active.remove(&token) {
+        if let Some(e) = self.services.remove(token) {
             if e.buffer_held {
                 self.buffer_bytes_in_use = self.buffer_bytes_in_use.saturating_sub(e.read_bytes);
             }
-            self.by_key.remove(&service_key(&e.vs));
             if e.vs.kind == StreamKind::Primary {
                 if let Some(c) = coded {
                     let home = c.placement.config().disk_of(self.id, e.disk_local);
                     c.release(home, coded_load_key(&e.vs));
                 }
                 if !e.dropped {
-                    self.retired_log.push((now, e.vs));
+                    self.services.retire(now, e.vs);
                 }
             }
         }

@@ -1,0 +1,408 @@
+//! The cub's per-stream tables: the blocks (and pieces) it has committed
+//! to send, the log of primary records it recently did send, and the
+//! indexes that answer the per-message questions about both — "is this
+//! record a duplicate", "which services does this deschedule kill", "has
+//! this block already been served" (§4.1.2) — with a keyed lookup
+//! instead of a scan.
+//!
+//! The indexes are derived state, kept in step by the only methods that
+//! can change what they describe:
+//!
+//! * `by_key` and `by_instance` hold exactly one entry per `active`
+//!   entry — [`ServiceTable::insert`], [`ServiceTable::remove`] and
+//!   [`ServiceTable::clear`] touch all three or none;
+//! * `retired_seqs` counts exactly the `retired_log` entries per
+//!   `(instance, play_seq)` — [`ServiceTable::retire`],
+//!   [`ServiceTable::prune_retired`] and [`ServiceTable::clear_retired`].
+//!
+//! Being derived, they are not schedule information:
+//! [`ServiceTable::information_held`] counts the two tables only.
+
+use std::collections::{BTreeMap, BTreeSet};
+
+use tiger_layout::ids::ViewerInstance;
+use tiger_sched::{Deschedule, SlotId, StreamKind, ViewerState};
+use tiger_sim::{DetHashMap as HashMap, SimDuration, SimTime};
+
+use super::service::Active;
+use crate::event::ServiceToken;
+
+/// Key identifying one active service on this cub: slot, instance, kind,
+/// and play sequence. The last distinguishes successive laps of the same
+/// slot: on small rings a slot's next-lap record can arrive while the
+/// previous block is still being transmitted.
+type ServiceKey = (SlotId, ViewerInstance, StreamKind, u32);
+
+fn service_key(vs: &ViewerState) -> ServiceKey {
+    (vs.slot, vs.instance, vs.kind, vs.play_seq)
+}
+
+/// See the module documentation.
+#[derive(Debug, Default)]
+pub(super) struct ServiceTable {
+    /// Iterated by the forward pass, whose batch order is this map's
+    /// iteration order: it must see the same inserts and removes, in the
+    /// same order, whatever the indexes beside it do.
+    active: HashMap<ServiceToken, Active>,
+    by_key: HashMap<ServiceKey, ServiceToken>,
+    /// Ordered, so one range query lists an instance's few services
+    /// without a per-instance allocation.
+    by_instance: BTreeSet<(ViewerInstance, ServiceToken)>,
+    /// Never reset: tokens of a previous life may still sit in the event
+    /// queue and must not name a new life's service.
+    next_token: ServiceToken,
+    /// Recently serviced-and-forwarded primary records, oldest first,
+    /// retained for one failure-detection window so that, as "the
+    /// preceding living cub", this cub can re-send scheduling information
+    /// across a gap of consecutive failures (§2.3).
+    retired_log: Vec<(SimTime, ViewerState)>,
+    /// How many `retired_log` entries carry each `(instance, play_seq)`.
+    retired_seqs: BTreeMap<(ViewerInstance, u32), u32>,
+}
+
+impl ServiceTable {
+    // --- Active services ----------------------------------------------------
+
+    /// Adds a service under a fresh token.
+    pub(super) fn insert(&mut self, entry: Active) -> ServiceToken {
+        let token = self.next_token;
+        self.next_token += 1;
+        self.by_key.insert(service_key(&entry.vs), token);
+        self.by_instance.insert((entry.vs.instance, token));
+        self.active.insert(token, entry);
+        token
+    }
+
+    /// Removes a service from the table and both indexes.
+    pub(super) fn remove(&mut self, token: ServiceToken) -> Option<Active> {
+        let entry = self.active.remove(&token)?;
+        self.by_key.remove(&service_key(&entry.vs));
+        self.by_instance.remove(&(entry.vs.instance, token));
+        Some(entry)
+    }
+
+    /// Forgets every active service (the process died). The retired log
+    /// has its own [`ServiceTable::clear_retired`]: a restripe cut-over
+    /// drops it while transmissions in flight finish.
+    pub(super) fn clear(&mut self) {
+        self.active.clear();
+        self.by_key.clear();
+        self.by_instance.clear();
+    }
+
+    /// Whether a service for exactly this record (slot, instance, kind
+    /// and play sequence) is already in the table.
+    pub(super) fn serves(&self, vs: &ViewerState) -> bool {
+        self.by_key.contains_key(&service_key(vs))
+    }
+
+    pub(super) fn get(&self, token: ServiceToken) -> Option<&Active> {
+        self.active.get(&token)
+    }
+
+    pub(super) fn get_mut(&mut self, token: ServiceToken) -> Option<&mut Active> {
+        self.active.get_mut(&token)
+    }
+
+    /// Every service, in the table's (deterministic) iteration order.
+    pub(super) fn iter(&self) -> impl Iterator<Item = (ServiceToken, &Active)> {
+        self.active.iter().map(|(&t, e)| (t, e))
+    }
+
+    /// As [`ServiceTable::iter`], for flipping an entry's progress flags.
+    pub(super) fn values_mut(&mut self) -> impl Iterator<Item = &mut Active> {
+        self.active.values_mut()
+    }
+
+    /// `instance`'s services, by ascending token.
+    fn of_instance(
+        &self,
+        instance: ViewerInstance,
+        from: ServiceToken,
+    ) -> impl Iterator<Item = (ServiceToken, &Active)> {
+        self.by_instance
+            .range((instance, from)..=(instance, ServiceToken::MAX))
+            .filter_map(|&(_, token)| Some((token, self.active.get(&token)?)))
+    }
+
+    /// The first service at or after token `from` that `d` kills: the
+    /// cursor a deschedule walks its victims with, reclaiming as it goes.
+    pub(super) fn next_match(
+        &mut self,
+        d: &Deschedule,
+        from: ServiceToken,
+    ) -> Option<(ServiceToken, &mut Active)> {
+        let (token, _) = self
+            .of_instance(d.instance, from)
+            .find(|(_, e)| d.matches(&e.vs))?;
+        Some((token, self.active.get_mut(&token)?))
+    }
+
+    // --- The retired log ------------------------------------------------------
+
+    /// Appends a serviced primary record.
+    pub(super) fn retire(&mut self, now: SimTime, vs: ViewerState) {
+        self.retired_log.push((now, vs));
+        *self
+            .retired_seqs
+            .entry((vs.instance, vs.play_seq))
+            .or_default() += 1;
+    }
+
+    /// The log, oldest first.
+    pub(super) fn retired(&self) -> &[(SimTime, ViewerState)] {
+        &self.retired_log
+    }
+
+    /// Drops entries older than `retention` before `now`.
+    pub(super) fn prune_retired(&mut self, now: SimTime, retention: SimDuration) {
+        let seqs = &mut self.retired_seqs;
+        crate::recovery::prune_retired(&mut self.retired_log, now, retention, |vs| {
+            let key = (vs.instance, vs.play_seq);
+            if let Some(n) = seqs.get_mut(&key) {
+                *n -= 1;
+                if *n == 0 {
+                    seqs.remove(&key);
+                }
+            }
+        });
+    }
+
+    pub(super) fn clear_retired(&mut self) {
+        self.retired_log.clear();
+        self.retired_seqs.clear();
+    }
+
+    // --- Questions -------------------------------------------------------------
+
+    /// Active services plus retired-log entries: this table's share of
+    /// `Cub::schedule_information_held`.
+    pub(super) fn information_held(&self) -> usize {
+        self.active.len() + self.retired_log.len()
+    }
+
+    /// Whether `instance`'s retired entries reach `play_seq` or beyond.
+    fn retired_from(&self, instance: ViewerInstance, play_seq: u32) -> bool {
+        self.retired_seqs
+            .range((instance, play_seq)..=(instance, u32::MAX))
+            .next()
+            .is_some()
+    }
+
+    /// Whether an active service or a retired entry belongs to `instance`.
+    pub(super) fn carries_instance(&self, instance: &ViewerInstance) -> bool {
+        self.of_instance(*instance, 0).next().is_some() || self.retired_from(*instance, 0)
+    }
+
+    /// Whether this cub is serving, or has served, `vs.play_seq` or a
+    /// later block of the instance.
+    pub(super) fn already_served(&self, vs: &ViewerState) -> bool {
+        // Coded shard actives carry the *home* block's play_seq and say
+        // nothing about this cub's own primary progression — counting one
+        // here would reject the double-forwarded redundancy copy of the
+        // very record the shard serves, exactly when the home just died
+        // and that copy is the stream's only survivor.
+        self.of_instance(vs.instance, 0).any(|(_, a)| {
+            !matches!(a.vs.kind, StreamKind::Coded { .. }) && a.vs.play_seq >= vs.play_seq
+        }) || self.retired_from(vs.instance, vs.play_seq)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::service::PieceSpec;
+    use super::*;
+    use tiger_layout::{BlockNum, DiskId, FileId, ViewerId};
+    use tiger_sim::check::check;
+    use tiger_sim::{Bandwidth, SimRng};
+
+    /// The tables as the cub kept them before they were indexed: two
+    /// plain collections, every question a scan. Test-only.
+    #[derive(Default)]
+    struct ScanOracle {
+        active: Vec<(ServiceToken, Active)>,
+        retired: Vec<(SimTime, ViewerState)>,
+    }
+
+    impl ScanOracle {
+        fn carries_instance(&self, instance: &ViewerInstance) -> bool {
+            self.active.iter().any(|(_, a)| a.vs.instance == *instance)
+                || self.retired.iter().any(|(_, vs)| vs.instance == *instance)
+        }
+
+        fn already_served(&self, vs: &ViewerState) -> bool {
+            self.active.iter().any(|(_, a)| {
+                !matches!(a.vs.kind, StreamKind::Coded { .. })
+                    && a.vs.instance == vs.instance
+                    && a.vs.play_seq >= vs.play_seq
+            }) || self
+                .retired
+                .iter()
+                .any(|(_, r)| r.instance == vs.instance && r.play_seq >= vs.play_seq)
+        }
+
+        fn victims(&self, d: &Deschedule) -> Vec<ServiceToken> {
+            let mut tokens: Vec<_> = self
+                .active
+                .iter()
+                .filter(|(_, a)| d.matches(&a.vs))
+                .map(|&(t, _)| t)
+                .collect();
+            tokens.sort_unstable();
+            tokens
+        }
+    }
+
+    fn arb_state(rng: &mut SimRng) -> ViewerState {
+        let kind = match rng.gen_range(0u32..4) {
+            0 => StreamKind::Mirror {
+                failed_disk: DiskId(1),
+                piece: rng.gen_range(0u32..2),
+            },
+            1 => StreamKind::Coded {
+                home_disk: DiskId(1),
+                shard: rng.gen_range(1u32..3),
+            },
+            _ => StreamKind::Primary,
+        };
+        let play_seq = rng.gen_range(0u32..6);
+        ViewerState {
+            instance: ViewerInstance {
+                viewer: ViewerId(rng.gen_range(0u64..4)),
+                incarnation: rng.gen_range(0u32..2),
+            },
+            client: 0,
+            file: FileId(0),
+            position: BlockNum(play_seq),
+            slot: SlotId(rng.gen_range(0u32..3)),
+            play_seq,
+            bitrate: Bandwidth::from_mbit_per_sec(2),
+            kind,
+        }
+    }
+
+    fn active(vs: ViewerState) -> Active {
+        let spec = PieceSpec {
+            kind: vs.kind,
+            dating_disk: DiskId(0),
+            disk_local: 0,
+            offset: SimDuration::ZERO,
+            duration: SimDuration::from_secs(1),
+            payload: 1,
+            read_leads: 2,
+            late_guard: false,
+        };
+        Active::new(vs, &spec, SimTime::ZERO)
+    }
+
+    /// Both indexes describe `active` exactly, and the retired counts the
+    /// retired log.
+    fn assert_in_step(t: &ServiceTable) {
+        assert_eq!(t.by_key.len(), t.active.len());
+        assert_eq!(t.by_instance.len(), t.active.len());
+        for (token, e) in &t.active {
+            assert_eq!(t.by_key.get(&service_key(&e.vs)), Some(token));
+            assert!(t.by_instance.contains(&(e.vs.instance, *token)));
+        }
+        let counted: u32 = t.retired_seqs.values().sum();
+        assert_eq!(counted as usize, t.retired_log.len());
+        for (_, vs) in &t.retired_log {
+            assert!(t.retired_seqs.contains_key(&(vs.instance, vs.play_seq)));
+        }
+    }
+
+    #[test]
+    fn indexed_table_matches_the_scan_oracle() {
+        check("indexed_table_matches_the_scan_oracle", |rng| {
+            let mut table = ServiceTable::default();
+            let mut oracle = ScanOracle::default();
+            let mut now = SimTime::ZERO;
+            let retention = SimDuration::from_secs(5);
+            for _ in 0..rng.gen_range(1usize..150) {
+                now += SimDuration::from_millis(rng.gen_range(0u64..3) * 500);
+                match rng.gen_range(0u32..10) {
+                    0..=3 => {
+                        // Admission: the by-key duplicate test, then insert.
+                        let vs = arb_state(rng);
+                        let dup = oracle
+                            .active
+                            .iter()
+                            .any(|(_, a)| service_key(&a.vs) == service_key(&vs));
+                        assert_eq!(table.serves(&vs), dup);
+                        if !dup {
+                            let token = table.insert(active(vs));
+                            oracle.active.push((token, active(vs)));
+                        }
+                    }
+                    4 | 5 if !oracle.active.is_empty() => {
+                        // Reclaim: a finished service retires its record.
+                        let pick = rng.gen_range(0..oracle.active.len());
+                        let (token, entry) = oracle.active.swap_remove(pick);
+                        let removed = table.remove(token).expect("listed");
+                        assert_eq!(removed.vs, entry.vs);
+                        if entry.vs.kind == StreamKind::Primary && rng.gen_bool(0.8) {
+                            table.retire(now, entry.vs);
+                            oracle.retired.push((now, entry.vs));
+                        }
+                    }
+                    6 | 7 => {
+                        // Deschedule: the cursor visits exactly the
+                        // matching services, also when some are reclaimed
+                        // under it.
+                        let probe = arb_state(rng);
+                        let d = Deschedule {
+                            instance: probe.instance,
+                            slot: probe.slot,
+                        };
+                        let want = oracle.victims(&d);
+                        let (mut got, mut from) = (Vec::new(), 0);
+                        while let Some((token, entry)) = table.next_match(&d, from) {
+                            from = token + 1;
+                            entry.dropped = true;
+                            got.push(token);
+                            if rng.gen_bool(0.5) {
+                                table.remove(token);
+                                oracle.active.retain(|&(t, _)| t != token);
+                            }
+                        }
+                        assert_eq!(got, want, "victims of {d:?}");
+                    }
+                    8 => {
+                        table.prune_retired(now, retention);
+                        oracle
+                            .retired
+                            .retain(|&(at, _)| at >= now.saturating_sub(retention));
+                    }
+                    _ => match rng.gen_range(0u32..8) {
+                        0 => {
+                            table.clear();
+                            oracle.active.clear();
+                        }
+                        1 => {
+                            table.clear_retired();
+                            oracle.retired.clear();
+                        }
+                        _ => {}
+                    },
+                }
+                assert_in_step(&table);
+                assert_eq!(table.retired(), &oracle.retired[..]);
+                assert_eq!(
+                    table.information_held(),
+                    oracle.active.len() + oracle.retired.len(),
+                    "index entries are not schedule information"
+                );
+                let probe = arb_state(rng);
+                assert_eq!(
+                    table.already_served(&probe),
+                    oracle.already_served(&probe),
+                    "already_served({probe:?})"
+                );
+                assert_eq!(
+                    table.carries_instance(&probe.instance),
+                    oracle.carries_instance(&probe.instance),
+                );
+            }
+        });
+    }
+}

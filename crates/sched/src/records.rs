@@ -100,7 +100,7 @@ impl ViewerState {
 
 /// A deschedule request (§4.1.2): "If this instance of viewer is in this
 /// schedule slot, remove the viewer."
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Deschedule {
     /// The viewer instance to remove.
     pub instance: ViewerInstance,

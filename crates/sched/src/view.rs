@@ -9,12 +9,17 @@
 //! * viewer states are idempotent — duplicates are ignored;
 //! * a held deschedule blocks (re-)acceptance of the matching viewer state
 //!   ("Before accepting a viewer state, a cub checks to see if it is
-//!   holding a deschedule for that viewer in that slot");
+//!   holding a deschedule for that viewer in that slot") — one hash probe,
+//!   however many deschedules are held;
 //! * deschedules are held for a while after their slot has passed, to catch
-//!   late viewer states;
+//!   late viewer states, and dropped in expiry order from a queue, so
+//!   expiring costs what expired and not what is held;
 //! * a primary entry never shares a slot with a different instance — an
 //!   attempted conflicting insert is reported, because it would mean the
 //!   ownership protocol was violated.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use tiger_sim::DetHashMap as HashMap;
 
@@ -47,8 +52,17 @@ pub struct ScheduleView {
     /// mode it may also hold mirror entries (distinct `kind`s) for the same
     /// instance.
     entries: HashMap<SlotId, Vec<ViewerState>>,
-    /// Held deschedules with their expiry times.
-    deschedules: Vec<(Deschedule, SimTime)>,
+    /// Held deschedules: each one's expiry, and the order it was first
+    /// applied in (what [`ScheduleView::gc_report`] reports by).
+    held: HashMap<Deschedule, (SimTime, u64)>,
+    /// One `(instant, first-application order, deschedule)` per hold,
+    /// earliest on top. The instant is the hold's expiry as of when the
+    /// entry was queued: re-applying a deschedule moves only `held`'s
+    /// expiry, and [`ScheduleView::expire`] re-queues the entry when it
+    /// surfaces early. So `lapses.len() == held.len()` always.
+    lapses: BinaryHeap<Reverse<(SimTime, u64, Deschedule)>>,
+    /// First-application order of the next new hold.
+    next_hold: u64,
 }
 
 impl ScheduleView {
@@ -60,7 +74,12 @@ impl ScheduleView {
     /// Merges a viewer state into the view at `now`.
     pub fn apply_viewer_state(&mut self, vs: ViewerState, now: SimTime) -> ViewApply {
         self.gc(now);
-        if self.deschedules.iter().any(|(d, _)| d.matches(&vs)) {
+        // `Deschedule::matches` is equality on exactly this pair.
+        let blocker = Deschedule {
+            instance: vs.instance,
+            slot: vs.slot,
+        };
+        if self.held.contains_key(&blocker) {
             return ViewApply::Blocked;
         }
         let slot_entries = self.entries.entry(vs.slot).or_default();
@@ -96,16 +115,21 @@ impl ScheduleView {
                 self.entries.remove(&d.slot);
             }
         }
-        match self.deschedules.iter_mut().find(|(held, _)| *held == d) {
-            Some((_, expiry)) => *expiry = (*expiry).max(hold_until),
-            None => self.deschedules.push((d, hold_until)),
+        match self.held.get_mut(&d) {
+            Some((expiry, _)) => *expiry = (*expiry).max(hold_until),
+            None => {
+                let order = self.next_hold;
+                self.next_hold += 1;
+                self.held.insert(d, (hold_until, order));
+                self.lapses.push(Reverse((hold_until, order, d)));
+            }
         }
         removed
     }
 
     /// Whether a matching deschedule is currently held.
     pub fn holds_deschedule(&self, d: &Deschedule) -> bool {
-        self.deschedules.iter().any(|(held, _)| held == d)
+        self.held.contains_key(d)
     }
 
     /// The primary entry in `slot`, if known.
@@ -169,12 +193,12 @@ impl ScheduleView {
 
     /// Number of held deschedules.
     pub fn held_deschedules(&self) -> usize {
-        self.deschedules.len()
+        self.held.len()
     }
 
     /// Drops expired deschedules.
     pub fn gc(&mut self, now: SimTime) {
-        self.deschedules.retain(|&(_, expiry)| expiry > now);
+        self.expire(now, |_, _| {});
     }
 
     /// [`ScheduleView::gc`], reporting each hold it drops. Used by traced
@@ -184,14 +208,39 @@ impl ScheduleView {
     /// periodic forward pass), not at the instant the hold lapses — the
     /// internal `gc` calls inside `apply_*` stay unreported, since a hold
     /// that expires mid-apply was already past its protocol relevance.
+    ///
+    /// Holds are reported in the order they were first applied, whatever
+    /// their expiry instants.
     pub fn gc_report(&mut self, now: SimTime, mut expired: impl FnMut(Deschedule)) {
-        self.deschedules.retain(|&(d, expiry)| {
-            let live = expiry > now;
-            if !live {
-                expired(d);
+        let mut lapsed = Vec::new();
+        self.expire(now, |order, d| lapsed.push((order, d)));
+        lapsed.sort_unstable_by_key(|&(order, _)| order);
+        for (_, d) in lapsed {
+            expired(d);
+        }
+    }
+
+    /// Drops every hold whose expiry is at or before `now`, handing each
+    /// to `lapsed` with its first-application order, in queue order.
+    /// Amortised O(expired): a queue entry is visited once per time its
+    /// hold was extended past it, and otherwise only to expire.
+    fn expire(&mut self, now: SimTime, mut lapsed: impl FnMut(u64, Deschedule)) {
+        while let Some(&Reverse((at, order, d))) = self.lapses.peek() {
+            if at > now {
+                break;
             }
-            live
-        });
+            self.lapses.pop();
+            match self.held.get(&d) {
+                // Re-applied since it was queued: back in at its real expiry.
+                Some(&(expiry, _)) if expiry > now => {
+                    self.lapses.push(Reverse((expiry, order, d)));
+                }
+                _ => {
+                    self.held.remove(&d);
+                    lapsed(order, d);
+                }
+            }
+        }
     }
 }
 
@@ -389,6 +438,27 @@ mod tests {
         v.apply_deschedule(d, T0, t(5));
         v.apply_deschedule(d, t(1), t(20));
         assert_eq!(v.apply_viewer_state(a, t(6)), ViewApply::Blocked);
+        // A shorter hold never cuts a longer one short.
+        v.apply_deschedule(d, t(7), t(8));
+        assert_eq!(v.apply_viewer_state(a, t(19)), ViewApply::Blocked);
+        assert_eq!(v.apply_viewer_state(a, t(20)), ViewApply::Inserted);
+    }
+
+    #[test]
+    fn expiry_queue_holds_one_entry_per_hold() {
+        // Every repeat sighting extends the hold; none may grow the queue,
+        // however often gc surfaces the entry early and re-queues it.
+        let mut v = ScheduleView::new();
+        let d = Deschedule {
+            instance: vs(3, 1, 0).instance,
+            slot: SlotId(3),
+        };
+        for s in 0..1_000 {
+            v.apply_deschedule(d, t(s), t(s + 3));
+            assert_eq!((v.held.len(), v.lapses.len()), (1, 1));
+        }
+        v.gc(t(1_002));
+        assert_eq!((v.held.len(), v.lapses.len()), (0, 0));
     }
 
     #[test]

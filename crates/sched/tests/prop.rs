@@ -169,6 +169,108 @@ fn view_invariants_hold_under_random_ops() {
     });
 }
 
+/// The held-deschedule set as `ScheduleView` kept it before it was
+/// indexed: a `Vec` in first-application order, every question a scan.
+/// Test-only; the oracle for the map-plus-expiry-queue that replaced it.
+#[derive(Default)]
+struct HeldModel(Vec<(Deschedule, SimTime)>);
+
+impl HeldModel {
+    fn gc_report(&mut self, now: SimTime, mut expired: impl FnMut(Deschedule)) {
+        self.0.retain(|&(d, expiry)| {
+            let live = expiry > now;
+            if !live {
+                expired(d);
+            }
+            live
+        });
+    }
+
+    fn apply(&mut self, d: Deschedule, now: SimTime, hold_until: SimTime) {
+        self.gc_report(now, |_| {});
+        match self.0.iter_mut().find(|(held, _)| *held == d) {
+            Some((_, expiry)) => *expiry = (*expiry).max(hold_until),
+            None => self.0.push((d, hold_until)),
+        }
+    }
+
+    fn blocks(&mut self, vs: &ViewerState, now: SimTime) -> bool {
+        self.gc_report(now, |_| {});
+        self.0.iter().any(|(d, _)| d.matches(vs))
+    }
+
+    fn holds(&self, d: &Deschedule) -> bool {
+        self.0.iter().any(|(held, _)| held == d)
+    }
+}
+
+/// The indexed held-deschedule set answers exactly as the linear model
+/// does — which viewer states are blocked, what is held and how many,
+/// and which holds `gc_report` names in which order — over random
+/// interleavings that re-apply held deschedules with later *and*
+/// earlier `hold_until`s and pile expiries onto the same instant.
+#[test]
+fn held_deschedules_match_the_linear_model() {
+    check("held_deschedules_match_the_linear_model", |rng| {
+        let mut view = ScheduleView::new();
+        let mut model = HeldModel::default();
+        let mut now_ms = 0u64;
+        // A coarse time grid makes equal-instant expiries common.
+        let grid = |rng: &mut SimRng, steps: u64| rng.gen_range(0..steps) * 250;
+        let universe = |rng: &mut SimRng| Deschedule {
+            instance: ViewerInstance {
+                viewer: ViewerId(rng.gen_range(0u64..5)),
+                incarnation: rng.gen_range(0u32..2),
+            },
+            slot: SlotId(rng.gen_range(0u32..4)),
+        };
+        for _ in 0..rng.gen_range(1usize..200) {
+            now_ms += grid(rng, 4);
+            let now = SimTime::from_millis(now_ms);
+            match rng.gen_range(0u32..6) {
+                0 | 1 => {
+                    // Shorter than a hold already in place as often as longer.
+                    let d = universe(rng);
+                    let hold_until = now + SimDuration::from_millis(grid(rng, 12));
+                    view.apply_deschedule(d, now, hold_until);
+                    model.apply(d, now, hold_until);
+                }
+                2 | 3 => {
+                    let d = universe(rng);
+                    let record = vs(
+                        d.slot.raw(),
+                        d.instance.viewer.raw(),
+                        d.instance.incarnation,
+                        rng.gen_range(0u32..30),
+                    );
+                    let blocked = view.apply_viewer_state(record, now) == ViewApply::Blocked;
+                    assert_eq!(
+                        blocked,
+                        model.blocks(&record, now),
+                        "at {now:?}: {record:?}"
+                    );
+                }
+                4 => {
+                    view.gc(now);
+                    model.gc_report(now, |_| {});
+                }
+                _ => {
+                    let (mut got, mut want) = (Vec::new(), Vec::new());
+                    view.gc_report(now, |d| got.push(d));
+                    model.gc_report(now, |d| want.push(d));
+                    assert_eq!(got, want, "gc_report order at {now:?}");
+                }
+            }
+            assert_eq!(view.held_deschedules(), model.0.len(), "at {now:?}");
+            for (d, _) in &model.0 {
+                assert!(view.holds_deschedule(d), "lost {d:?} at {now:?}");
+            }
+            let probe = universe(rng);
+            assert_eq!(view.holds_deschedule(&probe), model.holds(&probe));
+        }
+    });
+}
+
 /// The network schedule never exceeds capacity at any ring position,
 /// no matter what sequence of inserts/aborts/commits/removals runs.
 #[test]

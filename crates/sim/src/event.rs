@@ -34,7 +34,10 @@ use crate::time::SimTime;
 #[derive(Debug)]
 pub struct EventQueue<E> {
     now: SimTime,
+    /// The next entry's FIFO tie-break — and so, the events scheduled so far.
     seq: u64,
+    /// Events [`EventQueue::jump_to`] threw away unpopped.
+    discarded: u64,
     /// An entry that sorts strictly before everything in `heap`, if any.
     front: Option<Entry<E>>,
     heap: BinaryHeap<Entry<E>>,
@@ -95,6 +98,7 @@ impl<E> EventQueue<E> {
         EventQueue {
             now: SimTime::ZERO,
             seq: 0,
+            discarded: 0,
             front: None,
             heap: BinaryHeap::with_capacity(capacity),
         }
@@ -123,6 +127,18 @@ impl<E> EventQueue<E> {
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
         self.front.is_none() && self.heap.is_empty()
+    }
+
+    /// Events scheduled over the queue's lifetime, dispatched or not.
+    pub fn scheduled(&self) -> u64 {
+        self.seq
+    }
+
+    /// Events popped over the queue's lifetime: every event scheduled is
+    /// pending, popped, or was discarded by [`EventQueue::jump_to`], so
+    /// the pop path itself counts nothing.
+    pub fn dispatched(&self) -> u64 {
+        self.seq - self.discarded - self.len() as u64
     }
 
     /// Schedules `event` at the absolute instant `at`.
@@ -197,6 +213,7 @@ impl<E> EventQueue<E> {
     /// Used by experiment drivers to fast-forward between phases.
     pub fn jump_to(&mut self, at: SimTime) {
         assert!(at >= self.now, "cannot jump backwards in time");
+        self.discarded += self.len() as u64;
         self.front = None;
         self.heap.clear();
         self.now = at;
@@ -294,6 +311,31 @@ mod tests {
         // `reserve` sizes the heap; the front slot holds one entry outside it.
         let in_heap = q.len() - 1;
         assert!(q.capacity() >= in_heap + 4096);
+    }
+
+    #[test]
+    fn counters_observe_without_disturbing() {
+        let mut q = EventQueue::new();
+        assert_eq!((q.scheduled(), q.dispatched()), (0, 0));
+        for i in 0..5u64 {
+            q.schedule(SimTime::from_secs(i), i); // front slot and heap both
+        }
+        assert_eq!((q.scheduled(), q.dispatched(), q.len()), (5, 0, 5));
+        // A pop the horizon refuses dispatches nothing.
+        q.schedule(SimTime::from_secs(9), 9);
+        assert_eq!(q.pop_until(SimTime::ZERO).map(|(_, e)| e), Some(0));
+        assert_eq!(q.pop().map(|(_, e)| e), Some(1));
+        assert_eq!(q.pop_until(SimTime::from_secs(1)), None);
+        assert_eq!((q.scheduled(), q.dispatched(), q.len()), (6, 2, 4));
+        // Discarded events were scheduled and never dispatched.
+        q.jump_to(SimTime::from_secs(20));
+        assert_eq!((q.scheduled(), q.dispatched(), q.len()), (6, 2, 0));
+        // FIFO tie-breaking runs on across the jump.
+        q.schedule(SimTime::from_secs(20), 7);
+        q.schedule(SimTime::from_secs(20), 8);
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, vec![7, 8]);
+        assert_eq!((q.scheduled(), q.dispatched()), (8, 4));
     }
 
     /// The front-slot fast path must be invisible: any interleaving of

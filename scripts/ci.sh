@@ -173,7 +173,10 @@ fi
 # Size ratchet: system.rs absorbed ~400 lines in two PRs before it was
 # split by concern (reconfig.rs, controller.rs, copy.rs); it may not
 # quietly grow back, nor may the growth move next door. Raise a limit
-# only in the PR that argues for it.
+# only in the PR that argues for it. (PR 16 raised the total 7,730 ->
+# 8,110 for table.rs, the cub's indexed service table: 408 lines, 197 of
+# them its scan-oracle property test, which has to sit beside the private
+# type; cub.rs shrank 1,320 -> 1,283 and the per-file limits stand.)
 core_src=crates/core/src
 for f in "$core_src"/*.rs; do
     limit=1350
@@ -185,8 +188,8 @@ for f in "$core_src"/*.rs; do
     fi
 done
 total=$(cat "$core_src"/*.rs | wc -l)
-if [ "$total" -gt 7730 ]; then
-    echo "ERROR: $core_src is $total lines in total (limit 7730)" >&2
+if [ "$total" -gt 8110 ]; then
+    echo "ERROR: $core_src is $total lines in total (limit 8110)" >&2
     exit 1
 fi
 

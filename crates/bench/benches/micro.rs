@@ -93,6 +93,13 @@ fn bench_view_ops(c: &mut Runner) {
         let dup = vs(17, 17, 5);
         b.iter(|| black_box(view.apply_viewer_state(dup, SimTime::ZERO)))
     });
+    // Re-applies one deschedule to an otherwise empty view. Re-baselined
+    // 5 ns -> 22 ns when the held set became a hash map (PR 16): a probe
+    // with a fixed-key SipHash is slower than scanning a one-element
+    // `Vec`, and this bench is exactly that one-element case. It is the
+    // wrong occupancy to read: a cub under interactive load holds ≈360
+    // deschedules, where the same call fell 690 ns -> 116 ns — see
+    // `view/apply_deschedule_held360` below, the row that matters.
     c.bench_function("view/apply_deschedule", |b| {
         let mut view = ScheduleView::new();
         let d = Deschedule {

@@ -18,6 +18,7 @@
 //! Being derived, they are not schedule information:
 //! [`ServiceTable::information_held`] counts the two tables only.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 
 use tiger_layout::ids::ViewerInstance;
@@ -158,11 +159,10 @@ impl ServiceTable {
     pub(super) fn prune_retired(&mut self, now: SimTime, retention: SimDuration) {
         let seqs = &mut self.retired_seqs;
         crate::recovery::prune_retired(&mut self.retired_log, now, retention, |vs| {
-            let key = (vs.instance, vs.play_seq);
-            if let Some(n) = seqs.get_mut(&key) {
-                *n -= 1;
-                if *n == 0 {
-                    seqs.remove(&key);
+            if let Entry::Occupied(mut n) = seqs.entry((vs.instance, vs.play_seq)) {
+                *n.get_mut() -= 1;
+                if *n.get() == 0 {
+                    n.remove();
                 }
             }
         });
@@ -349,11 +349,7 @@ mod tests {
                         // Deschedule: the cursor visits exactly the
                         // matching services, also when some are reclaimed
                         // under it.
-                        let probe = arb_state(rng);
-                        let d = Deschedule {
-                            instance: probe.instance,
-                            slot: probe.slot,
-                        };
+                        let d = Deschedule::of(&arb_state(rng));
                         let want = oracle.victims(&d);
                         let (mut got, mut from) = (Vec::new(), 0);
                         while let Some((token, entry)) = table.next_match(&d, from) {

@@ -112,6 +112,16 @@ impl Deschedule {
     /// Wire size of a deschedule message.
     pub const WIRE_BYTES: u64 = 40;
 
+    /// The one deschedule that kills `vs`: `d.matches(vs)` exactly when
+    /// `d == Deschedule::of(vs)`, which is what lets a set of held
+    /// deschedules be probed by key instead of scanned.
+    pub fn of(vs: &ViewerState) -> Self {
+        Deschedule {
+            instance: vs.instance,
+            slot: vs.slot,
+        }
+    }
+
     /// Whether this deschedule kills the given viewer state.
     ///
     /// A mirror viewer state derives from the same instance/slot, so the
@@ -194,5 +204,8 @@ mod tests {
         assert!(d.matches(&m), "kills derived mirror entries too");
         assert!(!d.matches(&vs(6, 1, 0, 10)), "wrong slot");
         assert!(!d.matches(&vs(5, 1, 1, 10)), "wrong incarnation");
+        for other in [a, m, vs(6, 1, 0, 10), vs(5, 1, 1, 10), vs(5, 2, 0, 10)] {
+            assert_eq!(d.matches(&other), d == Deschedule::of(&other));
+        }
     }
 }

@@ -74,12 +74,7 @@ impl ScheduleView {
     /// Merges a viewer state into the view at `now`.
     pub fn apply_viewer_state(&mut self, vs: ViewerState, now: SimTime) -> ViewApply {
         self.gc(now);
-        // `Deschedule::matches` is equality on exactly this pair.
-        let blocker = Deschedule {
-            instance: vs.instance,
-            slot: vs.slot,
-        };
-        if self.held.contains_key(&blocker) {
+        if self.held.contains_key(&Deschedule::of(&vs)) {
             return ViewApply::Blocked;
         }
         let slot_entries = self.entries.entry(vs.slot).or_default();

@@ -174,7 +174,7 @@ fi
 # split by concern (reconfig.rs, controller.rs, copy.rs); it may not
 # quietly grow back, nor may the growth move next door. Raise a limit
 # only in the PR that argues for it. (PR 16 raised the total 7,730 ->
-# 8,110 for table.rs, the cub's indexed service table: 408 lines, 197 of
+# 8,110 for table.rs, the cub's indexed service table: 404 lines, 193 of
 # them its scan-oracle property test, which has to sit beside the private
 # type; cub.rs shrank 1,320 -> 1,283 and the per-file limits stand.)
 core_src=crates/core/src

@@ -483,6 +483,44 @@ fn bench_event_queue(c: &mut Runner) {
             black_box(e)
         })
     });
+    // The queue as the full-scale data plane loads it (`scale-56`: 42.4 k
+    // pending 64-byte `Event`s, 17.6 per stream). Every block contributes
+    // one event of each kind below, so cycling through the five delays
+    // holds the pending population in the measured proportions: `SendDue`
+    // a `maxVStateLead` ahead (9 s) and `ReadIssue` two scheduling leads
+    // before it are 94 % of what is pending, `SendDone` a block play time
+    // out, `DiskDone` tens of milliseconds, `Deliver` a LAN latency.
+    c.bench_function("event_queue/churn_42k_sosp", |b| {
+        const PENDING: u64 = 42_000;
+        // Per kind, the shortest and longest delay in nanoseconds.
+        const MIX: [(u64, u64); 5] = [
+            (9_000_000_000, 9_000_000_000), // SendDue
+            (7_600_000_000, 7_600_000_000), // ReadIssue
+            (1_000_000_000, 1_000_000_000), // SendDone
+            (20_000_000, 60_000_000),       // DiskDone
+            (1_000_000, 1_000_000),         // Deliver
+        ];
+        let mut rng = tiger_sim::RngTree::new(1997).fork("queue-bench", 0);
+        let mut q = EventQueue::with_capacity(PENDING as usize);
+        // Open in the steady state: each kind's share of the population
+        // is its delay's share of the sum, spread evenly over that delay.
+        let sum: u64 = MIX.iter().map(|(lo, hi)| (lo + hi) / 2).sum();
+        for (kind, (lo, hi)) in MIX.into_iter().enumerate() {
+            let mean = (lo + hi) / 2;
+            for _ in 0..PENDING * mean / sum + 1 {
+                let at = SimTime::from_nanos(rng.gen_range(0..mean));
+                q.schedule(at, [kind as u64; 8]);
+            }
+        }
+        let mut kind = 0;
+        b.iter(|| {
+            let (_, e) = q.pop().expect("queue never drains");
+            kind = (kind + 1) % MIX.len();
+            let (lo, hi) = MIX[kind];
+            q.schedule_in(SimDuration::from_nanos(rng.gen_range(lo..=hi)), e);
+            black_box(e)
+        })
+    });
     // Cold fill: how much does building up a fresh queue cost, including
     // heap regrowth (the per-run setup path).
     c.bench_function("event_queue/fill_1k_fresh", |b| {

@@ -454,9 +454,13 @@ fn bench_admission_storm(c: &mut Runner) {
 }
 
 fn bench_event_queue(c: &mut Runner) {
-    // Steady-state heap churn at a realistic pending-event population (a
-    // full §5 ramp keeps thousands of events in flight): pop the head,
-    // schedule a replacement a fixed delay out.
+    // Pop the head, schedule a replacement a fixed delay out. Re-baselined
+    // 45 -> 70 ns with the calendar queue (PR 17), and it is the calendar's
+    // worst shape, not the simulator's: 4096 events a microsecond apart are
+    // a thousand to a millisecond bucket, so the near heap is a
+    // thousand-entry binary heap with the ring's bookkeeping on top. The
+    // data plane keeps 6-17 entries there; `churn_42k_sosp` below is that
+    // shape, and the row to read.
     c.bench_function("event_queue/churn_4k", |b| {
         let mut q = EventQueue::new();
         for i in 0..4096u64 {
@@ -468,9 +472,13 @@ fn bench_event_queue(c: &mut Runner) {
             black_box(e)
         })
     });
-    // The hottest dispatch pattern: a handler pops an event and immediately
-    // schedules a follow-up at (or just after) the instant it is running
-    // at, ahead of everything else pending.
+    // A handler pops an event and schedules a follow-up just after the
+    // instant it is running at, ahead of everything else pending.
+    // Re-baselined 6.5 -> 17 ns (PR 17): the one-entry front slot that
+    // served this in 4 ns is gone, because counted on the ruler it served
+    // 0.011-0.042 % of pops on the four data-plane workloads and 1.6 % on
+    // `vcr-churn`. The follow-up now takes a slab slot and a near-heap push
+    // like any other event.
     c.bench_function("event_queue/pop_then_schedule_head", |b| {
         let mut q = EventQueue::new();
         for i in 0..4096u64 {
@@ -521,8 +529,13 @@ fn bench_event_queue(c: &mut Runner) {
             black_box(e)
         })
     });
-    // Cold fill: how much does building up a fresh queue cost, including
-    // heap regrowth (the per-run setup path).
+    // Cold fill: what building up a fresh queue costs, regrowth included.
+    // Re-baselined 8.0 -> 14 us (PR 17): all 1024 instants fall in the first
+    // bucket, so each event is three pushes into three vectors growing from
+    // nothing (link, payload, near-heap key) where the heap had one. The
+    // ring is allocated on first use and this never reaches it;
+    // `TigerSystem::new` pre-sizes the slab, and end to end `setup_s` fell
+    // 15-25 % with the same change.
     c.bench_function("event_queue/fill_1k_fresh", |b| {
         b.iter(|| {
             let mut q = EventQueue::new();

@@ -170,3 +170,7 @@ pub enum Event {
         to_block: u32,
     },
 }
+
+// Every pending event fills a queue slot of this size, 10-40 k of them at
+// full scale: box a rare variant's fat payload rather than raise this.
+const _: () = assert!(std::mem::size_of::<Event>() <= 64);

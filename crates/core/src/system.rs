@@ -338,11 +338,15 @@ impl TigerSystem {
         let coded = (cfg.redundancy == RedundancyMode::Coded)
             .then(|| CodedRuntime::new(cfg.stripe, cfg.block_play_time));
         let striped = cfg.stripe.num_cubs;
-        // Pre-size the event queue for a full-load steady state so long
-        // ramps never regrow the heap mid-run: each active stream keeps a
-        // handful of events in flight (read issue/done, send due/done,
-        // delivery), plus per-node periodic work and driver-queued starts.
-        let queue_hint = params.capacity() as usize * 8 + nodes as usize * 4 + 128;
+        // Pre-size the event queue for full load, so no run regrows it:
+        // viewer state runs up to `max_vstate_lead` ahead of the sends, and
+        // every block in that lead keeps a `ReadIssue` and a `SendDue`
+        // pending per shard (18 events a stream at `sosp97`, 17.6 measured),
+        // plus per-node periodic work and driver-queued starts.
+        let lead = (cfg.max_vstate_lead.as_nanos()).div_ceil(cfg.block_play_time.as_nanos());
+        let shards = coded.as_ref().map_or(1, |c| c.placement.k());
+        let per_stream = 2 * lead as usize * shards as usize;
+        let queue_hint = params.capacity() as usize * per_stream + nodes as usize * 4 + 128;
         let mut sys = TigerSystem {
             shared: Shared {
                 cfg,

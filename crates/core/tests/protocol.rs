@@ -343,3 +343,27 @@ fn control_traffic_is_bounded_per_cub() {
     );
     assert_eq!(sample.streams, 20);
 }
+
+#[test]
+fn full_load_never_regrows_the_event_queue() {
+    // `TigerSystem::new` sizes the queue from `max_vstate_lead`; at the
+    // paper's scale and full load (≈17.6 pending events a stream) that
+    // must cover the ramp and the steady state both.
+    let mut cfg = TigerConfig::sosp97();
+    cfg.disk = cfg.disk.without_blips();
+    let mut sys = TigerSystem::new(cfg);
+    let built = sys.shared().queue.capacity();
+    let capacity = sys.shared().params.capacity();
+    let file = sys.add_file(rate(), SimDuration::from_secs(400));
+    for i in 0..u64::from(capacity) {
+        let client = sys.add_client();
+        sys.request_start(SimTime::from_millis(100 + i * 100), client, file);
+    }
+    sys.run_until(SimTime::from_secs(100));
+    let active = sys.controller().active_streams();
+    assert!(active >= capacity * 97 / 100, "only {active} streaming");
+    assert_eq!(sys.shared().queue.capacity(), built, "regrew while warming");
+    sys.run_until(SimTime::from_secs(200));
+    assert_eq!(sys.shared().queue.capacity(), built, "regrew at full load");
+    assert!(sys.shared().queue.len() > usize::try_from(capacity).unwrap() * 17);
+}

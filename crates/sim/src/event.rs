@@ -4,26 +4,71 @@
 //! were scheduled (FIFO among ties). This matters for protocol fidelity:
 //! the Tiger insertion-ordering argument of §4.1.3 assumes that a cub that
 //! sends a deschedule before an insertion has those messages *processed* in
-//! that order, and the simulation must not reorder them through heap
+//! that order, and the simulation must not reorder them through queue
 //! internals.
 //!
-//! Two hot-path optimizations (this is the innermost loop of every
-//! experiment run):
+//! The queue is a calendar, the shape of the paper's own schedule (§3.1: a
+//! ring indexed by time that a pointer walks). This is the innermost loop
+//! of every experiment run, and a full-scale system keeps 10–40 k events
+//! pending, nearly all of them seconds ahead; a comparison heap pays for
+//! that depth on every operation, the calendar does not:
 //!
-//! * Each entry's `(time, seq)` ordering pair is packed into a single
-//!   `u128` key, so heap sift comparisons are one integer compare instead
-//!   of a lexicographic tuple compare.
-//! * A one-entry *front slot* short-circuits the common dispatch pattern
-//!   where a handler pops the head event and immediately schedules a
-//!   follow-up that precedes everything else pending (immediate retries,
-//!   `now + 1ns` insert attempts, near-future deliveries into a far-future
-//!   backlog). Such an entry never touches the heap: scheduling it and
-//!   popping it are both O(1) instead of two O(log n) sifts.
+//! * Every pending event sits in one slab slot, allocated from a free list,
+//!   and stays there until it is popped. A slot is a 24-byte link (time,
+//!   `seq`, next slot) and the payload, in two parallel vectors.
+//! * Time is cut into buckets of 2²⁰ ns (≈1 ms). The bucket being drained,
+//!   `cur`, is a small binary heap of `(key, slot)` pairs — the *near*
+//!   heap — where `key` packs `(time, seq)` into one `u128`, so a single
+//!   integer compare orders by time first and scheduling order second.
+//! * The 2¹⁴ − 1 buckets after `cur` (≈17 s: past `maxVStateLead` plus the
+//!   mirror fan-out, the longest routine delay) are a ring of intrusive
+//!   singly-linked lists threaded through the links, with an occupancy
+//!   bitmap to find the next non-empty one. Scheduling into the ring is a
+//!   list push; order inside a bucket is settled when the bucket is loaded
+//!   into the near heap.
+//! * Anything later still (pre-scheduled client starts, restarts,
+//!   restripes) waits in a small *overflow* heap and moves into the ring
+//!   once, when `cur` comes within a ring of it.
+//!
+//! Why the pop order is exactly `(time, seq)`: the near heap holds every
+//! pending event whose bucket is at or before `cur`, the ring holds
+//! exactly those with `cur < bucket < cur + RING` (so each ring position
+//! stands for one bucket), and the overflow heap the rest. `cur` only
+//! rises, and only to the smallest occupied bucket, when the near heap
+//! runs empty; so the near heap's head is the queue's head whenever
+//! anything is pending, and ties inside it are broken by `seq`. The pop
+//! that empties the near heap refills it before returning, which keeps
+//! [`EventQueue::peek_time`] a plain read.
 
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::time::SimTime;
+use crate::time::{SimDuration, SimTime};
+
+/// log₂ of a bucket's width in nanoseconds. A constant, not an option: the
+/// order is right at any width, and at full scale 2¹⁸ and 2²³ ns both
+/// measured 8–11 % slower end to end (EXPERIMENTS.md "QUEUE").
+const BUCKET_SHIFT: u32 = 20;
+/// Buckets in the ring; a power of two.
+const RING: u64 = 1 << 14;
+/// The null slot index: the end of a bucket's list or of the free list.
+const NIL: u32 = u32::MAX;
+
+/// A slab slot under its ordering key, `time << 64 | seq`. `Reverse`
+/// because `BinaryHeap` is a max-heap and the earliest key pops first.
+type Keyed = Reverse<(u128, u32)>;
+
+fn keyed(at: u64, seq: u64, slot: u32) -> Keyed {
+    Reverse(((u128::from(at) << 64) | u128::from(seq), slot))
+}
+
+fn time_of(key: u128) -> SimTime {
+    SimTime::from_nanos((key >> 64) as u64)
+}
+
+fn bucket_of(key: u128) -> u64 {
+    (key >> (64 + BUCKET_SHIFT)) as u64
+}
 
 /// An event queue keyed by simulated time with FIFO tie-breaking.
 ///
@@ -38,52 +83,36 @@ pub struct EventQueue<E> {
     seq: u64,
     /// Events [`EventQueue::jump_to`] threw away unpopped.
     discarded: u64,
-    /// An entry that sorts strictly before everything in `heap`, if any.
-    front: Option<Entry<E>>,
-    heap: BinaryHeap<Entry<E>>,
+    /// Pending events: near heap + ring + overflow heap.
+    len: usize,
+    /// The bucket (`time >> BUCKET_SHIFT`) the near heap drains. Only rises.
+    cur: u64,
+    /// Every pending event in bucket `cur` or before it.
+    near: BinaryHeap<Keyed>,
+    /// The list head of each bucket in `cur + 1 .. cur + RING`, indexed by
+    /// bucket modulo `RING`; `NIL` where empty. Allocated on first use: a
+    /// queue that never looks a millisecond ahead never pays for it.
+    heads: Vec<u32>,
+    /// One bit per ring position, set where `heads` is not `NIL`.
+    occupied: Vec<u64>,
+    /// Every pending event at bucket `cur + RING` or beyond.
+    overflow: BinaryHeap<Keyed>,
+    /// Slot `i` is `links[i]` and `events[i]`. Apart, because loading a
+    /// bucket walks links only, and 42 k of them fit a cache that 42 k
+    /// whole slots do not (+5–9 % end to end at that depth).
+    links: Vec<Link>,
+    /// `None` while the slot is on the free list.
+    events: Vec<Option<E>>,
+    /// The head of the free-slot list, through `Link::next`.
+    free: u32,
 }
 
 #[derive(Debug)]
-struct Entry<E> {
-    /// `(time, seq)` packed as `time << 64 | seq`: one compare orders by
-    /// time first and insertion sequence second (the FIFO tie-break).
-    key: u128,
-    event: E,
-}
-
-impl<E> Entry<E> {
-    fn new(at: SimTime, seq: u64, event: E) -> Self {
-        Entry {
-            key: (u128::from(at.as_nanos()) << 64) | u128::from(seq),
-            event,
-        }
-    }
-
-    fn at(&self) -> SimTime {
-        SimTime::from_nanos((self.key >> 64) as u64)
-    }
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
-}
-
-impl<E> Eq for Entry<E> {}
-
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops
-        // first.
-        other.key.cmp(&self.key)
-    }
+struct Link {
+    at: u64,
+    seq: u64,
+    /// The next slot of the same ring bucket, or of the free list.
+    next: u32,
 }
 
 impl<E> EventQueue<E> {
@@ -93,25 +122,33 @@ impl<E> EventQueue<E> {
     }
 
     /// Creates an empty queue pre-sized for `capacity` pending events, so
-    /// long runs do not regrow the heap mid-simulation.
+    /// long runs do not regrow the slab mid-simulation.
     pub fn with_capacity(capacity: usize) -> Self {
         EventQueue {
             now: SimTime::ZERO,
             seq: 0,
             discarded: 0,
-            front: None,
-            heap: BinaryHeap::with_capacity(capacity),
+            len: 0,
+            cur: 0,
+            near: BinaryHeap::new(),
+            heads: Vec::new(),
+            occupied: Vec::new(),
+            overflow: BinaryHeap::new(),
+            links: Vec::with_capacity(capacity),
+            events: Vec::with_capacity(capacity),
+            free: NIL,
         }
     }
 
     /// Reserves room for at least `additional` more pending events.
     pub fn reserve(&mut self, additional: usize) {
-        self.heap.reserve(additional);
+        self.links.reserve(additional);
+        self.events.reserve(additional);
     }
 
     /// The number of pending events the queue can hold without regrowing.
     pub fn capacity(&self) -> usize {
-        self.heap.capacity()
+        self.events.capacity().min(self.links.capacity())
     }
 
     /// The current simulated time (the timestamp of the last popped event).
@@ -121,12 +158,12 @@ impl<E> EventQueue<E> {
 
     /// The number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len() + usize::from(self.front.is_some())
+        self.len
     }
 
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.front.is_none() && self.heap.is_empty()
+        self.len == 0
     }
 
     /// Events scheduled over the queue's lifetime, dispatched or not.
@@ -138,7 +175,7 @@ impl<E> EventQueue<E> {
     /// pending, popped, or was discarded by [`EventQueue::jump_to`], so
     /// the pop path itself counts nothing.
     pub fn dispatched(&self) -> u64 {
-        self.seq - self.discarded - self.len() as u64
+        self.seq - self.discarded - self.len as u64
     }
 
     /// Schedules `event` at the absolute instant `at`.
@@ -152,51 +189,57 @@ impl<E> EventQueue<E> {
             "scheduled an event in the past: at={at:?} now={:?}",
             self.now
         );
-        let seq = self.seq;
+        let (at, seq) = (at.as_nanos(), self.seq);
         self.seq += 1;
-        let mut entry = Entry::new(at, seq, event);
-        // Keys are unique (seq increments), so strict compares suffice.
-        // Maintain the invariant: `front` sorts before every heap entry.
-        match &mut self.front {
-            Some(f) => {
-                if entry.key < f.key {
-                    std::mem::swap(f, &mut entry);
-                }
-                self.heap.push(entry);
-            }
-            None => {
-                if self.heap.peek().is_none_or(|h| entry.key < h.key) {
-                    self.front = Some(entry);
-                } else {
-                    self.heap.push(entry);
-                }
-            }
+        let link = Link { at, seq, next: NIL };
+        let index = if self.free == NIL {
+            let index = u32::try_from(self.links.len()).expect("under 2^32 pending events");
+            assert!(index != NIL, "under 2^32 - 1 pending events");
+            self.links.push(link);
+            self.events.push(Some(event));
+            index
+        } else {
+            let index = self.free;
+            self.free = std::mem::replace(&mut self.links[index as usize], link).next;
+            self.events[index as usize] = Some(event);
+            index
+        };
+        if self.len == 0 {
+            // Nothing pending: open the calendar at this event, so that the
+            // near heap holds the head.
+            self.cur = self.cur.max(at >> BUCKET_SHIFT);
         }
+        self.len += 1;
+        self.place(keyed(at, seq, index));
     }
 
     /// Schedules `event` after a delay from the current time.
-    pub fn schedule_in(&mut self, delay: crate::time::SimDuration, event: E) {
+    pub fn schedule_in(&mut self, delay: SimDuration, event: E) {
         self.schedule(self.now + delay, event);
     }
 
     /// The timestamp of the next event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        match &self.front {
-            Some(f) => Some(f.at()),
-            None => self.heap.peek().map(Entry::at),
-        }
+        let Reverse((key, _)) = self.near.peek()?;
+        Some(time_of(*key))
     }
 
     /// Removes and returns the next event, advancing the clock to it.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let entry = match self.front.take() {
-            Some(f) => f,
-            None => self.heap.pop()?,
-        };
-        let at = entry.at();
+        let Reverse((key, index)) = self.near.pop()?;
+        let at = time_of(key);
         debug_assert!(at >= self.now, "event queue time went backwards");
         self.now = at;
-        Some((at, entry.event))
+        let event = self.events[index as usize]
+            .take()
+            .expect("a keyed slot holds its event");
+        self.links[index as usize].next = self.free;
+        self.free = index;
+        self.len -= 1;
+        if self.near.is_empty() && self.len > 0 {
+            self.refill();
+        }
+        Some((at, event))
     }
 
     /// Removes and returns the next event only if it is at or before
@@ -213,10 +256,78 @@ impl<E> EventQueue<E> {
     /// Used by experiment drivers to fast-forward between phases.
     pub fn jump_to(&mut self, at: SimTime) {
         assert!(at >= self.now, "cannot jump backwards in time");
-        self.discarded += self.len() as u64;
-        self.front = None;
-        self.heap.clear();
+        self.discarded += self.len as u64;
+        self.len = 0;
+        self.near.clear();
+        self.heads.fill(NIL);
+        self.occupied.fill(0);
+        self.overflow.clear();
+        self.links.clear();
+        self.events.clear();
+        self.free = NIL;
         self.now = at;
+    }
+
+    /// Files a keyed slot under the tier its bucket belongs to.
+    fn place(&mut self, entry: Keyed) {
+        let Reverse((key, index)) = entry;
+        let bucket = bucket_of(key);
+        if bucket <= self.cur {
+            self.near.push(entry);
+        } else if bucket - self.cur < RING {
+            if self.heads.is_empty() {
+                self.heads = vec![NIL; RING as usize];
+                self.occupied = vec![0; RING as usize / 64];
+            }
+            let pos = (bucket % RING) as usize;
+            self.links[index as usize].next = self.heads[pos];
+            self.heads[pos] = index;
+            self.occupied[pos / 64] |= 1 << (pos % 64);
+        } else {
+            self.overflow.push(entry);
+        }
+    }
+
+    /// Moves `cur` to the earliest occupied bucket and loads it into the
+    /// (empty) near heap. Something must be pending.
+    fn refill(&mut self) {
+        debug_assert!(self.near.is_empty() && self.len > 0);
+        if self.len > self.overflow.len() {
+            // The ring is not empty, and everything in it precedes the
+            // overflow heap: walk the bitmap from the position after `cur`,
+            // around the ring if need be, to the next occupied one.
+            let from = (self.cur + 1) % RING;
+            let mut word = from as usize / 64;
+            let mut bits = self.occupied[word] & (!0 << (from % 64));
+            while bits == 0 {
+                word = (word + 1) % self.occupied.len();
+                bits = self.occupied[word];
+            }
+            let pos = word as u64 * 64 + u64::from(bits.trailing_zeros());
+            self.cur += 1 + pos.wrapping_sub(from) % RING;
+        } else {
+            let Reverse((key, _)) = self.overflow.peek().expect("something is pending");
+            self.cur = bucket_of(*key);
+        }
+        // The ring's window moved: admit what it now covers.
+        while let Some(&entry) = self.overflow.peek() {
+            let Reverse((key, _)) = entry;
+            if bucket_of(key) - self.cur >= RING {
+                break;
+            }
+            self.overflow.pop();
+            self.place(entry);
+        }
+        let pos = (self.cur % RING) as usize;
+        if let Some(head) = self.heads.get_mut(pos) {
+            let mut index = std::mem::replace(head, NIL);
+            self.occupied[pos / 64] &= !(1 << (pos % 64));
+            while index != NIL {
+                let link = &self.links[index as usize];
+                self.near.push(keyed(link.at, link.seq, index));
+                index = link.next;
+            }
+        }
     }
 }
 
@@ -289,7 +400,8 @@ mod tests {
     fn jump_to_discards_and_advances() {
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_secs(1), ());
-        q.schedule(SimTime::from_secs(100), ()); // one in the front slot, one in the heap
+        q.schedule(SimTime::from_secs(10), ()); // near heap, ring, overflow heap
+        q.schedule(SimTime::from_secs(100), ());
         q.jump_to(SimTime::from_secs(142));
         assert!(q.is_empty());
         assert_eq!(q.len(), 0);
@@ -304,13 +416,10 @@ mod tests {
         for i in 0..1024 {
             q.schedule(SimTime::from_nanos(u64::from(i)), i);
         }
-        // Filling to the pre-sized capacity must not regrow the heap. The
-        // front-slot holds one entry, so at most `capacity` reach the heap.
+        // Filling to the pre-sized capacity must not regrow the slab.
         assert_eq!(q.capacity(), before);
         q.reserve(4096);
-        // `reserve` sizes the heap; the front slot holds one entry outside it.
-        let in_heap = q.len() - 1;
-        assert!(q.capacity() >= in_heap + 4096);
+        assert!(q.capacity() >= q.len() + 4096);
     }
 
     #[test]
@@ -318,7 +427,7 @@ mod tests {
         let mut q = EventQueue::new();
         assert_eq!((q.scheduled(), q.dispatched()), (0, 0));
         for i in 0..5u64 {
-            q.schedule(SimTime::from_secs(i), i); // front slot and heap both
+            q.schedule(SimTime::from_secs(i), i);
         }
         assert_eq!((q.scheduled(), q.dispatched(), q.len()), (5, 0, 5));
         // A pop the horizon refuses dispatches nothing.
@@ -338,35 +447,123 @@ mod tests {
         assert_eq!((q.scheduled(), q.dispatched()), (8, 4));
     }
 
-    /// The front-slot fast path must be invisible: any interleaving of
-    /// schedules and pops yields the same order as a plain sorted-by
-    /// `(time, seq)` queue.
     #[test]
-    fn fast_path_preserves_order_across_interleavings() {
-        // Pop-then-schedule-at-head: the follow-up lands in the front slot,
-        // then a later schedule at the same instant must NOT overtake older
-        // same-instant heap entries.
+    fn same_instant_ties_are_fifo_across_tiers() {
         let mut q = EventQueue::new();
-        let t = SimTime::from_secs(5);
-        q.schedule(t, "heap-old");
-        q.schedule(SimTime::from_secs(1), "first");
-        assert_eq!(q.pop().map(|(_, e)| e), Some("first")); // now = 1s
-        q.schedule(SimTime::from_secs(2), "front"); // beats heap min -> front slot
-        q.schedule(t, "heap-new"); // same instant as heap-old, younger seq
+        let t = SimTime::from_secs(30);
+        q.schedule(SimTime::from_nanos(1), "first");
+        q.schedule(t, "via-overflow"); // past the 17 s ring
+        q.schedule(SimTime::from_secs(15), "mid");
+        assert_eq!(q.pop().map(|(_, e)| e), Some("first"));
+        // `mid`'s bucket is loaded and `t` is now within a ring of it.
+        q.schedule(t, "via-ring");
+        assert_eq!(q.pop().map(|(_, e)| e), Some("mid"));
+        // `t`'s bucket is the one being drained.
+        q.schedule(t, "via-near");
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-        assert_eq!(order, vec!["front", "heap-old", "heap-new"]);
+        assert_eq!(order, vec!["via-overflow", "via-ring", "via-near"]);
     }
 
     #[test]
-    fn scheduling_below_front_demotes_it_to_the_heap() {
+    fn scheduling_before_the_loaded_bucket_pops_first() {
         let mut q = EventQueue::new();
-        q.schedule(SimTime::from_secs(10), "late");
-        q.schedule(SimTime::from_secs(5), "mid"); // front slot
-        q.schedule(SimTime::from_secs(2), "early"); // displaces mid
-        assert_eq!(q.len(), 3);
+        q.schedule(SimTime::from_secs(1), "a");
+        q.schedule(SimTime::from_secs(10), "c");
+        // Popping `a` empties its bucket and loads `c`'s, nine seconds on.
+        assert_eq!(q.pop().map(|(_, e)| e), Some("a"));
+        q.schedule(SimTime::from_secs(2), "b");
+        assert_eq!(q.len(), 2);
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(2)));
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-        assert_eq!(order, vec!["early", "mid", "late"]);
+        assert_eq!(order, vec!["b", "c"]);
+    }
+
+    /// Differential check of the calendar against a `BTreeMap` keyed by
+    /// `(time, seq)`: every operation, every observer after every step,
+    /// with delays that sit on each tier boundary (same bucket, the next
+    /// one, the last ring bucket, the first overflow one) and idle gaps of
+    /// many horizons, so the ring wraps and the overflow heap migrates.
+    #[test]
+    fn calendar_matches_the_btreemap_model() {
+        use std::collections::BTreeMap;
+        const WIDTH: u64 = 1 << BUCKET_SHIFT;
+        fn delay(rng: &mut crate::rng::SimRng) -> u64 {
+            let buckets = match rng.gen_range(0u32..10) {
+                0..=2 => 0u64,
+                3 => 1,
+                4 => rng.gen_range(2..2_000u64),
+                5 => RING - 1,
+                6 => RING,
+                7 => RING + 1,
+                8 => rng.gen_range(2..RING),
+                _ => rng.gen_range(2..50u64) * RING + rng.gen_range(0..RING),
+            };
+            let fine = match rng.gen_range(0u32..4) {
+                0 => 0,
+                1 => 1,
+                2 => WIDTH - 1,
+                _ => rng.gen_range(0..WIDTH),
+            };
+            buckets * WIDTH + fine
+        }
+        crate::check::check("event-queue-calendar", |rng| {
+            let mut q = EventQueue::new();
+            let mut model: BTreeMap<(u64, u64), u64> = BTreeMap::new();
+            let (mut now, mut scheduled, mut dispatched) = (0u64, 0u64, 0u64);
+            for step in 0..rng.gen_range(20..400u64) {
+                let op = rng.gen_range(0u32..100);
+                match op {
+                    0..=49 => {
+                        // A fresh instant, or one that something pending
+                        // holds already: ties whose members arrive by
+                        // different tiers.
+                        let tie = model.keys().nth(rng.gen_range(0..model.len() + 1));
+                        let at = match tie {
+                            Some(&(at, _)) if rng.gen_bool(0.3) => at,
+                            _ => now + delay(rng),
+                        };
+                        if rng.gen_bool(0.5) {
+                            q.schedule(SimTime::from_nanos(at), step);
+                        } else {
+                            q.schedule_in(SimDuration::from_nanos(at - now), step);
+                        }
+                        model.insert((at, scheduled), step);
+                        scheduled += 1;
+                    }
+                    50..=97 => {
+                        // `pop`, or `pop_until` with the head on either side
+                        // of the horizon.
+                        let horizon = if op < 85 { u64::MAX } else { now + delay(rng) };
+                        let head = model.first_key_value().map(|(&key, &id)| (key, id));
+                        let expect = head.filter(|&((at, _), _)| at <= horizon);
+                        if let Some((key, _)) = expect {
+                            model.remove(&key);
+                            now = key.0;
+                            dispatched += 1;
+                        }
+                        let got = if op < 85 {
+                            q.pop()
+                        } else {
+                            q.pop_until(SimTime::from_nanos(horizon))
+                        };
+                        assert_eq!(
+                            got,
+                            expect.map(|((at, _), id)| (SimTime::from_nanos(at), id))
+                        );
+                    }
+                    _ => {
+                        now += delay(rng);
+                        q.jump_to(SimTime::from_nanos(now));
+                        model.clear();
+                    }
+                }
+                let head = model.first_key_value().map(|(&(at, _), _)| at);
+                assert_eq!(q.peek_time(), head.map(SimTime::from_nanos));
+                assert_eq!(q.now(), SimTime::from_nanos(now));
+                assert_eq!((q.len(), q.is_empty()), (model.len(), model.is_empty()));
+                assert_eq!((q.scheduled(), q.dispatched()), (scheduled, dispatched));
+            }
+        });
     }
 
     /// Randomized differential check: the queue agrees with a reference

@@ -10,7 +10,7 @@
 //!
 //! Determinism contract: a simulation driven by [`EventQueue`] is a pure
 //! function of its inputs. Ties in event time are broken by insertion
-//! sequence number, so iteration order never depends on heap internals.
+//! sequence number, so iteration order never depends on queue internals.
 //!
 //! The whole substrate is dependency-free: the PRNG ([`SimRng`], a
 //! splitmix64-seeded xoshiro256++) and the property-test harness

@@ -18,6 +18,14 @@ cargo test -q
 echo "== full workspace tests" >&2
 cargo test -q --workspace
 
+# The event queue's calendar against its BTreeMap model, at eight times
+# the default case count: tier boundaries (same bucket, last ring bucket,
+# first overflow bucket) and many-horizon idle gaps are rare draws, and
+# every simulated result in the repository rests on this one pop order.
+# Fatal.
+echo "== event queue: calendar vs (time, seq) model, 2000 cases" >&2
+TIGER_PROP_CASES=2000 cargo test -q -p tiger-sim --lib calendar_matches_the_btreemap_model
+
 # Formatting is checked when a rustfmt is available; its absence must not
 # fail the gate on minimal toolchains.
 if cargo fmt --version >/dev/null 2>&1; then

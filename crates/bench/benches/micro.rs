@@ -455,7 +455,7 @@ fn bench_admission_storm(c: &mut Runner) {
 
 fn bench_event_queue(c: &mut Runner) {
     // Pop the head, schedule a replacement a fixed delay out. Re-baselined
-    // 45 -> 70 ns with the calendar queue (PR 17), and it is the calendar's
+    // 45 -> 77 ns with the calendar queue (PR 17), and it is the calendar's
     // worst shape, not the simulator's: 4096 events a microsecond apart are
     // a thousand to a millisecond bucket, so the near heap is a
     // thousand-entry binary heap with the ring's bookkeeping on top. The
@@ -530,12 +530,12 @@ fn bench_event_queue(c: &mut Runner) {
         })
     });
     // Cold fill: what building up a fresh queue costs, regrowth included.
-    // Re-baselined 8.0 -> 14 us (PR 17): all 1024 instants fall in the first
+    // Re-baselined 8.0 -> 15 us (PR 17): all 1024 instants fall in the first
     // bucket, so each event is three pushes into three vectors growing from
     // nothing (link, payload, near-heap key) where the heap had one. The
     // ring is allocated on first use and this never reaches it;
     // `TigerSystem::new` pre-sizes the slab, and end to end `setup_s` fell
-    // 15-25 % with the same change.
+    // 9-23 % with the same change.
     c.bench_function("event_queue/fill_1k_fresh", |b| {
         b.iter(|| {
             let mut q = EventQueue::new();

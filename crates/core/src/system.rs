@@ -343,9 +343,9 @@ impl TigerSystem {
         // every block in that lead keeps a `ReadIssue` and a `SendDue`
         // pending per shard (18 events a stream at `sosp97`, 17.6 measured),
         // plus per-node periodic work and driver-queued starts.
-        let lead = (cfg.max_vstate_lead.as_nanos()).div_ceil(cfg.block_play_time.as_nanos());
-        let shards = coded.as_ref().map_or(1, |c| c.placement.k());
-        let per_stream = 2 * lead as usize * shards as usize;
+        let lead = cfg.max_vstate_lead.as_nanos();
+        let shards = coded.as_ref().map_or(1, |c| c.placement.k()) as usize;
+        let per_stream = 2 * lead.div_ceil(cfg.block_play_time.as_nanos()) as usize * shards;
         let queue_hint = params.capacity() as usize * per_stream + nodes as usize * 4 + 128;
         let mut sys = TigerSystem {
             shared: Shared {

@@ -365,5 +365,5 @@ fn full_load_never_regrows_the_event_queue() {
     assert_eq!(sys.shared().queue.capacity(), built, "regrew while warming");
     sys.run_until(SimTime::from_secs(200));
     assert_eq!(sys.shared().queue.capacity(), built, "regrew at full load");
-    assert!(sys.shared().queue.len() > usize::try_from(capacity).unwrap() * 17);
+    assert!(sys.shared().queue.len() > capacity as usize * 17);
 }

@@ -193,11 +193,10 @@ impl<E> EventQueue<E> {
         self.seq += 1;
         let link = Link { at, seq, next: NIL };
         let index = if self.free == NIL {
-            let index = u32::try_from(self.links.len()).expect("under 2^32 pending events");
-            assert!(index != NIL, "under 2^32 - 1 pending events");
+            assert!(self.links.len() < NIL as usize, "slot indices are u32");
             self.links.push(link);
             self.events.push(Some(event));
-            index
+            (self.links.len() - 1) as u32
         } else {
             let index = self.free;
             self.free = std::mem::replace(&mut self.links[index as usize], link).next;
@@ -340,7 +339,6 @@ impl<E> Default for EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimDuration;
 
     #[test]
     fn pops_in_time_order() {

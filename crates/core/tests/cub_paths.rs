@@ -2,7 +2,8 @@
 //! read or edit the active-service table, the shadow records, the
 //! retired log and the held deschedules — VCR churn with deschedules
 //! circulating, a power-cut with deschedules in flight and a takeover
-//! promoting shadows, and the two halves of a rejoin.
+//! promoting shadows, the two halves of a rejoin, and insertion under
+//! ownership misses with the start disk's cub cut mid-queue.
 //!
 //! Same discipline as `service_paths.rs` and `reconfig_paths.rs`: each
 //! scenario is a small fixed-seed run whose *entire* observable output —
@@ -253,4 +254,104 @@ fn rejoin_reads_shadows_and_the_retired_log() {
     }
     assert_eq!(sys.all_clients_report().dup_blocks, 0);
     assert_eq!(digest, 0xd04f_c625_1d93_ae32);
+}
+
+#[test]
+fn ownership_misses_queue_starts_across_a_power_cut() {
+    // Twelve clients ask for the same file in the same instant, on top
+    // of sixteen plays already running: every start is gated on the
+    // file's start disk, whose pointer opens one ownership window per
+    // block service time, so the queue drains a slot at a time and
+    // misses wherever a running stream sits. Two of the twelve stop 20 ms
+    // after asking — once the controller has routed their start (a stop
+    // inside the 2–10 ms request latency finds no record and is dropped
+    // as "never started") but seconds before it has a slot, so the
+    // controller can only note `stop_wanted` and route the deschedule
+    // when the commit arrives (the §4.1.3 stop/insert race). The start
+    // disk's cub is cut with most of the queue still waiting: its
+    // successor promotes the redundant copies it held and inserts
+    // through `cover_failed_disk`, on the dead pointer's ownership
+    // windows.
+    let mut sys = TigerSystem::new(eight_cubs());
+    load(&mut sys, 16, 120);
+    let file = tiger_layout::FileId(0);
+    let at = SimTime::from_secs(12);
+    let burst: Vec<ViewerInstance> = (0..12)
+        .map(|_| {
+            let client = sys.add_client();
+            sys.request_start(at, client, file)
+        })
+        .collect();
+    let stopped = [burst[4], burst[9]];
+    for inst in stopped {
+        sys.request_stop(at + SimDuration::from_millis(20), inst);
+    }
+    // File 0 starts on disk 0, which is cub 0's.
+    sys.fail_cub_at(SimTime::from_millis(12_700), CubId(0));
+    sys.run_until(SimTime::from_secs(60));
+    let (records, digest) = finish(&sys, "ownership_misses_queue_starts_across_a_power_cut");
+    let in_burst = |viewer: u64| burst.iter().any(|i| i.viewer.raw() == viewer);
+    let commits: Vec<&TraceRecord> = records
+        .iter()
+        .filter(|r| matches!(r.ev, TraceEvent::InsertCommit { viewer, .. } if in_burst(viewer)))
+        .collect();
+    assert_eq!(commits.len(), 12, "every queued start found a slot");
+    let windows = commits.windows(2).filter(|w| w[0].at < w[1].at).count() + 1;
+    let misses = count(
+        &records,
+        |r| matches!(r.ev, TraceEvent::InsertMiss { viewer, disk: 0, .. } if in_burst(viewer)),
+    );
+    let by_home = commits.iter().filter(|r| r.cub == 0).count();
+    let by_successor = commits.iter().filter(|r| r.cub == 1).count();
+    println!("  misses {misses}, windows {windows}, home {by_home}, successor {by_successor}");
+    assert_eq!(misses, 78, "starts that found their window's slot taken");
+    assert_eq!(windows, 12, "one commit per ownership window");
+    assert_eq!((by_home, by_successor), (5, 7));
+    let takeover_at = records
+        .iter()
+        .find(|r| r.cub == 1 && r.ev == TraceEvent::MirrorTakeover { failed_cub: 0 })
+        .expect("cub 1 never took over")
+        .at;
+    for r in commits.iter().filter(|r| r.cub == 1) {
+        assert!(r.at >= takeover_at, "cub 1 inserted before it took over");
+        let TraceEvent::InsertCommit { slot, viewer, .. } = r.ev else {
+            unreachable!("filtered above");
+        };
+        let covered = TraceEvent::MirrorCreate {
+            slot,
+            viewer,
+            inc: 0,
+            failed_disk: 0,
+        };
+        assert!(
+            records
+                .iter()
+                .any(|m| m.at == r.at && m.cub == 1 && m.ev == covered),
+            "viewer {viewer} was not inserted through the mirror path"
+        );
+    }
+    for inst in stopped {
+        let viewer = inst.viewer.raw();
+        let committed = commits
+            .iter()
+            .find(|r| matches!(r.ev, TraceEvent::InsertCommit { viewer: v, .. } if v == viewer))
+            .expect("counted above")
+            .at;
+        let routed: Vec<SimTime> = records
+            .iter()
+            .filter(
+                |r| matches!(r.ev, TraceEvent::CtrlRouteDesched { viewer: v, .. } if v == viewer),
+            )
+            .map(|r| r.at)
+            .collect();
+        assert_eq!(
+            routed.len(),
+            1,
+            "viewer {viewer}: one deschedule, at commit"
+        );
+        assert!(routed[0] > committed && routed[0] < committed + SimDuration::from_millis(50));
+        assert!(sys.controller().viewer(&inst).is_none(), "record freed");
+    }
+    assert!(sys.take_violations().is_empty());
+    assert_eq!(digest, 0x7579_a115_d239_9f05);
 }

@@ -5,7 +5,8 @@
 //! with the succeeding cub without having to increase the scheduling lead
 //! value."
 //!
-//! The four latency-model runs are independent; the body lives in
+//! The five `MbrSystem` rings (four latency models, then the LAN ring on
+//! a second sequence of rates) are independent; the body lives in
 //! `tiger_bench::fleet` and shards them across `TIGER_FLEET_THREADS`
 //! workers (output is identical at any thread count).
 

@@ -36,14 +36,13 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use tiger_core::{
-    ForwardingPolicy, MbrConfig, MbrCoordinator, MbrOutcome, MbrSystem, Metrics, TigerConfig,
-    TigerSystem,
+    ForwardingPolicy, MbrConfig, MbrDistStats, MbrSystem, Metrics, TigerConfig, TigerSystem,
 };
 use tiger_layout::ids::ViewerInstance;
 use tiger_layout::{CubId, DiskId, MirrorPlacement, StripeConfig, ViewerId};
 use tiger_net::LatencyModel;
 use tiger_sched::{NetEntryId, NetworkSchedule, ScheduleParams};
-use tiger_sim::{Bandwidth, ByteSize, RngTree, SimDuration, SimTime};
+use tiger_sim::{Bandwidth, ByteSize, RngTree, SimDuration, SimRng, SimTime};
 use tiger_workload::{
     format_ramp_table, run_ramp, run_reconfig, run_startup, CatalogSpec, RampConfig, RampResult,
     ReconfigConfig, StartupConfig,
@@ -751,89 +750,90 @@ pub fn fragmentation_report(scale: Scale, threads: usize) -> ExpReport {
     }
 }
 
-fn mbr_run(latency: LatencyModel, deadline_ms: u64, inserts: u64) -> (usize, u64, f64) {
+/// One 14-cub `MbrSystem` ring under the §4.2 insert storm: `inserts`
+/// requests 40 ms apart, round-robin over the origins, rates drawn from
+/// `rng`, 700 ms deadline. Returns the stats and cub 0's control bytes.
+fn mbr_run(
+    latency: LatencyModel,
+    mut rng: SimRng,
+    inserts: u64,
+    horizon: SimDuration,
+) -> (MbrDistStats, u64) {
     let mut cfg = MbrConfig::default_ring();
     cfg.latency = latency;
-    let mut coord = MbrCoordinator::new(cfg);
-    let mut rng = RngTree::new(11).fork("mbr-bench", 0);
+    let mut ring = MbrSystem::new(cfg, SimDuration::from_millis(MBR_DEADLINE_MS));
     let rates = [1u64, 2, 3, 4, 6];
-    let mut committed = 0usize;
     for i in 0..inserts {
-        let origin = (i % 14) as u32;
         let rate = Bandwidth::from_mbit_per_sec(rates[rng.gen_range(0..rates.len())]);
-        let out = coord.try_insert(
-            SimTime::from_millis(i * 40),
-            origin,
-            rate,
-            SimDuration::from_millis(deadline_ms),
-        );
-        match out {
-            MbrOutcome::Committed { .. } => committed += 1,
-            MbrOutcome::RejectedLocal => break,
-            MbrOutcome::Aborted => {}
-        }
+        ring.request_insert(SimTime::from_millis(i * 40), (i % 14) as u32, rate);
     }
-    (
-        committed,
-        coord.aborted_attempts(),
-        coord.hidden_confirm_fraction(),
-    )
+    ring.run_until(SimTime::ZERO + horizon);
+    (ring.stats(), ring.control_bytes(0))
 }
 
-/// §4.2 two-phase multiple-bitrate insertion: four latency models in
-/// parallel, then the message-level protocol run.
+const MBR_DEADLINE_MS: u64 = 700;
+
+fn hidden_pct(stats: &MbrDistStats) -> f64 {
+    stats.hidden_confirms as f64 / stats.committed.max(1) as f64 * 100.0
+}
+
+/// §4.2 two-phase multiple-bitrate insertion: the message-level protocol
+/// under four latency models, then the default ring on its own rate
+/// draws — five independent rings in parallel.
 pub fn mbr_report(scale: Scale, threads: usize) -> ExpReport {
     let (inserts, horizon) = match scale {
         Scale::Full => (600u64, SimDuration::from_secs(60)),
         Scale::Quick => (150, SimDuration::from_secs(15)),
     };
     let points = [
-        ("LAN 2-10 ms", LatencyModel::lan_default(), 700u64),
+        ("LAN 2-10 ms", LatencyModel::lan_default()),
         (
             "slow 50 ms fixed",
             LatencyModel::fixed(SimDuration::from_millis(50)),
-            700,
         ),
         (
             "WAN-ish 200 ms",
             LatencyModel::fixed(SimDuration::from_millis(200)),
-            700,
         ),
         (
             "too slow 400 ms",
             LatencyModel::fixed(SimDuration::from_millis(400)),
-            700,
         ),
     ];
-    let outcomes = run_indexed(points.len(), threads, |i| {
-        mbr_run(points[i].1, points[i].2, inserts)
+    // The sweep rows share one sequence of rate draws; the last ring is
+    // the LAN row again on a second sequence.
+    let runs = run_indexed(points.len() + 1, threads, |i| {
+        let (latency, rng) = match points.get(i) {
+            Some(&(_, latency)) => (latency, RngTree::new(11).fork("mbr-bench", 0)),
+            None => (
+                LatencyModel::lan_default(),
+                RngTree::new(23).fork("mbr-dist-bench", 0),
+            ),
+        };
+        mbr_run(latency, rng, inserts, horizon)
     });
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "latency model       deadline  committed  aborted  confirm_hidden%"
+        "latency model       deadline  committed  aborted  rejected_local  confirm_hidden%  violations"
     );
-    for ((label, _, deadline), (committed, aborted, hidden)) in points.iter().zip(&outcomes) {
+    for ((label, _), (stats, _)) in points.iter().zip(&runs) {
         let _ = writeln!(
             out,
-            "{label:<18}  {deadline:>6}ms  {committed:>9}  {aborted:>7}  {:>14.1}",
-            hidden * 100.0
+            "{label:<18}  {MBR_DEADLINE_MS:>6}ms  {:>9}  {:>7}  {:>14}  {:>15.1}  {:>10}",
+            stats.committed,
+            stats.aborted,
+            stats.rejected_local,
+            hidden_pct(stats),
+            stats.violations,
         );
     }
     out.push('\n');
     let _ = writeln!(
         out,
-        "-- full message-level protocol (MbrSystem over the simulated network) --"
+        "-- the LAN ring on a second sequence of rate draws, with its control traffic --"
     );
-    let mut dist = MbrSystem::new(MbrConfig::default_ring(), SimDuration::from_millis(700));
-    let mut rng2 = RngTree::new(23).fork("mbr-dist-bench", 0);
-    let rates = [1u64, 2, 3, 4, 6];
-    for i in 0..inserts {
-        let rate = Bandwidth::from_mbit_per_sec(rates[rng2.gen_range(0..rates.len())]);
-        dist.request_insert(SimTime::from_millis(i * 40), (i % 14) as u32, rate);
-    }
-    dist.run_until(SimTime::ZERO + horizon);
-    let stats = dist.stats();
+    let (stats, control_bytes) = &runs[points.len()];
     let _ = writeln!(
         out,
         "committed {}  aborted {}  rejected-local {}  confirm hidden {:.1}%  \
@@ -841,13 +841,12 @@ pub fn mbr_report(scale: Scale, threads: usize) -> ExpReport {
         stats.committed,
         stats.aborted,
         stats.rejected_local,
-        stats.hidden_confirms as f64 / stats.committed.max(1) as f64 * 100.0,
+        hidden_pct(stats),
         stats.violations,
     );
     let _ = writeln!(
         out,
-        "per-cub reserve/commit control bytes: {} (cub 0)",
-        dist.control_bytes(0)
+        "per-cub reserve/commit control bytes: {control_bytes} (cub 0)"
     );
     out.push('\n');
     let _ = writeln!(

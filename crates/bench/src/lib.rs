@@ -15,7 +15,7 @@
 //! | `ablation_forwarding` | §4.1.1: single vs double forwarding |
 //! | `ablation_lead` | §4.1.1: viewer-state lead sensitivity |
 //! | `ablation_fragmentation` | §3.2: network-schedule fragmentation |
-//! | `ablation_mbr` | §4.2: two-phase insertion latency hiding (call- and message-level) |
+//! | `ablation_mbr` | §4.2: two-phase insertion latency hiding (message-level, four latency models) |
 //! | `ablation_deadman` | §5: loss window vs deadman timeout |
 //! | `ablation_admission` | §5: the disabled admission-control code, re-enabled |
 //! | `ablation_coded` | coded vs mirrored redundancy under the flash crowd, equal storage (docs/CODED.md) |

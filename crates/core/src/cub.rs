@@ -199,11 +199,6 @@ impl Cub {
         &mut self.disks
     }
 
-    /// Queued (not yet inserted) start requests.
-    pub fn queued_starts(&self) -> usize {
-        self.ins.queued()
-    }
-
     /// Total schedule information currently held: live view entries,
     /// shadow (redundancy) records, active services, and the retired log.
     /// §4: "A necessary but insufficient condition for scalability is that

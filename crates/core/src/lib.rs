@@ -40,7 +40,6 @@ pub mod cpu;
 pub mod cub;
 pub mod event;
 pub mod mbr;
-pub mod mbr_dist;
 pub mod metrics;
 pub mod reconfig;
 pub mod recovery;
@@ -53,8 +52,7 @@ pub use config::{ForwardingPolicy, TigerConfig};
 pub use controller::Controller;
 pub use cpu::CpuModel;
 pub use cub::Cub;
-pub use mbr::{MbrConfig, MbrCoordinator, MbrOutcome};
-pub use mbr_dist::{MbrDistStats, MbrSystem};
+pub use mbr::{MbrConfig, MbrDistStats, MbrSystem};
 pub use metrics::{LossReport, Metrics, WindowSample};
 pub use reconfig::RestripeStep;
 pub use shield::ShieldMap;

@@ -1,29 +1,38 @@
-//! Multiple-bitrate insertion: the two-phase reservation protocol of §4.2.
+//! Multiple-bitrate insertion: the two-phase reservation protocol of
+//! §4.2, run as a *distributed* system over the event queue and the
+//! switched network.
 //!
 //! In the multiple-bitrate Tiger, schedule entries are one block play time
 //! wide, and cubs are exactly one block play time apart in the schedule —
 //! so no single cub ever has exclusive ownership of the span an insertion
 //! needs, and the single-bitrate ownership trick cannot work. Instead:
 //!
-//! 1. the originating cub checks its local view; if the insertion can't be
-//!    ruled out it *tentatively* inserts, **starts the first disk read
-//!    speculatively**, and asks its successor to reserve the space;
-//! 2. the successor checks its own view, records a reservation, and
-//!    replies;
-//! 3. if the confirmation arrives before the first block must be sent, the
-//!    originator commits (and the viewer state replaces the reservation);
-//!    otherwise it aborts, releases the reservation, and retries later.
+//! 1. the originating cub checks its local view, tentatively inserts,
+//!    **starts the first-block disk read speculatively**, and sends a
+//!    reserve request to its successor over the (latency-bearing, FIFO)
+//!    network;
+//! 2. the successor checks *its* view — which may hold reservations the
+//!    originator cannot see — records a reservation, and replies;
+//! 3. if the positive reply arrives before the deadline (the scheduling
+//!    lead budget), the originator commits and floods a commit notice
+//!    around the ring so every view converges; the successor's reservation
+//!    becomes a real entry. Otherwise the originator aborts, releases the
+//!    reservation, and the disk read is wasted.
 //!
 //! Because the disk read and the round trip overlap, "there will almost
 //! always be time for the communication with the succeeding cub without
-//! having to increase the scheduling lead value" — the ablation bench
-//! measures exactly that.
+//! having to increase the scheduling lead value" — the `ablation_mbr`
+//! bench measures exactly that.
+//!
+//! An omniscient observer applies every commit to a reference schedule and
+//! checks that the distributed views never overcommit the NIC anywhere —
+//! the coherent-hallucination condition for the 2-D schedule.
 
 use tiger_layout::ids::ViewerInstance;
 use tiger_layout::ViewerId;
-use tiger_net::LatencyModel;
+use tiger_net::{LatencyModel, NetNode, Network};
 use tiger_sched::{NetEntryId, NetworkSchedule};
-use tiger_sim::{Bandwidth, RngTree, SimDuration, SimRng, SimTime};
+use tiger_sim::{Bandwidth, DetHashMap, EventQueue, RngTree, SimDuration, SimRng, SimTime};
 
 /// Configuration of a multiple-bitrate schedule ring.
 #[derive(Clone, Debug)]
@@ -61,206 +70,455 @@ impl MbrConfig {
     }
 }
 
-/// Outcome of one two-phase insertion attempt.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum MbrOutcome {
-    /// Committed: the viewer is in the network schedule.
-    Committed {
-        /// Ring start position of the entry.
+/// Messages of the two-phase insertion protocol. The viewer instance
+/// names the attempt end to end: the reservation at the successor, the
+/// pending insertion at the originator, and the committed entry.
+#[derive(Clone, Debug)]
+enum MbrMsg {
+    Reserve {
+        instance: ViewerInstance,
         start: SimDuration,
-        /// When the insertion became final.
-        committed_at: SimTime,
-        /// Whether the reserve round trip was fully hidden behind the
-        /// speculative disk read.
-        confirm_hidden: bool,
+        rate: Bandwidth,
     },
-    /// The local view ruled the insertion out (schedule full at every
-    /// admissible start).
-    RejectedLocal,
-    /// The successor refused or answered too late; the tentative entry was
-    /// aborted and the disk read wasted.
-    Aborted,
+    ReserveReply {
+        instance: ViewerInstance,
+        ok: bool,
+    },
+    Commit {
+        instance: ViewerInstance,
+        start: SimDuration,
+        rate: Bandwidth,
+        hops_left: u32,
+    },
+    Release {
+        instance: ViewerInstance,
+    },
+    Remove {
+        instance: ViewerInstance,
+        hops_left: u32,
+    },
 }
 
-/// Coordinates two-phase insertions over per-cub views of the network
-/// schedule.
-#[derive(Debug)]
-pub struct MbrCoordinator {
-    cfg: MbrConfig,
-    /// Per-cub views. Committed entries are reflected everywhere (the
-    /// steady-state propagation keeps views current at the lead times that
-    /// matter); tentative entries and reservations live only in the views
-    /// of the two cubs involved.
-    views: Vec<NetworkSchedule>,
-    rng: SimRng,
-    next_viewer: u64,
-    /// (viewer, entry ids per view) for committed entries.
-    committed: Vec<(ViewerInstance, Vec<NetEntryId>)>,
-    aborted_attempts: u64,
-    committed_attempts: u64,
-    hidden_confirms: u64,
-}
+const MSG_BYTES: u64 = 64;
 
-impl MbrCoordinator {
-    /// Creates a ring with empty schedules.
-    pub fn new(cfg: MbrConfig) -> Self {
-        let views = (0..cfg.num_cubs)
-            .map(|_| {
-                NetworkSchedule::new(
-                    cfg.num_cubs,
-                    cfg.block_play_time,
-                    cfg.nic_capacity,
-                    cfg.quantum,
-                )
-            })
-            .collect();
-        let rng = RngTree::new(cfg.seed).fork("mbr", 0);
-        MbrCoordinator {
-            cfg,
-            views,
-            rng,
-            next_viewer: 0,
-            committed: Vec::new(),
-            aborted_attempts: 0,
-            committed_attempts: 0,
-            hidden_confirms: 0,
-        }
-    }
-
-    /// The view held by `cub` (for inspection).
-    pub fn view(&self, cub: u32) -> &NetworkSchedule {
-        &self.views[cub as usize]
-    }
-
-    /// Attempts a two-phase insertion of a `rate` stream originating at
-    /// `origin` at time `now`. The stream must start within
-    /// `deadline` of `now` (the scheduling lead budget).
-    pub fn try_insert(
-        &mut self,
-        now: SimTime,
+/// Events of the MBR simulation.
+#[derive(Clone, Debug)]
+enum MbrEvent {
+    Deliver {
+        dst: u32,
+        msg: MbrMsg,
+    },
+    ReadDone {
+        origin: u32,
+        instance: ViewerInstance,
+    },
+    Deadline {
+        origin: u32,
+        instance: ViewerInstance,
+    },
+    Request {
         origin: u32,
         rate: Bandwidth,
-        deadline: SimDuration,
-    ) -> MbrOutcome {
+    },
+}
+
+/// Outcome statistics of a distributed MBR run.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct MbrDistStats {
+    /// Insertions committed.
+    pub committed: u64,
+    /// Insertions aborted (successor refusal or deadline miss).
+    pub aborted: u64,
+    /// Insertions rejected by the local view alone.
+    pub rejected_local: u64,
+    /// Commits whose reserve round trip finished before the speculative
+    /// disk read (fully hidden latency).
+    pub hidden_confirms: u64,
+    /// Capacity violations found by the omniscient observer (must be 0).
+    pub violations: u64,
+}
+
+/// One in-flight two-phase insertion at its originating cub.
+#[derive(Clone, Copy, Debug)]
+struct Pending {
+    entry: NetEntryId,
+    start: SimDuration,
+    rate: Bandwidth,
+    /// When the speculative first-block read finished.
+    read_done_at: Option<SimTime>,
+    /// The successor's answer and when it arrived.
+    reply: Option<(bool, SimTime)>,
+    deadline: SimTime,
+}
+
+/// Per-cub state.
+struct MbrCub {
+    view: NetworkSchedule,
+    /// Reservations held on behalf of the predecessor.
+    held: DetHashMap<ViewerInstance, NetEntryId>,
+    /// Insertions this cub originated and has not yet resolved.
+    pending: DetHashMap<ViewerInstance, Pending>,
+}
+
+/// The distributed multiple-bitrate schedule manager.
+pub struct MbrSystem {
+    cfg: MbrConfig,
+    queue: EventQueue<MbrEvent>,
+    net: Network,
+    cubs: Vec<MbrCub>,
+    /// The omniscient reference schedule: all committed entries.
+    reference: NetworkSchedule,
+    stats: MbrDistStats,
+    next_instance: u64,
+    rng: SimRng,
+    /// The insertion deadline budget (scheduling lead).
+    deadline: SimDuration,
+}
+
+impl MbrSystem {
+    /// Builds an idle ring.
+    pub fn new(cfg: MbrConfig, deadline: SimDuration) -> Self {
+        let rng_tree = RngTree::new(cfg.seed);
+        let make_sched = || {
+            NetworkSchedule::new(
+                cfg.num_cubs,
+                cfg.block_play_time,
+                cfg.nic_capacity,
+                cfg.quantum,
+            )
+        };
+        MbrSystem {
+            queue: EventQueue::new(),
+            net: Network::new(
+                cfg.num_cubs,
+                cfg.nic_capacity,
+                cfg.latency,
+                rng_tree.fork("mbr-net", 0),
+            ),
+            cubs: (0..cfg.num_cubs)
+                .map(|_| MbrCub {
+                    view: make_sched(),
+                    held: DetHashMap::default(),
+                    pending: DetHashMap::default(),
+                })
+                .collect(),
+            reference: make_sched(),
+            stats: MbrDistStats::default(),
+            next_instance: 0,
+            rng: rng_tree.fork("mbr-sys", 0),
+            deadline,
+            cfg,
+        }
+    }
+
+    /// Statistics so far.
+    pub fn stats(&self) -> MbrDistStats {
+        self.stats
+    }
+
+    /// The view of `cub` (for convergence checks).
+    pub fn view(&self, cub: u32) -> &NetworkSchedule {
+        &self.cubs[cub as usize].view
+    }
+
+    /// Total control bytes sent by `cub`.
+    pub fn control_bytes(&self, cub: u32) -> u64 {
+        self.net.total_control_bytes(NetNode(cub))
+    }
+
+    /// Schedules an insertion request at `at` from `origin`.
+    pub fn request_insert(&mut self, at: SimTime, origin: u32, rate: Bandwidth) {
+        self.queue.schedule(at, MbrEvent::Request { origin, rate });
+    }
+
+    /// Runs until `horizon`.
+    pub fn run_until(&mut self, horizon: SimTime) {
+        while let Some((now, ev)) = self.queue.pop_until(horizon) {
+            self.dispatch(now, ev);
+        }
+    }
+
+    fn send(&mut self, now: SimTime, src: u32, dst: u32, msg: MbrMsg) {
+        if let Some(at) = self
+            .net
+            .send_control(now, NetNode(src), NetNode(dst), MSG_BYTES)
+        {
+            self.queue.schedule(at, MbrEvent::Deliver { dst, msg });
+        }
+    }
+
+    fn succ(&self, cub: u32) -> u32 {
+        (cub + 1) % self.cfg.num_cubs
+    }
+
+    /// The reservation-expiry backstop: a tentative entry that has not
+    /// been committed or released this long after it was made is assumed
+    /// leaked (its originator died or the release was lost) and swept, so
+    /// it cannot pin NIC capacity forever. Far beyond any legitimate
+    /// round trip, so fault-free runs never trigger it.
+    fn reservation_backstop(&self) -> SimDuration {
+        self.deadline.mul_u64(4)
+    }
+
+    /// Sweeps expired reservations out of every view (and out of the
+    /// successor-side `held` maps) before handling an event.
+    fn sweep_expired(&mut self, now: SimTime) {
+        for cub in &mut self.cubs {
+            if cub.view.expire_reservations(now) > 0 {
+                let MbrCub { view, held, .. } = cub;
+                held.retain(|_, entry| view.contains_entry(*entry));
+            }
+        }
+    }
+
+    fn dispatch(&mut self, now: SimTime, ev: MbrEvent) {
+        self.sweep_expired(now);
+        match ev {
+            MbrEvent::Request { origin, rate } => self.on_request(now, origin, rate),
+            MbrEvent::ReadDone { origin, instance } => {
+                if let Some(p) = self.cubs[origin as usize].pending.get_mut(&instance) {
+                    p.read_done_at = Some(now);
+                }
+                self.try_resolve(now, origin, instance);
+            }
+            // "If a cub … doesn't receive a response from the succeeding
+            // cub in time, it will abort the tentative schedule insertion
+            // and stop the disk I/O." A no-op once the attempt resolved.
+            MbrEvent::Deadline { origin, instance } => self.abort(now, origin, instance),
+            MbrEvent::Deliver { dst, msg } => self.on_message(now, dst, msg),
+        }
+    }
+
+    /// Cub `cub`'s position on the network-schedule ring at `t` (pointers
+    /// are one block play time apart, as on the disk schedule).
+    fn ring_position(&self, cub: u32, t: SimTime) -> SimDuration {
+        let l = self.cubs[cub as usize].view.len_duration().as_nanos();
+        let lag =
+            (self.cfg.block_play_time.as_nanos() as u128 * u128::from(cub) % u128::from(l)) as u64;
+        SimDuration::from_nanos(((t.as_nanos() % l) + l - lag) % l)
+    }
+
+    fn on_request(&mut self, now: SimTime, origin: u32, rate: Bandwidth) {
         let instance = ViewerInstance {
-            viewer: ViewerId(self.next_viewer),
+            viewer: ViewerId(self.next_instance),
             incarnation: 0,
         };
-        self.next_viewer += 1;
-
-        // Phase 0: local check. "It first checks its local copy of the
-        // schedule to see if it can rule out the insertion."
-        let probe = self.cfg.quantum.unwrap_or(SimDuration::from_millis(50));
-        let mut starts = self.views[origin as usize].admissible_starts(rate, probe);
-        let Some(start) = starts.next() else {
-            return MbrOutcome::RejectedLocal;
+        self.next_instance += 1;
+        // Phase 0: "it first checks its local copy of the schedule to see
+        // if it can rule out the insertion". The candidate start positions
+        // are pinned to where this cub's pointer will be when the stream
+        // must begin — this is what makes consulting only the *one*
+        // succeeding cub sufficient: entries of cubs two or more apart can
+        // never overlap, and adjacent cubs' conflicts are caught by the
+        // successor's reservation check.
+        let view = &self.cubs[origin as usize].view;
+        let l = view.len_duration().as_nanos();
+        let step = self.cfg.quantum.unwrap_or(SimDuration::from_millis(50));
+        let q = step.as_nanos();
+        // The pointer rounded up to the grid; one block play time of
+        // candidates from there, wrapping at the ring end.
+        let first = self
+            .ring_position(origin, now + self.deadline)
+            .as_nanos()
+            .div_ceil(q)
+            * q;
+        let start = (0..self.cfg.block_play_time.as_nanos().div_ceil(q))
+            .map(|k| SimDuration::from_nanos((first + k * q) % l))
+            .find(|&candidate| view.fits(candidate, rate));
+        let Some(start) = start else {
+            self.stats.rejected_local += 1;
+            return;
         };
+        // Phase 1: tentative insert + speculative read + reserve request.
+        // The expiry is pure defense in depth — the deadline event always
+        // resolves the attempt long before the backstop.
+        let backstop = now + self.reservation_backstop();
+        let entry = self.cubs[origin as usize]
+            .view
+            .insert_with_expiry(instance, start, rate, true, Some(backstop))
+            .expect("admissible start fits the local view");
+        let read_time = SimDuration::from_nanos(
+            (self.cfg.first_read.as_nanos() as f64 * self.rng.gen_range(0.7..1.3)) as u64,
+        );
+        let deadline = now + self.deadline;
+        self.queue
+            .schedule(now + read_time, MbrEvent::ReadDone { origin, instance });
+        self.queue
+            .schedule(deadline, MbrEvent::Deadline { origin, instance });
+        self.cubs[origin as usize].pending.insert(
+            instance,
+            Pending {
+                entry,
+                start,
+                rate,
+                read_done_at: None,
+                reply: None,
+                deadline,
+            },
+        );
+        self.send(
+            now,
+            origin,
+            self.succ(origin),
+            MbrMsg::Reserve {
+                instance,
+                start,
+                rate,
+            },
+        );
+    }
 
-        // Phase 1: tentative insert + speculative disk read + reserve
-        // request to the successor.
-        let tentative = self.views[origin as usize]
-            .insert(instance, start, rate, true)
-            .expect("admissible start fits");
-        let succ = (origin + 1) % self.cfg.num_cubs;
-        let rtt = self.cfg.latency.sample(&mut self.rng) + self.cfg.latency.sample(&mut self.rng);
-        let read_done = now + self.cfg.first_read;
-        let reply_at = now + rtt;
-
-        // Successor-side check against *its* view (which may hold its own
-        // reservations the originator cannot see).
-        let succ_ok = self.views[succ as usize].fits(start, rate);
-        let reservation = if succ_ok {
-            Some(
-                self.views[succ as usize]
-                    .insert(instance, start, rate, true)
-                    .expect("fits just checked"),
-            )
-        } else {
-            None
-        };
-
-        // Phase 2: commit or abort.
-        let in_time = reply_at <= now + deadline;
-        if succ_ok && in_time {
-            self.views[origin as usize]
-                .commit(tentative)
-                .expect("tentative entry exists");
-            let res = reservation.expect("reservation recorded");
-            // "When the succeeding cub … receives the viewer state, it will
-            // replace the reservation with a real schedule entry."
-            self.views[succ as usize]
-                .commit(res)
-                .expect("reservation exists");
-            // Propagate the committed entry into every other view.
-            let mut ids = vec![NetEntryId(0); 0];
-            for (i, view) in self.views.iter_mut().enumerate() {
-                if i as u32 == origin {
-                    ids.push(tentative);
-                } else if i as u32 == succ {
-                    ids.push(res);
-                } else {
-                    let id = view
-                        .insert(instance, start, rate, false)
-                        .expect("committed entries fit every consistent view");
-                    ids.push(id);
+    fn on_message(&mut self, now: SimTime, me: u32, msg: MbrMsg) {
+        match msg {
+            MbrMsg::Reserve {
+                instance,
+                start,
+                rate,
+            } => {
+                // If the originator dies before committing or releasing,
+                // the expiry backstop reclaims the reservation.
+                let backstop = now + self.reservation_backstop();
+                let cub = &mut self.cubs[me as usize];
+                let ok = cub.view.fits(start, rate);
+                if ok {
+                    let entry = cub
+                        .view
+                        .insert_with_expiry(instance, start, rate, true, Some(backstop))
+                        .expect("fits just checked");
+                    cub.held.insert(instance, entry);
+                }
+                // Reply to the predecessor (the originator).
+                let pred = (me + self.cfg.num_cubs - 1) % self.cfg.num_cubs;
+                self.send(now, me, pred, MbrMsg::ReserveReply { instance, ok });
+            }
+            MbrMsg::ReserveReply { instance, ok } => {
+                if let Some(p) = self.cubs[me as usize].pending.get_mut(&instance) {
+                    p.reply = Some((ok, now));
+                }
+                self.try_resolve(now, me, instance);
+            }
+            MbrMsg::Commit {
+                instance,
+                start,
+                rate,
+                hops_left,
+            } => {
+                let cub = &mut self.cubs[me as usize];
+                // The successor replaces its reservation with a real entry.
+                // Every other cub learns of the commit and adds it — as
+                // does a successor whose reservation lost the race against
+                // the expiry backstop — unless the flood has lapped back
+                // to a cub that knows. Views are kept consistent by commit
+                // flooding, so a committed entry always fits here too.
+                let reserved = cub
+                    .held
+                    .remove(&instance)
+                    .is_some_and(|entry| cub.view.commit(entry).is_ok());
+                if !reserved && !cub.view.has_instance(instance) {
+                    let _ = cub.view.insert(instance, start, rate, false);
+                }
+                if let Some(hops_left) = hops_left.checked_sub(1) {
+                    let onward = MbrMsg::Commit {
+                        instance,
+                        start,
+                        rate,
+                        hops_left,
+                    };
+                    self.send(now, me, self.succ(me), onward);
                 }
             }
-            self.committed.push((instance, ids));
-            self.committed_attempts += 1;
-            let hidden = rtt <= self.cfg.first_read;
-            if hidden {
-                self.hidden_confirms += 1;
+            MbrMsg::Release { instance } => {
+                let cub = &mut self.cubs[me as usize];
+                if let Some(entry) = cub.held.remove(&instance) {
+                    let _ = cub.view.abort(entry);
+                }
             }
-            MbrOutcome::Committed {
-                start,
-                committed_at: read_done.max(reply_at),
-                confirm_hidden: hidden,
+            MbrMsg::Remove {
+                instance,
+                hops_left,
+            } => {
+                self.cubs[me as usize].view.remove_instance(instance);
+                if let Some(hops_left) = hops_left.checked_sub(1) {
+                    let onward = MbrMsg::Remove {
+                        instance,
+                        hops_left,
+                    };
+                    self.send(now, me, self.succ(me), onward);
+                }
             }
-        } else {
-            // "It will abort the tentative schedule insertion and stop the
-            // disk I/O."
-            self.views[origin as usize]
-                .abort(tentative)
-                .expect("tentative entry exists");
-            if let Some(res) = reservation {
-                self.views[succ as usize]
-                    .abort(res)
-                    .expect("reservation exists");
-            }
-            self.aborted_attempts += 1;
-            MbrOutcome::Aborted
         }
     }
 
-    /// Removes a committed viewer from every view (deschedule).
-    pub fn remove(&mut self, instance: ViewerInstance) -> bool {
-        let Some(pos) = self.committed.iter().position(|(i, _)| *i == instance) else {
-            return false;
+    /// Commits or aborts once both the read and the reply are in.
+    fn try_resolve(&mut self, now: SimTime, origin: u32, instance: ViewerInstance) {
+        let cub = &mut self.cubs[origin as usize];
+        let Some(&p) = cub.pending.get(&instance) else {
+            return;
         };
-        self.committed.swap_remove(pos);
-        for view in &mut self.views {
-            view.remove_instance(instance);
+        let (Some(read_at), Some((ok, reply_at))) = (p.read_done_at, p.reply) else {
+            return;
+        };
+        if !ok || now > p.deadline {
+            return self.abort(now, origin, instance);
         }
-        true
-    }
-
-    /// Committed streams.
-    pub fn committed_streams(&self) -> usize {
-        self.committed.len()
-    }
-
-    /// Fraction of committed insertions whose confirmation round trip was
-    /// fully hidden behind the speculative disk read.
-    pub fn hidden_confirm_fraction(&self) -> f64 {
-        if self.committed_attempts == 0 {
-            return 0.0;
+        cub.pending.remove(&instance);
+        cub.view.commit(p.entry).expect("tentative entry exists");
+        self.stats.committed += 1;
+        if reply_at <= read_at {
+            self.stats.hidden_confirms += 1;
         }
-        self.hidden_confirms as f64 / self.committed_attempts as f64
+        // Omniscient reference: committed entries must always fit.
+        if self
+            .reference
+            .insert(instance, p.start, p.rate, false)
+            .is_err()
+        {
+            self.stats.violations += 1;
+        }
+        // Flood the commit around the ring (everyone's view converges).
+        self.send(
+            now,
+            origin,
+            self.succ(origin),
+            MbrMsg::Commit {
+                instance,
+                start: p.start,
+                rate: p.rate,
+                hops_left: self.cfg.num_cubs - 1,
+            },
+        );
     }
 
-    /// Aborted insertion attempts.
-    pub fn aborted_attempts(&self) -> u64 {
-        self.aborted_attempts
+    fn abort(&mut self, now: SimTime, origin: u32, instance: ViewerInstance) {
+        let Some(p) = self.cubs[origin as usize].pending.remove(&instance) else {
+            return;
+        };
+        let _ = self.cubs[origin as usize].view.abort(p.entry);
+        self.stats.aborted += 1;
+        self.send(now, origin, self.succ(origin), MbrMsg::Release { instance });
+    }
+
+    /// Severs `cub` from the network: every message to or from it is
+    /// dropped from now on. Used to exercise the reservation-expiry
+    /// backstop — a dead originator can no longer release what it
+    /// reserved.
+    pub fn fail_cub_link(&mut self, cub: u32) {
+        self.net.fail_node(NetNode(cub));
+    }
+
+    /// Removes a committed instance from every view (deschedule).
+    pub fn request_remove(&mut self, at: SimTime, origin: u32, instance: ViewerInstance) {
+        self.reference.remove_instance(instance);
+        self.queue.schedule(
+            at,
+            MbrEvent::Deliver {
+                dst: origin,
+                msg: MbrMsg::Remove {
+                    instance,
+                    hops_left: self.cfg.num_cubs,
+                },
+            },
+        );
     }
 }
 
@@ -268,119 +526,158 @@ impl MbrCoordinator {
 mod tests {
     use super::*;
 
-    fn coord() -> MbrCoordinator {
-        MbrCoordinator::new(MbrConfig::default_ring())
+    fn ring() -> MbrSystem {
+        MbrSystem::new(MbrConfig::default_ring(), SimDuration::from_millis(700))
+    }
+
+    fn mbit(n: u64) -> Bandwidth {
+        Bandwidth::from_mbit_per_sec(n)
     }
 
     #[test]
-    fn basic_insert_commits() {
-        let mut c = coord();
-        let out = c.try_insert(
-            SimTime::ZERO,
-            0,
-            Bandwidth::from_mbit_per_sec(2),
-            SimDuration::from_millis(600),
-        );
-        assert!(matches!(out, MbrOutcome::Committed { .. }), "{out:?}");
-        assert_eq!(c.committed_streams(), 1);
-        // Every view reflects the commit.
+    fn insertions_commit_over_the_wire() {
+        let mut sys = ring();
+        for i in 0..40u64 {
+            sys.request_insert(SimTime::from_millis(i * 100), (i % 14) as u32, mbit(2));
+        }
+        sys.run_until(SimTime::from_secs(20));
+        let stats = sys.stats();
+        assert_eq!(stats.committed, 40, "{stats:?}");
+        assert_eq!(stats.violations, 0);
+        assert_eq!(stats.aborted, 0);
+        // Views converge: every cub sees all 40 entries.
         for cub in 0..14 {
-            assert_eq!(c.view(cub).len(), 1);
+            assert_eq!(sys.view(cub).len(), 40, "cub {cub} view incomplete");
         }
     }
 
     #[test]
-    fn confirm_latency_usually_hidden() {
-        let mut c = coord();
-        for i in 0..50 {
-            let origin = i % 14;
-            let _ = c.try_insert(
-                SimTime::from_secs(u64::from(i)),
-                origin,
-                Bandwidth::from_mbit_per_sec(2),
-                SimDuration::from_millis(600),
-            );
+    fn lan_latency_is_hidden_behind_the_read() {
+        let mut sys = ring();
+        for i in 0..60u64 {
+            sys.request_insert(SimTime::from_millis(i * 200), (i % 14) as u32, mbit(2));
         }
-        // LAN RTT (4-20 ms) vs a 60 ms disk read: overlap hides virtually
-        // every confirmation (§4.2: "there will almost always be time").
-        assert!(c.hidden_confirm_fraction() > 0.9);
+        sys.run_until(SimTime::from_secs(30));
+        let stats = sys.stats();
+        assert_eq!(stats.committed, 60);
+        // ~60 ms read vs 4-20 ms round trip: almost always hidden (§4.2).
+        assert!(
+            stats.hidden_confirms as f64 / stats.committed as f64 > 0.9,
+            "{stats:?}"
+        );
+    }
+
+    #[test]
+    fn slow_network_aborts_and_releases() {
+        let mut cfg = MbrConfig::default_ring();
+        cfg.latency = LatencyModel::fixed(SimDuration::from_millis(500));
+        let mut sys = MbrSystem::new(cfg, SimDuration::from_millis(700));
+        sys.request_insert(SimTime::ZERO, 0, mbit(2));
+        sys.run_until(SimTime::from_secs(5));
+        let stats = sys.stats();
+        assert_eq!(stats.aborted, 1, "{stats:?}");
+        assert_eq!(stats.committed, 0);
+        // Both the tentative entry and the reservation were released.
+        assert_eq!(sys.view(0).len(), 0);
+        assert_eq!(sys.view(1).len(), 0);
+    }
+
+    #[test]
+    fn concurrent_insertions_never_overcommit() {
+        // A storm of concurrent insertions from every cub against a small
+        // NIC: successor reservations must serialize what local views
+        // cannot see; the reference schedule (checked on every commit)
+        // catches any overcommit.
+        let mut cfg = MbrConfig::default_ring();
+        cfg.nic_capacity = mbit(8);
+        let mut sys = MbrSystem::new(cfg, SimDuration::from_millis(700));
+        for i in 0..200u64 {
+            sys.request_insert(SimTime::from_millis(i * 7), (i % 14) as u32, mbit(2));
+        }
+        sys.run_until(SimTime::from_secs(60));
+        let stats = sys.stats();
+        assert_eq!(stats.violations, 0, "{stats:?}");
+        // 8 Mbit/s × 14 s ring / (2 Mbit/s × 1 s) = 56 streams max.
+        assert!(stats.committed <= 56, "{stats:?}");
+        assert!(stats.committed >= 40, "storm should mostly fill: {stats:?}");
+        assert_eq!(stats.committed + stats.aborted + stats.rejected_local, 200);
     }
 
     #[test]
     fn full_ring_rejects_locally() {
+        // The exact-capacity claim: 4 Mbit/s × 14 s ring / (2 Mbit/s ×
+        // 1 s entries) = 28 streams, and every request past the 28th is
+        // ruled out by the originator's own view. The 500 ms spacing
+        // matters: candidates are pinned to the originator's pointer
+        // window, and round-robin origins one block play time apart
+        // requested 1000 ms apart would all land on the *same* window,
+        // where only 2 fit — the pinning at work, not a shortfall.
         let mut cfg = MbrConfig::default_ring();
-        cfg.nic_capacity = Bandwidth::from_mbit_per_sec(4);
-        let mut c = MbrCoordinator::new(cfg);
-        let mut committed = 0;
-        for i in 0..100 {
-            match c.try_insert(
-                SimTime::from_millis(u64::from(i) * 10),
-                i % 14,
-                Bandwidth::from_mbit_per_sec(2),
-                SimDuration::from_secs(1),
-            ) {
-                MbrOutcome::Committed { .. } => committed += 1,
-                MbrOutcome::RejectedLocal => break,
-                MbrOutcome::Aborted => {}
-            }
+        cfg.nic_capacity = mbit(4);
+        let mut sys = MbrSystem::new(cfg, SimDuration::from_millis(700));
+        for i in 0..200u64 {
+            sys.request_insert(SimTime::from_millis(i * 500), (i % 14) as u32, mbit(2));
         }
-        // 4 Mbit/s × 14 s ring / (2 Mbit/s × 1 s entries) = 28 streams max.
-        assert_eq!(committed, 28);
-        assert!(matches!(
-            c.try_insert(
-                SimTime::from_secs(10),
-                3,
-                Bandwidth::from_mbit_per_sec(2),
-                SimDuration::from_secs(1)
-            ),
-            MbrOutcome::RejectedLocal
-        ));
+        sys.run_until(SimTime::from_secs(110));
+        let stats = sys.stats();
+        assert_eq!(stats.committed, 28, "{stats:?}");
+        assert_eq!(stats.rejected_local, 172, "{stats:?}");
+        assert_eq!((stats.aborted, stats.violations), (0, 0), "{stats:?}");
+        for cub in 0..14 {
+            assert_eq!(sys.view(cub).len(), 28, "cub {cub}");
+        }
     }
 
     #[test]
-    fn slow_confirm_aborts_and_releases() {
+    fn leaked_reservation_expires_instead_of_pinning_capacity() {
+        // The originator reserves at its successor, then drops off the
+        // network before it can commit or release. Without the expiry
+        // backstop the successor's reservation would pin 2 Mbit/s of NIC
+        // capacity forever.
         let mut cfg = MbrConfig::default_ring();
-        cfg.latency = LatencyModel::fixed(SimDuration::from_millis(400));
-        let mut c = MbrCoordinator::new(cfg);
-        let out = c.try_insert(
-            SimTime::ZERO,
-            0,
-            Bandwidth::from_mbit_per_sec(2),
-            SimDuration::from_millis(600), // RTT = 800 ms > deadline.
-        );
-        assert_eq!(out, MbrOutcome::Aborted);
-        assert_eq!(c.committed_streams(), 0);
-        // The tentative entry and reservation were released.
-        assert_eq!(c.view(0).len(), 0);
-        assert_eq!(c.view(1).len(), 0);
-        // A retry with a workable deadline succeeds in the freed space.
-        let out = c.try_insert(
-            SimTime::from_secs(1),
-            0,
-            Bandwidth::from_mbit_per_sec(2),
-            SimDuration::from_secs(1),
-        );
-        assert!(matches!(out, MbrOutcome::Committed { .. }));
-    }
-
-    #[test]
-    fn remove_clears_all_views() {
-        let mut c = coord();
-        let out = c.try_insert(
-            SimTime::ZERO,
-            0,
-            Bandwidth::from_mbit_per_sec(2),
-            SimDuration::from_millis(600),
-        );
-        assert!(matches!(out, MbrOutcome::Committed { .. }));
-        let instance = ViewerInstance {
+        cfg.latency = LatencyModel::fixed(SimDuration::from_millis(100));
+        let mut sys = MbrSystem::new(cfg, SimDuration::from_millis(700));
+        sys.request_insert(SimTime::ZERO, 0, mbit(2));
+        // Let the request dispatch (the reserve message is now in flight),
+        // then sever the originator: the reply and any release are lost.
+        sys.run_until(SimTime::from_millis(1));
+        sys.fail_cub_link(0);
+        sys.run_until(SimTime::from_secs(2));
+        let inst = ViewerInstance {
             viewer: ViewerId(0),
             incarnation: 0,
         };
-        assert!(c.remove(instance));
-        assert!(!c.remove(instance));
+        // The successor holds the leaked reservation (reserve arrived at
+        // 100 ms; the originator's own deadline abort at 700 ms could not
+        // reach it).
+        assert!(sys.view(1).has_instance(inst), "reservation was made");
+        assert_eq!(sys.stats().aborted, 1);
+        // Any later event past the backstop (4 × 700 ms after the reserve)
+        // sweeps it; an unrelated insertion provides the tick.
+        sys.request_insert(SimTime::from_secs(4), 7, mbit(2));
+        sys.run_until(SimTime::from_secs(6));
+        assert!(
+            !sys.view(1).has_instance(inst),
+            "leaked reservation should have expired"
+        );
+        assert_eq!(sys.stats().committed, 1, "later insertion unaffected");
+        assert_eq!(sys.stats().violations, 0);
+    }
+
+    #[test]
+    fn removal_propagates_to_every_view() {
+        let mut sys = ring();
+        sys.request_insert(SimTime::ZERO, 0, mbit(4));
+        sys.run_until(SimTime::from_secs(2));
+        assert_eq!(sys.stats().committed, 1);
+        let inst = ViewerInstance {
+            viewer: ViewerId(0),
+            incarnation: 0,
+        };
+        sys.request_remove(SimTime::from_secs(3), 0, inst);
+        sys.run_until(SimTime::from_secs(6));
         for cub in 0..14 {
-            assert_eq!(c.view(cub).len(), 0);
+            assert_eq!(sys.view(cub).len(), 0, "cub {cub} kept a removed entry");
         }
     }
 }

@@ -1015,11 +1015,6 @@ impl TigerSystem {
         &self.shared
     }
 
-    /// Mutable access to the shared state (experiment drivers).
-    pub fn shared_mut(&mut self) -> &mut Shared {
-        &mut self.shared
-    }
-
     /// The cubs (read-only).
     pub fn cubs(&self) -> &[Cub] {
         &self.cubs

@@ -13,6 +13,7 @@
 //! (forked under the `"faults"` subtree), never from the network's or the
 //! disks' own streams, so a plan perturbs only what it says it perturbs.
 
+use tiger_sim::kv::{clauses, Args};
 use tiger_sim::{SimDuration, SimTime};
 
 /// Which network node a link-fault endpoint matches.
@@ -506,12 +507,9 @@ impl FaultPlan {
     /// ```
     pub fn parse(text: &str) -> Result<FaultPlan, String> {
         let mut plan = FaultPlan::new();
-        for (i, raw) in text.lines().enumerate() {
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            parse_clause(line, &mut plan).map_err(|e| format!("line {}: {e}", i + 1))?;
+        for (n, line) in clauses(text) {
+            plan.parse_clause(line)
+                .map_err(|e| format!("line {n}: {e}"))?;
         }
         Ok(plan)
     }
@@ -601,195 +599,171 @@ fn parse_prob(tok: &str) -> Result<f64, String> {
     Ok(v)
 }
 
-/// Key/value arguments after the clause head, e.g. `prob=0.3 from=2s`.
-struct Args<'a> {
-    pairs: Vec<(&'a str, &'a str)>,
-}
-
-impl<'a> Args<'a> {
-    fn new(toks: &[&'a str]) -> Result<Self, String> {
-        let mut pairs = Vec::new();
-        for t in toks {
-            let (k, v) = t
-                .split_once('=')
-                .ok_or_else(|| format!("expected key=value, got {t:?}"))?;
-            pairs.push((k, v));
-        }
-        Ok(Args { pairs })
+fn window(args: &mut Args) -> Result<(SimTime, SimTime), String> {
+    let from = parse_time(args.get("from")?)?;
+    let until = parse_time(args.get("until")?)?;
+    if until <= from {
+        return Err("until= must be after from=".to_string());
     }
-
-    fn get(&self, key: &str) -> Result<&'a str, String> {
-        self.opt(key)
-            .ok_or_else(|| format!("missing required argument {key}="))
-    }
-
-    fn opt(&self, key: &str) -> Option<&'a str> {
-        self.pairs.iter().find(|&&(k, _)| k == key).map(|&(_, v)| v)
-    }
-
-    fn window(&self) -> Result<(SimTime, SimTime), String> {
-        let from = parse_time(self.get("from")?)?;
-        let until = parse_time(self.get("until")?)?;
-        if until <= from {
-            return Err("until= must be after from=".to_string());
-        }
-        Ok((from, until))
-    }
+    Ok((from, until))
 }
 
 fn parse_group(tok: &str) -> Result<Vec<NodeSel>, String> {
     tok.split(',').map(parse_node).collect()
 }
 
-fn parse_clause(line: &str, plan: &mut FaultPlan) -> Result<(), String> {
-    let toks: Vec<&str> = line.split_ascii_whitespace().collect();
-    let (&verb, rest) = toks.split_first().ok_or("empty clause")?;
-    if verb == "restripe" {
+impl FaultPlan {
+    /// Parses one clause of the text format (no comment, no blank) onto
+    /// the end of the plan — the per-line step of [`FaultPlan::parse`],
+    /// public so a grammar that embeds fault clauses can report its own
+    /// line numbers.
+    pub fn parse_clause(&mut self, clause: &str) -> Result<(), String> {
+        let toks: Vec<&str> = clause.split_ascii_whitespace().collect();
+        let (&verb, rest) = toks.split_first().ok_or("empty clause")?;
         // Restripes target the whole system, so the clause has no head
         // token — only key=value arguments.
-        let args = Args::new(rest)?;
-        let at = parse_time(args.get("at")?)?;
-        let add_cubs: u32 = match args.opt("add") {
-            Some(v) => v
-                .parse()
-                .map_err(|_| "bad add= (expected a cub count)".to_string())?,
-            None => 0,
+        let (head, kvs) = match rest.split_first() {
+            _ if verb == "restripe" => ("", rest),
+            Some((&head, kvs)) => (head, kvs),
+            None => return Err("clause needs a target".to_string()),
         };
-        let remove_cubs: u32 = match args.opt("remove") {
-            Some(v) => v
-                .parse()
-                .map_err(|_| "bad remove= (expected a cub count)".to_string())?,
-            None => 0,
-        };
-        if add_cubs == 0 && remove_cubs == 0 {
-            return Err("restripe needs add= or remove= of at least 1".to_string());
-        }
-        if add_cubs > 0 && remove_cubs > 0 {
-            return Err("restripe takes add= or remove=, not both".to_string());
-        }
-        plan.restripes.push(RestripeDecl {
-            at,
-            add_cubs,
-            remove_cubs,
-        });
-        return Ok(());
-    }
-    let (&head, kvs) = rest.split_first().ok_or("clause needs a target")?;
-    let args = Args::new(kvs)?;
-    match verb {
-        "drop" | "delay" | "dup" => {
-            let (src, dst) = head
-                .split_once('>')
-                .ok_or_else(|| format!("expected src>dst, got {head:?}"))?;
-            let (from, until) = args.window()?;
-            let mut f = LinkFault {
-                src: parse_node(src)?,
-                dst: parse_node(dst)?,
-                from,
-                until,
-                drop_prob: 0.0,
-                extra_delay: SimDuration::ZERO,
-                extra_jitter: SimDuration::ZERO,
-                dup_prob: 0.0,
-            };
-            match verb {
-                "drop" => f.drop_prob = parse_prob(args.get("prob")?)?,
-                "dup" => f.dup_prob = parse_prob(args.get("prob")?)?,
-                _ => {
-                    f.extra_delay = parse_duration(args.get("extra")?)?;
-                    if let Some(j) = args.opt("jitter") {
-                        f.extra_jitter = parse_duration(j)?;
-                    }
+        let mut args = Args::new(kvs)?;
+        match verb {
+            "restripe" => {
+                let at = parse_time(args.get("at")?)?;
+                let mut count = |key: &str| match args.opt(key) {
+                    Some(v) => v
+                        .parse::<u32>()
+                        .map_err(|_| format!("bad {key}= (expected a cub count)")),
+                    None => Ok(0),
+                };
+                let (add_cubs, remove_cubs) = (count("add")?, count("remove")?);
+                if add_cubs == 0 && remove_cubs == 0 {
+                    return Err("restripe needs add= or remove= of at least 1".to_string());
                 }
+                if add_cubs > 0 && remove_cubs > 0 {
+                    return Err("restripe takes add= or remove=, not both".to_string());
+                }
+                self.restripes.push(RestripeDecl {
+                    at,
+                    add_cubs,
+                    remove_cubs,
+                });
             }
-            plan.links.push(f);
-        }
-        "partition" => {
-            let (a, b) = head
-                .split_once('|')
-                .ok_or_else(|| format!("expected groupA|groupB, got {head:?}"))?;
-            let from = parse_time(args.get("from")?)?;
-            let heal = parse_time(args.get("heal")?)?;
-            if heal <= from {
-                return Err("heal= must be after from=".to_string());
-            }
-            plan.partitions.push(Partition {
-                a: parse_group(a)?,
-                b: parse_group(b)?,
-                from,
-                heal,
-            });
-        }
-        "disk-transient" => {
-            let (cub, disk) = parse_disk_ref(head)?;
-            let prob = parse_prob(args.get("prob")?)?;
-            let (from, until) = args.window()?;
-            plan.disks.push(DiskFault {
-                cub,
-                disk,
-                kind: DiskFaultKind::Transient { prob, from, until },
-            });
-        }
-        "disk-degraded" => {
-            let (cub, disk) = parse_disk_ref(head)?;
-            let factor: f64 = args
-                .get("factor")?
-                .parse()
-                .map_err(|_| "bad factor=".to_string())?;
-            if !(factor.is_finite() && factor >= 1.0) {
-                return Err("factor= must be >= 1".to_string());
-            }
-            let (from, until) = args.window()?;
-            plan.disks.push(DiskFault {
-                cub,
-                disk,
-                kind: DiskFaultKind::Degraded {
-                    factor,
+            "drop" | "delay" | "dup" => {
+                let (src, dst) = head
+                    .split_once('>')
+                    .ok_or_else(|| format!("expected src>dst, got {head:?}"))?;
+                let (from, until) = window(&mut args)?;
+                let mut f = LinkFault {
+                    src: parse_node(src)?,
+                    dst: parse_node(dst)?,
                     from,
                     until,
-                },
-            });
-        }
-        "disk-kill" => {
-            let (cub, disk) = parse_disk_ref(head)?;
-            plan.disks.push(DiskFault {
-                cub,
-                disk,
-                kind: DiskFaultKind::Death {
+                    drop_prob: 0.0,
+                    extra_delay: SimDuration::ZERO,
+                    extra_jitter: SimDuration::ZERO,
+                    dup_prob: 0.0,
+                };
+                match verb {
+                    "drop" => f.drop_prob = parse_prob(args.get("prob")?)?,
+                    "dup" => f.dup_prob = parse_prob(args.get("prob")?)?,
+                    _ => {
+                        f.extra_delay = parse_duration(args.get("extra")?)?;
+                        if let Some(j) = args.opt("jitter") {
+                            f.extra_jitter = parse_duration(j)?;
+                        }
+                    }
+                }
+                self.links.push(f);
+            }
+            "partition" => {
+                let (a, b) = head
+                    .split_once('|')
+                    .ok_or_else(|| format!("expected groupA|groupB, got {head:?}"))?;
+                let from = parse_time(args.get("from")?)?;
+                let heal = parse_time(args.get("heal")?)?;
+                if heal <= from {
+                    return Err("heal= must be after from=".to_string());
+                }
+                self.partitions.push(Partition {
+                    a: parse_group(a)?,
+                    b: parse_group(b)?,
+                    from,
+                    heal,
+                });
+            }
+            "disk-transient" => {
+                let (cub, disk) = parse_disk_ref(head)?;
+                let prob = parse_prob(args.get("prob")?)?;
+                let (from, until) = window(&mut args)?;
+                self.disks.push(DiskFault {
+                    cub,
+                    disk,
+                    kind: DiskFaultKind::Transient { prob, from, until },
+                });
+            }
+            "disk-degraded" => {
+                let (cub, disk) = parse_disk_ref(head)?;
+                let factor: f64 = args
+                    .get("factor")?
+                    .parse()
+                    .map_err(|_| "bad factor=".to_string())?;
+                if !(factor.is_finite() && factor >= 1.0) {
+                    return Err("factor= must be >= 1".to_string());
+                }
+                let (from, until) = window(&mut args)?;
+                self.disks.push(DiskFault {
+                    cub,
+                    disk,
+                    kind: DiskFaultKind::Degraded {
+                        factor,
+                        from,
+                        until,
+                    },
+                });
+            }
+            "disk-kill" => {
+                let (cub, disk) = parse_disk_ref(head)?;
+                self.disks.push(DiskFault {
+                    cub,
+                    disk,
+                    kind: DiskFaultKind::Death {
+                        at: parse_time(args.get("at")?)?,
+                    },
+                });
+            }
+            "crash" => {
+                self.process.push(ProcessFault::Crash {
+                    cub: parse_cub(head)?,
                     at: parse_time(args.get("at")?)?,
-                },
-            });
+                });
+            }
+            "restart" => {
+                self.process.push(ProcessFault::Restart {
+                    cub: parse_cub(head)?,
+                    at: parse_time(args.get("at")?)?,
+                });
+            }
+            "freeze" => {
+                let (from, until) = window(&mut args)?;
+                self.process.push(ProcessFault::Freeze {
+                    cub: parse_cub(head)?,
+                    from,
+                    until,
+                });
+            }
+            "power-domain" => {
+                let cubs: Result<Vec<u32>, String> = head.split(',').map(parse_cub).collect();
+                self.process.push(ProcessFault::PowerDomain {
+                    cubs: cubs?,
+                    at: parse_time(args.get("at")?)?,
+                });
+            }
+            other => return Err(format!("unknown clause verb {other:?}")),
         }
-        "crash" => {
-            plan.process.push(ProcessFault::Crash {
-                cub: parse_cub(head)?,
-                at: parse_time(args.get("at")?)?,
-            });
-        }
-        "restart" => {
-            plan.process.push(ProcessFault::Restart {
-                cub: parse_cub(head)?,
-                at: parse_time(args.get("at")?)?,
-            });
-        }
-        "freeze" => {
-            let (from, until) = args.window()?;
-            plan.process.push(ProcessFault::Freeze {
-                cub: parse_cub(head)?,
-                from,
-                until,
-            });
-        }
-        "power-domain" => {
-            let cubs: Result<Vec<u32>, String> = head.split(',').map(parse_cub).collect();
-            plan.process.push(ProcessFault::PowerDomain {
-                cubs: cubs?,
-                at: parse_time(args.get("at")?)?,
-            });
-        }
-        other => return Err(format!("unknown clause verb {other:?}")),
+        args.finish()
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -883,6 +857,21 @@ power-domain c1,c2 at=9s
             ("crash ctrl at=2s", "expected a cub"),
             ("disk-kill c2 at=2s", "cN:disk"),
             ("partition c0|c1 from=3s heal=2s", "after from="),
+            // What no reader understands is an error, not a default.
+            (
+                "delay c1>* extra=20ms jiter=10ms from=0s until=10s",
+                "unknown argument jiter=",
+            ),
+            ("crash c1 at=9s at=12s", "at= given twice"),
+            (
+                "drop c1>c3 prob=0.3 prob=0.9 from=2s until=5s bogus=1",
+                "prob= given twice",
+            ),
+            (
+                "drop c1>c3 prob=0.3 from=2s until=5s bogus=1",
+                "unknown argument bogus=",
+            ),
+            ("restripe at=20s add=1 cubs=2", "unknown argument cubs="),
         ] {
             let err = FaultPlan::parse(bad).expect_err(bad);
             assert!(err.contains("line 1"), "{err}");

@@ -171,11 +171,6 @@ impl BlockIndex {
         self.secondary.get(&(disk, file, block, piece)).copied()
     }
 
-    /// Number of primary extents indexed.
-    pub fn primary_len(&self) -> usize {
-        self.primary.len()
-    }
-
     /// Number of secondary extents indexed.
     pub fn secondary_len(&self) -> usize {
         self.secondary.len()

@@ -131,16 +131,6 @@ impl DiskSpace {
         Ok((offset, ByteSize::from_bytes(aligned)))
     }
 
-    /// Bytes still free in `region`.
-    pub fn free_in(&self, region: DiskRegion) -> ByteSize {
-        match region {
-            DiskRegion::Primary => ByteSize::from_bytes(self.split - self.primary_next),
-            DiskRegion::Secondary => {
-                ByteSize::from_bytes(self.capacity.as_bytes() - self.secondary_next)
-            }
-        }
-    }
-
     /// Bytes used in `region`.
     pub fn used_in(&self, region: DiskRegion) -> ByteSize {
         match region {

@@ -98,12 +98,6 @@ impl StripeConfig {
         DiskId((disk.raw() + n - steps % n) % n)
     }
 
-    /// The cub `steps` positions after `cub` around the cub ring.
-    pub fn cub_after(&self, cub: CubId, steps: u32) -> CubId {
-        debug_assert!(cub.raw() < self.num_cubs);
-        CubId((cub.raw() + steps) % self.num_cubs)
-    }
-
     /// The cub `steps` positions before `cub` around the cub ring.
     pub fn cub_before(&self, cub: CubId, steps: u32) -> CubId {
         debug_assert!(cub.raw() < self.num_cubs);

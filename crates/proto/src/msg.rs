@@ -149,25 +149,6 @@ pub enum Message {
         /// Payload bytes in this delivery.
         bytes: u64,
     },
-    /// Multiple-bitrate two-phase insertion: ask the successor to reserve
-    /// network-schedule space (§4.2).
-    MbrReserve {
-        /// Reservation id (sender-local).
-        reservation: u64,
-        /// The viewer instance being inserted.
-        instance: ViewerInstance,
-        /// Proposed ring start position, nanoseconds.
-        start_nanos: u64,
-        /// Stream rate, bits per second.
-        rate_bps: u64,
-    },
-    /// Reply to [`Message::MbrReserve`].
-    MbrReserveReply {
-        /// The reservation id being answered.
-        reservation: u64,
-        /// Whether the successor's view had room.
-        ok: bool,
-    },
 }
 
 impl Message {
@@ -191,8 +172,6 @@ impl Message {
             }
             Message::FailureNotice { .. } => FRAME_BYTES + 8,
             Message::StreamData { .. } => 0,
-            Message::MbrReserve { .. } => FRAME_BYTES + 40,
-            Message::MbrReserveReply { .. } => FRAME_BYTES + 10,
         }
     }
 }

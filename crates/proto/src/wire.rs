@@ -17,8 +17,6 @@
 //! RPLY <from> <vs> <vs> ...                retired-log replay (may be empty)
 //! NOTICE <failed>
 //! DATA <viewer>,<inc> <block> <piece|-> <total> <bytes>
-//! MBRRSV <reservation> <viewer>,<inc> <start-ns> <rate-bps>
-//! MBRRPL <reservation> <0|1>
 //! ```
 //!
 //! where `<vs>` is one comma-joined token
@@ -150,19 +148,6 @@ pub fn encode(msg: &Message) -> String {
                 Some(p) => s.push_str(&format!(" {block} {p} {total_pieces} {bytes}")),
                 None => s.push_str(&format!(" {block} - {total_pieces} {bytes}")),
             }
-        }
-        Message::MbrReserve {
-            reservation,
-            instance,
-            start_nanos,
-            rate_bps,
-        } => {
-            s.push_str(&format!("MBRRSV {reservation} "));
-            push_instance(&mut s, instance);
-            s.push_str(&format!(" {start_nanos} {rate_bps}"));
-        }
-        Message::MbrReserveReply { reservation, ok } => {
-            s.push_str(&format!("MBRRPL {reservation} {}", u32::from(*ok)));
         }
     }
     s
@@ -313,25 +298,6 @@ pub fn decode(line: &str) -> Option<Message> {
                 total_pieces,
                 bytes,
             }
-        }
-        "MBRRSV" => {
-            let reservation = it.next()?.parse().ok()?;
-            let instance = parse_instance(it.next()?)?;
-            let start_nanos = it.next()?.parse().ok()?;
-            let rate_bps = it.next()?.parse().ok()?;
-            end(it)?;
-            Message::MbrReserve {
-                reservation,
-                instance,
-                start_nanos,
-                rate_bps,
-            }
-        }
-        "MBRRPL" => {
-            let reservation = it.next()?.parse().ok()?;
-            let ok = parse_bool(it.next()?)?;
-            end(it)?;
-            Message::MbrReserveReply { reservation, ok }
         }
         _ => return None,
     };
@@ -576,20 +542,6 @@ mod tests {
                 total_pieces: 2,
                 bytes: 125_000,
             },
-            Message::MbrReserve {
-                reservation: 77,
-                instance: inst(15, 2),
-                start_nanos: 123_456_789,
-                rate_bps: 6_000_000,
-            },
-            Message::MbrReserveReply {
-                reservation: 77,
-                ok: true,
-            },
-            Message::MbrReserveReply {
-                reservation: 78,
-                ok: false,
-            },
         ]
     }
 
@@ -623,10 +575,8 @@ mod tests {
             Message::RetiredReplay { .. } => 11,
             Message::FailureNotice { .. } => 12,
             Message::StreamData { .. } => 13,
-            Message::MbrReserve { .. } => 14,
-            Message::MbrReserveReply { .. } => 15,
         };
-        let mut seen = [false; 16];
+        let mut seen = [false; 14];
         for m in exemplars() {
             seen[tag(&m)] = true;
         }
@@ -649,7 +599,7 @@ mod tests {
             "RPLY 0 1,2,3",
             "DESCH 1,0 5",
             "DATA 1,0 88 ? 1 10",
-            "MBRRPL 1 2",
+            "ROUTED 1 2,0 3 0 5 2",
             "VS 1,2,3,4,5,6,7,8,P,extra",
         ] {
             assert!(decode(bad).is_none(), "accepted malformed line: {bad:?}");

@@ -343,35 +343,6 @@ impl ScheduleParams {
             .then_some(DiskId(d as u32))
     }
 
-    /// All slots owned via disk `disk` at time `t` (zero or one slot).
-    pub fn slot_owned_by_disk(&self, disk: DiskId, t: SimTime) -> Option<SlotId> {
-        // The pointer is at position p; it grants ownership of slot s iff
-        // p ∈ [ownership_start(s), +dur). ownership_start(s) = slot_start(s)
-        // - lead, so slot_start(s) ∈ (p + lead - dur, p + lead].
-        let l = self.schedule_len.as_nanos();
-        let p = self.disk_position(disk, t).as_nanos();
-        let hi = (p + self.scheduling_lead.as_nanos()) % l;
-        // Find the unique slot whose start is in (hi - dur, hi]. Slot
-        // starts are spaced one service time apart and dur < bpt, but dur
-        // may exceed one service time, in which case several slot starts
-        // fall in the window; ownership belongs to the *latest* window
-        // opened, i.e. the largest slot start <= hi... each slot's window is
-        // [start - lead, start - lead + dur). The pointer may be in several
-        // overlapping windows when dur > service time. Tiger's window is
-        // "small relative to the block play time" but may span several
-        // slots; a cub may insert into ANY empty slot it owns. We return
-        // the slot whose window most recently opened (largest start <= hi)
-        // and expose the full range via `owned_slot_range`.
-        let slot = self.slot_at(SimDuration::from_nanos(hi));
-        let start = self.slot_start(slot).as_nanos();
-        let dist_back = (hi + l - start) % l;
-        if dist_back < self.ownership_duration.as_nanos() {
-            Some(slot)
-        } else {
-            None
-        }
-    }
-
     /// All slots disk `disk` owns at time `t`, oldest window first.
     ///
     /// When the ownership duration exceeds one block service time a pointer

@@ -19,6 +19,7 @@
 
 pub mod check;
 pub mod event;
+pub mod kv;
 pub mod metrics;
 pub mod rng;
 pub mod time;

@@ -116,13 +116,6 @@ impl SimRng {
         result
     }
 
-    /// The next 32 uniformly random bits (the upper half of a 64-bit draw,
-    /// which xoshiro's authors rate as the stronger half).
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// A uniform `f64` in `[0, 1)` with 53 bits of precision.
     #[inline]
     pub fn gen_f64(&mut self) -> f64 {

@@ -21,8 +21,7 @@
 //!   the window around a failure that debugging needs.
 //! * Tracing is env-gated ([`Tracer::from_env`]: `TIGER_TRACE`,
 //!   `TIGER_TRACE_CAP`, `TIGER_TRACE_FILE`, and auto-on under
-//!   `TIGER_PROP_REPLAY`) and feature-gated (the `noop` feature compiles
-//!   every hook away). With tracing off, recording never happens, so
+//!   `TIGER_PROP_REPLAY`). With tracing off, recording never happens, so
 //!   metrics and bench output are bit-identical to an untraced build —
 //!   tracing observes the simulation and never feeds back into it.
 //! * Dumps are plain text, one event per line ([`TraceRecord::to_line`]),

@@ -1,15 +1,9 @@
 //! The ring-buffer tracer and its gating.
 //!
-//! Two gates, one per cost class:
-//!
-//! * **Runtime** — [`Tracer`] holds `Option<Box<Ring>>`; with tracing
-//!   off every hook is a single null-pointer test (see the
-//!   `trace_overhead` micro-bench). [`Tracer::from_env`] reads the
-//!   `TIGER_TRACE*` knobs once at system construction.
-//! * **Compile time** — the `noop` cargo feature replaces
-//!   [`Tracer::record`] with an empty inline function and
-//!   [`Tracer::on`] with a constant `false`, so every hook (including
-//!   its event-construction arguments) dead-code-eliminates.
+//! The gate is a runtime one: [`Tracer`] holds `Option<Box<Ring>>`, so
+//! with tracing off every hook is a single null-pointer test (see the
+//! `trace_overhead` micro-bench). [`Tracer::from_env`] reads the
+//! `TIGER_TRACE*` knobs once at system construction.
 //!
 //! Dropping an enabled tracer renders its ring and publishes the text to
 //! a thread-local slot ([`take_last_trace`]) — that is how a trace
@@ -53,10 +47,6 @@ struct Ring {
 }
 
 impl Ring {
-    // Only `record` pushes, and `record` is empty under `noop` — but the
-    // ring itself stays compiled so dumps of an (always empty) ring keep
-    // working and the API surface doesn't change shape with the feature.
-    #[cfg_attr(feature = "noop", allow(dead_code))]
     fn push(&mut self, at: SimTime, cub: u32, ev: TraceEvent) {
         let rec = TraceRecord {
             seq: self.next_seq,
@@ -102,10 +92,9 @@ impl Ring {
 /// The protocol event recorder threaded through `Shared`.
 ///
 /// Disabled (`ring: None`) it records nothing and costs one pointer test
-/// per hook; the `noop` feature removes even that. Construct with
-/// [`Tracer::from_env`] in production paths and [`Tracer::enabled`] in
-/// tests (tests must not set process-global environment variables — the
-/// suite runs multithreaded).
+/// per hook. Construct with [`Tracer::from_env`] in production paths and
+/// [`Tracer::enabled`] in tests (tests must not set process-global
+/// environment variables — the suite runs multithreaded).
 #[derive(Debug, Default)]
 pub struct Tracer {
     ring: Option<Box<Ring>>,
@@ -117,13 +106,8 @@ impl Tracer {
         Tracer { ring: None }
     }
 
-    /// A tracer with a ring of `cap` events (min 1). Under the `noop`
-    /// feature this is still [`Tracer::disabled`] — hooks compile away,
-    /// so a ring could only ever stay empty.
+    /// A tracer with a ring of `cap` events (min 1).
     pub fn enabled(cap: usize) -> Tracer {
-        if cfg!(feature = "noop") {
-            return Tracer::disabled();
-        }
         Tracer {
             ring: Some(Box::new(Ring {
                 cap: cap.max(1),
@@ -163,34 +147,18 @@ impl Tracer {
     /// Is tracing live? Call sites use this to skip *preparing* an event
     /// when preparation itself has a cost (e.g. walking expired holds);
     /// plain `record` calls don't need the check.
-    #[cfg(not(feature = "noop"))]
     #[inline]
     pub fn on(&self) -> bool {
         self.ring.is_some()
     }
 
-    /// `noop` build: constant `false`, so `if tracer.on() { ... }` blocks
-    /// vanish entirely.
-    #[cfg(feature = "noop")]
-    #[inline(always)]
-    pub const fn on(&self) -> bool {
-        false
-    }
-
     /// Records one event (no-op when disabled).
-    #[cfg(not(feature = "noop"))]
     #[inline]
     pub fn record(&mut self, at: SimTime, cub: u32, ev: TraceEvent) {
         if let Some(ring) = &mut self.ring {
             ring.push(at, cub, ev);
         }
     }
-
-    /// `noop` build: empty inline function — the argument construction at
-    /// the call site is pure and dead-code-eliminates with it.
-    #[cfg(feature = "noop")]
-    #[inline(always)]
-    pub fn record(&mut self, _at: SimTime, _cub: u32, _ev: TraceEvent) {}
 
     /// Total events recorded so far (including any the ring has since
     /// overwritten); 0 when disabled.
@@ -234,7 +202,7 @@ impl Drop for Tracer {
     }
 }
 
-#[cfg(all(test, not(feature = "noop")))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::event::parse_dump;

@@ -19,6 +19,7 @@
 //! thread count.
 
 use tiger_faults::{parse_duration, FaultPlan};
+use tiger_sim::kv::{clauses, Args};
 use tiger_sim::{RngTree, SimDuration, SimTime};
 
 use crate::arrival::Arrivals;
@@ -274,12 +275,6 @@ impl WorkloadPlan {
         self
     }
 
-    /// Replaces the embedded fault plan (composition with tiger-faults).
-    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
-        self.faults = faults;
-        self
-    }
-
     /// Compiles the plan into its seeded generators. `tree` must be the
     /// `"workgen"` subtree of the system seed so workload randomness
     /// stays disjoint from every other stream:
@@ -330,23 +325,17 @@ impl WorkloadPlan {
     /// ```
     pub fn parse(text: &str) -> Result<WorkloadPlan, String> {
         let mut plan = WorkloadPlan::new();
-        let mut fault_lines = String::new();
-        for (i, raw) in text.lines().enumerate() {
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
+        for (n, line) in clauses(text) {
+            // A fault clause joins the plan's fault list in file order, so
+            // its clause numbering matches a standalone fault file.
+            match line.strip_prefix("fault ") {
+                Some(fault) => plan
+                    .faults
+                    .parse_clause(fault)
+                    .map_err(|e| format!("fault: {e}")),
+                None => parse_clause(line, &mut plan),
             }
-            if let Some(fault) = line.strip_prefix("fault ") {
-                // Collected and handed to FaultPlan::parse in one batch so
-                // its clause numbering matches a standalone fault file.
-                fault_lines.push_str(fault.trim());
-                fault_lines.push('\n');
-                continue;
-            }
-            parse_clause(line, &mut plan).map_err(|e| format!("line {}: {e}", i + 1))?;
-        }
-        if !fault_lines.is_empty() {
-            plan.faults = FaultPlan::parse(&fault_lines).map_err(|e| format!("fault {e}"))?;
+            .map_err(|e| format!("line {n}: {e}"))?;
         }
         validate(&plan)?;
         Ok(plan)
@@ -448,37 +437,10 @@ fn parse_fraction(tok: &str, what: &str) -> Result<f64, String> {
     Ok(v)
 }
 
-/// Key/value arguments after the clause verb, e.g. `s=1.1 titles=256`.
-struct Args<'a> {
-    pairs: Vec<(&'a str, &'a str)>,
-}
-
-impl<'a> Args<'a> {
-    fn new(toks: &[&'a str]) -> Result<Self, String> {
-        let mut pairs = Vec::new();
-        for t in toks {
-            let (k, v) = t
-                .split_once('=')
-                .ok_or_else(|| format!("expected key=value, got {t:?}"))?;
-            pairs.push((k, v));
-        }
-        Ok(Args { pairs })
-    }
-
-    fn get(&self, key: &str) -> Result<&'a str, String> {
-        self.opt(key)
-            .ok_or_else(|| format!("missing required argument {key}="))
-    }
-
-    fn opt(&self, key: &str) -> Option<&'a str> {
-        self.pairs.iter().find(|&&(k, _)| k == key).map(|&(_, v)| v)
-    }
-}
-
 fn parse_clause(line: &str, plan: &mut WorkloadPlan) -> Result<(), String> {
     let toks: Vec<&str> = line.split_ascii_whitespace().collect();
     let (&verb, rest) = toks.split_first().ok_or("empty clause")?;
-    let args = Args::new(rest)?;
+    let mut args = Args::new(rest)?;
     match verb {
         "zipf" => {
             let s: f64 = args
@@ -577,7 +539,7 @@ fn parse_clause(line: &str, plan: &mut WorkloadPlan) -> Result<(), String> {
         }
         other => return Err(format!("unknown clause verb {other:?}")),
     }
-    Ok(())
+    args.finish()
 }
 
 #[cfg(test)]
@@ -667,6 +629,20 @@ fault restart c1 at=200s
         );
         assert!(err.contains("unknown clause verb"), "{err}");
 
+        // So does an embedded fault clause's, blank lines and comments
+        // above it counted.
+        std::fs::write(
+            &bad,
+            "uniform titles=4\n\n# faults\nfault crash c1 at=9s\n\nfault warp c1 at=2s\n",
+        )
+        .unwrap();
+        let err = load_plan_file(&bad).unwrap_err();
+        assert!(
+            err.starts_with(&format!("{}:6: fault: ", bad.display())),
+            "want path:6: prefix, got {err}"
+        );
+        assert!(err.contains("unknown clause verb \"warp\""), "{err}");
+
         // Cross-clause validation has no line; the bare path prefixes it.
         std::fs::write(&bad, "flashcrowd title=t99 at=1s peak=2x decay=5s\n").unwrap();
         let err = load_plan_file(&bad).unwrap_err();
@@ -708,6 +684,9 @@ fault restart c1 at=200s
             ("session interactive=0.4 pause=3/min dwell=0s", "dwell="),
             ("viewers max=0", "at least 1"),
             ("horizon t=10", "unit"),
+            // What no reader understands is an error, not a default.
+            ("uniform titles=4 title=9", "unknown argument title="),
+            ("viewers max=10 max=20", "max= given twice"),
         ] {
             let err = WorkloadPlan::parse(bad).expect_err(bad);
             assert!(err.contains("line 1"), "{bad} -> {err}");
@@ -718,10 +697,11 @@ fault restart c1 at=200s
             WorkloadPlan::parse("uniform titles=4\nflashcrowd title=t9 at=1s peak=2x decay=5s")
                 .expect_err("crowd outside catalog");
         assert!(err.contains("outside"), "{err}");
-        // Malformed composed fault clauses surface with the fault prefix.
-        let err = WorkloadPlan::parse("fault warp c1 at=2s").expect_err("bad fault");
-        assert!(err.contains("fault"), "{err}");
-        assert!(err.contains("unknown clause verb"), "{err}");
+        // Malformed composed fault clauses surface with the fault prefix
+        // and their own line.
+        let err =
+            WorkloadPlan::parse("uniform titles=4\nfault warp c1 at=2s").expect_err("bad fault");
+        assert_eq!(err, "line 2: fault: unknown clause verb \"warp\"");
     }
 
     #[test]

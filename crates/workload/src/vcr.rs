@@ -33,17 +33,6 @@ pub struct VcrConfig {
 }
 
 impl VcrConfig {
-    /// A medium interactive load on the given system.
-    pub fn medium(tiger: TigerConfig) -> Self {
-        VcrConfig {
-            catalog: CatalogSpec::sized_for(SimDuration::from_secs(400), 32),
-            viewers: 120,
-            interactive_fraction: 0.4,
-            duration: SimDuration::from_secs(300),
-            tiger,
-        }
-    }
-
     /// The [`WorkloadPlan`] this preset expands to: uniform popularity
     /// over the catalog and hazard rates that reproduce the original
     /// driver's cadence (a pause roughly every half minute of play, a

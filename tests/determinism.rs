@@ -80,13 +80,15 @@ fn fleet_output_is_identical_at_any_thread_count() {
 
     // A cross-section of the catalogue: two full-system ramps (fig8 and
     // the multi-seed capacity sweep, which carry merged Metrics), one
-    // data-structure churn sweep, and one analytic sweep. Quick scale
-    // keeps the three runs to seconds.
+    // data-structure churn sweep, one analytic sweep, and the five
+    // message-level §4.2 rings. Quick scale keeps the three runs to
+    // seconds.
     let pick = [
         "fig8",
         "capacity_seeds",
         "ablation_fragmentation",
         "ablation_decluster",
+        "ablation_mbr",
     ];
     let runs: Vec<_> = [1usize, 2, 3]
         .into_iter()

@@ -239,6 +239,147 @@ fn bench_cub_tables(c: &mut Runner) {
     });
 }
 
+/// The active-service table at the occupancy and in the access pattern of
+/// the full-scale data plane, which the hot-cache `cub/*` rows cannot see:
+/// a `steady-full` cub holds ≈430 services (43 streams' blocks a second,
+/// each alive from `maxVStateLead` before its send to a block play time
+/// after), tokens are handed out in sequence, and between two events of
+/// one cub every other cub has had its turn.
+fn bench_service_table(c: &mut Runner) {
+    use tiger_core::cub::service::PieceSpec;
+    use tiger_core::cub::TableBench;
+    const CUBS: u64 = 56;
+    const LIVE: u64 = 430;
+    let params = sosp_params();
+    let spec = PieceSpec::primary(&params, ByteSize::from_bytes(250_000), DiskId(0), 1);
+    let state = |i: u64| vs((i % 602) as u32, i % 602, (i / 602) as u32);
+    c.bench_function("table/get_mut_56x430_roundrobin", |b| {
+        // `scale-56`: 56 tables, each touched once per round, the touches
+        // of one table walking its tokens in order — what a cub's
+        // `ReadIssue` / `SendDue` chain does between its neighbours'.
+        let mut tables: Vec<TableBench> = (0..CUBS).map(|_| TableBench::default()).collect();
+        for i in 0..LIVE {
+            for t in &mut tables {
+                assert_eq!(t.insert(state(i), &spec), i);
+            }
+        }
+        let mut i = 0u64;
+        b.iter(|| {
+            i += 1;
+            black_box(tables[(i % CUBS) as usize].touch(i / CUBS % LIVE))
+        })
+    });
+    c.bench_function("table/insert_remove_window430", |b| {
+        // Steady state of one table: a block is accepted under the next
+        // token and the oldest is reclaimed.
+        let mut table = TableBench::default();
+        for i in 0..LIVE {
+            table.insert(state(i), &spec);
+        }
+        let mut next = LIVE;
+        b.iter(|| {
+            let token = table.insert(state(next), &spec);
+            next += 1;
+            black_box(table.remove(token - LIVE))
+        })
+    });
+}
+
+/// `Cub::on_forward_pass` on a `steady-full` cub: ≈430 active services,
+/// ≈21 of them newly due for forwarding (half a second of a cub's 43
+/// blocks a second), a retired log and a view one window deep. Cub 0 of a
+/// `sosp97` ring is driven alone, by hand: each iteration delivers the
+/// half second's viewer states as its predecessor would, runs cub 0's own
+/// read / send events up to the pass, and times the pass only.
+fn bench_forward_pass(c: &mut Runner) {
+    use tiger_core::event::Event;
+    use tiger_core::{Message, TigerConfig, TigerSystem};
+    use tiger_layout::CubId;
+    const ME: CubId = CubId(0);
+    let mut cfg = TigerConfig::sosp97();
+    cfg.disk = cfg.disk.without_blips();
+    let interval = cfg.forward_interval;
+    let lead = cfg.max_vstate_lead;
+    let mut sys = TigerSystem::new(cfg);
+    let file = sys.add_file(
+        Bandwidth::from_mbit_per_sec(2),
+        SimDuration::from_secs(3_600),
+    );
+    let client = sys.add_client();
+    // Every (slot, local disk) meeting of the schedule's first lap, by due
+    // time: (due, first position of the file on that disk, slot).
+    let (lap_len, mut meetings) = sys.with_cub_mut(ME, |cub, sh| {
+        let mut meetings = Vec::new();
+        for pos in 0..sh.params.stripe().num_disks() {
+            let loc = sh.catalog.locate(file, BlockNum(pos)).expect("in range");
+            if loc.cub != cub.id {
+                continue;
+            }
+            for slot in 0..sh.params.capacity() {
+                let due = sh
+                    .params
+                    .slot_send_time(loc.disk, SlotId(slot), SimTime::ZERO);
+                meetings.push((due, pos, slot));
+            }
+        }
+        (sh.params.schedule_len(), meetings)
+    });
+    meetings.sort_unstable();
+    let (mut now, mut fed, mut lap, mut seq) = (SimTime::ZERO, 0usize, 0u32, 0u32);
+    // One forward interval of cub 0's life up to (not including) the pass.
+    let mut advance = |sys: &mut TigerSystem| {
+        now += interval;
+        sys.with_cub_mut(ME, |cub, sh| {
+            cub.next_forward_pass = now;
+            while let Some((at, ev)) = sh.queue.pop_until(now) {
+                match ev {
+                    Event::ReadIssue { cub: ME, token } => cub.on_read_issue(sh, at, token),
+                    Event::DiskDone { cub: ME, token } => cub.on_disk_done(sh, at, token),
+                    Event::SendDue { cub: ME, token } => cub.on_send_due(sh, at, token),
+                    Event::SendDone { cub: ME, token } => cub.on_send_done(sh, at, token),
+                    _ => {} // Someone else's: the rest of the ring is not run.
+                }
+            }
+            loop {
+                let (due, pos, slot) = meetings[fed];
+                if due + lap_len.mul_u64(u64::from(lap)) > now + lead {
+                    break;
+                }
+                let state = ViewerState {
+                    file,
+                    client: sh.client_node(client).raw(),
+                    position: BlockNum(pos + sh.params.stripe().num_disks() * (lap % 32)),
+                    ..vs(slot, u64::from(slot), seq)
+                };
+                cub.on_message(sh, now, Message::ViewerState(state));
+                (fed, seq) = (fed + 1, seq + 1);
+                if fed == meetings.len() {
+                    (fed, lap) = (0, lap + 1);
+                }
+            }
+        });
+        now
+    };
+    for _ in 0..60 {
+        let now = advance(&mut sys);
+        sys.with_cub_mut(ME, |cub, sh| cub.on_forward_pass(sh, now));
+    }
+    let held = sys.with_cub_mut(ME, |cub, _| cub.schedule_information_held());
+    // ≈430 active + ≈430 view entries + ≈390 retired (a 9 s retention).
+    assert!((1_150..1_350).contains(&held), "steady state holds {held}");
+    c.bench_function("cub/forward_pass_430_active_20_due", |b| {
+        b.iter_timed(|| {
+            let now = advance(&mut sys);
+            sys.with_cub_mut(ME, |cub, sh| {
+                let start = std::time::Instant::now();
+                cub.on_forward_pass(sh, now);
+                start.elapsed()
+            })
+        })
+    });
+    assert!(sys.take_violations().is_empty());
+}
+
 fn bench_rejoin(c: &mut Runner) {
     // A rejoined cub restarts with an empty schedule view and re-learns
     // its slots from the hand-back batch its ring neighbors and covering
@@ -804,6 +945,7 @@ fn main() {
     bench_view_ops(&mut c);
     bench_view_held(&mut c);
     bench_cub_tables(&mut c);
+    bench_forward_pass(&mut c);
     bench_rejoin(&mut c);
     bench_layout(&mut c);
     bench_net_schedule(&mut c);
@@ -815,5 +957,6 @@ fn main() {
     bench_workgen(&mut c);
     bench_disk_model(&mut c);
     bench_coded(&mut c);
+    bench_service_table(&mut c);
     c.finish();
 }

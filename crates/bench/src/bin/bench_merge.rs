@@ -13,32 +13,37 @@
 //!
 //! Exits non-zero if the runs don't all contain the same benchmark set,
 //! so a filtered or crashed run can't silently shrink the snapshot.
+//!
+//! `bench_merge --into SNAPSHOT.json RUN1.json ...` re-snapshots part of
+//! the suite (runs made under a name filter): the merged rows replace the
+//! snapshot's rows of the same name, a new row goes after the last row of
+//! its `group/`, and every other row is carried over as it stands.
 
 use std::process::exit;
 
 use tiger_bench::runner::{parse_snapshot, results_json, BenchResult};
 
 fn main() {
-    let paths: Vec<String> = std::env::args().skip(1).collect();
+    let mut paths: Vec<String> = std::env::args().skip(1).collect();
+    let into = (paths.first().map(String::as_str) == Some("--into") && paths.len() > 1)
+        .then(|| paths.drain(..2).nth(1).expect("two drained"));
     if paths.len() < 2 {
-        eprintln!("usage: bench_merge RUN1.json RUN2.json ... > BENCH_micro.json");
+        eprintln!("usage: bench_merge [--into SNAPSHOT.json] RUN1.json RUN2.json ...");
         exit(2);
     }
-    let runs: Vec<Vec<BenchResult>> = paths
-        .iter()
-        .map(|p| {
-            let json = std::fs::read_to_string(p).unwrap_or_else(|e| {
-                eprintln!("bench_merge: cannot read {p}: {e}");
-                exit(2);
-            });
-            let results = parse_snapshot(&json);
-            if results.is_empty() {
-                eprintln!("bench_merge: no benchmarks found in {p}");
-                exit(2);
-            }
-            results
-        })
-        .collect();
+    let load = |p: &String| {
+        let json = std::fs::read_to_string(p).unwrap_or_else(|e| {
+            eprintln!("bench_merge: cannot read {p}: {e}");
+            exit(2);
+        });
+        let results = parse_snapshot(&json);
+        if results.is_empty() {
+            eprintln!("bench_merge: no benchmarks found in {p}");
+            exit(2);
+        }
+        results
+    };
+    let runs: Vec<Vec<BenchResult>> = paths.iter().map(load).collect();
 
     // The first run fixes the benchmark set and order; every other run
     // must cover exactly the same names.
@@ -73,5 +78,22 @@ fn main() {
         merged.len(),
         runs.len()
     );
+    if let Some(snapshot) = into {
+        let mut rows = load(&snapshot);
+        for new in merged {
+            let group = |name: &str| name.split('/').next().map(str::to_owned);
+            if let Some(old) = rows.iter_mut().find(|r| r.name == new.name) {
+                *old = new;
+            } else if let Some(last) = rows
+                .iter()
+                .rposition(|r| group(&r.name) == group(&new.name))
+            {
+                rows.insert(last + 1, new);
+            } else {
+                rows.push(new);
+            }
+        }
+        merged = rows;
+    }
     print!("{}", results_json(&merged));
 }

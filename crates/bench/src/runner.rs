@@ -41,6 +41,13 @@ impl Bencher {
         }
         self.elapsed_ns = start.elapsed().as_nanos();
     }
+
+    /// As [`Bencher::iter`], for an operation that needs untimed work
+    /// between iterations (refilling what it consumed): `f` runs one
+    /// iteration and returns the part of it that counts.
+    pub fn iter_timed(&mut self, mut f: impl FnMut() -> std::time::Duration) {
+        self.elapsed_ns = (0..self.iters).map(|_| f().as_nanos()).sum();
+    }
 }
 
 /// One benchmark's aggregated result.

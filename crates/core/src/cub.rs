@@ -33,6 +33,8 @@ pub mod service;
 #[path = "table.rs"]
 mod table;
 use table::ServiceTable;
+#[doc(hidden)]
+pub use table::TableBench;
 
 /// The ring machine's timing constants, as this driver configures them.
 fn ring_cfg(sh: &Shared) -> RingConfig {

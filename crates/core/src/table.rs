@@ -208,6 +208,28 @@ impl ServiceTable {
     }
 }
 
+/// The active table on its own, for `crates/bench`'s `table/*` rows: the
+/// type is private to the cub, and no `Cub` method reaches `get_mut`
+/// without a side effect.
+#[doc(hidden)]
+#[derive(Debug, Default)]
+pub struct TableBench(ServiceTable);
+
+impl TableBench {
+    pub fn insert(&mut self, vs: ViewerState, spec: &super::service::PieceSpec) -> ServiceToken {
+        self.0.insert(Active::new(vs, spec, SimTime::ZERO))
+    }
+
+    /// What every per-block event opens with: find the entry, read a flag.
+    pub fn touch(&mut self, token: ServiceToken) -> bool {
+        self.0.get_mut(token).is_some_and(|e| !e.dropped)
+    }
+
+    pub fn remove(&mut self, token: ServiceToken) -> bool {
+        self.0.remove(token).is_some()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::super::service::PieceSpec;

@@ -446,8 +446,7 @@ impl Cub {
     /// the rejoiner's own lead pipeline is warm (one minVStateLead).
     fn grant_handback(&mut self, sh: &mut Shared, now: SimTime, to: CubId) {
         let grant: Vec<ViewerState> = self
-            .shadows
-            .values()
+            .shadows_in_order()
             .filter(|s| {
                 // Only fresh records (send time still ahead): a stale
                 // pre-failure shadow carries an old position, and replaying
@@ -480,6 +479,15 @@ impl Cub {
             let batch: std::sync::Arc<[ViewerState]> = grant.into();
             sh.send_control(now, me, sh.cub_node(to), Message::ViewerStates(batch));
         }
+    }
+
+    /// The shadow records by ascending `(slot, instance)`: the order a
+    /// re-drive (hand-back grant, takeover) sends them in. The map's own
+    /// order is arbitrary and must not reach the wire.
+    fn shadows_in_order(&self) -> impl Iterator<Item = &Shadow> {
+        let mut all: Vec<_> = self.shadows.iter().collect();
+        all.sort_unstable_by_key(|&(key, _)| *key);
+        all.into_iter().map(|(_, s)| s)
     }
 
     // --- Viewer-state handling (§4.1.1) -----------------------------------
@@ -1079,8 +1087,7 @@ impl Cub {
         // double-forwarding) are the only surviving copies — exactly the
         // §4.1.1 argument for forwarding twice.
         let shadows: Vec<ViewerState> = self
-            .shadows
-            .values()
+            .shadows_in_order()
             .filter(|s| {
                 sh.catalog
                     .locate(s.vs.file, s.vs.position)
@@ -1101,8 +1108,7 @@ impl Cub {
         // re-send it to the rejoiner. Receipt idempotence dedups the
         // common case where the rejoiner did get the record.
         let to_rejoiner: Vec<(ViewerState, SimTime)> = self
-            .shadows
-            .values()
+            .shadows_in_order()
             .filter(|s| {
                 sh.catalog
                     .locate(s.vs.file, s.vs.position)

@@ -990,7 +990,7 @@ impl Cub {
         }
     }
 
-    /// Reclaims every service with nothing outstanding, in table order —
+    /// Reclaims every service with nothing outstanding, in token order —
     /// the order their records enter the retired log.
     pub(super) fn reclaim_finished(&mut self, now: SimTime, mut coded: Option<&mut CodedRuntime>) {
         let done: Vec<ServiceToken> = self

@@ -41,9 +41,7 @@ fn service_key(vs: &ViewerState) -> ServiceKey {
 /// See the module documentation.
 #[derive(Debug, Default)]
 pub(super) struct ServiceTable {
-    /// Iterated by the forward pass, whose batch order is this map's
-    /// iteration order: it must see the same inserts and removes, in the
-    /// same order, whatever the indexes beside it do.
+    /// Iterated by the forward pass in token order, never in the map's.
     active: HashMap<ServiceToken, Active>,
     by_key: HashMap<ServiceKey, ServiceToken>,
     /// Ordered, so one range query lists an instance's few services
@@ -105,14 +103,18 @@ impl ServiceTable {
         self.active.get_mut(&token)
     }
 
-    /// Every service, in the table's (deterministic) iteration order.
+    /// Every service, by ascending token — the order they were accepted in.
     pub(super) fn iter(&self) -> impl Iterator<Item = (ServiceToken, &Active)> {
-        self.active.iter().map(|(&t, e)| (t, e))
+        let mut all: Vec<_> = self.active.iter().map(|(&t, e)| (t, e)).collect();
+        all.sort_unstable_by_key(|&(t, _)| t);
+        all.into_iter()
     }
 
     /// As [`ServiceTable::iter`], for flipping an entry's progress flags.
     pub(super) fn values_mut(&mut self) -> impl Iterator<Item = &mut Active> {
-        self.active.values_mut()
+        let mut all: Vec<_> = self.active.iter_mut().collect();
+        all.sort_unstable_by_key(|&(&t, _)| t);
+        all.into_iter().map(|(_, e)| e)
     }
 
     /// `instance`'s services, by ascending token.

@@ -97,7 +97,7 @@ fn grow_restripe_under_streaming_load() {
         "restripe never cut over"
     );
     assert_eq!(sys.shared().cfg.stripe.num_cubs, 8);
-    assert_eq!(digest, 0x6c4b_2ee9_aa72_c0ef);
+    assert_eq!(digest, 0x0439_685e_19e2_e8d9);
 }
 
 #[test]
@@ -128,7 +128,7 @@ fn shrink_with_source_crash_and_restart_mid_drain() {
             )) == 1,
         "the departing cub never drained and fenced"
     );
-    assert_eq!(digest, 0x9012_30ab_6589_77be);
+    assert_eq!(digest, 0x9d7c_dc13_6ea7_0da6);
 }
 
 #[test]
@@ -155,7 +155,7 @@ fn spare_shield_double_failure_on_the_wide_ring() {
             > 0,
         "the spare never served a shielded piece"
     );
-    assert_eq!(digest, 0x30f2_7585_f6ab_585b);
+    assert_eq!(digest, 0xfa98_3781_c3cf_2206);
 }
 
 #[test]
@@ -204,5 +204,5 @@ fn controller_death_with_backup_and_requests_in_flight() {
         )) >= 3,
         "seeks and the resume were not issued"
     );
-    assert_eq!(digest, 0x451f_ea99_76f8_b8e9);
+    assert_eq!(digest, 0x8d98_8607_4ce6_5dd9);
 }

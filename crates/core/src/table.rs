@@ -19,7 +19,7 @@
 //! [`ServiceTable::information_held`] counts the two tables only.
 
 use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use tiger_layout::ids::ViewerInstance;
 use tiger_sched::{Deschedule, SlotId, StreamKind, ViewerState};
@@ -38,18 +38,81 @@ fn service_key(vs: &ViewerState) -> ServiceKey {
     (vs.slot, vs.instance, vs.kind, vs.play_seq)
 }
 
+/// The active services, as a window of consecutive tokens. Tokens are
+/// handed out in sequence and a service is reclaimed within seconds of its
+/// neighbours, so the live ones lie in a short run of consecutive
+/// numbers: `slots[i]` belongs to token `base + i`, a lookup is a
+/// subtraction, and a cub's successive events find their entries side by
+/// side. Iteration is by ascending token, which is acceptance order.
+#[derive(Debug, Default)]
+struct Window {
+    /// Token of `slots[0]`; `base + slots.len()` is the next token to hand
+    /// out. Only ever grows: tokens of a previous life may still sit in
+    /// the event queue and must miss, not name a new life's service.
+    base: ServiceToken,
+    /// `None` once reclaimed. A vacated front is popped at once, so the
+    /// window spans the oldest live token to the newest and no further.
+    slots: VecDeque<Option<Active>>,
+    live: usize,
+}
+
+impl Window {
+    fn index(&self, token: ServiceToken) -> Option<usize> {
+        usize::try_from(token.checked_sub(self.base)?).ok()
+    }
+
+    fn get(&self, token: ServiceToken) -> Option<&Active> {
+        self.slots.get(self.index(token)?)?.as_ref()
+    }
+
+    fn get_mut(&mut self, token: ServiceToken) -> Option<&mut Active> {
+        let at = self.index(token)?;
+        self.slots.get_mut(at)?.as_mut()
+    }
+
+    fn insert(&mut self, entry: Active) -> ServiceToken {
+        self.slots.push_back(Some(entry));
+        self.live += 1;
+        self.base + (self.slots.len() - 1) as ServiceToken
+    }
+
+    fn remove(&mut self, token: ServiceToken) -> Option<Active> {
+        let at = self.index(token)?;
+        let entry = self.slots.get_mut(at)?.take()?;
+        self.live -= 1;
+        while let Some(None) = self.slots.front() {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+        Some(entry)
+    }
+
+    fn clear(&mut self) {
+        self.base += self.slots.len() as ServiceToken;
+        self.slots.clear();
+        self.live = 0;
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (ServiceToken, &Active)> {
+        let tokens = self.base..;
+        tokens
+            .zip(&self.slots)
+            .filter_map(|(t, e)| Some((t, e.as_ref()?)))
+    }
+
+    fn values_mut(&mut self) -> impl Iterator<Item = &mut Active> {
+        self.slots.iter_mut().flatten()
+    }
+}
+
 /// See the module documentation.
 #[derive(Debug, Default)]
 pub(super) struct ServiceTable {
-    /// Iterated by the forward pass in token order, never in the map's.
-    active: HashMap<ServiceToken, Active>,
+    active: Window,
     by_key: HashMap<ServiceKey, ServiceToken>,
     /// Ordered, so one range query lists an instance's few services
     /// without a per-instance allocation.
     by_instance: BTreeSet<(ViewerInstance, ServiceToken)>,
-    /// Never reset: tokens of a previous life may still sit in the event
-    /// queue and must not name a new life's service.
-    next_token: ServiceToken,
     /// Recently serviced-and-forwarded primary records, oldest first,
     /// retained for one failure-detection window so that, as "the
     /// preceding living cub", this cub can re-send scheduling information
@@ -64,17 +127,16 @@ impl ServiceTable {
 
     /// Adds a service under a fresh token.
     pub(super) fn insert(&mut self, entry: Active) -> ServiceToken {
-        let token = self.next_token;
-        self.next_token += 1;
-        self.by_key.insert(service_key(&entry.vs), token);
-        self.by_instance.insert((entry.vs.instance, token));
-        self.active.insert(token, entry);
+        let (key, instance) = (service_key(&entry.vs), entry.vs.instance);
+        let token = self.active.insert(entry);
+        self.by_key.insert(key, token);
+        self.by_instance.insert((instance, token));
         token
     }
 
     /// Removes a service from the table and both indexes.
     pub(super) fn remove(&mut self, token: ServiceToken) -> Option<Active> {
-        let entry = self.active.remove(&token)?;
+        let entry = self.active.remove(token)?;
         self.by_key.remove(&service_key(&entry.vs));
         self.by_instance.remove(&(entry.vs.instance, token));
         Some(entry)
@@ -96,25 +158,21 @@ impl ServiceTable {
     }
 
     pub(super) fn get(&self, token: ServiceToken) -> Option<&Active> {
-        self.active.get(&token)
+        self.active.get(token)
     }
 
     pub(super) fn get_mut(&mut self, token: ServiceToken) -> Option<&mut Active> {
-        self.active.get_mut(&token)
+        self.active.get_mut(token)
     }
 
     /// Every service, by ascending token — the order they were accepted in.
     pub(super) fn iter(&self) -> impl Iterator<Item = (ServiceToken, &Active)> {
-        let mut all: Vec<_> = self.active.iter().map(|(&t, e)| (t, e)).collect();
-        all.sort_unstable_by_key(|&(t, _)| t);
-        all.into_iter()
+        self.active.iter()
     }
 
     /// As [`ServiceTable::iter`], for flipping an entry's progress flags.
     pub(super) fn values_mut(&mut self) -> impl Iterator<Item = &mut Active> {
-        let mut all: Vec<_> = self.active.iter_mut().collect();
-        all.sort_unstable_by_key(|&(&t, _)| t);
-        all.into_iter().map(|(_, e)| e)
+        self.active.values_mut()
     }
 
     /// `instance`'s services, by ascending token.
@@ -125,7 +183,7 @@ impl ServiceTable {
     ) -> impl Iterator<Item = (ServiceToken, &Active)> {
         self.by_instance
             .range((instance, from)..=(instance, ServiceToken::MAX))
-            .filter_map(|&(_, token)| Some((token, self.active.get(&token)?)))
+            .filter_map(|&(_, token)| Some((token, self.active.get(token)?)))
     }
 
     /// The first service at or after token `from` that `d` kills: the
@@ -138,7 +196,7 @@ impl ServiceTable {
         let (token, _) = self
             .of_instance(d.instance, from)
             .find(|(_, e)| d.matches(&e.vs))?;
-        Some((token, self.active.get_mut(&token)?))
+        Some((token, self.active.get_mut(token)?))
     }
 
     // --- The retired log ------------------------------------------------------
@@ -180,7 +238,7 @@ impl ServiceTable {
     /// Active services plus retired-log entries: this table's share of
     /// `Cub::schedule_information_held`.
     pub(super) fn information_held(&self) -> usize {
-        self.active.len() + self.retired_log.len()
+        self.active.live + self.retired_log.len()
     }
 
     /// Whether `instance`'s retired entries reach `play_seq` or beyond.
@@ -319,14 +377,78 @@ mod tests {
         Active::new(vs, &spec, SimTime::ZERO)
     }
 
+    #[test]
+    fn window_matches_the_map_model() {
+        check("window_matches_the_map_model", |rng| {
+            let mut window = Window::default();
+            let mut model: BTreeMap<ServiceToken, Active> = BTreeMap::new();
+            let mut next: ServiceToken = 0;
+            // Tokens that no longer name anything: reclaimed, or of a life
+            // a `clear` ended.
+            let mut stale: Vec<ServiceToken> = Vec::new();
+            // How many more removals spare the oldest service: a straggler
+            // pins the front while the services behind it come and go.
+            let mut pinned = 0;
+            for _ in 0..rng.gen_range(1usize..400) {
+                match rng.gen_range(0u32..16) {
+                    0..=6 => {
+                        let entry = active(arb_state(rng));
+                        assert_eq!(window.insert(entry), next, "tokens never reset");
+                        model.insert(next, entry);
+                        next += 1;
+                    }
+                    7..=11 if !model.is_empty() => {
+                        let spared = usize::from(pinned > 0 && model.len() > 1);
+                        pinned -= spared;
+                        let pick = rng.gen_range(spared..model.len());
+                        let token = *model.keys().nth(pick).expect("in range");
+                        let (got, want) = (window.remove(token), model.remove(&token));
+                        assert_eq!(got.map(|e| e.vs), want.map(|e| e.vs));
+                        assert!(window.remove(token).is_none(), "removed twice");
+                        stale.push(token);
+                    }
+                    12 | 13 if !model.is_empty() => {
+                        let pick = rng.gen_range(0..model.len());
+                        let token = *model.keys().nth(pick).expect("in range");
+                        window.get_mut(token).expect("live").dropped = true;
+                        model.get_mut(&token).expect("live").dropped = true;
+                    }
+                    14 => pinned = rng.gen_range(0usize..40),
+                    15 if rng.gen_bool(0.3) => {
+                        window.clear();
+                        stale.extend(model.keys());
+                        model.clear();
+                    }
+                    _ => {}
+                }
+                stale.drain(..stale.len().saturating_sub(32));
+                for &token in stale.iter().chain(&[next, next + 7, ServiceToken::MAX]) {
+                    assert!(window.get(token).is_none(), "stale token {token} answered");
+                }
+                let listed: Vec<_> = window.iter().map(|(t, e)| (t, e.vs, e.dropped)).collect();
+                let want: Vec<_> = model.iter().map(|(&t, e)| (t, e.vs, e.dropped)).collect();
+                assert_eq!(listed, want, "iteration is the live set by ascending token");
+                for (&token, e) in &model {
+                    assert_eq!(window.get(token).map(|g| g.vs), Some(e.vs));
+                }
+                assert_eq!(window.live, model.len());
+                assert_eq!(window.values_mut().count(), model.len());
+                // The window spans the oldest live token to the newest
+                // handed out, and nothing once the table is empty.
+                let span = model.keys().next().map_or(0, |oldest| next - oldest);
+                assert_eq!(window.slots.len() as ServiceToken, span);
+            }
+        });
+    }
+
     /// Both indexes describe `active` exactly, and the retired counts the
     /// retired log.
     fn assert_in_step(t: &ServiceTable) {
-        assert_eq!(t.by_key.len(), t.active.len());
-        assert_eq!(t.by_instance.len(), t.active.len());
-        for (token, e) in &t.active {
-            assert_eq!(t.by_key.get(&service_key(&e.vs)), Some(token));
-            assert!(t.by_instance.contains(&(e.vs.instance, *token)));
+        assert_eq!(t.by_key.len(), t.active.live);
+        assert_eq!(t.by_instance.len(), t.active.live);
+        for (token, e) in t.active.iter() {
+            assert_eq!(t.by_key.get(&service_key(&e.vs)), Some(&token));
+            assert!(t.by_instance.contains(&(e.vs.instance, token)));
         }
         let counted: u32 = t.retired_seqs.values().sum();
         assert_eq!(counted as usize, t.retired_log.len());

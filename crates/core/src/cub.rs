@@ -486,7 +486,7 @@ impl Cub {
     /// order is arbitrary and must not reach the wire.
     fn shadows_in_order(&self) -> impl Iterator<Item = &Shadow> {
         let mut all: Vec<_> = self.shadows.iter().collect();
-        all.sort_unstable_by_key(|&(key, _)| *key);
+        all.sort_unstable_by(|a, b| a.0.cmp(b.0));
         all.into_iter().map(|(_, s)| s)
     }
 

@@ -509,7 +509,7 @@ impl Cub {
         // chain never reaches pieces past its last living holder (the
         // successor outside the span drops the record), and for mid-chain
         // dead holders the next living holder's receive loop routes a
-        // duplicate — the spare's by-key table dedups it.
+        // duplicate — the spare's service table dedups it.
         for j in piece + 1..stripe.decluster {
             let holder_cub = stripe.cub_of(stripe.disk_after(failed_disk, j + 1));
             if self.ring.believes_failed(holder_cub) {

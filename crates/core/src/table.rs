@@ -5,12 +5,15 @@
 //! this block already been served" (§4.1.2) — with a keyed lookup
 //! instead of a scan.
 //!
-//! The indexes are derived state, kept in step by the only methods that
-//! can change what they describe:
+//! The active services sit in a [`Window`] of consecutive tokens, so the
+//! per-block events (`ReadIssue`, `DiskDone`, `SendDue`, `SendDone`) find
+//! theirs by subtraction and the forward pass walks them in acceptance
+//! order. The indexes are derived state, kept in step by the only methods
+//! that can change what they describe:
 //!
-//! * `by_key` and `by_instance` hold exactly one entry per `active`
-//!   entry — [`ServiceTable::insert`], [`ServiceTable::remove`] and
-//!   [`ServiceTable::clear`] touch all three or none;
+//! * `by_instance` holds exactly one entry per active service —
+//!   [`ServiceTable::insert`], [`ServiceTable::remove`] and
+//!   [`ServiceTable::clear`] touch both or neither;
 //! * `retired_seqs` counts exactly the `retired_log` entries per
 //!   `(instance, play_seq)` — [`ServiceTable::retire`],
 //!   [`ServiceTable::prune_retired`] and [`ServiceTable::clear_retired`].
@@ -23,18 +26,16 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use tiger_layout::ids::ViewerInstance;
 use tiger_sched::{Deschedule, SlotId, StreamKind, ViewerState};
-use tiger_sim::{DetHashMap as HashMap, SimDuration, SimTime};
+use tiger_sim::{SimDuration, SimTime};
 
 use super::service::Active;
 use crate::event::ServiceToken;
 
-/// Key identifying one active service on this cub: slot, instance, kind,
+/// What identifies one active service on this cub: slot, instance, kind,
 /// and play sequence. The last distinguishes successive laps of the same
 /// slot: on small rings a slot's next-lap record can arrive while the
 /// previous block is still being transmitted.
-type ServiceKey = (SlotId, ViewerInstance, StreamKind, u32);
-
-fn service_key(vs: &ViewerState) -> ServiceKey {
+fn service_key(vs: &ViewerState) -> (SlotId, ViewerInstance, StreamKind, u32) {
     (vs.slot, vs.instance, vs.kind, vs.play_seq)
 }
 
@@ -109,7 +110,6 @@ impl Window {
 #[derive(Debug, Default)]
 pub(super) struct ServiceTable {
     active: Window,
-    by_key: HashMap<ServiceKey, ServiceToken>,
     /// Ordered, so one range query lists an instance's few services
     /// without a per-instance allocation.
     by_instance: BTreeSet<(ViewerInstance, ServiceToken)>,
@@ -127,17 +127,15 @@ impl ServiceTable {
 
     /// Adds a service under a fresh token.
     pub(super) fn insert(&mut self, entry: Active) -> ServiceToken {
-        let (key, instance) = (service_key(&entry.vs), entry.vs.instance);
+        let instance = entry.vs.instance;
         let token = self.active.insert(entry);
-        self.by_key.insert(key, token);
         self.by_instance.insert((instance, token));
         token
     }
 
-    /// Removes a service from the table and both indexes.
+    /// Removes a service from the table and its index.
     pub(super) fn remove(&mut self, token: ServiceToken) -> Option<Active> {
         let entry = self.active.remove(token)?;
-        self.by_key.remove(&service_key(&entry.vs));
         self.by_instance.remove(&(entry.vs.instance, token));
         Some(entry)
     }
@@ -147,14 +145,15 @@ impl ServiceTable {
     /// drops it while transmissions in flight finish.
     pub(super) fn clear(&mut self) {
         self.active.clear();
-        self.by_key.clear();
         self.by_instance.clear();
     }
 
     /// Whether a service for exactly this record (slot, instance, kind
-    /// and play sequence) is already in the table.
+    /// and play sequence) is already in the table: one of the instance's
+    /// one or two services, if any.
     pub(super) fn serves(&self, vs: &ViewerState) -> bool {
-        self.by_key.contains_key(&service_key(vs))
+        self.of_instance(vs.instance, 0)
+            .any(|(_, e)| service_key(&e.vs) == service_key(vs))
     }
 
     pub(super) fn get(&self, token: ServiceToken) -> Option<&Active> {
@@ -323,6 +322,12 @@ mod tests {
                 .any(|(_, r)| r.instance == vs.instance && r.play_seq >= vs.play_seq)
         }
 
+        fn serves(&self, vs: &ViewerState) -> bool {
+            self.active
+                .iter()
+                .any(|(_, a)| service_key(&a.vs) == service_key(vs))
+        }
+
         fn victims(&self, d: &Deschedule) -> Vec<ServiceToken> {
             let mut tokens: Vec<_> = self
                 .active
@@ -441,13 +446,11 @@ mod tests {
         });
     }
 
-    /// Both indexes describe `active` exactly, and the retired counts the
+    /// The index describes `active` exactly, and the retired counts the
     /// retired log.
     fn assert_in_step(t: &ServiceTable) {
-        assert_eq!(t.by_key.len(), t.active.live);
         assert_eq!(t.by_instance.len(), t.active.live);
         for (token, e) in t.active.iter() {
-            assert_eq!(t.by_key.get(&service_key(&e.vs)), Some(&token));
             assert!(t.by_instance.contains(&(e.vs.instance, token)));
         }
         let counted: u32 = t.retired_seqs.values().sum();
@@ -468,12 +471,9 @@ mod tests {
                 now += SimDuration::from_millis(rng.gen_range(0u64..3) * 500);
                 match rng.gen_range(0u32..10) {
                     0..=3 => {
-                        // Admission: the by-key duplicate test, then insert.
+                        // Admission: the duplicate test, then insert.
                         let vs = arb_state(rng);
-                        let dup = oracle
-                            .active
-                            .iter()
-                            .any(|(_, a)| service_key(&a.vs) == service_key(&vs));
+                        let dup = oracle.serves(&vs);
                         assert_eq!(table.serves(&vs), dup);
                         if !dup {
                             let token = table.insert(active(vs));
@@ -544,6 +544,7 @@ mod tests {
                     table.carries_instance(&probe.instance),
                     oracle.carries_instance(&probe.instance),
                 );
+                assert_eq!(table.serves(&probe), oracle.serves(&probe));
             }
         });
     }

@@ -20,7 +20,7 @@ use tiger_sim::{Counter, SimDuration, SimTime};
 use tiger_trace::TraceEvent;
 
 use crate::config::ForwardingPolicy;
-use crate::event::Event;
+use crate::event::{Event, ServiceToken};
 use crate::system::Shared;
 
 pub use tiger_proto::insert::PendingStart;
@@ -103,6 +103,10 @@ pub struct Cub {
     pub(crate) next_deadman_check: SimTime,
     /// Control messages processed (receive side, for the CPU model).
     msgs_processed: Counter,
+    /// Services that finished where nothing reclaims them (a read that
+    /// could not be issued). The next forward pass does, as its scan of
+    /// the whole table used to, so their retire times stand.
+    pass_reclaims: Vec<ServiceToken>,
     /// Viewer instances for which an EOF notice was already sent.
     eof_sent: HashSet<ViewerInstance>,
     /// Set while this cub is rejoining after a restart: the restart
@@ -139,6 +143,7 @@ impl Cub {
             next_deadman_ping: SimTime::ZERO,
             next_deadman_check: SimTime::ZERO,
             msgs_processed: Counter::new(),
+            pass_reclaims: Vec::new(),
             eof_sent: HashSet::default(),
             rejoined_at: None,
         }
@@ -627,8 +632,11 @@ impl Cub {
         }
         let mut batch: Vec<ViewerState> = Vec::new();
         let mut finished: Vec<ViewerInstance> = Vec::new();
-        for entry in self.services.values_mut() {
-            if entry.forwarded || entry.dropped || entry.vs.kind != StreamKind::Primary {
+        // Forwarding is what most often finishes a service out of its own
+        // events' sight (a fresh insert's send can beat it).
+        let mut reclaims = std::mem::take(&mut self.pass_reclaims);
+        for (token, entry) in self.services.unforwarded_mut() {
+            if entry.dropped || entry.vs.kind != StreamKind::Primary {
                 continue;
             }
             let due_next = entry.send_at + sh.params.block_play_time();
@@ -636,6 +644,7 @@ impl Cub {
                 continue;
             }
             entry.forwarded = true;
+            reclaims.push(token);
             let advanced = entry.vs.advanced(1);
             let meta = sh.catalog.get(advanced.file).copied();
             let at_eof = meta.is_none_or(|m| advanced.position.raw() >= m.num_blocks);
@@ -645,7 +654,10 @@ impl Cub {
                 batch.push(advanced);
             }
         }
-        self.reclaim_finished(now, sh.coded.as_mut());
+        self.reclaim_finished(now, &mut reclaims, sh.coded.as_mut());
+        reclaims.clear();
+        self.pass_reclaims = reclaims;
+        debug_assert!(self.services.iter().all(|(_, e)| !e.finished()));
         for instance in finished {
             if self.eof_sent.insert(instance) {
                 sh.send_to_controllers(
@@ -1261,7 +1273,8 @@ impl Cub {
             }
             entry.forwarded = true;
         }
-        self.reclaim_finished(now, None);
+        let mut all = self.services.iter().map(|(token, _)| token).collect();
+        self.reclaim_finished(now, &mut all, None);
         self.reset_viewer_state();
         for &d in fences {
             self.view.apply_deschedule(d, now, hold_until);

@@ -760,20 +760,16 @@ impl Cub {
                 RequestKind::Mirror,
             ),
         };
-        let Some(extent) = lookup else {
-            // Content not on this disk (stale record after a restripe).
-            // The block is lost but the viewer continues.
-            entry.missed = true;
-            sh.metrics.loss.failover_lost += 1;
-            return;
-        };
-        let req = DiskRequest {
-            offset: extent.offset(),
-            len: extent.length(),
-            kind,
-        };
-        match self.disks[local as usize].submit(now, req) {
-            Ok(done) => {
+        let submitted = lookup.map(|extent| {
+            let req = DiskRequest {
+                offset: extent.offset(),
+                len: extent.length(),
+                kind,
+            };
+            (req, self.disks[local as usize].submit(now, req))
+        });
+        match submitted {
+            Some((req, Ok(done))) => {
                 let (slot, viewer, inc) = vkey(&entry.vs);
                 sh.tracer.record(
                     now,
@@ -800,30 +796,34 @@ impl Cub {
                 let cub = self.id;
                 sh.queue.schedule(done, Event::DiskDone { cub, token });
             }
-            Err(DiskError::Failed) => {
-                entry.missed = true;
-                sh.metrics.loss.failover_lost += 1;
-            }
-            Err(DiskError::Transient) => {
-                // Injected transient read error: the block is lost (no
-                // retry path — the send deadline leaves no slack for one),
-                // but the disk and the viewer both continue.
-                entry.missed = true;
-                sh.metrics.loss.failover_lost += 1;
-                let (slot, viewer, inc) = vkey(&entry.vs);
-                sh.tracer.record(
-                    now,
-                    self.id.raw(),
-                    TraceEvent::DiskTransient {
-                        slot,
-                        viewer,
-                        inc,
-                        disk: disk_id.raw(),
-                    },
-                );
-            }
-            Err(DiskError::OutOfRange) => {
+            Some((_, Err(DiskError::OutOfRange))) => {
                 unreachable!("index produced an out-of-range extent");
+            }
+            lost => {
+                // No read: the content is not on this disk (a stale record
+                // after a restripe), the disk is dead, or the read drew an
+                // injected transient error (no retry path — the send
+                // deadline leaves no slack for one). The block is lost; the
+                // disk and the viewer both continue.
+                entry.missed = true;
+                sh.metrics.loss.failover_lost += 1;
+                if !self.failed {
+                    // (A serving spare runs no passes: its send-due reclaims.)
+                    self.pass_reclaims.push(token);
+                }
+                if let Some((_, Err(DiskError::Transient))) = lost {
+                    let (slot, viewer, inc) = vkey(&entry.vs);
+                    sh.tracer.record(
+                        now,
+                        self.id.raw(),
+                        TraceEvent::DiskTransient {
+                            slot,
+                            viewer,
+                            inc,
+                            disk: disk_id.raw(),
+                        },
+                    );
+                }
             }
         }
     }
@@ -990,17 +990,19 @@ impl Cub {
         }
     }
 
-    /// Reclaims every service with nothing outstanding, in token order —
+    /// Reclaims those of `tokens` with nothing outstanding, in token order —
     /// the order their records enter the retired log.
-    pub(super) fn reclaim_finished(&mut self, now: SimTime, mut coded: Option<&mut CodedRuntime>) {
-        let done: Vec<ServiceToken> = self
-            .services
-            .iter()
-            .filter(|(_, e)| e.finished())
-            .map(|(token, _)| token)
-            .collect();
-        for token in done {
-            self.reclaim(now, token, coded.as_deref_mut());
+    pub(super) fn reclaim_finished(
+        &mut self,
+        now: SimTime,
+        tokens: &mut Vec<ServiceToken>,
+        mut coded: Option<&mut CodedRuntime>,
+    ) {
+        tokens.sort_unstable();
+        for &token in tokens.iter() {
+            if self.services.get(token).is_some_and(Active::finished) {
+                self.reclaim(now, token, coded.as_deref_mut());
+            }
         }
     }
 

@@ -55,6 +55,10 @@ struct Window {
     /// window spans the oldest live token to the newest and no further.
     slots: VecDeque<Option<Active>>,
     live: usize,
+    /// Every service below this token has been forwarded or reclaimed:
+    /// where the forward pass starts looking, so it walks the last
+    /// second's acceptances and not the table.
+    unforwarded_from: ServiceToken,
 }
 
 impl Window {
@@ -101,8 +105,28 @@ impl Window {
             .filter_map(|(t, e)| Some((t, e.as_ref()?)))
     }
 
+    /// Every service, for flipping progress flags. A failure declaration
+    /// clears `forwarded` this way, so the forward pass looks again from
+    /// the front.
     fn values_mut(&mut self) -> impl Iterator<Item = &mut Active> {
+        self.unforwarded_from = self.base;
         self.slots.iter_mut().flatten()
+    }
+
+    fn unforwarded_mut(&mut self) -> impl Iterator<Item = (ServiceToken, &mut Active)> {
+        let mut from = self.index(self.unforwarded_from).unwrap_or(0);
+        while let Some(slot) = self.slots.get(from) {
+            if slot.as_ref().is_some_and(|e| !e.forwarded) {
+                break;
+            }
+            from += 1;
+        }
+        self.unforwarded_from = self.base + from as ServiceToken;
+        let tokens = self.unforwarded_from..;
+        tokens
+            .zip(self.slots.range_mut(from..))
+            .filter_map(|(t, e)| Some((t, e.as_mut()?)))
+            .filter(|(_, e)| !e.forwarded)
     }
 }
 
@@ -172,6 +196,12 @@ impl ServiceTable {
     /// As [`ServiceTable::iter`], for flipping an entry's progress flags.
     pub(super) fn values_mut(&mut self) -> impl Iterator<Item = &mut Active> {
         self.active.values_mut()
+    }
+
+    /// The services not yet forwarded, by ascending token: what a forward
+    /// pass looks at.
+    pub(super) fn unforwarded_mut(&mut self) -> impl Iterator<Item = (ServiceToken, &mut Active)> {
+        self.active.unforwarded_mut()
     }
 
     /// `instance`'s services, by ascending token.

@@ -9,7 +9,7 @@
 //! `recovery/retired_replay` micro-benchmark can drive it against a
 //! synthetic retired log without building a whole system.
 
-use std::collections::HashSet;
+use std::collections::{HashSet, VecDeque};
 
 use tiger_layout::{BlockNum, CubId, FileId};
 use tiger_sched::ViewerState;
@@ -28,22 +28,20 @@ pub fn retired_retention(cfg: &TigerConfig) -> SimDuration {
 
 /// Drops retired-log entries older than `retention` before `now`, naming
 /// each to `dropped` (the cub's per-instance index follows the log through
-/// it). Service order (ascending time) is preserved; [`replay_batch`]
-/// depends on it.
+/// it). The log is in service order (ascending time; [`replay_batch`]
+/// depends on it too), so what is too old is a prefix, and pruning costs
+/// what it drops.
 pub fn prune_retired(
-    log: &mut Vec<(SimTime, ViewerState)>,
+    log: &mut VecDeque<(SimTime, ViewerState)>,
     now: SimTime,
     retention: SimDuration,
     mut dropped: impl FnMut(&ViewerState),
 ) {
     let horizon = now.saturating_sub(retention);
-    log.retain(|(at, vs)| {
-        let keep = *at >= horizon;
-        if !keep {
-            dropped(vs);
-        }
-        keep
-    });
+    while log.front().is_some_and(|(at, _)| *at < horizon) {
+        let (_, vs) = log.pop_front().expect("front checked");
+        dropped(&vs);
+    }
 }
 
 /// Builds the batch a ring predecessor replays to a rejoining cub.
@@ -74,8 +72,8 @@ pub fn prune_retired(
 /// duplicates), so over-approximating the batch is safe; the filter only
 /// bounds the message size.
 #[allow(clippy::too_many_arguments)] // a pure reduction: log + clock + geometry + two oracles
-pub fn replay_batch(
-    retired: &[(SimTime, ViewerState)],
+pub fn replay_batch<'a>(
+    retired: impl IntoIterator<Item = &'a (SimTime, ViewerState), IntoIter: DoubleEndedIterator>,
     now: SimTime,
     block_play_time: SimDuration,
     clear_horizon: SimDuration,
@@ -88,7 +86,7 @@ pub fn replay_batch(
     let mut out = Vec::new();
     // Latest sighting per viewer wins: walk newest-first, emit the first
     // entry seen for each (slot, instance), then restore service order.
-    for &(at, vs) in retired.iter().rev() {
+    for &(at, vs) in retired.into_iter().rev() {
         if !seen.insert((vs.slot, vs.instance)) {
             continue;
         }
@@ -257,7 +255,7 @@ mod tests {
         let bpt = SimDuration::from_secs(1);
         for seed in 0..64u64 {
             let mut rng = Rng(seed);
-            let mut pruned: Vec<(SimTime, ViewerState)> = Vec::new();
+            let mut pruned: VecDeque<(SimTime, ViewerState)> = VecDeque::new();
             let mut full: Vec<(SimTime, ViewerState)> = Vec::new();
             let mut now = SimTime::ZERO;
             let mut horizon = SimTime::ZERO;
@@ -269,7 +267,7 @@ mod tests {
                     let viewer = rng.below(6);
                     let pos = (now.as_nanos() / bpt.as_nanos()) as u32 % 60;
                     let entry = (now, vs(viewer as u32, viewer, pos));
-                    pruned.push(entry);
+                    pruned.push_back(entry);
                     full.push(entry);
                 } else {
                     prune_retired(&mut pruned, now, retention, |_| {});

@@ -141,7 +141,7 @@ pub(super) struct ServiceTable {
     /// retained for one failure-detection window so that, as "the
     /// preceding living cub", this cub can re-send scheduling information
     /// across a gap of consecutive failures (§2.3).
-    retired_log: Vec<(SimTime, ViewerState)>,
+    retired_log: VecDeque<(SimTime, ViewerState)>,
     /// How many `retired_log` entries carry each `(instance, play_seq)`.
     retired_seqs: BTreeMap<(ViewerInstance, u32), u32>,
 }
@@ -232,7 +232,7 @@ impl ServiceTable {
 
     /// Appends a serviced primary record.
     pub(super) fn retire(&mut self, now: SimTime, vs: ViewerState) {
-        self.retired_log.push((now, vs));
+        self.retired_log.push_back((now, vs));
         *self
             .retired_seqs
             .entry((vs.instance, vs.play_seq))
@@ -240,7 +240,7 @@ impl ServiceTable {
     }
 
     /// The log, oldest first.
-    pub(super) fn retired(&self) -> &[(SimTime, ViewerState)] {
+    pub(super) fn retired(&self) -> &VecDeque<(SimTime, ViewerState)> {
         &self.retired_log
     }
 
@@ -558,7 +558,7 @@ mod tests {
                     },
                 }
                 assert_in_step(&table);
-                assert_eq!(table.retired(), &oracle.retired[..]);
+                assert_eq!(table.retired(), &oracle.retired);
                 assert_eq!(
                     table.information_held(),
                     oracle.active.len() + oracle.retired.len(),

@@ -701,3 +701,26 @@ fn no_spontaneous_reschedule() {
         assert!(view.believes_slot_free(SlotId(3)));
     });
 }
+
+#[test]
+fn det_hasher_spreads_the_schedule_keys() {
+    use tiger_sim::check::assert_hash_spreads;
+    let instance = |viewer: u64| ViewerInstance {
+        viewer: ViewerId(viewer),
+        incarnation: (viewer % 3) as u32,
+    };
+    // The shadow table's key: every slot of the SOSP schedule against a
+    // block of consecutive viewers.
+    assert_hash_spreads(
+        "(SlotId, ViewerInstance) grid",
+        (0u32..602).flat_map(|s| (0u64..109).map(move |v| (SlotId(s), instance(v)))),
+    );
+    // The held-deschedule map's: consecutive viewers, each in its slot.
+    assert_hash_spreads(
+        "Deschedule",
+        (0u64..65_536).map(|v| Deschedule {
+            instance: instance(v),
+            slot: SlotId((v % 602) as u32),
+        }),
+    );
+}

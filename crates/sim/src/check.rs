@@ -55,6 +55,32 @@ pub fn set_failure_hook(hook: impl Fn(u64) -> Option<String> + Send + Sync + 'st
     *FAILURE_HOOK.lock().expect("failure hook lock") = Some(Box::new(hook));
 }
 
+/// Hashes `keys` with [`crate::DetHasher`] and checks that both the low
+/// ten bits (the bucket a `HashMap` of a thousand slots picks) and the top
+/// seven (the tag it compares before the key) fill every bucket within
+/// ±50 % of uniform. For the crates that key a `DetHashMap` by a type of
+/// their own.
+pub fn assert_hash_spreads<K: std::hash::Hash>(what: &str, keys: impl Iterator<Item = K>) {
+    use std::hash::BuildHasher;
+    let build = std::hash::BuildHasherDefault::<crate::DetHasher>::default();
+    let (mut low, mut top, mut n) = ([0u32; 1 << 10], [0u32; 1 << 7], 0u32);
+    for key in keys {
+        let h = build.hash_one(key);
+        low[(h & 0x3ff) as usize] += 1;
+        top[(h >> 57) as usize] += 1;
+        n += 1;
+    }
+    for (bits, counts) in [("low 10", &low[..]), ("top 7", &top[..])] {
+        let even = f64::from(n) / counts.len() as f64;
+        for (bucket, &count) in counts.iter().enumerate() {
+            assert!(
+                (0.5 * even..=1.5 * even).contains(&f64::from(count)),
+                "{what}: {bits} bits, bucket {bucket} holds {count} of {n} (even share {even})"
+            );
+        }
+    }
+}
+
 fn failure_hook_output(case_seed: u64) -> Option<String> {
     FAILURE_HOOK
         .lock()

@@ -6,11 +6,9 @@
 //! per-block arrival (assembling declustered mirror pieces when the system
 //! is in failed mode) and reports anything it never received.
 
-use std::collections::HashMap;
-
 use tiger_layout::ids::ViewerInstance;
 use tiger_layout::FileId;
-use tiger_sim::{SimDuration, SimTime};
+use tiger_sim::{DetHashMap as HashMap, SimDuration, SimTime};
 
 /// How many block play times late a block may arrive before the client
 /// discards it as useless for rendering.
@@ -70,7 +68,7 @@ impl ViewerProgress {
             load_at_request: load,
             first_block_at: None,
             received,
-            pieces: HashMap::new(),
+            pieces: HashMap::default(),
             base_block,
             late_blocks: 0,
             dup_blocks: 0,
@@ -155,6 +153,25 @@ pub struct ClientReport {
     pub dup_blocks: u64,
 }
 
+/// What a delivery of stream data came to.
+#[derive(Clone, Copy, Debug)]
+pub enum Delivery<'a> {
+    /// Nothing yet: a piece of a block still incomplete, or data dropped
+    /// (unknown or stopped viewer, out of range, too late).
+    Pending,
+    /// A whole block.
+    Block,
+    /// The viewer's first whole block: its start latency is now known.
+    FirstBlock(&'a ViewerProgress),
+}
+
+impl Delivery<'_> {
+    /// Whether the delivery completed a whole block.
+    pub fn completed(self) -> bool {
+        !matches!(self, Delivery::Pending)
+    }
+}
+
 /// One client machine, possibly receiving many concurrent streams.
 #[derive(Debug, Default)]
 pub struct Client {
@@ -184,9 +201,9 @@ impl Client {
         );
     }
 
-    /// Handles arriving stream data. Returns `true` when this delivery
-    /// completed a whole block (for first-block latency instrumentation the
-    /// caller checks [`ViewerProgress::first_block_at`]).
+    /// Handles arriving stream data, and says whether this delivery
+    /// completed a whole block — and the viewer's first, for the
+    /// start-latency instrumentation.
     ///
     /// §5: the test client "makes sure that the expected data arrives on
     /// time" — data arriving more than [`LATE_GRACE_BLOCKS`] block play
@@ -199,15 +216,15 @@ impl Client {
         piece: Option<u32>,
         total_pieces: u32,
         now: SimTime,
-    ) -> bool {
+    ) -> Delivery<'_> {
         let Some(v) = self.viewers.get_mut(&instance) else {
-            return false; // Data for a stopped/unknown viewer: ignored.
+            return Delivery::Pending; // Data for a stopped/unknown viewer: ignored.
         };
         if block >= v.num_blocks {
-            return false;
+            return Delivery::Pending;
         }
         if block < v.base_block {
-            return false; // Before this play instance's start point.
+            return Delivery::Pending; // Before this play instance's start point.
         }
         if let Some(first) = v.first_block_at {
             // Blocks arrive one per block play time after the first (1 s in
@@ -216,7 +233,7 @@ impl Client {
             let expected = first + SimDuration::from_secs(u64::from(block - v.base_block));
             if now.saturating_since(expected) > SimDuration::from_secs(LATE_GRACE_BLOCKS) {
                 v.late_blocks += 1;
-                return false;
+                return Delivery::Pending;
             }
         }
         let completed = match piece {
@@ -231,18 +248,20 @@ impl Client {
                 done
             }
         };
-        if completed {
-            if v.received[block as usize] {
-                v.dup_blocks += 1;
-            } else {
-                v.received[block as usize] = true;
-                v.high_water = Some(v.high_water.map_or(block, |h| h.max(block)));
-                if v.first_block_at.is_none() {
-                    v.first_block_at = Some(now);
-                }
+        if !completed {
+            return Delivery::Pending;
+        }
+        if v.received[block as usize] {
+            v.dup_blocks += 1;
+        } else {
+            v.received[block as usize] = true;
+            v.high_water = Some(v.high_water.map_or(block, |h| h.max(block)));
+            if v.first_block_at.is_none() {
+                v.first_block_at = Some(now);
+                return Delivery::FirstBlock(v);
             }
         }
-        completed
+        Delivery::Block
     }
 
     /// Marks a viewer stopped (deschedule issued).
@@ -257,7 +276,7 @@ impl Client {
         self.viewers.get(instance)
     }
 
-    /// All viewers on this client.
+    /// All viewers on this client, in arbitrary order: sort or aggregate.
     pub fn viewers(&self) -> impl Iterator<Item = (&ViewerInstance, &ViewerProgress)> {
         self.viewers.iter()
     }
@@ -298,7 +317,9 @@ mod tests {
         let mut c = Client::new();
         c.on_request(inst(1), FileId(0), 3, 0, SimTime::ZERO, 0.1);
         for b in 0..3 {
-            assert!(c.on_stream_data(inst(1), b, None, 1, SimTime::from_secs(u64::from(b) + 2)));
+            assert!(c
+                .on_stream_data(inst(1), b, None, 1, SimTime::from_secs(u64::from(b) + 2))
+                .completed());
         }
         let v = c.viewer(&inst(1)).expect("known");
         assert!(v.complete());
@@ -312,12 +333,22 @@ mod tests {
         let mut c = Client::new();
         c.on_request(inst(1), FileId(0), 2, 0, SimTime::ZERO, 0.1);
         // Block 0 arrives as 4 declustered pieces.
-        assert!(!c.on_stream_data(inst(1), 0, Some(0), 4, SimTime::from_millis(100)));
-        assert!(!c.on_stream_data(inst(1), 0, Some(1), 4, SimTime::from_millis(200)));
-        assert!(!c.on_stream_data(inst(1), 0, Some(3), 4, SimTime::from_millis(300)));
+        assert!(!c
+            .on_stream_data(inst(1), 0, Some(0), 4, SimTime::from_millis(100))
+            .completed());
+        assert!(!c
+            .on_stream_data(inst(1), 0, Some(1), 4, SimTime::from_millis(200))
+            .completed());
+        assert!(!c
+            .on_stream_data(inst(1), 0, Some(3), 4, SimTime::from_millis(300))
+            .completed());
         // Duplicate piece is idempotent.
-        assert!(!c.on_stream_data(inst(1), 0, Some(1), 4, SimTime::from_millis(350)));
-        assert!(c.on_stream_data(inst(1), 0, Some(2), 4, SimTime::from_millis(400)));
+        assert!(!c
+            .on_stream_data(inst(1), 0, Some(1), 4, SimTime::from_millis(350))
+            .completed());
+        assert!(c
+            .on_stream_data(inst(1), 0, Some(2), 4, SimTime::from_millis(400))
+            .completed());
         let v = c.viewer(&inst(1)).expect("known");
         assert_eq!(v.blocks_received(), 1);
     }
@@ -358,6 +389,8 @@ mod tests {
     #[test]
     fn data_for_unknown_viewer_ignored() {
         let mut c = Client::new();
-        assert!(!c.on_stream_data(inst(9), 0, None, 1, SimTime::ZERO));
+        assert!(!c
+            .on_stream_data(inst(9), 0, None, 1, SimTime::ZERO)
+            .completed());
     }
 }

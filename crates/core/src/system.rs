@@ -20,7 +20,7 @@ use tiger_sched::{NetworkSchedule, ScheduleParams};
 use tiger_sim::{Bandwidth, ByteSize, EventQueue, RngTree, SimDuration, SimTime};
 use tiger_trace::{TraceEvent, Tracer, CTRL};
 
-use crate::client::{Client, ClientReport};
+use crate::client::{Client, ClientReport, Delivery};
 use crate::config::TigerConfig;
 use crate::controller::{ControlPlane, Controller};
 use crate::cpu::CpuModel;
@@ -685,7 +685,10 @@ impl TigerSystem {
             if cub.failed {
                 continue;
             }
-            for (slot, entry) in cub.view().iter() {
+            // Listed by slot: the view's own order is arbitrary.
+            let mut entries: Vec<_> = cub.view().iter().collect();
+            entries.sort_by(|a, b| a.0.cmp(&b.0));
+            for (slot, entry) in entries {
                 // A just-serviced entry awaiting the retirement pass
                 // measures a whole lap ahead; only entries still waiting
                 // for their service count against the lead.
@@ -911,18 +914,11 @@ impl TigerSystem {
             debug_assert!(false, "client received unexpected message: {msg:?}");
             return;
         };
-        let c = &mut self.clients[client as usize];
-        let had_first = c
-            .viewer(&instance)
-            .is_some_and(|v| v.first_block_at.is_some());
-        c.on_stream_data(instance, block, piece, total_pieces, now);
-        if !had_first {
-            if let Some(v) = c.viewer(&instance) {
-                if let (Some(latency), false) = (v.start_latency_secs(), v.first_block_at.is_none())
-                {
-                    self.shared.metrics.record_start(v.load_at_request, latency);
-                }
-            }
+        let delivery =
+            self.clients[client as usize].on_stream_data(instance, block, piece, total_pieces, now);
+        if let Delivery::FirstBlock(v) = delivery {
+            let latency = v.start_latency_secs().expect("first block just arrived");
+            self.shared.metrics.record_start(v.load_at_request, latency);
         }
     }
 

@@ -11,10 +11,9 @@
 //! all sizes the system produces, and the pack/unpack pair is
 //! property-tested.
 
-use std::collections::HashMap;
 use std::fmt;
 
-use tiger_sim::ByteSize;
+use tiger_sim::{ByteSize, DetHashMap as HashMap};
 
 use crate::ids::{BlockNum, DiskId, FileId};
 
@@ -220,6 +219,22 @@ impl BlockIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn det_hasher_spreads_one_cubs_index_keys() {
+        // Cub 5 of the 56-cub ring: four disks 56 apart, and of every file
+        // the blocks that land on them — every 224th, from a start disk
+        // that moves with the file.
+        let keys = (0u32..64).flat_map(|file| {
+            (0u32..4).flat_map(move |local| {
+                let disk = 5 + 56 * local;
+                let first = (disk + 224 - file % 224) % 224;
+                (0u32..256)
+                    .map(move |lap| (DiskId(disk), FileId(file), BlockNum(first + 224 * lap)))
+            })
+        });
+        tiger_sim::check::assert_hash_spreads("(DiskId, FileId, BlockNum)", keys);
+    }
 
     #[test]
     fn pack_unpack_roundtrip() {

@@ -1,9 +1,7 @@
 //! The switched network: nodes, ordered control channels, and NICs.
 
-use std::collections::HashMap;
-
 use tiger_faults::{NetFaults, NetInjection, NetInjectionKind, NetPerturb};
-use tiger_sim::{Bandwidth, Counter, SimDuration, SimRng, SimTime};
+use tiger_sim::{Bandwidth, Counter, DetHashMap, SimDuration, SimRng, SimTime};
 
 use crate::latency::LatencyModel;
 use crate::nic::Nic;
@@ -61,7 +59,7 @@ pub struct Network {
     nics: Vec<Nic>,
     failed: Vec<bool>,
     /// Last delivery time per ordered (src, dst) pair, enforcing FIFO.
-    last_delivery: HashMap<(NetNode, NetNode), SimTime>,
+    last_delivery: DetHashMap<(NetNode, NetNode), SimTime>,
     /// Per-sender control-message bytes (the Figures 8/9 right-axis metric).
     control_bytes: Vec<Counter>,
     control_msgs: Vec<Counter>,
@@ -78,7 +76,7 @@ impl Network {
             rng,
             nics: (0..nodes).map(|_| Nic::new(nic_capacity)).collect(),
             failed: vec![false; nodes as usize],
-            last_delivery: HashMap::new(),
+            last_delivery: DetHashMap::default(),
             control_bytes: (0..nodes).map(|_| Counter::new()).collect(),
             control_msgs: (0..nodes).map(|_| Counter::new()).collect(),
             faults: NetFaults::disabled(),

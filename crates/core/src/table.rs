@@ -476,6 +476,62 @@ mod tests {
         });
     }
 
+    /// No service outlives its neighbours by much, so the window does not
+    /// ratchet open: under continuous stop/start churn its widest span
+    /// (oldest live token to newest) around 2,000 s is within twice the
+    /// widest around 200 s, on every cub.
+    #[test]
+    fn window_span_does_not_ratchet_under_churn() {
+        use crate::{TigerConfig, TigerSystem};
+        let mut cfg = TigerConfig::small_test();
+        cfg.disk = cfg.disk.without_blips();
+        let mut sys = TigerSystem::new(cfg);
+        let file = sys.add_file(
+            Bandwidth::from_mbit_per_sec(2),
+            SimDuration::from_secs(3_000),
+        );
+        let fill = u64::from(sys.shared().params.capacity()) * 9 / 10;
+        let mut live: Vec<ViewerInstance> = (0..fill)
+            .map(|i| {
+                let client = sys.add_client();
+                sys.request_start(SimTime::from_millis(100 + i * 100), client, file)
+            })
+            .collect();
+        let mut rng = tiger_sim::RngTree::new(17).fork("churn", 0);
+        // The widest span per cub over the hundred seconds up to `until`,
+        // a viewer stopped and another started every other second.
+        let mut widest = |sys: &mut TigerSystem, until: u64| {
+            let mut spans = vec![0; sys.cubs().len()];
+            for t in until - 100..until {
+                if t % 2 == 0 {
+                    let at = SimTime::from_secs(t);
+                    let victim = live.swap_remove(rng.gen_range(0..live.len()));
+                    sys.request_stop(at, victim);
+                    let client = sys.add_client();
+                    live.push(sys.request_start(at + SimDuration::from_millis(50), client, file));
+                }
+                sys.run_until(SimTime::from_secs(t + 1));
+                for (span, cub) in spans.iter_mut().zip(sys.cubs()) {
+                    *span = (*span).max(cub.services.active.slots.len());
+                }
+            }
+            spans
+        };
+        let early = widest(&mut sys, 200);
+        for until in (300..2_000).step_by(100) {
+            widest(&mut sys, until);
+        }
+        let late = widest(&mut sys, 2_000);
+        assert!(sys.take_violations().is_empty());
+        for (cub, (early, late)) in early.iter().zip(&late).enumerate() {
+            assert!(*early > 0, "cub {cub} served nothing");
+            assert!(
+                late <= &(2 * early),
+                "cub {cub}: window spans {late} tokens at 2,000 s, {early} at 200 s"
+            );
+        }
+    }
+
     /// The index describes `active` exactly, and the retired counts the
     /// retired log.
     fn assert_in_step(t: &ServiceTable) {

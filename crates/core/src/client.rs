@@ -153,25 +153,6 @@ pub struct ClientReport {
     pub dup_blocks: u64,
 }
 
-/// What a delivery of stream data came to.
-#[derive(Clone, Copy, Debug)]
-pub enum Delivery<'a> {
-    /// Nothing yet: a piece of a block still incomplete, or data dropped
-    /// (unknown or stopped viewer, out of range, too late).
-    Pending,
-    /// A whole block.
-    Block,
-    /// The viewer's first whole block: its start latency is now known.
-    FirstBlock(&'a ViewerProgress),
-}
-
-impl Delivery<'_> {
-    /// Whether the delivery completed a whole block.
-    pub fn completed(self) -> bool {
-        !matches!(self, Delivery::Pending)
-    }
-}
-
 /// One client machine, possibly receiving many concurrent streams.
 #[derive(Debug, Default)]
 pub struct Client {
@@ -201,9 +182,9 @@ impl Client {
         );
     }
 
-    /// Handles arriving stream data, and says whether this delivery
-    /// completed a whole block — and the viewer's first, for the
-    /// start-latency instrumentation.
+    /// Handles arriving stream data. Returns the viewer when this delivery
+    /// completed its first whole block (for the start-latency
+    /// instrumentation: [`ViewerProgress::first_block_at`] is now set).
     ///
     /// §5: the test client "makes sure that the expected data arrives on
     /// time" — data arriving more than [`LATE_GRACE_BLOCKS`] block play
@@ -216,15 +197,15 @@ impl Client {
         piece: Option<u32>,
         total_pieces: u32,
         now: SimTime,
-    ) -> Delivery<'_> {
+    ) -> Option<&ViewerProgress> {
         let Some(v) = self.viewers.get_mut(&instance) else {
-            return Delivery::Pending; // Data for a stopped/unknown viewer: ignored.
+            return None; // Data for a stopped/unknown viewer: ignored.
         };
         if block >= v.num_blocks {
-            return Delivery::Pending;
+            return None;
         }
         if block < v.base_block {
-            return Delivery::Pending; // Before this play instance's start point.
+            return None; // Before this play instance's start point.
         }
         if let Some(first) = v.first_block_at {
             // Blocks arrive one per block play time after the first (1 s in
@@ -233,7 +214,7 @@ impl Client {
             let expected = first + SimDuration::from_secs(u64::from(block - v.base_block));
             if now.saturating_since(expected) > SimDuration::from_secs(LATE_GRACE_BLOCKS) {
                 v.late_blocks += 1;
-                return Delivery::Pending;
+                return None;
             }
         }
         let completed = match piece {
@@ -248,20 +229,19 @@ impl Client {
                 done
             }
         };
-        if !completed {
-            return Delivery::Pending;
-        }
-        if v.received[block as usize] {
-            v.dup_blocks += 1;
-        } else {
-            v.received[block as usize] = true;
-            v.high_water = Some(v.high_water.map_or(block, |h| h.max(block)));
-            if v.first_block_at.is_none() {
-                v.first_block_at = Some(now);
-                return Delivery::FirstBlock(v);
+        if completed {
+            if v.received[block as usize] {
+                v.dup_blocks += 1;
+            } else {
+                v.received[block as usize] = true;
+                v.high_water = Some(v.high_water.map_or(block, |h| h.max(block)));
+                if v.first_block_at.is_none() {
+                    v.first_block_at = Some(now);
+                    return Some(v);
+                }
             }
         }
-        Delivery::Block
+        None
     }
 
     /// Marks a viewer stopped (deschedule issued).
@@ -317,9 +297,8 @@ mod tests {
         let mut c = Client::new();
         c.on_request(inst(1), FileId(0), 3, 0, SimTime::ZERO, 0.1);
         for b in 0..3 {
-            assert!(c
-                .on_stream_data(inst(1), b, None, 1, SimTime::from_secs(u64::from(b) + 2))
-                .completed());
+            let first = c.on_stream_data(inst(1), b, None, 1, SimTime::from_secs(u64::from(b) + 2));
+            assert_eq!(first.is_some(), b == 0, "only the first block is a start");
         }
         let v = c.viewer(&inst(1)).expect("known");
         assert!(v.complete());
@@ -333,24 +312,13 @@ mod tests {
         let mut c = Client::new();
         c.on_request(inst(1), FileId(0), 2, 0, SimTime::ZERO, 0.1);
         // Block 0 arrives as 4 declustered pieces.
-        assert!(!c
-            .on_stream_data(inst(1), 0, Some(0), 4, SimTime::from_millis(100))
-            .completed());
-        assert!(!c
-            .on_stream_data(inst(1), 0, Some(1), 4, SimTime::from_millis(200))
-            .completed());
-        assert!(!c
-            .on_stream_data(inst(1), 0, Some(3), 4, SimTime::from_millis(300))
-            .completed());
-        // Duplicate piece is idempotent.
-        assert!(!c
-            .on_stream_data(inst(1), 0, Some(1), 4, SimTime::from_millis(350))
-            .completed());
-        assert!(c
-            .on_stream_data(inst(1), 0, Some(2), 4, SimTime::from_millis(400))
-            .completed());
-        let v = c.viewer(&inst(1)).expect("known");
-        assert_eq!(v.blocks_received(), 1);
+        for (piece, ms) in [(0, 100), (1, 200), (3, 300), (1, 350)] {
+            // (Piece 1 comes twice: a duplicate is idempotent.)
+            let first = c.on_stream_data(inst(1), 0, Some(piece), 4, SimTime::from_millis(ms));
+            assert!(first.is_none() && c.viewer(&inst(1)).expect("known").blocks_received() == 0);
+        }
+        let v = c.on_stream_data(inst(1), 0, Some(2), 4, SimTime::from_millis(400));
+        assert_eq!(v.expect("first whole block").blocks_received(), 1);
     }
 
     #[test]
@@ -389,8 +357,7 @@ mod tests {
     #[test]
     fn data_for_unknown_viewer_ignored() {
         let mut c = Client::new();
-        assert!(!c
-            .on_stream_data(inst(9), 0, None, 1, SimTime::ZERO)
-            .completed());
+        let ignored = c.on_stream_data(inst(9), 0, None, 1, SimTime::ZERO);
+        assert!(ignored.is_none());
     }
 }

@@ -20,7 +20,7 @@ use tiger_sim::{Counter, SimDuration, SimTime};
 use tiger_trace::TraceEvent;
 
 use crate::config::ForwardingPolicy;
-use crate::event::{Event, ServiceToken};
+use crate::event::Event;
 use crate::system::Shared;
 
 pub use tiger_proto::insert::PendingStart;
@@ -103,10 +103,6 @@ pub struct Cub {
     pub(crate) next_deadman_check: SimTime,
     /// Control messages processed (receive side, for the CPU model).
     msgs_processed: Counter,
-    /// Services that finished where nothing reclaims them (a read that
-    /// could not be issued). The next forward pass does, as its scan of
-    /// the whole table used to, so their retire times stand.
-    pass_reclaims: Vec<ServiceToken>,
     /// Viewer instances for which an EOF notice was already sent.
     eof_sent: HashSet<ViewerInstance>,
     /// Set while this cub is rejoining after a restart: the restart
@@ -143,7 +139,6 @@ impl Cub {
             next_deadman_ping: SimTime::ZERO,
             next_deadman_check: SimTime::ZERO,
             msgs_processed: Counter::new(),
-            pass_reclaims: Vec::new(),
             eof_sent: HashSet::default(),
             rejoined_at: None,
         }
@@ -450,8 +445,7 @@ impl Cub {
     /// bounded window then keeps relaying freshly shadowed records until
     /// the rejoiner's own lead pipeline is warm (one minVStateLead).
     fn grant_handback(&mut self, sh: &mut Shared, now: SimTime, to: CubId) {
-        let grant: Vec<ViewerState> = self
-            .shadows_in_order()
+        let grant: Vec<ViewerState> = table::in_key_order(&self.shadows)
             .filter(|s| {
                 // Only fresh records (send time still ahead): a stale
                 // pre-failure shadow carries an old position, and replaying
@@ -484,15 +478,6 @@ impl Cub {
             let batch: std::sync::Arc<[ViewerState]> = grant.into();
             sh.send_control(now, me, sh.cub_node(to), Message::ViewerStates(batch));
         }
-    }
-
-    /// The shadow records by ascending `(slot, instance)`: the order a
-    /// re-drive (hand-back grant, takeover) sends them in. The map's own
-    /// order is arbitrary and must not reach the wire.
-    fn shadows_in_order(&self) -> impl Iterator<Item = &Shadow> {
-        let mut all: Vec<_> = self.shadows.iter().collect();
-        all.sort_unstable_by(|a, b| a.0.cmp(b.0));
-        all.into_iter().map(|(_, s)| s)
     }
 
     // --- Viewer-state handling (§4.1.1) -----------------------------------
@@ -632,19 +617,15 @@ impl Cub {
         }
         let mut batch: Vec<ViewerState> = Vec::new();
         let mut finished: Vec<ViewerInstance> = Vec::new();
-        // Forwarding is what most often finishes a service out of its own
-        // events' sight (a fresh insert's send can beat it).
-        let mut reclaims = std::mem::take(&mut self.pass_reclaims);
-        for (token, entry) in self.services.unforwarded_mut() {
+        self.services.forward_due(|entry| {
             if entry.dropped || entry.vs.kind != StreamKind::Primary {
-                continue;
+                return false;
             }
             let due_next = entry.send_at + sh.params.block_play_time();
             if now < due_next.saturating_sub(sh.cfg.max_vstate_lead) {
-                continue;
+                return false;
             }
             entry.forwarded = true;
-            reclaims.push(token);
             let advanced = entry.vs.advanced(1);
             let meta = sh.catalog.get(advanced.file).copied();
             let at_eof = meta.is_none_or(|m| advanced.position.raw() >= m.num_blocks);
@@ -653,10 +634,9 @@ impl Cub {
             } else {
                 batch.push(advanced);
             }
-        }
-        self.reclaim_finished(now, &mut reclaims, sh.coded.as_mut());
-        reclaims.clear();
-        self.pass_reclaims = reclaims;
+            true
+        });
+        self.reclaim_finished(now, sh.coded.as_mut());
         debug_assert!(self.services.iter().all(|(_, e)| !e.finished()));
         for instance in finished {
             if self.eof_sent.insert(instance) {
@@ -1098,8 +1078,7 @@ impl Cub {
         // internally die with it, and our shadows (deposited by the
         // double-forwarding) are the only surviving copies — exactly the
         // §4.1.1 argument for forwarding twice.
-        let shadows: Vec<ViewerState> = self
-            .shadows_in_order()
+        let shadows: Vec<ViewerState> = table::in_key_order(&self.shadows)
             .filter(|s| {
                 sh.catalog
                     .locate(s.vs.file, s.vs.position)
@@ -1119,8 +1098,7 @@ impl Cub {
         // time) never saw. Our shadow is then the only surviving copy —
         // re-send it to the rejoiner. Receipt idempotence dedups the
         // common case where the rejoiner did get the record.
-        let to_rejoiner: Vec<(ViewerState, SimTime)> = self
-            .shadows_in_order()
+        let to_rejoiner: Vec<(ViewerState, SimTime)> = table::in_key_order(&self.shadows)
             .filter(|s| {
                 sh.catalog
                     .locate(s.vs.file, s.vs.position)
@@ -1273,8 +1251,7 @@ impl Cub {
             }
             entry.forwarded = true;
         }
-        let mut all = self.services.iter().map(|(token, _)| token).collect();
-        self.reclaim_finished(now, &mut all, None);
+        self.reclaim_finished(now, None);
         self.reset_viewer_state();
         for &d in fences {
             self.view.apply_deschedule(d, now, hold_until);

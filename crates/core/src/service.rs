@@ -807,12 +807,13 @@ impl Cub {
                 // disk and the viewer both continue.
                 entry.missed = true;
                 sh.metrics.loss.failover_lost += 1;
+                let (slot, viewer, inc) = vkey(&entry.vs);
                 if !self.failed {
-                    // (A serving spare runs no passes: its send-due reclaims.)
-                    self.pass_reclaims.push(token);
+                    // The next forward pass reclaims the entry. (A serving
+                    // spare runs no passes: its send-due does.)
+                    self.services.reclaim_at_pass(token);
                 }
                 if let Some((_, Err(DiskError::Transient))) = lost {
-                    let (slot, viewer, inc) = vkey(&entry.vs);
                     sh.tracer.record(
                         now,
                         self.id.raw(),
@@ -990,20 +991,17 @@ impl Cub {
         }
     }
 
-    /// Reclaims those of `tokens` with nothing outstanding, in token order —
-    /// the order their records enter the retired log.
-    pub(super) fn reclaim_finished(
-        &mut self,
-        now: SimTime,
-        tokens: &mut Vec<ServiceToken>,
-        mut coded: Option<&mut CodedRuntime>,
-    ) {
-        tokens.sort_unstable();
-        for &token in tokens.iter() {
+    /// Reclaims the services noted since the last call (by a forward pass,
+    /// a lost read, or a wholesale flip of flags) that have nothing
+    /// outstanding, in token order.
+    pub(super) fn reclaim_finished(&mut self, now: SimTime, mut coded: Option<&mut CodedRuntime>) {
+        let noted = self.services.take_reclaims();
+        for &token in &noted {
             if self.services.get(token).is_some_and(Active::finished) {
                 self.reclaim(now, token, coded.as_deref_mut());
             }
         }
+        self.services.recycle(noted);
     }
 
     /// Removes a finished or cancelled service, returning its buffer.

@@ -20,7 +20,7 @@ use tiger_sched::{NetworkSchedule, ScheduleParams};
 use tiger_sim::{Bandwidth, ByteSize, EventQueue, RngTree, SimDuration, SimTime};
 use tiger_trace::{TraceEvent, Tracer, CTRL};
 
-use crate::client::{Client, ClientReport, Delivery};
+use crate::client::{Client, ClientReport};
 use crate::config::TigerConfig;
 use crate::controller::{ControlPlane, Controller};
 use crate::cpu::CpuModel;
@@ -687,7 +687,7 @@ impl TigerSystem {
             }
             // Listed by slot: the view's own order is arbitrary.
             let mut entries: Vec<_> = cub.view().iter().collect();
-            entries.sort_by(|a, b| a.0.cmp(&b.0));
+            entries.sort_by_key(|&(slot, _)| slot);
             for (slot, entry) in entries {
                 // A just-serviced entry awaiting the retirement pass
                 // measures a whole lap ahead; only entries still waiting
@@ -914,9 +914,8 @@ impl TigerSystem {
             debug_assert!(false, "client received unexpected message: {msg:?}");
             return;
         };
-        let delivery =
-            self.clients[client as usize].on_stream_data(instance, block, piece, total_pieces, now);
-        if let Delivery::FirstBlock(v) = delivery {
+        let c = &mut self.clients[client as usize];
+        if let Some(v) = c.on_stream_data(instance, block, piece, total_pieces, now) {
             let latency = v.start_latency_secs().expect("first block just arrived");
             self.shared.metrics.record_start(v.load_at_request, latency);
         }

@@ -26,7 +26,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use tiger_layout::ids::ViewerInstance;
 use tiger_sched::{Deschedule, SlotId, StreamKind, ViewerState};
-use tiger_sim::{SimDuration, SimTime};
+use tiger_sim::{DetHashMap, SimDuration, SimTime};
 
 use super::service::Active;
 use crate::event::ServiceToken;
@@ -134,6 +134,12 @@ impl Window {
 #[derive(Debug, Default)]
 pub(super) struct ServiceTable {
     active: Window,
+    /// Services that may have finished where no event of their own
+    /// reclaims them — forwarded by a pass only after their send, a read
+    /// that could not be issued, flags flipped wholesale. The next
+    /// [`ServiceTable::take_reclaims`] hands them out; a forward pass
+    /// looks at these and not at the table.
+    reclaims: Vec<ServiceToken>,
     /// Ordered, so one range query lists an instance's few services
     /// without a per-instance allocation.
     by_instance: BTreeSet<(ViewerInstance, ServiceToken)>,
@@ -169,6 +175,7 @@ impl ServiceTable {
     /// drops it while transmissions in flight finish.
     pub(super) fn clear(&mut self) {
         self.active.clear();
+        self.reclaims.clear();
         self.by_instance.clear();
     }
 
@@ -193,15 +200,39 @@ impl ServiceTable {
         self.active.iter()
     }
 
-    /// As [`ServiceTable::iter`], for flipping an entry's progress flags.
+    /// As [`ServiceTable::iter`], for flipping progress flags wholesale:
+    /// every service is noted for the next reclaim.
     pub(super) fn values_mut(&mut self) -> impl Iterator<Item = &mut Active> {
+        self.reclaims
+            .extend(self.active.iter().map(|(token, _)| token));
         self.active.values_mut()
     }
 
-    /// The services not yet forwarded, by ascending token: what a forward
-    /// pass looks at.
-    pub(super) fn unforwarded_mut(&mut self) -> impl Iterator<Item = (ServiceToken, &mut Active)> {
-        self.active.unforwarded_mut()
+    /// Offers each service not yet forwarded, oldest first, to `forward`;
+    /// the ones it says it forwarded are noted for the pass's reclaim.
+    pub(super) fn forward_due(&mut self, mut forward: impl FnMut(&mut Active) -> bool) {
+        let due = self.active.unforwarded_mut();
+        self.reclaims
+            .extend(due.filter_map(|(token, e)| forward(e).then_some(token)));
+    }
+
+    /// Notes a service that finished out of its own events' sight.
+    pub(super) fn reclaim_at_pass(&mut self, token: ServiceToken) {
+        self.reclaims.push(token);
+    }
+
+    /// The noted services, by ascending token — the order their records
+    /// enter the retired log. Give the vector back to
+    /// [`ServiceTable::recycle`] for its allocation.
+    pub(super) fn take_reclaims(&mut self) -> Vec<ServiceToken> {
+        self.reclaims.sort_unstable();
+        std::mem::take(&mut self.reclaims)
+    }
+
+    pub(super) fn recycle(&mut self, mut tokens: Vec<ServiceToken>) {
+        tokens.clear();
+        tokens.append(&mut self.reclaims);
+        self.reclaims = tokens;
     }
 
     /// `instance`'s services, by ascending token.
@@ -295,6 +326,15 @@ impl ServiceTable {
             !matches!(a.vs.kind, StreamKind::Coded { .. }) && a.vs.play_seq >= vs.play_seq
         }) || self.retired_from(vs.instance, vs.play_seq)
     }
+}
+
+/// A map's values by ascending key. A `DetHashMap`'s own order is
+/// arbitrary and must not reach the wire: the shadow re-drives (hand-back
+/// grant, takeover) send in `(slot, instance)` order through this.
+pub(super) fn in_key_order<K: Ord, V>(map: &DetHashMap<K, V>) -> impl Iterator<Item = &V> {
+    let mut all: Vec<_> = map.iter().collect();
+    all.sort_unstable_by(|a, b| a.0.cmp(b.0));
+    all.into_iter().map(|(_, value)| value)
 }
 
 /// The active table on its own, for `crates/bench`'s `table/*` rows: the

@@ -26,6 +26,20 @@ cargo test -q --workspace
 echo "== event queue: calendar vs (time, seq) model, 2000 cases" >&2
 TIGER_PROP_CASES=2000 cargo test -q -p tiger-sim --lib calendar_matches_the_btreemap_model
 
+# Order-independence, proved instead of promised: `DetHashMap`'s iteration
+# order is arbitrary and no behaviour may read it (crates/sim/src/lib.rs).
+# `--cfg tiger_alt_hash` swaps `DetHasher`'s multiplier, and with it the
+# order of every map in the workspace; the twelve full-trace digests of
+# the three `*_paths` suites and the fleet determinism tests must come out
+# the same. A target directory of its own, so the flag does not evict the
+# main build. Fatal — a digest that moves here names a map whose order
+# leaked into behaviour.
+echo "== order-independence: *_paths digests + determinism under --cfg tiger_alt_hash" >&2
+RUSTFLAGS='--cfg tiger_alt_hash' CARGO_TARGET_DIR=target/alt-hash \
+    cargo test -q -p tiger-core --test cub_paths --test service_paths --test reconfig_paths
+RUSTFLAGS='--cfg tiger_alt_hash' CARGO_TARGET_DIR=target/alt-hash \
+    cargo test -q --test determinism
+
 # Formatting is checked when a rustfmt is available; its absence must not
 # fail the gate on minimal toolchains.
 if cargo fmt --version >/dev/null 2>&1; then

@@ -465,7 +465,7 @@ mod tests {
             // pins the front while the services behind it come and go.
             let mut pinned = 0;
             for _ in 0..rng.gen_range(1usize..400) {
-                match rng.gen_range(0u32..16) {
+                match rng.gen_range(0u32..20) {
                     0..=6 => {
                         let entry = active(arb_state(rng));
                         assert_eq!(window.insert(entry), next, "tokens never reset");
@@ -489,7 +489,34 @@ mod tests {
                         model.get_mut(&token).expect("live").dropped = true;
                     }
                     14 => pinned = rng.gen_range(0usize..40),
-                    15 if rng.gen_bool(0.3) => {
+                    15 | 16 => {
+                        // A forward pass: offered exactly the unforwarded
+                        // services, it forwards some of them.
+                        let offered: Vec<_> = window
+                            .unforwarded_mut()
+                            .map(|(token, e)| {
+                                e.forwarded = token % 3 != 0;
+                                token
+                            })
+                            .collect();
+                        let want = model
+                            .iter_mut()
+                            .filter(|(_, e)| !e.forwarded)
+                            .map(|(&t, e)| {
+                                e.forwarded = t % 3 != 0;
+                                t
+                            });
+                        assert_eq!(offered, want.collect::<Vec<_>>(), "the pass's offer");
+                    }
+                    17 if rng.gen_bool(0.5) => {
+                        // A failure declaration un-forwards a few.
+                        for (e, m) in window.values_mut().zip(model.values_mut()) {
+                            let back = e.vs.play_seq % 4 == 0;
+                            (e.forwarded, m.forwarded) =
+                                (e.forwarded && !back, m.forwarded && !back);
+                        }
+                    }
+                    18 if rng.gen_bool(0.3) => {
                         window.clear();
                         stale.extend(model.keys());
                         model.clear();
@@ -500,8 +527,14 @@ mod tests {
                 for &token in stale.iter().chain(&[next, next + 7, ServiceToken::MAX]) {
                     assert!(window.get(token).is_none(), "stale token {token} answered");
                 }
-                let listed: Vec<_> = window.iter().map(|(t, e)| (t, e.vs, e.dropped)).collect();
-                let want: Vec<_> = model.iter().map(|(&t, e)| (t, e.vs, e.dropped)).collect();
+                let listed: Vec<_> = window
+                    .iter()
+                    .map(|(t, e)| (t, e.vs, e.dropped, e.forwarded))
+                    .collect();
+                let want: Vec<_> = model
+                    .iter()
+                    .map(|(&t, e)| (t, e.vs, e.dropped, e.forwarded))
+                    .collect();
                 assert_eq!(listed, want, "iteration is the live set by ascending token");
                 for (&token, e) in &model {
                     assert_eq!(window.get(token).map(|g| g.vs), Some(e.vs));

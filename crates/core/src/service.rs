@@ -62,7 +62,7 @@ pub(super) struct Active {
     pub(super) sent: bool,
     /// The deadline passed before the read completed; the block was
     /// dropped but the viewer continues (only this block is lost).
-    missed: bool,
+    pub(super) missed: bool,
     pub(super) forwarded: bool,
     /// Cancelled by a deschedule or failure; do not send or forward.
     pub(super) dropped: bool,

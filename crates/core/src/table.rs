@@ -605,6 +605,127 @@ mod tests {
         }
     }
 
+    /// A forward pass as the cub runs it — offered the unforwarded
+    /// services from the cursor on, reclaiming from the list of tokens
+    /// noted since the last pass, pruning the log from the front — against
+    /// the pass it replaced: walk every service, `retain` what is left.
+    /// Whatever finishes a service out of its own event's sight must have
+    /// noted it, or the two part ways.
+    #[test]
+    fn pass_gc_matches_the_retain_model() {
+        let lead = SimDuration::from_secs(1);
+        let retention = SimDuration::from_secs(4);
+        let forward = |e: &mut Active, now: SimTime| {
+            let due = !e.dropped && e.vs.kind == StreamKind::Primary && now + lead >= e.send_at;
+            e.forwarded |= due;
+            due
+        };
+        let serviced = |e: &Active| e.vs.kind == StreamKind::Primary && !e.dropped;
+        // `Cub::reclaim_finished`, on the table alone.
+        let reclaim_noted = |table: &mut ServiceTable, now| {
+            let noted = table.take_reclaims();
+            assert!(noted.is_sorted(), "reclaims go in token order");
+            for &token in &noted {
+                if table.get(token).is_some_and(Active::finished) {
+                    let e = table.remove(token).expect("live");
+                    if serviced(&e) {
+                        table.retire(now, e.vs);
+                    }
+                }
+            }
+            table.recycle(noted);
+        };
+        // The parent's: every finished service, found by walking them all.
+        type Log = Vec<(SimTime, ViewerState)>;
+        let walk = |model: &mut BTreeMap<ServiceToken, Active>, log: &mut Log, now| {
+            model.retain(|_, e| {
+                if e.finished() && serviced(e) {
+                    log.push((now, e.vs));
+                }
+                !e.finished()
+            });
+        };
+        check("pass_gc_matches_the_retain_model", |rng| {
+            let mut table = ServiceTable::default();
+            let mut model: BTreeMap<ServiceToken, Active> = BTreeMap::new();
+            let mut log = Log::new();
+            let mut now = SimTime::ZERO;
+            for _ in 0..rng.gen_range(1usize..300) {
+                now += SimDuration::from_millis(rng.gen_range(0u64..400));
+                let pick = (!model.is_empty()).then(|| rng.gen_range(0..model.len()));
+                let picked = pick.map(|at| *model.keys().nth(at).expect("in range"));
+                // An event of the service's own, applied to both sides: if
+                // it finishes the service it also reclaims it; if `noted`,
+                // it leaves that to the next pass instead.
+                let mut own_event = |flip: &dyn Fn(&mut Active), noted: bool| {
+                    let token = picked.expect("a live service");
+                    flip(table.get_mut(token).expect("live"));
+                    let e = model.get_mut(&token).expect("live");
+                    flip(e);
+                    if noted {
+                        table.reclaim_at_pass(token);
+                    } else if e.finished() {
+                        if serviced(e) {
+                            table.retire(now, e.vs);
+                            log.push((now, e.vs));
+                        }
+                        table.remove(token);
+                        model.remove(&token);
+                    }
+                };
+                match rng.gen_range(0u32..20) {
+                    0..=5 => {
+                        let mut entry = active(arb_state(rng));
+                        entry.send_at = now + SimDuration::from_millis(rng.gen_range(0u64..3_000));
+                        model.insert(table.insert(entry), entry);
+                    }
+                    6..=9 if picked.is_some() => own_event(&|e| e.sent = true, false),
+                    // A read that could not be issued.
+                    10 if picked.is_some() => own_event(&|e| e.missed = true, true),
+                    11 | 12 if picked.is_some() => own_event(
+                        &|e| (e.dropped, e.forwarded) = (e.dropped || !e.sent, true),
+                        false,
+                    ),
+                    13 if rng.gen_bool(0.3) => {
+                        // A failure declaration un-forwards into the gap.
+                        for (e, m) in table.values_mut().zip(model.values_mut()) {
+                            let back = serviced(e) && e.vs.play_seq % 2 == 0;
+                            (e.forwarded, m.forwarded) =
+                                (e.forwarded && !back, m.forwarded && !back);
+                        }
+                    }
+                    14 if rng.gen_bool(0.2) => {
+                        // A cut-over kills what has not gone out and
+                        // reclaims on the spot, without a pass.
+                        for e in table.values_mut().chain(model.values_mut()) {
+                            (e.dropped, e.forwarded) = (e.dropped || !e.sent, true);
+                        }
+                        reclaim_noted(&mut table, now);
+                        walk(&mut model, &mut log, now);
+                    }
+                    15..=19 => {
+                        table.forward_due(|e| forward(e, now));
+                        reclaim_noted(&mut table, now);
+                        table.prune_retired(now, retention);
+                        for e in model.values_mut().filter(|e| !e.forwarded) {
+                            forward(e, now);
+                        }
+                        walk(&mut model, &mut log, now);
+                        log.retain(|&(at, _)| at >= now.saturating_sub(retention));
+                        assert!(table.iter().all(|(_, e)| !e.finished()));
+                    }
+                    _ => {}
+                }
+                let flags = |e: &Active| (e.vs, e.sent, e.missed, e.forwarded, e.dropped);
+                let held: Vec<_> = table.iter().map(|(t, e)| (t, flags(e))).collect();
+                let want: Vec<_> = model.iter().map(|(&t, e)| (t, flags(e))).collect();
+                assert_eq!(held, want, "the services a whole-table walk would keep");
+                assert_eq!(table.retired(), &log, "the log `retain` would keep");
+                assert_in_step(&table);
+            }
+        });
+    }
+
     /// The index describes `active` exactly, and the retired counts the
     /// retired log.
     fn assert_in_step(t: &ServiceTable) {

@@ -652,8 +652,10 @@ mod tests {
             let mut now = SimTime::ZERO;
             for _ in 0..rng.gen_range(1usize..300) {
                 now += SimDuration::from_millis(rng.gen_range(0u64..400));
-                let pick = (!model.is_empty()).then(|| rng.gen_range(0..model.len()));
-                let picked = pick.map(|at| *model.keys().nth(at).expect("in range"));
+                let picked = (!model.is_empty()).then(|| {
+                    let at = rng.gen_range(0..model.len());
+                    *model.keys().nth(at).expect("in range")
+                });
                 // An event of the service's own, applied to both sides: if
                 // it finishes the service it also reclaims it; if `noted`,
                 // it leaves that to the next pass instead.

@@ -210,12 +210,12 @@ fi
 # type; cub.rs shrank 1,320 -> 1,283 and the per-file limits stand.
 # PR 18 lowered it 8,110 -> 7,690: the call-level MbrCoordinator fork of
 # the §4.2 insertion is gone and mbr.rs says each fact once; measured
-# 7,688. PR 19 raised it 7,690 -> 8,110 for table.rs alone, 404 -> 831
+# 7,688. PR 19 raised it 7,690 -> 8,110 for table.rs alone, 404 -> 833
 # lines: the active services became a window of consecutive tokens with
 # a forward cursor and a reclaim list, and its three model tests — the
 # window against a BTreeMap, the pass against the whole-table walks it
 # replaced, the no-ratchet churn run — have to sit beside the private
-# type; every other file there stayed level or shrank, measured 8,106.)
+# type; every other file there stayed level or shrank, measured 8,108.)
 core_src=crates/core/src
 for f in "$core_src"/*.rs; do
     limit=1350

@@ -101,7 +101,7 @@ fn bench_view_ops(c: &mut Runner) {
     // deschedules, where the same call fell 690 ns -> 116 ns — see
     // `view/apply_deschedule_held360` below, the row that matters.
     // (PR 19's multiply-fold `DetHasher` took the probe, and this row,
-    // back to 9 ns.)
+    // back to ≈10 ns.)
     c.bench_function("view/apply_deschedule", |b| {
         let mut view = ScheduleView::new();
         let d = Deschedule {

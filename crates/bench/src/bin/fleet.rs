@@ -1,101 +1,29 @@
-//! The experiment fleet: every paper artifact in one parallel run.
-//!
-//! Shards the catalogue of independent experiments (`tiger_bench::fleet`)
-//! across worker threads. Stdout is **bit-identical at any thread count**
-//! (reports print in catalogue order, metrics merge in shard order); all
-//! timing — per-job seconds, wall clock, speedup — goes to stderr.
+//! The experiment fleet: every paper artifact and ablation, one catalogue.
 //!
 //! ```text
-//! fleet [--threads N] [--scale quick|full] [--filter SUBSTR] [--list]
+//! fleet [--threads N] [--scale quick|full | --goldens DIR] [--filter NAME] [--plan FILE] [--list]
 //! ```
 //!
-//! * `--threads N` — worker threads (default 1; sequential).
-//! * `--scale quick|full` — job size (default quick: seconds-long smoke
-//!   runs on the small-test configuration; full is paper §5 scale).
-//! * `--filter SUBSTR` — run only jobs whose name contains the substring.
-//! * `--list` — print job names and exit.
+//! The whole command line is [`tiger_bench::fleet::cli`], where each flag
+//! is documented.
 
-use std::process::exit;
+use std::io;
+use std::process::ExitCode;
 
-use tiger_bench::fleet::{metrics_digest, run_fleet, standard_jobs, Scale};
-use tiger_bench::header;
+use tiger_bench::fleet::{cli, standard_jobs};
 
-fn main() {
-    let mut threads = 1usize;
-    let mut scale = Scale::Quick;
-    let mut filter: Option<String> = None;
-    let mut list = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--threads" => {
-                threads = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| usage("--threads needs a positive integer"));
-            }
-            "--scale" => {
-                scale = args
-                    .next()
-                    .as_deref()
-                    .and_then(Scale::parse)
-                    .unwrap_or_else(|| usage("--scale needs 'quick' or 'full'"));
-            }
-            "--filter" => {
-                filter = Some(
-                    args.next()
-                        .unwrap_or_else(|| usage("--filter needs a substring")),
-                );
-            }
-            "--list" => list = true,
-            other => usage(&format!("unknown argument '{other}'")),
+fn main() -> ExitCode {
+    let args = std::env::args().skip(1);
+    match cli(
+        standard_jobs(),
+        args,
+        &mut io::stdout().lock(),
+        &mut io::stderr().lock(),
+    ) {
+        Ok(status) => ExitCode::from(status),
+        Err(e) => {
+            eprintln!("fleet: {e}");
+            ExitCode::FAILURE
         }
     }
-
-    let jobs: Vec<_> = standard_jobs()
-        .into_iter()
-        .filter(|j| filter.as_deref().is_none_or(|f| j.name.contains(f)))
-        .collect();
-    if list {
-        for j in &jobs {
-            println!("{}", j.name);
-        }
-        return;
-    }
-    if jobs.is_empty() {
-        usage("filter matched no jobs");
-    }
-
-    header(
-        "Experiment fleet (deterministic parallel shards)",
-        "every experiment is a pure function of (config, workload, seed); \
-         shards merge in order, so this output is identical at any --threads",
-    );
-    let result = run_fleet(&jobs, scale, threads);
-    for report in &result.reports {
-        println!("---- {} ----", report.name);
-        print!("{}", report.output);
-        println!();
-    }
-    println!("merged metrics: {}", metrics_digest(&result.merged));
-
-    let serial: f64 = result.job_secs.iter().sum();
-    for (job, secs) in jobs.iter().zip(&result.job_secs) {
-        eprintln!("fleet: {:<24} {secs:>8.2}s", job.name);
-    }
-    eprintln!(
-        "fleet: {} jobs in {:.2}s wall ({:.2}s serial, {:.2}x speedup at {} threads)",
-        jobs.len(),
-        result.wall_secs,
-        serial,
-        serial / result.wall_secs.max(1e-9),
-        threads,
-    );
-}
-
-fn usage(err: &str) -> ! {
-    eprintln!("fleet: {err}");
-    eprintln!("usage: fleet [--threads N] [--scale quick|full] [--filter SUBSTR] [--list]");
-    exit(2);
 }

@@ -11,8 +11,8 @@
 //! Because every campaign is a pure function of `(scenario, t, seed)`, the
 //! sweep shards through [`run_indexed`] like any other fleet job and its
 //! report is bit-identical at any thread count. A digest line ending in
-//! `violations 0` is a passing point; the `chaos` bin exits non-zero if
-//! any point violates an invariant.
+//! `violations 0` is a passing point; the report is not `ok`, and `fleet`
+//! exits non-zero, if any point violates an invariant.
 
 use std::fmt::Write as _;
 
@@ -234,9 +234,8 @@ pub fn chaos_report(scale: Scale, threads: usize) -> ExpReport {
          violations: {bad}."
     );
     ExpReport {
-        name: "chaos",
-        output: out,
-        metrics: Vec::new(),
+        ok: bad == 0,
+        ..ExpReport::new(out)
     }
 }
 
@@ -260,6 +259,6 @@ mod tests {
         let one = chaos_report(Scale::Quick, 1);
         let four = chaos_report(Scale::Quick, 4);
         assert_eq!(one.output, four.output);
-        assert!(one.output.contains("violations: 0"));
+        assert!(one.ok, "{}", one.output);
     }
 }

@@ -188,19 +188,17 @@ pub fn ablation_coded_report(scale: Scale, threads: usize) -> ExpReport {
         "blocking probability: mirrored peak {m_peak:.4} overall {m_all:.4}  \
          coded peak {c_peak:.4} overall {c_all:.4}"
     );
+    let verdict = |pass| if pass { "PASS" } else { "FAIL" };
+    let blocks_no_more = c_peak <= m_peak && c_all <= m_all;
     let _ = writeln!(
         out,
         "check: coded blocking <= mirrored (peak and overall) at equal storage: {}",
-        if c_peak <= m_peak && c_all <= m_all {
-            "PASS"
-        } else {
-            "FAIL"
-        }
+        verdict(blocks_no_more)
     );
     let _ = writeln!(
         out,
         "check: chaos invariants 1-6 on both backends under the crash: {}",
-        if bad == 0 { "PASS" } else { "FAIL" }
+        verdict(bad == 0)
     );
     out.push('\n');
     let _ = writeln!(
@@ -212,9 +210,8 @@ pub fn ablation_coded_report(scale: Scale, threads: usize) -> ExpReport {
          the relation flips — see docs/CODED.md. violations: {bad}."
     );
     ExpReport {
-        name: "ablation_coded",
-        output: out,
-        metrics: Vec::new(),
+        ok: blocks_no_more && bad == 0,
+        ..ExpReport::new(out)
     }
 }
 
@@ -227,12 +224,7 @@ mod tests {
         let one = ablation_coded_report(Scale::Quick, 1);
         let three = ablation_coded_report(Scale::Quick, 3);
         assert_eq!(one.output, three.output);
-        assert!(one.output.contains("violations: 0"), "{}", one.output);
-        assert!(
-            !one.output.contains("FAIL"),
-            "ablation checks failed:\n{}",
-            one.output
-        );
+        assert!(one.ok, "ablation checks failed:\n{}", one.output);
     }
 
     #[test]

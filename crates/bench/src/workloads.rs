@@ -13,8 +13,8 @@
 //!
 //! Every point is a pure function of `(plan, seed)`, so the sweep shards
 //! through [`run_indexed`] and its report is bit-identical at any thread
-//! count. Digest lines ending in `violations 0` pass; the `workloads` bin
-//! exits non-zero on any `VIOLATION` line.
+//! count. Digest lines ending in `violations 0` pass; the report is not
+//! `ok`, and `fleet` exits non-zero, on any violation.
 
 use std::fmt::Write as _;
 
@@ -216,9 +216,8 @@ pub fn workloads_report(scale: Scale, threads: usize, filter: Option<&str>) -> E
          violations: {bad}."
     );
     ExpReport {
-        name: "workloads",
-        output: out,
-        metrics: Vec::new(),
+        ok: bad == 0,
+        ..ExpReport::new(out)
     }
 }
 
@@ -249,7 +248,7 @@ mod tests {
         let one = workloads_report(Scale::Quick, 1, None);
         let three = workloads_report(Scale::Quick, 3, None);
         assert_eq!(one.output, three.output);
-        assert!(one.output.contains("violations: 0"), "{}", one.output);
+        assert!(one.ok, "{}", one.output);
         assert!(
             one.output.contains("blocking-probability curve"),
             "flash-crowd curve missing:\n{}",

@@ -36,10 +36,6 @@ pub struct TigerConfig {
     pub nic_capacity: Bandwidth,
     /// Control-message latency model.
     pub latency: LatencyModel,
-    /// Whether capacity is reserved for failed-mode mirror service (§3.1:
-    /// "If a Tiger system is configured to be fault tolerant, the block
-    /// service time is increased").
-    pub fault_tolerant: bool,
     /// Minimum viewer-state lead (§4.1.1; 4 s typical).
     pub min_vstate_lead: SimDuration,
     /// Maximum viewer-state lead (§4.1.1; 9 s typical).
@@ -125,7 +121,6 @@ impl TigerConfig {
             disk: DiskProfile::sosp97(),
             nic_capacity: Bandwidth::from_mbit_per_sec(135),
             latency: LatencyModel::lan_default(),
-            fault_tolerant: true,
             min_vstate_lead: SimDuration::from_secs(4),
             max_vstate_lead: SimDuration::from_secs(9),
             deschedule_hold: SimDuration::from_secs(3),
@@ -164,17 +159,19 @@ impl TigerConfig {
     }
 
     /// The worst-case per-slot disk work implied by this configuration:
-    /// under mirroring, one primary read plus (if fault tolerant) one
-    /// mirror-piece read; under the coded backend, the `k` shard reads
-    /// that assemble every block (degraded service costs no extra — it
-    /// is the same `k` reads against fewer candidate holders).
+    /// under mirroring, one primary read plus the mirror-piece read that
+    /// failed-mode service reserves (§3.1: "If a Tiger system is
+    /// configured to be fault tolerant, the block service time is
+    /// increased" — every configuration here is); under the coded
+    /// backend, the `k` shard reads that assemble every block (degraded
+    /// service costs no extra — it is the same `k` reads against fewer
+    /// candidate holders).
     pub fn disk_worst_read(&self) -> SimDuration {
         match self.redundancy {
-            RedundancyMode::Mirrored => self.disk.worst_case_read(
-                self.block_size(),
-                self.stripe.decluster,
-                self.fault_tolerant,
-            ),
+            RedundancyMode::Mirrored => {
+                self.disk
+                    .worst_case_read(self.block_size(), self.stripe.decluster, true)
+            }
             RedundancyMode::Coded => self
                 .disk
                 .worst_case_coded_read(self.block_size(), self.stripe.decluster),

@@ -25,7 +25,7 @@ pub mod rng;
 pub mod time;
 
 pub use event::EventQueue;
-pub use metrics::{BusyTracker, Counter, Histogram, Series, TimeWeightedMean};
+pub use metrics::{BusyTracker, Counter, Histogram, TimeWeightedMean};
 pub use rng::{RngTree, SimRng};
 pub use time::{Bandwidth, ByteSize, SimDuration, SimTime};
 

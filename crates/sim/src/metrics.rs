@@ -6,8 +6,6 @@
 //! distributions. These types compute exactly those quantities from event
 //! timestamps, with no sampling noise.
 
-use std::fmt;
-
 use crate::time::{SimDuration, SimTime};
 
 /// Tracks the fraction of time a resource is busy.
@@ -19,7 +17,6 @@ use crate::time::{SimDuration, SimTime};
 pub struct BusyTracker {
     depth: u32,
     busy_since: Option<SimTime>,
-    accumulated: SimDuration,
     window_start: SimTime,
     window_accumulated: SimDuration,
 }
@@ -48,25 +45,8 @@ impl BusyTracker {
         self.depth -= 1;
         if self.depth == 0 {
             let since = self.busy_since.take().expect("busy_since set while busy");
-            let span = now.saturating_since(since);
-            self.accumulated += span;
-            self.window_accumulated += span;
+            self.window_accumulated += now.saturating_since(since);
         }
-    }
-
-    /// True if at least one busy interval is open.
-    pub fn is_busy(&self) -> bool {
-        self.depth > 0
-    }
-
-    /// Total busy time since creation, counting any open interval up to
-    /// `now`.
-    pub fn total_busy(&self, now: SimTime) -> SimDuration {
-        let open = match self.busy_since {
-            Some(since) if self.depth > 0 => now.saturating_since(since),
-            _ => SimDuration::ZERO,
-        };
-        self.accumulated + open
     }
 
     /// Busy fraction over the current measurement window ending at `now`,
@@ -80,7 +60,8 @@ impl BusyTracker {
             Some(since) if self.depth > 0 => now.saturating_since(since.max(self.window_start)),
             _ => SimDuration::ZERO,
         };
-        (self.window_accumulated + open).ratio(window).min(1.0)
+        let busy = self.window_accumulated + open;
+        (busy.as_nanos() as f64 / window.as_nanos() as f64).min(1.0)
     }
 
     /// Starts a fresh measurement window at `now` (e.g. after each 50-second
@@ -89,13 +70,9 @@ impl BusyTracker {
         self.window_start = now;
         self.window_accumulated = SimDuration::ZERO;
         // An interval that straddles the boundary only counts its part
-        // inside the new window; fold the old part into the lifetime total
-        // by re-basing `busy_since`.
+        // inside the new window.
         if self.depth > 0 {
-            if let Some(since) = self.busy_since {
-                self.accumulated += now.saturating_since(since);
-                self.busy_since = Some(now);
-            }
+            self.busy_since = Some(now);
         }
     }
 }
@@ -128,11 +105,6 @@ impl Counter {
     /// The lifetime total.
     pub fn total(&self) -> u64 {
         self.total
-    }
-
-    /// The count accumulated in the current window.
-    pub fn window_total(&self) -> u64 {
-        self.window_total
     }
 
     /// The rate (count per second) over the current window ending at `now`.
@@ -308,65 +280,6 @@ impl PipeFinite for f64 {
     }
 }
 
-/// A `(time, value)` series, one point per measurement window; the rows of
-/// Figures 8 and 9.
-#[derive(Debug, Clone, Default)]
-pub struct Series {
-    points: Vec<(SimTime, f64)>,
-}
-
-impl Series {
-    /// Creates an empty series.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends a point. Times must be non-decreasing.
-    pub fn push(&mut self, at: SimTime, value: f64) {
-        if let Some(&(last, _)) = self.points.last() {
-            debug_assert!(at >= last, "series time went backwards");
-        }
-        self.points.push((at, value));
-    }
-
-    /// All points in order.
-    pub fn points(&self) -> &[(SimTime, f64)] {
-        &self.points
-    }
-
-    /// The last value, if any.
-    pub fn last(&self) -> Option<f64> {
-        self.points.last().map(|&(_, v)| v)
-    }
-
-    /// Number of points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// True if the series has no points.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// The maximum value, or `None` if empty.
-    pub fn max(&self) -> Option<f64> {
-        self.points
-            .iter()
-            .map(|&(_, v)| v)
-            .fold(None, |m, v| Some(m.map_or(v, |m: f64| m.max(v))))
-    }
-}
-
-impl fmt::Display for Series {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (t, v) in &self.points {
-            writeln!(f, "{:>12.3} {v:>14.6}", t.as_secs_f64())?;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -376,10 +289,6 @@ mod tests {
         let mut b = BusyTracker::new();
         b.begin(SimTime::from_secs(1));
         b.end(SimTime::from_secs(3));
-        assert_eq!(
-            b.total_busy(SimTime::from_secs(4)),
-            SimDuration::from_secs(2)
-        );
         assert!((b.window_utilization(SimTime::from_secs(4)) - 0.5).abs() < 1e-9);
     }
 
@@ -390,10 +299,7 @@ mod tests {
         b.begin(SimTime::from_secs(1));
         b.end(SimTime::from_secs(2));
         b.end(SimTime::from_secs(4));
-        assert_eq!(
-            b.total_busy(SimTime::from_secs(4)),
-            SimDuration::from_secs(4)
-        );
+        assert!((b.window_utilization(SimTime::from_secs(8)) - 0.5).abs() < 1e-9);
     }
 
     #[test]
@@ -404,22 +310,13 @@ mod tests {
         b.end(SimTime::from_secs(15));
         // Window [10, 20): busy 10..15 = 50%.
         assert!((b.window_utilization(SimTime::from_secs(20)) - 0.5).abs() < 1e-9);
-        // Lifetime total is the full 15 seconds.
-        assert_eq!(
-            b.total_busy(SimTime::from_secs(20)),
-            SimDuration::from_secs(15)
-        );
     }
 
     #[test]
     fn busy_tracker_open_interval_counts_to_now() {
         let mut b = BusyTracker::new();
         b.begin(SimTime::from_secs(2));
-        assert_eq!(
-            b.total_busy(SimTime::from_secs(5)),
-            SimDuration::from_secs(3)
-        );
-        assert!(b.is_busy());
+        assert!((b.window_utilization(SimTime::from_secs(5)) - 0.6).abs() < 1e-9);
     }
 
     #[test]
@@ -462,15 +359,5 @@ mod tests {
         assert_eq!(h.mean(), 0.0);
         assert_eq!(h.quantile(0.9), 0.0);
         assert!(h.is_empty());
-    }
-
-    #[test]
-    fn series_tracks_points() {
-        let mut s = Series::new();
-        s.push(SimTime::from_secs(1), 10.0);
-        s.push(SimTime::from_secs(2), 30.0);
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.last(), Some(30.0));
-        assert_eq!(s.max(), Some(30.0));
     }
 }

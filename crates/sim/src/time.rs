@@ -72,36 +72,9 @@ impl SimTime {
         SimDuration(self.0 - earlier.0)
     }
 
-    /// Checked addition of a duration.
-    pub fn checked_add(self, d: SimDuration) -> Option<SimTime> {
-        self.0.checked_add(d.0).map(SimTime)
-    }
-
     /// Saturating subtraction of a duration (clamps at the epoch).
     pub fn saturating_sub(self, d: SimDuration) -> SimTime {
         SimTime(self.0.saturating_sub(d.0))
-    }
-
-    /// Rounds this instant *up* to the next multiple of `quantum`
-    /// (an instant already on a boundary is returned unchanged).
-    ///
-    /// Used for the §3.2 fragmentation fix: viewers are "forced to start at
-    /// times that are integral multiples of the block play time divided by
-    /// the decluster factor".
-    pub fn round_up_to(self, quantum: SimDuration) -> SimTime {
-        assert!(quantum.0 > 0, "quantum must be nonzero");
-        let rem = self.0 % quantum.0;
-        if rem == 0 {
-            self
-        } else {
-            SimTime(self.0 + (quantum.0 - rem))
-        }
-    }
-
-    /// Rounds this instant *down* to the previous multiple of `quantum`.
-    pub fn round_down_to(self, quantum: SimDuration) -> SimTime {
-        assert!(quantum.0 > 0, "quantum must be nonzero");
-        SimTime(self.0 - self.0 % quantum.0)
     }
 }
 
@@ -219,11 +192,6 @@ impl SimDuration {
     pub fn div_duration(self, other: SimDuration) -> u64 {
         assert!(other.0 != 0, "division by zero duration");
         self.0 / other.0
-    }
-
-    /// The ratio `self / other` as a float (for reporting only).
-    pub fn ratio(self, other: SimDuration) -> f64 {
-        self.0 as f64 / other.0 as f64
     }
 }
 
@@ -345,11 +313,6 @@ impl ByteSize {
         ByteSize(bytes)
     }
 
-    /// Creates a size from binary kilobytes (1 KiB = 1024 B).
-    pub const fn from_kib(kib: u64) -> Self {
-        ByteSize(kib * 1024)
-    }
-
     /// Creates a size from binary megabytes (1 MiB = 1024 KiB).
     pub const fn from_mib(mib: u64) -> Self {
         ByteSize(mib * 1024 * 1024)
@@ -358,11 +321,6 @@ impl ByteSize {
     /// Raw byte count.
     pub const fn as_bytes(self) -> u64 {
         self.0
-    }
-
-    /// Size in MiB, as a float (for reporting only).
-    pub fn as_mib_f64(self) -> f64 {
-        self.0 as f64 / (1024.0 * 1024.0)
     }
 
     /// Integer division, truncating.
@@ -407,7 +365,7 @@ impl Sub for ByteSize {
 impl fmt::Debug for ByteSize {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.0 >= 1024 * 1024 {
-            write!(f, "{:.2}MiB", self.as_mib_f64())
+            write!(f, "{:.2}MiB", self.0 as f64 / (1024.0 * 1024.0))
         } else if self.0 >= 1024 {
             write!(f, "{:.1}KiB", self.0 as f64 / 1024.0)
         } else {
@@ -445,11 +403,6 @@ impl Bandwidth {
         Bandwidth(mbps * 1_000_000)
     }
 
-    /// Creates a bandwidth from kilobits per second (10^3 bits).
-    pub const fn from_kbit_per_sec(kbps: u64) -> Self {
-        Bandwidth(kbps * 1_000)
-    }
-
     /// Creates a bandwidth from bytes per second.
     pub const fn from_bytes_per_sec(byps: u64) -> Self {
         Bandwidth(byps * 8)
@@ -463,11 +416,6 @@ impl Bandwidth {
     /// Megabits per second, as a float (for reporting only).
     pub fn as_mbit_per_sec_f64(self) -> f64 {
         self.0 as f64 / 1_000_000.0
-    }
-
-    /// Bytes per second, truncating.
-    pub const fn bytes_per_sec(self) -> u64 {
-        self.0 / 8
     }
 
     /// True if the bandwidth is zero.
@@ -550,27 +498,6 @@ mod tests {
         assert_eq!(
             t.saturating_since(SimTime::from_secs(10)),
             SimDuration::ZERO
-        );
-    }
-
-    #[test]
-    fn round_up_and_down() {
-        let q = SimDuration::from_millis(250);
-        assert_eq!(
-            SimTime::from_millis(0).round_up_to(q),
-            SimTime::from_millis(0)
-        );
-        assert_eq!(
-            SimTime::from_millis(1).round_up_to(q),
-            SimTime::from_millis(250)
-        );
-        assert_eq!(
-            SimTime::from_millis(250).round_up_to(q),
-            SimTime::from_millis(250)
-        );
-        assert_eq!(
-            SimTime::from_millis(501).round_down_to(q),
-            SimTime::from_millis(500)
         );
     }
 

@@ -29,18 +29,19 @@ pub const CTRL: u32 = u32::MAX;
 
 /// Field value conversion for the wire format: every event field is one
 /// of `u32`/`u64`/`bool`, carried as a decimal `u64` in dump lines
-/// (`bool` as `0`/`1`).
+/// (`bool` as `0`/`1`). A raw value that does not fit its field decodes
+/// to `None`, so every accepted line re-encodes to itself.
 trait Field: Copy {
     fn into_raw(self) -> u64;
-    fn from_raw(v: u64) -> Self;
+    fn from_raw(v: u64) -> Option<Self>;
 }
 
 impl Field for u64 {
     fn into_raw(self) -> u64 {
         self
     }
-    fn from_raw(v: u64) -> Self {
-        v
+    fn from_raw(v: u64) -> Option<Self> {
+        Some(v)
     }
 }
 
@@ -48,8 +49,8 @@ impl Field for u32 {
     fn into_raw(self) -> u64 {
         u64::from(self)
     }
-    fn from_raw(v: u64) -> Self {
-        v as u32
+    fn from_raw(v: u64) -> Option<Self> {
+        u32::try_from(v).ok()
     }
 }
 
@@ -57,8 +58,12 @@ impl Field for bool {
     fn into_raw(self) -> u64 {
         u64::from(self)
     }
-    fn from_raw(v: u64) -> Self {
-        v != 0
+    fn from_raw(v: u64) -> Option<Self> {
+        match v {
+            0 => Some(false),
+            1 => Some(true),
+            _ => None,
+        }
     }
 }
 
@@ -94,7 +99,8 @@ macro_rules! trace_events {
             }
 
             /// Rebuilds an event from its wire name and `(key, value)`
-            /// pairs; `None` if the name is unknown or a field is absent.
+            /// pairs; `None` if the name is unknown, a field is absent, or
+            /// a value does not fit its field.
             pub fn from_parts(name: &str, fields: &[(String, u64)]) -> Option<TraceEvent> {
                 let get = |key: &str| {
                     fields
@@ -104,7 +110,7 @@ macro_rules! trace_events {
                 };
                 match name {
                     $( $name => Some(TraceEvent::$variant {
-                        $( $field: Field::from_raw(get(stringify!($field))?) ),*
+                        $( $field: Field::from_raw(get(stringify!($field))?)? ),*
                     }), )*
                     _ => None,
                 }
@@ -626,5 +632,15 @@ mod tests {
             "missing field"
         );
         assert!(parse_dump("not a trace").is_err());
+        assert!(parse_dump("0 100 c0 vs-shadow slot=1 viewer=7 inc=0").is_ok());
+        assert!(
+            parse_dump("0 100 c0 vs-shadow slot=4294967297 viewer=7 inc=0").is_err(),
+            "slot does not fit a u32"
+        );
+        assert!(parse_dump("0 100 c0 send-due slot=1 viewer=7 inc=0 ok=1").is_ok());
+        assert!(
+            parse_dump("0 100 c0 send-due slot=1 viewer=7 inc=0 ok=2").is_err(),
+            "a bool is 0 or 1"
+        );
     }
 }

@@ -9,8 +9,12 @@ cd "$(dirname "$0")/.."
 
 export CARGO_NET_OFFLINE=1
 
-echo "== tier-1: cargo build --release" >&2
-cargo build --release
+# --workspace: tier-1's build plus the member crates' binaries (fleet,
+# trace_timeline, rt_conformance), so the steps below run what this one
+# built and nothing links twice.
+echo "== tier-1: cargo build --release --workspace" >&2
+cargo build --release --workspace
+BIN="${CARGO_TARGET_DIR:-target}/release"
 
 echo "== tier-1: cargo test -q" >&2
 cargo test -q
@@ -52,120 +56,50 @@ fi
 echo "== cargo clippy --workspace -- -D warnings" >&2
 cargo clippy --workspace -- -D warnings
 
-# Fleet smoke: the parallel experiment fleet must produce bit-identical
-# stdout at 1 and 2 worker threads (the determinism-under-parallelism
-# contract; see EXPERIMENTS.md "The experiment fleet").
-echo "== fleet smoke: quick fig8 ramp at 1 vs 2 threads" >&2
-FLEET_T1="$(mktemp)" FLEET_T2="$(mktemp)" FLEET_TRACED="$(mktemp)" DEMO_OUT="$(mktemp)"
-CHAOS_T1="$(mktemp)" CHAOS_T2="$(mktemp)"
-WORK_T1="$(mktemp)" WORK_T2="$(mktemp)" HOTSPOT_PLAN="$(mktemp)"
-CODED_T1="$(mktemp)" CODED_T2="$(mktemp)"
-trap 'rm -f "$FLEET_T1" "$FLEET_T2" "$FLEET_TRACED" "$DEMO_OUT" "$CHAOS_T1" "$CHAOS_T2" "$WORK_T1" "$WORK_T2" "$HOTSPOT_PLAN" "$CODED_T1" "$CODED_T2"' EXIT
-cargo run --release -q -p tiger-bench --bin fleet -- \
-    --scale quick --filter fig8 --threads 1 > "$FLEET_T1" 2>/dev/null
-cargo run --release -q -p tiger-bench --bin fleet -- \
-    --scale quick --filter fig8 --threads 2 > "$FLEET_T2" 2>/dev/null
-cmp "$FLEET_T1" "$FLEET_T2"
+# The experiment catalogue (`fleet --list`: every figure, table, ablation
+# and sweep in crates/bench) in three steps. A job that violates an
+# invariant or fails its own check makes fleet exit non-zero, naming it.
+SCRATCH="$(mktemp -d)"
+trap 'rm -rf "$SCRATCH"' EXIT
+fleet() {
+    "$BIN/fleet" "$@" 2> "$SCRATCH/stderr" || { cat "$SCRATCH/stderr" >&2; return 1; }
+}
 
-# Chaos smoke: the fault-injection sweep must pass every Tiger invariant
-# (the bin exits non-zero on any violation) and, like the fleet, produce
-# bit-identical stdout at 1, 2, and 3 worker threads (see docs/FAULTS.md).
-# The sweep includes the online-recovery scenarios — crash-rejoin,
-# double-fail-catchup (partner dies mid-handback), restripe-quiet,
-# restripe-rejoin (crash + restart mid-restripe), and the Recovery v2
-# trio: fast-rejoin (sub-interval retired replay), shrink-load (live
-# remove=1 under streaming), and spare-shield (double failure with a
-# spare serving shadow spans) — so this smoke gates the rejoin,
-# live-restripe/shrink, and spare-shield protocols too (see
-# docs/RECOVERY.md). Fatal — a divergence means fault randomness leaked
-# out of its RNG subtree or an invariant broke.
-echo "== chaos smoke: quick sweep (incl. rejoin/shrink/shield) at 1 vs 2 vs 3 threads" >&2
-cargo run --release -q -p tiger-bench --bin chaos -- \
-    --scale quick --threads 1 > "$CHAOS_T1"
-cargo run --release -q -p tiger-bench --bin chaos -- \
-    --scale quick --threads 2 > "$CHAOS_T2"
-cmp "$CHAOS_T1" "$CHAOS_T2"
-cargo run --release -q -p tiger-bench --bin chaos -- \
-    --scale quick --threads 3 > "$CHAOS_T2"
-cmp "$CHAOS_T1" "$CHAOS_T2"
+# Determinism under parallelism: every job at quick scale prints the same
+# bytes at 1, 2 and 3 worker threads (EXPERIMENTS.md "The experiment
+# fleet"). The chaos sweep is in there — crash-rejoin, double-fail-catchup,
+# the restripe/shrink scenarios, spare-shield (docs/FAULTS.md,
+# docs/RECOVERY.md) — and so are the workload plans (docs/WORKLOADS.md) and
+# the coded ablation (docs/CODED.md). Fatal — a divergence means randomness
+# leaked out of its RNG subtree or a result depends on completion order.
+echo "== fleet: every job at quick scale, 1 vs 2 vs 3 threads" >&2
+fleet --scale quick --threads 1 > "$SCRATCH/t1"
+for threads in 2 3; do
+    fleet --scale quick --threads "$threads" > "$SCRATCH/tn"
+    cmp "$SCRATCH/t1" "$SCRATCH/tn"
+done
 
-# Workload smoke: the canonical tiger-workgen plan sweep (Zipf hotspot,
-# flash crowd, VCR churn, diurnal swing, flashcrowd+crash under the chaos
-# invariants) must pass — the bin exits non-zero on any violation — and
-# produce bit-identical stdout at 1 and 2 worker threads (see
-# docs/WORKLOADS.md). Fatal — a divergence means workload randomness
-# leaked out of the "workgen" RNG subtree.
-echo "== workload smoke: quick plan sweep at 1 vs 2 threads" >&2
-cargo run --release -q -p tiger-bench --bin workloads -- \
-    --scale quick --threads 1 > "$WORK_T1"
-cargo run --release -q -p tiger-bench --bin workloads -- \
-    --scale quick --threads 2 > "$WORK_T2"
-cmp "$WORK_T1" "$WORK_T2"
+# The tracer is a pure observer: the same run with tracing switched on
+# prints the same bytes (docs/TRACING.md). Fatal — a divergence means a
+# trace hook leaked into simulation behaviour.
+echo "== fleet: quick scale with TIGER_TRACE=1 vs off" >&2
+TIGER_TRACE=1 fleet --scale quick > "$SCRATCH/traced"
+cmp "$SCRATCH/t1" "$SCRATCH/traced"
 
-# Redundancy-ablation smoke: coded vs mirrored on the flash-crowd plans
-# must pass its own checks (coded blocking <= mirrored at equal storage;
-# chaos invariants 1-6 on both backends — the bin exits non-zero on any
-# failure), be bit-identical at 1 and 2 worker threads, and match the
-# checked-in curve golden exactly. Fatal — a golden drift means the coded
-# service path (fan-out, degraded reads, load-index choice) changed
-# behaviour (see docs/CODED.md).
-echo "== coded smoke: ablation_coded at 1 vs 2 threads + golden" >&2
-cargo run --release -q -p tiger-bench --bin ablation_coded -- \
-    --scale quick --threads 1 > "$CODED_T1"
-cargo run --release -q -p tiger-bench --bin ablation_coded -- \
-    --scale quick --threads 2 > "$CODED_T2"
-cmp "$CODED_T1" "$CODED_T2"
-cmp results/ablation_coded_quick.txt "$CODED_T1"
-
-# §4.2 golden: the five message-level multiple-bitrate rings (four latency
-# models and the second rate sequence) must render exactly the checked-in
-# table. Full scale runs in under 30 ms. Fatal — `MbrSystem` is the only
-# two-phase insertion, and this table is the only place its commit /
-# abort / rejected-local split and the zero-violations column are pinned.
-echo "== mbr smoke: ablation_mbr vs results/ablation_mbr.txt" >&2
-cargo run --release -q -p tiger-bench --bin ablation_mbr > "$CODED_T1"
-cmp results/ablation_mbr.txt "$CODED_T1"
-
-# Golden plan-driven hotspot: the hotspot bench driven by the checked-in
-# example plan must render exactly the checked-in table. Fatal — it pins
-# the plan grammar, the compiled-generator draw order, and the demand →
-# schedule coupling on a fixed seed all at once.
-echo "== workload smoke: hotspot --plan vs results/hotspot_plan.txt" >&2
-cargo run --release -q -p tiger-bench --bin hotspot -- \
-    --plan examples/workloads/zipf-hotspot.plan --scale quick > "$HOTSPOT_PLAN"
-cmp results/hotspot_plan.txt "$HOTSPOT_PLAN"
-
-# Traced smoke: the tracer is a pure observer, so the same fleet run with
-# tracing switched on must produce bit-identical stdout (see
-# docs/TRACING.md). Fatal — any divergence means a trace hook leaked into
-# simulation behaviour.
-echo "== traced smoke: fleet stdout with TIGER_TRACE=1 vs off" >&2
-TIGER_TRACE=1 cargo run --release -q -p tiger-bench --bin fleet -- \
-    --scale quick --filter fig8 --threads 1 > "$FLEET_TRACED" 2>/dev/null
-cmp "$FLEET_T1" "$FLEET_TRACED"
-
-# Golden timeline: the deterministic demo scenario must render exactly the
-# checked-in timeline. Fatal — it pins the event schema, the wire format,
-# and the protocol's event order on a fixed seed all at once.
-echo "== traced smoke: trace_timeline --demo vs results/trace_timeline_demo.txt" >&2
-cargo run --release -q -p tiger-bench --bin trace_timeline -- --demo > "$DEMO_OUT"
-cmp results/trace_timeline_demo.txt "$DEMO_OUT"
-
-# Golden rejoin timeline: the deterministic crash-then-restart scenario
-# must render exactly the checked-in recovery arc (power-cut, deadman
-# declaration, mirror takeover, cub-restart, hand-back grant,
-# rejoin-done). Fatal — it pins the rejoin protocol's event order.
-echo "== recovery smoke: trace_timeline --rejoin-demo vs results/trace_rejoin_timeline.txt" >&2
-cargo run --release -q -p tiger-bench --bin trace_timeline -- --rejoin-demo > "$DEMO_OUT"
-cmp results/trace_rejoin_timeline.txt "$DEMO_OUT"
-
-# Golden shrink timeline: the deterministic live remove=1 restripe must
-# render exactly the checked-in shrink arc (restripe-start, the leaving
-# cub's shrink-drain, shrink-fence, restripe-cutover). Fatal — it pins
-# the queued shrink executor's event order under streaming load.
-echo "== recovery smoke: trace_timeline --shrink-demo vs results/trace_shrink_timeline.txt" >&2
-cargo run --release -q -p tiger-bench --bin trace_timeline -- --shrink-demo > "$DEMO_OUT"
-cmp results/trace_shrink_timeline.txt "$DEMO_OUT"
+# Goldens: every job regenerates its results/<name>.txt at the scale it is
+# checked in at, trace_timeline its three demo timelines (event schema,
+# wire format and the protocol's event order through a power-cut, a
+# rejoin and a live shrink), and the two directories must hold the same
+# files with the same bytes — diff names a missing or unclaimed golden
+# and prints what drifted. About 35 s on two cores. Fatal. To accept a
+# change: target/release/fleet --threads 2 --goldens results
+echo "== goldens: results/*.txt vs fleet --goldens + the trace_timeline demos" >&2
+mkdir "$SCRATCH/results"
+fleet --threads 2 --goldens "$SCRATCH/results"
+for demo in demo:trace_timeline_demo rejoin-demo:trace_rejoin_timeline shrink-demo:trace_shrink_timeline; do
+    "$BIN/trace_timeline" "--${demo%:*}" > "$SCRATCH/results/${demo#*:}.txt"
+done
+diff -ru results "$SCRATCH/results"
 
 # Driver conformance: the crash-rejoin scenario run under the DES oracle
 # and under the thread/socket driver (real OS threads, loopback UDP,
@@ -174,7 +108,7 @@ cmp results/trace_shrink_timeline.txt "$DEMO_OUT"
 # driver broke the contract (docs/PROTOCOL.md, "The driver contract").
 # Fatal. Takes ~10.5 s of wall time (the socket driver runs in real time).
 echo "== driver conformance: DES oracle vs thread/socket driver (rt_conformance)" >&2
-cargo run --release -q -p tiger-rt --bin rt_conformance
+"$BIN/rt_conformance"
 
 # End-to-end harness: benchmark/ is a package of its own (the steps above
 # never compile it) that builds against crates/* by path — it imports

@@ -76,32 +76,29 @@ fn identical_seeds_give_identical_runs() {
 /// completion order.
 #[test]
 fn fleet_output_is_identical_at_any_thread_count() {
-    use tiger::bench::fleet::{metrics_digest, run_fleet, standard_jobs, Scale};
+    use tiger::bench::fleet::{metrics_digest, run_fleet, select, standard_jobs, Scale};
 
-    // A cross-section of the catalogue: two full-system ramps (fig8 and
-    // the multi-seed capacity sweep, which carry merged Metrics), one
-    // data-structure churn sweep, one analytic sweep, and the five
-    // message-level §4.2 rings. Quick scale keeps the three runs to
-    // seconds.
+    // A cross-section of the catalogue: full-system ramps (fig8, the
+    // multi-seed capacity sweep and the two loss-rate ramps, which carry
+    // merged Metrics), one data-structure churn sweep, one analytic
+    // sweep, and the five message-level §4.2 rings. Quick scale keeps the
+    // three runs to seconds.
     let pick = [
-        "fig8",
-        "capacity_seeds",
+        "fig8_unfailed",
+        "loss_rates",
+        "capacity",
         "ablation_fragmentation",
         "ablation_decluster",
         "ablation_mbr",
     ];
-    let runs: Vec<_> = [1usize, 2, 3]
+    let jobs: Vec<_> = standard_jobs()
         .into_iter()
-        .map(|threads| {
-            let jobs: Vec<_> = standard_jobs()
-                .into_iter()
-                .filter(|j| pick.contains(&j.name))
-                .collect();
-            run_fleet(&jobs, Scale::Quick, threads)
-        })
+        .filter(|j| pick.contains(&j.name))
         .collect();
+    assert_eq!(jobs.len(), pick.len(), "a picked job left the catalogue");
+    let [one, two, three] =
+        [1usize, 2, 3].map(|threads| run_fleet(&jobs, |_| Scale::Quick, threads));
 
-    let [one, two, three] = runs.try_into().ok().expect("three runs");
     assert_eq!(
         one.merged, two.merged,
         "merged Metrics diverged at 2 threads"
@@ -110,25 +107,25 @@ fn fleet_output_is_identical_at_any_thread_count() {
         one.merged, three.merged,
         "merged Metrics diverged at 3 threads"
     );
-    for (a, b) in one.reports.iter().zip(&two.reports) {
-        assert_eq!(a.name, b.name);
-        assert_eq!(
-            a.output, b.output,
-            "report '{}' diverged at 2 threads",
-            a.name
-        );
-    }
-    for (a, b) in one.reports.iter().zip(&three.reports) {
-        assert_eq!(
-            a.output, b.output,
-            "report '{}' diverged at 3 threads",
-            a.name
-        );
+    for (i, job) in jobs.iter().enumerate() {
+        let at = |run: &tiger::bench::fleet::FleetResult| run.reports[i].output.clone();
+        assert_eq!(at(&one), at(&two), "'{}' diverged at 2 threads", job.name);
+        assert_eq!(at(&one), at(&three), "'{}' diverged at 3 threads", job.name);
     }
     // The runs must have measured something for equality to mean anything.
     assert!(!one.merged.windows.is_empty(), "fleet sampled no windows");
     assert!(one.merged.loss.blocks_sent > 0, "fleet sent no blocks");
     assert_eq!(metrics_digest(&one.merged), metrics_digest(&three.merged));
+
+    // A job alone gets the fleet's threads for its own sweep: the two
+    // loss-rate ramps on two workers print what they print in sequence.
+    let alone = select(standard_jobs(), Some("loss_rates"));
+    let sharded = run_fleet(&alone, |_| Scale::Quick, 2);
+    let at = jobs
+        .iter()
+        .position(|j| j.name == "loss_rates")
+        .expect("picked");
+    assert_eq!(sharded.reports[0].output, one.reports[at].output);
 }
 
 #[test]

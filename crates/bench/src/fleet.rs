@@ -919,14 +919,7 @@ pub fn scalability_report(scale: Scale, threads: usize) -> ExpReport {
 
     out.push('\n');
     let _ = writeln!(out, "-- centralized controller (simulated small system) --");
-    let tiger = TigerConfig::sosp97();
-    let mut central = CentralSystem::new(ScheduleParams::derive(
-        tiger.stripe,
-        tiger.block_play_time,
-        tiger.block_size(),
-        tiger.disk_worst_read(),
-        tiger.nic_capacity,
-    ));
+    let mut central = CentralSystem::new(TigerConfig::sosp97().schedule_params());
     while central
         .start_viewer(FileId(0), Bandwidth::from_mbit_per_sec(2), SimTime::ZERO)
         .is_some()
@@ -1564,13 +1557,7 @@ pub fn admission_report(scale: Scale, threads: usize) -> ExpReport {
 /// ramp per seed, merged in seed order.
 pub fn capacity_report(scale: Scale, threads: usize) -> ExpReport {
     let tiger = TigerConfig::sosp97();
-    let params = ScheduleParams::derive(
-        tiger.stripe,
-        tiger.block_play_time,
-        tiger.block_size(),
-        tiger.disk_worst_read(),
-        tiger.nic_capacity,
-    );
+    let params = tiger.schedule_params();
     let mut out = String::new();
     let _ = writeln!(
         out,

@@ -26,7 +26,7 @@ use tiger_workload::{drive_plan, populate_catalog, CatalogSpec};
 use crate::fleet::{run_indexed, ExpReport, Job, Scale};
 
 /// The plan `hotspot_plan` runs by default, and the path its report names.
-pub const EXAMPLE_PLAN: &str = "examples/workloads/zipf-hotspot.plan";
+const EXAMPLE_PLAN: &str = "examples/workloads/zipf-hotspot.plan";
 const EXAMPLE_PLAN_TEXT: &str = include_str!("../../../examples/workloads/zipf-hotspot.plan");
 
 const COLUMNS: &str = "workload        streams  disk_load min/mean/max   missed  client_missing";
@@ -67,10 +67,15 @@ fn system(scale: Scale) -> TigerSystem {
     })
 }
 
-fn population_row(scale: Scale, label: &str, single_file: bool) -> String {
+fn population_row(scale: Scale, single_file: bool) -> String {
     let (titles, film, viewers, settle, window) = match scale {
         Scale::Full => (64, 400, 300, 30, 60),
         Scale::Quick => (8, 120, 16, 10, 30),
+    };
+    let label = if single_file {
+        "single hot file".to_string()
+    } else {
+        format!("{titles}-file spread")
     };
     let mut sys = system(scale);
     let files = populate_catalog(
@@ -93,7 +98,7 @@ fn population_row(scale: Scale, label: &str, single_file: bool) -> String {
     }
     measure(
         &mut sys,
-        label,
+        &label,
         t + SimDuration::from_secs(settle),
         SimDuration::from_secs(window),
     )
@@ -101,10 +106,7 @@ fn population_row(scale: Scale, label: &str, single_file: bool) -> String {
 
 /// One hot file against a spread catalogue: two independent runs.
 pub fn hotspot_report(scale: Scale, threads: usize) -> ExpReport {
-    let populations = [("64-file spread", false), ("single hot file", true)];
-    let rows = run_indexed(populations.len(), threads, |i| {
-        population_row(scale, populations[i].0, populations[i].1)
-    });
+    let rows = run_indexed(2, threads, |i| population_row(scale, i == 1));
     let mut out = format!("{COLUMNS}\n");
     out.extend(rows);
     out.push('\n');

@@ -346,9 +346,9 @@ impl WorkloadPlan {
 /// and, for clause errors, the line — in the conventional
 /// `path:line: message` shape editors and CI logs hyperlink.
 ///
-/// This is the one place plan-file diagnostics are formatted; every bin
-/// that takes `--plan FILE` (or `TIGER_WORKLOAD_PLAN`) should call it
-/// rather than hand-rolling `read_to_string` + [`WorkloadPlan::parse`].
+/// This is the one place plan-file diagnostics are formatted; whatever
+/// takes a plan file (`fleet --plan FILE`) should call it rather than
+/// hand-rolling `read_to_string` + [`WorkloadPlan::parse`].
 pub fn load_plan_file(path: impl AsRef<std::path::Path>) -> Result<WorkloadPlan, String> {
     let path = path.as_ref();
     let text = std::fs::read_to_string(path)

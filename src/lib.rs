@@ -21,7 +21,9 @@
 //! * [`core`] — cubs, controller, clients, the distributed protocol
 //! * [`trace`] — ring-buffer protocol event tracing and timeline tooling
 //! * [`workload`] — workload generators and §5 experiment drivers
-//! * [`bench`] — experiment fleet, bench runner, and snapshot tooling
+//! * [`bench`] — the experiment catalogue ([`bench::fleet::standard_jobs`],
+//!   run by the one experiment binary, `fleet`), bench runner, and
+//!   snapshot tooling
 //!
 //! ## Quick start
 //!

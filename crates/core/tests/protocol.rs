@@ -344,21 +344,32 @@ fn control_traffic_is_bounded_per_cub() {
     assert_eq!(sample.streams, 20);
 }
 
+/// `sosp97` with disk blips off and a start queued for every slot of the
+/// schedule, one each 100 ms: full load from about t = 61 s. Viewer `i`
+/// starts `7 i mod 191` blocks into the one file, so that neighbours in
+/// the schedule do not share their reads (from block 0 they would, one
+/// read in eight, and a shared read holds no buffer).
+fn sosp97_filling_to_capacity() -> (TigerSystem, u32) {
+    let mut cfg = TigerConfig::sosp97();
+    cfg.disk = cfg.disk.without_blips();
+    let mut sys = TigerSystem::new(cfg);
+    let capacity = sys.shared().params.capacity();
+    let file = sys.add_file(rate(), SimDuration::from_secs(400));
+    for i in 0..u64::from(capacity) {
+        let client = sys.add_client();
+        let at = SimTime::from_millis(100 + i * 100);
+        sys.request_start_at(at, client, file, (i * 7 % 191) as u32);
+    }
+    (sys, capacity)
+}
+
 #[test]
 fn full_load_never_regrows_the_event_queue() {
     // `TigerSystem::new` sizes the queue from `max_vstate_lead`; at the
     // paper's scale and full load (≈17.6 pending events a stream) that
     // must cover the ramp and the steady state both.
-    let mut cfg = TigerConfig::sosp97();
-    cfg.disk = cfg.disk.without_blips();
-    let mut sys = TigerSystem::new(cfg);
+    let (mut sys, capacity) = sosp97_filling_to_capacity();
     let built = sys.shared().queue.capacity();
-    let capacity = sys.shared().params.capacity();
-    let file = sys.add_file(rate(), SimDuration::from_secs(400));
-    for i in 0..u64::from(capacity) {
-        let client = sys.add_client();
-        sys.request_start(SimTime::from_millis(100 + i * 100), client, file);
-    }
     sys.run_until(SimTime::from_secs(100));
     let active = sys.controller().active_streams();
     assert!(active >= capacity * 97 / 100, "only {active} streaming");
@@ -366,4 +377,28 @@ fn full_load_never_regrows_the_event_queue() {
     sys.run_until(SimTime::from_secs(200));
     assert_eq!(sys.shared().queue.capacity(), built, "regrew at full load");
     assert!(sys.shared().queue.len() > capacity as usize * 17);
+}
+
+#[test]
+fn full_load_dispatches_what_a_block_needs() {
+    // Events dispatched per block sent over 100 s of full load: a count,
+    // exactly repeatable. A block's own life is a `ReadIssue`, a
+    // `DiskDone`, a `SendDue`, a `SendDone` and the client's `Deliver`,
+    // plus its share of the control traffic and the periodic work: 5.4.
+    // Measured here: 823,248 events for 60,186 blocks, 13.68 a block — the
+    // rest are `ReadIssue`s re-polling a full buffer pool every 50 ms.
+    let (mut sys, _) = sosp97_filling_to_capacity();
+    sys.run_until(SimTime::from_secs(100));
+    let at_open = (
+        sys.shared().queue.dispatched(),
+        sys.metrics().loss.blocks_sent,
+    );
+    sys.run_until(SimTime::from_secs(200));
+    let events = sys.shared().queue.dispatched() - at_open.0;
+    let blocks = sys.metrics().loss.blocks_sent - at_open.1;
+    let per_block = events as f64 / blocks as f64;
+    assert!(
+        per_block > 12.0,
+        "{events} events for {blocks} blocks: {per_block:.2} a block"
+    );
 }

@@ -21,6 +21,7 @@ use tiger_trace::TraceEvent;
 
 use crate::config::ForwardingPolicy;
 use crate::event::Event;
+use crate::pool::BufferPool;
 use crate::system::Shared;
 
 pub use tiger_proto::insert::PendingStart;
@@ -80,8 +81,9 @@ pub struct Cub {
     /// struct is the DES *driver* for it: machine verdicts become event
     /// schedules, simulated sends, and trace records here.
     ring: RingMachine,
-    /// Read-ahead buffer bytes in use (bounded by the buffer cache).
-    buffer_bytes_in_use: u64,
+    /// Read-ahead buffers in use against the buffer cache, and the reads
+    /// waiting for one.
+    pool: BufferPool,
     /// Recently buffered blocks, newest last (the buffer cache doubles as
     /// a tiny block cache; §5 measured its hit rate at "less than 0.05%"
     /// because staggered viewers rarely re-read a block while it is still
@@ -91,9 +93,6 @@ pub struct Cub {
     pub cache_hits: Counter,
     /// Block-cache lookups.
     pub cache_lookups: Counter,
-    /// Peak buffer usage in bytes (diagnostics; compare against the 20 MB
-    /// cache of the testbed).
-    pub peak_buffer_bytes: u64,
     /// When this cub's next periodic forwarding pass is due (maintained by
     /// the event loop; lets acceptance decide whether a record can wait).
     pub next_forward_pass: SimTime,
@@ -130,11 +129,10 @@ impl Cub {
             mirrors_created: HashMap::default(),
             ins: InsertMachine::new(),
             ring: RingMachine::new(id, num_cubs),
-            buffer_bytes_in_use: 0,
+            pool: BufferPool::default(),
             cache_resident: std::collections::VecDeque::new(),
             cache_hits: Counter::new(),
             cache_lookups: Counter::new(),
-            peak_buffer_bytes: 0,
             next_forward_pass: SimTime::ZERO,
             next_deadman_ping: SimTime::ZERO,
             next_deadman_check: SimTime::ZERO,
@@ -209,6 +207,23 @@ impl Cub {
     /// this.
     pub fn schedule_information_held(&self) -> usize {
         self.view.len() + self.shadows.len() + self.services.information_held()
+    }
+
+    /// Peak read-ahead buffer usage in bytes (compare against the 20 MB
+    /// cache of the testbed: reads that reach their floor over-commit it).
+    pub fn peak_buffer_bytes(&self) -> u64 {
+        self.pool.peak()
+    }
+
+    /// Reads that found the buffer pool full and waited for a buffer.
+    pub fn reads_waited(&self) -> u64 {
+        self.pool.waited.total()
+    }
+
+    /// Reads that reached their hard floor still waiting and were issued
+    /// into the full pool.
+    pub fn reads_forced(&self) -> u64 {
+        self.pool.forced.total()
     }
 
     /// Control messages processed per second over the current window.
@@ -637,6 +652,7 @@ impl Cub {
             true
         });
         self.reclaim_finished(now, sh.coded.as_mut());
+        self.drain_pool(sh, now);
         debug_assert!(self.services.iter().all(|(_, e)| !e.finished()));
         for instance in finished {
             if self.eof_sent.insert(instance) {
@@ -1166,7 +1182,7 @@ impl Cub {
         }
         self.services.clear();
         self.reset_viewer_state();
-        self.buffer_bytes_in_use = 0;
+        self.pool.reset();
     }
 
     // --- Online recovery ----------------------------------------------------
@@ -1186,7 +1202,7 @@ impl Cub {
         self.reset_viewer_state();
         self.mirrors_created.clear();
         self.cache_resident.clear();
-        self.buffer_bytes_in_use = 0;
+        self.pool.reset();
         self.ins.reset();
         // A restarted process knows nothing about who is down; it assumes
         // the full striped ring is alive (spares stay marked failed — they
@@ -1251,6 +1267,7 @@ impl Cub {
             }
             entry.forwarded = true;
         }
+        self.pool.clear_waiting(); // Unsent, every one: dropped just now.
         self.reclaim_finished(now, None);
         self.reset_viewer_state();
         for &d in fences {

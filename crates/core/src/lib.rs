@@ -41,6 +41,7 @@ pub mod cub;
 pub mod event;
 pub mod mbr;
 pub mod metrics;
+mod pool;
 pub mod reconfig;
 pub mod recovery;
 pub mod shield;

@@ -701,32 +701,62 @@ impl Cub {
         self.failed && !sh.shield.is_serving_spare(self.id)
     }
 
-    /// Issues the disk read for `token` (one scheduling lead early).
+    /// Whether the buffer pool has room for one more block.
+    fn pool_has_room(&self, sh: &Shared) -> bool {
+        self.pool.has_room(
+            sh.cfg.block_size().as_bytes(),
+            sh.cfg.buffer_cache.as_bytes(),
+        )
+    }
+
+    /// The read for `token` is due (`read_leads` scheduling leads early).
     ///
     /// Reads are issued as early as the buffer cache allows ("trading off
     /// buffer usage to cover for slight variations in disk and I/O system
-    /// performance", §3.1): when the 20 MB cache is full, the read is
-    /// retried shortly, down to a hard floor of one scheduling lead before
-    /// the send.
+    /// performance", §3.1): when the 20 MB cache is full the read waits in
+    /// the pool for a returned buffer, down to a hard floor of one
+    /// scheduling lead before the send, when it goes out regardless.
     pub fn on_read_issue(&mut self, sh: &mut Shared, now: SimTime, token: ServiceToken) {
         if self.out_of_service(sh) {
             return;
         }
-        let Some(entry) = self.services.get_mut(token) else {
+        let Some(entry) = self.services.get(token) else {
             return; // Descheduled before the read was due.
         };
-        if entry.dropped || entry.read_issued {
+        if entry.dropped || entry.read_issued || entry.read_ready || entry.missed {
+            return; // Cancelled, or a returned buffer got there first.
+        }
+        let floor = entry.send_at.saturating_sub(sh.cfg.scheduling_lead);
+        let room = self.pool_has_room(sh);
+        if now < floor && !room {
+            self.pool.park(floor, token);
+            let cub = self.id;
+            sh.queue.schedule(floor, Event::ReadIssue { cub, token });
             return;
         }
-        let must_issue_by = entry.send_at.saturating_sub(sh.cfg.scheduling_lead);
-        if now < must_issue_by
-            && self.buffer_bytes_in_use + u64::from(sh.cfg.block_size().as_bytes() as u32)
-                > sh.cfg.buffer_cache.as_bytes()
-        {
-            // Cache full: retry soon, no later than the hard floor.
-            let retry = (now + SimDuration::from_millis(50)).min(must_issue_by);
-            let cub = self.id;
-            sh.queue.schedule(retry, Event::ReadIssue { cub, token });
+        if self.pool.unpark(floor, token) && !room {
+            self.pool.forced.incr();
+        }
+        self.issue_read(sh, now, token);
+    }
+
+    /// Hands the pool's room to its waiters, earliest floor first. Every
+    /// path that returns a buffer ends here.
+    pub(super) fn drain_pool(&mut self, sh: &mut Shared, now: SimTime) {
+        let block = sh.cfg.block_size().as_bytes();
+        let cache = sh.cfg.buffer_cache.as_bytes();
+        while let Some(token) = self.pool.next_ready(block, cache) {
+            self.issue_read(sh, now, token);
+        }
+    }
+
+    /// Issues the disk read for `token`, if its service still wants one
+    /// (a waiter may have been descheduled meanwhile).
+    fn issue_read(&mut self, sh: &mut Shared, now: SimTime, token: ServiceToken) {
+        let Some(entry) = self.services.get_mut(token) else {
+            return;
+        };
+        if entry.dropped {
             return;
         }
         let local = entry.disk_local;
@@ -784,8 +814,7 @@ impl Cub {
                 entry.read_issued = true;
                 entry.buffer_held = true;
                 entry.read_bytes = req.len.as_bytes();
-                self.buffer_bytes_in_use += entry.read_bytes;
-                self.peak_buffer_bytes = self.peak_buffer_bytes.max(self.buffer_bytes_in_use);
+                self.pool.charge(entry.read_bytes);
                 if entry.vs.kind == StreamKind::Primary {
                     let key = (disk_id, entry.vs.file, entry.vs.position);
                     self.cache_resident.push_back(key);
@@ -988,6 +1017,7 @@ impl Cub {
     ) {
         if self.services.get(token).is_some_and(Active::finished) {
             self.reclaim(now, token, sh.coded.as_mut());
+            self.drain_pool(sh, now);
         }
     }
 
@@ -1018,7 +1048,7 @@ impl Cub {
     ) {
         if let Some(e) = self.services.remove(token) {
             if e.buffer_held {
-                self.buffer_bytes_in_use = self.buffer_bytes_in_use.saturating_sub(e.read_bytes);
+                self.pool.release(e.read_bytes);
             }
             if e.vs.kind == StreamKind::Primary {
                 if let Some(c) = coded {

@@ -385,8 +385,9 @@ fn full_load_dispatches_what_a_block_needs() {
     // exactly repeatable. A block's own life is a `ReadIssue`, a
     // `DiskDone`, a `SendDue`, a `SendDone` and the client's `Deliver`,
     // plus its share of the control traffic and the periodic work: 5.4.
-    // Measured here: 823,248 events for 60,186 blocks, 13.68 a block — the
-    // rest are `ReadIssue`s re-polling a full buffer pool every 50 ms.
+    // A read that found the buffer pool full adds one more, at its floor.
+    // Measured here: 378,068 events for 60,186 blocks, 6.28 a block (it
+    // was 823,248 and 13.68 while such a read re-polled every 50 ms).
     let (mut sys, _) = sosp97_filling_to_capacity();
     sys.run_until(SimTime::from_secs(100));
     let at_open = (
@@ -398,7 +399,7 @@ fn full_load_dispatches_what_a_block_needs() {
     let blocks = sys.metrics().loss.blocks_sent - at_open.1;
     let per_block = events as f64 / blocks as f64;
     assert!(
-        per_block > 12.0,
+        per_block < 6.5,
         "{events} events for {blocks} blocks: {per_block:.2} a block"
     );
 }

@@ -154,7 +154,7 @@ pub fn run_ramp(cfg: &RampConfig) -> RampResult {
         peak_buffers: sys
             .cubs()
             .iter()
-            .map(|c| c.peak_buffer_bytes)
+            .map(|c| c.peak_buffer_bytes())
             .max()
             .unwrap_or(0),
         cache_hit_rate: {

@@ -336,6 +336,7 @@ fn bench_forward_pass(c: &mut Runner) {
             while let Some((at, ev)) = sh.queue.pop_until(now) {
                 match ev {
                     Event::ReadIssue { cub: ME, token } => cub.on_read_issue(sh, at, token),
+                    Event::PoolFloor { cub: ME } => cub.on_pool_floor(sh, at),
                     Event::DiskDone { cub: ME, token } => cub.on_disk_done(sh, at, token),
                     Event::SendDue { cub: ME, token } => cub.on_send_due(sh, at, token),
                     Event::SendDone { cub: ME, token } => cub.on_send_done(sh, at, token),

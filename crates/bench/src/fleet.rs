@@ -602,25 +602,23 @@ fn metrics_of(result: &RampResult) -> Metrics {
 }
 
 fn ramp_summary(out: &mut String, result: &RampResult, failed: bool) {
+    let loss = &result.loss;
+    let rate = match loss.one_in() {
+        Some(n) => format!("1 in {n}"),
+        None => format!("none of {}", loss.blocks_scheduled),
+    };
     if failed {
         let _ = writeln!(
             out,
             "blocks scheduled: {}  sent (incl. mirror pieces): {}  server missed: {} \
-             ({} of them mirror pieces)  (1 in {})",
-            result.loss.blocks_scheduled,
-            result.loss.blocks_sent,
-            result.loss.server_missed,
-            result.loss.mirror_missed,
-            one_in(&result.loss),
+             ({} of them mirror pieces)  ({rate})",
+            loss.blocks_scheduled, loss.blocks_sent, loss.server_missed, loss.mirror_missed,
         );
     } else {
         let _ = writeln!(
             out,
-            "blocks scheduled: {}  sent: {}  server missed: {}  (1 in {})",
-            result.loss.blocks_scheduled,
-            result.loss.blocks_sent,
-            result.loss.server_missed,
-            one_in(&result.loss),
+            "blocks scheduled: {}  sent: {}  server missed: {}  ({rate})",
+            loss.blocks_scheduled, loss.blocks_sent, loss.server_missed,
         );
     }
     let _ = writeln!(
@@ -631,8 +629,22 @@ fn ramp_summary(out: &mut String, result: &RampResult, failed: bool) {
     let _ = writeln!(
         out,
         "peak read-ahead buffers: {:.1} MB (testbed cache: 20 MB/cub)",
-        result.peak_buffers as f64 / 1e6
+        result.peak_buffers as f64 / 1e6,
     );
+    let _ = writeln!(
+        out,
+        "reads that waited for a buffer: {}  issued at their floor, over the cache: {}",
+        result.reads_waited, result.reads_forced,
+    );
+    // Where the run's events went, per block (or mirror piece) sent.
+    let per_send = |n: u64| n as f64 / loss.blocks_sent.max(1) as f64;
+    let total: u64 = result.events_by_kind.iter().map(|&(_, n)| n).sum();
+    let _ = write!(out, "events dispatched per send: {:.2}", per_send(total));
+    for (i, &(kind, n)) in result.events_by_kind.iter().enumerate() {
+        let sep = if i == 0 { " (" } else { ", " };
+        let _ = write!(out, "{sep}{kind} {:.2}", per_send(n));
+    }
+    let _ = writeln!(out, ")");
 }
 
 /// Figure 8: the unfailed ramp (§5). One simulation — nothing to shard —

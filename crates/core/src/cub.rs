@@ -19,7 +19,7 @@ use tiger_sched::{Deschedule, ScheduleView, SlotId, StreamKind, ViewerState};
 use tiger_sim::{Counter, SimDuration, SimTime};
 use tiger_trace::TraceEvent;
 
-use crate::config::ForwardingPolicy;
+use crate::config::{ForwardingPolicy, TigerConfig};
 use crate::event::Event;
 use crate::pool::BufferPool;
 use crate::system::Shared;
@@ -111,8 +111,8 @@ pub struct Cub {
 }
 
 impl Cub {
-    /// Creates an idle cub with its disks.
-    pub fn new(id: CubId, num_cubs: u32, disks: Vec<tiger_disk::Disk>) -> Self {
+    /// Creates an idle cub with its disks and `cfg`'s buffer cache.
+    pub fn new(id: CubId, num_cubs: u32, disks: Vec<tiger_disk::Disk>, cfg: &TigerConfig) -> Self {
         let space = disks
             .iter()
             .map(|d| DiskSpace::half_split(d.profile().capacity))
@@ -129,7 +129,7 @@ impl Cub {
             mirrors_created: HashMap::default(),
             ins: InsertMachine::new(),
             ring: RingMachine::new(id, num_cubs),
-            pool: BufferPool::default(),
+            pool: BufferPool::new(cfg.buffer_cache.as_bytes(), cfg.block_size().as_bytes()),
             cache_resident: std::collections::VecDeque::new(),
             cache_hits: Counter::new(),
             cache_lookups: Counter::new(),
@@ -224,6 +224,12 @@ impl Cub {
     /// into the full pool.
     pub fn reads_forced(&self) -> u64 {
         self.pool.forced.total()
+    }
+
+    /// Whether the pool is at rest (`BufferPool::settled`): the event
+    /// loop's debug-build check after every handler of this cub.
+    pub(crate) fn pool_settled(&self) -> bool {
+        self.pool.settled()
     }
 
     /// Control messages processed per second over the current window.

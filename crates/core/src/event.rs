@@ -27,13 +27,21 @@ pub enum Event {
         /// The message.
         msg: Message,
     },
-    /// Time to issue the disk read for service `token` (one scheduling
-    /// lead before the block is due at the network).
+    /// Time to issue the disk read for service `token` (two or three
+    /// scheduling leads before the block is due at the network; a full
+    /// buffer pool makes it wait, down to one).
     ReadIssue {
         /// The cub that should read.
         cub: CubId,
         /// The service the read belongs to.
         token: ServiceToken,
+    },
+    /// A cub's buffer-pool floor timer: the reads still waiting for a
+    /// buffer at their hard floor (one scheduling lead before the send)
+    /// go out regardless. One chain a cub, alive while reads wait.
+    PoolFloor {
+        /// The cub whose pool it is.
+        cub: CubId,
     },
     /// A disk read issued by `cub` for service `token` completed.
     DiskDone {
@@ -171,6 +179,101 @@ pub enum Event {
     },
 }
 
+impl Event {
+    /// The event kinds' names, in declaration order.
+    pub const KIND_NAMES: [&'static str; 24] = [
+        "Deliver",
+        "ReadIssue",
+        "PoolFloor",
+        "DiskDone",
+        "SendDue",
+        "SendDone",
+        "ForwardPass",
+        "InsertAttempt",
+        "DeadmanPing",
+        "DeadmanCheck",
+        "FailCub",
+        "FailDisk",
+        "FaultNote",
+        "FailController",
+        "RestartCub",
+        "RestripeStart",
+        "CopyTick",
+        "CopyRead",
+        "CopyArrive",
+        "PromoteBackup",
+        "ClientStart",
+        "ClientStop",
+        "ClientResume",
+        "ClientSeek",
+    ];
+
+    /// This event's kind, an index into [`Event::KIND_NAMES`].
+    pub fn kind(&self) -> usize {
+        match self {
+            Event::Deliver { .. } => 0,
+            Event::ReadIssue { .. } => 1,
+            Event::PoolFloor { .. } => 2,
+            Event::DiskDone { .. } => 3,
+            Event::SendDue { .. } => 4,
+            Event::SendDone { .. } => 5,
+            Event::ForwardPass { .. } => 6,
+            Event::InsertAttempt { .. } => 7,
+            Event::DeadmanPing { .. } => 8,
+            Event::DeadmanCheck { .. } => 9,
+            Event::FailCub { .. } => 10,
+            Event::FailDisk { .. } => 11,
+            Event::FaultNote { .. } => 12,
+            Event::FailController => 13,
+            Event::RestartCub { .. } => 14,
+            Event::RestripeStart => 15,
+            Event::CopyTick { .. } => 16,
+            Event::CopyRead { .. } => 17,
+            Event::CopyArrive { .. } => 18,
+            Event::PromoteBackup => 19,
+            Event::ClientStart { .. } => 20,
+            Event::ClientStop { .. } => 21,
+            Event::ClientResume { .. } => 22,
+            Event::ClientSeek { .. } => 23,
+        }
+    }
+
+    /// This event's kind by name.
+    pub fn kind_name(&self) -> &'static str {
+        Self::KIND_NAMES[self.kind()]
+    }
+}
+
 // Every pending event fills a queue slot of this size, 10-40 k of them at
 // full scale: box a rare variant's fat payload rather than raise this.
 const _: () = assert!(std::mem::size_of::<Event>() <= 64);
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn kind_names_are_the_variants_names() {
+        let cub = CubId(0);
+        let events = [
+            Event::ReadIssue { cub, token: 0 },
+            Event::PoolFloor { cub },
+            Event::DiskDone { cub, token: 0 },
+            Event::DeadmanCheck { cub },
+            Event::FailController,
+            Event::RestripeStart,
+            Event::CopyTick { lane: Lane::Shield },
+            Event::PromoteBackup,
+            Event::ClientSeek {
+                instance: tiger_layout::ids::ViewerInstance {
+                    viewer: tiger_layout::ids::ViewerId(0),
+                    incarnation: 0,
+                },
+                to_block: 0,
+            },
+        ];
+        for ev in events {
+            assert!(format!("{ev:?}").starts_with(ev.kind_name()), "{ev:?}");
+        }
+    }
+}

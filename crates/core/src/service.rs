@@ -701,14 +701,6 @@ impl Cub {
         self.failed && !sh.shield.is_serving_spare(self.id)
     }
 
-    /// Whether the buffer pool has room for one more block.
-    fn pool_has_room(&self, sh: &Shared) -> bool {
-        self.pool.has_room(
-            sh.cfg.block_size().as_bytes(),
-            sh.cfg.buffer_cache.as_bytes(),
-        )
-    }
-
     /// The read for `token` is due (`read_leads` scheduling leads early).
     ///
     /// Reads are issued as early as the buffer cache allows ("trading off
@@ -723,41 +715,54 @@ impl Cub {
         let Some(entry) = self.services.get(token) else {
             return; // Descheduled before the read was due.
         };
-        if entry.dropped || entry.read_issued || entry.read_ready || entry.missed {
-            return; // Cancelled, or a returned buffer got there first.
-        }
-        let floor = entry.send_at.saturating_sub(sh.cfg.scheduling_lead);
-        let room = self.pool_has_room(sh);
-        if now < floor && !room {
-            self.pool.park(floor, token);
-            let cub = self.id;
-            sh.queue.schedule(floor, Event::ReadIssue { cub, token });
+        if entry.dropped {
             return;
         }
-        if self.pool.unpark(floor, token) && !room {
-            self.pool.forced.incr();
+        let floor = entry.send_at.saturating_sub(sh.cfg.scheduling_lead);
+        if now < floor && !self.pool.has_room() {
+            if let Some(at) = self.pool.park(floor, token) {
+                sh.queue.schedule(at, Event::PoolFloor { cub: self.id });
+            }
+            return;
         }
         self.issue_read(sh, now, token);
+    }
+
+    /// The cub's floor timer: whatever reached its floor still waiting
+    /// goes out now, pool full or not, and the timer moves on to the new
+    /// head of the wait set.
+    pub fn on_pool_floor(&mut self, sh: &mut Shared, now: SimTime) {
+        if !self.pool.timer_fired(now) || self.out_of_service(sh) {
+            return;
+        }
+        while let Some(token) = self.pool.pop_due(now) {
+            let full = !self.pool.has_room();
+            if self.issue_read(sh, now, token) && full {
+                self.pool.forced.incr();
+            }
+        }
+        if let Some(at) = self.pool.arm() {
+            sh.queue.schedule(at, Event::PoolFloor { cub: self.id });
+        }
     }
 
     /// Hands the pool's room to its waiters, earliest floor first. Every
     /// path that returns a buffer ends here.
     pub(super) fn drain_pool(&mut self, sh: &mut Shared, now: SimTime) {
-        let block = sh.cfg.block_size().as_bytes();
-        let cache = sh.cfg.buffer_cache.as_bytes();
-        while let Some(token) = self.pool.next_ready(block, cache) {
+        while let Some(token) = self.pool.next_ready() {
             self.issue_read(sh, now, token);
         }
     }
 
     /// Issues the disk read for `token`, if its service still wants one
-    /// (a waiter may have been descheduled meanwhile).
-    fn issue_read(&mut self, sh: &mut Shared, now: SimTime, token: ServiceToken) {
+    /// (a waiter may have been descheduled meanwhile). Returns whether a
+    /// buffer was taken for it.
+    fn issue_read(&mut self, sh: &mut Shared, now: SimTime, token: ServiceToken) -> bool {
         let Some(entry) = self.services.get_mut(token) else {
-            return;
+            return false;
         };
         if entry.dropped {
-            return;
+            return false;
         }
         let local = entry.disk_local;
         let disk_id = match entry.vs.kind {
@@ -775,7 +780,7 @@ impl Cub {
             if self.cache_resident.contains(&key) {
                 self.cache_hits.incr();
                 entry.read_ready = true;
-                return;
+                return false;
             }
         }
         let (file, block) = (entry.vs.file, entry.vs.position);
@@ -824,6 +829,7 @@ impl Cub {
                 }
                 let cub = self.id;
                 sh.queue.schedule(done, Event::DiskDone { cub, token });
+                true
             }
             Some((_, Err(DiskError::OutOfRange))) => {
                 unreachable!("index produced an out-of-range extent");
@@ -854,6 +860,7 @@ impl Cub {
                         },
                     );
                 }
+                false
             }
         }
     }

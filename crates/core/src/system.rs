@@ -286,6 +286,8 @@ pub struct TigerSystem {
     pub(crate) reconfig: Reconfig,
     next_viewer: u64,
     clients_handed: u32,
+    /// Events dispatched so far, by [`Event::kind`].
+    dispatched_by_kind: [u64; Event::KIND_NAMES.len()],
 }
 
 impl TigerSystem {
@@ -318,7 +320,7 @@ impl TigerSystem {
                     )
                 })
                 .collect();
-            let mut cub = Cub::new(CubId(c), total_cubs, disks);
+            let mut cub = Cub::new(CubId(c), total_cubs, disks, &cfg);
             // Spares are powered machines with live disks (they receive
             // moved blocks during a live restripe) but not ring members:
             // they run no protocol work until the cut-over activates them,
@@ -370,6 +372,7 @@ impl TigerSystem {
             reconfig: Reconfig::default(),
             next_viewer: 0,
             clients_handed: 0,
+            dispatched_by_kind: [0; Event::KIND_NAMES.len()],
         };
         for c in 0..striped {
             sys.arm_periodic(CubId(c), SimTime::ZERO, true);
@@ -742,6 +745,7 @@ impl TigerSystem {
     }
 
     fn dispatch(&mut self, now: SimTime, event: Event) {
+        self.dispatched_by_kind[event.kind()] += 1;
         if self.shared.faults.active() {
             if let Some(cub) = self.frozen_target(&event) {
                 if let Some(resume) = self.shared.faults.frozen_until(cub.raw(), now) {
@@ -754,10 +758,20 @@ impl TigerSystem {
                 }
             }
         }
+        // Debug builds check that every handler of a cub leaves its buffer
+        // pool at rest.
+        let ran_on = if cfg!(debug_assertions) {
+            self.frozen_target(&event)
+        } else {
+            None
+        };
         match event {
             Event::Deliver { dst, msg } => self.on_deliver(now, dst, msg),
             Event::ReadIssue { cub, token } => {
                 self.cubs[cub.index()].on_read_issue(&mut self.shared, now, token);
+            }
+            Event::PoolFloor { cub } => {
+                self.cubs[cub.index()].on_pool_floor(&mut self.shared, now);
             }
             Event::DiskDone { cub, token } => {
                 self.cubs[cub.index()].on_disk_done(&mut self.shared, now, token);
@@ -866,6 +880,10 @@ impl TigerSystem {
                 self.with_lane(now, lane, |p, sh, cubs| p.on_arrive(sh, cubs, now, idx));
             }
         }
+        if let Some(cub) = ran_on {
+            let at_rest = self.cubs[cub.index()].pool_settled();
+            debug_assert!(at_rest, "{cub}: buffer pool left unsettled at {now}");
+        }
     }
 
     /// The cub whose execution `event` represents, if freeze deferral
@@ -876,6 +894,7 @@ impl TigerSystem {
         match event {
             Event::Deliver { dst, .. } => self.shared.cub_at(*dst),
             Event::ReadIssue { cub, .. }
+            | Event::PoolFloor { cub }
             | Event::DiskDone { cub, .. }
             | Event::SendDue { cub, .. }
             | Event::SendDone { cub, .. }
@@ -1008,6 +1027,13 @@ impl TigerSystem {
     /// Access to the shared state (tests and experiment drivers).
     pub fn shared(&self) -> &Shared {
         &self.shared
+    }
+
+    /// How many events of each kind the event loop has dispatched, those
+    /// it parked for a frozen cub included: where a run's events go.
+    pub fn events_dispatched_by_kind(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        let counts = self.dispatched_by_kind.iter();
+        Event::KIND_NAMES.iter().copied().zip(counts.copied())
     }
 
     /// The cubs (read-only).

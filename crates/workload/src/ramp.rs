@@ -84,6 +84,14 @@ pub struct RampResult {
     pub peak_buffers: u64,
     /// Buffer-cache hit rate across all cubs (§5 measured < 0.05%).
     pub cache_hit_rate: f64,
+    /// Reads, over all cubs, that found the buffer pool full and waited.
+    pub reads_waited: u64,
+    /// Reads, over all cubs, still waiting at their hard floor and issued
+    /// into the full pool: what takes `peak_buffers` above the cache.
+    pub reads_forced: u64,
+    /// Events the run dispatched, by kind (those of a count of zero left
+    /// out): `TigerSystem::events_dispatched_by_kind`.
+    pub events_by_kind: Vec<(&'static str, u64)>,
 }
 
 /// Runs a ramp experiment.
@@ -166,6 +174,12 @@ pub fn run_ramp(cfg: &RampConfig) -> RampResult {
                 hits as f64 / lookups as f64
             }
         },
+        reads_waited: sys.cubs().iter().map(|c| c.reads_waited()).sum(),
+        reads_forced: sys.cubs().iter().map(|c| c.reads_forced()).sum(),
+        events_by_kind: sys
+            .events_dispatched_by_kind()
+            .filter(|&(_, n)| n > 0)
+            .collect(),
     }
 }
 

@@ -149,20 +149,31 @@ fi
 # a forward cursor and a reclaim list, and its three model tests — the
 # window against a BTreeMap, the pass against the whole-table walks it
 # replaced, the no-ratchet churn run — have to sit beside the private
-# type; every other file there stayed level or shrank, measured 8,108.)
+# type; every other file there stayed level or shrank, measured 8,108.
+# PR 22 stopped counting tests: a model test has to sit beside the private
+# type it checks, and three PRs in a row argued a raise for one. What is
+# counted now is each file's lines before its first `#[cfg(test)]`, with
+# the limits re-set to what that measured on the day plus what the PR's
+# own non-test code added. Before: 6,891 of the directory's 8,105 lines
+# were not tests, cub.rs the largest file at 1,276, system.rs 1,178.
+# Added: 321 — the buffer pool (pool.rs, 160), `Event::kind` and its name
+# table (74), the pool's three handlers in service.rs (37), the cub's
+# accessors (23), the per-kind tally and the debug-build pool check in
+# system.rs (26), one `mod` line. After: 7,212, 1,299 and 1,204.)
 core_src=crates/core/src
+total=0
 for f in "$core_src"/*.rs; do
-    limit=1350
-    [ "$f" = "$core_src/system.rs" ] && limit=1250
-    lines=$(wc -l < "$f")
+    limit=1299
+    [ "$f" = "$core_src/system.rs" ] && limit=1204
+    lines=$(awk '/#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$f")
     if [ "$lines" -gt "$limit" ]; then
-        echo "ERROR: $f is $lines lines (limit $limit)" >&2
+        echo "ERROR: $f is $lines lines before its tests (limit $limit)" >&2
         exit 1
     fi
+    total=$((total + lines))
 done
-total=$(cat "$core_src"/*.rs | wc -l)
-if [ "$total" -gt 8110 ]; then
-    echo "ERROR: $core_src is $total lines in total (limit 8110)" >&2
+if [ "$total" -gt 7212 ]; then
+    echo "ERROR: $core_src is $total lines before its tests (limit 7212)" >&2
     exit 1
 fi
 

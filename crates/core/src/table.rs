@@ -1,28 +1,30 @@
 //! The cub's per-stream tables: the blocks (and pieces) it has committed
 //! to send, the log of primary records it recently did send, and the
-//! indexes that answer the per-message questions about both — "is this
-//! record a duplicate", "which services does this deschedule kill", "has
-//! this block already been served" (§4.1.2) — with a keyed lookup
-//! instead of a scan.
+//! per-instance record that answers the per-message questions about both
+//! — "is this record a duplicate", "which services does this deschedule
+//! kill", "has this block already been served" (§4.1.2) — with one hash
+//! probe instead of a scan.
 //!
 //! The active services sit in a [`Window`] of consecutive tokens, so the
 //! per-block events (`ReadIssue`, `DiskDone`, `SendDue`, `SendDone`) find
 //! theirs by subtraction and the forward pass walks them in acceptance
-//! order. The indexes are derived state, kept in step by the only methods
-//! that can change what they describe:
+//! order. `carried` maps each viewer instance this cub carries anything of
+//! to one [`Carried`] record. The record is derived state, kept in step by
+//! the only methods that can change what it describes:
 //!
-//! * `by_instance` holds exactly one entry per active service —
-//!   [`ServiceTable::insert`], [`ServiceTable::remove`] and
-//!   [`ServiceTable::clear`] touch both or neither;
-//! * `retired_seqs` counts exactly the `retired_log` entries per
-//!   `(instance, play_seq)` — [`ServiceTable::retire`],
-//!   [`ServiceTable::prune_retired`] and [`ServiceTable::clear_retired`].
+//! * its active half lists exactly the tokens of the instance's active
+//!   services — [`ServiceTable::insert`], [`ServiceTable::remove`] and
+//!   [`ServiceTable::clear`] touch the window and the record or neither;
+//! * its retired half lists exactly the `play_seq` of each of the
+//!   instance's `retired_log` entries — [`ServiceTable::retire`],
+//!   [`ServiceTable::prune_retired`] and [`ServiceTable::clear_retired`];
+//! * a record exists exactly while either half is non-empty.
 //!
-//! Being derived, they are not schedule information:
+//! Being derived, it is not schedule information:
 //! [`ServiceTable::information_held`] counts the two tables only.
 
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::VecDeque;
 
 use tiger_layout::ids::ViewerInstance;
 use tiger_sched::{Deschedule, SlotId, StreamKind, ViewerState};
@@ -130,6 +132,84 @@ impl Window {
     }
 }
 
+/// The two halves of a [`Carried`] record.
+const ACTIVE: usize = 0;
+const RETIRED: usize = 1;
+/// Pads a half's inline values. Never a value: tokens count up from zero
+/// and a `play_seq` is a `u32`.
+const EMPTY: u64 = u64::MAX;
+
+/// What this cub carries of one viewer instance: the tokens of its active
+/// services (`ACTIVE`) and the `play_seq` of each of its retired-log
+/// entries, repeats included (`RETIRED`). A half is kept ascending: its
+/// two smallest values inline, [`EMPTY`]-padded, so the usual question is
+/// a probe and a look at one or two words; whatever else there is (small
+/// rings, coded fan-in) in `more`, which is empty unless inline is full.
+#[derive(Debug)]
+struct Carried {
+    inline: [[u64; 2]; 2],
+    more: Option<Box<[Vec<u64>; 2]>>,
+}
+
+impl Carried {
+    const NOTHING: Carried = Carried {
+        inline: [[EMPTY; 2]; 2],
+        more: None,
+    };
+
+    fn half(&self, half: usize) -> impl Iterator<Item = u64> + '_ {
+        let inline = self.inline[half].iter().take_while(|&&v| v != EMPTY);
+        inline
+            .chain(self.more.iter().flat_map(move |more| &more[half]))
+            .copied()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.inline.iter().all(|half| half[0] == EMPTY)
+    }
+
+    fn insert(&mut self, half: usize, mut value: u64) {
+        debug_assert_ne!(value, EMPTY);
+        // Each inline value larger than the new one moves up a place; what
+        // falls off the end is larger than all of inline.
+        for held in &mut self.inline[half] {
+            if value < *held {
+                std::mem::swap(held, &mut value);
+            }
+        }
+        if value != EMPTY {
+            let more = &mut self.more.get_or_insert_with(Box::default)[half];
+            more.insert(more.partition_point(|&m| m < value), value);
+        }
+    }
+
+    /// Removes one occurrence of `value`, if there is one.
+    fn remove(&mut self, half: usize, value: u64) {
+        let inline = &mut self.inline[half];
+        let more = self.more.as_mut().map(|more| &mut more[half]);
+        if let Some(at) = inline.iter().position(|&held| held == value) {
+            inline[at..].rotate_left(1);
+            inline[1] = match more {
+                Some(more) if !more.is_empty() => more.remove(0),
+                _ => EMPTY,
+            };
+        } else if let Some(more) = more {
+            if let Ok(at) = more.binary_search(&value) {
+                more.remove(at);
+            }
+        }
+    }
+
+    /// Empties one half; whether the other holds anything.
+    fn clear(&mut self, half: usize) -> bool {
+        self.inline[half] = [EMPTY; 2];
+        if let Some(more) = &mut self.more {
+            more[half].clear();
+        }
+        !self.is_empty()
+    }
+}
+
 /// See the module documentation.
 #[derive(Debug, Default)]
 pub(super) struct ServiceTable {
@@ -140,16 +220,29 @@ pub(super) struct ServiceTable {
     /// [`ServiceTable::take_reclaims`] hands them out; a forward pass
     /// looks at these and not at the table.
     reclaims: Vec<ServiceToken>,
-    /// Ordered, so one range query lists an instance's few services
-    /// without a per-instance allocation.
-    by_instance: BTreeSet<(ViewerInstance, ServiceToken)>,
+    /// One record per instance with an active service or a retired entry.
+    carried: DetHashMap<ViewerInstance, Carried>,
     /// Recently serviced-and-forwarded primary records, oldest first,
     /// retained for one failure-detection window so that, as "the
     /// preceding living cub", this cub can re-send scheduling information
     /// across a gap of consecutive failures (§2.3).
     retired_log: VecDeque<(SimTime, ViewerState)>,
-    /// How many `retired_log` entries carry each `(instance, play_seq)`.
-    retired_seqs: BTreeMap<(ViewerInstance, u32), u32>,
+}
+
+/// Takes `value` out of `instance`'s record, and the record out of the map
+/// with its last value.
+fn uncarry(
+    carried: &mut DetHashMap<ViewerInstance, Carried>,
+    instance: ViewerInstance,
+    half: usize,
+    value: u64,
+) {
+    if let Entry::Occupied(mut record) = carried.entry(instance) {
+        record.get_mut().remove(half, value);
+        if record.get().is_empty() {
+            record.remove();
+        }
+    }
 }
 
 impl ServiceTable {
@@ -159,14 +252,19 @@ impl ServiceTable {
     pub(super) fn insert(&mut self, entry: Active) -> ServiceToken {
         let instance = entry.vs.instance;
         let token = self.active.insert(entry);
-        self.by_instance.insert((instance, token));
+        self.carry(instance, ACTIVE, token);
         token
     }
 
-    /// Removes a service from the table and its index.
+    fn carry(&mut self, instance: ViewerInstance, half: usize, value: u64) {
+        let record = self.carried.entry(instance).or_insert(Carried::NOTHING);
+        record.insert(half, value);
+    }
+
+    /// Removes a service from the table and its instance's record.
     pub(super) fn remove(&mut self, token: ServiceToken) -> Option<Active> {
         let entry = self.active.remove(token)?;
-        self.by_instance.remove(&(entry.vs.instance, token));
+        uncarry(&mut self.carried, entry.vs.instance, ACTIVE, token);
         Some(entry)
     }
 
@@ -176,7 +274,7 @@ impl ServiceTable {
     pub(super) fn clear(&mut self) {
         self.active.clear();
         self.reclaims.clear();
-        self.by_instance.clear();
+        self.carried.retain(|_, record| record.clear(ACTIVE));
     }
 
     /// Whether a service for exactly this record (slot, instance, kind
@@ -241,9 +339,11 @@ impl ServiceTable {
         instance: ViewerInstance,
         from: ServiceToken,
     ) -> impl Iterator<Item = (ServiceToken, &Active)> {
-        self.by_instance
-            .range((instance, from)..=(instance, ServiceToken::MAX))
-            .filter_map(|&(_, token)| Some((token, self.active.get(token)?)))
+        let tokens = self.carried.get(&instance).into_iter();
+        tokens
+            .flat_map(|record| record.half(ACTIVE))
+            .filter(move |&token| token >= from)
+            .filter_map(|token| Some((token, self.active.get(token)?)))
     }
 
     /// The first service at or after token `from` that `d` kills: the
@@ -264,10 +364,7 @@ impl ServiceTable {
     /// Appends a serviced primary record.
     pub(super) fn retire(&mut self, now: SimTime, vs: ViewerState) {
         self.retired_log.push_back((now, vs));
-        *self
-            .retired_seqs
-            .entry((vs.instance, vs.play_seq))
-            .or_default() += 1;
+        self.carry(vs.instance, RETIRED, vs.play_seq.into());
     }
 
     /// The log, oldest first.
@@ -277,20 +374,15 @@ impl ServiceTable {
 
     /// Drops entries older than `retention` before `now`.
     pub(super) fn prune_retired(&mut self, now: SimTime, retention: SimDuration) {
-        let seqs = &mut self.retired_seqs;
+        let carried = &mut self.carried;
         crate::recovery::prune_retired(&mut self.retired_log, now, retention, |vs| {
-            if let Entry::Occupied(mut n) = seqs.entry((vs.instance, vs.play_seq)) {
-                *n.get_mut() -= 1;
-                if *n.get() == 0 {
-                    n.remove();
-                }
-            }
+            uncarry(carried, vs.instance, RETIRED, vs.play_seq.into());
         });
     }
 
     pub(super) fn clear_retired(&mut self) {
         self.retired_log.clear();
-        self.retired_seqs.clear();
+        self.carried.retain(|_, record| record.clear(RETIRED));
     }
 
     // --- Questions -------------------------------------------------------------
@@ -301,30 +393,29 @@ impl ServiceTable {
         self.active.live + self.retired_log.len()
     }
 
-    /// Whether `instance`'s retired entries reach `play_seq` or beyond.
-    fn retired_from(&self, instance: ViewerInstance, play_seq: u32) -> bool {
-        self.retired_seqs
-            .range((instance, play_seq)..=(instance, u32::MAX))
-            .next()
-            .is_some()
-    }
-
     /// Whether an active service or a retired entry belongs to `instance`.
     pub(super) fn carries_instance(&self, instance: &ViewerInstance) -> bool {
-        self.of_instance(*instance, 0).next().is_some() || self.retired_from(*instance, 0)
+        self.carried.contains_key(instance)
     }
 
     /// Whether this cub is serving, or has served, `vs.play_seq` or a
     /// later block of the instance.
     pub(super) fn already_served(&self, vs: &ViewerState) -> bool {
+        let Some(record) = self.carried.get(&vs.instance) else {
+            return false;
+        };
         // Coded shard actives carry the *home* block's play_seq and say
         // nothing about this cub's own primary progression — counting one
         // here would reject the double-forwarded redundancy copy of the
         // very record the shard serves, exactly when the home just died
         // and that copy is the stream's only survivor.
-        self.of_instance(vs.instance, 0).any(|(_, a)| {
-            !matches!(a.vs.kind, StreamKind::Coded { .. }) && a.vs.play_seq >= vs.play_seq
-        }) || self.retired_from(vs.instance, vs.play_seq)
+        let serving = |token| {
+            self.active.get(token).is_some_and(|a| {
+                !matches!(a.vs.kind, StreamKind::Coded { .. }) && a.vs.play_seq >= vs.play_seq
+            })
+        };
+        record.half(RETIRED).any(|seq| seq >= vs.play_seq.into())
+            || record.half(ACTIVE).any(serving)
     }
 }
 
@@ -363,6 +454,7 @@ impl TableBench {
 mod tests {
     use super::super::service::PieceSpec;
     use super::*;
+    use std::collections::BTreeMap;
     use tiger_layout::{BlockNum, DiskId, FileId, ViewerId};
     use tiger_sim::check::check;
     use tiger_sim::{Bandwidth, SimRng};
@@ -728,17 +820,30 @@ mod tests {
         });
     }
 
-    /// The index describes `active` exactly, and the retired counts the
-    /// retired log.
+    /// The records describe `active` and the retired log exactly: one per
+    /// instance either names, listing its tokens and its retired
+    /// `play_seq`s in ascending order, inline before `more`.
     fn assert_in_step(t: &ServiceTable) {
-        assert_eq!(t.by_instance.len(), t.active.live);
+        let mut want: BTreeMap<ViewerInstance, [Vec<u64>; 2]> = BTreeMap::new();
         for (token, e) in t.active.iter() {
-            assert!(t.by_instance.contains(&(e.vs.instance, token)));
+            want.entry(e.vs.instance).or_default()[ACTIVE].push(token);
         }
-        let counted: u32 = t.retired_seqs.values().sum();
-        assert_eq!(counted as usize, t.retired_log.len());
         for (_, vs) in &t.retired_log {
-            assert!(t.retired_seqs.contains_key(&(vs.instance, vs.play_seq)));
+            want.entry(vs.instance).or_default()[RETIRED].push(vs.play_seq.into());
+        }
+        assert_eq!(
+            t.carried.len(),
+            want.len(),
+            "a record leaked or went missing"
+        );
+        for (instance, mut halves) in want {
+            let record = &t.carried[&instance];
+            halves[RETIRED].sort_unstable();
+            for (half, want) in halves.iter().enumerate() {
+                assert_eq!(&record.half(half).collect::<Vec<_>>(), want);
+                let spilled = record.more.as_ref().map_or(0, |more| more[half].len());
+                assert!(spilled == 0 || record.inline[half][1] != EMPTY);
+            }
         }
     }
 

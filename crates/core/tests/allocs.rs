@@ -45,9 +45,11 @@ fn full_load_allocates_little_per_block() {
     // as `protocol::full_load_dispatches_what_a_block_needs` queues them;
     // allocations between t = 100 s and t = 200 s over the blocks sent in
     // the same span. The only test in this binary, so nothing else
-    // allocates meanwhile. Measured here: 85,124 allocations for 60,186
-    // blocks, 1.414 a block — one `Vec` a view slot, B-tree nodes, the
-    // forward pass's two vectors.
+    // allocates meanwhile. Measured here: 3,074 allocations for 60,186
+    // blocks, 0.051 a block — the `Arc` a forwarded batch travels in, one
+    // or two a pass. (85,124 and 1.414 while a view slot's entry lived in a
+    // `Vec` of its own and the per-instance questions in two B-trees;
+    // 14,278 and 0.237 before the forward pass kept its two vectors.)
     let mut cfg = TigerConfig::sosp97();
     cfg.disk = cfg.disk.without_blips();
     let mut sys = TigerSystem::new(cfg);
@@ -68,5 +70,5 @@ fn full_load_allocates_little_per_block() {
     let blocks = (sys.metrics().loss.blocks_sent - open.1) as f64;
     let per_block = allocs as f64 / blocks;
     println!("{allocs} allocations for {blocks} blocks: {per_block:.3} a block");
-    assert!(per_block > 1.2, "{per_block:.3} allocations a block");
+    assert!(per_block < 0.4, "{per_block:.3} allocations a block");
 }

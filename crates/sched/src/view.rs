@@ -19,6 +19,7 @@
 //!   ownership protocol was violated.
 
 use std::cmp::Reverse;
+use std::collections::hash_map::Entry;
 use std::collections::BinaryHeap;
 
 use tiger_sim::DetHashMap as HashMap;
@@ -45,13 +46,60 @@ pub enum ViewApply {
     Conflict,
 }
 
+/// The entries of one slot, never none, in the order they arrived (but
+/// for [`ScheduleView::retire`]'s swap). The usual single entry sits in
+/// the map itself; only a second one costs an allocation.
+#[derive(Clone, Debug)]
+enum SlotEntries {
+    One(ViewerState),
+    /// From a second entry on, until the slot empties.
+    Many(Vec<ViewerState>),
+}
+
+impl SlotEntries {
+    fn as_slice(&self) -> &[ViewerState] {
+        match self {
+            SlotEntries::One(entry) => std::slice::from_ref(entry),
+            SlotEntries::Many(entries) => entries,
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [ViewerState] {
+        match self {
+            SlotEntries::One(entry) => std::slice::from_mut(entry),
+            SlotEntries::Many(entries) => entries,
+        }
+    }
+
+    fn push(&mut self, entry: ViewerState) {
+        match self {
+            SlotEntries::One(first) => *self = SlotEntries::Many(vec![*first, entry]),
+            SlotEntries::Many(entries) => entries.push(entry),
+        }
+    }
+
+    /// Drops the entries `keep` rejects and says how many are left; at
+    /// none the caller unmaps the slot.
+    fn retain(&mut self, keep: impl Fn(&ViewerState) -> bool) -> usize {
+        match self {
+            SlotEntries::One(entry) => usize::from(keep(entry)),
+            SlotEntries::Many(entries) => {
+                entries.retain(keep);
+                entries.len()
+            }
+        }
+    }
+}
+
 /// A cub's window onto the global schedule.
 #[derive(Clone, Debug, Default)]
 pub struct ScheduleView {
     /// Live entries. A slot usually holds one primary entry; during failed
     /// mode it may also hold mirror entries (distinct `kind`s) for the same
-    /// instance.
-    entries: HashMap<SlotId, Vec<ViewerState>>,
+    /// instance. No slot is mapped to nothing.
+    entries: HashMap<SlotId, SlotEntries>,
+    /// How many entries `entries` holds, over all slots.
+    live: usize,
     /// Held deschedules: each one's expiry, and the order it was first
     /// applied in (what [`ScheduleView::gc_report`] reports by).
     held: HashMap<Deschedule, (SimTime, u64)>,
@@ -77,9 +125,17 @@ impl ScheduleView {
         if self.held.contains_key(&Deschedule::of(&vs)) {
             return ViewApply::Blocked;
         }
-        let slot_entries = self.entries.entry(vs.slot).or_default();
+        let slot_entries = match self.entries.entry(vs.slot) {
+            Entry::Vacant(slot) => {
+                slot.insert(SlotEntries::One(vs));
+                self.live += 1;
+                return ViewApply::Inserted;
+            }
+            Entry::Occupied(slot) => slot.into_mut(),
+        };
         // Same-kind entry for this slot?
-        if let Some(existing) = slot_entries.iter_mut().find(|e| same_kind(e, &vs)) {
+        let mut held = slot_entries.as_mut_slice().iter_mut();
+        if let Some(existing) = held.find(|e| same_kind(e, &vs)) {
             if existing.instance == vs.instance {
                 if existing.play_seq >= vs.play_seq {
                     return ViewApply::Duplicate;
@@ -90,6 +146,7 @@ impl ScheduleView {
             return ViewApply::Conflict;
         }
         slot_entries.push(vs);
+        self.live += 1;
         ViewApply::Inserted
     }
 
@@ -102,12 +159,13 @@ impl ScheduleView {
     pub fn apply_deschedule(&mut self, d: Deschedule, now: SimTime, hold_until: SimTime) -> bool {
         self.gc(now);
         let mut removed = false;
-        if let Some(slot_entries) = self.entries.get_mut(&d.slot) {
-            let before = slot_entries.len();
-            slot_entries.retain(|e| !d.matches(e));
-            removed = slot_entries.len() != before;
-            if slot_entries.is_empty() {
-                self.entries.remove(&d.slot);
+        if let Entry::Occupied(mut slot) = self.entries.entry(d.slot) {
+            let before = slot.get().as_slice().len();
+            let left = slot.get_mut().retain(|e| !d.matches(e));
+            removed = left != before;
+            self.live -= before - left;
+            if left == 0 {
+                slot.remove();
             }
         }
         match self.held.get_mut(&d) {
@@ -129,15 +187,14 @@ impl ScheduleView {
 
     /// The primary entry in `slot`, if known.
     pub fn primary_entry(&self, slot: SlotId) -> Option<&ViewerState> {
-        self.entries
-            .get(&slot)?
+        self.slot_entries(slot)
             .iter()
             .find(|e| e.kind == StreamKind::Primary)
     }
 
     /// All entries in `slot` (primary and mirror).
     pub fn slot_entries(&self, slot: SlotId) -> &[ViewerState] {
-        self.entries.get(&slot).map(Vec::as_slice).unwrap_or(&[])
+        self.entries.get(&slot).map_or(&[], SlotEntries::as_slice)
     }
 
     /// Whether the view believes `slot` has no primary occupant.
@@ -158,27 +215,29 @@ impl ScheduleView {
     /// viewer-state lead approaches the ring length), retiring the older
     /// record must not evict the newer one.
     pub fn retire(&mut self, slot: SlotId, entry: &ViewerState) -> Option<ViewerState> {
-        let slot_entries = self.entries.get_mut(&slot)?;
-        let idx = slot_entries.iter().position(|e| {
+        let Entry::Occupied(mut slot) = self.entries.entry(slot) else {
+            return None;
+        };
+        let idx = slot.get().as_slice().iter().position(|e| {
             e.instance == entry.instance && same_kind(e, entry) && e.play_seq == entry.play_seq
         })?;
-        let removed = slot_entries.swap_remove(idx);
-        if slot_entries.is_empty() {
-            self.entries.remove(&slot);
-        }
-        Some(removed)
+        self.live -= 1;
+        Some(match slot.get_mut() {
+            SlotEntries::Many(entries) if entries.len() > 1 => entries.swap_remove(idx),
+            _ => slot.remove().as_slice()[idx],
+        })
     }
 
     /// Iterates over all `(slot, entry)` pairs in the view.
     pub fn iter(&self) -> impl Iterator<Item = (SlotId, &ViewerState)> {
         self.entries
             .iter()
-            .flat_map(|(slot, v)| v.iter().map(move |e| (*slot, e)))
+            .flat_map(|(slot, v)| v.as_slice().iter().map(move |e| (*slot, e)))
     }
 
     /// Number of live entries (all kinds).
     pub fn len(&self) -> usize {
-        self.entries.values().map(Vec::len).sum()
+        self.live
     }
 
     /// True if the view holds no entries.

@@ -108,6 +108,9 @@ pub struct Cub {
     /// instant, taken (and traced as convergence) on the first primary
     /// service acceptance of the new life.
     rejoined_at: Option<SimTime>,
+    /// The records a forward pass sends on: empty between passes, kept
+    /// for its allocation.
+    pass_batch: Vec<ViewerState>,
 }
 
 impl Cub {
@@ -139,6 +142,7 @@ impl Cub {
             msgs_processed: Counter::new(),
             eof_sent: HashSet::default(),
             rejoined_at: None,
+            pass_batch: Vec::new(),
         }
     }
 
@@ -517,6 +521,14 @@ impl Cub {
         }
     }
 
+    /// Tells the controllers, once, that `instance` played to its end.
+    fn report_eof(&mut self, sh: &mut Shared, now: SimTime, instance: ViewerInstance) {
+        if self.eof_sent.insert(instance) {
+            let me = sh.cub_node(self.id);
+            sh.send_to_controllers(now, me, Message::ViewerFinished { instance });
+        }
+    }
+
     /// Traces the refusal of a stale or double-forwarded copy of `vs`.
     fn trace_duplicate(&self, sh: &mut Shared, now: SimTime, vs: &ViewerState) {
         let (slot, viewer, inc) = vkey(vs);
@@ -538,16 +550,7 @@ impl Cub {
         };
         if vs.position.raw() >= meta.num_blocks {
             // End of file: the viewer leaves the schedule (§4.1.2).
-            if self.eof_sent.insert(vs.instance) {
-                sh.send_to_controllers(
-                    now,
-                    sh.cub_node(self.id),
-                    Message::ViewerFinished {
-                        instance: vs.instance,
-                    },
-                );
-            }
-            return;
+            return self.report_eof(sh, now, vs.instance);
         }
         let loc = sh
             .catalog
@@ -636,7 +639,6 @@ impl Cub {
         if self.failed {
             return;
         }
-        let mut batch: Vec<ViewerState> = Vec::new();
         let mut finished: Vec<ViewerInstance> = Vec::new();
         self.services.forward_due(|entry| {
             if entry.dropped || entry.vs.kind != StreamKind::Primary {
@@ -653,7 +655,7 @@ impl Cub {
             if at_eof {
                 finished.push(advanced.instance);
             } else {
-                batch.push(advanced);
+                self.pass_batch.push(advanced);
             }
             true
         });
@@ -661,17 +663,13 @@ impl Cub {
         self.drain_pool(sh, now);
         debug_assert!(self.services.iter().all(|(_, e)| !e.finished()));
         for instance in finished {
-            if self.eof_sent.insert(instance) {
-                sh.send_to_controllers(
-                    now,
-                    sh.cub_node(self.id),
-                    Message::ViewerFinished { instance },
-                );
-            }
+            self.report_eof(sh, now, instance);
         }
-        if !batch.is_empty() {
-            let count = batch.len() as u32;
-            self.forward_pair(sh, now, count, Message::ViewerStates(batch.into()));
+        if !self.pass_batch.is_empty() {
+            let count = self.pass_batch.len() as u32;
+            let batch = Message::ViewerStates(self.pass_batch.as_slice().into());
+            self.pass_batch.clear();
+            self.forward_pair(sh, now, count, batch);
         }
         // Shadow GC: drop records whose due time is well past.
         let horizon = now.saturating_sub(sh.cfg.deschedule_hold);
@@ -779,6 +777,8 @@ impl Cub {
     /// the network may duplicate a message, and a duplicate arriving
     /// after the original start was inserted must not insert the viewer
     /// into a second slot (every block would be delivered twice).
+    /// (The table's record alone does not answer for the view: a service
+    /// lost to a failed read leaves its view entry behind; DESIGN.md §6.)
     fn carries_instance(&self, instance: &ViewerInstance) -> bool {
         self.services.carries_instance(instance)
             || self.view.iter().any(|(_, e)| e.instance == *instance)

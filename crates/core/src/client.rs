@@ -27,8 +27,9 @@ pub struct ViewerProgress {
     pub load_at_request: f64,
     /// When the first byte-complete block arrived.
     pub first_block_at: Option<SimTime>,
-    /// Per-block received flags.
-    received: Vec<bool>,
+    /// Per-block received flags, block `b` at bit `b % 64` of word
+    /// `b / 64`: a play instance keeps one for every block of its file.
+    received: Vec<u64>,
     /// Partial mirror-piece assembly: block -> bitmask of pieces seen.
     pieces: HashMap<u32, (u32, u32)>, // (mask, total)
     /// First block this play instance covers (0 for a from-the-top play;
@@ -55,26 +56,35 @@ impl ViewerProgress {
         requested_at: SimTime,
         load: f64,
     ) -> Self {
-        let mut received = vec![false; num_blocks as usize];
-        // Blocks before the base are not part of this play instance; mark
-        // them received so the gap accounting ignores them.
-        for r in received.iter_mut().take(base_block as usize) {
-            *r = true;
-        }
-        ViewerProgress {
+        let mut progress = ViewerProgress {
             file,
             num_blocks,
             requested_at,
             load_at_request: load,
             first_block_at: None,
-            received,
+            received: vec![0; num_blocks.div_ceil(64) as usize],
             pieces: HashMap::default(),
             base_block,
             late_blocks: 0,
             dup_blocks: 0,
             stopped: false,
             high_water: None,
-        }
+        };
+        // Blocks before the base are not part of this play instance; mark
+        // them received so the gap accounting ignores them.
+        (0..base_block.min(num_blocks)).for_each(|b| progress.mark_received(b));
+        progress
+    }
+
+    fn mark_received(&mut self, b: u32) {
+        self.received[b as usize / 64] |= 1 << (b % 64);
+    }
+
+    /// How many of the blocks below `end` are flagged received.
+    fn received_below(&self, end: u32) -> u32 {
+        let (whole, rest) = self.received.split_at(end as usize / 64);
+        let part = rest.first().map_or(0, |w| w & ((1 << (end % 64)) - 1));
+        whole.iter().chain(&[part]).map(|w| w.count_ones()).sum()
     }
 
     /// The first block not yet received in order: where a resume or a
@@ -85,20 +95,17 @@ impl ViewerProgress {
 
     /// Whether every block arrived.
     pub fn complete(&self) -> bool {
-        self.received.iter().all(|&b| b)
+        self.received_below(self.num_blocks) == self.num_blocks
     }
 
     /// Whether block `b` was (fully) received.
     pub fn block_received(&self, b: u32) -> bool {
-        self.received.get(b as usize).copied().unwrap_or(false)
+        b < self.num_blocks && self.received[b as usize / 64] >> (b % 64) & 1 == 1
     }
 
     /// Blocks received so far (within this play instance's range).
     pub fn blocks_received(&self) -> u32 {
-        self.received[self.base_block as usize..]
-            .iter()
-            .filter(|&&b| b)
-            .count() as u32
+        self.received_below(self.num_blocks) - self.base_block.min(self.num_blocks)
     }
 
     /// Blocks that should have arrived but did not: every gap below the
@@ -110,10 +117,7 @@ impl ViewerProgress {
         let Some(high) = self.high_water else {
             return 0; // Never started; counted as a start failure, not loss.
         };
-        self.received[..=high as usize]
-            .iter()
-            .filter(|&&b| !b)
-            .count() as u32
+        high + 1 - self.received_below(high + 1)
     }
 
     /// Blocks above the high-water mark that never arrived. Zero for
@@ -230,10 +234,10 @@ impl Client {
             }
         };
         if completed {
-            if v.received[block as usize] {
+            if v.block_received(block) {
                 v.dup_blocks += 1;
             } else {
-                v.received[block as usize] = true;
+                v.mark_received(block);
                 v.high_water = Some(v.high_water.map_or(block, |h| h.max(block)));
                 if v.first_block_at.is_none() {
                     v.first_block_at = Some(now);
@@ -344,6 +348,33 @@ mod tests {
         let v = c.viewer(&inst(1)).expect("known");
         assert_eq!(v.blocks_missing(), 1, "only block 2");
         assert_eq!(c.report().stopped_viewers, 1);
+    }
+
+    /// The receipt bits against one `bool` a block: every accessor, at
+    /// file lengths and bases on both sides of a word boundary.
+    #[test]
+    fn receipt_bits_match_the_bool_model() {
+        tiger_sim::check::check("receipt_bits_match_the_bool_model", |rng| {
+            let num_blocks = rng.gen_range(1u32..200);
+            let base = rng.gen_range(0..num_blocks);
+            let mut v = ViewerProgress::new(FileId(0), num_blocks, base, SimTime::ZERO, 0.0);
+            let mut model: Vec<bool> = (0..num_blocks).map(|b| b < base).collect();
+            for _ in 0..rng.gen_range(0u32..300) {
+                let b = rng.gen_range(base..num_blocks);
+                v.mark_received(b);
+                v.high_water = Some(v.high_water.map_or(b, |h| h.max(b)));
+                model[b as usize] = true;
+                let high = v.high_water.expect("just set") as usize;
+                let got = |flags: &[bool]| flags.iter().filter(|&&f| f).count() as u32;
+                assert_eq!(v.blocks_received(), got(&model[base as usize..]));
+                assert_eq!(v.blocks_missing(), high as u32 + 1 - got(&model[..=high]));
+                assert_eq!(v.complete(), model.iter().all(|&f| f));
+                for probe in 0..num_blocks + 70 {
+                    let want = model.get(probe as usize).copied().unwrap_or(false);
+                    assert_eq!(v.block_received(probe), want, "block {probe}");
+                }
+            }
+        });
     }
 
     #[test]

@@ -454,7 +454,8 @@ impl TableBench {
 mod tests {
     use super::super::service::PieceSpec;
     use super::*;
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, BTreeSet};
+    use std::sync::atomic::{AtomicBool, Ordering};
     use tiger_layout::{BlockNum, DiskId, FileId, ViewerId};
     use tiger_sim::check::check;
     use tiger_sim::{Bandwidth, SimRng};
@@ -849,13 +850,41 @@ mod tests {
 
     #[test]
     fn indexed_table_matches_the_scan_oracle() {
+        // What the cases reached between them, asserted after the run:
+        // records pushed past their inline capacity and brought back, and
+        // each half cleared over the other.
+        const REACH: [&str; 6] = [
+            "four services of one instance at once",
+            "four retired entries of one instance at once",
+            "a half back inline after it spilled",
+            "one (instance, play_seq) retired twice",
+            "clear with retired entries outstanding",
+            "clear_retired with services outstanding",
+        ];
+        let reached: [AtomicBool; 6] = Default::default();
+        let reach = |what: usize, when: bool| {
+            reached[what].fetch_or(when, Ordering::Relaxed);
+        };
         check("indexed_table_matches_the_scan_oracle", |rng| {
             let mut table = ServiceTable::default();
             let mut oracle = ScanOracle::default();
             let mut now = SimTime::ZERO;
             let retention = SimDuration::from_secs(5);
+            // Half of what happens, happens to one instance; and in one
+            // case of three the clock stands still, so nothing ages out.
+            let hot = arb_state(rng).instance;
+            let arb_state = |rng: &mut SimRng| ViewerState {
+                instance: if rng.gen_bool(0.5) {
+                    hot
+                } else {
+                    arb_state(rng).instance
+                },
+                ..arb_state(rng)
+            };
+            let pace = rng.gen_range(0u64..3) * 250;
+            let mut spilled = BTreeSet::new();
             for _ in 0..rng.gen_range(1usize..150) {
-                now += SimDuration::from_millis(rng.gen_range(0u64..3) * 500);
+                now += SimDuration::from_millis(rng.gen_range(0u64..3) * pace);
                 match rng.gen_range(0u32..10) {
                     0..=3 => {
                         // Admission: the duplicate test, then insert.
@@ -904,10 +933,12 @@ mod tests {
                     }
                     _ => match rng.gen_range(0u32..8) {
                         0 => {
+                            reach(4, !oracle.active.is_empty() && !oracle.retired.is_empty());
                             table.clear();
                             oracle.active.clear();
                         }
                         1 => {
+                            reach(5, !oracle.active.is_empty() && !oracle.retired.is_empty());
                             table.clear_retired();
                             oracle.retired.clear();
                         }
@@ -915,6 +946,22 @@ mod tests {
                     },
                 }
                 assert_in_step(&table);
+                spilled.retain(|(instance, half): &(ViewerInstance, usize)| {
+                    let record = table.carried.get(instance);
+                    record.is_some_and(|record| record.half(*half).next().is_some())
+                });
+                for (instance, record) in &table.carried {
+                    for half in [ACTIVE, RETIRED] {
+                        let held: Vec<_> = record.half(half).collect();
+                        reach(half, held.len() >= 4);
+                        reach(3, half == RETIRED && held.windows(2).any(|w| w[0] == w[1]));
+                        if held.len() >= 4 {
+                            spilled.insert((*instance, half));
+                        } else if (1..=2).contains(&held.len()) {
+                            reach(2, spilled.remove(&(*instance, half)));
+                        }
+                    }
+                }
                 assert_eq!(table.retired(), &oracle.retired);
                 assert_eq!(
                     table.information_held(),
@@ -934,5 +981,10 @@ mod tests {
                 assert_eq!(table.serves(&probe), oracle.serves(&probe));
             }
         });
+        if std::env::var_os("TIGER_PROP_REPLAY").is_none() {
+            for (what, reached) in REACH.iter().zip(&reached) {
+                assert!(reached.load(Ordering::Relaxed), "no case reached {what}");
+            }
+        }
     }
 }

@@ -6,8 +6,10 @@
 //! property runs over many deterministically seeded cases, and failures
 //! report a replayable case seed.
 
+use std::collections::BTreeMap;
+
 use tiger_layout::ids::ViewerInstance;
-use tiger_layout::{BlockNum, FileId, ViewerId};
+use tiger_layout::{BlockNum, DiskId, FileId, ViewerId};
 use tiger_sched::view::ViewApply;
 use tiger_sched::{
     Deschedule, NetScheduleError, NetworkSchedule, ScheduleView, SlotId, StreamKind, ViewerState,
@@ -267,6 +269,140 @@ fn held_deschedules_match_the_linear_model() {
             }
             let probe = universe(rng);
             assert_eq!(view.holds_deschedule(&probe), model.holds(&probe));
+        }
+    });
+}
+
+/// The view's entries as `ScheduleView` kept them before a slot's single
+/// entry moved into the map: one `Vec` a slot, `len` a walk. Test-only;
+/// the oracle for the inline-entry representation that replaced it.
+#[derive(Default)]
+struct VecModel {
+    entries: BTreeMap<SlotId, Vec<ViewerState>>,
+    held: HeldModel,
+}
+
+impl VecModel {
+    fn apply_viewer_state(&mut self, vs: ViewerState, now: SimTime) -> ViewApply {
+        if self.held.blocks(&vs, now) {
+            return ViewApply::Blocked;
+        }
+        let slot_entries = self.entries.entry(vs.slot).or_default();
+        if let Some(existing) = slot_entries.iter_mut().find(|e| e.kind == vs.kind) {
+            if existing.instance != vs.instance {
+                return ViewApply::Conflict;
+            }
+            if existing.play_seq >= vs.play_seq {
+                return ViewApply::Duplicate;
+            }
+            *existing = vs;
+            return ViewApply::Updated;
+        }
+        slot_entries.push(vs);
+        ViewApply::Inserted
+    }
+
+    fn apply_deschedule(&mut self, d: Deschedule, now: SimTime, hold_until: SimTime) -> bool {
+        self.held.apply(d, now, hold_until);
+        let Some(slot_entries) = self.entries.get_mut(&d.slot) else {
+            return false;
+        };
+        let before = slot_entries.len();
+        slot_entries.retain(|e| !d.matches(e));
+        let removed = slot_entries.len() != before;
+        if slot_entries.is_empty() {
+            self.entries.remove(&d.slot);
+        }
+        removed
+    }
+
+    fn retire(&mut self, slot: SlotId, entry: &ViewerState) -> Option<ViewerState> {
+        let slot_entries = self.entries.get_mut(&slot)?;
+        let idx = slot_entries.iter().position(|e| {
+            e.instance == entry.instance && e.kind == entry.kind && e.play_seq == entry.play_seq
+        })?;
+        let removed = slot_entries.swap_remove(idx);
+        if slot_entries.is_empty() {
+            self.entries.remove(&slot);
+        }
+        Some(removed)
+    }
+}
+
+/// The view with a slot's usual single entry inline answers exactly as
+/// the `Vec`-a-slot model does: every verdict of apply / duplicate /
+/// update / conflict, a deschedule over a slot that spilled, the record
+/// `retire` returns (and the order its swap leaves behind), `slot_entries`
+/// in order, `primary_entry`, `len`, and `iter` as a multiset.
+#[test]
+fn view_matches_the_vec_model() {
+    const SLOTS: u32 = 3;
+    check("view_matches_the_vec_model", |rng| {
+        let mut view = ScheduleView::new();
+        let mut model = VecModel::default();
+        let mut now_ms = 0u64;
+        // Few slots, few instances and four kinds: slots spill to a second
+        // and third entry, collide, and come back to one.
+        let record = |rng: &mut SimRng| {
+            let mut record = vs(
+                rng.gen_range(0..SLOTS),
+                rng.gen_range(0u64..3),
+                rng.gen_range(0u32..2),
+                rng.gen_range(0u32..8),
+            );
+            let piece = rng.gen_range(0u32..6);
+            if piece < 3 {
+                let failed_disk = DiskId(7);
+                record.kind = StreamKind::Mirror { failed_disk, piece };
+            }
+            record
+        };
+        for _ in 0..rng.gen_range(1usize..250) {
+            now_ms += rng.gen_range(0u64..3) * 250;
+            let now = SimTime::from_millis(now_ms);
+            match rng.gen_range(0u32..10) {
+                0..=4 => {
+                    let vs = record(rng);
+                    let want = model.apply_viewer_state(vs, now);
+                    assert_eq!(view.apply_viewer_state(vs, now), want, "{vs:?}");
+                }
+                5 | 6 => {
+                    // As the cub retires: a record the slot holds, or, now
+                    // and then, one it may not.
+                    let held: Vec<_> = model.entries.values().flatten().copied().collect();
+                    let entry = match held.len() {
+                        0 => record(rng),
+                        n if rng.gen_bool(0.8) => held[rng.gen_range(0..n)],
+                        _ => record(rng),
+                    };
+                    let want = model.retire(entry.slot, &entry);
+                    assert_eq!(view.retire(entry.slot, &entry), want, "{entry:?}");
+                }
+                _ => {
+                    let d = Deschedule::of(&record(rng));
+                    let hold_until = now + SimDuration::from_millis(rng.gen_range(0u64..8) * 250);
+                    let want = model.apply_deschedule(d, now, hold_until);
+                    assert_eq!(view.apply_deschedule(d, now, hold_until), want, "{d:?}");
+                }
+            }
+            for slot in (0..SLOTS).map(SlotId) {
+                let want = model.entries.get(&slot).map_or(&[][..], Vec::as_slice);
+                assert_eq!(view.slot_entries(slot), want, "{slot:?}, in order");
+                let primary = want.iter().find(|e| e.kind == StreamKind::Primary);
+                assert_eq!(view.primary_entry(slot), primary);
+                assert_eq!(view.believes_slot_free(slot), primary.is_none());
+            }
+            let key = |(slot, e): (SlotId, &ViewerState)| (slot, e.instance, format!("{e:?}"));
+            let mut listed: Vec<_> = view.iter().map(key).collect();
+            let by_slot = model.entries.iter();
+            let mut want: Vec<_> = by_slot
+                .flat_map(|(slot, held)| held.iter().map(|e| key((*slot, e))))
+                .collect();
+            listed.sort();
+            want.sort();
+            assert_eq!(listed, want, "iter, as a multiset");
+            assert_eq!(view.len(), want.len());
+            assert_eq!(view.is_empty(), want.is_empty());
         }
     });
 }

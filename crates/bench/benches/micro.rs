@@ -93,6 +93,22 @@ fn bench_view_ops(c: &mut Runner) {
         let dup = vs(17, 17, 5);
         b.iter(|| black_box(view.apply_viewer_state(dup, SimTime::ZERO)))
     });
+    c.bench_function("view/apply_retire_602", |b| {
+        // What a block costs the view of a cub that holds an entry in
+        // every one of `sosp97`'s 602 slots: the record accepted into the
+        // slot whose previous occupant was just sent and retired.
+        let mut view = ScheduleView::new();
+        for i in 0..602 {
+            view.apply_viewer_state(vs(i as u32, i, 0), SimTime::ZERO);
+        }
+        let mut i = 602u64;
+        b.iter(|| {
+            let old = vs((i % 602) as u32, i - 602, 0);
+            black_box(view.retire(old.slot, &old));
+            black_box(view.apply_viewer_state(vs((i % 602) as u32, i, 0), SimTime::ZERO));
+            i += 1;
+        })
+    });
     // Re-applies one deschedule to an otherwise empty view. Re-baselined
     // 5 ns -> 22 ns when the held set became a hash map (PR 16): a probe
     // with a fixed-key SipHash is slower than scanning a one-element
@@ -269,6 +285,33 @@ fn bench_service_table(c: &mut Runner) {
         b.iter(|| {
             i += 1;
             black_box(tables[(i % CUBS) as usize].touch(i / CUBS % LIVE))
+        })
+    });
+    c.bench_function("table/already_served_56x430_roundrobin", |b| {
+        // The §4.1.2 staleness question, asked of every record by the cub
+        // that accepts it and again by the second successor that shadows
+        // it. Of each table in turn, so the per-instance probe is as cold
+        // as in `scale-56`: by turns about an instance the table carries
+        // (a double-forwarded copy of a record in service) and one it
+        // does not (a stream's first sighting on this cub).
+        let mut tables: Vec<TableBench> = (0..CUBS).map(|_| TableBench::default()).collect();
+        for i in 0..LIVE {
+            for t in &mut tables {
+                t.insert(state(i), &spec);
+            }
+        }
+        let stranger = |i: u64| vs(i as u32, 1_000 + i, 0);
+        assert!(tables[0].already_served(&state(7)) && !tables[0].already_served(&stranger(7)));
+        let mut i = 0u64;
+        b.iter(|| {
+            i += 1;
+            let turn = i / CUBS % LIVE;
+            let probe = if i & 1 == 0 {
+                state(turn)
+            } else {
+                stranger(turn)
+            };
+            black_box(tables[(i % CUBS) as usize].already_served(&probe))
         })
     });
     c.bench_function("table/insert_remove_window430", |b| {

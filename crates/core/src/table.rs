@@ -448,6 +448,10 @@ impl TableBench {
     pub fn remove(&mut self, token: ServiceToken) -> bool {
         self.0.remove(token).is_some()
     }
+
+    pub fn already_served(&self, vs: &ViewerState) -> bool {
+        self.0.already_served(vs)
+    }
 }
 
 #[cfg(test)]

@@ -65,7 +65,7 @@ pub struct Cub {
     space: Vec<DiskSpace>,
     index: BlockIndex,
     view: ScheduleView,
-    /// Active services, the retired log, and the per-instance indexes
+    /// Active services, the retired log, and the per-instance record
     /// over both.
     services: ServiceTable,
     shadows: HashMap<(SlotId, ViewerInstance), Shadow>,

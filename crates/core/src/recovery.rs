@@ -27,7 +27,7 @@ pub fn retired_retention(cfg: &TigerConfig) -> SimDuration {
 }
 
 /// Drops retired-log entries older than `retention` before `now`, naming
-/// each to `dropped` (the cub's per-instance index follows the log through
+/// each to `dropped` (the cub's per-instance record follows the log through
 /// it). The log is in service order (ascending time; [`replay_batch`]
 /// depends on it too), so what is too old is a prefix, and pruning costs
 /// what it drops.

@@ -138,22 +138,26 @@ const RETIRED: usize = 1;
 /// Pads a half's inline values. Never a value: tokens count up from zero
 /// and a `play_seq` is a `u32`.
 const EMPTY: u64 = u64::MAX;
+/// A half's inline capacity. A mirrored ring holds one or two services of
+/// an instance at once and one retired entry; under coded fan-in one
+/// acceptance in eight is the instance's third, and its fourth is rare.
+const INLINE: usize = 3;
 
 /// What this cub carries of one viewer instance: the tokens of its active
 /// services (`ACTIVE`) and the `play_seq` of each of its retired-log
 /// entries, repeats included (`RETIRED`). A half is kept ascending: its
-/// two smallest values inline, [`EMPTY`]-padded, so the usual question is
-/// a probe and a look at one or two words; whatever else there is (small
+/// smallest values inline, [`EMPTY`]-padded, so the usual question is a
+/// probe and a look at a word or two; whatever else there is (small
 /// rings, coded fan-in) in `more`, which is empty unless inline is full.
 #[derive(Debug)]
 struct Carried {
-    inline: [[u64; 2]; 2],
+    inline: [[u64; INLINE]; 2],
     more: Option<Box<[Vec<u64>; 2]>>,
 }
 
 impl Carried {
     const NOTHING: Carried = Carried {
-        inline: [[EMPTY; 2]; 2],
+        inline: [[EMPTY; INLINE]; 2],
         more: None,
     };
 
@@ -189,7 +193,7 @@ impl Carried {
         let more = self.more.as_mut().map(|more| &mut more[half]);
         if let Some(at) = inline.iter().position(|&held| held == value) {
             inline[at..].rotate_left(1);
-            inline[1] = match more {
+            inline[INLINE - 1] = match more {
                 Some(more) if !more.is_empty() => more.remove(0),
                 _ => EMPTY,
             };
@@ -202,7 +206,7 @@ impl Carried {
 
     /// Empties one half; whether the other holds anything.
     fn clear(&mut self, half: usize) -> bool {
-        self.inline[half] = [EMPTY; 2];
+        self.inline[half] = [EMPTY; INLINE];
         if let Some(more) = &mut self.more {
             more[half].clear();
         }
@@ -847,7 +851,7 @@ mod tests {
             for (half, want) in halves.iter().enumerate() {
                 assert_eq!(&record.half(half).collect::<Vec<_>>(), want);
                 let spilled = record.more.as_ref().map_or(0, |more| more[half].len());
-                assert!(spilled == 0 || record.inline[half][1] != EMPTY);
+                assert!(spilled == 0 || record.inline[half][INLINE - 1] != EMPTY);
             }
         }
     }
@@ -957,11 +961,11 @@ mod tests {
                 for (instance, record) in &table.carried {
                     for half in [ACTIVE, RETIRED] {
                         let held: Vec<_> = record.half(half).collect();
-                        reach(half, held.len() >= 4);
+                        reach(half, held.len() > INLINE);
                         reach(3, half == RETIRED && held.windows(2).any(|w| w[0] == w[1]));
-                        if held.len() >= 4 {
+                        if held.len() > INLINE {
                             spilled.insert((*instance, half));
-                        } else if (1..=2).contains(&held.len()) {
+                        } else if (1..=INLINE).contains(&held.len()) {
                             reach(2, spilled.remove(&(*instance, half)));
                         }
                     }

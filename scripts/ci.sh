@@ -159,7 +159,18 @@ fi
 # Added: 321 — the buffer pool (pool.rs, 160), `Event::kind` and its name
 # table (74), the pool's three handlers in service.rs (37), the cub's
 # accessors (23), the per-kind tally and the debug-build pool check in
-# system.rs (26), one `mod` line. After: 7,212, 1,299 and 1,204.)
+# system.rs (26), one `mod` line. After: 7,212, 1,299 and 1,204.
+# PR 23 raised the total 7,212 -> 7,315, by exactly what it measured and
+# for table.rs alone, 361 -> 460: the per-instance record that replaced
+# the two B-trees is a two-halved sorted multiset with three values
+# inline and a spill — `Carried` and its five methods 81 lines with their
+# documentation, `uncarry` 15, the bench handle's `already_served` 4,
+# less the B-tree code it deleted — and std has no inline small vector to
+# borrow; in return `scale-56` dispatches blocks 1.4x faster
+# (EXPERIMENTS.md "FLAT"). client.rs +4 for the receipt bitset's two
+# helpers. cub.rs added a field and a note and folded its two
+# end-of-file reports into one `report_eof` to stay at 1,299: no
+# per-file limit moved.)
 core_src=crates/core/src
 total=0
 for f in "$core_src"/*.rs; do
@@ -172,8 +183,8 @@ for f in "$core_src"/*.rs; do
     fi
     total=$((total + lines))
 done
-if [ "$total" -gt 7212 ]; then
-    echo "ERROR: $core_src is $total lines before its tests (limit 7212)" >&2
+if [ "$total" -gt 7315 ]; then
+    echo "ERROR: $core_src is $total lines before its tests (limit 7315)" >&2
     exit 1
 fi
 

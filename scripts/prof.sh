@@ -1,0 +1,31 @@
+#!/usr/bin/env bash
+# A profile anyone can retake on a box without `perf`.
+#
+#   scripts/prof.sh <workload> [seconds] [seed] [top]
+#
+# Builds the end-to-end harness (benchmark/run.sh's own build, untouched)
+# and scripts/prof/sampler.c, runs `perf once --workload <workload>` with
+# the sampler preloaded — SIGPROF every millisecond of CPU time — and
+# prints the heaviest symbols. Defaults: 60 s window, seed 1997, top 40.
+# The harness interleaves a reference-clock kernel with the run
+# (benchmark/src/refclock.rs); its rows are the harness's, not the
+# simulator's. See docs/PROFILING.md. Not a CI step.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+workload="${1:?usage: scripts/prof.sh <workload> [seconds] [seed] [top]}"
+seconds="${2:-60}"
+seed="${3:-1997}"
+top="${4:-40}"
+target="${CARGO_TARGET_DIR:-$PWD/target}"
+out="$target/prof"
+mkdir -p "$out"
+
+(cd benchmark && CARGO_NET_OFFLINE=1 CARGO_TARGET_DIR="$target" \
+    cargo build --release --offline --quiet --bin perf) >&2
+gcc -O2 -shared -fPIC -o "$out/sampler.so" scripts/prof/sampler.c
+
+TIGER_PROF_OUT="$out/$workload.samples" LD_PRELOAD="$out/sampler.so" \
+    "$target/release/perf" once --workload "$workload" --seed "$seed" \
+    --seconds "$seconds" --trace 0 | tail -n 1 >&2
+python3 scripts/prof/symbolize.py "$out/$workload.samples" "$top"

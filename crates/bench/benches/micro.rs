@@ -685,20 +685,21 @@ fn bench_event_queue(c: &mut Runner) {
     // a `maxVStateLead` ahead (9 s) and `ReadIssue` two scheduling leads
     // before it are 94 % of what is pending, `SendDone` a block play time
     // out, `DiskDone` tens of milliseconds, `Deliver` a LAN latency.
-    c.bench_function("event_queue/churn_42k_sosp", |b| {
-        const PENDING: u64 = 42_000;
-        // Per kind, the shortest and longest delay in nanoseconds.
-        const MIX: [(u64, u64); 5] = [
-            (9_000_000_000, 9_000_000_000), // SendDue
-            (7_600_000_000, 7_600_000_000), // ReadIssue
-            (1_000_000_000, 1_000_000_000), // SendDone
-            (20_000_000, 60_000_000),       // DiskDone
-            (1_000_000, 1_000_000),         // Deliver
-        ];
+    const PENDING: u64 = 42_000;
+    // Per kind, the shortest and longest delay in nanoseconds.
+    const MIX: [(u64, u64); 5] = [
+        (9_000_000_000, 9_000_000_000), // SendDue
+        (7_600_000_000, 7_600_000_000), // ReadIssue
+        (1_000_000_000, 1_000_000_000), // SendDone
+        (20_000_000, 60_000_000),       // DiskDone
+        (1_000_000, 1_000_000),         // Deliver
+    ];
+    // Open in the steady state: each kind's share of the population is its
+    // delay's share of the sum, spread evenly over that delay. What comes
+    // back is the loop's one step: pop the head, schedule the next kind.
+    let sosp_churn = || {
         let mut rng = tiger_sim::RngTree::new(1997).fork("queue-bench", 0);
         let mut q = EventQueue::with_capacity(PENDING as usize);
-        // Open in the steady state: each kind's share of the population
-        // is its delay's share of the sum, spread evenly over that delay.
         let sum: u64 = MIX.iter().map(|(lo, hi)| (lo + hi) / 2).sum();
         for (kind, (lo, hi)) in MIX.into_iter().enumerate() {
             let mean = (lo + hi) / 2;
@@ -708,12 +709,35 @@ fn bench_event_queue(c: &mut Runner) {
             }
         }
         let mut kind = 0;
-        b.iter(|| {
+        move || {
             let (_, e) = q.pop().expect("queue never drains");
             kind = (kind + 1) % MIX.len();
             let (lo, hi) = MIX[kind];
             q.schedule_in(SimDuration::from_nanos(rng.gen_range(lo..=hi)), e);
             black_box(e)
+        }
+    };
+    c.bench_function("event_queue/churn_42k_sosp", |b| b.iter(sosp_churn()));
+    // The same loop as the window sees it. Above, the queue has the cache
+    // to itself, and 4 MB of slab half fits; in a run every pop is followed
+    // by a handler and 90 MB of cubs, and an event scheduled nine seconds
+    // ago is cold when it comes due. So: an untimed read sweep over 4 MiB
+    // (twice this host's L2), then sixteen steps timed together — about a
+    // bucket and a half, so the queue's own small hot state (heads of
+    // lists, the bitmap word, what it holds of the bucket being drained)
+    // is warm after the first step, as it is between two handlers, and
+    // what each step pays for is its own events' lines. Per step.
+    c.bench_function("event_queue/churn_42k_sosp_evicted", |b| {
+        const GROUP: u32 = 16;
+        let sweep = vec![1u8; 4 << 20];
+        let mut step = sosp_churn();
+        b.iter_timed(|| {
+            black_box(sweep.iter().step_by(64).map(|&x| u64::from(x)).sum::<u64>());
+            let start = std::time::Instant::now();
+            for _ in 0..GROUP {
+                step();
+            }
+            start.elapsed() / GROUP
         })
     });
     // Cold fill: what building up a fresh queue costs, regrowth included.

@@ -13,31 +13,43 @@
 //! pending, nearly all of them seconds ahead; a comparison heap pays for
 //! that depth on every operation, the calendar does not:
 //!
-//! * Every pending event sits in one slab slot, allocated from a free list,
-//!   and stays there until it is popped. A slot is a 24-byte link (time,
-//!   `seq`, next slot) and the payload, in two parallel vectors.
+//! * An event waiting for its bucket sits in one slab slot, allocated from
+//!   a free list: a 24-byte link (time, `seq`, next slot) and the payload,
+//!   in two parallel vectors.
 //! * Time is cut into buckets of 2²⁰ ns (≈1 ms). The bucket being drained,
-//!   `cur`, is a small binary heap of `(key, slot)` pairs — the *near*
-//!   heap — where `key` packs `(time, seq)` into one `u128`, so a single
-//!   integer compare orders by time first and scheduling order second.
+//!   `cur`, was *loaded* when the calendar reached it: its events, a dozen
+//!   at full scale, were moved out of the slab into the *run*, a vector
+//!   sorted by `key` with the head last — `(time, seq)` packed into one
+//!   `u128`, so a single integer compare orders by time first and
+//!   scheduling order second. A pop is a `Vec::pop`. The payloads were
+//!   scheduled seconds ago and are cold; fetched as the load walks the
+//!   bucket's list their misses overlap with one another and with the
+//!   walk's own, where one fetched at each pop stood alone between two
+//!   handlers (EXPERIMENTS.md "RUN").
+//! * A *late arrival* — anything scheduled at or before `cur` once `cur`
+//!   is loaded, one schedule in eight hundred — takes a slab slot and goes
+//!   under its key into a small binary heap. Not into the run: a queue
+//!   that opens far ahead of a backlog puts all of it here, and an insert
+//!   into a sorted vector pays a memmove where the heap pays a logarithm.
 //! * The 2¹⁴ − 1 buckets after `cur` (≈17 s: past `maxVStateLead` plus the
 //!   mirror fan-out, the longest routine delay) are a ring of intrusive
 //!   singly-linked lists threaded through the links, with an occupancy
 //!   bitmap to find the next non-empty one. Scheduling into the ring is a
-//!   list push; order inside a bucket is settled when the bucket is loaded
-//!   into the near heap.
+//!   list push; order inside a bucket is settled when the bucket is
+//!   loaded.
 //! * Anything later still (pre-scheduled client starts, restarts,
 //!   restripes) waits in a small *overflow* heap and moves into the ring
 //!   once, when `cur` comes within a ring of it.
 //!
-//! Why the pop order is exactly `(time, seq)`: the near heap holds every
-//! pending event whose bucket is at or before `cur`, the ring holds
-//! exactly those with `cur < bucket < cur + RING` (so each ring position
-//! stands for one bucket), and the overflow heap the rest. `cur` only
-//! rises, and only to the smallest occupied bucket, when the near heap
-//! runs empty; so the near heap's head is the queue's head whenever
-//! anything is pending, and ties inside it are broken by `seq`. The pop
-//! that empties the near heap refills it before returning, which keeps
+//! Why the pop order is exactly `(time, seq)`: the run and the late heap
+//! together hold every pending event whose bucket is at or before `cur`,
+//! the ring holds exactly those with `cur < bucket < cur + RING` (so each
+//! ring position stands for one bucket), and the overflow heap the rest.
+//! `cur` only rises, and only to the smallest occupied bucket, when run
+//! and late heap are both empty; so the smaller of their two heads, by the
+//! whole key, is the queue's head whenever anything is pending, and ties
+//! fall to `seq` wherever their members sit. The pop that empties both
+//! loads the next bucket before returning, which keeps
 //! [`EventQueue::peek_time`] a plain read.
 
 use std::cmp::Reverse;
@@ -58,8 +70,8 @@ const NIL: u32 = u32::MAX;
 /// because `BinaryHeap` is a max-heap and the earliest key pops first.
 type Keyed = Reverse<(u128, u32)>;
 
-fn keyed(at: u64, seq: u64, slot: u32) -> Keyed {
-    Reverse(((u128::from(at) << 64) | u128::from(seq), slot))
+fn key_of(at: u64, seq: u64) -> u128 {
+    (u128::from(at) << 64) | u128::from(seq)
 }
 
 fn time_of(key: u128) -> SimTime {
@@ -83,12 +95,18 @@ pub struct EventQueue<E> {
     seq: u64,
     /// Events [`EventQueue::jump_to`] threw away unpopped.
     discarded: u64,
-    /// Pending events: near heap + ring + overflow heap.
+    /// Pending events: run + late heap + ring + overflow heap.
     len: usize,
-    /// The bucket (`time >> BUCKET_SHIFT`) the near heap drains. Only rises.
+    /// The bucket (`time >> BUCKET_SHIFT`) being drained. Only rises.
     cur: u64,
-    /// Every pending event in bucket `cur` or before it.
-    near: BinaryHeap<Keyed>,
+    /// What is left of bucket `cur` as it was loaded, latest key first:
+    /// the head is the last element. These events hold no slab slot.
+    /// Never shrunk: once the fullest bucket of a run has passed, a load
+    /// allocates nothing.
+    run: Vec<(u128, E)>,
+    /// Every pending event scheduled at bucket `cur` or before it after
+    /// `cur` was loaded.
+    late: BinaryHeap<Keyed>,
     /// The list head of each bucket in `cur + 1 .. cur + RING`, indexed by
     /// bucket modulo `RING`; `NIL` where empty. Allocated on first use: a
     /// queue that never looks a millisecond ahead never pays for it.
@@ -97,9 +115,11 @@ pub struct EventQueue<E> {
     occupied: Vec<u64>,
     /// Every pending event at bucket `cur + RING` or beyond.
     overflow: BinaryHeap<Keyed>,
-    /// Slot `i` is `links[i]` and `events[i]`. Apart, because loading a
-    /// bucket walks links only, and 42 k of them fit a cache that 42 k
-    /// whole slots do not (+5–9 % end to end at that depth).
+    /// Slot `i` is `links[i]` and `events[i]`. Apart, because a bucket's
+    /// list is a chain of dependent loads through the links, and 42 k of
+    /// them fit a cache that 42 k whole slots do not (+5–9 % end to end at
+    /// that depth). A load moves each payload out as the walk reaches its
+    /// link, and no step of the chain waits for one.
     links: Vec<Link>,
     /// `None` while the slot is on the free list.
     events: Vec<Option<E>>,
@@ -130,7 +150,8 @@ impl<E> EventQueue<E> {
             discarded: 0,
             len: 0,
             cur: 0,
-            near: BinaryHeap::new(),
+            run: Vec::new(),
+            late: BinaryHeap::new(),
             heads: Vec::new(),
             occupied: Vec::new(),
             overflow: BinaryHeap::new(),
@@ -142,11 +163,15 @@ impl<E> EventQueue<E> {
 
     /// Reserves room for at least `additional` more pending events.
     pub fn reserve(&mut self, additional: usize) {
-        self.links.reserve(additional);
-        self.events.reserve(additional);
+        // The run's events are pending and hold no slot: counting them in
+        // keeps `capacity() >= len() + additional` afterwards.
+        let slots = additional + self.run.len();
+        self.links.reserve(slots);
+        self.events.reserve(slots);
     }
 
-    /// The number of pending events the queue can hold without regrowing.
+    /// The number of pending events the queue can hold without regrowing
+    /// the slab.
     pub fn capacity(&self) -> usize {
         self.events.capacity().min(self.links.capacity())
     }
@@ -204,12 +229,12 @@ impl<E> EventQueue<E> {
             index
         };
         if self.len == 0 {
-            // Nothing pending: open the calendar at this event, so that the
-            // near heap holds the head.
+            // Nothing pending: open the calendar at this event, so that it
+            // is a late arrival and the late heap holds the head.
             self.cur = self.cur.max(at >> BUCKET_SHIFT);
         }
         self.len += 1;
-        self.place(keyed(at, seq, index));
+        self.place(Reverse((key_of(at, seq), index)));
     }
 
     /// Schedules `event` after a delay from the current time.
@@ -217,25 +242,37 @@ impl<E> EventQueue<E> {
         self.schedule(self.now + delay, event);
     }
 
+    /// The key at the head of the queue, and whether the run holds it (the
+    /// late heap if not). Keys are distinct, so the comparison is strict.
+    fn head(&self) -> Option<(u128, bool)> {
+        let run = self.run.last().map(|&(key, _)| key);
+        let late = self.late.peek().map(|&Reverse((key, _))| key);
+        match (run, late) {
+            (Some(run), Some(late)) => Some((run.min(late), run < late)),
+            (Some(run), None) => Some((run, true)),
+            (None, late) => Some((late?, false)),
+        }
+    }
+
     /// The timestamp of the next event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        let Reverse((key, _)) = self.near.peek()?;
-        Some(time_of(*key))
+        self.head().map(|(key, _)| time_of(key))
     }
 
     /// Removes and returns the next event, advancing the clock to it.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let Reverse((key, index)) = self.near.pop()?;
+        let (key, in_run) = self.head()?;
+        let event = if in_run {
+            self.run.pop().expect("the run holds the head").1
+        } else {
+            let Reverse((_, index)) = self.late.pop().expect("the late heap holds the head");
+            self.release(index)
+        };
         let at = time_of(key);
         debug_assert!(at >= self.now, "event queue time went backwards");
         self.now = at;
-        let event = self.events[index as usize]
-            .take()
-            .expect("a keyed slot holds its event");
-        self.links[index as usize].next = self.free;
-        self.free = index;
         self.len -= 1;
-        if self.near.is_empty() && self.len > 0 {
+        if self.run.is_empty() && self.late.is_empty() && self.len > 0 {
             self.refill();
         }
         Some((at, event))
@@ -257,7 +294,8 @@ impl<E> EventQueue<E> {
         assert!(at >= self.now, "cannot jump backwards in time");
         self.discarded += self.len as u64;
         self.len = 0;
-        self.near.clear();
+        self.run.clear();
+        self.late.clear();
         self.heads.fill(NIL);
         self.occupied.fill(0);
         self.overflow.clear();
@@ -267,12 +305,22 @@ impl<E> EventQueue<E> {
         self.now = at;
     }
 
+    /// Takes the event out of a slab slot and puts the slot on the free
+    /// list.
+    fn release(&mut self, index: u32) -> E {
+        self.links[index as usize].next = self.free;
+        self.free = index;
+        self.events[index as usize]
+            .take()
+            .expect("a keyed slot holds its event")
+    }
+
     /// Files a keyed slot under the tier its bucket belongs to.
     fn place(&mut self, entry: Keyed) {
         let Reverse((key, index)) = entry;
         let bucket = bucket_of(key);
         if bucket <= self.cur {
-            self.near.push(entry);
+            self.late.push(entry);
         } else if bucket - self.cur < RING {
             if self.heads.is_empty() {
                 self.heads = vec![NIL; RING as usize];
@@ -288,9 +336,9 @@ impl<E> EventQueue<E> {
     }
 
     /// Moves `cur` to the earliest occupied bucket and loads it into the
-    /// (empty) near heap. Something must be pending.
+    /// (empty) run; the late heap is empty too. Something must be pending.
     fn refill(&mut self) {
-        debug_assert!(self.near.is_empty() && self.len > 0);
+        debug_assert!(self.run.is_empty() && self.late.is_empty() && self.len > 0);
         if self.len > self.overflow.len() {
             // The ring is not empty, and everything in it precedes the
             // overflow heap: walk the bitmap from the position after `cur`,
@@ -308,14 +356,18 @@ impl<E> EventQueue<E> {
             let Reverse((key, _)) = self.overflow.peek().expect("something is pending");
             self.cur = bucket_of(*key);
         }
-        // The ring's window moved: admit what it now covers.
-        while let Some(&entry) = self.overflow.peek() {
-            let Reverse((key, _)) = entry;
+        // The ring's window moved: admit what it now covers, and what
+        // belongs to `cur` itself straight into the run.
+        while let Some(&Reverse((key, index))) = self.overflow.peek() {
             if bucket_of(key) - self.cur >= RING {
                 break;
             }
             self.overflow.pop();
-            self.place(entry);
+            if bucket_of(key) == self.cur {
+                self.load(key, index);
+            } else {
+                self.place(Reverse((key, index)));
+            }
         }
         let pos = (self.cur % RING) as usize;
         if let Some(head) = self.heads.get_mut(pos) {
@@ -323,10 +375,22 @@ impl<E> EventQueue<E> {
             self.occupied[pos / 64] &= !(1 << (pos % 64));
             while index != NIL {
                 let link = &self.links[index as usize];
-                self.near.push(keyed(link.at, link.seq, index));
-                index = link.next;
+                let (key, next) = (key_of(link.at, link.seq), link.next);
+                self.load(key, index);
+                index = next;
             }
         }
+        // Latest first, so that the head pops off the end. Keys are
+        // distinct, so an unstable sort has one answer.
+        self.run.sort_unstable_by(|a, b| b.0.cmp(&a.0));
+    }
+
+    /// Moves a slot's event into the run, unsorted, and frees the slot: the
+    /// payload's cache miss is taken here, beside its neighbours', and not
+    /// at the pop.
+    fn load(&mut self, key: u128, index: u32) {
+        let event = self.release(index);
+        self.run.push((key, event));
     }
 }
 
@@ -479,12 +543,59 @@ mod tests {
     /// Differential check of the calendar against a `BTreeMap` keyed by
     /// `(time, seq)`: every operation, every observer after every step,
     /// with delays that sit on each tier boundary (same bucket, the next
-    /// one, the last ring bucket, the first overflow one) and idle gaps of
-    /// many horizons, so the ring wraps and the overflow heap migrates.
+    /// one, the last ring bucket, the first overflow one), schedules aimed
+    /// at the run while it drains, and idle gaps of many horizons, so the
+    /// ring wraps and the overflow heap migrates. The payload counts its
+    /// drops: whatever was scheduled comes back from a pop or is dropped
+    /// by `jump_to` or with the queue, once.
     #[test]
     fn calendar_matches_the_btreemap_model() {
+        use std::cell::RefCell;
         use std::collections::BTreeMap;
+        use std::rc::Rc;
+        use std::sync::atomic::{AtomicBool, Ordering};
         const WIDTH: u64 = 1 << BUCKET_SHIFT;
+        /// Payload `.0`, the `.0`-th event scheduled, and the case's ledger
+        /// of drops per payload.
+        struct Counted(u64, Rc<RefCell<Vec<u32>>>);
+        impl Drop for Counted {
+            fn drop(&mut self) {
+                self.1.borrow_mut()[self.0 as usize] += 1;
+            }
+        }
+        #[derive(Clone, Copy, PartialEq)]
+        enum Via {
+            Late,
+            Ring,
+            Overflow,
+        }
+        // What the cases reached between them, asserted after the run. A
+        // run is partly drained when it is shorter than it was loaded and
+        // not yet empty. (One load never takes a bucket's members from the
+        // ring *and* straight from the overflow heap: the ring holds only
+        // buckets within `RING` of `cur`, the overflow heap only those
+        // beyond, and `cur` moves nowhere but in the load itself, which
+        // empties the overflow heap of everything within reach. So the
+        // mixed load is of members that came by the overflow heap into the
+        // ring beside members scheduled into the ring, and the direct one
+        // finds the ring empty.)
+        const REACH: [&str; 11] = [
+            "a late arrival at the instant of a partly drained run's head",
+            "a late arrival just before a partly drained run's head",
+            "a late arrival between two entries of a partly drained run",
+            "a late arrival after the last entry of a partly drained run",
+            "a late arrival that ties the time of an entry of the run",
+            "a pop from the late heap over a run that is not empty",
+            "a pop from the run over a late heap that is not empty",
+            "a load of members scheduled into the ring and into the overflow heap",
+            "a load straight from the overflow heap",
+            "jump_to over a partly drained run with late arrivals outstanding",
+            "a slot reused after its event was loaded and before it was popped",
+        ];
+        let reached: [AtomicBool; 11] = Default::default();
+        let reach = |what: usize, when: bool| {
+            reached[what].fetch_or(when, Ordering::Relaxed);
+        };
         fn delay(rng: &mut crate::rng::SimRng) -> u64 {
             let buckets = match rng.gen_range(0u32..10) {
                 0..=2 => 0u64,
@@ -505,27 +616,69 @@ mod tests {
             buckets * WIDTH + fine
         }
         crate::check::check("event-queue-calendar", |rng| {
+            let ledger = Rc::new(RefCell::new(Vec::new()));
             let mut q = EventQueue::new();
             let mut model: BTreeMap<(u64, u64), u64> = BTreeMap::new();
-            let (mut now, mut scheduled, mut dispatched) = (0u64, 0u64, 0u64);
-            for step in 0..rng.gen_range(20..400u64) {
+            let (mut now, mut scheduled, mut dispatched, mut discarded) = (0u64, 0u64, 0u64, 0u64);
+            // How each payload was filed, the run's length when it was
+            // loaded, and the most that was ever pending since the slab
+            // was last emptied.
+            let mut via = Vec::new();
+            let (mut loaded, mut peak) = (0usize, 0usize);
+            for _ in 0..rng.gen_range(20..400u64) {
                 let op = rng.gen_range(0u32..100);
                 match op {
                     0..=49 => {
-                        // A fresh instant, or one that something pending
+                        // A fresh instant; or one that something pending
                         // holds already: ties whose members arrive by
-                        // different tiers.
+                        // different tiers; or one picked off the run.
                         let tie = model.keys().nth(rng.gen_range(0..model.len() + 1));
+                        let run: Vec<u64> =
+                            q.run.iter().map(|&(key, _)| (key >> 64) as u64).collect();
+                        let run_at = |i: usize| run[i];
+                        let (head, last) = (run.len().wrapping_sub(1), 0);
+                        let aim = rng.gen_range(0u32..5);
                         let at = match tie {
+                            _ if !run.is_empty() && rng.gen_bool(0.4) => match aim {
+                                0 => run_at(head),
+                                1 => run_at(head).saturating_sub(1).max(now),
+                                2 if head > 0 => {
+                                    let i = rng.gen_range(0..head);
+                                    (run_at(i) + run_at(i + 1)) / 2
+                                }
+                                3 => run_at(last) + 1,
+                                _ => run_at(rng.gen_range(0..run.len())),
+                            },
                             Some(&(at, _)) if rng.gen_bool(0.3) => at,
                             _ => now + delay(rng),
                         };
+                        let partly = (1..loaded).contains(&run.len());
+                        let (late, overflow, slots) =
+                            (q.late.len(), q.overflow.len(), q.links.len());
+                        let payload = Counted(scheduled, Rc::clone(&ledger));
+                        ledger.borrow_mut().push(0);
                         if rng.gen_bool(0.5) {
-                            q.schedule(SimTime::from_nanos(at), step);
+                            q.schedule(SimTime::from_nanos(at), payload);
                         } else {
-                            q.schedule_in(SimDuration::from_nanos(at - now), step);
+                            q.schedule_in(SimDuration::from_nanos(at - now), payload);
                         }
-                        model.insert((at, scheduled), step);
+                        via.push(if q.late.len() > late {
+                            Via::Late
+                        } else if q.overflow.len() > overflow {
+                            Via::Overflow
+                        } else {
+                            Via::Ring
+                        });
+                        if partly && q.late.len() > late {
+                            let (head, last) = (run_at(head), run_at(last));
+                            reach(0, at == head);
+                            reach(1, at < head);
+                            reach(2, head < at && at < last);
+                            reach(3, at > last);
+                            reach(4, run.contains(&at));
+                        }
+                        reach(10, q.links.len() == slots && q.len() > slots);
+                        model.insert((at, scheduled), scheduled);
                         scheduled += 1;
                     }
                     50..=97 => {
@@ -539,20 +692,39 @@ mod tests {
                             now = key.0;
                             dispatched += 1;
                         }
+                        let (cur, run, late) = (q.cur, q.run.len(), q.late.len());
+                        let in_ring = q.len() - run - late - q.overflow.len();
                         let got = if op < 85 {
                             q.pop()
                         } else {
                             q.pop_until(SimTime::from_nanos(horizon))
                         };
+                        let got = got.map(|(at, payload)| {
+                            // Still whole when the queue hands it back.
+                            assert_eq!(ledger.borrow()[payload.0 as usize], 0);
+                            (at, payload.0)
+                        });
                         assert_eq!(
                             got,
                             expect.map(|((at, _), id)| (SimTime::from_nanos(at), id))
                         );
+                        if got.is_some() && q.cur == cur {
+                            reach(5, run > 0 && q.late.len() < late);
+                            reach(6, late > 0 && q.run.len() < run);
+                        } else if got.is_some() {
+                            loaded = q.run.len();
+                            let came = |by| q.run.iter().any(|(_, p)| via[p.0 as usize] == by);
+                            reach(7, came(Via::Ring) && came(Via::Overflow));
+                            reach(8, in_ring == 0 && loaded > 0);
+                        }
                     }
                     _ => {
+                        reach(9, (1..loaded).contains(&q.run.len()) && !q.late.is_empty());
                         now += delay(rng);
                         q.jump_to(SimTime::from_nanos(now));
+                        discarded += model.len() as u64;
                         model.clear();
+                        (loaded, peak) = (0, 0);
                     }
                 }
                 let head = model.first_key_value().map(|(&(at, _), _)| at);
@@ -560,8 +732,35 @@ mod tests {
                 assert_eq!(q.now(), SimTime::from_nanos(now));
                 assert_eq!((q.len(), q.is_empty()), (model.len(), model.is_empty()));
                 assert_eq!((q.scheduled(), q.dispatched()), (scheduled, dispatched));
+                assert_eq!(q.discarded, discarded);
+                assert_eq!(scheduled, dispatched + discarded + q.len() as u64);
+                // Each payload popped or discarded so far was dropped once
+                // (a popped one by this test), and no other at all.
+                let ledger = ledger.borrow();
+                assert!(ledger.iter().all(|&drops| drops <= 1));
+                let dropped = ledger.iter().map(|&drops| u64::from(drops)).sum::<u64>();
+                assert_eq!(dropped, dispatched + discarded);
+                assert!(model.values().all(|&id| ledger[id as usize] == 0));
+                // A loaded event gave its slot back: the slab never holds
+                // more slots than events were pending at once.
+                peak = peak.max(q.len());
+                assert!(q.links.len() <= peak);
+                assert_eq!(q.events.len(), q.links.len());
+                // `reserve` counts the run's events among the pending.
+                if rng.gen_bool(0.05) {
+                    let more = rng.gen_range(0..64usize);
+                    q.reserve(more);
+                    assert!(q.capacity() >= q.len() + more);
+                }
             }
+            drop(q);
+            assert!(ledger.borrow().iter().all(|&drops| drops == 1));
         });
+        if std::env::var_os("TIGER_PROP_REPLAY").is_none() {
+            for (what, reached) in REACH.iter().zip(&reached) {
+                assert!(reached.load(Ordering::Relaxed), "no case reached {what}");
+            }
+        }
     }
 
     /// Randomized differential check: the queue agrees with a reference

@@ -116,8 +116,7 @@ mod tests {
         // exp is a permutation of 1..=255 over one period, and log is its
         // inverse on nonzero elements.
         let mut seen = [false; 256];
-        for i in 0..255usize {
-            let v = EXP[i];
+        for (i, &v) in EXP.iter().enumerate().take(255) {
             assert!(v != 0);
             assert!(!seen[v as usize], "exp repeats at {i}");
             seen[v as usize] = true;

@@ -260,7 +260,7 @@ mod tests {
             let mut now = SimTime::ZERO;
             let mut horizon = SimTime::ZERO;
             for _ in 0..200 {
-                now = now + SimDuration::from_millis(rng.below(700));
+                now += SimDuration::from_millis(rng.below(700));
                 if rng.below(4) < 3 {
                     // Service: viewers advance one position per block
                     // play time, so the sighting's position tracks time.

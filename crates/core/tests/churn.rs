@@ -47,7 +47,7 @@ fn stop_start_churn_at_high_load_stays_coherent() {
         sys.request_stop(t, victim);
         let client = sys.add_client();
         live.push(sys.request_start(t + SimDuration::from_millis(50), client, file));
-        t = t + SimDuration::from_secs(2);
+        t += SimDuration::from_secs(2);
     }
     sys.run_until(t + SimDuration::from_secs(30));
 
@@ -95,7 +95,7 @@ fn chaos_runs_stay_coherent_across_seeds() {
         let victim_cub = CubId(rng.gen_range(0u32..4));
         sys.fail_cub_at(kill_at, victim_cub);
         for _ in 0..120 {
-            t = t + SimDuration::from_millis(rng.gen_range(100u64..900));
+            t += SimDuration::from_millis(rng.gen_range(100u64..900));
             if live.len() < (capacity as usize) * 3 / 4 && rng.gen_bool(0.7) {
                 let client = sys.add_client();
                 let file = files[rng.gen_range(0..files.len())];

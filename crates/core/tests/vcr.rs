@@ -65,7 +65,7 @@ fn pause_then_resume_completes_the_file() {
     );
     assert!(after.complete(), "resume did not finish the file");
     assert_eq!(
-        u32::from(got_before) + after.blocks_received(),
+        got_before + after.blocks_received(),
         40,
         "pause+resume must cover the file exactly"
     );

@@ -219,7 +219,7 @@ mod tests {
         }
         // With 560 files over 56 disks a perfectly even spread is 10 each;
         // the multiplicative hash should stay within a loose band.
-        assert!(counts.iter().all(|&c| c >= 2 && c <= 30), "{counts:?}");
+        assert!(counts.iter().all(|&c| (2..=30).contains(&c)), "{counts:?}");
     }
 
     #[test]

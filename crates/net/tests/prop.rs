@@ -84,12 +84,12 @@ fn nic_begin_end_balance() {
         let mut t = SimTime::ZERO;
         for &r in &rates {
             n.begin_stream(t, node, Bandwidth::from_mbit_per_sec(r));
-            t = t + SimDuration::from_millis(10);
+            t += SimDuration::from_millis(10);
         }
         // End in reverse order (any order would do).
         for &r in rates.iter().rev() {
             n.end_stream(t, node, Bandwidth::from_mbit_per_sec(r), 1000);
-            t = t + SimDuration::from_millis(10);
+            t += SimDuration::from_millis(10);
         }
         assert_eq!(n.nic(node).active_rate(), Bandwidth::ZERO);
         assert_eq!(n.nic(node).active_sends(), 0);

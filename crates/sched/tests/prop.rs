@@ -537,7 +537,7 @@ impl RescanSchedule {
         expires_at: Option<u64>,
     ) -> Result<u64, NetScheduleError> {
         if let Some(q) = self.quantum {
-            if start % q != 0 {
+            if !start.is_multiple_of(q) {
                 return Err(NetScheduleError::UnalignedStart);
             }
         }

@@ -107,7 +107,7 @@ fn compiled_plan_zipf_matches_direct_sampler() {
     let mut w = plan.compile(&tree);
     let p = analytic(1.1, 24);
     let n = 60_000u64;
-    let mut counts = vec![0u64; 24];
+    let mut counts = [0u64; 24];
     for _ in 0..n {
         counts[w.popularity.sample(SimTime::ZERO, &mut w.chooser) as usize] += 1;
     }

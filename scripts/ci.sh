@@ -53,8 +53,8 @@ else
     echo "== cargo fmt unavailable; skipping format check" >&2
 fi
 
-echo "== cargo clippy --workspace -- -D warnings" >&2
-cargo clippy --workspace -- -D warnings
+echo "== cargo clippy --workspace --all-targets -- -D warnings" >&2
+cargo clippy --workspace --all-targets -- -D warnings
 
 # The experiment catalogue (`fleet --list`: every figure, table, ablation
 # and sweep in crates/bench) in three steps. A job that violates an

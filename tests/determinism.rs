@@ -31,7 +31,7 @@ fn run_once(seed: u64) -> (tiger::core::Metrics, tiger::core::LossReport, u64, u
     // stochastic subsystem (disk blips, net jitter, arrivals) is exercised.
     sys.fail_cub_at(SimTime::from_secs(35), tiger::layout::CubId(1));
     for _ in 0..60 {
-        t = t + SimDuration::from_millis(rng.gen_range(100u64..700));
+        t += SimDuration::from_millis(rng.gen_range(100u64..700));
         if live.len() < 10 && rng.gen_bool(0.7) {
             let client = sys.add_client();
             let file = files[rng.gen_range(0..files.len())];

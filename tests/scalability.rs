@@ -41,7 +41,7 @@ fn peak_schedule_information(cubs: u32) -> usize {
         for cub in sys.cubs() {
             peak = peak.max(cub.schedule_information_held());
         }
-        t = t + SimDuration::from_secs(5);
+        t += SimDuration::from_secs(5);
     }
     peak
 }

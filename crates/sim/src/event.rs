@@ -382,7 +382,7 @@ impl<E> EventQueue<E> {
         }
         // Latest first, so that the head pops off the end. Keys are
         // distinct, so an unstable sort has one answer.
-        self.run.sort_unstable_by(|a, b| b.0.cmp(&a.0));
+        self.run.sort_unstable_by_key(|&(key, _)| Reverse(key));
     }
 
     /// Moves a slot's event into the run, unsorted, and frees the slot: the

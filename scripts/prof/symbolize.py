@@ -43,8 +43,8 @@ def label(i):
     if instances[n] == 1 or not ours:
         return n
     j = bisect.bisect_left(our_starts, addr)
-    near = min(ours[max(j - 1, 0) : j + 1], key=lambda o: abs(o[0] - addr))
-    return f"{n} [by {near[1]}]"
+    near = [o for o in ours[max(j - 3, 0) : j + 3] if o[1] != n]
+    return f"{n} [by {min(near, key=lambda o: abs(o[0] - addr))[1]}]" if near else n
 
 def locate(addr):
     """(index into syms or None, name) of a sampled address."""

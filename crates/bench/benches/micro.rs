@@ -641,13 +641,15 @@ fn bench_admission_storm(c: &mut Runner) {
 }
 
 fn bench_event_queue(c: &mut Runner) {
-    // Pop the head, schedule a replacement a fixed delay out. Re-baselined
-    // 45 -> 77 ns with the calendar queue (PR 17), and it is the calendar's
-    // worst shape, not the simulator's: 4096 events a microsecond apart are
-    // a thousand to a millisecond bucket, so the near heap is a
-    // thousand-entry binary heap with the ring's bookkeeping on top. The
-    // data plane keeps 6-17 entries there; `churn_42k_sosp` below is that
-    // shape, and the row to read.
+    // Pop the head, schedule a replacement a fixed delay out. 4096 events a
+    // microsecond apart are a thousand to a millisecond bucket — not the
+    // simulator's shape (the data plane drains a dozen), and while a due
+    // bucket went through a heap (PRs 17-23: 77 ns, then 62) the
+    // calendar's worst: a thousand pushes and pops of a thousand-entry
+    // heap. Re-baselined 62 -> 13 ns (PR 24): a bucket is now loaded as
+    // one sorted vector — its list comes newest first, which for delays
+    // that are all alike is the order wanted, so the sort is one pass —
+    // and a pop is `Vec::pop`. `churn_42k_sosp` below is the row to read.
     c.bench_function("event_queue/churn_4k", |b| {
         let mut q = EventQueue::new();
         for i in 0..4096u64 {
@@ -664,8 +666,9 @@ fn bench_event_queue(c: &mut Runner) {
     // Re-baselined 6.5 -> 17 ns (PR 17): the one-entry front slot that
     // served this in 4 ns is gone, because counted on the ruler it served
     // 0.011-0.042 % of pops on the four data-plane workloads and 1.6 % on
-    // `vcr-churn`. The follow-up now takes a slab slot and a near-heap push
-    // like any other event.
+    // `vcr-churn`. The follow-up is a late arrival: it takes a slab slot
+    // and goes through the one-entry late heap, and the backlog's event
+    // behind it is a bucket of one, loaded as it pops (13 ns, PR 24).
     c.bench_function("event_queue/pop_then_schedule_head", |b| {
         let mut q = EventQueue::new();
         for i in 0..4096u64 {
@@ -741,12 +744,14 @@ fn bench_event_queue(c: &mut Runner) {
         })
     });
     // Cold fill: what building up a fresh queue costs, regrowth included.
-    // Re-baselined 8.0 -> 15 us (PR 17): all 1024 instants fall in the first
-    // bucket, so each event is three pushes into three vectors growing from
-    // nothing (link, payload, near-heap key) where the heap had one. The
-    // ring is allocated on first use and this never reaches it;
-    // `TigerSystem::new` pre-sizes the slab, and end to end `setup_s` fell
-    // 9-23 % with the same change.
+    // Re-baselined 8.0 -> 15 us (PR 17), 11-12 us since: the first event
+    // opens the calendar at its own bucket and all 1024 instants fall in
+    // it, so every one is a late arrival — three pushes into three vectors
+    // growing from nothing (link, payload, the late heap's key) where one
+    // heap had one. No bucket is loaded and the ring, allocated on first
+    // use, is never reached. It is also the case that keeps the late heap
+    // a heap: inserted into a sorted run instead this row read 108-143 us.
+    // `TigerSystem::new` pre-sizes the slab.
     c.bench_function("event_queue/fill_1k_fresh", |b| {
         b.iter(|| {
             let mut q = EventQueue::new();

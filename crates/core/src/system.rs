@@ -340,11 +340,11 @@ impl TigerSystem {
         let coded = (cfg.redundancy == RedundancyMode::Coded)
             .then(|| CodedRuntime::new(cfg.stripe, cfg.block_play_time));
         let striped = cfg.stripe.num_cubs;
-        // Pre-size the event queue for full load, so no run regrows it:
-        // viewer state runs up to `max_vstate_lead` ahead of the sends, and
-        // every block in that lead keeps a `ReadIssue` and a `SendDue`
-        // pending per shard (18 events a stream at `sosp97`, 17.6 measured),
-        // plus per-node periodic work and driver-queued starts.
+        // Pre-size the event queue's slab for full load, so no run regrows
+        // it: viewer state runs up to `max_vstate_lead` ahead of the sends,
+        // each block in that lead keeps a `ReadIssue` and a `SendDue` pending
+        // per shard (18 events a stream at `sosp97`, 17.6 measured), plus
+        // periodic work and queued starts; the bucket being drained left it.
         let lead = cfg.max_vstate_lead.as_nanos();
         let shards = coded.as_ref().map_or(1, |c| c.placement.k()) as usize;
         let per_stream = 2 * lead.div_ceil(cfg.block_play_time.as_nanos()) as usize * shards;

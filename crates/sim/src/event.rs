@@ -462,7 +462,7 @@ mod tests {
     fn jump_to_discards_and_advances() {
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_secs(1), ());
-        q.schedule(SimTime::from_secs(10), ()); // near heap, ring, overflow heap
+        q.schedule(SimTime::from_secs(10), ()); // late heap, ring, overflow heap
         q.schedule(SimTime::from_secs(100), ());
         q.jump_to(SimTime::from_secs(142));
         assert!(q.is_empty());

@@ -234,7 +234,7 @@ impl<E> EventQueue<E> {
             self.cur = self.cur.max(at >> BUCKET_SHIFT);
         }
         self.len += 1;
-        self.place(Reverse((key_of(at, seq), index)));
+        self.place(key_of(at, seq), index);
     }
 
     /// Schedules `event` after a delay from the current time.
@@ -315,12 +315,11 @@ impl<E> EventQueue<E> {
             .expect("a keyed slot holds its event")
     }
 
-    /// Files a keyed slot under the tier its bucket belongs to.
-    fn place(&mut self, entry: Keyed) {
-        let Reverse((key, index)) = entry;
+    /// Files a slot, by its key, under the tier its bucket belongs to.
+    fn place(&mut self, key: u128, index: u32) {
         let bucket = bucket_of(key);
         if bucket <= self.cur {
-            self.late.push(entry);
+            self.late.push(Reverse((key, index)));
         } else if bucket - self.cur < RING {
             if self.heads.is_empty() {
                 self.heads = vec![NIL; RING as usize];
@@ -331,7 +330,7 @@ impl<E> EventQueue<E> {
             self.heads[pos] = index;
             self.occupied[pos / 64] |= 1 << (pos % 64);
         } else {
-            self.overflow.push(entry);
+            self.overflow.push(Reverse((key, index)));
         }
     }
 
@@ -359,14 +358,15 @@ impl<E> EventQueue<E> {
         // The ring's window moved: admit what it now covers, and what
         // belongs to `cur` itself straight into the run.
         while let Some(&Reverse((key, index))) = self.overflow.peek() {
-            if bucket_of(key) - self.cur >= RING {
+            let bucket = bucket_of(key);
+            if bucket - self.cur >= RING {
                 break;
             }
             self.overflow.pop();
-            if bucket_of(key) == self.cur {
+            if bucket == self.cur {
                 self.load(key, index);
             } else {
-                self.place(Reverse((key, index)));
+                self.place(key, index);
             }
         }
         let pos = (self.cur % RING) as usize;
@@ -551,7 +551,7 @@ mod tests {
     #[test]
     fn calendar_matches_the_btreemap_model() {
         use std::cell::RefCell;
-        use std::collections::BTreeMap;
+        use std::collections::BTreeSet;
         use std::rc::Rc;
         use std::sync::atomic::{AtomicBool, Ordering};
         const WIDTH: u64 = 1 << BUCKET_SHIFT;
@@ -618,7 +618,8 @@ mod tests {
         crate::check::check("event-queue-calendar", |rng| {
             let ledger = Rc::new(RefCell::new(Vec::new()));
             let mut q = EventQueue::new();
-            let mut model: BTreeMap<(u64, u64), u64> = BTreeMap::new();
+            // Pending `(time, seq)`; a payload's id is its `seq`.
+            let mut model: BTreeSet<(u64, u64)> = BTreeSet::new();
             let (mut now, mut scheduled, mut dispatched, mut discarded) = (0u64, 0u64, 0u64, 0u64);
             // How each payload was filed, the run's length when it was
             // loaded, and the most that was ever pending since the slab
@@ -632,24 +633,27 @@ mod tests {
                         // A fresh instant; or one that something pending
                         // holds already: ties whose members arrive by
                         // different tiers; or one picked off the run.
-                        let tie = model.keys().nth(rng.gen_range(0..model.len() + 1));
-                        let run: Vec<u64> =
-                            q.run.iter().map(|&(key, _)| (key >> 64) as u64).collect();
-                        let run_at = |i: usize| run[i];
-                        let (head, last) = (run.len().wrapping_sub(1), 0);
-                        let aim = rng.gen_range(0u32..5);
-                        let at = match tie {
-                            _ if !run.is_empty() && rng.gen_bool(0.4) => match aim {
-                                0 => run_at(head),
-                                1 => run_at(head).saturating_sub(1).max(now),
-                                2 if head > 0 => {
-                                    let i = rng.gen_range(0..head);
-                                    (run_at(i) + run_at(i + 1)) / 2
+                        let tie = model.iter().nth(rng.gen_range(0..model.len() + 1));
+                        let run = q.run.iter().map(|&(key, _)| time_of(key).as_nanos());
+                        let run: Vec<u64> = run.collect();
+                        let ends = run
+                            .last()
+                            .zip(run.first())
+                            .map(|(&head, &last)| (head, last));
+                        let at = match (ends, tie) {
+                            (Some((head, last)), _) if rng.gen_bool(0.4) => {
+                                match rng.gen_range(0u32..5) {
+                                    0 => head,
+                                    1 => head.saturating_sub(1).max(now),
+                                    2 if run.len() > 1 => {
+                                        let i = rng.gen_range(1..run.len());
+                                        (run[i - 1] + run[i]) / 2
+                                    }
+                                    3 => last + 1,
+                                    _ => run[rng.gen_range(0..run.len())],
                                 }
-                                3 => run_at(last) + 1,
-                                _ => run_at(rng.gen_range(0..run.len())),
-                            },
-                            Some(&(at, _)) if rng.gen_bool(0.3) => at,
+                            }
+                            (_, Some(&(at, _))) if rng.gen_bool(0.3) => at,
                             _ => now + delay(rng),
                         };
                         let partly = (1..loaded).contains(&run.len());
@@ -669,8 +673,7 @@ mod tests {
                         } else {
                             Via::Ring
                         });
-                        if partly && q.late.len() > late {
-                            let (head, last) = (run_at(head), run_at(last));
+                        if let Some((head, last)) = ends.filter(|_| partly && q.late.len() > late) {
                             reach(0, at == head);
                             reach(1, at < head);
                             reach(2, head < at && at < last);
@@ -678,16 +681,15 @@ mod tests {
                             reach(4, run.contains(&at));
                         }
                         reach(10, q.links.len() == slots && q.len() > slots);
-                        model.insert((at, scheduled), scheduled);
+                        model.insert((at, scheduled));
                         scheduled += 1;
                     }
                     50..=97 => {
                         // `pop`, or `pop_until` with the head on either side
                         // of the horizon.
                         let horizon = if op < 85 { u64::MAX } else { now + delay(rng) };
-                        let head = model.first_key_value().map(|(&key, &id)| (key, id));
-                        let expect = head.filter(|&((at, _), _)| at <= horizon);
-                        if let Some((key, _)) = expect {
+                        let expect = model.first().copied().filter(|&(at, _)| at <= horizon);
+                        if let Some(key) = expect {
                             model.remove(&key);
                             now = key.0;
                             dispatched += 1;
@@ -704,10 +706,7 @@ mod tests {
                             assert_eq!(ledger.borrow()[payload.0 as usize], 0);
                             (at, payload.0)
                         });
-                        assert_eq!(
-                            got,
-                            expect.map(|((at, _), id)| (SimTime::from_nanos(at), id))
-                        );
+                        assert_eq!(got, expect.map(|(at, id)| (SimTime::from_nanos(at), id)));
                         if got.is_some() && q.cur == cur {
                             reach(5, run > 0 && q.late.len() < late);
                             reach(6, late > 0 && q.run.len() < run);
@@ -727,7 +726,7 @@ mod tests {
                         (loaded, peak) = (0, 0);
                     }
                 }
-                let head = model.first_key_value().map(|(&(at, _), _)| at);
+                let head = model.first().map(|&(at, _)| at);
                 assert_eq!(q.peek_time(), head.map(SimTime::from_nanos));
                 assert_eq!(q.now(), SimTime::from_nanos(now));
                 assert_eq!((q.len(), q.is_empty()), (model.len(), model.is_empty()));
@@ -740,7 +739,7 @@ mod tests {
                 assert!(ledger.iter().all(|&drops| drops <= 1));
                 let dropped = ledger.iter().map(|&drops| u64::from(drops)).sum::<u64>();
                 assert_eq!(dropped, dispatched + discarded);
-                assert!(model.values().all(|&id| ledger[id as usize] == 0));
+                assert!(model.iter().all(|&(_, id)| ledger[id as usize] == 0));
                 // A loaded event gave its slot back: the slab never holds
                 // more slots than events were pending at once.
                 peak = peak.max(q.len());

@@ -65,8 +65,10 @@ if len(sys.argv) > 3 and sys.argv[2] == "--annotate":
     base = next(b for s, e, b, p in maps if os.path.realpath(p) == exe)
     hits = collections.Counter(a - base for a in samples)
     for i, (addr, size, n) in enumerate(syms):
+        if sys.argv[3] not in n:
+            continue
         inside = sum(c for a, c in hits.items() if addr <= a < addr + size)
-        if sys.argv[3] not in n or not inside:
+        if not inside:
             continue
         print(f"{inside} samples in {label(i)}")
         dis = subprocess.run(["objdump", "-d", "--no-show-raw-insn", "-C", f"--start-address={addr}", f"--stop-address={addr + size}", exe], capture_output=True, text=True).stdout

@@ -9,8 +9,9 @@
 //!
 //! Runs under the in-tree `tiger_bench::runner` (criterion replaced in-tree
 //! so the workspace builds offline): a human table on stderr, a JSON
-//! document on stdout for the `BENCH_*.json` trajectory. Filter by
-//! substring: `cargo bench --bench micro -- view`.
+//! document on stdout, both in reference ns, for `bench_compare` to set
+//! against another run. Filter by substring:
+//! `cargo bench --bench micro -- view`.
 
 use tiger_bench::runner::{black_box, Runner};
 

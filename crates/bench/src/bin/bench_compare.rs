@@ -1,14 +1,16 @@
-//! Compares two `BENCH_*.json` snapshots and flags median regressions.
+//! Sets two micro-bench runs side by side, row by row, in reference ns.
 //!
 //! ```text
-//! bench_compare BASELINE.json CANDIDATE.json
+//! cargo bench -q -p tiger-bench > A.json    # on the parent
+//! cargo bench -q -p tiger-bench > B.json    # on the change
+//! bench_compare A.json B.json
 //! ```
 //!
-//! Prints one row per benchmark with the median delta. Exits 1 if any
-//! benchmark present in both snapshots regressed by more than the
-//! tolerance (10%, overridable via `TIGER_BENCH_TOL`, in percent).
-//! Benchmarks present in only one snapshot are listed but never fatal, so
-//! adding or retiring a micro-bench doesn't break the comparison stage.
+//! Prints each row's two medians, their ratio (B / A), and each side's
+//! median slowdown — how much slower than the quiet reference box the host
+//! ran while the row was timed. A report for the PR that cites it, not a
+//! gate: it exits 0 whatever the ratios (2 on unreadable input). Rows
+//! present on one side only are listed as `new` or `removed`.
 
 use std::process::exit;
 
@@ -16,66 +18,52 @@ use tiger_bench::runner::{parse_snapshot, BenchResult};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let [baseline_path, candidate_path] = args.as_slice() else {
-        eprintln!("usage: bench_compare BASELINE.json CANDIDATE.json");
+    let [a_path, b_path] = args.as_slice() else {
+        eprintln!("usage: bench_compare A.json B.json");
         exit(2);
     };
-    let tolerance_pct: f64 = std::env::var("TIGER_BENCH_TOL")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(10.0);
+    let a = load(a_path);
+    let b = load(b_path);
 
-    let baseline = load(baseline_path);
-    let candidate = load(candidate_path);
-
-    println!("benchmark                                base_median  cand_median    delta");
-    let mut regressions = 0u32;
-    for c in &candidate {
-        let Some(b) = baseline.iter().find(|b| b.name == c.name) else {
-            println!("{:<40} {:>11} {:>12.1}     new", c.name, "-", c.median_ns);
-            continue;
-        };
-        let delta_pct = if b.median_ns > 0.0 {
-            (c.median_ns - b.median_ns) / b.median_ns * 100.0
-        } else {
-            0.0
-        };
-        let flag = if delta_pct > tolerance_pct {
-            regressions += 1;
-            "  REGRESSION"
-        } else {
-            ""
-        };
-        println!(
-            "{:<40} {:>11.1} {:>12.1} {:>+7.1}%{}",
-            c.name, b.median_ns, c.median_ns, delta_pct, flag
-        );
-    }
-    for b in &baseline {
-        if !candidate.iter().any(|c| c.name == b.name) {
-            println!("{:<40} {:>11.1} {:>12}  removed", b.name, b.median_ns, "-");
+    println!(
+        "{:<40} {:>10} {:>10} {:>7}  slowdown A / B",
+        "benchmark", "A ref-ns", "B ref-ns", "B / A"
+    );
+    for row in &b {
+        match a.iter().find(|old| old.name == row.name) {
+            Some(old) => println!(
+                "{:<40} {:>10.1} {:>10.1} {:>6.2}x  {:>5.2} / {:.2}",
+                row.name,
+                old.ref_ns,
+                row.ref_ns,
+                row.ref_ns / old.ref_ns,
+                old.slowdown,
+                row.slowdown
+            ),
+            None => println!("{:<40} {:>10} {:>10.1}     new", row.name, "-", row.ref_ns),
         }
     }
-
-    if regressions > 0 {
-        eprintln!(
-            "bench_compare: {regressions} benchmark(s) regressed more than \
-             {tolerance_pct}% on the median"
-        );
-        exit(1);
+    for old in a
+        .iter()
+        .filter(|old| !b.iter().any(|row| row.name == old.name))
+    {
+        println!("{:<40} {:>10.1} {:>10}  removed", old.name, old.ref_ns, "-");
     }
-    println!("no median regression above {tolerance_pct}%");
 }
 
 fn load(path: &str) -> Vec<BenchResult> {
-    let json = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("bench_compare: cannot read {path}: {e}");
-        exit(2);
-    });
-    let results = parse_snapshot(&json);
-    if results.is_empty() {
-        eprintln!("bench_compare: no benchmarks found in {path}");
-        exit(2);
+    let rows = std::fs::read_to_string(path)
+        .map_err(|e| e.to_string())
+        .and_then(|json| parse_snapshot(&json));
+    match rows {
+        Ok(rows) if !rows.is_empty() => rows,
+        Ok(_) => {
+            eprintln!("bench_compare: no benchmarks in {path}");
+            exit(2);
+        }
+        Err(e) => {
+            eprintln!("bench_compare: {path}: {e}");
+            exit(2);
+        }
     }
-    results
 }

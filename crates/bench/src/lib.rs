@@ -36,18 +36,22 @@
 //!
 //! The other binaries are tools, not experiments: `trace_timeline`
 //! renders trace dumps (and the three timeline goldens), `bench_compare`
-//! and `bench_merge` maintain `BENCH_micro.json`.
+//! sets two micro-bench runs side by side.
 //!
 //! Micro-benches for the schedule operations themselves live in `benches/`
 //! (the §5 premise that schedule management cost is negligible next to
 //! data movement), driven by the in-tree [`runner`] so the workspace needs
-//! no registry crates and emits machine-readable JSON for the
-//! `BENCH_*.json` trajectory.
+//! no registry crates. Each row is a median in reference nanoseconds
+//! ([`refclock`]); one run is `cargo bench -q -p tiger-bench > A.json`
+//! (`-- view/` for one group), and an A/B is two such runs, parent and
+//! change, read with `bench_compare A.json B.json`. Nothing is checked
+//! in and nothing gates: a PR cites the rows it moved.
 
 pub mod chaos;
 pub mod coded;
 pub mod fleet;
 pub mod hotspot;
+pub mod refclock;
 pub mod runner;
 pub mod workloads;
 

@@ -15,11 +15,12 @@
 //! with `ctrl` in place of `c<cub>` for controller-side events
 //! ([`CTRL`]). Lines starting with `#` are comments. The format is
 //! lossless: [`TraceRecord::parse_line`] inverts [`TraceRecord::to_line`]
-//! exactly, which is what lets `trace_timeline` re-render and diff dumps
-//! long after the run that produced them.
+//! exactly and accepts nothing else, which is what lets `trace_timeline`
+//! re-render and diff dumps long after the run that produced them.
 
 use std::fmt::Write as _;
 
+use tiger_sim::kv::clauses;
 use tiger_sim::SimTime;
 
 /// Pseudo cub id for events recorded by the controller (which is not a
@@ -101,13 +102,8 @@ macro_rules! trace_events {
             /// Rebuilds an event from its wire name and `(key, value)`
             /// pairs; `None` if the name is unknown, a field is absent, or
             /// a value does not fit its field.
-            pub fn from_parts(name: &str, fields: &[(String, u64)]) -> Option<TraceEvent> {
-                let get = |key: &str| {
-                    fields
-                        .iter()
-                        .find(|(k, _)| k.as_str() == key)
-                        .map(|&(_, v)| v)
-                };
+            fn from_parts(name: &str, fields: &[(&str, u64)]) -> Option<TraceEvent> {
+                let get = |key: &str| fields.iter().find(|&&(k, _)| k == key).map(|&(_, v)| v);
                 match name {
                     $( $name => Some(TraceEvent::$variant {
                         $( $field: Field::from_raw(get(stringify!($field))?)? ),*
@@ -283,7 +279,9 @@ impl TraceRecord {
         s
     }
 
-    /// Parses one dump line; `None` on any malformation.
+    /// Parses one dump line; `None` on any malformation, and on any line
+    /// [`TraceRecord::to_line`] would not have written (a leading zero, a
+    /// field out of order, twice or unknown).
     pub fn parse_line(line: &str) -> Option<TraceRecord> {
         let mut it = line.split_ascii_whitespace();
         let seq = it.next()?.parse().ok()?;
@@ -298,299 +296,297 @@ impl TraceRecord {
         let mut fields = Vec::new();
         for kv in it {
             let (k, v) = kv.split_once('=')?;
-            fields.push((k.to_string(), v.parse().ok()?));
+            fields.push((k, v.parse().ok()?));
         }
         let ev = TraceEvent::from_parts(name, &fields)?;
-        Some(TraceRecord { seq, at, cub, ev })
+        let rec = TraceRecord { seq, at, cub, ev };
+        (rec.to_line() == line).then_some(rec)
     }
 }
 
 /// Parses a whole dump (as produced by `Tracer::dump`), skipping blank
 /// and `#`-comment lines. Errors name the first offending line.
 pub fn parse_dump(text: &str) -> Result<Vec<TraceRecord>, String> {
-    let mut out = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        match TraceRecord::parse_line(line) {
-            Some(rec) => out.push(rec),
-            None => return Err(format!("unparseable trace line {}: {line:?}", i + 1)),
-        }
-    }
-    Ok(out)
+    clauses(text)
+        .map(|(n, line)| {
+            TraceRecord::parse_line(line)
+                .ok_or_else(|| format!("unparseable trace line {n}: {line:?}"))
+        })
+        .collect()
+}
+
+/// One event of every kind, each with the cub that records it: the
+/// round-trip tests' inputs, and the seeds the decoder mutation property
+/// in `tests/properties.rs` mutates.
+pub fn sample_events() -> Vec<(u32, TraceEvent)> {
+    vec![
+        (
+            0,
+            TraceEvent::VsForward {
+                dst: 1,
+                count: 3,
+                second: false,
+            },
+        ),
+        (
+            1,
+            TraceEvent::VsAccept {
+                slot: 7,
+                viewer: 4,
+                inc: 0,
+                play_seq: 2,
+                position: 19,
+            },
+        ),
+        (
+            1,
+            TraceEvent::VsDuplicate {
+                slot: 7,
+                viewer: 4,
+                inc: 0,
+                play_seq: 2,
+            },
+        ),
+        (
+            1,
+            TraceEvent::VsBlocked {
+                slot: 7,
+                viewer: 4,
+                inc: 1,
+            },
+        ),
+        (
+            2,
+            TraceEvent::VsShadow {
+                slot: 9,
+                viewer: 5,
+                inc: 0,
+            },
+        ),
+        (
+            2,
+            TraceEvent::VsConflict {
+                slot: 9,
+                viewer: 6,
+                inc: 0,
+            },
+        ),
+        (
+            2,
+            TraceEvent::VsLate {
+                slot: 9,
+                viewer: 6,
+                inc: 0,
+                play_seq: 40,
+            },
+        ),
+        (
+            0,
+            TraceEvent::DeschedApply {
+                slot: 3,
+                viewer: 4,
+                inc: 0,
+                first: true,
+                killed: 1,
+                hops_left: 5,
+            },
+        ),
+        (
+            0,
+            TraceEvent::DeschedExpire {
+                slot: 3,
+                viewer: 4,
+                inc: 0,
+            },
+        ),
+        (
+            3,
+            TraceEvent::InsertCommit {
+                slot: 11,
+                viewer: 8,
+                inc: 2,
+                disk: 6,
+            },
+        ),
+        (
+            3,
+            TraceEvent::InsertMiss {
+                viewer: 8,
+                inc: 2,
+                disk: 6,
+            },
+        ),
+        (0, TraceEvent::DeadmanPing { to: 1 }),
+        (
+            2,
+            TraceEvent::DeadmanDeclare {
+                failed: 1,
+                silence_ns: 5_000_000_001,
+            },
+        ),
+        (2, TraceEvent::FailureNotice { failed: 1 }),
+        (2, TraceEvent::MirrorTakeover { failed_cub: 1 }),
+        (
+            2,
+            TraceEvent::MirrorCreate {
+                slot: 5,
+                viewer: 4,
+                inc: 0,
+                failed_disk: 1,
+            },
+        ),
+        (
+            3,
+            TraceEvent::MirrorAccept {
+                slot: 5,
+                viewer: 4,
+                inc: 0,
+                piece: 1,
+            },
+        ),
+        (
+            2,
+            TraceEvent::CodedRepair {
+                slot: 5,
+                viewer: 4,
+                inc: 0,
+                failed_disk: 1,
+            },
+        ),
+        (
+            3,
+            TraceEvent::DegradedPieceRead {
+                slot: 5,
+                viewer: 4,
+                inc: 0,
+                shard: 2,
+            },
+        ),
+        (
+            0,
+            TraceEvent::DiskIssue {
+                slot: 2,
+                viewer: 4,
+                inc: 0,
+                disk: 0,
+            },
+        ),
+        (
+            0,
+            TraceEvent::DiskDone {
+                slot: 2,
+                viewer: 4,
+                inc: 0,
+            },
+        ),
+        (
+            0,
+            TraceEvent::SendDue {
+                slot: 2,
+                viewer: 4,
+                inc: 0,
+                ok: true,
+            },
+        ),
+        (
+            0,
+            TraceEvent::SendDone {
+                slot: 2,
+                viewer: 4,
+                inc: 0,
+            },
+        ),
+        (
+            CTRL,
+            TraceEvent::CtrlRouteStart {
+                viewer: 4,
+                inc: 0,
+                primary: 0,
+                redundant: u32::MAX,
+            },
+        ),
+        (
+            CTRL,
+            TraceEvent::CtrlRouteDesched {
+                viewer: 4,
+                inc: 0,
+                slot: 2,
+                target: 0,
+            },
+        ),
+        (CTRL, TraceEvent::PowerCut { cub: 1 }),
+        (
+            CTRL,
+            TraceEvent::NetDrop {
+                src: 1,
+                dst: 3,
+                partition: true,
+            },
+        ),
+        (
+            CTRL,
+            TraceEvent::NetDelay {
+                src: 1,
+                dst: 0,
+                extra_ns: 20_000_000,
+            },
+        ),
+        (CTRL, TraceEvent::NetDup { src: 0, dst: 2 }),
+        (
+            2,
+            TraceEvent::DiskTransient {
+                slot: 4,
+                viewer: 4,
+                inc: 0,
+                disk: 1,
+            },
+        ),
+        (CTRL, TraceEvent::DiskDeath { cub: 2, disk: 1 }),
+        (CTRL, TraceEvent::CubFreeze { cub: 0 }),
+        (CTRL, TraceEvent::CubResume { cub: 0 }),
+        (2, TraceEvent::CubFenced { cub: 2 }),
+        (CTRL, TraceEvent::FaultStart { clause: 0 }),
+        (CTRL, TraceEvent::FaultEnd { clause: 0 }),
+        (CTRL, TraceEvent::CubRestart { cub: 1 }),
+        (2, TraceEvent::RejoinGrant { to: 1, count: 12 }),
+        (0, TraceEvent::RetiredReplay { to: 1, count: 5 }),
+        (1, TraceEvent::RejoinDone { cub: 1 }),
+        (CTRL, TraceEvent::RestripeStart { moves: 96 }),
+        (CTRL, TraceEvent::RestripeStall { pending: 4 }),
+        (CTRL, TraceEvent::RestripeCutover { moved: 96 }),
+        (CTRL, TraceEvent::ShrinkDrain { cub: 5, moved: 48 }),
+        (CTRL, TraceEvent::ShrinkFence { cub: 5 }),
+        (
+            CTRL,
+            TraceEvent::SpareShadow {
+                spare: 6,
+                disk: 2,
+                piece: 1,
+                count: 24,
+            },
+        ),
+        (
+            CTRL,
+            TraceEvent::WorkgenBurst {
+                title: 7,
+                peak_x10: 400,
+            },
+        ),
+        (
+            0,
+            TraceEvent::SessionTransition {
+                viewer: 4,
+                inc: 1,
+                kind: 2,
+                to_block: 120,
+            },
+        ),
+    ]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample_events() -> Vec<(u32, TraceEvent)> {
-        vec![
-            (
-                0,
-                TraceEvent::VsForward {
-                    dst: 1,
-                    count: 3,
-                    second: false,
-                },
-            ),
-            (
-                1,
-                TraceEvent::VsAccept {
-                    slot: 7,
-                    viewer: 4,
-                    inc: 0,
-                    play_seq: 2,
-                    position: 19,
-                },
-            ),
-            (
-                1,
-                TraceEvent::VsDuplicate {
-                    slot: 7,
-                    viewer: 4,
-                    inc: 0,
-                    play_seq: 2,
-                },
-            ),
-            (
-                1,
-                TraceEvent::VsBlocked {
-                    slot: 7,
-                    viewer: 4,
-                    inc: 1,
-                },
-            ),
-            (
-                2,
-                TraceEvent::VsShadow {
-                    slot: 9,
-                    viewer: 5,
-                    inc: 0,
-                },
-            ),
-            (
-                2,
-                TraceEvent::VsConflict {
-                    slot: 9,
-                    viewer: 6,
-                    inc: 0,
-                },
-            ),
-            (
-                2,
-                TraceEvent::VsLate {
-                    slot: 9,
-                    viewer: 6,
-                    inc: 0,
-                    play_seq: 40,
-                },
-            ),
-            (
-                0,
-                TraceEvent::DeschedApply {
-                    slot: 3,
-                    viewer: 4,
-                    inc: 0,
-                    first: true,
-                    killed: 1,
-                    hops_left: 5,
-                },
-            ),
-            (
-                0,
-                TraceEvent::DeschedExpire {
-                    slot: 3,
-                    viewer: 4,
-                    inc: 0,
-                },
-            ),
-            (
-                3,
-                TraceEvent::InsertCommit {
-                    slot: 11,
-                    viewer: 8,
-                    inc: 2,
-                    disk: 6,
-                },
-            ),
-            (
-                3,
-                TraceEvent::InsertMiss {
-                    viewer: 8,
-                    inc: 2,
-                    disk: 6,
-                },
-            ),
-            (0, TraceEvent::DeadmanPing { to: 1 }),
-            (
-                2,
-                TraceEvent::DeadmanDeclare {
-                    failed: 1,
-                    silence_ns: 5_000_000_001,
-                },
-            ),
-            (2, TraceEvent::FailureNotice { failed: 1 }),
-            (2, TraceEvent::MirrorTakeover { failed_cub: 1 }),
-            (
-                2,
-                TraceEvent::MirrorCreate {
-                    slot: 5,
-                    viewer: 4,
-                    inc: 0,
-                    failed_disk: 1,
-                },
-            ),
-            (
-                3,
-                TraceEvent::MirrorAccept {
-                    slot: 5,
-                    viewer: 4,
-                    inc: 0,
-                    piece: 1,
-                },
-            ),
-            (
-                2,
-                TraceEvent::CodedRepair {
-                    slot: 5,
-                    viewer: 4,
-                    inc: 0,
-                    failed_disk: 1,
-                },
-            ),
-            (
-                3,
-                TraceEvent::DegradedPieceRead {
-                    slot: 5,
-                    viewer: 4,
-                    inc: 0,
-                    shard: 2,
-                },
-            ),
-            (
-                0,
-                TraceEvent::DiskIssue {
-                    slot: 2,
-                    viewer: 4,
-                    inc: 0,
-                    disk: 0,
-                },
-            ),
-            (
-                0,
-                TraceEvent::DiskDone {
-                    slot: 2,
-                    viewer: 4,
-                    inc: 0,
-                },
-            ),
-            (
-                0,
-                TraceEvent::SendDue {
-                    slot: 2,
-                    viewer: 4,
-                    inc: 0,
-                    ok: true,
-                },
-            ),
-            (
-                0,
-                TraceEvent::SendDone {
-                    slot: 2,
-                    viewer: 4,
-                    inc: 0,
-                },
-            ),
-            (
-                CTRL,
-                TraceEvent::CtrlRouteStart {
-                    viewer: 4,
-                    inc: 0,
-                    primary: 0,
-                    redundant: u32::MAX,
-                },
-            ),
-            (
-                CTRL,
-                TraceEvent::CtrlRouteDesched {
-                    viewer: 4,
-                    inc: 0,
-                    slot: 2,
-                    target: 0,
-                },
-            ),
-            (CTRL, TraceEvent::PowerCut { cub: 1 }),
-            (
-                CTRL,
-                TraceEvent::NetDrop {
-                    src: 1,
-                    dst: 3,
-                    partition: true,
-                },
-            ),
-            (
-                CTRL,
-                TraceEvent::NetDelay {
-                    src: 1,
-                    dst: 0,
-                    extra_ns: 20_000_000,
-                },
-            ),
-            (CTRL, TraceEvent::NetDup { src: 0, dst: 2 }),
-            (
-                2,
-                TraceEvent::DiskTransient {
-                    slot: 4,
-                    viewer: 4,
-                    inc: 0,
-                    disk: 1,
-                },
-            ),
-            (CTRL, TraceEvent::DiskDeath { cub: 2, disk: 1 }),
-            (CTRL, TraceEvent::CubFreeze { cub: 0 }),
-            (CTRL, TraceEvent::CubResume { cub: 0 }),
-            (2, TraceEvent::CubFenced { cub: 2 }),
-            (CTRL, TraceEvent::FaultStart { clause: 0 }),
-            (CTRL, TraceEvent::FaultEnd { clause: 0 }),
-            (CTRL, TraceEvent::CubRestart { cub: 1 }),
-            (2, TraceEvent::RejoinGrant { to: 1, count: 12 }),
-            (0, TraceEvent::RetiredReplay { to: 1, count: 5 }),
-            (1, TraceEvent::RejoinDone { cub: 1 }),
-            (CTRL, TraceEvent::RestripeStart { moves: 96 }),
-            (CTRL, TraceEvent::RestripeStall { pending: 4 }),
-            (CTRL, TraceEvent::RestripeCutover { moved: 96 }),
-            (CTRL, TraceEvent::ShrinkDrain { cub: 5, moved: 48 }),
-            (CTRL, TraceEvent::ShrinkFence { cub: 5 }),
-            (
-                CTRL,
-                TraceEvent::SpareShadow {
-                    spare: 6,
-                    disk: 2,
-                    piece: 1,
-                    count: 24,
-                },
-            ),
-            (
-                CTRL,
-                TraceEvent::WorkgenBurst {
-                    title: 7,
-                    peak_x10: 400,
-                },
-            ),
-            (
-                0,
-                TraceEvent::SessionTransition {
-                    viewer: 4,
-                    inc: 1,
-                    kind: 2,
-                    to_block: 120,
-                },
-            ),
-        ]
-    }
 
     #[test]
     fn every_variant_round_trips_through_the_line_format() {
@@ -642,5 +638,14 @@ mod tests {
             parse_dump("0 100 c0 send-due slot=1 viewer=7 inc=0 ok=2").is_err(),
             "a bool is 0 or 1"
         );
+        // Parse, but are not what `to_line` writes.
+        for bad in [
+            "0 100 c0 deadman-ping to=1 junk=5",
+            "0 100 c0 deadman-ping to=1 to=2",
+            "0 100 c0 vs-shadow inc=0 viewer=7 slot=1",
+            "00 0100 c00 deadman-ping to=01",
+        ] {
+            assert!(parse_dump(bad).is_err(), "accepted {bad:?}");
+        }
     }
 }

@@ -325,6 +325,8 @@ impl WorkloadPlan {
     /// ```
     pub fn parse(text: &str) -> Result<WorkloadPlan, String> {
         let mut plan = WorkloadPlan::new();
+        // The line each flash crowd was declared on.
+        let mut crowd_lines = Vec::new();
         for (n, line) in clauses(text) {
             // A fault clause joins the plan's fault list in file order, so
             // its clause numbering matches a standalone fault file.
@@ -336,8 +338,19 @@ impl WorkloadPlan {
                 None => parse_clause(line, &mut plan),
             }
             .map_err(|e| format!("line {n}: {e}"))?;
+            crowd_lines.resize(plan.crowds.len(), n);
         }
-        validate(&plan)?;
+        // Whichever clause came last, a crowd outside the catalog is the
+        // crowd's error.
+        for (c, n) in plan.crowds.iter().zip(crowd_lines) {
+            if c.title >= plan.titles() {
+                return Err(format!(
+                    "line {n}: flashcrowd title=t{} is outside the {}-title catalog",
+                    c.title,
+                    plan.titles()
+                ));
+            }
+        }
         Ok(plan)
     }
 }
@@ -354,35 +367,25 @@ pub fn load_plan_file(path: impl AsRef<std::path::Path>) -> Result<WorkloadPlan,
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("{}: cannot read plan: {e}", path.display()))?;
     WorkloadPlan::parse(&text).map_err(|e| {
-        // Clause errors arrive as "line N: msg"; fold the line number
-        // into the path prefix. Cross-clause validation errors have no
-        // line and keep the bare path.
-        if let Some((n, msg)) = e
+        // Errors arrive as "line N: msg"; fold the line number into the
+        // path prefix.
+        match e
             .strip_prefix("line ")
             .and_then(|rest| rest.split_once(": "))
         {
-            if n.chars().all(|c| c.is_ascii_digit()) {
-                return format!("{}:{n}: {msg}", path.display());
-            }
+            Some((n, msg)) => format!("{}:{n}: {msg}", path.display()),
+            None => format!("{}: {e}", path.display()),
         }
-        format!("{}: {e}", path.display())
     })
 }
 
-fn validate(plan: &WorkloadPlan) -> Result<(), String> {
-    if plan.titles() == 0 {
-        return Err("titles= must be at least 1".into());
+/// Parses a catalog size: `titles=` must name at least one title.
+fn parse_titles(tok: &str) -> Result<u32, String> {
+    match tok.parse() {
+        Ok(0) => Err("titles= must be at least 1".into()),
+        Ok(titles) => Ok(titles),
+        Err(_) => Err("bad titles=".into()),
     }
-    for c in &plan.crowds {
-        if c.title >= plan.titles() {
-            return Err(format!(
-                "flashcrowd title=t{} is outside the {}-title catalog",
-                c.title,
-                plan.titles()
-            ));
-        }
-    }
-    Ok(())
 }
 
 // --- Text format -------------------------------------------------------------
@@ -450,17 +453,11 @@ fn parse_clause(line: &str, plan: &mut WorkloadPlan) -> Result<(), String> {
             if !(s.is_finite() && s >= 0.0) {
                 return Err("s= must be finite and non-negative".into());
             }
-            let titles: u32 = args
-                .get("titles")?
-                .parse()
-                .map_err(|_| "bad titles=".to_string())?;
+            let titles = parse_titles(args.get("titles")?)?;
             plan.popularity = PopularitySpec::Zipf { s, titles };
         }
         "uniform" => {
-            let titles: u32 = args
-                .get("titles")?
-                .parse()
-                .map_err(|_| "bad titles=".to_string())?;
+            let titles = parse_titles(args.get("titles")?)?;
             plan.popularity = PopularitySpec::Uniform { titles };
         }
         "flashcrowd" => {
@@ -643,10 +640,10 @@ fault restart c1 at=200s
         );
         assert!(err.contains("unknown clause verb \"warp\""), "{err}");
 
-        // Cross-clause validation has no line; the bare path prefixes it.
-        std::fs::write(&bad, "flashcrowd title=t99 at=1s peak=2x decay=5s\n").unwrap();
+        // So does a crowd outside the catalog, on the crowd's line.
+        std::fs::write(&bad, "\nflashcrowd title=t99 at=1s peak=2x decay=5s\n").unwrap();
         let err = load_plan_file(&bad).unwrap_err();
-        assert!(err.starts_with(&format!("{}: ", bad.display())), "{err}");
+        assert!(err.starts_with(&format!("{}:2: ", bad.display())), "{err}");
         assert!(err.contains("outside"), "{err}");
 
         // A missing file names the path too.
@@ -687,16 +684,23 @@ fault restart c1 at=200s
             // What no reader understands is an error, not a default.
             ("uniform titles=4 title=9", "unknown argument title="),
             ("viewers max=10 max=20", "max= given twice"),
+            ("zipf s=1.1 titles=0", "titles= must be at least 1"),
         ] {
             let err = WorkloadPlan::parse(bad).expect_err(bad);
             assert!(err.contains("line 1"), "{bad} -> {err}");
             assert!(err.contains(needle), "{bad} -> {err}");
         }
-        // Cross-clause validation happens after all lines parse.
-        let err =
-            WorkloadPlan::parse("uniform titles=4\nflashcrowd title=t9 at=1s peak=2x decay=5s")
-                .expect_err("crowd outside catalog");
-        assert!(err.contains("outside"), "{err}");
+        // A crowd outside the catalog is checked after all lines parse,
+        // and named on its own line whichever clause came last.
+        for plan in [
+            "uniform titles=4\nflashcrowd title=t9 at=1s peak=2x decay=5s",
+            "flashcrowd title=t1 at=1s peak=2x decay=5s\nflashcrowd title=t9 at=1s peak=2x decay=5s\n\
+             uniform titles=4",
+        ] {
+            let err = WorkloadPlan::parse(plan).expect_err("crowd outside catalog");
+            assert!(err.starts_with("line 2: "), "{err}");
+            assert!(err.contains("outside"), "{err}");
+        }
         // Malformed composed fault clauses surface with the fault prefix
         // and their own line.
         let err =

@@ -3,7 +3,8 @@
 //! These hold for *arbitrary* system geometries, not just the SOSP testbed:
 //! striping is a bijection per lap, mirror pieces always avoid their
 //! primary, the exact slot partition tiles the ring, ownership is unique,
-//! and the restriper conserves blocks.
+//! and the restriper conserves blocks. And for arbitrary input lines: every
+//! line decoder survives seeded mutants of what it is meant to read.
 //!
 //! Ported from `proptest` to the in-tree `tiger_sim::check` harness: each
 //! property runs over many deterministically seeded cases, and failures
@@ -195,4 +196,180 @@ fn restripe_conserves_blocks() {
             assert_ne!(m.from, m.to, "no-op moves must be filtered");
         }
     });
+}
+
+/// Bytes an inserted or flipped-to byte is drawn from half the time: what
+/// the line decoders treat specially (separators, signs, digits, comment
+/// marks, kind and unit letters).
+const SPECIAL: &[u8] = b" ,:=-+0123456789#\tPMCctsx";
+
+/// Swaps two of `items`, duplicates one, or drops one (`op` 3, 4, other).
+fn edit<T: Clone>(rng: &mut SimRng, op: u32, items: &mut Vec<T>) {
+    let (i, j) = (rng.gen_range(0..items.len()), rng.gen_range(0..items.len()));
+    match op {
+        3 => items.swap(i, j),
+        4 => items.insert(i, items[j].clone()),
+        _ => {
+            items.remove(i);
+        }
+    }
+}
+
+/// One seeded edit of `text`: an ASCII byte flipped, inserted or deleted,
+/// or a token swapped, duplicated or dropped — a space-separated token of
+/// one line, or for a plan, by turns, a whole line.
+fn mutate(rng: &mut SimRng, text: &str) -> String {
+    let mut bytes = text.as_bytes().to_vec();
+    match rng.gen_range(0u32..6) {
+        0 if !bytes.is_empty() => {
+            let i = rng.gen_range(0..bytes.len());
+            bytes[i] ^= 1 << rng.gen_range(0u32..7);
+        }
+        1 => {
+            let byte = if rng.gen_bool(0.5) {
+                SPECIAL[rng.gen_range(0..SPECIAL.len())]
+            } else {
+                rng.gen_range(0x20u8..0x7f)
+            };
+            bytes.insert(rng.gen_range(0..=bytes.len()), byte);
+        }
+        2 if !bytes.is_empty() => {
+            bytes.remove(rng.gen_range(0..bytes.len()));
+        }
+        op => {
+            let mut lines: Vec<String> = text.split('\n').map(String::from).collect();
+            if lines.len() > 1 && rng.gen_bool(0.5) {
+                edit(rng, op, &mut lines);
+            } else {
+                let l = rng.gen_range(0..lines.len());
+                let mut toks: Vec<&str> = lines[l].split(' ').collect();
+                edit(rng, op, &mut toks);
+                lines[l] = toks.join(" ");
+            }
+            return lines.join("\n");
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+/// `e` leads with `line <n>: `, as every plan-parse error must.
+fn names_a_line(e: &str) -> bool {
+    e.strip_prefix("line ")
+        .and_then(|rest| rest.split_once(": "))
+        .is_some_and(|(n, _)| n.parse::<usize>().is_ok())
+}
+
+/// Every line decoder against seeded mutants of the lines it is meant to
+/// read: no decoder panics on any of them, a wire or trace line is
+/// accepted only if it re-encodes to its own bytes, and a plan that does
+/// not parse says on which line.
+#[test]
+fn line_decoders_survive_mutation() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use tiger::faults::FaultPlan;
+    use tiger::trace::{event::sample_events, parse_dump, TraceRecord};
+    use tiger_proto::wire;
+    use tiger_workgen::WorkloadPlan;
+
+    let messages = wire::exemplars();
+    let records: Vec<TraceRecord> = sample_events()
+        .into_iter()
+        .enumerate()
+        .map(|(i, (cub, ev))| TraceRecord {
+            seq: i as u64,
+            at: SimTime::from_nanos(1_000_000 * i as u64),
+            cub,
+            ev,
+        })
+        .collect();
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/workloads");
+    let mut plans: Vec<String> = std::fs::read_dir(dir)
+        .expect("examples/workloads is checked in")
+        .map(|entry| entry.expect("a directory entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "plan"))
+        .map(|path| std::fs::read_to_string(path).expect("a plan file reads"))
+        .collect();
+    plans.sort();
+    // The fault clauses the plans embed, as a fault plan of their own.
+    let faults: Vec<String> = plans
+        .iter()
+        .map(|plan| {
+            let clauses = plan.lines().filter_map(|l| l.strip_prefix("fault "));
+            clauses.collect::<Vec<_>>().join("\n")
+        })
+        .filter(|text| !text.is_empty())
+        .collect();
+    assert!(!faults.is_empty(), "no plan embeds a fault clause");
+
+    const REACH: [&str; 9] = [
+        "a wire mutant accepted as another message",
+        "a wire mutant rejected",
+        "a trace mutant accepted as another record",
+        "a trace mutant rejected",
+        "a workload plan mutant accepted as another plan",
+        "a workload plan mutant rejected",
+        "a workload plan mutant rejected in an embedded fault clause",
+        "a fault plan mutant accepted as another plan",
+        "a fault plan mutant rejected",
+    ];
+    let reached: [AtomicBool; 9] = Default::default();
+    let reach = |what: usize, when: bool| {
+        reached[what].fetch_or(when, Ordering::Relaxed);
+    };
+    // Each case mutates one input of every decoder, one to three edits.
+    let mutant = |rng: &mut SimRng, original: &str| {
+        let mut line = original.to_string();
+        for _ in 0..rng.gen_range(1u32..=3) {
+            line = mutate(rng, &line);
+        }
+        line
+    };
+    check("line_decoders_survive_mutation", |rng| {
+        let original = wire::encode(&messages[rng.gen_range(0..messages.len())]);
+        let line = mutant(rng, &original);
+        match wire::decode(&line) {
+            Some(msg) => {
+                assert_eq!(wire::encode(&msg), line, "wire accepted {line:?}");
+                reach(0, line != original);
+            }
+            None => reach(1, true),
+        }
+
+        let original = records[rng.gen_range(0..records.len())].to_line();
+        let line = mutant(rng, &original);
+        match TraceRecord::parse_line(&line) {
+            Some(rec) => {
+                assert_eq!(rec.to_line(), line, "trace accepted {line:?}");
+                reach(2, line != original);
+            }
+            None => reach(3, true),
+        }
+        let _ = parse_dump(&line);
+
+        let original = &plans[rng.gen_range(0..plans.len())];
+        let text = mutant(rng, original);
+        match WorkloadPlan::parse(&text) {
+            Ok(plan) => reach(4, WorkloadPlan::parse(original) != Ok(plan)),
+            Err(e) => {
+                assert!(names_a_line(&e), "{e:?} names no line of {text:?}");
+                reach(5, true);
+                reach(6, e.contains(": fault: "));
+            }
+        }
+
+        let original = &faults[rng.gen_range(0..faults.len())];
+        let text = mutant(rng, original);
+        match FaultPlan::parse(&text) {
+            Ok(plan) => reach(7, FaultPlan::parse(original) != Ok(plan)),
+            Err(e) => {
+                assert!(names_a_line(&e), "{e:?} names no line of {text:?}");
+                reach(8, true);
+            }
+        }
+    });
+    if std::env::var_os("TIGER_PROP_REPLAY").is_none() {
+        for (what, reached) in REACH.iter().zip(&reached) {
+            assert!(reached.load(Ordering::Relaxed), "no case reached {what}");
+        }
+    }
 }

@@ -30,6 +30,12 @@ cargo test -q --workspace
 echo "== event queue: calendar vs (time, seq) model, 2000 cases" >&2
 TIGER_PROP_CASES=2000 cargo test -q -p tiger-sim --lib calendar_matches_the_btreemap_model
 
+# The block index's dense runs against a map model, at eight times the
+# default case count: every disk read a cub makes, and the restriper's layout
+# digest, depend on this lookup. Fatal.
+echo "== block index: dense runs vs map model, 2000 cases" >&2
+TIGER_PROP_CASES=2000 cargo test -q -p tiger-layout --lib dense_index_matches_the_map_model
+
 # Every line decoder (wire datagrams, trace dumps, workload and fault
 # plans) against seeded byte and token mutants of the lines it reads, at
 # eight times the default case count: no panic, a wire or trace line

@@ -8,8 +8,8 @@
 //! because a degraded or overloaded read can be served from *any* `k`
 //! surviving pieces instead of the one disk holding the right mirror
 //! piece. This crate supplies the coding machinery and placement; the
-//! scheduling integration lives in `tiger-core` behind the
-//! [`tiger_layout::Redundancy`] trait.
+//! scheduling integration is the coded variant of `tiger-core`'s
+//! redundancy `Backend`.
 //!
 //! - [`gf256`]: GF(2⁸) arithmetic with compile-time exp/log tables.
 //! - [`rs::ReedSolomon`]: a systematic any-`k`-of-`n` erasure code.

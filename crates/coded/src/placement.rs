@@ -15,7 +15,7 @@
 //! `decluster` ring positions (the differential tests below pin both
 //! models against each other).
 
-use tiger_layout::{DiskId, MirrorPiece, Redundancy, RedundancyMode, StripeConfig};
+use tiger_layout::{DiskId, StripeConfig};
 use tiger_sim::ByteSize;
 
 /// Computes coded-shard placements for a striping configuration.
@@ -91,38 +91,10 @@ impl CodedPlacement {
     }
 }
 
-impl Redundancy for CodedPlacement {
-    fn mode(&self) -> RedundancyMode {
-        RedundancyMode::Coded
-    }
-
-    /// Shard 0 is the primary extent.
-    fn primary_size(&self, block_size: ByteSize) -> ByteSize {
-        self.shard_size(block_size)
-    }
-
-    /// Shards `1..2k`, one per following disk, all shard-sized. Reuses
-    /// the [`MirrorPiece`] shape — `piece` is the shard index.
-    fn secondary_pieces(&self, home: DiskId, block_size: ByteSize) -> Vec<MirrorPiece> {
-        let size = self.shard_size(block_size);
-        (1..self.n())
-            .map(|j| MirrorPiece {
-                piece: j,
-                disk: self.shard_disk(home, j),
-                size,
-            })
-            .collect()
-    }
-
-    fn survives(&self, failed: &[DiskId]) -> bool {
-        self.survives_failures(failed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tiger_layout::{MirrorPlacement, Mirrored};
+    use tiger_layout::MirrorPlacement;
     use tiger_sim::SimRng;
 
     fn coded(cubs: u32, dpc: u32, d: u32) -> CodedPlacement {
@@ -132,30 +104,17 @@ mod tests {
     #[test]
     fn shards_follow_home_disk() {
         let p = coded(14, 4, 4);
-        let pieces = p.secondary_pieces(DiskId(10), ByteSize::from_bytes(250_000));
-        assert_eq!(pieces.len(), 7);
-        for (i, piece) in pieces.iter().enumerate() {
-            assert_eq!(piece.piece, i as u32 + 1);
-            assert_eq!(piece.disk, DiskId(10 + 1 + i as u32));
-            assert_eq!(piece.size, ByteSize::from_bytes(62_500));
+        assert_eq!(p.n(), 8);
+        for j in 0..p.n() {
+            assert_eq!(p.shard_disk(DiskId(10), j), DiskId(10 + j));
         }
+        assert_eq!(
+            p.shard_size(ByteSize::from_bytes(250_000)),
+            ByteSize::from_bytes(62_500)
+        );
         assert_eq!(p.shard_index(DiskId(10), DiskId(10)), Some(0));
         assert_eq!(p.shard_index(DiskId(17), DiskId(10)), Some(7));
         assert_eq!(p.shard_index(DiskId(18), DiskId(10)), None);
-    }
-
-    #[test]
-    fn storage_overhead_equals_mirroring() {
-        // The ablation's precondition: both backends store 2 blocks per
-        // block (coded exactly, mirroring exactly; shard padding only
-        // appears when k does not divide the block size).
-        let b = ByteSize::from_bytes(250_000);
-        for d in [2u32, 4] {
-            let c = coded(14, 4, d);
-            let m = Mirrored::new(StripeConfig::new(14, 4, d));
-            assert_eq!(c.bytes_per_block(b).as_bytes(), 2 * b.as_bytes());
-            assert_eq!(m.bytes_per_block(b).as_bytes(), 2 * b.as_bytes());
-        }
     }
 
     #[test]
@@ -166,9 +125,8 @@ mod tests {
         let p = coded(4, 1, 2);
         assert_eq!(p.n(), 4);
         assert_eq!(
-            p.secondary_pieces(DiskId(3), ByteSize::from_bytes(100))
-                .iter()
-                .map(|x| x.disk)
+            (1..p.n())
+                .map(|j| p.shard_disk(DiskId(3), j))
                 .collect::<Vec<_>>(),
             vec![DiskId(0), DiskId(1), DiskId(2)]
         );
@@ -194,12 +152,12 @@ mod tests {
                     continue;
                 }
                 assert!(
-                    c.survives(&[DiskId(a), DiskId(b)]),
+                    c.survives_failures(&[DiskId(a), DiskId(b)]),
                     "coded loses at 2 failures"
                 );
                 // Differential: wherever mirroring survives, so does coded.
                 if !m.survives(&[DiskId(a), DiskId(b)]) {
-                    assert!(c.survives(&[DiskId(a), DiskId(b)]));
+                    assert!(c.survives_failures(&[DiskId(a), DiskId(b)]));
                 }
             }
         }
@@ -215,7 +173,7 @@ mod tests {
                     failed.push(f);
                 }
             }
-            assert!(c.survives(&failed), "k={d} failures {failed:?}");
+            assert!(c.survives_failures(&failed), "k={d} failures {failed:?}");
         });
     }
 
@@ -229,7 +187,7 @@ mod tests {
             let failed: Vec<DiskId> = (0..5)
                 .map(|i| c.config().disk_after(DiskId(start), i))
                 .collect();
-            assert!(!c.survives(&failed), "start {start}");
+            assert!(!c.survives_failures(&failed), "start {start}");
         }
     }
 
@@ -255,7 +213,7 @@ mod tests {
                     .count() as u32;
                 2 * d - lost >= d
             });
-            assert_eq!(c.survives(&failed), brute, "failed {failed:?}");
+            assert_eq!(c.survives_failures(&failed), brute, "failed {failed:?}");
         });
     }
 }

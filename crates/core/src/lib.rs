@@ -31,6 +31,7 @@
 //! assert_eq!(report.blocks_missing, 0);
 //! ```
 
+pub mod backend;
 pub mod central;
 pub mod client;
 pub mod config;
@@ -47,6 +48,7 @@ pub mod recovery;
 pub mod shield;
 pub mod system;
 
+pub use backend::Backend;
 pub use central::{central_control_send_rate, CentralSystem};
 pub use client::{Client, ClientReport};
 pub use config::{ForwardingPolicy, TigerConfig};

@@ -8,18 +8,17 @@ use std::collections::{HashSet, VecDeque};
 
 use tiger_layout::catalog::FileMeta;
 use tiger_layout::ids::ViewerInstance;
-use tiger_layout::{
-    BlockNum, CubId, FileId, MirrorPlacement, RedundancyMode, RestripePlan, StripeConfig,
-};
+use tiger_layout::{BlockNum, CubId, FileId, RedundancyMode, RestripePlan, StripeConfig};
 use tiger_proto::msg::Message;
 use tiger_sched::Deschedule;
 use tiger_sim::{SimDuration, SimTime};
 use tiger_trace::{TraceEvent, CTRL};
 
+use crate::backend::Backend;
 use crate::copy::{CopyJob, CopyPipeline, Lane};
 use crate::cub::Cub;
 use crate::event::Event;
-use crate::system::{CodedRuntime, Shared, TigerSystem};
+use crate::system::{Shared, TigerSystem};
 
 /// Interval between pumps of a copy lane with work outstanding.
 const COPY_TICK: SimDuration = SimDuration::from_millis(100);
@@ -268,21 +267,17 @@ impl TigerSystem {
             self.clients[ci as usize].on_stopped(inst);
         }
         for cub in &mut self.cubs {
-            cub.cutover_reset(now, &fences, hold_until);
+            cub.cutover_reset(&mut self.shared, now, &fences, hold_until);
         }
         // 3. Swap the geometry: config, derived parameters, catalog
-        // start-disks, mirror placement. Absorbed spares leave the spare
-        // pool; shrunk-out members rejoin it.
+        // start-disks, redundancy backend (fresh load rings: every carried
+        // viewer is re-inserted). Absorbed spares leave the spare pool;
+        // shrunk-out members rejoin it.
         self.shared.cfg.stripe = new;
         self.shared.cfg.spare_cubs = self.shared.cfg.spare_cubs + old.num_cubs - new.num_cubs;
         self.shared.params = self.shared.cfg.schedule_params();
         self.shared.catalog.restripe(new);
-        self.shared.placement = MirrorPlacement::new(new);
-        if self.shared.coded.is_some() {
-            // Fresh rings: cut-over re-inserts every carried viewer, so
-            // stale load reservations must not leak into the new geometry.
-            self.shared.coded = Some(CodedRuntime::new(new, self.shared.cfg.block_play_time));
-        }
+        self.shared.backend = Backend::new(&self.shared.cfg);
         // 4. Layout: drop the source entries of every moved block (the
         // copy already landed at its destination during the background
         // phase) and re-derive the mirror layout wholesale.
@@ -342,15 +337,11 @@ impl TigerSystem {
     /// current stripe — the one placement loop content loading and the
     /// cut-over's wholesale re-derivation share.
     pub(crate) fn lay_secondaries(&mut self, meta: &FileMeta) {
-        let stripe = self.shared.params.stripe();
+        let (sh, stripe) = (&self.shared, self.shared.params.stripe());
         for b in 0..meta.num_blocks {
             let block = BlockNum(b);
-            let home = self
-                .shared
-                .catalog
-                .locate(meta.id, block)
-                .expect("in range");
-            for piece in self.shared.secondary_pieces(home.disk, meta.block_size) {
+            let home = sh.catalog.locate(meta.id, block).expect("in range");
+            for piece in sh.backend.secondary_pieces(home.disk, meta.block_size) {
                 self.cubs[stripe.cub_of(piece.disk).index()].load_secondary(
                     piece.disk,
                     stripe.local_index_of(piece.disk),
@@ -413,7 +404,7 @@ impl TigerSystem {
                     if loc.expect("in range").disk != home {
                         continue;
                     }
-                    for piece in self.shared.secondary_pieces(home, meta.block_size) {
+                    for piece in self.shared.backend.secondary_pieces(home, meta.block_size) {
                         if self
                             .ctl
                             .believes_failed

@@ -3,7 +3,7 @@
 
 use tiger_core::cub::service::PieceSpec;
 use tiger_core::recovery::retired_retention;
-use tiger_core::{Message, TigerConfig, TigerSystem};
+use tiger_core::{Backend, Message, RedundancyMode, TigerConfig, TigerSystem};
 use tiger_layout::ids::ViewerInstance;
 use tiger_layout::{BlockNum, CubId, DiskId, StripeConfig, ViewerId};
 use tiger_sched::{SlotId, StreamKind, ViewerState};
@@ -20,12 +20,15 @@ fn piece_geometry_tiles_the_block_play_time() {
     // payload ceiling is exercised.
     let block = ByteSize::from_bytes(250_001);
     let home = DiskId(3);
-    for d in 1..=8u32 {
-        // The sosp97 block play time (1 s), on a ring wide enough for 2k
-        // coded shards at every k.
+    // The sosp97 block play time (1 s), on a ring wide enough for 2k coded
+    // shards at every k.
+    let cfg_with = |d| {
         let mut cfg = TigerConfig::sosp97();
         cfg.stripe = StripeConfig::new(16, 1, d);
-        let sys = TigerSystem::new(cfg);
+        cfg
+    };
+    for d in 1..=8u32 {
+        let sys = TigerSystem::new(cfg_with(d));
         let params = &sys.shared().params;
         let bpt = params.block_play_time();
         let end_of = |s: &PieceSpec| s.offset + s.duration;
@@ -60,8 +63,14 @@ fn piece_geometry_tiles_the_block_play_time() {
         // Coded shards 1..2k: staggered so that even the highest ends
         // inside the play window, whichever k the coordinator picks.
         let (k, n) = (d, 2 * d);
+        let mut coded = cfg_with(d);
+        coded.redundancy = RedundancyMode::Coded;
+        let backend = Backend::new(&coded);
         let shards: Vec<PieceSpec> = (1..n)
-            .map(|j| PieceSpec::coded_shard(params, block, home, j))
+            .map(|j| {
+                let local = params.stripe().local_index_of(backend.holder(home, j));
+                PieceSpec::coded_shard(params, block, home, j, local)
+            })
             .collect();
         for (s, j) in shards.iter().zip(1..) {
             assert_eq!(

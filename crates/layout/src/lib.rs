@@ -22,7 +22,7 @@ pub use catalog::{FileCatalog, FileMeta};
 pub use ids::{BlockNum, CubId, DiskId, FileId, ViewerId};
 pub use index::{BlockIndex, IndexEntry, IndexError};
 pub use mirror::{MirrorPiece, MirrorPlacement};
-pub use redundancy::{Mirrored, Redundancy, RedundancyMode};
+pub use redundancy::RedundancyMode;
 pub use restripe::{RestripePlan, RestripeStats};
 pub use space::{DiskRegion, DiskSpace, SpaceError};
 pub use stripe::{BlockLocation, StripeConfig};

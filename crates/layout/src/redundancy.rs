@@ -1,30 +1,13 @@
-//! The pluggable redundancy backend: what a block's secondary data is,
-//! where it lives, and which failure sets lose data.
+//! Which redundancy backend a system runs.
 //!
 //! The paper's Tiger has exactly one scheme — declustered mirroring
 //! (§2.3, [`crate::mirror::MirrorPlacement`]) — where each degraded read
-//! is pinned to the single disk holding the right mirror piece. The
-//! [`Redundancy`] trait abstracts the three questions the rest of the
-//! system asks of a scheme so a network-coded backend (`tiger-coded`)
-//! can answer them differently:
-//!
-//! 1. how many bytes of the block live in the *primary* region of the
-//!    home disk ([`Redundancy::primary_size`]),
-//! 2. which extra pieces live in *secondary* regions of which disks
-//!    ([`Redundancy::secondary_pieces`]), and
-//! 3. which sets of simultaneous disk failures still leave every block
-//!    recoverable ([`Redundancy::survives`]).
-//!
-//! Both backends cost the same storage — `2 × block_size` per block
-//! ([`Redundancy::bytes_per_block`] asserts it in tests) — which is what
-//! makes the coded-vs-mirrored blocking-probability ablation an
-//! equal-overhead comparison.
-
-use tiger_sim::ByteSize;
-
-use crate::ids::DiskId;
-use crate::mirror::{MirrorPiece, MirrorPlacement};
-use crate::stripe::StripeConfig;
+//! is pinned to the single disk holding the right mirror piece. A
+//! network-coded backend (`tiger-coded`) places `2k` shards instead, any
+//! `k` of which rebuild a block. Both cost the same storage, `2 ×
+//! block_size` per block; `tiger-core`'s `Backend` is the one value that
+//! answers, for the configured mode, every question on which the two
+//! differ.
 
 /// Which redundancy backend a Tiger system runs.
 ///
@@ -54,109 +37,9 @@ impl RedundancyMode {
     }
 }
 
-/// A redundancy backend's answers to the layout-level questions.
-///
-/// Implementations must be pure functions of `(StripeConfig, block_size)`
-/// — every cub computes placement independently and they must agree.
-pub trait Redundancy {
-    /// Which backend this is.
-    fn mode(&self) -> RedundancyMode;
-
-    /// Bytes of the block stored in the home disk's *primary* region.
-    ///
-    /// Mirroring stores the whole block there; the coded backend stores
-    /// only the first (systematic) shard.
-    fn primary_size(&self, block_size: ByteSize) -> ByteSize;
-
-    /// The pieces stored beyond the primary extent, in piece order.
-    ///
-    /// `piece` numbers are backend-local: mirror pieces `0..decluster` on
-    /// the disks after the home; coded shards `1..2k` (shard 0 *is* the
-    /// primary extent).
-    fn secondary_pieces(&self, home: DiskId, block_size: ByteSize) -> Vec<MirrorPiece>;
-
-    /// Whether every block survives this set of simultaneous disk
-    /// failures (i.e. remains reconstructable from surviving pieces).
-    fn survives(&self, failed: &[DiskId]) -> bool;
-
-    /// Total stored bytes per block: primary extent plus all secondary
-    /// pieces. Both in-tree backends come to exactly `2 × block_size`.
-    fn bytes_per_block(&self, block_size: ByteSize) -> ByteSize {
-        let secondary: u64 = self
-            .secondary_pieces(DiskId(0), block_size)
-            .iter()
-            .map(|p| p.size.as_bytes())
-            .sum();
-        ByteSize::from_bytes(self.primary_size(block_size).as_bytes() + secondary)
-    }
-}
-
-/// The paper's declustered-mirroring backend, wrapping
-/// [`MirrorPlacement`].
-#[derive(Clone, Copy, Debug)]
-pub struct Mirrored {
-    placement: MirrorPlacement,
-}
-
-impl Mirrored {
-    /// Creates the mirrored backend for `cfg`.
-    pub fn new(cfg: StripeConfig) -> Self {
-        Mirrored {
-            placement: MirrorPlacement::new(cfg),
-        }
-    }
-
-    /// The underlying placement helper.
-    pub fn placement(&self) -> &MirrorPlacement {
-        &self.placement
-    }
-}
-
-impl Redundancy for Mirrored {
-    fn mode(&self) -> RedundancyMode {
-        RedundancyMode::Mirrored
-    }
-
-    fn primary_size(&self, block_size: ByteSize) -> ByteSize {
-        block_size
-    }
-
-    fn secondary_pieces(&self, home: DiskId, block_size: ByteSize) -> Vec<MirrorPiece> {
-        self.placement.pieces_for(home, block_size)
-    }
-
-    fn survives(&self, failed: &[DiskId]) -> bool {
-        self.placement.survives(failed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mirrored_backend_matches_mirror_placement() {
-        let cfg = StripeConfig::new(14, 4, 4);
-        let m = Mirrored::new(cfg);
-        assert_eq!(m.mode(), RedundancyMode::Mirrored);
-        let b = ByteSize::from_bytes(250_000);
-        assert_eq!(m.primary_size(b), b);
-        assert_eq!(
-            m.secondary_pieces(DiskId(10), b),
-            MirrorPlacement::new(cfg).pieces_for(DiskId(10), b)
-        );
-        assert!(m.survives(&[DiskId(0), DiskId(7)]));
-        assert!(!m.survives(&[DiskId(0), DiskId(4)]));
-    }
-
-    #[test]
-    fn mirrored_overhead_is_exactly_two_blocks() {
-        for size in [1u64, 100, 250_000, 250_001] {
-            let m = Mirrored::new(StripeConfig::new(14, 4, 4));
-            let b = ByteSize::from_bytes(size);
-            assert_eq!(m.bytes_per_block(b).as_bytes(), 2 * size, "size {size}");
-        }
-    }
 
     #[test]
     fn mode_names_are_stable() {

@@ -42,13 +42,6 @@ struct CodedPoint {
     curve: Vec<(u64, u32, u32)>,
 }
 
-fn backend_label(mode: RedundancyMode) -> &'static str {
-    match mode {
-        RedundancyMode::Mirrored => "mirrored",
-        RedundancyMode::Coded => "coded",
-    }
-}
-
 fn run_point(plan_text: &str, mode: RedundancyMode, seed: u64) -> CodedPoint {
     let plan = WorkloadPlan::parse(plan_text).expect("canonical plan parses");
     if plan.faults.is_empty() {
@@ -126,7 +119,7 @@ pub fn ablation_coded_report(scale: Scale, threads: usize) -> ExpReport {
     );
     let mut bad = 0usize;
     for ((name, _, mode), r) in points.iter().zip(&results) {
-        let _ = writeln!(out, "{name:<17} {:<9} {}", backend_label(*mode), r.digest);
+        let _ = writeln!(out, "{name:<17} {:<9} {}", mode.name(), r.digest);
         for v in &r.violations {
             bad += 1;
             let _ = writeln!(out, "  VIOLATION: {v}");

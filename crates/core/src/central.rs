@@ -104,14 +104,6 @@ impl CentralSystem {
         Some(slot)
     }
 
-    /// Stops the viewer in `slot`.
-    pub fn stop_viewer(&mut self, slot: SlotId) -> bool {
-        match self.schedule.get(slot).map(|e| e.state.instance) {
-            Some(instance) => self.schedule.remove(slot, instance).is_some(),
-            None => false,
-        }
-    }
-
     /// Streams currently scheduled.
     pub fn streams(&self) -> u32 {
         self.schedule.occupancy()
@@ -161,15 +153,11 @@ mod tests {
     }
 
     #[test]
-    fn start_stop_lifecycle() {
+    fn start_takes_a_slot() {
         let mut c = CentralSystem::new(params(4));
-        let slot = c
-            .start_viewer(FileId(0), Bandwidth::from_mbit_per_sec(2), SimTime::ZERO)
+        c.start_viewer(FileId(0), Bandwidth::from_mbit_per_sec(2), SimTime::ZERO)
             .expect("capacity available");
         assert_eq!(c.streams(), 1);
-        assert!(c.stop_viewer(slot));
-        assert!(!c.stop_viewer(slot));
-        assert_eq!(c.streams(), 0);
     }
 
     #[test]

@@ -90,21 +90,6 @@ impl Metrics {
         }
         h
     }
-
-    /// Mean start latency among samples with schedule load in
-    /// `[lo, hi)`.
-    pub fn mean_start_latency_in(&self, lo: f64, hi: f64) -> Option<f64> {
-        let samples: Vec<f64> = self
-            .start_latencies
-            .iter()
-            .filter(|(load, _)| *load >= lo && *load < hi)
-            .map(|&(_, l)| l)
-            .collect();
-        if samples.is_empty() {
-            return None;
-        }
-        Some(samples.iter().sum::<f64>() / samples.len() as f64)
-    }
 }
 
 #[cfg(test)]
@@ -122,14 +107,11 @@ mod tests {
     }
 
     #[test]
-    fn start_latency_binning() {
+    fn start_latencies_are_recorded() {
         let mut m = Metrics::new();
         m.record_start(0.5, 1.8);
         m.record_start(0.55, 2.2);
         m.record_start(0.95, 10.0);
-        assert_eq!(m.mean_start_latency_in(0.5, 0.6), Some(2.0));
-        assert_eq!(m.mean_start_latency_in(0.9, 1.01), Some(10.0));
-        assert_eq!(m.mean_start_latency_in(0.0, 0.1), None);
         assert_eq!(m.start_latency_histogram().len(), 3);
     }
 }

@@ -77,8 +77,6 @@ pub struct Disk {
     outstanding: u32,
     /// The paper's "disk load": time with >= 1 outstanding request.
     load: BusyTracker,
-    /// Media/positioning busy time.
-    head_busy: SimDuration,
     reads: Counter,
     bytes: Counter,
     mirror_reads: Counter,
@@ -99,7 +97,6 @@ impl Disk {
             head_offset: 0,
             outstanding: 0,
             load: BusyTracker::new(),
-            head_busy: SimDuration::ZERO,
             reads: Counter::new(),
             bytes: Counter::new(),
             mirror_reads: Counter::new(),
@@ -203,7 +200,6 @@ impl Disk {
         let done = start + service;
         self.head_free_at = done;
         self.head_offset = req.offset + req.len.as_bytes();
-        self.head_busy += service;
         self.reads.incr();
         self.bytes.add(req.len.as_bytes());
         if req.kind == RequestKind::Mirror {
@@ -244,14 +240,6 @@ impl Disk {
         self.load.reset_window(now);
         self.reads.reset_window(now);
         self.bytes.reset_window(now);
-    }
-
-    /// Head (media) utilization since creation.
-    pub fn head_utilization(&self, now: SimTime) -> f64 {
-        if now == SimTime::ZERO {
-            return 0.0;
-        }
-        (self.head_busy.as_secs_f64() / now.as_secs_f64()).min(1.0)
     }
 
     /// Bytes read per second over the current window.
@@ -342,7 +330,7 @@ mod tests {
     }
 
     #[test]
-    fn load_includes_queueing_head_does_not() {
+    fn load_includes_queueing() {
         let mut d = disk();
         let t0 = SimTime::ZERO;
         let c1 = d.submit(t0, req(0, 250_000)).expect("accepts");
@@ -351,9 +339,6 @@ mod tests {
         d.complete(c2);
         // Disk load (paper definition) covered the whole [t0, c2] span.
         assert!((d.load_window(c2) - 1.0).abs() < 1e-9);
-        // Head utilization equals busy time over elapsed, also ~1 here
-        // because requests were continuous.
-        assert!(d.head_utilization(c2) > 0.99);
         // After completions, an idle gap lowers the load.
         let later = c2 + SimDuration::from_secs(1);
         assert!(d.load_window(later) < 1.0);

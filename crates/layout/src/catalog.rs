@@ -31,18 +31,6 @@ pub struct FileMeta {
     pub start_disk: DiskId,
 }
 
-impl FileMeta {
-    /// Bytes wasted per block to internal fragmentation.
-    pub fn fragmentation_per_block(&self) -> ByteSize {
-        self.block_size - self.payload_size
-    }
-
-    /// Total on-disk primary bytes for this file.
-    pub fn primary_bytes(&self) -> ByteSize {
-        self.block_size.mul_u64(u64::from(self.num_blocks))
-    }
-}
-
 /// Whether the server sizes blocks for one fixed bitrate or per-file.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BitrateMode {
@@ -90,11 +78,6 @@ impl FileCatalog {
             mode,
             files: Vec::new(),
         }
-    }
-
-    /// The striping configuration this catalog lays files out for.
-    pub fn stripe_config(&self) -> StripeConfig {
-        self.cfg
     }
 
     /// The system block play time.
@@ -193,13 +176,6 @@ impl FileCatalog {
             meta.start_disk = new.starting_disk(meta.id);
         }
     }
-
-    /// Total primary bytes across all files.
-    pub fn total_primary_bytes(&self) -> ByteSize {
-        self.files
-            .iter()
-            .fold(ByteSize::ZERO, |acc, f| acc + f.primary_bytes())
-    }
 }
 
 #[cfg(test)]
@@ -226,7 +202,7 @@ mod tests {
         assert_eq!(meta.num_blocks, 3600);
         // 2 Mbit/s for 1 s = 250,000 bytes (decimal Mbit).
         assert_eq!(meta.block_size.as_bytes(), 250_000);
-        assert_eq!(meta.fragmentation_per_block().as_bytes(), 0);
+        assert_eq!(meta.payload_size, meta.block_size, "no fragmentation");
     }
 
     #[test]
@@ -246,7 +222,6 @@ mod tests {
         let meta = c.get(f).expect("exists");
         assert_eq!(meta.block_size.as_bytes(), 250_000);
         assert_eq!(meta.payload_size.as_bytes(), 125_000);
-        assert_eq!(meta.fragmentation_per_block().as_bytes(), 125_000);
     }
 
     #[test]
@@ -257,13 +232,7 @@ mod tests {
         let b1 = c.get(f1).expect("exists").block_size.as_bytes();
         let b2 = c.get(f2).expect("exists").block_size.as_bytes();
         assert_eq!(b2, 2 * b1);
-        assert_eq!(
-            c.get(f1)
-                .expect("exists")
-                .fragmentation_per_block()
-                .as_bytes(),
-            0
-        );
+        assert_eq!(c.get(f1).expect("exists").payload_size.as_bytes(), b1);
     }
 
     #[test]
@@ -277,7 +246,7 @@ mod tests {
         let loc0 = c.locate(f, BlockNum(0)).expect("in range");
         let loc1 = c.locate(f, BlockNum(1)).expect("in range");
         assert_eq!(loc0.disk, start);
-        assert_eq!(loc1.disk, c.stripe_config().disk_after(start, 1));
+        assert_eq!(loc1.disk, StripeConfig::new(14, 4, 4).disk_after(start, 1));
         assert_eq!(c.locate(f, BlockNum(3600)), None);
         assert_eq!(c.locate(FileId(99), BlockNum(0)), None);
     }
@@ -293,11 +262,12 @@ mod tests {
                 SimDuration::from_secs(3600),
             );
         }
-        let total = c.total_primary_bytes();
+        let bytes = |f: &FileMeta| u64::from(f.num_blocks) * f.block_size.as_bytes();
+        let total: u64 = c.files().iter().map(bytes).sum();
         // 64 h at 2 Mbit/s = 57.6 GB of primary content, which fits in half
         // of 56 × 2.5 GB = 70 GB with mirrors in the other half.
-        assert_eq!(total.as_bytes(), 64 * 3600 * 250_000);
-        assert!(total.as_bytes() <= 56 * 2_500_000_000 / 2 * 10 / 10);
+        assert_eq!(total, 64 * 3600 * 250_000);
+        assert!(total <= 56 * 2_500_000_000 / 2 * 10 / 10);
     }
 
     #[test]

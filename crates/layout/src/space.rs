@@ -101,11 +101,6 @@ impl DiskSpace {
         self.capacity
     }
 
-    /// The first byte offset of the secondary region.
-    pub fn split_offset(&self) -> u64 {
-        self.split
-    }
-
     /// Allocates an extent of at least `size` bytes (rounded up to the
     /// 64-byte granule) in `region`, returning `(offset, aligned_size)`.
     pub fn allocate(
@@ -129,31 +124,6 @@ impl DiskSpace {
         let offset = *next;
         *next += aligned;
         Ok((offset, ByteSize::from_bytes(aligned)))
-    }
-
-    /// Bytes used in `region`.
-    pub fn used_in(&self, region: DiskRegion) -> ByteSize {
-        match region {
-            DiskRegion::Primary => ByteSize::from_bytes(self.primary_next),
-            DiskRegion::Secondary => ByteSize::from_bytes(self.secondary_next - self.split),
-        }
-    }
-
-    /// Fraction of the whole disk that is allocated (either region).
-    pub fn fill_fraction(&self) -> f64 {
-        let used = self.primary_next + (self.secondary_next - self.split);
-        used as f64 / self.capacity.as_bytes() as f64
-    }
-
-    /// Whether a given byte offset falls in the (fast) primary region.
-    pub fn offset_is_primary(&self, offset: u64) -> bool {
-        offset < self.split
-    }
-
-    /// Releases everything (restripe support: the disk is rewritten).
-    pub fn clear(&mut self) {
-        self.primary_next = 0;
-        self.secondary_next = self.split;
     }
 
     /// Releases only the secondary region (live-restripe cut-over: mirror
@@ -183,9 +153,7 @@ mod tests {
             .expect("fits");
         assert_eq!(p0, 0);
         assert_eq!(p1, 128); // 100 rounds up to 128.
-        assert_eq!(s0, s.split_offset());
-        assert!(s.offset_is_primary(p1));
-        assert!(!s.offset_is_primary(s0));
+        assert_eq!(s0, 499_968); // The half-way split, aligned down.
     }
 
     #[test]
@@ -221,23 +189,14 @@ mod tests {
     }
 
     #[test]
-    fn accounting_tracks_usage() {
-        let mut s = DiskSpace::half_split(ByteSize::from_bytes(10_000));
-        assert_eq!(s.used_in(DiskRegion::Primary).as_bytes(), 0);
-        s.allocate(DiskRegion::Primary, ByteSize::from_bytes(640))
-            .expect("fits");
-        assert_eq!(s.used_in(DiskRegion::Primary).as_bytes(), 640);
-        assert!((s.fill_fraction() - 0.064).abs() < 1e-9);
-        s.clear();
-        assert_eq!(s.fill_fraction(), 0.0);
-    }
-
-    #[test]
     fn custom_split_fraction() {
         // Decluster 4: at most 1/(4+1) of reads come from the slow region,
         // so a system could bias the split; verify the knob works.
-        let s = DiskSpace::new(ByteSize::from_bytes(100_000), 0.8);
-        assert!(s.split_offset() >= 79_936 && s.split_offset() <= 80_000);
-        assert_eq!(s.split_offset() % EXTENT_ALIGN, 0);
+        let mut s = DiskSpace::new(ByteSize::from_bytes(100_000), 0.8);
+        let (split, _) = s
+            .allocate(DiskRegion::Secondary, ByteSize::from_bytes(1))
+            .expect("fits");
+        assert!((79_936..=80_000).contains(&split));
+        assert_eq!(split % EXTENT_ALIGN, 0);
     }
 }

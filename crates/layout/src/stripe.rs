@@ -79,12 +79,6 @@ impl StripeConfig {
         DiskId(local * self.num_cubs + cub.raw())
     }
 
-    /// All disks hosted by `cub`, in local order.
-    pub fn disks_of_cub(&self, cub: CubId) -> impl Iterator<Item = DiskId> + '_ {
-        let cub = cub.raw();
-        (0..self.disks_per_cub).map(move |l| DiskId(l * self.num_cubs + cub))
-    }
-
     /// The disk `steps` positions after `disk` around the striping ring.
     pub fn disk_after(&self, disk: DiskId, steps: u32) -> DiskId {
         debug_assert!(disk.raw() < self.num_disks());
@@ -96,13 +90,6 @@ impl StripeConfig {
         debug_assert!(disk.raw() < self.num_disks());
         let n = self.num_disks();
         DiskId((disk.raw() + n - steps % n) % n)
-    }
-
-    /// The cub `steps` positions before `cub` around the cub ring.
-    pub fn cub_before(&self, cub: CubId, steps: u32) -> CubId {
-        debug_assert!(cub.raw() < self.num_cubs);
-        let n = self.num_cubs;
-        CubId((cub.raw() + n - steps % n) % n)
     }
 
     /// The primary location of block `block` of a file whose first block is
@@ -155,17 +142,13 @@ mod tests {
     }
 
     #[test]
-    fn disks_of_cub_roundtrip() {
+    fn disk_of_roundtrip() {
         let cfg = sosp();
-        for cub in 0..cfg.num_cubs {
-            for disk in cfg.disks_of_cub(CubId(cub)) {
-                assert_eq!(cfg.cub_of(disk), CubId(cub));
-            }
-        }
         // Every disk appears exactly once across all cubs.
         let mut seen = vec![false; cfg.num_disks() as usize];
         for cub in 0..cfg.num_cubs {
-            for disk in cfg.disks_of_cub(CubId(cub)) {
+            for disk in (0..cfg.disks_per_cub).map(|l| cfg.disk_of(CubId(cub), l)) {
+                assert_eq!(cfg.cub_of(disk), CubId(cub));
                 assert!(!seen[disk.index()], "duplicate {disk}");
                 seen[disk.index()] = true;
             }
@@ -207,7 +190,6 @@ mod tests {
             }
         }
         assert_eq!(cfg.ring_distance(DiskId(55), DiskId(1)), 2);
-        assert_eq!(cfg.cub_before(CubId(0), 1), CubId(13));
     }
 
     #[test]

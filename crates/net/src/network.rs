@@ -108,11 +108,6 @@ impl Network {
         self.nics.len() as u32
     }
 
-    /// The configured latency model.
-    pub fn latency_model(&self) -> LatencyModel {
-        self.latency
-    }
-
     /// Marks a node failed: it will neither send nor receive from now on.
     pub fn fail_node(&mut self, node: NetNode) {
         self.failed[node.index()] = true;
@@ -367,7 +362,7 @@ mod tests {
             .expect("delivers");
         // The a->c channel saw one message; it must arrive within one
         // worst-case latency of its send, unaffected by the a->b backlog.
-        assert!(ac <= SimTime::ZERO + n.latency_model().worst_case());
+        assert!(ac <= SimTime::ZERO + LatencyModel::lan_default().worst_case());
         assert!(last_ab > ac, "backlogged channel is far behind");
     }
 
@@ -486,7 +481,7 @@ mod tests {
             .send_control(now, NetNode(1), NetNode(2), 100)
             .expect("delayed, not dropped");
         assert!(d >= now + extra, "delivery {d} must include the extra");
-        assert!(d <= now + n.latency_model().worst_case() + extra);
+        assert!(d <= now + LatencyModel::lan_default().worst_case() + extra);
         let inj = n.take_fault_injections();
         assert_eq!(inj.len(), 1);
         assert_eq!(inj[0].kind, NetInjectionKind::Delayed { extra });

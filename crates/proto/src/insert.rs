@@ -71,11 +71,6 @@ impl InsertMachine {
         self.start_queue.first()
     }
 
-    /// Redundant holds (promoted only on the primary holder's failure).
-    pub fn redundant_held(&self) -> usize {
-        self.redundant_starts.len()
-    }
-
     /// Input: a routed start. Redundant copies are held (idempotently)
     /// and never trigger an attempt; primary copies enqueue unless the
     /// instance is already queued or `already_carried` (the driver's
@@ -239,7 +234,7 @@ mod tests {
             "redundant: no attempt"
         );
         m.on_routed_start(pending(3), true, false);
-        assert_eq!(m.redundant_held(), 1, "redundant holds dedup");
+        assert_eq!(m.redundant_starts.len(), 1, "redundant holds dedup");
     }
 
     #[test]
@@ -282,7 +277,7 @@ mod tests {
         m.on_routed_start(pending(2), true, false);
         m.on_routed_start(pending(2), false, false); // already queued as primary
         m.promote_where(|p| p.instance.viewer.raw() <= 2);
-        assert_eq!(m.redundant_held(), 0);
+        assert_eq!(m.redundant_starts.len(), 0);
         assert_eq!(m.queued(), 2, "promotion dedups against the queue");
     }
 
@@ -292,7 +287,11 @@ mod tests {
         m.on_routed_start(pending(1), false, false);
         m.on_routed_start(pending(1), true, false);
         m.superseded_by_sighting(&pending(1).instance);
-        assert_eq!(m.redundant_held(), 0, "sighting clears the redundant hold");
+        assert_eq!(
+            m.redundant_starts.len(),
+            0,
+            "sighting clears the redundant hold"
+        );
         assert_eq!(m.queued(), 1, "but not the primary queue");
         m.drop_instance(&pending(1).instance);
         assert_eq!(m.queued(), 0, "deschedule clears both");

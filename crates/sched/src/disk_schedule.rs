@@ -138,11 +138,6 @@ impl DiskSchedule {
             .enumerate()
             .filter_map(|(i, e)| e.as_ref().map(|e| (SlotId(i as u32), e)))
     }
-
-    /// Whether the schedule is completely full.
-    pub fn is_full(&self) -> bool {
-        self.occupancy() == self.params.capacity()
-    }
 }
 
 /// An omniscient observer used by tests: replays committed distributed
@@ -319,7 +314,7 @@ mod tests {
             s.insert(vs(slot, u64::from(slot)), SimTime::ZERO)
                 .expect("empty");
         }
-        assert!(s.is_full());
+        assert_eq!(s.occupancy(), n, "full");
         assert_eq!(s.first_free_from(SlotId(0)), None);
         let mid = n / 2;
         s.remove(

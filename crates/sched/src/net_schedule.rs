@@ -296,22 +296,6 @@ impl NetworkSchedule {
         removed
     }
 
-    /// The earliest pending reservation deadline, if any (prunes stale
-    /// heap entries as a side effect).
-    pub fn next_expiry(&mut self) -> Option<SimTime> {
-        while let Some(&Reverse((at, id))) = self.expiring.peek() {
-            let live = self
-                .entries
-                .get(&id)
-                .is_some_and(|e| e.tentative && e.expires_at == Some(at));
-            if live {
-                return Some(at);
-            }
-            self.expiring.pop();
-        }
-        None
-    }
-
     /// Whether `id` names a live (committed or tentative) entry.
     pub fn contains_entry(&self, id: NetEntryId) -> bool {
         self.entries.contains_key(&id)
@@ -671,7 +655,6 @@ mod tests {
                 Some(SimTime::from_millis(700)),
             )
             .expect("fits");
-        assert_eq!(s.next_expiry(), Some(SimTime::from_millis(700)));
         // Before the deadline the reservation blocks capacity.
         assert_eq!(s.expire_reservations(SimTime::from_millis(699)), 0);
         assert!(!s.fits(ms(0), mbit(1)));
@@ -679,7 +662,6 @@ mod tests {
         assert_eq!(s.expire_reservations(SimTime::from_millis(700)), 1);
         assert!(!s.contains_entry(id));
         assert!(s.fits(ms(0), mbit(6)));
-        assert_eq!(s.next_expiry(), None);
     }
 
     #[test]

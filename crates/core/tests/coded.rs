@@ -3,7 +3,7 @@
 //! is covered by degraded reads from any `k` surviving shards, and the
 //! mirrored default is byte-identical with the backend compiled in.
 
-use tiger_core::{RedundancyMode, TigerConfig, TigerSystem};
+use tiger_core::{Backend, RedundancyMode, TigerConfig, TigerSystem};
 use tiger_layout::{CubId, StripeConfig};
 use tiger_sim::{Bandwidth, SimDuration, SimTime};
 use tiger_trace::TraceEvent;
@@ -129,6 +129,42 @@ fn coded_survives_single_cub_failure_without_data_loss_after_detection() {
             .any(|r| matches!(r.ev, TraceEvent::DegradedPieceRead { .. })),
         "no holder traced a degraded shard read"
     );
+}
+
+#[test]
+fn load_rings_are_empty_once_every_stream_ends() {
+    // Every block's reservations are released when the home reclaims its
+    // primary entry — including the entries a power cut or a restart
+    // throws away, or the dead home's stale reservations would bias
+    // holder ranking on its neighbours' disks for the rest of the run.
+    let run = |cut: Option<CubId>, restart: Option<SimTime>| {
+        let mut sys = TigerSystem::new(eight_cubs_coded());
+        let file = sys.add_file(rate(), SimDuration::from_secs(100));
+        for i in 0..8u64 {
+            let client = sys.add_client();
+            sys.request_start(SimTime::from_millis(100 + i * 400), client, file);
+        }
+        if let Some(cub) = cut {
+            sys.fail_cub_at(SimTime::from_secs(20), cub);
+            if let Some(at) = restart {
+                sys.restart_cub_at(at, cub);
+            }
+        }
+        sys.run_until(SimTime::from_secs(200));
+        assert_eq!(
+            sys.controller().active_streams(),
+            0,
+            "streams still running"
+        );
+        match &sys.shared().backend {
+            Backend::Coded(_, rings) => rings.iter().map(|r| r.len()).sum(),
+            Backend::Mirrored(_) => 0,
+        }
+    };
+    assert_eq!(run(None, None), 0, "healthy");
+    assert_eq!(run(Some(CubId(3)), None), 0, "cub 3 cut at 20 s");
+    let back = Some(SimTime::from_secs(60));
+    assert_eq!(run(Some(CubId(3)), back), 0, "cub 3 cut, back at 60 s");
 }
 
 #[test]

@@ -27,11 +27,10 @@ pub struct ViewerProgress {
     pub load_at_request: f64,
     /// When the first byte-complete block arrived.
     pub first_block_at: Option<SimTime>,
-    /// Per-block received flags, block `b` at bit `b % 64` of word
-    /// `b / 64`: a play instance keeps one for every block of its file.
+    /// Received flags from `base_block` up to the highest block received,
+    /// block `base_block + i` at bit `i % 64` of word `i / 64`, grown as
+    /// blocks arrive. Blocks below the base hold no bit and count as received.
     received: Vec<u64>,
-    /// Partial mirror-piece assembly: block -> bitmask of pieces seen.
-    pieces: HashMap<u32, (u32, u32)>, // (mask, total)
     /// First block this play instance covers (0 for a from-the-top play;
     /// a resume or seek starts later). Blocks below it are not expected.
     pub base_block: u32,
@@ -56,35 +55,40 @@ impl ViewerProgress {
         requested_at: SimTime,
         load: f64,
     ) -> Self {
-        let mut progress = ViewerProgress {
+        ViewerProgress {
             file,
             num_blocks,
             requested_at,
             load_at_request: load,
             first_block_at: None,
-            received: vec![0; num_blocks.div_ceil(64) as usize],
-            pieces: HashMap::default(),
+            received: Vec::new(),
             base_block,
             late_blocks: 0,
             dup_blocks: 0,
             stopped: false,
             high_water: None,
-        };
-        // Blocks before the base are not part of this play instance; mark
-        // them received so the gap accounting ignores them.
-        (0..base_block.min(num_blocks)).for_each(|b| progress.mark_received(b));
-        progress
+        }
     }
 
+    /// Flags block `b`, at or above the base, received.
     fn mark_received(&mut self, b: u32) {
-        self.received[b as usize / 64] |= 1 << (b % 64);
+        let i = (b - self.base_block) as usize;
+        self.received.resize(self.received.len().max(i / 64 + 1), 0);
+        self.received[i / 64] |= 1 << (i % 64);
     }
 
-    /// How many of the blocks below `end` are flagged received.
+    /// How many of the blocks below `end` count as received: every one
+    /// below the base (not part of this play instance, so the gap
+    /// accounting ignores them) and the flagged ones from it on.
     fn received_below(&self, end: u32) -> u32 {
-        let (whole, rest) = self.received.split_at(end as usize / 64);
-        let part = rest.first().map_or(0, |w| w & ((1 << (end % 64)) - 1));
-        whole.iter().chain(&[part]).map(|w| w.count_ones()).sum()
+        let Some(n) = end.checked_sub(self.base_block) else {
+            return end;
+        };
+        let cut = self.received.len().min(n as usize / 64);
+        let (whole, rest) = self.received.split_at(cut);
+        let part = rest.first().map_or(0, |w| w & ((1 << (n % 64)) - 1));
+        let flagged: u32 = whole.iter().chain(&[part]).map(|w| w.count_ones()).sum();
+        self.base_block + flagged
     }
 
     /// The first block not yet received in order: where a resume or a
@@ -100,7 +104,11 @@ impl ViewerProgress {
 
     /// Whether block `b` was (fully) received.
     pub fn block_received(&self, b: u32) -> bool {
-        b < self.num_blocks && self.received[b as usize / 64] >> (b % 64) & 1 == 1
+        let Some(i) = b.checked_sub(self.base_block) else {
+            return b < self.num_blocks;
+        };
+        let word = self.received.get(i as usize / 64).copied().unwrap_or(0);
+        b < self.num_blocks && word >> (i % 64) & 1 == 1
     }
 
     /// Blocks received so far (within this play instance's range).
@@ -161,6 +169,9 @@ pub struct ClientReport {
 #[derive(Debug, Default)]
 pub struct Client {
     viewers: HashMap<ViewerInstance, ViewerProgress>,
+    /// Partial mirror-piece assembly: (instance, block) -> (bitmask of
+    /// pieces seen, pieces that make the block), dropped once it is whole.
+    pieces: HashMap<(ViewerInstance, u32), (u32, u32)>,
 }
 
 impl Client {
@@ -224,11 +235,12 @@ impl Client {
         let completed = match piece {
             None => true,
             Some(p) => {
-                let entry = v.pieces.entry(block).or_insert((0, total_pieces));
+                let key = (instance, block);
+                let entry = self.pieces.entry(key).or_insert((0, total_pieces));
                 entry.0 |= 1 << p;
                 let done = entry.0.count_ones() >= entry.1;
                 if done {
-                    v.pieces.remove(&block);
+                    self.pieces.remove(&key);
                 }
                 done
             }
@@ -287,6 +299,7 @@ impl Client {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use tiger_layout::ViewerId;
 
     fn inst(v: u64) -> ViewerInstance {
@@ -350,24 +363,51 @@ mod tests {
         assert_eq!(c.report().stopped_viewers, 1);
     }
 
-    /// The receipt bits against one `bool` a block: every accessor, at
-    /// file lengths and bases on both sides of a word boundary.
+    /// The receipt bits against one `bool` a block of the file, blocks
+    /// below the base `true` from the start: every accessor, at file
+    /// lengths and bases on both sides of a word boundary, bases at and
+    /// past the end of the file, and arrivals that land whole words past
+    /// every bit held so far.
     #[test]
     fn receipt_bits_match_the_bool_model() {
+        // What the cases reached between them, asserted after the run.
+        const REACH: [&str; 3] = ["a base past the end", "a base mid-file", "a skipped word"];
+        let reached: [AtomicBool; 3] = Default::default();
+        let reach = |what: usize, when: bool| {
+            reached[what].fetch_or(when, Ordering::Relaxed);
+        };
         tiger_sim::check::check("receipt_bits_match_the_bool_model", |rng| {
-            let num_blocks = rng.gen_range(1u32..200);
-            let base = rng.gen_range(0..num_blocks);
+            let num_blocks = rng.gen_range(1u32..400);
+            let base = rng.gen_range(0..num_blocks + 130);
+            reach(0, base >= num_blocks);
+            reach(1, base > 64 && base < num_blocks);
             let mut v = ViewerProgress::new(FileId(0), num_blocks, base, SimTime::ZERO, 0.0);
             let mut model: Vec<bool> = (0..num_blocks).map(|b| b < base).collect();
-            for _ in 0..rng.gen_range(0u32..300) {
-                let b = rng.gen_range(base..num_blocks);
-                v.mark_received(b);
-                v.high_water = Some(v.high_water.map_or(b, |h| h.max(b)));
-                model[b as usize] = true;
-                let high = v.high_water.expect("just set") as usize;
+            let arrivals = if base < num_blocks {
+                rng.gen_range(0u32..300)
+            } else {
+                0
+            };
+            for step in 0..=arrivals {
+                if step > 0 {
+                    let held = base + 64 * v.received.len() as u32;
+                    let b = if held + 64 < num_blocks && rng.gen_bool(0.2) {
+                        reach(2, true);
+                        rng.gen_range(held + 64..num_blocks)
+                    } else {
+                        rng.gen_range(base..num_blocks)
+                    };
+                    v.mark_received(b);
+                    v.high_water = Some(v.high_water.map_or(b, |h| h.max(b)));
+                    model[b as usize] = true;
+                }
                 let got = |flags: &[bool]| flags.iter().filter(|&&f| f).count() as u32;
-                assert_eq!(v.blocks_received(), got(&model[base as usize..]));
-                assert_eq!(v.blocks_missing(), high as u32 + 1 - got(&model[..=high]));
+                let played = model.get(base as usize..).unwrap_or_default();
+                assert_eq!(v.blocks_received(), got(played));
+                let missing = v
+                    .high_water
+                    .map_or(0, |h| h + 1 - got(&model[..=h as usize]));
+                assert_eq!(v.blocks_missing(), missing);
                 assert_eq!(v.complete(), model.iter().all(|&f| f));
                 for probe in 0..num_blocks + 70 {
                     let want = model.get(probe as usize).copied().unwrap_or(false);
@@ -375,6 +415,39 @@ mod tests {
                 }
             }
         });
+        for (what, reached) in REACH.iter().zip(&reached) {
+            assert!(reached.load(Ordering::Relaxed), "no case reached {what}");
+        }
+    }
+
+    #[test]
+    fn instances_sharing_blocks_assemble_their_pieces_apart() {
+        let mut c = Client::new();
+        for v in [1, 2] {
+            c.on_request(inst(v), FileId(0), 4, 0, SimTime::ZERO, 0.1);
+        }
+        // Block 0 in four pieces to each instance, interleaved; instance 1's
+        // piece 2 comes last, after instance 2 has its whole block.
+        let sends = [
+            (1, 0),
+            (2, 1),
+            (1, 1),
+            (2, 0),
+            (1, 3),
+            (2, 3),
+            (2, 2),
+            (1, 2),
+        ];
+        for (i, &(v, piece)) in sends.iter().enumerate() {
+            let now = SimTime::from_millis(100 * i as u64 + 100);
+            let first = c.on_stream_data(inst(v), 0, Some(piece), 4, now);
+            assert_eq!(first.is_some(), i == 6 || i == 7, "send {i}");
+            assert_eq!(c.pieces.len(), [1, 2, 2, 2, 2, 2, 1, 0][i], "send {i}");
+        }
+        for v in [1, 2] {
+            let progress = c.viewer(&inst(v)).expect("known");
+            assert_eq!((progress.blocks_received(), progress.dup_blocks), (1, 0));
+        }
     }
 
     #[test]

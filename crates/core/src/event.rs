@@ -237,11 +237,6 @@ impl Event {
             Event::ClientSeek { .. } => 23,
         }
     }
-
-    /// This event's kind by name.
-    pub fn kind_name(&self) -> &'static str {
-        Self::KIND_NAMES[self.kind()]
-    }
 }
 
 // Every pending event fills a queue slot of this size, 10-40 k of them at
@@ -273,7 +268,8 @@ mod tests {
             },
         ];
         for ev in events {
-            assert!(format!("{ev:?}").starts_with(ev.kind_name()), "{ev:?}");
+            let name = Event::KIND_NAMES[ev.kind()];
+            assert!(format!("{ev:?}").starts_with(name), "{ev:?}");
         }
     }
 }

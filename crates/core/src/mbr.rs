@@ -93,6 +93,7 @@ enum MbrMsg {
     Release {
         instance: ViewerInstance,
     },
+    #[cfg_attr(not(test), expect(dead_code, reason = "only a test deschedules"))]
     Remove {
         instance: ViewerInstance,
         hops_left: u32,
@@ -497,29 +498,6 @@ impl MbrSystem {
         self.stats.aborted += 1;
         self.send(now, origin, self.succ(origin), MbrMsg::Release { instance });
     }
-
-    /// Severs `cub` from the network: every message to or from it is
-    /// dropped from now on. Used to exercise the reservation-expiry
-    /// backstop — a dead originator can no longer release what it
-    /// reserved.
-    pub fn fail_cub_link(&mut self, cub: u32) {
-        self.net.fail_node(NetNode(cub));
-    }
-
-    /// Removes a committed instance from every view (deschedule).
-    pub fn request_remove(&mut self, at: SimTime, origin: u32, instance: ViewerInstance) {
-        self.reference.remove_instance(instance);
-        self.queue.schedule(
-            at,
-            MbrEvent::Deliver {
-                dst: origin,
-                msg: MbrMsg::Remove {
-                    instance,
-                    hops_left: self.cfg.num_cubs,
-                },
-            },
-        );
-    }
 }
 
 #[cfg(test)]
@@ -639,9 +617,10 @@ mod tests {
         let mut sys = MbrSystem::new(cfg, SimDuration::from_millis(700));
         sys.request_insert(SimTime::ZERO, 0, mbit(2));
         // Let the request dispatch (the reserve message is now in flight),
-        // then sever the originator: the reply and any release are lost.
+        // then sever the originator from the network: the reply and any
+        // release are lost.
         sys.run_until(SimTime::from_millis(1));
-        sys.fail_cub_link(0);
+        sys.net.fail_node(NetNode(0));
         sys.run_until(SimTime::from_secs(2));
         let inst = ViewerInstance {
             viewer: ViewerId(0),
@@ -674,7 +653,14 @@ mod tests {
             viewer: ViewerId(0),
             incarnation: 0,
         };
-        sys.request_remove(SimTime::from_secs(3), 0, inst);
+        // A deschedule: the origin's Remove goes once round the ring.
+        sys.reference.remove_instance(inst);
+        let msg = MbrMsg::Remove {
+            instance: inst,
+            hops_left: sys.cfg.num_cubs,
+        };
+        let remove = MbrEvent::Deliver { dst: 0, msg };
+        sys.queue.schedule(SimTime::from_secs(3), remove);
         sys.run_until(SimTime::from_secs(6));
         for cub in 0..14 {
             assert_eq!(sys.view(cub).len(), 0, "cub {cub} kept a removed entry");

@@ -3,10 +3,12 @@
 #
 #   scripts/prof.sh <workload> [seconds] [seed] [top]
 #
-# Builds the end-to-end harness (benchmark/run.sh's own build, untouched)
-# and scripts/prof/sampler.c, runs `perf once --workload <workload>` with
-# the sampler preloaded — SIGPROF every millisecond of CPU time — and
-# prints the heaviest symbols. Defaults: 60 s window, seed 1997, top 40.
+# Builds the end-to-end harness (benchmark/run.sh's own build, untouched),
+# scripts/prof/sampler.c and scripts/prof/heap.c, runs
+# `perf once --workload <workload>` with both preloaded — SIGPROF every
+# millisecond of CPU time, and every allocation counted by size class —
+# and prints the heaviest symbols, then what the heap held at its live
+# peak. Defaults: 60 s window, seed 1997, top 40.
 # The harness interleaves a reference-clock kernel with the run
 # (benchmark/src/refclock.rs); its rows are the harness's, not the
 # simulator's. See docs/PROFILING.md. Not a CI step.
@@ -24,8 +26,12 @@ mkdir -p "$out"
 (cd benchmark && CARGO_NET_OFFLINE=1 CARGO_TARGET_DIR="$target" \
     cargo build --release --offline --quiet --bin perf) >&2
 gcc -O2 -shared -fPIC -o "$out/sampler.so" scripts/prof/sampler.c
+gcc -O2 -shared -fPIC -o "$out/heap.so" scripts/prof/heap.c
 
-TIGER_PROF_OUT="$out/$workload.samples" LD_PRELOAD="$out/sampler.so" \
+TIGER_PROF_OUT="$out/$workload.samples" TIGER_HEAP_OUT="$out/$workload.heap" \
+    LD_PRELOAD="$out/sampler.so $out/heap.so" \
     "$target/release/perf" once --workload "$workload" --seed "$seed" \
     --seconds "$seconds" --trace 0 | tail -n 1 >&2
 python3 scripts/prof/symbolize.py "$out/$workload.samples" "$top"
+echo
+cat "$out/$workload.heap"

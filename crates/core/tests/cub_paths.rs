@@ -3,7 +3,9 @@
 //! retired log and the held deschedules — VCR churn with deschedules
 //! circulating, a power-cut with deschedules in flight and a takeover
 //! promoting shadows, the two halves of a rejoin, and insertion under
-//! ownership misses with the start disk's cub cut mid-queue.
+//! ownership misses with the start disk's cub cut mid-queue — plus the
+//! network fault paths: injected drops, delays and duplicates, traced
+//! and delivered.
 //!
 //! Same discipline as `service_paths.rs` and `reconfig_paths.rs`: each
 //! scenario is a small fixed-seed run whose *entire* observable output —
@@ -16,6 +18,7 @@
 //! values.
 
 use tiger_core::{TigerConfig, TigerSystem};
+use tiger_faults::FaultPlan;
 use tiger_layout::ids::ViewerInstance;
 use tiger_layout::{CubId, StripeConfig};
 use tiger_sim::{Bandwidth, RngTree, SimDuration, SimTime};
@@ -354,4 +357,81 @@ fn ownership_misses_queue_starts_across_a_power_cut() {
     }
     assert!(sys.take_violations().is_empty());
     assert_eq!(digest, 0x93a8_361e_41b7_c921);
+}
+
+/// The chaos runner's quick ring (`ChaosConfig::quick`): the small test
+/// system, blip-free, half loaded from four 320 s files, with `plan`
+/// applied and run to 90 s.
+fn half_loaded_small_ring(plan: &str) -> TigerSystem {
+    let mut cfg = TigerConfig::small_test();
+    cfg.disk = cfg.disk.without_blips();
+    let seed = cfg.seed;
+    let mut sys = TigerSystem::new(cfg);
+    sys.enable_trace(TRACE_CAP);
+    let rate = Bandwidth::from_mbit_per_sec(2);
+    let files: Vec<_> = (0..4)
+        .map(|_| sys.add_file(rate, SimDuration::from_secs(320)))
+        .collect();
+    let mut chooser = RngTree::new(seed).fork("chaos-files", 0);
+    let want = (f64::from(sys.shared().params.capacity()) * 0.5).round() as u64;
+    for i in 0..want {
+        let client = sys.add_client();
+        let file = files[chooser.gen_range(0..files.len())];
+        sys.request_start(SimTime::from_millis(100 + 150 * i), client, file);
+    }
+    sys.apply_fault_plan(&FaultPlan::parse(plan).expect("plan parses"));
+    sys.run_until(SimTime::from_secs(90));
+    sys
+}
+
+#[test]
+fn net_fault_paths() {
+    // Injected drops, delays and duplicates, each traced on the sender's
+    // lane and each duplicate delivered as a second `Deliver`: ten
+    // seconds of loss, delay and echo windows around the controller (at
+    // this load only cub 1's delays find traffic, its stream data among
+    // it); a partition that splits the ring in two for three seconds;
+    // and duplication everywhere with delays on every link. Client nodes
+    // follow the controller and the four cubs.
+    let plans = [
+        (
+            "lossy_control",
+            "drop ctrl>* prob=0.2 from=30s until=40s\n\
+             delay c1>* extra=5ms jitter=5ms from=30s until=40s\n\
+             dup *>ctrl prob=0.2 from=30s until=40s\n",
+            true,
+            0xb740_780c_715c_20cd,
+        ),
+        (
+            "partition",
+            "partition c0,c1|c2,c3 from=30s heal=33s\n",
+            false,
+            0x6aea_5792_2d40_e2be,
+        ),
+        (
+            "dup_and_delay_everywhere",
+            "dup *>* prob=0.5 from=0s until=90s\n\
+             delay *>* extra=3ms jitter=2ms from=10s until=60s\n",
+            true,
+            0xd766_49c2_84f1_a78f,
+        ),
+    ];
+    for (name, plan, data_plane, want) in plans {
+        let sys = half_loaded_small_ring(plan);
+        let (records, digest) = finish(&sys, name);
+        let drops = count(&records, |r| matches!(r.ev, TraceEvent::NetDrop { .. }));
+        let delays = count(&records, |r| matches!(r.ev, TraceEvent::NetDelay { .. }));
+        let dups = count(&records, |r| matches!(r.ev, TraceEvent::NetDup { .. }));
+        let to_clients = count(
+            &records,
+            |r| matches!(r.ev, TraceEvent::NetDelay { dst, .. } if dst > 4),
+        );
+        println!("  drops {drops}, delays {delays} ({to_clients} to clients), dups {dups}");
+        assert!(
+            drops + delays + dups > 0,
+            "{name}: the plan injected nothing"
+        );
+        assert_eq!(to_clients > 0, data_plane, "{name}: data-plane delays");
+        assert_eq!(digest, want, "{name}");
+    }
 }

@@ -796,7 +796,7 @@ fn bench_trace(c: &mut Runner) {
 }
 
 fn bench_fault_check(c: &mut Runner) {
-    use tiger_faults::{FaultPlan, NetFaults, NodeSel, Topology};
+    use tiger_faults::{FaultPlan, NetFaults, Topology};
     use tiger_sim::RngTree;
     // The fault hooks guard every network send, disk submit, and cub
     // dispatch. Like the trace hooks, the disabled path is one pointer
@@ -819,13 +819,7 @@ fn bench_fault_check(c: &mut Runner) {
         })
     });
     c.bench_function("fault_check_on", |b| {
-        let plan = FaultPlan::new().drop_msgs(
-            NodeSel::Any,
-            NodeSel::Any,
-            0.5,
-            SimTime::ZERO,
-            SimTime::MAX,
-        );
+        let plan = FaultPlan::parse("drop *>* prob=0.5 from=0s until=1h").expect("plan parses");
         let mut f = NetFaults::compile(
             &plan,
             topo,

@@ -257,11 +257,10 @@ impl CopyPipeline {
             return;
         }
         cub.disks_mut()[local].complete(now);
-        let at = sh
-            .net
-            .send_data(now, sh.cub_node(src_cub), sh.cub_node(job.dst));
-        sh.trace_net_injections(now);
-        match at {
+        let (src, dst) = (sh.cub_node(src_cub), sh.cub_node(job.dst));
+        let sent = sh.net.send_data(now, src, dst);
+        sh.trace_injection(now, src, dst, sent);
+        match sent.at {
             Some(at) => {
                 self.stage[idx as usize] = Stage::Transferring;
                 let lane = self.lane;

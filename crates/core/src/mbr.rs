@@ -240,10 +240,10 @@ impl MbrSystem {
     }
 
     fn send(&mut self, now: SimTime, src: u32, dst: u32, msg: MbrMsg) {
-        if let Some(at) = self
+        let sent = self
             .net
-            .send_control(now, NetNode(src), NetNode(dst), MSG_BYTES)
-        {
+            .send_control(now, NetNode(src), NetNode(dst), MSG_BYTES);
+        if let Some(at) = sent.at {
             self.queue.schedule(at, MbrEvent::Deliver { dst, msg });
         }
     }

@@ -943,9 +943,9 @@ impl Cub {
         sh.metrics.loss.blocks_sent += 1;
         // Deliver to the client (receive time = last byte arrival, §5).
         let client = tiger_net::NetNode(entry.vs.client);
-        let at = sh.net.send_data(now, node, client);
-        sh.trace_net_injections(now);
-        if let Some(at) = at {
+        let sent = sh.net.send_data(now, node, client);
+        sh.trace_injection(now, node, client, sent);
+        if let Some(at) = sent.at {
             let (piece, total) = sh.backend.stream_data(entry.vs.kind);
             sh.queue.schedule(
                 at,

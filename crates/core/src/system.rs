@@ -3,13 +3,12 @@
 
 use tiger_disk::Disk;
 use tiger_faults::{
-    DiskFaultKind, DiskFaults, FaultPlan, NetFaults, NetInjection, NetInjectionKind, ProcFaults,
-    ProcessFault, Topology,
+    DiskFaultKind, DiskFaults, FaultPlan, NetFaults, NetPerturb, ProcFaults, ProcessFault, Topology,
 };
 use tiger_layout::catalog::BitrateMode;
 use tiger_layout::ids::ViewerInstance;
 use tiger_layout::{BlockNum, CubId, FileCatalog, FileId, ViewerId};
-use tiger_net::{NetNode, Network};
+use tiger_net::{NetNode, Network, Sent};
 use tiger_proto::msg::Message;
 use tiger_sched::disk_schedule::Omniscient;
 use tiger_sched::ScheduleParams;
@@ -35,6 +34,10 @@ pub struct Shared {
     pub cfg: TigerConfig,
     /// Derived schedule parameters.
     pub params: ScheduleParams,
+    /// The network node numbering. It counts *total* cub machines
+    /// (striped plus spare), so nothing shifts when spares join the
+    /// stripe at a restripe cut-over; fault plans compile against it.
+    pub topology: Topology,
     /// The (replicated) file catalog.
     pub catalog: FileCatalog,
     /// The redundancy backend: mirrored or coded placement, and the
@@ -70,14 +73,9 @@ impl Shared {
         NetNode(0)
     }
 
-    /// The backup controller's network node, if one is configured. It
-    /// sits past the clients in the node numbering. Node numbering counts
-    /// *total* cub machines (striped plus spare) so nothing shifts when
-    /// spares join the stripe at a restripe cut-over.
+    /// The backup controller's network node, if one is configured.
     pub fn backup_controller_node(&self) -> Option<NetNode> {
-        self.cfg
-            .backup_controller
-            .then(|| NetNode(1 + self.cfg.total_cubs() + self.cfg.num_clients))
+        self.topology.backup_node().map(NetNode)
     }
 
     /// Sends a controller-bound notice to the primary and, when a backup
@@ -92,82 +90,59 @@ impl Shared {
 
     /// The network node of `cub`.
     pub fn cub_node(&self, cub: CubId) -> NetNode {
-        NetNode(1 + cub.raw())
+        NetNode(self.topology.cub_node(cub.raw()))
     }
 
     /// The cub machine at network node `node`, if it is one (the inverse
     /// of [`Shared::cub_node`]).
     pub fn cub_at(&self, node: NetNode) -> Option<CubId> {
-        (1..=self.cfg.total_cubs())
-            .contains(&node.raw())
-            .then(|| CubId(node.raw() - 1))
+        let c = node.raw().wrapping_sub(self.topology.cub_node(0));
+        (c < self.topology.num_cubs).then_some(CubId(c))
     }
 
     /// The network node of client machine `client` (0-based).
     pub fn client_node(&self, client: u32) -> NetNode {
-        NetNode(1 + self.cfg.total_cubs() + client)
+        NetNode(self.topology.client_node(client))
     }
 
-    /// Sends a control message and schedules its delivery event.
+    /// Sends a control message and schedules its delivery event, an
+    /// injected duplicate's first.
     pub fn send_control(&mut self, now: SimTime, src: NetNode, dst: NetNode, msg: Message) {
-        let at = self.net.send_control(now, src, dst, msg.control_bytes());
-        if self.net.has_fault_injections() {
-            for inj in self.net.take_fault_injections() {
-                if let NetInjectionKind::Duplicated { second_delivery } = inj.kind {
-                    self.queue.schedule(
-                        second_delivery,
-                        Event::Deliver {
-                            dst,
-                            msg: msg.clone(),
-                        },
-                    );
-                }
-                self.record_net_injection(now, &inj);
-            }
+        let sent = self.net.send_control(now, src, dst, msg.control_bytes());
+        self.trace_injection(now, src, dst, sent);
+        if let Some(at) = sent.dup_at {
+            let msg = msg.clone();
+            self.queue.schedule(at, Event::Deliver { dst, msg });
         }
-        if let Some(at) = at {
+        if let Some(at) = sent.at {
             self.queue.schedule(at, Event::Deliver { dst, msg });
         }
     }
 
-    /// Trace cub id for a fault event on network node `node`: cubs record
-    /// on their own lane, everything else (controllers, clients) on CTRL.
-    fn fault_lane(&self, node: u32) -> u32 {
-        self.cub_at(NetNode(node)).map_or(CTRL, CubId::raw)
-    }
-
-    fn record_net_injection(&mut self, now: SimTime, inj: &NetInjection) {
-        let lane = self.fault_lane(inj.src);
-        let ev = match inj.kind {
-            NetInjectionKind::Dropped { partition } => TraceEvent::NetDrop {
-                src: inj.src,
-                dst: inj.dst,
-                partition,
-            },
-            NetInjectionKind::Delayed { extra } => TraceEvent::NetDelay {
-                src: inj.src,
-                dst: inj.dst,
-                extra_ns: extra.as_nanos(),
-            },
-            NetInjectionKind::Duplicated { .. } => TraceEvent::NetDup {
-                src: inj.src,
-                dst: inj.dst,
-            },
-        };
-        self.tracer.record(now, lane, ev);
-    }
-
-    /// Drains and traces data-plane injections after a
-    /// [`tiger_net::Network::send_data`] call (cub send path). The data
-    /// plane never duplicates, so only drops and delays can appear here.
-    pub fn trace_net_injections(&mut self, now: SimTime) {
-        if self.net.has_fault_injections() {
-            for inj in self.net.take_fault_injections() {
-                debug_assert!(
-                    !matches!(inj.kind, NetInjectionKind::Duplicated { .. }),
-                    "send_data must never duplicate"
-                );
-                self.record_net_injection(now, &inj);
+    /// Traces what fault injection did to one send from `src` to `dst`,
+    /// on the sender's lane: a cub's own, else CTRL.
+    pub(crate) fn trace_injection(&mut self, now: SimTime, src: NetNode, dst: NetNode, sent: Sent) {
+        let Some(perturb) = sent.perturb else { return };
+        let lane = self.cub_at(src).map_or(CTRL, CubId::raw);
+        let (src, dst) = (src.raw(), dst.raw());
+        let tracer = &mut self.tracer;
+        match perturb {
+            NetPerturb::Drop { partition } => {
+                let ev = TraceEvent::NetDrop {
+                    src,
+                    dst,
+                    partition,
+                };
+                tracer.record(now, lane, ev);
+            }
+            NetPerturb::Tweak { extra, duplicate } => {
+                if !extra.is_zero() {
+                    let extra_ns = extra.as_nanos();
+                    tracer.record(now, lane, TraceEvent::NetDelay { src, dst, extra_ns });
+                }
+                if duplicate {
+                    tracer.record(now, lane, TraceEvent::NetDup { src, dst });
+                }
             }
         }
     }
@@ -208,6 +183,11 @@ impl TigerSystem {
         );
         let rng = RngTree::new(cfg.seed);
         let total_cubs = cfg.total_cubs();
+        let topology = Topology {
+            num_cubs: total_cubs,
+            num_clients: cfg.num_clients,
+            backup_controller: cfg.backup_controller,
+        };
         let nodes = 1 + total_cubs + cfg.num_clients + u32::from(cfg.backup_controller);
         let net = Network::new(nodes, cfg.nic_capacity, cfg.latency, rng.fork("net", 0));
         let mut cubs = Vec::with_capacity(total_cubs as usize);
@@ -251,6 +231,7 @@ impl TigerSystem {
             shared: Shared {
                 cfg,
                 params,
+                topology,
                 catalog,
                 backend,
                 queue: EventQueue::with_capacity(queue_hint),
@@ -495,22 +476,14 @@ impl TigerSystem {
         if plan.is_empty() {
             return;
         }
-        // The topology counts total cub machines (striped + spare): node
-        // numbering places clients after every cub machine, and fault
-        // selectors must resolve to the same nodes the system uses.
-        let num_cubs = self.shared.cfg.total_cubs();
+        let topo = self.shared.topology;
         let disks_per_cub = self.shared.cfg.stripe.disks_per_cub;
-        let topo = Topology {
-            num_cubs,
-            num_clients: self.shared.cfg.num_clients,
-            backup_controller: self.shared.cfg.backup_controller,
-        };
         let tree = RngTree::new(self.shared.cfg.seed).subtree("faults", 0);
         let net_faults = NetFaults::compile(plan, topo, tree.fork("net", 0));
         if net_faults.active() {
             self.shared.net.set_faults(net_faults);
         }
-        for c in 0..num_cubs {
+        for c in 0..topo.num_cubs {
             for l in 0..disks_per_cub {
                 let df = DiskFaults::compile(
                     plan,
@@ -814,7 +787,7 @@ impl TigerSystem {
                 self.maybe_shield(now, failed);
             }
         } else {
-            let client = dst.raw() - 1 - self.shared.cfg.total_cubs();
+            let client = dst.raw() - self.shared.client_node(0).raw();
             self.on_client_message(now, client, msg);
         }
     }

@@ -403,13 +403,7 @@ mod tests {
     #[test]
     fn injected_transient_errors_fail_reads_without_occupying_the_head() {
         use tiger_faults::FaultPlan;
-        let plan = FaultPlan::new().disk_transient(
-            0,
-            0,
-            1.0,
-            SimTime::from_secs(1),
-            SimTime::from_secs(2),
-        );
+        let plan = FaultPlan::parse("disk-transient c0:0 prob=1 from=1s until=2s").unwrap();
         let mut d = disk();
         d.set_faults(DiskFaults::compile(
             &plan,
@@ -438,13 +432,7 @@ mod tests {
     fn degraded_window_stretches_service_by_its_factor() {
         use tiger_faults::FaultPlan;
         let factor = 3.0;
-        let plan = FaultPlan::new().disk_degraded(
-            0,
-            0,
-            factor,
-            SimTime::from_secs(10),
-            SimTime::from_secs(20),
-        );
+        let plan = FaultPlan::parse("disk-degraded c0:0 factor=3 from=10s until=20s").unwrap();
         let service_of = |at: SimTime, faulted: bool| {
             let mut d = disk();
             if faulted {

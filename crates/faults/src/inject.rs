@@ -36,45 +36,12 @@ pub enum NetPerturb {
     },
 }
 
-/// One injection that actually happened, logged by the network layer for
-/// the system to turn into trace events and duplicate deliveries.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct NetInjection {
-    /// Sending node.
-    pub src: u32,
-    /// Receiving node.
-    pub dst: u32,
-    /// What was done.
-    pub kind: NetInjectionKind,
-}
-
-/// The concrete outcome of one network injection.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum NetInjectionKind {
-    /// The message never arrives.
-    Dropped {
-        /// True when a partition clause ate it.
-        partition: bool,
-    },
-    /// The message arrives `extra` later than it would have.
-    Delayed {
-        /// The added delay.
-        extra: SimDuration,
-    },
-    /// A second copy arrives at `second_delivery`.
-    Duplicated {
-        /// Delivery time of the duplicate.
-        second_delivery: SimTime,
-    },
-}
-
 #[derive(Debug)]
 struct NetInner {
     rng: SimRng,
     topo: Topology,
     links: Vec<LinkFault>,
     partitions: Vec<Partition>,
-    pending: Vec<NetInjection>,
 }
 
 impl NetInner {
@@ -117,7 +84,6 @@ impl NetFaults {
                 topo,
                 links: plan.links.clone(),
                 partitions: plan.partitions.clone(),
-                pending: Vec::new(),
             })),
         }
     }
@@ -164,27 +130,6 @@ impl NetFaults {
             None
         } else {
             Some(NetPerturb::Tweak { extra, duplicate })
-        }
-    }
-
-    /// Logs an injection that the network carried out.
-    pub fn note(&mut self, inj: NetInjection) {
-        if let Some(inner) = &mut self.inner {
-            inner.pending.push(inj);
-        }
-    }
-
-    /// Whether [`take_injections`](Self::take_injections) would return
-    /// anything — the cheap post-send check.
-    pub fn has_injections(&self) -> bool {
-        self.inner.as_ref().is_some_and(|i| !i.pending.is_empty())
-    }
-
-    /// Drains the injection log (in the order the injections happened).
-    pub fn take_injections(&mut self) -> Vec<NetInjection> {
-        match &mut self.inner {
-            Some(inner) => std::mem::take(&mut inner.pending),
-            None => Vec::new(),
         }
     }
 }
@@ -375,7 +320,6 @@ impl ProcFaults {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::FaultPlan;
     use tiger_sim::RngTree;
 
     fn topo() -> Topology {
@@ -390,13 +334,15 @@ mod tests {
         RngTree::new(42).subtree("faults", 0).fork("net", idx)
     }
 
+    fn plan(text: &str) -> FaultPlan {
+        FaultPlan::parse(text).expect("plan parses")
+    }
+
     #[test]
     fn disabled_injectors_do_nothing() {
         let mut net = NetFaults::disabled();
         assert!(!net.active());
         assert_eq!(net.verdict(SimTime::from_secs(1), 1, 2), None);
-        assert!(!net.has_injections());
-        assert!(net.take_injections().is_empty());
         let mut disk = DiskFaults::disabled();
         assert_eq!(disk.verdict(SimTime::from_secs(1)), DiskVerdict::Clean);
         let proc = ProcFaults::disabled();
@@ -406,12 +352,12 @@ mod tests {
 
     #[test]
     fn empty_plan_compiles_to_disabled() {
-        let plan = FaultPlan::new();
-        assert!(!NetFaults::compile(&plan, topo(), rng(0)).active());
-        assert!(!DiskFaults::compile(&plan, 0, 0, rng(1)).active());
-        assert!(!ProcFaults::compile(&plan).active());
+        let empty = FaultPlan::new();
+        assert!(!NetFaults::compile(&empty, topo(), rng(0)).active());
+        assert!(!DiskFaults::compile(&empty, 0, 0, rng(1)).active());
+        assert!(!ProcFaults::compile(&empty).active());
         // A plan with only disk clauses still leaves net/proc disabled.
-        let disk_only = FaultPlan::new().disk_kill(1, 0, SimTime::from_secs(5));
+        let disk_only = plan("disk-kill c1:0 at=5s");
         assert!(!NetFaults::compile(&disk_only, topo(), rng(0)).active());
         assert!(!ProcFaults::compile(&disk_only).active());
         // ... and the kill clause alone compiles no *windowed* disk faults.
@@ -420,13 +366,7 @@ mod tests {
 
     #[test]
     fn certain_drop_applies_only_inside_its_window_and_link() {
-        let plan = FaultPlan::new().drop_msgs(
-            NodeSel::Cub(0),
-            NodeSel::Cub(2),
-            1.0,
-            SimTime::from_secs(2),
-            SimTime::from_secs(5),
-        );
+        let plan = plan("drop c0>c2 prob=1 from=2s until=5s");
         let mut net = NetFaults::compile(&plan, topo(), rng(0));
         let (src, dst) = (topo().cub_node(0), topo().cub_node(2));
         assert_eq!(net.verdict(SimTime::from_secs(1), src, dst), None);
@@ -441,12 +381,7 @@ mod tests {
 
     #[test]
     fn partition_cuts_both_directions_until_heal() {
-        let plan = FaultPlan::new().partition(
-            vec![NodeSel::Ctrl, NodeSel::Cub(0)],
-            vec![NodeSel::Cub(2), NodeSel::Cub(3)],
-            SimTime::from_secs(4),
-            SimTime::from_secs(6),
-        );
+        let plan = plan("partition ctrl,c0|c2,c3 from=4s heal=6s");
         let mut net = NetFaults::compile(&plan, topo(), rng(0));
         let t = SimTime::from_secs(5);
         let cut = Some(NetPerturb::Drop { partition: true });
@@ -464,14 +399,7 @@ mod tests {
     fn delay_jitter_stays_within_its_bound() {
         let extra = SimDuration::from_millis(20);
         let jitter = SimDuration::from_millis(10);
-        let plan = FaultPlan::new().delay_msgs(
-            NodeSel::Cub(1),
-            NodeSel::Any,
-            extra,
-            jitter,
-            SimTime::ZERO,
-            SimTime::from_secs(10),
-        );
+        let plan = plan("delay c1>* extra=20ms jitter=10ms from=0s until=10s");
         let mut net = NetFaults::compile(&plan, topo(), rng(0));
         for i in 0..200u64 {
             let t = SimTime::from_millis(i * 10);
@@ -493,13 +421,7 @@ mod tests {
 
     #[test]
     fn duplication_flags_but_never_drops() {
-        let plan = FaultPlan::new().duplicate_msgs(
-            NodeSel::Ctrl,
-            NodeSel::Cub(2),
-            1.0,
-            SimTime::ZERO,
-            SimTime::from_secs(10),
-        );
+        let plan = plan("dup ctrl>c2 prob=1 from=0s until=10s");
         let mut net = NetFaults::compile(&plan, topo(), rng(0));
         assert_eq!(
             net.verdict(SimTime::from_secs(1), 0, topo().cub_node(2)),
@@ -511,54 +433,11 @@ mod tests {
     }
 
     #[test]
-    fn injection_log_drains_in_order() {
-        let plan = FaultPlan::new().drop_msgs(
-            NodeSel::Any,
-            NodeSel::Any,
-            1.0,
-            SimTime::ZERO,
-            SimTime::from_secs(1),
-        );
-        let mut net = NetFaults::compile(&plan, topo(), rng(0));
-        assert!(!net.has_injections());
-        net.note(NetInjection {
-            src: 1,
-            dst: 2,
-            kind: NetInjectionKind::Dropped { partition: false },
-        });
-        net.note(NetInjection {
-            src: 2,
-            dst: 3,
-            kind: NetInjectionKind::Delayed {
-                extra: SimDuration::from_millis(5),
-            },
-        });
-        assert!(net.has_injections());
-        let drained = net.take_injections();
-        assert_eq!(drained.len(), 2);
-        assert_eq!(drained[0].src, 1);
-        assert_eq!(drained[1].src, 2);
-        assert!(!net.has_injections());
-    }
-
-    #[test]
     fn verdict_sequence_is_deterministic() {
-        let plan = FaultPlan::new()
-            .drop_msgs(
-                NodeSel::Any,
-                NodeSel::Any,
-                0.3,
-                SimTime::ZERO,
-                SimTime::from_secs(10),
-            )
-            .delay_msgs(
-                NodeSel::Any,
-                NodeSel::Any,
-                SimDuration::from_millis(1),
-                SimDuration::from_millis(9),
-                SimTime::ZERO,
-                SimTime::from_secs(10),
-            );
+        let plan = plan(
+            "drop *>* prob=0.3 from=0s until=10s\n\
+             delay *>* extra=1ms jitter=9ms from=0s until=10s\n",
+        );
         let run = || {
             let mut net = NetFaults::compile(&plan, topo(), rng(7));
             (0..500u64)
@@ -570,10 +449,11 @@ mod tests {
 
     #[test]
     fn transient_window_hits_and_degraded_factors_multiply() {
-        let plan = FaultPlan::new()
-            .disk_transient(2, 0, 1.0, SimTime::from_secs(3), SimTime::from_secs(6))
-            .disk_degraded(2, 0, 3.0, SimTime::from_secs(7), SimTime::from_secs(9))
-            .disk_degraded(2, 0, 2.0, SimTime::from_secs(8), SimTime::from_secs(9));
+        let plan = plan(
+            "disk-transient c2:0 prob=1 from=3s until=6s\n\
+             disk-degraded c2:0 factor=3 from=7s until=9s\n\
+             disk-degraded c2:0 factor=2 from=8s until=9s\n",
+        );
         // Another disk on the same cub is untouched.
         assert!(!DiskFaults::compile(&plan, 2, 1, rng(1)).active());
         let mut disk = DiskFaults::compile(&plan, 2, 0, rng(1));
@@ -593,9 +473,7 @@ mod tests {
 
     #[test]
     fn freeze_windows_merge_and_respect_boundaries() {
-        let plan = FaultPlan::new()
-            .freeze(0, SimTime::from_secs(2), SimTime::from_secs(4))
-            .freeze(0, SimTime::from_secs(3), SimTime::from_secs(5));
+        let plan = plan("freeze c0 from=2s until=4s\nfreeze c0 from=3s until=5s\n");
         let proc = ProcFaults::compile(&plan);
         assert!(proc.active());
         assert_eq!(proc.frozen_until(0, SimTime::from_millis(1_999)), None);

@@ -217,11 +217,22 @@ pub struct ObservedStall {
 /// silence strictly exceeds `timeout`, and the declared cub was genuinely
 /// unable to reach its declarer for essentially the whole claimed silence.
 ///
+/// What counts as unable: the plan's own stalls ([`stall_intervals`]);
+/// the `observed` ones lifted out of the run — during a partition each
+/// side declares the other dead, and after the heal the fenced losers are
+/// genuinely silent without any plan clause saying so; and, when `drops`
+/// is `Some((ping_interval, min_prob))`, every drop window matching the
+/// declared pair whose [`silence_probability`] reaches `min_prob` (dropped
+/// pings plausibly caused the silence; windows below the threshold do not,
+/// so a declaration they "explain" is still a live cub declared dead).
+/// `ping_interval` is the heartbeat period the probability model divides
+/// the timeout by.
+///
 /// `grace` absorbs the protocol's honest measurement slop at both ends of
 /// the silence window — the last ping before a stall can land up to one
 /// deadman interval plus one worst-case network latency after the stall
 /// begins, and symmetrically a resumed cub's first ping takes as long to
-/// arrive — so the stall intervals derived from the plan must cover
+/// arrive — so the stall intervals must cover
 /// `[at - silence + grace, at - grace)`. Callers pass
 /// `deadman_interval + latency.worst_case()`.
 ///
@@ -231,63 +242,7 @@ pub fn check_deadman_justified(
     plan: &FaultPlan,
     topo: Topology,
     declares: &[ObservedDeclare],
-    timeout: SimDuration,
-    grace: SimDuration,
-) -> Vec<String> {
-    check_deadman_justified_with(plan, topo, declares, &[], timeout, grace)
-}
-
-/// [`check_deadman_justified`] with trace-observed stalls folded in: the
-/// partitioned-ring form of the invariant. During a partition each side
-/// declares the other dead (justifiably — the stall intervals cover it),
-/// and after the heal the fenced losers are genuinely silent without any
-/// plan clause saying so; their fencing intervals arrive via `extra`.
-pub fn check_deadman_justified_with(
-    plan: &FaultPlan,
-    topo: Topology,
-    declares: &[ObservedDeclare],
-    extra: &[ObservedStall],
-    timeout: SimDuration,
-    grace: SimDuration,
-) -> Vec<String> {
-    check_justified_inner(plan, topo, declares, extra, timeout, grace, None)
-}
-
-/// [`check_deadman_justified_with`] under probabilistic drops: instead of
-/// skipping the invariant when a plan has `drop prob=` clauses, model the
-/// per-pair silence probability. A drop window matching the declared pair
-/// whose [`silence_probability`] reaches `min_prob` counts as a stall
-/// interval (dropped pings plausibly caused the silence); windows below
-/// the threshold do not, so a declaration they "explain" is still flagged
-/// as a live cub declared dead. `ping_interval` is the heartbeat period
-/// the probability model divides the timeout by.
-#[allow(clippy::too_many_arguments)]
-pub fn check_deadman_justified_probabilistic(
-    plan: &FaultPlan,
-    topo: Topology,
-    declares: &[ObservedDeclare],
-    extra: &[ObservedStall],
-    timeout: SimDuration,
-    ping_interval: SimDuration,
-    grace: SimDuration,
-    min_prob: f64,
-) -> Vec<String> {
-    check_justified_inner(
-        plan,
-        topo,
-        declares,
-        extra,
-        timeout,
-        grace,
-        Some((ping_interval, min_prob)),
-    )
-}
-
-fn check_justified_inner(
-    plan: &FaultPlan,
-    topo: Topology,
-    declares: &[ObservedDeclare],
-    extra: &[ObservedStall],
+    observed: &[ObservedStall],
     timeout: SimDuration,
     grace: SimDuration,
     drops: Option<(SimDuration, f64)>,
@@ -302,7 +257,7 @@ fn check_justified_inner(
             continue;
         }
         let mut stalls = stall_intervals(plan, topo, d.failed, d.declarer);
-        for s in extra.iter().filter(|s| s.cub == d.failed) {
+        for s in observed.iter().filter(|s| s.cub == d.failed) {
             stalls.add(s.from, s.until);
         }
         if let Some((ping_interval, min_prob)) = drops {
@@ -377,6 +332,31 @@ mod tests {
         SimDuration::from_secs(secs)
     }
 
+    fn topo() -> Topology {
+        Topology {
+            num_cubs: 4,
+            num_clients: 0,
+            backup_controller: false,
+        }
+    }
+
+    fn plan(text: &str) -> FaultPlan {
+        FaultPlan::parse(text).expect("plan parses")
+    }
+
+    /// The checker at a 2 s deadman timeout and 600 ms grace; with
+    /// `min_prob`, drop windows are modelled at one ping every 500 ms.
+    fn check(
+        plan: &FaultPlan,
+        declares: &[ObservedDeclare],
+        observed: &[ObservedStall],
+        min_prob: Option<f64>,
+    ) -> Vec<String> {
+        let drops = min_prob.map(|p| (SimDuration::from_millis(500), p));
+        let grace = SimDuration::from_millis(600);
+        check_deadman_justified(plan, topo(), declares, observed, d(2), grace, drops)
+    }
+
     #[test]
     fn intervals_merge_and_cover() {
         let mut iv = Intervals::new();
@@ -397,44 +377,33 @@ mod tests {
 
     #[test]
     fn stalls_combine_crash_freeze_and_partition() {
-        let topo = Topology {
-            num_cubs: 4,
-            num_clients: 0,
-            backup_controller: false,
-        };
-        let plan = FaultPlan::new()
-            .freeze(2, t(1), t(3))
-            .partition(vec![NodeSel::Cub(2)], vec![NodeSel::Cub(3)], t(5), t(6))
-            .crash(2, t(8));
+        let mixed = plan(
+            "freeze c2 from=1s until=3s\n\
+             partition c2|c3 from=5s heal=6s\n\
+             crash c2 at=8s\n",
+        );
         // Cub 3 observes all three stalls of cub 2.
-        let stalls = stall_intervals(&plan, topo, 2, 3);
+        let stalls = stall_intervals(&mixed, topo(), 2, 3);
         assert_eq!(
             stalls.spans(),
             &[(t(1), t(3)), (t(5), t(6)), (t(8), SimTime::MAX)]
         );
         // Cub 1 is on cub 2's side of nothing: the partition doesn't
         // separate them, so only the freeze and the crash stall the pair.
-        let stalls = stall_intervals(&plan, topo, 2, 1);
+        let stalls = stall_intervals(&mixed, topo(), 2, 1);
         assert_eq!(stalls.spans(), &[(t(1), t(3)), (t(8), SimTime::MAX)]);
         // A power-domain cut stalls every member.
-        let pd = FaultPlan::new().power_domain(vec![0, 1], t(4));
+        let pd = plan("power-domain c0,c1 at=4s");
         assert_eq!(
-            stall_intervals(&pd, topo, 1, 2).spans(),
+            stall_intervals(&pd, topo(), 1, 2).spans(),
             &[(t(4), SimTime::MAX)]
         );
-        assert!(stall_intervals(&pd, topo, 2, 1).is_empty());
+        assert!(stall_intervals(&pd, topo(), 2, 1).is_empty());
     }
 
     #[test]
     fn justified_and_unjustified_declares() {
-        let topo = Topology {
-            num_cubs: 4,
-            num_clients: 0,
-            backup_controller: false,
-        };
-        let timeout = d(2);
-        let grace = SimDuration::from_millis(600);
-        let plan = FaultPlan::new().crash(1, t(5));
+        let plan = plan("crash c1 at=5s");
         // Silence accumulated since the crash: justified.
         let ok = ObservedDeclare {
             at: t(8),
@@ -442,85 +411,65 @@ mod tests {
             failed: 1,
             silence: d(3),
         };
-        assert!(check_deadman_justified(&plan, topo, &[ok], timeout, grace).is_empty());
+        assert!(check(&plan, &[ok], &[], None).is_empty());
         // Silence at exactly the timeout: the strict threshold was violated.
         let early = ObservedDeclare {
-            silence: timeout,
+            silence: d(2),
             ..ok
         };
-        let v = check_deadman_justified(&plan, topo, &[early], timeout, grace);
+        let v = check(&plan, &[early], &[], None);
         assert_eq!(v.len(), 1);
         assert!(v[0].contains("<= deadman timeout"), "{}", v[0]);
         // A declaration against a cub the plan never stalls: a live cub
         // was declared dead.
         let phantom = ObservedDeclare { failed: 3, ..ok };
-        let v = check_deadman_justified(&plan, topo, &[phantom], timeout, grace);
+        let v = check(&plan, &[phantom], &[], None);
         assert_eq!(v.len(), 1);
         assert!(v[0].contains("live cub"), "{}", v[0]);
     }
 
     #[test]
     fn freeze_barely_long_enough_is_justified() {
-        let topo = Topology {
-            num_cubs: 4,
-            num_clients: 0,
-            backup_controller: false,
-        };
-        let timeout = d(2);
-        let grace = SimDuration::from_millis(600);
         // Frozen 1s..5s; declared at 4.5s with silence 2.2s. The stall
         // must cover [4.5 - 2.2 + 0.6, 4.5 - 0.6) = [2.9, 3.9) — it does.
-        let plan = FaultPlan::new().freeze(0, t(1), t(5));
         let declare = ObservedDeclare {
             at: SimTime::from_millis(4_500),
             declarer: 1,
             failed: 0,
             silence: SimDuration::from_millis(2_200),
         };
-        assert!(check_deadman_justified(&plan, topo, &[declare], timeout, grace).is_empty());
+        let long = plan("freeze c0 from=1s until=5s");
+        assert!(check(&long, &[declare], &[], None).is_empty());
         // The same declare against a freeze that ended at 3s is not
         // covered: the cub was back for ~1.5s of the claimed silence.
-        let plan = FaultPlan::new().freeze(0, t(1), t(3));
-        let v = check_deadman_justified(&plan, topo, &[declare], timeout, grace);
-        assert_eq!(v.len(), 1);
+        let short = plan("freeze c0 from=1s until=3s");
+        assert_eq!(check(&short, &[declare], &[], None).len(), 1);
     }
 
     #[test]
     fn restart_ends_a_crash_stall() {
-        let topo = Topology {
-            num_cubs: 4,
-            num_clients: 0,
-            backup_controller: false,
-        };
-        let plan = FaultPlan::new()
-            .crash(1, t(5))
-            .restart(1, t(10))
-            .crash(1, t(20));
+        let crashes = plan("crash c1 at=5s\nrestart c1 at=10s\ncrash c1 at=20s\n");
         // First crash stalls until the restart; the second forever.
         assert_eq!(
-            stall_intervals(&plan, topo, 1, 2).spans(),
+            stall_intervals(&crashes, topo(), 1, 2).spans(),
             &[(t(5), t(10)), (t(20), SimTime::MAX)]
         );
         // Power-domain cuts pair with restarts the same way.
-        let pd = FaultPlan::new()
-            .power_domain(vec![1, 2], t(4))
-            .restart(2, t(9));
-        assert_eq!(stall_intervals(&pd, topo, 2, 0).spans(), &[(t(4), t(9))]);
+        let pd = plan("power-domain c1,c2 at=4s\nrestart c2 at=9s\n");
+        assert_eq!(stall_intervals(&pd, topo(), 2, 0).spans(), &[(t(4), t(9))]);
         assert_eq!(
-            stall_intervals(&pd, topo, 1, 0).spans(),
+            stall_intervals(&pd, topo(), 1, 0).spans(),
             &[(t(4), SimTime::MAX)]
         );
         // A declaration whose silence window reaches past the restart is
         // unjustified: the cub was back and talking.
-        let timeout = d(2);
-        let grace = SimDuration::from_millis(600);
         let late = ObservedDeclare {
             at: t(14),
             declarer: 2,
             failed: 1,
             silence: d(6),
         };
-        let v = check_deadman_justified(&plan, topo, &[late], timeout, grace);
+        let v = check(&crashes, &[late], &[], None);
         assert_eq!(v.len(), 1);
         assert!(v[0].contains("live cub"), "{}", v[0]);
         // The same declaration landing before the restart is justified.
@@ -529,18 +478,11 @@ mod tests {
             silence: d(3),
             ..late
         };
-        assert!(check_deadman_justified(&plan, topo, &[ok], timeout, grace).is_empty());
+        assert!(check(&crashes, &[ok], &[], None).is_empty());
     }
 
     #[test]
     fn observed_stalls_justify_fencing_cascades() {
-        let topo = Topology {
-            num_cubs: 4,
-            num_clients: 0,
-            backup_controller: false,
-        };
-        let timeout = d(2);
-        let grace = SimDuration::from_millis(600);
         // The plan never touches cub 3, but the run fenced it at t=5
         // (e.g. the partition loser): a later declaration is justified
         // only when the fencing interval is passed in.
@@ -551,25 +493,16 @@ mod tests {
             failed: 3,
             silence: d(3),
         };
-        assert_eq!(
-            check_deadman_justified(&plan, topo, &[declare], timeout, grace).len(),
-            1
-        );
+        assert_eq!(check(&plan, &[declare], &[], None).len(), 1);
         let fence = ObservedStall {
             cub: 3,
             from: t(5),
             until: SimTime::MAX,
         };
-        assert!(
-            check_deadman_justified_with(&plan, topo, &[declare], &[fence], timeout, grace)
-                .is_empty()
-        );
+        assert!(check(&plan, &[declare], &[fence], None).is_empty());
         // A stall for a different cub does not help.
         let other = ObservedStall { cub: 2, ..fence };
-        assert_eq!(
-            check_deadman_justified_with(&plan, topo, &[declare], &[other], timeout, grace).len(),
-            1
-        );
+        assert_eq!(check(&plan, &[declare], &[other], None).len(), 1);
     }
 
     #[test]
@@ -590,15 +523,7 @@ mod tests {
 
     #[test]
     fn heavy_drop_windows_justify_declares_but_light_ones_do_not() {
-        let topo = Topology {
-            num_cubs: 4,
-            num_clients: 0,
-            backup_controller: false,
-        };
-        let timeout = d(2);
-        let interval = SimDuration::from_millis(500);
-        let grace = SimDuration::from_millis(600);
-        let min_prob = 1e-9;
+        let min_prob = Some(1e-9);
         let declare = ObservedDeclare {
             at: t(8),
             declarer: 2,
@@ -608,57 +533,21 @@ mod tests {
         // A 70%-drop window on the pair's ping link: silence probability
         // 0.7^4 ≈ 0.24, far above threshold — the window is a plausible
         // stall and the declaration passes.
-        let heavy = FaultPlan::new().drop_msgs(NodeSel::Cub(1), NodeSel::Cub(2), 0.7, t(4), t(9));
-        assert!(check_deadman_justified_probabilistic(
-            &heavy,
-            topo,
-            &[declare],
-            &[],
-            timeout,
-            interval,
-            grace,
-            min_prob,
-        )
-        .is_empty());
-        // The legacy gate would have skipped this plan entirely; the
-        // non-probabilistic checker flags the same declaration.
-        assert_eq!(
-            check_deadman_justified_with(&heavy, topo, &[declare], &[], timeout, grace).len(),
-            1
-        );
+        let heavy = plan("drop c1>c2 prob=0.7 from=4s until=9s");
+        assert!(check(&heavy, &[declare], &[], min_prob).is_empty());
+        // Without the drop model the same declaration is flagged.
+        assert_eq!(check(&heavy, &[declare], &[], None).len(), 1);
         // A 0.1%-drop window: silence probability 1e-12, below threshold.
         // Dropped pings cannot explain a full timeout of silence, so the
         // declaration is still a live cub declared dead.
-        let light = FaultPlan::new().drop_msgs(NodeSel::Cub(1), NodeSel::Cub(2), 0.001, t(4), t(9));
-        let v = check_deadman_justified_probabilistic(
-            &light,
-            topo,
-            &[declare],
-            &[],
-            timeout,
-            interval,
-            grace,
-            min_prob,
-        );
+        let light = plan("drop c1>c2 prob=0.001 from=4s until=9s");
+        let v = check(&light, &[declare], &[], min_prob);
         assert_eq!(v.len(), 1);
         assert!(v[0].contains("live cub"), "{}", v[0]);
         // A heavy window on an unrelated link (controller-sourced, like
         // the lossy-control scenario) never silences a cub pair.
-        let ctrl = FaultPlan::new().drop_msgs(NodeSel::Ctrl, NodeSel::Any, 0.9, t(4), t(9));
-        assert_eq!(
-            check_deadman_justified_probabilistic(
-                &ctrl,
-                topo,
-                &[declare],
-                &[],
-                timeout,
-                interval,
-                grace,
-                min_prob,
-            )
-            .len(),
-            1
-        );
+        let ctrl = plan("drop ctrl>* prob=0.9 from=4s until=9s");
+        assert_eq!(check(&ctrl, &[declare], &[], min_prob).len(), 1);
         // The drop window only covers its own span: a silence claim
         // reaching outside the window is unjustified even at 70% drop.
         let early = ObservedDeclare {
@@ -666,41 +555,24 @@ mod tests {
             silence: d(3),
             ..declare
         };
-        assert_eq!(
-            check_deadman_justified_probabilistic(
-                &heavy,
-                topo,
-                &[early],
-                &[],
-                timeout,
-                interval,
-                grace,
-                min_prob,
-            )
-            .len(),
-            1
-        );
+        assert_eq!(check(&heavy, &[early], &[], min_prob).len(), 1);
     }
 
     #[test]
     fn drop_silence_intervals_select_matching_windows() {
-        let topo = Topology {
-            num_cubs: 4,
-            num_clients: 0,
-            backup_controller: false,
-        };
         let timeout = d(2);
         let interval = SimDuration::from_millis(500);
-        let plan = FaultPlan::new()
-            .drop_msgs(NodeSel::Cub(1), NodeSel::Cub(2), 0.5, t(1), t(3))
-            .drop_msgs(NodeSel::Any, NodeSel::Cub(2), 0.5, t(5), t(7))
-            .drop_msgs(NodeSel::Cub(1), NodeSel::Cub(2), 0.001, t(10), t(12));
-        let iv = drop_silence_intervals(&plan, topo, 1, 2, timeout, interval, 1e-9);
+        let plan = plan(
+            "drop c1>c2 prob=0.5 from=1s until=3s\n\
+             drop *>c2 prob=0.5 from=5s until=7s\n\
+             drop c1>c2 prob=0.001 from=10s until=12s\n",
+        );
+        let iv = drop_silence_intervals(&plan, topo(), 1, 2, timeout, interval, 1e-9);
         // The wildcard source matches cub 1's node too; the light window
         // is filtered by the probability threshold.
         assert_eq!(iv.spans(), &[(t(1), t(3)), (t(5), t(7))]);
         // The reverse direction matches neither clause.
-        assert!(drop_silence_intervals(&plan, topo, 2, 1, timeout, interval, 1e-9).is_empty());
+        assert!(drop_silence_intervals(&plan, topo(), 2, 1, timeout, interval, 1e-9).is_empty());
     }
 
     #[test]

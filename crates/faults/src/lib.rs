@@ -2,8 +2,8 @@
 //!
 //! A [`FaultPlan`] declares *what goes wrong and when* — lossy, slow, or
 //! partitioned links; flaky, slow, or dead disks; crashed, frozen, or
-//! power-cut cubs — either built in code or parsed from a small text
-//! format (see [`FaultPlan::parse`]). The system compiles a plan into
+//! power-cut cubs — in a small line-oriented text format read by
+//! [`FaultPlan::parse`]. The system compiles a plan into
 //! per-layer injectors ([`NetFaults`], [`DiskFaults`], [`ProcFaults`])
 //! whose disabled form costs one pointer test per hook, exactly like the
 //! `tiger-trace` gate, so the no-faults hot path stays free.
@@ -22,13 +22,10 @@ pub mod inject;
 pub mod invariants;
 pub mod plan;
 
-pub use inject::{
-    DiskFaults, DiskVerdict, NetFaults, NetInjection, NetInjectionKind, NetPerturb, ProcFaults,
-};
+pub use inject::{DiskFaults, DiskVerdict, NetFaults, NetPerturb, ProcFaults};
 pub use invariants::{
-    check_deadman_justified, check_deadman_justified_probabilistic, check_deadman_justified_with,
-    drop_silence_intervals, loss_window_bound, silence_probability, stall_intervals, Intervals,
-    ObservedDeclare, ObservedStall,
+    check_deadman_justified, drop_silence_intervals, loss_window_bound, silence_probability,
+    stall_intervals, Intervals, ObservedDeclare, ObservedStall,
 };
 pub use plan::{
     parse_duration, DiskFault, DiskFaultKind, FaultPlan, FaultWindow, LinkFault, NodeSel,

@@ -3,10 +3,10 @@
 //! A [`FaultPlan`] is a list of clauses describing *what goes wrong and
 //! when*: lossy or slow links, bidirectional partitions with a scheduled
 //! heal, flaky or slow or dead disks, and process-level crashes, stalls,
-//! and correlated power-domain cuts. Plans are built in code (the chaos
-//! scenario catalogue) or parsed from a small line-oriented text format
-//! ([`FaultPlan::parse`]); either way they are pure data — nothing happens
-//! until the system compiles a plan into seeded injectors.
+//! and correlated power-domain cuts. Plans are written in a small
+//! line-oriented text format and read by [`FaultPlan::parse`], from a
+//! `.plan` file or a string in code alike; a plan is pure data — nothing
+//! happens until the system compiles it into seeded injectors.
 //!
 //! Determinism contract: a plan plus the system seed fully determines
 //! every injection. Fault decisions draw from dedicated RNG streams
@@ -31,11 +31,11 @@ pub enum NodeSel {
     Client(u32),
 }
 
-/// The node-numbering convention of the assembled system, mirrored here so
-/// plans can be compiled without depending on the core crate: controller
-/// is node 0, cub `c` is node `1 + c`, client `i` is node
-/// `1 + num_cubs + i`, and the backup controller (when configured) sits
-/// last.
+/// The node numbering of the assembled system, defined here so plans can
+/// be compiled without depending on the core crate (the system keeps the
+/// one copy it numbers its nodes by): controller is node 0, cub `c` is
+/// node `1 + c`, client `i` is node `1 + num_cubs + i`, and the backup
+/// controller (when configured) sits last.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Topology {
     /// Number of cubs.
@@ -270,180 +270,6 @@ impl FaultPlan {
             && self.disks.is_empty()
             && self.process.is_empty()
             && self.restripes.is_empty()
-    }
-
-    /// Adds a drop window on `src -> dst`.
-    pub fn drop_msgs(
-        mut self,
-        src: NodeSel,
-        dst: NodeSel,
-        prob: f64,
-        from: SimTime,
-        until: SimTime,
-    ) -> Self {
-        self.links.push(LinkFault {
-            src,
-            dst,
-            from,
-            until,
-            drop_prob: prob,
-            extra_delay: SimDuration::ZERO,
-            extra_jitter: SimDuration::ZERO,
-            dup_prob: 0.0,
-        });
-        self
-    }
-
-    /// Adds a delay window on `src -> dst` (`extra` fixed plus up to
-    /// `jitter` uniform).
-    pub fn delay_msgs(
-        mut self,
-        src: NodeSel,
-        dst: NodeSel,
-        extra: SimDuration,
-        jitter: SimDuration,
-        from: SimTime,
-        until: SimTime,
-    ) -> Self {
-        self.links.push(LinkFault {
-            src,
-            dst,
-            from,
-            until,
-            drop_prob: 0.0,
-            extra_delay: extra,
-            extra_jitter: jitter,
-            dup_prob: 0.0,
-        });
-        self
-    }
-
-    /// Adds a control-message duplication window on `src -> dst`.
-    pub fn duplicate_msgs(
-        mut self,
-        src: NodeSel,
-        dst: NodeSel,
-        prob: f64,
-        from: SimTime,
-        until: SimTime,
-    ) -> Self {
-        self.links.push(LinkFault {
-            src,
-            dst,
-            from,
-            until,
-            drop_prob: 0.0,
-            extra_delay: SimDuration::ZERO,
-            extra_jitter: SimDuration::ZERO,
-            dup_prob: prob,
-        });
-        self
-    }
-
-    /// Adds a bidirectional partition between groups `a` and `b`.
-    pub fn partition(
-        mut self,
-        a: Vec<NodeSel>,
-        b: Vec<NodeSel>,
-        from: SimTime,
-        heal: SimTime,
-    ) -> Self {
-        self.partitions.push(Partition { a, b, from, heal });
-        self
-    }
-
-    /// Adds a transient-read-error window on one disk.
-    pub fn disk_transient(
-        mut self,
-        cub: u32,
-        disk: u32,
-        prob: f64,
-        from: SimTime,
-        until: SimTime,
-    ) -> Self {
-        self.disks.push(DiskFault {
-            cub,
-            disk,
-            kind: DiskFaultKind::Transient { prob, from, until },
-        });
-        self
-    }
-
-    /// Adds a degraded-throughput window on one disk.
-    pub fn disk_degraded(
-        mut self,
-        cub: u32,
-        disk: u32,
-        factor: f64,
-        from: SimTime,
-        until: SimTime,
-    ) -> Self {
-        self.disks.push(DiskFault {
-            cub,
-            disk,
-            kind: DiskFaultKind::Degraded {
-                factor,
-                from,
-                until,
-            },
-        });
-        self
-    }
-
-    /// Kills one disk for good at `at`.
-    pub fn disk_kill(mut self, cub: u32, disk: u32, at: SimTime) -> Self {
-        self.disks.push(DiskFault {
-            cub,
-            disk,
-            kind: DiskFaultKind::Death { at },
-        });
-        self
-    }
-
-    /// Power-cuts one cub at `at`.
-    pub fn crash(mut self, cub: u32, at: SimTime) -> Self {
-        self.process.push(ProcessFault::Crash { cub, at });
-        self
-    }
-
-    /// Freezes one cub during `[from, until)`.
-    pub fn freeze(mut self, cub: u32, from: SimTime, until: SimTime) -> Self {
-        self.process.push(ProcessFault::Freeze { cub, from, until });
-        self
-    }
-
-    /// Cuts a whole power domain (several cubs) at `at`.
-    pub fn power_domain(mut self, cubs: Vec<u32>, at: SimTime) -> Self {
-        self.process.push(ProcessFault::PowerDomain { cubs, at });
-        self
-    }
-
-    /// Restarts a previously failed cub at `at` (rejoin protocol).
-    pub fn restart(mut self, cub: u32, at: SimTime) -> Self {
-        self.process.push(ProcessFault::Restart { cub, at });
-        self
-    }
-
-    /// Schedules a live restripe at `at` adding `add_cubs` spare cubs.
-    pub fn restripe(mut self, at: SimTime, add_cubs: u32) -> Self {
-        self.restripes.push(RestripeDecl {
-            at,
-            add_cubs,
-            remove_cubs: 0,
-        });
-        self
-    }
-
-    /// Schedules a live shrink at `at` removing the last `remove_cubs`
-    /// stripe members (they drain to the survivors, then rejoin the
-    /// spare pool at the cut-over).
-    pub fn restripe_remove(mut self, at: SimTime, remove_cubs: u32) -> Self {
-        self.restripes.push(RestripeDecl {
-            at,
-            add_cubs: 0,
-            remove_cubs,
-        });
-        self
     }
 
     /// The plan's timed windows with their stable clause ids (for the
@@ -798,23 +624,23 @@ power-domain c1,c2 at=9s
         assert_eq!(plan.links[1].dst, NodeSel::Any);
         assert_eq!(plan.links[2].dup_prob, 0.05);
         assert_eq!(
-            plan.process[2],
-            ProcessFault::PowerDomain {
-                cubs: vec![1, 2],
-                at: SimTime::from_secs(9)
-            }
+            plan.process,
+            vec![
+                ProcessFault::Crash {
+                    cub: 1,
+                    at: SimTime::from_secs(9)
+                },
+                ProcessFault::Freeze {
+                    cub: 0,
+                    from: SimTime::from_secs(2),
+                    until: SimTime::from_secs(4)
+                },
+                ProcessFault::PowerDomain {
+                    cubs: vec![1, 2],
+                    at: SimTime::from_secs(9)
+                }
+            ]
         );
-    }
-
-    #[test]
-    fn parse_matches_builder() {
-        let parsed = FaultPlan::parse("crash c1 at=9s\nfreeze c0 from=2s until=4s\n").unwrap();
-        let built = FaultPlan::new().crash(1, SimTime::from_secs(9)).freeze(
-            0,
-            SimTime::from_secs(2),
-            SimTime::from_secs(4),
-        );
-        assert_eq!(parsed, built);
     }
 
     #[test]
@@ -883,17 +709,18 @@ power-domain c1,c2 at=9s
     fn restart_and_restripe_clauses_parse() {
         let plan = FaultPlan::parse("crash c1 at=9s\nrestart c1 at=15s\nrestripe at=20s add=1\n")
             .expect("parses");
-        let built = FaultPlan::new()
-            .crash(1, SimTime::from_secs(9))
-            .restart(1, SimTime::from_secs(15))
-            .restripe(SimTime::from_secs(20), 1);
-        assert_eq!(plan, built);
         assert_eq!(
-            plan.process[1],
-            ProcessFault::Restart {
-                cub: 1,
-                at: SimTime::from_secs(15)
-            }
+            plan.process,
+            vec![
+                ProcessFault::Crash {
+                    cub: 1,
+                    at: SimTime::from_secs(9)
+                },
+                ProcessFault::Restart {
+                    cub: 1,
+                    at: SimTime::from_secs(15)
+                }
+            ]
         );
         assert_eq!(
             plan.restripes,
@@ -904,15 +731,17 @@ power-domain c1,c2 at=9s
             }]
         );
         assert!(!plan.is_empty());
-        // A restripe-only plan is not empty either.
-        assert!(!FaultPlan::new()
-            .restripe(SimTime::from_secs(1), 1)
-            .is_empty());
-        // A shrink step parses to the same declaration the builder makes.
+        // A restripe-only plan is not empty either; a shrink step names
+        // the members it removes.
         let shrink = FaultPlan::parse("restripe at=25s remove=1\n").expect("parses");
+        assert!(!shrink.is_empty());
         assert_eq!(
-            shrink,
-            FaultPlan::new().restripe_remove(SimTime::from_secs(25), 1)
+            shrink.restripes,
+            vec![RestripeDecl {
+                at: SimTime::from_secs(25),
+                add_cubs: 0,
+                remove_cubs: 1
+            }]
         );
 
         for (bad, needle) in [

@@ -25,5 +25,5 @@ pub mod network;
 pub mod nic;
 
 pub use latency::LatencyModel;
-pub use network::{NetError, NetNode, Network};
+pub use network::{NetError, NetNode, Network, Sent};
 pub use nic::Nic;

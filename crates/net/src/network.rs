@@ -1,6 +1,6 @@
 //! The switched network: nodes, ordered control channels, and NICs.
 
-use tiger_faults::{NetFaults, NetInjection, NetInjectionKind, NetPerturb};
+use tiger_faults::{NetFaults, NetPerturb};
 use tiger_sim::{Bandwidth, Counter, DetHashMap, SimDuration, SimRng, SimTime};
 
 use crate::latency::LatencyModel;
@@ -46,6 +46,19 @@ impl std::fmt::Display for NetError {
 
 impl std::error::Error for NetError {}
 
+/// What became of one send: when it arrives, and what fault injection did
+/// to it on the way (see [`NetFaults::verdict`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Sent {
+    /// Delivery time; `None` when the message vanished (a failed endpoint
+    /// or an injected drop).
+    pub at: Option<SimTime>,
+    /// Delivery time of an injected duplicate (control messages only).
+    pub dup_at: Option<SimTime>,
+    /// The injection applied: a drop, or an extra delay and duplication.
+    pub perturb: Option<NetPerturb>,
+}
+
 /// The switched network connecting all machines.
 ///
 /// Control messages get per-pair FIFO (TCP-like) delivery with sampled
@@ -90,19 +103,6 @@ impl Network {
         self.faults = faults;
     }
 
-    /// Whether [`take_fault_injections`](Self::take_fault_injections)
-    /// would return anything — the cheap post-send check.
-    pub fn has_fault_injections(&self) -> bool {
-        self.faults.has_injections()
-    }
-
-    /// Drains the log of fault injections carried out since the last
-    /// drain, in the order they happened. The caller turns these into
-    /// trace events and (for duplicates) extra deliveries.
-    pub fn take_fault_injections(&mut self) -> Vec<NetInjection> {
-        self.faults.take_injections()
-    }
-
     /// Number of registered nodes.
     pub fn num_nodes(&self) -> u32 {
         self.nics.len() as u32
@@ -128,69 +128,44 @@ impl Network {
 
     /// Sends a control message of `bytes` from `src` to `dst` at `now`.
     ///
-    /// Returns the delivery time, or `None` if either endpoint is failed
-    /// (the message silently vanishes, as with a crashed machine). Delivery
-    /// is FIFO per (src, dst): a message never overtakes an earlier one on
-    /// the same channel.
-    pub fn send_control(
-        &mut self,
-        now: SimTime,
-        src: NetNode,
-        dst: NetNode,
-        bytes: u64,
-    ) -> Option<SimTime> {
+    /// The message vanishes (no delivery time) if either endpoint is
+    /// failed, as with a crashed machine, or if fault injection drops it.
+    /// Delivery is FIFO per (src, dst): a message never overtakes an
+    /// earlier one on the same channel, an injected duplicate included.
+    pub fn send_control(&mut self, now: SimTime, src: NetNode, dst: NetNode, bytes: u64) -> Sent {
         debug_assert!(src.index() < self.nics.len() && dst.index() < self.nics.len());
         if self.failed[src.index()] || self.failed[dst.index()] {
-            return None;
+            return Sent::default();
         }
         // Metering happens before injection: a dropped message was still
         // sent and paid for at the sender.
         self.control_bytes[src.index()].add(bytes);
         self.control_msgs[src.index()].incr();
-        let mut extra = SimDuration::ZERO;
-        let mut duplicate = false;
-        if self.faults.active() {
-            match self.faults.verdict(now, src.raw(), dst.raw()) {
-                Some(NetPerturb::Drop { partition }) => {
-                    self.faults.note(NetInjection {
-                        src: src.raw(),
-                        dst: dst.raw(),
-                        kind: NetInjectionKind::Dropped { partition },
-                    });
-                    return None;
+        let perturb = self.faults.verdict(now, src.raw(), dst.raw());
+        let (extra, duplicate) = match perturb {
+            Some(NetPerturb::Drop { .. }) => {
+                return Sent {
+                    perturb,
+                    ..Sent::default()
                 }
-                Some(NetPerturb::Tweak {
-                    extra: e,
-                    duplicate: d,
-                }) => {
-                    extra = e;
-                    duplicate = d;
-                }
-                None => {}
             }
-        }
+            Some(NetPerturb::Tweak { extra, duplicate }) => (extra, duplicate),
+            None => (SimDuration::ZERO, false),
+        };
         let model = self.latency.skewed(extra);
         let sampled = now + model.sample(&mut self.rng);
-        let delivery = self.fifo_clamp(src, dst, sampled);
-        if !extra.is_zero() {
-            self.faults.note(NetInjection {
-                src: src.raw(),
-                dst: dst.raw(),
-                kind: NetInjectionKind::Delayed { extra },
-            });
-        }
-        if duplicate {
-            // The copy is a fresh send on the same channel: own latency
-            // sample, FIFO-clamped behind the original.
+        let at = Some(self.fifo_clamp(src, dst, sampled));
+        // The copy is a fresh send on the same channel: own latency
+        // sample, FIFO-clamped behind the original.
+        let dup_at = duplicate.then(|| {
             let sampled = now + model.sample(&mut self.rng);
-            let second_delivery = self.fifo_clamp(src, dst, sampled);
-            self.faults.note(NetInjection {
-                src: src.raw(),
-                dst: dst.raw(),
-                kind: NetInjectionKind::Duplicated { second_delivery },
-            });
+            self.fifo_clamp(src, dst, sampled)
+        });
+        Sent {
+            at,
+            dup_at,
+            perturb,
         }
-        Some(delivery)
     }
 
     /// FIFO per (src, dst): never deliver before (or at the same instant
@@ -209,40 +184,37 @@ impl Network {
         delivery
     }
 
-    /// Computes a delivery time for a data-plane payload (stream data) from
-    /// `src` to `dst`: latency is sampled but the message is *not* counted
-    /// as control traffic and needs no FIFO guarantee. Returns `None` if
-    /// either endpoint is failed.
-    pub fn send_data(&mut self, now: SimTime, src: NetNode, dst: NetNode) -> Option<SimTime> {
+    /// Sends a data-plane payload (stream data) from `src` to `dst`:
+    /// latency is sampled but the message is *not* counted as control
+    /// traffic and needs no FIFO guarantee. It vanishes if either endpoint
+    /// is failed or fault injection drops it.
+    pub fn send_data(&mut self, now: SimTime, src: NetNode, dst: NetNode) -> Sent {
         if self.failed[src.index()] || self.failed[dst.index()] {
-            return None;
+            return Sent::default();
         }
         // Fault injection applies drops and delays to the data plane but
         // never duplication: a double-delivered block must stay provably
         // a protocol bug, not an injected one.
-        let mut extra = SimDuration::ZERO;
-        if self.faults.active() {
-            match self.faults.verdict(now, src.raw(), dst.raw()) {
-                Some(NetPerturb::Drop { partition }) => {
-                    self.faults.note(NetInjection {
-                        src: src.raw(),
-                        dst: dst.raw(),
-                        kind: NetInjectionKind::Dropped { partition },
-                    });
-                    return None;
+        let mut perturb = self.faults.verdict(now, src.raw(), dst.raw());
+        let extra = match &mut perturb {
+            Some(NetPerturb::Drop { .. }) => {
+                return Sent {
+                    perturb,
+                    ..Sent::default()
                 }
-                Some(NetPerturb::Tweak { extra: e, .. }) => extra = e,
-                None => {}
             }
+            Some(NetPerturb::Tweak { extra, duplicate }) => {
+                *duplicate = false;
+                *extra
+            }
+            None => SimDuration::ZERO,
+        };
+        let at = Some(now + self.latency.skewed(extra).sample(&mut self.rng));
+        Sent {
+            at,
+            dup_at: None,
+            perturb,
         }
-        if !extra.is_zero() {
-            self.faults.note(NetInjection {
-                src: src.raw(),
-                dst: dst.raw(),
-                kind: NetInjectionKind::Delayed { extra },
-            });
-        }
-        Some(now + self.latency.skewed(extra).sample(&mut self.rng))
     }
 
     /// Begins a paced stream send from `src`; returns `false` on overcommit
@@ -327,7 +299,7 @@ mod tests {
         let b = NetNode(1);
         let mut prev = SimTime::ZERO;
         for _ in 0..1000 {
-            let d = n.send_control(prev, a, b, 100).expect("delivers");
+            let d = n.send_control(prev, a, b, 100).at.expect("delivers");
             assert!(d > prev, "FIFO violated");
             prev = d;
         }
@@ -340,7 +312,11 @@ mod tests {
         let b = NetNode(1);
         let mut deliveries = Vec::new();
         for _ in 0..100 {
-            deliveries.push(n.send_control(SimTime::ZERO, a, b, 10).expect("delivers"));
+            deliveries.push(
+                n.send_control(SimTime::ZERO, a, b, 10)
+                    .at
+                    .expect("delivers"),
+            );
         }
         for w in deliveries.windows(2) {
             assert!(w[1] > w[0], "same-instant sends must preserve order");
@@ -355,10 +331,12 @@ mod tests {
         for _ in 0..100 {
             last_ab = n
                 .send_control(SimTime::ZERO, NetNode(0), NetNode(1), 10)
+                .at
                 .expect("delivers");
         }
         let ac = n
             .send_control(SimTime::ZERO, NetNode(0), NetNode(2), 10)
+            .at
             .expect("delivers");
         // The a->c channel saw one message; it must arrive within one
         // worst-case latency of its send, unaffected by the a->b backlog.
@@ -370,15 +348,10 @@ mod tests {
     fn failed_nodes_drop_messages() {
         let mut n = net(3);
         n.fail_node(NetNode(1));
-        assert!(n
-            .send_control(SimTime::ZERO, NetNode(0), NetNode(1), 10)
-            .is_none());
-        assert!(n
-            .send_control(SimTime::ZERO, NetNode(1), NetNode(2), 10)
-            .is_none());
-        assert!(n
-            .send_control(SimTime::ZERO, NetNode(0), NetNode(2), 10)
-            .is_some());
+        let mut delivers = |src, dst| n.send_control(SimTime::ZERO, src, dst, 10).at.is_some();
+        assert!(!delivers(NetNode(0), NetNode(1)));
+        assert!(!delivers(NetNode(1), NetNode(2)));
+        assert!(delivers(NetNode(0), NetNode(2)));
         // Failed-sender attempts are not metered.
         assert_eq!(n.total_control_bytes(NetNode(1)), 0);
     }
@@ -388,6 +361,7 @@ mod tests {
         let mut n = net(2);
         for _ in 0..5 {
             n.send_control(SimTime::ZERO, NetNode(0), NetNode(1), 100)
+                .at
                 .expect("delivers");
         }
         assert_eq!(n.total_control_bytes(NetNode(0)), 500);
@@ -415,7 +389,7 @@ mod tests {
 
     // --- Fault injection -----------------------------------------------------
 
-    use tiger_faults::{FaultPlan, NetInjectionKind, NodeSel, Topology};
+    use tiger_faults::{FaultPlan, Topology};
 
     /// A 2-cub/0-client topology whose nodes line up with `net(3)`:
     /// ctrl=0, cub0=1, cub1=2.
@@ -427,86 +401,61 @@ mod tests {
         }
     }
 
-    fn with_plan(nodes: u32, topo: Topology, plan: &FaultPlan) -> Network {
-        let mut n = net(nodes);
+    fn with_plan(plan: &str) -> Network {
+        let mut n = net(3);
         n.set_faults(NetFaults::compile(
-            plan,
-            topo,
+            &FaultPlan::parse(plan).expect("plan parses"),
+            topo3(),
             RngTree::new(5).subtree("faults", 0).fork("net", 0),
         ));
         n
     }
 
     #[test]
-    fn injected_drop_vanishes_but_meters_and_logs() {
-        let plan = FaultPlan::new().drop_msgs(
-            NodeSel::Cub(0),
-            NodeSel::Cub(1),
-            1.0,
-            SimTime::ZERO,
-            SimTime::from_secs(10),
+    fn injected_drop_vanishes_but_meters_and_reports() {
+        let mut n = with_plan("drop c0>c1 prob=1 from=0s until=10s");
+        let sent = n.send_control(SimTime::from_secs(1), NetNode(1), NetNode(2), 100);
+        assert_eq!(
+            sent,
+            Sent {
+                perturb: Some(NetPerturb::Drop { partition: false }),
+                ..Sent::default()
+            }
         );
-        let mut n = with_plan(3, topo3(), &plan);
-        assert!(n
-            .send_control(SimTime::from_secs(1), NetNode(1), NetNode(2), 100)
-            .is_none());
         // The sender still paid for the send.
         assert_eq!(n.total_control_bytes(NetNode(1)), 100);
-        assert!(n.has_fault_injections());
-        let inj = n.take_fault_injections();
-        assert_eq!(inj.len(), 1);
-        assert_eq!(inj[0].kind, NetInjectionKind::Dropped { partition: false });
-        assert!(!n.has_fault_injections());
-        // The untouched reverse link still delivers, logging nothing.
-        assert!(n
-            .send_control(SimTime::from_secs(1), NetNode(2), NetNode(1), 100)
-            .is_some());
-        assert!(!n.has_fault_injections());
+        // The untouched reverse link still delivers, reporting nothing.
+        let back = n.send_control(SimTime::from_secs(1), NetNode(2), NetNode(1), 100);
+        assert!(back.at.is_some());
+        assert_eq!(back.perturb, None);
     }
 
     #[test]
     fn injected_delay_shifts_delivery_past_the_clean_worst_case() {
         let extra = SimDuration::from_millis(50);
-        let plan = FaultPlan::new().delay_msgs(
-            NodeSel::Cub(0),
-            NodeSel::Cub(1),
-            extra,
-            SimDuration::ZERO,
-            SimTime::ZERO,
-            SimTime::from_secs(10),
-        );
-        let mut n = with_plan(3, topo3(), &plan);
+        let mut n = with_plan("delay c0>c1 extra=50ms from=0s until=10s");
         let now = SimTime::from_secs(1);
-        let d = n
-            .send_control(now, NetNode(1), NetNode(2), 100)
-            .expect("delayed, not dropped");
+        let sent = n.send_control(now, NetNode(1), NetNode(2), 100);
+        let d = sent.at.expect("delayed, not dropped");
         assert!(d >= now + extra, "delivery {d} must include the extra");
         assert!(d <= now + LatencyModel::lan_default().worst_case() + extra);
-        let inj = n.take_fault_injections();
-        assert_eq!(inj.len(), 1);
-        assert_eq!(inj[0].kind, NetInjectionKind::Delayed { extra });
+        assert_eq!(
+            sent.perturb,
+            Some(NetPerturb::Tweak {
+                extra,
+                duplicate: false
+            })
+        );
+        assert_eq!(sent.dup_at, None);
     }
 
     #[test]
     fn injected_duplicate_delivers_twice_in_fifo_order() {
-        let plan = FaultPlan::new().duplicate_msgs(
-            NodeSel::Cub(0),
-            NodeSel::Cub(1),
-            1.0,
-            SimTime::ZERO,
-            SimTime::from_secs(10),
-        );
-        let mut n = with_plan(3, topo3(), &plan);
-        let first = n
-            .send_control(SimTime::from_secs(1), NetNode(1), NetNode(2), 100)
-            .expect("delivers");
-        let inj = n.take_fault_injections();
-        assert_eq!(inj.len(), 1);
-        let NetInjectionKind::Duplicated { second_delivery } = inj[0].kind else {
-            panic!("expected a duplicate, got {:?}", inj[0].kind);
-        };
+        let mut n = with_plan("dup c0>c1 prob=1 from=0s until=10s");
+        let sent = n.send_control(SimTime::from_secs(1), NetNode(1), NetNode(2), 100);
+        let (first, second) = (sent.at.expect("delivers"), sent.dup_at.expect("copied"));
         assert!(
-            second_delivery > first,
+            second > first,
             "the copy is FIFO-ordered behind the original"
         );
         // Only the one message was metered.
@@ -515,31 +464,24 @@ mod tests {
 
     #[test]
     fn data_plane_gets_drops_but_never_duplicates() {
-        let plan = FaultPlan::new()
-            .drop_msgs(
-                NodeSel::Cub(0),
-                NodeSel::Cub(1),
-                1.0,
-                SimTime::ZERO,
-                SimTime::from_secs(10),
-            )
-            .duplicate_msgs(
-                NodeSel::Cub(1),
-                NodeSel::Cub(0),
-                1.0,
-                SimTime::ZERO,
-                SimTime::from_secs(10),
-            );
-        let mut n = with_plan(3, topo3(), &plan);
-        assert!(n
-            .send_data(SimTime::from_secs(1), NetNode(1), NetNode(2))
-            .is_none());
+        let mut n = with_plan(
+            "drop c0>c1 prob=1 from=0s until=10s\n\
+             dup c1>c0 prob=1 from=0s until=10s\n",
+        );
+        let dropped = n.send_data(SimTime::from_secs(1), NetNode(1), NetNode(2));
+        assert_eq!(dropped.at, None);
+        assert_eq!(dropped.perturb, Some(NetPerturb::Drop { partition: false }));
         // The dup-flagged direction delivers exactly once on the data
         // plane: duplication is control-plane only.
-        assert!(n
-            .send_data(SimTime::from_secs(1), NetNode(2), NetNode(1))
-            .is_some());
-        let kinds: Vec<_> = n.take_fault_injections().iter().map(|i| i.kind).collect();
-        assert_eq!(kinds, vec![NetInjectionKind::Dropped { partition: false }]);
+        let once = n.send_data(SimTime::from_secs(1), NetNode(2), NetNode(1));
+        assert!(once.at.is_some());
+        assert_eq!(once.dup_at, None);
+        assert!(!matches!(
+            once.perturb,
+            Some(NetPerturb::Tweak {
+                duplicate: true,
+                ..
+            })
+        ));
     }
 }

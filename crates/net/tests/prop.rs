@@ -42,7 +42,7 @@ fn fifo_per_channel_under_interleaving() {
                 continue;
             }
             now = now.max(SimTime::from_millis(t_ms));
-            if let Some(at) = n.send_control(now, NetNode(src), NetNode(dst), 100) {
+            if let Some(at) = n.send_control(now, NetNode(src), NetNode(dst), 100).at {
                 assert!(at > now, "delivery not after send");
                 if let Some(&prev) = last.get(&(src, dst)) {
                     assert!(at > prev, "channel ({src},{dst}) reordered");
@@ -63,7 +63,10 @@ fn control_bytes_accounting() {
         let mut expected = 0u64;
         for (i, &size) in sizes.iter().enumerate() {
             let now = SimTime::from_millis(i as u64);
-            if n.send_control(now, NetNode(0), NetNode(1), size).is_some() {
+            if n.send_control(now, NetNode(0), NetNode(1), size)
+                .at
+                .is_some()
+            {
                 expected += size;
             }
         }
@@ -109,7 +112,7 @@ fn failed_nodes_are_inert() {
                 continue;
             }
             let now = SimTime::from_millis(i as u64);
-            let delivered = n.send_control(now, NetNode(src), NetNode(dst), 10);
+            let delivered = n.send_control(now, NetNode(src), NetNode(dst), 10).at;
             if src == 1 || dst == 1 {
                 assert!(delivered.is_none());
             } else {

@@ -21,7 +21,7 @@
 //!    modeled, not skipped: a drop window justifies a declaration only
 //!    when its per-pair silence probability — `drop_prob` compounded
 //!    over a timeout's worth of pings — is non-negligible (see
-//!    [`tiger_faults::check_deadman_justified_probabilistic`]).
+//!    [`tiger_faults::check_deadman_justified`]).
 //! 3. **Schedule views stay within `maxVStateLead`** (plus the
 //!    declustered forwarding slack) on every living cub.
 //! 4. **Loss window bounded after a single clean failure**: when the
@@ -57,8 +57,8 @@ use std::collections::BTreeSet;
 
 use tiger_core::{TigerConfig, TigerSystem};
 use tiger_faults::{
-    check_deadman_justified_probabilistic, loss_window_bound, FaultPlan, ObservedDeclare,
-    ObservedStall, ProcessFault, Topology,
+    check_deadman_justified, loss_window_bound, FaultPlan, ObservedDeclare, ObservedStall,
+    ProcessFault,
 };
 use tiger_layout::ids::ViewerInstance;
 use tiger_layout::{RestripePlan, StripeConfig};
@@ -67,6 +67,7 @@ use tiger_sim::{Bandwidth, RngTree, SimDuration, SimTime};
 use tiger_trace::TraceEvent;
 
 use crate::catalog::{populate_catalog, CatalogSpec};
+use crate::reconfig::lost_blocks;
 
 /// The silence-probability threshold below which a probabilistic-drop
 /// window does *not* justify a deadman declaration: an all-pings-dropped
@@ -235,13 +236,6 @@ fn run_chaos_full(cfg: &ChaosConfig) -> (ChaosOutcome, BTreeSet<(ViewerInstance,
     sys.apply_fault_plan(&cfg.plan);
     sys.run_until(cfg.run_to);
 
-    // Total machines, matching the node numbering `apply_fault_plan`
-    // compiled selectors against (striped members plus spares).
-    let topo = Topology {
-        num_cubs: tiger.total_cubs(),
-        num_clients: cfg.tiger.num_clients,
-        backup_controller: cfg.tiger.backup_controller,
-    };
     let report = sys.all_clients_report();
     let transient_errors: u64 = sys
         .cubs()
@@ -323,21 +317,27 @@ fn run_chaos_full(cfg: &ChaosConfig) -> (ChaosOutcome, BTreeSet<(ViewerInstance,
         .max()
         .unwrap_or(SimDuration::ZERO);
     let grace = cfg.tiger.deadman_interval + cfg.tiger.latency.worst_case() + injected_delay;
-    violations.extend(check_deadman_justified_probabilistic(
+    violations.extend(check_deadman_justified(
         &cfg.plan,
-        topo,
+        sys.shared().topology,
         &declares,
         &observed_stalls,
         cfg.tiger.deadman_timeout,
-        cfg.tiger.deadman_interval,
         grace,
-        DROP_SILENCE_MIN_PROB,
+        Some((cfg.tiger.deadman_interval, DROP_SILENCE_MIN_PROB)),
     ));
     // Invariant 3: schedule views within the legitimate lead.
     violations.extend(sys.check_view_lead());
     // Invariant 4: a single clean crash loses blocks only inside the
-    // detection-plus-takeover window.
-    let loss_window_secs = client_loss_window_secs(&sys, cfg.tiger.block_play_time);
+    // detection-plus-takeover window: the span between the expected
+    // arrivals of the earliest and latest block any client lost.
+    let mut missing = BTreeSet::new();
+    let mut span: Option<(f64, f64)> = None;
+    for (vi, b, at) in lost_blocks(&sys, cfg.tiger.block_play_time) {
+        missing.insert((vi, b));
+        span = Some(span.map_or((at, at), |(e, l)| (e.min(at), l.max(at))));
+    }
+    let loss_window_secs = span.map_or(0.0, |(e, l)| l - e);
     if let Some(bound) = single_crash_bound(cfg) {
         if loss_window_secs > bound.as_secs_f64() {
             violations.push(format!(
@@ -467,7 +467,6 @@ fn run_chaos_full(cfg: &ChaosConfig) -> (ChaosOutcome, BTreeSet<(ViewerInstance,
     violations.extend(sys.take_violations());
 
     let trace = sys.tracer().dump().unwrap_or_default();
-    let missing = missing_blocks(&sys);
     let outcome = ChaosOutcome {
         streams: sys.controller().active_streams(),
         blocks_sent: sys.metrics().loss.blocks_sent,
@@ -531,24 +530,6 @@ pub fn run_shield_ablation(cfg: &ChaosConfig) -> ShieldAblation {
     }
 }
 
-/// Every `(viewer instance, block)` a client should have received by the
-/// horizon but did not — the exact loss set, ordered, for cross-run
-/// comparison.
-fn missing_blocks(sys: &TigerSystem) -> BTreeSet<(ViewerInstance, u32)> {
-    let mut missing = BTreeSet::new();
-    for client in sys.clients() {
-        for (vi, v) in client.viewers() {
-            let Some(high) = v.high_water else { continue };
-            for b in 0..=high {
-                if !v.block_received(b) {
-                    missing.insert((*vi, b));
-                }
-            }
-        }
-    }
-    missing
-}
-
 /// The loss-window bound, when the plan is exactly one cub crash (the
 /// only shape the invariant covers: anything else — partitions, disk
 /// faults, correlated cuts — can legitimately widen the window).
@@ -573,44 +554,17 @@ fn single_crash_bound(cfg: &ChaosConfig) -> Option<SimDuration> {
     }
 }
 
-/// The span between the expected arrival times of the earliest and
-/// latest block any client lost (the §5 "inspected the clients' logs"
-/// reconstruction, shared with the reconfiguration experiment).
-fn client_loss_window_secs(sys: &TigerSystem, bpt: SimDuration) -> f64 {
-    let bpt = bpt.as_secs_f64();
-    let mut earliest: Option<f64> = None;
-    let mut latest: Option<f64> = None;
-    for client in sys.clients() {
-        for (_, v) in client.viewers() {
-            let Some(first) = v.first_block_at else {
-                continue;
-            };
-            let first = first.as_secs_f64();
-            let Some(high) = v.high_water else { continue };
-            for b in 0..=high {
-                if !v.block_received(b) {
-                    let expected = first + f64::from(b) * bpt;
-                    earliest = Some(earliest.map_or(expected, |e: f64| e.min(expected)));
-                    latest = Some(latest.map_or(expected, |l: f64| l.max(expected)));
-                }
-            }
-        }
-    }
-    match (earliest, latest) {
-        (Some(e), Some(l)) => l - e,
-        _ => 0.0,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tiger_faults::NodeSel;
+
+    fn plan(text: &str) -> FaultPlan {
+        FaultPlan::parse(text).expect("plan parses")
+    }
 
     #[test]
     fn clean_single_crash_passes_every_invariant() {
-        let plan = FaultPlan::new().crash(1, SimTime::from_secs(30));
-        let out = run_chaos(&ChaosConfig::quick(plan));
+        let out = run_chaos(&ChaosConfig::quick(plan("crash c1 at=30s")));
         assert!(out.streams > 0);
         assert!(!out.declares.is_empty(), "the crash was never detected");
         assert!(out.violations.is_empty(), "{:?}", out.violations);
@@ -619,13 +573,7 @@ mod tests {
 
     #[test]
     fn control_duplication_does_not_double_deliver_blocks() {
-        let plan = FaultPlan::new().duplicate_msgs(
-            NodeSel::Any,
-            NodeSel::Any,
-            0.5,
-            SimTime::ZERO,
-            SimTime::from_secs(90),
-        );
+        let plan = plan("dup *>* prob=0.5 from=0s until=90s");
         let out = run_chaos(&ChaosConfig::quick(plan));
         assert_eq!(out.dup_blocks, 0, "data plane must never duplicate");
         assert!(out.violations.is_empty(), "{:?}", out.violations);
@@ -638,7 +586,7 @@ mod tests {
         // dead and taken over; when it resumes and pings, the successor
         // replies with a FailureNotice naming the zombie, which fences
         // itself. The trace must show the whole arc.
-        let plan = FaultPlan::new().freeze(1, SimTime::from_secs(30), SimTime::from_secs(40));
+        let plan = plan("freeze c1 from=30s until=40s");
         let out = run_chaos(&ChaosConfig::quick(plan));
         assert!(!out.declares.is_empty(), "the stall was never declared");
         assert!(out.trace.contains("cub-freeze"));
@@ -653,9 +601,7 @@ mod tests {
         // in the trace, the convergence invariant must hold, and the
         // fresh monitoring baseline must keep the rejoined cub from
         // being re-declared dead.
-        let plan = FaultPlan::new()
-            .crash(1, SimTime::from_secs(20))
-            .restart(1, SimTime::from_secs(40));
+        let plan = plan("crash c1 at=20s\nrestart c1 at=40s\n");
         let out = run_chaos(&ChaosConfig::quick(plan));
         assert!(out.trace.contains("cub-restart"), "restart never traced");
         assert!(
@@ -692,10 +638,7 @@ mod tests {
         // pushes the rejoiner's imminent schedule in the rejoin
         // handshake: convergence must land under one forward interval,
         // and invariant 5's tightened bound must hold.
-        let plan = FaultPlan::new()
-            .crash(1, SimTime::from_secs(20))
-            .restart(1, SimTime::from_secs(40));
-        let cfg = ChaosConfig::quick(plan);
+        let cfg = ChaosConfig::quick(plan("crash c1 at=20s\nrestart c1 at=40s\n"));
         assert!(cfg.tiger.retired_replay, "replay should be the default");
         let out = run_chaos(&cfg);
         let recs = tiger_trace::parse_dump(&out.trace).expect("trace parses");
@@ -721,10 +664,7 @@ mod tests {
         // and converges well past one forward interval. Only the legacy
         // hand-back bound saves the run — so a stub that still traced
         // the handshake would fail the invariant outright.
-        let plan = FaultPlan::new()
-            .crash(1, SimTime::from_secs(20))
-            .restart(1, SimTime::from_secs(40));
-        let mut cfg = ChaosConfig::quick(plan);
+        let mut cfg = ChaosConfig::quick(plan("crash c1 at=20s\nrestart c1 at=40s\n"));
         cfg.tiger.retired_replay = false;
         let out = run_chaos(&cfg);
         assert!(
@@ -750,8 +690,7 @@ mod tests {
         // (shrink-fence), and every invariant — including the §6.4
         // duration budget, now computed over the smaller geometry —
         // holds.
-        let plan = FaultPlan::new().restripe_remove(SimTime::from_secs(10), 1);
-        let mut cfg = ChaosConfig::quick(plan);
+        let mut cfg = ChaosConfig::quick(plan("restripe at=10s remove=1"));
         cfg.run_to = SimTime::from_secs(200);
         let out = run_chaos(&cfg);
         assert!(out.trace.contains("restripe-start"));
@@ -768,9 +707,7 @@ mod tests {
         // Two plans queued while the first is still draining: the
         // executor must run them strictly in sequence — grow to five
         // cubs, cut over, then drain the fifth back out.
-        let plan = FaultPlan::new()
-            .restripe(SimTime::from_secs(10), 1)
-            .restripe_remove(SimTime::from_secs(12), 1);
+        let plan = plan("restripe at=10s add=1\nrestripe at=12s remove=1\n");
         let mut cfg = ChaosConfig::quick(plan);
         cfg.run_to = SimTime::from_secs(300);
         let out = run_chaos(&cfg);
@@ -800,10 +737,7 @@ mod tests {
         // (cub 2, holder of disk 1's piece 0) alive through the
         // campaign; the second crash (cub 3, holder of piece 1) lands
         // after the spans shadowing cub 1 have all landed on the spare.
-        let plan = FaultPlan::new()
-            .crash(1, SimTime::from_secs(20))
-            .crash(3, SimTime::from_secs(80));
-        let mut cfg = ChaosConfig::quick(plan);
+        let mut cfg = ChaosConfig::quick(plan("crash c1 at=20s\ncrash c3 at=80s\n"));
         cfg.tiger.stripe = StripeConfig::new(8, 1, 2);
         cfg.tiger.spare_cubs = 1;
         cfg.run_to = SimTime::from_secs(115);
@@ -836,8 +770,7 @@ mod tests {
         // A fault-free mid-run restripe: the duration invariant (floor
         // and §6.4 budget) and every streaming invariant must hold, and
         // the cut-over must appear in the trace.
-        let plan = FaultPlan::new().restripe(SimTime::from_secs(10), 2);
-        let mut cfg = ChaosConfig::quick(plan);
+        let mut cfg = ChaosConfig::quick(plan("restripe at=10s add=2"));
         cfg.run_to = SimTime::from_secs(200);
         let out = run_chaos(&cfg);
         assert!(out.trace.contains("restripe-start"));
@@ -855,10 +788,7 @@ mod tests {
         // plan parks (restripe-stall allowed), resumes, and still cuts
         // over; the duration budget is waived but every other invariant
         // holds.
-        let plan = FaultPlan::new()
-            .restripe(SimTime::from_secs(10), 2)
-            .crash(1, SimTime::from_secs(12))
-            .restart(1, SimTime::from_secs(30));
+        let plan = plan("restripe at=10s add=2\ncrash c1 at=12s\nrestart c1 at=30s\n");
         let mut cfg = ChaosConfig::quick(plan);
         cfg.run_to = SimTime::from_secs(200);
         let out = run_chaos(&cfg);
@@ -871,13 +801,7 @@ mod tests {
 
     #[test]
     fn transient_disk_errors_surface_in_outcome_and_trace() {
-        let plan = FaultPlan::new().disk_transient(
-            1,
-            0,
-            1.0,
-            SimTime::from_secs(20),
-            SimTime::from_secs(30),
-        );
+        let plan = plan("disk-transient c1:0 prob=1 from=20s until=30s");
         let out = run_chaos(&ChaosConfig::quick(plan));
         assert!(out.transient_errors > 0, "no transient errors served");
         assert!(out.blocks_missing > 0, "errored reads should lose blocks");

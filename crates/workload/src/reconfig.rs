@@ -7,6 +7,7 @@
 
 use tiger_core::{TigerConfig, TigerSystem};
 use tiger_faults::FaultPlan;
+use tiger_layout::ids::ViewerInstance;
 use tiger_layout::CubId;
 use tiger_sim::{RngTree, SimDuration, SimTime};
 
@@ -98,33 +99,11 @@ fn run_reconfig_impl(cfg: &ReconfigConfig, plan: Option<&FaultPlan>) -> Reconfig
     sys.run_until(cfg.cut_at + cfg.observe);
 
     let streams = sys.controller().active_streams();
-
-    // Inspect the clients' logs: reconstruct each missing block's expected
-    // arrival time from the viewer's first-block time and the block play
-    // time (blocks arrive equitemporally once started).
-    let bpt = cfg.tiger.block_play_time.as_secs_f64();
-    let mut earliest: Option<f64> = None;
-    let mut latest: Option<f64> = None;
     let mut lost = 0u64;
-    for client in sys.clients() {
-        for (_, v) in client.viewers() {
-            let Some(first) = v.first_block_at else {
-                continue;
-            };
-            let first = first.as_secs_f64();
-            let high = match v.high_water {
-                Some(h) => h,
-                None => continue,
-            };
-            for b in 0..=high {
-                if !v.block_received(b) {
-                    let expected = first + f64::from(b) * bpt;
-                    lost += 1;
-                    earliest = Some(earliest.map_or(expected, |e: f64| e.min(expected)));
-                    latest = Some(latest.map_or(expected, |l: f64| l.max(expected)));
-                }
-            }
-        }
+    let mut span: Option<(f64, f64)> = None;
+    for (_, _, at) in lost_blocks(&sys, cfg.tiger.block_play_time) {
+        lost += 1;
+        span = Some(span.map_or((at, at), |(e, l)| (e.min(at), l.max(at))));
     }
 
     let detection_secs = sys
@@ -134,16 +113,35 @@ fn run_reconfig_impl(cfg: &ReconfigConfig, plan: Option<&FaultPlan>) -> Reconfig
         .map(|&(t, _)| t.saturating_since(cfg.cut_at).as_secs_f64());
 
     ReconfigResult {
-        earliest_loss: earliest,
-        latest_loss: latest,
-        loss_window_secs: match (earliest, latest) {
-            (Some(e), Some(l)) => l - e,
-            _ => 0.0,
-        },
+        earliest_loss: span.map(|(e, _)| e),
+        latest_loss: span.map(|(_, l)| l),
+        loss_window_secs: span.map_or(0.0, |(e, l)| l - e),
         blocks_lost: lost,
         detection_secs,
         streams,
     }
+}
+
+/// Every block a client should have received but did not — each gap
+/// below a viewer's high-water mark — with its expected arrival time in
+/// seconds: the §5 "inspected the clients' logs", reconstructed from the
+/// viewer's first-block time and the block play time `bpt` (blocks arrive
+/// equitemporally once started). Viewers come in no particular order.
+pub(crate) fn lost_blocks(
+    sys: &TigerSystem,
+    bpt: SimDuration,
+) -> impl Iterator<Item = (ViewerInstance, u32, f64)> + '_ {
+    let bpt = bpt.as_secs_f64();
+    let viewers = sys.clients().iter().flat_map(|c| c.viewers());
+    viewers.flat_map(move |(&vi, v)| {
+        let played = v.high_water.zip(v.first_block_at);
+        played.into_iter().flat_map(move |(high, first)| {
+            let first = first.as_secs_f64();
+            (0..=high)
+                .filter(move |&b| !v.block_received(b))
+                .map(move |b| (vi, b, first + f64::from(b) * bpt))
+        })
+    })
 }
 
 #[cfg(test)]

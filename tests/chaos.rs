@@ -16,7 +16,7 @@ use tiger::workload::{chaos_digest, run_chaos, ChaosConfig};
 /// decluster 2 every cub pair shares a mirror group, so the double
 /// failure is beyond the design tolerance and the checker flags it.
 fn violating_plan() -> FaultPlan {
-    FaultPlan::new().power_domain(vec![1, 2], SimTime::from_secs(30))
+    FaultPlan::parse("power-domain c1,c2 at=30s").expect("plan parses")
 }
 
 /// A failing chaos invariant rides the existing `tiger_sim::check`

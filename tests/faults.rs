@@ -5,7 +5,7 @@
 //! plan reproducing the direct `fail_cub_at` results exactly.
 
 use tiger::core::{Message, TigerConfig, TigerSystem};
-use tiger::faults::{FaultPlan, NodeSel};
+use tiger::faults::FaultPlan;
 use tiger::layout::CubId;
 use tiger::sim::{Bandwidth, SimDuration, SimTime};
 use tiger::trace::TraceEvent;
@@ -30,13 +30,8 @@ fn stall_declares(stall: SimDuration, partitioned: bool) -> Vec<(u32, u64)> {
     let mut sys = TigerSystem::new(small());
     sys.enable_trace(16_384);
     if partitioned {
-        let plan = FaultPlan::new().partition(
-            vec![NodeSel::Cub(0), NodeSel::Cub(1)],
-            vec![NodeSel::Cub(2), NodeSel::Cub(3)],
-            SimTime::ZERO,
-            SimTime::from_secs(60),
-        );
-        sys.apply_fault_plan(&plan);
+        let plan = FaultPlan::parse("partition c0,c1|c2,c3 from=0s heal=60s");
+        sys.apply_fault_plan(&plan.expect("plan parses"));
     }
     // Cub1 hears its predecessor at t0; the predecessor then stalls for
     // `stall`, so the deadman check that ends the stall sees silence of
@@ -92,24 +87,14 @@ fn plan_driven_freeze_respects_the_deadman_boundary() {
         let film = sys.add_file(Bandwidth::from_mbit_per_sec(2), SimDuration::from_secs(30));
         let c = sys.add_client();
         sys.request_start(SimTime::from_millis(50), c, film);
-        let mut plan =
-            FaultPlan::new().freeze(1, SimTime::from_secs(5), SimTime::from_secs(5) + freeze);
+        let resume = SimTime::from_secs(5) + freeze;
+        let mut plan = format!("freeze c1 from=5s until={}ns\n", resume.as_nanos());
         if partitioned {
             // A partition that never separates cub1 from its monitor:
             // clients on one side, the whole ring on the other.
-            plan = plan.partition(
-                vec![NodeSel::Client(2), NodeSel::Client(3)],
-                vec![
-                    NodeSel::Cub(0),
-                    NodeSel::Cub(1),
-                    NodeSel::Cub(2),
-                    NodeSel::Cub(3),
-                ],
-                SimTime::from_secs(4),
-                SimTime::from_secs(12),
-            );
+            plan += "partition client2,client3|c0,c1,c2,c3 from=4s heal=12s\n";
         }
-        sys.apply_fault_plan(&plan);
+        sys.apply_fault_plan(&FaultPlan::parse(&plan).expect("plan parses"));
         sys.run_until(SimTime::from_secs(15));
         sys.tracer()
             .records()

@@ -14,12 +14,9 @@ use tiger_bench::fleet::{cli, standard_jobs};
 
 fn main() -> ExitCode {
     let args = std::env::args().skip(1);
-    match cli(
-        standard_jobs(),
-        args,
-        &mut io::stdout().lock(),
-        &mut io::stderr().lock(),
-    ) {
+    // Unlocked handles: a sweep's worker threads may write to stderr while
+    // the jobs run, and a lock held here would block them for good.
+    match cli(standard_jobs(), args, &mut io::stdout(), &mut io::stderr()) {
         Ok(status) => ExitCode::from(status),
         Err(e) => {
             eprintln!("fleet: {e}");

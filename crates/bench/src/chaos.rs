@@ -1,9 +1,10 @@
 //! Chaos campaigns: fault scenarios swept over injection timing and
 //! workload seed, every run checked against the Tiger invariants.
 //!
-//! Each sweep point is one [`tiger_workload::run_chaos`] campaign: the
-//! small-test system loaded to 50%, a declarative fault plan applied, and
-//! the outcome reduced to the one-line [`tiger_workload::chaos_digest`].
+//! Each sweep point is one [`tiger_workload::run`] of a
+//! [`Scenario::quick`]: the small-test system loaded to 50%, a
+//! declarative fault plan applied, and the run reduced to the one-line
+//! [`tiger_workload::chaos_digest`].
 //! Scenarios are written in the `FaultPlan::parse` text format — the same
 //! path an operator's scenario file takes — parameterized only by the
 //! injection instant.
@@ -18,7 +19,7 @@ use std::fmt::Write as _;
 
 use tiger_faults::FaultPlan;
 use tiger_layout::StripeConfig;
-use tiger_workload::{chaos_digest, run_chaos, ChaosConfig};
+use tiger_workload::{chaos_digest, run, Scenario};
 
 use crate::fleet::{run_indexed, ExpReport, Scale};
 
@@ -39,10 +40,10 @@ pub enum Topo {
 
 /// One scenario template: a stable name, the plan text at injection
 /// instant `t` (seconds), and the topology it needs.
-type Scenario = (&'static str, fn(u64) -> String, Topo);
+type Template = (&'static str, fn(u64) -> String, Topo);
 
 /// The scenario catalogue, in the fixed order the report prints.
-pub fn scenarios() -> Vec<Scenario> {
+pub fn scenarios() -> Vec<Template> {
     vec![
         ("single-crash", |t| format!("crash c1 at={t}s"), Topo::Small),
         // One power-domain cut taking two cubs at once. Survivable only
@@ -191,19 +192,20 @@ pub fn chaos_report(scale: Scale, threads: usize) -> ExpReport {
     let outcomes = run_indexed(points.len(), threads, |i| {
         let (s, t, seed) = points[i];
         let plan = FaultPlan::parse(&(scenarios[s].1)(t)).expect("scenario template parses");
-        let mut cfg = ChaosConfig::quick(plan);
-        cfg.tiger.seed = seed;
+        let mut scenario = Scenario::quick(plan);
+        scenario.tiger.seed = seed;
         match scenarios[s].2 {
             Topo::Small => {}
             Topo::Wide | Topo::WideSpare => {
-                cfg.tiger.stripe = StripeConfig::new(8, 1, 2);
-                cfg.tiger.num_clients = 8;
+                scenario.tiger.stripe = StripeConfig::new(8, 1, 2);
+                scenario.tiger.num_clients = 8;
                 if scenarios[s].2 == Topo::WideSpare {
-                    cfg.tiger.spare_cubs = 1;
+                    scenario.tiger.spare_cubs = 1;
                 }
             }
         }
-        run_chaos(&cfg)
+        let r = run(&scenario);
+        (chaos_digest(&r), r.violations)
     });
     let mut out = String::new();
     let _ = writeln!(
@@ -212,14 +214,9 @@ pub fn chaos_report(scale: Scale, threads: usize) -> ExpReport {
         points.len()
     );
     let mut bad = 0usize;
-    for (&(s, t, seed), o) in points.iter().zip(&outcomes) {
-        let _ = writeln!(
-            out,
-            "{:<14} {t:>3}s {seed:>6}  {}",
-            scenarios[s].0,
-            chaos_digest(o)
-        );
-        for v in &o.violations {
+    for (&(s, t, seed), (digest, violations)) in points.iter().zip(&outcomes) {
+        let _ = writeln!(out, "{:<14} {t:>3}s {seed:>6}  {digest}", scenarios[s].0);
+        for v in violations {
             bad += 1;
             let _ = writeln!(out, "  VIOLATION: {v}");
         }

@@ -15,8 +15,8 @@
 //!   system's `k = 2`, coded worst-case service time is lower, so the
 //!   same hardware admits more of the surge).
 //! * `flashcrowd-crash` — the same surge with a cub crash at the crest,
-//!   run through the chaos harness so the full invariant set (1–6) is
-//!   enforced on both backends under degraded service.
+//!   reduced to the chaos digest; the full invariant set (1–6) is
+//!   enforced on both backends under degraded service, as on every run.
 //!
 //! Every point is a pure function of `(plan, backend, seed)`; the sweep
 //! shards through [`run_indexed`] and is bit-identical at any thread
@@ -25,61 +25,17 @@
 use std::fmt::Write as _;
 
 use tiger_core::RedundancyMode;
-use tiger_sim::{SimDuration, SimTime};
-use tiger_workgen::WorkloadPlan;
-use tiger_workload::{
-    chaos_digest, run_chaos, run_workgen, workgen_digest, CatalogSpec, ChaosConfig, WorkgenConfig,
-};
+use tiger_workload::CurvePoint;
 
 use crate::fleet::{run_indexed, ExpReport, Scale};
-use crate::workloads::plans;
+use crate::workloads::{plans, run_point};
 
-/// One (plan, backend) point's reduced result.
-struct CodedPoint {
-    digest: String,
-    violations: Vec<String>,
-    /// `(t_secs, arrivals, blocked)` curve (flash-crowd points only).
-    curve: Vec<(u64, u32, u32)>,
-}
-
-fn run_point(plan_text: &str, mode: RedundancyMode, seed: u64) -> CodedPoint {
-    let plan = WorkloadPlan::parse(plan_text).expect("canonical plan parses");
-    if plan.faults.is_empty() {
-        let mut cfg = WorkgenConfig::quick(plan);
-        cfg.tiger.seed = seed;
-        cfg.tiger.redundancy = mode;
-        let out = run_workgen(&cfg);
-        CodedPoint {
-            digest: workgen_digest(&out),
-            violations: out.violations.clone(),
-            curve: out
-                .curve
-                .iter()
-                .map(|p| (p.t_secs, p.arrivals, p.blocked))
-                .collect(),
-        }
-    } else {
-        let mut cfg = ChaosConfig::quick(plan.faults.clone());
-        cfg.tiger.seed = seed;
-        cfg.tiger.redundancy = mode;
-        cfg.catalog = CatalogSpec::sized_for(SimDuration::from_secs(200), plan.titles());
-        cfg.run_to = SimTime::ZERO + plan.horizon + SimDuration::from_secs(30);
-        cfg.workload = Some(plan);
-        let out = run_chaos(&cfg);
-        CodedPoint {
-            digest: chaos_digest(&out),
-            violations: out.violations,
-            curve: Vec::new(),
-        }
-    }
-}
-
-fn peak_p_block(curve: &[(u64, u32, u32)]) -> f64 {
+fn peak_p_block(curve: &[CurvePoint]) -> f64 {
     curve
         .iter()
-        .map(|&(_, arrivals, blocked)| {
-            if arrivals > 0 {
-                f64::from(blocked) / f64::from(arrivals)
+        .map(|p| {
+            if p.arrivals > 0 {
+                f64::from(p.blocked) / f64::from(p.arrivals)
             } else {
                 0.0
             }
@@ -144,17 +100,17 @@ pub fn ablation_coded_report(scale: Scale, threads: usize) -> ExpReport {
     for i in 0..buckets {
         let m = mirrored.curve.get(i);
         let c = coded.curve.get(i);
-        let t = m.or(c).map_or(0, |p| p.0);
-        let p_of = |pt: Option<&(u64, u32, u32)>| -> (u32, f64) {
+        let t = m.or(c).map_or(0, |p| p.t_secs);
+        let p_of = |pt: Option<&CurvePoint>| -> (u32, f64) {
             match pt {
-                Some(&(_, arrivals, blocked)) if arrivals > 0 => {
-                    (blocked, f64::from(blocked) / f64::from(arrivals))
+                Some(p) if p.arrivals > 0 => {
+                    (p.blocked, f64::from(p.blocked) / f64::from(p.arrivals))
                 }
-                Some(&(_, _, blocked)) => (blocked, 0.0),
+                Some(p) => (p.blocked, 0.0),
                 None => (0, 0.0),
             }
         };
-        let arrivals = m.or(c).map_or(0, |p| p.1);
+        let arrivals = m.or(c).map_or(0, |p| p.arrivals);
         let (mb, mp) = p_of(m);
         let (cb, cp) = p_of(c);
         let _ = writeln!(
@@ -165,9 +121,9 @@ pub fn ablation_coded_report(scale: Scale, threads: usize) -> ExpReport {
 
     let m_peak = peak_p_block(&mirrored.curve);
     let c_peak = peak_p_block(&coded.curve);
-    let overall = |curve: &[(u64, u32, u32)]| -> f64 {
-        let arrivals: u32 = curve.iter().map(|p| p.1).sum();
-        let blocked: u32 = curve.iter().map(|p| p.2).sum();
+    let overall = |curve: &[CurvePoint]| -> f64 {
+        let arrivals: u32 = curve.iter().map(|p| p.arrivals).sum();
+        let blocked: u32 = curve.iter().map(|p| p.blocked).sum();
         if arrivals > 0 {
             f64::from(blocked) / f64::from(arrivals)
         } else {

@@ -44,15 +44,15 @@ use tiger_core::{
     ForwardingPolicy, LossReport, MbrConfig, MbrDistStats, MbrSystem, Metrics, TigerConfig,
     TigerSystem,
 };
-use tiger_faults::loss_window_bound;
+use tiger_faults::{loss_window_bound, FaultPlan};
 use tiger_layout::ids::ViewerInstance;
 use tiger_layout::{CubId, DiskId, FileId, MirrorPlacement, StripeConfig, ViewerId};
 use tiger_net::LatencyModel;
 use tiger_sched::{NetEntryId, NetworkSchedule, ScheduleParams};
 use tiger_sim::{Bandwidth, ByteSize, RngTree, SimDuration, SimRng, SimTime};
 use tiger_workload::{
-    format_ramp_table, format_startup_table, run_ramp, run_reconfig, run_startup, CatalogSpec,
-    RampConfig, RampResult, ReconfigConfig, StartupConfig, StartupResult,
+    format_ramp_table, format_startup_table, run, run_ramp, run_startup, CatalogSpec, Demand,
+    RampConfig, RampResult, Scenario, StartupConfig, StartupResult,
 };
 
 use crate::header;
@@ -844,16 +844,27 @@ pub fn loss_rates_report(scale: Scale, threads: usize) -> ExpReport {
 
 /// The §5 power-cut at 50% load, at paper scale or on the small-test
 /// system, with everything but the deadman timeout fixed.
-fn power_cut(scale: Scale) -> ReconfigConfig {
-    match scale {
-        Scale::Full => ReconfigConfig::sosp97(TigerConfig::sosp97()),
-        Scale::Quick => ReconfigConfig {
-            catalog: CatalogSpec::sized_for(SimDuration::from_secs(100), 4),
-            victim: CubId(2),
-            cut_at: SimTime::from_secs(40),
-            observe: SimDuration::from_secs(40),
-            ..ReconfigConfig::sosp97(TigerConfig::small_test())
-        },
+fn power_cut(scale: Scale) -> Scenario {
+    let (tiger, catalog, cut, run_to) = match scale {
+        Scale::Full => (
+            TigerConfig::sosp97(),
+            CatalogSpec::sosp97(),
+            "crash c5 at=120s",
+            240,
+        ),
+        Scale::Quick => (
+            TigerConfig::small_test(),
+            CatalogSpec::sized_for(SimDuration::from_secs(100), 4),
+            "crash c2 at=40s",
+            80,
+        ),
+    };
+    Scenario {
+        tiger,
+        catalog,
+        demand: Demand::HalfLoad,
+        faults: FaultPlan::parse(cut).expect("the power cut parses"),
+        run_to: SimTime::from_secs(run_to),
     }
 }
 
@@ -861,29 +872,37 @@ fn power_cut(scale: Scale) -> ReconfigConfig {
 /// cut the power to a cub. We inspected the clients' logs and found about
 /// 8 seconds between the earliest and latest lost block."
 pub fn reconfig_report(scale: Scale, _threads: usize) -> ExpReport {
-    let cfg = power_cut(scale);
-    let result = run_reconfig(&cfg);
+    let scenario = power_cut(scale);
+    let r = run(&scenario);
+    let span = r.loss_span();
     let mut out = String::new();
-    let _ = writeln!(out, "streams at cut:          {}", result.streams);
+    let streams = r.sys.controller().active_streams();
+    let _ = writeln!(out, "streams at cut:          {streams}");
     let _ = writeln!(
         out,
         "deadman detection:       {:.2} s after the cut (timeout {:?})",
-        result.detection_secs.unwrap_or(f64::NAN),
-        cfg.tiger.deadman_timeout,
+        r.detection_secs().unwrap_or(f64::NAN),
+        scenario.tiger.deadman_timeout,
     );
-    let _ = writeln!(out, "blocks lost:             {}", result.blocks_lost);
+    let _ = writeln!(out, "blocks lost:             {}", r.lost_blocks().count());
     let _ = writeln!(
         out,
         "earliest lost block due: {:.2} s  latest: {:.2} s",
-        result.earliest_loss.unwrap_or(f64::NAN),
-        result.latest_loss.unwrap_or(f64::NAN),
+        span.map_or(f64::NAN, |(e, _)| e),
+        span.map_or(f64::NAN, |(_, l)| l),
     );
     let _ = writeln!(
         out,
         "loss window:             {:.2} s (paper: ~8 s)",
-        result.loss_window_secs
+        r.loss_window_secs()
     );
-    ExpReport::new(out)
+    for v in &r.violations {
+        let _ = writeln!(out, "  VIOLATION: {v}");
+    }
+    ExpReport {
+        ok: r.violations.is_empty(),
+        ..ExpReport::new(out)
+    }
 }
 
 /// One unfailed ramp to capacity on a ring of `cubs`; returns the streams
@@ -1442,25 +1461,30 @@ pub fn deadman_report(scale: Scale, threads: usize) -> ExpReport {
         Scale::Full => (&[1_500, 3_000, 5_000, 8_000], "50% load, 301 streams"),
         Scale::Quick => (&[1_000, 2_000], "50% load, small test system"),
     };
-    let cuts: Vec<ReconfigConfig> = timeouts
+    let cuts: Vec<Scenario> = timeouts
         .iter()
         .map(|&timeout_ms| {
-            let mut cfg = power_cut(scale);
+            let mut s = power_cut(scale);
             if scale == Scale::Full {
-                cfg.catalog = CatalogSpec::sized_for(SimDuration::from_secs(260), 16);
+                s.catalog = CatalogSpec::sized_for(SimDuration::from_secs(260), 16);
             }
-            cfg.tiger.deadman_timeout = SimDuration::from_millis(timeout_ms);
-            cfg
+            s.tiger.deadman_timeout = SimDuration::from_millis(timeout_ms);
+            s
         })
         .collect();
-    let results = run_indexed(cuts.len(), threads, |i| run_reconfig(&cuts[i]));
+    // (detection, loss window, blocks lost) a row.
+    let results = run_indexed(cuts.len(), threads, |i| {
+        let r = run(&cuts[i]);
+        let lost = r.lost_blocks().count();
+        (r.detection_secs(), r.loss_window_secs(), lost)
+    });
     let mut out = String::new();
     let _ = writeln!(
         out,
         "timeout  detection_s  loss_window_s  bound_s  blocks_lost  ({load_label})"
     );
     let mut over = 0;
-    for (cut, r) in cuts.iter().zip(&results) {
+    for (cut, &(detection, window, lost)) in cuts.iter().zip(&results) {
         let t = &cut.tiger;
         let bound = loss_window_bound(
             t.deadman_timeout,
@@ -1469,7 +1493,7 @@ pub fn deadman_report(scale: Scale, threads: usize) -> ExpReport {
             t.block_play_time,
         )
         .as_secs_f64();
-        let mark = if r.loss_window_secs > bound {
+        let mark = if window > bound {
             over += 1;
             "  over"
         } else {
@@ -1479,16 +1503,16 @@ pub fn deadman_report(scale: Scale, threads: usize) -> ExpReport {
             out,
             "{:>6.1}s {:>12.2} {:>14.2} {:>8.2} {:>12}{mark}",
             t.deadman_timeout.as_secs_f64(),
-            r.detection_secs.unwrap_or(f64::NAN),
-            r.loss_window_secs,
+            detection.unwrap_or(f64::NAN),
+            window,
             bound,
-            r.blocks_lost,
+            lost,
         );
     }
     out.push('\n');
     let secs = |ms: u64| ms as f64 / 1e3;
     let (low, high) = (timeouts[0], timeouts[timeouts.len() - 1]);
-    let moved = results[results.len() - 1].loss_window_secs - results[0].loss_window_secs;
+    let moved = results[results.len() - 1].1 - results[0].1;
     let per_sec = moved / (secs(high) - secs(low));
     let _ = writeln!(
         out,

@@ -2,14 +2,13 @@
 //! (skewed popularity, flash crowds, VCR churn, diurnal load, and a
 //! flash-crowd composed with a cub crash) driven through the fleet.
 //!
-//! Each point runs one plan at one seed. Demand-only plans go through
-//! [`tiger_workload::run_workgen`] and reduce to blocking-probability /
-//! ownership-conflict / deschedule-churn digests; the composed
-//! flashcrowd-crash plan goes through [`tiger_workload::run_chaos`] with
-//! the plan as the load phase, so the full chaos invariant set (1–6) is
-//! enforced under the surge. The flash-crowd plan also emits its
-//! blocking-probability curve — the §2.2 quantity the coded-storage
-//! comparison (PAPERS.md) optimizes.
+//! Each point is one [`tiger_workload::run`] of one plan at one seed, so
+//! the full invariant set (1–6) is enforced on every point. Demand-only
+//! plans reduce to blocking-probability / ownership-conflict /
+//! deschedule-churn digests, the composed flashcrowd-crash plan to the
+//! chaos digest. The flash-crowd plan also emits its blocking-probability
+//! curve — the §2.2 quantity the coded-storage comparison (PAPERS.md)
+//! optimizes.
 //!
 //! Every point is a pure function of `(plan, seed)`, so the sweep shards
 //! through [`run_indexed`] and its report is bit-identical at any thread
@@ -18,11 +17,9 @@
 
 use std::fmt::Write as _;
 
-use tiger_sim::{SimDuration, SimTime};
+use tiger_core::RedundancyMode;
 use tiger_workgen::WorkloadPlan;
-use tiger_workload::{
-    chaos_digest, run_chaos, run_workgen, workgen_digest, CatalogSpec, ChaosConfig, WorkgenConfig,
-};
+use tiger_workload::{chaos_digest, run, workgen_digest, CurvePoint, Scenario};
 
 use crate::fleet::{run_indexed, ExpReport, Scale};
 
@@ -101,45 +98,28 @@ pub fn plans() -> Vec<PlanTemplate> {
 }
 
 /// One sweep point's reduced result.
-struct PointResult {
-    digest: String,
-    violations: Vec<String>,
-    /// Blocking-probability curve (flash-crowd points only).
-    curve: Vec<(u64, u32, u32)>,
+pub(crate) struct PointResult {
+    pub(crate) digest: String,
+    pub(crate) violations: Vec<String>,
+    pub(crate) curve: Vec<CurvePoint>,
 }
 
-fn run_point(name: &str, text: &str, seed: u64) -> PointResult {
+/// Runs one plan at one seed on one redundancy backend; a plan with
+/// embedded faults reduces to the chaos digest.
+pub(crate) fn run_point(text: &str, mode: RedundancyMode, seed: u64) -> PointResult {
     let plan = WorkloadPlan::parse(text).expect("canonical plan parses");
-    if plan.faults.is_empty() {
-        let mut cfg = WorkgenConfig::quick(plan);
-        cfg.tiger.seed = seed;
-        let out = run_workgen(&cfg);
-        PointResult {
-            digest: workgen_digest(&out),
-            violations: out.violations.clone(),
-            curve: if name == "flash-crowd" {
-                out.curve
-                    .iter()
-                    .map(|p| (p.t_secs, p.arrivals, p.blocked))
-                    .collect()
-            } else {
-                Vec::new()
-            },
-        }
-    } else {
-        // Composed plan: the chaos runner drives the demand and enforces
-        // invariants 1–6 against the embedded fault plan.
-        let mut cfg = ChaosConfig::quick(plan.faults.clone());
-        cfg.tiger.seed = seed;
-        cfg.catalog = CatalogSpec::sized_for(SimDuration::from_secs(200), plan.titles());
-        cfg.run_to = SimTime::ZERO + plan.horizon + SimDuration::from_secs(30);
-        cfg.workload = Some(plan);
-        let out = run_chaos(&cfg);
-        PointResult {
-            digest: chaos_digest(&out),
-            violations: out.violations,
-            curve: Vec::new(),
-        }
+    let mut scenario = Scenario::quick_plan(plan);
+    scenario.tiger.seed = seed;
+    scenario.tiger.redundancy = mode;
+    let r = run(&scenario);
+    PointResult {
+        digest: if scenario.faults.is_empty() {
+            workgen_digest(&r)
+        } else {
+            chaos_digest(&r)
+        },
+        curve: r.blocking_curve(),
+        violations: r.violations,
     }
 }
 
@@ -162,8 +142,7 @@ pub fn workloads_report(scale: Scale, threads: usize, filter: Option<&str>) -> E
         .collect();
     let results = run_indexed(points.len(), threads, |i| {
         let (p, seed) = points[i];
-        let (name, tmpl) = plans[p];
-        run_point(name, &tmpl(scale), seed)
+        run_point(&(plans[p].1)(scale), RedundancyMode::Mirrored, seed)
     });
 
     let mut out = String::new();
@@ -195,7 +174,12 @@ pub fn workloads_report(scale: Scale, threads: usize, filter: Option<&str>) -> E
             plans[p].0
         );
         let _ = writeln!(out, "  t_bucket  arrivals  blocked  p_block");
-        for &(t, arrivals, blocked) in &r.curve {
+        for &CurvePoint {
+            t_secs: t,
+            arrivals,
+            blocked,
+        } in &r.curve
+        {
             let _ = writeln!(
                 out,
                 "  {t:>5}s  {arrivals:>8}  {blocked:>7}  {:>7.4}",

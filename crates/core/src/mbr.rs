@@ -93,11 +93,6 @@ enum MbrMsg {
     Release {
         instance: ViewerInstance,
     },
-    #[cfg_attr(not(test), expect(dead_code, reason = "only a test deschedules"))]
-    Remove {
-        instance: ViewerInstance,
-        hops_left: u32,
-    },
 }
 
 const MSG_BYTES: u64 = 64;
@@ -434,19 +429,6 @@ impl MbrSystem {
                     let _ = cub.view.abort(entry);
                 }
             }
-            MbrMsg::Remove {
-                instance,
-                hops_left,
-            } => {
-                self.cubs[me as usize].view.remove_instance(instance);
-                if let Some(hops_left) = hops_left.checked_sub(1) {
-                    let onward = MbrMsg::Remove {
-                        instance,
-                        hops_left,
-                    };
-                    self.send(now, me, self.succ(me), onward);
-                }
-            }
         }
     }
 
@@ -641,29 +623,5 @@ mod tests {
         );
         assert_eq!(sys.stats().committed, 1, "later insertion unaffected");
         assert_eq!(sys.stats().violations, 0);
-    }
-
-    #[test]
-    fn removal_propagates_to_every_view() {
-        let mut sys = ring();
-        sys.request_insert(SimTime::ZERO, 0, mbit(4));
-        sys.run_until(SimTime::from_secs(2));
-        assert_eq!(sys.stats().committed, 1);
-        let inst = ViewerInstance {
-            viewer: ViewerId(0),
-            incarnation: 0,
-        };
-        // A deschedule: the origin's Remove goes once round the ring.
-        sys.reference.remove_instance(inst);
-        let msg = MbrMsg::Remove {
-            instance: inst,
-            hops_left: sys.cfg.num_cubs,
-        };
-        let remove = MbrEvent::Deliver { dst: 0, msg };
-        sys.queue.schedule(SimTime::from_secs(3), remove);
-        sys.run_until(SimTime::from_secs(6));
-        for cub in 0..14 {
-            assert_eq!(sys.view(cub).len(), 0, "cub {cub} kept a removed entry");
-        }
     }
 }

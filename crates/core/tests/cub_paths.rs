@@ -359,9 +359,12 @@ fn ownership_misses_queue_starts_across_a_power_cut() {
     assert_eq!(digest, 0x93a8_361e_41b7_c921);
 }
 
-/// The chaos runner's quick ring (`ChaosConfig::quick`): the small test
-/// system, blip-free, half loaded from four 320 s files, with `plan`
-/// applied and run to 90 s.
+/// A quick chaos ring: the small test system, blip-free, half loaded
+/// from four 320 s files with titles drawn from the `"chaos-files"` RNG
+/// fork, with `plan` applied and run to 90 s. (`tiger_workload`'s
+/// `Scenario::quick` has the same shape but draws its titles from the
+/// §5 power cut's fork; this ring keeps its own so the pinned digests
+/// stay put.)
 fn half_loaded_small_ring(plan: &str) -> TigerSystem {
     let mut cfg = TigerConfig::small_test();
     cfg.disk = cfg.disk.without_blips();

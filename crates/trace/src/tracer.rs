@@ -63,6 +63,19 @@ impl Ring {
         self.next_seq += 1;
     }
 
+    /// The live records, oldest first.
+    fn oldest_first(&self) -> impl Iterator<Item = &TraceRecord> {
+        // After wraparound the oldest live record sits where the next
+        // write would land.
+        let start = if self.buf.len() == self.cap {
+            (self.next_seq % self.cap as u64) as usize
+        } else {
+            0
+        };
+        let (newer, older) = self.buf.split_at(start);
+        older.iter().chain(newer)
+    }
+
     /// Renders the ring oldest-first with a comment header; lossless
     /// under [`crate::event::parse_dump`].
     fn render(&self) -> String {
@@ -74,16 +87,8 @@ impl Ring {
             "# recorded {} dropped {} cap {}",
             self.next_seq, dropped, self.cap
         );
-        let n = self.buf.len();
-        // After wraparound the oldest live record sits where the next
-        // write would land.
-        let start = if n == self.cap {
-            (self.next_seq % self.cap as u64) as usize
-        } else {
-            0
-        };
-        for i in 0..n {
-            let _ = writeln!(out, "{}", self.buf[(start + i) % n].to_line());
+        for rec in self.oldest_first() {
+            let _ = writeln!(out, "{}", rec.to_line());
         }
         out
     }
@@ -176,16 +181,13 @@ impl Tracer {
     /// (Convenience for in-process assertions; file-based flows go
     /// through [`Tracer::dump`] / [`crate::event::parse_dump`].)
     pub fn records(&self) -> Vec<TraceRecord> {
-        let Some(ring) = &self.ring else {
-            return Vec::new();
-        };
-        let n = ring.buf.len();
-        let start = if n == ring.cap {
-            (ring.next_seq % ring.cap as u64) as usize
-        } else {
-            0
-        };
-        (0..n).map(|i| ring.buf[(start + i) % n]).collect()
+        self.iter().copied().collect()
+    }
+
+    /// [`Tracer::records`] without the copy: a whole-run trace can hold
+    /// millions of records.
+    pub fn iter(&self) -> impl Iterator<Item = &TraceRecord> {
+        self.ring.iter().flat_map(|r| r.oldest_first())
     }
 }
 

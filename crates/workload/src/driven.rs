@@ -1,68 +1,18 @@
 //! Drives a [`TigerSystem`] from a compiled [`WorkloadPlan`] — the bridge
 //! between `tiger-workgen`'s declarative demand and the system's workload
-//! API.
-//!
-//! [`drive_plan`] schedules every arrival, title choice, and session
-//! operation the plan generates; [`run_workgen`] wraps it into a full
-//! experiment (catalog, trace, embedded fault plan, invariant collection)
-//! and reduces the run to the §5-style figures of merit: **blocking
-//! probability** (viewers admitted but never served their first block —
-//! the quantity the coded-storage comparison in PAPERS.md optimizes),
-//! **ownership conflicts** (`vs-conflict` events: two cubs believing they
-//! own one slot), and **deschedule churn** (`desched-apply` events: the
-//! §4.1.2 kill-forwarding machinery at work).
+//! API. [`crate::scenario::Demand::Plan`] runs a plan as an experiment.
 //!
 //! Everything is a deterministic function of `(TigerConfig, plan)`: the
 //! generators draw only from the `"workgen"` RNG subtree, and the driver
 //! walks arrivals in a single sequential pass, so runs are bit-identical
 //! at any fleet thread count.
 
-use tiger_core::{TigerConfig, TigerSystem};
+use tiger_core::TigerSystem;
 use tiger_layout::ids::ViewerInstance;
 use tiger_layout::FileId;
-use tiger_sim::{RngTree, SimDuration, SimTime};
+use tiger_sim::{RngTree, SimTime};
 use tiger_trace::TraceEvent;
 use tiger_workgen::{SessionOp, WorkloadPlan};
-
-use crate::catalog::{populate_catalog, CatalogSpec};
-
-/// Configuration of one plan-driven run.
-#[derive(Clone, Debug)]
-pub struct WorkgenConfig {
-    /// System configuration.
-    pub tiger: TigerConfig,
-    /// The workload plan (its embedded fault plan is applied too).
-    pub plan: WorkloadPlan,
-    /// Content catalog; must hold at least [`WorkloadPlan::titles`] files
-    /// (title rank `i` plays catalog file `i`).
-    pub catalog: CatalogSpec,
-    /// How long to run (normally past the plan's horizon so admitted
-    /// streams play out).
-    pub run_to: SimTime,
-    /// Trace-ring capacity (the conflict/churn counters read the trace,
-    /// so it is always enabled).
-    pub trace_cap: usize,
-    /// Bucket width of the blocking-probability curve.
-    pub curve_bucket: SimDuration,
-}
-
-impl WorkgenConfig {
-    /// A seconds-long run of `plan` on the small test system.
-    pub fn quick(plan: WorkloadPlan) -> Self {
-        let mut tiger = TigerConfig::small_test();
-        tiger.disk = tiger.disk.without_blips();
-        let titles = plan.titles();
-        let run_to = SimTime::ZERO + plan.horizon + SimDuration::from_secs(30);
-        WorkgenConfig {
-            tiger,
-            plan,
-            catalog: CatalogSpec::sized_for(SimDuration::from_secs(200), titles),
-            run_to,
-            trace_cap: 65_536,
-            curve_bucket: SimDuration::from_secs(10),
-        }
-    }
-}
 
 /// What [`drive_plan`] scheduled: the request-side ledger, before the
 /// system has run.
@@ -153,177 +103,56 @@ pub fn drive_plan(sys: &mut TigerSystem, plan: &WorkloadPlan, files: &[FileId]) 
     stats
 }
 
-/// One bucket of the blocking-probability curve.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CurvePoint {
-    /// Bucket start, seconds.
-    pub t_secs: u64,
-    /// Viewers arriving in the bucket.
-    pub arrivals: u32,
-    /// Of those, how many never received their first block.
-    pub blocked: u32,
-}
-
-/// What one plan-driven run observed.
-#[derive(Clone, Debug)]
-pub struct WorkgenOutcome {
-    /// What the driver scheduled.
-    pub drive: DriveStats,
-    /// Initial instances that never received a first block (admission
-    /// blocking, §2.2's quantity of interest under skew).
-    pub blocked: u32,
-    /// `blocked / arrivals` (0 when nothing arrived).
-    pub blocking_prob: f64,
-    /// `vs-conflict` events in the trace (ownership conflicts).
-    pub conflicts: u64,
-    /// `desched-apply` events in the trace (deschedule churn).
-    pub desched_churn: u64,
-    /// `session-transition` events the system recorded (resumes + seeks
-    /// that reached the schedule).
-    pub session_transitions: u64,
-    /// Blocks fully assembled by clients.
-    pub blocks_received: u64,
-    /// Delivery holes below each instance's high water.
-    pub blocks_missing: u64,
-    /// Blocks delivered more than once (must stay 0 without faults).
-    pub dup_blocks: u64,
-    /// Blocking-probability curve over arrival time.
-    pub curve: Vec<CurvePoint>,
-    /// Omniscient-checker and assert violations (empty = clean).
-    pub violations: Vec<String>,
-}
-
-/// One line summarizing the deterministic payload of an outcome — what
-/// the workload sweep prints and the thread-count bit-identity test
-/// compares.
-pub fn workgen_digest(o: &WorkgenOutcome) -> String {
-    format!(
-        "arrivals {}  blocked {}  p_block {:.4}  pauses {}  resumes {}  seeks {}  \
-         abandons {}  conflicts {}  desched {}  transitions {}  received {}  \
-         missing {}  dup {}  violations {}",
-        o.drive.arrivals,
-        o.blocked,
-        o.blocking_prob,
-        o.drive.pauses,
-        o.drive.resumes,
-        o.drive.seeks,
-        o.drive.abandons,
-        o.conflicts,
-        o.desched_churn,
-        o.session_transitions,
-        o.blocks_received,
-        o.blocks_missing,
-        o.dup_blocks,
-        o.violations.len(),
-    )
-}
-
-/// Runs one plan-driven experiment: populate the catalog, schedule the
-/// plan's demand, apply its embedded fault plan, run to the horizon, and
-/// reduce to blocking/conflict/churn figures.
-pub fn run_workgen(cfg: &WorkgenConfig) -> WorkgenOutcome {
-    let mut sys = TigerSystem::new(cfg.tiger.clone());
-    sys.enable_trace(cfg.trace_cap);
-    sys.enable_omniscient();
-    let files = populate_catalog(&mut sys, &cfg.catalog);
-    let drive = drive_plan(&mut sys, &cfg.plan, &files);
-    sys.apply_fault_plan(&cfg.plan.faults);
-    sys.run_until(cfg.run_to);
-
-    // Blocking: an initial instance whose first block never arrived. The
-    // per-start ledger keeps this O(starts) and deterministic (client
-    // viewer maps are unordered; the ledger is not).
-    let mut blocked = 0u32;
-    let bucket_s = cfg.curve_bucket.as_secs_f64().max(1.0) as u64;
-    let mut curve: Vec<CurvePoint> = Vec::new();
-    for &(at, client, inst) in &drive.starts {
-        let served = sys.clients()[client as usize]
-            .viewer(&inst)
-            .is_some_and(|v| v.first_block_at.is_some());
-        let t_secs = (at.as_secs_f64() as u64) / bucket_s * bucket_s;
-        if curve.last().map(|p| p.t_secs) != Some(t_secs) {
-            curve.push(CurvePoint {
-                t_secs,
-                arrivals: 0,
-                blocked: 0,
-            });
-        }
-        let p = curve.last_mut().expect("just pushed");
-        p.arrivals += 1;
-        if !served {
-            blocked += 1;
-            p.blocked += 1;
-        }
-    }
-
-    let mut conflicts = 0u64;
-    let mut desched_churn = 0u64;
-    let mut session_transitions = 0u64;
-    for rec in sys.tracer().records() {
-        match rec.ev {
-            TraceEvent::VsConflict { .. } => conflicts += 1,
-            TraceEvent::DeschedApply { .. } => desched_churn += 1,
-            TraceEvent::SessionTransition { .. } => session_transitions += 1,
-            _ => {}
-        }
-    }
-
-    let report = sys.all_clients_report();
-    WorkgenOutcome {
-        blocked,
-        blocking_prob: if drive.arrivals > 0 {
-            f64::from(blocked) / f64::from(drive.arrivals)
-        } else {
-            0.0
-        },
-        conflicts,
-        desched_churn,
-        session_transitions,
-        blocks_received: report.blocks_received,
-        blocks_missing: report.blocks_missing,
-        dup_blocks: report.dup_blocks,
-        curve,
-        violations: sys.take_violations(),
-        drive,
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::scenario::{run, workgen_digest, Run, Scenario};
     use tiger_sim::SimDuration;
 
-    fn quick(plan_text: &str) -> WorkgenConfig {
-        WorkgenConfig::quick(WorkloadPlan::parse(plan_text).expect("plan parses"))
+    use super::*;
+
+    fn quick(plan_text: &str) -> Scenario {
+        Scenario::quick_plan(WorkloadPlan::parse(plan_text).expect("plan parses"))
+    }
+
+    fn blocked(r: &Run) -> u32 {
+        r.blocking_curve().iter().map(|p| p.blocked).sum()
     }
 
     #[test]
     fn uniform_plan_under_capacity_serves_everyone() {
-        let cfg = quick("uniform titles=4\narrivals rate=0.2/s\nviewers max=10\nhorizon t=50s");
-        let out = run_workgen(&cfg);
-        assert!(out.drive.arrivals > 0, "nothing arrived");
-        assert_eq!(out.blocked, 0, "under-capacity load blocked viewers");
-        assert_eq!(out.dup_blocks, 0);
-        assert!(out.violations.is_empty(), "{:?}", out.violations);
-        assert!(out.blocks_received > 0);
+        let r = run(&quick(
+            "uniform titles=4\narrivals rate=0.2/s\nviewers max=10\nhorizon t=50s",
+        ));
+        assert!(r.drive.arrivals > 0, "nothing arrived");
+        assert_eq!(blocked(&r), 0, "under-capacity load blocked viewers");
+        assert!(r.violations.is_empty(), "{:?}", r.violations);
+        let report = r.sys.all_clients_report();
+        assert_eq!(report.dup_blocks, 0);
+        assert!(report.blocks_received > 0);
     }
 
     #[test]
     fn interactive_sessions_reach_the_schedule() {
-        let cfg = quick(
+        // Half the viewers pause, resume, seek and abandon; the §4.1.2
+        // instance numbers and idempotent deschedules must keep that
+        // churn free of gaps as well as of violations.
+        let r = run(&quick(
             "uniform titles=4\narrivals rate=0.3/s\n\
-             session interactive=1.0 pause=6/min dwell=4s seek=4/min abandon=1/min\n\
+             session interactive=0.5 pause=6/min dwell=4s seek=4/min abandon=1/min\n\
              viewers max=12\nhorizon t=60s",
-        );
-        let out = run_workgen(&cfg);
-        let ops = out.drive.pauses + out.drive.resumes + out.drive.seeks + out.drive.abandons;
-        assert!(ops > 0, "fully interactive plan generated no ops");
-        assert!(
-            out.session_transitions > 0,
-            "no resume/seek reached the system: {:?}",
-            out.drive
-        );
-        assert!(out.violations.is_empty(), "{:?}", out.violations);
+        ));
+        let d = &r.drive;
+        assert!(d.pauses + d.resumes + d.seeks + d.abandons > 0, "no ops");
+        let transitions = r
+            .sys
+            .tracer()
+            .iter()
+            .filter(|rec| matches!(rec.ev, TraceEvent::SessionTransition { .. }))
+            .count();
+        assert!(transitions > 0, "no resume/seek reached the system: {d:?}");
+        assert!(r.violations.is_empty(), "{:?}", r.violations);
+        let missing = r.sys.all_clients_report().blocks_missing;
+        assert_eq!(missing, 0, "interactive churn caused gaps");
     }
 
     #[test]
@@ -331,41 +160,38 @@ mod tests {
         // A flash crowd that far exceeds the small system's capacity:
         // blocking must appear (that's the measured quantity, not a bug)
         // while every coherence property still holds.
-        let cfg = quick(
+        let r = run(&quick(
             "zipf s=1.1 titles=4\nflashcrowd title=t0 at=20s peak=30x decay=10s\n\
              arrivals rate=0.3/s\nviewers max=120\nhorizon t=60s",
-        );
-        let out = run_workgen(&cfg);
-        assert!(out.blocked > 0, "30× surge on the small system must block");
-        assert!(out.blocking_prob > 0.0 && out.blocking_prob <= 1.0);
-        assert_eq!(out.dup_blocks, 0);
-        assert!(out.violations.is_empty(), "{:?}", out.violations);
-        // The onset marker must be in the curve's time range.
-        assert!(!out.curve.is_empty());
-        let total: u32 = out.curve.iter().map(|p| p.arrivals).sum();
-        assert_eq!(total, out.drive.arrivals, "curve buckets lose arrivals");
+        ));
+        assert!(blocked(&r) > 0, "30× surge on the small system must block");
+        assert!(blocked(&r) <= r.drive.arrivals);
+        assert_eq!(r.sys.all_clients_report().dup_blocks, 0);
+        assert!(r.violations.is_empty(), "{:?}", r.violations);
+        let curve = r.blocking_curve();
+        let total: u32 = curve.iter().map(|p| p.arrivals).sum();
+        assert_eq!(total, r.drive.arrivals, "curve buckets lose arrivals");
     }
 
     #[test]
     fn runs_are_bit_identical_across_reruns() {
-        let cfg = quick(
+        let s = quick(
             "zipf s=1.0 titles=4\narrivals rate=0.4/s\n\
              session interactive=0.5 pause=4/min dwell=5s seek=3/min abandon=1/min\n\
              viewers max=20\nhorizon t=60s",
         );
-        let a = run_workgen(&cfg);
-        let b = run_workgen(&cfg);
+        let (a, b) = (run(&s), run(&s));
         assert_eq!(workgen_digest(&a), workgen_digest(&b));
-        assert_eq!(a.curve, b.curve);
+        assert_eq!(a.blocking_curve(), b.blocking_curve());
     }
 
     #[test]
     fn horizon_caps_arrivals() {
-        let mut cfg = quick("uniform titles=2\narrivals rate=50/s\nviewers max=500\nhorizon t=5s");
-        cfg.run_to = SimTime::from_secs(20);
-        let out = run_workgen(&cfg);
-        assert_eq!(out.drive.arrivals, 500.min(out.drive.arrivals));
-        for &(at, _, _) in &out.drive.starts {
+        let mut s = quick("uniform titles=2\narrivals rate=50/s\nviewers max=500\nhorizon t=5s");
+        s.run_to = SimTime::from_secs(20);
+        let r = run(&s);
+        assert!(r.drive.arrivals <= 500);
+        for &(at, _, _) in &r.drive.starts {
             assert!(at <= SimTime::from_secs(5) + SimDuration::from_secs(1));
         }
     }

@@ -1,27 +1,23 @@
 //! Workload generators and experiment drivers reproducing the paper's §5
 //! evaluation.
 //!
-//! Each experiment in the paper maps to one driver here; the bench crate's
-//! binaries are thin wrappers that run a driver and print the table/series
-//! the paper reports. Drivers are deterministic functions of their
-//! configuration structs.
+//! Every fault-injected or plan-driven experiment is a
+//! [`scenario::Scenario`] run by [`scenario::run`], which checks the Tiger
+//! invariants on every run; its figures are functions of the
+//! [`scenario::Run`]. The closed-loop ramps of Figures 8–10 keep drivers
+//! of their own ([`run_ramp`], [`run_startup`]). The bench crate's jobs
+//! run these and print the tables the paper reports.
 
 pub mod catalog;
-pub mod chaos;
 pub mod driven;
 pub mod ramp;
-pub mod reconfig;
 pub mod report;
+pub mod scenario;
 pub mod startup;
-pub mod vcr;
 
 pub use catalog::{populate_catalog, CatalogSpec};
-pub use chaos::{chaos_digest, run_chaos, ChaosConfig, ChaosOutcome};
-pub use driven::{
-    drive_plan, run_workgen, workgen_digest, CurvePoint, DriveStats, WorkgenConfig, WorkgenOutcome,
-};
+pub use driven::{drive_plan, DriveStats};
 pub use ramp::{run_ramp, RampConfig, RampResult};
-pub use reconfig::{run_reconfig, run_reconfig_with_plan, ReconfigConfig, ReconfigResult};
 pub use report::{format_ramp_table, format_startup_table};
+pub use scenario::{chaos_digest, run, workgen_digest, CurvePoint, Demand, Run, Scenario};
 pub use startup::{run_startup, StartupConfig, StartupResult};
-pub use vcr::{run_vcr, VcrConfig, VcrResult};

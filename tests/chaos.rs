@@ -9,7 +9,7 @@ use tiger::bench::fleet::run_indexed;
 use tiger::faults::FaultPlan;
 use tiger::sim::SimTime;
 use tiger::trace::{parse_dump, TraceEvent};
-use tiger::workload::{chaos_digest, run_chaos, ChaosConfig};
+use tiger::workload::{chaos_digest, run, Run, Scenario};
 
 /// A plan the invariants deterministically reject on the small test
 /// system: a power-domain cut taking two cubs at once. On 4 cubs with
@@ -17,6 +17,10 @@ use tiger::workload::{chaos_digest, run_chaos, ChaosConfig};
 /// failure is beyond the design tolerance and the checker flags it.
 fn violating_plan() -> FaultPlan {
     FaultPlan::parse("power-domain c1,c2 at=30s").expect("plan parses")
+}
+
+fn trace(r: &Run) -> String {
+    r.sys.tracer().dump().expect("every run is traced")
 }
 
 /// A failing chaos invariant rides the existing `tiger_sim::check`
@@ -29,13 +33,13 @@ fn failing_chaos_invariant_dumps_its_fault_trace() {
     tiger::trace::install_property_dump();
     let result = catch_unwind(AssertUnwindSafe(|| {
         tiger::sim::check::check_cases("chaos-invariant-vehicle", 1, |rng| {
-            let mut cfg = ChaosConfig::quick(violating_plan());
-            cfg.tiger.seed = rng.gen_range(1u64..1 << 20);
-            let out = run_chaos(&cfg);
+            let mut s = Scenario::quick(violating_plan());
+            s.tiger.seed = rng.gen_range(1u64..1 << 20);
+            let r = run(&s);
             assert!(
-                out.violations.is_empty(),
+                r.violations.is_empty(),
                 "beyond-tolerance plan must violate: {:?}",
-                out.violations
+                r.violations
             );
         });
     }));
@@ -71,27 +75,25 @@ fn failing_chaos_invariant_dumps_its_fault_trace() {
 /// run show the investigator the exact failing timeline.
 #[test]
 fn same_seed_reproduces_the_identical_fault_sequence() {
-    let cfg = || {
-        let plan = FaultPlan::parse(
-            "drop c1>* prob=0.3 from=10s until=25s\n\
-             disk-transient c2:0 prob=0.5 from=15s until=30s\n\
-             crash c3 at=35s",
-        )
-        .expect("plan parses");
-        let mut cfg = ChaosConfig::quick(plan);
-        cfg.tiger.seed = 0xC0FFEE;
-        cfg.run_to = SimTime::from_secs(60);
-        cfg
-    };
-    let a = run_chaos(&cfg());
-    let b = run_chaos(&cfg());
+    let plan = FaultPlan::parse(
+        "drop c1>* prob=0.3 from=10s until=25s\n\
+         disk-transient c2:0 prob=0.5 from=15s until=30s\n\
+         crash c3 at=35s",
+    )
+    .expect("plan parses");
+    let mut s = Scenario::quick(plan);
+    s.tiger.seed = 0xC0FFEE;
+    s.run_to = SimTime::from_secs(60);
+    let (a, b) = (run(&s), run(&s));
     assert_eq!(chaos_digest(&a), chaos_digest(&b));
+    let trace_a = trace(&a);
     assert_eq!(
-        a.trace, b.trace,
+        trace_a,
+        trace(&b),
         "fault sequence must replay bit-identically"
     );
-    assert!(a.trace.contains("net-drop"), "probabilistic drops fired");
-    assert!(a.trace.contains("disk-transient"), "disk faults fired");
+    assert!(trace_a.contains("net-drop"), "probabilistic drops fired");
+    assert!(trace_a.contains("disk-transient"), "disk faults fired");
 }
 
 /// Chaos campaigns shard through the fleet like any other job: the same
@@ -101,25 +103,25 @@ fn chaos_digests_are_fleet_thread_invariant() {
     let plans = ["crash c1 at=30s", "freeze c2 from=30s until=31s"];
     let sweep = |threads: usize| {
         run_indexed(plans.len(), threads, |i| {
-            let mut cfg = ChaosConfig::quick(FaultPlan::parse(plans[i]).expect("plan parses"));
-            cfg.run_to = SimTime::from_secs(50);
-            let out = run_chaos(&cfg);
-            (chaos_digest(&out), out.trace)
+            let mut s = Scenario::quick(FaultPlan::parse(plans[i]).expect("plan parses"));
+            s.run_to = SimTime::from_secs(50);
+            let r = run(&s);
+            (chaos_digest(&r), trace(&r))
         })
     };
     assert_eq!(sweep(1), sweep(2), "thread count must be invisible");
 }
 
-/// The plan-free fast path: a chaos run with an empty plan is just a
-/// traced workload — no injections, no declarations, no violations.
+/// The plan-free fast path: a run with an empty plan is just a traced
+/// workload — no injections, no declarations, no violations.
 #[test]
 fn empty_plan_chaos_run_is_clean() {
-    let mut cfg = ChaosConfig::quick(FaultPlan::new());
-    cfg.run_to = SimTime::from_secs(40);
-    let out = run_chaos(&cfg);
-    assert!(out.declares.is_empty(), "{:?}", out.declares);
-    assert!(out.violations.is_empty(), "{:?}", out.violations);
-    assert_eq!(out.dup_blocks, 0);
-    assert_eq!(out.transient_errors, 0);
-    assert_eq!(out.loss_window_secs, 0.0);
+    let mut s = Scenario::quick(FaultPlan::new());
+    s.run_to = SimTime::from_secs(40);
+    let r = run(&s);
+    assert!(r.declares().is_empty(), "{:?}", r.declares());
+    assert!(r.violations.is_empty(), "{:?}", r.violations);
+    assert_eq!(r.sys.all_clients_report().dup_blocks, 0);
+    assert!(chaos_digest(&r).contains("  transient 0  "));
+    assert_eq!(r.loss_window_secs(), 0.0);
 }

@@ -2,9 +2,10 @@
 //! the facade crate, with the omniscient hallucination checker on.
 
 use tiger::core::{TigerConfig, TigerSystem};
+use tiger::faults::FaultPlan;
 use tiger::layout::CubId;
 use tiger::sim::{Bandwidth, SimDuration, SimTime};
-use tiger::workload::{run_ramp, run_reconfig, CatalogSpec, RampConfig, ReconfigConfig};
+use tiger::workload::{run, run_ramp, CatalogSpec, Demand, RampConfig, Scenario};
 
 fn rate() -> Bandwidth {
     Bandwidth::from_mbit_per_sec(2)
@@ -141,22 +142,24 @@ fn failed_mode_mirror_cub_outworks_unfailed() {
 fn reconfiguration_window_is_seconds_not_minutes() {
     let mut tiger = TigerConfig::sosp97();
     tiger.disk = tiger.disk.without_blips();
-    let cfg = ReconfigConfig {
-        catalog: CatalogSpec::sized_for(SimDuration::from_secs(220), 8),
-        load: 0.3,
-        victim: CubId(5),
-        cut_at: SimTime::from_secs(60),
-        observe: SimDuration::from_secs(90),
+    let r = run(&Scenario {
         tiger,
-    };
-    let r = run_reconfig(&cfg);
-    assert!(r.blocks_lost > 0, "the detection window loses some blocks");
+        catalog: CatalogSpec::sized_for(SimDuration::from_secs(220), 8),
+        demand: Demand::HalfLoad,
+        faults: FaultPlan::parse("crash c5 at=60s").expect("plan parses"),
+        run_to: SimTime::from_secs(150),
+    });
+    assert!(r.violations.is_empty(), "{:?}", r.violations);
     assert!(
-        r.loss_window_secs > 1.0 && r.loss_window_secs < 12.0,
-        "loss window {}s (paper: ~8 s)",
-        r.loss_window_secs
+        r.lost_blocks().count() > 0,
+        "the detection window loses some blocks"
     );
-    let det = r.detection_secs.expect("failure detected");
+    let window = r.loss_window_secs();
+    assert!(
+        window > 1.0 && window < 12.0,
+        "loss window {window}s (paper: ~8 s)"
+    );
+    let det = r.detection_secs().expect("failure detected");
     assert!(det < 6.5, "detection {det}s with a 5 s deadman timeout");
 }
 

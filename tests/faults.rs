@@ -9,7 +9,7 @@ use tiger::faults::FaultPlan;
 use tiger::layout::CubId;
 use tiger::sim::{Bandwidth, SimDuration, SimTime};
 use tiger::trace::TraceEvent;
-use tiger::workload::{run_reconfig, run_reconfig_with_plan, CatalogSpec, ReconfigConfig};
+use tiger::workload::{populate_catalog, CatalogSpec, Demand, Run};
 
 fn small() -> TigerConfig {
     let mut cfg = TigerConfig::small_test();
@@ -154,34 +154,44 @@ fn empty_plan_leaves_the_run_byte_identical() {
 // --- §5 equivalence ----------------------------------------------------------
 
 /// The paper's power-cut experiment re-expressed as a declarative fault
-/// plan (`crash c<victim> at=<cut>`) reproduces the direct
-/// `fail_cub_at` run exactly — same loss window, same detection time,
-/// same blocks lost. This pins the fault subsystem to the existing §5
-/// reconfiguration measurement.
+/// plan (`crash c<victim> at=<cut>`) is the direct `fail_cub_at` run
+/// exactly — same metrics, same client report, same ledger of lost
+/// blocks. This pins the fault subsystem to the §5 reconfiguration
+/// measurement.
 #[test]
 fn crash_plan_reproduces_the_power_cut_experiment() {
-    let mut tiger = small();
-    tiger.deadman_timeout = SimDuration::from_millis(2_000);
-    let cfg = ReconfigConfig {
-        catalog: CatalogSpec::sized_for(SimDuration::from_secs(200), 4),
-        load: 0.5,
-        victim: CubId(1),
-        cut_at: SimTime::from_secs(30),
-        observe: SimDuration::from_secs(60),
-        tiger,
+    let cut = SimTime::from_secs(30);
+    let power_cut = |planned: bool| {
+        let mut sys = TigerSystem::new(small());
+        let catalog = CatalogSpec::sized_for(SimDuration::from_secs(200), 4);
+        let files = populate_catalog(&mut sys, &catalog);
+        let drive = Demand::HalfLoad.drive(&mut sys, &files);
+        if planned {
+            let plan = FaultPlan::parse("crash c1 at=30s").expect("crash plan parses");
+            sys.apply_fault_plan(&plan);
+        } else {
+            sys.fail_cub_at(cut, CubId(1));
+        }
+        sys.run_until(cut + SimDuration::from_secs(60));
+        let r = Run {
+            sys,
+            drive,
+            violations: Vec::new(),
+        };
+        let mut lost: Vec<_> = r.lost_blocks().collect();
+        lost.sort_by_key(|&(vi, b, _)| (vi, b));
+        let report = r.sys.all_clients_report();
+        (
+            (r.sys.metrics().clone(), report, lost),
+            r.loss_window_secs(),
+        )
     };
-    let direct = run_reconfig(&cfg);
-    let text = format!("crash c{} at={}s", cfg.victim.raw(), 30);
-    let plan = FaultPlan::parse(&text).expect("crash plan parses");
-    let planned = run_reconfig_with_plan(&cfg, &plan);
+    let (direct, window) = power_cut(false);
+    let (planned, _) = power_cut(true);
     assert_eq!(
         direct, planned,
         "the two failure paths must be one experiment"
     );
-    assert!(direct.blocks_lost > 0, "the cut must cost blocks");
-    assert!(
-        direct.loss_window_secs < 10.0,
-        "loss window {} out of the §5 ballpark",
-        direct.loss_window_secs
-    );
+    assert!(!direct.2.is_empty(), "the cut must cost blocks");
+    assert!(window < 10.0, "loss window {window} out of the §5 ballpark");
 }

@@ -19,7 +19,7 @@ use std::fmt::Write as _;
 
 use tiger_faults::FaultPlan;
 use tiger_layout::StripeConfig;
-use tiger_workload::{chaos_digest, run, Scenario};
+use tiger_workload::{chaos_digest, run, Demand, Scenario};
 
 use crate::fleet::{run_indexed, ExpReport, Scale};
 
@@ -173,6 +173,21 @@ pub fn scenarios() -> Vec<Template> {
     ]
 }
 
+/// `template` injected at `t` seconds on its topology, half loaded.
+fn campaign(&(_, plan, topo): &Template, t: u64, seed: u64) -> Scenario {
+    let plan = FaultPlan::parse(&plan(t)).expect("scenario template parses");
+    let mut s = Scenario::quick(plan);
+    s.tiger.seed = seed;
+    if topo != Topo::Small {
+        s.tiger.stripe = StripeConfig::new(8, 1, 2);
+        s.tiger.num_clients = 8;
+        s.tiger.spare_cubs = u32::from(topo == Topo::WideSpare);
+        // Half of the wide ring's capacity, not the small one's.
+        s.demand = Demand::half_load(&s.tiger);
+    }
+    s
+}
+
 /// The chaos sweep: scenario × injection instant × seed.
 pub fn chaos_report(scale: Scale, threads: usize) -> ExpReport {
     let scenarios = scenarios();
@@ -191,20 +206,7 @@ pub fn chaos_report(scale: Scale, threads: usize) -> ExpReport {
         .collect();
     let outcomes = run_indexed(points.len(), threads, |i| {
         let (s, t, seed) = points[i];
-        let plan = FaultPlan::parse(&(scenarios[s].1)(t)).expect("scenario template parses");
-        let mut scenario = Scenario::quick(plan);
-        scenario.tiger.seed = seed;
-        match scenarios[s].2 {
-            Topo::Small => {}
-            Topo::Wide | Topo::WideSpare => {
-                scenario.tiger.stripe = StripeConfig::new(8, 1, 2);
-                scenario.tiger.num_clients = 8;
-                if scenarios[s].2 == Topo::WideSpare {
-                    scenario.tiger.spare_cubs = 1;
-                }
-            }
-        }
-        let r = run(&scenario);
+        let r = run(&campaign(&scenarios[s], t, seed));
         (chaos_digest(&r), r.violations)
     });
     let mut out = String::new();
@@ -238,6 +240,9 @@ pub fn chaos_report(scale: Scale, threads: usize) -> ExpReport {
 
 #[cfg(test)]
 mod tests {
+    use tiger_core::TigerSystem;
+    use tiger_workload::populate_catalog;
+
     use super::*;
 
     #[test]
@@ -249,6 +254,22 @@ mod tests {
                 assert!(!plan.is_empty(), "scenario {name} is empty");
             }
         }
+    }
+
+    #[test]
+    fn a_wide_campaign_half_loads_the_wide_ring() {
+        let wide = scenarios().into_iter().find(|s| s.2 == Topo::Wide);
+        let s = campaign(&wide.expect("a wide scenario"), 30, 1997);
+        let mut sys = TigerSystem::new(s.tiger.clone());
+        assert_eq!(sys.shared().cfg.stripe.num_cubs, 8);
+        let files = populate_catalog(&mut sys, &s.catalog);
+        let drive = s.demand.drive(&mut sys, &files);
+        let capacity = sys.shared().params.capacity();
+        assert_eq!(
+            drive.starts.len(),
+            capacity.div_ceil(2) as usize,
+            "half of the 8-cub ring's {capacity} streams"
+        );
     }
 
     #[test]

@@ -39,14 +39,13 @@ use std::sync::Mutex;
 use std::time::Instant;
 use std::{fs, io};
 
-use tiger_core::central::{central_control_send_rate, CentralSystem};
 use tiger_core::{
-    ForwardingPolicy, LossReport, MbrConfig, MbrDistStats, MbrSystem, Metrics, TigerConfig,
-    TigerSystem,
+    central_control_send_rate, CpuModel, ForwardingPolicy, LossReport, MbrConfig, MbrDistStats,
+    MbrSystem, Metrics, TigerConfig,
 };
 use tiger_faults::{loss_window_bound, FaultPlan};
 use tiger_layout::ids::ViewerInstance;
-use tiger_layout::{CubId, DiskId, FileId, MirrorPlacement, StripeConfig, ViewerId};
+use tiger_layout::{CubId, DiskId, MirrorPlacement, StripeConfig, ViewerId};
 use tiger_net::LatencyModel;
 use tiger_sched::{NetEntryId, NetworkSchedule, ScheduleParams};
 use tiger_sim::{Bandwidth, ByteSize, RngTree, SimDuration, SimRng, SimTime};
@@ -670,6 +669,7 @@ pub fn fig8_report(scale: Scale, _threads: usize) -> ExpReport {
     ramp_summary(&mut out, &result, false);
     ExpReport {
         metrics: vec![metrics_of(&result)],
+        ok: report_violations(&mut out, &result.violations),
         ..ExpReport::new(out)
     }
 }
@@ -693,6 +693,7 @@ pub fn fig9_report(scale: Scale, _threads: usize) -> ExpReport {
     ramp_summary(&mut out, &result, true);
     ExpReport {
         metrics: vec![metrics_of(&result)],
+        ok: report_violations(&mut out, &result.violations),
         ..ExpReport::new(out)
     }
 }
@@ -753,9 +754,14 @@ pub fn fig10_report(scale: Scale, threads: usize) -> ExpReport {
     failed.tiger.seed += 1;
     let runs = [unfailed, failed];
     let results = run_indexed(runs.len(), threads, |i| run_startup(&runs[i]));
-    let combined = StartupResult {
-        samples: results.into_iter().flat_map(|r| r.samples).collect(),
+    let mut combined = StartupResult {
+        samples: Vec::new(),
+        violations: Vec::new(),
     };
+    for r in results {
+        combined.samples.extend(r.samples);
+        combined.violations.extend(r.violations);
+    }
 
     let mut out = format_startup_table(&combined);
     out.push('\n');
@@ -773,6 +779,7 @@ pub fn fig10_report(scale: Scale, threads: usize) -> ExpReport {
     );
     let _ = writeln!(out, ">20 s outliers: {}", combined.count_above(20.0));
     ExpReport {
+        ok: report_violations(&mut out, &combined.violations),
         metrics: vec![Metrics {
             start_latencies: combined.samples,
             ..Metrics::default()
@@ -838,6 +845,7 @@ pub fn loss_rates_report(scale: Scale, threads: usize) -> ExpReport {
     );
     ExpReport {
         metrics: results.iter().map(metrics_of).collect(),
+        ok: report_violations(&mut out, results.iter().flat_map(|r| &r.violations)),
         ..ExpReport::new(out)
     }
 }
@@ -860,9 +868,9 @@ fn power_cut(scale: Scale) -> Scenario {
         ),
     };
     Scenario {
+        demand: Demand::half_load(&tiger),
         tiger,
         catalog,
-        demand: Demand::HalfLoad,
         faults: FaultPlan::parse(cut).expect("the power cut parses"),
         run_to: SimTime::from_secs(run_to),
     }
@@ -896,18 +904,30 @@ pub fn reconfig_report(scale: Scale, _threads: usize) -> ExpReport {
         "loss window:             {:.2} s (paper: ~8 s)",
         r.loss_window_secs()
     );
-    for v in &r.violations {
-        let _ = writeln!(out, "  VIOLATION: {v}");
-    }
     ExpReport {
-        ok: r.violations.is_empty(),
+        ok: report_violations(&mut out, &r.violations),
         ..ExpReport::new(out)
     }
 }
 
+/// Appends a `VIOLATION:` line to `out` for each of `violations`; true
+/// when there were none.
+pub(crate) fn report_violations<'a>(
+    out: &mut String,
+    violations: impl IntoIterator<Item = &'a String>,
+) -> bool {
+    let mut clean = true;
+    for v in violations {
+        clean = false;
+        let _ = writeln!(out, "  VIOLATION: {v}");
+    }
+    clean
+}
+
 /// One unfailed ramp to capacity on a ring of `cubs`; returns the streams
-/// admitted and cub 0's control traffic over the last window.
-fn distributed_per_cub_traffic(scale: Scale, cubs: u32) -> (u32, f64) {
+/// admitted, cub 0's control traffic over the last window and the run's
+/// violations.
+fn distributed_per_cub_traffic(scale: Scale, cubs: u32) -> (u32, f64, Vec<String>) {
     let (mut tiger, disks, decluster, settle) = match scale {
         Scale::Full => (TigerConfig::sosp97(), 4, 4, SimDuration::from_secs(25)),
         Scale::Quick => (TigerConfig::small_test(), 1, 2, SimDuration::from_secs(15)),
@@ -924,7 +944,7 @@ fn distributed_per_cub_traffic(scale: Scale, cubs: u32) -> (u32, f64) {
     };
     let result = run_ramp(&cfg);
     let last = result.windows.last().expect("windows");
-    (last.streams, last.control_bytes_per_sec)
+    (last.streams, last.control_bytes_per_sec, result.violations)
 }
 
 /// §3.3, why schedule management is distributed: a centralized controller
@@ -949,19 +969,20 @@ pub fn scalability_report(scale: Scale, threads: usize) -> ExpReport {
     }
 
     out.push('\n');
-    let _ = writeln!(out, "-- centralized controller (simulated small system) --");
-    let mut central = CentralSystem::new(TigerConfig::sosp97().schedule_params());
-    while central
-        .start_viewer(FileId(0), Bandwidth::from_mbit_per_sec(2), SimTime::ZERO)
-        .is_some()
-    {}
-    let stats = central.window_stats();
     let _ = writeln!(
         out,
-        "{} streams -> {:.1} KB/s control sends, controller CPU {:.1}%",
-        stats.streams,
-        stats.ctrl_bytes_per_sec / 1e3,
-        stats.ctrl_cpu * 100.0
+        "-- centralized controller (closed form at the §5 capacity) --"
+    );
+    let params = TigerConfig::sosp97().schedule_params();
+    let (streams, bpt) = (params.capacity(), params.block_play_time());
+    // Every command is controller work, unlike the distributed design
+    // where the controller only sees start and stop requests.
+    let commands_per_sec = f64::from(streams) / bpt.as_secs_f64();
+    let _ = writeln!(
+        out,
+        "{streams} streams -> {:.1} KB/s control sends, controller CPU {:.1}%",
+        central_control_send_rate(u64::from(streams), bpt) / 1e3,
+        CpuModel::pentium133().controller_load(0.0, commands_per_sec) * 100.0
     );
 
     out.push('\n');
@@ -977,9 +998,10 @@ pub fn scalability_report(scale: Scale, threads: usize) -> ExpReport {
     let measured = run_indexed(rings.len(), threads, |i| {
         distributed_per_cub_traffic(scale, rings[i])
     });
-    for (cubs, (streams, rate)) in rings.iter().zip(measured) {
+    for (cubs, (streams, rate, _)) in rings.iter().zip(&measured) {
         let _ = writeln!(out, "{cubs:>4}  {streams:>7}  {rate:>12.0}");
     }
+    let ok = report_violations(&mut out, measured.iter().flat_map(|m| &m.2));
     out.push('\n');
     let _ = writeln!(
         out,
@@ -987,7 +1009,10 @@ pub fn scalability_report(scale: Scale, threads: usize) -> ExpReport {
          system scales out), while the central controller's rate tracks \
          *total* streams."
     );
-    ExpReport::new(out)
+    ExpReport {
+        ok,
+        ..ExpReport::new(out)
+    }
 }
 
 /// §2.3 decluster-factor tradeoff. Analytic (no simulation), so scale
@@ -1030,55 +1055,13 @@ pub fn decluster_report(_scale: Scale, threads: usize) -> ExpReport {
     ExpReport::new(out)
 }
 
-struct ForwardingOutcome {
-    client_missing: u64,
-    tail_starved: u64,
-    control_bytes: u64,
-}
-
-fn forwarding_run(scale: Scale, policy: ForwardingPolicy, gap_recovery: bool) -> ForwardingOutcome {
-    let (mut cfg, viewers, spacing_ms, victim, fail_at, run_to, film) = match scale {
-        Scale::Full => (
-            TigerConfig::sosp97(),
-            100u64,
-            180u64,
-            CubId(5),
-            SimTime::from_secs(60),
-            SimTime::from_secs(260),
-            SimDuration::from_secs(240),
-        ),
-        Scale::Quick => (
-            TigerConfig::small_test(),
-            24,
-            180,
-            CubId(2),
-            SimTime::from_secs(30),
-            SimTime::from_secs(120),
-            SimDuration::from_secs(100),
-        ),
-    };
-    cfg.forwarding = policy;
-    cfg.gap_recovery = gap_recovery;
-    let mut sys = TigerSystem::new(cfg);
-    let file = sys.add_file(Bandwidth::from_mbit_per_sec(2), film);
-    for i in 0..viewers {
-        let client = sys.add_client();
-        sys.request_start(SimTime::from_millis(100 + i * spacing_ms), client, file);
-    }
-    sys.fail_cub_at(fail_at, victim);
-    sys.run_until(run_to);
-    let report = sys.all_clients_report();
-    let tail: u64 = sys
-        .clients()
-        .iter()
-        .flat_map(|c| c.viewers())
-        .map(|(_, v)| u64::from(v.tail_missing()))
-        .sum();
-    let node = sys.shared().cub_node(CubId(0));
-    ForwardingOutcome {
-        client_missing: report.blocks_missing,
-        tail_starved: tail,
-        control_bytes: sys.shared().net.total_control_bytes(node),
+/// One film of `secs` seconds: what the forwarding and lead ablations
+/// play to every viewer.
+fn one_film(secs: u64) -> CatalogSpec {
+    CatalogSpec {
+        files: 1,
+        duration: SimDuration::from_secs(secs),
+        bitrate: Bandwidth::from_mbit_per_sec(2),
     }
 }
 
@@ -1089,28 +1072,50 @@ pub fn forwarding_report(scale: Scale, threads: usize) -> ExpReport {
         ("single + go-back", ForwardingPolicy::Single, true),
         ("double (paper)", ForwardingPolicy::Double, true),
     ];
-    let outcomes = run_indexed(points.len(), threads, |i| {
-        forwarding_run(scale, points[i].1, points[i].2)
+    let (base, starts, crash, run_to, film) = match scale {
+        Scale::Full => (TigerConfig::sosp97(), 100, "crash c5 at=60s", 260, 240),
+        Scale::Quick => (TigerConfig::small_test(), 24, "crash c2 at=30s", 120, 100),
+    };
+    // (missing, starved tail, cub 0's control bytes, violations) a row.
+    let rows = run_indexed(points.len(), threads, |i| {
+        let (_, forwarding, gap_recovery) = points[i];
+        let r = run(&Scenario {
+            tiger: TigerConfig {
+                forwarding,
+                gap_recovery,
+                ..base.clone()
+            },
+            catalog: one_film(film),
+            demand: Demand::Paced {
+                starts,
+                every: SimDuration::from_millis(180),
+            },
+            faults: FaultPlan::parse(crash).expect("the crash parses"),
+            run_to: SimTime::from_secs(run_to),
+        });
+        let viewers = r.sys.clients().iter().flat_map(|c| c.viewers());
+        let tail: u64 = viewers.map(|(_, v)| u64::from(v.tail_missing())).sum();
+        let node = r.sys.shared().cub_node(CubId(0));
+        let bytes = r.sys.shared().net.total_control_bytes(node);
+        let missing = r.sys.all_clients_report().blocks_missing;
+        (missing, tail, bytes, r.violations)
     });
     let mut out = String::new();
     let _ = writeln!(
         out,
         "policy                 missing_blocks  starved_tail_blocks  cub0_control_bytes"
     );
-    for ((label, _, _), o) in points.iter().zip(&outcomes) {
-        let _ = writeln!(
-            out,
-            "{label:<22} {:>14}  {:>19}  {:>18}",
-            o.client_missing, o.tail_starved, o.control_bytes
-        );
+    for ((label, _, _), (missing, tail, bytes, _)) in points.iter().zip(&rows) {
+        let _ = writeln!(out, "{label:<22} {missing:>14}  {tail:>19}  {bytes:>18}");
     }
+    let ok = report_violations(&mut out, rows.iter().flat_map(|r| &r.3));
     out.push('\n');
-    let (bare, go_back, double) = (&outcomes[0], &outcomes[1], &outcomes[2]);
+    let (bare, go_back, double) = (&rows[0], &rows[1], &rows[2]);
     let _ = writeln!(
         out,
         "control-traffic ratio single/double: {:.2} (paper: single would have \
          halved viewer-state sends)",
-        go_back.control_bytes as f64 / double.control_bytes as f64
+        go_back.2 as f64 / double.2 as f64
     );
     let _ = writeln!(
         out,
@@ -1119,92 +1124,89 @@ pub fn forwarding_report(scale: Scale, threads: usize) -> ExpReport {
          the paper deemed not worth building recovers them. Across the failure \
          double forwarding loses {} blocks than single + go-back ({} against {}), \
          for {:.1}x the viewer-state bytes.",
-        bare.tail_starved,
-        if double.client_missing < go_back.client_missing {
+        bare.1,
+        if double.0 < go_back.0 {
             "fewer"
         } else {
             "no fewer"
         },
-        double.client_missing,
-        go_back.client_missing,
-        double.control_bytes as f64 / go_back.control_bytes as f64,
+        double.0,
+        go_back.0,
+        double.2 as f64 / go_back.2 as f64,
     );
-    ExpReport::new(out)
-}
-
-struct LeadOutcome {
-    missing: u64,
-    msgs: u64,
-    bytes: u64,
-}
-
-fn lead_run(scale: Scale, min_lead_ms: u64, max_lead_ms: u64) -> LeadOutcome {
-    let (mut cfg, viewers, spacing_ms, run_to, film) = match scale {
-        Scale::Full => (
-            TigerConfig::sosp97(),
-            200u64,
-            90u64,
-            SimTime::from_secs(260),
-            SimDuration::from_secs(240),
-        ),
-        Scale::Quick => (
-            TigerConfig::small_test(),
-            24,
-            90,
-            SimTime::from_secs(80),
-            SimDuration::from_secs(60),
-        ),
-    };
-    cfg.disk = cfg.disk.without_blips(); // isolate protocol-induced lateness
-    cfg.min_vstate_lead = SimDuration::from_millis(min_lead_ms);
-    cfg.max_vstate_lead = SimDuration::from_millis(max_lead_ms);
-    // The batching cadence the lead gap affords (§4.1.1), floored at a
-    // sane minimum.
-    cfg.forward_interval = SimDuration::from_millis((max_lead_ms - min_lead_ms) / 2)
-        .max(SimDuration::from_millis(100));
-    let mut sys = TigerSystem::new(cfg);
-    let file = sys.add_file(Bandwidth::from_mbit_per_sec(2), film);
-    for i in 0..viewers {
-        let client = sys.add_client();
-        sys.request_start(SimTime::from_millis(100 + i * spacing_ms), client, file);
-    }
-    sys.run_until(run_to);
-    let node = sys.shared().cub_node(CubId(0));
-    LeadOutcome {
-        missing: sys.all_clients_report().blocks_missing,
-        msgs: sys.shared().net.total_control_msgs(node),
-        bytes: sys.shared().net.total_control_bytes(node),
+    ExpReport {
+        ok,
+        ..ExpReport::new(out)
     }
 }
 
 /// §4.1.1 viewer-state lead sensitivity: four independent lead-gap runs.
+/// Every `maxVStateLead` stays below the ring's schedule length (4 s on
+/// the quick ring, 56 s at paper scale).
 pub fn lead_report(scale: Scale, threads: usize) -> ExpReport {
-    let points = [
-        (800u64, 1_000u64), // barely above the scheduling lead, tiny gap
-        (2_000, 3_000),
-        (4_000, 9_000), // the paper's typical values
-        (4_000, 20_000),
-    ];
-    let outcomes = run_indexed(points.len(), threads, |i| {
-        lead_run(scale, points[i].0, points[i].1)
+    let (base, starts, points, run_to, film): (_, _, &[(u64, u64)], _, _) = match scale {
+        Scale::Full => (
+            TigerConfig::sosp97(),
+            200,
+            &[
+                (800, 1_000), // barely above the scheduling lead, tiny gap
+                (2_000, 3_000),
+                (4_000, 9_000), // the paper's typical values
+                (4_000, 20_000),
+            ],
+            260,
+            240,
+        ),
+        Scale::Quick => (
+            TigerConfig::small_test(),
+            24,
+            &[(800, 1_000), (1_000, 1_500), (1_000, 2_500), (1_000, 3_500)],
+            80,
+            60,
+        ),
+    };
+    // (missing, cub 0's control messages and bytes, violations) a row.
+    let rows = run_indexed(points.len(), threads, |i| {
+        let (min_ms, max_ms) = points[i];
+        let mut tiger = base.clone();
+        tiger.disk = tiger.disk.without_blips(); // isolate protocol-induced lateness
+        tiger.min_vstate_lead = SimDuration::from_millis(min_ms);
+        tiger.max_vstate_lead = SimDuration::from_millis(max_ms);
+        // The batching cadence the lead gap affords (§4.1.1), floored at a
+        // sane minimum.
+        tiger.forward_interval =
+            SimDuration::from_millis((max_ms - min_ms) / 2).max(SimDuration::from_millis(100));
+        let r = run(&Scenario {
+            tiger,
+            catalog: one_film(film),
+            demand: Demand::Paced {
+                starts,
+                every: SimDuration::from_millis(90),
+            },
+            faults: FaultPlan::new(),
+            run_to: SimTime::from_secs(run_to),
+        });
+        let node = r.sys.shared().cub_node(CubId(0));
+        let net = &r.sys.shared().net;
+        let missing = r.sys.all_clients_report().blocks_missing;
+        let (msgs, bytes) = (net.total_control_msgs(node), net.total_control_bytes(node));
+        (missing, msgs, bytes, r.violations)
     });
     let mut out = String::new();
     let _ = writeln!(
         out,
         "min_lead  max_lead  missing_blocks  cub0_msgs  cub0_bytes  bytes/msg"
     );
-    for (&(min_ms, max_ms), o) in points.iter().zip(&outcomes) {
+    for (&(min_ms, max_ms), (missing, msgs, bytes, _)) in points.iter().zip(&rows) {
         let _ = writeln!(
             out,
-            "{:>7.1}s {:>8.1}s {:>14} {:>10} {:>11} {:>10.1}",
+            "{:>7.1}s {:>8.1}s {missing:>14} {msgs:>10} {bytes:>11} {:>10.1}",
             min_ms as f64 / 1e3,
             max_ms as f64 / 1e3,
-            o.missing,
-            o.msgs,
-            o.bytes,
-            o.bytes as f64 / o.msgs as f64,
+            *bytes as f64 / *msgs as f64,
         );
     }
+    let ok = report_violations(&mut out, rows.iter().flat_map(|r| &r.3));
     out.push('\n');
     let _ = writeln!(
         out,
@@ -1212,7 +1214,10 @@ pub fn lead_report(scale: Scale, threads: usize) -> ExpReport {
          versus a tight gap, by amortizing framing over batched viewer states; \
          bytes/msg grows several-fold from the tightest cadence to the paper's gap."
     );
-    ExpReport::new(out)
+    ExpReport {
+        ok,
+        ..ExpReport::new(out)
+    }
 }
 
 struct ChurnStats {
@@ -1563,14 +1568,15 @@ pub fn admission_report(scale: Scale, threads: usize) -> ExpReport {
         let result = run_startup(&cfg);
         let n = result.samples.len();
         let mean_high = result.mean_in(0.85, 1.01).unwrap_or(f64::NAN);
-        (n, result.max(), mean_high, result.count_above(20.0))
+        let row = (n, result.max(), mean_high, result.count_above(20.0));
+        (row, result.violations)
     });
     let mut out = String::new();
     let _ = writeln!(
         out,
         "admission   started  mean>85%load  max_latency  >20s_outliers"
     );
-    for ((label, _), &(n, max, mean_high, outliers)) in policies.iter().zip(&results) {
+    for ((label, _), &((n, max, mean_high, outliers), _)) in policies.iter().zip(&results) {
         let _ = writeln!(
             out,
             "{label:<22} {n:>7}  {mean_high:>11.2}s {max:>11.2}s  {outliers:>13}",
@@ -1582,7 +1588,10 @@ pub fn admission_report(scale: Scale, threads: usize) -> ExpReport {
         "shape: the limit trades availability (fewer admitted starts) for \
          bounded startup latency — the operational recommendation of §5."
     );
-    ExpReport::new(out)
+    ExpReport {
+        ok: report_violations(&mut out, results.iter().flat_map(|r| &r.1)),
+        ..ExpReport::new(out)
+    }
 }
 
 /// §5 capacity: the analytic derivation ("each of the disks is capable of
@@ -1692,6 +1701,7 @@ pub fn capacity_report(scale: Scale, threads: usize) -> ExpReport {
     );
     ExpReport {
         metrics: results.iter().map(metrics_of).collect(),
+        ok: report_violations(&mut out, results.iter().flat_map(|r| &r.violations)),
         ..ExpReport::new(out)
     }
 }

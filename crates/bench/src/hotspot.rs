@@ -23,7 +23,7 @@ use tiger_sim::{RngTree, SimDuration, SimTime};
 use tiger_workgen::WorkloadPlan;
 use tiger_workload::{drive_plan, populate_catalog, CatalogSpec};
 
-use crate::fleet::{run_indexed, ExpReport, Job, Scale};
+use crate::fleet::{report_violations, run_indexed, ExpReport, Job, Scale};
 
 /// The plan `hotspot_plan` runs by default, and the path its report names.
 const EXAMPLE_PLAN: &str = "examples/workloads/zipf-hotspot.plan";
@@ -33,7 +33,13 @@ const COLUMNS: &str = "workload        streams  disk_load min/mean/max   missed 
 
 /// Runs to `settle`, opens a measurement window there, and renders one
 /// row: streams playing and the per-disk load spread at the window's end.
-fn measure(sys: &mut TigerSystem, label: &str, settle: SimTime, window: SimDuration) -> String {
+/// Returns the row and the run's violations.
+fn measure(
+    sys: &mut TigerSystem,
+    label: &str,
+    settle: SimTime,
+    window: SimDuration,
+) -> (String, Vec<String>) {
     sys.run_until(settle);
     sys.sample_window(settle, CubId(0), None);
     let end = settle + window;
@@ -45,7 +51,7 @@ fn measure(sys: &mut TigerSystem, label: &str, settle: SimTime, window: SimDurat
         .flat_map(|cub| cub.disks())
         .map(|d| d.load_window(end))
         .collect();
-    format!(
+    let row = format!(
         "{label:<15} {:>7}   {:>5.1}% /{:>5.1}% /{:>5.1}%  {:>6}  {:>14}\n",
         sys.controller().active_streams(),
         loads.iter().copied().fold(f64::INFINITY, f64::min) * 100.0,
@@ -53,21 +59,32 @@ fn measure(sys: &mut TigerSystem, label: &str, settle: SimTime, window: SimDurat
         loads.iter().copied().fold(0.0, f64::max) * 100.0,
         sys.metrics().loss.server_missed,
         sys.all_clients_report().blocks_missing,
-    )
+    );
+    (row, sys.take_violations())
 }
 
 fn system(scale: Scale) -> TigerSystem {
-    TigerSystem::new(match scale {
+    let mut sys = TigerSystem::new(match scale {
         Scale::Full => TigerConfig::sosp97(),
         Scale::Quick => {
             let mut t = TigerConfig::small_test();
             t.disk = t.disk.without_blips();
             t
         }
-    })
+    });
+    sys.enable_omniscient();
+    sys
 }
 
-fn population_row(scale: Scale, single_file: bool) -> String {
+/// Appends the rows, then a `VIOLATION:` line for each violation; true
+/// when there were none.
+fn render(out: &mut String, rows: Vec<(String, Vec<String>)>) -> bool {
+    let (rows, violations): (Vec<_>, Vec<_>) = rows.into_iter().unzip();
+    out.extend(rows);
+    report_violations(out, violations.iter().flatten())
+}
+
+fn population_row(scale: Scale, single_file: bool) -> (String, Vec<String>) {
     let (titles, film, viewers, settle, window) = match scale {
         Scale::Full => (64, 400, 300, 30, 60),
         Scale::Quick => (8, 120, 16, 10, 30),
@@ -108,7 +125,7 @@ fn population_row(scale: Scale, single_file: bool) -> String {
 pub fn hotspot_report(scale: Scale, threads: usize) -> ExpReport {
     let rows = run_indexed(2, threads, |i| population_row(scale, i == 1));
     let mut out = format!("{COLUMNS}\n");
-    out.extend(rows);
+    let ok = render(&mut out, rows);
     out.push('\n');
     let _ = writeln!(
         out,
@@ -116,7 +133,10 @@ pub fn hotspot_report(scale: Scale, threads: usize) -> ExpReport {
          and zero overload losses — every disk holds a slice of the hot file, \
          and the slot schedule spaces its viewers equitemporally."
     );
-    ExpReport::new(out)
+    ExpReport {
+        ok,
+        ..ExpReport::new(out)
+    }
 }
 
 fn plan_report(path: &str, plan: &WorkloadPlan, scale: Scale) -> ExpReport {
@@ -132,7 +152,13 @@ fn plan_report(path: &str, plan: &WorkloadPlan, scale: Scale) -> ExpReport {
         SimTime::ZERO + plan.horizon + SimDuration::from_secs(10),
         SimDuration::from_secs(30),
     );
-    ExpReport::new(format!("{COLUMNS}\n{row}\nplan: {path}\n"))
+    let mut out = format!("{COLUMNS}\n");
+    let ok = render(&mut out, vec![row]);
+    let _ = writeln!(out, "\nplan: {path}");
+    ExpReport {
+        ok,
+        ..ExpReport::new(out)
+    }
 }
 
 /// The `hotspot_plan` job over `plan`, which was read from `path`.

@@ -226,6 +226,13 @@ impl TigerConfig {
             "minVStateLead must be below maxVStateLead"
         );
         assert!(
+            self.max_vstate_lead
+                < self
+                    .block_play_time
+                    .mul_u64(u64::from(self.stripe.num_disks())),
+            "maxVStateLead must be below the schedule length (block play time x disks)"
+        );
+        assert!(
             self.scheduling_lead < self.min_vstate_lead,
             "§4.1.3: minVStateLead is always much larger than the scheduling lead"
         );
@@ -262,6 +269,16 @@ mod tests {
     fn latency_above_bpt_rejected() {
         let mut c = TigerConfig::sosp97();
         c.latency = LatencyModel::fixed(SimDuration::from_secs(2));
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "below the schedule length")]
+    fn lead_past_the_schedule_rejected() {
+        // The 4-cub ring's whole schedule is 4 s: a 9 s lead would carry
+        // viewer states more than a lap ahead of their slots.
+        let mut c = TigerConfig::small_test();
+        c.max_vstate_lead = SimDuration::from_secs(9);
         c.validate();
     }
 

@@ -16,7 +16,7 @@
 use std::collections::HashMap;
 
 use tiger_layout::ids::ViewerInstance;
-use tiger_layout::{BlockNum, CubId, DiskId, FileId};
+use tiger_layout::{BlockNum, CubId, DiskId};
 use tiger_net::NetNode;
 use tiger_proto::msg::Message;
 use tiger_proto::Membership;
@@ -29,16 +29,10 @@ use crate::system::Shared;
 /// What the controller remembers about one viewer.
 #[derive(Clone, Copy, Debug)]
 pub struct ViewerRecord {
-    /// The file being played.
-    pub file: FileId,
     /// The client's network node id.
     pub client: u32,
     /// The slot the viewer occupies, once a cub commits the insertion.
     pub slot: Option<SlotId>,
-    /// Send time of the viewer's first block, once committed.
-    pub first_send: Option<SimTime>,
-    /// When the client asked to start.
-    pub requested_at: SimTime,
     /// A stop arrived while the start was still queued at a cub (no
     /// committed slot yet). The stop cannot be routed — there is no slot
     /// to deschedule — so it is remembered here and honoured the moment
@@ -63,45 +57,26 @@ impl Controller {
 
     /// Registers a start request; returns false if the instance is already
     /// known (duplicate request).
-    pub fn on_start_request(
-        &mut self,
-        instance: ViewerInstance,
-        file: FileId,
-        client: u32,
-        requested_at: SimTime,
-    ) -> bool {
+    pub fn on_start_request(&mut self, instance: ViewerInstance, client: u32) -> bool {
         self.requests.incr();
-        self.viewers
-            .insert(
-                instance,
-                ViewerRecord {
-                    file,
-                    client,
-                    slot: None,
-                    first_send: None,
-                    requested_at,
-                    stop_wanted: false,
-                },
-            )
-            .is_none()
+        let rec = ViewerRecord {
+            client,
+            slot: None,
+            stop_wanted: false,
+        };
+        self.viewers.insert(instance, rec).is_none()
     }
 
     /// Records a commit notification from the inserting cub. Returns true
     /// if a stop already arrived for the viewer while it was queued (the
     /// stop/insert race): the caller must deschedule it immediately, now
     /// that there finally is a slot to deschedule.
-    pub fn on_insert_committed(
-        &mut self,
-        instance: ViewerInstance,
-        slot: SlotId,
-        first_send: SimTime,
-    ) -> bool {
+    pub fn on_insert_committed(&mut self, instance: ViewerInstance, slot: SlotId) -> bool {
         if let Some(rec) = self.viewers.get_mut(&instance) {
             if rec.slot.is_none() {
                 self.active_streams += 1;
             }
             rec.slot = Some(slot);
-            rec.first_send = Some(first_send);
             rec.stop_wanted
         } else {
             false
@@ -268,7 +243,7 @@ impl ControlPlane {
                         return None; // Rejected; the client never starts.
                     }
                 }
-                if !role.on_start_request(instance, file, client, requested_at) || muted {
+                if !role.on_start_request(instance, client) || muted {
                     return None; // Duplicate, or nothing to route.
                 }
                 let loc = sh.catalog.locate(file, BlockNum(from_block))?;
@@ -296,13 +271,8 @@ impl ControlPlane {
                 });
             }
             Message::StopRequest { instance } => self.route_deschedule(sh, now, instance, muted),
-            Message::InsertCommitted {
-                instance,
-                slot,
-                first_send,
-                ..
-            } => {
-                if role.on_insert_committed(instance, slot, first_send) {
+            Message::InsertCommitted { instance, slot, .. } => {
+                if role.on_insert_committed(instance, slot) {
                     // The viewer was stopped while its start was still
                     // queued (the §4.1.3 stop/insert race). Now that a cub
                     // has committed it into a slot, honour the stop —
@@ -433,13 +403,10 @@ mod tests {
     fn start_commit_stop_lifecycle() {
         let p = params();
         let mut c = Controller::new();
-        assert!(c.on_start_request(inst(1), FileId(0), 5, SimTime::ZERO));
-        assert!(
-            !c.on_start_request(inst(1), FileId(0), 5, SimTime::ZERO),
-            "duplicate"
-        );
+        assert!(c.on_start_request(inst(1), 5));
+        assert!(!c.on_start_request(inst(1), 5), "duplicate");
         assert_eq!(c.active_streams(), 0, "not committed yet");
-        c.on_insert_committed(inst(1), SlotId(7), SimTime::from_secs(2));
+        c.on_insert_committed(inst(1), SlotId(7));
         assert_eq!(c.active_streams(), 1);
         let (slot, cub) = c
             .on_stop_request(inst(1), &p, SimTime::from_secs(10))
@@ -456,8 +423,8 @@ mod tests {
     fn stop_routes_to_next_servicing_cub() {
         let p = params();
         let mut c = Controller::new();
-        c.on_start_request(inst(1), FileId(0), 5, SimTime::ZERO);
-        c.on_insert_committed(inst(1), SlotId(0), SimTime::from_secs(1));
+        c.on_start_request(inst(1), 5);
+        c.on_insert_committed(inst(1), SlotId(0));
         let now = SimTime::from_secs(10);
         let (slot, cub) = c.on_stop_request(inst(1), &p, now).expect("known");
         // Verify the chosen cub really is the next to service the slot.
@@ -476,7 +443,7 @@ mod tests {
     fn stop_before_commit_is_remembered_not_dropped() {
         let p = params();
         let mut c = Controller::new();
-        c.on_start_request(inst(4), FileId(0), 5, SimTime::ZERO);
+        c.on_start_request(inst(4), 5);
         // Stop while the start is still queued at a cub: unroutable now …
         assert!(c
             .on_stop_request(inst(4), &p, SimTime::from_secs(1))
@@ -484,22 +451,22 @@ mod tests {
         // … but the record survives with the stop pinned to it.
         assert!(c.viewer(&inst(4)).expect("record kept").stop_wanted);
         // The commit reports the pending stop so the caller deschedules.
-        assert!(c.on_insert_committed(inst(4), SlotId(2), SimTime::from_secs(3)));
+        assert!(c.on_insert_committed(inst(4), SlotId(2)));
         let (slot, _) = c
             .on_stop_request(inst(4), &p, SimTime::from_secs(3))
             .expect("routable once committed");
         assert_eq!(slot, SlotId(2));
         assert_eq!(c.active_streams(), 0, "commit+stop nets out");
         // A normal lifecycle reports no pending stop at commit.
-        c.on_start_request(inst(5), FileId(0), 5, SimTime::ZERO);
-        assert!(!c.on_insert_committed(inst(5), SlotId(3), SimTime::from_secs(4)));
+        c.on_start_request(inst(5), 5);
+        assert!(!c.on_insert_committed(inst(5), SlotId(3)));
     }
 
     #[test]
     fn eof_releases_stream_count() {
         let mut c = Controller::new();
-        c.on_start_request(inst(2), FileId(1), 5, SimTime::ZERO);
-        c.on_insert_committed(inst(2), SlotId(3), SimTime::from_secs(1));
+        c.on_start_request(inst(2), 5);
+        c.on_insert_committed(inst(2), SlotId(3));
         c.on_viewer_finished(inst(2));
         assert_eq!(c.active_streams(), 0);
         c.on_viewer_finished(inst(2)); // idempotent
@@ -511,7 +478,7 @@ mod tests {
         let mut c = Controller::new();
         c.reset_window(SimTime::ZERO);
         for i in 0..10 {
-            c.on_start_request(inst(i), FileId(0), 1, SimTime::ZERO);
+            c.on_start_request(inst(i), 1);
         }
         assert!((c.request_rate(SimTime::from_secs(5)) - 2.0).abs() < 1e-9);
     }

@@ -49,7 +49,7 @@ pub mod shield;
 pub mod system;
 
 pub use backend::Backend;
-pub use central::{central_control_send_rate, CentralSystem};
+pub use central::central_control_send_rate;
 pub use client::{Client, ClientReport};
 pub use config::{ForwardingPolicy, TigerConfig};
 pub use controller::Controller;

@@ -117,20 +117,6 @@ impl DiskSchedule {
         self.slots.iter().filter(|s| s.is_some()).count() as u32
     }
 
-    /// Occupied fraction of capacity.
-    pub fn load_fraction(&self) -> f64 {
-        f64::from(self.occupancy()) / f64::from(self.params.capacity())
-    }
-
-    /// The first free slot at or after `from`, scanning forward around the
-    /// ring; `None` if the schedule is full.
-    pub fn first_free_from(&self, from: SlotId) -> Option<SlotId> {
-        let n = self.params.capacity();
-        (0..n)
-            .map(|i| SlotId((from.raw() + i) % n))
-            .find(|s| self.slots[s.index()].is_none())
-    }
-
     /// Iterates over occupied slots.
     pub fn iter(&self) -> impl Iterator<Item = (SlotId, &SlotEntry)> {
         self.slots
@@ -303,32 +289,6 @@ mod tests {
         let sent = s.service(SlotId(3)).expect("occupied");
         assert_eq!(sent.position, BlockNum(1));
         assert_eq!(s.get(SlotId(3)).expect("occupied").state.play_seq, 2);
-    }
-
-    #[test]
-    fn first_free_wraps() {
-        let p = params();
-        let n = p.capacity();
-        let mut s = DiskSchedule::new(p);
-        for slot in 0..n {
-            s.insert(vs(slot, u64::from(slot)), SimTime::ZERO)
-                .expect("empty");
-        }
-        assert_eq!(s.occupancy(), n, "full");
-        assert_eq!(s.first_free_from(SlotId(0)), None);
-        let mid = n / 2;
-        s.remove(
-            SlotId(mid),
-            ViewerInstance {
-                viewer: ViewerId(u64::from(mid)),
-                incarnation: 0,
-            },
-        );
-        assert_eq!(
-            s.first_free_from(SlotId(mid + 1)),
-            Some(SlotId(mid)),
-            "wraps around"
-        );
     }
 
     #[test]

@@ -283,11 +283,6 @@ impl ScheduleParams {
         SimDuration::from_nanos(((t.as_nanos() % l) + l - lag) % l)
     }
 
-    /// The slot disk `disk` is servicing at time `t`.
-    pub fn slot_under_disk(&self, disk: DiskId, t: SimTime) -> SlotId {
-        self.slot_at(self.disk_position(disk, t))
-    }
-
     /// The earliest time `>= not_before` at which disk `disk`'s pointer is
     /// at ring position `pos`.
     pub fn time_disk_at_position(

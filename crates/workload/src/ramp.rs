@@ -92,11 +92,15 @@ pub struct RampResult {
     /// Events the run dispatched, by kind (those of a count of zero left
     /// out): `TigerSystem::events_dispatched_by_kind`.
     pub events_by_kind: Vec<(&'static str, u64)>,
+    /// The omniscient checker's and the NIC/schedule asserts' violations
+    /// (empty = the run is clean).
+    pub violations: Vec<String>,
 }
 
 /// Runs a ramp experiment.
 pub fn run_ramp(cfg: &RampConfig) -> RampResult {
     let mut sys = TigerSystem::new(cfg.tiger.clone());
+    sys.enable_omniscient();
     let files = populate_catalog(&mut sys, &cfg.catalog);
     let mut chooser = RngTree::new(cfg.tiger.seed).fork("ramp-files", 0);
 
@@ -180,6 +184,7 @@ pub fn run_ramp(cfg: &RampConfig) -> RampResult {
             .events_dispatched_by_kind()
             .filter(|&(_, n)| n > 0)
             .collect(),
+        violations: sys.take_violations(),
     }
 }
 
@@ -205,6 +210,7 @@ mod tests {
         assert_eq!(last.streams, 24);
         assert_eq!(result.loss.server_missed, 0);
         assert_eq!(result.client_missing, 0);
+        assert!(result.violations.is_empty(), "{:?}", result.violations);
         // Load grows monotonically with streams.
         assert!(result.windows[0].cub_cpu < result.windows[2].cub_cpu);
         assert!(result.windows[0].disk_load < result.windows[2].disk_load);

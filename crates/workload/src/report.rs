@@ -106,6 +106,7 @@ mod tests {
     fn startup_table_bins_samples() {
         let r = StartupResult {
             samples: vec![(0.5, 1.8), (0.51, 2.0), (0.95, 25.0)],
+            violations: Vec::new(),
         };
         let t = format_startup_table(&r);
         assert!(t.contains("0.00-0.55"));

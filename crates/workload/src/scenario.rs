@@ -88,10 +88,14 @@ const CURVE_BUCKET_SECS: u64 = 10;
 #[derive(Clone, Debug)]
 #[allow(clippy::large_enum_variant)] // one per run, never in a collection
 pub enum Demand {
-    /// The §5 load: "We loaded the system to 50% of capacity". Half the
-    /// schedule's capacity in starts, one every 150 ms from 100 ms, each
-    /// of a file drawn uniformly from the `"reconfig-files"` RNG fork.
-    HalfLoad,
+    /// `starts` starts, `every` apart from 100 ms, each of a file drawn
+    /// uniformly from the `"reconfig-files"` RNG fork.
+    Paced {
+        /// How many viewers start.
+        starts: u32,
+        /// The gap between consecutive starts.
+        every: SimDuration,
+    },
     /// A `tiger-workgen` plan, scheduled by [`drive_plan`]: title rank
     /// `i` plays catalog file `i`, so the catalog must hold at least
     /// [`WorkloadPlan::titles`] files.
@@ -99,25 +103,35 @@ pub enum Demand {
 }
 
 impl Demand {
+    /// The §5 load, "We loaded the system to 50% of capacity": half of
+    /// `tiger`'s schedule capacity in starts, 150 ms apart. Build it from
+    /// the configuration the scenario finally runs, after any change to
+    /// its stripe.
+    pub fn half_load(tiger: &TigerConfig) -> Self {
+        Demand::Paced {
+            starts: tiger.schedule_params().capacity().div_ceil(2),
+            every: SimDuration::from_millis(150),
+        }
+    }
+
     /// Schedules this demand against `sys`, whose catalog is `files`.
     pub fn drive(&self, sys: &mut TigerSystem, files: &[FileId]) -> DriveStats {
-        match self {
-            Demand::Plan(plan) => drive_plan(sys, plan, files),
-            Demand::HalfLoad => {
+        match *self {
+            Demand::Plan(ref plan) => drive_plan(sys, plan, files),
+            Demand::Paced { starts, every } => {
                 let mut chooser = RngTree::new(sys.shared().cfg.seed).fork("reconfig-files", 0);
-                let want = (f64::from(sys.shared().params.capacity()) * 0.5).round() as u32;
                 let mut stats = DriveStats {
-                    arrivals: want,
+                    arrivals: starts,
                     ..DriveStats::default()
                 };
                 let mut at = SimTime::from_millis(100);
-                for _ in 0..want {
+                for _ in 0..starts {
                     let client = sys.add_client();
                     let file = files[chooser.gen_range(0..files.len())];
                     stats
                         .starts
                         .push((at, client, sys.request_start(at, client, file)));
-                    at += SimDuration::from_millis(150);
+                    at += every;
                 }
                 stats
             }
@@ -146,14 +160,15 @@ pub struct Scenario {
 
 impl Scenario {
     /// `faults` on the small test system with blips off, half loaded
-    /// from four files and run to 90 s: the chaos campaigns' base.
+    /// from four files and run to 90 s: the chaos campaigns' base. A
+    /// caller that changes the stripe rebuilds the [`Demand::half_load`].
     pub fn quick(faults: FaultPlan) -> Self {
         let mut tiger = TigerConfig::small_test();
         tiger.disk = tiger.disk.without_blips();
         Scenario {
+            demand: Demand::half_load(&tiger),
             tiger,
             catalog: CatalogSpec::sized_for(SimDuration::from_secs(200), 4),
-            demand: Demand::HalfLoad,
             faults,
             run_to: SimTime::from_secs(90),
         }

@@ -45,6 +45,9 @@ impl StartupConfig {
 pub struct StartupResult {
     /// All start samples.
     pub samples: Vec<(f64, f64)>,
+    /// The omniscient checker's and the NIC/schedule asserts' violations
+    /// (empty = the run is clean).
+    pub violations: Vec<String>,
 }
 
 impl StartupResult {
@@ -86,6 +89,7 @@ impl StartupResult {
 /// issues probe starts at each load level, recording their latencies.
 pub fn run_startup(cfg: &StartupConfig) -> StartupResult {
     let mut sys = TigerSystem::new(cfg.tiger.clone());
+    sys.enable_omniscient();
     let files = populate_catalog(&mut sys, &cfg.catalog);
     let mut chooser = RngTree::new(cfg.tiger.seed).fork("startup-files", 0);
 
@@ -125,6 +129,7 @@ pub fn run_startup(cfg: &StartupConfig) -> StartupResult {
 
     StartupResult {
         samples: sys.metrics().start_latencies.clone(),
+        violations: sys.take_violations(),
     }
 }
 
@@ -144,6 +149,7 @@ mod tests {
             tiger,
         };
         let result = run_startup(&cfg);
+        assert!(result.violations.is_empty(), "{:?}", result.violations);
         let low = result.mean_in(0.0, 0.5).expect("low-load samples");
         let high = result.mean_in(0.85, 1.01).expect("high-load samples");
         assert!(

@@ -143,9 +143,9 @@ fn reconfiguration_window_is_seconds_not_minutes() {
     let mut tiger = TigerConfig::sosp97();
     tiger.disk = tiger.disk.without_blips();
     let r = run(&Scenario {
+        demand: Demand::half_load(&tiger),
         tiger,
         catalog: CatalogSpec::sized_for(SimDuration::from_secs(220), 8),
-        demand: Demand::HalfLoad,
         faults: FaultPlan::parse("crash c5 at=60s").expect("plan parses"),
         run_to: SimTime::from_secs(150),
     });

@@ -165,7 +165,7 @@ fn crash_plan_reproduces_the_power_cut_experiment() {
         let mut sys = TigerSystem::new(small());
         let catalog = CatalogSpec::sized_for(SimDuration::from_secs(200), 4);
         let files = populate_catalog(&mut sys, &catalog);
-        let drive = Demand::HalfLoad.drive(&mut sys, &files);
+        let drive = Demand::half_load(&small()).drive(&mut sys, &files);
         if planned {
             let plan = FaultPlan::parse("crash c1 at=30s").expect("crash plan parses");
             sys.apply_fault_plan(&plan);

@@ -149,3 +149,46 @@ fn resume_at_eof_is_a_noop() {
     assert!(sys.clients()[client as usize].viewer(&resumed).is_none());
     assert_eq!(sys.controller().active_streams(), 0);
 }
+
+#[test]
+fn a_stop_that_overtakes_its_start_still_stops_the_stream() {
+    // ROADMAP defect 1(d): each viewer is stopped 1 ms after its start, so
+    // on the 2–10 ms LAN some stops reach the controller before their
+    // starts. Every one must still end its stream: nothing left counted,
+    // and no block after the stop's delivery plus one block play time.
+    let cfg = quiet();
+    let (bpt, worst) = (cfg.block_play_time, cfg.latency.worst_case());
+    let mut sys = TigerSystem::new(cfg);
+    sys.enable_omniscient();
+    let file = sys.add_file(rate(), SimDuration::from_secs(60));
+    let client = sys.add_client();
+    let stopped: Vec<_> = (0..8u64)
+        .map(|i| {
+            let at = SimTime::from_millis(50 + i * 100);
+            let v = sys.request_start(at, client, file);
+            let stop = at + SimDuration::from_millis(1);
+            sys.request_stop(stop, v);
+            (v, stop + worst)
+        })
+        .collect();
+    sys.run_until(SimTime::from_secs(30));
+    assert_eq!(sys.controller().active_streams(), 0, "a stop was dropped");
+    for (v, delivered_by) in stopped {
+        let p = sys.clients()[client as usize]
+            .viewer(&v)
+            .expect("requested");
+        let last = p
+            .first_block_at
+            .zip(p.high_water)
+            .map(|(first, high)| first + bpt.mul_u64(u64::from(high - p.base_block)));
+        assert!(
+            last.is_none_or(|t| t <= delivered_by + bpt),
+            "{v:?} played on to {last:?} after its stop"
+        );
+    }
+    assert!(
+        sys.take_violations().is_empty(),
+        "{:?}",
+        sys.take_violations()
+    );
+}

@@ -260,11 +260,11 @@ impl Client {
         None
     }
 
-    /// Marks a viewer stopped (deschedule issued).
-    pub fn on_stopped(&mut self, instance: ViewerInstance) {
-        if let Some(v) = self.viewers.get_mut(&instance) {
-            v.stopped = true;
-        }
+    /// Marks a viewer stopped (deschedule issued); false if this client
+    /// does not play it or had already stopped it.
+    pub fn on_stopped(&mut self, instance: ViewerInstance) -> bool {
+        let v = self.viewers.get_mut(&instance);
+        v.is_some_and(|v| !std::mem::replace(&mut v.stopped, true))
     }
 
     /// Progress of one viewer.

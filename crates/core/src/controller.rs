@@ -29,8 +29,6 @@ use crate::system::Shared;
 /// What the controller remembers about one viewer.
 #[derive(Clone, Copy, Debug)]
 pub struct ViewerRecord {
-    /// The client's network node id.
-    pub client: u32,
     /// The slot the viewer occupies, once a cub commits the insertion.
     pub slot: Option<SlotId>,
     /// A stop arrived while the start was still queued at a cub (no
@@ -45,6 +43,10 @@ pub struct ViewerRecord {
 #[derive(Debug, Default)]
 pub struct Controller {
     viewers: HashMap<ViewerInstance, ViewerRecord>,
+    /// Stops that arrived before their start, by arrival time: §4.1.3's
+    /// latency bound brings the start within one block play time, and
+    /// the two cancel when it lands.
+    early_stops: HashMap<ViewerInstance, SimTime>,
     requests: Counter,
     active_streams: u32,
 }
@@ -57,10 +59,9 @@ impl Controller {
 
     /// Registers a start request; returns false if the instance is already
     /// known (duplicate request).
-    pub fn on_start_request(&mut self, instance: ViewerInstance, client: u32) -> bool {
+    pub fn on_start_request(&mut self, instance: ViewerInstance) -> bool {
         self.requests.incr();
         let rec = ViewerRecord {
-            client,
             slot: None,
             stop_wanted: false,
         };
@@ -85,7 +86,9 @@ impl Controller {
 
     /// Handles a stop request: returns the slot and the cub whose disk next
     /// services it (plus that cub's successor gets a copy), or `None` for
-    /// an unknown/uncommitted viewer.
+    /// an unknown/uncommitted viewer. An unknown viewer's stop is held for
+    /// one block play time, for a start it overtook; one whose start never
+    /// comes (it finished, was rejected or was lost) lapses.
     pub fn on_stop_request(
         &mut self,
         instance: ViewerInstance,
@@ -93,7 +96,13 @@ impl Controller {
         now: SimTime,
     ) -> Option<(SlotId, CubId)> {
         self.requests.incr();
-        let rec = self.viewers.get_mut(&instance)?;
+        let Some(rec) = self.viewers.get_mut(&instance) else {
+            let bpt = params.block_play_time();
+            self.early_stops
+                .retain(|_, at| now.saturating_since(*at) < bpt);
+            self.early_stops.insert(instance, now);
+            return None;
+        };
         let Some(slot) = rec.slot else {
             // The start is still queued at a cub — nothing to deschedule
             // yet. Keep the record and honour the stop at commit time.
@@ -236,6 +245,11 @@ impl ControlPlane {
                 from_block,
                 requested_at,
             } => {
+                // A stop that overtook this start cancels it, admitted or
+                // not.
+                if role.early_stops.remove(&instance).is_some() {
+                    return None;
+                }
                 // Admission control (disabled for the §5 tests).
                 if let Some(limit) = sh.cfg.admission_limit {
                     let cap = f64::from(sh.params.capacity());
@@ -243,7 +257,7 @@ impl ControlPlane {
                         return None; // Rejected; the client never starts.
                     }
                 }
-                if !role.on_start_request(instance, client) || muted {
+                if !role.on_start_request(instance) || muted {
                     return None; // Duplicate, or nothing to route.
                 }
                 let loc = sh.catalog.locate(file, BlockNum(from_block))?;
@@ -403,8 +417,8 @@ mod tests {
     fn start_commit_stop_lifecycle() {
         let p = params();
         let mut c = Controller::new();
-        assert!(c.on_start_request(inst(1), 5));
-        assert!(!c.on_start_request(inst(1), 5), "duplicate");
+        assert!(c.on_start_request(inst(1)));
+        assert!(!c.on_start_request(inst(1)), "duplicate");
         assert_eq!(c.active_streams(), 0, "not committed yet");
         c.on_insert_committed(inst(1), SlotId(7));
         assert_eq!(c.active_streams(), 1);
@@ -423,7 +437,7 @@ mod tests {
     fn stop_routes_to_next_servicing_cub() {
         let p = params();
         let mut c = Controller::new();
-        c.on_start_request(inst(1), 5);
+        c.on_start_request(inst(1));
         c.on_insert_committed(inst(1), SlotId(0));
         let now = SimTime::from_secs(10);
         let (slot, cub) = c.on_stop_request(inst(1), &p, now).expect("known");
@@ -443,7 +457,7 @@ mod tests {
     fn stop_before_commit_is_remembered_not_dropped() {
         let p = params();
         let mut c = Controller::new();
-        c.on_start_request(inst(4), 5);
+        c.on_start_request(inst(4));
         // Stop while the start is still queued at a cub: unroutable now …
         assert!(c
             .on_stop_request(inst(4), &p, SimTime::from_secs(1))
@@ -458,14 +472,25 @@ mod tests {
         assert_eq!(slot, SlotId(2));
         assert_eq!(c.active_streams(), 0, "commit+stop nets out");
         // A normal lifecycle reports no pending stop at commit.
-        c.on_start_request(inst(5), 5);
+        c.on_start_request(inst(5));
         assert!(!c.on_insert_committed(inst(5), SlotId(3)));
+    }
+
+    #[test]
+    fn a_stop_for_an_unseen_viewer_lapses_after_one_block_play_time() {
+        let p = params();
+        let mut c = Controller::new();
+        assert!(c.on_stop_request(inst(6), &p, SimTime::ZERO).is_none());
+        assert!(c.early_stops.contains_key(&inst(6)), "held for its start");
+        c.on_stop_request(inst(7), &p, SimTime::from_secs(1));
+        assert!(!c.early_stops.contains_key(&inst(6)), "outlived its start");
+        assert!(c.early_stops.contains_key(&inst(7)));
     }
 
     #[test]
     fn eof_releases_stream_count() {
         let mut c = Controller::new();
-        c.on_start_request(inst(2), 5);
+        c.on_start_request(inst(2));
         c.on_insert_committed(inst(2), SlotId(3));
         c.on_viewer_finished(inst(2));
         assert_eq!(c.active_streams(), 0);
@@ -478,7 +503,7 @@ mod tests {
         let mut c = Controller::new();
         c.reset_window(SimTime::ZERO);
         for i in 0..10 {
-            c.on_start_request(inst(i), 1);
+            c.on_start_request(inst(i));
         }
         assert!((c.request_rate(SimTime::from_secs(5)) - 2.0).abs() < 1e-9);
     }

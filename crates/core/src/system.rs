@@ -882,14 +882,12 @@ impl TigerSystem {
     }
 
     fn on_client_stop(&mut self, now: SimTime, instance: ViewerInstance) {
-        // Mark it stopped at its owning client (a no-op everywhere else).
-        for c in &mut self.clients {
-            c.on_stopped(instance);
-        }
-        let Some(rec) = self.ctl.viewer(&instance) else {
-            return; // Already finished or never started.
+        // The owning client tells the controllers, whatever their tables
+        // say: its start may still be on the wire.
+        let Some(client) = self.clients.iter_mut().position(|c| c.on_stopped(instance)) else {
+            return; // Never requested, or already stopped.
         };
-        let node = NetNode(rec.client);
+        let node = self.shared.client_node(client as u32);
         self.shared
             .send_to_controllers(now, node, Message::StopRequest { instance });
     }

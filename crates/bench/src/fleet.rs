@@ -214,7 +214,7 @@ pub fn standard_jobs() -> Vec<Job> {
         job(
             "fig8_unfailed",
             Some(Full),
-            fig8_report,
+            |scale, _| ramp_report(scale, false),
             "Figure 8: Tiger loads with no cubs failed",
             "cub CPU & disk load linear in streams; controller flat; \
              control traffic < ~21 KB/s at 602 streams",
@@ -222,7 +222,7 @@ pub fn standard_jobs() -> Vec<Job> {
         job(
             "fig9_failed",
             Some(Full),
-            fig9_report,
+            |scale, _| ramp_report(scale, true),
             "Figure 9: Tiger loads with one cub failed",
             "mirroring-cub disks >95% duty at 602 streams; cub CPU <=85%; \
              control traffic ~2x the unfailed case",
@@ -646,51 +646,43 @@ fn ramp_summary(out: &mut String, result: &RampResult, failed: bool) {
     let _ = writeln!(out, ")");
 }
 
-/// Figure 8: the unfailed ramp (§5). One simulation — nothing to shard —
-/// but part of the fleet so it runs concurrently with every other job.
-pub fn fig8_report(scale: Scale, _threads: usize) -> ExpReport {
-    let cfg = match scale {
-        Scale::Full => RampConfig {
-            // A short hold at the top lets the final insertions land
-            // (insertions near 100% load can take most of the 56 s
-            // schedule, §5).
-            hold_at_peak: SimDuration::from_secs(100),
-            ..RampConfig::fig8(TigerConfig::sosp97(), SimDuration::from_secs(50))
-        },
-        Scale::Quick => quick_ramp(TigerConfig::small_test(), false),
+/// Figure 8, the unfailed ramp (§5), or — `failed` — Figure 9, the same
+/// ramp with one cub failed throughout. One simulation — nothing to
+/// shard — but part of the fleet so it runs concurrently with every other
+/// job.
+fn ramp_report(scale: Scale, failed: bool) -> ExpReport {
+    let settle = SimDuration::from_secs(50);
+    let (cfg, title) = match (scale, failed) {
+        (Scale::Full, false) => (
+            RampConfig {
+                // A short hold at the top lets the final insertions land
+                // (insertions near 100% load can take most of the 56 s
+                // schedule, §5).
+                hold_at_peak: SimDuration::from_secs(100),
+                ..RampConfig::fig8(TigerConfig::sosp97(), settle)
+            },
+            "Figure 8 (unfailed ramp to 602)",
+        ),
+        (Scale::Full, true) => (
+            RampConfig {
+                hold_at_peak: SimDuration::from_secs(3_600),
+                ..RampConfig::fig9(TigerConfig::sosp97(), settle)
+            },
+            "Figure 9 (cub 5 failed; disk/control columns report mirroring cub 6)",
+        ),
+        (Scale::Quick, false) => (
+            quick_ramp(TigerConfig::small_test(), false),
+            "Figure 8 (unfailed ramp, quick scale)",
+        ),
+        (Scale::Quick, true) => (
+            quick_ramp(TigerConfig::small_test(), true),
+            "Figure 9 (one failed cub, quick scale)",
+        ),
     };
     let result = run_ramp(&cfg);
-    let title = match scale {
-        Scale::Full => "Figure 8 (unfailed ramp to 602)",
-        Scale::Quick => "Figure 8 (unfailed ramp, quick scale)",
-    };
     let mut out = format_ramp_table(title, &result.windows);
     out.push('\n');
-    ramp_summary(&mut out, &result, false);
-    ExpReport {
-        metrics: vec![metrics_of(&result)],
-        ok: report_violations(&mut out, &result.violations),
-        ..ExpReport::new(out)
-    }
-}
-
-/// Figure 9: the same ramp with one cub failed throughout (§5).
-pub fn fig9_report(scale: Scale, _threads: usize) -> ExpReport {
-    let cfg = match scale {
-        Scale::Full => RampConfig {
-            hold_at_peak: SimDuration::from_secs(3_600),
-            ..RampConfig::fig9(TigerConfig::sosp97(), SimDuration::from_secs(50))
-        },
-        Scale::Quick => quick_ramp(TigerConfig::small_test(), true),
-    };
-    let result = run_ramp(&cfg);
-    let title = match scale {
-        Scale::Full => "Figure 9 (cub 5 failed; disk/control columns report mirroring cub 6)",
-        Scale::Quick => "Figure 9 (one failed cub, quick scale)",
-    };
-    let mut out = format_ramp_table(title, &result.windows);
-    out.push('\n');
-    ramp_summary(&mut out, &result, true);
+    ramp_summary(&mut out, &result, failed);
     ExpReport {
         metrics: vec![metrics_of(&result)],
         ok: report_violations(&mut out, &result.violations),

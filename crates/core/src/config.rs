@@ -225,11 +225,11 @@ impl TigerConfig {
             self.min_vstate_lead < self.max_vstate_lead,
             "minVStateLead must be below maxVStateLead"
         );
+        let schedule_len = self
+            .block_play_time
+            .mul_u64(u64::from(self.stripe.num_disks()));
         assert!(
-            self.max_vstate_lead
-                < self
-                    .block_play_time
-                    .mul_u64(u64::from(self.stripe.num_disks())),
+            self.max_vstate_lead < schedule_len,
             "maxVStateLead must be below the schedule length (block play time x disks)"
         );
         assert!(

@@ -43,10 +43,6 @@ pub struct ViewerRecord {
 #[derive(Debug, Default)]
 pub struct Controller {
     viewers: HashMap<ViewerInstance, ViewerRecord>,
-    /// Stops that arrived before their start, by arrival time: §4.1.3's
-    /// latency bound brings the start within one block play time, and
-    /// the two cancel when it lands.
-    early_stops: HashMap<ViewerInstance, SimTime>,
     requests: Counter,
     active_streams: u32,
 }
@@ -86,9 +82,7 @@ impl Controller {
 
     /// Handles a stop request: returns the slot and the cub whose disk next
     /// services it (plus that cub's successor gets a copy), or `None` for
-    /// an unknown/uncommitted viewer. An unknown viewer's stop is held for
-    /// one block play time, for a start it overtook; one whose start never
-    /// comes (it finished, was rejected or was lost) lapses.
+    /// an unknown/uncommitted viewer.
     pub fn on_stop_request(
         &mut self,
         instance: ViewerInstance,
@@ -96,13 +90,7 @@ impl Controller {
         now: SimTime,
     ) -> Option<(SlotId, CubId)> {
         self.requests.incr();
-        let Some(rec) = self.viewers.get_mut(&instance) else {
-            let bpt = params.block_play_time();
-            self.early_stops
-                .retain(|_, at| now.saturating_since(*at) < bpt);
-            self.early_stops.insert(instance, now);
-            return None;
-        };
+        let rec = self.viewers.get_mut(&instance)?;
         let Some(slot) = rec.slot else {
             // The start is still queued at a cub — nothing to deschedule
             // yet. Keep the record and honour the stop at commit time.
@@ -245,11 +233,6 @@ impl ControlPlane {
                 from_block,
                 requested_at,
             } => {
-                // A stop that overtook this start cancels it, admitted or
-                // not.
-                if role.early_stops.remove(&instance).is_some() {
-                    return None;
-                }
                 // Admission control (disabled for the §5 tests).
                 if let Some(limit) = sh.cfg.admission_limit {
                     let cap = f64::from(sh.params.capacity());
@@ -474,17 +457,6 @@ mod tests {
         // A normal lifecycle reports no pending stop at commit.
         c.on_start_request(inst(5));
         assert!(!c.on_insert_committed(inst(5), SlotId(3)));
-    }
-
-    #[test]
-    fn a_stop_for_an_unseen_viewer_lapses_after_one_block_play_time() {
-        let p = params();
-        let mut c = Controller::new();
-        assert!(c.on_stop_request(inst(6), &p, SimTime::ZERO).is_none());
-        assert!(c.early_stops.contains_key(&inst(6)), "held for its start");
-        c.on_stop_request(inst(7), &p, SimTime::from_secs(1));
-        assert!(!c.early_stops.contains_key(&inst(6)), "outlived its start");
-        assert!(c.early_stops.contains_key(&inst(7)));
     }
 
     #[test]

@@ -883,7 +883,8 @@ impl TigerSystem {
 
     fn on_client_stop(&mut self, now: SimTime, instance: ViewerInstance) {
         // The owning client tells the controllers, whatever their tables
-        // say: its start may still be on the wire.
+        // say: its start may still be on the wire, and control delivery
+        // is FIFO per channel, so the stop lands after it.
         let Some(client) = self.clients.iter_mut().position(|c| c.on_stopped(instance)) else {
             return; // Never requested, or already stopped.
         };

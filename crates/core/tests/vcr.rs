@@ -151,11 +151,12 @@ fn resume_at_eof_is_a_noop() {
 }
 
 #[test]
-fn a_stop_that_overtakes_its_start_still_stops_the_stream() {
+fn a_stop_issued_before_its_start_lands_still_stops_the_stream() {
     // ROADMAP defect 1(d): each viewer is stopped 1 ms after its start, so
-    // on the 2–10 ms LAN some stops reach the controller before their
-    // starts. Every one must still end its stream: nothing left counted,
-    // and no block after the stop's delivery plus one block play time.
+    // on the 2–10 ms LAN every stop is issued while its start is still on
+    // the wire to the controller. Every one must still end its stream:
+    // nothing left counted, and no block after the stop's delivery plus
+    // one block play time.
     let cfg = quiet();
     let (bpt, worst) = (cfg.block_play_time, cfg.latency.worst_case());
     let mut sys = TigerSystem::new(cfg);
@@ -186,9 +187,6 @@ fn a_stop_that_overtakes_its_start_still_stops_the_stream() {
             "{v:?} played on to {last:?} after its stop"
         );
     }
-    assert!(
-        sys.take_violations().is_empty(),
-        "{:?}",
-        sys.take_violations()
-    );
+    let violations = sys.take_violations();
+    assert!(violations.is_empty(), "{violations:?}");
 }

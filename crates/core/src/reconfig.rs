@@ -104,7 +104,8 @@ impl TigerSystem {
     ///
     /// Panics if both of `add`/`remove` are nonzero, if a grow exceeds
     /// the projected spare pool, or if a shrink would not leave at least
-    /// one striped cub.
+    /// one striped cub, or a schedule at least `maxVStateLead` long
+    /// ([`TigerConfig::lead_fits`](crate::TigerConfig::lead_fits)).
     pub fn enqueue_restripe(&mut self, at: SimTime, add: u32, remove: u32) {
         assert!(
             add == 0 || remove == 0,
@@ -125,6 +126,11 @@ impl TigerSystem {
         assert!(
             remove < striped,
             "restripe removes {remove} of {striped} (projected) striped cubs; at least one must remain"
+        );
+        let disks = (striped - remove) * self.shared.cfg.stripe.disks_per_cub;
+        assert!(
+            self.shared.cfg.lead_fits(disks),
+            "restripe to {disks} disks leaves a schedule shorter than maxVStateLead"
         );
         self.reconfig.queue.push_back(RestripeStep { add, remove });
         self.shared.queue.schedule(at, Event::RestripeStart);

@@ -364,6 +364,16 @@ fn shrink_resumes_across_mid_drain_crash() {
 }
 
 #[test]
+#[should_panic(expected = "shorter than maxVStateLead")]
+fn a_shrink_below_the_lead_is_refused() {
+    // 4 one-second disks under a 3 s lead: one may leave (a 3 s lap),
+    // two may not.
+    let mut sys = TigerSystem::new(TigerConfig::small_test());
+    sys.request_restripe_remove(SimTime::from_secs(5), 1);
+    sys.request_restripe_remove(SimTime::from_secs(9), 1);
+}
+
+#[test]
 fn restripe_noop_when_no_moves_needed() {
     // Adding zero cubs plans zero moves and cuts over immediately without
     // touching the layout or the viewers.

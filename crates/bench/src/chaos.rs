@@ -2,7 +2,8 @@
 //! workload seed, every run checked against the Tiger invariants.
 //!
 //! Each sweep point is one [`tiger_workload::run`] of a
-//! [`Scenario::quick`]: the small-test system loaded to 50%, a
+//! [`Scenario::quick`]: the small-test system (or its 8-cub widening)
+//! loaded to 50%, a
 //! declarative fault plan applied, and the run reduced to the one-line
 //! [`tiger_workload::chaos_digest`].
 //! Scenarios are written in the `FaultPlan::parse` text format — the same
@@ -17,9 +18,10 @@
 
 use std::fmt::Write as _;
 
+use tiger_core::TigerConfig;
 use tiger_faults::FaultPlan;
 use tiger_layout::StripeConfig;
-use tiger_workload::{chaos_digest, run, Demand, Scenario};
+use tiger_workload::{chaos_digest, run, Scenario};
 
 use crate::fleet::{run_indexed, ExpReport, Scale};
 
@@ -175,17 +177,15 @@ pub fn scenarios() -> Vec<Template> {
 
 /// `template` injected at `t` seconds on its topology, half loaded.
 fn campaign(&(_, plan, topo): &Template, t: u64, seed: u64) -> Scenario {
-    let plan = FaultPlan::parse(&plan(t)).expect("scenario template parses");
-    let mut s = Scenario::quick(plan);
-    s.tiger.seed = seed;
+    let mut tiger = TigerConfig::small_test();
+    tiger.seed = seed;
     if topo != Topo::Small {
-        s.tiger.stripe = StripeConfig::new(8, 1, 2);
-        s.tiger.num_clients = 8;
-        s.tiger.spare_cubs = u32::from(topo == Topo::WideSpare);
-        // Half of the wide ring's capacity, not the small one's.
-        s.demand = Demand::half_load(&s.tiger);
+        tiger.stripe = StripeConfig::new(8, 1, 2);
+        tiger.num_clients = 8;
+        tiger.spare_cubs = u32::from(topo == Topo::WideSpare);
     }
-    s
+    let plan = FaultPlan::parse(&plan(t)).expect("scenario template parses");
+    Scenario::quick(tiger, plan)
 }
 
 /// The chaos sweep: scenario × injection instant × seed.

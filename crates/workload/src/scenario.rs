@@ -104,9 +104,7 @@ pub enum Demand {
 
 impl Demand {
     /// The §5 load, "We loaded the system to 50% of capacity": half of
-    /// `tiger`'s schedule capacity in starts, 150 ms apart. Build it from
-    /// the configuration the scenario finally runs, after any change to
-    /// its stripe.
+    /// `tiger`'s schedule capacity in starts, 150 ms apart.
     pub fn half_load(tiger: &TigerConfig) -> Self {
         Demand::Paced {
             starts: tiger.schedule_params().capacity().div_ceil(2),
@@ -159,11 +157,9 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// `faults` on the small test system with blips off, half loaded
-    /// from four files and run to 90 s: the chaos campaigns' base. A
-    /// caller that changes the stripe rebuilds the [`Demand::half_load`].
-    pub fn quick(faults: FaultPlan) -> Self {
-        let mut tiger = TigerConfig::small_test();
+    /// `faults` on `tiger` with blips off, half loaded from four files
+    /// and run to 90 s: the chaos campaigns' base.
+    pub fn quick(mut tiger: TigerConfig, faults: FaultPlan) -> Self {
         tiger.disk = tiger.disk.without_blips();
         Scenario {
             demand: Demand::half_load(&tiger),
@@ -174,16 +170,16 @@ impl Scenario {
         }
     }
 
-    /// `plan` on [`Scenario::quick`]'s system: one file a title, the
-    /// plan's embedded faults injected, and the run 30 s past the plan's
-    /// horizon so admitted streams play out.
+    /// `plan` on the small test system, as [`Scenario::quick`] runs it:
+    /// one file a title, the plan's embedded faults injected, and the run
+    /// 30 s past the plan's horizon so admitted streams play out.
     pub fn quick_plan(plan: WorkloadPlan) -> Self {
         Scenario {
             catalog: CatalogSpec::sized_for(SimDuration::from_secs(200), plan.titles()),
             faults: plan.faults.clone(),
             run_to: SimTime::ZERO + plan.horizon + SimDuration::from_secs(30),
             demand: Demand::Plan(plan),
-            ..Scenario::quick(FaultPlan::new())
+            ..Scenario::quick(TigerConfig::small_test(), FaultPlan::new())
         }
     }
 }
@@ -657,7 +653,8 @@ mod tests {
     use super::*;
 
     fn quick(plan: &str) -> Scenario {
-        Scenario::quick(FaultPlan::parse(plan).expect("plan parses"))
+        let faults = FaultPlan::parse(plan).expect("plan parses");
+        Scenario::quick(TigerConfig::small_test(), faults)
     }
 
     fn trace(r: &Run) -> String {
@@ -848,15 +845,17 @@ mod tests {
         // campaign; the second crash (cub 3, holder of piece 1) lands
         // after the spans shadowing cub 1 have all landed on the spare.
         let shielded = |on: bool| {
-            let mut s = quick("crash c1 at=20s\ncrash c3 at=80s\n");
-            s.tiger.stripe = StripeConfig::new(8, 1, 2);
-            s.tiger.spare_cubs = 1;
-            s.tiger.spare_shield = on;
+            let mut tiger = TigerConfig::small_test();
+            tiger.stripe = StripeConfig::new(8, 1, 2);
+            tiger.spare_cubs = 1;
+            tiger.spare_shield = on;
             // Zero jitter: shield traffic reorders RNG draws between the
             // two runs, so jittered latency would perturb unrelated
             // deliveries and muddy the subset comparison. Both runs see
             // the model's worst case.
-            s.tiger.latency = LatencyModel::fixed(s.tiger.latency.worst_case());
+            tiger.latency = LatencyModel::fixed(tiger.latency.worst_case());
+            let faults = FaultPlan::parse("crash c1 at=20s\ncrash c3 at=80s\n");
+            let mut s = Scenario::quick(tiger, faults.expect("plan parses"));
             s.run_to = SimTime::from_secs(115);
             run(&s)
         };

@@ -6,6 +6,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use tiger::bench::fleet::run_indexed;
+use tiger::core::TigerConfig;
 use tiger::faults::FaultPlan;
 use tiger::sim::SimTime;
 use tiger::trace::{parse_dump, TraceEvent};
@@ -33,7 +34,7 @@ fn failing_chaos_invariant_dumps_its_fault_trace() {
     tiger::trace::install_property_dump();
     let result = catch_unwind(AssertUnwindSafe(|| {
         tiger::sim::check::check_cases("chaos-invariant-vehicle", 1, |rng| {
-            let mut s = Scenario::quick(violating_plan());
+            let mut s = Scenario::quick(TigerConfig::small_test(), violating_plan());
             s.tiger.seed = rng.gen_range(1u64..1 << 20);
             let r = run(&s);
             assert!(
@@ -81,7 +82,7 @@ fn same_seed_reproduces_the_identical_fault_sequence() {
          crash c3 at=35s",
     )
     .expect("plan parses");
-    let mut s = Scenario::quick(plan);
+    let mut s = Scenario::quick(TigerConfig::small_test(), plan);
     s.tiger.seed = 0xC0FFEE;
     s.run_to = SimTime::from_secs(60);
     let (a, b) = (run(&s), run(&s));
@@ -103,7 +104,8 @@ fn chaos_digests_are_fleet_thread_invariant() {
     let plans = ["crash c1 at=30s", "freeze c2 from=30s until=31s"];
     let sweep = |threads: usize| {
         run_indexed(plans.len(), threads, |i| {
-            let mut s = Scenario::quick(FaultPlan::parse(plans[i]).expect("plan parses"));
+            let plan = FaultPlan::parse(plans[i]).expect("plan parses");
+            let mut s = Scenario::quick(TigerConfig::small_test(), plan);
             s.run_to = SimTime::from_secs(50);
             let r = run(&s);
             (chaos_digest(&r), trace(&r))
@@ -116,7 +118,7 @@ fn chaos_digests_are_fleet_thread_invariant() {
 /// workload — no injections, no declarations, no violations.
 #[test]
 fn empty_plan_chaos_run_is_clean() {
-    let mut s = Scenario::quick(FaultPlan::new());
+    let mut s = Scenario::quick(TigerConfig::small_test(), FaultPlan::new());
     s.run_to = SimTime::from_secs(40);
     let r = run(&s);
     assert!(r.declares().is_empty(), "{:?}", r.declares());

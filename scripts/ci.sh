@@ -221,11 +221,13 @@ fi
 # The forwarding and lead ablations became checked `Scenario` runs, the
 # simulated §3.3 controller (`CentralSystem`) gave way to its closed form,
 # and the controller's viewer record lost the four fields nothing read;
-# the fix for a stop that overtakes its start (`Controller::early_stops`)
-# came out of those savings: the core fell 7,244 -> 7,131. The workload
+# the fix for a stop issued before its start lands came out of those
+# savings: the core fell 7,244 -> 7,131. The workload
 # crate rose 1,193 -> 1,218 for `Demand::Paced` and the violations the
 # ramp and startup runs now return, and crates/bench/src gets a total of
-# its own at what it measured, 2,921.
+# its own at what it measured, 2,921. Dropping the controller's unused
+# held-stop map took the core to 7,126; `Scenario::quick` taking its
+# config took the workload crate to 1,214.
 nontest() { awk '/#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$1"; }
 for f in crates/core/src/*.rs; do
     limit=1299
@@ -236,8 +238,8 @@ for f in crates/core/src/*.rs; do
         exit 1
     fi
 done
-for dir_limit in crates/core/src:7131 crates/faults/src:1268 crates/net/src:497 \
-    crates/workload/src:1218 crates/bench/src:2921; do
+for dir_limit in crates/core/src:7126 crates/faults/src:1268 crates/net/src:497 \
+    crates/workload/src:1214 crates/bench/src:2921; do
     dir=${dir_limit%:*} limit=${dir_limit#*:} total=0
     for f in "$dir"/*.rs; do
         total=$((total + $(nontest "$f")))

@@ -42,6 +42,13 @@ TIGER_PROP_CASES=2000 cargo test -q -p tiger-layout --lib dense_index_matches_th
 echo "== client receipts: bits from the base vs bool model, 2000 cases" >&2
 TIGER_PROP_CASES=2000 cargo test -q -p tiger-core --lib receipt_bits_match_the_bool_model
 
+# The coded backend's per-disk load table against one `NetworkSchedule`
+# ring a disk, at eight times the default case count: every coded block's
+# holder choice reads this table, and a release that misses what its
+# reserve added biases every later choice on that disk. Fatal.
+echo "== coded loads: flat table vs ring model, 2000 cases" >&2
+TIGER_PROP_CASES=2000 cargo test -q -p tiger-core --lib coded_loads_match_the_ring_model
+
 # Every line decoder (wire datagrams, trace dumps, workload and fault
 # plans) against seeded byte and token mutants of the lines it reads, at
 # eight times the default case count: no panic, a wire or trace line

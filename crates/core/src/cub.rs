@@ -1175,8 +1175,10 @@ impl Cub {
     /// Power-cut: the cub stops doing anything; its disks die with it.
     pub fn power_cut(&mut self, sh: &mut Shared, now: SimTime) {
         if !self.failed {
-            // Only a living member holds load-ring reservations.
-            self.release_reservations(sh);
+            // Only a living member holds load-table reservations.
+            for (_, e) in self.services.iter() {
+                self.release_load(sh, e);
+            }
         }
         self.failed = true;
         for d in &mut self.disks {
@@ -1269,6 +1271,8 @@ impl Cub {
                 entry.dropped = true;
             }
             entry.forwarded = true;
+            // What it added is on the old geometry's load table, not the new.
+            entry.reserved = 0;
         }
         self.pool.clear_waiting(); // Unsent, every one: dropped just now.
         self.reclaim_finished(sh, now);

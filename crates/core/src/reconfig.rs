@@ -276,7 +276,7 @@ impl TigerSystem {
             cub.cutover_reset(&mut self.shared, now, &fences, hold_until);
         }
         // 3. Swap the geometry: config, derived parameters, catalog
-        // start-disks, redundancy backend (fresh load rings: every carried
+        // start-disks, redundancy backend (fresh load table: every carried
         // viewer is re-inserted). Absorbed spares leave the spare pool;
         // shrunk-out members rejoin it.
         self.shared.cfg.stripe = new;

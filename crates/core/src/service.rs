@@ -54,6 +54,9 @@ pub(super) struct Active {
     pub(super) forwarded: bool,
     /// Cancelled by a deschedule or failure; do not send or forward.
     pub(super) dropped: bool,
+    /// The shards, a bit each, whose disks carry this block's load in
+    /// `send_at`'s slot of the coded backend's table (`fan_out` sets it).
+    pub(super) reserved: u32,
 }
 
 impl Active {
@@ -77,6 +80,7 @@ impl Active {
             // fan-out, is already complete).
             forwarded: vs.kind != StreamKind::Primary,
             dropped: false,
+            reserved: 0,
         }
     }
 
@@ -209,8 +213,8 @@ impl PieceSpec {
 /// What [`Cub::admit`] did with a viewer state.
 #[derive(Clone, Copy, Debug)]
 enum Admit {
-    /// Service committed: the read and the send (at `send_at`) are scheduled.
-    Accepted { send_at: SimTime },
+    /// Service committed under the token; read and send (at the time) due.
+    Accepted(SimTime, ServiceToken),
     /// Already in the view or the service table (a double-forwarded copy).
     Duplicate,
     /// A held deschedule blocks the record.
@@ -313,7 +317,7 @@ impl Cub {
         let cub = self.id;
         sh.queue.schedule(read_at, Event::ReadIssue { cub, token });
         sh.queue.schedule(send_at, Event::SendDue { cub, token });
-        Admit::Accepted { send_at }
+        Admit::Accepted(send_at, token)
     }
 
     /// Begins normal service of `vs`, a record for a `block`-byte block
@@ -329,8 +333,8 @@ impl Cub {
         let spec = PieceSpec::primary(&sh.params, block, disk, sh.backend.shards());
         let me = self.id.raw();
         let (slot, viewer, inc) = vkey(&vs);
-        let send_at = match self.admit(sh, now, vs, spec) {
-            Admit::Accepted { send_at } => send_at,
+        let (send_at, token) = match self.admit(sh, now, vs, spec) {
+            Admit::Accepted(send_at, token) => (send_at, token),
             Admit::Duplicate => return self.trace_duplicate(sh, now, &vs),
             Admit::Blocked => {
                 return sh
@@ -355,7 +359,7 @@ impl Cub {
                 .record(now, me, TraceEvent::RejoinDone { cub: me });
         }
         sh.metrics.loss.blocks_scheduled += 1;
-        self.fan_out(sh, now, vs, disk, send_at);
+        self.fan_out(sh, now, vs, disk, send_at, token);
         // If waiting for the next periodic pass would let the successor's
         // lead fall below minVStateLead ("Cubs endeavor to keep the
         // schedule updated at least minVStateLead into the future"),
@@ -417,7 +421,7 @@ impl Cub {
                     // (the code's loss window), not worth partial sends.
                     sh.metrics.loss.failover_lost += 1;
                 } else {
-                    self.drive_shards(sh, now, vs, failed_disk, &ranked);
+                    self.drive_shards(sh, now, vs, failed_disk, ranked);
                 }
             } else {
                 // "When the succeeding cub makes this decision, it creates
@@ -480,7 +484,7 @@ impl Cub {
         };
         let holder = stripe.local_index_of(sh.backend.holder(failed_disk, piece));
         let spec = PieceSpec::mirror_piece(&sh.params, block, failed_disk, piece, holder);
-        if !matches!(self.admit(sh, now, vs, spec), Admit::Accepted { .. }) {
+        if !matches!(self.admit(sh, now, vs, spec), Admit::Accepted(..)) {
             return;
         }
         // Forward the mirror record toward the next piece's holder, doubly
@@ -560,11 +564,11 @@ impl Cub {
         now: SimTime,
         vs: ViewerState,
         home: DiskId,
-        ranked: &[(u64, u32)],
+        ranked: impl Iterator<Item = u32>,
     ) {
         let stripe = sh.params.stripe();
         let me = sh.cub_node(self.id);
-        for &(_, shard) in ranked {
+        for shard in ranked {
             let mut cvs = vs;
             cvs.kind = StreamKind::Coded {
                 home_disk: home,
@@ -584,9 +588,9 @@ impl Cub {
     /// whole block under mirroring, which sends nothing more). Under the
     /// coded backend it serves shard 0 from the primary region; the other
     /// `k − 1` sends go to the best-ranked of the `2k − 1` remote shard
-    /// disks, and the block's send window is reserved on every
-    /// participating disk — home first, before any holder is driven — so
-    /// later choices see this one's load.
+    /// disks, and the block's bitrate is added on every participating
+    /// disk — before any holder is driven — so later choices see this
+    /// one's load; entry `token` records which disks, to release them.
     fn fan_out(
         &mut self,
         sh: &mut Shared,
@@ -594,7 +598,11 @@ impl Cub {
         vs: ViewerState,
         home: DiskId,
         block_due: SimTime,
+        token: ServiceToken,
     ) {
+        if !matches!(sh.backend, Backend::Coded(..)) {
+            return;
+        }
         let want = sh.backend.shards() as usize - 1;
         let alive = |cub| !self.ring.believes_failed(cub);
         let ranked = sh.backend.rank_holders(home, block_due, want, alive);
@@ -603,8 +611,10 @@ impl Cub {
             // that do go out cannot complete it at the client.
             sh.metrics.loss.failover_lost += 1;
         }
-        sh.backend.reserve(&vs, home, block_due, &ranked);
-        self.drive_shards(sh, now, vs, home, &ranked);
+        if let Some(e) = self.services.get_mut(token) {
+            e.reserved = sh.backend.reserve(&vs, home, block_due, ranked.clone());
+        }
+        self.drive_shards(sh, now, vs, home, ranked);
     }
 
     /// Accepts unicast coded-shard service: this cub holds `shard` of the
@@ -616,7 +626,7 @@ impl Cub {
     /// piece ring: the coordinator picked the exact holders, so each
     /// record is final and never forwarded.
     pub(super) fn on_coded_state(&mut self, sh: &mut Shared, now: SimTime, vs: ViewerState) {
-        let (StreamKind::Coded { home_disk, shard }, Backend::Coded(placement, _)) =
+        let (StreamKind::Coded { home_disk, shard }, Backend::Coded(placement, ..)) =
             (vs.kind, &sh.backend)
         else {
             return; // Not a coded record, or a stray one under mirroring.
@@ -634,7 +644,7 @@ impl Cub {
         };
         let local = stripe.local_index_of(holder);
         let spec = PieceSpec::coded_shard(&sh.params, block, home_disk, shard, local);
-        if matches!(self.admit(sh, now, vs, spec), Admit::Accepted { .. })
+        if matches!(self.admit(sh, now, vs, spec), Admit::Accepted(..))
             && self.ring.believes_failed(stripe.cub_of(home_disk))
         {
             // Degraded service: this shard stands in for data whose home
@@ -996,34 +1006,27 @@ impl Cub {
         self.services.recycle(noted);
     }
 
-    /// Releases what this cub's primary entries hold on the coded
-    /// backend's load rings, before a power cut throws the entries away.
-    pub(super) fn release_reservations(&self, sh: &mut Shared) {
-        let stripe = sh.params.stripe();
-        for (_, e) in self.services.iter() {
-            if e.vs.kind == StreamKind::Primary {
-                sh.backend
-                    .release(&e.vs, stripe.disk_of(self.id, e.disk_local));
-            }
+    /// Releases what entry `e` reserved on the coded backend's load table.
+    pub(super) fn release_load(&self, sh: &mut Shared, e: &Active) {
+        if e.reserved != 0 {
+            let home = sh.params.stripe().disk_of(self.id, e.disk_local);
+            sh.backend.release(&e.vs, home, e.send_at, e.reserved);
         }
     }
 
     /// Removes a finished or cancelled service, returning its buffer.
     /// Serviced primary records are retained in the retired log for one
     /// failure-detection window (gap bridging, §2.3). Retiring the home's
-    /// primary entry releases whatever the block holds on the coded
-    /// backend's load rings.
+    /// primary entry releases what it reserved on the coded backend's
+    /// load table.
     pub(super) fn reclaim(&mut self, sh: &mut Shared, now: SimTime, token: ServiceToken) {
         if let Some(e) = self.services.remove(token) {
             if e.buffer_held {
                 self.pool.release(e.read_bytes);
             }
-            if e.vs.kind == StreamKind::Primary {
-                let home = sh.params.stripe().disk_of(self.id, e.disk_local);
-                sh.backend.release(&e.vs, home);
-                if !e.dropped {
-                    self.services.retire(now, e.vs);
-                }
+            self.release_load(sh, &e);
+            if e.vs.kind == StreamKind::Primary && !e.dropped {
+                self.services.retire(now, e.vs);
             }
         }
     }

@@ -41,7 +41,7 @@ pub struct Shared {
     /// The (replicated) file catalog.
     pub catalog: FileCatalog,
     /// The redundancy backend: mirrored or coded placement, and the
-    /// coded backend's per-disk load rings.
+    /// coded backend's per-disk load table.
     pub backend: Backend,
     /// The deterministic event queue.
     pub queue: EventQueue<Event>,

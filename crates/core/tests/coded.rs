@@ -133,38 +133,81 @@ fn coded_survives_single_cub_failure_without_data_loss_after_detection() {
 
 #[test]
 fn load_rings_are_empty_once_every_stream_ends() {
-    // Every block's reservations are released when the home reclaims its
-    // primary entry — including the entries a power cut or a restart
-    // throws away, or the dead home's stale reservations would bias
-    // holder ranking on its neighbours' disks for the rest of the run.
-    let run = |cut: Option<CubId>, restart: Option<SimTime>| {
-        let mut sys = TigerSystem::new(eight_cubs_coded());
+    // Every block's load is released when the home reclaims its primary
+    // entry — including the entries a power cut or a restart throws
+    // away, or the dead home's stale load would bias holder ranking on
+    // its neighbours' disks for the rest of the run. A restripe cut-over
+    // rebuilds the table for the new geometry: the entries still
+    // transmitting then must release nothing on it (a release of a load
+    // the table never took underflows in a debug build).
+    let run = |events: &dyn Fn(&mut TigerSystem)| {
+        let mut cfg = eight_cubs_coded();
+        cfg.spare_cubs = 1;
+        let mut sys = TigerSystem::new(cfg);
+        sys.enable_trace(1 << 17);
         let file = sys.add_file(rate(), SimDuration::from_secs(100));
         for i in 0..8u64 {
             let client = sys.add_client();
             sys.request_start(SimTime::from_millis(100 + i * 400), client, file);
         }
-        if let Some(cub) = cut {
-            sys.fail_cub_at(SimTime::from_secs(20), cub);
-            if let Some(at) = restart {
-                sys.restart_cub_at(at, cub);
-            }
-        }
+        events(&mut sys);
         sys.run_until(SimTime::from_secs(200));
         assert_eq!(
             sys.controller().active_streams(),
             0,
             "streams still running"
         );
-        match &sys.shared().backend {
-            Backend::Coded(_, rings) => rings.iter().map(|r| r.len()).sum(),
+        let load: u64 = match &sys.shared().backend {
+            Backend::Coded(_, _, loads) => loads.iter().sum(),
             Backend::Mirrored(_) => 0,
-        }
+        };
+        (load, transmitting_at_cutover(&sys))
     };
-    assert_eq!(run(None, None), 0, "healthy");
-    assert_eq!(run(Some(CubId(3)), None), 0, "cub 3 cut at 20 s");
-    let back = Some(SimTime::from_secs(60));
-    assert_eq!(run(Some(CubId(3)), back), 0, "cub 3 cut, back at 60 s");
+    let cut = |sys: &mut TigerSystem| sys.fail_cub_at(SimTime::from_secs(20), CubId(3));
+    assert_eq!(run(&|_| {}), (0, None), "healthy");
+    assert_eq!(run(&cut), (0, None), "cub 3 cut at 20 s");
+    let back = |sys: &mut TigerSystem| {
+        cut(sys);
+        sys.restart_cub_at(SimTime::from_secs(60), CubId(3));
+    };
+    assert_eq!(run(&back), (0, None), "cub 3 cut, back at 60 s");
+    let grow = |sys: &mut TigerSystem| sys.request_restripe(SimTime::from_secs(20), 1);
+    let (load, transmitting) = run(&grow);
+    assert_eq!(load, 0, "restripe at 20 s, add 1");
+    assert!(
+        transmitting.is_some_and(|n| n > 0),
+        "no send was in flight at the cut-over: {transmitting:?}"
+    );
+}
+
+/// How many sends were under way when the run's restripe cut over, if it
+/// did: started (`send-due ok`) and not yet done.
+fn transmitting_at_cutover(sys: &TigerSystem) -> Option<usize> {
+    let records = sys.tracer().records();
+    assert_eq!(
+        records.len() as u64,
+        sys.tracer().recorded(),
+        "trace ring overflowed"
+    );
+    let mut open = std::collections::BTreeSet::new();
+    for r in records {
+        match r.ev {
+            TraceEvent::SendDue {
+                slot,
+                viewer,
+                inc,
+                ok: true,
+            } => {
+                open.insert((r.cub, slot, viewer, inc));
+            }
+            TraceEvent::SendDone { slot, viewer, inc } => {
+                open.remove(&(r.cub, slot, viewer, inc));
+            }
+            TraceEvent::RestripeCutover { .. } => return Some(open.len()),
+            _ => {}
+        }
+    }
+    None
 }
 
 #[test]

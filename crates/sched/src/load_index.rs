@@ -1,193 +1,21 @@
-//! Incrementally maintained residual-capacity index for the network
-//! schedule (see docs/ADMISSION.md).
+//! Incrementally maintained load index for the network schedule (see
+//! docs/ADMISSION.md).
 //!
 //! The network schedule's load profile is a piecewise-constant function of
 //! ring position: every entry contributes `+rate` at its start and `-rate`
-//! one block play time later (mod the ring). The old implementation
-//! rescanned every entry on every admission probe; this module keeps the
-//! profile materialized and updates it in O(affected slots) on each
-//! reservation change, so probes are O(window) reads.
+//! one block play time later (mod the ring). [`LoadIndex`] keeps the
+//! breakpoints in a `BTreeMap` keyed by start position, summed per
+//! position, and updates one key on each reservation change. A query walks
+//! only the entries whose spans overlap the probed window, never the whole
+//! schedule, for quantized and arbitrary starts alike.
 //!
-//! Two representations, chosen once at construction:
-//!
-//! * [`GridIndex`] — when starts are quantized (the paper's §3.2 fix),
-//!   every breakpoint lies on the quantum grid, so the profile is constant
-//!   per grid slot. A flat `Vec<u64>` of per-slot load plus a coarse
-//!   per-group maximum (64 slots per group) lets `fits` and the
-//!   admissible-start scan accept whole windows without touching slots.
-//! * [`SparseIndex`] — when starts are arbitrary (the fragmentation
-//!   ablation), breakpoints are kept in a `BTreeMap` keyed by start
-//!   position; queries walk only the entries whose spans overlap the
-//!   probed window instead of the whole schedule.
-//!
-//! Both produce bit-identical answers to the full rescan — the
-//! differential property test in `tests/prop.rs` drives them against a
-//! rescanning reference model through random operation sequences.
+//! It answers exactly as a full rescan would: the differential property
+//! tests in `tests/prop.rs` drive it against a rescanning reference model
+//! through random operation sequences.
 
 use std::collections::btree_map;
 use std::collections::BTreeMap;
 use std::ops::Bound::{Excluded, Included};
-
-/// Slots per coarse summary group in [`GridIndex`].
-pub(crate) const GROUP_SLOTS: usize = 64;
-
-/// Per-quantum load buffer with a coarse per-group maximum.
-#[derive(Clone, Debug)]
-pub(crate) struct GridIndex {
-    /// Slot width (the start-position quantum), nanoseconds.
-    q: u64,
-    /// Slots covered by one entry: block play time / quantum.
-    k: usize,
-    /// Instantaneous load per slot, bits/sec.
-    load: Vec<u64>,
-    /// Max slot load per group of [`GROUP_SLOTS`] slots.
-    group_max: Vec<u64>,
-}
-
-impl GridIndex {
-    pub(crate) fn new(len: u64, bpt: u64, q: u64) -> Self {
-        let slots = (len / q) as usize;
-        GridIndex {
-            q,
-            k: (bpt / q) as usize,
-            load: vec![0; slots],
-            group_max: vec![0; slots.div_ceil(GROUP_SLOTS)],
-        }
-    }
-
-    fn slots(&self) -> usize {
-        self.load.len()
-    }
-
-    fn slot_of(&self, pos: u64) -> usize {
-        (pos / self.q) as usize % self.slots()
-    }
-
-    /// Adds an entry starting at (aligned) `start`. O(k).
-    pub(crate) fn add(&mut self, start: u64, bits: u64) {
-        let s = self.slots();
-        let j = self.slot_of(start);
-        for i in 0..self.k {
-            let sl = (j + i) % s;
-            self.load[sl] += bits;
-            let g = sl / GROUP_SLOTS;
-            if self.load[sl] > self.group_max[g] {
-                self.group_max[g] = self.load[sl];
-            }
-        }
-    }
-
-    /// Removes an entry starting at `start`. O(k + touched groups).
-    pub(crate) fn sub(&mut self, start: u64, bits: u64) {
-        let s = self.slots();
-        let j = self.slot_of(start);
-        // A removal can only lower a group's maximum if it lowers a slot
-        // that was *at* the maximum; recompute just those groups (each a
-        // [`GROUP_SLOTS`]-slot scan).
-        let mut cur_g = usize::MAX;
-        let mut need = false;
-        for i in 0..self.k {
-            let sl = (j + i) % s;
-            let g = sl / GROUP_SLOTS;
-            if g != cur_g {
-                if need {
-                    self.recompute_group(cur_g);
-                    need = false;
-                }
-                cur_g = g;
-            }
-            need |= self.load[sl] == self.group_max[g];
-            self.load[sl] -= bits;
-        }
-        if need {
-            self.recompute_group(cur_g);
-        }
-    }
-
-    fn recompute_group(&mut self, g: usize) {
-        let lo = g * GROUP_SLOTS;
-        let hi = ((g + 1) * GROUP_SLOTS).min(self.slots());
-        self.group_max[g] = self.load[lo..hi].iter().copied().max().unwrap_or(0);
-    }
-
-    /// Instantaneous load at `pos` (any ring position). O(1).
-    pub(crate) fn load_at(&self, pos: u64) -> u64 {
-        self.load[self.slot_of(pos)]
-    }
-
-    /// Slots covered by a window starting at `pos`: exactly `k` when the
-    /// start is on the grid, `k + 1` (two partial slots) otherwise —
-    /// capped at the ring size.
-    fn span_of(&self, pos: u64) -> usize {
-        (self.k + usize::from(!pos.is_multiple_of(self.q))).min(self.slots())
-    }
-
-    /// Max instantaneous load over `[pos, pos + bpt)`. O(span).
-    pub(crate) fn max_in_entry_window(&self, pos: u64) -> u64 {
-        let s = self.slots();
-        let j = self.slot_of(pos);
-        let mut max = 0;
-        for i in 0..self.span_of(pos) {
-            max = max.max(self.load[(j + i) % s]);
-        }
-        max
-    }
-
-    /// Whether a window starting at `pos` has `headroom` bits/sec free at
-    /// every point: group quick-accept first, per-slot scan with early
-    /// exit otherwise.
-    pub(crate) fn window_has_headroom(&self, pos: u64, headroom: u64) -> bool {
-        let s = self.slots();
-        let j = self.slot_of(pos);
-        let span = self.span_of(pos);
-        if j + span <= s {
-            let mut g = j / GROUP_SLOTS;
-            let g_last = (j + span - 1) / GROUP_SLOTS;
-            while g <= g_last && self.group_max[g] <= headroom {
-                g += 1;
-            }
-            if g > g_last {
-                return true;
-            }
-        }
-        for i in 0..span {
-            if self.load[(j + i) % s] > headroom {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Group-summary quick-accept for the admissible-start scan: if every
-    /// group overlapping the windows of all [`GROUP_SLOTS`] starts in the
-    /// group beginning at slot `first` has `headroom` free, every one of
-    /// those starts is admissible. Returns the first slot past the
-    /// accepted run, or `None` when the summary cannot decide.
-    pub(crate) fn quick_accept_group(&self, first: usize, headroom: u64) -> Option<usize> {
-        debug_assert!(first.is_multiple_of(GROUP_SLOTS));
-        let s = self.slots();
-        let run_end = (first + GROUP_SLOTS).min(s);
-        // The last start in the run opens a window reaching this far:
-        let reach = run_end - 1 + self.k - 1;
-        if reach >= s {
-            return None; // Wraps the ring; fall back to per-slot checks.
-        }
-        let mut g = first / GROUP_SLOTS;
-        let g_last = reach / GROUP_SLOTS;
-        while g <= g_last {
-            if self.group_max[g] > headroom {
-                return None;
-            }
-            g += 1;
-        }
-        Some(run_end)
-    }
-
-    /// The quantum, nanoseconds.
-    pub(crate) fn quantum(&self) -> u64 {
-        self.q
-    }
-}
 
 /// Summed rate and entry count at one breakpoint position.
 #[derive(Clone, Copy, Debug)]
@@ -196,18 +24,18 @@ struct Lane {
     count: u32,
 }
 
-/// Breakpoint index for arbitrary (unquantized) start positions.
+/// The breakpoint index behind [`crate::NetworkSchedule`].
 #[derive(Clone, Debug)]
-pub(crate) struct SparseIndex {
+pub(crate) struct LoadIndex {
     /// start position (ns) → aggregate rate starting there.
     starts: BTreeMap<u64, Lane>,
     bpt: u64,
     len: u64,
 }
 
-impl SparseIndex {
+impl LoadIndex {
     pub(crate) fn new(len: u64, bpt: u64) -> Self {
-        SparseIndex {
+        LoadIndex {
             starts: BTreeMap::new(),
             bpt,
             len,
@@ -323,7 +151,7 @@ impl SparseIndex {
 }
 
 /// Iterator over breakpoints in an open ring interval; see
-/// [`SparseIndex::ring_range`].
+/// [`LoadIndex::ring_range`].
 struct RingRange<'a> {
     first: btree_map::Range<'a, u64, Lane>,
     second: btree_map::Range<'a, u64, Lane>,
@@ -345,65 +173,5 @@ impl Iterator for RingRange<'_> {
         self.second
             .next()
             .map(|(&t, lane)| (t + self.len - self.base, lane.bits))
-    }
-}
-
-/// The residual-capacity index behind [`crate::NetworkSchedule`].
-#[derive(Clone, Debug)]
-pub(crate) enum LoadIndex {
-    Grid(GridIndex),
-    Sparse(SparseIndex),
-}
-
-impl LoadIndex {
-    pub(crate) fn new(len: u64, bpt: u64, quantum: Option<u64>) -> Self {
-        match quantum {
-            Some(q) => LoadIndex::Grid(GridIndex::new(len, bpt, q)),
-            None => LoadIndex::Sparse(SparseIndex::new(len, bpt)),
-        }
-    }
-
-    pub(crate) fn add(&mut self, start: u64, bits: u64) {
-        match self {
-            LoadIndex::Grid(g) => g.add(start, bits),
-            LoadIndex::Sparse(s) => s.add(start, bits),
-        }
-    }
-
-    pub(crate) fn sub(&mut self, start: u64, bits: u64) {
-        match self {
-            LoadIndex::Grid(g) => g.sub(start, bits),
-            LoadIndex::Sparse(s) => s.sub(start, bits),
-        }
-    }
-
-    pub(crate) fn load_at(&self, pos: u64) -> u64 {
-        match self {
-            LoadIndex::Grid(g) => g.load_at(pos),
-            LoadIndex::Sparse(s) => s.load_at(pos),
-        }
-    }
-
-    pub(crate) fn max_in_entry_window(&self, pos: u64) -> u64 {
-        match self {
-            LoadIndex::Grid(g) => g.max_in_entry_window(pos),
-            LoadIndex::Sparse(s) => s.max_in_entry_window(pos),
-        }
-    }
-
-    /// Whether every point of the window starting at `pos` has at least
-    /// `headroom` bits/sec free.
-    pub(crate) fn window_has_headroom(&self, pos: u64, headroom: u64) -> bool {
-        match self {
-            LoadIndex::Grid(g) => g.window_has_headroom(pos, headroom),
-            LoadIndex::Sparse(s) => s.max_in_entry_window(pos) <= headroom,
-        }
-    }
-
-    pub(crate) fn as_grid(&self) -> Option<&GridIndex> {
-        match self {
-            LoadIndex::Grid(g) => Some(g),
-            LoadIndex::Sparse(_) => None,
-        }
     }
 }

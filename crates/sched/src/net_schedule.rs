@@ -20,12 +20,11 @@
 //! the quantized-starts insertion mode, and
 //! [`NetworkSchedule::fragmentation`] measures the waste either way.
 //!
-//! Admission probes are the hot path of the two-phase protocol, so load is
-//! not recomputed per query: an incrementally maintained residual-capacity
-//! index (see [`crate::load_index`] and docs/ADMISSION.md) is updated in
-//! O(affected slots) on every reservation change and answers `fits` in
-//! O(window). The index is a pure cache — every query returns exactly what
-//! a full rescan of the entries would.
+//! Load is not recomputed per query: a breakpoint index (see
+//! [`crate::load_index`] and docs/ADMISSION.md) is updated at one key on
+//! every reservation change and answers `fits` from the entries near the
+//! probed window. The index is a pure cache — every query returns exactly
+//! what a full rescan of the entries would.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -33,7 +32,7 @@ use std::collections::{BinaryHeap, HashMap};
 use tiger_layout::ids::ViewerInstance;
 use tiger_sim::{Bandwidth, SimDuration, SimTime};
 
-use crate::load_index::{LoadIndex, GROUP_SLOTS};
+use crate::load_index::LoadIndex;
 
 /// Identifier of a network-schedule entry.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -125,11 +124,7 @@ impl NetworkSchedule {
             quantum,
             entries: HashMap::new(),
             by_instance: HashMap::new(),
-            index: LoadIndex::new(
-                len.as_nanos(),
-                bpt.as_nanos(),
-                quantum.map(SimDuration::as_nanos),
-            ),
+            index: LoadIndex::new(len.as_nanos(), bpt.as_nanos()),
             expiring: BinaryHeap::new(),
             next_id: 0,
         }
@@ -171,8 +166,7 @@ impl NetworkSchedule {
         let Some(headroom) = self.capacity.checked_sub(rate) else {
             return false;
         };
-        self.index
-            .window_has_headroom(start.as_nanos(), headroom.bits_per_sec())
+        self.index.max_in_entry_window(start.as_nanos()) <= headroom.bits_per_sec()
     }
 
     /// Validates a start against the quantization grid.
@@ -334,19 +328,14 @@ impl NetworkSchedule {
     /// `probe` grid when starts are unquantized) at which an entry of
     /// `rate` currently fits, as an allocation-free iterator in ring
     /// order.
-    ///
-    /// On a quantized schedule the scan early-outs over whole summary
-    /// groups: when every group a run of windows can touch has headroom,
-    /// the run is emitted without per-slot checks.
     pub fn admissible_starts(&self, rate: Bandwidth, probe: SimDuration) -> AdmissibleStarts<'_> {
         let step = self.quantum.unwrap_or(probe);
         assert!(!step.is_zero());
         AdmissibleStarts {
             sched: self,
-            headroom: self.capacity.checked_sub(rate).map(Bandwidth::bits_per_sec),
-            step: step.as_nanos(),
-            pos: 0,
-            fast_until: 0,
+            rate,
+            step,
+            pos: SimDuration::ZERO,
         }
     }
 
@@ -403,39 +392,20 @@ impl NetworkSchedule {
 /// [`NetworkSchedule::admissible_starts`].
 pub struct AdmissibleStarts<'a> {
     sched: &'a NetworkSchedule,
-    /// `capacity - rate`, or `None` when the rate alone exceeds capacity.
-    headroom: Option<u64>,
-    step: u64,
-    pos: u64,
-    /// Positions below this were group-accepted and need no slot checks.
-    fast_until: u64,
+    rate: Bandwidth,
+    step: SimDuration,
+    pos: SimDuration,
 }
 
 impl Iterator for AdmissibleStarts<'_> {
     type Item = SimDuration;
 
     fn next(&mut self) -> Option<SimDuration> {
-        let headroom = self.headroom?;
-        let len = self.sched.len.as_nanos();
-        while self.pos < len {
+        while self.pos < self.sched.len {
             let p = self.pos;
             self.pos += self.step;
-            if p < self.fast_until {
-                return Some(SimDuration::from_nanos(p));
-            }
-            // At a summary-group boundary, try to accept the whole group's
-            // worth of start positions from the coarse maxima alone.
-            if let Some(grid) = self.sched.index.as_grid() {
-                let slot = (p / grid.quantum()) as usize;
-                if slot.is_multiple_of(GROUP_SLOTS) {
-                    if let Some(run_end) = grid.quick_accept_group(slot, headroom) {
-                        self.fast_until = run_end as u64 * grid.quantum();
-                        return Some(SimDuration::from_nanos(p));
-                    }
-                }
-            }
-            if self.sched.index.window_has_headroom(p, headroom) {
-                return Some(SimDuration::from_nanos(p));
+            if self.sched.fits(p, self.rate) {
+                return Some(p);
             }
         }
         None
@@ -743,21 +713,20 @@ mod tests {
     }
 
     #[test]
-    fn group_quick_accept_agrees_with_slot_scan() {
-        // A ring big enough for several summary groups (decluster 8 on a
-        // 64 s ring = 512 slots), loaded unevenly so some groups quick-
-        // accept and others fall back to slot scans.
+    fn admissible_starts_match_a_window_scan_on_512_slots() {
+        // Decluster 8 on a 64 s ring is 512 candidate starts, loaded
+        // unevenly so some windows have room and others do not.
         let q = ms(125);
         let mut s = NetworkSchedule::new(64, sec(1), mbit(135), Some(q));
         for i in 0..300u64 {
             let start = SimDuration::from_nanos((i * 3) % 512 * q.as_nanos());
             let _ = s.insert(inst(i), start, mbit(2), false);
         }
-        let fast: Vec<SimDuration> = s.admissible_starts(mbit(96), q).collect();
-        let slow: Vec<SimDuration> = (0..512u64)
+        let starts: Vec<SimDuration> = s.admissible_starts(mbit(96), q).collect();
+        let scan: Vec<SimDuration> = (0..512u64)
             .map(|i| SimDuration::from_nanos(i * q.as_nanos()))
             .filter(|&p| s.max_load_in_entry_window(p).saturating_add(mbit(96)) <= s.capacity())
             .collect();
-        assert_eq!(fast, slow);
+        assert_eq!(starts, scan);
     }
 }

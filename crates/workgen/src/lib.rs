@@ -2,8 +2,8 @@
 //! Tiger simulator.
 //!
 //! A [`WorkloadPlan`] declares *who asks for what, when* — the demand-side
-//! twin of `tiger-faults`' `FaultPlan`. Plans are built in code or parsed
-//! from a line-oriented text format and compile against the system seed's
+//! twin of `tiger-faults`' `FaultPlan`. Plans are parsed from a
+//! line-oriented text format and compile against the system seed's
 //! `"workgen"` RNG subtree into three composable seeded generators:
 //!
 //! - [`Popularity`] — per-title choice: Zipf or uniform base distribution

@@ -5,10 +5,10 @@
 //! what, when* — a title-popularity model (Zipf or uniform, with
 //! flash-crowd overlays), an arrival process (Poisson, MMPP-style bursts,
 //! diurnal modulation), and a per-viewer session machine (pause / resume /
-//! seek / abandon with hazard-rate dwell times). Plans are built in code
-//! or parsed from a line-oriented text format ([`WorkloadPlan::parse`]);
-//! either way they are pure data — nothing is sampled until the plan is
-//! compiled against an RNG tree ([`WorkloadPlan::compile`]).
+//! seek / abandon with hazard-rate dwell times). Plans are written in a
+//! line-oriented text format and parsed ([`WorkloadPlan::parse`]) into
+//! pure data — nothing is sampled until the plan is compiled against an
+//! RNG tree ([`WorkloadPlan::compile`]).
 //!
 //! Determinism contract: a plan plus the system seed fully determines
 //! every arrival instant, title choice, and session transition. All
@@ -209,72 +209,6 @@ impl WorkloadPlan {
         self.popularity.titles()
     }
 
-    /// Sets Zipf popularity with exponent `s` over `titles` ranks.
-    pub fn zipf(mut self, s: f64, titles: u32) -> Self {
-        self.popularity = PopularitySpec::Zipf { s, titles };
-        self
-    }
-
-    /// Sets uniform popularity over `titles` ranks.
-    pub fn uniform(mut self, titles: u32) -> Self {
-        self.popularity = PopularitySpec::Uniform { titles };
-        self
-    }
-
-    /// Adds a flash crowd on `title` at `at`, peaking at `peak`× base
-    /// demand and decaying with time constant `decay`.
-    pub fn flashcrowd(mut self, title: u32, at: SimTime, peak: f64, decay: SimDuration) -> Self {
-        self.crowds.push(FlashCrowd {
-            title,
-            at,
-            peak,
-            decay,
-        });
-        self
-    }
-
-    /// Sets the base Poisson arrival rate (viewers per second).
-    pub fn arrival_rate(mut self, per_sec: f64) -> Self {
-        self.arrivals.rate_per_sec = per_sec;
-        self
-    }
-
-    /// Adds an MMPP burst overlay (`mult`× rate for exp(`mean_len`)
-    /// bursts separated by exp(`mean_gap`) gaps).
-    pub fn burst(mut self, mult: f64, mean_len: SimDuration, mean_gap: SimDuration) -> Self {
-        self.arrivals.burst = Some(Burst {
-            mult,
-            mean_len,
-            mean_gap,
-        });
-        self
-    }
-
-    /// Adds diurnal modulation (raised cosine of the given period,
-    /// bottoming out at `trough`× the base rate).
-    pub fn diurnal(mut self, period: SimDuration, trough: f64) -> Self {
-        self.arrivals.diurnal = Some(Diurnal { period, trough });
-        self
-    }
-
-    /// Sets the session machine.
-    pub fn session(mut self, spec: SessionSpec) -> Self {
-        self.session = spec;
-        self
-    }
-
-    /// Caps total arrivals.
-    pub fn viewers(mut self, max: u32) -> Self {
-        self.max_viewers = max;
-        self
-    }
-
-    /// Sets the arrival horizon.
-    pub fn horizon(mut self, d: SimDuration) -> Self {
-        self.horizon = d;
-        self
-    }
-
     /// Compiles the plan into its seeded generators. `tree` must be the
     /// `"workgen"` subtree of the system seed so workload randomness
     /// stays disjoint from every other stream:
@@ -282,7 +216,7 @@ impl WorkloadPlan {
     /// ```
     /// # use tiger_sim::RngTree;
     /// # use tiger_workgen::WorkloadPlan;
-    /// let plan = WorkloadPlan::new().zipf(1.1, 64);
+    /// let plan = WorkloadPlan::parse("zipf s=1.1 titles=64").unwrap();
     /// let tree = RngTree::new(1997).subtree("workgen", 0);
     /// let mut w = plan.compile(&tree);
     /// let title = w.popularity.sample(tiger_sim::SimTime::ZERO, &mut w.chooser);
@@ -587,19 +521,29 @@ fault restart c1 at=200s
     }
 
     #[test]
-    fn parse_matches_builder() {
+    fn parse_matches_struct_literal() {
         let parsed = WorkloadPlan::parse(
             "zipf s=1.1 titles=32\nflashcrowd title=t0 at=40s peak=30x decay=20s\n\
              arrivals rate=0.5/s\nviewers max=60\nhorizon t=90s\n",
         )
         .unwrap();
-        let built = WorkloadPlan::new()
-            .zipf(1.1, 32)
-            .flashcrowd(0, SimTime::from_secs(40), 30.0, SimDuration::from_secs(20))
-            .arrival_rate(0.5)
-            .viewers(60)
-            .horizon(SimDuration::from_secs(90));
-        assert_eq!(parsed, built);
+        let want = WorkloadPlan {
+            popularity: PopularitySpec::Zipf { s: 1.1, titles: 32 },
+            crowds: vec![FlashCrowd {
+                title: 0,
+                at: SimTime::from_secs(40),
+                peak: 30.0,
+                decay: SimDuration::from_secs(20),
+            }],
+            arrivals: ArrivalSpec {
+                rate_per_sec: 0.5,
+                ..WorkloadPlan::default().arrivals
+            },
+            max_viewers: 60,
+            horizon: SimDuration::from_secs(90),
+            ..WorkloadPlan::default()
+        };
+        assert_eq!(parsed, want);
     }
 
     #[test]

@@ -1128,35 +1128,26 @@ impl Cub {
         // while the record sat unrevived), so re-sending it verbatim would
         // either be discarded as a late arrival or replay a block the
         // mirrors already delivered. The shadow's recorded due time says
-        // exactly how far behind it is: advance to the first position
-        // whose nominal send time is still ahead and hand the record to
-        // that position's owner — the same skip-to-reachable move the
-        // §2.3 gap bridge makes, with the skipped blocks as bounded loss.
+        // how far behind it is: skip to the first reachable position whose
+        // send time is still ahead and hand the record to its owner.
         let bpt = sh.params.block_play_time();
         let ring = self.ring.num_cubs();
         let me = sh.cub_node(self.id);
         for (vs, due) in to_rejoiner {
             let behind = now.saturating_since(due);
-            let mut k = if behind == SimDuration::ZERO {
+            let k = if behind == SimDuration::ZERO {
                 0
             } else {
                 (behind.as_nanos() / bpt.as_nanos()) as u32 + 1
             };
-            for _ in 0..ring {
-                let cand = vs.advanced(k);
-                let Some(loc) = sh.catalog.locate(cand.file, cand.position) else {
-                    break; // Past end-of-file: the stream was finishing.
-                };
-                if self.ring.believes_failed(loc.cub) {
-                    k += 1; // Owner still dead: its block is lost; skip on.
-                    continue;
+            let locate = |file, pos| sh.catalog.locate(file, pos).map(|loc| loc.cub);
+            let failed = |cub| self.ring.believes_failed(cub);
+            match crate::recovery::first_reachable(vs, k, ring, locate, failed) {
+                Some((cand, owner)) if owner == self.id => self.on_primary_state(sh, now, cand),
+                Some((cand, owner)) => {
+                    sh.send_control(now, me, sh.cub_node(owner), Message::ViewerState(cand));
                 }
-                if loc.cub == self.id {
-                    self.on_primary_state(sh, now, cand);
-                } else {
-                    sh.send_control(now, me, sh.cub_node(loc.cub), Message::ViewerState(cand));
-                }
-                break;
+                None => {}
             }
         }
     }

@@ -66,8 +66,8 @@ pub struct TigerConfig {
     /// tail (advanced to the next due positions) the moment it sees the
     /// rejoin request, so the rejoiner reconstructs in-flight viewer
     /// state in sub-interval time instead of waiting up to one forward
-    /// interval for natural circulation. On by default; the fast-rejoin
-    /// chaos scenario turns it off to demonstrate the latency it buys.
+    /// interval for natural circulation. On by default; only the scenario
+    /// test `stubbed_replay_cannot_meet_the_sub_interval_bound` turns it off.
     pub retired_replay: bool,
     /// Whether registered spares serve as interim mirror capacity before
     /// a restripe cut-over: on a failure declaration, the mirror pieces

@@ -18,7 +18,7 @@ use tiger_disk::{DiskError, DiskRequest, RequestKind};
 use tiger_layout::DiskId;
 use tiger_proto::msg::Message;
 use tiger_sched::view::ViewApply;
-use tiger_sched::{ScheduleParams, StreamKind, ViewerState};
+use tiger_sched::{Deschedule, ScheduleParams, StreamKind, ViewerState};
 use tiger_sim::{ByteSize, SimDuration, SimTime};
 use tiger_trace::TraceEvent;
 
@@ -543,6 +543,9 @@ impl Cub {
         let StreamKind::Mirror { failed_disk, piece } = vs.kind else {
             return;
         };
+        if self.refuses(sh, now, Deschedule::of(&vs)) {
+            return;
+        }
         if sh.shield.serving_spare(failed_disk, piece) != Some(self.id) {
             return;
         }
@@ -1020,14 +1023,18 @@ impl Cub {
     /// primary entry releases what it reserved on the coded backend's
     /// load table.
     pub(super) fn reclaim(&mut self, sh: &mut Shared, now: SimTime, token: ServiceToken) {
-        if let Some(e) = self.services.remove(token) {
-            if e.buffer_held {
-                self.pool.release(e.read_bytes);
-            }
-            self.release_load(sh, &e);
-            if e.vs.kind == StreamKind::Primary && !e.dropped {
-                self.services.retire(now, e.vs);
-            }
+        let Some(e) = self.services.get(token).copied() else {
+            return;
+        };
+        // Retired before it is removed, so the instance's record carries
+        // on in its slot instead of leaving it and coming straight back.
+        if e.vs.kind == StreamKind::Primary && !e.dropped {
+            self.services.retire(now, e.vs);
         }
+        self.services.remove(token);
+        if e.buffer_held {
+            self.pool.release(e.read_bytes);
+        }
+        self.release_load(sh, &e);
     }
 }

@@ -558,10 +558,7 @@ impl TigerSystem {
             if cub.failed {
                 continue;
             }
-            // Listed by slot: the view's own order is arbitrary.
-            let mut entries: Vec<_> = cub.view().iter().collect();
-            entries.sort_by_key(|&(slot, _)| slot);
-            for (slot, entry) in entries {
+            for (slot, entry) in cub.view().iter() {
                 // A just-serviced entry awaiting the retirement pass
                 // measures a whole lap ahead; only entries still waiting
                 // for their service count against the lead.

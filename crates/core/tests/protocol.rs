@@ -415,3 +415,55 @@ fn full_load_dispatches_what_a_block_needs() {
         "{reads} ReadIssue and PoolFloor events for {blocks} blocks"
     );
 }
+
+/// The wire decoder parses any `u32` slot, and a cub's schedule
+/// information is indexed by slot: a viewer state or a deschedule naming
+/// one past the schedule's capacity is refused on receipt, one traced drop
+/// each, and changes nothing the cub holds.
+#[test]
+fn a_slot_past_capacity_is_refused_as_a_traced_drop() {
+    use tiger_core::Message;
+    use tiger_layout::BlockNum;
+    use tiger_sched::{Deschedule, SlotId, StreamKind, ViewerState};
+    use tiger_trace::TraceEvent;
+
+    let mut sys = TigerSystem::new(quiet_config());
+    sys.enable_trace(1 << 14);
+    let file = sys.add_file(rate(), SimDuration::from_secs(30));
+    let client = sys.add_client();
+    let instance = sys.request_start(SimTime::from_millis(50), client, file);
+    sys.run_until(SimTime::from_secs(5));
+    let vs = ViewerState {
+        instance,
+        client: sys.shared().client_node(0).0,
+        file,
+        position: BlockNum(3),
+        slot: SlotId(u32::MAX),
+        play_seq: 3,
+        bitrate: rate(),
+        kind: StreamKind::Primary,
+    };
+    let refused = |sys: &TigerSystem| {
+        let records = sys.tracer().records();
+        let refused =
+            |ev: &TraceEvent| matches!(ev, TraceEvent::SlotRefused { slot: u32::MAX, .. });
+        records.iter().filter(|r| refused(&r.ev)).count()
+    };
+    let deschedule = Message::Deschedule {
+        request: Deschedule::of(&vs),
+        hops_left: 2,
+    };
+    for (sent, msg) in [Message::ViewerState(vs), deschedule]
+        .into_iter()
+        .enumerate()
+    {
+        let held = sys.cubs()[0].schedule_information_held();
+        assert!(held > 0, "the cub holds the stream's records");
+        sys.with_cub_mut(CubId(0), |cub, sh| {
+            let now = sh.queue.now();
+            cub.on_message(sh, now, msg);
+        });
+        assert_eq!(sys.cubs()[0].schedule_information_held(), held);
+        assert_eq!(refused(&sys), sent + 1, "one traced drop a message");
+    }
+}

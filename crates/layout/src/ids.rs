@@ -81,6 +81,14 @@ pub struct ViewerInstance {
     pub incarnation: u32,
 }
 
+/// What a cub's slot-indexed tables summarise a slot by: the viewer id's
+/// low word, which an instance shares with its other incarnations.
+impl tiger_sim::Tagged for ViewerInstance {
+    fn tag(&self) -> u32 {
+        self.viewer.0 as u32
+    }
+}
+
 impl ViewerInstance {
     /// The viewer's next play request: what a resume, a seek or a restripe
     /// cut-over re-inserts, so deschedules of this instance cannot kill it.

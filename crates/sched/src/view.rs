@@ -19,12 +19,10 @@
 //!   ownership protocol was violated.
 
 use std::cmp::Reverse;
-use std::collections::hash_map::Entry;
 use std::collections::BinaryHeap;
 
-use tiger_sim::DetHashMap as HashMap;
-
-use tiger_sim::SimTime;
+use tiger_layout::ids::ViewerInstance;
+use tiger_sim::{DenseLists, DetHashMap as HashMap, SimTime, Tagged};
 
 use crate::params::SlotId;
 use crate::records::{Deschedule, StreamKind, ViewerState};
@@ -46,60 +44,20 @@ pub enum ViewApply {
     Conflict,
 }
 
-/// The entries of one slot, never none, in the order they arrived (but
-/// for [`ScheduleView::retire`]'s swap). The usual single entry sits in
-/// the map itself; only a second one costs an allocation.
-#[derive(Clone, Debug)]
-enum SlotEntries {
-    One(ViewerState),
-    /// From a second entry on, until the slot empties.
-    Many(Vec<ViewerState>),
-}
-
-impl SlotEntries {
-    fn as_slice(&self) -> &[ViewerState] {
-        match self {
-            SlotEntries::One(entry) => std::slice::from_ref(entry),
-            SlotEntries::Many(entries) => entries,
-        }
-    }
-
-    fn as_mut_slice(&mut self) -> &mut [ViewerState] {
-        match self {
-            SlotEntries::One(entry) => std::slice::from_mut(entry),
-            SlotEntries::Many(entries) => entries,
-        }
-    }
-
-    fn push(&mut self, entry: ViewerState) {
-        match self {
-            SlotEntries::One(first) => *self = SlotEntries::Many(vec![*first, entry]),
-            SlotEntries::Many(entries) => entries.push(entry),
-        }
-    }
-
-    /// Drops the entries `keep` rejects and says how many are left; at
-    /// none the caller unmaps the slot.
-    fn retain(&mut self, keep: impl Fn(&ViewerState) -> bool) -> usize {
-        match self {
-            SlotEntries::One(entry) => usize::from(keep(entry)),
-            SlotEntries::Many(entries) => {
-                entries.retain(keep);
-                entries.len()
-            }
-        }
+impl Tagged for ViewerState {
+    fn tag(&self) -> u32 {
+        self.instance.tag()
     }
 }
 
 /// A cub's window onto the global schedule.
 #[derive(Clone, Debug, Default)]
 pub struct ScheduleView {
-    /// Live entries. A slot usually holds one primary entry; during failed
-    /// mode it may also hold mirror entries (distinct `kind`s) for the same
-    /// instance. No slot is mapped to nothing.
-    entries: HashMap<SlotId, SlotEntries>,
-    /// How many entries `entries` holds, over all slots.
-    live: usize,
+    /// Live entries by slot, in the order they arrived (but for
+    /// [`ScheduleView::retire`]'s swap). A slot usually holds one primary
+    /// entry; during failed mode it may also hold mirror entries (distinct
+    /// `kind`s) for the same instance.
+    entries: DenseLists<ViewerState>,
     /// Held deschedules: each one's expiry, and the order it was first
     /// applied in (what [`ScheduleView::gc_report`] reports by).
     held: HashMap<Deschedule, (SimTime, u64)>,
@@ -125,16 +83,9 @@ impl ScheduleView {
         if self.held.contains_key(&Deschedule::of(&vs)) {
             return ViewApply::Blocked;
         }
-        let slot_entries = match self.entries.entry(vs.slot) {
-            Entry::Vacant(slot) => {
-                slot.insert(SlotEntries::One(vs));
-                self.live += 1;
-                return ViewApply::Inserted;
-            }
-            Entry::Occupied(slot) => slot.into_mut(),
-        };
+        let slot = vs.slot.raw();
         // Same-kind entry for this slot?
-        let mut held = slot_entries.as_mut_slice().iter_mut();
+        let mut held = self.entries.get_mut(slot).iter_mut();
         if let Some(existing) = held.find(|e| same_kind(e, &vs)) {
             if existing.instance == vs.instance {
                 if existing.play_seq >= vs.play_seq {
@@ -145,8 +96,7 @@ impl ScheduleView {
             }
             return ViewApply::Conflict;
         }
-        slot_entries.push(vs);
-        self.live += 1;
+        self.entries.push(slot, vs);
         ViewApply::Inserted
     }
 
@@ -158,16 +108,7 @@ impl ScheduleView {
     /// re-appeared meanwhile.
     pub fn apply_deschedule(&mut self, d: Deschedule, now: SimTime, hold_until: SimTime) -> bool {
         self.gc(now);
-        let mut removed = false;
-        if let Entry::Occupied(mut slot) = self.entries.entry(d.slot) {
-            let before = slot.get().as_slice().len();
-            let left = slot.get_mut().retain(|e| !d.matches(e));
-            removed = left != before;
-            self.live -= before - left;
-            if left == 0 {
-                slot.remove();
-            }
-        }
+        let removed = self.entries.retain(d.slot.raw(), |e| !d.matches(e)) > 0;
         match self.held.get_mut(&d) {
             Some((expiry, _)) => *expiry = (*expiry).max(hold_until),
             None => {
@@ -194,7 +135,7 @@ impl ScheduleView {
 
     /// All entries in `slot` (primary and mirror).
     pub fn slot_entries(&self, slot: SlotId) -> &[ViewerState] {
-        self.entries.get(&slot).map_or(&[], SlotEntries::as_slice)
+        self.entries.get(slot.raw())
     }
 
     /// Whether the view believes `slot` has no primary occupant.
@@ -215,29 +156,27 @@ impl ScheduleView {
     /// viewer-state lead approaches the ring length), retiring the older
     /// record must not evict the newer one.
     pub fn retire(&mut self, slot: SlotId, entry: &ViewerState) -> Option<ViewerState> {
-        let Entry::Occupied(mut slot) = self.entries.entry(slot) else {
-            return None;
-        };
-        let idx = slot.get().as_slice().iter().position(|e| {
+        let idx = self.entries.get(slot.raw()).iter().position(|e| {
             e.instance == entry.instance && same_kind(e, entry) && e.play_seq == entry.play_seq
         })?;
-        self.live -= 1;
-        Some(match slot.get_mut() {
-            SlotEntries::Many(entries) if entries.len() > 1 => entries.swap_remove(idx),
-            _ => slot.remove().as_slice()[idx],
-        })
+        Some(self.entries.swap_remove(slot.raw(), idx))
     }
 
-    /// Iterates over all `(slot, entry)` pairs in the view.
+    /// Iterates over all `(slot, entry)` pairs in the view, by slot.
     pub fn iter(&self) -> impl Iterator<Item = (SlotId, &ViewerState)> {
-        self.entries
-            .iter()
-            .flat_map(|(slot, v)| v.as_slice().iter().map(move |e| (*slot, e)))
+        self.entries.iter().map(|(slot, e)| (SlotId(slot), e))
+    }
+
+    /// Whether any entry belongs to `instance`: a scan of the per-slot
+    /// summaries, for the one question that comes without a slot.
+    pub fn holds_instance(&self, instance: &ViewerInstance) -> bool {
+        let mut held = self.entries.tagged(instance.tag());
+        held.any(|e| e.instance == *instance)
     }
 
     /// Number of live entries (all kinds).
     pub fn len(&self) -> usize {
-        self.live
+        self.entries.len()
     }
 
     /// True if the view holds no entries.

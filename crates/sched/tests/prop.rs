@@ -333,7 +333,9 @@ impl VecModel {
 /// the `Vec`-a-slot model does: every verdict of apply / duplicate /
 /// update / conflict, a deschedule over a slot that spilled, the record
 /// `retire` returns (and the order its swap leaves behind), `slot_entries`
-/// in order, `primary_entry`, `len`, and `iter` as a multiset.
+/// in order, `primary_entry`, `len`, `iter` as a multiset, and
+/// `holds_instance` for every instance, both incarnations of a viewer
+/// sharing the per-slot summary.
 #[test]
 fn view_matches_the_vec_model() {
     const SLOTS: u32 = 3;
@@ -403,6 +405,15 @@ fn view_matches_the_vec_model() {
             assert_eq!(listed, want, "iter, as a multiset");
             assert_eq!(view.len(), want.len());
             assert_eq!(view.is_empty(), want.is_empty());
+            for (viewer, incarnation) in (0..3).flat_map(|v| (0..2).map(move |i| (v, i))) {
+                let instance = vs(0, viewer, incarnation, 0).instance;
+                let held = model
+                    .entries
+                    .values()
+                    .flatten()
+                    .any(|e| e.instance == instance);
+                assert_eq!(view.holds_instance(&instance), held, "{instance:?}");
+            }
         }
     });
 }

@@ -18,12 +18,14 @@
 //! cargo registry (`CARGO_NET_OFFLINE=1`).
 
 pub mod check;
+pub mod dense;
 pub mod event;
 pub mod kv;
 pub mod metrics;
 pub mod rng;
 pub mod time;
 
+pub use dense::{DenseLists, Tagged};
 pub use event::EventQueue;
 pub use metrics::{BusyTracker, Counter, Histogram, TimeWeightedMean};
 pub use rng::{RngTree, SimRng};

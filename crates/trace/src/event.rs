@@ -133,6 +133,10 @@ trace_events! {
     /// A viewer state discarded as too old to be useful (outside the
     /// vstate lead window).
     VsLate => "vs-late" { slot: u32, viewer: u64, inc: u32, play_seq: u32 },
+    /// A received viewer state or deschedule refused because its slot is
+    /// outside the schedule (at or past its capacity): nothing is kept of
+    /// it and it goes no further.
+    SlotRefused => "slot-refused" { slot: u32, viewer: u64, inc: u32 },
     /// A deschedule applied: `first` = first time this cub saw it,
     /// `killed` = active services it terminated, `hops_left` = remaining
     /// ring forwards.

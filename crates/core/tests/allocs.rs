@@ -94,8 +94,8 @@ fn coded_service_allocates_little_per_block() {
     // blocks sent in the same span — healthy fan-out and degraded repair
     // both. Each shard send counts as a block sent. Measured here: 47,031
     // allocations for 78,398 sends, 0.600 a send — about one a two-shard
-    // block, the `SlotEntries::Many` push `ScheduleView::apply_viewer_state`
-    // makes when a slot holds a second record. (159,078 to 159,080 and
+    // block, the move to a `Vec` `ScheduleView::apply_viewer_state` makes
+    // when a view slot holds a second record. (159,078 to 159,080 and
     // 2.029 while the load rings were `NetworkSchedule`s with a `Vec` per
     // ranking; their SipHash maps' growth depended on the random keys'
     // layout, so the count moved by a few from run to run.)

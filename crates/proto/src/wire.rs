@@ -24,12 +24,18 @@
 //! `kind` is `P` (primary), `M:<failed-disk>:<piece>` (mirror) or
 //! `C:<home-disk>:<shard>` (coded).
 //!
+//! The grammar is the spec; the `wire_messages!` table is its one
+//! declaration in code. A row names a variant's tag and fields in line
+//! order; each field type's `Field` impl writes and reads its tokens.
+//!
 //! The format is *lossless*: [`decode`] inverts [`encode`] exactly, and
 //! accepts only what [`encode`] writes — a line that would re-encode to
 //! other bytes (a leading zero, a sign, a doubled space) is rejected. The
-//! exhaustive per-variant round-trip tests below are the gate a message
-//! must pass before it is allowed to cross a real socket (`tiger-rt`).
+//! round-trip tests below and the byte pins in `tests/wire.rs` are the
+//! gate a message must pass before it may cross a real socket (`tiger-rt`).
 
+use std::fmt::Write;
+use std::str::{Split, SplitAsciiWhitespace};
 use std::sync::Arc;
 
 use tiger_layout::ids::ViewerInstance;
@@ -39,120 +45,215 @@ use tiger_sim::{Bandwidth, SimTime};
 
 use crate::msg::Message;
 
-/// Encodes a message as one wire line (no trailing newline).
-pub fn encode(msg: &Message) -> String {
-    let mut s = String::new();
-    match msg {
-        Message::ViewerState(vs) => {
-            s.push_str("VS ");
-            push_vs(&mut s, vs);
-        }
-        Message::ViewerStates(batch) => {
-            s.push_str("VSB");
-            for vs in batch.iter() {
-                s.push(' ');
-                push_vs(&mut s, vs);
+type Tokens<'a> = SplitAsciiWhitespace<'a>;
+
+/// One field of a message line.
+trait Field: Sized {
+    /// Appends the field: each of its tokens after one space.
+    fn put(&self, s: &mut String);
+    /// Takes the field from the line's remaining tokens. What follows a
+    /// field's parts is left to [`decode`]'s comparison to reject.
+    fn take(t: &mut Tokens) -> Option<Self>;
+}
+
+fn num<T: std::str::FromStr>(part: Option<&str>) -> Option<T> {
+    part?.parse().ok()
+}
+
+/// One decimal token: a number, an id newtype's raw value, a [`SimTime`]
+/// in nanoseconds, or a `bool` as `0` or `1` (a decoded `2` re-encodes as
+/// `1`, so [`decode`] refuses it).
+macro_rules! decimal_fields {
+    ($($ty:ty as $raw:ty: $to:expr, $from:expr;)*) => {$(
+        impl Field for $ty {
+            fn put(&self, s: &mut String) {
+                let _ = write!(s, " {}", $to(*self));
+            }
+            fn take(t: &mut Tokens) -> Option<Self> {
+                num::<$raw>(t.next()).map($from)
             }
         }
-        Message::Deschedule { request, hops_left } => {
-            s.push_str("DESCH ");
-            push_instance(&mut s, &request.instance);
-            s.push_str(&format!(" {} {hops_left}", request.slot.raw()));
-        }
-        Message::StartRequest {
-            client,
-            instance,
-            file,
-            from_block,
-            requested_at,
-        } => {
-            s.push_str(&format!("START {client} "));
-            push_instance(&mut s, instance);
-            s.push_str(&format!(
-                " {} {from_block} {}",
-                file.raw(),
-                requested_at.as_nanos()
-            ));
-        }
-        Message::RoutedStart {
-            client,
-            instance,
-            file,
-            from_block,
-            requested_at,
-            redundant,
-        } => {
-            s.push_str(&format!("ROUTED {client} "));
-            push_instance(&mut s, instance);
-            s.push_str(&format!(
-                " {} {from_block} {} {}",
-                file.raw(),
-                requested_at.as_nanos(),
-                u32::from(*redundant)
-            ));
-        }
-        Message::InsertCommitted {
-            instance,
-            slot,
-            file,
-            first_send,
-        } => {
-            s.push_str("COMMIT ");
-            push_instance(&mut s, instance);
-            s.push_str(&format!(
-                " {} {} {}",
-                slot.raw(),
-                file.raw(),
-                first_send.as_nanos()
-            ));
-        }
-        Message::StopRequest { instance } => {
-            s.push_str("STOP ");
-            push_instance(&mut s, instance);
-        }
-        Message::ViewerFinished { instance } => {
-            s.push_str("FIN ");
-            push_instance(&mut s, instance);
-        }
-        Message::DeadmanPing { from } => s.push_str(&format!("PING {}", from.raw())),
-        Message::RejoinRequest { from } => s.push_str(&format!("REJOIN {}", from.raw())),
-        Message::RejoinAck { from, failed } => {
-            s.push_str(&format!("RACK {} ", from.raw()));
-            if failed.is_empty() {
-                s.push('-');
-            } else {
-                for (i, c) in failed.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    s.push_str(&c.to_string());
-                }
-            }
-        }
-        Message::RetiredReplay { from, states } => {
-            s.push_str(&format!("RPLY {}", from.raw()));
-            for vs in states.iter() {
-                s.push(' ');
-                push_vs(&mut s, vs);
-            }
-        }
-        Message::FailureNotice { failed } => s.push_str(&format!("NOTICE {}", failed.raw())),
-        Message::StreamData {
-            instance,
-            block,
-            piece,
-            total_pieces,
-            bytes,
-        } => {
-            s.push_str("DATA ");
-            push_instance(&mut s, instance);
-            match piece {
-                Some(p) => s.push_str(&format!(" {block} {p} {total_pieces} {bytes}")),
-                None => s.push_str(&format!(" {block} - {total_pieces} {bytes}")),
-            }
+    )*};
+}
+decimal_fields! {
+    u32 as u32: u32::from, u32::from;
+    u64 as u64: u64::from, u64::from;
+    CubId as u32: CubId::raw, CubId;
+    FileId as u32: FileId::raw, FileId;
+    SlotId as u32: SlotId::raw, SlotId;
+    SimTime as u64: SimTime::as_nanos, SimTime::from_nanos;
+    bool as u8: u8::from, |n| n != 0;
+}
+
+/// `<viewer>,<inc>`.
+impl Field for ViewerInstance {
+    fn put(&self, s: &mut String) {
+        let _ = write!(s, " {},{}", self.viewer.0, self.incarnation);
+    }
+    fn take(t: &mut Tokens) -> Option<Self> {
+        instance(&mut t.next()?.split(','))
+    }
+}
+
+/// Takes `<viewer>,<inc>` from a token's comma-separated parts.
+fn instance(p: &mut Split<char>) -> Option<ViewerInstance> {
+    Some(ViewerInstance {
+        viewer: ViewerId(num(p.next())?),
+        incarnation: num(p.next())?,
+    })
+}
+
+/// `<viewer>,<inc> <slot>`.
+impl Field for Deschedule {
+    fn put(&self, s: &mut String) {
+        self.instance.put(s);
+        self.slot.put(s);
+    }
+    fn take(t: &mut Tokens) -> Option<Self> {
+        Some(Deschedule {
+            instance: Field::take(t)?,
+            slot: Field::take(t)?,
+        })
+    }
+}
+
+/// One `<vs>` token.
+impl Field for ViewerState {
+    fn put(&self, s: &mut String) {
+        self.instance.put(s);
+        let (file, pos, slot) = (self.file.0, self.position.0, self.slot.0);
+        let (client, seq, bps) = (self.client, self.play_seq, self.bitrate.bits_per_sec());
+        let _ = write!(s, ",{client},{file},{pos},{slot},{seq},{bps},");
+        let _ = match self.kind {
+            StreamKind::Primary => write!(s, "P"),
+            StreamKind::Mirror { failed_disk, piece } => write!(s, "M:{}:{piece}", failed_disk.0),
+            StreamKind::Coded { home_disk, shard } => write!(s, "C:{}:{shard}", home_disk.0),
+        };
+    }
+    fn take(t: &mut Tokens) -> Option<Self> {
+        // Struct fields evaluate in the order written, which is the
+        // token's part order.
+        let mut p = t.next()?.split(',');
+        Some(ViewerState {
+            instance: instance(&mut p)?,
+            client: num(p.next())?,
+            file: FileId(num(p.next())?),
+            position: BlockNum(num(p.next())?),
+            slot: SlotId(num(p.next())?),
+            play_seq: num(p.next())?,
+            bitrate: Bandwidth::from_bits_per_sec(num(p.next())?),
+            kind: kind(p.next())?,
+        })
+    }
+}
+
+/// `P`, `M:<failed-disk>:<piece>` or `C:<home-disk>:<shard>`.
+fn kind(part: Option<&str>) -> Option<StreamKind> {
+    let mut k = part?.split(':');
+    match (k.next()?, num(k.next()).map(DiskId), num(k.next())) {
+        ("P", None, None) => Some(StreamKind::Primary),
+        ("M", Some(failed_disk), Some(piece)) => Some(StreamKind::Mirror { failed_disk, piece }),
+        ("C", Some(home_disk), Some(shard)) => Some(StreamKind::Coded { home_disk, shard }),
+        _ => None,
+    }
+}
+
+/// `-` for `None`.
+impl Field for Option<u32> {
+    fn put(&self, s: &mut String) {
+        match self {
+            Some(n) => n.put(s),
+            None => s.push_str(" -"),
         }
     }
-    s
+    fn take(t: &mut Tokens) -> Option<Self> {
+        match t.next()? {
+            "-" => Some(None),
+            tok => num(Some(tok)).map(Some),
+        }
+    }
+}
+
+/// A comma list, or `-` when empty.
+impl Field for Arc<[u32]> {
+    fn put(&self, s: &mut String) {
+        s.push_str(if self.is_empty() { " -" } else { " " });
+        for (i, c) in self.iter().enumerate() {
+            let sep = if i > 0 { "," } else { "" };
+            let _ = write!(s, "{sep}{c}");
+        }
+    }
+    fn take(t: &mut Tokens) -> Option<Self> {
+        match t.next()? {
+            "-" => Some([].into()),
+            list => list.split(',').map(|c| num(Some(c))).collect(),
+        }
+    }
+}
+
+/// The rest of the line, one `<vs>` token a record.
+impl Field for Arc<[ViewerState]> {
+    fn put(&self, s: &mut String) {
+        for vs in self.iter() {
+            vs.put(s);
+        }
+    }
+    fn take(t: &mut Tokens) -> Option<Self> {
+        t.map(|vs| Field::take(&mut vs.split_ascii_whitespace()))
+            .collect()
+    }
+}
+
+/// The message table: `tag => Variant (field)` or
+/// `tag => Variant { field, ... }`, fields in line order. Generates
+/// [`encode`] and [`decode_tokens`].
+macro_rules! wire_messages {
+    ($($tag:literal => $variant:ident $fields:tt,)*) => {
+        /// Encodes a message as one wire line (no trailing newline).
+        pub fn encode(msg: &Message) -> String {
+            let mut s = String::new();
+            match msg {
+                $(Message::$variant $fields => {
+                    s.push_str($tag);
+                    wire_messages!(@put s $fields);
+                })*
+            }
+            s
+        }
+
+        /// Reads a line's fields; [`decode`] rejects what they leave unread.
+        fn decode_tokens(line: &str) -> Option<Message> {
+            let mut t = line.split_ascii_whitespace();
+            match t.next()? {
+                $($tag => {
+                    wire_messages!(@take t $fields);
+                    Some(Message::$variant $fields)
+                })*
+                _ => None,
+            }
+        }
+    };
+    (@put $s:ident ($($f:ident),*)) => { $(Field::put($f, &mut $s);)* };
+    (@put $s:ident {$($f:ident),*}) => { $(Field::put($f, &mut $s);)* };
+    (@take $t:ident ($($f:ident),*)) => { $(let $f = Field::take(&mut $t)?;)* };
+    (@take $t:ident {$($f:ident),*}) => { $(let $f = Field::take(&mut $t)?;)* };
+}
+
+wire_messages! {
+    "VS" => ViewerState(vs),
+    "VSB" => ViewerStates(batch),
+    "DESCH" => Deschedule { request, hops_left },
+    "START" => StartRequest { client, instance, file, from_block, requested_at },
+    "ROUTED" => RoutedStart { client, instance, file, from_block, requested_at, redundant },
+    "COMMIT" => InsertCommitted { instance, slot, file, first_send },
+    "STOP" => StopRequest { instance },
+    "FIN" => ViewerFinished { instance },
+    "PING" => DeadmanPing { from },
+    "REJOIN" => RejoinRequest { from },
+    "RACK" => RejoinAck { from, failed },
+    "RPLY" => RetiredReplay { from, states },
+    "NOTICE" => FailureNotice { failed },
+    "DATA" => StreamData { instance, block, piece, total_pieces, bytes },
 }
 
 /// Decodes one wire line; `None` on any malformation, and on any line
@@ -160,231 +261,6 @@ pub fn encode(msg: &Message) -> String {
 pub fn decode(line: &str) -> Option<Message> {
     let msg = decode_tokens(line)?;
     (encode(&msg) == line).then_some(msg)
-}
-
-/// Reads the tokens [`decode`] needs; what follows them (trailing tokens,
-/// a field's trailing parts) is left to `decode`'s comparison to reject.
-fn decode_tokens(line: &str) -> Option<Message> {
-    let mut it = line.split_ascii_whitespace();
-    let tag = it.next()?;
-    let msg = match tag {
-        "VS" => {
-            let vs = parse_vs(it.next()?)?;
-            Message::ViewerState(vs)
-        }
-        "VSB" => {
-            let mut batch = Vec::new();
-            for tok in it {
-                batch.push(parse_vs(tok)?);
-            }
-            Message::ViewerStates(Arc::from(batch))
-        }
-        "DESCH" => {
-            let instance = parse_instance(it.next()?)?;
-            let slot = SlotId(it.next()?.parse().ok()?);
-            let hops_left = it.next()?.parse().ok()?;
-            Message::Deschedule {
-                request: Deschedule { instance, slot },
-                hops_left,
-            }
-        }
-        "START" => {
-            let client = it.next()?.parse().ok()?;
-            let instance = parse_instance(it.next()?)?;
-            let file = FileId(it.next()?.parse().ok()?);
-            let from_block = it.next()?.parse().ok()?;
-            let requested_at = SimTime::from_nanos(it.next()?.parse().ok()?);
-            Message::StartRequest {
-                client,
-                instance,
-                file,
-                from_block,
-                requested_at,
-            }
-        }
-        "ROUTED" => {
-            let client = it.next()?.parse().ok()?;
-            let instance = parse_instance(it.next()?)?;
-            let file = FileId(it.next()?.parse().ok()?);
-            let from_block = it.next()?.parse().ok()?;
-            let requested_at = SimTime::from_nanos(it.next()?.parse().ok()?);
-            let redundant = parse_bool(it.next()?)?;
-            Message::RoutedStart {
-                client,
-                instance,
-                file,
-                from_block,
-                requested_at,
-                redundant,
-            }
-        }
-        "COMMIT" => {
-            let instance = parse_instance(it.next()?)?;
-            let slot = SlotId(it.next()?.parse().ok()?);
-            let file = FileId(it.next()?.parse().ok()?);
-            let first_send = SimTime::from_nanos(it.next()?.parse().ok()?);
-            Message::InsertCommitted {
-                instance,
-                slot,
-                file,
-                first_send,
-            }
-        }
-        "STOP" => {
-            let instance = parse_instance(it.next()?)?;
-            Message::StopRequest { instance }
-        }
-        "FIN" => {
-            let instance = parse_instance(it.next()?)?;
-            Message::ViewerFinished { instance }
-        }
-        "PING" => {
-            let from = CubId(it.next()?.parse().ok()?);
-            Message::DeadmanPing { from }
-        }
-        "REJOIN" => {
-            let from = CubId(it.next()?.parse().ok()?);
-            Message::RejoinRequest { from }
-        }
-        "RACK" => {
-            let from = CubId(it.next()?.parse().ok()?);
-            let list = it.next()?;
-            let failed: Vec<u32> = if list == "-" {
-                Vec::new()
-            } else {
-                let mut v = Vec::new();
-                for tok in list.split(',') {
-                    v.push(tok.parse().ok()?);
-                }
-                v
-            };
-            Message::RejoinAck {
-                from,
-                failed: Arc::from(failed),
-            }
-        }
-        "RPLY" => {
-            let from = CubId(it.next()?.parse().ok()?);
-            let mut states = Vec::new();
-            for tok in it {
-                states.push(parse_vs(tok)?);
-            }
-            Message::RetiredReplay {
-                from,
-                states: Arc::from(states),
-            }
-        }
-        "NOTICE" => {
-            let failed = CubId(it.next()?.parse().ok()?);
-            Message::FailureNotice { failed }
-        }
-        "DATA" => {
-            let instance = parse_instance(it.next()?)?;
-            let block = it.next()?.parse().ok()?;
-            let piece_tok = it.next()?;
-            let piece = if piece_tok == "-" {
-                None
-            } else {
-                Some(piece_tok.parse().ok()?)
-            };
-            let total_pieces = it.next()?.parse().ok()?;
-            let bytes = it.next()?.parse().ok()?;
-            Message::StreamData {
-                instance,
-                block,
-                piece,
-                total_pieces,
-                bytes,
-            }
-        }
-        _ => return None,
-    };
-    Some(msg)
-}
-
-fn parse_bool(tok: &str) -> Option<bool> {
-    match tok {
-        "0" => Some(false),
-        "1" => Some(true),
-        _ => None,
-    }
-}
-
-fn push_instance(s: &mut String, i: &ViewerInstance) {
-    s.push_str(&format!("{},{}", i.viewer.raw(), i.incarnation));
-}
-
-fn parse_instance(tok: &str) -> Option<ViewerInstance> {
-    let (v, inc) = tok.split_once(',')?;
-    Some(ViewerInstance {
-        viewer: ViewerId(v.parse().ok()?),
-        incarnation: inc.parse().ok()?,
-    })
-}
-
-fn push_vs(s: &mut String, vs: &ViewerState) {
-    s.push_str(&format!(
-        "{},{},{},{},{},{},{},{},",
-        vs.instance.viewer.raw(),
-        vs.instance.incarnation,
-        vs.client,
-        vs.file.raw(),
-        vs.position.raw(),
-        vs.slot.raw(),
-        vs.play_seq,
-        vs.bitrate.bits_per_sec(),
-    ));
-    match vs.kind {
-        StreamKind::Primary => s.push('P'),
-        StreamKind::Mirror { failed_disk, piece } => {
-            s.push_str(&format!("M:{}:{piece}", failed_disk.raw()));
-        }
-        StreamKind::Coded { home_disk, shard } => {
-            s.push_str(&format!("C:{}:{shard}", home_disk.raw()));
-        }
-    }
-}
-
-fn parse_vs(tok: &str) -> Option<ViewerState> {
-    let mut parts = tok.split(',');
-    let viewer = ViewerId(parts.next()?.parse().ok()?);
-    let incarnation = parts.next()?.parse().ok()?;
-    let client = parts.next()?.parse().ok()?;
-    let file = FileId(parts.next()?.parse().ok()?);
-    let position = BlockNum(parts.next()?.parse().ok()?);
-    let slot = SlotId(parts.next()?.parse().ok()?);
-    let play_seq = parts.next()?.parse().ok()?;
-    let bitrate = Bandwidth::from_bits_per_sec(parts.next()?.parse().ok()?);
-    let kind_tok = parts.next()?;
-    let kind = if kind_tok == "P" {
-        StreamKind::Primary
-    } else if let Some(rest) = kind_tok.strip_prefix("C:") {
-        let (disk, shard) = rest.split_once(':')?;
-        StreamKind::Coded {
-            home_disk: DiskId(disk.parse().ok()?),
-            shard: shard.parse().ok()?,
-        }
-    } else {
-        let rest = kind_tok.strip_prefix("M:")?;
-        let (disk, piece) = rest.split_once(':')?;
-        StreamKind::Mirror {
-            failed_disk: DiskId(disk.parse().ok()?),
-            piece: piece.parse().ok()?,
-        }
-    };
-    Some(ViewerState {
-        instance: ViewerInstance {
-            viewer,
-            incarnation,
-        },
-        client,
-        file,
-        position,
-        slot,
-        play_seq,
-        bitrate,
-        kind,
-    })
 }
 
 /// One message per [`Message`] variant, plus the interesting interior

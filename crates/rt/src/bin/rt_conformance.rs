@@ -84,14 +84,19 @@ fn main() -> ExitCode {
         restart_at: Duration::from_millis(RESTART_AT_MS),
         end_at: Duration::from_millis(END_AT_MS),
     };
-    let records = match run_crash_rejoin(num_cubs, ring_cfg, script) {
+    let run = match run_crash_rejoin(num_cubs, ring_cfg, script) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("rt_conformance: socket driver failed: {e}");
             return ExitCode::FAILURE;
         }
     };
-    let rt = render_decisions(&records);
+    if run.refused > 0 {
+        // Both ends run one codec: a refused line is a codec bug.
+        eprintln!("conformance FAILED: wire::decode refused {}", run.refused);
+        return ExitCode::FAILURE;
+    }
+    let rt = render_decisions(&run.records);
 
     if des == rt {
         eprintln!("rt_conformance: DES shrink lane (remove=1 cut-over)...");

@@ -57,16 +57,26 @@ pub struct CrashRejoinScript {
     pub end_at: Duration,
 }
 
+/// What one socket-driver run produced.
+#[derive(Debug, Default)]
+pub struct RtRun {
+    /// Every recorded protocol decision (harness records on the [`CTRL`]
+    /// lane, cub records on their own lanes), ready for
+    /// [`crate::conformance`].
+    pub records: Vec<TraceRecord>,
+    /// Datagrams [`wire::decode`] refused, over all cubs. Both ends run
+    /// one codec over loopback, so any refusal is a codec bug.
+    pub refused: u64,
+}
+
 /// Runs the crash-rejoin scenario over real threads and loopback UDP:
 /// `num_cubs` cub threads ping, declare, take over, and hand back using
-/// the same ring machines the DES drives. Returns every recorded
-/// protocol decision (harness records on the [`CTRL`] lane, cub records
-/// on their own lanes), ready for [`crate::conformance`].
+/// the same ring machines the DES drives.
 pub fn run_crash_rejoin(
     num_cubs: u32,
     cfg: RingConfig,
     script: CrashRejoinScript,
-) -> std::io::Result<Vec<TraceRecord>> {
+) -> std::io::Result<RtRun> {
     let socks: Vec<UdpSocket> = (0..num_cubs)
         .map(|_| UdpSocket::bind(("127.0.0.1", 0)))
         .collect::<Result<_, _>>()?;
@@ -92,6 +102,7 @@ pub fn run_crash_rejoin(
             epoch,
             out: Vec::new(),
             fenced: false,
+            refused: 0,
         };
         handles.push(std::thread::spawn(move || cub.run()));
     }
@@ -99,10 +110,10 @@ pub fn run_crash_rejoin(
     // The harness is the DES's event queue: it fires the scripted
     // power-cut and restart and records them on the control lane, just
     // as `TigerSystem` does.
-    let mut records = Vec::new();
+    let mut run = RtRun::default();
     sleep_until(epoch, script.crash_at);
     controls[script.victim.index()].store(CRASHED, Ordering::SeqCst);
-    records.push(harness_record(
+    run.records.push(harness_record(
         epoch,
         TraceEvent::PowerCut {
             cub: script.victim.raw(),
@@ -110,7 +121,7 @@ pub fn run_crash_rejoin(
     ));
     sleep_until(epoch, script.restart_at);
     controls[script.victim.index()].store(RESTARTING, Ordering::SeqCst);
-    records.push(harness_record(
+    run.records.push(harness_record(
         epoch,
         TraceEvent::CubRestart {
             cub: script.victim.raw(),
@@ -121,10 +132,11 @@ pub fn run_crash_rejoin(
         c.store(SHUTDOWN, Ordering::SeqCst);
     }
     for h in handles {
-        let lane = h.join().expect("cub thread panicked");
-        records.extend(lane);
+        let (lane, refused) = h.join().expect("cub thread panicked");
+        run.records.extend(lane);
+        run.refused += refused;
     }
-    Ok(records)
+    Ok(run)
 }
 
 fn sleep_until(epoch: Instant, deadline: Duration) {
@@ -154,6 +166,8 @@ struct CubThread {
     epoch: Instant,
     out: Vec<TraceRecord>,
     fenced: bool,
+    /// Datagrams `wire::decode` refused.
+    refused: u64,
 }
 
 impl CubThread {
@@ -178,7 +192,7 @@ impl CubThread {
             .send_to(wire::encode(msg).as_bytes(), self.peers[to.index()]);
     }
 
-    fn run(mut self) -> Vec<TraceRecord> {
+    fn run(mut self) -> (Vec<TraceRecord>, u64) {
         let interval = self.cfg.deadman_interval;
         let mut next_ping = SimTime::ZERO + interval;
         let mut next_check = SimTime::ZERO + interval;
@@ -232,18 +246,24 @@ impl CubThread {
                 next_check += interval;
             }
             match self.sock.recv_from(&mut buf) {
-                Ok((len, _)) => {
-                    if let Some(msg) = std::str::from_utf8(&buf[..len]).ok().and_then(wire::decode)
-                    {
-                        let now = self.now();
-                        self.on_message(now, msg);
-                    }
-                }
+                Ok((len, _)) => self.on_datagram(&buf[..len]),
                 Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
                 Err(_) => break,
             }
         }
-        self.out
+        (self.out, self.refused)
+    }
+
+    /// Decodes and handles one datagram, or counts it when `wire::decode`
+    /// refuses it.
+    fn on_datagram(&mut self, bytes: &[u8]) {
+        match std::str::from_utf8(bytes).ok().and_then(wire::decode) {
+            Some(msg) => {
+                let now = self.now();
+                self.on_message(now, msg);
+            }
+            None => self.refused += 1,
+        }
     }
 
     /// The timer half of the deadman protocol: poll the machine and turn
@@ -262,11 +282,8 @@ impl CubThread {
         );
         self.declare_failed(now, pred);
         let notice = Message::FailureNotice { failed: pred };
-        for c in 0..self.ring.num_cubs() {
-            let target = CubId(c);
-            if target != self.id && !self.ring.believes_failed(target) {
-                self.send(target, &notice);
-            }
+        for target in self.ring.living_peers() {
+            self.send(target, &notice);
         }
     }
 
@@ -274,7 +291,7 @@ impl CubThread {
     /// half of `Cub::declare_failed` (this driver carries no streams, so
     /// the §2.3 redrive and shadow conversion have nothing to do).
     fn declare_failed(&mut self, now: SimTime, failed: CubId) {
-        if self.ring.believes_failed(failed) || failed == self.id {
+        if !self.ring.declare_failed(failed, now) {
             return;
         }
         self.record(
@@ -283,8 +300,7 @@ impl CubThread {
                 failed: failed.raw(),
             },
         );
-        self.ring.declare_failed(failed, now);
-        if self.ring.acting_successor_of(failed) {
+        if self.ring.covers(failed) {
             self.record(
                 now,
                 TraceEvent::MirrorTakeover {
@@ -315,14 +331,7 @@ impl CubThread {
                     return;
                 };
                 if outcome.should_ack {
-                    let failed = self.ring.failed_ids();
-                    self.send(
-                        from,
-                        &Message::RejoinAck {
-                            from: self.id,
-                            failed: failed.into(),
-                        },
-                    );
+                    self.send(from, &self.ring.rejoin_ack());
                 }
                 if outcome.should_replay {
                     // No data plane: the retired tail is empty, but the
@@ -354,14 +363,48 @@ impl CubThread {
             Message::RejoinAck { from, failed } => {
                 self.ring.heard_from(from, now);
                 for &c in failed.iter() {
-                    if c != self.id.raw() {
-                        self.declare_failed(now, CubId(c));
-                    }
+                    self.declare_failed(now, CubId(c));
                 }
             }
             // Data-plane and controller-plane messages have no receiver
             // in this control-only driver.
             _ => {}
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tiger_sim::SimDuration;
+
+    #[test]
+    fn a_refused_datagram_is_counted_not_handled() {
+        let sock = UdpSocket::bind(("127.0.0.1", 0)).expect("loopback socket");
+        let addr = sock.local_addr().expect("bound address");
+        let mut cub = CubThread {
+            id: CubId(0),
+            ring: RingMachine::new(CubId(0), 3),
+            cfg: RingConfig {
+                deadman_timeout: SimDuration::from_secs(1),
+                deadman_interval: SimDuration::from_millis(250),
+                min_vstate_lead: SimDuration::from_secs(1),
+            },
+            sock,
+            peers: vec![addr; 3],
+            control: Arc::new(AtomicU8::new(RUN)),
+            epoch: Instant::now(),
+            out: Vec::new(),
+            fenced: false,
+            refused: 0,
+        };
+        cub.on_datagram(b"NOTICE 01");
+        cub.on_datagram(b"NOTICE 1 ");
+        cub.on_datagram(&[0xff, 0xfe]);
+        assert_eq!(cub.refused, 3);
+        assert!(!cub.ring.believes_failed(CubId(1)));
+        cub.on_datagram(b"NOTICE 1");
+        assert_eq!(cub.refused, 3);
+        assert!(cub.ring.believes_failed(CubId(1)), "a good line is handled");
     }
 }

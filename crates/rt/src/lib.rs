@@ -22,4 +22,4 @@ pub mod conformance;
 pub mod driver;
 
 pub use conformance::{decision_lanes, render_decisions};
-pub use driver::{run_crash_rejoin, CrashRejoinScript};
+pub use driver::{run_crash_rejoin, CrashRejoinScript, RtRun};

@@ -18,8 +18,8 @@
 //! Modules:
 //!
 //! * [`msg`] — the control-plane message vocabulary ([`Message`]).
-//! * [`wire`] — the lossless text wire format for [`Message`], used by
-//!   real transports and pinned by exhaustive round-trip tests.
+//! * [`wire`] — the lossless text wire format for [`Message`] that real
+//!   transports use: one table row a message, its bytes pinned by tests.
 //! * [`ring`] — ring membership ([`Membership`]) and the failure
 //!   detector / rejoin machine ([`RingMachine`]): deadman pings and
 //!   checks, failure declaration, zombie fencing, rejoin baselines, and

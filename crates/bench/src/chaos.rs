@@ -273,6 +273,21 @@ mod tests {
     }
 
     #[test]
+    fn no_chaos_topology_leads_past_the_loss_window() {
+        // Why invariant 4 cannot see defect (c): its loss window tracks
+        // maxVStateLead, and on every chaos ring the lead is shorter than
+        // the bound the invariant holds a single crash to.
+        for template in scenarios() {
+            let tiger = campaign(&template, 30, 1997).tiger;
+            assert!(
+                tiger.max_vstate_lead < tiger.loss_window(),
+                "{}",
+                template.0
+            );
+        }
+    }
+
+    #[test]
     fn chaos_report_is_thread_count_invariant() {
         let one = chaos_report(Scale::Quick, 1);
         let four = chaos_report(Scale::Quick, 4);

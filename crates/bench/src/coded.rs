@@ -150,12 +150,13 @@ pub fn ablation_coded_report(scale: Scale, threads: usize) -> ExpReport {
         verdict(bad == 0)
     );
     out.push('\n');
+    let (m_missing, c_missing) = (results[2].missing, results[3].missing);
     let _ = writeln!(
         out,
         "shape: at k = 2 the coded backend's worst-case slot work (two \
          half-block shard reads) undercuts mirroring's full block + piece, \
-         so the same disks admit more of the surge and the crash costs no \
-         unrecoverable blocks (any k of 2k shards reconstruct). At k = 4 \
+         so the same disks admit more of the surge; under the crash coded \
+         misses {c_missing} blocks against mirroring's {m_missing}. At k = 4 \
          the relation flips — see docs/CODED.md. violations: {bad}."
     );
     ExpReport {

@@ -43,7 +43,7 @@ use tiger_core::{
     central_control_send_rate, CpuModel, ForwardingPolicy, LossReport, MbrConfig, MbrDistStats,
     MbrSystem, Metrics, TigerConfig,
 };
-use tiger_faults::{loss_window_bound, FaultPlan};
+use tiger_faults::FaultPlan;
 use tiger_layout::ids::ViewerInstance;
 use tiger_layout::{CubId, DiskId, MirrorPlacement, StripeConfig, ViewerId};
 use tiger_net::LatencyModel;
@@ -336,8 +336,8 @@ pub fn standard_jobs() -> Vec<Job> {
             crate::coded::ablation_coded_report,
             "Ablation: mirrored vs coded redundancy (flash crowd, equal storage)",
             "declustered mirroring pins every degraded read to the fixed partner \
-             set; an MDS code serves it from any k surviving shards, chosen \
-             against the admission load index",
+             set; an MDS code serves it from any k surviving shards, ranked \
+             by the per-disk load table",
         ),
         job(
             "chaos",
@@ -1483,13 +1483,7 @@ pub fn deadman_report(scale: Scale, threads: usize) -> ExpReport {
     let mut over = 0;
     for (cut, &(detection, window, lost)) in cuts.iter().zip(&results) {
         let t = &cut.tiger;
-        let bound = loss_window_bound(
-            t.deadman_timeout,
-            t.deadman_interval,
-            t.latency.worst_case(),
-            t.block_play_time,
-        )
-        .as_secs_f64();
+        let bound = t.loss_window().as_secs_f64();
         let mark = if window > bound {
             over += 1;
             "  over"
@@ -1516,7 +1510,7 @@ pub fn deadman_report(scale: Scale, threads: usize) -> ExpReport {
         "shape: from a {:.1} s to a {:.1} s timeout the loss window moves {moved:.2} s \
          ({per_sec:.2} s per second of timeout): it {} the deadman timeout. {over} of {} \
          rows exceed bound_s, the single-failure bound the chaos campaigns hold a \
-         clean crash to (tiger_faults::loss_window_bound).",
+         clean crash to (TigerConfig::loss_window).",
         secs(low),
         secs(high),
         if per_sec >= 0.5 {

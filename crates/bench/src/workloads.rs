@@ -102,6 +102,7 @@ pub(crate) struct PointResult {
     pub(crate) digest: String,
     pub(crate) violations: Vec<String>,
     pub(crate) curve: Vec<CurvePoint>,
+    pub(crate) missing: u64,
 }
 
 /// Runs one plan at one seed on one redundancy backend; a plan with
@@ -119,6 +120,7 @@ pub(crate) fn run_point(text: &str, mode: RedundancyMode, seed: u64) -> PointRes
             chaos_digest(&r)
         },
         curve: r.blocking_curve(),
+        missing: r.sys.all_clients_report().blocks_missing,
         violations: r.violations,
     }
 }

@@ -3,6 +3,7 @@
 use tiger_disk::DiskProfile;
 use tiger_layout::{RedundancyMode, StripeConfig};
 use tiger_net::LatencyModel;
+use tiger_proto::RingConfig;
 use tiger_sched::ScheduleParams;
 use tiger_sim::{Bandwidth, ByteSize, SimDuration};
 
@@ -62,20 +63,6 @@ pub struct TigerConfig {
     /// forwarding would force every failure to do). On by default; the
     /// forwarding ablation turns it off to reproduce the paper's argument.
     pub gap_recovery: bool,
-    /// Whether a rejoining cub's ring predecessor replays its retired-log
-    /// tail (advanced to the next due positions) the moment it sees the
-    /// rejoin request, so the rejoiner reconstructs in-flight viewer
-    /// state in sub-interval time instead of waiting up to one forward
-    /// interval for natural circulation. On by default; only the scenario
-    /// test `stubbed_replay_cannot_meet_the_sub_interval_bound` turns it off.
-    pub retired_replay: bool,
-    /// Whether registered spares serve as interim mirror capacity before
-    /// a restripe cut-over: on a failure declaration, the mirror pieces
-    /// shadowing the failed cub's disks (the most-exposed decluster
-    /// spans — one more holder failure loses them) are background-copied
-    /// to a spare, which then serves them if that second failure lands.
-    /// On by default; a no-op without provisioned spares.
-    pub spare_shield: bool,
     /// Per-cub buffer cache (20 MB in the testbed; bounds read-ahead).
     pub buffer_cache: ByteSize,
     /// Number of client machines.
@@ -131,8 +118,6 @@ impl TigerConfig {
             forward_interval: SimDuration::from_millis(500),
             forwarding: ForwardingPolicy::Double,
             gap_recovery: true,
-            retired_replay: true,
-            spare_shield: true,
             buffer_cache: ByteSize::from_mib(20),
             num_clients: 31,
             seed: 1997,
@@ -208,47 +193,94 @@ impl TigerConfig {
     pub fn buffer_blocks(&self) -> u32 {
         (self.buffer_cache.as_bytes() / self.block_size().as_bytes().max(1)) as u32
     }
+}
 
-    /// Whether `maxVStateLead` fits in one lap of a schedule over
-    /// `num_disks` disks (block play time × disks). Checked at build and
-    /// for every restripe step: on the 4-cub small ring a 4.0 s lead runs
-    /// clean, 4.1 s loses blocks and 4.5 s overcommits NICs.
-    pub fn lead_fits(&self, num_disks: u32) -> bool {
-        self.max_vstate_lead <= self.block_play_time.mul_u64(u64::from(num_disks))
+/// The §4 timing contract and every duration derived from it; methods, not
+/// a stored value, because a restripe cut-over rewrites `stripe`.
+impl TigerConfig {
+    /// The six timing inequalities over `num_disks` disks, each with the
+    /// sentence it comes from (docs/PROTOCOL.md "The timing contract"
+    /// shows each at its edge).
+    pub fn preconditions(&self, num_disks: u32) -> [(bool, &'static str); 6] {
+        let lap = self.block_play_time.mul_u64(u64::from(num_disks));
+        [
+            (
+                self.latency.worst_case() < self.block_play_time,
+                "§4.1.3: the block play time must exceed the worst inter-cub latency",
+            ),
+            (
+                self.min_vstate_lead < self.max_vstate_lead,
+                "minVStateLead must be below maxVStateLead",
+            ),
+            (
+                self.max_vstate_lead <= lap,
+                "maxVStateLead must not exceed the schedule length (block play time x disks): \
+                 a schedule shorter than maxVStateLead carries viewer states past a lap",
+            ),
+            (
+                self.scheduling_lead < self.min_vstate_lead,
+                "§4.1.3: minVStateLead is always much larger than the scheduling lead",
+            ),
+            (
+                self.ownership_duration < self.block_play_time,
+                "ownership windows must not overlap between pointers",
+            ),
+            (
+                self.deadman_timeout >= self.deadman_interval.mul_u64(2),
+                "deadman timeout must allow at least two missed heartbeats",
+            ),
+        ]
     }
 
-    /// Validates cross-field invariants the protocol depends on (the coded
-    /// backend's geometry is checked where it is built, by
-    /// `CodedPlacement::new`).
+    /// Validates the timing contract over the stripe (the coded backend's
+    /// geometry is checked where it is built, by `CodedPlacement::new`).
     ///
     /// # Panics
     ///
-    /// Panics if the configuration violates a protocol precondition.
+    /// Panics with the sentence of the first precondition that fails.
     pub fn validate(&self) {
-        assert!(
-            self.latency.worst_case() < self.block_play_time,
-            "§4.1.3: the block play time must exceed the worst inter-cub latency"
-        );
-        assert!(
-            self.min_vstate_lead < self.max_vstate_lead,
-            "minVStateLead must be below maxVStateLead"
-        );
-        assert!(
-            self.lead_fits(self.stripe.num_disks()),
-            "maxVStateLead must not exceed the schedule length (block play time x disks)"
-        );
-        assert!(
-            self.scheduling_lead < self.min_vstate_lead,
-            "§4.1.3: minVStateLead is always much larger than the scheduling lead"
-        );
-        assert!(
-            self.ownership_duration < self.block_play_time,
-            "ownership windows must not overlap between pointers"
-        );
-        assert!(
-            self.deadman_timeout >= self.deadman_interval.mul_u64(2),
-            "deadman timeout must allow at least two missed heartbeats"
-        );
+        for (holds, sentence) in self.preconditions(self.stripe.num_disks()) {
+            assert!(holds, "{sentence}");
+        }
+    }
+
+    /// The furthest ahead of its due time a viewer state can legitimately
+    /// arrive: `maxVStateLead` plus `decluster + 1` block play times, as far
+    /// as a failure forwards mirror entries ahead of the primary's time.
+    pub fn legit_lead(&self) -> SimDuration {
+        let slots = u64::from(self.stripe.decluster) + 1;
+        self.max_vstate_lead + self.block_play_time.mul_u64(slots)
+    }
+
+    /// How long a deschedule is held past its first sighting. §4.1.2:
+    /// deschedules propagate "until they're more than maxVStateLead in
+    /// front of the slot being descheduled", and then some.
+    pub fn deschedule_reach(&self) -> SimDuration {
+        self.deschedule_hold + self.max_vstate_lead
+    }
+
+    /// How long a retired entry can still matter to a rejoin: a crash is
+    /// declared within the timeout plus two check intervals, and a record a
+    /// deschedule hold withheld can resurface for `deschedule_hold` more.
+    pub fn retired_retention(&self) -> SimDuration {
+        self.deadman_timeout + self.deadman_interval.mul_u64(2) + self.deschedule_hold
+    }
+
+    /// Chaos invariant 4's bound on a single clean failure's loss window:
+    /// detection (the timeout, two ping intervals, one worst-case hop) plus
+    /// four block play times for the notices to spread and mirrors to start.
+    pub fn loss_window(&self) -> SimDuration {
+        let detect = self.deadman_timeout + self.deadman_interval.mul_u64(2);
+        detect + self.latency.worst_case() + self.block_play_time.mul_u64(4)
+    }
+
+    /// The ring machine's timing constants.
+    pub fn ring(&self) -> RingConfig {
+        RingConfig {
+            deadman_timeout: self.deadman_timeout,
+            deadman_interval: self.deadman_interval,
+            min_vstate_lead: self.min_vstate_lead,
+        }
     }
 }
 
@@ -267,6 +299,16 @@ mod tests {
     #[test]
     fn small_config_is_valid() {
         TigerConfig::small_test().validate();
+    }
+
+    #[test]
+    fn loss_window_tracks_its_terms() {
+        let mut c = TigerConfig::sosp97();
+        c.latency = LatencyModel::fixed(SimDuration::from_millis(10));
+        assert_eq!(
+            c.loss_window(),
+            SimDuration::from_millis(5_000 + 1_000 + 10 + 4_000)
+        );
     }
 
     #[test]

@@ -337,8 +337,8 @@ impl ControlPlane {
         // §4.1.2: deschedules propagate "until they're more than
         // maxVStateLead in front of the slot being descheduled".
         let cfg = &sh.cfg;
-        let lead_cubs = (cfg.max_vstate_lead.as_nanos() + cfg.deschedule_hold.as_nanos())
-            .div_ceil(cfg.block_play_time.as_nanos()) as u32;
+        let reach = cfg.deschedule_reach().as_nanos();
+        let lead_cubs = reach.div_ceil(cfg.block_play_time.as_nanos()) as u32;
         let hops_left = (lead_cubs + 2).min(cfg.stripe.num_cubs);
         let request = Deschedule { instance, slot };
         let pair = self.living_pair(sh, cub);

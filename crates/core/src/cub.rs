@@ -14,7 +14,7 @@ use tiger_sim::{DetHashMap as HashMap, DetHashSet as HashSet};
 use tiger_layout::ids::ViewerInstance;
 use tiger_layout::{BlockIndex, BlockNum, CubId, DiskId, DiskSpace, FileId};
 use tiger_proto::msg::Message;
-use tiger_proto::{InsertMachine, RingConfig, RingMachine};
+use tiger_proto::{InsertMachine, RingMachine};
 use tiger_sched::{Deschedule, ScheduleView, SlotId, StreamKind, ViewerState};
 use tiger_sim::{Counter, SimDuration, SimTime};
 use tiger_trace::TraceEvent;
@@ -36,15 +36,6 @@ mod table;
 #[doc(hidden)]
 pub use table::TableBench;
 use table::{ServiceTable, ShadowTable};
-
-/// The ring machine's timing constants, as this driver configures them.
-fn ring_cfg(sh: &Shared) -> RingConfig {
-    RingConfig {
-        deadman_timeout: sh.cfg.deadman_timeout,
-        deadman_interval: sh.cfg.deadman_interval,
-        min_vstate_lead: sh.cfg.min_vstate_lead,
-    }
-}
 
 /// The per-machine state of one cub.
 #[derive(Debug)]
@@ -350,7 +341,7 @@ impl Cub {
         // The machine clears the belief, opens the rejoiner's
         // vulnerability horizon, and re-baselines deadman monitoring;
         // its outcome says what this driver owes the rejoiner.
-        let Some(outcome) = self.ring.on_rejoin_request(from, now, &ring_cfg(sh)) else {
+        let Some(outcome) = self.ring.on_rejoin_request(from, now, &sh.cfg.ring()) else {
             return;
         };
         // Ring neighbours reply with their current beliefs so the
@@ -360,7 +351,7 @@ impl Cub {
             let (me, ack) = (sh.cub_node(self.id), self.ring.rejoin_ack());
             sh.send_control(now, me, sh.cub_node(from), ack);
         }
-        if outcome.should_replay && sh.cfg.retired_replay {
+        if outcome.should_replay {
             self.replay_retired_tail(sh, now, from);
         }
         if outcome.was_covering {
@@ -379,17 +370,13 @@ impl Cub {
         let bpt = sh.params.block_play_time();
         // Mirror-commitment frontier: a record reaches its owner — or,
         // while the owner is believed dead, the acting successor, which
-        // mirror-commits it on receipt — up to the maximum legitimate
-        // lead ahead of the position's due time (maxVStateLead plus one
-        // block play time per bridged failure, the same bound the
-        // acceptance staleness guard uses). Positions due inside that
-        // lead were taken over before the rejoin's belief flip could
-        // stop them; one forward interval of slack covers pass cadence
-        // and the flip's propagation. Replay must not claim a position
-        // the committed mirror chain will also serve.
-        let clear_horizon = sh.cfg.max_vstate_lead
-            + bpt.mul_u64(u64::from(sh.params.stripe().decluster) + 1)
-            + sh.cfg.forward_interval;
+        // mirror-commits it on receipt — up to `legit_lead` ahead of the
+        // position's due time. Positions due inside that lead were taken
+        // over before the rejoin's belief flip could stop them; one forward
+        // interval of slack covers pass cadence and the flip's
+        // propagation. Replay must not claim a position the committed
+        // mirror chain will also serve.
+        let clear_horizon = sh.cfg.legit_lead() + sh.cfg.forward_interval;
         let states = crate::recovery::replay_batch(
             self.services.retired(),
             now,
@@ -465,7 +452,7 @@ impl Cub {
                 count: grant.len() as u32,
             },
         );
-        self.ring.open_handback(to, now, &ring_cfg(sh));
+        self.ring.open_handback(to, now, &sh.cfg.ring());
         if !grant.is_empty() {
             let me = sh.cub_node(self.id);
             let batch: std::sync::Arc<[ViewerState]> = grant.into();
@@ -657,7 +644,7 @@ impl Cub {
         // whatever re-delivers a record (double forwarding, the gap
         // redrive, shadow takeover) does so within it, and forgetting any
         // sooner would let the copy re-create and double-count the block.
-        let retention = crate::recovery::retired_retention(&sh.cfg);
+        let retention = sh.cfg.retired_retention();
         self.services.prune_retired(now, retention);
         let cover_horizon = now.saturating_sub(retention);
         self.mirrors_created.retain(|_, due| *due >= cover_horizon);
@@ -680,7 +667,7 @@ impl Cub {
             return;
         }
         let first_sighting = !self.view.holds_deschedule(&d);
-        let hold_until = now + sh.cfg.deschedule_hold + sh.cfg.max_vstate_lead;
+        let hold_until = now + sh.cfg.deschedule_reach();
         self.view.apply_deschedule(d, now, hold_until);
         // Kill matching active services that have not yet gone out. The
         // order they die in is immaterial: reclaiming one returns its
@@ -917,7 +904,7 @@ impl Cub {
         if self.failed {
             return;
         }
-        let Some((pred, silence)) = self.ring.poll_check(now, &ring_cfg(sh)) else {
+        let Some((pred, silence)) = self.ring.poll_check(now, &sh.cfg.ring()) else {
             return;
         };
         sh.tracer.record(

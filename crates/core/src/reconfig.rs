@@ -104,8 +104,9 @@ impl TigerSystem {
     ///
     /// Panics if both of `add`/`remove` are nonzero, if a grow exceeds
     /// the projected spare pool, or if a shrink would not leave at least
-    /// one striped cub, or a schedule at least `maxVStateLead` long
-    /// ([`TigerConfig::lead_fits`](crate::TigerConfig::lead_fits)).
+    /// one striped cub, or if the geometry it leaves breaks a
+    /// [`TigerConfig::preconditions`](crate::TigerConfig::preconditions)
+    /// entry (a schedule shorter than `maxVStateLead`).
     pub fn enqueue_restripe(&mut self, at: SimTime, add: u32, remove: u32) {
         assert!(
             add == 0 || remove == 0,
@@ -128,10 +129,9 @@ impl TigerSystem {
             "restripe removes {remove} of {striped} (projected) striped cubs; at least one must remain"
         );
         let disks = (striped - remove) * self.shared.cfg.stripe.disks_per_cub;
-        assert!(
-            self.shared.cfg.lead_fits(disks),
-            "restripe to {disks} disks leaves a schedule shorter than maxVStateLead"
-        );
+        for (holds, sentence) in self.shared.cfg.preconditions(disks) {
+            assert!(holds, "restripe to {disks} disks: {sentence}");
+        }
         self.reconfig.queue.push_back(RestripeStep { add, remove });
         self.shared.queue.schedule(at, Event::RestripeStart);
     }
@@ -267,7 +267,7 @@ impl TigerSystem {
                 Some(Deschedule { instance, slot })
             })
             .collect();
-        let hold_until = now + self.shared.cfg.deschedule_hold + self.shared.cfg.max_vstate_lead;
+        let hold_until = now + self.shared.cfg.deschedule_reach();
         for &(ci, inst, _, _) in &live {
             self.ctl.forget_viewer(inst);
             self.clients[ci as usize].on_stopped(inst);
@@ -377,8 +377,7 @@ impl TigerSystem {
     /// before the restripe cut-over rebuilds permanent redundancy.
     pub(crate) fn maybe_shield(&mut self, now: SimTime, failed: CubId) {
         let stripe = self.shared.cfg.stripe;
-        if !self.shared.cfg.spare_shield
-            || self.shared.cfg.redundancy != RedundancyMode::Mirrored
+        if self.shared.cfg.redundancy != RedundancyMode::Mirrored
             || failed.raw() >= stripe.num_cubs
             || self.reconfig.shield_done.contains(&failed)
         {

@@ -15,17 +15,6 @@ use tiger_layout::{BlockNum, CubId, FileId};
 use tiger_sched::ViewerState;
 use tiger_sim::{SimDuration, SimTime};
 
-use crate::config::TigerConfig;
-
-/// How long a retired entry can still matter to a rejoin: a crashed cub
-/// is declared within `deadman_timeout` (plus up to two check intervals
-/// of skew), and a record withheld from circulation by a deschedule hold
-/// can resurface for `deschedule_hold` more. Entries older than this can
-/// never be the latest sighting a replay batch would claim from.
-pub fn retired_retention(cfg: &TigerConfig) -> SimDuration {
-    cfg.deadman_timeout + cfg.deadman_interval.mul_u64(2) + cfg.deschedule_hold
-}
-
 /// Drops retired-log entries older than `retention` before `now`, naming
 /// each to `dropped` (the cub's per-instance record follows the log through
 /// it). The log is in service order (ascending time; [`replay_batch`]

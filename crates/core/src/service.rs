@@ -255,18 +255,14 @@ impl Cub {
         }
         let block_due = sh.params.slot_send_time(spec.dating_disk, vs.slot, now);
         let send_at = block_due + spec.offset;
-        // A record can only legitimately be up to maxVStateLead early plus
-        // one block play time per bridged failure (the cover chain advances
-        // past each dead disk instantly); a due time further out means the
-        // record arrived *after* its due time and wrapped to the next
-        // schedule lap — the block is lost, not a lap late. §4.1.2
-        // prescribes discarding such late arrivals (the viewer is
-        // "spontaneously descheduled" in the worst case). On rings too
+        // A record can only legitimately be up to `legit_lead` early (the
+        // cover chain advances past each dead disk instantly); a due time
+        // further out means the record arrived *after* its due time and
+        // wrapped to the next schedule lap — the block is lost, not a lap
+        // late. §4.1.2 prescribes discarding such late arrivals (the viewer
+        // is "spontaneously descheduled" in the worst case). On rings too
         // short to tell the two cases apart, skip the guard.
-        let max_legit_lead = sh.cfg.max_vstate_lead
-            + sh.params
-                .block_play_time()
-                .mul_u64(u64::from(sh.params.stripe().decluster) + 1);
+        let max_legit_lead = sh.cfg.legit_lead();
         let wrapped = max_legit_lead < sh.params.schedule_len()
             && block_due.saturating_since(now) > max_legit_lead;
         let me = self.id.raw();

@@ -537,9 +537,7 @@ impl TigerSystem {
     }
 
     /// Invariant check: no living cub's schedule view runs further ahead
-    /// of real time than `maxVStateLead` allows (§3.3), plus one slack
-    /// term for the declustered mirror fan-out (a failure forwards mirror
-    /// entries up to `decluster + 1` slots ahead of the primary's time).
+    /// of real time than `TigerConfig::legit_lead` allows (§3.3).
     /// Returns violation strings (empty = pass). On rings short enough
     /// that the legitimate lead wraps the whole schedule the check is
     /// vacuous and reports nothing.
@@ -547,9 +545,7 @@ impl TigerSystem {
         let now = self.shared.queue.now();
         let params = &self.shared.params;
         let stripe = params.stripe();
-        let bpt = params.block_play_time();
-        let max_lead =
-            self.shared.cfg.max_vstate_lead + bpt.mul_u64(u64::from(stripe.decluster) + 1);
+        let max_lead = self.shared.cfg.legit_lead();
         if max_lead >= params.schedule_len() {
             return Vec::new();
         }

@@ -2,7 +2,6 @@
 //! constructors, and the lifetime of the acting successor's cover memory.
 
 use tiger_core::cub::service::PieceSpec;
-use tiger_core::recovery::retired_retention;
 use tiger_core::{Backend, Message, RedundancyMode, TigerConfig, TigerSystem};
 use tiger_layout::ids::ViewerInstance;
 use tiger_layout::{BlockNum, CubId, DiskId, StripeConfig, ViewerId};
@@ -172,7 +171,7 @@ fn covers(sys: &TigerSystem) -> usize {
 #[test]
 fn cover_memory_outlives_the_block_by_the_retention_window() {
     let (mut sys, vs) = covered_last_block();
-    let retention = retired_retention(&sys.shared().cfg);
+    let retention = sys.shared().cfg.retired_retention();
     let due = sys
         .shared()
         .params

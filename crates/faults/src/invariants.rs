@@ -306,20 +306,6 @@ pub fn check_deadman_justified(
     violations
 }
 
-/// The bound the loss-window invariant holds a single clean failure to:
-/// detection can take up to the deadman timeout plus two ping intervals
-/// plus one worst-case network hop, and the schedule needs a few block
-/// play times for the failure notices to propagate and mirrored sends to
-/// take over.
-pub fn loss_window_bound(
-    deadman_timeout: SimDuration,
-    deadman_interval: SimDuration,
-    worst_latency: SimDuration,
-    block_play_time: SimDuration,
-) -> SimDuration {
-    deadman_timeout + deadman_interval.mul_u64(2) + worst_latency + block_play_time.mul_u64(4)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -573,16 +559,5 @@ mod tests {
         assert_eq!(iv.spans(), &[(t(1), t(3)), (t(5), t(7))]);
         // The reverse direction matches neither clause.
         assert!(drop_silence_intervals(&plan, topo(), 2, 1, timeout, interval, 1e-9).is_empty());
-    }
-
-    #[test]
-    fn loss_window_bound_tracks_its_terms() {
-        let bound = loss_window_bound(
-            d(5),
-            SimDuration::from_millis(500),
-            SimDuration::from_millis(10),
-            d(1),
-        );
-        assert_eq!(bound, SimDuration::from_millis(5_000 + 1_000 + 10 + 4_000));
     }
 }

@@ -24,8 +24,8 @@ pub mod plan;
 
 pub use inject::{DiskFaults, DiskVerdict, NetFaults, NetPerturb, ProcFaults};
 pub use invariants::{
-    check_deadman_justified, drop_silence_intervals, loss_window_bound, silence_probability,
-    stall_intervals, Intervals, ObservedDeclare, ObservedStall,
+    check_deadman_justified, drop_silence_intervals, silence_probability, stall_intervals,
+    Intervals, ObservedDeclare, ObservedStall,
 };
 pub use plan::{
     parse_duration, DiskFault, DiskFaultKind, FaultPlan, FaultWindow, LinkFault, NodeSel,

@@ -25,7 +25,6 @@ use std::time::Duration;
 
 use tiger_core::{TigerConfig, TigerSystem};
 use tiger_layout::CubId;
-use tiger_proto::RingConfig;
 use tiger_rt::{render_decisions, run_crash_rejoin, CrashRejoinScript};
 use tiger_sim::SimTime;
 use tiger_trace::TraceRecord;
@@ -63,11 +62,6 @@ fn des_shrink_lanes(cfg: &TigerConfig) -> String {
 fn main() -> ExitCode {
     let mut cfg = TigerConfig::small_test();
     cfg.disk = cfg.disk.without_blips();
-    let ring_cfg = RingConfig {
-        deadman_timeout: cfg.deadman_timeout,
-        deadman_interval: cfg.deadman_interval,
-        min_vstate_lead: cfg.min_vstate_lead,
-    };
     let num_cubs = cfg.stripe.num_cubs;
 
     eprintln!("rt_conformance: DES oracle ({num_cubs} cubs, crash-rejoin)...");
@@ -84,7 +78,7 @@ fn main() -> ExitCode {
         restart_at: Duration::from_millis(RESTART_AT_MS),
         end_at: Duration::from_millis(END_AT_MS),
     };
-    let run = match run_crash_rejoin(num_cubs, ring_cfg, script) {
+    let run = match run_crash_rejoin(num_cubs, cfg.ring(), script) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("rt_conformance: socket driver failed: {e}");

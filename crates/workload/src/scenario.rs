@@ -33,7 +33,7 @@
 //! 4. **Loss window bounded after a single clean failure**: when the
 //!    plan is exactly one cub crash, the span between the earliest and
 //!    latest lost block must stay within
-//!    [`tiger_faults::loss_window_bound`].
+//!    [`TigerConfig::loss_window`].
 //! 5. **Rejoin convergence bounded.** A restarted cub that re-accepts a
 //!    slot (`rejoin-done`) must do so within the hand-back window plus
 //!    scheduling slack of its `cub-restart` — re-learning the schedule
@@ -42,9 +42,10 @@
 //!    (a `retired-replay` trace with `count > 0`), the bound tightens
 //!    to *under one forward interval*: the predecessor pushed the
 //!    schedule tail directly, so convergence must not wait for periodic
-//!    forwarding. The stubbed-replay negative control lives in this
-//!    module's tests: replay off, the same scenario converges only at
-//!    forwarding cadence.
+//!    forwarding. The negative control is the mutant census patch
+//!    `replay-traced-not-sent` (docs/FAULTS.md): it traces the batch but
+//!    skips the send, and this invariant fails
+//!    `fast_rejoin_replays_the_retired_tail_sub_interval`.
 //! 6. **Restripe duration within the §6.4 bandwidth estimate.** A
 //!    fault-free live restripe must cut over no sooner than the raw
 //!    transfer time of its bottleneck disk/NIC and no later than the
@@ -53,15 +54,14 @@
 //! Violations of the omniscient checker and the NIC/schedule asserts
 //! (`Metrics::violations`) are folded in as well. A seventh property
 //! compares two runs and lives in this module's tests: **spares never
-//! widen loss**. With `spare_shield` on, the per-(viewer, block) missing
-//! set must be a subset of the same scenario's missing set with the
-//! shield off, both under fixed (zero-jitter) control latency so the
-//! runs differ only in shield behavior.
+//! widen loss**. With one spare provisioned, the per-(viewer, block)
+//! missing set must be a subset of the same scenario's missing set with
+//! none, both under fixed (zero-jitter) control latency so the runs
+//! differ only in the shield the spare makes possible.
 
 use tiger_core::{TigerConfig, TigerSystem};
 use tiger_faults::{
-    check_deadman_justified, loss_window_bound, FaultPlan, ObservedDeclare, ObservedStall,
-    ProcessFault,
+    check_deadman_justified, FaultPlan, ObservedDeclare, ObservedStall, ProcessFault,
 };
 use tiger_layout::ids::ViewerInstance;
 use tiger_layout::{FileId, RestripePlan, StripeConfig};
@@ -544,13 +544,12 @@ fn check(
                 // (batch latency), never a wait on periodic forwarding.
                 // An empty batch (idle predecessor) legitimately falls
                 // back to the passive path and its legacy bound.
-                let replayed = cfg.retired_replay
-                    && records().any(|r| {
-                        r.at >= rec.at
-                            && r.at <= done.at
-                            && matches!(r.ev,
-                                TraceEvent::RetiredReplay { to, count } if to == cub && count > 0)
-                    });
+                let replayed = records().any(|r| {
+                    r.at >= rec.at
+                        && r.at <= done.at
+                        && matches!(r.ev,
+                            TraceEvent::RetiredReplay { to, count } if to == cub && count > 0)
+                });
                 let bound = if replayed { replay_bound } else { rejoin_bound };
                 if took > bound {
                     violations.push(format!(
@@ -634,12 +633,7 @@ fn single_crash_bound(s: &Scenario) -> Option<SimDuration> {
         return None;
     }
     match p.process.as_slice() {
-        [ProcessFault::Crash { .. }] => Some(loss_window_bound(
-            s.tiger.deadman_timeout,
-            s.tiger.deadman_interval,
-            s.tiger.latency.worst_case(),
-            s.tiger.block_play_time,
-        )),
+        [ProcessFault::Crash { .. }] => Some(s.tiger.loss_window()),
         _ => None,
     }
 }
@@ -739,12 +733,10 @@ mod tests {
 
     #[test]
     fn fast_rejoin_replays_the_retired_tail_sub_interval() {
-        // With retired-log replay on (the default), the predecessor
-        // pushes the rejoiner's imminent schedule in the rejoin
-        // handshake: convergence must land under one forward interval,
-        // and invariant 5's tightened bound must hold.
+        // The predecessor pushes the rejoiner's imminent schedule in the
+        // rejoin handshake: convergence must land under one forward
+        // interval, and invariant 5's tightened bound must hold.
         let s = quick("crash c1 at=20s\nrestart c1 at=40s\n");
-        assert!(s.tiger.retired_replay, "replay should be the default");
         let r = run(&s);
         assert!(
             r.sys.tracer().iter().any(|r| matches!(
@@ -757,31 +749,6 @@ mod tests {
         assert!(
             took < s.tiger.forward_interval,
             "replayed rejoin took {took}, not sub-interval"
-        );
-    }
-
-    #[test]
-    fn stubbed_replay_cannot_meet_the_sub_interval_bound() {
-        // The negative control for invariant 5's tightening: with the
-        // replay stubbed out, the rejoiner waits on periodic forwarding
-        // and converges well past one forward interval. Only the legacy
-        // hand-back bound saves the run — so a stub that still traced
-        // the handshake would fail the invariant outright.
-        let mut s = quick("crash c1 at=20s\nrestart c1 at=40s\n");
-        s.tiger.retired_replay = false;
-        let r = run(&s);
-        assert!(
-            !trace(&r).contains("retired-replay"),
-            "stub must not replay"
-        );
-        assert!(r.violations.is_empty(), "{:?}", r.violations);
-        // Passive convergence waits on the forwarding cadence — hundreds
-        // of milliseconds. Replayed convergence is batch latency — a few
-        // milliseconds. The gap is what the tightened bound enforces.
-        let took = rejoin_took(&r);
-        assert!(
-            took > SimDuration::from_millis(100),
-            "passive rejoin converged in {took} — the sub-interval tightening would be vacuous"
         );
     }
 
@@ -831,10 +798,11 @@ mod tests {
     fn spare_shield_never_widens_loss_under_double_failure() {
         // The seventh property's canonical scenario: cub 1 dies and the
         // shield shadows its exposed decluster spans onto the spare; then
-        // a surviving holder of those spans (cub 2) dies too. Shielded,
+        // a surviving holder of those spans (cub 3) dies too. Shielded,
         // the cover path routes the dead holder's pieces to the spare;
-        // unshielded they are failover-lost. The shielded missing set
-        // must be a strict improvement, never a widening.
+        // with no spare to shield onto they are failover-lost. The
+        // shielded missing set must be a strict improvement, never a
+        // widening.
         // An 8-cub ring, not the quick 4-cub one: with two of four cubs
         // dead, the schedule period (4s) is shorter than the maximum
         // legitimate record lead (6s), which structurally disables the
@@ -847,8 +815,7 @@ mod tests {
         let shielded = |on: bool| {
             let mut tiger = TigerConfig::small_test();
             tiger.stripe = StripeConfig::new(8, 1, 2);
-            tiger.spare_cubs = 1;
-            tiger.spare_shield = on;
+            tiger.spare_cubs = u32::from(on);
             // Zero jitter: shield traffic reorders RNG draws between the
             // two runs, so jittered latency would perturb unrelated
             // deliveries and muddy the subset comparison. Both runs see
@@ -932,5 +899,61 @@ mod tests {
         assert!(missing > 0, "errored reads should lose blocks");
         assert!(trace(&r).contains("disk-transient"));
         assert!(r.violations.is_empty(), "{:?}", r.violations);
+    }
+
+    /// The small ring at [`TigerConfig::preconditions`] entry `entry`'s
+    /// edge, in 100 ms steps: its closest legal value, or one step past.
+    fn at_edge(entry: usize, past: bool) -> TigerConfig {
+        let mut c = TigerConfig::small_test();
+        let ms = |at: u64, beyond: u64| SimDuration::from_millis(if past { beyond } else { at });
+        match entry {
+            0 => c.latency = LatencyModel::fixed(ms(900, 1_000)),
+            1 => c.min_vstate_lead = ms(2_900, 3_000),
+            2 => c.max_vstate_lead = ms(4_000, 4_100),
+            3 => c.scheduling_lead = ms(1_900, 2_000),
+            4 => c.ownership_duration = ms(900, 1_000),
+            _ => c.deadman_timeout = ms(1_000, 900),
+        }
+        c
+    }
+
+    #[test]
+    fn one_step_past_each_precondition_breaks_that_entry_alone() {
+        let disks = TigerConfig::small_test().stripe.num_disks();
+        for entry in 0..6 {
+            let holds = |past| at_edge(entry, past).preconditions(disks).map(|(h, _)| h);
+            assert_eq!(holds(false), [true; 6], "entry {entry} at its edge");
+            let broken: Vec<usize> = (0..6).filter(|&i| !holds(true)[i]).collect();
+            assert_eq!(broken, [entry], "entry {entry} one step past its edge");
+        }
+    }
+
+    #[test]
+    fn each_precondition_edge_runs_clean_or_shows_its_finding() {
+        // The chaos sweep's single crash on the quick ring, each bound at
+        // its closest legal value. Three bounds do not suffice there: the
+        // run breaks an invariant. docs/PROTOCOL.md "The timing contract"
+        // records each finding and the runs one step past; a finding that
+        // goes away must leave that table with it.
+        let findings = [
+            Some("conflicting viewer state"),
+            None,
+            Some("exceeds the single-failure bound"),
+            None,
+            Some("conflicting viewer state"),
+            None,
+        ];
+        for (entry, finding) in findings.into_iter().enumerate() {
+            let faults = FaultPlan::parse("crash c1 at=30s").expect("plan parses");
+            let r = run(&Scenario::quick(at_edge(entry, false), faults));
+            match finding {
+                None => assert!(r.violations.is_empty(), "entry {entry}: {:?}", r.violations),
+                Some(f) => assert!(
+                    r.violations.iter().any(|v| v.contains(f)),
+                    "entry {entry} no longer shows {f:?}: {:?}",
+                    r.violations
+                ),
+            }
+        }
     }
 }

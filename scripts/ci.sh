@@ -278,6 +278,10 @@ fi
 # measured, 1,206 and 478 (top-level files, like every total here; rt's
 # bin/ is not counted): ROADMAP items 10 and 11 will grow the machines,
 # and item 14 keeps the socket driver near 1k lines.
+# The timing contract's derived values then moved into TigerConfig (the
+# loss-window bound out of tiger_faults) and two switches went: core
+# 7,196 -> 7,195, faults 1,268 -> 1,254, workload 1,214 -> 1,208, bench
+# 2,921 -> 2,918; each limit follows what it measured.
 nontest() { awk '/#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$1"; }
 for f in crates/core/src/*.rs; do
     limit=1299
@@ -288,8 +292,8 @@ for f in crates/core/src/*.rs; do
         exit 1
     fi
 done
-for dir_limit in crates/core/src:7196 crates/faults/src:1268 crates/net/src:497 \
-    crates/workload/src:1214 crates/bench/src:2921 \
+for dir_limit in crates/core/src:7195 crates/faults/src:1254 crates/net/src:497 \
+    crates/workload/src:1208 crates/bench/src:2918 \
     crates/sched/src:1635 crates/proto/src:1206 crates/rt/src:478; do
     dir=${dir_limit%:*} limit=${dir_limit#*:} total=0
     for f in "$dir"/*.rs; do

@@ -10,7 +10,7 @@ use std::array;
 use std::iter::Take;
 
 use tiger_coded::CodedPlacement;
-use tiger_layout::{CubId, DiskId, MirrorPiece, MirrorPlacement, RedundancyMode, StripeConfig};
+use tiger_layout::{CubId, DiskId, MirrorPlacement, Piece, RedundancyMode, StripeConfig};
 use tiger_sched::{StreamKind, ViewerState};
 use tiger_sim::{ByteSize, SimDuration, SimTime};
 
@@ -69,16 +69,17 @@ impl Backend {
         block.div_u64_ceil(u64::from(self.shards()))
     }
 
-    /// The pieces of a block homed on `home` stored beyond its primary
-    /// extent, in piece order: mirror pieces `0..decluster`, or coded
-    /// shards `1..2k`.
-    pub(crate) fn secondary_pieces(&self, home: DiskId, block: ByteSize) -> Vec<MirrorPiece> {
+    /// The pieces of a block of `block` bytes stored beyond its primary
+    /// extent, in piece order, each a fixed shift of the home disk:
+    /// mirror pieces `0..decluster` (shift `i + 1`), or coded shards
+    /// `1..2k` (shift `j`). One list a file, never one a block.
+    pub(crate) fn secondary_pieces(&self, block: ByteSize) -> Vec<Piece> {
         match self {
-            Backend::Mirrored(p) => p.pieces_for(home, block),
+            Backend::Mirrored(p) => p.pieces(block).collect(),
             Backend::Coded(p, ..) => (1..p.n())
-                .map(|piece| MirrorPiece {
-                    piece,
-                    disk: p.shard_disk(home, piece),
+                .map(|j| Piece {
+                    piece: j,
+                    shift: j,
                     size: p.shard_size(block),
                 })
                 .collect(),
@@ -228,7 +229,7 @@ mod tests {
                 for size in [100u64, 250_000] {
                     let block = ByteSize::from_bytes(size);
                     let secondary: u64 = b
-                        .secondary_pieces(DiskId(10), block)
+                        .secondary_pieces(block)
                         .iter()
                         .map(|p| p.size.as_bytes())
                         .sum();
@@ -245,8 +246,9 @@ mod tests {
         for mode in [RedundancyMode::Mirrored, RedundancyMode::Coded] {
             let b = backend(mode, 4);
             for home in [DiskId(0), DiskId(10), DiskId(54)] {
-                for p in b.secondary_pieces(home, block) {
-                    assert_eq!(b.holder(home, p.piece), p.disk, "{mode:?}");
+                for p in b.secondary_pieces(block) {
+                    let disk = b.config().disk_after(home, p.shift);
+                    assert_eq!(b.holder(home, p.piece), disk, "{mode:?}");
                 }
             }
         }

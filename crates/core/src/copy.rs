@@ -63,9 +63,9 @@ pub(crate) struct CopyJob {
     pub file: FileId,
     /// The block.
     pub block: BlockNum,
-    /// `None` moves the primary block (`lookup_primary` → `load_primary`);
+    /// `None` moves the primary block (`lookup_primary` → `Cub::load`);
     /// `Some(p)` copies mirror piece `p` (`lookup_secondary` →
-    /// `load_secondary`).
+    /// `Cub::load`).
     pub piece: Option<u32>,
     /// Bytes committed at the destination.
     pub size: ByteSize,
@@ -287,11 +287,14 @@ impl CopyPipeline {
         }
         // Spare destinations are marked `failed` (they are not ring
         // members), but their disks are powered and commit fine.
-        let (disk, local) = (job.index_as, job.dst_local);
-        match job.piece {
-            None => cub.load_primary(disk, local, job.file, job.block, job.size),
-            Some(p) => cub.load_secondary(disk, local, job.file, job.block, p, job.size),
-        }
+        cub.load(
+            job.index_as,
+            job.dst_local,
+            job.file,
+            job.block,
+            job.piece,
+            job.size,
+        );
         self.stage[idx as usize] = Stage::Arrived;
         self.pending -= 1;
         let Some(key) = job.batch else {

@@ -7,7 +7,7 @@ use tiger_faults::{
 };
 use tiger_layout::catalog::BitrateMode;
 use tiger_layout::ids::ViewerInstance;
-use tiger_layout::{BlockNum, CubId, FileCatalog, FileId, ViewerId};
+use tiger_layout::{CubId, FileCatalog, FileId, ViewerId};
 use tiger_net::{NetNode, Network, Sent};
 use tiger_proto::msg::Message;
 use tiger_sched::disk_schedule::Omniscient;
@@ -341,25 +341,7 @@ impl TigerSystem {
     pub fn add_file(&mut self, bitrate: Bandwidth, duration: SimDuration) -> FileId {
         let file = self.shared.catalog.add_file(bitrate, duration);
         let meta = *self.shared.catalog.get(file).expect("just added");
-        let stripe = self.shared.params.stripe();
-        for b in 0..meta.num_blocks {
-            let loc = self
-                .shared
-                .catalog
-                .locate(file, BlockNum(b))
-                .expect("in range");
-            let local = stripe.local_index_of(loc.disk);
-            self.cubs[loc.cub.index()].load_primary(
-                loc.disk,
-                local,
-                file,
-                BlockNum(b),
-                self.shared.backend.primary_extent(meta.block_size),
-            );
-        }
-        // The secondary region allocates independently of the primary one,
-        // so the mirror pieces are laid out in a pass of their own.
-        self.lay_secondaries(&meta);
+        self.lay_file(&meta, true);
         file
     }
 

@@ -13,6 +13,7 @@
 use tiger_sim::ByteSize;
 
 use crate::ids::DiskId;
+use crate::lay::Piece;
 use crate::stripe::StripeConfig;
 
 /// One piece of a block's declustered mirror copy.
@@ -49,20 +50,27 @@ impl MirrorPlacement {
     /// piece absorbs the remainder so the pieces sum exactly to
     /// `block_size`.
     pub fn pieces_for(&self, primary_disk: DiskId, block_size: ByteSize) -> Vec<MirrorPiece> {
-        let d = self.cfg.decluster;
-        let even = block_size.div_u64_ceil(u64::from(d));
-        let mut remaining = block_size;
-        (0..d)
-            .map(|i| {
-                let size = if remaining > even { even } else { remaining };
-                remaining = remaining - size;
-                MirrorPiece {
-                    piece: i,
-                    disk: self.piece_disk(primary_disk, i),
-                    size,
-                }
+        (self.pieces(block_size))
+            .map(|p| MirrorPiece {
+                piece: p.piece,
+                disk: self.cfg.disk_after(primary_disk, p.shift),
+                size: p.size,
             })
             .collect()
+    }
+
+    /// The mirror pieces of every block of `block_size` bytes, as shifts
+    /// of the home disk: piece `i` on the `(i+1)`-th disk after it, of
+    /// `ceil(block_size / decluster)` bytes or what is left of the block.
+    pub fn pieces(&self, block_size: ByteSize) -> impl Iterator<Item = Piece> {
+        let d = self.cfg.decluster;
+        let (block, even) = (block_size.as_bytes(), block_size.div_u64_ceil(u64::from(d)));
+        (0..d).map(move |i| Piece {
+            piece: i,
+            shift: i + 1,
+            size: ByteSize::from_bytes(block.saturating_sub(u64::from(i) * even.as_bytes()))
+                .min(even),
+        })
     }
 
     /// The disk holding mirror piece `piece` of blocks whose primary is on

@@ -9,7 +9,7 @@
 //! manufactures mirror viewer states so the declustered secondary copies
 //! take over.
 
-use tiger_sim::{DetHashMap as HashMap, DetHashSet as HashSet};
+use tiger_sim::DetHashMap as HashMap;
 
 use tiger_layout::catalog::FileMeta;
 use tiger_layout::ids::ViewerInstance;
@@ -89,8 +89,9 @@ pub struct Cub {
     pub(crate) next_deadman_check: SimTime,
     /// Control messages processed (receive side, for the CPU model).
     msgs_processed: Counter,
-    /// Viewer instances for which an EOF notice was already sent.
-    eof_sent: HashSet<ViewerInstance>,
+    /// Viewer instances for which an EOF notice was already sent, and
+    /// when: dropped a retired-log window later, with the cover memory.
+    eof_sent: HashMap<ViewerInstance, SimTime>,
     /// Set while this cub is rejoining after a restart: the restart
     /// instant, taken (and traced as convergence) on the first primary
     /// service acceptance of the new life.
@@ -127,7 +128,7 @@ impl Cub {
             next_deadman_ping: SimTime::ZERO,
             next_deadman_check: SimTime::ZERO,
             msgs_processed: Counter::new(),
-            eof_sent: HashSet::default(),
+            eof_sent: HashMap::default(),
             rejoined_at: None,
             pass_batch: Vec::new(),
         }
@@ -197,6 +198,12 @@ impl Cub {
     /// this.
     pub fn schedule_information_held(&self) -> usize {
         self.view.len() + self.shadows.len() + self.services.information_held()
+    }
+
+    /// The instances this cub remembers telling the controllers played to
+    /// their end: a retired-log window's worth.
+    pub fn eof_notices_held(&self) -> usize {
+        self.eof_sent.len()
     }
 
     /// Peak read-ahead buffer usage in bytes (compare against the 20 MB
@@ -497,7 +504,8 @@ impl Cub {
 
     /// Tells the controllers, once, that `instance` played to its end.
     fn report_eof(&mut self, sh: &mut Shared, now: SimTime, instance: ViewerInstance) {
-        if self.eof_sent.insert(instance) {
+        if let std::collections::hash_map::Entry::Vacant(sent) = self.eof_sent.entry(instance) {
+            sent.insert(now);
             let me = sh.cub_node(self.id);
             sh.send_to_controllers(now, me, Message::ViewerFinished { instance });
         }
@@ -650,6 +658,7 @@ impl Cub {
         self.services.prune_retired(now, retention);
         let cover_horizon = now.saturating_sub(retention);
         self.mirrors_created.retain(|_, due| *due >= cover_horizon);
+        self.eof_sent.retain(|_, sent| *sent >= cover_horizon);
         // Each hold expiry is observed at this pass's granularity.
         let (me, tracer) = (self.id.raw(), &mut sh.tracer);
         self.view.gc_report(now, |d| {

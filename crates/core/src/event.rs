@@ -177,11 +177,18 @@ pub enum Event {
         /// The block to jump to.
         to_block: u32,
     },
+    /// Workload: a scripted plan's operation comes due. The event loop
+    /// runs (and counts) it as the `ClientStart`, `ClientStop`,
+    /// `ClientResume` or `ClientSeek` it stands for (`crate::demand`).
+    Scripted {
+        /// The operation's index in the system's script store.
+        op: u32,
+    },
 }
 
 impl Event {
     /// The event kinds' names, in declaration order.
-    pub const KIND_NAMES: [&'static str; 24] = [
+    pub const KIND_NAMES: [&'static str; 25] = [
         "Deliver",
         "ReadIssue",
         "PoolFloor",
@@ -206,6 +213,7 @@ impl Event {
         "ClientStop",
         "ClientResume",
         "ClientSeek",
+        "Scripted",
     ];
 
     /// This event's kind, an index into [`Event::KIND_NAMES`].
@@ -235,6 +243,7 @@ impl Event {
             Event::ClientStop { .. } => 21,
             Event::ClientResume { .. } => 22,
             Event::ClientSeek { .. } => 23,
+            Event::Scripted { .. } => 24,
         }
     }
 }

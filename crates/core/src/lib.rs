@@ -39,6 +39,7 @@ pub mod controller;
 pub mod copy;
 pub mod cpu;
 pub mod cub;
+mod demand;
 pub mod event;
 pub mod mbr;
 pub mod metrics;

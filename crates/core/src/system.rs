@@ -6,8 +6,7 @@ use tiger_faults::{
     DiskFaultKind, DiskFaults, FaultPlan, NetFaults, NetPerturb, ProcFaults, ProcessFault, Topology,
 };
 use tiger_layout::catalog::BitrateMode;
-use tiger_layout::ids::ViewerInstance;
-use tiger_layout::{CubId, FileCatalog, FileId, ViewerId};
+use tiger_layout::{CubId, FileCatalog, FileId};
 use tiger_net::{NetNode, Network, Sent};
 use tiger_proto::msg::Message;
 use tiger_sched::disk_schedule::Omniscient;
@@ -21,6 +20,7 @@ use crate::config::TigerConfig;
 use crate::controller::{ControlPlane, Controller};
 use crate::cpu::CpuModel;
 use crate::cub::Cub;
+use crate::demand::Scripts;
 use crate::event::Event;
 use crate::metrics::{Metrics, WindowSample};
 use crate::reconfig::Reconfig;
@@ -159,7 +159,10 @@ pub struct TigerSystem {
     pub(crate) ctl: ControlPlane,
     /// Restripe steps, shield campaigns and their copy lanes.
     pub(crate) reconfig: Reconfig,
-    next_viewer: u64,
+    /// The client each viewer was requested from, by viewer id.
+    pub(crate) owner: Vec<u32>,
+    /// A workload plan's operations, waiting to enter the queue.
+    pub(crate) scripts: Scripts,
     clients_handed: u32,
     /// Events dispatched so far, by [`Event::kind`].
     dispatched_by_kind: [u64; Event::KIND_NAMES.len()],
@@ -248,7 +251,8 @@ impl TigerSystem {
             // The controller, too, routes around spares until cut-over.
             ctl: ControlPlane::new(total_cubs, striped),
             reconfig: Reconfig::default(),
-            next_viewer: 0,
+            owner: Vec::new(),
+            scripts: Scripts::default(),
             clients_handed: 0,
             dispatched_by_kind: [0; Event::KIND_NAMES.len()],
         };
@@ -351,80 +355,6 @@ impl TigerSystem {
         let idx = self.clients_handed % self.shared.cfg.num_clients;
         self.clients_handed += 1;
         idx
-    }
-
-    // --- Workload API --------------------------------------------------------
-
-    /// Schedules a start request from `client` for `file` at time `at`.
-    /// Returns the viewer instance that will be used.
-    pub fn request_start(&mut self, at: SimTime, client: u32, file: FileId) -> ViewerInstance {
-        self.request_start_at(at, client, file, 0)
-    }
-
-    /// Schedules a start request beginning at `from_block` (VCR semantics:
-    /// a resume or a chapter jump starts mid-file).
-    pub fn request_start_at(
-        &mut self,
-        at: SimTime,
-        client: u32,
-        file: FileId,
-        from_block: u32,
-    ) -> ViewerInstance {
-        assert!(client < self.shared.cfg.num_clients, "unknown client");
-        let instance = ViewerInstance {
-            viewer: ViewerId(self.next_viewer),
-            incarnation: 0,
-        };
-        self.next_viewer += 1;
-        self.shared.queue.schedule(
-            at,
-            Event::ClientStart {
-                client,
-                file,
-                from_block,
-                instance,
-            },
-        );
-        instance
-    }
-
-    /// Schedules a stop request for `instance` at time `at`.
-    pub fn request_stop(&mut self, at: SimTime, instance: ViewerInstance) {
-        self.shared
-            .queue
-            .schedule(at, Event::ClientStop { instance });
-    }
-
-    /// Schedules a pause: the viewer leaves the schedule (a deschedule),
-    /// but the client remembers how far it got so a later
-    /// [`TigerSystem::request_resume`] can pick up from there.
-    pub fn request_pause(&mut self, at: SimTime, instance: ViewerInstance) {
-        self.request_stop(at, instance);
-    }
-
-    /// Schedules a resume of a paused viewer: a fresh play instance (the
-    /// incarnation number bumps, so stale deschedules cannot kill it,
-    /// §4.1.2) starting at the first block the paused instance did not
-    /// receive. Returns the resumed instance.
-    pub fn request_resume(&mut self, at: SimTime, instance: ViewerInstance) -> ViewerInstance {
-        self.shared
-            .queue
-            .schedule(at, Event::ClientResume { instance });
-        instance.next_incarnation()
-    }
-
-    /// Schedules a seek: stop the current play instance and start a new
-    /// incarnation at `to_block`. Returns the new instance.
-    pub fn request_seek(
-        &mut self,
-        at: SimTime,
-        instance: ViewerInstance,
-        to_block: u32,
-    ) -> ViewerInstance {
-        self.shared
-            .queue
-            .schedule(at, Event::ClientSeek { instance, to_block });
-        instance.next_incarnation()
     }
 
     /// Schedules a power-cut of `cub` at time `at`.
@@ -590,6 +520,10 @@ impl TigerSystem {
     }
 
     fn dispatch(&mut self, now: SimTime, event: Event) {
+        let event = match event {
+            Event::Scripted { op } => self.scripts.fire(&mut self.shared.queue, op),
+            event => event,
+        };
         self.dispatched_by_kind[event.kind()] += 1;
         if self.shared.faults.active() {
             if let Some(cub) = self.frozen_target(&event) {
@@ -716,6 +650,7 @@ impl TigerSystem {
             Event::ClientSeek { instance, to_block } => {
                 self.reincarnate(now, instance, Some(to_block));
             }
+            Event::Scripted { .. } => unreachable!("runs as the event it stands for"),
             Event::RestartCub { cub } => self.restart_cub(now, cub),
             Event::RestripeStart => self.restripe_start(now),
             Event::CopyTick { lane } => self.copy_tick(now, lane),
@@ -785,87 +720,6 @@ impl TigerSystem {
             let latency = v.start_latency_secs().expect("first block just arrived");
             self.shared.metrics.record_start(v.load_at_request, latency);
         }
-    }
-
-    pub(crate) fn on_client_start(
-        &mut self,
-        now: SimTime,
-        client: u32,
-        file: FileId,
-        from_block: u32,
-        instance: ViewerInstance,
-    ) {
-        let Some(meta) = self.shared.catalog.get(file).copied() else {
-            return;
-        };
-        if from_block >= meta.num_blocks {
-            return; // Nothing to play.
-        }
-        let load = f64::from(self.controller().active_streams())
-            / f64::from(self.shared.params.capacity());
-        self.clients[client as usize].on_request(
-            instance,
-            file,
-            meta.num_blocks,
-            from_block,
-            now,
-            load,
-        );
-        let node = self.shared.client_node(client);
-        self.shared.send_to_controllers(
-            now,
-            node,
-            Message::StartRequest {
-                client: node.raw(),
-                instance,
-                file,
-                from_block,
-                requested_at: now,
-            },
-        );
-    }
-
-    /// The one VCR transition: starts `instance`'s next incarnation (the
-    /// number bumps, so stale deschedules cannot kill it, §4.1.2) at
-    /// `seek_to`, or — a resume — at the first block the paused instance
-    /// did not receive.
-    fn reincarnate(&mut self, now: SimTime, instance: ViewerInstance, seek_to: Option<u32>) {
-        let held = self.clients.iter().enumerate().find_map(|(i, c)| {
-            let v = c.viewer(&instance)?;
-            Some((i as u32, v.file, v.resume_block()))
-        });
-        let Some((client, file, resume_at)) = held else {
-            return;
-        };
-        if seek_to.is_some() {
-            // Stop the old instance (idempotent if already gone) first.
-            self.on_client_stop(now, instance);
-        }
-        let next = instance.next_incarnation();
-        let to_block = seek_to.unwrap_or(resume_at);
-        self.shared.tracer.record(
-            now,
-            CTRL,
-            TraceEvent::SessionTransition {
-                viewer: next.viewer.raw(),
-                inc: next.incarnation,
-                kind: if seek_to.is_some() { 2 } else { 1 },
-                to_block,
-            },
-        );
-        self.on_client_start(now, client, file, to_block, next);
-    }
-
-    fn on_client_stop(&mut self, now: SimTime, instance: ViewerInstance) {
-        // The owning client tells the controllers, whatever their tables
-        // say: its start may still be on the wire, and control delivery
-        // is FIFO per channel, so the stop lands after it.
-        let Some(client) = self.clients.iter_mut().position(|c| c.on_stopped(instance)) else {
-            return; // Never requested, or already stopped.
-        };
-        let node = self.shared.client_node(client as u32);
-        self.shared
-            .send_to_controllers(now, node, Message::StopRequest { instance });
     }
 
     // --- Reporting -----------------------------------------------------------

@@ -14,28 +14,33 @@ use tiger_sim::{RngTree, SimTime};
 use tiger_trace::TraceEvent;
 use tiger_workgen::{SessionOp, WorkloadPlan};
 
-/// What [`drive_plan`] scheduled: the request-side ledger, before the
-/// system has run.
+/// What a plan [`drive_plan`] drew holds: the request-side ledger, before
+/// the system has run. The operations wait in the system's script store
+/// and enter the event queue as they come due, so this counts what the
+/// plan asks for, not what the queue holds.
 #[derive(Clone, Debug, Default)]
 pub struct DriveStats {
     /// Viewers admitted to the driver (arrival process × caps).
     pub arrivals: u32,
     /// Every initial play instance, with its arrival time and client.
     pub starts: Vec<(SimTime, u32, ViewerInstance)>,
-    /// Pause operations scheduled.
+    /// Pause operations in the plan.
     pub pauses: u32,
-    /// Resume operations scheduled.
+    /// Resume operations in the plan.
     pub resumes: u32,
-    /// Seek operations scheduled.
+    /// Seek operations in the plan.
     pub seeks: u32,
-    /// Abandon (early stop) operations scheduled.
+    /// Abandon (early stop) operations in the plan.
     pub abandons: u32,
 }
 
-/// Schedules everything `plan` generates against `sys`: arrivals become
+/// Scripts everything `plan` generates against `sys`: arrivals become
 /// start requests on round-robin clients, titles map to `files` by rank,
 /// and each viewer's session script threads pause/resume/seek/stop
-/// through the incarnation chain. Flash-crowd onsets drop
+/// through the incarnation chain. The whole plan is drawn here, in one
+/// sequential pass; it enters the event queue a session's next operation
+/// at a time, each under the tie rank it was drawn with
+/// ([`TigerSystem::release_scripts`]). Flash-crowd onsets drop
 /// [`TraceEvent::WorkgenBurst`] markers into the trace ring.
 ///
 /// `files` must hold at least [`WorkloadPlan::titles`] entries.
@@ -69,7 +74,7 @@ pub fn drive_plan(sys: &mut TigerSystem, plan: &WorkloadPlan, files: &[FileId]) 
         let title = w.popularity.sample(at, &mut w.chooser);
         let file = files[title as usize];
         let client = sys.add_client();
-        let mut current = sys.request_start(at, client, file);
+        let mut current = sys.script_start(at, client, file);
         stats.arrivals += 1;
         stats.starts.push((at, client, current));
 
@@ -82,30 +87,31 @@ pub fn drive_plan(sys: &mut TigerSystem, plan: &WorkloadPlan, files: &[FileId]) 
         for ev in w.sessions.script(ordinal, at, file_blocks, horizon) {
             match ev.op {
                 SessionOp::Pause => {
-                    sys.request_pause(ev.at, current);
+                    sys.script_stop(ev.at, current);
                     stats.pauses += 1;
                 }
                 SessionOp::Resume => {
-                    current = sys.request_resume(ev.at, current);
+                    current = sys.script_resume(ev.at, current);
                     stats.resumes += 1;
                 }
                 SessionOp::Seek { to_block } => {
-                    current = sys.request_seek(ev.at, current, to_block);
+                    current = sys.script_seek(ev.at, current, to_block);
                     stats.seeks += 1;
                 }
                 SessionOp::Stop => {
-                    sys.request_stop(ev.at, current);
+                    sys.script_stop(ev.at, current);
                     stats.abandons += 1;
                 }
             }
         }
     }
+    sys.release_scripts();
     stats
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::scenario::{run, workgen_digest, Run, Scenario};
+    use crate::scenario::{run, workgen_digest, Demand, Run, Scenario};
     use tiger_sim::SimDuration;
 
     use super::*;
@@ -183,6 +189,67 @@ mod tests {
         let (a, b) = (run(&s), run(&s));
         assert_eq!(workgen_digest(&a), workgen_digest(&b));
         assert_eq!(a.blocking_curve(), b.blocking_curve());
+    }
+
+    /// The queue's capacity and the most it held pending at once, over
+    /// the first `window` of a quick interactive plan whose arrivals and
+    /// scripts run to `horizon`.
+    fn queue_footprint(horizon: u64, window: SimTime) -> (usize, usize) {
+        let s = quick(&format!(
+            "uniform titles=4\narrivals rate=0.3/s\n\
+             session interactive=1 pause=6/min dwell=4s seek=4/min abandon=1/min\n\
+             viewers max=1000\nhorizon t={horizon}s"
+        ));
+        let Demand::Plan(plan) = &s.demand else {
+            unreachable!("a quick plan scenario");
+        };
+        let mut sys = TigerSystem::new(s.tiger.clone());
+        let files = crate::catalog::populate_catalog(&mut sys, &s.catalog);
+        drive_plan(&mut sys, plan, &files);
+        let mut peak = sys.shared().queue.len();
+        while let Some(at) = sys.shared().queue.peek_time().filter(|&at| at <= window) {
+            sys.run_until(at);
+            peak = peak.max(sys.shared().queue.len());
+        }
+        (sys.shared().queue.capacity(), peak)
+    }
+
+    #[test]
+    fn the_queue_is_flat_in_the_plan_horizon() {
+        // The same first minute of one plan drawn to 2 and to 4 minutes:
+        // what waits in the queue is the sessions under way, not the plan.
+        let window = SimTime::from_secs(60);
+        let (capacity, peak) = queue_footprint(120, window);
+        assert_eq!(queue_footprint(240, window), (capacity, peak));
+    }
+
+    #[test]
+    fn end_of_file_notices_are_forgotten_a_window_later() {
+        // Twenty-second titles, so sessions play out: a long run reports
+        // hundreds of ends of file, and no cub keeps them past the window
+        // a double-forwarded record could still re-deliver one in.
+        let mut s = quick(
+            "uniform titles=4\narrivals rate=1/s\n\
+             session interactive=0.5 pause=2/min dwell=4s seek=2/min abandon=1/min\n\
+             viewers max=1000\nhorizon t=400s",
+        );
+        s.catalog.duration = SimDuration::from_secs(20);
+        let mut sys = TigerSystem::new(s.tiger.clone());
+        let files = crate::catalog::populate_catalog(&mut sys, &s.catalog);
+        s.demand.drive(&mut sys, &files);
+        let held = |sys: &TigerSystem| sys.cubs().iter().map(|c| c.eof_notices_held()).sum();
+        let mut peak = 0;
+        for secs in 1..=460 {
+            sys.run_until(SimTime::from_secs(secs));
+            peak = peak.max(held(&sys));
+        }
+        let ended = sys.all_clients_report().completed_viewers as usize;
+        assert!(ended > 150, "only {ended} instances played to their end");
+        assert!(
+            peak > 0 && peak < ended / 10,
+            "peak {peak} of {ended} notices held"
+        );
+        assert_eq!(held(&sys), 0, "notices outlived the window");
     }
 
     #[test]

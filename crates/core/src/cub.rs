@@ -617,14 +617,11 @@ impl Cub {
         }
         let mut finished: Vec<ViewerInstance> = Vec::new();
         self.services.forward_due(|entry| {
-            if entry.dropped || entry.vs.kind != StreamKind::Primary {
-                return false;
-            }
             let due_next = entry.send_at + sh.params.block_play_time();
             if now < due_next.saturating_sub(sh.cfg.max_vstate_lead) {
                 return false;
             }
-            entry.forwarded = true;
+            entry.forward();
             let advanced = entry.vs.advanced(1);
             let meta = sh.catalog.get(advanced.file).copied();
             let at_eof = meta.is_none_or(|m| advanced.position.raw() >= m.num_blocks);
@@ -687,15 +684,13 @@ impl Cub {
         let (mut killed, mut from) = (0u32, 0);
         while let Some((token, entry)) = self.services.next_match(&d, from) {
             from = token + 1;
-            if entry.sent {
-                continue; // Already went out; harmless.
+            // One that already went out is harmless.
+            if entry.kill() {
+                killed += 1;
+                // Unless a read is outstanding: DiskDone reclaims the
+                // entry when it completes.
+                self.reclaim_if_finished(sh, now, token);
             }
-            entry.dropped = true;
-            entry.forwarded = true; // Never forward a descheduled entry.
-            killed += 1;
-            // Unless a read is outstanding: DiskDone reclaims the entry
-            // when it completes.
-            self.reclaim_if_finished(sh, now, token);
         }
         sh.tracer.record(
             now,
@@ -990,24 +985,15 @@ impl Cub {
             return self.takeover_if_acting_successor(sh, now, failed);
         }
         // Active entries already forwarded into what turned out to be the
-        // dead window must be re-forwarded: clear their flag so the next
-        // pass sends them to the new next-living successor.
-        let mut reforward = false;
-        for e in self.services.values_mut() {
-            if !e.forwarded || e.dropped || e.vs.kind != StreamKind::Primary {
-                continue;
-            }
-            let next = e.vs.advanced(1);
-            let into_gap = sh
-                .catalog
-                .locate(next.file, next.position)
-                .is_some_and(|loc| self.ring.believes_failed(loc.cub));
-            if into_gap {
-                e.forwarded = false;
-                reforward = true;
-            }
-        }
-        if reforward {
+        // dead window must be re-forwarded: the next pass sends them to
+        // the new next-living successor.
+        let ring = &self.ring;
+        let into_gap = |vs: &ViewerState| {
+            let next = vs.advanced(1);
+            let loc = sh.catalog.locate(next.file, next.position);
+            loc.is_some_and(|loc| ring.believes_failed(loc.cub))
+        };
+        if self.services.reforward(into_gap) {
             sh.queue.schedule(
                 now + SimDuration::from_millis(1),
                 Event::ForwardPass { cub: self.id },
@@ -1227,14 +1213,7 @@ impl Cub {
         fences: &[Deschedule],
         hold_until: SimTime,
     ) {
-        for entry in self.services.values_mut() {
-            if !entry.sent {
-                entry.dropped = true;
-            }
-            entry.forwarded = true;
-            // What it added is on the old geometry's load table, not the new.
-            entry.reserved = 0;
-        }
+        self.services.cut_over();
         self.pool.clear_waiting(); // Unsent, every one: dropped just now.
         self.reclaim_finished(sh, now);
         self.reset_viewer_state();

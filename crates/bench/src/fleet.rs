@@ -685,7 +685,7 @@ fn ramp_report(scale: Scale, failed: bool) -> ExpReport {
     ramp_summary(&mut out, &result, failed);
     ExpReport {
         metrics: vec![metrics_of(&result)],
-        ok: report_violations(&mut out, &result.violations),
+        ok: report_violations(&mut out, &result.violations) == 0,
         ..ExpReport::new(out)
     }
 }
@@ -706,8 +706,6 @@ fn quick_ramp(tiger: TigerConfig, failed: bool) -> RampConfig {
     }
     RampConfig {
         failed_cub: Some(CubId(2)),
-        disk_report_cub: Some(CubId(3)),
-        report_cub: CubId(3),
         target: Some(16),
         hold_at_peak: SimDuration::from_secs(30),
         ..unfailed
@@ -771,7 +769,7 @@ pub fn fig10_report(scale: Scale, threads: usize) -> ExpReport {
     );
     let _ = writeln!(out, ">20 s outliers: {}", combined.count_above(20.0));
     ExpReport {
-        ok: report_violations(&mut out, &combined.violations),
+        ok: report_violations(&mut out, &combined.violations) == 0,
         metrics: vec![Metrics {
             start_latencies: combined.samples,
             ..Metrics::default()
@@ -837,7 +835,7 @@ pub fn loss_rates_report(scale: Scale, threads: usize) -> ExpReport {
     );
     ExpReport {
         metrics: results.iter().map(metrics_of).collect(),
-        ok: report_violations(&mut out, results.iter().flat_map(|r| &r.violations)),
+        ok: report_violations(&mut out, results.iter().flat_map(|r| &r.violations)) == 0,
         ..ExpReport::new(out)
     }
 }
@@ -897,23 +895,23 @@ pub fn reconfig_report(scale: Scale, _threads: usize) -> ExpReport {
         r.loss_window_secs()
     );
     ExpReport {
-        ok: report_violations(&mut out, &r.violations),
+        ok: report_violations(&mut out, &r.violations) == 0,
         ..ExpReport::new(out)
     }
 }
 
-/// Appends a `VIOLATION:` line to `out` for each of `violations`; true
-/// when there were none.
+/// Appends a `VIOLATION:` line to `out` for each of `violations`;
+/// returns how many there were.
 pub(crate) fn report_violations<'a>(
     out: &mut String,
     violations: impl IntoIterator<Item = &'a String>,
-) -> bool {
-    let mut clean = true;
+) -> usize {
+    let mut count = 0;
     for v in violations {
-        clean = false;
+        count += 1;
         let _ = writeln!(out, "  VIOLATION: {v}");
     }
-    clean
+    count
 }
 
 /// One unfailed ramp to capacity on a ring of `cubs`; returns the streams
@@ -993,7 +991,7 @@ pub fn scalability_report(scale: Scale, threads: usize) -> ExpReport {
     for (cubs, (streams, rate, _)) in rings.iter().zip(&measured) {
         let _ = writeln!(out, "{cubs:>4}  {streams:>7}  {rate:>12.0}");
     }
-    let ok = report_violations(&mut out, measured.iter().flat_map(|m| &m.2));
+    let ok = report_violations(&mut out, measured.iter().flat_map(|m| &m.2)) == 0;
     out.push('\n');
     let _ = writeln!(
         out,
@@ -1100,7 +1098,7 @@ pub fn forwarding_report(scale: Scale, threads: usize) -> ExpReport {
     for ((label, _, _), (missing, tail, bytes, _)) in points.iter().zip(&rows) {
         let _ = writeln!(out, "{label:<22} {missing:>14}  {tail:>19}  {bytes:>18}");
     }
-    let ok = report_violations(&mut out, rows.iter().flat_map(|r| &r.3));
+    let ok = report_violations(&mut out, rows.iter().flat_map(|r| &r.3)) == 0;
     out.push('\n');
     let (bare, go_back, double) = (&rows[0], &rows[1], &rows[2]);
     let _ = writeln!(
@@ -1198,7 +1196,7 @@ pub fn lead_report(scale: Scale, threads: usize) -> ExpReport {
             *bytes as f64 / *msgs as f64,
         );
     }
-    let ok = report_violations(&mut out, rows.iter().flat_map(|r| &r.3));
+    let ok = report_violations(&mut out, rows.iter().flat_map(|r| &r.3)) == 0;
     out.push('\n');
     let _ = writeln!(
         out,
@@ -1575,7 +1573,7 @@ pub fn admission_report(scale: Scale, threads: usize) -> ExpReport {
          bounded startup latency — the operational recommendation of §5."
     );
     ExpReport {
-        ok: report_violations(&mut out, results.iter().flat_map(|r| &r.1)),
+        ok: report_violations(&mut out, results.iter().flat_map(|r| &r.1)) == 0,
         ..ExpReport::new(out)
     }
 }
@@ -1687,7 +1685,7 @@ pub fn capacity_report(scale: Scale, threads: usize) -> ExpReport {
     );
     ExpReport {
         metrics: results.iter().map(metrics_of).collect(),
-        ok: report_violations(&mut out, results.iter().flat_map(|r| &r.violations)),
+        ok: report_violations(&mut out, results.iter().flat_map(|r| &r.violations)) == 0,
         ..ExpReport::new(out)
     }
 }

@@ -5,7 +5,6 @@ use tiger_disk::Disk;
 use tiger_faults::{
     DiskFaultKind, DiskFaults, FaultPlan, NetFaults, NetPerturb, ProcFaults, ProcessFault, Topology,
 };
-use tiger_layout::catalog::BitrateMode;
 use tiger_layout::{CubId, FileCatalog, FileId};
 use tiger_net::{NetNode, Network, Sent};
 use tiger_proto::msg::Message;
@@ -178,12 +177,7 @@ impl TigerSystem {
     pub fn new(cfg: TigerConfig) -> Self {
         cfg.validate();
         let params = cfg.schedule_params();
-        let catalog = FileCatalog::new(
-            cfg.stripe,
-            cfg.block_play_time,
-            cfg.max_bitrate,
-            BitrateMode::Single,
-        );
+        let catalog = FileCatalog::new(cfg.stripe, cfg.block_play_time, cfg.max_bitrate);
         let rng = RngTree::new(cfg.seed);
         let total_cubs = cfg.total_cubs();
         let topology = Topology {

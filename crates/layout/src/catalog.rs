@@ -4,9 +4,9 @@
 //! The duration of a block is called the 'block play time' … The block play
 //! time is the same for every file in a particular Tiger system."
 //!
-//! In a *single bitrate* server all blocks are the same size and slower
-//! files suffer internal fragmentation; in a *multiple bitrate* server block
-//! sizes are proportional to the file bitrate (§2.2).
+//! This is a *single bitrate* server (§2.2): all blocks are the same size,
+//! sized for the system's maximum bitrate, and slower files suffer
+//! internal fragmentation.
 
 use tiger_sim::{Bandwidth, ByteSize, SimDuration};
 
@@ -31,15 +31,6 @@ pub struct FileMeta {
     pub start_disk: DiskId,
 }
 
-/// Whether the server sizes blocks for one fixed bitrate or per-file.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BitrateMode {
-    /// All blocks sized for `max_bitrate`; slower files fragment internally.
-    Single,
-    /// Block sizes proportional to each file's bitrate.
-    Multiple,
-}
-
 /// The system-wide file catalog.
 ///
 /// The catalog is replicated metadata: every cub and the controller hold an
@@ -50,7 +41,6 @@ pub struct FileCatalog {
     cfg: StripeConfig,
     block_play_time: SimDuration,
     max_bitrate: Bandwidth,
-    mode: BitrateMode,
     files: Vec<FileMeta>,
 }
 
@@ -60,12 +50,7 @@ impl FileCatalog {
     /// # Panics
     ///
     /// Panics if `block_play_time` is zero or `max_bitrate` is zero.
-    pub fn new(
-        cfg: StripeConfig,
-        block_play_time: SimDuration,
-        max_bitrate: Bandwidth,
-        mode: BitrateMode,
-    ) -> Self {
+    pub fn new(cfg: StripeConfig, block_play_time: SimDuration, max_bitrate: Bandwidth) -> Self {
         assert!(
             !block_play_time.is_zero(),
             "block play time must be nonzero"
@@ -75,24 +60,8 @@ impl FileCatalog {
             cfg,
             block_play_time,
             max_bitrate,
-            mode,
             files: Vec::new(),
         }
-    }
-
-    /// The system block play time.
-    pub fn block_play_time(&self) -> SimDuration {
-        self.block_play_time
-    }
-
-    /// The configured maximum bitrate.
-    pub fn max_bitrate(&self) -> Bandwidth {
-        self.max_bitrate
-    }
-
-    /// The bitrate mode.
-    pub fn mode(&self) -> BitrateMode {
-        self.mode
     }
 
     /// Adds a file of the given bitrate and play duration; returns its id.
@@ -120,17 +89,12 @@ impl FileCatalog {
                 .div_ceil(self.block_play_time.as_nanos()),
         )
         .expect("file too long");
-        let payload_size = bitrate.bytes_in(self.block_play_time);
-        let block_size = match self.mode {
-            BitrateMode::Single => self.max_bitrate.bytes_in(self.block_play_time),
-            BitrateMode::Multiple => payload_size,
-        };
         let meta = FileMeta {
             id,
             bitrate,
             num_blocks,
-            block_size,
-            payload_size,
+            block_size: self.max_bitrate.bytes_in(self.block_play_time),
+            payload_size: bitrate.bytes_in(self.block_play_time),
             start_disk: self.cfg.starting_disk(id),
         };
         self.files.push(meta);
@@ -182,18 +146,17 @@ impl FileCatalog {
 mod tests {
     use super::*;
 
-    fn sosp_catalog(mode: BitrateMode) -> FileCatalog {
+    fn sosp_catalog() -> FileCatalog {
         FileCatalog::new(
             StripeConfig::new(14, 4, 4),
             SimDuration::from_secs(1),
             Bandwidth::from_mbit_per_sec(2),
-            mode,
         )
     }
 
     #[test]
     fn one_hour_file_has_3600_blocks() {
-        let mut c = sosp_catalog(BitrateMode::Single);
+        let mut c = sosp_catalog();
         let f = c.add_file(
             Bandwidth::from_mbit_per_sec(2),
             SimDuration::from_secs(3600),
@@ -207,7 +170,7 @@ mod tests {
 
     #[test]
     fn partial_trailing_block_rounds_up() {
-        let mut c = sosp_catalog(BitrateMode::Single);
+        let mut c = sosp_catalog();
         let f = c.add_file(
             Bandwidth::from_mbit_per_sec(2),
             SimDuration::from_millis(2500),
@@ -217,7 +180,7 @@ mod tests {
 
     #[test]
     fn single_bitrate_fragments_slow_files() {
-        let mut c = sosp_catalog(BitrateMode::Single);
+        let mut c = sosp_catalog();
         let f = c.add_file(Bandwidth::from_mbit_per_sec(1), SimDuration::from_secs(10));
         let meta = c.get(f).expect("exists");
         assert_eq!(meta.block_size.as_bytes(), 250_000);
@@ -225,19 +188,8 @@ mod tests {
     }
 
     #[test]
-    fn multiple_bitrate_sizes_blocks_proportionally() {
-        let mut c = sosp_catalog(BitrateMode::Multiple);
-        let f1 = c.add_file(Bandwidth::from_mbit_per_sec(1), SimDuration::from_secs(10));
-        let f2 = c.add_file(Bandwidth::from_mbit_per_sec(2), SimDuration::from_secs(10));
-        let b1 = c.get(f1).expect("exists").block_size.as_bytes();
-        let b2 = c.get(f2).expect("exists").block_size.as_bytes();
-        assert_eq!(b2, 2 * b1);
-        assert_eq!(c.get(f1).expect("exists").payload_size.as_bytes(), b1);
-    }
-
-    #[test]
     fn locate_walks_the_stripe() {
-        let mut c = sosp_catalog(BitrateMode::Single);
+        let mut c = sosp_catalog();
         let f = c.add_file(
             Bandwidth::from_mbit_per_sec(2),
             SimDuration::from_secs(3600),
@@ -255,7 +207,7 @@ mod tests {
     fn sosp_capacity_sixtyfour_hours() {
         // §5: "capable of storing slightly more than 64 hours of content at
         // 2 Mbit/s" on 56 × 2.5 GB disks (primaries use half of each disk).
-        let mut c = sosp_catalog(BitrateMode::Single);
+        let mut c = sosp_catalog();
         for _ in 0..64 {
             c.add_file(
                 Bandwidth::from_mbit_per_sec(2),
@@ -273,7 +225,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "exceeds system maximum")]
     fn overfast_file_rejected() {
-        let mut c = sosp_catalog(BitrateMode::Single);
+        let mut c = sosp_catalog();
         c.add_file(Bandwidth::from_mbit_per_sec(3), SimDuration::from_secs(10));
     }
 }

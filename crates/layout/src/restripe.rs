@@ -168,7 +168,6 @@ impl RestripePlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::catalog::BitrateMode;
     use tiger_sim::SimDuration;
 
     fn catalog_for(cfg: StripeConfig, files: u32, secs: u64) -> FileCatalog {
@@ -176,7 +175,6 @@ mod tests {
             cfg,
             SimDuration::from_secs(1),
             Bandwidth::from_mbit_per_sec(2),
-            BitrateMode::Single,
         );
         for _ in 0..files {
             c.add_file(

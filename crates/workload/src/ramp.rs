@@ -25,16 +25,13 @@ pub struct RampConfig {
     pub settle: SimDuration,
     /// Target stream count; capped at system capacity. `None` = capacity.
     pub target: Option<u32>,
-    /// A cub to fail for the entire run (Figure 9), if any.
+    /// A cub to fail for the entire run (Figure 9), if any. The cub after
+    /// it, which mirrors its primaries, is the one reported; with no
+    /// failure, cub 0's control traffic and every living cub's disks.
     pub failed_cub: Option<CubId>,
     /// Extra steady-state time at the final load (the failed test ran a
     /// further hour at 602 streams).
     pub hold_at_peak: SimDuration,
-    /// Which cub's control traffic to report.
-    pub report_cub: CubId,
-    /// Which cub's disks to report (`None` = all living cubs' mean). The
-    /// failed test reports a mirroring cub.
-    pub disk_report_cub: Option<CubId>,
 }
 
 impl RampConfig {
@@ -49,8 +46,6 @@ impl RampConfig {
             target: None,
             failed_cub: None,
             hold_at_peak: SimDuration::ZERO,
-            report_cub: CubId(0),
-            disk_report_cub: None,
         }
     }
 
@@ -59,8 +54,6 @@ impl RampConfig {
     pub fn fig9(tiger: TigerConfig, settle: SimDuration) -> Self {
         RampConfig {
             failed_cub: Some(CubId(5)),
-            disk_report_cub: Some(CubId(6)),
-            report_cub: CubId(6),
             ..Self::fig8(tiger, settle)
         }
     }
@@ -103,6 +96,10 @@ pub fn run_ramp(cfg: &RampConfig) -> RampResult {
     sys.enable_omniscient();
     let files = populate_catalog(&mut sys, &cfg.catalog);
     let mut chooser = RngTree::new(cfg.tiger.seed).fork("ramp-files", 0);
+    let mirroring = cfg
+        .failed_cub
+        .map(|failed| CubId((failed.raw() + 1) % cfg.tiger.stripe.num_cubs));
+    let report_cub = mirroring.unwrap_or(CubId(0));
 
     if let Some(failed) = cfg.failed_cub {
         // Failed for the entire duration: cut power before any viewer
@@ -132,7 +129,7 @@ pub fn run_ramp(cfg: &RampConfig) -> RampResult {
         launched += batch;
         now += cfg.settle;
         sys.run_until(now);
-        sys.sample_window(now, cfg.report_cub, cfg.disk_report_cub);
+        sys.sample_window(now, report_cub, mirroring);
     }
 
     if !cfg.hold_at_peak.is_zero() {
@@ -151,7 +148,7 @@ pub fn run_ramp(cfg: &RampConfig) -> RampResult {
                 let at = next + SimDuration::from_millis(10 + u64::from(i) * 47);
                 sys.request_start(at, client, file);
             }
-            sys.sample_window(next, cfg.report_cub, cfg.disk_report_cub);
+            sys.sample_window(next, report_cub, mirroring);
             now = next;
         }
     }
@@ -230,8 +227,6 @@ mod tests {
         let unfailed = run_ramp(&base);
         let failed_cfg = RampConfig {
             failed_cub: Some(CubId(2)),
-            disk_report_cub: Some(CubId(3)),
-            report_cub: CubId(3),
             ..base
         };
         let failed = run_ramp(&failed_cfg);

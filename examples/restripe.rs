@@ -4,7 +4,6 @@
 //!
 //! Run with: `cargo run --release --example restripe`
 
-use tiger::layout::catalog::BitrateMode;
 use tiger::layout::{FileCatalog, RestripePlan, StripeConfig};
 use tiger::sim::{Bandwidth, SimDuration};
 
@@ -15,7 +14,6 @@ fn plan_for(cubs_before: u32, cubs_after: u32, files: u32) -> RestripePlan {
         old,
         SimDuration::from_secs(1),
         Bandwidth::from_mbit_per_sec(2),
-        BitrateMode::Single,
     );
     for _ in 0..files {
         catalog.add_file(

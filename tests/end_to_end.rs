@@ -121,8 +121,6 @@ fn failed_mode_mirror_cub_outworks_unfailed() {
     let unfailed = run_ramp(&base);
     let failed = run_ramp(&RampConfig {
         failed_cub: Some(CubId(5)),
-        disk_report_cub: Some(CubId(6)),
-        report_cub: CubId(6),
         ..base
     });
     let u = unfailed.windows.last().expect("windows");

@@ -166,7 +166,6 @@ fn restripe_conserves_blocks() {
         let cubs_before = rng.gen_range(2u32..10);
         let cubs_after = rng.gen_range(2u32..10);
         let files = rng.gen_range(1u32..6);
-        use tiger::layout::catalog::BitrateMode;
         use tiger::layout::{FileCatalog, RestripePlan};
         let old = StripeConfig::new(cubs_before, 2, 1);
         let new = StripeConfig::new(cubs_after, 2, 1);
@@ -174,7 +173,6 @@ fn restripe_conserves_blocks() {
             old,
             SimDuration::from_secs(1),
             Bandwidth::from_mbit_per_sec(2),
-            BitrateMode::Single,
         );
         for _ in 0..files {
             catalog.add_file(Bandwidth::from_mbit_per_sec(2), SimDuration::from_secs(60));

@@ -1,29 +1,16 @@
 //! The materialized global disk schedule (§3.1).
 //!
 //! The distributed system never holds this object — that is the point of
-//! the coherent hallucination. It exists in code for two purposes:
-//!
-//! 1. the **centralized baseline** of §3.3, where the controller tracks the
-//!    entire schedule and streams per-block commands to the cubs; and
-//! 2. the **omniscient checker** used by tests: an observer applies every
-//!    committed operation to a real `DiskSchedule` and verifies that the
-//!    cubs' independent actions are consistent with it (no double-booked
-//!    slot, no send for an empty slot).
+//! the coherent hallucination. It exists in code for the **omniscient
+//! checker** alone: an observer applies every committed operation to a
+//! real `DiskSchedule` and verifies that the cubs' independent actions are
+//! consistent with it (no double-booked slot, no send for an empty slot).
 
 use tiger_layout::ids::ViewerInstance;
 use tiger_sim::SimTime;
 
 use crate::params::{ScheduleParams, SlotId};
 use crate::records::{StreamKind, ViewerState};
-
-/// An occupied slot in the global schedule.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SlotEntry {
-    /// The viewer state occupying the slot.
-    pub state: ViewerState,
-    /// When the entry was inserted (for diagnostics).
-    pub inserted_at: SimTime,
-}
 
 /// Errors from schedule mutation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -47,30 +34,23 @@ impl std::fmt::Display for ScheduleError {
 
 impl std::error::Error for ScheduleError {}
 
-/// The single, global, centralized schedule.
+/// The single, global, centralized schedule: the viewer state occupying
+/// each slot, if any.
 #[derive(Clone, Debug)]
 pub struct DiskSchedule {
-    params: ScheduleParams,
-    slots: Vec<Option<SlotEntry>>,
+    slots: Vec<Option<ViewerState>>,
 }
 
 impl DiskSchedule {
     /// Creates an empty schedule for `params`.
     pub fn new(params: ScheduleParams) -> Self {
-        let n = params.capacity() as usize;
         DiskSchedule {
-            params,
-            slots: vec![None; n],
+            slots: vec![None; params.capacity() as usize],
         }
     }
 
-    /// The schedule parameters.
-    pub fn params(&self) -> &ScheduleParams {
-        &self.params
-    }
-
     /// Inserts `state` into its slot.
-    pub fn insert(&mut self, state: ViewerState, now: SimTime) -> Result<(), ScheduleError> {
+    pub fn insert(&mut self, state: ViewerState) -> Result<(), ScheduleError> {
         let slot = state.slot;
         let cell = self
             .slots
@@ -79,18 +59,15 @@ impl DiskSchedule {
         if cell.is_some() {
             return Err(ScheduleError::SlotOccupied(slot));
         }
-        *cell = Some(SlotEntry {
-            state,
-            inserted_at: now,
-        });
+        *cell = Some(state);
         Ok(())
     }
 
     /// Removes the entry for `instance` from `slot` if present, returning
     /// it. Deschedule semantics: a non-matching instance is left alone.
-    pub fn remove(&mut self, slot: SlotId, instance: ViewerInstance) -> Option<SlotEntry> {
+    pub fn remove(&mut self, slot: SlotId, instance: ViewerInstance) -> Option<ViewerState> {
         let cell = self.slots.get_mut(slot.index())?;
-        if cell.as_ref().is_some_and(|e| e.state.instance == instance) {
+        if cell.as_ref().is_some_and(|e| e.instance == instance) {
             cell.take()
         } else {
             None
@@ -98,31 +75,8 @@ impl DiskSchedule {
     }
 
     /// The entry in `slot`, if any.
-    pub fn get(&self, slot: SlotId) -> Option<&SlotEntry> {
+    pub fn get(&self, slot: SlotId) -> Option<&ViewerState> {
         self.slots.get(slot.index())?.as_ref()
-    }
-
-    /// Advances the entry in `slot` by one block (a disk serviced it).
-    /// Returns the state *before* advancing (the block to send), if any.
-    pub fn service(&mut self, slot: SlotId) -> Option<ViewerState> {
-        let cell = self.slots.get_mut(slot.index())?;
-        let entry = cell.as_mut()?;
-        let current = entry.state;
-        entry.state = entry.state.advanced(1);
-        Some(current)
-    }
-
-    /// Number of occupied slots.
-    pub fn occupancy(&self) -> u32 {
-        self.slots.iter().filter(|s| s.is_some()).count() as u32
-    }
-
-    /// Iterates over occupied slots.
-    pub fn iter(&self) -> impl Iterator<Item = (SlotId, &SlotEntry)> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, e)| e.as_ref().map(|e| (SlotId(i as u32), e)))
     }
 }
 
@@ -167,7 +121,7 @@ impl Omniscient {
         if state.kind != StreamKind::Primary {
             return; // Mirror entries shadow the primary; not double-booking.
         }
-        if let Err(e) = self.schedule.insert(state, now) {
+        if let Err(e) = self.schedule.insert(state) {
             self.violations
                 .push(format!("insert of {} at {now}: {e}", state.instance));
         }
@@ -185,12 +139,12 @@ impl Omniscient {
     /// window (an in-flight block).
     pub fn on_send(&mut self, state: &ViewerState, now: SimTime) {
         match self.schedule.get(state.slot) {
-            Some(entry) if entry.state.instance == state.instance => {}
+            Some(entry) if entry.instance == state.instance => {}
             Some(entry) => {
                 if !self.grace.covers(state.slot, state.instance, now) {
                     self.violations.push(format!(
                         "send for {} in {} which is held by {}",
-                        state.instance, state.slot, entry.state.instance
+                        state.instance, state.slot, entry.instance
                     ));
                 }
             }
@@ -203,11 +157,6 @@ impl Omniscient {
                 }
             }
         }
-    }
-
-    /// The global schedule as accumulated.
-    pub fn schedule(&self) -> &DiskSchedule {
-        &self.schedule
     }
 
     /// All recorded violations.
@@ -251,8 +200,7 @@ mod tests {
     #[test]
     fn insert_remove_roundtrip() {
         let mut s = DiskSchedule::new(params());
-        s.insert(vs(3, 1), SimTime::ZERO).expect("empty slot");
-        assert_eq!(s.occupancy(), 1);
+        s.insert(vs(3, 1)).expect("empty slot");
         assert!(s.get(SlotId(3)).is_some());
         let wrong = ViewerInstance {
             viewer: ViewerId(2),
@@ -267,28 +215,17 @@ mod tests {
             incarnation: 0,
         };
         assert!(s.remove(SlotId(3), right).is_some());
-        assert_eq!(s.occupancy(), 0);
+        assert!(s.get(SlotId(3)).is_none());
     }
 
     #[test]
     fn double_booking_rejected() {
         let mut s = DiskSchedule::new(params());
-        s.insert(vs(3, 1), SimTime::ZERO).expect("empty slot");
+        s.insert(vs(3, 1)).expect("empty slot");
         assert_eq!(
-            s.insert(vs(3, 2), SimTime::ZERO),
+            s.insert(vs(3, 2)),
             Err(ScheduleError::SlotOccupied(SlotId(3)))
         );
-    }
-
-    #[test]
-    fn service_advances_position() {
-        let mut s = DiskSchedule::new(params());
-        s.insert(vs(3, 1), SimTime::ZERO).expect("empty slot");
-        let sent = s.service(SlotId(3)).expect("occupied");
-        assert_eq!(sent.position, BlockNum(0));
-        let sent = s.service(SlotId(3)).expect("occupied");
-        assert_eq!(sent.position, BlockNum(1));
-        assert_eq!(s.get(SlotId(3)).expect("occupied").state.play_seq, 2);
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //! * [`records`] — viewer states, mirror viewer states, and deschedule
 //!   requests, with their idempotence and matching semantics (§4.1.1–2);
 //! * [`disk_schedule::DiskSchedule`] — the materialized global schedule,
-//!   used by the centralized baseline and as the omniscient checker that
-//!   tests hold the distributed implementation against;
+//!   kept by the omniscient checker that tests hold the distributed
+//!   implementation against;
 //! * [`view::ScheduleView`] — a cub's bounded, possibly out-of-date view
 //!   with the deschedule-holding and late-arrival rules (§4.1);
 //! * [`net_schedule::NetworkSchedule`] — the two-dimensional
@@ -33,7 +33,6 @@ pub mod params;
 pub mod records;
 pub mod view;
 
-pub use disk_schedule::{DiskSchedule, SlotEntry};
 pub use net_schedule::{AdmissibleStarts, NetEntryId, NetScheduleError, NetworkSchedule};
 pub use params::{ScheduleParams, SlotId};
 pub use records::{Deschedule, StreamKind, ViewerState};

@@ -145,11 +145,6 @@ impl NetworkSchedule {
         self.capacity
     }
 
-    /// The start-position quantum, if insertion is quantized.
-    pub fn quantum(&self) -> Option<SimDuration> {
-        self.quantum
-    }
-
     /// Instantaneous load at ring position `pos`, counting tentative
     /// entries (a reservation blocks capacity).
     pub fn load_at(&self, pos: SimDuration) -> Bandwidth {

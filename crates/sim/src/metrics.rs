@@ -150,11 +150,6 @@ impl TimeWeightedMean {
         self.value = value;
     }
 
-    /// The current instantaneous value.
-    pub fn current(&self) -> f64 {
-        self.value
-    }
-
     fn accumulate(&mut self, now: SimTime) {
         let span = now.saturating_since(self.last_change);
         self.weighted_sum += self.value * span.as_secs_f64();
@@ -212,11 +207,6 @@ impl Histogram {
     /// True if no samples were recorded.
     pub fn is_empty(&self) -> bool {
         self.samples.is_empty()
-    }
-
-    /// The raw samples, in insertion order.
-    pub fn samples(&self) -> &[f64] {
-        &self.samples
     }
 
     /// The arithmetic mean, or 0 for an empty histogram.

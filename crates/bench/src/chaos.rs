@@ -23,7 +23,7 @@ use tiger_faults::FaultPlan;
 use tiger_layout::StripeConfig;
 use tiger_workload::{chaos_digest, run, Scenario};
 
-use crate::fleet::{run_indexed, ExpReport, Scale};
+use crate::fleet::{report_violations, run_indexed, ExpReport, Scale};
 
 /// Which topology a scenario runs on. Most templates target the
 /// small-test ring (cubs c0..c3, one disk each, 2 s deadman); scenarios
@@ -218,10 +218,7 @@ pub fn chaos_report(scale: Scale, threads: usize) -> ExpReport {
     let mut bad = 0usize;
     for (&(s, t, seed), (digest, violations)) in points.iter().zip(&outcomes) {
         let _ = writeln!(out, "{:<14} {t:>3}s {seed:>6}  {digest}", scenarios[s].0);
-        for v in violations {
-            bad += 1;
-            let _ = writeln!(out, "  VIOLATION: {v}");
-        }
+        bad += report_violations(&mut out, violations);
     }
     out.push('\n');
     let _ = writeln!(

@@ -27,7 +27,7 @@ use std::fmt::Write as _;
 use tiger_core::RedundancyMode;
 use tiger_workload::CurvePoint;
 
-use crate::fleet::{run_indexed, ExpReport, Scale};
+use crate::fleet::{report_violations, run_indexed, ExpReport, Scale};
 use crate::workloads::{plans, run_point};
 
 fn peak_p_block(curve: &[CurvePoint]) -> f64 {
@@ -76,10 +76,7 @@ pub fn ablation_coded_report(scale: Scale, threads: usize) -> ExpReport {
     let mut bad = 0usize;
     for ((name, _, mode), r) in points.iter().zip(&results) {
         let _ = writeln!(out, "{name:<17} {:<9} {}", mode.name(), r.digest);
-        for v in &r.violations {
-            bad += 1;
-            let _ = writeln!(out, "  VIOLATION: {v}");
-        }
+        bad += report_violations(&mut out, &r.violations);
     }
 
     // Side-by-side blocking-probability curves for the surge. Both runs

@@ -81,7 +81,7 @@ fn system(scale: Scale) -> TigerSystem {
 fn render(out: &mut String, rows: Vec<(String, Vec<String>)>) -> bool {
     let (rows, violations): (Vec<_>, Vec<_>) = rows.into_iter().unzip();
     out.extend(rows);
-    report_violations(out, violations.iter().flatten())
+    report_violations(out, violations.iter().flatten()) == 0
 }
 
 fn population_row(scale: Scale, single_file: bool) -> (String, Vec<String>) {

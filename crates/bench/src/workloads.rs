@@ -21,7 +21,7 @@ use tiger_core::RedundancyMode;
 use tiger_workgen::WorkloadPlan;
 use tiger_workload::{chaos_digest, run, workgen_digest, CurvePoint, Scenario};
 
-use crate::fleet::{run_indexed, ExpReport, Scale};
+use crate::fleet::{report_violations, run_indexed, ExpReport, Scale};
 
 /// One plan template: a stable name and the plan text at a given scale.
 type PlanTemplate = (&'static str, fn(Scale) -> String);
@@ -156,10 +156,7 @@ pub fn workloads_report(scale: Scale, threads: usize, filter: Option<&str>) -> E
     let mut bad = 0usize;
     for (&(p, seed), r) in points.iter().zip(&results) {
         let _ = writeln!(out, "{:<18} {seed:>6}  {}", plans[p].0, r.digest);
-        for v in &r.violations {
-            bad += 1;
-            let _ = writeln!(out, "  VIOLATION: {v}");
-        }
+        bad += report_violations(&mut out, &r.violations);
     }
     // The flash-crowd blocking-probability curve (first seed): arrivals
     // and blocked per bucket, the series plotted against the

@@ -58,6 +58,14 @@ TIGER_PROP_CASES=2000 cargo test -q -p tiger-core --lib receipt_bits_match_the_b
 echo "== coded loads: flat table vs ring model, 2000 cases" >&2
 TIGER_PROP_CASES=2000 cargo test -q -p tiger-core --lib coded_loads_match_the_ring_model
 
+# A committed block's typed life (read stage, send outcome, forward
+# flag) against the eight independent flags it replaced, kept in the
+# test as the reference, at eight times the default case count: every
+# block's reclaim, buffer release, send-due verdict and deschedule kill
+# reads this state. Fatal.
+echo "== block service life: typed state vs eight-flag model, 2000 cases" >&2
+TIGER_PROP_CASES=2000 cargo test -q -p tiger-core --lib typed_life_matches_the_flag_model
+
 # The schedule information a cub keeps by slot (the slot-keyed lists under
 # it, the service table's per-record answers and the shadow records)
 # against Vec and BTreeMap models, at eight times the default case count:
@@ -310,19 +318,31 @@ fi
 # lower (docs/perf-log.md "DEMAND"). The core rose 7,184 -> 7,396, by
 # what it measured; the workload crate, for DriveStats' documentation,
 # 1,208 -> 1,214.
+# A committed block's service life became one typed state (a read stage,
+# a send outcome and the forward flag, private to a module in service.rs,
+# changed only by Active's ten transition methods): service.rs
+# 1,036 -> 1,155 for the two enums, the send-due verdict and the methods
+# the compiler now holds every flag write to; cub.rs 1,257 -> 1,236 and
+# system.rs 904 -> 898 (BitrateMode); table.rs 559 -> 568 (the failure's
+# re-forward and the cut-over as two table operations in place of a
+# wholesale `values_mut`). The core rose 7,396 -> 7,497, by what it
+# measured; the workspace total fell 23,183 -> 23,167, the satellites
+# taking sched 1,635 -> 1,578 (DiskSchedule trimmed to the checker's
+# needs), workload 1,214 -> 1,211 and bench 2,918 -> 2,907 down to what
+# they measured.
 nontest() { awk '/#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$1"; }
 for f in crates/core/src/*.rs; do
     limit=1299
-    [ "$f" = crates/core/src/system.rs ] && limit=904
+    [ "$f" = crates/core/src/system.rs ] && limit=898
     lines=$(nontest "$f")
     if [ "$lines" -gt "$limit" ]; then
         echo "ERROR: $f is $lines lines before its tests (limit $limit)" >&2
         exit 1
     fi
 done
-for dir_limit in crates/core/src:7396 crates/faults/src:1254 crates/net/src:497 \
-    crates/workload/src:1214 crates/bench/src:2918 \
-    crates/sched/src:1635 crates/proto/src:1206 crates/rt/src:478; do
+for dir_limit in crates/core/src:7497 crates/faults/src:1254 crates/net/src:497 \
+    crates/workload/src:1211 crates/bench/src:2907 \
+    crates/sched/src:1578 crates/proto/src:1206 crates/rt/src:478; do
     dir=${dir_limit%:*} limit=${dir_limit#*:} total=0
     for f in "$dir"/*.rs; do
         total=$((total + $(nontest "$f")))

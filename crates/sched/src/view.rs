@@ -86,7 +86,7 @@ impl ScheduleView {
         let slot = vs.slot.raw();
         // Same-kind entry for this slot?
         let mut held = self.entries.get_mut(slot).iter_mut();
-        if let Some(existing) = held.find(|e| same_kind(e, &vs)) {
+        if let Some(existing) = held.find(|e| e.kind == vs.kind) {
             if existing.instance == vs.instance {
                 if existing.play_seq >= vs.play_seq {
                     return ViewApply::Duplicate;
@@ -157,7 +157,7 @@ impl ScheduleView {
     /// record must not evict the newer one.
     pub fn retire(&mut self, slot: SlotId, entry: &ViewerState) -> Option<ViewerState> {
         let idx = self.entries.get(slot.raw()).iter().position(|e| {
-            e.instance == entry.instance && same_kind(e, entry) && e.play_seq == entry.play_seq
+            e.instance == entry.instance && e.kind == entry.kind && e.play_seq == entry.play_seq
         })?;
         Some(self.entries.swap_remove(slot.raw(), idx))
     }
@@ -234,33 +234,6 @@ impl ScheduleView {
                 }
             }
         }
-    }
-}
-
-fn same_kind(a: &ViewerState, b: &ViewerState) -> bool {
-    match (a.kind, b.kind) {
-        (StreamKind::Primary, StreamKind::Primary) => true,
-        (
-            StreamKind::Mirror {
-                piece: pa,
-                failed_disk: fa,
-            },
-            StreamKind::Mirror {
-                piece: pb,
-                failed_disk: fb,
-            },
-        ) => pa == pb && fa == fb,
-        (
-            StreamKind::Coded {
-                home_disk: ha,
-                shard: sa,
-            },
-            StreamKind::Coded {
-                home_disk: hb,
-                shard: sb,
-            },
-        ) => ha == hb && sa == sb,
-        _ => false,
     }
 }
 

@@ -16,6 +16,7 @@ use tiger_layout::ids::ViewerInstance;
 use tiger_layout::{
     BlockIndex, BlockNum, CubId, DiskId, DiskRegion, DiskSpace, FileId, Piece, StripeConfig,
 };
+use tiger_proto::insert::AttemptDecision;
 use tiger_proto::msg::Message;
 use tiger_proto::{InsertMachine, RingMachine};
 use tiger_sched::{Deschedule, ScheduleView, SlotId, StreamKind, ViewerState};
@@ -778,38 +779,38 @@ impl Cub {
         if self.failed {
             return;
         }
-        let mut remaining: Vec<PendingStart> = Vec::new();
-        let queue = self.ins.take_queue();
-        for pending in queue {
-            let Some(d0) = self.start_disk(sh, &pending) else {
-                continue; // Unknown file or out-of-range block: drop it.
+        // The machine leaves the cub for the pass: no commit feeds it an
+        // input.
+        let mut ins = std::mem::take(&mut self.ins);
+        ins.attempt(|pending| {
+            let Some(d0) = self.start_disk(sh, pending) else {
+                return AttemptDecision::Drop; // Unknown file or out-of-range block.
             };
             // We may insert via d0's pointer if d0 is ours, or if we are
             // the acting successor of d0's dead cub.
             let d0_cub = sh.params.stripe().cub_of(d0);
             let responsible = d0_cub == self.id || self.ring.covers(d0_cub);
             if !responsible {
-                continue; // Another cub will run this insertion.
+                return AttemptDecision::Drop; // Another cub will run this insertion.
             }
             let owned = sh.params.owned_slot_range(d0, now);
             let slot = owned.into_iter().find(|&s| self.view.believes_slot_free(s));
-            match slot {
-                Some(slot) => self.commit_insert(sh, now, pending, d0, slot),
-                None => {
-                    sh.tracer.record(
-                        now,
-                        self.id.raw(),
-                        TraceEvent::InsertMiss {
-                            viewer: pending.instance.viewer.raw(),
-                            inc: pending.instance.incarnation,
-                            disk: d0.raw(),
-                        },
-                    );
-                    remaining.push(pending);
-                }
+            if let Some(slot) = slot {
+                self.commit_insert(sh, now, *pending, d0, slot);
+                return AttemptDecision::Commit;
             }
-        }
-        self.ins.requeue(remaining);
+            sh.tracer.record(
+                now,
+                self.id.raw(),
+                TraceEvent::InsertMiss {
+                    viewer: pending.instance.viewer.raw(),
+                    inc: pending.instance.incarnation,
+                    disk: d0.raw(),
+                },
+            );
+            AttemptDecision::Miss
+        });
+        self.ins = ins;
         if let Some(head) = self.ins.head().copied() {
             // Retry when the next ownership window opens for the head's
             // start disk.

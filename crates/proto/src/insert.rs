@@ -120,34 +120,19 @@ impl InsertMachine {
         self.attempt_scheduled = false;
     }
 
-    /// Takes the whole queue for an attempt pass; the driver decides
-    /// each start and returns the misses via [`InsertMachine::requeue`].
-    pub fn take_queue(&mut self) -> Vec<PendingStart> {
-        std::mem::take(&mut self.start_queue)
-    }
-
-    /// Restores the post-attempt queue (the misses, in order).
-    pub fn requeue(&mut self, remaining: Vec<PendingStart>) {
-        self.start_queue = remaining;
-    }
-
-    /// Runs one whole attempt against the driver's `decide` verdicts:
-    /// commits and drops leave the queue, misses stay (in order).
-    /// Returns the number of commits. Equivalent to
-    /// `take_queue`/`requeue` with the loop run inline — the form the
-    /// isolation tests and simple drivers use.
+    /// Runs one whole attempt against the driver's `decide` verdicts, in
+    /// queue order: commits and drops leave the queue, misses stay (in
+    /// order). Returns the number of commits.
     pub fn attempt(&mut self, mut decide: impl FnMut(&PendingStart) -> AttemptDecision) -> u32 {
-        let queue = self.take_queue();
-        let mut remaining = Vec::new();
         let mut commits = 0;
-        for pending in queue {
-            match decide(&pending) {
-                AttemptDecision::Drop => {}
-                AttemptDecision::Commit => commits += 1,
-                AttemptDecision::Miss => remaining.push(pending),
+        self.start_queue.retain(|pending| match decide(pending) {
+            AttemptDecision::Drop => false,
+            AttemptDecision::Commit => {
+                commits += 1;
+                false
             }
-        }
-        self.requeue(remaining);
+            AttemptDecision::Miss => true,
+        });
         commits
     }
 

@@ -34,38 +34,33 @@ use tiger_net::{LatencyModel, NetNode, Network};
 use tiger_sched::{NetEntryId, NetworkSchedule};
 use tiger_sim::{Bandwidth, DetHashMap, EventQueue, RngTree, SimDuration, SimRng, SimTime};
 
-/// Configuration of a multiple-bitrate schedule ring.
+/// Cubs in the ring.
+const NUM_CUBS: u32 = 14;
+/// Block play time: the width of a schedule entry.
+const BLOCK_PLAY_TIME: SimDuration = SimDuration::from_secs(1);
+/// Start-position quantum, `block_play_time / decluster` (§3.2).
+const QUANTUM: SimDuration = SimDuration::from_millis(250);
+/// Time to read a first block from disk (the speculative read).
+const FIRST_READ: SimDuration = SimDuration::from_millis(60);
+/// The ring's RNG seed.
+const SEED: u64 = 42;
+
+/// Configuration of a multiple-bitrate schedule ring: 14 cubs, 1 s
+/// entries, starts quantized at bpt/4, a 60 ms first read.
 #[derive(Clone, Debug)]
 pub struct MbrConfig {
-    /// Number of cubs in the ring.
-    pub num_cubs: u32,
-    /// Block play time (entry width).
-    pub block_play_time: SimDuration,
     /// NIC capacity (schedule height).
     pub nic_capacity: Bandwidth,
-    /// Start-position quantum (`block_play_time / decluster` per §3.2), or
-    /// `None` for arbitrary starts (the fragmentation ablation).
-    pub quantum: Option<SimDuration>,
     /// Control latency between cubs.
     pub latency: LatencyModel,
-    /// Time to read a first block from disk (speculative read).
-    pub first_read: SimDuration,
-    /// RNG seed.
-    pub seed: u64,
 }
 
 impl MbrConfig {
-    /// A testbed-like default: 14 cubs, 1 s entries, 135 Mbit/s NICs,
-    /// quantized starts at bpt/4.
+    /// A testbed-like default: 135 Mbit/s NICs on a LAN.
     pub fn default_ring() -> Self {
         MbrConfig {
-            num_cubs: 14,
-            block_play_time: SimDuration::from_secs(1),
             nic_capacity: Bandwidth::from_mbit_per_sec(135),
-            quantum: Some(SimDuration::from_millis(250)),
             latency: LatencyModel::lan_default(),
-            first_read: SimDuration::from_millis(60),
-            seed: 42,
         }
     }
 }
@@ -158,7 +153,6 @@ struct MbrCub {
 
 /// The distributed multiple-bitrate schedule manager.
 pub struct MbrSystem {
-    cfg: MbrConfig,
     queue: EventQueue<MbrEvent>,
     net: Network,
     cubs: Vec<MbrCub>,
@@ -174,24 +168,18 @@ pub struct MbrSystem {
 impl MbrSystem {
     /// Builds an idle ring.
     pub fn new(cfg: MbrConfig, deadline: SimDuration) -> Self {
-        let rng_tree = RngTree::new(cfg.seed);
-        let make_sched = || {
-            NetworkSchedule::new(
-                cfg.num_cubs,
-                cfg.block_play_time,
-                cfg.nic_capacity,
-                cfg.quantum,
-            )
-        };
+        let rng_tree = RngTree::new(SEED);
+        let make_sched =
+            || NetworkSchedule::new(NUM_CUBS, BLOCK_PLAY_TIME, cfg.nic_capacity, Some(QUANTUM));
         MbrSystem {
             queue: EventQueue::new(),
             net: Network::new(
-                cfg.num_cubs,
+                NUM_CUBS,
                 cfg.nic_capacity,
                 cfg.latency,
                 rng_tree.fork("mbr-net", 0),
             ),
-            cubs: (0..cfg.num_cubs)
+            cubs: (0..NUM_CUBS)
                 .map(|_| MbrCub {
                     view: make_sched(),
                     held: DetHashMap::default(),
@@ -203,7 +191,6 @@ impl MbrSystem {
             next_instance: 0,
             rng: rng_tree.fork("mbr-sys", 0),
             deadline,
-            cfg,
         }
     }
 
@@ -244,7 +231,7 @@ impl MbrSystem {
     }
 
     fn succ(&self, cub: u32) -> u32 {
-        (cub + 1) % self.cfg.num_cubs
+        (cub + 1) % NUM_CUBS
     }
 
     /// The reservation-expiry backstop: a tentative entry that has not
@@ -289,8 +276,7 @@ impl MbrSystem {
     /// are one block play time apart, as on the disk schedule).
     fn ring_position(&self, cub: u32, t: SimTime) -> SimDuration {
         let l = self.cubs[cub as usize].view.len_duration().as_nanos();
-        let lag =
-            (self.cfg.block_play_time.as_nanos() as u128 * u128::from(cub) % u128::from(l)) as u64;
+        let lag = (BLOCK_PLAY_TIME.as_nanos() as u128 * u128::from(cub) % u128::from(l)) as u64;
         SimDuration::from_nanos(((t.as_nanos() % l) + l - lag) % l)
     }
 
@@ -309,8 +295,7 @@ impl MbrSystem {
         // successor's reservation check.
         let view = &self.cubs[origin as usize].view;
         let l = view.len_duration().as_nanos();
-        let step = self.cfg.quantum.unwrap_or(SimDuration::from_millis(50));
-        let q = step.as_nanos();
+        let q = QUANTUM.as_nanos();
         // The pointer rounded up to the grid; one block play time of
         // candidates from there, wrapping at the ring end.
         let first = self
@@ -318,7 +303,7 @@ impl MbrSystem {
             .as_nanos()
             .div_ceil(q)
             * q;
-        let start = (0..self.cfg.block_play_time.as_nanos().div_ceil(q))
+        let start = (0..BLOCK_PLAY_TIME.as_nanos().div_ceil(q))
             .map(|k| SimDuration::from_nanos((first + k * q) % l))
             .find(|&candidate| view.fits(candidate, rate));
         let Some(start) = start else {
@@ -334,7 +319,7 @@ impl MbrSystem {
             .insert_with_expiry(instance, start, rate, true, Some(backstop))
             .expect("admissible start fits the local view");
         let read_time = SimDuration::from_nanos(
-            (self.cfg.first_read.as_nanos() as f64 * self.rng.gen_range(0.7..1.3)) as u64,
+            (FIRST_READ.as_nanos() as f64 * self.rng.gen_range(0.7..1.3)) as u64,
         );
         let deadline = now + self.deadline;
         self.queue
@@ -384,7 +369,7 @@ impl MbrSystem {
                     cub.held.insert(instance, entry);
                 }
                 // Reply to the predecessor (the originator).
-                let pred = (me + self.cfg.num_cubs - 1) % self.cfg.num_cubs;
+                let pred = (me + NUM_CUBS - 1) % NUM_CUBS;
                 self.send(now, me, pred, MbrMsg::ReserveReply { instance, ok });
             }
             MbrMsg::ReserveReply { instance, ok } => {
@@ -467,7 +452,7 @@ impl MbrSystem {
                 instance,
                 start: p.start,
                 rate: p.rate,
-                hops_left: self.cfg.num_cubs - 1,
+                hops_left: NUM_CUBS - 1,
             },
         );
     }

@@ -21,34 +21,51 @@ fn piece_geometry_tiles_the_block_play_time() {
     let home = DiskId(3);
     // The sosp97 block play time (1 s), on a ring wide enough for 2k coded
     // shards at every k.
-    let cfg_with = |d| {
+    let cfg_with = |d, redundancy| {
         let mut cfg = TigerConfig::sosp97();
         cfg.stripe = StripeConfig::new(16, 1, d);
+        cfg.redundancy = redundancy;
         cfg
     };
     for d in 1..=8u32 {
-        let sys = TigerSystem::new(cfg_with(d));
+        let sys = TigerSystem::new(cfg_with(d, RedundancyMode::Mirrored));
         let params = &sys.shared().params;
         let bpt = params.block_play_time();
         let end_of = |s: &PieceSpec| s.offset + s.duration;
+        let mirrored = Backend::new(&cfg_with(d, RedundancyMode::Mirrored));
+        let coded = Backend::new(&cfg_with(d, RedundancyMode::Coded));
+        // Piece `i` of the block under `backend`, from its holder's disk.
+        let piece = |backend: &Backend, i| {
+            let local = params.stripe().local_index_of(backend.holder(home, i));
+            PieceSpec::piece(params, backend, block, home, i, local)
+        };
 
         // Mirror pieces: back to back, the last ending at block_due + bpt
         // (less the nanoseconds integer division drops).
-        let pieces: Vec<PieceSpec> = (0..d)
-            .map(|i| PieceSpec::mirror_piece(params, block, home, i, 0))
-            .collect();
-        for (i, s) in pieces.iter().enumerate() {
-            let piece = i as u32;
+        let pieces: Vec<PieceSpec> = (0..d).map(|i| piece(&mirrored, i)).collect();
+        for (s, i) in pieces.iter().zip(0..) {
+            let kind = StreamKind::Mirror {
+                failed_disk: home,
+                piece: i,
+            };
+            assert_eq!(s.kind, kind);
+            assert_eq!(s.dating_disk, home);
+            assert_eq!(s.disk_local, 0, "one disk per cub");
+            assert_eq!((s.read_leads, s.late_guard), (3, true));
+            assert_eq!(s.duration, bpt.div_u64(u64::from(d)));
+            assert_eq!(s.offset, s.duration.mul_u64(u64::from(i)), "d={d}");
+            // A shielded piece is the mirror piece on the spare's disk
+            // that mirrors the failed home's local index: only the disk
+            // differs.
+            let local = params.stripe().local_index_of(home);
+            let shielded = PieceSpec::piece(params, &mirrored, block, home, i, local);
             assert_eq!(
-                s.kind,
-                StreamKind::Mirror {
-                    failed_disk: home,
-                    piece
+                shielded,
+                PieceSpec {
+                    disk_local: local,
+                    ..*s
                 }
             );
-            assert_eq!(s.dating_disk, home);
-            assert_eq!((s.read_leads, s.late_guard), (3, true));
-            assert_eq!(s.offset, s.duration.mul_u64(u64::from(piece)), "d={d}");
         }
         assert!(pieces.windows(2).all(|w| w[0].offset < w[1].offset));
         let last = end_of(pieces.last().expect("d >= 1"));
@@ -62,27 +79,23 @@ fn piece_geometry_tiles_the_block_play_time() {
         // Coded shards 1..2k: staggered so that even the highest ends
         // inside the play window, whichever k the coordinator picks.
         let (k, n) = (d, 2 * d);
-        let mut coded = cfg_with(d);
-        coded.redundancy = RedundancyMode::Coded;
-        let backend = Backend::new(&coded);
-        let shards: Vec<PieceSpec> = (1..n)
-            .map(|j| {
-                let local = params.stripe().local_index_of(backend.holder(home, j));
-                PieceSpec::coded_shard(params, block, home, j, local)
-            })
-            .collect();
+        let shards: Vec<PieceSpec> = (1..n).map(|j| piece(&coded, j)).collect();
         for (s, j) in shards.iter().zip(1..) {
-            assert_eq!(
-                s.kind,
-                StreamKind::Coded {
-                    home_disk: home,
-                    shard: j
-                }
-            );
+            let kind = StreamKind::Coded {
+                home_disk: home,
+                shard: j,
+            };
+            assert_eq!(s.kind, kind);
             assert_eq!(s.dating_disk, home);
             assert_eq!(s.disk_local, 0, "one disk per cub");
             assert_eq!((s.read_leads, s.late_guard), (3, true));
             assert_eq!(s.duration, bpt.div_u64(u64::from(k)));
+            // The same share of the block as the mirror piece of that
+            // index, on the coded stagger.
+            if j < d {
+                let m = &pieces[j as usize];
+                assert_eq!((s.duration, s.payload), (m.duration, m.payload));
+            }
         }
         if k > 1 {
             assert!(shards.windows(2).all(|w| w[0].offset < w[1].offset));

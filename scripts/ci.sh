@@ -330,19 +330,29 @@ fi
 # taking sched 1,635 -> 1,578 (DiskSchedule trimmed to the checker's
 # needs), workload 1,214 -> 1,211 and bench 2,918 -> 2,907 down to what
 # they measured.
+# Mirrored, shielded and coded service became one degraded-read path
+# (one secondary-piece spec, one acceptance step, one coded driver, one
+# place deciding a dead mirror holder's fate), bit-exact: service.rs
+# 1,155 -> 1,124, and it gets a limit of its own at that, so the
+# degraded path cannot grow back without an argued raise. With
+# MbrConfig's five single-valued fields made constants the core fell
+# 7,497 -> 7,452; the view's hand-written kind comparison went (sched
+# 1,578 -> 1,551) and the insert machine lost take_queue and requeue
+# (proto 1,206 -> 1,191). Each limit follows what it measured.
 nontest() { awk '/#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$1"; }
 for f in crates/core/src/*.rs; do
     limit=1299
     [ "$f" = crates/core/src/system.rs ] && limit=898
+    [ "$f" = crates/core/src/service.rs ] && limit=1124
     lines=$(nontest "$f")
     if [ "$lines" -gt "$limit" ]; then
         echo "ERROR: $f is $lines lines before its tests (limit $limit)" >&2
         exit 1
     fi
 done
-for dir_limit in crates/core/src:7497 crates/faults/src:1254 crates/net/src:497 \
+for dir_limit in crates/core/src:7452 crates/faults/src:1254 crates/net/src:497 \
     crates/workload/src:1211 crates/bench/src:2907 \
-    crates/sched/src:1578 crates/proto/src:1206 crates/rt/src:478; do
+    crates/sched/src:1551 crates/proto/src:1191 crates/rt/src:478; do
     dir=${dir_limit%:*} limit=${dir_limit#*:} total=0
     for f in "$dir"/*.rs; do
         total=$((total + $(nontest "$f")))

@@ -801,11 +801,7 @@ fn bench_fault_check(c: &mut Runner) {
     // dispatch. Like the trace hooks, the disabled path is one pointer
     // test — the no-faults system must not pay for the subsystem's
     // existence. The enabled path is a window scan plus an RNG draw.
-    let topo = Topology {
-        num_cubs: 14,
-        num_clients: 14,
-        backup_controller: false,
-    };
+    let topo = Topology { num_cubs: 14 };
     c.bench_function("fault_check_off", |b| {
         let mut f = NetFaults::disabled();
         let mut i = 0u32;

@@ -22,6 +22,9 @@ pub enum ForwardingPolicy {
     Double,
 }
 
+/// Per-cub buffer cache (20 MB in the testbed; bounds read-ahead).
+pub const BUFFER_CACHE: ByteSize = ByteSize::from_mib(20);
+
 /// Full configuration of a Tiger system.
 #[derive(Clone, Debug)]
 pub struct TigerConfig {
@@ -63,8 +66,6 @@ pub struct TigerConfig {
     /// forwarding would force every failure to do). On by default; the
     /// forwarding ablation turns it off to reproduce the paper's argument.
     pub gap_recovery: bool,
-    /// Per-cub buffer cache (20 MB in the testbed; bounds read-ahead).
-    pub buffer_cache: ByteSize,
     /// Number of client machines.
     pub num_clients: u32,
     /// Root RNG seed; a run is a pure function of (config, workload, seed).
@@ -74,16 +75,6 @@ pub struct TigerConfig {
     /// insertions beyond a certain level, which we disabled for this
     /// test").
     pub admission_limit: Option<f64>,
-    /// Run a hot-standby backup controller (the paper's stated future
-    /// work: "The Netshow product group plans on making the remaining
-    /// functions of the controller fault tolerant"). The backup mirrors
-    /// the controller's per-viewer state from the cubs' commit/finish
-    /// notices and takes over `controller_failover_timeout` after the
-    /// primary goes silent.
-    pub backup_controller: bool,
-    /// How long after the primary controller falls silent the backup
-    /// promotes itself.
-    pub controller_failover_timeout: SimDuration,
     /// Spare cubs built but not part of the stripe (§2.2 restriping: "the
     /// time to restripe a system does not depend on the size of the
     /// system"). Spares are powered machines with live disks that receive
@@ -118,12 +109,9 @@ impl TigerConfig {
             forward_interval: SimDuration::from_millis(500),
             forwarding: ForwardingPolicy::Double,
             gap_recovery: true,
-            buffer_cache: ByteSize::from_mib(20),
             num_clients: 31,
             seed: 1997,
             admission_limit: None,
-            backup_controller: false,
-            controller_failover_timeout: SimDuration::from_secs(3),
             spare_cubs: 0,
             redundancy: RedundancyMode::Mirrored,
         }
@@ -178,8 +166,8 @@ impl TigerConfig {
     }
 
     /// Total cub machines built: striped members plus spares. Node
-    /// numbering uses this so client and backup-controller node ids never
-    /// shift when spares join the stripe at a restripe cut-over.
+    /// numbering uses this so client node ids never shift when spares
+    /// join the stripe at a restripe cut-over.
     pub fn total_cubs(&self) -> u32 {
         self.stripe.num_cubs + self.spare_cubs
     }
@@ -191,7 +179,7 @@ impl TigerConfig {
 
     /// How many read-ahead blocks the buffer cache can hold.
     pub fn buffer_blocks(&self) -> u32 {
-        (self.buffer_cache.as_bytes() / self.block_size().as_bytes().max(1)) as u32
+        (BUFFER_CACHE.as_bytes() / self.block_size().as_bytes().max(1)) as u32
     }
 }
 

@@ -7,17 +7,16 @@
 //! cub currently serving the viewer, and does *no* per-block work — which
 //! is what keeps its load flat as the system grows.
 //!
-//! [`Controller`] is one controller's viewer table and request counters;
-//! [`ControlPlane`] is the DES driver around it: the primary, an optional
-//! hot standby fed the same notices, their ring-membership view (a
-//! sans-io `tiger_proto::Membership`, see `docs/PROTOCOL.md`), and the
-//! one message handler both roles run.
+//! [`Controller`] is the one controller: its viewer table, its request
+//! counters, its ring-membership view (a sans-io `tiger_proto::Membership`,
+//! see `docs/PROTOCOL.md`) and the message handler the event loop calls.
+//! It is a single point of failure, as in the paper (§2.3): once it is
+//! power-cut, running streams play on but nothing starts or stops.
 
 use std::collections::HashMap;
 
 use tiger_layout::ids::ViewerInstance;
 use tiger_layout::{BlockNum, CubId, DiskId};
-use tiger_net::NetNode;
 use tiger_proto::msg::Message;
 use tiger_proto::Membership;
 use tiger_sched::{Deschedule, ScheduleParams, SlotId};
@@ -40,17 +39,27 @@ pub struct ViewerRecord {
 }
 
 /// The controller's state.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Controller {
     viewers: HashMap<ViewerInstance, ViewerRecord>,
     requests: Counter,
     active_streams: u32,
+    /// The controller's failure beliefs (for routing around dead cubs) —
+    /// the same sans-io [`Membership`] vector the cubs' ring machines use.
+    /// A restripe cut-over resets it from the ground-truth map.
+    pub(crate) believes_failed: Membership,
 }
 
 impl Controller {
-    /// Creates an idle controller.
-    pub fn new() -> Self {
-        Self::default()
+    /// An idle controller that routes around the spares (cubs past
+    /// `striped`) until a cut-over absorbs them.
+    pub(crate) fn new(total_cubs: u32, striped: u32) -> Self {
+        Controller {
+            viewers: HashMap::new(),
+            requests: Counter::default(),
+            active_streams: 0,
+            believes_failed: Membership::with_spares(total_cubs, striped),
+        }
     }
 
     /// Registers a start request; returns false if the instance is already
@@ -134,97 +143,15 @@ impl Controller {
     pub fn reset_window(&mut self, now: SimTime) {
         self.requests.reset_window(now);
     }
-}
 
-/// The control plane: the primary controller, its optional hot standby,
-/// and the failure beliefs they route by. Both roles run the one handler
-/// `ControlPlane::on_message`; until it is promoted the standby runs it
-/// *muted* — the same state transitions, but no sends, no trace records,
-/// no omniscient-checker updates and no shield launches.
-#[derive(Debug)]
-pub struct ControlPlane {
-    /// The acting controller's state: the primary's, until a promotion
-    /// installs what the standby mirrored.
-    acting: Controller,
-    /// The hot standby's state (idle when no backup is configured).
-    standby: Controller,
-    /// The controllers' failure beliefs (for routing around dead cubs) —
-    /// the same sans-io [`Membership`] vector the cubs' ring machines use.
-    /// A restripe cut-over resets it from the ground-truth map.
-    pub(crate) believes_failed: Membership,
-    /// The node the acting controller sends from.
-    node: NetNode,
-    /// Whether the standby has taken over.
-    promoted: bool,
-}
-
-impl ControlPlane {
-    /// An idle control plane that routes around the spares (cubs past
-    /// `striped`) until a cut-over absorbs them.
-    pub(crate) fn new(total_cubs: u32, striped: u32) -> Self {
-        ControlPlane {
-            acting: Controller::new(),
-            standby: Controller::new(),
-            believes_failed: Membership::with_spares(total_cubs, striped),
-            node: NetNode(0),
-            promoted: false,
-        }
-    }
-
-    /// The acting controller's state.
-    pub fn acting(&self) -> &Controller {
-        &self.acting
-    }
-
-    /// The record either role holds for `instance`.
-    pub(crate) fn viewer(&self, instance: &ViewerInstance) -> Option<&ViewerRecord> {
-        self.acting
-            .viewer(instance)
-            .or_else(|| self.standby.viewer(instance))
-    }
-
-    /// Restripe cut-over: both roles drop the fenced `instance`.
-    pub(crate) fn forget_viewer(&mut self, instance: ViewerInstance) {
-        self.acting.on_viewer_finished(instance);
-        self.standby.on_viewer_finished(instance);
-    }
-
-    /// Starts a fresh measurement window.
-    pub(crate) fn reset_window(&mut self, now: SimTime) {
-        self.acting.reset_window(now);
-    }
-
-    /// The standby's silence timer fired: its mirrored state becomes
-    /// authoritative and it starts answering from its own address.
-    pub(crate) fn promote(&mut self, standby_node: NetNode) {
-        if !self.promoted {
-            self.promoted = true;
-            self.acting = std::mem::take(&mut self.standby);
-            self.node = standby_node;
-        }
-    }
-
-    /// The state a message updates: the standby's while it is muted.
-    fn role(&mut self, muted: bool) -> &mut Controller {
-        if muted {
-            &mut self.standby
-        } else {
-            &mut self.acting
-        }
-    }
-
-    /// Handles a message delivered to the primary's address, or — with
-    /// `to_standby` — to the standby's. Returns a cub the (unmuted)
-    /// controller just learned has failed, for the caller to shield.
+    /// Handles a message delivered to the controller. Returns a cub it
+    /// just learned has failed, for the caller to shield.
     pub(crate) fn on_message(
         &mut self,
         sh: &mut Shared,
         now: SimTime,
-        to_standby: bool,
         msg: Message,
     ) -> Option<CubId> {
-        let muted = to_standby && !self.promoted;
-        let role = self.role(muted);
         match msg {
             Message::StartRequest {
                 client,
@@ -236,12 +163,12 @@ impl ControlPlane {
                 // Admission control (disabled for the §5 tests).
                 if let Some(limit) = sh.cfg.admission_limit {
                     let cap = f64::from(sh.params.capacity());
-                    if f64::from(role.active_streams()) >= limit * cap {
+                    if f64::from(self.active_streams) >= limit * cap {
                         return None; // Rejected; the client never starts.
                     }
                 }
-                if !role.on_start_request(instance) || muted {
-                    return None; // Duplicate, or nothing to route.
+                if !self.on_start_request(instance) {
+                    return None; // Duplicate.
                 }
                 let loc = sh.catalog.locate(file, BlockNum(from_block))?;
                 let home = sh.params.stripe().cub_of(loc.disk);
@@ -267,29 +194,28 @@ impl ControlPlane {
                     }
                 });
             }
-            Message::StopRequest { instance } => self.route_deschedule(sh, now, instance, muted),
+            Message::StopRequest { instance } => self.route_deschedule(sh, now, instance),
             Message::InsertCommitted { instance, slot, .. } => {
-                if role.on_insert_committed(instance, slot) {
+                if self.on_insert_committed(instance, slot) {
                     // The viewer was stopped while its start was still
                     // queued (the §4.1.3 stop/insert race). Now that a cub
                     // has committed it into a slot, honour the stop —
                     // otherwise the stream would play on with nobody left
-                    // to deschedule it (and the standby would keep
-                    // counting it).
-                    self.route_deschedule(sh, now, instance, muted);
+                    // to deschedule it.
+                    self.route_deschedule(sh, now, instance);
                 }
             }
             Message::ViewerFinished { instance } => {
-                let slot = role.viewer(&instance).and_then(|rec| rec.slot);
-                if let (false, Some(slot), Some(omni)) = (muted, slot, sh.omniscient.as_mut()) {
+                let slot = self.viewer(&instance).and_then(|rec| rec.slot);
+                if let (Some(slot), Some(omni)) = (slot, sh.omniscient.as_mut()) {
                     omni.on_remove(slot, instance, now);
                 }
-                role.on_viewer_finished(instance);
+                self.on_viewer_finished(instance);
             }
             Message::FailureNotice { failed } => {
                 let first = !self.believes_failed.is_failed(failed);
                 self.believes_failed.set_failed(failed, true);
-                return (first && !muted).then_some(failed);
+                return first.then_some(failed);
             }
             Message::RejoinRequest { from } => {
                 // A restarted cub is routable again.
@@ -302,25 +228,16 @@ impl ControlPlane {
         None
     }
 
-    /// Routes a deschedule for `instance` if the role knows its slot: the
+    /// Routes a deschedule for `instance` if its slot is known: the
     /// cub whose disk next services the slot (plus its successor) gets the
     /// kill. A viewer without a committed slot is tombstoned inside
     /// [`Controller::on_stop_request`] and descheduled when its
     /// `InsertCommitted` arrives.
-    fn route_deschedule(
-        &mut self,
-        sh: &mut Shared,
-        now: SimTime,
-        instance: ViewerInstance,
-        muted: bool,
-    ) {
-        let routed = self.role(muted).on_stop_request(instance, &sh.params, now);
+    fn route_deschedule(&mut self, sh: &mut Shared, now: SimTime, instance: ViewerInstance) {
+        let routed = self.on_stop_request(instance, &sh.params, now);
         let Some((slot, cub)) = routed else {
             return;
         };
-        if muted {
-            return; // The standby mirrors the state change; it routes nothing.
-        }
         sh.tracer.record(
             now,
             CTRL,
@@ -349,7 +266,7 @@ impl ControlPlane {
     }
 
     /// The first living cub at or after `cub` and its living successor,
-    /// per the controllers' beliefs: every routed request goes to both
+    /// per the controller's beliefs: every routed request goes to both
     /// (§4.1.3's redundant start, §4.1.2's doubled deschedule).
     fn living_pair(&self, sh: &Shared, cub: CubId) -> (CubId, Option<CubId>) {
         let n = sh.cfg.stripe.num_cubs;
@@ -358,7 +275,7 @@ impl ControlPlane {
     }
 
     /// Sends `msg(false)` to the pair's target and `msg(true)` to its
-    /// successor, from the acting controller's address.
+    /// successor, from the controller's address.
     fn send_pair(
         &self,
         sh: &mut Shared,
@@ -366,9 +283,10 @@ impl ControlPlane {
         (target, successor): (CubId, Option<CubId>),
         msg: impl Fn(bool) -> Message,
     ) {
-        sh.send_control(now, self.node, sh.cub_node(target), msg(false));
+        let node = sh.controller_node();
+        sh.send_control(now, node, sh.cub_node(target), msg(false));
         if let Some(succ) = successor {
-            sh.send_control(now, self.node, sh.cub_node(succ), msg(true));
+            sh.send_control(now, node, sh.cub_node(succ), msg(true));
         }
     }
 }
@@ -399,7 +317,7 @@ mod tests {
     #[test]
     fn start_commit_stop_lifecycle() {
         let p = params();
-        let mut c = Controller::new();
+        let mut c = Controller::new(4, 4);
         assert!(c.on_start_request(inst(1)));
         assert!(!c.on_start_request(inst(1)), "duplicate");
         assert_eq!(c.active_streams(), 0, "not committed yet");
@@ -419,7 +337,7 @@ mod tests {
     #[test]
     fn stop_routes_to_next_servicing_cub() {
         let p = params();
-        let mut c = Controller::new();
+        let mut c = Controller::new(4, 4);
         c.on_start_request(inst(1));
         c.on_insert_committed(inst(1), SlotId(0));
         let now = SimTime::from_secs(10);
@@ -439,7 +357,7 @@ mod tests {
     #[test]
     fn stop_before_commit_is_remembered_not_dropped() {
         let p = params();
-        let mut c = Controller::new();
+        let mut c = Controller::new(4, 4);
         c.on_start_request(inst(4));
         // Stop while the start is still queued at a cub: unroutable now …
         assert!(c
@@ -461,7 +379,7 @@ mod tests {
 
     #[test]
     fn eof_releases_stream_count() {
-        let mut c = Controller::new();
+        let mut c = Controller::new(4, 4);
         c.on_start_request(inst(2));
         c.on_insert_committed(inst(2), SlotId(3));
         c.on_viewer_finished(inst(2));
@@ -472,7 +390,7 @@ mod tests {
 
     #[test]
     fn request_rate_windows() {
-        let mut c = Controller::new();
+        let mut c = Controller::new(4, 4);
         c.reset_window(SimTime::ZERO);
         for i in 0..10 {
             c.on_start_request(inst(i));

@@ -23,7 +23,7 @@ use tiger_sched::{Deschedule, ScheduleView, SlotId, StreamKind, ViewerState};
 use tiger_sim::{Counter, SimDuration, SimTime};
 use tiger_trace::TraceEvent;
 
-use crate::config::{ForwardingPolicy, TigerConfig};
+use crate::config::{ForwardingPolicy, TigerConfig, BUFFER_CACHE};
 use crate::event::Event;
 use crate::pool::BufferPool;
 use crate::system::Shared;
@@ -121,7 +121,7 @@ impl Cub {
             mirrors_created: HashMap::default(),
             ins: InsertMachine::new(),
             ring: RingMachine::new(id, num_cubs),
-            pool: BufferPool::new(cfg.buffer_cache.as_bytes(), cfg.block_size().as_bytes()),
+            pool: BufferPool::new(BUFFER_CACHE.as_bytes(), cfg.block_size().as_bytes()),
             cache_resident: std::collections::VecDeque::new(),
             cache_hits: Counter::new(),
             cache_lookups: Counter::new(),
@@ -201,7 +201,7 @@ impl Cub {
         self.view.len() + self.shadows.len() + self.services.information_held()
     }
 
-    /// The instances this cub remembers telling the controllers played to
+    /// The instances this cub remembers telling the controller played to
     /// their end: a retired-log window's worth.
     pub fn eof_notices_held(&self) -> usize {
         self.eof_sent.len()
@@ -503,12 +503,12 @@ impl Cub {
         }
     }
 
-    /// Tells the controllers, once, that `instance` played to its end.
+    /// Tells the controller, once, that `instance` played to its end.
     fn report_eof(&mut self, sh: &mut Shared, now: SimTime, instance: ViewerInstance) {
         if let std::collections::hash_map::Entry::Vacant(sent) = self.eof_sent.entry(instance) {
             sent.insert(now);
             let me = sh.cub_node(self.id);
-            sh.send_to_controllers(now, me, Message::ViewerFinished { instance });
+            sh.send_to_controller(now, me, Message::ViewerFinished { instance });
         }
     }
 
@@ -867,7 +867,7 @@ impl Cub {
         // coherent hallucination when a message to that effect makes it to
         // at least one other machine").
         let first_send = sh.params.slot_send_time(d0, slot, now);
-        sh.send_to_controllers(
+        sh.send_to_controller(
             now,
             sh.cub_node(self.id),
             Message::InsertCommitted {
@@ -930,7 +930,7 @@ impl Cub {
         for target in self.ring.living_peers() {
             sh.send_control(now, me, sh.cub_node(target), notice.clone());
         }
-        sh.send_to_controllers(now, me, notice);
+        sh.send_to_controller(now, me, notice);
     }
 
     fn on_failure_notice(&mut self, sh: &mut Shared, now: SimTime, failed: CubId) {

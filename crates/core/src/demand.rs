@@ -272,7 +272,7 @@ impl TigerSystem {
             load,
         );
         let node = self.shared.client_node(client);
-        self.shared.send_to_controllers(
+        self.shared.send_to_controller(
             now,
             node,
             Message::StartRequest {
@@ -322,8 +322,8 @@ impl TigerSystem {
     }
 
     pub(crate) fn on_client_stop(&mut self, now: SimTime, instance: ViewerInstance) {
-        // The owning client tells the controllers, whatever their tables
-        // say: its start may still be on the wire, and control delivery
+        // The owning client tells the controller, whatever its table
+        // says: its start may still be on the wire, and control delivery
         // is FIFO per channel, so the stop lands after it.
         let Some(client) = self.owner(&instance) else {
             return;
@@ -333,7 +333,7 @@ impl TigerSystem {
         }
         let node = self.shared.client_node(client);
         self.shared
-            .send_to_controllers(now, node, Message::StopRequest { instance });
+            .send_to_controller(now, node, Message::StopRequest { instance });
     }
 }
 

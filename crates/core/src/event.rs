@@ -145,8 +145,6 @@ pub enum Event {
         /// Index into that lane's job list.
         idx: u32,
     },
-    /// The backup controller's silence timer fired: promote it.
-    PromoteBackup,
     /// Workload: a client issues a start request for a file.
     ClientStart {
         /// The client node index (0-based among clients).
@@ -188,7 +186,7 @@ pub enum Event {
 
 impl Event {
     /// The event kinds' names, in declaration order.
-    pub const KIND_NAMES: [&'static str; 25] = [
+    pub const KIND_NAMES: [&'static str; 24] = [
         "Deliver",
         "ReadIssue",
         "PoolFloor",
@@ -208,7 +206,6 @@ impl Event {
         "CopyTick",
         "CopyRead",
         "CopyArrive",
-        "PromoteBackup",
         "ClientStart",
         "ClientStop",
         "ClientResume",
@@ -238,12 +235,11 @@ impl Event {
             Event::CopyTick { .. } => 16,
             Event::CopyRead { .. } => 17,
             Event::CopyArrive { .. } => 18,
-            Event::PromoteBackup => 19,
-            Event::ClientStart { .. } => 20,
-            Event::ClientStop { .. } => 21,
-            Event::ClientResume { .. } => 22,
-            Event::ClientSeek { .. } => 23,
-            Event::Scripted { .. } => 24,
+            Event::ClientStart { .. } => 19,
+            Event::ClientStop { .. } => 20,
+            Event::ClientResume { .. } => 21,
+            Event::ClientSeek { .. } => 22,
+            Event::Scripted { .. } => 23,
         }
     }
 }
@@ -267,7 +263,6 @@ mod tests {
             Event::FailController,
             Event::RestripeStart,
             Event::CopyTick { lane: Lane::Shield },
-            Event::PromoteBackup,
             Event::ClientSeek {
                 instance: tiger_layout::ids::ViewerInstance {
                     viewer: tiger_layout::ids::ViewerId(0),

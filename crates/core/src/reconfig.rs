@@ -155,7 +155,7 @@ impl TigerSystem {
         let node = self.shared.cub_node(cub);
         self.shared.net.revive_node(now, node);
         self.cubs[cub.index()].restart(now, striped);
-        // Announce the rejoin to every striped cub and the controllers:
+        // Announce the rejoin to every striped cub and the controller:
         // receivers clear their failure belief and re-baseline deadman
         // monitoring; ring neighbours answer with their own belief lists
         // (bounded-view exchange) and the covering mirror partner opens
@@ -168,7 +168,7 @@ impl TigerSystem {
             }
         }
         self.shared
-            .send_to_controllers(now, node, Message::RejoinRequest { from: cub });
+            .send_to_controller(now, node, Message::RejoinRequest { from: cub });
         self.arm_periodic(cub, now, false);
     }
 
@@ -271,7 +271,7 @@ impl TigerSystem {
             .collect();
         let hold_until = now + self.shared.cfg.deschedule_reach();
         for &(ci, inst, _, _) in &live {
-            self.ctl.forget_viewer(inst);
+            self.ctl.on_viewer_finished(inst);
             self.clients[ci as usize].on_stopped(inst);
         }
         for cub in &mut self.cubs {

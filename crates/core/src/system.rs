@@ -16,7 +16,7 @@ use tiger_trace::{TraceEvent, Tracer, CTRL};
 use crate::backend::Backend;
 use crate::client::{Client, ClientReport};
 use crate::config::TigerConfig;
-use crate::controller::{ControlPlane, Controller};
+use crate::controller::Controller;
 use crate::cpu::CpuModel;
 use crate::cub::Cub;
 use crate::demand::Scripts;
@@ -67,24 +67,15 @@ pub struct Shared {
 }
 
 impl Shared {
-    /// The (primary) controller's network node.
+    /// The controller's network node.
     pub fn controller_node(&self) -> NetNode {
         NetNode(0)
     }
 
-    /// The backup controller's network node, if one is configured.
-    pub fn backup_controller_node(&self) -> Option<NetNode> {
-        self.topology.backup_node().map(NetNode)
-    }
-
-    /// Sends a controller-bound notice to the primary and, when a backup
-    /// is configured, mirrors it there (state replication).
-    pub fn send_to_controllers(&mut self, now: SimTime, src: NetNode, msg: Message) {
-        let primary = self.controller_node();
-        self.send_control(now, src, primary, msg.clone());
-        if let Some(backup) = self.backup_controller_node() {
-            self.send_control(now, src, backup, msg);
-        }
+    /// Sends a controller-bound notice to the controller.
+    pub fn send_to_controller(&mut self, now: SimTime, src: NetNode, msg: Message) {
+        let ctrl = self.controller_node();
+        self.send_control(now, src, ctrl, msg);
     }
 
     /// The network node of `cub`.
@@ -154,8 +145,8 @@ pub struct TigerSystem {
     pub(crate) cubs: Vec<Cub>,
     pub(crate) clients: Vec<Client>,
     cpu: CpuModel,
-    /// The primary controller and its optional hot standby.
-    pub(crate) ctl: ControlPlane,
+    /// The controller.
+    pub(crate) ctl: Controller,
     /// Restripe steps, shield campaigns and their copy lanes.
     pub(crate) reconfig: Reconfig,
     /// The client each viewer was requested from, by viewer id.
@@ -182,10 +173,8 @@ impl TigerSystem {
         let total_cubs = cfg.total_cubs();
         let topology = Topology {
             num_cubs: total_cubs,
-            num_clients: cfg.num_clients,
-            backup_controller: cfg.backup_controller,
         };
-        let nodes = 1 + total_cubs + cfg.num_clients + u32::from(cfg.backup_controller);
+        let nodes = 1 + total_cubs + cfg.num_clients;
         let net = Network::new(nodes, cfg.nic_capacity, cfg.latency, rng.fork("net", 0));
         let mut cubs = Vec::with_capacity(total_cubs as usize);
         for c in 0..total_cubs {
@@ -243,7 +232,7 @@ impl TigerSystem {
             clients,
             cpu: CpuModel::pentium133(),
             // The controller, too, routes around spares until cut-over.
-            ctl: ControlPlane::new(total_cubs, striped),
+            ctl: Controller::new(total_cubs, striped),
             reconfig: Reconfig::default(),
             owner: Vec::new(),
             scripts: Scripts::default(),
@@ -490,11 +479,9 @@ impl TigerSystem {
         violations
     }
 
-    /// Schedules a power-cut of the primary controller at time `at`. With
-    /// a backup controller configured, the backup promotes itself after
-    /// the failover timeout; without one, running streams continue
-    /// unaffected but no new viewer can start or stop (the paper's §2.3
-    /// single-point-of-failure caveat).
+    /// Schedules a power-cut of the controller at time `at`. Running
+    /// streams continue unaffected but no new viewer can start or stop
+    /// (the paper's §2.3 single-point-of-failure caveat).
     pub fn fail_controller_at(&mut self, at: SimTime) {
         self.shared.queue.schedule(at, Event::FailController);
     }
@@ -618,18 +605,6 @@ impl TigerSystem {
             Event::FailController => {
                 let node = self.shared.controller_node();
                 self.shared.net.fail_node(node);
-                if self.shared.cfg.backup_controller {
-                    self.shared.queue.schedule_in(
-                        self.shared.cfg.controller_failover_timeout,
-                        Event::PromoteBackup,
-                    );
-                }
-            }
-            Event::PromoteBackup => {
-                // Queued by `FailController` only when a backup is configured.
-                let node = self.shared.backup_controller_node();
-                self.ctl
-                    .promote(node.expect("promotion requires a configured backup"));
             }
             Event::ClientStart {
                 client,
@@ -685,9 +660,8 @@ impl TigerSystem {
         if let Some(cub) = self.shared.cub_at(dst) {
             return self.cubs[cub.index()].on_message(&mut self.shared, now, msg);
         }
-        let to_standby = Some(dst) == self.shared.backup_controller_node();
-        if to_standby || dst == self.shared.controller_node() {
-            if let Some(failed) = self.ctl.on_message(&mut self.shared, now, to_standby, msg) {
+        if dst == self.shared.controller_node() {
+            if let Some(failed) = self.ctl.on_message(&mut self.shared, now, msg) {
                 self.maybe_shield(now, failed);
             }
         } else {
@@ -735,9 +709,9 @@ impl TigerSystem {
         &self.cubs
     }
 
-    /// The acting controller (read-only).
+    /// The controller (read-only).
     pub fn controller(&self) -> &Controller {
-        self.ctl.acting()
+        &self.ctl
     }
 
     /// Aggregate report for one client machine.

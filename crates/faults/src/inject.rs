@@ -323,11 +323,7 @@ mod tests {
     use tiger_sim::RngTree;
 
     fn topo() -> Topology {
-        Topology {
-            num_cubs: 4,
-            num_clients: 2,
-            backup_controller: false,
-        }
+        Topology { num_cubs: 4 }
     }
 
     fn rng(idx: u64) -> SimRng {

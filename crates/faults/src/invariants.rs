@@ -319,11 +319,7 @@ mod tests {
     }
 
     fn topo() -> Topology {
-        Topology {
-            num_cubs: 4,
-            num_clients: 0,
-            backup_controller: false,
-        }
+        Topology { num_cubs: 4 }
     }
 
     fn plan(text: &str) -> FaultPlan {

@@ -21,10 +21,8 @@ use tiger_sim::{SimDuration, SimTime};
 pub enum NodeSel {
     /// Any node (`*` in the text format).
     Any,
-    /// The primary controller.
+    /// The controller.
     Ctrl,
-    /// The backup controller (if configured).
-    Backup,
     /// Cub `c` (`cN`).
     Cub(u32),
     /// Client machine `i` (`clientN`).
@@ -34,16 +32,11 @@ pub enum NodeSel {
 /// The node numbering of the assembled system, defined here so plans can
 /// be compiled without depending on the core crate (the system keeps the
 /// one copy it numbers its nodes by): controller is node 0, cub `c` is
-/// node `1 + c`, client `i` is node `1 + num_cubs + i`, and the backup
-/// controller (when configured) sits last.
+/// node `1 + c`, client `i` is node `1 + num_cubs + i`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Topology {
     /// Number of cubs.
     pub num_cubs: u32,
-    /// Number of client machines.
-    pub num_clients: u32,
-    /// Whether a backup controller node exists.
-    pub backup_controller: bool,
 }
 
 impl Topology {
@@ -57,30 +50,22 @@ impl Topology {
         1 + self.num_cubs + i
     }
 
-    /// Node id of the backup controller, if configured.
-    pub fn backup_node(&self) -> Option<u32> {
-        self.backup_controller
-            .then(|| 1 + self.num_cubs + self.num_clients)
-    }
-
     /// Whether `sel` matches node id `node`.
     pub fn matches(&self, sel: NodeSel, node: u32) -> bool {
         match sel {
             NodeSel::Any => true,
             NodeSel::Ctrl => node == 0,
-            NodeSel::Backup => Some(node) == self.backup_node(),
             NodeSel::Cub(c) => node == self.cub_node(c),
             NodeSel::Client(i) => node == self.client_node(i),
         }
     }
 
     /// Resolves a concrete selector to its node id (`None` for
-    /// [`NodeSel::Any`] or an unconfigured backup).
+    /// [`NodeSel::Any`]).
     pub fn resolve(&self, sel: NodeSel) -> Option<u32> {
         match sel {
             NodeSel::Any => None,
             NodeSel::Ctrl => Some(0),
-            NodeSel::Backup => self.backup_node(),
             NodeSel::Cub(c) => Some(self.cub_node(c)),
             NodeSel::Client(i) => Some(self.client_node(i)),
         }
@@ -316,7 +301,7 @@ impl FaultPlan {
     /// blank lines and `#` comments are skipped:
     ///
     /// ```text
-    /// # node tokens: * ctrl backup cN clientN; times: 2s 250ms 1.5s
+    /// # node tokens: * ctrl cN clientN; times: 2s 250ms 1.5s
     /// drop c1>c3 prob=0.3 from=2s until=5s
     /// delay c1>* extra=20ms jitter=10ms from=0s until=10s
     /// dup ctrl>c2 prob=0.05 from=1s until=2s
@@ -379,7 +364,6 @@ fn parse_node(tok: &str) -> Result<NodeSel, String> {
     match tok {
         "*" => Ok(NodeSel::Any),
         "ctrl" => Ok(NodeSel::Ctrl),
-        "backup" => Ok(NodeSel::Backup),
         _ => {
             if let Some(n) = tok.strip_prefix("client") {
                 n.parse()
@@ -683,6 +667,10 @@ power-domain c1,c2 at=9s
             ("crash ctrl at=2s", "expected a cub"),
             ("disk-kill c2 at=2s", "cN:disk"),
             ("partition c0|c1 from=3s heal=2s", "after from="),
+            (
+                "drop backup>c1 prob=0.3 from=1s until=2s",
+                "unknown node token",
+            ),
             // What no reader understands is an error, not a default.
             (
                 "delay c1>* extra=20ms jiter=10ms from=0s until=10s",
@@ -760,24 +748,14 @@ power-domain c1,c2 at=9s
 
     #[test]
     fn topology_matches_node_numbering() {
-        let topo = Topology {
-            num_cubs: 4,
-            num_clients: 3,
-            backup_controller: true,
-        };
+        let topo = Topology { num_cubs: 4 };
         assert!(topo.matches(NodeSel::Ctrl, 0));
         assert!(topo.matches(NodeSel::Cub(2), 3));
         assert!(topo.matches(NodeSel::Client(0), 5));
-        assert!(topo.matches(NodeSel::Backup, 8));
         assert!(topo.matches(NodeSel::Any, 7));
         assert!(!topo.matches(NodeSel::Cub(2), 2));
         assert_eq!(topo.resolve(NodeSel::Any), None);
         assert_eq!(topo.resolve(NodeSel::Cub(0)), Some(1));
-        let no_backup = Topology {
-            backup_controller: false,
-            ..topo
-        };
-        assert_eq!(no_backup.resolve(NodeSel::Backup), None);
     }
 
     #[test]

@@ -394,11 +394,7 @@ mod tests {
     /// A 2-cub/0-client topology whose nodes line up with `net(3)`:
     /// ctrl=0, cub0=1, cub1=2.
     fn topo3() -> Topology {
-        Topology {
-            num_cubs: 2,
-            num_clients: 0,
-            backup_controller: false,
-        }
+        Topology { num_cubs: 2 }
     }
 
     fn with_plan(plan: &str) -> Network {

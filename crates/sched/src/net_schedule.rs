@@ -366,15 +366,18 @@ impl NetworkSchedule {
             return 0.0; // Genuinely full, not fragmented.
         }
         // Greedily pack as many rate-streams as currently fit (each
-        // admission changes the landscape, so simulate the packing).
+        // admission changes the landscape, so simulate the packing). An
+        // entry holds `rate` for one `bpt` of the `len`-long ring, so it
+        // takes `rate * bpt / len` of the ring-mean free bandwidth.
         let mut trial = self.clone();
+        let share = self.bpt.as_nanos() as f64 / self.len.as_nanos() as f64;
         let mut packed_bits = 0f64;
         while let Some(s) = trial.admissible_starts(rate, probe).next() {
             let inst = ViewerInstance::default();
             if trial.insert(inst, s, rate, false).is_err() {
                 break;
             }
-            packed_bits += rate.bits_per_sec() as f64;
+            packed_bits += rate.bits_per_sec() as f64 * share;
             if packed_bits >= free {
                 break;
             }
@@ -573,6 +576,7 @@ mod tests {
         };
         let arbitrary = run(None);
         let quantized = run(Some(ms(250)));
+        assert!(arbitrary > 0.0, "churn left no fragmentation to reduce");
         assert!(
             quantized <= arbitrary,
             "quantized {quantized} should not fragment more than arbitrary {arbitrary}"

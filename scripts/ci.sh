@@ -102,7 +102,7 @@ TIGER_PROP_CASES=2000 cargo test -q -p tiger-proto --test wire
 # Order-independence, proved instead of promised: `DetHashMap`'s iteration
 # order is arbitrary and no behaviour may read it (crates/sim/src/lib.rs).
 # `--cfg tiger_alt_hash` swaps `DetHasher`'s multiplier, and with it the
-# order of every map in the workspace; the seventeen full-trace digests of
+# order of every map in the workspace; the sixteen full-trace digests of
 # the three `*_paths` suites and the fleet determinism tests must come out
 # the same. A target directory of its own, so the flag does not evict the
 # main build. Fatal — a digest that moves here names a map whose order
@@ -339,10 +339,16 @@ fi
 # 7,497 -> 7,452; the view's hand-written kind comparison went (sched
 # 1,578 -> 1,551) and the insert machine lost take_queue and requeue
 # (proto 1,206 -> 1,191). Each limit follows what it measured.
+# The hot-standby controller no experiment ran went, and the control
+# plane became one `Controller` (its `Membership` and handler with it):
+# the core fell 7,452 -> 7,328 (system.rs 898 -> 872, controller.rs
+# 375 -> 293) and faults 1,254 -> 1,238 (the `backup` node token). The
+# fragmentation metric's unit fix took sched 1,551 -> 1,554. Each limit
+# follows what it measured.
 nontest() { awk '/#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$1"; }
 for f in crates/core/src/*.rs; do
     limit=1299
-    [ "$f" = crates/core/src/system.rs ] && limit=898
+    [ "$f" = crates/core/src/system.rs ] && limit=872
     [ "$f" = crates/core/src/service.rs ] && limit=1124
     lines=$(nontest "$f")
     if [ "$lines" -gt "$limit" ]; then
@@ -350,9 +356,9 @@ for f in crates/core/src/*.rs; do
         exit 1
     fi
 done
-for dir_limit in crates/core/src:7452 crates/faults/src:1254 crates/net/src:497 \
+for dir_limit in crates/core/src:7328 crates/faults/src:1238 crates/net/src:497 \
     crates/workload/src:1211 crates/bench/src:2907 \
-    crates/sched/src:1551 crates/proto/src:1191 crates/rt/src:478; do
+    crates/sched/src:1554 crates/proto/src:1191 crates/rt/src:478; do
     dir=${dir_limit%:*} limit=${dir_limit#*:} total=0
     for f in "$dir"/*.rs; do
         total=$((total + $(nontest "$f")))

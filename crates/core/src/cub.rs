@@ -365,7 +365,27 @@ impl Cub {
             self.replay_retired_tail(sh, now, from);
         }
         if outcome.was_covering {
-            self.grant_handback(sh, now, from);
+            // Mirror catch-up (the covering partner's half of a rejoin)
+            // hands nothing over: the declare re-drove and removed every
+            // shadow on a cub this one covers
+            // (`takeover_if_acting_successor`), and while it covers,
+            // `on_primary_state` takes the cover branch before the shadow
+            // branch. The window relays freshly shadowed records until
+            // the rejoiner's own lead pipeline is warm (one
+            // minVStateLead).
+            debug_assert!(
+                !self.shadows.in_order().any(|s| sh
+                    .catalog
+                    .locate(s.vs.file, s.vs.position)
+                    .is_some_and(|loc| loc.cub == from)),
+                "a covering cub holds a shadow on the rejoiner"
+            );
+            sh.tracer.record(
+                now,
+                self.id.raw(),
+                TraceEvent::HandbackOpen { to: from.raw() },
+            );
+            self.ring.open_handback(from, now, &sh.cfg.ring());
         }
     }
 
@@ -424,50 +444,6 @@ impl Cub {
             now + SimDuration::from_millis(1),
             Event::ForwardPass { cub: self.id },
         );
-    }
-
-    /// Mirror catch-up (the covering partner's half of a rejoin): hand the
-    /// rejoiner every shadowed record for its disks whose block this cub
-    /// has *not* already driven to the mirrors — those blocks' pieces are
-    /// in flight and a primary re-send would serve the slot twice. A
-    /// bounded window then keeps relaying freshly shadowed records until
-    /// the rejoiner's own lead pipeline is warm (one minVStateLead).
-    fn grant_handback(&mut self, sh: &mut Shared, now: SimTime, to: CubId) {
-        let grant: Vec<ViewerState> = self
-            .shadows
-            .in_order()
-            .filter(|s| {
-                // Only fresh records (send time still ahead): a stale
-                // pre-failure shadow carries an old position, and replaying
-                // it into the rejoiner's empty view would re-serve a block
-                // the mirrors already delivered.
-                s.due > now
-                    && sh
-                        .catalog
-                        .locate(s.vs.file, s.vs.position)
-                        .is_some_and(|loc| loc.cub == to)
-                    && !self.mirrors_created.contains_key(&(
-                        s.vs.slot,
-                        s.vs.instance,
-                        s.vs.position.raw(),
-                    ))
-            })
-            .map(|s| s.vs)
-            .collect();
-        sh.tracer.record(
-            now,
-            self.id.raw(),
-            TraceEvent::RejoinGrant {
-                to: to.raw(),
-                count: grant.len() as u32,
-            },
-        );
-        self.ring.open_handback(to, now, &sh.cfg.ring());
-        if !grant.is_empty() {
-            let me = sh.cub_node(self.id);
-            let batch: std::sync::Arc<[ViewerState]> = grant.into();
-            sh.send_control(now, me, sh.cub_node(to), Message::ViewerStates(batch));
-        }
     }
 
     // --- Viewer-state handling (§4.1.1) -----------------------------------

@@ -212,9 +212,8 @@ fn power_cut_with_deschedules_in_flight_promotes_shadows() {
 #[test]
 fn rejoin_reads_shadows_and_the_retired_log() {
     // Three restarts. Cub 2 comes back after its declaration: covering
-    // cub 3 filters its shadows for the hand-back (`grant_handback`) and
-    // predecessor cub 1 replays the tail of its retired log
-    // (`replay_retired_tail`). Cub 3 then dies inside the hand-back
+    // cub 3 opens its hand-back window and predecessor cub 1 replays the
+    // tail of its retired log (`replay_retired_tail`). Cub 3 then dies inside the hand-back
     // window, so cub 4's takeover walks its shadows for records the
     // fresh rejoiner never saw, and cub 3's own return repeats both
     // halves against cub 4 and cub 2. Last, cub 6 blips for less than
@@ -234,8 +233,10 @@ fn rejoin_reads_shadows_and_the_retired_log() {
     sys.request_stop(SimTime::from_millis(60_700), live[11].1);
     sys.run_until(SimTime::from_secs(100));
     let (records, digest) = finish(&sys, "rejoin_reads_shadows_and_the_retired_log");
-    let grants = count(&records, |r| matches!(r.ev, TraceEvent::RejoinGrant { .. }));
-    assert_eq!(grants, 2, "each declared failure ends in one hand-back");
+    let opens = count(&records, |r| {
+        matches!(r.ev, TraceEvent::HandbackOpen { .. })
+    });
+    assert_eq!(opens, 2, "each declared failure ends in one hand-back");
     let replayed: Vec<u32> = records
         .iter()
         .filter_map(|r| match r.ev {
@@ -256,7 +257,7 @@ fn rejoin_reads_shadows_and_the_retired_log() {
         );
     }
     assert_eq!(sys.all_clients_report().dup_blocks, 0);
-    assert_eq!(digest, 0x2b9a_94ac_141b_116d);
+    assert_eq!(digest, 0x6d2a_53f6_46e4_4ccd);
 }
 
 #[test]

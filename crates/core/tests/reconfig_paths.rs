@@ -127,7 +127,7 @@ fn shrink_with_source_crash_and_restart_mid_drain() {
             )) == 1,
         "the departing cub never drained and fenced"
     );
-    assert_eq!(digest, 0x9d7c_dc13_6ea7_0da6);
+    assert_eq!(digest, 0x7dd6_c6b0_d2cd_c6dd);
 }
 
 #[test]

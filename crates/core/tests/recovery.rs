@@ -56,7 +56,7 @@ fn rejoin_restores_service_and_converges() {
     assert!(
         records
             .iter()
-            .any(|r| matches!(r.ev, TraceEvent::RejoinGrant { to: 2, .. })),
+            .any(|r| matches!(r.ev, TraceEvent::HandbackOpen { to: 2 })),
         "covering successor never opened a hand-back window"
     );
     let done_at = records

@@ -141,7 +141,7 @@ impl Membership {
 pub struct RejoinOutcome {
     /// The receiver was the acting successor covering the rejoiner's
     /// disks: it must open the mirror hand-back window
-    /// ([`RingMachine::open_handback`]) and send the granted records.
+    /// ([`RingMachine::open_handback`]).
     pub was_covering: bool,
     /// The receiver is a ring neighbour of the rejoiner: it must answer
     /// with [`RingMachine::rejoin_ack`].

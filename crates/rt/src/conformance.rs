@@ -42,9 +42,7 @@ pub fn decision_lanes(records: &[TraceRecord]) -> BTreeMap<u32, Vec<String>> {
                 (r.cub, format!("takeover failed={failed_cub}"))
             }
             TraceEvent::CubFenced { cub } => (cub, "fenced".to_string()),
-            TraceEvent::RejoinGrant { to, count } => {
-                (r.cub, format!("handback-grant to={to} count={count}"))
-            }
+            TraceEvent::HandbackOpen { to } => (r.cub, format!("handback-open to={to}")),
             // The sub-interval rejoin: the ring predecessor's decision to
             // replay its retired tail. The batch size is data-plane
             // detail, but in a control-only run both drivers carry an
@@ -108,7 +106,7 @@ mod tests {
             rec(4, 0, TraceEvent::FailureNotice { failed: 1 }),
             rec(5, CTRL, TraceEvent::CubRestart { cub: 1 }),
             rec(6, 0, TraceEvent::RetiredReplay { to: 1, count: 3 }),
-            rec(7, 2, TraceEvent::RejoinGrant { to: 1, count: 0 }),
+            rec(7, 2, TraceEvent::HandbackOpen { to: 1 }),
             // Excluded: pings and data-plane rejoin completion.
             rec(8, 0, TraceEvent::DeadmanPing { to: 1 }),
             rec(9, 1, TraceEvent::RejoinDone { cub: 1 }),
@@ -123,7 +121,7 @@ mod tests {
                 "declare failed=1",
                 "believe failed=1",
                 "takeover failed=1",
-                "handback-grant to=1 count=0",
+                "handback-open to=1",
             ]
         );
         assert_eq!(

@@ -347,16 +347,7 @@ impl CubThread {
                     );
                 }
                 if outcome.was_covering {
-                    // No data plane: the grant batch is always empty,
-                    // but the *decision* to open the hand-back window is
-                    // the conformance-relevant act.
-                    self.record(
-                        now,
-                        TraceEvent::RejoinGrant {
-                            to: from.raw(),
-                            count: 0,
-                        },
-                    );
+                    self.record(now, TraceEvent::HandbackOpen { to: from.raw() });
                     self.ring.open_handback(from, now, &self.cfg);
                 }
             }

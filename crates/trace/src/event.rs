@@ -211,9 +211,10 @@ trace_events! {
     /// A failed/fenced cub restarted with empty schedule state and began
     /// the rejoin protocol.
     CubRestart => "cub-restart" { cub: u32 },
-    /// A neighbor granted `count` schedule records to a rejoining cub
-    /// (the bounded-view exchange of the rejoin protocol).
-    RejoinGrant => "rejoin-grant" { to: u32, count: u32 },
+    /// The covering successor opened its hand-back window to a rejoining
+    /// cub (`to`): freshly shadowed records for the rejoiner's disks are
+    /// relayed to it until its own lead pipeline is warm.
+    HandbackOpen => "handback-open" { to: u32 },
     /// A rejoined cub sent its first primary block: its schedule slice is
     /// warm again and mirror catch-up may end.
     RejoinDone => "rejoin-done" { cub: u32 },
@@ -552,7 +553,7 @@ pub fn sample_events() -> Vec<(u32, TraceEvent)> {
         (CTRL, TraceEvent::FaultStart { clause: 0 }),
         (CTRL, TraceEvent::FaultEnd { clause: 0 }),
         (CTRL, TraceEvent::CubRestart { cub: 1 }),
-        (2, TraceEvent::RejoinGrant { to: 1, count: 12 }),
+        (2, TraceEvent::HandbackOpen { to: 1 }),
         (0, TraceEvent::RetiredReplay { to: 1, count: 5 }),
         (1, TraceEvent::RejoinDone { cub: 1 }),
         (CTRL, TraceEvent::RestripeStart { moves: 96 }),

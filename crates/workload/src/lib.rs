@@ -11,13 +11,11 @@
 pub mod catalog;
 pub mod driven;
 pub mod ramp;
-pub mod report;
 pub mod scenario;
 pub mod startup;
 
 pub use catalog::{populate_catalog, CatalogSpec};
 pub use driven::{drive_plan, DriveStats};
 pub use ramp::{run_ramp, RampConfig, RampResult};
-pub use report::{format_ramp_table, format_startup_table};
 pub use scenario::{chaos_digest, run, workgen_digest, CurvePoint, Demand, Run, Scenario};
 pub use startup::{run_startup, StartupConfig, StartupResult};

@@ -4,8 +4,9 @@
 //!
 //! Run with: `cargo run --release --example movie_service`
 
+use tiger::bench::figures::ramp_table;
 use tiger::sim::SimDuration;
-use tiger::workload::{format_ramp_table, run_ramp, CatalogSpec, RampConfig};
+use tiger::workload::{run_ramp, CatalogSpec, RampConfig};
 use tiger_core::TigerConfig;
 
 fn main() {
@@ -27,7 +28,7 @@ fn main() {
 
     print!(
         "{}",
-        format_ramp_table("movie service ramp to 480 streams", &result.windows)
+        ramp_table("movie service ramp to 480 streams", &result.windows)
     );
     println!();
     println!(

@@ -9,9 +9,9 @@
 //! Protocol per benchmark:
 //!
 //! 1. *Calibrate*: starting at one iteration, double the batch size until
-//!    one batch takes ≥ [`Runner::MIN_BATCH`].
+//!    one batch takes ≥ `Runner::MIN_BATCH` (5 ms).
 //! 2. *Warm up*: run one calibrated batch, discarded.
-//! 3. *Sample*: time [`Runner::SAMPLES`] batches, each bracketed by timed
+//! 3. *Sample*: time `Runner::SAMPLES` (25) batches, each bracketed by timed
 //!    kernel bursts; a batch's per-iteration time divided by the mean
 //!    slowdown of its two brackets is one sample in reference ns. A row is
 //!    the median sample and the median slowdown.

@@ -27,16 +27,22 @@
 //! * [`insert`] — the ownership-window insertion machine
 //!   ([`InsertMachine`]): queued start requests, redundant-start
 //!   promotion, and the attempt/commit/miss cycle.
+//! * [`reserve`] — the multiple-bitrate two-phase reservation machine
+//!   ([`ReserveMachine`], §4.2): the local fit check, tentative insert,
+//!   the successor's reservation, commit flood or abort and release, and
+//!   the reservation-expiry backstop.
 //!
 //! See `docs/PROTOCOL.md` ("The sans-io core and its drivers") for the
 //! driver contract.
 
 pub mod insert;
 pub mod msg;
+pub mod reserve;
 pub mod ring;
 pub mod wire;
 
 pub use insert::{InsertMachine, PendingStart};
 pub use msg::{Message, FRAME_BYTES};
+pub use reserve::ReserveMachine;
 pub use ring::{Membership, RejoinOutcome, RingConfig, RingMachine};
 pub use wire::{decode, encode};

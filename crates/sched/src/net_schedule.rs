@@ -21,7 +21,7 @@
 //! [`NetworkSchedule::fragmentation`] measures the waste either way.
 //!
 //! Load is not recomputed per query: a breakpoint index (see
-//! [`crate::load_index`] and docs/ADMISSION.md) is updated at one key on
+//! `load_index.rs` and docs/ADMISSION.md) is updated at one key on
 //! every reservation change and answers `fits` from the entries near the
 //! probed window. The index is a pure cache — every query returns exactly
 //! what a full rescan of the entries would.
@@ -140,6 +140,11 @@ impl NetworkSchedule {
         self.bpt
     }
 
+    /// Start-position quantum, if starts are quantized.
+    pub fn quantum(&self) -> Option<SimDuration> {
+        self.quantum
+    }
+
     /// NIC capacity (schedule height).
     pub fn capacity(&self) -> Bandwidth {
         self.capacity
@@ -251,6 +256,16 @@ impl NetworkSchedule {
         Ok(())
     }
 
+    /// Commits every entry of `instance` (see [`Self::commit`]). Returns
+    /// whether there was one.
+    pub fn commit_instance(&mut self, instance: ViewerInstance) -> bool {
+        for id in self.by_instance.get(&instance).into_iter().flatten() {
+            let e = self.entries.get_mut(id).expect("indexed entry exists");
+            (e.tentative, e.expires_at) = (false, None);
+        }
+        self.by_instance.contains_key(&instance)
+    }
+
     /// Aborts (removes) a tentative or committed entry.
     pub fn abort(&mut self, id: NetEntryId) -> Result<(), NetScheduleError> {
         self.remove_entry(id)
@@ -283,11 +298,6 @@ impl NetworkSchedule {
             }
         }
         removed
-    }
-
-    /// Whether `id` names a live (committed or tentative) entry.
-    pub fn contains_entry(&self, id: NetEntryId) -> bool {
-        self.entries.contains_key(&id)
     }
 
     /// Whether any entry (committed or tentative) exists for `instance`.
@@ -615,21 +625,20 @@ mod tests {
     #[test]
     fn reservation_expiry_frees_capacity() {
         let mut s = fig4();
-        let id = s
-            .insert_with_expiry(
-                inst(0),
-                ms(0),
-                mbit(6),
-                true,
-                Some(SimTime::from_millis(700)),
-            )
-            .expect("fits");
+        s.insert_with_expiry(
+            inst(0),
+            ms(0),
+            mbit(6),
+            true,
+            Some(SimTime::from_millis(700)),
+        )
+        .expect("fits");
         // Before the deadline the reservation blocks capacity.
         assert_eq!(s.expire_reservations(SimTime::from_millis(699)), 0);
         assert!(!s.fits(ms(0), mbit(1)));
         // At the deadline it is swept and the bandwidth is free again.
         assert_eq!(s.expire_reservations(SimTime::from_millis(700)), 1);
-        assert!(!s.contains_entry(id));
+        assert!(!s.has_instance(inst(0)));
         assert!(s.fits(ms(0), mbit(6)));
     }
 
@@ -645,7 +654,7 @@ mod tests {
         s.commit(id).expect("known id");
         assert_eq!(s.expire_reservations(deadline), 0);
         assert_eq!(s.expire_reservations(SimTime::from_secs(10)), 0);
-        assert!(s.contains_entry(id));
+        assert!(s.has_instance(inst(0)));
         // Sweep first: a commit arriving at the same instant but after
         // the sweep ran has lost the race.
         let mut s2 = fig4();
@@ -654,23 +663,26 @@ mod tests {
             .expect("fits");
         assert_eq!(s2.expire_reservations(deadline), 1);
         assert_eq!(s2.commit(id2), Err(NetScheduleError::UnknownEntry(id2)));
+        assert!(
+            !s2.commit_instance(inst(1)),
+            "nor can it commit by instance"
+        );
     }
 
     #[test]
     fn committed_entries_never_expire() {
         // Non-tentative inserts ignore the expiry argument entirely.
         let mut s = fig4();
-        let id = s
-            .insert_with_expiry(
-                inst(0),
-                ms(0),
-                mbit(2),
-                false,
-                Some(SimTime::from_millis(1)),
-            )
-            .expect("fits");
+        s.insert_with_expiry(
+            inst(0),
+            ms(0),
+            mbit(2),
+            false,
+            Some(SimTime::from_millis(1)),
+        )
+        .expect("fits");
         assert_eq!(s.expire_reservations(SimTime::from_secs(100)), 0);
-        assert!(s.contains_entry(id));
+        assert!(s.has_instance(inst(0)));
     }
 
     #[test]

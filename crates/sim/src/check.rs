@@ -26,7 +26,7 @@
 //!   at every thread count.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crate::rng::{RngTree, SimRng};
@@ -213,6 +213,28 @@ pub fn check_cases(name: &str, cases: u64, property: impl Fn(&mut SimRng) + Sync
     }
 }
 
+/// [`check`] for a property that also says what its cases reached: it
+/// calls `reach(i, when)` to mark `labels[i]` reached, and after the run
+/// every label must have been reached by some case, or the run panics
+/// with "no case reached" and the label. Not asked on a
+/// `TIGER_PROP_REPLAY`, which runs one case.
+pub fn check_reaching<const N: usize>(
+    name: &str,
+    labels: [&str; N],
+    property: impl Fn(&mut SimRng, &dyn Fn(usize, bool)) + Sync,
+) {
+    let reached: [AtomicBool; N] = std::array::from_fn(|_| AtomicBool::new(false));
+    let reach = |what: usize, when: bool| {
+        reached[what].fetch_or(when, Ordering::Relaxed);
+    };
+    check(name, |rng| property(rng, &reach));
+    if env_u64("TIGER_PROP_REPLAY").is_none() {
+        for (what, reached) in labels.iter().zip(&reached) {
+            assert!(reached.load(Ordering::Relaxed), "no case reached {what}");
+        }
+    }
+}
+
 /// Generates a vector whose length is drawn from `len` and whose elements
 /// come from `item` — the `proptest::collection::vec` workhorse.
 pub fn vec_of<T>(
@@ -237,6 +259,27 @@ mod tests {
             count.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(count.load(Ordering::Relaxed), 64);
+    }
+
+    #[test]
+    fn coverage_is_asked_after_the_run() {
+        check_reaching(
+            "reaches-both",
+            ["an even draw", "an odd draw"],
+            |rng, reach| {
+                let x = rng.gen_range(0u64..100);
+                reach(0, x % 2 == 0);
+                reach(1, x % 2 == 1);
+            },
+        );
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            check_reaching("reaches-one", ["a draw", "no draw"], |_, reach| {
+                reach(0, true);
+            });
+        }));
+        let payload = result.expect_err("an unreached label must fail the run");
+        let msg = payload.downcast_ref::<String>().expect("formatted message");
+        assert_eq!(msg, "no case reached no draw");
     }
 
     #[test]

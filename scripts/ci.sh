@@ -125,6 +125,12 @@ fi
 echo "== cargo clippy --workspace --all-targets -- -D warnings" >&2
 cargo clippy --workspace --all-targets -- -D warnings
 
+# The API documentation builds without a warning: every intra-doc link
+# resolves, none points at a private item, and no name is ambiguous.
+# Fatal — a broken link is a doc that says nothing.
+echo "== cargo doc --workspace --no-deps, warnings denied" >&2
+RUSTDOCFLAGS='-D warnings' cargo doc -q --workspace --no-deps
+
 # The experiment catalogue (`fleet --list`: every figure, table, ablation
 # and sweep in crates/bench) in three steps. A job that violates an
 # invariant or fails its own check makes fleet exit non-zero, naming it.
@@ -357,6 +363,15 @@ fi
 # measured. Column widths then came from the cells (the width literals
 # went) and the chaos, workload and coded rows name themselves in their
 # violations: crates/bench/src 2,821 -> 2,812, fleet.rs 606 -> 604.
+# §4.2's two-phase reservation became a sans-io machine
+# (tiger_proto::reserve, 283 lines) and MbrSystem its wiring (mbr.rs
+# 469 -> 196), bit-exact; the mirror of the schedule's instance index
+# (the successor's held map and the attempt's entry id) went with it.
+# The core fell 7,304 -> 7,031 and proto rose 1,191 -> 1,480: the typed
+# inputs and outputs (entry, message, wake, outcome, step) cost more
+# than the parent's inline calls. The schedule's commit by instance and
+# its quantum accessor took sched 1,554 -> 1,564. Each limit follows
+# what it measured.
 nontest() { awk '/#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$1"; }
 for f in crates/core/src/*.rs; do
     limit=1299
@@ -373,9 +388,9 @@ if [ "$lines" -gt 604 ]; then
     echo "ERROR: crates/bench/src/fleet.rs is $lines lines before its tests (limit 604)" >&2
     exit 1
 fi
-for dir_limit in crates/core/src:7304 crates/faults/src:1238 crates/net/src:497 \
+for dir_limit in crates/core/src:7031 crates/faults/src:1238 crates/net/src:497 \
     crates/workload/src:1143 crates/bench/src:2812 \
-    crates/sched/src:1554 crates/proto/src:1191 crates/rt/src:467; do
+    crates/sched/src:1564 crates/proto/src:1480 crates/rt/src:467; do
     dir=${dir_limit%:*} limit=${dir_limit#*:} total=0
     for f in "$dir"/*.rs; do
         total=$((total + $(nontest "$f")))

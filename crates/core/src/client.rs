@@ -300,6 +300,7 @@ impl Client {
 mod tests {
     use super::*;
     use tiger_layout::ViewerId;
+    use tiger_sim::check::check_reaching;
 
     fn inst(v: u64) -> ViewerInstance {
         ViewerInstance {
@@ -371,49 +372,45 @@ mod tests {
     fn receipt_bits_match_the_bool_model() {
         // What the cases reached between them, asserted after the run.
         const REACH: [&str; 3] = ["a base past the end", "a base mid-file", "a skipped word"];
-        tiger_sim::check::check_reaching(
-            "receipt_bits_match_the_bool_model",
-            REACH,
-            |rng, reach| {
-                let num_blocks = rng.gen_range(1u32..400);
-                let base = rng.gen_range(0..num_blocks + 130);
-                reach(0, base >= num_blocks);
-                reach(1, base > 64 && base < num_blocks);
-                let mut v = ViewerProgress::new(FileId(0), num_blocks, base, SimTime::ZERO, 0.0);
-                let mut model: Vec<bool> = (0..num_blocks).map(|b| b < base).collect();
-                let arrivals = if base < num_blocks {
-                    rng.gen_range(0u32..300)
-                } else {
-                    0
-                };
-                for step in 0..=arrivals {
-                    if step > 0 {
-                        let held = base + 64 * v.received.len() as u32;
-                        let b = if held + 64 < num_blocks && rng.gen_bool(0.2) {
-                            reach(2, true);
-                            rng.gen_range(held + 64..num_blocks)
-                        } else {
-                            rng.gen_range(base..num_blocks)
-                        };
-                        v.mark_received(b);
-                        v.high_water = Some(v.high_water.map_or(b, |h| h.max(b)));
-                        model[b as usize] = true;
-                    }
-                    let got = |flags: &[bool]| flags.iter().filter(|&&f| f).count() as u32;
-                    let played = model.get(base as usize..).unwrap_or_default();
-                    assert_eq!(v.blocks_received(), got(played));
-                    let missing = v
-                        .high_water
-                        .map_or(0, |h| h + 1 - got(&model[..=h as usize]));
-                    assert_eq!(v.blocks_missing(), missing);
-                    assert_eq!(v.complete(), model.iter().all(|&f| f));
-                    for probe in 0..num_blocks + 70 {
-                        let want = model.get(probe as usize).copied().unwrap_or(false);
-                        assert_eq!(v.block_received(probe), want, "block {probe}");
-                    }
+        check_reaching("receipt_bits_match_the_bool_model", REACH, |rng, reach| {
+            let num_blocks = rng.gen_range(1u32..400);
+            let base = rng.gen_range(0..num_blocks + 130);
+            reach(0, base >= num_blocks);
+            reach(1, base > 64 && base < num_blocks);
+            let mut v = ViewerProgress::new(FileId(0), num_blocks, base, SimTime::ZERO, 0.0);
+            let mut model: Vec<bool> = (0..num_blocks).map(|b| b < base).collect();
+            let arrivals = if base < num_blocks {
+                rng.gen_range(0u32..300)
+            } else {
+                0
+            };
+            for step in 0..=arrivals {
+                if step > 0 {
+                    let held = base + 64 * v.received.len() as u32;
+                    let b = if held + 64 < num_blocks && rng.gen_bool(0.2) {
+                        reach(2, true);
+                        rng.gen_range(held + 64..num_blocks)
+                    } else {
+                        rng.gen_range(base..num_blocks)
+                    };
+                    v.mark_received(b);
+                    v.high_water = Some(v.high_water.map_or(b, |h| h.max(b)));
+                    model[b as usize] = true;
                 }
-            },
-        );
+                let got = |flags: &[bool]| flags.iter().filter(|&&f| f).count() as u32;
+                let played = model.get(base as usize..).unwrap_or_default();
+                assert_eq!(v.blocks_received(), got(played));
+                let missing = v
+                    .high_water
+                    .map_or(0, |h| h + 1 - got(&model[..=h as usize]));
+                assert_eq!(v.blocks_missing(), missing);
+                assert_eq!(v.complete(), model.iter().all(|&f| f));
+                for probe in 0..num_blocks + 70 {
+                    let want = model.get(probe as usize).copied().unwrap_or(false);
+                    assert_eq!(v.block_received(probe), want, "block {probe}");
+                }
+            }
+        });
     }
 
     #[test]

@@ -993,131 +993,128 @@ mod tests {
             "clear with retired entries outstanding",
             "clear_retired with services outstanding",
         ];
-        check_reaching(
-            "indexed_table_matches_the_scan_oracle",
-            REACH,
-            |rng, reach| {
-                let mut table = ServiceTable::default();
-                let mut oracle = ScanOracle::default();
-                let mut now = SimTime::ZERO;
-                let retention = SimDuration::from_secs(5);
-                // Half of what happens, happens to one instance; and in one
-                // case of three the clock stands still, so nothing ages out.
-                let hot = arb_state(rng);
-                let arb_state = |rng: &mut SimRng| {
-                    let vs = arb_state(rng);
-                    match rng.gen_bool(0.5) {
-                        true => ViewerState {
-                            instance: hot.instance,
-                            slot: hot.slot,
-                            ..vs
-                        },
-                        false => vs,
-                    }
-                };
-                let pace = rng.gen_range(0u64..3) * 250;
-                let mut spilled = BTreeSet::new();
-                for _ in 0..rng.gen_range(1usize..150) {
-                    now += SimDuration::from_millis(rng.gen_range(0u64..3) * pace);
-                    match rng.gen_range(0u32..10) {
-                        0..=3 => {
-                            // Admission: the duplicate test, then insert.
-                            let vs = arb_state(rng);
-                            let dup = oracle.serves(&vs);
-                            assert_eq!(table.serves(&vs), dup);
-                            if !dup {
-                                let token = table.insert(active(vs));
-                                oracle.active.push((token, active(vs)));
-                            }
-                        }
-                        4 | 5 if !oracle.active.is_empty() => {
-                            // Reclaim: a finished service retires its record.
-                            let pick = rng.gen_range(0..oracle.active.len());
-                            let (token, entry) = oracle.active.swap_remove(pick);
-                            let removed = table.remove(token).expect("listed");
-                            assert_eq!(removed.vs, entry.vs);
-                            if entry.vs.kind == StreamKind::Primary && rng.gen_bool(0.8) {
-                                table.retire(now, entry.vs);
-                                oracle.retired.push((now, entry.vs));
-                            }
-                        }
-                        6 | 7 => {
-                            // Deschedule: the cursor visits exactly the
-                            // matching services, also when some are reclaimed
-                            // under it.
-                            let d = Deschedule::of(&arb_state(rng));
-                            let want = oracle.victims(&d);
-                            let (mut got, mut from) = (Vec::new(), 0);
-                            while let Some((token, entry)) = table.next_match(&d, from) {
-                                from = token + 1;
-                                entry.kill();
-                                got.push(token);
-                                if rng.gen_bool(0.5) {
-                                    table.remove(token);
-                                    oracle.active.retain(|&(t, _)| t != token);
-                                }
-                            }
-                            assert_eq!(got, want, "victims of {d:?}");
-                        }
-                        8 => {
-                            table.prune_retired(now, retention);
-                            oracle
-                                .retired
-                                .retain(|&(at, _)| at >= now.saturating_sub(retention));
-                        }
-                        _ => match rng.gen_range(0u32..8) {
-                            0 => {
-                                reach(4, !oracle.active.is_empty() && !oracle.retired.is_empty());
-                                table.clear();
-                                oracle.active.clear();
-                            }
-                            1 => {
-                                reach(5, !oracle.active.is_empty() && !oracle.retired.is_empty());
-                                table.clear_retired();
-                                oracle.retired.clear();
-                            }
-                            _ => {}
-                        },
-                    }
-                    assert_in_step(&table);
-                    spilled.retain(|(instance, half): &(ViewerInstance, usize)| {
-                        let mut records = table.carried.values();
-                        let record = records.find(|record| record.instance == *instance);
-                        record.is_some_and(|record| record.half(*half).next().is_some())
-                    });
-                    for record in table.carried.values() {
-                        let instance = &record.instance;
-                        for half in [ACTIVE, RETIRED] {
-                            let held: Vec<_> = record.half(half).collect();
-                            reach(half, held.len() > INLINE);
-                            reach(3, half == RETIRED && held.windows(2).any(|w| w[0] == w[1]));
-                            if held.len() > INLINE {
-                                spilled.insert((*instance, half));
-                            } else if (1..=INLINE).contains(&held.len()) {
-                                reach(2, spilled.remove(&(*instance, half)));
-                            }
-                        }
-                    }
-                    assert_eq!(table.retired(), &oracle.retired);
-                    assert_eq!(
-                        table.information_held(),
-                        oracle.active.len() + oracle.retired.len(),
-                        "index entries are not schedule information"
-                    );
-                    let probe = arb_state(rng);
-                    assert_eq!(
-                        table.already_served(&probe),
-                        oracle.already_served(&probe),
-                        "already_served({probe:?})"
-                    );
-                    assert_eq!(
-                        table.carries_instance(&probe.instance),
-                        oracle.carries_instance(&probe.instance),
-                    );
-                    assert_eq!(table.serves(&probe), oracle.serves(&probe));
+        let name = "indexed_table_matches_the_scan_oracle";
+        check_reaching(name, REACH, |rng, reach| {
+            let mut table = ServiceTable::default();
+            let mut oracle = ScanOracle::default();
+            let mut now = SimTime::ZERO;
+            let retention = SimDuration::from_secs(5);
+            // Half of what happens, happens to one instance; and in one
+            // case of three the clock stands still, so nothing ages out.
+            let hot = arb_state(rng);
+            let arb_state = |rng: &mut SimRng| {
+                let vs = arb_state(rng);
+                match rng.gen_bool(0.5) {
+                    true => ViewerState {
+                        instance: hot.instance,
+                        slot: hot.slot,
+                        ..vs
+                    },
+                    false => vs,
                 }
-            },
-        );
+            };
+            let pace = rng.gen_range(0u64..3) * 250;
+            let mut spilled = BTreeSet::new();
+            for _ in 0..rng.gen_range(1usize..150) {
+                now += SimDuration::from_millis(rng.gen_range(0u64..3) * pace);
+                match rng.gen_range(0u32..10) {
+                    0..=3 => {
+                        // Admission: the duplicate test, then insert.
+                        let vs = arb_state(rng);
+                        let dup = oracle.serves(&vs);
+                        assert_eq!(table.serves(&vs), dup);
+                        if !dup {
+                            let token = table.insert(active(vs));
+                            oracle.active.push((token, active(vs)));
+                        }
+                    }
+                    4 | 5 if !oracle.active.is_empty() => {
+                        // Reclaim: a finished service retires its record.
+                        let pick = rng.gen_range(0..oracle.active.len());
+                        let (token, entry) = oracle.active.swap_remove(pick);
+                        let removed = table.remove(token).expect("listed");
+                        assert_eq!(removed.vs, entry.vs);
+                        if entry.vs.kind == StreamKind::Primary && rng.gen_bool(0.8) {
+                            table.retire(now, entry.vs);
+                            oracle.retired.push((now, entry.vs));
+                        }
+                    }
+                    6 | 7 => {
+                        // Deschedule: the cursor visits exactly the
+                        // matching services, also when some are reclaimed
+                        // under it.
+                        let d = Deschedule::of(&arb_state(rng));
+                        let want = oracle.victims(&d);
+                        let (mut got, mut from) = (Vec::new(), 0);
+                        while let Some((token, entry)) = table.next_match(&d, from) {
+                            from = token + 1;
+                            entry.kill();
+                            got.push(token);
+                            if rng.gen_bool(0.5) {
+                                table.remove(token);
+                                oracle.active.retain(|&(t, _)| t != token);
+                            }
+                        }
+                        assert_eq!(got, want, "victims of {d:?}");
+                    }
+                    8 => {
+                        table.prune_retired(now, retention);
+                        oracle
+                            .retired
+                            .retain(|&(at, _)| at >= now.saturating_sub(retention));
+                    }
+                    _ => match rng.gen_range(0u32..8) {
+                        0 => {
+                            reach(4, !oracle.active.is_empty() && !oracle.retired.is_empty());
+                            table.clear();
+                            oracle.active.clear();
+                        }
+                        1 => {
+                            reach(5, !oracle.active.is_empty() && !oracle.retired.is_empty());
+                            table.clear_retired();
+                            oracle.retired.clear();
+                        }
+                        _ => {}
+                    },
+                }
+                assert_in_step(&table);
+                spilled.retain(|(instance, half): &(ViewerInstance, usize)| {
+                    let mut records = table.carried.values();
+                    let record = records.find(|record| record.instance == *instance);
+                    record.is_some_and(|record| record.half(*half).next().is_some())
+                });
+                for record in table.carried.values() {
+                    let instance = &record.instance;
+                    for half in [ACTIVE, RETIRED] {
+                        let held: Vec<_> = record.half(half).collect();
+                        reach(half, held.len() > INLINE);
+                        reach(3, half == RETIRED && held.windows(2).any(|w| w[0] == w[1]));
+                        if held.len() > INLINE {
+                            spilled.insert((*instance, half));
+                        } else if (1..=INLINE).contains(&held.len()) {
+                            reach(2, spilled.remove(&(*instance, half)));
+                        }
+                    }
+                }
+                assert_eq!(table.retired(), &oracle.retired);
+                assert_eq!(
+                    table.information_held(),
+                    oracle.active.len() + oracle.retired.len(),
+                    "index entries are not schedule information"
+                );
+                let probe = arb_state(rng);
+                assert_eq!(
+                    table.already_served(&probe),
+                    oracle.already_served(&probe),
+                    "already_served({probe:?})"
+                );
+                assert_eq!(
+                    table.carries_instance(&probe.instance),
+                    oracle.carries_instance(&probe.instance),
+                );
+                assert_eq!(table.serves(&probe), oracle.serves(&probe));
+            }
+        });
     }
 
     /// The schedule information a cub holds by slot — the service table's

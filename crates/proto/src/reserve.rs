@@ -292,7 +292,7 @@ mod tests {
     const RATE: Bandwidth = Bandwidth::from_mbit_per_sec(2);
     /// The two inserts: `(origin, requested at)`. Instance `r` is request
     /// `r`. From adjacent origins half a block play time apart, their
-    /// first candidates overlap by a quarter of the ring's 3 s.
+    /// first candidates (0.75 s and 0.25 s) overlap by half an entry.
     const REQUESTS: [(u32, SimTime); 2] =
         [(0, SimTime::from_millis(0)), (1, SimTime::from_millis(500))];
     /// When every input but a request happens. Before either deadline
@@ -499,12 +499,8 @@ mod tests {
                 let views: Vec<_> = w.cubs.iter().map(|m| entries(m.view())).collect();
                 if views.iter().any(|v| *v != w.committed) {
                     // What a view holds, it holds committed.
-                    let held = views.iter().flatten();
-                    assert!(
-                        held.clone().all(|e| w.committed.contains(e)),
-                        "{:?}",
-                        w.path
-                    );
+                    let mut held = views.iter().flatten();
+                    assert!(held.all(|e| w.committed.contains(e)), "{:?}", w.path);
                     diverged.push(w.path);
                 }
                 continue;

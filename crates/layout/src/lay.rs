@@ -12,8 +12,10 @@
 //! whole laps of one pattern and a prefix of it: the `k`-th extent of
 //! each piece sits `k` laps' bytes after its first, and the whole share
 //! is one bump of the region. [`BlockIndex::lay`] allocates it in one
-//! call and installs each piece's run whole, at exactly the offsets a
-//! block-by-block loop of [`DiskSpace::allocate`] hands out.
+//! call and hands each piece's run to the index whole, as one
+//! progression — its first extent and the lap — at exactly the offsets a
+//! block-by-block loop of [`DiskSpace::allocate`] hands out. Packing the
+//! first and last terms packs every term between them.
 
 use std::fmt;
 
@@ -116,8 +118,14 @@ impl BlockIndex {
             let ahead = pieces.iter().filter(|q| run(q).first < blocks.first);
             let offset = base + ahead.map(size).sum::<u64>();
             let piece = (region == DiskRegion::Secondary).then_some(p.piece);
-            let entry = |k: u32| IndexEntry::pack(offset + u64::from(k) * lap, aligned(p.size));
-            (self.install(disk, piece, meta.id, blocks, entry)).map_err(LayError::Index)?;
+            let Some(last) = blocks.count.checked_sub(1) else {
+                continue;
+            };
+            // Every term lies between these two, so if they pack, all do.
+            let term = |k: u32| IndexEntry::pack(offset + u64::from(k) * lap, aligned(p.size));
+            let first = term(0).map_err(LayError::Index)?;
+            term(last).map_err(LayError::Index)?;
+            (self.install(disk, piece, meta.id, blocks, first, lap)).map_err(LayError::Index)?;
         }
         Ok(())
     }

@@ -497,6 +497,43 @@ fn bench_layout(c: &mut Runner) {
     });
 }
 
+/// `BlockIndex::lookup_primary` and `lookup_secondary` — the extent every
+/// disk read looks up — on cub 0 of a `sosp97` system with its 64-file
+/// catalog loaded, round-robin over the cub's disks (and pieces), then
+/// its files, then their blocks, so consecutive lookups land in different
+/// runs as the reads of different streams do.
+fn bench_index(c: &mut Runner) {
+    use tiger_core::{TigerConfig, TigerSystem};
+    use tiger_workload::{populate_catalog, CatalogSpec};
+    let mut sys = TigerSystem::new(TigerConfig::sosp97());
+    populate_catalog(&mut sys, &CatalogSpec::sosp97());
+    let lap = sys.shared().cfg.stripe.num_disks();
+    let index = sys.cubs()[0].index();
+    // Every key cub 0 holds, in round-robin order: by the block's lap,
+    // then file, then disk and piece.
+    let mut keys: Vec<_> = (index.extents())
+        .map(|(disk, piece, file, block, _)| (block.raw() / lap, file, disk, piece, block))
+        .collect();
+    keys.sort_unstable();
+    let (primary, secondary): (Vec<_>, Vec<_>) = keys.into_iter().partition(|k| k.3.is_none());
+    c.bench_function("index/lookup_primary_sosp97", |b| {
+        let mut at = 0;
+        b.iter(|| {
+            at = (at + 1) % primary.len();
+            let (_, file, disk, _, block) = primary[at];
+            black_box(index.lookup_primary(disk, file, block))
+        })
+    });
+    c.bench_function("index/lookup_secondary_sosp97", |b| {
+        let mut at = 0;
+        b.iter(|| {
+            at = (at + 1) % secondary.len();
+            let (_, file, disk, piece, block) = secondary[at];
+            black_box(index.lookup_secondary(disk, file, block, piece.unwrap_or(0)))
+        })
+    });
+}
+
 fn bench_net_schedule(c: &mut Runner) {
     c.bench_function("net_schedule/fits_under_load", |b| {
         let mut s = NetworkSchedule::new(
@@ -1048,6 +1085,7 @@ fn main() {
     bench_forward_pass(&mut c);
     bench_rejoin(&mut c);
     bench_layout(&mut c);
+    bench_index(&mut c);
     bench_net_schedule(&mut c);
     bench_admission_storm(&mut c);
     bench_event_queue(&mut c);

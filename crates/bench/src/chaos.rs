@@ -221,8 +221,8 @@ pub fn chaos_report(scale: Scale, threads: usize) -> ExpReport {
         "\ninvariants: no double delivery, every deadman declaration justified \
          (partitioned rings modeled), view lead bounded, single-failure loss \
          window bounded, rejoin convergence bounded (sub-interval with \
-         retired replay), restripe/shrink within the §6.4 duration budget. \
-         violations: {}.\n",
+         retired replay), restripe/shrink within the §6.4 duration budget, \
+         no stream stalled silently. violations: {}.\n",
         runs.violations()
     );
     runs.report(out)

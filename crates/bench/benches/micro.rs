@@ -463,15 +463,15 @@ fn bench_rejoin(c: &mut Runner) {
             .collect();
         let now = SimTime::from_secs(9);
         let horizon = SimDuration::from_secs(2);
+        let ring = tiger_proto::RingMachine::new(tiger_layout::CubId(0), 14);
         b.iter(|| {
-            black_box(tiger_core::recovery::replay_batch(
+            black_box(tiger_proto::forward::replay_batch(
                 &retired,
                 now,
                 bpt,
                 horizon,
-                14,
+                &ring,
                 |_, pos| (pos.raw() < 10_000).then(|| tiger_layout::CubId(pos.raw() % 14)),
-                |_| false,
                 tiger_layout::CubId(3),
             ))
         })

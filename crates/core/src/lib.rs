@@ -45,7 +45,6 @@ pub mod mbr;
 pub mod metrics;
 mod pool;
 pub mod reconfig;
-pub mod recovery;
 pub mod shield;
 pub mod system;
 

@@ -15,8 +15,6 @@
 //! One coded driver, `Cub::drive_coded`, serves a block's home and the
 //! acting successor of a dead one.
 
-use std::collections::hash_map::Entry;
-
 use tiger_disk::{DiskError, DiskRequest, RequestKind};
 use tiger_layout::DiskId;
 use tiger_proto::msg::Message;
@@ -479,8 +477,7 @@ impl Cub {
 
     /// Acting-successor work for a viewer state addressed to a failed
     /// disk: drive the block's redundant copies — declustered mirror
-    /// pieces, or `k` surviving coded shards — and keep the record
-    /// propagating (§4.1.1, Figure 5).
+    /// pieces, or `k` surviving coded shards (§4.1.1, Figure 5).
     pub(super) fn cover_failed_disk(
         &mut self,
         sh: &mut Shared,
@@ -489,47 +486,39 @@ impl Cub {
         failed_disk: DiskId,
     ) {
         let block_due = sh.params.slot_send_time(failed_disk, vs.slot, now);
-        let created_key = (vs.slot, vs.instance, vs.position.raw());
-        if let Entry::Vacant(unseen) = self.mirrors_created.entry(created_key) {
-            unseen.insert(block_due);
-            let (slot, viewer, inc) = vkey(&vs);
-            let coded = matches!(sh.backend, Backend::Coded(..));
-            let ev = if coded {
-                TraceEvent::CodedRepair {
-                    slot,
-                    viewer,
-                    inc,
-                    failed_disk: failed_disk.raw(),
-                }
-            } else {
-                TraceEvent::MirrorCreate {
-                    slot,
-                    viewer,
-                    inc,
-                    failed_disk: failed_disk.raw(),
-                }
-            };
-            sh.tracer.record(now, self.id.raw(), ev);
-            sh.metrics.loss.blocks_scheduled += 1;
-            if coded {
-                // Shard 0 died with the home: drive `k` of the block's
-                // surviving remote holders, by the same load-ranked
-                // choice the home makes in healthy operation.
-                self.drive_coded(sh, now, vs, failed_disk, block_due, None);
-            } else {
-                // "When the succeeding cub makes this decision, it creates
-                // a special kind of viewer state called a mirror viewer
-                // state" (§4.1.1). Mirror viewer states then propagate
-                // along the ring of piece-holding cubs "much like normal
-                // ones": each holder serves its piece and forwards the
-                // record for the next piece.
-                self.on_mirror_state(sh, now, vs, failed_disk, 0);
+        let (slot, viewer, inc) = vkey(&vs);
+        let coded = matches!(sh.backend, Backend::Coded(..));
+        let ev = if coded {
+            TraceEvent::CodedRepair {
+                slot,
+                viewer,
+                inc,
+                failed_disk: failed_disk.raw(),
             }
+        } else {
+            TraceEvent::MirrorCreate {
+                slot,
+                viewer,
+                inc,
+                failed_disk: failed_disk.raw(),
+            }
+        };
+        sh.tracer.record(now, self.id.raw(), ev);
+        sh.metrics.loss.blocks_scheduled += 1;
+        if coded {
+            // Shard 0 died with the home: drive `k` of the block's
+            // surviving remote holders, by the same load-ranked
+            // choice the home makes in healthy operation.
+            self.drive_coded(sh, now, vs, failed_disk, block_due, None);
+        } else {
+            // "When the succeeding cub makes this decision, it creates
+            // a special kind of viewer state called a mirror viewer
+            // state" (§4.1.1). Mirror viewer states then propagate
+            // along the ring of piece-holding cubs "much like normal
+            // ones": each holder serves its piece and forwards the
+            // record for the next piece.
+            self.on_mirror_state(sh, now, vs, failed_disk, 0);
         }
-        // Continue normal propagation past the failed machine: the next
-        // block is due on the disk after the failed one, which may be ours
-        // or (with consecutive failures) dead as well — recurse.
-        self.on_primary_state(sh, now, vs.advanced(1));
     }
 
     /// Commits this cub to serve secondary piece `piece` of `vs`'s block,

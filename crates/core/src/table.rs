@@ -2,16 +2,17 @@
 //! to send, the log of primary records it recently did send, the
 //! per-instance record that answers the per-message questions about both
 //! — "is this record a duplicate", "which services does this deschedule
-//! kill", "has this block already been served" (§4.1.2) — and the shadow
-//! records a second successor holds for redundancy.
+//! kill", "has this block already been served" (§4.1.2). The shadow
+//! records a second successor holds for redundancy are the forward
+//! machine's (`tiger_proto::ForwardMachine`).
 //!
 //! The active services sit in a [`Window`] of consecutive tokens, so the
 //! per-block events (`ReadIssue`, `DiskDone`, `SendDue`, `SendDone`) find
 //! theirs by subtraction and the forward pass walks them in acceptance
-//! order. The records and the shadows are kept by the slot they name, as
-//! the schedule is (§3.1: "an array of slots"): every question about a
-//! record comes with its slot, an instance keeps the slot it was inserted
-//! at, and a slot's list is found by indexing. `carried` holds, in its
+//! order. The records are kept by the slot they name, as the schedule is
+//! (§3.1: "an array of slots"): every question about a record comes with
+//! its slot, an instance keeps the slot it was inserted at, and a slot's
+//! list is found by indexing. `carried` holds, in its
 //! slot's list, one [`Carried`] record for each viewer instance this cub
 //! carries anything of. The record is derived state, kept in step by the
 //! only methods that can change what it describes:
@@ -30,6 +31,8 @@
 use std::collections::VecDeque;
 
 use tiger_layout::ids::ViewerInstance;
+use tiger_layout::CubId;
+use tiger_proto::{ForwardMachine, RingMachine};
 use tiger_sched::{Deschedule, SlotId, StreamKind, ViewerState};
 use tiger_sim::{DenseLists, SimDuration, SimTime, Tagged};
 
@@ -405,12 +408,14 @@ impl ServiceTable {
         &self.retired_log
     }
 
-    /// Drops entries older than `retention` before `now`.
+    /// Drops entries older than `retention` before `now`: a prefix, the
+    /// log being in service order, so pruning costs what it drops.
     pub(super) fn prune_retired(&mut self, now: SimTime, retention: SimDuration) {
-        let carried = &mut self.carried;
-        crate::recovery::prune_retired(&mut self.retired_log, now, retention, |vs| {
-            uncarry(carried, vs, RETIRED, vs.play_seq.into());
-        });
+        let horizon = now.saturating_sub(retention);
+        while let Some(&(_, vs)) = self.retired_log.front().filter(|(at, _)| *at < horizon) {
+            self.retired_log.pop_front();
+            uncarry(&mut self.carried, &vs, RETIRED, vs.play_seq.into());
+        }
     }
 
     pub(super) fn clear_retired(&mut self) {
@@ -455,96 +460,23 @@ impl ServiceTable {
     }
 }
 
-/// A shadow record: schedule information this cub holds for redundancy
-/// (a second successor's copy), and when its block is due.
-#[derive(Clone, Copy, Debug)]
-pub(super) struct Shadow {
-    pub(super) vs: ViewerState,
-    pub(super) due: SimTime,
-}
-
-impl Tagged for Shadow {
-    fn tag(&self) -> u32 {
-        self.vs.instance.tag()
-    }
-}
-
-/// The shadow records, at most one per slot and instance, each slot's by
-/// instance. A record expires once its due time falls behind the last
-/// forward pass's horizon: every reader passes over it and an insert
-/// overwrites it, so expired records are dropped for good only once a
-/// hold, and a pass costs nothing per record.
-#[derive(Debug, Default)]
-pub(super) struct ShadowTable {
-    held: DenseLists<Shadow>,
-    /// The last pass's horizon: records due before it have expired.
-    horizon: SimTime,
-    /// When a pass next drops the expired records.
-    sweep_at: SimTime,
-}
-
-impl ShadowTable {
-    /// Holds `vs`, due at `due` (no earlier than the last pass), unless a
-    /// later record of its stream is already held.
-    pub(super) fn insert(&mut self, vs: ViewerState, due: SimTime) {
-        let (slot, horizon) = (vs.slot.raw(), self.horizon);
-        debug_assert!(due >= horizon, "a record due before the last pass");
-        let held = self.held.get_mut(slot);
-        let at = held.partition_point(|s| s.vs.instance < vs.instance);
-        match held.get_mut(at) {
-            Some(s) if s.vs.instance == vs.instance => {
-                if s.due < horizon || vs.play_seq >= s.vs.play_seq {
-                    *s = Shadow { vs, due };
-                }
-            }
-            _ => self.held.insert(slot, at, Shadow { vs, due }),
-        }
-    }
-
-    pub(super) fn remove(&mut self, slot: SlotId, instance: ViewerInstance) {
-        self.held.retain(slot.raw(), |s| s.vs.instance != instance);
-    }
-
-    /// A forward pass at `now`: records due more than `hold` ago expire.
-    pub(super) fn pass(&mut self, now: SimTime, hold: SimDuration) {
-        let horizon = now.saturating_sub(hold);
-        self.horizon = horizon;
-        if now >= self.sweep_at {
-            self.held.retain_all(|s| s.due >= horizon);
-            self.sweep_at = now + hold;
-        }
-    }
-
-    /// The records held, by slot and then instance.
-    pub(super) fn in_order(&self) -> impl Iterator<Item = &Shadow> {
-        let held = self.held.iter().map(|(_, s)| s);
-        held.filter(|s| s.due >= self.horizon)
-    }
-
-    pub(super) fn len(&self) -> usize {
-        let held = self.held.values();
-        held.filter(|s| s.due >= self.horizon).count()
-    }
-
-    pub(super) fn clear(&mut self) {
-        self.held.clear();
-    }
-}
-
 /// The cub's private tables on their own, for `crates/bench`'s `table/*`
 /// rows and the `table_bytes` test: the types are private to the cub, and
 /// no `Cub` method reaches `get_mut` without a side effect.
 #[doc(hidden)]
 #[derive(Debug, Default)]
-pub struct TableBench(ServiceTable, ShadowTable);
+pub struct TableBench(ServiceTable, ForwardMachine);
 
 impl TableBench {
     pub fn retire(&mut self, vs: ViewerState) {
         self.0.retire(SimTime::ZERO, vs);
     }
 
+    /// A record for cub 1's disks, shadowed by cub 0.
     pub fn shadow(&mut self, vs: ViewerState, due: SimTime) {
-        self.1.insert(vs, due);
+        let mut ring = RingMachine::new(CubId(0), 2);
+        self.1
+            .on_primary(&mut ring, SimTime::ZERO, vs, Some(CubId(1)), false, || due);
     }
 
     pub fn insert(&mut self, vs: ViewerState, spec: &super::service::PieceSpec) -> ServiceToken {
@@ -1133,7 +1065,8 @@ mod tests {
         check("slot_tables_match_the_btreemap_model", |rng| {
             let (hold, retention) = (SimDuration::from_secs(1), SimDuration::from_secs(2));
             let mut table = ServiceTable::default();
-            let mut shadows = ShadowTable::default();
+            let mut shadows = ForwardMachine::default();
+            let mut ring = RingMachine::new(CubId(0), 2);
             let mut services: BTreeMap<ServiceToken, ViewerState> = BTreeMap::new();
             let mut retired: Vec<(SimTime, ViewerState)> = Vec::new();
             let mut held: BTreeMap<(SlotId, ViewerInstance), (ViewerState, SimTime)> =
@@ -1196,7 +1129,7 @@ mod tests {
                             }
                         }
                         assert_eq!(got, want, "victims of {d:?}");
-                        shadows.remove(d.slot, d.instance);
+                        shadows.on_deschedule(&d);
                         held.remove(&(d.slot, d.instance));
                     }
                     6..=8 => {
@@ -1206,7 +1139,7 @@ mod tests {
                             ..record(rng)
                         };
                         let due = now + SimDuration::from_millis(rng.gen_range(0u64..8) * 250);
-                        shadows.insert(vs, due);
+                        shadows.on_primary(&mut ring, now, vs, Some(CubId(1)), false, || due);
                         let entry = held.entry((vs.slot, vs.instance)).or_insert((vs, due));
                         if vs.play_seq >= entry.0.play_seq {
                             *entry = (vs, due);
@@ -1214,7 +1147,7 @@ mod tests {
                     }
                     9 | 10 => {
                         // A forward pass.
-                        shadows.pass(now, hold);
+                        shadows.on_pass(now, hold, retention);
                         held.retain(|_, &mut (_, due)| due >= now.saturating_sub(hold));
                         table.prune_retired(now, retention);
                         retired.retain(|&(at, _)| at >= now.saturating_sub(retention));
@@ -1229,7 +1162,7 @@ mod tests {
                             retired.clear();
                         }
                         2 => {
-                            shadows.clear();
+                            shadows.reset(false);
                             held.clear();
                         }
                         _ => {}
@@ -1263,16 +1196,16 @@ mod tests {
                 // The shadows, as the three re-drives read them: the
                 // hand-back grant only those still due, the takeover and
                 // the re-send to a rejoiner every one.
-                let listed: Vec<_> = shadows.in_order().map(|s| (s.vs, s.due)).collect();
+                let listed: Vec<_> = shadows.shadows().map(|s| (s.vs, s.due)).collect();
                 let want: Vec<_> = held.values().copied().collect();
                 assert_eq!(listed, want, "the shadows, by slot and instance");
-                let fresh = shadows.in_order().filter(|s| s.due > now).map(|s| s.vs);
+                let fresh = shadows.shadows().filter(|s| s.due > now).map(|s| s.vs);
                 let want_fresh = held
                     .values()
                     .filter(|(_, due)| *due > now)
                     .map(|(vs, _)| *vs);
                 assert!(fresh.eq(want_fresh), "the shadows still due");
-                assert_eq!(shadows.len(), held.len());
+                assert_eq!(shadows.shadows().count(), held.len());
             }
         });
     }

@@ -24,6 +24,12 @@
 //!   detector / rejoin machine ([`RingMachine`]): deadman pings and
 //!   checks, failure declaration, zombie fencing, rejoin baselines, and
 //!   the bounded mirror hand-back window.
+//! * [`forward`] — the viewer-state decision of §4.1.1
+//!   ([`ForwardMachine`]): a received primary record is served, covered
+//!   for a dead owner, shadowed, refused as a duplicate, or ends its
+//!   stream ([`Verdict`]); the shadow, cover and end-of-file memories
+//!   behind it; the declare's shadow re-drive and re-sends to a
+//!   rejoiner; and the §2.3 skip arithmetic of the retired replay.
 //! * [`insert`] — the ownership-window insertion machine
 //!   ([`InsertMachine`]): queued start requests, redundant-start
 //!   promotion, and the attempt/commit/miss cycle.
@@ -35,12 +41,14 @@
 //! See `docs/PROTOCOL.md` ("The sans-io core and its drivers") for the
 //! driver contract.
 
+pub mod forward;
 pub mod insert;
 pub mod msg;
 pub mod reserve;
 pub mod ring;
 pub mod wire;
 
+pub use forward::{ForwardMachine, Verdict};
 pub use insert::{InsertMachine, PendingStart};
 pub use msg::{Message, FRAME_BYTES};
 pub use reserve::ReserveMachine;

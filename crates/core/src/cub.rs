@@ -18,7 +18,7 @@ use tiger_proto::forward::{replay_batch, Verdict};
 use tiger_proto::insert::AttemptDecision;
 use tiger_proto::msg::Message;
 use tiger_proto::{ForwardMachine, InsertMachine, RingMachine};
-use tiger_sched::{Deschedule, ScheduleView, SlotId, StreamKind, ViewerState};
+use tiger_sched::{Deschedule, HeldDeschedules, SlotId, StreamKind, ViewerState};
 use tiger_sim::{Counter, SimDuration, SimTime};
 use tiger_trace::TraceEvent;
 
@@ -50,9 +50,9 @@ pub struct Cub {
     disks: Vec<tiger_disk::Disk>,
     space: Vec<DiskSpace>,
     index: BlockIndex,
-    view: ScheduleView,
-    /// Active services, the retired log, and the per-instance record
-    /// over both.
+    /// The deschedules held (§4.1.2): the view's half beside its entries.
+    held: HeldDeschedules,
+    /// The view's entries, active services and retired log (`table.rs`).
     services: ServiceTable,
     /// The sans-io §4.1.1 machine: what a received primary record is, and
     /// the shadows and memories behind that (`tiger_proto::forward`).
@@ -108,7 +108,7 @@ impl Cub {
             disks,
             space,
             index: BlockIndex::new(),
-            view: ScheduleView::new(),
+            held: HeldDeschedules::default(),
             services: ServiceTable::default(),
             fwd: ForwardMachine::default(),
             ins: InsertMachine::new(),
@@ -167,9 +167,16 @@ impl Cub {
 
     // --- Introspection ---------------------------------------------------
 
-    /// The cub's bounded schedule view.
-    pub fn view(&self) -> &ScheduleView {
-        &self.view
+    /// The instance this cub's view believes holds `slot`'s primary entry.
+    pub fn believed_primary(&self, slot: SlotId) -> Option<ViewerInstance> {
+        self.services.view_primary(slot)
+    }
+
+    /// The view's entries not yet served here, by slot.
+    pub(crate) fn unserved_view_entries(
+        &self,
+    ) -> impl Iterator<Item = (SlotId, ViewerInstance)> + '_ {
+        self.services.unserved_view_entries()
     }
 
     /// Local disks (for load reporting).
@@ -189,7 +196,7 @@ impl Cub {
     /// function of the scale of the system" — the boundedness test samples
     /// this.
     pub fn schedule_information_held(&self) -> usize {
-        self.view.len() + self.fwd.shadows().count() + self.services.information_held()
+        self.fwd.shadows().count() + self.services.information_held()
     }
 
     /// The instances this cub remembers telling the controller played to
@@ -599,7 +606,7 @@ impl Cub {
         self.fwd.on_pass(now, sh.cfg.deschedule_hold, retention);
         // Each hold expiry is observed at this pass's granularity.
         let (me, tracer) = (self.id.raw(), &mut sh.tracer);
-        self.view.gc_report(now, |d| {
+        self.held.gc_report(now, |d| {
             let expire = TraceEvent::DeschedExpire {
                 slot: d.slot.raw(),
                 viewer: d.instance.viewer.raw(),
@@ -615,9 +622,9 @@ impl Cub {
         if self.refuses(sh, now, d) {
             return;
         }
-        let first_sighting = !self.view.holds_deschedule(&d);
-        let hold_until = now + sh.cfg.deschedule_reach();
-        self.view.apply_deschedule(d, now, hold_until);
+        let first_sighting = !self.held.holds(&d);
+        self.held.hold(d, now, now + sh.cfg.deschedule_reach());
+        self.services.view_deschedule(&d);
         // Kill matching active services that have not yet gone out. The
         // order they die in is immaterial: reclaiming one returns its
         // buffer and its coded reservation, and a dropped entry never
@@ -671,22 +678,12 @@ impl Cub {
         pending: PendingStart,
         redundant: bool,
     ) {
-        let carried = self.carries_instance(&pending.instance);
+        // Idempotent like a viewer state (§4.1.2): a duplicate arriving after
+        // the start was inserted must not insert it into a second slot.
+        let carried = self.services.carries_instance(&pending.instance);
         if self.ins.on_routed_start(pending, redundant, carried) {
             self.schedule_insert_attempt(sh, now + SimDuration::from_nanos(1));
         }
-    }
-
-    /// Whether this cub already carries schedule state for `instance` —
-    /// in its view, its active services, or the retired log. Receiving a
-    /// routed start must be idempotent like viewer states are (§4.1.2):
-    /// the network may duplicate a message, and a duplicate arriving
-    /// after the original start was inserted must not insert the viewer
-    /// into a second slot (every block would be delivered twice).
-    /// (The table's record alone does not answer for the view: a service
-    /// lost to a failed read leaves its view entry behind; DESIGN.md §6.)
-    fn carries_instance(&self, instance: &ViewerInstance) -> bool {
-        self.services.carries_instance(instance) || self.view.holds_instance(instance)
     }
 
     /// Whether this cub has already serviced `vs.play_seq` (or a later
@@ -734,7 +731,9 @@ impl Cub {
                 return AttemptDecision::Drop; // Another cub will run this insertion.
             }
             let owned = sh.params.owned_slot_range(d0, now);
-            let slot = owned.into_iter().find(|&s| self.view.believes_slot_free(s));
+            let slot = owned
+                .into_iter()
+                .find(|&s| self.services.view_primary(s).is_none());
             if let Some(slot) = slot {
                 self.commit_insert(sh, now, *pending, d0, slot);
                 return AttemptDecision::Commit;
@@ -990,7 +989,8 @@ impl Cub {
     /// cut-over all call this and layer their site-specific extras on top
     /// (a cut-over also forgets the end-of-file notices).
     fn reset_viewer_state(&mut self, cut_over: bool) {
-        self.view = ScheduleView::new();
+        self.held = HeldDeschedules::default();
+        self.services.clear_view();
         self.fwd.reset(cut_over);
         self.ins.clear_queues();
         self.services.clear_retired();
@@ -1099,7 +1099,7 @@ impl Cub {
         self.reclaim_finished(sh, now);
         self.reset_viewer_state(true);
         for &d in fences {
-            self.view.apply_deschedule(d, now, hold_until);
+            self.held.hold(d, now, hold_until);
         }
         self.ring.clear_handback();
     }

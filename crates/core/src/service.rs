@@ -348,7 +348,7 @@ impl Cub {
         spec: PieceSpec,
     ) -> Admit {
         vs.kind = spec.kind;
-        match self.view.apply_viewer_state(vs, now) {
+        match self.services.view_apply(&mut self.held, &vs, now) {
             ViewApply::Inserted | ViewApply::Updated => {}
             ViewApply::Duplicate => return Admit::Duplicate,
             ViewApply::Blocked => return Admit::Blocked,
@@ -383,7 +383,7 @@ impl Cub {
                 },
             );
             sh.metrics.loss.failover_lost += 1;
-            self.view.retire(vs.slot, &vs);
+            self.services.view_retire(&vs);
             return Admit::Late;
         }
         match vs.kind {
@@ -1042,7 +1042,7 @@ impl Cub {
                 },
             );
         }
-        self.view.retire(entry.vs.slot, &entry.vs);
+        self.services.view_retire(&entry.vs);
         self.reclaim_if_finished(sh, now, token);
         // Otherwise forwarding has not happened yet (fresh inserts with
         // very short leads); the next forward pass reclaims the entry.

@@ -449,13 +449,7 @@ impl TigerSystem {
             if cub.failed {
                 continue;
             }
-            for (slot, entry) in cub.view().iter() {
-                // A just-serviced entry awaiting the retirement pass
-                // measures a whole lap ahead; only entries still waiting
-                // for their service count against the lead.
-                if cub.already_served(entry) {
-                    continue;
-                }
+            for (slot, instance) in cub.unserved_view_entries() {
                 // The entry is due when the earliest of this cub's disks
                 // next meets the slot.
                 let lead = (0..stripe.disks_per_cub)
@@ -471,7 +465,7 @@ impl TigerSystem {
                          {max_lead:?} at {now}",
                         cub.id,
                         slot.raw(),
-                        entry.instance.viewer.raw(),
+                        instance.viewer.raw(),
                     ));
                 }
             }

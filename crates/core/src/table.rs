@@ -1,9 +1,11 @@
-//! The cub's per-stream tables: the blocks (and pieces) it has committed
-//! to send, the log of primary records it recently did send, the
-//! per-instance record that answers the per-message questions about both
-//! — "is this record a duplicate", "which services does this deschedule
-//! kill", "has this block already been served" (§4.1.2). The shadow
-//! records a second successor holds for redundancy are the forward
+//! The cub's per-stream tables: its view of the schedule near its disks
+//! (§4.1), the blocks (and pieces) it has committed to send, the log of
+//! primary records it recently did send, and the per-instance record that
+//! holds the view's entries and answers the per-message questions about
+//! all three — "is this record a duplicate", "which services does this
+//! deschedule kill", "has this block already been served" (§4.1.2). The
+//! deschedules the cub holds are `tiger_sched::HeldDeschedules`; the
+//! shadow records a second successor holds for redundancy are the forward
 //! machine's (`tiger_proto::ForwardMachine`).
 //!
 //! The active services sit in a [`Window`] of consecutive tokens, so the
@@ -14,8 +16,7 @@
 //! its slot, an instance keeps the slot it was inserted at, and a slot's
 //! list is found by indexing. `carried` holds, in its
 //! slot's list, one [`Carried`] record for each viewer instance this cub
-//! carries anything of. The record is derived state, kept in step by the
-//! only methods that can change what it describes:
+//! carries anything of. The record has three parts:
 //!
 //! * its active half lists exactly the tokens of the instance's active
 //!   services — [`ServiceTable::insert`], [`ServiceTable::remove`] and
@@ -23,17 +24,19 @@
 //! * its retired half lists exactly the `play_seq` of each of the
 //!   instance's `retired_log` entries — [`ServiceTable::retire`],
 //!   [`ServiceTable::prune_retired`] and [`ServiceTable::clear_retired`];
-//! * a record exists exactly while either half is non-empty.
+//! * its view entries, one `(kind, play_seq)` a kind of service, change
+//!   only by the `view_*` methods, under `tiger_sched::ScheduleView`'s rules;
+//! * a record exists exactly while any part holds something.
 //!
-//! Being derived, it is not schedule information:
-//! [`ServiceTable::information_held`] counts the two tables only.
+//! The two halves are derived state and not schedule information:
+//! [`ServiceTable::information_held`] counts the two tables and the view.
 
 use std::collections::VecDeque;
 
 use tiger_layout::ids::ViewerInstance;
 use tiger_layout::CubId;
 use tiger_proto::{ForwardMachine, RingMachine};
-use tiger_sched::{Deschedule, SlotId, StreamKind, ViewerState};
+use tiger_sched::{Deschedule, HeldDeschedules, SlotId, StreamKind, ViewApply, ViewerState};
 use tiger_sim::{DenseLists, SimDuration, SimTime, Tagged};
 
 use super::service::{Active, Outcome};
@@ -149,18 +152,27 @@ const EMPTY: u64 = u64::MAX;
 /// acceptance in eight is the instance's third, and its fourth is rare.
 const INLINE: usize = 3;
 
+/// A view entry: a kind of service and its latest record's `play_seq`.
+type Entry = (StreamKind, u32);
+
 /// What this cub carries of one viewer instance: the tokens of its active
-/// services (`ACTIVE`) and the `play_seq` of each of its retired-log
-/// entries, repeats included (`RETIRED`). A half is kept ascending: its
-/// smallest values inline, [`EMPTY`]-padded, so the usual question is a
-/// probe and a look at a word or two; whatever else there is (small
-/// rings, coded fan-in) in `more`, which is empty unless inline is full.
+/// services (`ACTIVE`), the `play_seq` of each of its retired-log
+/// entries, repeats included (`RETIRED`), and its view entries. A half is
+/// kept ascending: its smallest values inline, [`EMPTY`]-padded, so the
+/// usual question is a probe and a look at a word or two; whatever else
+/// there is (small rings, coded fan-in) in `more`, which is empty unless
+/// inline is full. So with the entries: the usual one in `entry`, others
+/// (mirror pieces, coded shards) in `more`, only while `entry` is full.
 #[derive(Debug)]
 struct Carried {
     instance: ViewerInstance,
     inline: [[u64; INLINE]; 2],
-    more: Option<Box<[Vec<u64>; 2]>>,
+    entry: Option<Entry>,
+    more: Option<Box<Spill>>,
 }
+
+/// A [`Carried`] record's values past inline: its halves', its entries.
+type Spill = ([Vec<u64>; 2], Vec<Entry>);
 
 impl Tagged for Carried {
     fn tag(&self) -> u32 {
@@ -172,12 +184,42 @@ impl Carried {
     fn half(&self, half: usize) -> impl Iterator<Item = u64> + '_ {
         let inline = self.inline[half].iter().take_while(|&&v| v != EMPTY);
         inline
-            .chain(self.more.iter().flat_map(move |more| &more[half]))
+            .chain(self.more.iter().flat_map(move |more| &more.0[half]))
             .copied()
     }
 
     fn is_empty(&self) -> bool {
-        self.inline.iter().all(|half| half[0] == EMPTY)
+        self.entry.is_none() && self.inline.iter().all(|half| half[0] == EMPTY)
+    }
+
+    fn entries(&self) -> impl Iterator<Item = &Entry> {
+        let more = self.more.iter().flat_map(|more| &more.1);
+        self.entry.iter().chain(more)
+    }
+
+    /// The `play_seq` of the entry of `kind`, if there is one.
+    fn entry_mut(&mut self, kind: StreamKind) -> Option<&mut u32> {
+        let more = self.more.iter_mut().flat_map(|more| &mut more.1);
+        let mut entries = self.entry.iter_mut().chain(more);
+        entries.find(|(k, _)| *k == kind).map(|(_, seq)| seq)
+    }
+
+    fn add_entry(&mut self, entry: Entry) {
+        if let Some(first) = self.entry.replace(entry) {
+            self.more.get_or_insert_with(Box::default).1.push(first);
+        }
+    }
+
+    /// Drops the entries `doomed` names; how many.
+    fn drop_entries(&mut self, mut doomed: impl FnMut(&Entry) -> bool) -> usize {
+        let mut none = Vec::new();
+        let more = self.more.as_mut().map_or(&mut none, |more| &mut more.1);
+        let before = more.len() + usize::from(self.entry.is_some());
+        more.retain(|e| !doomed(e));
+        if self.entry.as_ref().is_some_and(doomed) {
+            self.entry = more.pop();
+        }
+        before - more.len() - usize::from(self.entry.is_some())
     }
 
     fn insert(&mut self, half: usize, mut value: u64) {
@@ -190,7 +232,7 @@ impl Carried {
             }
         }
         if value != EMPTY {
-            let more = &mut self.more.get_or_insert_with(Box::default)[half];
+            let more = &mut self.more.get_or_insert_with(Box::default).0[half];
             more.insert(more.partition_point(|&m| m < value), value);
         }
     }
@@ -198,7 +240,7 @@ impl Carried {
     /// Removes one occurrence of `value`, if there is one.
     fn remove(&mut self, half: usize, value: u64) {
         let inline = &mut self.inline[half];
-        let more = self.more.as_mut().map(|more| &mut more[half]);
+        let more = self.more.as_mut().map(|more| &mut more.0[half]);
         if let Some(at) = inline.iter().position(|&held| held == value) {
             inline[at..].rotate_left(1);
             inline[INLINE - 1] = match more {
@@ -216,7 +258,7 @@ impl Carried {
     fn clear(&mut self, half: usize) -> bool {
         self.inline[half] = [EMPTY; INLINE];
         if let Some(more) = &mut self.more {
-            more[half].clear();
+            more.0[half].clear();
         }
         !self.is_empty()
     }
@@ -232,25 +274,16 @@ pub(super) struct ServiceTable {
     /// [`ServiceTable::take_reclaims`] hands them out; a forward pass
     /// looks at these and not at the table.
     reclaims: Vec<ServiceToken>,
-    /// One record per instance with an active service or a retired entry,
-    /// in the list of the instance's slot.
+    /// One record per instance with an active service, a retired entry or
+    /// a view entry, in the list of the instance's slot.
     carried: DenseLists<Carried>,
+    /// View entries over all records.
+    entries: usize,
     /// Recently serviced-and-forwarded primary records, oldest first,
     /// retained for one failure-detection window so that, as "the
     /// preceding living cub", this cub can re-send scheduling information
     /// across a gap of consecutive failures (§2.3).
     retired_log: VecDeque<(SimTime, ViewerState)>,
-}
-
-/// Takes `value` out of the record of `vs`'s instance, and the record out
-/// of its slot's list with its last value.
-fn uncarry(carried: &mut DenseLists<Carried>, vs: &ViewerState, half: usize, value: u64) {
-    carried.retain(vs.slot.raw(), |record| {
-        if record.instance == vs.instance {
-            record.remove(half, value);
-        }
-        !record.is_empty()
-    });
 }
 
 impl ServiceTable {
@@ -260,26 +293,36 @@ impl ServiceTable {
     pub(super) fn insert(&mut self, entry: Active) -> ServiceToken {
         let vs = entry.vs;
         let token = self.active.insert(entry);
-        self.carry(&vs, ACTIVE, token);
+        self.record_mut(&vs).insert(ACTIVE, token);
         token
     }
 
-    fn carry(&mut self, vs: &ViewerState, half: usize, value: u64) {
-        let slot = vs.slot.raw();
-        let mut records = self.carried.get_mut(slot).iter_mut();
-        match records.find(|r| r.instance == vs.instance) {
-            Some(record) => record.insert(half, value),
-            None => {
-                let mut inline = [[EMPTY; INLINE]; 2];
-                inline[half][0] = value;
-                let record = Carried {
-                    instance: vs.instance,
-                    inline,
-                    more: None,
-                };
-                self.carried.push(slot, record);
-            }
+    /// The record of `vs`'s instance, a new one if it has none.
+    fn record_mut(&mut self, vs: &ViewerState) -> &mut Carried {
+        let (slot, instance) = (vs.slot.raw(), vs.instance);
+        if self.record(vs.slot, instance).is_none() {
+            let (inline, entry, more) = ([[EMPTY; INLINE]; 2], None, None);
+            let record = Carried {
+                instance,
+                inline,
+                entry,
+                more,
+            };
+            self.carried.push(slot, record);
         }
+        let mut records = self.carried.get_mut(slot).iter_mut();
+        records.find(|r| r.instance == instance).expect("a record")
+    }
+
+    /// Applies `change` to the record of `i`, which occupies `slot`, and
+    /// takes the record out of its slot's list if that left it empty.
+    fn uncarry(&mut self, slot: SlotId, i: ViewerInstance, mut change: impl FnMut(&mut Carried)) {
+        self.carried.retain(slot.raw(), |record| {
+            if record.instance == i {
+                change(record);
+            }
+            !record.is_empty()
+        });
     }
 
     /// The record of `instance`, which occupies `slot`.
@@ -291,7 +334,9 @@ impl ServiceTable {
     /// Removes a service from the table and its instance's record.
     pub(super) fn remove(&mut self, token: ServiceToken) -> Option<Active> {
         let entry = self.active.remove(token)?;
-        uncarry(&mut self.carried, &entry.vs, ACTIVE, token);
+        self.uncarry(entry.vs.slot, entry.vs.instance, |r| {
+            r.remove(ACTIVE, token)
+        });
         Some(entry)
     }
 
@@ -400,7 +445,7 @@ impl ServiceTable {
     /// Appends a serviced primary record.
     pub(super) fn retire(&mut self, now: SimTime, vs: ViewerState) {
         self.retired_log.push_back((now, vs));
-        self.carry(&vs, RETIRED, vs.play_seq.into());
+        self.record_mut(&vs).insert(RETIRED, vs.play_seq.into());
     }
 
     /// The log, oldest first.
@@ -414,7 +459,8 @@ impl ServiceTable {
         let horizon = now.saturating_sub(retention);
         while let Some(&(_, vs)) = self.retired_log.front().filter(|(at, _)| *at < horizon) {
             self.retired_log.pop_front();
-            uncarry(&mut self.carried, &vs, RETIRED, vs.play_seq.into());
+            let seq = vs.play_seq.into();
+            self.uncarry(vs.slot, vs.instance, |r| r.remove(RETIRED, seq));
         }
     }
 
@@ -423,17 +469,92 @@ impl ServiceTable {
         self.carried.retain_all(|record| record.clear(RETIRED));
     }
 
-    // --- Questions -------------------------------------------------------------
+    // --- The view's entries ----------------------------------------------------
 
-    /// Active services plus retired-log entries: this table's share of
-    /// `Cub::schedule_information_held`.
-    pub(super) fn information_held(&self) -> usize {
-        self.active.live + self.retired_log.len()
+    /// Merges `vs` into the view at `now`, a slot holding one entry a kind:
+    /// `tiger_sched::ScheduleView::apply_viewer_state`'s verdicts, the
+    /// entries here and the deschedules in `held`.
+    pub(super) fn view_apply(
+        &mut self,
+        held: &mut HeldDeschedules,
+        vs: &ViewerState,
+        now: SimTime,
+    ) -> ViewApply {
+        if held.blocks(vs, now) {
+            return ViewApply::Blocked;
+        }
+        let records = self.carried.get_mut(vs.slot.raw()).iter_mut();
+        let mut same_kind = records.filter_map(|r| Some((r.instance, r.entry_mut(vs.kind)?)));
+        match same_kind.next() {
+            Some((instance, _)) if instance != vs.instance => ViewApply::Conflict,
+            Some((_, seq)) if *seq >= vs.play_seq => ViewApply::Duplicate,
+            Some((_, seq)) => {
+                *seq = vs.play_seq;
+                ViewApply::Updated
+            }
+            None => {
+                self.entries += 1;
+                self.record_mut(vs).add_entry((vs.kind, vs.play_seq));
+                ViewApply::Inserted
+            }
+        }
     }
 
-    /// Whether an active service or a retired entry belongs to `instance`:
-    /// the one question that comes without a slot, so a scan of the
-    /// per-slot summaries.
+    /// Drops `vs`'s view entry if it is exactly that, kind and `play_seq`:
+    /// on small rings a newer lap's record may have updated it since.
+    pub(super) fn view_retire(&mut self, vs: &ViewerState) {
+        let key = (vs.kind, vs.play_seq);
+        self.view_drop(vs.slot, vs.instance, |e| *e == key);
+    }
+
+    /// Drops the view entries `d` kills: every kind of its instance's.
+    pub(super) fn view_deschedule(&mut self, d: &Deschedule) {
+        self.view_drop(d.slot, d.instance, |_| true);
+    }
+
+    fn view_drop(&mut self, slot: SlotId, i: ViewerInstance, doomed: impl Fn(&Entry) -> bool) {
+        let mut dropped = 0;
+        self.uncarry(slot, i, |r| dropped = r.drop_entries(&doomed));
+        self.entries -= dropped;
+    }
+
+    /// Forgets the view; the services and the retired log stay.
+    pub(super) fn clear_view(&mut self) {
+        self.carried.retain_all(|record| {
+            record.drop_entries(|_| true);
+            !record.is_empty()
+        });
+        self.entries = 0;
+    }
+
+    /// The instance the view believes (only believes) holds `slot`.
+    pub(super) fn view_primary(&self, slot: SlotId) -> Option<ViewerInstance> {
+        let mut records = self.carried.get(slot.raw()).iter();
+        let primary = |r: &&Carried| r.entries().any(|(kind, _)| *kind == StreamKind::Primary);
+        records.find(primary).map(|r| r.instance)
+    }
+
+    /// The view's entries not yet served here (nor awaiting retirement).
+    pub(super) fn unserved_view_entries(
+        &self,
+    ) -> impl Iterator<Item = (SlotId, ViewerInstance)> + '_ {
+        self.carried.iter().flat_map(move |(slot, r)| {
+            let unserved = r.entries().filter(move |(_, seq)| !self.served(r, *seq));
+            unserved.map(move |_| (SlotId(slot), r.instance))
+        })
+    }
+
+    // --- Questions -------------------------------------------------------------
+
+    /// Active services, retired-log entries and view entries: this
+    /// table's share of `Cub::schedule_information_held`.
+    pub(super) fn information_held(&self) -> usize {
+        self.active.live + self.retired_log.len() + self.entries
+    }
+
+    /// Whether an active service, a retired entry or a view entry belongs
+    /// to `instance`: the one question that comes without a slot, so a
+    /// scan of the per-slot summaries for its record.
     pub(super) fn carries_instance(&self, instance: &ViewerInstance) -> bool {
         let mut records = self.carried.tagged(instance.tag());
         records.any(|r| r.instance == *instance)
@@ -442,9 +563,12 @@ impl ServiceTable {
     /// Whether this cub is serving, or has served, `vs.play_seq` or a
     /// later block of the instance.
     pub(super) fn already_served(&self, vs: &ViewerState) -> bool {
-        let Some(record) = self.record(vs.slot, vs.instance) else {
-            return false;
-        };
+        let record = self.record(vs.slot, vs.instance);
+        record.is_some_and(|record| self.served(record, vs.play_seq))
+    }
+
+    /// [`ServiceTable::already_served`], of `record`'s instance.
+    fn served(&self, record: &Carried, play_seq: u32) -> bool {
         // Coded shard actives carry the *home* block's play_seq and say
         // nothing about this cub's own primary progression — counting one
         // here would reject the double-forwarded redundancy copy of the
@@ -452,11 +576,10 @@ impl ServiceTable {
         // and that copy is the stream's only survivor.
         let serving = |token| {
             self.active.get(token).is_some_and(|a| {
-                !matches!(a.vs.kind, StreamKind::Coded { .. }) && a.vs.play_seq >= vs.play_seq
+                !matches!(a.vs.kind, StreamKind::Coded { .. }) && a.vs.play_seq >= play_seq
             })
         };
-        record.half(RETIRED).any(|seq| seq >= vs.play_seq.into())
-            || record.half(ACTIVE).any(serving)
+        record.half(RETIRED).any(|seq| seq >= play_seq.into()) || record.half(ACTIVE).any(serving)
     }
 }
 
@@ -465,9 +588,17 @@ impl ServiceTable {
 /// no `Cub` method reaches `get_mut` without a side effect.
 #[doc(hidden)]
 #[derive(Debug, Default)]
-pub struct TableBench(ServiceTable, ForwardMachine);
+pub struct TableBench(ServiceTable, ForwardMachine, HeldDeschedules);
 
 impl TableBench {
+    pub fn view_apply(&mut self, vs: &ViewerState) -> ViewApply {
+        self.0.view_apply(&mut self.2, vs, SimTime::ZERO)
+    }
+
+    pub fn view_retire(&mut self, vs: &ViewerState) {
+        self.0.view_retire(vs);
+    }
+
     pub fn retire(&mut self, vs: ViewerState) {
         self.0.retire(SimTime::ZERO, vs);
     }
@@ -906,7 +1037,7 @@ mod tests {
             halves[RETIRED].sort_unstable();
             for (half, want) in halves.iter().enumerate() {
                 assert_eq!(&record.half(half).collect::<Vec<_>>(), want);
-                let spilled = record.more.as_ref().map_or(0, |more| more[half].len());
+                let spilled = record.more.as_ref().map_or(0, |more| more.0[half].len());
                 assert!(spilled == 0 || record.inline[half][INLINE - 1] != EMPTY);
             }
         }
@@ -1050,16 +1181,19 @@ mod tests {
     }
 
     /// The schedule information a cub holds by slot — the service table's
-    /// per-record answers and the shadow records — against `BTreeMap`
-    /// models, after every step of random accept, reclaim, retire, prune,
-    /// deschedule, shadow-insert and pass sequences over three slots. An
+    /// per-record answers, its view entries and the shadow records —
+    /// against `BTreeMap` models and `ScheduleView`, after every step of
+    /// random accept, reclaim, retire, prune, deschedule, view apply, view
+    /// retire, reset, shadow-insert and pass sequences over three slots. An
     /// instance keeps the slot it was inserted at, as on the ring; ten
     /// instances share the three, and primary, mirror and coded records
     /// of one instance share its slot. Every answer is checked: `serves`,
     /// `already_served`, `carries_instance`, the deschedule cursor's
-    /// victims in token order, the retired log, the information held, and
-    /// the shadows the re-drives read, in `(slot, instance)` order, at
-    /// whatever instants the passes ran.
+    /// victims in token order, the retired log, the information held, every
+    /// view verdict, each slot's believed primary, the view's entries as a
+    /// multiset and those not yet served, and the shadows the re-drives
+    /// read, in `(slot, instance)` order, at whatever instants the passes
+    /// ran.
     #[test]
     fn slot_tables_match_the_btreemap_model() {
         check("slot_tables_match_the_btreemap_model", |rng| {
@@ -1071,6 +1205,10 @@ mod tests {
             let mut retired: Vec<(SimTime, ViewerState)> = Vec::new();
             let mut held: BTreeMap<(SlotId, ViewerInstance), (ViewerState, SimTime)> =
                 BTreeMap::new();
+            // The view: the table's entries and the cub's held deschedules,
+            // against the view that kept both.
+            let mut holds = HeldDeschedules::default();
+            let mut view = tiger_sched::ScheduleView::new();
             let mut now = SimTime::ZERO;
             let instance = |viewer: u64, incarnation: u32| ViewerInstance {
                 viewer: ViewerId(viewer),
@@ -1087,7 +1225,7 @@ mod tests {
             };
             for _ in 0..rng.gen_range(1usize..200) {
                 now += SimDuration::from_millis(rng.gen_range(0u64..3) * 250);
-                match rng.gen_range(0u32..12) {
+                match rng.gen_range(0u32..16) {
                     0..=2 => {
                         // Acceptance: the duplicate test, then insert.
                         let vs = record(rng);
@@ -1131,6 +1269,10 @@ mod tests {
                         assert_eq!(got, want, "victims of {d:?}");
                         shadows.on_deschedule(&d);
                         held.remove(&(d.slot, d.instance));
+                        let until = now + SimDuration::from_millis(rng.gen_range(0u64..8) * 250);
+                        holds.hold(d, now, until);
+                        table.view_deschedule(&d);
+                        view.apply_deschedule(d, now, until);
                     }
                     6..=8 => {
                         // A redundancy copy, due up to two seconds out.
@@ -1152,6 +1294,23 @@ mod tests {
                         table.prune_retired(now, retention);
                         retired.retain(|&(at, _)| at >= now.saturating_sub(retention));
                     }
+                    12 | 13 => {
+                        // A record into the view: every verdict.
+                        let vs = record(rng);
+                        let got = table.view_apply(&mut holds, &vs, now);
+                        assert_eq!(got, view.apply_viewer_state(vs, now), "apply {vs:?}");
+                    }
+                    14 => {
+                        // A send retires its entry; now and then the entry
+                        // has moved on a lap, or was never there.
+                        let entries: Vec<_> = view.iter().map(|(_, e)| *e).collect();
+                        let vs = match entries.len() {
+                            n if n > 0 && rng.gen_bool(0.8) => entries[rng.gen_range(0..n)],
+                            _ => record(rng),
+                        };
+                        table.view_retire(&vs);
+                        view.retire(vs.slot, &vs);
+                    }
                     _ => match rng.gen_range(0u32..8) {
                         0 => {
                             table.clear();
@@ -1165,19 +1324,64 @@ mod tests {
                             shadows.reset(false);
                             held.clear();
                         }
+                        3 => {
+                            table.clear_view();
+                            holds = HeldDeschedules::default();
+                            view = tiger_sched::ScheduleView::new();
+                        }
                         _ => {}
                     },
                 }
                 assert_eq!(table.retired(), &retired);
-                assert_eq!(table.information_held(), services.len() + retired.len());
+                let information = services.len() + retired.len() + view.len();
+                assert_eq!(table.information_held(), information);
                 for viewer in 0..5 {
                     for incarnation in 0..2 {
                         let i = instance(viewer, incarnation);
                         let carried = services.values().any(|vs| vs.instance == i)
-                            || retired.iter().any(|(_, vs)| vs.instance == i);
+                            || retired.iter().any(|(_, vs)| vs.instance == i)
+                            || view.holds_instance(&i);
                         assert_eq!(table.carries_instance(&i), carried, "carries {i:?}");
                     }
                 }
+                for slot in (0..3).map(SlotId) {
+                    let primary = view.primary_entry(slot).map(|e| e.instance);
+                    assert_eq!(table.view_primary(slot), primary, "{slot:?}'s primary");
+                }
+                // The view's entries as a multiset, and those not yet
+                // served by slot, as `TigerSystem::check_view_lead` reads them.
+                let sorted = |mut v: Vec<(SlotId, ViewerInstance, StreamKind, u32)>| {
+                    v.sort_by_key(|&(slot, i, kind, seq)| (slot, i, seq, format!("{kind:?}")));
+                    v
+                };
+                let listed = table.carried.iter().flat_map(|(slot, r)| {
+                    r.entries()
+                        .map(move |&(kind, seq)| (SlotId(slot), r.instance, kind, seq))
+                });
+                let want = view
+                    .iter()
+                    .map(|(slot, e)| (slot, e.instance, e.kind, e.play_seq));
+                let want = sorted(want.collect());
+                assert_eq!(sorted(listed.collect()), want, "the view's entries");
+                let served = |i: ViewerInstance, seq| {
+                    let later = |vs: &ViewerState| vs.instance == i && vs.play_seq >= seq;
+                    services
+                        .values()
+                        .any(|vs| !matches!(vs.kind, StreamKind::Coded { .. }) && later(vs))
+                        || retired.iter().any(|(_, vs)| later(vs))
+                };
+                let want = want
+                    .iter()
+                    .filter(|e| !served(e.1, e.3))
+                    .map(|e| (e.0, e.1));
+                let mut unserved: Vec<_> = table.unserved_view_entries().collect();
+                assert!(unserved.is_sorted_by_key(|e| e.0), "by slot");
+                unserved.sort();
+                assert_eq!(
+                    unserved,
+                    want.collect::<Vec<_>>(),
+                    "the entries not yet served"
+                );
                 for _ in 0..4 {
                     let probe = record(rng);
                     let later = |vs: &ViewerState| {

@@ -15,8 +15,8 @@
 //! * [`disk_schedule::DiskSchedule`] — the materialized global schedule,
 //!   kept by the omniscient checker that tests hold the distributed
 //!   implementation against;
-//! * [`view::ScheduleView`] — a cub's bounded, possibly out-of-date view
-//!   with the deschedule-holding and late-arrival rules (§4.1);
+//! * [`view::ScheduleView`] — a bounded view with its merge rules (§4.1),
+//!   and [`HeldDeschedules`], the deschedule-holding half a cub keeps;
 //! * [`net_schedule::NetworkSchedule`] — the two-dimensional
 //!   (time × bandwidth) schedule of the multiple-bitrate system, with
 //!   reservations for two-phase insertion and fragmentation measurement
@@ -36,4 +36,4 @@ pub mod view;
 pub use net_schedule::{AdmissibleStarts, NetEntryId, NetScheduleError, NetworkSchedule};
 pub use params::{ScheduleParams, SlotId};
 pub use records::{Deschedule, StreamKind, ViewerState};
-pub use view::{ScheduleView, ViewApply};
+pub use view::{HeldDeschedules, ScheduleView, ViewApply};

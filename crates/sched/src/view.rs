@@ -1,4 +1,4 @@
-//! A cub's bounded, possibly out-of-date view of the schedule (§4.1).
+//! A bounded, possibly out-of-date view of the schedule (§4.1).
 //!
 //! "Every cub maintains a view of the portion of the disk schedule near
 //! each of its disks. … Views may be incomplete or out-of-date without
@@ -17,6 +17,10 @@
 //! * a primary entry never shares a slot with a different instance — an
 //!   attempted conflicting insert is reported, because it would mean the
 //!   ownership protocol was violated.
+//!
+//! A cub keeps the [`HeldDeschedules`] and, in its service table's
+//! per-instance records, the entries: [`ScheduleView`] is the reference
+//! model that table is tested against.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -50,7 +54,86 @@ impl Tagged for ViewerState {
     }
 }
 
-/// A cub's window onto the global schedule.
+/// The deschedules held against late viewer states (§4.1.2), to expiry.
+#[derive(Clone, Debug, Default)]
+pub struct HeldDeschedules {
+    /// Each hold's expiry, and the order it was first applied in (what
+    /// [`HeldDeschedules::gc_report`] reports by).
+    held: HashMap<Deschedule, (SimTime, u64)>,
+    /// One `(instant, first-application order, deschedule)` per hold,
+    /// earliest on top. The instant is the hold's expiry as of when the
+    /// entry was queued: re-applying a deschedule moves only `held`'s
+    /// expiry, and [`HeldDeschedules::expire`] re-queues the entry when it
+    /// surfaces early. So `lapses.len() == held.len()` always.
+    lapses: BinaryHeap<Reverse<(SimTime, u64, Deschedule)>>,
+    /// First-application order of the next new hold.
+    next_hold: u64,
+}
+
+impl HeldDeschedules {
+    /// Holds `d` until `hold_until` or, if held already, its later expiry,
+    /// having dropped what expired by `now`.
+    pub fn hold(&mut self, d: Deschedule, now: SimTime, hold_until: SimTime) {
+        self.expire(now, |_, _| {});
+        match self.held.get_mut(&d) {
+            Some((expiry, _)) => *expiry = (*expiry).max(hold_until),
+            None => {
+                let order = self.next_hold;
+                self.next_hold += 1;
+                self.held.insert(d, (hold_until, order));
+                self.lapses.push(Reverse((hold_until, order, d)));
+            }
+        }
+    }
+
+    /// Whether a hold still in force at `now` blocks `vs`.
+    pub fn blocks(&mut self, vs: &ViewerState, now: SimTime) -> bool {
+        self.expire(now, |_, _| {});
+        self.held.contains_key(&Deschedule::of(vs))
+    }
+
+    /// Whether a matching deschedule is currently held.
+    pub fn holds(&self, d: &Deschedule) -> bool {
+        self.held.contains_key(d)
+    }
+
+    /// Drops expired deschedules, reporting each in first-application
+    /// order: expiry observed at the caller's granularity (the forward
+    /// pass); what `hold` and `blocks` drop on the way is past relevance.
+    pub fn gc_report(&mut self, now: SimTime, mut expired: impl FnMut(Deschedule)) {
+        let mut lapsed = Vec::new();
+        self.expire(now, |order, d| lapsed.push((order, d)));
+        lapsed.sort_unstable_by_key(|&(order, _)| order);
+        for (_, d) in lapsed {
+            expired(d);
+        }
+    }
+
+    /// Drops every hold whose expiry is at or before `now`, handing each
+    /// to `lapsed` with its first-application order, in queue order.
+    /// Amortised O(expired): a queue entry is visited once per time its
+    /// hold was extended past it, and otherwise only to expire.
+    fn expire(&mut self, now: SimTime, mut lapsed: impl FnMut(u64, Deschedule)) {
+        while let Some(&Reverse((at, order, d))) = self.lapses.peek() {
+            if at > now {
+                break;
+            }
+            self.lapses.pop();
+            match self.held.get(&d) {
+                // Re-applied since it was queued: back in at its real expiry.
+                Some(&(expiry, _)) if expiry > now => {
+                    self.lapses.push(Reverse((expiry, order, d)));
+                }
+                _ => {
+                    self.held.remove(&d);
+                    lapsed(order, d);
+                }
+            }
+        }
+    }
+}
+
+/// A window onto the global schedule.
 #[derive(Clone, Debug, Default)]
 pub struct ScheduleView {
     /// Live entries by slot, in the order they arrived (but for
@@ -58,17 +141,7 @@ pub struct ScheduleView {
     /// entry; during failed mode it may also hold mirror entries (distinct
     /// `kind`s) for the same instance.
     entries: DenseLists<ViewerState>,
-    /// Held deschedules: each one's expiry, and the order it was first
-    /// applied in (what [`ScheduleView::gc_report`] reports by).
-    held: HashMap<Deschedule, (SimTime, u64)>,
-    /// One `(instant, first-application order, deschedule)` per hold,
-    /// earliest on top. The instant is the hold's expiry as of when the
-    /// entry was queued: re-applying a deschedule moves only `held`'s
-    /// expiry, and [`ScheduleView::expire`] re-queues the entry when it
-    /// surfaces early. So `lapses.len() == held.len()` always.
-    lapses: BinaryHeap<Reverse<(SimTime, u64, Deschedule)>>,
-    /// First-application order of the next new hold.
-    next_hold: u64,
+    held: HeldDeschedules,
 }
 
 impl ScheduleView {
@@ -79,8 +152,7 @@ impl ScheduleView {
 
     /// Merges a viewer state into the view at `now`.
     pub fn apply_viewer_state(&mut self, vs: ViewerState, now: SimTime) -> ViewApply {
-        self.gc(now);
-        if self.held.contains_key(&Deschedule::of(&vs)) {
+        if self.held.blocks(&vs, now) {
             return ViewApply::Blocked;
         }
         let slot = vs.slot.raw();
@@ -107,23 +179,13 @@ impl ScheduleView {
     /// time but reports `false` (nothing newly removed) unless an entry
     /// re-appeared meanwhile.
     pub fn apply_deschedule(&mut self, d: Deschedule, now: SimTime, hold_until: SimTime) -> bool {
-        self.gc(now);
-        let removed = self.entries.retain(d.slot.raw(), |e| !d.matches(e)) > 0;
-        match self.held.get_mut(&d) {
-            Some((expiry, _)) => *expiry = (*expiry).max(hold_until),
-            None => {
-                let order = self.next_hold;
-                self.next_hold += 1;
-                self.held.insert(d, (hold_until, order));
-                self.lapses.push(Reverse((hold_until, order, d)));
-            }
-        }
-        removed
+        self.held.hold(d, now, hold_until);
+        self.entries.retain(d.slot.raw(), |e| !d.matches(e)) > 0
     }
 
     /// Whether a matching deschedule is currently held.
     pub fn holds_deschedule(&self, d: &Deschedule) -> bool {
-        self.held.contains_key(d)
+        self.held.holds(d)
     }
 
     /// The primary entry in `slot`, if known.
@@ -186,54 +248,17 @@ impl ScheduleView {
 
     /// Number of held deschedules.
     pub fn held_deschedules(&self) -> usize {
-        self.held.len()
+        self.held.held.len()
     }
 
     /// Drops expired deschedules.
     pub fn gc(&mut self, now: SimTime) {
-        self.expire(now, |_, _| {});
+        self.held.expire(now, |_, _| {});
     }
 
-    /// [`ScheduleView::gc`], reporting each hold it drops. Used by traced
-    /// runs to record hold expiries; behaviorally identical to `gc`.
-    ///
-    /// Expiry is thereby observed at the caller's granularity (the cub's
-    /// periodic forward pass), not at the instant the hold lapses — the
-    /// internal `gc` calls inside `apply_*` stay unreported, since a hold
-    /// that expires mid-apply was already past its protocol relevance.
-    ///
-    /// Holds are reported in the order they were first applied, whatever
-    /// their expiry instants.
-    pub fn gc_report(&mut self, now: SimTime, mut expired: impl FnMut(Deschedule)) {
-        let mut lapsed = Vec::new();
-        self.expire(now, |order, d| lapsed.push((order, d)));
-        lapsed.sort_unstable_by_key(|&(order, _)| order);
-        for (_, d) in lapsed {
-            expired(d);
-        }
-    }
-
-    /// Drops every hold whose expiry is at or before `now`, handing each
-    /// to `lapsed` with its first-application order, in queue order.
-    /// Amortised O(expired): a queue entry is visited once per time its
-    /// hold was extended past it, and otherwise only to expire.
-    fn expire(&mut self, now: SimTime, mut lapsed: impl FnMut(u64, Deschedule)) {
-        while let Some(&Reverse((at, order, d))) = self.lapses.peek() {
-            if at > now {
-                break;
-            }
-            self.lapses.pop();
-            match self.held.get(&d) {
-                // Re-applied since it was queued: back in at its real expiry.
-                Some(&(expiry, _)) if expiry > now => {
-                    self.lapses.push(Reverse((expiry, order, d)));
-                }
-                _ => {
-                    self.held.remove(&d);
-                    lapsed(order, d);
-                }
-            }
-        }
+    /// [`ScheduleView::gc`], reporting as [`HeldDeschedules::gc_report`].
+    pub fn gc_report(&mut self, now: SimTime, expired: impl FnMut(Deschedule)) {
+        self.held.gc_report(now, expired);
     }
 }
 
@@ -421,10 +446,10 @@ mod tests {
         };
         for s in 0..1_000 {
             v.apply_deschedule(d, t(s), t(s + 3));
-            assert_eq!((v.held.len(), v.lapses.len()), (1, 1));
+            assert_eq!((v.held.held.len(), v.held.lapses.len()), (1, 1));
         }
         v.gc(t(1_002));
-        assert_eq!((v.held.len(), v.lapses.len()), (0, 0));
+        assert_eq!((v.held.held.len(), v.held.lapses.len()), (0, 0));
     }
 
     #[test]

@@ -47,8 +47,8 @@ fn main() {
     for cub in sys.cubs() {
         print!("cub {}: ", cub.id.raw());
         for slot in 0..capacity {
-            match cub.view().primary_entry(SlotId(slot)) {
-                Some(e) => print!("{:>3}", e.instance.viewer.raw()),
+            match cub.believed_primary(SlotId(slot)) {
+                Some(instance) => print!("{:>3}", instance.viewer.raw()),
                 None => print!("  ."),
             }
         }
@@ -64,9 +64,8 @@ fn main() {
             .cubs()
             .iter()
             .map(|c| {
-                c.view()
-                    .primary_entry(SlotId(slot))
-                    .map(|e| e.instance.viewer.raw())
+                c.believed_primary(SlotId(slot))
+                    .map(|instance| instance.viewer.raw())
             })
             .collect();
         let known: Vec<u64> = beliefs.iter().flatten().copied().collect();

@@ -315,6 +315,20 @@ fn bench_service_table(c: &mut Runner) {
             black_box(tables[(i % CUBS) as usize].already_served(&probe))
         })
     });
+    c.bench_function("table/view_apply_retire_602", |b| {
+        // `view/apply_retire_602` on the path the simulator runs: the
+        // view's entries in the service table's per-instance records.
+        let mut table = TableBench::default();
+        for i in 0..602 {
+            table.view_apply(&vs(i as u32, i, 0));
+        }
+        let mut i = 602u64;
+        b.iter(|| {
+            table.view_retire(&vs((i % 602) as u32, i - 602, 0));
+            black_box(table.view_apply(&vs((i % 602) as u32, i, 0)));
+            i += 1;
+        })
+    });
     c.bench_function("table/insert_remove_window430", |b| {
         // Steady state of one table: a block is accepted under the next
         // token and the oldest is reclaimed.

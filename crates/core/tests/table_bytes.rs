@@ -1,6 +1,6 @@
 //! The memory of a cub's schedule information: bytes of live heap the
-//! schedule view, the service table and the shadow records keep for a cub
-//! state the size of one of `scale-56`'s. A test binary of its own,
+//! service table (the view's entries among its records) and the shadow
+//! records keep for a cub state the size of one of `scale-56`'s. A test binary of its own,
 //! because counting needs a `#[global_allocator]` and a binary has one.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -10,7 +10,7 @@ use tiger_core::cub::service::PieceSpec;
 use tiger_core::cub::TableBench;
 use tiger_layout::ids::ViewerInstance;
 use tiger_layout::{BlockNum, DiskId, FileId, StripeConfig, ViewerId};
-use tiger_sched::{ScheduleParams, ScheduleView, SlotId, StreamKind, ViewerState};
+use tiger_sched::{ScheduleParams, SlotId, StreamKind, ViewApply, ViewerState};
 use tiger_sim::{Bandwidth, ByteSize, SimDuration, SimTime};
 
 /// The system allocator, counting the bytes it has handed out and not
@@ -68,14 +68,16 @@ fn a_scale_56_cub_state_keeps_no_more_than_three_maps_did() {
     // One cub of `scale-56` (56 cubs, 2,409 slots) at capacity: 430
     // services at once, each with its view entry; 800 instances with a
     // service or a retired entry; 500 second-successor copies. The records
-    // are spread over the whole ring, as a cub's are. Everything the three
+    // are spread over the whole ring, as a cub's are. Everything the
     // structures keep is charged, the service window and the retired log
     // included. The only test in this binary, so nothing else allocates
     // meanwhile. Measured here: 318,000 bytes while the view entries, the
     // per-instance records and the shadows sat in three hash maps (view
     // 33,296; service window, retired log and records 193,552; shadows
-    // 91,152), which is the bound; 302,900 (37,920; 218,488; 46,492) with
-    // each a list a slot in a pool, its slot index grown exactly.
+    // 91,152); 302,900 (37,920; 218,488; 46,492) with each a list a slot
+    // in a pool, its slot index grown exactly; 273,172 (54,304; 172,376;
+    // 46,492), which is the bound, with each view entry in its instance's
+    // record (the records now come into being with the view's entries).
     const SLOTS: u32 = 2_409;
     const SERVICES: u32 = 430;
     const RECORDS: u32 = 800;
@@ -92,12 +94,12 @@ fn a_scale_56_cub_state_keeps_no_more_than_three_maps_did() {
     let spread = |i: u32, apart: u32| (i * apart) % SLOTS;
 
     let start = LIVE.load(Ordering::Relaxed);
-    let mut view = ScheduleView::new();
+    let mut tables = TableBench::default();
     for i in 0..SERVICES {
-        view.apply_viewer_state(record(spread(i, 3), u64::from(i)), SimTime::ZERO);
+        let applied = tables.view_apply(&record(spread(i, 3), u64::from(i)));
+        assert_eq!(applied, ViewApply::Inserted);
     }
     let after_view = LIVE.load(Ordering::Relaxed);
-    let mut tables = TableBench::default();
     for i in 0..RECORDS {
         let vs = record(spread(i, 3), u64::from(i));
         if i < SERVICES {
@@ -119,6 +121,6 @@ fn a_scale_56_cub_state_keeps_no_more_than_three_maps_did() {
         after_services - after_view,
         end - after_services,
     );
-    assert!(bytes <= 318_000, "{bytes} bytes");
-    drop((view, tables));
+    assert!(bytes <= 273_172, "{bytes} bytes");
+    drop(tables);
 }

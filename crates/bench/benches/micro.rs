@@ -202,62 +202,6 @@ fn bench_view_held(c: &mut Runner) {
     });
 }
 
-/// `Cub::already_served` — the §4.1.2 staleness test every arriving
-/// primary viewer state pays — on a cub with 400 services in its
-/// active table, the occupancy of a `steady-full` cub. The probe is a
-/// state of a viewer the cub has never seen: the common case, and the
-/// one that cannot stop at a match.
-fn bench_cub_tables(c: &mut Runner) {
-    use tiger_core::{Message, TigerConfig, TigerSystem};
-    use tiger_layout::CubId;
-    const ACTIVE: usize = 400;
-    let mut cfg = TigerConfig::sosp97();
-    cfg.disk = cfg.disk.without_blips();
-    let mut sys = TigerSystem::new(cfg);
-    let file = sys.add_file(
-        Bandwidth::from_mbit_per_sec(2),
-        SimDuration::from_secs(3_600),
-    );
-    let probe = ViewerState {
-        file,
-        ..vs(0, u64::MAX, 7)
-    };
-    sys.with_cub_mut(CubId(0), |cub, sh| {
-        // Fill the table the way the ring does: one viewer state per
-        // slot whose block on one of this cub's disks comes due within
-        // a legitimate lead (maxVStateLead, plus two bridged failures).
-        let now = sh.queue.now();
-        let lead = sh.cfg.max_vstate_lead + sh.params.block_play_time().mul_u64(2);
-        let mut wanted = ACTIVE;
-        for pos in 0..sh.params.stripe().num_disks() {
-            let loc = sh.catalog.locate(file, BlockNum(pos)).expect("in range");
-            if loc.cub != cub.id {
-                continue;
-            }
-            for slot in 0..sh.params.capacity() {
-                let due = sh.params.slot_send_time(loc.disk, SlotId(slot), now);
-                if wanted == 0 || due.saturating_since(now) > lead {
-                    continue;
-                }
-                wanted -= 1;
-                let state = ViewerState {
-                    file,
-                    position: BlockNum(pos),
-                    ..vs(slot, u64::from(slot), 7)
-                };
-                cub.on_message(sh, now, Message::ViewerState(state));
-            }
-        }
-        // One view entry and one active service per accepted state.
-        assert_eq!(cub.schedule_information_held(), 2 * ACTIVE);
-    });
-    c.bench_function("cub/already_served_active400", |b| {
-        sys.with_cub_mut(CubId(0), |cub, _| {
-            b.iter(|| black_box(cub.already_served(&probe)))
-        })
-    });
-}
-
 /// The active-service table at the occupancy and in the access pattern of
 /// the full-scale data plane, which the hot-cache `cub/*` rows cannot see:
 /// a `steady-full` cub holds ≈430 services (43 streams' blocks a second,
@@ -1095,7 +1039,6 @@ fn main() {
     bench_slot_math(&mut c);
     bench_view_ops(&mut c);
     bench_view_held(&mut c);
-    bench_cub_tables(&mut c);
     bench_forward_pass(&mut c);
     bench_rejoin(&mut c);
     bench_layout(&mut c);

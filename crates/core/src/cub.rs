@@ -18,7 +18,7 @@ use tiger_proto::forward::{replay_batch, Verdict};
 use tiger_proto::insert::AttemptDecision;
 use tiger_proto::msg::Message;
 use tiger_proto::{ForwardMachine, InsertMachine, RingMachine};
-use tiger_sched::{Deschedule, HeldDeschedules, SlotId, StreamKind, ViewerState};
+use tiger_sched::{Deschedule, SlotId, StreamKind, ViewerState};
 use tiger_sim::{Counter, SimDuration, SimTime};
 use tiger_trace::TraceEvent;
 
@@ -50,12 +50,10 @@ pub struct Cub {
     disks: Vec<tiger_disk::Disk>,
     space: Vec<DiskSpace>,
     index: BlockIndex,
-    /// The deschedules held (§4.1.2): the view's half beside its entries.
-    held: HeldDeschedules,
     /// The view's entries, active services and retired log (`table.rs`).
     services: ServiceTable,
-    /// The sans-io §4.1.1 machine: what a received primary record is, and
-    /// the shadows and memories behind that (`tiger_proto::forward`).
+    /// The sans-io §4.1.1–§4.1.2 machine: what a received record is, and
+    /// the shadows, memories and holds behind that (`tiger_proto::forward`).
     fwd: ForwardMachine,
     /// The sans-io insertion machine: queued and redundant starts, and
     /// the one-armed attempt timer (`tiger_proto::insert`).
@@ -108,7 +106,6 @@ impl Cub {
             disks,
             space,
             index: BlockIndex::new(),
-            held: HeldDeschedules::default(),
             services: ServiceTable::default(),
             fwd: ForwardMachine::default(),
             ins: InsertMachine::new(),
@@ -494,7 +491,7 @@ impl Cub {
             .stripe()
             .block_location(meta.start_disk, vs.position);
         let owner = (vs.position.raw() < meta.num_blocks).then_some(loc.cub);
-        let served = self.already_served(&vs);
+        let served = self.services.already_served(&vs);
         let due = || sh.params.slot_send_time(loc.disk, vs.slot, now);
         match (self.fwd).on_primary(&mut self.ring, now, vs, owner, served, due) {
             Verdict::Eof { first } => {
@@ -603,10 +600,9 @@ impl Cub {
         // expire a deschedule hold past their due time.
         let retention = sh.cfg.retired_retention();
         self.services.prune_retired(now, retention);
-        self.fwd.on_pass(now, sh.cfg.deschedule_hold, retention);
         // Each hold expiry is observed at this pass's granularity.
-        let (me, tracer) = (self.id.raw(), &mut sh.tracer);
-        self.held.gc_report(now, |d| {
+        let (me, tracer, hold) = (self.id.raw(), &mut sh.tracer, sh.cfg.deschedule_hold);
+        self.fwd.on_pass(now, hold, retention, |d| {
             let expire = TraceEvent::DeschedExpire {
                 slot: d.slot.raw(),
                 viewer: d.instance.viewer.raw(),
@@ -622,8 +618,8 @@ impl Cub {
         if self.refuses(sh, now, d) {
             return;
         }
-        let first_sighting = !self.held.holds(&d);
-        self.held.hold(d, now, now + sh.cfg.deschedule_reach());
+        let until = now + sh.cfg.deschedule_reach();
+        let first = self.fwd.on_deschedule(d, now, until);
         self.services.view_deschedule(&d);
         // Kill matching active services that have not yet gone out. The
         // order they die in is immaterial: reclaiming one returns its
@@ -647,17 +643,15 @@ impl Cub {
                 slot: d.slot.raw(),
                 viewer: d.instance.viewer.raw(),
                 inc: d.instance.incarnation,
-                first: first_sighting,
+                first,
                 killed,
                 hops_left,
             },
         );
-        // Drop matching shadows and queued starts.
-        self.fwd.on_deschedule(&d);
         self.ins.drop_instance(&d.instance);
         // Forward on first sighting, immediately (§4.1.2: deschedules are
         // not batched; they must outrun viewer states).
-        if first_sighting && hops_left > 0 {
+        if first && hops_left > 0 {
             let me = sh.cub_node(self.id);
             let msg = Message::Deschedule {
                 request: d,
@@ -684,13 +678,6 @@ impl Cub {
         if self.ins.on_routed_start(pending, redundant, carried) {
             self.schedule_insert_attempt(sh, now + SimDuration::from_nanos(1));
         }
-    }
-
-    /// Whether this cub has already serviced `vs.play_seq` (or a later
-    /// block) of the instance — the staleness test behind the §4.1.2
-    /// receipt idempotence in `on_primary_state`.
-    pub fn already_served(&self, vs: &ViewerState) -> bool {
-        self.services.already_served(vs)
     }
 
     fn schedule_insert_attempt(&mut self, sh: &mut Shared, at: SimTime) {
@@ -984,12 +971,11 @@ impl Cub {
     }
 
     /// Clears the viewer/schedule state every reset path discards: the
-    /// bounded schedule view, shadowed records and covered blocks, queued
-    /// insertions, and the retired log. Power-cut, restart, and restripe
-    /// cut-over all call this and layer their site-specific extras on top
-    /// (a cut-over also forgets the end-of-file notices).
+    /// bounded schedule view, shadowed records, covered blocks and held
+    /// deschedules, queued insertions, and the retired log. Power-cut,
+    /// restart and cut-over all call this and layer their site-specific
+    /// extras on top (a cut-over also forgets the end-of-file notices).
     fn reset_viewer_state(&mut self, cut_over: bool) {
-        self.held = HeldDeschedules::default();
         self.services.clear_view();
         self.fwd.reset(cut_over);
         self.ins.clear_queues();
@@ -1099,7 +1085,7 @@ impl Cub {
         self.reclaim_finished(sh, now);
         self.reset_viewer_state(true);
         for &d in fences {
-            self.held.hold(d, now, hold_until);
+            self.fwd.on_deschedule(d, now, hold_until);
         }
         self.ring.clear_handback();
     }

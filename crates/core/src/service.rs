@@ -338,8 +338,8 @@ impl Cub {
     // --- Acceptance ---------------------------------------------------------
 
     /// Commits this cub to serve `vs` as `spec` describes: the schedule
-    /// view takes the record, duplicates and late arrivals are turned
-    /// away, and the read and the paced send are scheduled.
+    /// view takes the record, a held deschedule's victims, duplicates and
+    /// late arrivals are turned away, and the read and the send scheduled.
     fn admit(
         &mut self,
         sh: &mut Shared,
@@ -348,7 +348,10 @@ impl Cub {
         spec: PieceSpec,
     ) -> Admit {
         vs.kind = spec.kind;
-        match self.services.view_apply(&mut self.held, &vs, now) {
+        if self.fwd.blocks(&vs, now) {
+            return Admit::Blocked;
+        }
+        match self.services.view_apply(&vs) {
             ViewApply::Inserted | ViewApply::Updated => {}
             ViewApply::Duplicate => return Admit::Duplicate,
             ViewApply::Blocked => return Admit::Blocked,
@@ -437,13 +440,10 @@ impl Cub {
             Admit::Accepted(send_at, token) => (send_at, token),
             Admit::Duplicate => return self.trace_duplicate(sh, now, &vs),
             Admit::Blocked => {
-                return sh
-                    .tracer
-                    .record(now, me, TraceEvent::VsBlocked { slot, viewer, inc });
+                return self.trace(sh, now, TraceEvent::VsBlocked { slot, viewer, inc })
             }
             Admit::Conflict => {
-                sh.tracer
-                    .record(now, me, TraceEvent::VsConflict { slot, viewer, inc });
+                self.trace(sh, now, TraceEvent::VsConflict { slot, viewer, inc });
                 sh.metrics.violations.push(format!(
                     "{}: conflicting viewer state for {} in {}",
                     self.id, vs.instance, vs.slot

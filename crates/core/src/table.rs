@@ -4,9 +4,9 @@
 //! holds the view's entries and answers the per-message questions about
 //! all three — "is this record a duplicate", "which services does this
 //! deschedule kill", "has this block already been served" (§4.1.2). The
-//! deschedules the cub holds are `tiger_sched::HeldDeschedules`; the
-//! shadow records a second successor holds for redundancy are the forward
-//! machine's (`tiger_proto::ForwardMachine`).
+//! deschedules the cub holds and the shadow records a second successor
+//! holds for redundancy are the forward machine's
+//! (`tiger_proto::ForwardMachine`).
 //!
 //! The active services sit in a [`Window`] of consecutive tokens, so the
 //! per-block events (`ReadIssue`, `DiskDone`, `SendDue`, `SendDone`) find
@@ -36,7 +36,7 @@ use std::collections::VecDeque;
 use tiger_layout::ids::ViewerInstance;
 use tiger_layout::CubId;
 use tiger_proto::{ForwardMachine, RingMachine};
-use tiger_sched::{Deschedule, HeldDeschedules, SlotId, StreamKind, ViewApply, ViewerState};
+use tiger_sched::{Deschedule, SlotId, StreamKind, ViewApply, ViewerState};
 use tiger_sim::{DenseLists, SimDuration, SimTime, Tagged};
 
 use super::service::{Active, Outcome};
@@ -471,18 +471,10 @@ impl ServiceTable {
 
     // --- The view's entries ----------------------------------------------------
 
-    /// Merges `vs` into the view at `now`, a slot holding one entry a kind:
-    /// `tiger_sched::ScheduleView::apply_viewer_state`'s verdicts, the
-    /// entries here and the deschedules in `held`.
-    pub(super) fn view_apply(
-        &mut self,
-        held: &mut HeldDeschedules,
-        vs: &ViewerState,
-        now: SimTime,
-    ) -> ViewApply {
-        if held.blocks(vs, now) {
-            return ViewApply::Blocked;
-        }
+    /// Merges `vs` into the view, a slot holding one entry a kind:
+    /// `tiger_sched::ScheduleView::apply_viewer_state`'s verdicts but
+    /// `Blocked`, which the forward machine's holds answer first.
+    pub(super) fn view_apply(&mut self, vs: &ViewerState) -> ViewApply {
         let records = self.carried.get_mut(vs.slot.raw()).iter_mut();
         let mut same_kind = records.filter_map(|r| Some((r.instance, r.entry_mut(vs.kind)?)));
         match same_kind.next() {
@@ -588,11 +580,11 @@ impl ServiceTable {
 /// no `Cub` method reaches `get_mut` without a side effect.
 #[doc(hidden)]
 #[derive(Debug, Default)]
-pub struct TableBench(ServiceTable, ForwardMachine, HeldDeschedules);
+pub struct TableBench(ServiceTable, ForwardMachine);
 
 impl TableBench {
     pub fn view_apply(&mut self, vs: &ViewerState) -> ViewApply {
-        self.0.view_apply(&mut self.2, vs, SimTime::ZERO)
+        self.0.view_apply(vs)
     }
 
     pub fn view_retire(&mut self, vs: &ViewerState) {
@@ -1205,9 +1197,10 @@ mod tests {
             let mut retired: Vec<(SimTime, ViewerState)> = Vec::new();
             let mut held: BTreeMap<(SlotId, ViewerInstance), (ViewerState, SimTime)> =
                 BTreeMap::new();
-            // The view: the table's entries and the cub's held deschedules,
-            // against the view that kept both.
-            let mut holds = HeldDeschedules::default();
+            // The view: the table's entries and, as the cub's forward
+            // machine keeps them, held deschedules, against the view that
+            // kept both.
+            let mut holds = tiger_sched::HeldDeschedules::default();
             let mut view = tiger_sched::ScheduleView::new();
             let mut now = SimTime::ZERO;
             let instance = |viewer: u64, incarnation: u32| ViewerInstance {
@@ -1267,9 +1260,9 @@ mod tests {
                             }
                         }
                         assert_eq!(got, want, "victims of {d:?}");
-                        shadows.on_deschedule(&d);
                         held.remove(&(d.slot, d.instance));
                         let until = now + SimDuration::from_millis(rng.gen_range(0u64..8) * 250);
+                        shadows.on_deschedule(d, now, until);
                         holds.hold(d, now, until);
                         table.view_deschedule(&d);
                         view.apply_deschedule(d, now, until);
@@ -1289,7 +1282,7 @@ mod tests {
                     }
                     9 | 10 => {
                         // A forward pass.
-                        shadows.on_pass(now, hold, retention);
+                        shadows.on_pass(now, hold, retention, |_| {});
                         held.retain(|_, &mut (_, due)| due >= now.saturating_sub(hold));
                         table.prune_retired(now, retention);
                         retired.retain(|&(at, _)| at >= now.saturating_sub(retention));
@@ -1297,7 +1290,10 @@ mod tests {
                     12 | 13 => {
                         // A record into the view: every verdict.
                         let vs = record(rng);
-                        let got = table.view_apply(&mut holds, &vs, now);
+                        let got = match holds.blocks(&vs, now) {
+                            true => ViewApply::Blocked,
+                            false => table.view_apply(&vs),
+                        };
                         assert_eq!(got, view.apply_viewer_state(vs, now), "apply {vs:?}");
                     }
                     14 => {
@@ -1326,7 +1322,7 @@ mod tests {
                         }
                         3 => {
                             table.clear_view();
-                            holds = HeldDeschedules::default();
+                            holds = tiger_sched::HeldDeschedules::default();
                             view = tiger_sched::ScheduleView::new();
                         }
                         _ => {}

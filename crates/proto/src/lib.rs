@@ -27,8 +27,8 @@
 //! * [`forward`] — the viewer-state decision of §4.1.1
 //!   ([`ForwardMachine`]): a received primary record is served, covered
 //!   for a dead owner, shadowed, refused as a duplicate, or ends its
-//!   stream ([`Verdict`]); the shadow, cover and end-of-file memories
-//!   behind it; the declare's shadow re-drive and re-sends to a
+//!   stream ([`Verdict`]); the shadow, cover, end-of-file and §4.1.2
+//!   deschedule-hold memories behind it; the declare's shadow re-drive and re-sends to a
 //!   rejoiner; and the §2.3 skip arithmetic of the retired replay.
 //! * [`insert`] — the ownership-window insertion machine
 //!   ([`InsertMachine`]): queued start requests, redundant-start

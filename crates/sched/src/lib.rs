@@ -16,7 +16,7 @@
 //!   kept by the omniscient checker that tests hold the distributed
 //!   implementation against;
 //! * [`view::ScheduleView`] — a bounded view with its merge rules (§4.1),
-//!   and [`HeldDeschedules`], the deschedule-holding half a cub keeps;
+//!   and [`HeldDeschedules`], the holding half a cub's forward machine keeps;
 //! * [`net_schedule::NetworkSchedule`] — the two-dimensional
 //!   (time × bandwidth) schedule of the multiple-bitrate system, with
 //!   reservations for two-phase insertion and fragmentation measurement

@@ -18,9 +18,9 @@
 //!   attempted conflicting insert is reported, because it would mean the
 //!   ownership protocol was violated.
 //!
-//! A cub keeps the [`HeldDeschedules`] and, in its service table's
-//! per-instance records, the entries: [`ScheduleView`] is the reference
-//! model that table is tested against.
+//! A cub's forward machine keeps the [`HeldDeschedules`], its service
+//! table's per-instance records the entries: [`ScheduleView`] is the
+//! reference model both are tested against.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

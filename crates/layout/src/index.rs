@@ -19,18 +19,20 @@
 //! them a fixed byte lap apart, so per disk and file (and per piece for
 //! the secondary region) the extents form an arithmetic progression: a
 //! first key, a key stride, a count, one entry and a lap; key
-//! `at + j·every` holds that entry moved `j·lap` bytes on. A laid run is
-//! one such segment, held inline in the run's header, so a lookup scans
-//! the cub's few disks and reads that header: one divide, nothing per
-//! block. The key-by-key paths (a restripe move, a shield copy, a
-//! cut-over's removal) keep every key exact by extending a segment whose
-//! progression the key continues, splitting one whose span it lands
-//! inside off the stride, or starting one of its own. A run's segments
-//! do not overlap and sit in key order, so one past the first is found
-//! by binary search.
+//! `at + j·every` holds that entry moved `j·lap` bytes on. A run is its
+//! first segment, 32 bytes, and a laid run is that one segment, so a
+//! lookup scans the cub's few disks and reads one run: one divide and
+//! one cache line, nothing per block. The key-by-key paths (a restripe
+//! move, a shield copy, a cut-over's removal) keep every key exact by
+//! extending a segment whose progression the key continues, splitting
+//! one whose span it lands inside off the stride, or starting one of its
+//! own. A run's segments do not overlap and sit in key order; those after
+//! the first move to a tail in a store the lanes keep, named by a `u32`
+//! in the first segment's padding and freed when the run is one segment
+//! again, and one there is found by binary search.
 
 use std::fmt;
-use std::num::NonZeroU64;
+use std::num::{NonZeroU32, NonZeroU64};
 
 use tiger_sim::ByteSize;
 
@@ -121,21 +123,28 @@ impl fmt::Debug for IndexEntry {
 /// `count` extents in arithmetic progression: key `at + j·every` holds
 /// `first` moved `j·lap` bytes on. Every term lies between the first and
 /// the last, so a progression whose first and last terms pack packs
-/// whole.
+/// whole. Aligned to its size, so a lookup reads one cache line.
 #[derive(Clone, Copy, Debug)]
+#[repr(align(32))]
 struct Segment {
     at: u32,
     /// Free while the segment holds one key: its second key sets it.
     every: u32,
     /// Never zero.
     count: u32,
+    /// On a run's first segment, the tail holding the run's others in its
+    /// lanes' [`Tails`]; `None` while the run is this segment alone, and
+    /// on every segment of a tail.
+    tail: Option<NonZeroU32>,
     first: IndexEntry,
     /// Free, like `every`, while the segment holds one key.
     lap: i64,
 }
 
-// The first entry's nonzero length is an empty run's niche.
+// The first entry's nonzero length is an empty run's niche, and the
+// tail's name fills the padding the three keys left.
 const _: () = assert!(std::mem::size_of::<Option<Segment>>() == 32);
+const _: () = assert!(std::mem::size_of::<Run>() == 32);
 
 impl Segment {
     fn one(at: u32, entry: IndexEntry) -> Self {
@@ -143,6 +152,7 @@ impl Segment {
             at,
             every: 1,
             count: 1,
+            tail: None,
             first: entry,
             lap: 0,
         }
@@ -204,46 +214,57 @@ impl Segment {
 }
 
 /// One file's extents on one disk (or one piece's on one disk): segments
-/// whose spans, first key to last, do not overlap, in key order. The
-/// first sits inline, so a laid run — one segment — answers a lookup
-/// from its header alone.
-#[derive(Clone, Debug, Default)]
-struct Run {
-    /// `None` only in an empty run.
-    head: Option<Segment>,
-    rest: Vec<Segment>,
-}
+/// whose spans, first key to last, do not overlap, in key order. The run
+/// is its first segment, which names the tail holding any others, so a
+/// laid run — one segment — answers a lookup from its 32 bytes alone.
+#[derive(Clone, Copy, Debug, Default)]
+struct Run(Option<Segment>);
 
 impl Run {
-    fn get(&self, block: u32) -> Option<IndexEntry> {
-        let head = self.head.as_ref()?;
-        match head.get(block) {
-            None if !self.rest.is_empty() => {
-                let i = self.rest.partition_point(|s| s.last() < block);
-                self.rest.get(i)?.get(block)
+    fn get(&self, tails: &Tails, block: u32) -> Option<IndexEntry> {
+        let head = self.0.as_ref()?;
+        match (head.get(block), head.tail) {
+            (None, Some(tail)) => {
+                let rest = tails.get(tail);
+                let i = rest.partition_point(|s| s.last() < block);
+                rest.get(i)?.get(block)
             }
-            got => got,
+            (got, _) => got,
         }
     }
 
-    /// Runs `edit` over every segment in key order, then moves the first
-    /// back inline.
-    fn edit(&mut self, edit: impl FnOnce(&mut Vec<Segment>)) {
-        let mut all = std::mem::take(&mut self.rest);
-        all.splice(0..0, self.head.take());
+    /// Runs `edit` over every segment in key order, then keeps the first
+    /// as the run and stores the others as its tail: a tail left empty is
+    /// freed.
+    fn edit(&mut self, tails: &mut Tails, edit: impl FnOnce(&mut Vec<Segment>)) {
+        let mut all = Vec::new();
+        if let Some(head) = self.0.take() {
+            all = tails.take(head.tail);
+            all.insert(0, Segment { tail: None, ..head });
+        }
         edit(&mut all);
-        self.head = (!all.is_empty()).then(|| all.remove(0));
-        self.rest = all;
+        if !all.is_empty() {
+            let head = all.remove(0);
+            self.0 = Some(Segment {
+                tail: tails.put(all),
+                ..head
+            });
+        }
     }
 
     /// Adds one key: it extends the segment before or after it if its
     /// entry continues that progression, splits the segment whose span it
     /// lands inside off its stride, or else starts a segment of its own.
-    fn insert(&mut self, block: u32, entry: IndexEntry) -> Result<(), IndexError> {
-        if self.get(block).is_some() {
+    fn insert(
+        &mut self,
+        tails: &mut Tails,
+        block: u32,
+        entry: IndexEntry,
+    ) -> Result<(), IndexError> {
+        if self.get(tails, block).is_some() {
             return Err(IndexError::Duplicate);
         }
-        self.edit(|all| {
+        self.edit(tails, |all| {
             let i = all.partition_point(|s| s.last() < block);
             match all.get(i) {
                 Some(&s) if s.at < block => {
@@ -267,26 +288,33 @@ impl Run {
     /// bytes on: a run that is empty takes them as its one segment, one
     /// that holds keys already takes them key by key through
     /// [`Run::insert`].
-    fn install(&mut self, blocks: BlockRun, first: IndexEntry, lap: u64) -> Result<(), IndexError> {
+    fn install(
+        &mut self,
+        tails: &mut Tails,
+        blocks: BlockRun,
+        first: IndexEntry,
+        lap: u64,
+    ) -> Result<(), IndexError> {
         let laid = Segment {
             at: blocks.first,
             every: blocks.step,
             count: blocks.count,
+            tail: None,
             first,
             // Below 2^40 when a second term packs; free otherwise.
             lap: i64::try_from(lap).unwrap_or_default(),
         };
-        if self.head.is_none() {
-            self.head = Some(laid);
+        if self.0.is_none() {
+            self.0 = Some(laid);
             return Ok(());
         }
         let mut keys = blocks.blocks().zip(0..);
-        keys.try_for_each(|(block, k)| self.insert(block.raw(), laid.term(k)))
+        keys.try_for_each(|(block, k)| self.insert(tails, block.raw(), laid.term(k)))
     }
 
-    fn remove(&mut self, block: u32) -> Option<IndexEntry> {
-        let entry = self.get(block)?;
-        self.edit(|all| {
+    fn remove(&mut self, tails: &mut Tails, block: u32) -> Option<IndexEntry> {
+        let entry = self.get(tails, block)?;
+        self.edit(tails, |all| {
             let i = all.partition_point(|s| s.last() < block);
             let s = all[i];
             let j = s.term_of(block).expect("a held key's segment");
@@ -297,48 +325,101 @@ impl Run {
         Some(entry)
     }
 
-    fn entries(&self) -> impl Iterator<Item = (u32, IndexEntry)> + '_ {
-        (self.head.iter().chain(&self.rest))
+    /// The segments in key order.
+    fn segments<'a>(&'a self, tails: &'a Tails) -> impl Iterator<Item = &'a Segment> {
+        let rest = self.0.and_then(|head| head.tail);
+        self.0
+            .iter()
+            .chain(rest.map_or(&[][..], |tail| tails.get(tail)))
+    }
+
+    fn entries<'a>(&'a self, tails: &'a Tails) -> impl Iterator<Item = (u32, IndexEntry)> + 'a {
+        (self.segments(tails))
             .flat_map(|s| (0..s.count).map(move |j| (s.at + j * s.every, s.term(j))))
     }
 }
 
-/// Runs by lane (a disk, or a disk and a piece), then by file: a cub has
-/// few lanes, so finding one is a short scan.
+/// The segments after the first of every run in a set of lanes that holds
+/// more than one; tail `t` is slot `t - 1`. Only a key-by-key edit — a
+/// restripe move, a shield copy, a cut-over's removal — splits a run, so
+/// most lanes never fill a slot. A freed slot is empty, and is named
+/// again before the store grows.
 #[derive(Clone, Debug, Default)]
-struct Lanes<K>(Vec<(K, Vec<Run>)>);
+struct Tails {
+    slots: Vec<Vec<Segment>>,
+    free: Vec<NonZeroU32>,
+}
+
+impl Tails {
+    fn get(&self, tail: NonZeroU32) -> &[Segment] {
+        &self.slots[tail.get() as usize - 1]
+    }
+
+    /// Takes a tail's segments out and frees its name; no tail is empty.
+    fn take(&mut self, tail: Option<NonZeroU32>) -> Vec<Segment> {
+        let Some(tail) = tail else {
+            return Vec::new();
+        };
+        self.free.push(tail);
+        std::mem::take(&mut self.slots[tail.get() as usize - 1])
+    }
+
+    /// Stores `rest` under a free name, unless it is empty.
+    fn put(&mut self, rest: Vec<Segment>) -> Option<NonZeroU32> {
+        if rest.is_empty() {
+            return None;
+        }
+        let tail = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(Vec::new());
+            let n = u32::try_from(self.slots.len()).expect("fewer than 2^32 tails");
+            NonZeroU32::new(n).expect("the store holds one")
+        });
+        self.slots[tail.get() as usize - 1] = rest;
+        Some(tail)
+    }
+}
+
+/// Runs by lane (a disk, or a disk and a piece), then by file: a cub has
+/// few lanes, so finding one is a short scan. Their tails sit apart, in
+/// one store.
+#[derive(Clone, Debug, Default)]
+struct Lanes<K> {
+    runs: Vec<(K, Vec<Run>)>,
+    tails: Tails,
+}
 
 impl<K: Copy + PartialEq> Lanes<K> {
     fn get(&self, lane: K, file: FileId, block: BlockNum) -> Option<IndexEntry> {
-        let (_, files) = self.0.iter().find(|(k, _)| *k == lane)?;
-        files.get(file.index())?.get(block.raw())
+        let (_, files) = self.runs.iter().find(|(k, _)| *k == lane)?;
+        files.get(file.index())?.get(&self.tails, block.raw())
     }
 
-    fn run_mut(&mut self, lane: K, file: FileId) -> Option<&mut Run> {
-        let (_, files) = self.0.iter_mut().find(|(k, _)| *k == lane)?;
-        files.get_mut(file.index())
+    fn run_mut(&mut self, lane: K, file: FileId) -> Option<(&mut Run, &mut Tails)> {
+        let (_, files) = self.runs.iter_mut().find(|(k, _)| *k == lane)?;
+        Some((files.get_mut(file.index())?, &mut self.tails))
     }
 
-    /// The run of `file` in `lane`, made if missing.
-    fn run(&mut self, lane: K, file: FileId) -> &mut Run {
-        let at = match self.0.iter().position(|(k, _)| *k == lane) {
+    /// The run of `file` in `lane`, made if missing, and the tails.
+    fn run(&mut self, lane: K, file: FileId) -> (&mut Run, &mut Tails) {
+        let at = match self.runs.iter().position(|(k, _)| *k == lane) {
             Some(at) => at,
             None => {
-                self.0.push((lane, Vec::new()));
-                self.0.len() - 1
+                self.runs.push((lane, Vec::new()));
+                self.runs.len() - 1
             }
         };
-        let files = &mut self.0[at].1;
+        let files = &mut self.runs[at].1;
         if files.len() <= file.index() {
             files.resize_with(file.index() + 1, Run::default);
         }
-        &mut files[file.index()]
+        (&mut files[file.index()], &mut self.tails)
     }
 
     fn entries(&self) -> impl Iterator<Item = (K, FileId, BlockNum, IndexEntry)> + '_ {
-        self.0.iter().flat_map(|&(lane, ref files)| {
+        let tails = &self.tails;
+        self.runs.iter().flat_map(move |&(lane, ref files)| {
             (files.iter().enumerate()).flat_map(move |(file, run)| {
-                (run.entries())
+                (run.entries(tails))
                     .map(move |(block, entry)| (lane, FileId(file as u32), BlockNum(block), entry))
             })
         })
@@ -369,7 +450,8 @@ impl BlockIndex {
         block: BlockNum,
         entry: IndexEntry,
     ) -> Result<(), IndexError> {
-        self.primary.run(disk, file).insert(block.raw(), entry)
+        let (run, tails) = self.primary.run(disk, file);
+        run.insert(tails, block.raw(), entry)
     }
 
     /// Records a mirror-piece extent.
@@ -381,9 +463,8 @@ impl BlockIndex {
         piece: u32,
         entry: IndexEntry,
     ) -> Result<(), IndexError> {
-        self.secondary
-            .run((disk, piece), file)
-            .insert(block.raw(), entry)
+        let (run, tails) = self.secondary.run((disk, piece), file);
+        run.insert(tails, block.raw(), entry)
     }
 
     /// Installs `file`'s run of `blocks` on `disk` (on its `piece` lane in
@@ -400,11 +481,11 @@ impl BlockIndex {
         lap: u64,
     ) -> Result<(), IndexError> {
         debug_assert!(blocks.count > 0, "an empty run installed");
-        let run = match piece {
+        let (run, tails) = match piece {
             None => self.primary.run(disk, file),
             Some(p) => self.secondary.run((disk, p), file),
         };
-        run.install(blocks, first, lap)
+        run.install(tails, blocks, first, lap)
     }
 
     /// Looks up the primary extent of `(file, block)` on `disk`.
@@ -437,7 +518,8 @@ impl BlockIndex {
         file: FileId,
         block: BlockNum,
     ) -> Option<IndexEntry> {
-        self.primary.run_mut(disk, file)?.remove(block.raw())
+        let (run, tails) = self.primary.run_mut(disk, file)?;
+        run.remove(tails, block.raw())
     }
 
     /// Removes every secondary extent (live-restripe cut-over: mirror
@@ -564,9 +646,10 @@ mod tests {
         // An empty run takes the blocks whole, as its one inline segment.
         ix.install(DiskId(1), None, FileId(0), run(2, 3), first, 64)
             .expect("installs");
-        let laid = &ix.primary.0[0].1[0];
-        assert_eq!(laid.rest.capacity(), 0);
-        assert_eq!(laid.head.map(|s| s.count), Some(3));
+        // It names no tail, and the store allocates nothing.
+        let laid = ix.primary.runs[0].1[0];
+        assert_eq!(laid.0.map(|s| (s.count, s.tail)), Some((3, None)));
+        assert_eq!(ix.primary.tails.slots.capacity(), 0);
         assert_eq!(
             ix.lookup_primary(DiskId(1), FileId(0), BlockNum(12)),
             entry(2).ok()
@@ -622,8 +705,9 @@ mod tests {
                 let got = ix.lookup_primary(disk, file, BlockNum(block));
                 assert_eq!(got, model.get(&block).copied(), "block {block}");
             }
-            let run = &ix.primary.0[0].1[0];
-            1 + run.rest.len()
+            assert_tails_held(&ix.primary);
+            let run = ix.primary.runs[0].1[0];
+            run.segments(&ix.primary.tails).count()
         };
         // The segments each edit leaves.
         assert_eq!(edit(3, Some(at(0))), 2);
@@ -657,6 +741,42 @@ mod tests {
         }
     }
 
+    fn tail_of<K: Copy + PartialEq>(lanes: &Lanes<K>, lane: K, file: FileId) -> Option<NonZeroU32> {
+        let (_, files) = lanes.runs.iter().find(|(k, _)| *k == lane)?;
+        files.get(file.index())?.0?.tail
+    }
+
+    /// Whether `run` holds more than one segment.
+    fn split(ix: &BlockIndex, (disk, file, piece): RunKey) -> bool {
+        let tail = match piece {
+            None => tail_of(&ix.primary, disk, file),
+            Some(p) => tail_of(&ix.secondary, (disk, p), file),
+        };
+        tail.is_some()
+    }
+
+    /// The store holds a tail for exactly the runs of more than one
+    /// segment: each such run names a slot of its own that holds its
+    /// others, and every other slot is empty and free.
+    fn assert_tails_held<K>(lanes: &Lanes<K>) {
+        let slot = |tail: &NonZeroU32| tail.get() as usize - 1;
+        let mut named = Vec::new();
+        for run in lanes.runs.iter().flat_map(|(_, files)| files) {
+            let segments: Vec<_> = run.segments(&lanes.tails).collect();
+            let tail = run.0.and_then(|head| head.tail);
+            assert_eq!(tail.is_some(), segments.len() > 1, "{run:?}");
+            assert!(segments.iter().skip(1).all(|s| s.tail.is_none()), "{run:?}");
+            named.extend(tail.as_ref().map(slot));
+        }
+        let mut free: Vec<_> = lanes.tails.free.iter().map(slot).collect();
+        named.sort_unstable();
+        free.sort_unstable();
+        let (empty, held): (Vec<_>, Vec<_>) =
+            (0..lanes.tails.slots.len()).partition(|&i| lanes.tails.slots[i].is_empty());
+        assert_eq!(named, held, "the tails runs name against the slots held");
+        assert_eq!(free, empty, "the free names against the empty slots");
+    }
+
     /// The last progression put into a run while every one of its keys is
     /// still held: `count` keys from `first` at the case's stride, each
     /// entry `len` bytes long and `lap` bytes after the one before, the
@@ -673,7 +793,7 @@ mod tests {
     #[test]
     fn dense_index_matches_the_map_model() {
         // What the cases reached between them, asserted after the run.
-        const REACH: [&str; 9] = [
+        const REACH: [&str; 10] = [
             "a run widened by an off-stride key",
             "a key below a run's first",
             "a run emptied and refilled",
@@ -683,6 +803,7 @@ mod tests {
             "a progression extended key by key",
             "a relay of a run that holds a multi-key progression",
             "a key below a progression's first",
+            "a split run's tail freed when it re-merges or empties",
         ];
         check_reaching("dense_index_matches_the_map_model", REACH, |rng, reach| {
             // The index's two maps as one, keyed by run and then block.
@@ -723,9 +844,16 @@ mod tests {
                         .map(|(&(_, block), _)| block.raw())
                         .collect()
                 };
+            let runs: Vec<RunKey> = (0..3)
+                .flat_map(|d| (0..3).map(move |f| (DiskId(d), FileId(f))))
+                .flat_map(|(d, f)| [None, Some(0), Some(1)].map(|p| (d, f, p)))
+                .collect();
             for _ in 0..rng.gen_range(1usize..200) {
-                // The run this step touched, if any.
+                // The run this step touched, if any, and the runs split
+                // before it.
                 let mut touched = None;
+                let was_split: BTreeSet<RunKey> =
+                    runs.iter().copied().filter(|&r| split(&ix, r)).collect();
                 match rng.gen_range(0u32..12) {
                     0..=5 => {
                         let run = arb_run(rng);
@@ -860,7 +988,10 @@ mod tests {
                 }
                 // Every block across the touched run's span and a stride
                 // either side of it.
+                assert_tails_held(&ix.primary);
+                assert_tails_held(&ix.secondary);
                 if let Some(run) = touched {
+                    reach(9, was_split.contains(&run) && !split(&ix, run));
                     let keys = held(&model, run);
                     if let (Some(&low), Some(&high)) = (keys.first(), keys.last()) {
                         for block in low.saturating_sub(stride)..=high + stride {

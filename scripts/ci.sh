@@ -425,6 +425,13 @@ fi
 # holds), service.rs level at 1,113; core 6,864 -> 6,842 and proto
 # 1,767 -> 1,788. Each limit follows what it measured, and the workspace
 # total (crates/*/src and src) fell 23,143 -> 23,142.
+# The block index's run became one 32-byte segment, the segments a split
+# leaves after the first moving to a tail store its lanes keep (named in
+# the segment's padding, freed when the run is one segment again), in
+# place of a 24-byte vector header in every run, bit-exact: index.rs
+# 468 -> 550 (the store, its take and put, and the run's
+# methods taking it). crates/layout/src follows what it measured,
+# 1,501 -> 1,583.
 nontest() { awk '/#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$1"; }
 for f in crates/core/src/*.rs; do
     limit=1299
@@ -445,7 +452,7 @@ fi
 for dir_limit in crates/core/src:6842 crates/faults/src:1238 crates/net/src:497 \
     crates/workload/src:1218 crates/bench/src:2812 \
     crates/sched/src:1589 crates/proto/src:1788 crates/rt/src:467 \
-    crates/layout/src:1501; do
+    crates/layout/src:1583; do
     dir=${dir_limit%:*} limit=${dir_limit#*:} total=0
     for f in "$dir"/*.rs; do
         total=$((total + $(nontest "$f")))

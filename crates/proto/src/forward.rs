@@ -1317,7 +1317,11 @@ mod tests {
             silenced: usize,
         }
 
-        fn explore(m: Model) -> Found {
+        /// Searches `m`, failing once it has kept more than `cap` states:
+        /// a defect that lets a message circulate without end grows a
+        /// model by orders of magnitude, and the cap fails it in seconds
+        /// instead of gigabytes.
+        fn explore(m: Model, cap: usize) -> Found {
             let start = World::new(m);
             let mut seen_keys = DetHashSet::default();
             seen_keys.insert(start.key());
@@ -1380,6 +1384,11 @@ mod tests {
                         found.doubled += usize::from(seen.doubled);
                         found.silenced += usize::from(!next.silenced.is_empty());
                         found.states += 1;
+                        assert!(
+                            found.states <= cap,
+                            "{m:?} passed {cap} states, ten times what it reaches: \
+                             does a message circulate without end?"
+                        );
                         frontier.push_back(next);
                     }
                 }
@@ -1430,6 +1439,10 @@ mod tests {
         ///   reaches a cub after the rejoin request does, so that cub
         ///   believes the rejoiner dead again and forwards its record to
         ///   the former covering cub, whose hand-back window has closed.
+        ///
+        /// A model that keeps ten times the states it reaches today fails
+        /// at once, so a defect that swells the search is a failure in
+        /// seconds rather than a run of gigabytes.
         #[test]
         fn every_interleaving_of_the_crash_path() {
             let model = |cubs, streams, len, double, crashes, restarts, stops| Model {
@@ -1441,20 +1454,22 @@ mod tests {
                 restarts,
                 stops,
             };
+            // Each model beside about ten times the states it reaches
+            // (8,403; 39,743; 2,444; 22,725; 4,090; 83,660; 21,514; 53,753).
             let models = [
-                model(4, 1, 5, true, 1, 0, 0),
-                model(4, 1, 5, true, 2, 0, 0),
-                model(4, 1, 5, false, 1, 0, 0),
-                model(3, 2, 4, true, 1, 0, 0),
-                model(3, 2, 4, false, 1, 0, 0),
-                model(3, 1, 6, true, 1, 1, 0),
-                model(3, 1, 6, true, 0, 0, 1),
-                model(3, 1, 6, true, 1, 0, 1),
+                (model(4, 1, 5, true, 1, 0, 0), 84_000),
+                (model(4, 1, 5, true, 2, 0, 0), 400_000),
+                (model(4, 1, 5, false, 1, 0, 0), 25_000),
+                (model(3, 2, 4, true, 1, 0, 0), 230_000),
+                (model(3, 2, 4, false, 1, 0, 0), 41_000),
+                (model(3, 1, 6, true, 1, 1, 0), 840_000),
+                (model(3, 1, 6, true, 0, 0, 1), 215_000),
+                (model(3, 1, 6, true, 1, 0, 1), 540_000),
             ];
             let (mut found, mut states, mut shown) = (Vec::new(), 0, [false; 5]);
             let mut unreached = Vec::new();
-            for m in models {
-                let f = explore(m);
+            for (m, cap) in models {
+                let f = explore(m, cap);
                 println!(
                     "{m:?}: {} states, depth {}, {} refused, {} doubled, {} stalled; \
                      {} blocked, {} silenced, {} admitted under a hold, {} delivered after",

@@ -3,6 +3,7 @@
 
 usage: symbolize.py SAMPLES [TOP]               the TOP heaviest, default 40
        symbolize.py SAMPLES --annotate SYMBOL   per-instruction counts
+       symbolize.py SITES --sites [TOP]         a heap census by site
 
 A sample inside the profiled executable is named by `nm -S --defined-only`
 and a bisect over the symbols' start addresses; one inside a shared
@@ -18,6 +19,13 @@ linker lays an instance beside the code that asked for it:
 contains SYMBOL, each instruction preceded by the samples that fell on
 it. A sample's address is that of the instruction that had not retired:
 the one waiting on a load, or the one after it.
+
+`--sites` reads scripts/prof/heap.c's `.sites` file instead: each
+allocation site's live bytes at the heap's last 1 % snapshot, named by
+the first frame of its stack that is in the executable and not in
+`std`, `alloc`, `core` or `hashbrown` (nor an allocator shim), so a
+`Vec::push` that grew is charged to whoever pushed. Sites that name the
+same frame are summed.
 """
 import bisect, collections, os, re, subprocess, sys
 
@@ -58,6 +66,35 @@ def locate(addr):
                 return i, label(i)
             return None, "[" + os.path.basename(path) + " ?]"
     return None, "[unmapped]"
+
+if len(sys.argv) > 2 and sys.argv[2] == "--sites":
+    SKIP = {"std", "alloc", "core", "hashbrown", "__rustc"}
+    def site(frames):
+        """The first frame of ours; a return address is looked up one
+        byte back, inside its call."""
+        for k, frame in enumerate(frames):
+            i, name = locate(int(frame, 16) - (k > 0))
+            if i is None or "GlobalAlloc" in name or name.startswith("__r"):
+                continue
+            if (m := first.match(syms[i][2])) and m.group(1) in SKIP:
+                continue
+            return name
+        return "[no frame of ours]"
+    at, held, blocks = 0, collections.Counter(), collections.Counter()
+    for l in lines:
+        if l.startswith("P "):
+            at = int(l.split()[1])
+        elif l.startswith("S "):
+            _, b, n, *frames = l.split()
+            name = site(frames)
+            held[name] += int(b)
+            blocks[name] += int(n)
+    tracked = sum(held.values())
+    print(f"heap at its last 1 % snapshot: {at / 1e6:.1f} MB, {tracked / 1e6:.1f} MB of it in blocks of 512 bytes or more, by site")
+    print(f"{'MB':>8} {'blocks':>8} {'share':>7}  site")
+    for name, b in held.most_common(int(sys.argv[3]) if len(sys.argv) > 3 else 40):
+        print(f"{b / 1e6:8.2f} {blocks[name]:8d} {100 * b / at:6.1f}%  {name}")
+    sys.exit(0)
 
 samples = [int(l, 16) for l in lines if l and not l.startswith("M ")]
 

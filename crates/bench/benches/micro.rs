@@ -18,7 +18,8 @@ use tiger_bench::runner::{black_box, Runner};
 use tiger_layout::ids::ViewerInstance;
 use tiger_layout::{BlockNum, DiskId, FileId, MirrorPlacement, StripeConfig, ViewerId};
 use tiger_sched::{
-    Deschedule, NetworkSchedule, ScheduleParams, ScheduleView, SlotId, StreamKind, ViewerState,
+    Deschedule, NetworkSchedule, PrimaryRecord, ScheduleParams, ScheduleView, SlotId, StreamKind,
+    ViewerState,
 };
 use tiger_sim::EventQueue;
 use tiger_sim::{Bandwidth, ByteSize, SimDuration, SimTime};
@@ -413,10 +414,12 @@ fn bench_rejoin(c: &mut Runner) {
         let bpt = SimDuration::from_secs(1);
         // ~7 s of service history for 60 viewers on a 14-cub ring: one
         // sighting per viewer per second, in service order.
-        let retired: Vec<(SimTime, ViewerState)> = (0..420u64)
+        // Kept as the cub's log keeps it, each record without its kind.
+        let retired: Vec<(SimTime, PrimaryRecord)> = (0..420u64)
             .map(|i| {
                 let at = SimTime::from_millis(i * 1_000 / 60);
-                (at, vs(((i * 10) % 602) as u32, i % 60, (i / 60) as u32))
+                let vs = vs(((i * 10) % 602) as u32, i % 60, (i / 60) as u32);
+                (at, PrimaryRecord::new(&vs).expect("primary"))
             })
             .collect();
         let now = SimTime::from_secs(9);
@@ -424,7 +427,7 @@ fn bench_rejoin(c: &mut Runner) {
         let ring = tiger_proto::RingMachine::new(tiger_layout::CubId(0), 14);
         b.iter(|| {
             black_box(tiger_proto::forward::replay_batch(
-                &retired,
+                retired.iter().map(|&(at, record)| (at, record.vs())),
                 now,
                 bpt,
                 horizon,

@@ -193,7 +193,7 @@ impl Cub {
     /// function of the scale of the system" — the boundedness test samples
     /// this.
     pub fn schedule_information_held(&self) -> usize {
-        self.fwd.shadows().count() + self.services.information_held()
+        self.fwd.shadows_held() + self.services.information_held()
     }
 
     /// The instances this cub remembers telling the controller played to
@@ -888,8 +888,7 @@ impl Cub {
         let redrive: Vec<(ViewerState, CubId)> = self
             .services
             .retired()
-            .iter()
-            .filter_map(|&(_, vs)| {
+            .filter_map(|(_, vs)| {
                 let next = vs.advanced(1);
                 let dead = sh.catalog.locate(next.file, next.position)?.cub;
                 let bridged =

@@ -19,7 +19,7 @@ use tiger_disk::{DiskError, DiskRequest, RequestKind};
 use tiger_layout::DiskId;
 use tiger_proto::msg::Message;
 use tiger_sched::view::ViewApply;
-use tiger_sched::{Deschedule, ScheduleParams, StreamKind, ViewerState};
+use tiger_sched::{Deschedule, PrimaryRecord, ScheduleParams, StreamKind, ViewerState};
 use tiger_sim::{ByteSize, SimDuration, SimTime};
 use tiger_trace::TraceEvent;
 
@@ -1100,8 +1100,8 @@ impl Cub {
             Outcome::Missed => true,
             Outcome::Dropped | Outcome::Pending | Outcome::Transmitting => false,
         };
-        if serviced && e.vs.kind == StreamKind::Primary {
-            self.services.retire(now, e.vs);
+        if let Some(record) = PrimaryRecord::new(&e.vs).filter(|_| serviced) {
+            self.services.retire(now, record);
         }
         self.services.remove(token);
         if let Some(bytes) = e.buffer() {

@@ -1,12 +1,12 @@
-//! The cub's per-stream tables: its view of the schedule near its disks
-//! (§4.1), the blocks (and pieces) it has committed to send, the log of
-//! primary records it recently did send, and the per-instance record that
-//! holds the view's entries and answers the per-message questions about
-//! all three — "is this record a duplicate", "which services does this
-//! deschedule kill", "has this block already been served" (§4.1.2). The
-//! deschedules the cub holds and the shadow records a second successor
-//! holds for redundancy are the forward machine's
-//! (`tiger_proto::ForwardMachine`).
+//! The cub's per-stream tables: its view of the schedule near its disks (§4.1),
+//! the blocks (and pieces) it has committed to send, the log of primary records
+//! it recently did send (each a `tiger_sched::PrimaryRecord` and its time, 48
+//! bytes, the kind left out), and the per-instance record that holds the
+//! view's entries and answers the per-message questions about all three — "is
+//! this record a duplicate", "which services does this deschedule kill", "has
+//! this block already been served" (§4.1.2). The deschedules the cub holds and
+//! the shadow records a second successor holds for redundancy are the forward
+//! machine's (`tiger_proto::ForwardMachine`).
 //!
 //! The active services sit in a [`Window`] of consecutive tokens, so the
 //! per-block events (`ReadIssue`, `DiskDone`, `SendDue`, `SendDone`) find
@@ -36,7 +36,7 @@ use std::collections::VecDeque;
 use tiger_layout::ids::ViewerInstance;
 use tiger_layout::CubId;
 use tiger_proto::{ForwardMachine, RingMachine};
-use tiger_sched::{Deschedule, SlotId, StreamKind, ViewApply, ViewerState};
+use tiger_sched::{Deschedule, PrimaryRecord, SlotId, StreamKind, ViewApply, ViewerState};
 use tiger_sim::{DenseLists, SimDuration, SimTime, Tagged};
 
 use super::service::{Active, Outcome};
@@ -282,8 +282,8 @@ pub(super) struct ServiceTable {
     /// Recently serviced-and-forwarded primary records, oldest first,
     /// retained for one failure-detection window so that, as "the
     /// preceding living cub", this cub can re-send scheduling information
-    /// across a gap of consecutive failures (§2.3).
-    retired_log: VecDeque<(SimTime, ViewerState)>,
+    /// across a gap of consecutive failures (§2.3), each without its kind.
+    retired_log: VecDeque<(SimTime, PrimaryRecord)>,
 }
 
 impl ServiceTable {
@@ -443,24 +443,25 @@ impl ServiceTable {
     // --- The retired log ------------------------------------------------------
 
     /// Appends a serviced primary record.
-    pub(super) fn retire(&mut self, now: SimTime, vs: ViewerState) {
-        self.retired_log.push_back((now, vs));
-        self.record_mut(&vs).insert(RETIRED, vs.play_seq.into());
+    pub(super) fn retire(&mut self, now: SimTime, record: PrimaryRecord) {
+        let seq = record.play_seq().into();
+        self.retired_log.push_back((now, record));
+        self.record_mut(&record.vs()).insert(RETIRED, seq);
     }
 
     /// The log, oldest first.
-    pub(super) fn retired(&self) -> &VecDeque<(SimTime, ViewerState)> {
-        &self.retired_log
+    pub(super) fn retired(&self) -> impl DoubleEndedIterator<Item = (SimTime, ViewerState)> + '_ {
+        self.retired_log.iter().map(|&(at, r)| (at, r.vs()))
     }
 
     /// Drops entries older than `retention` before `now`: a prefix, the
     /// log being in service order, so pruning costs what it drops.
     pub(super) fn prune_retired(&mut self, now: SimTime, retention: SimDuration) {
         let horizon = now.saturating_sub(retention);
-        while let Some(&(_, vs)) = self.retired_log.front().filter(|(at, _)| *at < horizon) {
+        while let Some(&(_, record)) = self.retired_log.front().filter(|(at, _)| *at < horizon) {
             self.retired_log.pop_front();
-            let seq = vs.play_seq.into();
-            self.uncarry(vs.slot, vs.instance, |r| r.remove(RETIRED, seq));
+            let seq = record.play_seq().into();
+            self.uncarry(record.slot(), record.instance(), |r| r.remove(RETIRED, seq));
         }
     }
 
@@ -591,8 +592,8 @@ impl TableBench {
         self.0.view_retire(vs);
     }
 
-    pub fn retire(&mut self, vs: ViewerState) {
-        self.0.retire(SimTime::ZERO, vs);
+    pub fn retire(&mut self, record: PrimaryRecord) {
+        self.0.retire(SimTime::ZERO, record);
     }
 
     /// A record for cub 1's disks, shadowed by cub 0.
@@ -703,6 +704,13 @@ mod tests {
             kind,
         }
     }
+
+    fn primary(vs: &ViewerState) -> PrimaryRecord {
+        PrimaryRecord::new(vs).expect("only a primary record retires")
+    }
+
+    /// A retired log entry is a time and a record, 48 bytes against 64.
+    const _: () = assert!(std::mem::size_of::<(SimTime, PrimaryRecord)>() == 48);
 
     fn active(vs: ViewerState) -> Active {
         let spec = PieceSpec {
@@ -909,7 +917,7 @@ mod tests {
                 if table.get(token).is_some_and(Active::finished) {
                     let e = table.remove(token).expect("live");
                     if serviced(&e) {
-                        table.retire(now, e.vs);
+                        table.retire(now, primary(&e.vs));
                     }
                 }
             }
@@ -948,7 +956,7 @@ mod tests {
                         table.reclaim_at_pass(token);
                     } else if e.finished() {
                         if serviced(e) {
-                            table.retire(now, e.vs);
+                            table.retire(now, primary(&e.vs));
                             log.push((now, e.vs));
                         }
                         table.remove(token);
@@ -1001,7 +1009,8 @@ mod tests {
                 let held: Vec<_> = table.iter().map(|(t, e)| (t, flags(e))).collect();
                 let want: Vec<_> = model.iter().map(|(&t, e)| (t, flags(e))).collect();
                 assert_eq!(held, want, "the services a whole-table walk would keep");
-                assert_eq!(table.retired(), &log, "the log `retain` would keep");
+                let logged: Vec<_> = table.retired().collect();
+                assert_eq!(logged, log, "the log `retain` would keep");
                 assert_in_step(&table);
             }
         });
@@ -1015,7 +1024,7 @@ mod tests {
         for (token, e) in t.active.iter() {
             want.entry((e.vs.slot, e.vs.instance)).or_default()[ACTIVE].push(token);
         }
-        for (_, vs) in &t.retired_log {
+        for (_, vs) in t.retired() {
             let held = want.entry((vs.slot, vs.instance)).or_default();
             held[RETIRED].push(vs.play_seq.into());
         }
@@ -1090,7 +1099,7 @@ mod tests {
                         let removed = table.remove(token).expect("listed");
                         assert_eq!(removed.vs, entry.vs);
                         if entry.vs.kind == StreamKind::Primary && rng.gen_bool(0.8) {
-                            table.retire(now, entry.vs);
+                            table.retire(now, primary(&entry.vs));
                             oracle.retired.push((now, entry.vs));
                         }
                     }
@@ -1151,7 +1160,7 @@ mod tests {
                         }
                     }
                 }
-                assert_eq!(table.retired(), &oracle.retired);
+                assert_eq!(table.retired().collect::<Vec<_>>(), oracle.retired);
                 assert_eq!(
                     table.information_held(),
                     oracle.active.len() + oracle.retired.len(),
@@ -1237,7 +1246,7 @@ mod tests {
                         let vs = services.remove(&token).expect("listed");
                         assert_eq!(table.remove(token).map(|e| e.vs), Some(vs));
                         if vs.kind == StreamKind::Primary && rng.gen_bool(0.8) {
-                            table.retire(now, vs);
+                            table.retire(now, primary(&vs));
                             retired.push((now, vs));
                         }
                     }
@@ -1328,7 +1337,7 @@ mod tests {
                         _ => {}
                     },
                 }
-                assert_eq!(table.retired(), &retired);
+                assert_eq!(table.retired().collect::<Vec<_>>(), retired);
                 let information = services.len() + retired.len() + view.len();
                 assert_eq!(table.information_held(), information);
                 for viewer in 0..5 {
@@ -1406,6 +1415,7 @@ mod tests {
                     .map(|(vs, _)| *vs);
                 assert!(fresh.eq(want_fresh), "the shadows still due");
                 assert_eq!(shadows.shadows().count(), held.len());
+                assert_eq!(shadows.shadows_held(), held.len());
             }
         });
     }

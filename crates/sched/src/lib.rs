@@ -35,5 +35,5 @@ pub mod view;
 
 pub use net_schedule::{AdmissibleStarts, NetEntryId, NetScheduleError, NetworkSchedule};
 pub use params::{ScheduleParams, SlotId};
-pub use records::{Deschedule, StreamKind, ViewerState};
+pub use records::{Deschedule, PrimaryRecord, StreamKind, ViewerState};
 pub use view::{HeldDeschedules, ScheduleView, ViewApply};

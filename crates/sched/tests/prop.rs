@@ -12,7 +12,8 @@ use tiger_layout::ids::ViewerInstance;
 use tiger_layout::{BlockNum, DiskId, FileId, ViewerId};
 use tiger_sched::view::ViewApply;
 use tiger_sched::{
-    Deschedule, NetScheduleError, NetworkSchedule, ScheduleView, SlotId, StreamKind, ViewerState,
+    Deschedule, NetScheduleError, NetworkSchedule, PrimaryRecord, ScheduleView, SlotId, StreamKind,
+    ViewerState,
 };
 use tiger_sim::check::{check, vec_of};
 use tiger_sim::{Bandwidth, SimDuration, SimRng, SimTime};
@@ -416,6 +417,48 @@ fn view_matches_the_vec_model() {
             }
         }
     });
+}
+
+/// Every primary record, over the whole range of each field, comes back
+/// from a [`PrimaryRecord`] unchanged; no other kind makes one.
+#[test]
+fn a_primary_record_round_trips_through_its_kindless_form() {
+    check(
+        "a_primary_record_round_trips_through_its_kindless_form",
+        |rng| {
+            let word = |rng: &mut SimRng| rng.next_u64() as u32;
+            let vs = ViewerState {
+                instance: ViewerInstance {
+                    viewer: ViewerId(rng.next_u64()),
+                    incarnation: word(rng),
+                },
+                client: word(rng),
+                file: FileId(word(rng)),
+                position: BlockNum(word(rng)),
+                slot: SlotId(word(rng)),
+                play_seq: word(rng),
+                bitrate: Bandwidth::from_bits_per_sec(rng.next_u64()),
+                kind: StreamKind::Primary,
+            };
+            let record = PrimaryRecord::new(&vs).expect("a primary record");
+            assert_eq!(record.vs(), vs);
+            assert_eq!(record.instance(), vs.instance);
+            assert_eq!((record.slot(), record.play_seq()), (vs.slot, vs.play_seq));
+            let (disk, piece) = (DiskId(word(rng)), word(rng));
+            for kind in [
+                StreamKind::Mirror {
+                    failed_disk: disk,
+                    piece,
+                },
+                StreamKind::Coded {
+                    home_disk: disk,
+                    shard: piece,
+                },
+            ] {
+                assert_eq!(PrimaryRecord::new(&ViewerState { kind, ..vs }), None);
+            }
+        },
+    );
 }
 
 /// The network schedule never exceeds capacity at any ring position,

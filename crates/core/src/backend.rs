@@ -56,7 +56,7 @@ impl Backend {
 
     /// How many sends a healthy block is assembled from, the home's own
     /// being the first: 1 under mirroring (the whole block), `k` coded.
-    pub(crate) fn shards(&self) -> u32 {
+    pub fn shards(&self) -> u32 {
         match self {
             Backend::Mirrored(_) => 1,
             Backend::Coded(p, ..) => p.k(),

@@ -206,7 +206,7 @@ impl TigerSystem {
             CopyJob {
                 src: mv.from,
                 dst: new.cub_of(mv.to),
-                dst_local: new.local_index_of(mv.to),
+                dst_local: u32::from(new.local_index_of(mv.to)),
                 index_as: mv.to,
                 file: mv.file,
                 block: mv.block,

@@ -36,7 +36,7 @@ pub(super) use life::{Active, Outcome, SendDue};
 /// module; every transition is a method of `Active`.
 mod life {
     use tiger_sched::{StreamKind, ViewerState};
-    use tiger_sim::{SimDuration, SimTime};
+    use tiger_sim::SimTime;
 
     /// How far the block's read has got. A read-ahead buffer is charged
     /// exactly while the read is in flight or done. A read that could not
@@ -75,15 +75,12 @@ mod life {
     pub(crate) struct Active {
         pub(crate) vs: ViewerState,
         /// Local index of the disk that holds the bytes.
-        pub(crate) disk_local: u32,
+        pub(crate) disk_local: u8,
         pub(crate) send_at: SimTime,
-        /// Paced transmission duration (bpt for primaries, bpt/decluster
-        /// for mirror pieces).
-        pub(crate) send_duration: SimDuration,
         /// Payload bytes delivered to the client.
-        pub(crate) payload: u64,
+        pub(crate) payload: u32,
         /// On-disk extent size charged against the buffer cache.
-        read_bytes: u64,
+        read_bytes: u32,
         /// The shards, a bit each, whose disks carry this block's load in
         /// `send_at`'s slot of the coded backend's table (`drive_coded` sets it).
         pub(crate) reserved: u32,
@@ -92,7 +89,8 @@ mod life {
         forwarded: bool,
     }
 
-    const _: () = assert!(std::mem::size_of::<Active>() <= 104);
+    const _: () = assert!(std::mem::size_of::<Active>() == 80);
+    const _: () = assert!(std::mem::size_of::<Option<Active>>() == 80);
 
     impl Active {
         pub(crate) fn new(vs: ViewerState, spec: &super::PieceSpec, send_at: SimTime) -> Self {
@@ -100,7 +98,6 @@ mod life {
                 vs,
                 disk_local: spec.disk_local,
                 send_at,
-                send_duration: spec.duration,
                 payload: spec.payload,
                 read_bytes: 0,
                 reserved: 0,
@@ -135,14 +132,14 @@ mod life {
 
         /// The bytes of the read-ahead buffer charged to this service.
         pub(crate) fn buffer(&self) -> Option<u64> {
-            matches!(self.read, Read::InFlight | Read::Done).then_some(self.read_bytes)
+            matches!(self.read, Read::InFlight | Read::Done).then_some(u64::from(self.read_bytes))
         }
 
         pub(crate) fn cache_hit(&mut self) {
             self.read = Read::Cached;
         }
 
-        pub(crate) fn read_issued(&mut self, bytes: u64) {
+        pub(crate) fn read_issued(&mut self, bytes: u32) {
             (self.read, self.read_bytes) = (Read::InFlight, bytes);
         }
 
@@ -224,13 +221,13 @@ pub struct PieceSpec {
     /// block's home, whether or not it is alive.
     pub dating_disk: DiskId,
     /// Local index of the disk holding the bytes.
-    pub disk_local: u32,
+    pub disk_local: u8,
     /// Stagger of this send after the block's due time.
     pub offset: SimDuration,
-    /// Paced transmission duration.
+    /// Paced transmission duration: [`PieceSpec::pacing`] of the kind.
     pub duration: SimDuration,
     /// Payload bytes delivered to the client.
-    pub payload: u64,
+    pub payload: u32,
     /// How many scheduling leads ahead of the send the read is issued.
     pub read_leads: u64,
     /// Whether a send due within 5 ms of acceptance is given up as too
@@ -240,25 +237,34 @@ pub struct PieceSpec {
 }
 
 impl PieceSpec {
-    /// Pacing time and bytes of one of `parts` equal shares of a block.
-    fn share(params: &ScheduleParams, block: ByteSize, parts: u32) -> (SimDuration, u64) {
-        let parts = u64::from(parts);
-        let bpt = params.block_play_time();
-        (bpt.div_u64(parts), block.div_u64_ceil(parts).as_bytes())
+    /// The spec table's duration column, which the send derives from its
+    /// entry's kind: a block play time over `shards` (`Backend::shards`) for
+    /// the home's own send, over the decluster factor for any other piece.
+    pub fn pacing(params: &ScheduleParams, shards: u32, kind: StreamKind) -> SimDuration {
+        let parts = match kind {
+            StreamKind::Primary => shards,
+            StreamKind::Mirror { .. } | StreamKind::Coded { .. } => params.stripe().decluster,
+        };
+        params.block_play_time().div_u64(u64::from(parts))
+    }
+
+    /// Bytes of one of `parts` equal shares of a block.
+    fn share(block: ByteSize, parts: u32) -> u32 {
+        let bytes = block.div_u64_ceil(u64::from(parts)).as_bytes();
+        u32::try_from(bytes).expect("FileCatalog::new keeps a block under 4 GiB")
     }
 
     /// The home disk's own send of a block: all of it under mirroring
     /// (`shards == 1`), shard 0 of `shards` under the coded backend — a
     /// shorter read, a shorter paced send.
     pub fn primary(params: &ScheduleParams, block: ByteSize, disk: DiskId, shards: u32) -> Self {
-        let (duration, payload) = Self::share(params, block, shards);
         PieceSpec {
             kind: StreamKind::Primary,
             dating_disk: disk,
             disk_local: params.stripe().local_index_of(disk),
             offset: SimDuration::ZERO,
-            duration,
-            payload,
+            duration: Self::pacing(params, shards, StreamKind::Primary),
+            payload: Self::share(block, shards),
             // §3.1: "the disks run at least one block service time ahead
             // of the schedule. Usually, they run a little earlier, trading
             // off buffer usage to cover for slight variations in disk …
@@ -286,21 +292,19 @@ impl PieceSpec {
         block: ByteSize,
         home: DiskId,
         piece: u32,
-        disk_local: u32,
+        disk_local: u8,
     ) -> Self {
         let decluster = params.stripe().decluster;
-        let (duration, payload) = Self::share(params, block, decluster);
-        let (kind, gap) = match backend {
-            Backend::Mirrored(_) => {
-                let failed_disk = home;
-                (StreamKind::Mirror { failed_disk, piece }, duration)
-            }
-            Backend::Coded(..) => {
-                let spread = params.block_play_time() - duration;
-                let (home_disk, shard) = (home, piece);
-                let gap = spread.div_u64(u64::from(2 * decluster - 1));
-                (StreamKind::Coded { home_disk, shard }, gap)
-            }
+        let (failed_disk, home_disk, shard) = (home, home, piece);
+        let kind = match backend {
+            Backend::Mirrored(_) => StreamKind::Mirror { failed_disk, piece },
+            Backend::Coded(..) => StreamKind::Coded { home_disk, shard },
+        };
+        let duration = Self::pacing(params, backend.shards(), kind);
+        let spread = params.block_play_time() - duration;
+        let gap = match backend {
+            Backend::Mirrored(_) => duration,
+            Backend::Coded(..) => spread.div_u64(u64::from(2 * decluster - 1)),
         };
         PieceSpec {
             kind,
@@ -308,7 +312,7 @@ impl PieceSpec {
             disk_local,
             offset: gap.mul_u64(u64::from(piece)),
             duration,
-            payload,
+            payload: Self::share(block, decluster),
             // Secondary reads land on disks already running near
             // saturation; issue them extra-early ("the cubs take these
             // timing differences into consideration", §4.1.1) to ride out
@@ -531,7 +535,7 @@ impl Cub {
         vs: ViewerState,
         home: DiskId,
         piece: u32,
-        disk_local: u32,
+        disk_local: u8,
     ) -> bool {
         let Some(block) = sh.catalog.get(vs.file).map(|m| m.payload_size) else {
             return false;
@@ -813,7 +817,7 @@ impl Cub {
             // home disk: spares have no ids in the stripe's disk
             // namespace (only their physical `local` index is real).
             StreamKind::Mirror { failed_disk, .. } if self.failed => failed_disk,
-            _ => sh.params.stripe().disk_of(self.id, local),
+            _ => sh.params.stripe().disk_of(self.id, u32::from(local)),
         };
         if entry.vs.kind == StreamKind::Primary {
             // Buffer-cache check (§5 measured <0.05% hits: staggered
@@ -859,7 +863,8 @@ impl Cub {
                         disk: disk_id.raw(),
                     },
                 );
-                entry.read_issued(req.len.as_bytes());
+                let bytes = u32::try_from(req.len.as_bytes()).expect("an extent is under 1 GiB");
+                entry.read_issued(bytes);
                 self.pool.charge(req.len.as_bytes());
                 if entry.vs.kind == StreamKind::Primary {
                     let key = (disk_id, entry.vs.file, entry.vs.position);
@@ -926,20 +931,16 @@ impl Cub {
             return self.reclaim_if_finished(sh, now, token);
         }
         entry.read_done();
-        let (slot, viewer, inc) = vkey(&entry.vs);
-        sh.tracer.record(
-            now,
-            self.id.raw(),
-            TraceEvent::DiskDone { slot, viewer, inc },
-        );
-        let disk_local = entry.disk_local;
+        let (vs, disk_local) = (entry.vs, entry.disk_local);
+        let (slot, viewer, inc) = vkey(&vs);
+        self.trace(sh, now, TraceEvent::DiskDone { slot, viewer, inc });
         // The buffer pool recycles aggressively (§2.2's zero-copy path
         // keeps no long-lived cache), so a block is shareable only while
         // its read is in flight — I/O coalescing, which is what keeps the
         // §5 buffer-cache hit rate "less than 0.05%".
-        if entry.vs.kind == StreamKind::Primary {
-            let disk_id = sh.params.stripe().disk_of(self.id, disk_local);
-            let key = (disk_id, entry.vs.file, entry.vs.position);
+        if vs.kind == StreamKind::Primary {
+            let disk_id = sh.params.stripe().disk_of(self.id, u32::from(disk_local));
+            let key = (disk_id, vs.file, vs.position);
             if let Some(pos) = self.cache_resident.iter().position(|k| *k == key) {
                 self.cache_resident.remove(pos);
             }
@@ -998,8 +999,10 @@ impl Cub {
                 omni.on_send(&entry.vs, now);
             }
         }
-        let (cub, done_at) = (self.id, now + entry.send_duration);
-        sh.queue.schedule(done_at, Event::SendDone { cub, token });
+        let pacing = PieceSpec::pacing(&sh.params, sh.backend.shards(), entry.vs.kind);
+        let cub = self.id;
+        sh.queue
+            .schedule(now + pacing, Event::SendDone { cub, token });
     }
 
     /// A paced transmission finished: free the NIC, deliver to the client.
@@ -1013,14 +1016,10 @@ impl Cub {
         entry.send_done();
         let entry = *entry;
         let (slot, viewer, inc) = vkey(&entry.vs);
-        sh.tracer.record(
-            now,
-            self.id.raw(),
-            TraceEvent::SendDone { slot, viewer, inc },
-        );
+        self.trace(sh, now, TraceEvent::SendDone { slot, viewer, inc });
         let node = sh.cub_node(self.id);
-        sh.net
-            .end_stream(now, node, entry.vs.bitrate, entry.payload);
+        let bytes = u64::from(entry.payload);
+        sh.net.end_stream(now, node, entry.vs.bitrate, bytes);
         sh.metrics.loss.blocks_sent += 1;
         // Deliver to the client (receive time = last byte arrival, §5).
         let client = tiger_net::NetNode(entry.vs.client);
@@ -1037,7 +1036,7 @@ impl Cub {
                         block: entry.vs.position.raw(),
                         piece,
                         total_pieces: total,
-                        bytes: entry.payload,
+                        bytes,
                     },
                 },
             );
@@ -1077,7 +1076,7 @@ impl Cub {
     /// Releases what entry `e` reserved on the coded backend's load table.
     pub(super) fn release_load(&self, sh: &mut Shared, e: &Active) {
         if e.reserved != 0 {
-            let home = sh.params.stripe().disk_of(self.id, e.disk_local);
+            let home = sh.params.stripe().disk_of(self.id, u32::from(e.disk_local));
             sh.backend.release(&e.vs, home, e.send_at, e.reserved);
         }
     }
@@ -1252,7 +1251,7 @@ mod tests {
                 let (mut typed, mut flags) = (active(kind), Flags::new(kind));
                 let (mut read_due, mut disk_busy) = (true, false);
                 let (mut send_due, mut on_wire) = (true, false);
-                let bytes = rng.gen_range(1u64..1_000_000);
+                let bytes = rng.gen_range(1u32..1_000_000);
                 for _ in 0..rng.gen_range(1usize..40) {
                     match rng.gen_range(0u32..8) {
                         0 if read_due => {
@@ -1332,7 +1331,7 @@ mod tests {
                     assert_eq!(typed.finished(), flags.finished(), "{flags:?}");
                     assert_eq!(typed.outcome(), flags.outcome(), "{flags:?}");
                     assert_eq!(typed.awaits_forward(), !flags.forwarded);
-                    let held = flags.buffer_held.then_some(bytes);
+                    let held = flags.buffer_held.then_some(u64::from(bytes));
                     assert_eq!(typed.buffer(), held, "the buffer to release");
                     if flags.finished() {
                         // The reclaim retires a primary's record unless

@@ -49,13 +49,16 @@ impl FileCatalog {
     ///
     /// # Panics
     ///
-    /// Panics if `block_play_time` is zero or `max_bitrate` is zero.
+    /// Panics if `block_play_time` or `max_bitrate` is zero, or if a block
+    /// at `max_bitrate` is 4 GiB or more (a cub keeps a payload in 32 bits).
     pub fn new(cfg: StripeConfig, block_play_time: SimDuration, max_bitrate: Bandwidth) -> Self {
         assert!(
             !block_play_time.is_zero(),
             "block play time must be nonzero"
         );
         assert!(!max_bitrate.is_zero(), "max bitrate must be nonzero");
+        let block = max_bitrate.bytes_in(block_play_time).as_bytes();
+        assert!(block < 1 << 32, "a block must be under 4 GiB");
         FileCatalog {
             cfg,
             block_play_time,
@@ -220,6 +223,19 @@ mod tests {
         // of 56 × 2.5 GB = 70 GB with mirrors in the other half.
         assert_eq!(total, 64 * 3600 * 250_000);
         assert!(total <= 56 * 2_500_000_000 / 2 * 10 / 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "a block must be under 4 GiB")]
+    fn a_block_of_4_gib_is_rejected() {
+        let (stripe, bpt) = (StripeConfig::new(14, 4, 4), SimDuration::from_secs(1));
+        // The last byte count 32 bits hold is accepted; one more is not.
+        let rate = Bandwidth::from_bytes_per_sec(u32::MAX.into());
+        let mut widest = FileCatalog::new(stripe, bpt, rate);
+        let f = widest.add_file(rate, bpt);
+        let payload = widest.get(f).expect("exists").payload_size;
+        assert_eq!(payload.as_bytes(), u64::from(u32::MAX));
+        FileCatalog::new(stripe, bpt, Bandwidth::from_bytes_per_sec(1 << 32));
     }
 
     #[test]

@@ -35,12 +35,14 @@ impl StripeConfig {
     ///
     /// # Panics
     ///
-    /// Panics if any dimension is zero, or if the decluster factor is not
-    /// smaller than the number of disks (a mirror piece must never land back
-    /// on the primary's disk).
+    /// Panics if any dimension is zero, if a cub has more than 256 disks (a
+    /// cub keeps a disk's local index in a byte), or if the decluster factor
+    /// is not smaller than the number of disks (a mirror piece must never
+    /// land back on the primary's disk).
     pub fn new(num_cubs: u32, disks_per_cub: u32, decluster: u32) -> Self {
         assert!(num_cubs > 0, "need at least one cub");
         assert!(disks_per_cub > 0, "need at least one disk per cub");
+        assert!(disks_per_cub <= 256, "at most 256 disks per cub");
         assert!(decluster > 0, "decluster factor must be at least 1");
         let cfg = StripeConfig {
             num_cubs,
@@ -67,10 +69,11 @@ impl StripeConfig {
         CubId(disk.raw() % self.num_cubs)
     }
 
-    /// The ordinal of `disk` among its cub's local disks (0-based).
-    pub fn local_index_of(&self, disk: DiskId) -> u32 {
+    /// The ordinal of `disk` among its cub's local disks (0-based), which
+    /// `new`'s 256 disks a cub keep within a byte.
+    pub fn local_index_of(&self, disk: DiskId) -> u8 {
         debug_assert!(disk.raw() < self.num_disks());
-        disk.raw() / self.num_cubs
+        (disk.raw() / self.num_cubs) as u8
     }
 
     /// The system-wide disk id of the cub's `local`-th disk.
@@ -208,5 +211,14 @@ mod tests {
     #[should_panic(expected = "decluster factor")]
     fn decluster_must_fit_ring() {
         StripeConfig::new(2, 1, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 256 disks per cub")]
+    fn a_cub_holds_at_most_256_disks() {
+        // The last local index a byte holds is accepted; one more is not.
+        let widest = StripeConfig::new(2, 256, 4);
+        assert_eq!(widest.local_index_of(DiskId(511)), 255);
+        StripeConfig::new(2, 257, 4);
     }
 }

@@ -440,6 +440,15 @@ fi
 # cub.rs 1,101 -> 1,100, so core stays at 6,842. crates/sched/src
 # 1,589 -> 1,661 and crates/proto/src 1,788 -> 1,810 follow what they
 # measured.
+# An active service keeps no pacing time (the send derives it from the
+# kind, PieceSpec::pacing) and narrows its disk index to a byte and its
+# byte counts to 32 bits, bit-exact: service.rs 1,113 -> 1,112 and core
+# 6,842 -> 6,841 (the dropped field and its doc lines, and two trace
+# calls through Cub::trace, pay for the rule), so both limits stay.
+# Each narrowing is made
+# total where its value is born, StripeConfig::new refusing more than
+# 256 disks a cub and FileCatalog::new a block of 4 GiB or more:
+# crates/layout/src follows what it measured, 1,583 -> 1,589.
 nontest() { awk '/#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$1"; }
 for f in crates/core/src/*.rs; do
     limit=1299
@@ -460,7 +469,7 @@ fi
 for dir_limit in crates/core/src:6842 crates/faults/src:1238 crates/net/src:497 \
     crates/workload/src:1218 crates/bench/src:2812 \
     crates/sched/src:1661 crates/proto/src:1810 crates/rt/src:467 \
-    crates/layout/src:1583; do
+    crates/layout/src:1589; do
     dir=${dir_limit%:*} limit=${dir_limit#*:} total=0
     for f in "$dir"/*.rs; do
         total=$((total + $(nontest "$f")))

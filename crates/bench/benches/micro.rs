@@ -233,8 +233,8 @@ fn bench_service_table(c: &mut Runner) {
             black_box(tables[(i % CUBS) as usize].touch(i / CUBS % LIVE))
         })
     });
-    c.bench_function("table/already_served_56x430_roundrobin", |b| {
-        // The §4.1.2 staleness question, asked of every record by the cub
+    c.bench_function("table/progress_56x430_roundrobin", |b| {
+        // The §4.1.2 staleness facts, asked of every record by the cub
         // that accepts it and again by the second successor that shadows
         // it. Of each table in turn, so the per-instance probe is as cold
         // as in `scale-56`: by turns about an instance the table carries
@@ -247,7 +247,10 @@ fn bench_service_table(c: &mut Runner) {
             }
         }
         let stranger = |i: u64| vs(i as u32, 1_000 + i, 0);
-        assert!(tables[0].already_served(&state(7)) && !tables[0].already_served(&stranger(7)));
+        let serving = |t: &TableBench, vs| t.progress(&vs).serving;
+        assert!(
+            serving(&tables[0], state(7)) == Some(0) && serving(&tables[0], stranger(7)).is_none()
+        );
         let mut i = 0u64;
         b.iter(|| {
             i += 1;
@@ -257,7 +260,7 @@ fn bench_service_table(c: &mut Runner) {
             } else {
                 stranger(turn)
             };
-            black_box(tables[(i % CUBS) as usize].already_served(&probe))
+            black_box(tables[(i % CUBS) as usize].progress(&probe))
         })
     });
     c.bench_function("table/view_apply_retire_602", |b| {

@@ -29,7 +29,8 @@
 //!   for a dead owner, shadowed, refused as a duplicate, or ends its
 //!   stream ([`Verdict`]); the shadow, cover, end-of-file and §4.1.2
 //!   deschedule-hold memories behind it; the declare's shadow re-drive and re-sends to a
-//!   rejoiner; and the §2.3 skip arithmetic of the retired replay.
+//!   rejoiner; and the §2.3 arithmetic over the retired log (the
+//!   declare's gap bridge and re-forward, the rejoin's replay).
 //! * [`insert`] — the ownership-window insertion machine
 //!   ([`InsertMachine`]): queued start requests, redundant-start
 //!   promotion, and the attempt/commit/miss cycle.
@@ -48,7 +49,7 @@ pub mod reserve;
 pub mod ring;
 pub mod wire;
 
-pub use forward::{ForwardMachine, Verdict};
+pub use forward::{ForwardMachine, Progress, Verdict};
 pub use insert::{InsertMachine, PendingStart};
 pub use msg::{Message, FRAME_BYTES};
 pub use reserve::ReserveMachine;

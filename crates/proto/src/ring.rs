@@ -221,6 +221,14 @@ impl RingMachine {
         self.members.prev_living(from)
     }
 
+    /// The first living cub after `from` and the one after that, left out
+    /// when the ring is so short that it would be this cub.
+    pub fn successor_pair(&self, from: CubId) -> impl Iterator<Item = CubId> {
+        let succ = self.next_living(from);
+        let second = succ.and_then(|s| self.next_living(s));
+        succ.into_iter().chain(second.filter(|&s| s != self.id))
+    }
+
     /// Whether this cub covers `cub`'s disks: `cub` is believed failed and
     /// this cub is its acting successor (the first living cub after it).
     pub fn covers(&self, cub: CubId) -> bool {

@@ -402,8 +402,7 @@ pub fn mbr_report(scale: Scale, threads: usize) -> ExpReport {
 /// latest lost block"; if that window is detection latency plus the
 /// mirror-state fill it shrinks with the timeout (at the price of false
 /// positives under latency jitter), and each row is held against the
-/// chaos campaigns' single-failure bound. The job is the pinned record
-/// of ROADMAP defect (c), so its runs' violations are not checked.
+/// chaos campaigns' single-failure bound.
 pub fn deadman_report(scale: Scale, threads: usize) -> ExpReport {
     let (timeouts, load_label): (&[u64], &str) = match scale {
         Scale::Full => (&[1_500, 3_000, 5_000, 8_000], "50% load, 301 streams"),
@@ -426,10 +425,8 @@ pub fn deadman_report(scale: Scale, threads: usize) -> ExpReport {
         let (timeout, bound) = (cut.tiger.deadman_timeout, cut.tiger.loss_window());
         let (detection, window) = (r.detection_secs(), r.loss_window_secs());
         let lost = r.lost_blocks().count();
-        (
-            (timeout, detection, window, bound.as_secs_f64(), lost),
-            Vec::new(),
-        )
+        let row = (timeout, detection, window, bound.as_secs_f64(), lost);
+        (row, r.violations)
     });
     let mut out = Table::new(&rows.results)
         .note(format!("({load_label})"))

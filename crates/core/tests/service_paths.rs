@@ -95,7 +95,7 @@ fn mirrored_failover_at_decluster_4() {
         );
         assert!(n > 0, "mirror piece {piece} never accepted");
     }
-    assert_eq!(digest, 0x8f86_00c0_831b_f9e7);
+    assert_eq!(digest, 0x8caf_f37e_b9cd_372e);
 }
 
 #[test]
@@ -117,7 +117,7 @@ fn shielded_pieces_served_by_the_spare() {
         r.cub == 8 && matches!(r.ev, TraceEvent::MirrorAccept { .. })
     });
     assert!(on_spare > 0, "the spare never served a shielded piece");
-    assert_eq!(digest, 0x81d3_14dd_4ed6_cea8);
+    assert_eq!(digest, 0x1fd6_0015_454c_3c35);
 }
 
 #[test]
@@ -160,7 +160,7 @@ fn coded_k2_home_dead() {
     });
     assert!(repairs > 0, "the acting successor never covered a block");
     assert!(degraded > 0, "no shard was served in the dead home's place");
-    assert_eq!(digest, 0x3bb8_a865_6805_8708);
+    assert_eq!(digest, 0xe557_ed95_a721_c725);
 }
 
 #[test]
@@ -182,7 +182,7 @@ fn coded_k2_too_few_holders() {
     let repairs = count(&records, |r| matches!(r.ev, TraceEvent::CodedRepair { .. }));
     assert!(repairs > 0, "the acting successor never covered a block");
     assert!(sys.metrics().loss.failover_lost > 0);
-    assert_eq!(digest, 0xc7bc_dd74_77c7_c8bb);
+    assert_eq!(digest, 0x0bd5_6d49_ea65_8178);
 }
 
 #[test]
@@ -201,5 +201,5 @@ fn mirrored_decluster_4_adjacent_dead() {
     });
     assert!(creates > 0, "no block was covered by mirrors");
     assert!(sys.metrics().loss.failover_lost > 0);
-    assert_eq!(digest, 0x0135_439c_9685_38ac);
+    assert_eq!(digest, 0xd143_1e83_74f2_9f3a);
 }

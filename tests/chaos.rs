@@ -127,3 +127,25 @@ fn empty_plan_chaos_run_is_clean() {
     assert!(chaos_digest(&r).contains("  transient 0  "));
     assert_eq!(r.loss_window_secs(), 0.0);
 }
+
+/// A service that ends without a send (here a read lost to a transient
+/// disk error) takes its view entry with it: once the disk faults stop,
+/// cub 2 keeps no entry of an instance it no longer serves.
+#[test]
+fn a_lost_read_leaves_no_view_entry_behind() {
+    let plan =
+        FaultPlan::parse("disk-transient c2:0 prob=0.5 from=15s until=30s").expect("plan parses");
+    let mut s = Scenario::quick(TigerConfig::small_test(), plan);
+    s.run_to = SimTime::from_secs(15);
+    let mut r = run(&s);
+    let mut stray = Vec::new();
+    for ms in (15_000..=60_000).step_by(100) {
+        r.sys.run_until(SimTime::from_millis(ms));
+        let held = r.sys.cubs()[2].stray_view_entries();
+        if held > 0 {
+            stray.push((ms, held));
+        }
+    }
+    assert!(trace(&r).contains("disk-transient"), "disk faults fired");
+    assert_eq!(stray, [], "(ms, stray view entries at cub 2)");
+}

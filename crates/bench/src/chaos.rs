@@ -264,9 +264,9 @@ mod tests {
 
     #[test]
     fn no_chaos_topology_leads_past_the_loss_window() {
-        // Why invariant 4 cannot see defect (c): its loss window tracks
-        // maxVStateLead, and on every chaos ring the lead is shorter than
-        // the bound the invariant holds a single crash to.
+        // Why invariant 4 could not see ROADMAP defect 1(c), a window as
+        // long as maxVStateLead: on every chaos ring the lead is shorter
+        // than the bound the invariant holds a single crash to.
         for template in scenarios() {
             let tiger = campaign(&template, 30, 1997).tiger;
             assert!(

@@ -90,11 +90,11 @@ cargo test -q --release -p tiger-core --test table_bytes
 # two crashes each followed by its declare, a crash and a restart on
 # three cubs, and a stop (the controller's deschedule, applied through the
 # machine's hold) on three cubs with one stream, without and with a crash,
-# states keyed exactly. ROADMAP item 1(c)'s refused shadows, 1(a)'s double
-# deliveries and 1(f)'s silent stalls are pinned as counts their fixes
-# flip, no admission under a hold and no delivery once every living cub
-# has applied the stop at 0, and the first of each is printed as a
-# timeline. About 7 s in release. Fatal.
+# states keyed exactly. ROADMAP item 1(c)'s refused shadows are pinned at
+# 0, 1(a)'s double deliveries and 1(f)'s silent stalls as counts their
+# fixes flip, no admission under a hold and no delivery once every living
+# cub has applied the stop at 0, and the first of each is printed as a
+# timeline. About 9 s in release. Fatal.
 echo "== forward machine: every interleaving of the crash path" >&2
 cargo test -q --release -p tiger-proto --lib every_interleaving_of_the_crash_path -- --nocapture >&2
 
@@ -449,12 +449,21 @@ fi
 # total where its value is born, StripeConfig::new refusing more than
 # 256 disks a cub and FileCatalog::new a block of 4 GiB or more:
 # crates/layout/src follows what it measured, 1,583 -> 1,589.
+# The duplicate rule moved into the forward machine, fed two facts (the
+# highest play_seq retired and the highest served as a primary), and
+# the §2.3 gap bridge, the into-the-gap re-forward test and the
+# successor pair became tiger_proto functions both drivers call: cub.rs
+# 1,100 -> 1,068, and core 6,841 -> 6,819 with the view-leak fix and its
+# stray-entry count (table.rs 624 -> 635, service.rs 1,112 -> 1,111).
+# crates/proto/src rose 1,810 -> 1,868 (forward.rs 322 -> 371, ring.rs
+# 388 -> 396) and bench 2,812 -> 2,809 (ablation_deadman checks its
+# violations). Each limit follows what it measured.
 nontest() { awk '/#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$1"; }
 for f in crates/core/src/*.rs; do
     limit=1299
     [ "$f" = crates/core/src/system.rs ] && limit=872
-    [ "$f" = crates/core/src/service.rs ] && limit=1113
-    [ "$f" = crates/core/src/cub.rs ] && limit=1101
+    [ "$f" = crates/core/src/service.rs ] && limit=1111
+    [ "$f" = crates/core/src/cub.rs ] && limit=1068
     lines=$(nontest "$f")
     if [ "$lines" -gt "$limit" ]; then
         echo "ERROR: $f is $lines lines before its tests (limit $limit)" >&2
@@ -466,9 +475,9 @@ if [ "$lines" -gt 604 ]; then
     echo "ERROR: crates/bench/src/fleet.rs is $lines lines before its tests (limit 604)" >&2
     exit 1
 fi
-for dir_limit in crates/core/src:6842 crates/faults/src:1238 crates/net/src:497 \
-    crates/workload/src:1218 crates/bench/src:2812 \
-    crates/sched/src:1661 crates/proto/src:1810 crates/rt/src:467 \
+for dir_limit in crates/core/src:6819 crates/faults/src:1238 crates/net/src:497 \
+    crates/workload/src:1218 crates/bench/src:2809 \
+    crates/sched/src:1661 crates/proto/src:1868 crates/rt/src:467 \
     crates/layout/src:1589; do
     dir=${dir_limit%:*} limit=${dir_limit#*:} total=0
     for f in "$dir"/*.rs; do

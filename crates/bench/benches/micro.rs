@@ -293,17 +293,19 @@ fn bench_service_table(c: &mut Runner) {
     });
 }
 
-/// `Cub::on_forward_pass` on a `steady-full` cub: ≈430 active services,
-/// ≈21 of them newly due for forwarding (half a second of a cub's 43
-/// blocks a second), a retired log and a view one window deep. Cub 0 of a
-/// `sosp97` ring is driven alone, by hand: each iteration delivers the
-/// half second's viewer states as its predecessor would, runs cub 0's own
-/// read / send events up to the pass, and times the pass only.
+/// A forward pass on a `steady-full` cub: ≈430 active services, ≈21 of
+/// them newly due for forwarding (half a second of a cub's 43 blocks a
+/// second), a retired log and a view one window deep. Cub 0 of a `sosp97`
+/// ring is driven alone, by hand, through `Cub::on_event`: each iteration
+/// delivers the half second's viewer states as its predecessor would,
+/// runs cub 0's own read / send events up to the pass, and times the pass
+/// only (with the queueing of its chain's next one).
 fn bench_forward_pass(c: &mut Runner) {
     use tiger_core::event::Event;
     use tiger_core::{Message, TigerConfig, TigerSystem};
     use tiger_layout::CubId;
     const ME: CubId = CubId(0);
+    const PASS: Event = Event::ForwardPass { cub: ME };
     let mut cfg = TigerConfig::sosp97();
     cfg.disk = cfg.disk.without_blips();
     let interval = cfg.forward_interval;
@@ -338,15 +340,17 @@ fn bench_forward_pass(c: &mut Runner) {
     let mut advance = |sys: &mut TigerSystem| {
         now += interval;
         sys.with_cub_mut(ME, |cub, sh| {
-            cub.next_forward_pass = now;
             while let Some((at, ev)) = sh.queue.pop_until(now) {
                 match ev {
-                    Event::ReadIssue { cub: ME, token } => cub.on_read_issue(sh, at, token),
-                    Event::PoolFloor { cub: ME } => cub.on_pool_floor(sh, at),
-                    Event::DiskDone { cub: ME, token } => cub.on_disk_done(sh, at, token),
-                    Event::SendDue { cub: ME, token } => cub.on_send_due(sh, at, token),
-                    Event::SendDone { cub: ME, token } => cub.on_send_done(sh, at, token),
-                    _ => {} // Someone else's: the rest of the ring is not run.
+                    Event::ReadIssue { cub: ME, .. }
+                    | Event::PoolFloor { cub: ME }
+                    | Event::DiskDone { cub: ME, .. }
+                    | Event::SendDue { cub: ME, .. }
+                    | Event::SendDone { cub: ME, .. } => cub.on_event(sh, at, ev),
+                    // Someone else's, or cub 0's own periodic work: the
+                    // rest of the ring is not run, and the pass is timed
+                    // apart.
+                    _ => {}
                 }
             }
             loop {
@@ -360,7 +364,8 @@ fn bench_forward_pass(c: &mut Runner) {
                     position: BlockNum(pos + sh.params.stripe().num_disks() * (lap % 32)),
                     ..vs(slot, u64::from(slot), seq)
                 };
-                cub.on_message(sh, now, Message::ViewerState(state));
+                let (dst, msg) = (sh.cub_node(ME), Message::ViewerState(state));
+                cub.on_event(sh, now, Event::Deliver { dst, msg });
                 (fed, seq) = (fed + 1, seq + 1);
                 if fed == meetings.len() {
                     (fed, lap) = (0, lap + 1);
@@ -371,7 +376,7 @@ fn bench_forward_pass(c: &mut Runner) {
     };
     for _ in 0..60 {
         let now = advance(&mut sys);
-        sys.with_cub_mut(ME, |cub, sh| cub.on_forward_pass(sh, now));
+        sys.with_cub_mut(ME, |cub, sh| cub.on_event(sh, now, PASS));
     }
     let held = sys.with_cub_mut(ME, |cub, _| cub.schedule_information_held());
     // ≈430 active + ≈430 view entries + ≈390 retired (a 9 s retention).
@@ -381,7 +386,7 @@ fn bench_forward_pass(c: &mut Runner) {
             let now = advance(&mut sys);
             sys.with_cub_mut(ME, |cub, sh| {
                 let start = std::time::Instant::now();
-                cub.on_forward_pass(sh, now);
+                cub.on_event(sh, now, PASS);
                 start.elapsed()
             })
         })

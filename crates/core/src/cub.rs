@@ -29,6 +29,10 @@ use crate::system::Shared;
 
 pub use tiger_proto::insert::PendingStart;
 
+/// The cub's side of the event loop: `Cub::on_event`, its periodic chains
+/// and its life (arming, power cut, restart).
+#[path = "life.rs"]
+mod life;
 /// The block-service half of `impl Cub` (acceptance, read, send, reclaim):
 /// a child module, its file beside this one, to share the private fields.
 #[path = "service.rs"]
@@ -75,13 +79,15 @@ pub struct Cub {
     pub cache_hits: Counter,
     /// Block-cache lookups.
     pub cache_lookups: Counter,
-    /// When this cub's next periodic forwarding pass is due (maintained by
-    /// the event loop; lets acceptance decide whether a record can wait).
-    pub next_forward_pass: SimTime,
-    /// When this cub's next deadman ping and check are due: the event
-    /// loop's guard against a previous life's periodic events.
-    pub(crate) next_deadman_ping: SimTime,
-    pub(crate) next_deadman_check: SimTime,
+    /// When this cub's next periodic forwarding pass is due (`on_event`
+    /// keeps it; acceptance reads it to decide whether a record can wait).
+    /// ZERO ("a pass is overdue") until the first start-up pass fires:
+    /// acceptance must not forward promptly before then.
+    next_forward_pass: SimTime,
+    /// When this cub's next deadman ping and check are due: `on_event`'s
+    /// guard against a previous life's periodic events.
+    next_deadman_ping: SimTime,
+    next_deadman_check: SimTime,
     /// Control messages processed (receive side, for the CPU model).
     msgs_processed: Counter,
     /// Set while this cub is rejoining after a restart: the restart
@@ -224,12 +230,6 @@ impl Cub {
         self.pool.forced.total()
     }
 
-    /// Whether the pool is at rest (`BufferPool::settled`): the event
-    /// loop's debug-build check after every handler of this cub.
-    pub(crate) fn pool_settled(&self) -> bool {
-        self.pool.settled()
-    }
-
     /// Control messages processed per second over the current window.
     pub fn msgs_processed_rate(&self, now: SimTime) -> f64 {
         self.msgs_processed.window_rate(now)
@@ -251,7 +251,7 @@ impl Cub {
     // --- Message entry point ----------------------------------------------
 
     /// Handles a delivered control message.
-    pub fn on_message(&mut self, sh: &mut Shared, now: SimTime, msg: Message) {
+    fn on_message(&mut self, sh: &mut Shared, now: SimTime, msg: Message) {
         if self.failed {
             // Narrow spare-shield allowance: a spare holding ready shield
             // spans serves the mirror records the cover path routes to it,
@@ -423,12 +423,8 @@ impl Cub {
                 },
             );
         }
-        // Aged active entries due to forward into the rejoiner should go
-        // now, not at the next periodic cadence.
-        sh.queue.schedule(
-            now + SimDuration::from_millis(1),
-            Event::ForwardPass { cub: self.id },
-        );
+        // Aged active entries due to forward into the rejoiner.
+        self.hasten_forward(&mut sh.queue, now);
     }
 
     // --- Viewer-state handling (§4.1.1) -----------------------------------
@@ -555,7 +551,7 @@ impl Cub {
     /// Periodic batching pass: forward viewer states whose receiver lead
     /// has dropped to `maxVStateLead`, to the successor and (policy
     /// permitting) the second successor.
-    pub fn on_forward_pass(&mut self, sh: &mut Shared, now: SimTime) {
+    fn on_forward_pass(&mut self, sh: &mut Shared, now: SimTime) {
         if self.failed {
             return;
         }
@@ -692,7 +688,7 @@ impl Cub {
     }
 
     /// Attempts to insert queued starts into currently-owned empty slots.
-    pub fn on_insert_attempt(&mut self, sh: &mut Shared, now: SimTime) {
+    fn on_insert_attempt(&mut self, sh: &mut Shared, now: SimTime) {
         self.ins.attempt_due();
         if self.failed {
             return;
@@ -795,16 +791,13 @@ impl Cub {
             },
         );
         // Hasten propagation of the fresh insert.
-        sh.queue.schedule(
-            now + SimDuration::from_millis(1),
-            Event::ForwardPass { cub: self.id },
-        );
+        self.hasten_forward(&mut sh.queue, now);
     }
 
     // --- Deadman protocol (§2.3) -------------------------------------------
 
     /// Periodic heartbeat to the successor.
-    pub fn on_deadman_ping(&mut self, sh: &mut Shared, now: SimTime) {
+    fn on_deadman_ping(&mut self, sh: &mut Shared, now: SimTime) {
         if self.failed {
             return;
         }
@@ -820,7 +813,7 @@ impl Cub {
     }
 
     /// Periodic silence check on the predecessor.
-    pub fn on_deadman_check(&mut self, sh: &mut Shared, now: SimTime) {
+    fn on_deadman_check(&mut self, sh: &mut Shared, now: SimTime) {
         if self.failed {
             return;
         }
@@ -853,10 +846,7 @@ impl Cub {
             // stop serving entirely rather than double-deliver until the
             // (offline) repair brings this cub back through a restripe.
             self.trace(sh, now, TraceEvent::CubFenced { cub: self.id.raw() });
-            self.power_cut(sh, now);
-            let node = sh.cub_node(self.id);
-            sh.net.fail_node(node);
-            return;
+            return self.power_cut(sh, now);
         }
         self.declare_failed(sh, now, failed);
     }
@@ -882,10 +872,7 @@ impl Cub {
         let (ring, catalog) = (&self.ring, &sh.catalog);
         let locate = |file, pos| catalog.locate(file, pos).map(|loc| loc.cub);
         if self.services.reforward(|vs| into_gap(vs, ring, locate)) {
-            sh.queue.schedule(
-                now + SimDuration::from_millis(1),
-                Event::ForwardPass { cub: self.id },
-            );
+            self.hasten_forward(&mut sh.queue, now);
         }
         let retired = self.services.retired().map(|(_, vs)| vs);
         let me = sh.cub_node(self.id);
@@ -947,48 +934,6 @@ impl Cub {
         self.fwd.reset(cut_over);
         self.ins.clear_queues();
         self.services.clear_retired();
-    }
-
-    /// Power-cut: the cub stops doing anything; its disks die with it.
-    pub fn power_cut(&mut self, sh: &mut Shared, now: SimTime) {
-        if !self.failed {
-            // Only a living member holds load-table reservations.
-            for (_, e) in self.services.iter() {
-                self.release_load(sh, e);
-            }
-        }
-        self.failed = true;
-        for d in &mut self.disks {
-            d.fail(now);
-        }
-        self.services.clear();
-        self.reset_viewer_state(false);
-        self.pool.reset();
-    }
-
-    // --- Online recovery ----------------------------------------------------
-
-    /// Restarts a power-cut/fenced cub with empty schedule state. The disk
-    /// contents (index, space maps) survive the crash — only the in-memory
-    /// schedule is gone, which is the paper's point: "a cub can be
-    /// rebooted... and rejoin" because the bounded view rebuilds from the
-    /// ring. Everything protocol-visible is reset; the rejoin protocol
-    /// (see `on_rejoin_request`) re-learns ring state from neighbours.
-    pub fn restart(&mut self, now: SimTime, striped_cubs: u32) {
-        self.failed = false;
-        for d in &mut self.disks {
-            d.revive(now);
-        }
-        self.services.clear();
-        self.reset_viewer_state(false);
-        self.cache_resident.clear();
-        self.pool.reset();
-        self.ins.reset();
-        // A restarted process knows nothing about who is down; it assumes
-        // the full striped ring is alive (spares stay marked failed — they
-        // are not ring members) and learns real failures from RejoinAcks.
-        self.ring.restart(now, striped_cubs);
-        self.rejoined_at = Some(now);
     }
 
     // --- Live-restripe cut-over support -------------------------------------

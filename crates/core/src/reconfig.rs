@@ -11,7 +11,6 @@ use tiger_layout::ids::ViewerInstance;
 use tiger_layout::{
     CubId, DiskId, DiskRegion, FileId, Piece, RedundancyMode, RestripePlan, StripeConfig,
 };
-use tiger_proto::msg::Message;
 use tiger_sched::Deschedule;
 use tiger_sim::{SimDuration, SimTime};
 use tiger_trace::{TraceEvent, CTRL};
@@ -138,12 +137,11 @@ impl TigerSystem {
         self.shared.queue.schedule(at, Event::RestripeStart);
     }
 
-    /// Handles [`Event::RestartCub`]: revive the machine with empty
-    /// schedule state, announce the rejoin, and resume periodic work
-    /// under a fresh monitoring baseline.
+    /// Handles [`Event::RestartCub`]: the cub revives with empty schedule
+    /// state, announces the rejoin and arms its periodic work under a
+    /// fresh monitoring baseline (`Cub::restart`).
     pub(crate) fn restart_cub(&mut self, now: SimTime, cub: CubId) {
-        let striped = self.shared.cfg.stripe.num_cubs;
-        if cub.raw() >= striped {
+        if cub.raw() >= self.shared.cfg.stripe.num_cubs {
             return; // Spares join via a restripe cut-over, not a rejoin.
         }
         if !self.cubs[cub.index()].failed {
@@ -152,24 +150,7 @@ impl TigerSystem {
         self.shared
             .tracer
             .record(now, CTRL, TraceEvent::CubRestart { cub: cub.raw() });
-        let node = self.shared.cub_node(cub);
-        self.shared.net.revive_node(now, node);
-        self.cubs[cub.index()].restart(now, striped);
-        // Announce the rejoin to every striped cub and the controller:
-        // receivers clear their failure belief and re-baseline deadman
-        // monitoring; ring neighbours answer with their own belief lists
-        // (bounded-view exchange) and the covering mirror partner opens
-        // its hand-back window.
-        for c in 0..striped {
-            if c != cub.raw() {
-                let dst = self.shared.cub_node(CubId(c));
-                self.shared
-                    .send_control(now, node, dst, Message::RejoinRequest { from: cub });
-            }
-        }
-        self.shared
-            .send_to_controller(now, node, Message::RejoinRequest { from: cub });
-        self.arm_periodic(cub, now, false);
+        self.cubs[cub.index()].restart(&mut self.shared, now);
     }
 
     /// Handles [`Event::RestripeStart`]: pop the next queued step and
@@ -314,7 +295,7 @@ impl TigerSystem {
         }
         self.ctl.believes_failed.reset_from(&failed_map);
         for j in old.num_cubs..new.num_cubs {
-            self.arm_periodic(CubId(j), now, false);
+            self.cubs[j as usize].arm_periodic(&mut self.shared, now, false);
         }
         // 6. The omniscient checker's materialized schedule is keyed to
         // the old geometry; rebuild it fresh (with its insertion grace).

@@ -472,10 +472,7 @@ impl Cub {
         let successor_breach =
             (send_at + sh.params.block_play_time()).saturating_sub(sh.cfg.min_vstate_lead);
         if successor_breach < self.next_forward_pass {
-            sh.queue.schedule(
-                now + SimDuration::from_millis(1),
-                Event::ForwardPass { cub: self.id },
-            );
+            self.hasten_forward(&mut sh.queue, now);
         }
     }
 
@@ -759,7 +756,7 @@ impl Cub {
     /// performance", §3.1): when the 20 MB cache is full the read waits in
     /// the pool for a returned buffer, down to a hard floor of one
     /// scheduling lead before the send, when it goes out regardless.
-    pub fn on_read_issue(&mut self, sh: &mut Shared, now: SimTime, token: ServiceToken) {
+    pub(super) fn on_read_issue(&mut self, sh: &mut Shared, now: SimTime, token: ServiceToken) {
         if self.out_of_service(sh) {
             return;
         }
@@ -780,7 +777,7 @@ impl Cub {
     /// The cub's floor timer: whatever reached its floor still waiting
     /// goes out now, pool full or not, and the timer moves on to the new
     /// head of the wait set.
-    pub fn on_pool_floor(&mut self, sh: &mut Shared, now: SimTime) {
+    pub(super) fn on_pool_floor(&mut self, sh: &mut Shared, now: SimTime) {
         if !self.pool.timer_fired(now) || self.out_of_service(sh) {
             return;
         }
@@ -912,7 +909,7 @@ impl Cub {
     }
 
     /// Handles a disk-read completion.
-    pub fn on_disk_done(&mut self, sh: &mut Shared, now: SimTime, token: ServiceToken) {
+    pub(super) fn on_disk_done(&mut self, sh: &mut Shared, now: SimTime, token: ServiceToken) {
         if self.out_of_service(sh) {
             return;
         }
@@ -950,7 +947,7 @@ impl Cub {
     }
 
     /// The block (or piece) for `token` is due at the network.
-    pub fn on_send_due(&mut self, sh: &mut Shared, now: SimTime, token: ServiceToken) {
+    pub(super) fn on_send_due(&mut self, sh: &mut Shared, now: SimTime, token: ServiceToken) {
         if self.out_of_service(sh) {
             return;
         }
@@ -1006,7 +1003,7 @@ impl Cub {
     }
 
     /// A paced transmission finished: free the NIC, deliver to the client.
-    pub fn on_send_done(&mut self, sh: &mut Shared, now: SimTime, token: ServiceToken) {
+    pub(super) fn on_send_done(&mut self, sh: &mut Shared, now: SimTime, token: ServiceToken) {
         if self.out_of_service(sh) {
             return;
         }

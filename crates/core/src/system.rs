@@ -239,8 +239,8 @@ impl TigerSystem {
             clients_handed: 0,
             dispatched_by_kind: [0; Event::KIND_NAMES.len()],
         };
-        for c in 0..striped {
-            sys.arm_periodic(CubId(c), SimTime::ZERO, true);
+        for cub in &mut sys.cubs[..striped as usize] {
+            cub.arm_periodic(&mut sys.shared, SimTime::ZERO, true);
         }
         sys
     }
@@ -273,52 +273,11 @@ impl TigerSystem {
     }
 
     /// Runs `f` with direct mutable access to one cub and the shared
-    /// state. Test support: the deadman edge-case tests drive individual
-    /// handlers (`on_deadman_check` at an exact instant) without steering
-    /// the whole event loop there.
+    /// state. Test support: the deadman edge-case tests run single events
+    /// (`Cub::on_event`, a deadman check at an exact instant) without
+    /// steering the whole event loop there.
     pub fn with_cub_mut<R>(&mut self, cub: CubId, f: impl FnOnce(&mut Cub, &mut Shared) -> R) -> R {
         f(&mut self.cubs[cub.index()], &mut self.shared)
-    }
-
-    /// The one place a cub's periodic work — forwarding passes, deadman
-    /// pings and checks — is armed: at start-up, after a restart, and when
-    /// a cut-over absorbs a spare. Each chain's due time is recorded on
-    /// the cub and `dispatch` honours a periodic event only at or after
-    /// it, so an event still queued from the cub's previous life dies
-    /// instead of running a second chain beside the new one.
-    ///
-    /// Start-up staggers the work across cubs so the simulation does not
-    /// synchronize artificial load spikes, and pings at once. A revived or
-    /// absorbed cub starts a full interval out — its deadman check one
-    /// full timeout after `restart` reset every last-heard clock, so the
-    /// fresh baseline can never declare a predecessor on stale silence.
-    pub(crate) fn arm_periodic(&mut self, cub: CubId, now: SimTime, startup: bool) {
-        let cfg = &self.shared.cfg;
-        let slice = |interval: SimDuration| {
-            let n = u64::from(cfg.stripe.num_cubs);
-            let nanos = interval.as_nanos() * u64::from(cub.raw()) / n;
-            SimDuration::from_nanos(if startup { nanos } else { 0 })
-        };
-        let forward = now + cfg.forward_interval + slice(cfg.forward_interval);
-        let check = now + cfg.deadman_timeout + slice(cfg.deadman_interval);
-        let ping = if startup {
-            now + slice(cfg.deadman_interval) + SimDuration::from_millis(1)
-        } else {
-            now + cfg.deadman_interval
-        };
-        let c = &mut self.cubs[cub.index()];
-        // Until the first start-up pass fires `next_forward_pass` stays
-        // ZERO ("a pass is overdue"): acceptance reads it to decide whether
-        // a record can wait, and must not forward promptly before then.
-        if !startup {
-            c.next_forward_pass = forward;
-        }
-        c.next_deadman_ping = ping;
-        c.next_deadman_check = check;
-        let queue = &mut self.shared.queue;
-        queue.schedule(forward, Event::ForwardPass { cub });
-        queue.schedule(ping, Event::DeadmanPing { cub });
-        queue.schedule(check, Event::DeadmanCheck { cub });
     }
 
     // --- Content loading ---------------------------------------------------
@@ -494,93 +453,32 @@ impl TigerSystem {
         self.shared.queue.now()
     }
 
+    /// Runs one event. Each event `frozen_target` assigns to a cub runs
+    /// in that cub's `Cub::on_event`, its periodic chains included; the
+    /// rest are the loop's own.
     fn dispatch(&mut self, now: SimTime, event: Event) {
         let event = match event {
             Event::Scripted { op } => self.scripts.fire(&mut self.shared.queue, op),
             event => event,
         };
         self.dispatched_by_kind[event.kind()] += 1;
-        if self.shared.faults.active() {
-            if let Some(cub) = self.frozen_target(&event) {
-                if let Some(resume) = self.shared.faults.frozen_until(cub.raw(), now) {
-                    // A frozen cub processes nothing: its events are parked
-                    // until the resume instant. Arrival order is preserved
-                    // (the queue breaks timestamp ties by insertion order),
-                    // so a thaw replays the backlog in the original order.
-                    self.shared.queue.schedule(resume, event);
-                    return;
-                }
+        if let Some(cub) = self.frozen_target(&event) {
+            if let Some(resume) = self.shared.faults.frozen_until(cub.raw(), now) {
+                // A frozen cub processes nothing: its events are parked
+                // until the resume instant. Arrival order is preserved
+                // (the queue breaks timestamp ties by insertion order),
+                // so a thaw replays the backlog in the original order.
+                return self.shared.queue.schedule(resume, event);
             }
+            return self.cubs[cub.index()].on_event(&mut self.shared, now, event);
         }
-        // Debug builds check that every handler of a cub leaves its buffer
-        // pool at rest.
-        let ran_on = if cfg!(debug_assertions) {
-            self.frozen_target(&event)
-        } else {
-            None
-        };
         match event {
             Event::Deliver { dst, msg } => self.on_deliver(now, dst, msg),
-            Event::ReadIssue { cub, token } => {
-                self.cubs[cub.index()].on_read_issue(&mut self.shared, now, token);
-            }
-            Event::PoolFloor { cub } => {
-                self.cubs[cub.index()].on_pool_floor(&mut self.shared, now);
-            }
-            Event::DiskDone { cub, token } => {
-                self.cubs[cub.index()].on_disk_done(&mut self.shared, now, token);
-            }
-            Event::SendDue { cub, token } => {
-                self.cubs[cub.index()].on_send_due(&mut self.shared, now, token);
-            }
-            Event::SendDone { cub, token } => {
-                self.cubs[cub.index()].on_send_done(&mut self.shared, now, token);
-            }
-            // Periodic work. An event ahead of its chain's due time is not
-            // the chain's own: an extra one-shot forward pass (commit_insert
-            // schedules those; they run but must not multiply), or a ping or
-            // check queued before a crash that a fast restart overtook.
-            Event::ForwardPass { cub } => {
-                let c = &mut self.cubs[cub.index()];
-                let periodic = c.next_forward_pass <= now;
-                c.on_forward_pass(&mut self.shared, now);
-                if periodic && !c.failed {
-                    let next = now + self.shared.cfg.forward_interval;
-                    c.next_forward_pass = next;
-                    self.shared.queue.schedule(next, Event::ForwardPass { cub });
-                }
-            }
-            Event::InsertAttempt { cub } => {
-                self.cubs[cub.index()].on_insert_attempt(&mut self.shared, now);
-            }
-            ev @ (Event::DeadmanPing { cub } | Event::DeadmanCheck { cub }) => {
-                let c = &mut self.cubs[cub.index()];
-                let ping = matches!(ev, Event::DeadmanPing { .. });
-                let due = if ping {
-                    &mut c.next_deadman_ping
-                } else {
-                    &mut c.next_deadman_check
-                };
-                if *due <= now {
-                    let next = now + self.shared.cfg.deadman_interval;
-                    *due = next;
-                    if ping {
-                        c.on_deadman_ping(&mut self.shared, now);
-                    } else {
-                        c.on_deadman_check(&mut self.shared, now);
-                    }
-                    if !c.failed {
-                        self.shared.queue.schedule(next, ev);
-                    }
-                }
-            }
             Event::FailCub { cub } => {
                 self.shared
                     .tracer
                     .record(now, CTRL, TraceEvent::PowerCut { cub: cub.raw() });
                 self.cubs[cub.index()].power_cut(&mut self.shared, now);
-                let node = self.shared.cub_node(cub);
-                self.shared.net.fail_node(node);
             }
             Event::FailDisk { cub, disk_local } => {
                 self.shared.tracer.record(
@@ -613,7 +511,6 @@ impl TigerSystem {
             Event::ClientSeek { instance, to_block } => {
                 self.reincarnate(now, instance, Some(to_block));
             }
-            Event::Scripted { .. } => unreachable!("runs as the event it stands for"),
             Event::RestartCub { cub } => self.restart_cub(now, cub),
             Event::RestripeStart => self.restripe_start(now),
             Event::CopyTick { lane } => self.copy_tick(now, lane),
@@ -623,17 +520,15 @@ impl TigerSystem {
             Event::CopyArrive { lane, idx } => {
                 self.with_lane(now, lane, |p, sh, cubs| p.on_arrive(sh, cubs, now, idx));
             }
-        }
-        if let Some(cub) = ran_on {
-            let at_rest = self.cubs[cub.index()].pool_settled();
-            debug_assert!(at_rest, "{cub}: buffer pool left unsettled at {now}");
+            event => unreachable!("{event:?} runs in Cub::on_event or as its script"),
         }
     }
 
-    /// The cub whose execution `event` represents, if freeze deferral
-    /// applies. Fault-injection events are exempt (a power cut kills even
-    /// a frozen cub), as is controller and client work: freezes model a
-    /// stalled cub process, nothing else.
+    /// The cub whose execution `event` represents: it runs in that cub's
+    /// `Cub::on_event`, and a freeze of the cub parks it. Fault-injection
+    /// events are exempt (a power cut kills even a frozen cub), as is
+    /// controller and client work: freezes model a stalled cub process,
+    /// nothing else.
     fn frozen_target(&self, event: &Event) -> Option<CubId> {
         match event {
             Event::Deliver { dst, .. } => self.shared.cub_at(*dst),
@@ -650,10 +545,9 @@ impl TigerSystem {
         }
     }
 
+    /// A delivery to the controller or a client (a cub's runs in
+    /// `Cub::on_event`).
     fn on_deliver(&mut self, now: SimTime, dst: NetNode, msg: Message) {
-        if let Some(cub) = self.shared.cub_at(dst) {
-            return self.cubs[cub.index()].on_message(&mut self.shared, now, msg);
-        }
         if dst == self.shared.controller_node() {
             if let Some(failed) = self.ctl.on_message(&mut self.shared, now, msg) {
                 self.maybe_shield(now, failed);

@@ -422,6 +422,7 @@ fn full_load_dispatches_what_a_block_needs() {
 /// each, and changes nothing the cub holds.
 #[test]
 fn a_slot_past_capacity_is_refused_as_a_traced_drop() {
+    use tiger_core::event::Event;
     use tiger_core::Message;
     use tiger_layout::BlockNum;
     use tiger_sched::{Deschedule, SlotId, StreamKind, ViewerState};
@@ -460,8 +461,8 @@ fn a_slot_past_capacity_is_refused_as_a_traced_drop() {
         let held = sys.cubs()[0].schedule_information_held();
         assert!(held > 0, "the cub holds the stream's records");
         sys.with_cub_mut(CubId(0), |cub, sh| {
-            let now = sh.queue.now();
-            cub.on_message(sh, now, msg);
+            let (now, dst) = (sh.queue.now(), sh.cub_node(cub.id));
+            cub.on_event(sh, now, Event::Deliver { dst, msg });
         });
         assert_eq!(sys.cubs()[0].schedule_information_held(), held);
         assert_eq!(refused(&sys), sent + 1, "one traced drop a message");

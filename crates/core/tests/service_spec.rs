@@ -3,6 +3,7 @@
 //! lifetime of the acting successor's cover memory.
 
 use tiger_core::cub::service::PieceSpec;
+use tiger_core::event::Event;
 use tiger_core::{Backend, Message, RedundancyMode, TigerConfig, TigerSystem};
 use tiger_layout::ids::ViewerInstance;
 use tiger_layout::{BlockNum, CubId, DiskId, StripeConfig, ViewerId};
@@ -178,8 +179,12 @@ fn covered_last_block() -> (TigerSystem, ViewerState) {
 
 fn deliver_to_successor(sys: &mut TigerSystem, vs: ViewerState) {
     sys.with_cub_mut(CubId(4), |cub, sh| {
-        let now = sh.queue.now();
-        cub.on_message(sh, now, Message::ViewerState(vs));
+        let (now, dst, msg) = (
+            sh.queue.now(),
+            sh.cub_node(cub.id),
+            Message::ViewerState(vs),
+        );
+        cub.on_event(sh, now, Event::Deliver { dst, msg });
     });
 }
 

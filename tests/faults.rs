@@ -4,6 +4,7 @@
 //! plan applied), and the §5 power-cut experiment expressed as a fault
 //! plan reproducing the direct `fail_cub_at` results exactly.
 
+use tiger::core::event::Event;
 use tiger::core::{Message, TigerConfig, TigerSystem};
 use tiger::faults::FaultPlan;
 use tiger::layout::CubId;
@@ -38,8 +39,9 @@ fn stall_declares(stall: SimDuration, partitioned: bool) -> Vec<(u32, u64)> {
     // exactly that length.
     let t0 = SimTime::from_secs(1);
     sys.with_cub_mut(CubId(1), |cub, sh| {
-        cub.on_message(sh, t0, Message::DeadmanPing { from: CubId(0) });
-        cub.on_deadman_check(sh, t0 + stall);
+        let (dst, msg) = (sh.cub_node(cub.id), Message::DeadmanPing { from: CubId(0) });
+        cub.on_event(sh, t0, Event::Deliver { dst, msg });
+        cub.on_event(sh, t0 + stall, Event::DeadmanCheck { cub: cub.id });
     });
     sys.tracer()
         .records()

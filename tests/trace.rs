@@ -8,7 +8,9 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use tiger::core::{Message, TigerConfig, TigerSystem};
+use tiger::core::event::Event;
+use tiger::core::system::Shared;
+use tiger::core::{Cub, Message, TigerConfig, TigerSystem};
 use tiger::layout::ids::ViewerInstance;
 use tiger::layout::{BlockNum, CubId, ViewerId};
 use tiger::sched::{Deschedule, SlotId, StreamKind, ViewerState};
@@ -25,6 +27,12 @@ fn traced_system() -> TigerSystem {
     let mut sys = TigerSystem::new(small());
     sys.enable_trace(16_384);
     sys
+}
+
+/// Delivers `msg` to `cub` at `at`, as the event loop would.
+fn deliver(cub: &mut Cub, sh: &mut Shared, at: SimTime, msg: Message) {
+    let dst = sh.cub_node(cub.id);
+    cub.on_event(sh, at, Event::Deliver { dst, msg });
 }
 
 /// Event names recorded on `cub`, in order.
@@ -44,23 +52,26 @@ fn names_on(sys: &TigerSystem, cub: CubId) -> Vec<&'static str> {
 /// boundary instant must NOT declare a failure.
 #[test]
 fn ping_at_exactly_deadman_timeout_is_not_a_failure() {
-    let mut sys = traced_system();
-    let timeout = sys.shared().cfg.deadman_timeout;
-    let t0 = SimTime::from_secs(1);
-    sys.with_cub_mut(CubId(1), |cub, sh| {
-        cub.on_message(sh, t0, Message::DeadmanPing { from: CubId(0) });
-        cub.on_deadman_check(sh, t0 + timeout);
-    });
+    // Cub 1 hears cub 0's ping at t0 and checks `silence` later: one
+    // system a check, since a check runs its chain's next one.
+    let timeout = small().deadman_timeout;
+    let check_after = |silence: SimDuration| {
+        let mut sys = traced_system();
+        let t0 = SimTime::from_secs(1);
+        sys.with_cub_mut(CubId(1), |cub, sh| {
+            deliver(cub, sh, t0, Message::DeadmanPing { from: CubId(0) });
+            cub.on_event(sh, t0 + silence, Event::DeadmanCheck { cub: cub.id });
+        });
+        sys
+    };
     assert_eq!(
-        names_on(&sys, CubId(1)),
+        names_on(&check_after(timeout), CubId(1)),
         Vec::<&str>::new(),
         "silence == timeout must stay silent in the trace"
     );
 
     // One nanosecond later the same check crosses the strict threshold.
-    sys.with_cub_mut(CubId(1), |cub, sh| {
-        cub.on_deadman_check(sh, t0 + timeout + SimDuration::from_nanos(1));
-    });
+    let sys = check_after(timeout + SimDuration::from_nanos(1));
     let records = sys.tracer().records();
     let declare = records
         .iter()
@@ -118,13 +129,14 @@ fn failure_notice_racing_deschedule_hold() {
             };
             let notice = Message::FailureNotice { failed: far };
             if notice_first {
-                cub.on_message(sh, t, notice);
-                cub.on_message(sh, t + SimDuration::from_millis(1), desched);
+                deliver(cub, sh, t, notice);
+                deliver(cub, sh, t + SimDuration::from_millis(1), desched);
             } else {
-                cub.on_message(sh, t, desched);
-                cub.on_message(sh, t + SimDuration::from_millis(1), notice);
+                deliver(cub, sh, t, desched);
+                deliver(cub, sh, t + SimDuration::from_millis(1), notice);
             }
-            cub.on_message(
+            deliver(
+                cub,
                 sh,
                 t + SimDuration::from_millis(2),
                 Message::ViewerState(vs),

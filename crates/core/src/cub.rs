@@ -17,7 +17,7 @@ use tiger_layout::{
 use tiger_proto::forward::{gap_bridge, into_gap, replay_batch, Verdict};
 use tiger_proto::insert::AttemptDecision;
 use tiger_proto::msg::Message;
-use tiger_proto::{ForwardMachine, InsertMachine, RingMachine};
+use tiger_proto::{ForwardMachine, InsertMachine, RingDriver, RingMachine};
 use tiger_sched::{Deschedule, SlotId, StreamKind, ViewerState};
 use tiger_sim::{Counter, SimDuration, SimTime};
 use tiger_trace::TraceEvent;
@@ -63,9 +63,9 @@ pub struct Cub {
     /// the one-armed attempt timer (`tiger_proto::insert`).
     ins: InsertMachine,
     /// The sans-io ring machine: failure beliefs, deadman clocks, rejoin
-    /// horizons, and the hand-back window (`tiger_proto::ring`). This
-    /// struct is the DES *driver* for it: machine verdicts become event
-    /// schedules, simulated sends, and trace records here.
+    /// horizons, and the hand-back window (`tiger_proto::ring`), run
+    /// through `Driver`, whose hooks are this cub's sends, trace records
+    /// and takeover.
     ring: RingMachine,
     /// Read-ahead buffers in use against the buffer cache, and the reads
     /// waiting for one.
@@ -302,32 +302,6 @@ impl Cub {
                     redundant,
                 );
             }
-            Message::DeadmanPing { from } => {
-                if self.ring.on_ping(from, now) {
-                    // A ping from a cub this cub already declared dead:
-                    // a stalled process resumed (a zombie). Tell it so it
-                    // fences itself off — its streams were taken over,
-                    // and two servers working the same schedule would
-                    // double-deliver blocks.
-                    let me = sh.cub_node(self.id);
-                    let zombie = sh.cub_node(from);
-                    sh.send_control(now, me, zombie, Message::FailureNotice { failed: from });
-                }
-            }
-            Message::FailureNotice { failed } => {
-                self.on_failure_notice(sh, now, failed);
-            }
-            Message::RejoinRequest { from } => {
-                self.on_rejoin_request(sh, now, from);
-            }
-            Message::RejoinAck { from, failed } => {
-                // A ring neighbour's bounded-view exchange: merge its
-                // failure beliefs (this cub restarted knowing nothing).
-                self.ring.heard_from(from, now);
-                for &c in failed.iter() {
-                    self.declare_failed(sh, now, CubId(c));
-                }
-            }
             Message::RetiredReplay { from, states } => {
                 // The predecessor's retired-log tail, already advanced to
                 // this cub's next due positions. Receipt idempotence
@@ -339,48 +313,13 @@ impl Cub {
                     self.on_viewer_state(sh, now, vs);
                 }
             }
-            _ => {
-                debug_assert!(false, "cub received unexpected message: {msg:?}");
+            // The ring's own messages: pings, failure notices, rejoin
+            // requests and their acks.
+            msg => {
+                let cfg = sh.cfg.ring();
+                let unhandled = Driver { cub: self, sh, now }.on_ring_message(now, &cfg, msg);
+                debug_assert!(unhandled.is_none(), "cub received {unhandled:?}");
             }
-        }
-    }
-
-    /// A crashed neighbour announces it is back (§4 ownership insertion
-    /// restores its slots; this message restores the ring bookkeeping).
-    fn on_rejoin_request(&mut self, sh: &mut Shared, now: SimTime, from: CubId) {
-        // The machine clears the belief, opens the rejoiner's
-        // vulnerability horizon, and re-baselines deadman monitoring;
-        // its outcome says what this driver owes the rejoiner.
-        let Some(outcome) = self.ring.on_rejoin_request(from, now, &sh.cfg.ring()) else {
-            return;
-        };
-        // Ring neighbours reply with their current beliefs so the
-        // rejoiner learns about other failures without waiting a full
-        // deadman timeout per dead cub.
-        if outcome.should_ack {
-            let (me, ack) = (sh.cub_node(self.id), self.ring.rejoin_ack());
-            sh.send_control(now, me, sh.cub_node(from), ack);
-        }
-        if outcome.should_replay {
-            self.replay_retired_tail(sh, now, from);
-        }
-        if outcome.was_covering {
-            // Mirror catch-up (the covering partner's half of a rejoin)
-            // hands nothing over: the declare re-drove and removed every
-            // shadow on a cub this one covers (`ForwardMachine::on_declare`),
-            // and while it covers, `ForwardMachine::on_primary` takes the
-            // cover branch before the shadow branch. The window relays
-            // freshly shadowed records until the rejoiner's own lead
-            // pipeline is warm (one minVStateLead).
-            debug_assert!(
-                !self.fwd.shadows().any(|s| sh
-                    .catalog
-                    .locate(s.vs.file, s.vs.position)
-                    .is_some_and(|loc| loc.cub == from)),
-                "a covering cub holds a shadow on the rejoiner"
-            );
-            self.trace(sh, now, TraceEvent::HandbackOpen { to: from.raw() });
-            self.ring.open_handback(from, now, &sh.cfg.ring());
         }
     }
 
@@ -796,79 +735,29 @@ impl Cub {
 
     // --- Deadman protocol (§2.3) -------------------------------------------
 
-    /// Periodic heartbeat to the successor.
-    fn on_deadman_ping(&mut self, sh: &mut Shared, now: SimTime) {
+    /// The deadman's periodic half: the heartbeat to the successor, or the
+    /// silence check on the predecessor.
+    fn on_deadman(&mut self, sh: &mut Shared, now: SimTime, ping: bool) {
         if self.failed {
             return;
         }
-        if let Some(succ) = self.ring.ping_target() {
-            self.trace(sh, now, TraceEvent::DeadmanPing { to: succ.raw() });
-            sh.send_control(
-                now,
-                sh.cub_node(self.id),
-                sh.cub_node(succ),
-                Message::DeadmanPing { from: self.id },
-            );
+        let cfg = sh.cfg.ring();
+        let mut ring = Driver { cub: self, sh, now };
+        if ping {
+            ring.ping();
+        } else if let Some(failed) = ring.check(now, &cfg) {
+            ring.sh.metrics.failure_detections.push((now, failed.raw()));
         }
     }
 
-    /// Periodic silence check on the predecessor.
-    fn on_deadman_check(&mut self, sh: &mut Shared, now: SimTime) {
-        if self.failed {
-            return;
-        }
-        let Some((pred, silence)) = self.ring.poll_check(now, &sh.cfg.ring()) else {
-            return;
-        };
-        self.trace(
-            sh,
-            now,
-            TraceEvent::DeadmanDeclare {
-                failed: pred.raw(),
-                silence_ns: silence.as_nanos(),
-            },
-        );
-        sh.metrics.failure_detections.push((now, pred.raw()));
-        self.declare_failed(sh, now, pred);
-        // Tell everyone (including the controller).
-        let me = sh.cub_node(self.id);
-        let notice = Message::FailureNotice { failed: pred };
-        for target in self.ring.living_peers() {
-            sh.send_control(now, me, sh.cub_node(target), notice.clone());
-        }
-        sh.send_to_controller(now, me, notice);
-    }
-
-    fn on_failure_notice(&mut self, sh: &mut Shared, now: SimTime, failed: CubId) {
-        if failed == self.id {
-            // The ring declared this cub dead while it was stalled, and
-            // the acting successor already covers its streams. Fence:
-            // stop serving entirely rather than double-deliver until the
-            // (offline) repair brings this cub back through a restripe.
-            self.trace(sh, now, TraceEvent::CubFenced { cub: self.id.raw() });
-            return self.power_cut(sh, now);
-        }
-        self.declare_failed(sh, now, failed);
-    }
-
-    fn declare_failed(&mut self, sh: &mut Shared, now: SimTime, failed: CubId) {
-        if !self.ring.declare_failed(failed, now) {
-            return;
-        }
-        self.trace(
-            sh,
-            now,
-            TraceEvent::FailureNotice {
-                failed: failed.raw(),
-            },
-        );
+    /// §2.3 gap bridging once a belief flipped. Active entries already
+    /// forwarded into what turned out to be the dead span go again with
+    /// the next pass; then the recently serviced records whose next hop
+    /// lies in it are sent across.
+    fn bridge_gap(&mut self, sh: &mut Shared, now: SimTime) {
         if !sh.cfg.gap_recovery {
-            return self.takeover_if_acting_successor(sh, now, failed);
+            return;
         }
-        // §2.3 gap bridging. Active entries already forwarded into what
-        // turned out to be the dead span go again with the next pass; then
-        // the recently serviced records whose next hop lies in it are sent
-        // across.
         let (ring, catalog) = (&self.ring, &sh.catalog);
         let locate = |file, pos| catalog.locate(file, pos).map(|loc| loc.cub);
         if self.services.reforward(|vs| into_gap(vs, ring, locate)) {
@@ -879,22 +768,11 @@ impl Cub {
         for (next, dst) in gap_bridge(retired, &self.ring, locate) {
             sh.send_control(now, me, sh.cub_node(dst), Message::ViewerState(next));
         }
-        self.takeover_if_acting_successor(sh, now, failed);
     }
 
     /// The acting-successor duties on a failure: promote redundant starts
     /// and convert shadows for the failed cub's disks into mirror service.
-    fn takeover_if_acting_successor(&mut self, sh: &mut Shared, now: SimTime, failed: CubId) {
-        if !self.ring.covers(failed) {
-            return;
-        }
-        self.trace(
-            sh,
-            now,
-            TraceEvent::MirrorTakeover {
-                failed_cub: failed.raw(),
-            },
-        );
+    fn take_over(&mut self, sh: &mut Shared, now: SimTime, failed: CubId) {
         let stripe = sh.params.stripe();
         let catalog = &sh.catalog;
         self.ins.promote_where(|p| {
@@ -1000,6 +878,67 @@ impl Cub {
             self.fwd.on_deschedule(d, now, hold_until);
         }
         self.ring.clear_handback();
+    }
+}
+
+/// A cub at `now` as the driver of its ring machine: the §2.3 sequence is
+/// [`RingDriver`]'s, the hooks are this cub's sends, trace records,
+/// fence (a power cut), retired replay, gap bridge and takeover.
+struct Driver<'a> {
+    cub: &'a mut Cub,
+    sh: &'a mut Shared,
+    now: SimTime,
+}
+
+impl RingDriver for Driver<'_> {
+    fn ring(&mut self) -> &mut RingMachine {
+        &mut self.cub.ring
+    }
+
+    fn send(&mut self, to: CubId, msg: Message) {
+        let (me, to) = (self.sh.cub_node(self.cub.id), self.sh.cub_node(to));
+        self.sh.send_control(self.now, me, to, msg);
+    }
+
+    fn record(&mut self, event: TraceEvent) {
+        self.cub.trace(self.sh, self.now, event);
+    }
+
+    fn fence(&mut self) {
+        self.cub.power_cut(self.sh, self.now);
+    }
+
+    fn replay(&mut self, to: CubId) {
+        self.cub.replay_retired_tail(self.sh, self.now, to);
+    }
+
+    fn to_controller(&mut self, msg: Message) {
+        let me = self.sh.cub_node(self.cub.id);
+        self.sh.send_to_controller(self.now, me, msg);
+    }
+
+    fn bridge(&mut self) {
+        self.cub.bridge_gap(self.sh, self.now);
+    }
+
+    fn take_over(&mut self, failed: CubId) {
+        self.cub.take_over(self.sh, self.now, failed);
+    }
+
+    /// Mirror catch-up (the covering partner's half of a rejoin) hands
+    /// nothing over: the declare re-drove and removed every shadow on a
+    /// cub this one covers (`ForwardMachine::on_declare`), and while it
+    /// covers, `ForwardMachine::on_primary` takes the cover branch before
+    /// the shadow branch. The window relays freshly shadowed records until
+    /// the rejoiner's own lead pipeline is warm (one minVStateLead).
+    fn handing_back(&mut self, to: CubId) {
+        let catalog = &self.sh.catalog;
+        debug_assert!(
+            !self.cub.fwd.shadows().any(|s| catalog
+                .locate(s.vs.file, s.vs.position)
+                .is_some_and(|loc| loc.cub == to)),
+            "a covering cub holds a shadow on the rejoiner"
+        );
     }
 }
 

@@ -4,11 +4,10 @@
 //! here, and a life is armed, cut and restarted here. A child module of
 //! `cub.rs`, its file beside it, to share the private fields.
 
-use tiger_layout::CubId;
-use tiger_proto::msg::Message;
+use tiger_proto::RingDriver;
 use tiger_sim::{EventQueue, SimDuration, SimTime};
 
-use super::Cub;
+use super::{Cub, Driver};
 use crate::event::Event;
 use crate::system::Shared;
 
@@ -49,11 +48,7 @@ impl Cub {
                 if *due <= now {
                     *due = now + sh.cfg.deadman_interval;
                     let next = *due;
-                    if ping {
-                        self.on_deadman_ping(sh, now);
-                    } else {
-                        self.on_deadman_check(sh, now);
-                    }
+                    self.on_deadman(sh, now, ping);
                     if !self.failed {
                         sh.queue.schedule(next, event);
                     }
@@ -131,7 +126,7 @@ impl Cub {
     /// in-memory schedule is gone, which is the paper's point: "a cub can
     /// be rebooted... and rejoin" because the bounded view rebuilds from
     /// the ring. Everything protocol-visible is reset; the node comes
-    /// back, the rejoin is announced (see `on_rejoin_request`) and the
+    /// back, the rejoin is announced (`RingDriver::rejoin`) and the
     /// chains are armed afresh.
     pub(crate) fn restart(&mut self, sh: &mut Shared, now: SimTime) {
         let (striped, node) = (sh.cfg.stripe.num_cubs, sh.cub_node(self.id));
@@ -145,20 +140,15 @@ impl Cub {
         self.cache_resident.clear();
         self.pool.reset();
         self.ins.reset();
+        self.rejoined_at = Some(now);
         // A restarted process knows nothing about who is down; it assumes
         // the full striped ring is alive (spares stay marked failed — they
         // are not ring members) and learns real failures from RejoinAcks.
-        self.ring.restart(now, striped);
-        self.rejoined_at = Some(now);
         // Receivers clear their failure belief and re-baseline deadman
         // monitoring; ring neighbours answer with their own belief lists
         // (bounded-view exchange) and the covering mirror partner opens
         // its hand-back window.
-        let rejoin = Message::RejoinRequest { from: self.id };
-        for c in (0..striped).filter(|&c| c != self.id.raw()) {
-            sh.send_control(now, node, sh.cub_node(CubId(c)), rejoin.clone());
-        }
-        sh.send_to_controller(now, node, rejoin);
+        Driver { cub: self, sh, now }.rejoin(now, striped);
         self.arm_periodic(sh, now, false);
     }
 }

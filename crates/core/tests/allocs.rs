@@ -2,60 +2,19 @@
 //! binary of its own, because counting needs a `#[global_allocator]` and a
 //! binary has one.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+mod common;
 
 use tiger_core::{RedundancyMode, TigerConfig, TigerSystem};
 use tiger_layout::{CubId, StripeConfig};
 use tiger_sim::{Bandwidth, SimDuration, SimTime};
 
-/// The system allocator, counting calls that hand out memory.
-struct Counting;
-
-thread_local! {
-    /// Allocations made on this thread: each test runs a system on a
-    /// thread of its own, so tests running side by side do not mix.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count() {
-    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-}
-
-// SAFETY: every call is passed through to `System` unchanged; the counter
-// is a statistic, thread-local and without a destructor, and allocates
-// nothing.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
 /// Allocations a block sent between `from` and `to`, after running `sys`
 /// to `from`.
 fn per_block(sys: &mut TigerSystem, from: SimTime, to: SimTime) -> f64 {
     sys.run_until(from);
-    let open = (ALLOCS.with(Cell::get), sys.metrics().loss.blocks_sent);
+    let open = (common::allocs(), sys.metrics().loss.blocks_sent);
     sys.run_until(to);
-    let allocs = ALLOCS.with(Cell::get) - open.0;
+    let allocs = common::allocs() - open.0;
     let blocks = (sys.metrics().loss.blocks_sent - open.1) as f64;
     let per_block = allocs as f64 / blocks;
     println!("{allocs} allocations for {blocks} blocks: {per_block:.3} a block");

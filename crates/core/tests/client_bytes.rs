@@ -4,47 +4,12 @@
 //! (a seek or a resume is a new instance). A test binary of its own,
 //! because counting needs a `#[global_allocator]` and a binary has one.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+mod common;
 
 use tiger_core::Client;
 use tiger_layout::ids::ViewerInstance;
 use tiger_layout::{FileId, ViewerId};
 use tiger_sim::SimTime;
-
-/// The system allocator, counting the bytes it has handed out and not
-/// yet taken back.
-struct Live;
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-
-// SAFETY: every call is passed through to `System` unchanged; the counter
-// is a statistic and publishes no other data.
-unsafe impl GlobalAlloc for Live {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LIVE.fetch_add(layout.size(), Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        LIVE.fetch_add(layout.size(), Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LIVE.fetch_add(new_size, Ordering::Relaxed);
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Live = Live;
 
 #[test]
 fn a_stopped_ten_block_instance_keeps_at_most_256_bytes() {
@@ -57,7 +22,7 @@ fn a_stopped_ten_block_instance_keeps_at_most_256_bytes() {
     // bit for each block of its file and a piece map of its own).
     const INSTANCES: u32 = 10_000;
     const NUM_BLOCKS: u32 = 3_600;
-    let before = LIVE.load(Ordering::Relaxed);
+    let before = common::live();
     let mut client = Client::new();
     for i in 0..INSTANCES {
         let instance = ViewerInstance {
@@ -72,7 +37,7 @@ fn a_stopped_ten_block_instance_keeps_at_most_256_bytes() {
         }
         client.on_stopped(instance);
     }
-    let bytes = LIVE.load(Ordering::Relaxed) - before;
+    let bytes = common::live() - before;
     let report = client.report();
     assert_eq!(report.stopped_viewers, INSTANCES);
     assert_eq!(report.blocks_received, u64::from(INSTANCES) * 10);

@@ -3,45 +3,10 @@
 //! once loaded. A test binary of its own, because counting needs a
 //! `#[global_allocator]` and a binary has one.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+mod common;
 
 use tiger_core::{TigerConfig, TigerSystem};
 use tiger_sim::{Bandwidth, SimDuration};
-
-/// The system allocator, counting the bytes it has handed out and not
-/// yet taken back.
-struct Live;
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-
-// SAFETY: every call is passed through to `System` unchanged; the counter
-// is a statistic and publishes no other data.
-unsafe impl GlobalAlloc for Live {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LIVE.fetch_add(layout.size(), Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        LIVE.fetch_add(layout.size(), Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LIVE.fetch_add(new_size, Ordering::Relaxed);
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Live = Live;
 
 #[test]
 fn sosp97_catalog_leaves_at_most_0_6_bytes_an_extent() {
@@ -60,14 +25,14 @@ fn sosp97_catalog_leaves_at_most_0_6_bytes_an_extent() {
     // grew by doubling a block at a time; 57,347,008 and 49.8 while the
     // entries sat in two hash maps.)
     let mut sys = TigerSystem::new(TigerConfig::sosp97());
-    let before = LIVE.load(Ordering::Relaxed);
+    let before = common::live();
     for _ in 0..64 {
         sys.add_file(
             Bandwidth::from_mbit_per_sec(2),
             SimDuration::from_secs(3600),
         );
     }
-    let bytes = LIVE.load(Ordering::Relaxed) - before;
+    let bytes = common::live() - before;
     let shared = sys.shared();
     let blocks: u64 = shared
         .catalog

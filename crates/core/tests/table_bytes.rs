@@ -3,8 +3,7 @@
 //! records keep for a cub state the size of one of `scale-56`'s. A test binary of its own,
 //! because counting needs a `#[global_allocator]` and a binary has one.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+mod common;
 
 use tiger_core::cub::service::PieceSpec;
 use tiger_core::cub::TableBench;
@@ -12,40 +11,6 @@ use tiger_layout::ids::ViewerInstance;
 use tiger_layout::{BlockNum, DiskId, FileId, StripeConfig, ViewerId};
 use tiger_sched::{PrimaryRecord, ScheduleParams, SlotId, StreamKind, ViewApply, ViewerState};
 use tiger_sim::{Bandwidth, ByteSize, SimDuration, SimTime};
-
-/// The system allocator, counting the bytes it has handed out and not
-/// yet taken back.
-struct Live;
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-
-// SAFETY: every call is passed through to `System` unchanged; the counter
-// is a statistic and publishes no other data.
-unsafe impl GlobalAlloc for Live {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LIVE.fetch_add(layout.size(), Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        LIVE.fetch_add(layout.size(), Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LIVE.fetch_add(new_size, Ordering::Relaxed);
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Live = Live;
 
 fn record(slot: u32, viewer: u64) -> ViewerState {
     ViewerState {
@@ -98,13 +63,13 @@ fn a_scale_56_cub_state_keeps_no_more_than_three_maps_did() {
     let spec = PieceSpec::primary(&params, ByteSize::from_bytes(250_000), DiskId(0), 1);
     let spread = |i: u32, apart: u32| (i * apart) % SLOTS;
 
-    let start = LIVE.load(Ordering::Relaxed);
+    let start = common::live();
     let mut tables = TableBench::default();
     for i in 0..SERVICES {
         let applied = tables.view_apply(&record(spread(i, 3), u64::from(i)));
         assert_eq!(applied, ViewApply::Inserted);
     }
-    let after_view = LIVE.load(Ordering::Relaxed);
+    let after_view = common::live();
     for i in 0..RECORDS {
         let vs = record(spread(i, 3), u64::from(i));
         if i < SERVICES {
@@ -112,12 +77,12 @@ fn a_scale_56_cub_state_keeps_no_more_than_three_maps_did() {
         }
         tables.retire(PrimaryRecord::new(&vs).expect("a primary record"));
     }
-    let after_services = LIVE.load(Ordering::Relaxed);
+    let after_services = common::live();
     for i in 0..SHADOWS {
         let vs = record((i * 5 + 1) % SLOTS, 10_000 + u64::from(i));
         tables.shadow(vs, SimTime::from_secs(1));
     }
-    let end = LIVE.load(Ordering::Relaxed);
+    let end = common::live();
 
     let bytes = end - start;
     println!(

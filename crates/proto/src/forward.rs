@@ -710,9 +710,11 @@ mod tests {
     /// one [`ForwardMachine`] and one [`RingMachine`] a cub without a
     /// simulator. The test is the driver: it keeps what each cub serves
     /// (fed by the `Serve` and `Cover` verdicts), its retired log, the
-    /// forwarding of what it serves, the §2.3 gap re-drive at a declare,
-    /// the rejoin request and its acks, the hand-back relay, FIFO channels
-    /// between cubs and a client that records receipts.
+    /// forwarding of what it serves, the hand-back relay, FIFO channels
+    /// between cubs and a client that records receipts. The declare, its
+    /// notices, the rejoin request and its acks run through
+    /// [`RingDriver`]'s sequence, the one every driver ships, with the
+    /// search's own §2.3 gap re-drive and takeover as its hooks.
     ///
     /// Time is in block play times. Block `p` of a stream is due at tick
     /// `p` on cub `first + p`, one disk a cub. A served record's next
@@ -752,7 +754,9 @@ mod tests {
         use tiger_sim::DetHashSet;
 
         use super::*;
-        use crate::ring::{Membership, RingConfig};
+        use crate::ring::{Membership, RingConfig, RingDriver};
+        use crate::Message;
+        use tiger_trace::TraceEvent;
 
         /// `maxVStateLead`, in ticks.
         const LEAD: u32 = 3;
@@ -762,6 +766,12 @@ mod tests {
         /// `deschedule_hold`, in ticks: a deschedule is held `HOLD + LEAD`
         /// (`deschedule_reach`) past its application.
         const HOLD: u32 = 2;
+        /// The ring's timing: a hand-back window lasts one tick.
+        const RING: RingConfig = RingConfig {
+            deadman_timeout: SimDuration::from_secs(DETECT as u64),
+            deadman_interval: SimDuration::from_millis(500),
+            min_vstate_lead: SimDuration::from_secs(1),
+        };
 
         #[derive(Clone, Copy, Debug)]
         struct Model {
@@ -1139,21 +1149,16 @@ mod tests {
                     Step::Restart(c) => {
                         seen.log.push(format!("t{t} ctrl cub-restart cub={c}"));
                         self.restarted += 1;
-                        let n = &mut self.nodes[c as usize];
-                        n.crashed_at = None;
-                        n.ring.restart(at(t), self.m.cubs);
-                        for dst in (0..self.m.cubs).filter(|&d| d != c) {
-                            self.post(c, dst, Msg::Rejoin(c));
-                        }
+                        self.nodes[c as usize].crashed_at = None;
+                        let cubs = self.m.cubs;
+                        self.cub(c, seen).rejoin(at(t), cubs);
                     }
                     Step::Declare(s, c) => {
                         seen.log
                             .push(format!("t{t} cub{s} deadman-declare failed={c}"));
-                        self.declare(s, c, seen);
-                        let peers: Vec<_> = self.nodes[s as usize].ring.living_peers().collect();
-                        for p in peers {
-                            self.post(s, p.raw(), Msg::Notice(c));
-                        }
+                        let mut ring = self.cub(s, seen);
+                        ring.declare(at(t), CubId(c));
+                        ring.announce(CubId(c));
                     }
                     Step::Stop(i) => {
                         self.stopped.insert(i);
@@ -1220,94 +1225,29 @@ mod tests {
                     }
                     Step::Deliver(src, dst) => {
                         let ch = (src * self.m.cubs + dst) as usize;
-                        match self.channels[ch].pop_front().expect("an enabled channel") {
-                            Msg::Vs(i, p) => self.receive(dst, record(i, p), false, seen),
-                            Msg::Notice(c) => self.declare(dst, c, seen),
-                            Msg::Rejoin(r) => self.rejoin(dst, r, seen),
-                            Msg::Ack(from, failed) => {
-                                self.nodes[dst as usize].ring.heard_from(CubId(from), at(t));
-                                for c in (0..self.m.cubs).filter(|c| failed >> c & 1 == 1) {
-                                    self.declare(dst, c, seen);
+                        let msg = match self.channels[ch].pop_front().expect("an enabled channel") {
+                            Msg::Vs(i, p) => return self.receive(dst, record(i, p), false, seen),
+                            Msg::Desched(i, hops) => return self.deschedule(dst, i, hops, seen),
+                            Msg::Notice(c) => Message::FailureNotice { failed: CubId(c) },
+                            Msg::Rejoin(r) => Message::RejoinRequest { from: CubId(r) },
+                            Msg::Ack(from, bits) => {
+                                let failed = (0..self.m.cubs).filter(|c| bits >> c & 1 == 1);
+                                let failed = failed.collect::<Vec<_>>().into();
+                                Message::RejoinAck {
+                                    from: CubId(from),
+                                    failed,
                                 }
                             }
-                            Msg::Desched(i, hops) => self.deschedule(dst, i, hops, seen),
-                        }
+                        };
+                        let unhandled = self.cub(dst, seen).on_ring_message(at(t), &RING, msg);
+                        assert!(unhandled.is_none(), "a ring message");
                     }
                 }
             }
 
-            /// What `Cub::declare_failed` does: the belief, the §2.3 gap
-            /// re-drive and re-forward, and the takeover.
-            fn declare(&mut self, me: u32, c: u32, seen: &mut Seen) {
-                let n = &mut self.nodes[me as usize];
-                if !n.ring.declare_failed(CubId(c), at(self.t)) {
-                    return;
-                }
-                seen.log
-                    .push(format!("t{} cub{me} failure-notice failed={c}", self.t));
-                let (w, n) = (&*self, &self.nodes[me as usize]);
-                let records = |set: &BTreeSet<(u32, u32)>| -> Vec<_> {
-                    set.iter().map(|&(i, p)| record(i, p)).collect()
-                };
-                let into_gap = |vs: &ViewerState| into_gap(vs, &n.ring, w.locate());
-                let again: Vec<_> = records(&n.forwarded).into_iter().filter(into_gap).collect();
-                let bridged = gap_bridge(records(&n.retired), &n.ring, w.locate());
-                let n = &mut self.nodes[me as usize];
-                for vs in again {
-                    let r = (vs.slot.raw(), vs.position.raw());
-                    n.forwarded.remove(&r);
-                    n.unforwarded.insert(r);
-                }
-                for (vs, dst) in bridged {
-                    self.post(me, dst.raw(), Msg::Vs(vs.slot.raw(), vs.position.raw()));
-                }
-                if !self.nodes[me as usize].ring.covers(CubId(c)) {
-                    return;
-                }
-                seen.log.push(format!(
-                    "t{} cub{me} mirror-takeover failed_cub={c}",
-                    self.t
-                ));
-                let w = &*self;
-                let n = &w.nodes[me as usize];
-                let mut fwd = n.fwd.clone();
-                let (redrive, resends) =
-                    fwd.on_declare(&n.ring, at(w.t), SimDuration::from_secs(1), w.locate());
-                self.nodes[me as usize].fwd = fwd;
-                for vs in redrive {
-                    self.receive(me, vs, true, seen);
-                }
-                for (vs, owner) in resends {
-                    let (i, p) = (vs.slot.raw(), vs.position.raw());
-                    match owner.raw() {
-                        o if o == me => self.receive(me, vs, false, seen),
-                        o => self.post(me, o, Msg::Vs(i, p)),
-                    }
-                }
-            }
-
-            /// What `Cub::on_rejoin_request` does, the retired replay
-            /// aside (its commitment frontier lies past these files).
-            fn rejoin(&mut self, me: u32, r: u32, seen: &mut Seen) {
-                let cfg = RingConfig {
-                    deadman_timeout: SimDuration::from_secs(u64::from(DETECT)),
-                    deadman_interval: SimDuration::from_millis(500),
-                    min_vstate_lead: SimDuration::from_secs(1),
-                };
-                let (t, ring) = (self.t, &mut self.nodes[me as usize].ring);
-                let Some(outcome) = ring.on_rejoin_request(CubId(r), at(t), &cfg) else {
-                    return;
-                };
-                let failed = (0..self.m.cubs)
-                    .filter(|&c| ring.believes_failed(CubId(c)))
-                    .fold(0, |bits, c| bits | 1 << c);
-                if outcome.was_covering {
-                    seen.log.push(format!("t{t} cub{me} handback-open to={r}"));
-                    ring.open_handback(CubId(r), at(t), &cfg);
-                }
-                if outcome.should_ack {
-                    self.post(me, r, Msg::Ack(me, failed));
-                }
+            /// Cub `me` as the driver of its ring machine.
+            fn cub<'a>(&'a mut self, me: u32, seen: &'a mut Seen) -> At<'a> {
+                At { w: self, me, seen }
             }
 
             /// What `Cub::on_deschedule` does: the hold, the kill of the
@@ -1422,6 +1362,93 @@ mod tests {
                         if relay {
                             self.post(me, dead, Msg::Vs(i, p));
                         }
+                    }
+                }
+            }
+        }
+
+        /// Cub `me` of the world as a [`RingDriver`]: a send posts the
+        /// compact [`Msg`], a record logs its timeline line, and the bridge
+        /// and the takeover are the search's own.
+        struct At<'a> {
+            w: &'a mut World,
+            me: u32,
+            seen: &'a mut Seen,
+        }
+
+        impl RingDriver for At<'_> {
+            fn ring(&mut self) -> &mut RingMachine {
+                &mut self.w.nodes[self.me as usize].ring
+            }
+
+            fn send(&mut self, to: CubId, msg: Message) {
+                let msg = match msg {
+                    Message::FailureNotice { failed } => Msg::Notice(failed.raw()),
+                    Message::RejoinRequest { from } => Msg::Rejoin(from.raw()),
+                    Message::RejoinAck { from, failed } => {
+                        Msg::Ack(from.raw(), failed.iter().fold(0, |bits, c| bits | 1 << c))
+                    }
+                    msg => unreachable!("the search carries no {msg:?}"),
+                };
+                self.w.post(self.me, to.raw(), msg);
+            }
+
+            fn record(&mut self, event: TraceEvent) {
+                let mut line = format!("t{} cub{} {}", self.w.t, self.me, event.name());
+                for (k, v) in event.fields() {
+                    line.push_str(&format!(" {k}={v}"));
+                }
+                self.seen.log.push(line);
+            }
+
+            fn fence(&mut self) {
+                unreachable!("a notice goes only to cubs believed living, never the cub it names")
+            }
+
+            /// The retired replay is left out: its commitment frontier lies
+            /// past these files.
+            fn replay(&mut self, _to: CubId) {}
+
+            /// What `Cub::bridge_gap` does: re-forward what went into the
+            /// gap, and bridge the retired records' next hops across it.
+            fn bridge(&mut self) {
+                let (w, me) = (&*self.w, self.me);
+                let n = &w.nodes[me as usize];
+                let records = |set: &BTreeSet<(u32, u32)>| -> Vec<_> {
+                    set.iter().map(|&(i, p)| record(i, p)).collect()
+                };
+                let into_gap = |vs: &ViewerState| into_gap(vs, &n.ring, w.locate());
+                let again: Vec<_> = records(&n.forwarded).into_iter().filter(into_gap).collect();
+                let bridged = gap_bridge(records(&n.retired), &n.ring, w.locate());
+                let n = &mut self.w.nodes[me as usize];
+                for vs in again {
+                    let r = (vs.slot.raw(), vs.position.raw());
+                    n.forwarded.remove(&r);
+                    n.unforwarded.insert(r);
+                }
+                for (vs, dst) in bridged {
+                    self.w
+                        .post(me, dst.raw(), Msg::Vs(vs.slot.raw(), vs.position.raw()));
+                }
+            }
+
+            /// What `Cub::take_over` does with the shadows: re-drive them,
+            /// and re-send a rejoiner's.
+            fn take_over(&mut self, _failed: CubId) {
+                let (w, me) = (&*self.w, self.me);
+                let n = &w.nodes[me as usize];
+                let mut fwd = n.fwd.clone();
+                let (redrive, resends) =
+                    fwd.on_declare(&n.ring, at(w.t), SimDuration::from_secs(1), w.locate());
+                self.w.nodes[me as usize].fwd = fwd;
+                for vs in redrive {
+                    self.w.receive(me, vs, true, self.seen);
+                }
+                for (vs, owner) in resends {
+                    let (i, p) = (vs.slot.raw(), vs.position.raw());
+                    match owner.raw() {
+                        o if o == me => self.w.receive(me, vs, false, self.seen),
+                        o => self.w.post(me, o, Msg::Vs(i, p)),
                     }
                 }
             }

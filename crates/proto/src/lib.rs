@@ -1,11 +1,14 @@
 //! The sans-io protocol core of the Tiger reproduction.
 //!
-//! Everything in this crate is a *pure* state machine: inputs are typed
+//! The state machines in this crate are *pure*: inputs are typed
 //! messages and timer expiries, outputs are typed verdicts the caller —
 //! the *driver* — turns into sends, schedule actions, and timer re-arms.
-//! Nothing here touches a clock, a socket, an event queue, or a tracer;
-//! time enters only as `SimTime` arguments and leaves only as deadline
-//! values inside outputs. That boundary is what lets the same machines
+//! Nothing here touches a clock, a socket or an event queue; time enters
+//! only as `SimTime` arguments and leaves only as deadline values inside
+//! outputs. Where a sequence of decisions is the protocol, it is written
+//! here once, over hooks the driver implements: [`RingDriver`] runs §2.3's
+//! failure handling and hands its trace events (`tiger_trace::TraceEvent`)
+//! to the driver to record. That boundary is what lets the same machines
 //! run under two very different drivers:
 //!
 //! * the deterministic discrete-event simulation in `tiger-core`
@@ -20,10 +23,12 @@
 //! * [`msg`] — the control-plane message vocabulary ([`Message`]).
 //! * [`wire`] — the lossless text wire format for [`Message`] that real
 //!   transports use: one table row a message, its bytes pinned by tests.
-//! * [`ring`] — ring membership ([`Membership`]) and the failure
+//! * [`ring`] — ring membership ([`Membership`]), the failure
 //!   detector / rejoin machine ([`RingMachine`]): deadman pings and
 //!   checks, failure declaration, zombie fencing, rejoin baselines, and
-//!   the bounded mirror hand-back window.
+//!   the bounded mirror hand-back window; and the sequence around it
+//!   ([`RingDriver`]): declare, announce, take over, fence, answer a
+//!   rejoin and hand back.
 //! * [`forward`] — the viewer-state decision of §4.1.1
 //!   ([`ForwardMachine`]): a received primary record is served, covered
 //!   for a dead owner, shadowed, refused as a duplicate, or ends its
@@ -53,5 +58,5 @@ pub use forward::{ForwardMachine, Progress, Verdict};
 pub use insert::{InsertMachine, PendingStart};
 pub use msg::{Message, FRAME_BYTES};
 pub use reserve::ReserveMachine;
-pub use ring::{Membership, RejoinOutcome, RingConfig, RingMachine};
+pub use ring::{Membership, RejoinOutcome, RingConfig, RingDriver, RingMachine};
 pub use wire::{decode, encode};

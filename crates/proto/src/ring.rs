@@ -1,14 +1,15 @@
-//! The ring-membership / failure-detector state machine (§2.3, §4.1.1).
+//! The ring-membership / failure-detector state machine (§2.3, §4.1.1),
+//! and the one sequence every driver runs it through.
 //!
 //! [`RingMachine`] owns every belief a cub holds about the ring: which
 //! cubs it believes failed, when it last heard from each, the per-cub
 //! "recently rejoined" horizon, and the open mirror hand-back window.
 //! Inputs are deadman pings, failure notices, rejoin requests/acks, and
-//! timer expiries (the periodic deadman check); outputs are small typed
-//! verdicts the driver turns into sends, traces, and metrics. The
-//! machine itself never sends, schedules, or records anything — that is
-//! the sans-io contract that lets the DES driver (`tiger_core::Cub`)
-//! and the socket driver (`tiger-rt`) run identical protocol logic.
+//! timer expiries; outputs are small typed verdicts. The machine never
+//! sends, schedules, or records anything. [`RingDriver`] is §2.3's
+//! failure handling written once around those verdicts, over hooks the
+//! DES cub, the socket driver (`tiger-rt`) and the crash-path search
+//! implement, so the search checks the code that ships.
 //!
 //! [`Membership`] is the belief vector alone, shared with the
 //! controller's routing table (the controller tracks cub liveness from
@@ -16,6 +17,7 @@
 
 use tiger_layout::CubId;
 use tiger_sim::{SimDuration, SimTime};
+use tiger_trace::TraceEvent;
 
 use crate::msg::Message;
 
@@ -204,13 +206,6 @@ impl RingMachine {
         }
     }
 
-    /// Every other cub this cub believes living, ascending: where a
-    /// failure notice goes.
-    pub fn living_peers(&self) -> impl Iterator<Item = CubId> + '_ {
-        let ring = (0..self.num_cubs()).map(CubId);
-        ring.filter(|&c| c != self.id && !self.believes_failed(c))
-    }
-
     /// The first living cub strictly after `from`.
     pub fn next_living(&self, from: CubId) -> Option<CubId> {
         self.members.next_living(from)
@@ -264,8 +259,8 @@ impl RingMachine {
     /// Timer input: the periodic deadman check. Read-only — returns the
     /// predecessor and its observed silence when the silence *strictly*
     /// exceeds the timeout, `None` otherwise (including the degenerate
-    /// one-living-cub ring). The driver records the declaration and then
-    /// calls [`RingMachine::declare_failed`].
+    /// one-living-cub ring). [`RingDriver::check`] records the
+    /// declaration and then declares and announces it.
     pub fn poll_check(&self, now: SimTime, cfg: &RingConfig) -> Option<(CubId, SimDuration)> {
         let pred = self.prev_living(self.id)?;
         if pred == self.id {
@@ -278,9 +273,9 @@ impl RingMachine {
     /// Input: `failed` is to be believed dead (a local declaration or a
     /// received failure notice). Returns false when the belief was
     /// already held (or `failed` is this cub) and nothing changed; true
-    /// when the belief flipped — the driver then runs the gap-bridging
-    /// re-drive and the acting-successor takeover. The return is the
-    /// drivers' only guard: neither re-tests the belief. Flipping the
+    /// when the belief flipped — [`RingDriver::declare`] then runs the
+    /// gap bridge and the acting-successor takeover. The return is the
+    /// sequence's only guard: nothing re-tests the belief. Flipping the
     /// belief re-baselines monitoring of the (possibly new) predecessor.
     pub fn declare_failed(&mut self, failed: CubId, now: SimTime) -> bool {
         if self.members.is_failed(failed) || failed == self.id {
@@ -394,6 +389,142 @@ impl RingMachine {
     }
 }
 
+/// A driver of one cub's [`RingMachine`]: declare the silent
+/// predecessor, adopt the belief, tell the living peers, take over, fence
+/// a zombie, answer a rejoin and hand back. A driver implements the hooks,
+/// each run at its own current instant; the provided methods are the
+/// sequence (given that instant as `now` for the machine), and the order
+/// they call the hooks in, which this module's tests pin, is what keeps
+/// the drivers bit-exact.
+pub trait RingDriver {
+    /// This cub's ring machine.
+    fn ring(&mut self) -> &mut RingMachine;
+    /// Sends `msg` to cub `to`.
+    fn send(&mut self, to: CubId, msg: Message);
+    /// Records one protocol decision of this cub.
+    fn record(&mut self, event: TraceEvent);
+    /// Stops this cub, declared dead while it stalled (a zombie): its
+    /// acting successor covers its streams.
+    fn fence(&mut self);
+    /// As the rejoiner `to`'s predecessor, replays the retired-log tail.
+    fn replay(&mut self, to: CubId);
+    /// Sends `msg` to the controller, for a driver that has one.
+    fn to_controller(&mut self, _msg: Message) {}
+    /// §2.3's gap bridge once a belief flipped.
+    fn bridge(&mut self) {}
+    /// The acting successor's takeover of `failed`'s disks.
+    fn take_over(&mut self, _failed: CubId) {}
+    /// Runs just before the hand-back window toward `to` opens.
+    fn handing_back(&mut self, _to: CubId) {}
+
+    /// The periodic heartbeat to this cub's living successor.
+    fn ping(&mut self) {
+        let Some(succ) = self.ring().ping_target() else {
+            return;
+        };
+        self.record(TraceEvent::DeadmanPing { to: succ.raw() });
+        let from = self.ring().id();
+        self.send(succ, Message::DeadmanPing { from });
+    }
+
+    /// The periodic silence check on the predecessor: one silent past the
+    /// timeout is recorded, declared and announced, and returned.
+    fn check(&mut self, now: SimTime, cfg: &RingConfig) -> Option<CubId> {
+        let (pred, silence) = self.ring().poll_check(now, cfg)?;
+        let (failed, silence_ns) = (pred.raw(), silence.as_nanos());
+        self.record(TraceEvent::DeadmanDeclare { failed, silence_ns });
+        self.declare(now, pred);
+        self.announce(pred);
+        Some(pred)
+    }
+
+    /// Believes `failed` dead: its record, the gap bridge, then for the
+    /// acting successor the takeover. Nothing when the belief was held.
+    fn declare(&mut self, now: SimTime, failed: CubId) {
+        if !self.ring().declare_failed(failed, now) {
+            return;
+        }
+        let cub = failed.raw();
+        self.record(TraceEvent::FailureNotice { failed: cub });
+        self.bridge();
+        if self.ring().covers(failed) {
+            self.record(TraceEvent::MirrorTakeover { failed_cub: cub });
+            self.take_over(failed);
+        }
+    }
+
+    /// Tells each peer believed living, ascending, then the controller,
+    /// that `failed` is dead.
+    fn announce(&mut self, failed: CubId) {
+        let (me, cubs) = (self.ring().id(), self.ring().num_cubs());
+        let notice = Message::FailureNotice { failed };
+        // By id: collecting the peers would allocate at every declare.
+        for peer in (0..cubs).map(CubId) {
+            if peer != me && !self.ring().believes_failed(peer) {
+                self.send(peer, notice.clone());
+            }
+        }
+        self.to_controller(notice);
+    }
+
+    /// Handles a received ring message (a ping, a failure notice, a
+    /// rejoin request or its ack) and returns `None`; hands any other
+    /// message back to the caller.
+    fn on_ring_message(&mut self, now: SimTime, cfg: &RingConfig, msg: Message) -> Option<Message> {
+        match msg {
+            Message::DeadmanPing { from } => {
+                // A zombie's ping: tell it, so it fences itself off.
+                if self.ring().on_ping(from, now) {
+                    self.send(from, Message::FailureNotice { failed: from });
+                }
+            }
+            Message::FailureNotice { failed } if failed == self.ring().id() => {
+                self.record(TraceEvent::CubFenced { cub: failed.raw() });
+                self.fence();
+            }
+            Message::FailureNotice { failed } => self.declare(now, failed),
+            Message::RejoinRequest { from } => {
+                // Its own request is `None`, handled. Then the ack, the
+                // replay and the hand-back.
+                let outcome = self.ring().on_rejoin_request(from, now, cfg)?;
+                if outcome.should_ack {
+                    let ack = self.ring().rejoin_ack();
+                    self.send(from, ack);
+                }
+                if outcome.should_replay {
+                    self.replay(from);
+                }
+                if outcome.was_covering {
+                    self.handing_back(from);
+                    self.record(TraceEvent::HandbackOpen { to: from.raw() });
+                    self.ring().open_handback(from, now, cfg);
+                }
+            }
+            Message::RejoinAck { from, failed } => {
+                self.ring().heard_from(from, now);
+                for &c in failed.iter() {
+                    self.declare(now, CubId(c));
+                }
+            }
+            other => return Some(other),
+        }
+        None
+    }
+
+    /// A restart: the machine forgets every belief (the first `striped`
+    /// cubs are assumed living), and every other striped cub and the
+    /// controller are asked to take this cub back.
+    fn rejoin(&mut self, now: SimTime, striped: u32) {
+        self.ring().restart(now, striped);
+        let from = self.ring().id();
+        let request = Message::RejoinRequest { from };
+        for c in (0..striped).map(CubId).filter(|&c| c != from) {
+            self.send(c, request.clone());
+        }
+        self.to_controller(request);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -501,8 +632,6 @@ mod tests {
         assert!(ring.covers(CubId(1)));
         assert!(!ring.covers(CubId(0)), "c0 is alive");
         assert!(!ring.covers(CubId(3)), "c3 is alive, and c0 follows it");
-        let peers: Vec<CubId> = ring.living_peers().collect();
-        assert_eq!(peers, vec![CubId(0), CubId(3)]);
         assert!(ring.declare_failed(CubId(3), SimTime::from_secs(2)));
         assert!(!ring.covers(CubId(3)), "c0, not c2, follows c3");
     }
@@ -652,5 +781,201 @@ mod tests {
                 &cfg()
             )
             .is_some());
+    }
+
+    /// A driver that logs every hook call in one list, in call order.
+    struct Log {
+        ring: RingMachine,
+        calls: Vec<String>,
+    }
+
+    impl Log {
+        /// Cub `id` on an `n`-cub ring, every clock heard at 1 s.
+        fn new(id: u32, n: u32) -> Self {
+            let mut ring = RingMachine::new(CubId(id), n);
+            warm(&mut ring, SimTime::from_secs(1));
+            Log {
+                ring,
+                calls: Vec::new(),
+            }
+        }
+
+        /// The calls logged since the last take.
+        fn take(&mut self) -> Vec<String> {
+            std::mem::take(&mut self.calls)
+        }
+    }
+
+    impl RingDriver for Log {
+        fn ring(&mut self) -> &mut RingMachine {
+            &mut self.ring
+        }
+        fn send(&mut self, to: CubId, msg: Message) {
+            let line = crate::wire::encode(&msg);
+            self.calls.push(format!("send c{} {line}", to.raw()));
+        }
+        fn record(&mut self, event: TraceEvent) {
+            let fields = event.fields().into_iter().map(|(k, v)| format!(" {k}={v}"));
+            let line = format!("record {}{}", event.name(), fields.collect::<String>());
+            self.calls.push(line);
+        }
+        fn fence(&mut self) {
+            self.calls.push("fence".into());
+        }
+        fn replay(&mut self, to: CubId) {
+            self.calls.push(format!("replay c{}", to.raw()));
+        }
+        fn to_controller(&mut self, msg: Message) {
+            let line = crate::wire::encode(&msg);
+            self.calls.push(format!("controller {line}"));
+        }
+        fn bridge(&mut self) {
+            self.calls.push("bridge".into());
+        }
+        fn take_over(&mut self, failed: CubId) {
+            self.calls.push(format!("take-over c{}", failed.raw()));
+        }
+        fn handing_back(&mut self, to: CubId) {
+            self.calls.push(format!("handing-back c{}", to.raw()));
+        }
+    }
+
+    // The order the provided methods call the hooks in is what keeps the
+    // drivers bit-exact with one another.
+    #[test]
+    fn a_declare_bridges_then_takes_over_once() {
+        let mut d = Log::new(2, 5);
+        let t = SimTime::from_secs(2);
+        d.declare(t, CubId(1));
+        assert_eq!(
+            d.take(),
+            [
+                "record failure-notice failed=1",
+                "bridge",
+                "record mirror-takeover failed_cub=1",
+                "take-over c1",
+            ]
+        );
+        d.declare(t, CubId(1));
+        assert!(d.take().is_empty(), "a belief already held does nothing");
+        d.declare(t, CubId(3));
+        assert_eq!(
+            d.take(),
+            ["record failure-notice failed=3", "bridge"],
+            "c4, not c2, follows c3"
+        );
+    }
+
+    #[test]
+    fn a_check_declares_then_announces_peers_ascending_then_the_controller() {
+        let mut d = Log::new(2, 5);
+        d.declare(SimTime::from_secs(1), CubId(4));
+        d.take();
+        let late = SimTime::from_secs(1) + cfg().deadman_timeout + SimDuration::from_nanos(1);
+        assert_eq!(d.check(late, &cfg()), Some(CubId(1)));
+        assert_eq!(
+            d.take(),
+            [
+                "record deadman-declare failed=1 silence_ns=2000000001",
+                "record failure-notice failed=1",
+                "bridge",
+                "record mirror-takeover failed_cub=1",
+                "take-over c1",
+                "send c0 NOTICE 1",
+                "send c3 NOTICE 1",
+                "controller NOTICE 1",
+            ]
+        );
+        assert_eq!(d.check(late, &cfg()), None, "c0 is monitored from now");
+        assert!(d.take().is_empty());
+    }
+
+    #[test]
+    fn a_rejoin_request_acks_then_replays_then_hands_back() {
+        // On two cubs the survivor is both the rejoiner's predecessor and
+        // the cub covering it.
+        let mut d = Log::new(0, 2);
+        d.declare(SimTime::from_secs(2), CubId(1));
+        d.take();
+        let request = Message::RejoinRequest { from: CubId(1) };
+        let t = SimTime::from_secs(5);
+        assert_eq!(d.on_ring_message(t, &cfg(), request), None);
+        assert_eq!(
+            d.take(),
+            [
+                "send c1 RACK 0 -",
+                "replay c1",
+                "handing-back c1",
+                "record handback-open to=1",
+            ]
+        );
+        assert!(d.ring.handback_relay(CubId(1), t), "the window is open");
+        let own = Message::RejoinRequest { from: CubId(0) };
+        assert_eq!(d.on_ring_message(t, &cfg(), own), None);
+        assert!(d.take().is_empty(), "a cub's own request is nothing");
+    }
+
+    #[test]
+    fn a_rejoin_ack_declares_each_listed_cub_in_order() {
+        let mut d = Log::new(2, 5);
+        let ack = Message::RejoinAck {
+            from: CubId(4),
+            failed: vec![1, 3].into(),
+        };
+        assert_eq!(d.on_ring_message(SimTime::from_secs(2), &cfg(), ack), None);
+        assert_eq!(
+            d.take(),
+            [
+                "record failure-notice failed=1",
+                "bridge",
+                "record mirror-takeover failed_cub=1",
+                "take-over c1",
+                "record failure-notice failed=3",
+                "bridge",
+            ]
+        );
+    }
+
+    #[test]
+    fn a_notice_naming_the_receiver_fences_it_and_a_zombie_ping_earns_one() {
+        let mut d = Log::new(2, 4);
+        let t = SimTime::from_secs(2);
+        let notice = Message::FailureNotice { failed: CubId(2) };
+        assert_eq!(d.on_ring_message(t, &cfg(), notice), None);
+        assert_eq!(d.take(), ["record cub-fenced cub=2", "fence"]);
+        assert!(!d.ring.believes_failed(CubId(2)));
+
+        let ping = |from| Message::DeadmanPing { from: CubId(from) };
+        assert_eq!(d.on_ring_message(t, &cfg(), ping(1)), None);
+        assert!(d.take().is_empty(), "a living predecessor's ping");
+        d.declare(t, CubId(1));
+        d.take();
+        assert_eq!(d.on_ring_message(t, &cfg(), ping(1)), None);
+        assert_eq!(d.take(), ["send c1 NOTICE 1"], "a zombie is told");
+    }
+
+    #[test]
+    fn a_ping_a_restart_and_other_messages() {
+        let mut d = Log::new(1, 4);
+        d.ping();
+        assert_eq!(d.take(), ["record deadman-ping to=2", "send c2 PING 1"]);
+        d.declare(SimTime::from_secs(2), CubId(2));
+        d.rejoin(SimTime::from_secs(3), 4);
+        assert_eq!(
+            &d.take()[2..],
+            [
+                "send c0 REJOIN 1",
+                "send c2 REJOIN 1",
+                "send c3 REJOIN 1",
+                "controller REJOIN 1",
+            ]
+        );
+        assert!(!d.ring.believes_failed(CubId(2)), "a restart forgets");
+        let other = Message::ViewerFinished {
+            instance: Default::default(),
+        };
+        let back = d.on_ring_message(SimTime::from_secs(3), &cfg(), other.clone());
+        assert_eq!(back, Some(other), "handed back to the caller");
+        assert!(d.take().is_empty());
     }
 }

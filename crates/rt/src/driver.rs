@@ -2,12 +2,16 @@
 //! clocks.
 //!
 //! Each cub thread owns a [`tiger_proto::RingMachine`] — the exact state
-//! machine the DES runs — plus a UDP socket bound to `127.0.0.1:0`.
-//! Control messages travel as [`tiger_proto::wire`] text lines, one
-//! datagram per message. Time is wall-clock nanoseconds since a shared
-//! epoch `Instant`, fed to the machine as [`SimTime`] values; the two
-//! periodic timers (heartbeat ping, deadman check) are deadline checks
-//! in the receive loop, whose `recv` timeout bounds the polling
+//! machine the DES runs — plus a UDP socket bound to `127.0.0.1:0`, and
+//! is a [`RingDriver`]: the ping, the check, the declare, the notices, the
+//! fence and the rejoin are the sequence `tiger-proto` writes once for
+//! every driver, and this file implements only its hooks (a datagram
+//! send, a trace record, the fence flag, and a replay that has no data
+//! plane to carry). Control messages travel as [`tiger_proto::wire`] text
+//! lines, one datagram per message. Time is wall-clock nanoseconds since
+//! a shared epoch `Instant`, fed to the machine as [`SimTime`] values;
+//! the two periodic timers (heartbeat ping, deadman check) are deadline
+//! checks in the receive loop, whose `recv` timeout bounds the polling
 //! latency.
 //!
 //! The harness script (crash, restart, shutdown) reaches each thread
@@ -15,8 +19,7 @@
 //! `restart_cub_at` events: a crashed cub keeps draining its socket and
 //! discarding everything — exactly what `net.fail_node` does to
 //! messages addressed to a dead node — and a restarting cub resets its
-//! machine and announces the rejoin, mirroring
-//! `TigerSystem::restart_cub`.
+//! machine and announces the rejoin ([`RingDriver::rejoin`]).
 //!
 //! Every protocol decision is recorded as a [`TraceRecord`] so the
 //! conformance gate can compare this driver's run against the DES
@@ -29,7 +32,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use tiger_layout::CubId;
-use tiger_proto::{wire, Message, RingConfig, RingMachine};
+use tiger_proto::{wire, Message, RingConfig, RingDriver, RingMachine};
 use tiger_sim::SimTime;
 use tiger_trace::{TraceEvent, TraceRecord, CTRL};
 
@@ -175,23 +178,6 @@ impl CubThread {
         SimTime::from_nanos(self.epoch.elapsed().as_nanos() as u64)
     }
 
-    fn record(&mut self, now: SimTime, ev: TraceEvent) {
-        self.out.push(TraceRecord {
-            seq: 0,
-            at: now,
-            cub: self.id.raw(),
-            ev,
-        });
-    }
-
-    fn send(&self, to: CubId, msg: &Message) {
-        // UDP on loopback: a failed send (e.g. during shutdown) is the
-        // same as a lost datagram, which the protocol tolerates.
-        let _ = self
-            .sock
-            .send_to(wire::encode(msg).as_bytes(), self.peers[to.index()]);
-    }
-
     fn run(mut self) -> (Vec<TraceRecord>, u64) {
         let interval = self.cfg.deadman_interval;
         let mut next_ping = SimTime::ZERO + interval;
@@ -214,14 +200,9 @@ impl CubThread {
                     // a predecessor on stale silence).
                     while self.sock.recv_from(&mut buf).is_ok() {}
                     let now = self.now();
-                    self.ring.restart(now, self.ring.num_cubs());
                     self.fenced = false;
-                    let rejoin = Message::RejoinRequest { from: self.id };
-                    for c in 0..self.ring.num_cubs() {
-                        if CubId(c) != self.id {
-                            self.send(CubId(c), &rejoin);
-                        }
-                    }
+                    let striped = self.ring.num_cubs();
+                    self.rejoin(now, striped);
                     next_ping = now + interval;
                     next_check = now + self.cfg.deadman_timeout;
                     self.control.store(RUN, Ordering::SeqCst);
@@ -236,13 +217,12 @@ impl CubThread {
             }
             let now = self.now();
             if now >= next_ping {
-                if let Some(succ) = self.ring.ping_target() {
-                    self.send(succ, &Message::DeadmanPing { from: self.id });
-                }
+                self.ping();
                 next_ping += interval;
             }
             if now >= next_check {
-                self.deadman_check(now);
+                let cfg = self.cfg;
+                self.check(now, &cfg);
                 next_check += interval;
             }
             match self.sock.recv_from(&mut buf) {
@@ -255,112 +235,54 @@ impl CubThread {
     }
 
     /// Decodes and handles one datagram, or counts it when `wire::decode`
-    /// refuses it.
+    /// refuses it. Data-plane and controller-plane messages have no
+    /// receiver in this control-only driver.
     fn on_datagram(&mut self, bytes: &[u8]) {
         match std::str::from_utf8(bytes).ok().and_then(wire::decode) {
             Some(msg) => {
-                let now = self.now();
-                self.on_message(now, msg);
+                let (now, cfg) = (self.now(), self.cfg);
+                let _ = self.on_ring_message(now, &cfg, msg);
             }
             None => self.refused += 1,
         }
     }
+}
 
-    /// The timer half of the deadman protocol: poll the machine and turn
-    /// a declaration verdict into the trace + notice fan-out the DES
-    /// driver performs (`Cub::on_deadman_check`).
-    fn deadman_check(&mut self, now: SimTime) {
-        let Some((pred, silence)) = self.ring.poll_check(now, &self.cfg) else {
-            return;
-        };
-        self.record(
-            now,
-            TraceEvent::DeadmanDeclare {
-                failed: pred.raw(),
-                silence_ns: silence.as_nanos(),
-            },
-        );
-        self.declare_failed(now, pred);
-        let notice = Message::FailureNotice { failed: pred };
-        for target in self.ring.living_peers() {
-            self.send(target, &notice);
-        }
+impl RingDriver for CubThread {
+    fn ring(&mut self) -> &mut RingMachine {
+        &mut self.ring
     }
 
-    /// Belief adoption + acting-successor takeover, the control-plane
-    /// half of `Cub::declare_failed` (this driver carries no streams, so
-    /// the §2.3 redrive and shadow conversion have nothing to do).
-    fn declare_failed(&mut self, now: SimTime, failed: CubId) {
-        if !self.ring.declare_failed(failed, now) {
-            return;
-        }
-        self.record(
-            now,
-            TraceEvent::FailureNotice {
-                failed: failed.raw(),
-            },
-        );
-        if self.ring.covers(failed) {
-            self.record(
-                now,
-                TraceEvent::MirrorTakeover {
-                    failed_cub: failed.raw(),
-                },
-            );
-        }
+    fn send(&mut self, to: CubId, msg: Message) {
+        // UDP on loopback: a failed send (e.g. during shutdown) is the
+        // same as a lost datagram, which the protocol tolerates.
+        let _ = self
+            .sock
+            .send_to(wire::encode(&msg).as_bytes(), self.peers[to.index()]);
     }
 
-    fn on_message(&mut self, now: SimTime, msg: Message) {
-        match msg {
-            // Zombie fencing: a ping from a believed-dead sender earns a
-            // notice telling it to stop serving (its streams are covered).
-            Message::DeadmanPing { from } if self.ring.on_ping(from, now) => {
-                self.send(from, &Message::FailureNotice { failed: from });
-            }
-            Message::DeadmanPing { .. } => {}
-            Message::FailureNotice { failed } => {
-                if failed == self.id {
-                    self.record(now, TraceEvent::CubFenced { cub: self.id.raw() });
-                    self.fenced = true;
-                    return;
-                }
-                self.declare_failed(now, failed);
-            }
-            Message::RejoinRequest { from } => {
-                let Some(outcome) = self.ring.on_rejoin_request(from, now, &self.cfg) else {
-                    return;
-                };
-                if outcome.should_ack {
-                    self.send(from, &self.ring.rejoin_ack());
-                }
-                if outcome.should_replay {
-                    // No data plane: the retired tail is empty, but the
-                    // predecessor's *decision* to replay it is the
-                    // conformance-relevant act (`Cub::replay_retired_tail`
-                    // traces it unconditionally for the same reason).
-                    self.record(
-                        now,
-                        TraceEvent::RetiredReplay {
-                            to: from.raw(),
-                            count: 0,
-                        },
-                    );
-                }
-                if outcome.was_covering {
-                    self.record(now, TraceEvent::HandbackOpen { to: from.raw() });
-                    self.ring.open_handback(from, now, &self.cfg);
-                }
-            }
-            Message::RejoinAck { from, failed } => {
-                self.ring.heard_from(from, now);
-                for &c in failed.iter() {
-                    self.declare_failed(now, CubId(c));
-                }
-            }
-            // Data-plane and controller-plane messages have no receiver
-            // in this control-only driver.
-            _ => {}
-        }
+    fn record(&mut self, ev: TraceEvent) {
+        let (at, cub) = (self.now(), self.id.raw());
+        self.out.push(TraceRecord {
+            seq: 0,
+            at,
+            cub,
+            ev,
+        });
+    }
+
+    /// A fenced zombie stops participating until restarted.
+    fn fence(&mut self) {
+        self.fenced = true;
+    }
+
+    /// No data plane: the retired tail is empty, but the predecessor's
+    /// *decision* to replay it is the conformance-relevant act
+    /// (`Cub::replay_retired_tail` traces it unconditionally for the same
+    /// reason).
+    fn replay(&mut self, to: CubId) {
+        let to = to.raw();
+        self.record(TraceEvent::RetiredReplay { to, count: 0 });
     }
 }
 

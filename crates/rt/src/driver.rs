@@ -1,12 +1,11 @@
 //! The thread/socket driver: one OS thread per cub, loopback UDP, wall
 //! clocks.
 //!
-//! Each cub thread owns a [`tiger_proto::RingMachine`] — the exact state
-//! machine the DES runs — plus a UDP socket bound to `127.0.0.1:0`, and
-//! is a [`RingDriver`]: the ping, the check, the declare, the notices, the
-//! fence and the rejoin are the sequence `tiger-proto` writes once for
-//! every driver, and this file implements only its hooks (a datagram
-//! send, a trace record, the fence flag, and a replay that has no data
+//! Each cub thread owns a [`tiger_proto::RingMachine`] and a UDP socket
+//! bound to `127.0.0.1:0`, and is a [`RingDriver`]: the ping, check,
+//! declare, notices, fence and rejoin are the sequence `tiger-proto`
+//! writes once for every driver, and this file implements its hooks (a
+//! datagram, a trace record, the fence flag, and a replay with no data
 //! plane to carry). Control messages travel as [`tiger_proto::wire`] text
 //! lines, one datagram per message. Time is wall-clock nanoseconds since
 //! a shared epoch `Instant`, fed to the machine as [`SimTime`] values;
@@ -262,13 +261,8 @@ impl RingDriver for CubThread {
     }
 
     fn record(&mut self, ev: TraceEvent) {
-        let (at, cub) = (self.now(), self.id.raw());
-        self.out.push(TraceRecord {
-            seq: 0,
-            at,
-            cub,
-            ev,
-        });
+        let (seq, at, cub) = (0, self.now(), self.id.raw());
+        self.out.push(TraceRecord { seq, at, cub, ev });
     }
 
     /// A fenced zombie stops participating until restarted.

@@ -6,9 +6,11 @@
 //! owning a loopback UDP socket, messages travel as the lossless text
 //! wire format from [`tiger_proto::wire`], and timers are wall-clock
 //! deadlines measured from a shared epoch `Instant`. The machines —
-//! [`tiger_proto::RingMachine`] and friends — are byte-for-byte the same
-//! code the simulator runs, which is the point: any divergence between
-//! the two drivers is a driver bug, not a protocol ambiguity.
+//! [`tiger_proto::RingMachine`] and friends — and §2.3's sequence around
+//! them ([`tiger_proto::RingDriver`], whose hooks this crate implements)
+//! are byte-for-byte the code the simulator runs, which is the point: any
+//! divergence between the two drivers is in the transport, the codec or
+//! the timers, not a protocol ambiguity.
 //!
 //! The DES stays the oracle. [`conformance`] reduces a trace from either
 //! driver to its *protocol decisions* — failure declarations, belief

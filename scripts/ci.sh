@@ -281,7 +281,7 @@ if [ "$lines" -gt 604 ]; then
 fi
 for dir_limit in crates/core/src:6730 crates/faults/src:1238 crates/net/src:497 \
     crates/workload/src:1218 crates/bench/src:2811 \
-    crates/sched/src:1661 crates/proto/src:2004 crates/rt/src:389 \
+    crates/sched/src:1661 crates/proto/src:2004 crates/rt/src:385 \
     crates/layout/src:1589; do
     dir=${dir_limit%:*} limit=${dir_limit#*:} total=0
     for f in "$dir"/*.rs; do

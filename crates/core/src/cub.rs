@@ -14,12 +14,14 @@ use tiger_layout::ids::ViewerInstance;
 use tiger_layout::{
     BlockIndex, BlockNum, CubId, DiskId, DiskRegion, DiskSpace, FileId, Piece, StripeConfig,
 };
-use tiger_proto::forward::{gap_bridge, into_gap, replay_batch, Verdict};
+use tiger_proto::forward::replay_batch;
 use tiger_proto::insert::AttemptDecision;
 use tiger_proto::msg::Message;
-use tiger_proto::{ForwardMachine, InsertMachine, RingDriver, RingMachine};
+use tiger_proto::{
+    ForwardDriver, ForwardMachine, InsertMachine, Progress, RingDriver, RingMachine,
+};
 use tiger_sched::{Deschedule, SlotId, StreamKind, ViewerState};
-use tiger_sim::{Counter, SimDuration, SimTime};
+use tiger_sim::{ByteSize, Counter, SimDuration, SimTime};
 use tiger_trace::TraceEvent;
 
 use crate::config::{ForwardingPolicy, TigerConfig, BUFFER_CACHE};
@@ -279,7 +281,10 @@ impl Cub {
                 }
             }
             Message::Deschedule { request, hops_left } => {
-                self.on_deschedule(sh, now, request, hops_left);
+                if !self.refuses(sh, now, request) {
+                    let until = now + sh.cfg.deschedule_reach();
+                    Driver { cub: self, sh, now }.on_deschedule(now, request, hops_left, until);
+                }
             }
             Message::RoutedStart {
                 client,
@@ -323,49 +328,6 @@ impl Cub {
         }
     }
 
-    /// Sub-interval rejoin: as the rejoiner's ring predecessor, replay the
-    /// retired-log tail (`replay_batch`), so the rejoiner rebuilds its
-    /// in-flight viewer state the moment the batch arrives instead of
-    /// waiting up to a forward interval for natural circulation.
-    fn replay_retired_tail(&mut self, sh: &mut Shared, now: SimTime, to: CubId) {
-        let bpt = sh.params.block_play_time();
-        // A record reaches its owner, or the acting successor covering it,
-        // up to `legit_lead` early, plus one forward interval of cadence.
-        let clear_horizon = sh.cfg.legit_lead() + sh.cfg.forward_interval;
-        let states = replay_batch(
-            self.services.retired(),
-            now,
-            bpt,
-            clear_horizon,
-            &self.ring,
-            |file, pos| sh.catalog.locate(file, pos).map(|loc| loc.cub),
-            to,
-        );
-        self.trace(
-            sh,
-            now,
-            TraceEvent::RetiredReplay {
-                to: to.raw(),
-                count: states.len() as u32,
-            },
-        );
-        if !states.is_empty() {
-            let me = sh.cub_node(self.id);
-            let batch: std::sync::Arc<[ViewerState]> = states.into();
-            sh.send_control(
-                now,
-                me,
-                sh.cub_node(to),
-                Message::RetiredReplay {
-                    from: self.id,
-                    states: batch,
-                },
-            );
-        }
-        // Aged active entries due to forward into the rejoiner.
-        self.hasten_forward(&mut sh.queue, now);
-    }
-
     // --- Viewer-state handling (§4.1.1) -----------------------------------
 
     /// Records `event` as this cub's, at `now`.
@@ -397,7 +359,7 @@ impl Cub {
         self.ins.superseded_by_sighting(&vs.instance);
 
         match vs.kind {
-            StreamKind::Primary => self.on_primary_state(sh, now, vs),
+            StreamKind::Primary => Driver { cub: self, sh, now }.on_record(now, vs),
             StreamKind::Mirror { failed_disk, piece } => {
                 self.on_mirror_state(sh, now, vs, failed_disk, piece);
             }
@@ -405,87 +367,7 @@ impl Cub {
         }
     }
 
-    /// Traces the refusal of a stale or double-forwarded copy of `vs`.
-    fn trace_duplicate(&self, sh: &mut Shared, now: SimTime, vs: &ViewerState) {
-        let (slot, viewer, inc) = vkey(vs);
-        self.trace(
-            sh,
-            now,
-            TraceEvent::VsDuplicate {
-                slot,
-                viewer,
-                inc,
-                play_seq: vs.play_seq,
-            },
-        );
-    }
-
-    /// Turns the machine's verdict on a received primary record into
-    /// admission, the cover drive, a shadow's relay and the trace.
-    fn on_primary_state(&mut self, sh: &mut Shared, now: SimTime, vs: ViewerState) {
-        let Some(meta) = sh.catalog.get(vs.file).copied() else {
-            return;
-        };
-        let loc = sh
-            .params
-            .stripe()
-            .block_location(meta.start_disk, vs.position);
-        let owner = (vs.position.raw() < meta.num_blocks).then_some(loc.cub);
-        let progress = self.services.progress(vs.slot, vs.instance);
-        let due = || sh.params.slot_send_time(loc.disk, vs.slot, now);
-        match (self.fwd).on_primary(&mut self.ring, now, vs, owner, progress, due) {
-            Verdict::Eof { first } => {
-                if first {
-                    let (me, instance) = (sh.cub_node(self.id), vs.instance);
-                    sh.send_to_controller(now, me, Message::ViewerFinished { instance });
-                }
-            }
-            Verdict::Duplicate => self.trace_duplicate(sh, now, &vs),
-            Verdict::Serve => self.accept_service(sh, now, vs, loc.disk, meta.payload_size),
-            Verdict::Cover { first } => {
-                if first {
-                    self.cover_failed_disk(sh, now, vs, loc.disk);
-                }
-                // Propagation goes on past the failed machine: the next
-                // block is due on the disk after, ours or dead as well.
-                self.on_primary_state(sh, now, vs.advanced(1));
-            }
-            Verdict::Shadow { relay } => {
-                let (slot, viewer, inc) = vkey(&vs);
-                let event = TraceEvent::VsShadow { slot, viewer, inc };
-                self.trace(sh, now, event);
-                if relay {
-                    let me = sh.cub_node(self.id);
-                    sh.send_control(now, me, sh.cub_node(loc.cub), Message::ViewerState(vs));
-                }
-            }
-        }
-    }
-
     // --- Forwarding (§4.1.1) ------------------------------------------------
-
-    /// Sends `msg` — carrying `count` viewer states — to the successor
-    /// and, under double forwarding, to the second successor, tracing
-    /// each hop.
-    fn forward_pair(&self, sh: &mut Shared, now: SimTime, count: u32, msg: Message) {
-        let hops = match sh.cfg.forwarding {
-            ForwardingPolicy::Double => 2,
-            ForwardingPolicy::Single => 1,
-        };
-        let me = sh.cub_node(self.id);
-        for (hop, dst) in self.ring.successor_pair(self.id).take(hops).enumerate() {
-            self.trace(
-                sh,
-                now,
-                TraceEvent::VsForward {
-                    dst: dst.raw(),
-                    count,
-                    second: hop == 1,
-                },
-            );
-            sh.send_control(now, me, sh.cub_node(dst), msg.clone());
-        }
-    }
 
     /// Periodic batching pass: forward viewer states whose receiver lead
     /// has dropped to `maxVStateLead`, to the successor and (policy
@@ -514,16 +396,10 @@ impl Cub {
         self.reclaim_finished(sh, now);
         self.drain_pool(sh, now);
         debug_assert!(self.services.iter().all(|(_, e)| !e.finished()));
-        let me = sh.cub_node(self.id);
-        for instance in finished.into_iter().filter(|&i| self.fwd.finish(now, i)) {
-            sh.send_to_controller(now, me, Message::ViewerFinished { instance });
-        }
-        if !self.pass_batch.is_empty() {
-            let count = self.pass_batch.len() as u32;
-            let batch = Message::ViewerStates(self.pass_batch.as_slice().into());
-            self.pass_batch.clear();
-            self.forward_pair(sh, now, count, batch);
-        }
+        let batch = std::mem::take(&mut self.pass_batch);
+        Driver { cub: self, sh, now }.pass(now, &finished, &batch);
+        self.pass_batch = batch;
+        self.pass_batch.clear();
         // Retired-log GC: keep one failure-detection window, as the
         // machine keeps its cover and end-of-file memories; its shadows
         // expire a deschedule hold past their due time.
@@ -539,57 +415,6 @@ impl Cub {
             };
             tracer.record(now, me, expire);
         });
-    }
-
-    // --- Deschedules (§4.1.2) ------------------------------------------------
-
-    fn on_deschedule(&mut self, sh: &mut Shared, now: SimTime, d: Deschedule, hops_left: u32) {
-        if self.refuses(sh, now, d) {
-            return;
-        }
-        let until = now + sh.cfg.deschedule_reach();
-        let first = self.fwd.on_deschedule(d, now, until);
-        self.services.view_deschedule(&d);
-        // Kill matching active services that have not yet gone out. The
-        // order they die in is immaterial: reclaiming one returns its
-        // buffer and its coded reservation, and a dropped entry never
-        // reaches the retired log.
-        let (mut killed, mut from) = (0u32, 0);
-        while let Some((token, entry)) = self.services.next_match(&d, from) {
-            from = token + 1;
-            // One that already went out is harmless.
-            if entry.kill() {
-                killed += 1;
-                // Unless a read is outstanding: DiskDone reclaims the
-                // entry when it completes.
-                self.reclaim_if_finished(sh, now, token);
-            }
-        }
-        self.trace(
-            sh,
-            now,
-            TraceEvent::DeschedApply {
-                slot: d.slot.raw(),
-                viewer: d.instance.viewer.raw(),
-                inc: d.instance.incarnation,
-                first,
-                killed,
-                hops_left,
-            },
-        );
-        self.ins.drop_instance(&d.instance);
-        // Forward on first sighting, immediately (§4.1.2: deschedules are
-        // not batched; they must outrun viewer states).
-        if first && hops_left > 0 {
-            let me = sh.cub_node(self.id);
-            let msg = Message::Deschedule {
-                request: d,
-                hops_left: hops_left - 1,
-            };
-            for dst in self.ring.successor_pair(self.id) {
-                sh.send_control(now, me, sh.cub_node(dst), msg.clone());
-            }
-        }
     }
 
     // --- Insertion (§4.1.3) -----------------------------------------------
@@ -714,21 +539,20 @@ impl Cub {
         // The start disk is this cub's or one it covers, and nothing of the
         // instance is here (a sighting drops a queued start), so this is
         // served, or covered via mirrors straight away.
-        self.on_primary_state(sh, now, vs);
+        let mut cub = Driver { cub: self, sh, now };
+        cub.on_record(now, vs);
         // Commit: tell the controller (the insertion "becomes part of the
         // coherent hallucination when a message to that effect makes it to
         // at least one other machine").
-        let first_send = sh.params.slot_send_time(d0, slot, now);
-        sh.send_to_controller(
-            now,
-            sh.cub_node(self.id),
-            Message::InsertCommitted {
-                instance: pending.instance,
-                slot,
-                file: pending.file,
-                first_send,
-            },
-        );
+        let (instance, file) = (pending.instance, pending.file);
+        let first_send = cub.sh.params.slot_send_time(d0, slot, now);
+        let committed = Message::InsertCommitted {
+            instance,
+            slot,
+            file,
+            first_send,
+        };
+        cub.to_controller(committed);
         // Hasten propagation of the fresh insert.
         self.hasten_forward(&mut sh.queue, now);
     }
@@ -747,58 +571,6 @@ impl Cub {
             ring.ping();
         } else if let Some(failed) = ring.check(now, &cfg) {
             ring.sh.metrics.failure_detections.push((now, failed.raw()));
-        }
-    }
-
-    /// §2.3 gap bridging once a belief flipped. Active entries already
-    /// forwarded into what turned out to be the dead span go again with
-    /// the next pass; then the recently serviced records whose next hop
-    /// lies in it are sent across.
-    fn bridge_gap(&mut self, sh: &mut Shared, now: SimTime) {
-        if !sh.cfg.gap_recovery {
-            return;
-        }
-        let (ring, catalog) = (&self.ring, &sh.catalog);
-        let locate = |file, pos| catalog.locate(file, pos).map(|loc| loc.cub);
-        if self.services.reforward(|vs| into_gap(vs, ring, locate)) {
-            self.hasten_forward(&mut sh.queue, now);
-        }
-        let retired = self.services.retired().map(|(_, vs)| vs);
-        let me = sh.cub_node(self.id);
-        for (next, dst) in gap_bridge(retired, &self.ring, locate) {
-            sh.send_control(now, me, sh.cub_node(dst), Message::ViewerState(next));
-        }
-    }
-
-    /// The acting-successor duties on a failure: promote redundant starts
-    /// and convert shadows for the failed cub's disks into mirror service.
-    fn take_over(&mut self, sh: &mut Shared, now: SimTime, failed: CubId) {
-        let stripe = sh.params.stripe();
-        let catalog = &sh.catalog;
-        self.ins.promote_where(|p| {
-            catalog
-                .get(p.file)
-                .is_some_and(|m| stripe.cub_of(m.start_disk) == failed)
-        });
-        if self.ins.queued() > 0 {
-            self.schedule_insert_attempt(sh, now + SimDuration::from_nanos(1));
-        }
-        // Re-drive the shadows on *any* cub this one now covers, then hand
-        // a recent rejoiner the shadows its dead covering partner held
-        // for it: its own position, or the first reachable one after.
-        let (bpt, catalog) = (sh.params.block_play_time(), &sh.catalog);
-        let locate = |file, pos| catalog.locate(file, pos).map(|loc| loc.cub);
-        let (redrive, resends) = self.fwd.on_declare(&self.ring, now, bpt, locate);
-        for vs in redrive {
-            self.on_primary_state(sh, now, vs);
-        }
-        let me = sh.cub_node(self.id);
-        for (vs, owner) in resends {
-            if owner == self.id {
-                self.on_primary_state(sh, now, vs);
-            } else {
-                sh.send_control(now, me, sh.cub_node(owner), Message::ViewerState(vs));
-            }
         }
     }
 
@@ -908,8 +680,26 @@ impl RingDriver for Driver<'_> {
         self.cub.power_cut(self.sh, self.now);
     }
 
+    /// Sub-interval rejoin: as the rejoiner's ring predecessor, replay the
+    /// retired-log tail (`replay_batch`), so the rejoiner rebuilds its
+    /// in-flight viewer state the moment the batch arrives instead of
+    /// waiting up to a forward interval for natural circulation.
     fn replay(&mut self, to: CubId) {
-        self.cub.replay_retired_tail(self.sh, self.now, to);
+        let (cub, sh) = (&*self.cub, &*self.sh);
+        // A record reaches its owner, or the acting successor covering it,
+        // up to `legit_lead` early, plus one forward interval of cadence.
+        let horizon = sh.cfg.legit_lead() + sh.cfg.forward_interval;
+        let (bpt, owner) = (sh.params.block_play_time(), |f, p| Self::owner(sh, f, p));
+        let retired = cub.services.retired();
+        let states = replay_batch(retired, self.now, bpt, horizon, &cub.ring, owner, to);
+        let (dst, count) = (to.raw(), states.len() as u32);
+        self.record(TraceEvent::RetiredReplay { to: dst, count });
+        if !states.is_empty() {
+            let (from, states) = (self.cub.id, states.into());
+            self.send(to, Message::RetiredReplay { from, states });
+        }
+        // Aged active entries due to forward into the rejoiner.
+        self.cub.hasten_forward(&mut self.sh.queue, self.now);
     }
 
     fn to_controller(&mut self, msg: Message) {
@@ -918,11 +708,24 @@ impl RingDriver for Driver<'_> {
     }
 
     fn bridge(&mut self) {
-        self.cub.bridge_gap(self.sh, self.now);
+        if self.sh.cfg.gap_recovery {
+            ForwardDriver::bridge(self);
+        }
     }
 
+    /// The acting successor's duties on a failure: promote the redundant
+    /// starts of files homed on the failed cub, then re-drive the shadows.
     fn take_over(&mut self, failed: CubId) {
-        self.cub.take_over(self.sh, self.now, failed);
+        let (cub, sh, now) = (&mut *self.cub, &mut *self.sh, self.now);
+        let (stripe, catalog) = (sh.params.stripe(), &sh.catalog);
+        let homed = |m: &FileMeta| stripe.cub_of(m.start_disk) == failed;
+        cub.ins
+            .promote_where(|p| catalog.get(p.file).is_some_and(homed));
+        if cub.ins.queued() > 0 {
+            cub.schedule_insert_attempt(sh, now + SimDuration::from_nanos(1));
+        }
+        let bpt = sh.params.block_play_time();
+        self.re_drive(now, bpt);
     }
 
     /// Mirror catch-up (the covering partner's half of a rejoin) hands
@@ -939,6 +742,75 @@ impl RingDriver for Driver<'_> {
                 .is_some_and(|loc| loc.cub == to)),
             "a covering cub holds a shadow on the rejoiner"
         );
+    }
+}
+
+/// A cub's §4.1 hooks: a block is located in the catalog and dated by the
+/// schedule, served through `accept_service` and covered through
+/// `cover_failed_disk`.
+impl ForwardDriver for Driver<'_> {
+    /// The block's disk and payload, from its one catalog read.
+    type Place = (DiskId, ByteSize);
+    type Layout = Shared;
+
+    fn machines(&mut self) -> (&mut ForwardMachine, &mut RingMachine, &Shared) {
+        (&mut self.cub.fwd, &mut self.cub.ring, self.sh)
+    }
+
+    fn locate(sh: &Shared, file: FileId, pos: BlockNum) -> Option<(Option<CubId>, Self::Place)> {
+        let meta = sh.catalog.get(file)?;
+        let loc = sh.params.stripe().block_location(meta.start_disk, pos);
+        let owner = (pos.raw() < meta.num_blocks).then_some(loc.cub);
+        Some((owner, (loc.disk, meta.payload_size)))
+    }
+
+    fn due(sh: &Shared, now: SimTime, vs: &ViewerState, &(disk, _): &Self::Place) -> SimTime {
+        sh.params.slot_send_time(disk, vs.slot, now)
+    }
+
+    fn progress(&self, vs: &ViewerState) -> Progress {
+        self.cub.services.progress(vs.slot, vs.instance)
+    }
+
+    fn hops(&self) -> usize {
+        1 + usize::from(self.sh.cfg.forwarding == ForwardingPolicy::Double)
+    }
+
+    fn serve(&mut self, vs: ViewerState, (disk, block): Self::Place) {
+        self.cub.accept_service(self.sh, self.now, vs, disk, block);
+    }
+
+    fn cover(&mut self, vs: ViewerState, (disk, _): Self::Place) {
+        self.cub.cover_failed_disk(self.sh, self.now, vs, disk);
+    }
+
+    /// The view entry, the queued starts and the services not yet sent, in
+    /// any order: reclaiming one returns its buffer and coded reservation
+    /// (or its read's completion does), and none reaches the retired log.
+    fn kill(&mut self, d: &Deschedule) -> u32 {
+        let (cub, sh, now) = (&mut *self.cub, &mut *self.sh, self.now);
+        cub.services.view_deschedule(d);
+        let (mut killed, mut from) = (0, 0);
+        while let Some((token, entry)) = cub.services.next_match(d, from) {
+            from = token + 1;
+            if entry.kill() {
+                killed += 1;
+                cub.reclaim_if_finished(sh, now, token);
+            }
+        }
+        cub.ins.drop_instance(&d.instance);
+        killed
+    }
+
+    fn reforward(&mut self, gap: impl Fn(&ViewerState, &RingMachine, &Shared) -> bool) {
+        let (cub, sh) = (&mut *self.cub, &*self.sh);
+        if cub.services.reforward(|vs| gap(vs, &cub.ring, sh)) {
+            cub.hasten_forward(&mut self.sh.queue, self.now);
+        }
+    }
+
+    fn retired(&self) -> impl Iterator<Item = ViewerState> {
+        self.cub.services.retired().map(|(_, vs)| vs)
     }
 }
 

@@ -17,13 +17,13 @@
 
 use tiger_disk::{DiskError, DiskRequest, RequestKind};
 use tiger_layout::DiskId;
-use tiger_proto::msg::Message;
+use tiger_proto::{msg::Message, ForwardDriver};
 use tiger_sched::view::ViewApply;
 use tiger_sched::{Deschedule, PrimaryRecord, ScheduleParams, StreamKind, ViewerState};
 use tiger_sim::{ByteSize, SimDuration, SimTime};
 use tiger_trace::TraceEvent;
 
-use super::{vkey, Cub};
+use super::{vkey, Cub, Driver};
 use crate::backend::Backend;
 use crate::event::{Event, ServiceToken};
 use crate::system::Shared;
@@ -442,7 +442,7 @@ impl Cub {
         let (slot, viewer, inc) = vkey(&vs);
         let (send_at, token) = match self.admit(sh, now, vs, spec) {
             Admit::Accepted(send_at, token) => (send_at, token),
-            Admit::Duplicate => return self.trace_duplicate(sh, now, &vs),
+            Admit::Duplicate => return Driver { cub: self, sh, now }.duplicate(&vs),
             Admit::Blocked => {
                 return self.trace(sh, now, TraceEvent::VsBlocked { slot, viewer, inc })
             }
@@ -584,7 +584,7 @@ impl Cub {
                 failed_disk,
                 piece: piece + 1,
             };
-            self.forward_pair(sh, now, 1, Message::ViewerState(next));
+            Driver { cub: self, sh, now }.forward_pair(1, Message::ViewerState(next));
         }
         // Dead holders *ahead* of this piece: the living chain never
         // reaches pieces past its last living holder (the successor

@@ -3,12 +3,15 @@
 //! a dead owner, or is shadowed as the second successor's copy, tried in
 //! that order and answered with one [`Verdict`]. Its four memories: the
 //! shadows, the blocks covered, the instances reported finished and the
-//! deschedules held. The driver (`tiger_core::Cub`) locates each block,
-//! says how far it served the stream ([`Progress`]), asks
-//! [`ForwardMachine::blocks`] before it admits one, and turns each verdict
-//! into admission, the mirror or coded drive, sends and trace records. A
-//! shadow is kept as a [`PrimaryRecord`] beside its due time, rebuilt into
-//! a [`ViewerState`] when read. The §2.3 functions of the retired log follow.
+//! deschedules held. A shadow is kept as a [`PrimaryRecord`] beside its
+//! due time, rebuilt into a [`ViewerState`] when read. The §2.3 functions
+//! of the retired log follow, and then [`ForwardDriver`], the sequence
+//! around the machine written once: the DES cub (`tiger_core::Cub`) and
+//! the crash-path search implement its hooks (where a block lies, how far
+//! the cub served its stream as [`Progress`], the admission, which asks
+//! [`ForwardMachine::blocks`] first, and a deschedule's kill), and its
+//! provided methods turn each verdict into admission, the cover drive,
+//! sends and trace records.
 
 use std::collections::HashSet;
 
@@ -16,8 +19,10 @@ use tiger_layout::ids::ViewerInstance;
 use tiger_layout::{BlockNum, CubId, FileId};
 use tiger_sched::{Deschedule, HeldDeschedules, PrimaryRecord, SlotId, ViewerState};
 use tiger_sim::{DenseLists, DetHashMap, SimDuration, SimTime, Tagged};
+use tiger_trace::TraceEvent;
 
-use crate::ring::RingMachine;
+use crate::msg::Message;
+use crate::ring::{RingDriver, RingMachine};
 
 /// What a cub does with a received primary record, in the order
 /// [`ForwardMachine::on_primary`] decides it.
@@ -369,6 +374,188 @@ pub fn first_reachable(
     None
 }
 
+/// The `(slot, viewer, inc)` a record's trace events carry.
+fn key(d: &Deschedule) -> (u32, u64, u32) {
+    let i = d.instance;
+    (d.slot.raw(), i.viewer.raw(), i.incarnation)
+}
+
+/// A driver of one cub's [`ForwardMachine`]: §4.1's sequence around it
+/// (a record's verdict, the forward pass, a deschedule, the gap bridge and
+/// the shadow re-drive), sending and recording through its [`RingDriver`].
+/// The hooks run at the driver's own instant, given to the provided
+/// methods as `now`; the order those call the hooks in, pinned by this
+/// module's tests, is what keeps the drivers bit-exact.
+pub trait ForwardDriver: RingDriver {
+    /// Where a block lies, as [`ForwardDriver::locate`] found it: kept for
+    /// the block's admission and due time, so no record is located twice.
+    type Place;
+    /// What blocks are located in and dated by.
+    type Layout;
+
+    /// This cub's forward and ring machines, and the layout.
+    fn machines(&mut self) -> (&mut ForwardMachine, &mut RingMachine, &Self::Layout);
+    /// The cub whose disks hold block `pos` of `file` (`None` past the end
+    /// of the file), and where; `None` for a file the layout lacks.
+    fn locate(
+        layout: &Self::Layout,
+        file: FileId,
+        pos: BlockNum,
+    ) -> Option<(Option<CubId>, Self::Place)>;
+    /// When `vs`'s block, at `place`, is next due at or after `now`.
+    fn due(layout: &Self::Layout, now: SimTime, vs: &ViewerState, place: &Self::Place) -> SimTime;
+    /// How far this cub served `vs`'s stream.
+    fn progress(&self, vs: &ViewerState) -> Progress;
+    /// How many successors a record goes to: two under double forwarding.
+    fn hops(&self) -> usize;
+    /// Admits `vs`, whose block is at `place` on this cub's disks.
+    fn serve(&mut self, vs: ViewerState, place: Self::Place);
+    /// Drives the redundant copies of `vs`'s block, on a cub it covers.
+    fn cover(&mut self, vs: ViewerState, place: Self::Place);
+    /// Kills what this cub would still do of `d`'s instance: blocks killed.
+    fn kill(&mut self, d: &Deschedule) -> u32;
+    /// Marks for the next pass each record already forwarded that `gap`,
+    /// given this cub's ring machine and the layout, finds in a dead span.
+    fn reforward(&mut self, gap: impl Fn(&ViewerState, &RingMachine, &Self::Layout) -> bool);
+    /// The records this cub retired, oldest first.
+    fn retired(&self) -> impl Iterator<Item = ViewerState>;
+
+    /// The cub whose disks hold `position` of `file`, if it lies in it.
+    fn owner(layout: &Self::Layout, file: FileId, position: BlockNum) -> Option<CubId> {
+        Self::locate(layout, file, position).and_then(|(owner, _)| owner)
+    }
+
+    /// A received primary record's [`Verdict`]: the controller's
+    /// end-of-file notice, a duplicate's record, service, a cover (the
+    /// redundant copies on a first, then the record carried one block on,
+    /// to the next disk's cub) or a shadow's record and hand-back relay.
+    fn on_record(&mut self, now: SimTime, vs: ViewerState) {
+        let Some((owner, place)) = Self::locate(self.machines().2, vs.file, vs.position) else {
+            return;
+        };
+        let progress = self.progress(&vs);
+        let (fwd, ring, layout) = self.machines();
+        let due = || Self::due(layout, now, &vs, &place);
+        let verdict = fwd.on_primary(ring, now, vs, owner, progress, due);
+        match verdict {
+            Verdict::Eof { first: true } => {
+                let instance = vs.instance;
+                self.to_controller(Message::ViewerFinished { instance });
+            }
+            Verdict::Eof { .. } => {}
+            Verdict::Duplicate => self.duplicate(&vs),
+            Verdict::Serve => self.serve(vs, place),
+            Verdict::Cover { first } => {
+                if first {
+                    self.cover(vs, place);
+                }
+                self.on_record(now, vs.advanced(1));
+            }
+            Verdict::Shadow { relay } => {
+                let (slot, viewer, inc) = key(&Deschedule::of(&vs));
+                self.record(TraceEvent::VsShadow { slot, viewer, inc });
+                if let Some(owner) = owner.filter(|_| relay) {
+                    self.send(owner, Message::ViewerState(vs));
+                }
+            }
+        }
+    }
+
+    /// Records the refusal of `vs`, a stale or double-forwarded copy.
+    fn duplicate(&mut self, vs: &ViewerState) {
+        let ((slot, viewer, inc), play_seq) = (key(&Deschedule::of(vs)), vs.play_seq);
+        let duplicate = TraceEvent::VsDuplicate {
+            slot,
+            viewer,
+            inc,
+            play_seq,
+        };
+        self.record(duplicate);
+    }
+
+    /// A forward pass's sends: each instance in `finished` (played to its
+    /// end) the controller has not been told of, then `batch`, the records
+    /// whose lead has come due, to the successor pair.
+    fn pass(&mut self, now: SimTime, finished: &[ViewerInstance], batch: &[ViewerState]) {
+        for &instance in finished {
+            if self.machines().0.finish(now, instance) {
+                self.to_controller(Message::ViewerFinished { instance });
+            }
+        }
+        if !batch.is_empty() {
+            self.forward_pair(batch.len() as u32, Message::ViewerStates(batch.into()));
+        }
+    }
+
+    /// Sends `msg`, carrying `count` records, to this cub's successor and,
+    /// under double forwarding, its second successor, recording each hop.
+    fn forward_pair(&mut self, count: u32, msg: Message) {
+        let (hops, ring) = (self.hops(), self.ring());
+        for (hop, dst) in ring.successor_pair(ring.id()).take(hops).enumerate() {
+            let (dst, second) = (dst.raw(), hop == 1);
+            self.record(TraceEvent::VsForward { dst, count, second });
+            self.send(CubId(dst), msg.clone());
+        }
+    }
+
+    /// A deschedule: held to `until` (§4.1.2), its victims killed, recorded,
+    /// and on a first sighting with hops left forwarded to the successor
+    /// pair at once (not batched: it must outrun the viewer states).
+    fn on_deschedule(&mut self, now: SimTime, d: Deschedule, hops_left: u32, until: SimTime) {
+        let first = self.machines().0.on_deschedule(d, now, until);
+        let (killed, (slot, viewer, inc)) = (self.kill(&d), key(&d));
+        let applied = TraceEvent::DeschedApply {
+            slot,
+            viewer,
+            inc,
+            first,
+            killed,
+            hops_left,
+        };
+        self.record(applied);
+        if first && hops_left > 0 {
+            let (request, hops_left) = (d, hops_left - 1);
+            let msg = Message::Deschedule { request, hops_left };
+            let ring = self.ring();
+            for dst in ring.successor_pair(ring.id()) {
+                self.send(dst, msg.clone());
+            }
+        }
+    }
+
+    /// §2.3's gap bridge once a belief flipped: the records already
+    /// forwarded into the dead span go again with the next pass
+    /// ([`into_gap`]), then the retired records whose next hop lies in it
+    /// are sent across ([`gap_bridge`]).
+    fn bridge(&mut self) {
+        self.reforward(|vs, ring, layout| into_gap(vs, ring, |f, p| Self::owner(layout, f, p)));
+        let retired: Vec<ViewerState> = self.retired().collect();
+        let (_, ring, layout) = self.machines();
+        for (next, dst) in gap_bridge(retired, ring, |f, p| Self::owner(layout, f, p)) {
+            self.send(dst, Message::ViewerState(next));
+        }
+    }
+
+    /// The takeover's shadow half ([`ForwardMachine::on_declare`]): the
+    /// shadows on cubs this one now covers are received again, then those
+    /// owed a recent rejoiner are re-sent (received here if this cub's).
+    fn re_drive(&mut self, now: SimTime, block_play_time: SimDuration) {
+        let (fwd, ring, layout) = self.machines();
+        let (me, locate) = (ring.id(), |f, p| Self::owner(layout, f, p));
+        let (redrive, resends) = fwd.on_declare(ring, now, block_play_time, locate);
+        for vs in redrive {
+            self.on_record(now, vs);
+        }
+        for (vs, owner) in resends {
+            if owner == me {
+                self.on_record(now, vs);
+            } else {
+                self.send(owner, Message::ViewerState(vs));
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -706,6 +893,267 @@ mod tests {
         assert_eq!(batch[0].position, BlockNum(10));
     }
 
+    /// A driver that logs every hook call in one list, in call order: cub
+    /// 0 of four, whose blocks lie round-robin (`owner`), each due at its
+    /// position in seconds.
+    struct Log {
+        fwd: ForwardMachine,
+        ring: RingMachine,
+        hops: usize,
+        /// What `progress` answers, and the records `reforward` and
+        /// `retired` hold.
+        progress: Progress,
+        forwarded: Vec<ViewerState>,
+        retired: Vec<ViewerState>,
+        calls: Vec<String>,
+    }
+
+    impl Log {
+        /// Cub 0 under double forwarding, believing `failed` dead.
+        fn new(failed: &[u32]) -> Self {
+            Log {
+                fwd: ForwardMachine::default(),
+                ring: ring(failed),
+                hops: 2,
+                progress: Progress::default(),
+                forwarded: Vec::new(),
+                retired: Vec::new(),
+                calls: Vec::new(),
+            }
+        }
+
+        /// The calls logged since the last take.
+        fn take(&mut self) -> Vec<String> {
+            std::mem::take(&mut self.calls)
+        }
+    }
+
+    impl RingDriver for Log {
+        fn ring(&mut self) -> &mut RingMachine {
+            &mut self.ring
+        }
+        fn send(&mut self, to: CubId, msg: Message) {
+            let line = crate::wire::encode(&msg);
+            self.calls.push(format!("send c{} {line}", to.raw()));
+        }
+        fn record(&mut self, event: TraceEvent) {
+            let fields = event.fields().into_iter().map(|(k, v)| format!(" {k}={v}"));
+            let line = format!("record {}{}", event.name(), fields.collect::<String>());
+            self.calls.push(line);
+        }
+        fn fence(&mut self) {
+            unreachable!("no notice reaches the log")
+        }
+        fn replay(&mut self, _to: CubId) {}
+        fn to_controller(&mut self, msg: Message) {
+            let line = crate::wire::encode(&msg);
+            self.calls.push(format!("controller {line}"));
+        }
+    }
+
+    impl ForwardDriver for Log {
+        type Place = BlockNum;
+        type Layout = ();
+
+        fn machines(&mut self) -> (&mut ForwardMachine, &mut RingMachine, &()) {
+            (&mut self.fwd, &mut self.ring, &())
+        }
+        fn locate(_: &(), file: FileId, pos: BlockNum) -> Option<(Option<CubId>, BlockNum)> {
+            Some((owner(file, pos), pos))
+        }
+        fn due(_: &(), _: SimTime, _: &ViewerState, pos: &BlockNum) -> SimTime {
+            secs(u64::from(pos.raw()))
+        }
+        fn progress(&self, _: &ViewerState) -> Progress {
+            self.progress
+        }
+        fn hops(&self) -> usize {
+            self.hops
+        }
+        fn serve(&mut self, vs: ViewerState, pos: BlockNum) {
+            let slot = vs.slot.raw();
+            self.calls
+                .push(format!("serve slot={slot} at={}", pos.raw()));
+        }
+        fn cover(&mut self, vs: ViewerState, pos: BlockNum) {
+            let slot = vs.slot.raw();
+            self.calls
+                .push(format!("cover slot={slot} at={}", pos.raw()));
+        }
+        fn kill(&mut self, d: &Deschedule) -> u32 {
+            self.calls.push(format!("kill slot={}", d.slot.raw()));
+            2
+        }
+        fn reforward(&mut self, gap: impl Fn(&ViewerState, &RingMachine, &()) -> bool) {
+            for vs in self.forwarded.iter().filter(|vs| gap(vs, &self.ring, &())) {
+                self.calls
+                    .push(format!("reforward at={}", vs.position.raw()));
+            }
+        }
+        fn retired(&self) -> impl Iterator<Item = ViewerState> {
+            self.retired.iter().copied()
+        }
+    }
+
+    // The order the provided methods call the hooks in is what keeps the
+    // drivers bit-exact with one another.
+    #[test]
+    fn a_record_is_served_covered_shadowed_refused_or_ends_its_stream() {
+        // Cub 3 is dead, and this cub, its successor, covers it.
+        let mut d = Log::new(&[3]);
+        d.on_record(secs(0), vs(0, 1, 4));
+        assert_eq!(d.take(), ["serve slot=0 at=4"]);
+        // A covered block, then the record one block on, this cub's.
+        d.on_record(secs(0), vs(0, 1, 3));
+        assert_eq!(d.take(), ["cover slot=0 at=3", "serve slot=0 at=4"]);
+        d.on_record(secs(0), vs(0, 1, 3));
+        assert_eq!(d.take(), ["serve slot=0 at=4"], "covered once");
+        // Another living cub's block is shadowed, and relayed to it only
+        // while a hand-back window toward it is open.
+        d.on_record(secs(0), vs(1, 2, 5));
+        assert_eq!(d.take(), ["record vs-shadow slot=1 viewer=2 inc=0"]);
+        let cfg = crate::RingConfig {
+            deadman_timeout: SimDuration::from_secs(1),
+            deadman_interval: SimDuration::from_millis(500),
+            min_vstate_lead: SimDuration::from_secs(1),
+        };
+        d.ring.open_handback(CubId(1), secs(0), &cfg);
+        d.on_record(secs(0), vs(1, 2, 5));
+        assert_eq!(
+            d.take(),
+            [
+                "record vs-shadow slot=1 viewer=2 inc=0",
+                "send c1 VS 2,0,0,0,5,1,0,2000000,P",
+            ]
+        );
+        // A block at or below one the cub retired is a duplicate.
+        d.progress.retired = Some(7);
+        let stale = ViewerState {
+            play_seq: 7,
+            ..vs(0, 1, 4)
+        };
+        d.on_record(secs(0), stale);
+        let duplicate = "record vs-duplicate slot=0 viewer=1 inc=0 play_seq=7";
+        assert_eq!(d.take(), [duplicate]);
+        // Past the end of the file, the controller is told once.
+        d.on_record(secs(0), vs(0, 1, 100));
+        assert_eq!(d.take(), ["controller FIN 1,0"]);
+        d.on_record(secs(0), vs(0, 1, 100));
+        assert!(d.take().is_empty(), "told once");
+    }
+
+    #[test]
+    fn a_pass_tells_the_controller_first_then_forwards_the_batch() {
+        let (mut d, batch) = (Log::new(&[]), [vs(0, 1, 4), vs(1, 2, 5)]);
+        let done = vs(2, 3, 9).instance;
+        d.pass(secs(0), &[done], &batch);
+        let line = "VSB 1,0,0,0,4,0,0,2000000,P 2,0,0,0,5,1,0,2000000,P";
+        assert_eq!(
+            d.take(),
+            [
+                "controller FIN 3,0".to_string(),
+                "record vs-forward dst=1 count=2 second=0".to_string(),
+                format!("send c1 {line}"),
+                "record vs-forward dst=2 count=2 second=1".to_string(),
+                format!("send c2 {line}"),
+            ]
+        );
+        // Single forwarding takes one hop; an instance is reported once.
+        d.hops = 1;
+        d.pass(secs(1), &[done], &batch[..1]);
+        assert_eq!(
+            d.take(),
+            [
+                "record vs-forward dst=1 count=1 second=0",
+                "send c1 VSB 1,0,0,0,4,0,0,2000000,P",
+            ]
+        );
+        d.pass(secs(1), &[], &[]);
+        assert!(d.take().is_empty());
+    }
+
+    #[test]
+    fn a_deschedule_kills_records_then_forwards_a_first_sighting_with_hops_left() {
+        let mut d = Log::new(&[]);
+        let stop = Deschedule::of(&vs(3, 1, 5));
+        d.on_deschedule(secs(0), stop, 2, secs(4));
+        assert_eq!(
+            d.take(),
+            [
+                "kill slot=3",
+                "record desched-apply slot=3 viewer=1 inc=0 first=1 killed=2 hops_left=2",
+                "send c1 DESCH 1,0 3 1",
+                "send c2 DESCH 1,0 3 1",
+            ]
+        );
+        d.on_deschedule(secs(1), stop, 2, secs(5));
+        assert_eq!(
+            d.take(),
+            [
+                "kill slot=3",
+                "record desched-apply slot=3 viewer=1 inc=0 first=0 killed=2 hops_left=2",
+            ],
+            "a repeat goes no further"
+        );
+        d.on_deschedule(secs(1), Deschedule::of(&vs(4, 2, 5)), 0, secs(5));
+        assert_eq!(
+            d.take(),
+            [
+                "kill slot=4",
+                "record desched-apply slot=4 viewer=2 inc=0 first=1 killed=2 hops_left=0",
+            ],
+            "no hops left"
+        );
+    }
+
+    #[test]
+    fn a_bridge_reforwards_into_the_gap_then_sends_across_it() {
+        // Cub 1, right after this one, is dead: its blocks go to 2 and 3.
+        let mut d = Log::new(&[1]);
+        d.forwarded = vec![vs(0, 1, 4), vs(1, 2, 5)];
+        d.retired = vec![vs(2, 3, 8), vs(3, 4, 6)];
+        ForwardDriver::bridge(&mut d);
+        assert_eq!(
+            d.take(),
+            [
+                "reforward at=4",
+                "send c2 VS 3,0,0,0,9,2,1,2000000,P",
+                "send c3 VS 3,0,0,0,9,2,1,2000000,P",
+            ]
+        );
+    }
+
+    #[test]
+    fn a_takeover_re_drives_then_re_sends_a_rejoiners_shadows() {
+        let mut d = Log::new(&[]);
+        // Cub 3's block (slot 1), and two of rejoining cub 2's (slots 2
+        // and 3), shadowed here.
+        for record in [vs(1, 1, 3), vs(2, 2, 2), vs(3, 3, 6)] {
+            d.on_record(secs(0), record);
+        }
+        d.take();
+        let cfg = crate::RingConfig {
+            deadman_timeout: SimDuration::from_secs(1),
+            deadman_interval: SimDuration::from_millis(500),
+            min_vstate_lead: SimDuration::from_secs(1),
+        };
+        let now = SimTime::from_millis(3_500);
+        d.ring.on_rejoin_request(CubId(2), now, &cfg);
+        assert!(d.ring.declare_failed(CubId(3), now) && d.ring.covers(CubId(3)));
+        d.re_drive(now, SimDuration::from_secs(1));
+        // Slot 2's block fell due 1.5 s ago: its first reachable position,
+        // two on, is this cub's, and taken here.
+        assert_eq!(
+            d.take(),
+            [
+                "cover slot=1 at=3",
+                "serve slot=1 at=4",
+                "serve slot=2 at=4",
+                "send c2 VS 3,0,0,0,6,3,0,2000000,P",
+            ]
+        );
+    }
+
     /// An exhaustive search over §4.1's crash and rejoin paths, driving
     /// one [`ForwardMachine`] and one [`RingMachine`] a cub without a
     /// simulator. The test is the driver: it keeps what each cub serves
@@ -773,7 +1221,7 @@ mod tests {
             min_vstate_lead: SimDuration::from_secs(1),
         };
 
-        #[derive(Clone, Copy, Debug)]
+        #[derive(Clone, Copy, Debug, Default)]
         struct Model {
             cubs: u32,
             streams: u32,
@@ -801,21 +1249,6 @@ mod tests {
             Deliver(u32, u32),
             /// The controller routes a deschedule for the stream.
             Stop(u32),
-        }
-
-        #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-        enum Msg {
-            /// A primary record: `(stream, position)`.
-            Vs(u32, u32),
-            /// A failure notice.
-            Notice(u32),
-            /// A restarted cub's rejoin request.
-            Rejoin(u32),
-            /// A neighbour's answer to it: `(from, believed failed)`, a
-            /// bit a cub.
-            Ack(u32, u32),
-            /// A deschedule: `(stream, hops left)`.
-            Desched(u32, u32),
         }
 
         #[derive(Clone)]
@@ -858,17 +1291,19 @@ mod tests {
         type Key = (
             (u32, u32, u32),
             Vec<NodeKey>,
-            Vec<VecDeque<Msg>>,
+            Vec<Vec<String>>,
             Vec<u8>,
             [Vec<u32>; 4],
         );
 
-        #[derive(Clone)]
+        #[derive(Clone, Default)]
         struct World {
             m: Model,
             t: u32,
             nodes: Vec<Node>,
-            channels: Vec<VecDeque<Msg>>,
+            /// What each `(src, dst)` channel holds, oldest first; `src ==
+            /// cubs` is the controller. A batch travels as its records.
+            channels: Vec<VecDeque<Message>>,
             receipts: Vec<u8>,
             finished: BTreeSet<u32>,
             /// Streams a record of which was refused as late.
@@ -895,6 +1330,8 @@ mod tests {
             after_stop: bool,
             /// A record turned away by a hold.
             blocked: bool,
+            /// The shadows a takeover re-drives, `(stream, position)`.
+            redriven: Vec<(u32, u32)>,
             log: Vec<String>,
         }
 
@@ -923,6 +1360,12 @@ mod tests {
             SimTime::from_secs(u64::from(tick))
         }
 
+        fn sorted<T: Ord>(items: impl Iterator<Item = T>) -> Vec<T> {
+            let mut v: Vec<T> = items.collect();
+            v.sort();
+            v
+        }
+
         impl World {
             fn new(m: Model) -> Self {
                 let node = |c| Node {
@@ -937,38 +1380,21 @@ mod tests {
                 };
                 let mut w = World {
                     m,
-                    t: 0,
                     nodes: (0..m.cubs).map(node).collect(),
                     channels: vec![VecDeque::new(); ((m.cubs + 1) * m.cubs) as usize],
                     receipts: vec![0; (m.streams * m.len) as usize],
-                    finished: BTreeSet::new(),
-                    late: BTreeSet::new(),
-                    stopped: BTreeSet::new(),
-                    silenced: BTreeSet::new(),
-                    crashed: 0,
-                    restarted: 0,
-                    path: Vec::new(),
+                    ..World::default()
                 };
                 // Each stream is under way: block 0 went out, and its cub
                 // forwarded the record for block 1.
-                let hops = if m.double { 2 } else { 1 };
                 for i in 0..m.streams {
-                    let c = w.owner(i, 0).raw();
+                    let c = owner(m.cubs, i, 0).raw();
                     w.nodes[c as usize].retired.insert((i, 0));
                     w.receipts[(i * m.len) as usize] = 1;
-                    for dst in w.pair(c, c, hops) {
-                        w.post(c, dst, Msg::Vs(i, 1));
-                    }
+                    let mut seen = Seen::default();
+                    w.cub(c, &mut seen).pass(at(0), &[], &[record(i, 1)]);
                 }
                 w
-            }
-
-            fn owner(&self, i: u32, position: u32) -> CubId {
-                owner(self.m.cubs, i, position)
-            }
-
-            fn locate(&self) -> impl Fn(FileId, BlockNum) -> Option<CubId> + '_ {
-                |file, pos| (pos.raw() < self.m.len).then(|| self.owner(file.0, pos.raw()))
             }
 
             fn alive(&self, c: u32) -> bool {
@@ -980,17 +1406,11 @@ mod tests {
                     let shadows = n
                         .fwd
                         .shadows()
-                        .map(|s| (s.vs.slot.raw(), s.vs.position.raw(), s.due));
-                    let mut covered: Vec<_> = n
-                        .fwd
-                        .covered
-                        .keys()
-                        .map(|(s, i, p)| (s.raw(), i.viewer.raw(), *p))
-                        .collect();
-                    covered.sort();
-                    let mut finished: Vec<_> =
-                        n.fwd.finished.keys().map(|i| i.viewer.raw()).collect();
-                    finished.sort();
+                        .map(|s| (s.vs.slot.0, s.vs.position.0, s.due));
+                    let beliefs = (0..self.m.cubs).map(|c| n.ring.believes_failed(CubId(c)));
+                    let covered = n.fwd.covered.keys();
+                    let covered = sorted(covered.map(|(s, i, p)| (s.raw(), i.viewer.raw(), *p)));
+                    let finished = sorted(n.fwd.finished.keys().map(|i| i.viewer.raw()));
                     // Every hold lapses within a reach of now: the tick each
                     // lapses at (now for one lapsed but not yet dropped).
                     let (mut held, mut holds) = (n.fwd.held.clone(), Vec::new());
@@ -1000,9 +1420,7 @@ mod tests {
                     }
                     (
                         n.crashed_at,
-                        (0..self.m.cubs)
-                            .map(|c| n.ring.believes_failed(CubId(c)))
-                            .collect(),
+                        beliefs.collect(),
                         shadows.collect(),
                         covered,
                         finished,
@@ -1018,7 +1436,9 @@ mod tests {
                 (
                     (self.t, self.crashed, self.restarted),
                     self.nodes.iter().map(node).collect(),
-                    self.channels.clone(),
+                    (self.channels.iter())
+                        .map(|ch| ch.iter().map(crate::wire::encode).collect())
+                        .collect(),
                     self.receipts.clone(),
                     [&self.finished, &self.late, &self.stopped, &self.silenced].map(set),
                 )
@@ -1091,25 +1511,10 @@ mod tests {
                 out
             }
 
-            fn post(&mut self, src: u32, dst: u32, msg: Msg) {
+            fn post(&mut self, src: u32, dst: u32, msg: Message) {
                 if self.alive(dst) {
                     self.channels[(src * self.m.cubs + dst) as usize].push_back(msg);
                 }
-            }
-
-            /// The successor and, `hops` allowing, the second successor
-            /// of `from`, in `me`'s beliefs.
-            fn pair(&self, me: u32, from: u32, hops: usize) -> Vec<u32> {
-                let ring = &self.nodes[me as usize].ring;
-                let pair = ring.successor_pair(CubId(from)).take(hops);
-                pair.map(|c| c.raw()).collect()
-            }
-
-            /// Whether the controller believes `c` failed: a living cub has
-            /// declared it, and its notice reached the controller at once.
-            fn declared(&self, c: u32) -> bool {
-                let believes = |s: u32| self.nodes[s as usize].ring.believes_failed(CubId(c));
-                !self.alive(c) && (0..self.m.cubs).any(|s| self.alive(s) && believes(s))
             }
 
             fn fire(&mut self, step: Step, seen: &mut Seen) {
@@ -1164,19 +1569,22 @@ mod tests {
                         self.stopped.insert(i);
                         // `Controller::route_deschedule`'s hops: the reach in
                         // block play times, plus two, at most the ring.
-                        let (cubs, hops) = (self.m.cubs, (HOLD + LEAD + 2).min(self.m.cubs));
+                        let (cubs, hops_left) = (self.m.cubs, (HOLD + LEAD + 2).min(self.m.cubs));
+                        // The controller believes a cub failed once a living cub
+                        // declared it: its notice reached the controller at once.
+                        let believed = |s, c| self.nodes[s as usize].ring.believes_failed(c);
+                        let declared = |c| (0..cubs).any(|s| self.alive(s) && believed(s, c));
                         let mut ctrl = Membership::all_living(cubs as usize);
-                        for c in (0..cubs).filter(|&c| self.declared(c)) {
+                        for c in (0..cubs).filter(|&c| !self.alive(c) && declared(CubId(c))) {
                             ctrl.set_failed(CubId(c), true);
                         }
-                        let target = ctrl.first_living_at(self.owner(i, t), cubs);
+                        let target = ctrl.first_living_at(owner(cubs, i, t), cubs);
                         let succ = ctrl.next_living_within(target, cubs);
-                        seen.log.push(format!(
-                            "t{t} ctrl route-desched viewer{i}#0 slot={i} target={}",
-                            target.raw()
-                        ));
+                        let (dst, request) = (target.raw(), Deschedule::of(&record(i, 0)));
+                        let route = format!("route-desched viewer{i}#0 slot={i} target={dst}");
+                        seen.log.push(format!("t{t} ctrl {route}"));
                         for dst in [Some(target), succ].into_iter().flatten() {
-                            self.post(cubs, dst.raw(), Msg::Desched(i, hops));
+                            self.post(cubs, dst.raw(), Message::Deschedule { request, hops_left });
                         }
                     }
                     Step::Forward(c, i, p) => {
@@ -1185,21 +1593,13 @@ mod tests {
                         if n.sends.contains_key(&(i, p)) {
                             n.forwarded.insert((i, p));
                         }
-                        if p + 1 == self.m.len {
-                            let instance = record(i, p).instance;
-                            if n.fwd.finish(at(t), instance) {
-                                self.finished.insert(i);
-                            }
-                            return;
-                        }
-                        let hops = if self.m.double { 2 } else { 1 };
-                        for dst in self.pair(c, c, hops) {
-                            seen.log.push(format!(
-                                "t{t} cub{c} vs-forward dst={dst} viewer{i}#0 position={}",
-                                p + 1
-                            ));
-                            self.post(c, dst, Msg::Vs(i, p + 1));
-                        }
+                        let next = record(i, p + 1);
+                        let (end, batch) = match p + 1 == self.m.len {
+                            true => (Some(next.instance), None),
+                            false => (None, Some(next)),
+                        };
+                        self.cub(c, seen)
+                            .pass(at(t), end.as_slice(), batch.as_slice());
                     }
                     Step::Send(c, i, p) => {
                         let n = &mut self.nodes[c as usize];
@@ -1211,7 +1611,7 @@ mod tests {
                         }
                         // A covered block's two mirror pieces come from the
                         // dead owner's next two cubs.
-                        let dead = self.owner(i, p).raw();
+                        let dead = owner(self.m.cubs, i, p).raw();
                         let holders = [1, 2].map(|k| (dead + k) % self.m.cubs);
                         if !covered || holders.iter().all(|&h| self.alive(h)) {
                             seen.log.push(format!(
@@ -1225,155 +1625,68 @@ mod tests {
                     }
                     Step::Deliver(src, dst) => {
                         let ch = (src * self.m.cubs + dst) as usize;
-                        let msg = match self.channels[ch].pop_front().expect("an enabled channel") {
-                            Msg::Vs(i, p) => return self.receive(dst, record(i, p), false, seen),
-                            Msg::Desched(i, hops) => return self.deschedule(dst, i, hops, seen),
-                            Msg::Notice(c) => Message::FailureNotice { failed: CubId(c) },
-                            Msg::Rejoin(r) => Message::RejoinRequest { from: CubId(r) },
-                            Msg::Ack(from, bits) => {
-                                let failed = (0..self.m.cubs).filter(|c| bits >> c & 1 == 1);
-                                let failed = failed.collect::<Vec<_>>().into();
-                                Message::RejoinAck {
-                                    from: CubId(from),
-                                    failed,
-                                }
+                        let msg = self.channels[ch].pop_front().expect("an enabled channel");
+                        let (mut cub, until) = (self.cub(dst, seen), at(t + HOLD + LEAD));
+                        match msg {
+                            Message::ViewerState(vs) => cub.on_record(at(t), vs),
+                            Message::Deschedule { request, hops_left } => {
+                                cub.on_deschedule(at(t), request, hops_left, until);
                             }
-                        };
-                        let unhandled = self.cub(dst, seen).on_ring_message(at(t), &RING, msg);
-                        assert!(unhandled.is_none(), "a ring message");
+                            msg => {
+                                let unhandled = cub.on_ring_message(at(t), &RING, msg);
+                                assert!(unhandled.is_none(), "a ring message");
+                            }
+                        }
                     }
                 }
             }
 
-            /// Cub `me` as the driver of its ring machine.
+            /// Cub `me` as the driver of its machines.
             fn cub<'a>(&'a mut self, me: u32, seen: &'a mut Seen) -> At<'a> {
                 At { w: self, me, seen }
             }
+        }
 
-            /// What `Cub::on_deschedule` does: the hold, the kill of the
-            /// stream's unsent blocks and unforwarded records, and the
-            /// forward on a first sighting while hops remain.
-            fn deschedule(&mut self, me: u32, i: u32, hops: u32, seen: &mut Seen) {
-                let (t, n) = (self.t, &mut self.nodes[me as usize]);
-                let until = t + HOLD + LEAD;
-                let d = Deschedule::of(&record(i, 0));
-                let first = n.fwd.on_deschedule(d, at(t), at(until));
-                let held = n.held.entry(i).or_insert(until);
-                *held = until.max(*held);
-                let killed = n.sends.len();
-                n.sends.retain(|&(j, _), _| j != i);
-                n.forwarded.retain(|&(j, _)| j != i);
-                n.unforwarded.retain(|&(j, _)| j != i);
-                let killed = killed - n.sends.len();
-                seen.log.push(format!(
-                    "t{t} cub{me} desched-apply viewer{i}#0 first={} killed={killed} hops_left={hops}",
-                    u8::from(first)
-                ));
-                if first && hops > 0 {
-                    for dst in self.pair(me, me, 2) {
-                        self.post(me, dst, Msg::Desched(i, hops - 1));
-                    }
-                }
+        /// Cub `me` of the world as a [`RingDriver`] and a
+        /// [`ForwardDriver`]: a send posts the message, a record
+        /// logs its timeline line, the controller takes end-of-file
+        /// notices, and the admission and the kill are the search's own
+        /// account of what the cub sends.
+        struct At<'a> {
+            w: &'a mut World,
+            me: u32,
+            seen: &'a mut Seen,
+        }
+
+        impl At<'_> {
+            /// Logs `what` as this cub's, at this tick.
+            fn log(&mut self, what: String) {
+                let (t, me) = (self.w.t, self.me);
+                self.seen.log.push(format!("t{t} cub{me} {what}"));
             }
 
-            /// `me` commits to send block `p` of stream `i`; the first
-            /// property is checked against the driver's own holds.
-            fn admit(&mut self, me: u32, i: u32, p: u32, covered: bool, seen: &mut Seen) {
-                let (t, n) = (self.t, &mut self.nodes[me as usize]);
-                seen.held_admit |= n.held.get(&i).is_some_and(|&until| t < until);
+            /// Whether a hold turns `vs` away, asked before it is admitted.
+            fn blocked(&mut self, vs: &ViewerState) -> bool {
+                let (i, p) = (vs.slot.raw(), vs.play_seq);
+                let blocked = self.w.nodes[self.me as usize].fwd.blocks(vs, at(self.w.t));
+                self.seen.blocked |= blocked;
+                if blocked {
+                    self.log(format!("vs-blocked slot={i} viewer{i}#0 play_seq={p}"));
+                }
+                blocked
+            }
+
+            /// Commits to send `vs`'s block; the first property is checked
+            /// against the driver's own holds.
+            fn admit(&mut self, vs: &ViewerState, covered: bool) {
+                let (i, p, t) = (vs.slot.raw(), vs.position.raw(), self.w.t);
+                let n = &mut self.w.nodes[self.me as usize];
+                self.seen.held_admit |= n.held.get(&i).is_some_and(|&until| t < until);
                 n.sends.insert((i, p), covered);
                 if !covered {
                     n.unforwarded.insert((i, p));
                 }
             }
-
-            /// What `Cub::on_primary_state` does with the verdict.
-            fn receive(&mut self, me: u32, vs: ViewerState, redriven: bool, seen: &mut Seen) {
-                let (i, p, t) = (vs.slot.raw(), vs.position.raw(), self.t);
-                let dead = self.owner(i, p).raw();
-                let owner = (p < self.m.len).then(|| self.owner(i, p));
-                let n = &self.nodes[me as usize];
-                let last = |set: &mut dyn Iterator<Item = &(u32, u32)>| {
-                    set.filter(|&&(j, _)| j == i).map(|&(_, q)| q).max()
-                };
-                let held = Progress {
-                    retired: last(&mut n.retired.iter()),
-                    serving: last(&mut n.sends.keys()),
-                };
-                let n = &mut self.nodes[me as usize];
-                let verdict = n
-                    .fwd
-                    .on_primary(&mut n.ring, at(t), vs, owner, held, || at(p));
-                // `Cub::admit` asks the holds first, of a served record and
-                // of the first mirror piece a cover drives.
-                let admits = matches!(verdict, Verdict::Serve | Verdict::Cover { first: true });
-                let blocked = admits && n.fwd.blocks(&vs, at(t));
-                let who = format!("t{t} cub{me}");
-                seen.blocked |= blocked;
-                if blocked {
-                    seen.log.push(format!(
-                        "{who} vs-blocked slot={i} viewer{i}#0 play_seq={p}"
-                    ));
-                }
-                match verdict {
-                    Verdict::Eof { first } => {
-                        if first {
-                            self.finished.insert(i);
-                        }
-                    }
-                    Verdict::Duplicate => {
-                        seen.log.push(format!(
-                            "{who} vs-duplicate slot={i} viewer{i}#0 play_seq={p}"
-                        ));
-                        let pending = (0..self.m.cubs).any(|c| {
-                            self.alive(c) && self.nodes[c as usize].sends.contains_key(&(i, p))
-                        });
-                        let received = self.receipts[(i * self.m.len + p) as usize] > 0;
-                        if redriven && t < p && !pending && !received {
-                            seen.refused.push((me, i, p));
-                        }
-                    }
-                    Verdict::Serve if blocked => {}
-                    Verdict::Serve if t >= p => {
-                        self.late.insert(i);
-                        seen.log
-                            .push(format!("{who} vs-late slot={i} viewer{i}#0 play_seq={p}"));
-                    }
-                    Verdict::Serve => {
-                        seen.log.push(format!(
-                            "{who} vs-accept slot={i} viewer{i}#0 play_seq={p} position={p}"
-                        ));
-                        self.admit(me, i, p, false, seen);
-                    }
-                    Verdict::Cover { first } => {
-                        if first {
-                            seen.log.push(format!(
-                                "{who} mirror-create slot={i} viewer{i}#0 failed_disk={dead}"
-                            ));
-                            if t < p && !blocked {
-                                self.admit(me, i, p, true, seen);
-                            }
-                        }
-                        self.receive(me, vs.advanced(1), false, seen);
-                    }
-                    Verdict::Shadow { relay } => {
-                        seen.log
-                            .push(format!("{who} vs-shadow slot={i} viewer{i}#0"));
-                        if relay {
-                            self.post(me, dead, Msg::Vs(i, p));
-                        }
-                    }
-                }
-            }
-        }
-
-        /// Cub `me` of the world as a [`RingDriver`]: a send posts the
-        /// compact [`Msg`], a record logs its timeline line, and the bridge
-        /// and the takeover are the search's own.
-        struct At<'a> {
-            w: &'a mut World,
-            me: u32,
-            seen: &'a mut Seen,
         }
 
         impl RingDriver for At<'_> {
@@ -1382,23 +1695,34 @@ mod tests {
             }
 
             fn send(&mut self, to: CubId, msg: Message) {
-                let msg = match msg {
-                    Message::FailureNotice { failed } => Msg::Notice(failed.raw()),
-                    Message::RejoinRequest { from } => Msg::Rejoin(from.raw()),
-                    Message::RejoinAck { from, failed } => {
-                        Msg::Ack(from.raw(), failed.iter().fold(0, |bits, c| bits | 1 << c))
+                if let Message::ViewerStates(batch) = msg {
+                    for &vs in batch.iter() {
+                        self.send(to, Message::ViewerState(vs));
                     }
-                    msg => unreachable!("the search carries no {msg:?}"),
-                };
-                self.w.post(self.me, to.raw(), msg);
+                } else {
+                    self.w.post(self.me, to.raw(), msg);
+                }
             }
 
+            /// Logs the line, and checks (c) on a re-driven shadow refused
+            /// as a duplicate: its block still due, no living cub serving or
+            /// covering it, and the client without it.
             fn record(&mut self, event: TraceEvent) {
-                let mut line = format!("t{} cub{} {}", self.w.t, self.me, event.name());
+                let (w, me) = (&*self.w, self.me);
+                if let TraceEvent::VsDuplicate { slot, play_seq, .. } = event {
+                    let (i, p) = (slot, play_seq);
+                    let pending = (0..w.m.cubs)
+                        .any(|c| w.alive(c) && w.nodes[c as usize].sends.contains_key(&(i, p)));
+                    let received = w.receipts[(i * w.m.len + p) as usize] > 0;
+                    if self.seen.redriven.contains(&(i, p)) && w.t < p && !pending && !received {
+                        self.seen.refused.push((me, i, p));
+                    }
+                }
+                let mut line = event.name().to_string();
                 for (k, v) in event.fields() {
                     line.push_str(&format!(" {k}={v}"));
                 }
-                self.seen.log.push(line);
+                self.log(line);
             }
 
             fn fence(&mut self) {
@@ -1409,52 +1733,124 @@ mod tests {
             /// past these files.
             fn replay(&mut self, _to: CubId) {}
 
-            /// What `Cub::bridge_gap` does: re-forward what went into the
-            /// gap, and bridge the retired records' next hops across it.
-            fn bridge(&mut self) {
-                let (w, me) = (&*self.w, self.me);
-                let n = &w.nodes[me as usize];
-                let records = |set: &BTreeSet<(u32, u32)>| -> Vec<_> {
-                    set.iter().map(|&(i, p)| record(i, p)).collect()
-                };
-                let into_gap = |vs: &ViewerState| into_gap(vs, &n.ring, w.locate());
-                let again: Vec<_> = records(&n.forwarded).into_iter().filter(into_gap).collect();
-                let bridged = gap_bridge(records(&n.retired), &n.ring, w.locate());
-                let n = &mut self.w.nodes[me as usize];
-                for vs in again {
-                    let r = (vs.slot.raw(), vs.position.raw());
-                    n.forwarded.remove(&r);
-                    n.unforwarded.insert(r);
-                }
-                for (vs, dst) in bridged {
-                    self.w
-                        .post(me, dst.raw(), Msg::Vs(vs.slot.raw(), vs.position.raw()));
+            fn to_controller(&mut self, msg: Message) {
+                if let Message::ViewerFinished { instance } = msg {
+                    self.w.finished.insert(instance.viewer.raw() as u32);
                 }
             }
 
-            /// What `Cub::take_over` does with the shadows: re-drive them,
-            /// and re-send a rejoiner's.
+            fn bridge(&mut self) {
+                ForwardDriver::bridge(self);
+            }
+
             fn take_over(&mut self, _failed: CubId) {
-                let (w, me) = (&*self.w, self.me);
-                let n = &w.nodes[me as usize];
-                let mut fwd = n.fwd.clone();
-                let (redrive, resends) =
-                    fwd.on_declare(&n.ring, at(w.t), SimDuration::from_secs(1), w.locate());
-                self.w.nodes[me as usize].fwd = fwd;
-                for vs in redrive {
-                    self.w.receive(me, vs, true, self.seen);
+                let (n, m) = (&self.w.nodes[self.me as usize], self.w.m);
+                let covered =
+                    |&(i, p): &(u32, u32)| p < m.len && n.ring.covers(owner(m.cubs, i, p));
+                let shadows = n
+                    .fwd
+                    .shadows()
+                    .map(|s| (s.vs.slot.raw(), s.vs.position.raw()));
+                self.seen.redriven = shadows.filter(covered).collect();
+                self.re_drive(at(self.w.t), SimDuration::from_secs(1));
+                self.seen.redriven.clear();
+            }
+        }
+
+        impl ForwardDriver for At<'_> {
+            type Place = ();
+            type Layout = Model;
+
+            fn machines(&mut self) -> (&mut ForwardMachine, &mut RingMachine, &Model) {
+                let n = &mut self.w.nodes[self.me as usize];
+                (&mut n.fwd, &mut n.ring, &self.w.m)
+            }
+
+            fn locate(m: &Model, file: FileId, position: BlockNum) -> Option<(Option<CubId>, ())> {
+                let p = position.raw();
+                Some(((p < m.len).then(|| owner(m.cubs, file.0, p)), ()))
+            }
+
+            fn due(_: &Model, _: SimTime, vs: &ViewerState, _: &()) -> SimTime {
+                at(vs.position.raw())
+            }
+
+            fn progress(&self, vs: &ViewerState) -> Progress {
+                let (n, i) = (&self.w.nodes[self.me as usize], vs.slot.raw());
+                let last = |set: &mut dyn Iterator<Item = &(u32, u32)>| {
+                    set.filter(|&&(j, _)| j == i).map(|&(_, q)| q).max()
+                };
+                Progress {
+                    retired: last(&mut n.retired.iter()),
+                    serving: last(&mut n.sends.keys()),
                 }
-                for (vs, owner) in resends {
-                    let (i, p) = (vs.slot.raw(), vs.position.raw());
-                    match owner.raw() {
-                        o if o == me => self.w.receive(me, vs, false, self.seen),
-                        o => self.w.post(me, o, Msg::Vs(i, p)),
-                    }
+            }
+
+            fn hops(&self) -> usize {
+                1 + usize::from(self.w.m.double)
+            }
+
+            /// Refused under a hold, or as late at or after its tick.
+            fn serve(&mut self, vs: ViewerState, _: ()) {
+                let (i, p) = (vs.slot.raw(), vs.position.raw());
+                if self.blocked(&vs) {
+                    return;
                 }
+                if self.w.t >= p {
+                    self.w.late.insert(i);
+                    return self.log(format!("vs-late slot={i} viewer{i}#0 play_seq={p}"));
+                }
+                self.log(format!(
+                    "vs-accept slot={i} viewer{i}#0 play_seq={p} position={p}"
+                ));
+                self.admit(&vs, false);
+            }
+
+            /// The first mirror piece, sent unless held or late.
+            fn cover(&mut self, vs: ViewerState, _: ()) {
+                let (i, p) = (vs.slot.raw(), vs.position.raw());
+                let blocked = self.blocked(&vs);
+                let dead = owner(self.w.m.cubs, i, p).raw();
+                self.log(format!(
+                    "mirror-create slot={i} viewer{i}#0 failed_disk={dead}"
+                ));
+                if self.w.t < p && !blocked {
+                    self.admit(&vs, true);
+                }
+            }
+
+            /// Unsent blocks and unforwarded records of the stream, and
+            /// the driver's own hold, `HOLD + LEAD` ticks.
+            fn kill(&mut self, d: &Deschedule) -> u32 {
+                let (i, until) = (d.slot.raw(), self.w.t + HOLD + LEAD);
+                let n = &mut self.w.nodes[self.me as usize];
+                let held = n.held.entry(i).or_insert(until);
+                *held = until.max(*held);
+                let before = n.sends.len();
+                n.sends.retain(|&(j, _), _| j != i);
+                n.forwarded.retain(|&(j, _)| j != i);
+                n.unforwarded.retain(|&(j, _)| j != i);
+                (before - n.sends.len()) as u32
+            }
+
+            fn reforward(&mut self, gap: impl Fn(&ViewerState, &RingMachine, &Model) -> bool) {
+                let (n, m) = (&mut self.w.nodes[self.me as usize], &self.w.m);
+                let into_gap = |&(i, p): &(u32, u32)| gap(&record(i, p), &n.ring, m);
+                let again: Vec<_> = n.forwarded.iter().copied().filter(into_gap).collect();
+                for r in again {
+                    n.forwarded.remove(&r);
+                    n.unforwarded.insert(r);
+                }
+            }
+
+            fn retired(&self) -> impl Iterator<Item = ViewerState> {
+                let n = &self.w.nodes[self.me as usize];
+                n.retired.iter().map(|&(i, p)| record(i, p))
             }
         }
 
         /// What a search over one model found.
+        #[derive(Default)]
         struct Found {
             states: usize,
             depth: usize,
@@ -1488,33 +1884,17 @@ mod tests {
             let mut seen_keys = DetHashSet::default();
             seen_keys.insert(start.key());
             let mut frontier = VecDeque::from([start]);
-            let mut found = Found {
-                states: 1,
-                depth: 0,
-                refused: DetHashSet::default(),
-                first_refusal: None,
-                doubled: 0,
-                first_double: None,
-                stalled: 0,
-                first_stall: None,
-                held_admits: 0,
-                first_held_admit: None,
-                after_stop: 0,
-                first_after_stop: None,
-                blocked: 0,
-                silenced: 0,
-            };
+            let mut found = Found::default();
             while let Some(w) = frontier.pop_front() {
                 found.depth = found.depth.max(w.path.len());
                 let enabled = w.enabled();
                 if enabled.is_empty() {
-                    let silent = (0..m.streams)
-                        .filter(|i| {
-                            ![&w.finished, &w.late, &w.stopped]
-                                .iter()
-                                .any(|s| s.contains(i))
-                        })
-                        .count();
+                    let ended = |i: &u32| {
+                        [&w.finished, &w.late, &w.stopped]
+                            .iter()
+                            .any(|s| s.contains(i))
+                    };
+                    let silent = (0..m.streams).filter(|i| !ended(i)).count();
                     if silent > 0 && found.first_stall.is_none() {
                         found.first_stall = Some(w.path.clone());
                     }
@@ -1545,9 +1925,8 @@ mod tests {
                     if seen_keys.insert(next.key()) {
                         found.doubled += usize::from(seen.doubled);
                         found.silenced += usize::from(!next.silenced.is_empty());
-                        found.states += 1;
                         assert!(
-                            found.states <= cap,
+                            seen_keys.len() <= cap,
                             "{m:?} passed {cap} states, ten times what it reaches: \
                              does a message circulate without end?"
                         );
@@ -1555,6 +1934,7 @@ mod tests {
                     }
                 }
             }
+            found.states = seen_keys.len();
             found
         }
 

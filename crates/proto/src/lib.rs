@@ -7,8 +7,9 @@
 //! only as `SimTime` arguments and leaves only as deadline values inside
 //! outputs. Where a sequence of decisions is the protocol, it is written
 //! here once, over hooks the driver implements: [`RingDriver`] runs §2.3's
-//! failure handling and hands its trace events (`tiger_trace::TraceEvent`)
-//! to the driver to record. That boundary is what lets the same machines
+//! failure handling and [`ForwardDriver`] §4.1's forwarding, and both hand
+//! their trace events (`tiger_trace::TraceEvent`) to the driver to record.
+//! That boundary is what lets the same machines
 //! run under two very different drivers:
 //!
 //! * the deterministic discrete-event simulation in `tiger-core`
@@ -34,8 +35,10 @@
 //!   for a dead owner, shadowed, refused as a duplicate, or ends its
 //!   stream ([`Verdict`]); the shadow, cover, end-of-file and §4.1.2
 //!   deschedule-hold memories behind it; the declare's shadow re-drive and re-sends to a
-//!   rejoiner; and the §2.3 arithmetic over the retired log (the
-//!   declare's gap bridge and re-forward, the rejoin's replay).
+//!   rejoiner; the §2.3 arithmetic over the retired log (the
+//!   declare's gap bridge and re-forward, the rejoin's replay); and the
+//!   sequence around it ([`ForwardDriver`]): a record's verdict, the
+//!   forward pass, a deschedule, the gap bridge and the shadow re-drive.
 //! * [`insert`] — the ownership-window insertion machine
 //!   ([`InsertMachine`]): queued start requests, redundant-start
 //!   promotion, and the attempt/commit/miss cycle.
@@ -54,7 +57,7 @@ pub mod reserve;
 pub mod ring;
 pub mod wire;
 
-pub use forward::{ForwardMachine, Progress, Verdict};
+pub use forward::{ForwardDriver, ForwardMachine, Progress, Verdict};
 pub use insert::{InsertMachine, PendingStart};
 pub use msg::{Message, FRAME_BYTES};
 pub use reserve::ReserveMachine;

@@ -212,12 +212,12 @@ impl Controller {
                 }
                 self.on_viewer_finished(instance);
             }
-            Message::FailureNotice { failed } => {
+            Message::FailureNotice { failed, .. } => {
                 let first = !self.believes_failed.is_failed(failed);
                 self.believes_failed.set_failed(failed, true);
                 return first.then_some(failed);
             }
-            Message::RejoinRequest { from } => {
+            Message::RejoinRequest { from, .. } => {
                 // A restarted cub is routable again.
                 self.believes_failed.set_failed(from, false);
             }

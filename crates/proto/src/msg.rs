@@ -107,6 +107,9 @@ pub enum Message {
     RejoinRequest {
         /// The rejoining cub.
         from: CubId,
+        /// Its life, raised by each restart: a notice naming an older one
+        /// is stale.
+        life: u32,
     },
     /// A ring neighbour's reply to [`Message::RejoinRequest`]: the
     /// neighbour's current failure beliefs, so the rejoiner (which restarts
@@ -134,6 +137,9 @@ pub enum Message {
     FailureNotice {
         /// The failed cub.
         failed: CubId,
+        /// The life of `failed` the declarer knew: a receiver that has
+        /// seen a later one (a rejoin) drops the notice.
+        life: u32,
     },
     /// One block (or mirror piece) of stream data arriving at a client.
     /// Carried outside the control-byte accounting (it is data plane).

@@ -2,8 +2,9 @@
 //! and the one sequence every driver runs it through.
 //!
 //! [`RingMachine`] owns every belief a cub holds about the ring: which
-//! cubs it believes failed, when it last heard from each, the per-cub
-//! "recently rejoined" horizon, and the open mirror hand-back window.
+//! cubs it believes failed, when it last heard from each, the life
+//! (restart count) it last saw each in, the per-cub "recently rejoined"
+//! horizon, and the open mirror hand-back window.
 //! Inputs are deadman pings, failure notices, rejoin requests/acks, and
 //! timer expiries; outputs are small typed verdicts. The machine never
 //! sends, schedules, or records anything. [`RingDriver`] is §2.3's
@@ -166,6 +167,8 @@ pub struct RingMachine {
     last_heard: Vec<SimTime>,
     /// Per-cub "recently rejoined until" horizon.
     rejoin_until: Vec<SimTime>,
+    /// The last life seen of each cub, this one's own included.
+    lives: Vec<u32>,
     /// Open mirror hand-back window: `(rejoiner, until)`.
     handback: Option<(CubId, SimTime)>,
 }
@@ -178,6 +181,7 @@ impl RingMachine {
             members: Membership::all_living(num_cubs as usize),
             last_heard: vec![SimTime::ZERO; num_cubs as usize],
             rejoin_until: vec![SimTime::ZERO; num_cubs as usize],
+            lives: vec![0; num_cubs as usize],
             handback: None,
         }
     }
@@ -195,6 +199,20 @@ impl RingMachine {
     /// Whether this cub currently believes `cub` is failed.
     pub fn believes_failed(&self, cub: CubId) -> bool {
         self.members.is_failed(cub)
+    }
+
+    /// The last life seen of `cub`.
+    pub fn life(&self, cub: CubId) -> u32 {
+        self.lives[cub.index()]
+    }
+
+    /// Input: a message naming `cub` in `life`. Whether that life is no
+    /// older than the last seen, which it then becomes: a failure notice
+    /// that names an older life predates a rejoin and is dropped.
+    pub fn sees_life(&mut self, cub: CubId, life: u32) -> bool {
+        let seen = &mut self.lives[cub.index()];
+        *seen = life.max(*seen);
+        life == *seen
     }
 
     /// The answer to a rejoin request: this cub's failure beliefs.
@@ -358,8 +376,12 @@ impl RingMachine {
     /// Restart with empty protocol state: a restarted process knows
     /// nothing about who is down; it assumes the full striped ring is
     /// alive (spares stay marked failed — they are not ring members)
-    /// and learns real failures from rejoin acks.
+    /// and learns real failures from rejoin acks. It keeps only its own
+    /// life, raised, as a boot counter would.
     pub fn restart(&mut self, now: SimTime, striped_cubs: u32) {
+        let life = self.life(self.id) + 1;
+        self.lives.fill(0);
+        self.lives[self.id.index()] = life;
         for c in 0..self.members.len() as u32 {
             self.members.set_failed(CubId(c), c >= striped_cubs);
         }
@@ -386,6 +408,7 @@ impl RingMachine {
         self.members.reset_from(failed);
         self.last_heard = vec![now; failed.len()];
         self.rejoin_until = vec![SimTime::ZERO; failed.len()];
+        self.lives.resize(failed.len(), 0);
     }
 }
 
@@ -457,7 +480,8 @@ pub trait RingDriver {
     /// that `failed` is dead.
     fn announce(&mut self, failed: CubId) {
         let (me, cubs) = (self.ring().id(), self.ring().num_cubs());
-        let notice = Message::FailureNotice { failed };
+        let life = self.ring().life(failed);
+        let notice = Message::FailureNotice { failed, life };
         // By id: collecting the peers would allocate at every declare.
         for peer in (0..cubs).map(CubId) {
             if peer != me && !self.ring().believes_failed(peer) {
@@ -469,23 +493,28 @@ pub trait RingDriver {
 
     /// Handles a received ring message (a ping, a failure notice, a
     /// rejoin request or its ack) and returns `None`; hands any other
-    /// message back to the caller.
+    /// message back to the caller. A notice naming a life older than
+    /// the last seen of its cub predates that cub's rejoin: it is
+    /// dropped, the zombie-ping reply to a restarted cub included.
     fn on_ring_message(&mut self, now: SimTime, cfg: &RingConfig, msg: Message) -> Option<Message> {
         match msg {
             Message::DeadmanPing { from } => {
                 // A zombie's ping: tell it, so it fences itself off.
                 if self.ring().on_ping(from, now) {
-                    self.send(from, Message::FailureNotice { failed: from });
+                    let life = self.ring().life(from);
+                    self.send(from, Message::FailureNotice { failed: from, life });
                 }
             }
-            Message::FailureNotice { failed } if failed == self.ring().id() => {
+            Message::FailureNotice { failed, life } if !self.ring().sees_life(failed, life) => {}
+            Message::FailureNotice { failed, .. } if failed == self.ring().id() => {
                 self.record(TraceEvent::CubFenced { cub: failed.raw() });
                 self.fence();
             }
-            Message::FailureNotice { failed } => self.declare(now, failed),
-            Message::RejoinRequest { from } => {
+            Message::FailureNotice { failed, .. } => self.declare(now, failed),
+            Message::RejoinRequest { from, life } => {
                 // Its own request is `None`, handled. Then the ack, the
                 // replay and the hand-back.
+                self.ring().sees_life(from, life);
                 let outcome = self.ring().on_rejoin_request(from, now, cfg)?;
                 if outcome.should_ack {
                     let ack = self.ring().rejoin_ack();
@@ -517,7 +546,8 @@ pub trait RingDriver {
     fn rejoin(&mut self, now: SimTime, striped: u32) {
         self.ring().restart(now, striped);
         let from = self.ring().id();
-        let request = Message::RejoinRequest { from };
+        let life = self.ring().life(from);
+        let request = Message::RejoinRequest { from, life };
         for c in (0..striped).map(CubId).filter(|&c| c != from) {
             self.send(c, request.clone());
         }
@@ -881,9 +911,9 @@ mod tests {
                 "bridge",
                 "record mirror-takeover failed_cub=1",
                 "take-over c1",
-                "send c0 NOTICE 1",
-                "send c3 NOTICE 1",
-                "controller NOTICE 1",
+                "send c0 NOTICE 1 0",
+                "send c3 NOTICE 1 0",
+                "controller NOTICE 1 0",
             ]
         );
         assert_eq!(d.check(late, &cfg()), None, "c0 is monitored from now");
@@ -897,7 +927,10 @@ mod tests {
         let mut d = Log::new(0, 2);
         d.declare(SimTime::from_secs(2), CubId(1));
         d.take();
-        let request = Message::RejoinRequest { from: CubId(1) };
+        let request = Message::RejoinRequest {
+            from: CubId(1),
+            life: 1,
+        };
         let t = SimTime::from_secs(5);
         assert_eq!(d.on_ring_message(t, &cfg(), request), None);
         assert_eq!(
@@ -910,7 +943,10 @@ mod tests {
             ]
         );
         assert!(d.ring.handback_relay(CubId(1), t), "the window is open");
-        let own = Message::RejoinRequest { from: CubId(0) };
+        let own = Message::RejoinRequest {
+            from: CubId(0),
+            life: 0,
+        };
         assert_eq!(d.on_ring_message(t, &cfg(), own), None);
         assert!(d.take().is_empty(), "a cub's own request is nothing");
     }
@@ -940,7 +976,10 @@ mod tests {
     fn a_notice_naming_the_receiver_fences_it_and_a_zombie_ping_earns_one() {
         let mut d = Log::new(2, 4);
         let t = SimTime::from_secs(2);
-        let notice = Message::FailureNotice { failed: CubId(2) };
+        let notice = Message::FailureNotice {
+            failed: CubId(2),
+            life: 0,
+        };
         assert_eq!(d.on_ring_message(t, &cfg(), notice), None);
         assert_eq!(d.take(), ["record cub-fenced cub=2", "fence"]);
         assert!(!d.ring.believes_failed(CubId(2)));
@@ -951,7 +990,48 @@ mod tests {
         d.declare(t, CubId(1));
         d.take();
         assert_eq!(d.on_ring_message(t, &cfg(), ping(1)), None);
-        assert_eq!(d.take(), ["send c1 NOTICE 1"], "a zombie is told");
+        assert_eq!(d.take(), ["send c1 NOTICE 1 0"], "a zombie is told");
+    }
+
+    /// ROADMAP 1(f): a declare's notice and the rejoiner's request come
+    /// from different senders, so a third cub may take the request first.
+    /// The notice names the life its declarer knew, older than the
+    /// request's, and is dropped: the rejoiner stays living here. So is
+    /// the reply to a restarted cub's ping from a cub that has not yet
+    /// seen its request. A notice of the new life still declares.
+    #[test]
+    fn a_notice_arriving_after_the_rejoin_request_of_its_cub_is_dropped() {
+        let (mut d, t) = (Log::new(2, 4), SimTime::from_secs(2));
+        let notice = |failed, life| Message::FailureNotice {
+            failed: CubId(failed),
+            life,
+        };
+        let request = Message::RejoinRequest {
+            from: CubId(1),
+            life: 1,
+        };
+        assert_eq!(d.on_ring_message(t, &cfg(), request), None);
+        d.take();
+        assert_eq!(d.on_ring_message(t, &cfg(), notice(1, 0)), None);
+        assert!(d.take().is_empty(), "a notice of the life before");
+        assert!(!d.ring.believes_failed(CubId(1)));
+        assert_eq!(d.on_ring_message(t, &cfg(), notice(1, 1)), None);
+        assert_eq!(
+            d.take(),
+            [
+                "record failure-notice failed=1",
+                "bridge",
+                "record mirror-takeover failed_cub=1",
+                "take-over c1",
+            ]
+        );
+        // This cub restarts: a notice naming its previous life is stale.
+        d.rejoin(t, 4);
+        d.take();
+        assert_eq!(d.on_ring_message(t, &cfg(), notice(2, 0)), None);
+        assert!(d.take().is_empty(), "no fence for the life before");
+        assert_eq!(d.on_ring_message(t, &cfg(), notice(2, 1)), None);
+        assert_eq!(d.take(), ["record cub-fenced cub=2", "fence"]);
     }
 
     #[test]
@@ -964,10 +1044,10 @@ mod tests {
         assert_eq!(
             &d.take()[2..],
             [
-                "send c0 REJOIN 1",
-                "send c2 REJOIN 1",
-                "send c3 REJOIN 1",
-                "controller REJOIN 1",
+                "send c0 REJOIN 1 1",
+                "send c2 REJOIN 1 1",
+                "send c3 REJOIN 1 1",
+                "controller REJOIN 1 1",
             ]
         );
         assert!(!d.ring.believes_failed(CubId(2)), "a restart forgets");

@@ -12,10 +12,10 @@
 //! STOP <viewer>,<inc>
 //! FIN <viewer>,<inc>
 //! PING <from>
-//! REJOIN <from>
+//! REJOIN <from> <life>
 //! RACK <from> <c,c,...|->                  failure beliefs ('-' = none)
 //! RPLY <from> <vs> <vs> ...                retired-log replay (may be empty)
-//! NOTICE <failed>
+//! NOTICE <failed> <life>
 //! DATA <viewer>,<inc> <block> <piece|-> <total> <bytes>
 //! ```
 //!
@@ -249,10 +249,10 @@ wire_messages! {
     "STOP" => StopRequest { instance },
     "FIN" => ViewerFinished { instance },
     "PING" => DeadmanPing { from },
-    "REJOIN" => RejoinRequest { from },
+    "REJOIN" => RejoinRequest { from, life },
     "RACK" => RejoinAck { from, failed },
     "RPLY" => RetiredReplay { from, states },
-    "NOTICE" => FailureNotice { failed },
+    "NOTICE" => FailureNotice { failed, life },
     "DATA" => StreamData { instance, block, piece, total_pieces, bytes },
 }
 
@@ -358,7 +358,10 @@ pub fn exemplars() -> Vec<Message> {
             instance: inst(12, 0),
         },
         Message::DeadmanPing { from: CubId(2) },
-        Message::RejoinRequest { from: CubId(1) },
+        Message::RejoinRequest {
+            from: CubId(1),
+            life: 2,
+        },
         Message::RejoinAck {
             from: CubId(0),
             failed: Arc::from(Vec::<u32>::new()),
@@ -379,7 +382,10 @@ pub fn exemplars() -> Vec<Message> {
             ]
             .into(),
         },
-        Message::FailureNotice { failed: CubId(3) },
+        Message::FailureNotice {
+            failed: CubId(3),
+            life: 1,
+        },
         Message::StreamData {
             instance: inst(12, 0),
             block: 88,

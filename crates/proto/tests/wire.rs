@@ -37,12 +37,12 @@ const EXEMPLAR_LINES: &[&str] = &[
     "STOP 12,0",
     "FIN 12,0",
     "PING 2",
-    "REJOIN 1",
+    "REJOIN 1 2",
     "RACK 0 -",
     "RACK 0 1,3",
     "RPLY 2",
     "RPLY 2 3,3,11,2,417,8,42,2000000,P 4,3,11,2,417,14,42,2000000,P",
-    "NOTICE 3",
+    "NOTICE 3 1",
     "DATA 12,0 88 - 1 250000",
     "DATA 12,0 88 1 2 125000",
 ];
@@ -178,6 +178,7 @@ fn message(rng: &mut SimRng, variant: u32) -> Message {
         },
         9 => Message::RejoinRequest {
             from: CubId(edge_u32(rng)),
+            life: edge_u32(rng),
         },
         10 => Message::RejoinAck {
             from: CubId(edge_u32(rng)),
@@ -189,6 +190,7 @@ fn message(rng: &mut SimRng, variant: u32) -> Message {
         },
         12 => Message::FailureNotice {
             failed: CubId(edge_u32(rng)),
+            life: edge_u32(rng),
         },
         _ => Message::StreamData {
             instance: instance(rng),
@@ -233,8 +235,10 @@ fn sample_digest() -> u64 {
 }
 
 /// The sample digest the hand-rolled codec wrote (under the normal
-/// build's `DetHasher`; `--cfg tiger_alt_hash` changes its multiplier).
-const SAMPLE_DIGEST: u64 = 0x1837_ea31_3d13_8018;
+/// build's `DetHasher`; `--cfg tiger_alt_hash` changes its multiplier),
+/// re-pinned when failure notices and rejoin requests gained a life: the
+/// generator draws one more field for each, so the whole sample moved.
+const SAMPLE_DIGEST: u64 = 0xbb73_9eeb_2a1d_8625;
 
 #[test]
 fn a_fixed_sample_encodes_to_the_pinned_digest() {
@@ -278,6 +282,9 @@ fn a_fixed_sample_encodes_to_the_pinned_digest() {
     assert!(sample
         .iter()
         .any(|m| matches!(m, Message::DeadmanPing { from } if from.raw() == u32::MAX)));
+    assert!(sample
+        .iter()
+        .any(|m| matches!(m, Message::FailureNotice { life, .. } if *life == u32::MAX)));
 
     assert_eq!(sample_digest(), SAMPLE_DIGEST, "{:#018x}", sample_digest());
 }

@@ -192,11 +192,11 @@ impl CubThread {
                 }
                 RESTARTING => {
                     // Mirror of `TigerSystem::restart_cub`: drain what
-                    // arrived while dead, reset the machine to the
-                    // knows-nothing state, announce the rejoin, and
-                    // resume periodic work with the check one full
-                    // timeout out (the fresh baseline can never declare
-                    // a predecessor on stale silence).
+                    // arrived while dead, reset the machine to knowing
+                    // nothing but its own life, raised as a boot counter
+                    // would be, announce the rejoin, and resume periodic
+                    // work with the check one full timeout out (the fresh
+                    // baseline never declares on stale silence).
                     while self.sock.recv_from(&mut buf).is_ok() {}
                     let now = self.now();
                     self.fenced = false;
@@ -305,12 +305,12 @@ mod tests {
             fenced: false,
             refused: 0,
         };
-        cub.on_datagram(b"NOTICE 01");
-        cub.on_datagram(b"NOTICE 1 ");
+        cub.on_datagram(b"NOTICE 01 0");
+        cub.on_datagram(b"NOTICE 1 0 ");
         cub.on_datagram(&[0xff, 0xfe]);
         assert_eq!(cub.refused, 3);
         assert!(!cub.ring.believes_failed(CubId(1)));
-        cub.on_datagram(b"NOTICE 1");
+        cub.on_datagram(b"NOTICE 1 0");
         assert_eq!(cub.refused, 3);
         assert!(cub.ring.believes_failed(CubId(1)), "a good line is handled");
     }

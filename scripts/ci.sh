@@ -90,11 +90,11 @@ cargo test -q --release -p tiger-core --test table_bytes
 # two crashes each followed by its declare, a crash and a restart on
 # three cubs, and a stop (the controller's deschedule, applied through the
 # machine's hold) on three cubs with one stream, without and with a crash,
-# states keyed exactly. ROADMAP item 1(c)'s refused shadows are pinned at
-# 0, 1(a)'s double deliveries and 1(f)'s silent stalls as counts their
-# fixes flip, no admission under a hold and no delivery once every living
-# cub has applied the stop at 0, and the first of each is printed as a
-# timeline. The declare, its notices, the rejoin request and its acks run
+# states keyed exactly. ROADMAP item 1(c)'s refused shadows and 1(f)'s
+# silent stalls (a notice names the life it declares) are pinned at 0,
+# 1(a)'s double deliveries as a count its fix flips, no admission under a
+# hold and no delivery once every living cub has applied the stop at 0,
+# and the first of each is printed as a timeline. The declare, its notices, the rejoin request and its acks run
 # through the ring driver (`tiger_proto::RingDriver`), the sequence the DES
 # cub and the socket driver ship, and every record's verdict, forward,
 # deschedule, gap bridge and shadow re-drive through the forwarding driver
@@ -284,7 +284,7 @@ if [ "$lines" -gt 604 ]; then
 fi
 for dir_limit in crates/core/src:6602 crates/faults/src:1238 crates/net/src:497 \
     crates/workload/src:1218 crates/bench/src:2811 \
-    crates/sched/src:1661 crates/proto/src:2194 crates/rt/src:385 \
+    crates/sched/src:1661 crates/proto/src:2236 crates/rt/src:385 \
     crates/layout/src:1589; do
     dir=${dir_limit%:*} limit=${dir_limit#*:} total=0
     for f in "$dir"/*.rs; do

@@ -127,7 +127,10 @@ fn failure_notice_racing_deschedule_hold() {
                 request: d,
                 hops_left: 2,
             };
-            let notice = Message::FailureNotice { failed: far };
+            let notice = Message::FailureNotice {
+                failed: far,
+                life: 0,
+            };
             if notice_first {
                 deliver(cub, sh, t, notice);
                 deliver(cub, sh, t + SimDuration::from_millis(1), desched);

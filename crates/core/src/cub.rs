@@ -539,20 +539,20 @@ impl Cub {
         // The start disk is this cub's or one it covers, and nothing of the
         // instance is here (a sighting drops a queued start), so this is
         // served, or covered via mirrors straight away.
-        let mut cub = Driver { cub: self, sh, now };
-        cub.on_record(now, vs);
+        let mut driver = Driver { cub: self, sh, now };
+        driver.on_record(now, vs);
         // Commit: tell the controller (the insertion "becomes part of the
         // coherent hallucination when a message to that effect makes it to
         // at least one other machine").
         let (instance, file) = (pending.instance, pending.file);
-        let first_send = cub.sh.params.slot_send_time(d0, slot, now);
+        let first_send = driver.sh.params.slot_send_time(d0, slot, now);
         let committed = Message::InsertCommitted {
             instance,
             slot,
             file,
             first_send,
         };
-        cub.to_controller(committed);
+        driver.to_controller(committed);
         // Hasten propagation of the fresh insert.
         self.hasten_forward(&mut sh.queue, now);
     }

@@ -99,7 +99,7 @@ cargo test -q --release -p tiger-core --test table_bytes
 # cub and the socket driver ship, and every record's verdict, forward,
 # deschedule, gap bridge and shadow re-drive through the forwarding driver
 # (`tiger_proto::ForwardDriver`), the sequence the DES cub ships. About
-# 11 s in release. Fatal.
+# 8 s in release. Fatal.
 echo "== forward machine: every interleaving of the crash path" >&2
 cargo test -q --release -p tiger-proto --lib every_interleaving_of_the_crash_path -- --nocapture >&2
 

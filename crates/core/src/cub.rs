@@ -813,12 +813,3 @@ impl ForwardDriver for Driver<'_> {
         self.cub.services.retired().map(|(_, vs)| vs)
     }
 }
-
-/// The `(slot, viewer, inc)` triple most trace events carry.
-fn vkey(vs: &ViewerState) -> (u32, u64, u32) {
-    (
-        vs.slot.raw(),
-        vs.instance.viewer.raw(),
-        vs.instance.incarnation,
-    )
-}

@@ -23,7 +23,7 @@ use tiger_sched::{Deschedule, PrimaryRecord, ScheduleParams, StreamKind, ViewerS
 use tiger_sim::{ByteSize, SimDuration, SimTime};
 use tiger_trace::TraceEvent;
 
-use super::{vkey, Cub, Driver};
+use super::{Cub, Driver};
 use crate::backend::Backend;
 use crate::event::{Event, ServiceToken};
 use crate::system::Shared;
@@ -377,7 +377,7 @@ impl Cub {
         let wrapped = max_legit_lead < sh.params.schedule_len()
             && block_due.saturating_since(now) > max_legit_lead;
         let me = self.id.raw();
-        let (slot, viewer, inc) = vkey(&vs);
+        let (slot, viewer, inc) = vs.trace_key();
         if wrapped || (spec.late_guard && send_at <= now + SimDuration::from_millis(5)) {
             sh.tracer.record(
                 now,
@@ -439,7 +439,7 @@ impl Cub {
     ) {
         let spec = PieceSpec::primary(&sh.params, block, disk, sh.backend.shards());
         let me = self.id.raw();
-        let (slot, viewer, inc) = vkey(&vs);
+        let (slot, viewer, inc) = vs.trace_key();
         let (send_at, token) = match self.admit(sh, now, vs, spec) {
             Admit::Accepted(send_at, token) => (send_at, token),
             Admit::Duplicate => return Driver { cub: self, sh, now }.duplicate(&vs),
@@ -487,7 +487,7 @@ impl Cub {
         failed_disk: DiskId,
     ) {
         let block_due = sh.params.slot_send_time(failed_disk, vs.slot, now);
-        let (slot, viewer, inc) = vkey(&vs);
+        let (slot, viewer, inc) = vs.trace_key();
         let coded = matches!(sh.backend, Backend::Coded(..));
         let ev = if coded {
             TraceEvent::CodedRepair {
@@ -726,7 +726,7 @@ impl Cub {
         {
             // Degraded service: this shard stands in for data whose home
             // machine is down.
-            let (slot, viewer, inc) = vkey(&vs);
+            let (slot, viewer, inc) = vs.trace_key();
             sh.tracer.record(
                 now,
                 self.id.raw(),
@@ -849,7 +849,7 @@ impl Cub {
         });
         match submitted {
             Some((req, Ok(done))) => {
-                let (slot, viewer, inc) = vkey(&entry.vs);
+                let (slot, viewer, inc) = entry.vs.trace_key();
                 sh.tracer.record(
                     now,
                     self.id.raw(),
@@ -885,7 +885,7 @@ impl Cub {
                 // disk and the viewer both continue.
                 entry.read_lost();
                 sh.metrics.loss.failover_lost += 1;
-                let (slot, viewer, inc) = vkey(&entry.vs);
+                let (slot, viewer, inc) = entry.vs.trace_key();
                 if !self.failed {
                     // The next forward pass reclaims the entry. (A serving
                     // spare runs no passes: its send-due does.)
@@ -929,7 +929,7 @@ impl Cub {
         }
         entry.read_done();
         let (vs, disk_local) = (entry.vs, entry.disk_local);
-        let (slot, viewer, inc) = vkey(&vs);
+        let (slot, viewer, inc) = vs.trace_key();
         self.trace(sh, now, TraceEvent::DiskDone { slot, viewer, inc });
         // The buffer pool recycles aggressively (§2.2's zero-copy path
         // keeps no long-lived cache), so a block is shareable only while
@@ -958,7 +958,7 @@ impl Cub {
         if due == SendDue::Dropped {
             return;
         }
-        let (slot, viewer, inc) = vkey(&entry.vs);
+        let (slot, viewer, inc) = entry.vs.trace_key();
         sh.tracer.record(
             now,
             self.id.raw(),
@@ -1012,7 +1012,7 @@ impl Cub {
         };
         entry.send_done();
         let entry = *entry;
-        let (slot, viewer, inc) = vkey(&entry.vs);
+        let (slot, viewer, inc) = entry.vs.trace_key();
         self.trace(sh, now, TraceEvent::SendDone { slot, viewer, inc });
         let node = sh.cub_node(self.id);
         let bytes = u64::from(entry.payload);

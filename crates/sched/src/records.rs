@@ -76,6 +76,13 @@ impl ViewerState {
     /// comparable message sent from cub to cub … 100 bytes").
     pub const WIRE_BYTES: u64 = 100;
 
+    /// The `(slot, viewer, incarnation)` triple most trace events carry.
+    #[inline]
+    pub fn trace_key(&self) -> (u32, u64, u32) {
+        let i = self.instance;
+        (self.slot.raw(), i.viewer.raw(), i.incarnation)
+    }
+
     /// Whether `self` carries the same or newer information than `other`
     /// for the same (slot, instance, kind) — the idempotence/duplicate
     /// test: "Receiving a viewer state is idempotent: Duplicates are

@@ -374,12 +374,6 @@ pub fn first_reachable(
     None
 }
 
-/// The `(slot, viewer, inc)` a record's trace events carry.
-fn key(d: &Deschedule) -> (u32, u64, u32) {
-    let i = d.instance;
-    (d.slot.raw(), i.viewer.raw(), i.incarnation)
-}
-
 /// A driver of one cub's [`ForwardMachine`]: §4.1's sequence around it
 /// (a record's verdict, the forward pass, a deschedule, the gap bridge and
 /// the shadow re-drive), sending and recording through its [`RingDriver`].
@@ -452,7 +446,7 @@ pub trait ForwardDriver: RingDriver {
                 self.on_record(now, vs.advanced(1));
             }
             Verdict::Shadow { relay } => {
-                let (slot, viewer, inc) = key(&Deschedule::of(&vs));
+                let (slot, viewer, inc) = vs.trace_key();
                 self.record(TraceEvent::VsShadow { slot, viewer, inc });
                 if let Some(owner) = owner.filter(|_| relay) {
                     self.send(owner, Message::ViewerState(vs));
@@ -463,7 +457,7 @@ pub trait ForwardDriver: RingDriver {
 
     /// Records the refusal of `vs`, a stale or double-forwarded copy.
     fn duplicate(&mut self, vs: &ViewerState) {
-        let ((slot, viewer, inc), play_seq) = (key(&Deschedule::of(vs)), vs.play_seq);
+        let ((slot, viewer, inc), play_seq) = (vs.trace_key(), vs.play_seq);
         let duplicate = TraceEvent::VsDuplicate {
             slot,
             viewer,
@@ -503,7 +497,12 @@ pub trait ForwardDriver: RingDriver {
     /// pair at once (not batched: it must outrun the viewer states).
     fn on_deschedule(&mut self, now: SimTime, d: Deschedule, hops_left: u32, until: SimTime) {
         let first = self.machines().0.on_deschedule(d, now, until);
-        let (killed, (slot, viewer, inc)) = (self.kill(&d), key(&d));
+        let killed = self.kill(&d);
+        let (slot, viewer, inc) = (
+            d.slot.raw(),
+            d.instance.viewer.raw(),
+            d.instance.incarnation,
+        );
         let applied = TraceEvent::DeschedApply {
             slot,
             viewer,
@@ -1232,6 +1231,10 @@ mod tests {
             crashes: u32,
             restarts: u32,
             stops: u32,
+            /// The cubs that crash, in order, when given: no other does,
+            /// and each waits for every message in flight to land, so no
+            /// failure falls inside another's rejoin.
+            victims: &'static [u32],
         }
 
         #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -1293,7 +1296,7 @@ mod tests {
         type Key = (
             (u32, u32, u32),
             Vec<NodeKey>,
-            Vec<Vec<String>>,
+            Vec<Vec<MessageKey>>,
             Vec<u8>,
             [Vec<u32>; 4],
         );
@@ -1328,13 +1331,45 @@ mod tests {
             doubled: bool,
             /// A record admitted while its cub held its deschedule.
             held_admit: bool,
+            /// A declare naming an older life than its cub's.
+            stale: bool,
             /// A block of a silenced stream delivered.
             after_stop: bool,
             /// A record turned away by a hold.
             blocked: bool,
             /// The shadows a takeover re-drives, `(stream, position)`.
             redriven: Vec<(u32, u32)>,
-            log: Vec<String>,
+            /// The timeline's lines, kept only when a path is replayed.
+            log: Option<Vec<String>>,
+        }
+
+        impl Seen {
+            fn note(&mut self, line: std::fmt::Arguments) {
+                if let Some(log) = &mut self.log {
+                    log.push(line.to_string());
+                }
+            }
+        }
+
+        /// A queued message as the key sees it: its kind and the fields
+        /// that vary here (a record's slot, position and play sequence; a
+        /// deschedule's slot and hops; a cub and a life, or a rejoin ack's
+        /// beliefs as a bit set). Every other field is fixed by the slot.
+        type MessageKey = (u8, u32, u32, u32);
+
+        fn message_key(msg: &Message) -> MessageKey {
+            match msg {
+                Message::ViewerState(vs) => (0, vs.slot.raw(), vs.position.raw(), vs.play_seq),
+                Message::Deschedule { request, hops_left } => {
+                    (1, request.slot.raw(), *hops_left, 0)
+                }
+                Message::FailureNotice { failed, life } => (2, failed.raw(), *life, 0),
+                Message::RejoinRequest { from, life } => (3, from.raw(), *life, 0),
+                Message::RejoinAck { from, failed } => {
+                    (4, from.raw(), failed.iter().map(|&c| 1 << c).sum(), 0)
+                }
+                other => unreachable!("the search sends no {other:?}"),
+            }
         }
 
         fn record(stream: u32, position: u32) -> ViewerState {
@@ -1441,7 +1476,7 @@ mod tests {
                     (self.t, self.crashed, self.restarted),
                     self.nodes.iter().map(node).collect(),
                     (self.channels.iter())
-                        .map(|ch| ch.iter().map(crate::wire::encode).collect())
+                        .map(|ch| ch.iter().map(message_key).collect())
                         .collect(),
                     self.receipts.clone(),
                     [&self.finished, &self.late, &self.stopped, &self.silenced].map(set),
@@ -1463,6 +1498,7 @@ mod tests {
                 let mut out = Vec::new();
                 let cubs = 0..self.m.cubs;
                 let living = cubs.clone().filter(|&c| self.alive(c)).count() as u32;
+                let quiet = self.channels.iter().all(VecDeque::is_empty);
                 // Work that must happen by this tick holds the clock.
                 let mut held = false;
                 for c in cubs.clone().filter(|&c| self.alive(c)) {
@@ -1482,7 +1518,11 @@ mod tests {
                 }
                 for c in cubs.clone() {
                     match self.nodes[c as usize].crashed_at {
-                        None if self.crashed < self.m.crashes && living > 2 => {
+                        None if self.crashed < self.m.crashes
+                            && living > 2
+                            && (self.m.victims.get(self.crashed as usize))
+                                .is_none_or(|&v| v == c && quiet) =>
+                        {
                             out.push(Step::Crash(c));
                         }
                         Some(t) if self.t >= t + DETECT => {
@@ -1541,7 +1581,7 @@ mod tests {
                 match step {
                     Step::Tick => self.t += 1,
                     Step::Crash(c) => {
-                        seen.log.push(format!("t{t} ctrl power-cut cub={c}"));
+                        seen.note(format_args!("t{t} ctrl power-cut cub={c}"));
                         self.crashed += 1;
                         let n = &mut self.nodes[c as usize];
                         n.crashed_at = Some(t);
@@ -1556,15 +1596,16 @@ mod tests {
                         }
                     }
                     Step::Restart(c) => {
-                        seen.log.push(format!("t{t} ctrl cub-restart cub={c}"));
+                        seen.note(format_args!("t{t} ctrl cub-restart cub={c}"));
                         self.restarted += 1;
                         self.nodes[c as usize].crashed_at = None;
                         let cubs = self.m.cubs;
                         self.cub(c, seen).rejoin(at(t), cubs);
                     }
                     Step::Declare(s, c) => {
-                        seen.log
-                            .push(format!("t{t} cub{s} deadman-declare failed={c}"));
+                        seen.note(format_args!("t{t} cub{s} deadman-declare failed={c}"));
+                        let life = |n: u32| self.nodes[n as usize].ring.life(CubId(c));
+                        seen.stale |= life(s) < life(c);
                         let mut ring = self.cub(s, seen);
                         ring.declare(at(t), CubId(c));
                         ring.announce(CubId(c));
@@ -1585,8 +1626,8 @@ mod tests {
                         let target = ctrl.first_living_at(owner(cubs, i, t), cubs);
                         let succ = ctrl.next_living_within(target, cubs);
                         let (dst, request) = (target.raw(), Deschedule::of(&record(i, 0)));
-                        let route = format!("route-desched viewer{i}#0 slot={i} target={dst}");
-                        seen.log.push(format!("t{t} ctrl {route}"));
+                        let route = format_args!("route-desched viewer{i}#0 slot={i} target={dst}");
+                        seen.note(format_args!("t{t} ctrl {route}"));
                         for dst in [Some(target), succ].into_iter().flatten() {
                             self.post(cubs, dst.raw(), Message::Deschedule { request, hops_left });
                         }
@@ -1618,7 +1659,7 @@ mod tests {
                         let dead = owner(self.m.cubs, i, p).raw();
                         let holders = [1, 2].map(|k| (dead + k) % self.m.cubs);
                         if !covered || holders.iter().all(|&h| self.alive(h)) {
-                            seen.log.push(format!(
+                            seen.note(format_args!(
                                 "t{t} cub{c} send-due slot={i} viewer{i}#0 ok=1 position={p}"
                             ));
                             let r = &mut self.receipts[(i * self.m.len + p) as usize];
@@ -1664,9 +1705,9 @@ mod tests {
 
         impl At<'_> {
             /// Logs `what` as this cub's, at this tick.
-            fn log(&mut self, what: String) {
+            fn log(&mut self, what: std::fmt::Arguments) {
                 let (t, me) = (self.w.t, self.me);
-                self.seen.log.push(format!("t{t} cub{me} {what}"));
+                self.seen.note(format_args!("t{t} cub{me} {what}"));
             }
 
             /// Whether a hold turns `vs` away, asked before it is admitted.
@@ -1675,7 +1716,7 @@ mod tests {
                 let blocked = self.w.nodes[self.me as usize].fwd.blocks(vs, at(self.w.t));
                 self.seen.blocked |= blocked;
                 if blocked {
-                    self.log(format!("vs-blocked slot={i} viewer{i}#0 play_seq={p}"));
+                    self.log(format_args!("vs-blocked slot={i} viewer{i}#0 play_seq={p}"));
                 }
                 blocked
             }
@@ -1722,11 +1763,13 @@ mod tests {
                         self.seen.refused.push((me, i, p));
                     }
                 }
-                let mut line = event.name().to_string();
-                for (k, v) in event.fields() {
-                    line.push_str(&format!(" {k}={v}"));
+                if self.seen.log.is_some() {
+                    let mut line = event.name().to_string();
+                    for (k, v) in event.fields() {
+                        line.push_str(&format!(" {k}={v}"));
+                    }
+                    self.log(format_args!("{line}"));
                 }
-                self.log(line);
             }
 
             fn fence(&mut self) {
@@ -1802,9 +1845,9 @@ mod tests {
                 }
                 if self.w.t >= p {
                     self.w.late.insert(i);
-                    return self.log(format!("vs-late slot={i} viewer{i}#0 play_seq={p}"));
+                    return self.log(format_args!("vs-late slot={i} viewer{i}#0 play_seq={p}"));
                 }
-                self.log(format!(
+                self.log(format_args!(
                     "vs-accept slot={i} viewer{i}#0 play_seq={p} position={p}"
                 ));
                 self.admit(&vs, false);
@@ -1815,7 +1858,7 @@ mod tests {
                 let (i, p) = (vs.slot.raw(), vs.position.raw());
                 let blocked = self.blocked(&vs);
                 let dead = owner(self.w.m.cubs, i, p).raw();
-                self.log(format!(
+                self.log(format_args!(
                     "mirror-create slot={i} viewer{i}#0 failed_disk={dead}"
                 ));
                 if self.w.t < p && !blocked {
@@ -1870,6 +1913,10 @@ mod tests {
             /// deliver a block of a silenced stream.
             held_admits: usize,
             first_held_admit: Option<Vec<Step>>,
+            /// Steps that declare a cub naming a life older than its own,
+            /// a notice its peers that saw the rejoin drop.
+            stale: usize,
+            first_stale: Option<Vec<Step>>,
             after_stop: usize,
             first_after_stop: Option<Vec<Step>>,
             /// Steps that turn a record away under a hold, and states with a
@@ -1916,6 +1963,7 @@ mod tests {
                     let firsts = [
                         (seen.doubled, &mut found.first_double),
                         (seen.held_admit, &mut found.first_held_admit),
+                        (seen.stale, &mut found.first_stale),
                         (seen.after_stop, &mut found.first_after_stop),
                     ];
                     for (shown, first) in firsts {
@@ -1924,6 +1972,7 @@ mod tests {
                         }
                     }
                     found.held_admits += usize::from(seen.held_admit);
+                    found.stale += usize::from(seen.stale);
                     found.after_stop += usize::from(seen.after_stop);
                     found.blocked += usize::from(seen.blocked);
                     if seen_keys.insert(next.key()) {
@@ -1945,18 +1994,23 @@ mod tests {
         /// The timeline of `path`, replayed.
         fn timeline(m: Model, path: &[Step]) -> Vec<String> {
             let mut w = World::new(m);
-            let mut seen = Seen::default();
+            let mut seen = Seen {
+                log: Some(Vec::new()),
+                ..Seen::default()
+            };
             for &step in path {
                 w.fire(step, &mut seen);
             }
-            seen.log
+            seen.log.unwrap_or_default()
         }
 
         /// Every interleaving of the crash path, on four cubs with one
         /// stream and on three cubs with two, under single and double
         /// forwarding, up to two crashes; of a crash and a restart on
-        /// three cubs with one stream; and of a stop on three cubs with one
-        /// stream under double forwarding, without and with a crash. Five
+        /// three cubs with one stream; of a stop on three cubs with one
+        /// stream under double forwarding, without and with a crash; and
+        /// of cub 1, then its declarer cub 2, crashing and restarting, and
+        /// cub 1 crashing again, each crash once the ring is quiet. Six
         /// properties:
         ///
         /// - no block is delivered twice;
@@ -1966,6 +2020,7 @@ mod tests {
         /// - every stream reaches its end of file, unless a record of it
         ///   was refused as late (§4.1.2: "spontaneously descheduled") or
         ///   it was stopped;
+        /// - no declare names a life of its cub older than the cub's own;
         /// - no cub admits a record of an instance while it holds that
         ///   instance's deschedule;
         /// - once every living cub has applied a stopped stream's
@@ -1974,15 +2029,21 @@ mod tests {
         /// (c) holds in every model: a cub covering the record's owner
         /// refuses it only for a block it retired, not for the dead cub's
         /// next block it already serves (ROADMAP item 1(c)). The third holds
-        /// too: the declare's failure notice may reach a cub after the
-        /// rejoin request does, and it names the rejoiner's life before the
-        /// restart, so that cub drops it instead of believing the rejoiner
-        /// dead again and stalling its stream (ROADMAP item 1(f), 36 silent
-        /// stalls before). The search breaks the first at a rejoin, and
+        /// in the one-restart model: the declare's failure notice may reach
+        /// a cub after the rejoin request does, and it names the rejoiner's
+        /// life before the restart, so that cub drops it instead of
+        /// believing the rejoiner dead again and stalling its stream
+        /// (ROADMAP item 1(f), 36 silent stalls before). The fourth holds
+        /// because a restart keeps the lives its cub saw: a declarer that
+        /// forgot them named life 0 of a cub its peers knew in life 1, and
+        /// they kept it living (126 stale declares and 16 stalls in the
+        /// two-restart model). The search breaks the first at a rejoin, and
         /// pins it as a count the fix flips: a double delivery, item 1(a)'s
         /// shape, where a record forwarded to the rejoiner by a cub that
         /// has its rejoin request also reaches the covering cub before its
-        /// own copy of the request, so both serve the block.
+        /// own copy of the request, so both serve the block. The
+        /// two-restart model's four stalls are item 1(a)'s too: the
+        /// covering cub dies before the rejoiner holds its stream again.
         ///
         /// A model that keeps ten times the states it reaches today fails
         /// at once, so a defect that swells the search is a failure in
@@ -1997,9 +2058,11 @@ mod tests {
                 crashes,
                 restarts,
                 stops,
+                victims: &[],
             };
             // Each model beside seven to ten times the states it reaches
-            // (10,199; 47,782; 2,451; 26,765; 3,826; 82,204; 21,514; 56,271).
+            // (10,199; 47,782; 2,451; 26,765; 3,826; 82,204; 21,514; 56,271;
+            // 22,875).
             let models = [
                 (model(4, 1, 5, true, 1, 0, 0), 84_000),
                 (model(4, 1, 5, true, 2, 0, 0), 400_000),
@@ -2009,19 +2072,28 @@ mod tests {
                 (model(3, 1, 6, true, 1, 1, 0), 820_000),
                 (model(3, 1, 6, true, 0, 0, 1), 215_000),
                 (model(3, 1, 6, true, 1, 0, 1), 540_000),
+                (
+                    Model {
+                        victims: &[1, 2, 1],
+                        ..model(3, 1, 5, true, 3, 2, 0)
+                    },
+                    230_000,
+                ),
             ];
-            let (mut found, mut states, mut shown) = (Vec::new(), 0, [false; 5]);
+            let (mut found, mut states, mut shown) = (Vec::new(), 0, [false; 6]);
             let mut unreached = Vec::new();
             for (m, cap) in models {
                 let f = explore(m, cap);
                 println!(
-                    "{m:?}: {} states, depth {}, {} refused, {} doubled, {} stalled; \
-                     {} blocked, {} silenced, {} admitted under a hold, {} delivered after",
+                    "{m:?}: {} states, depth {}, {} refused, {} doubled, {} stalled, \
+                     {} stale; {} blocked, {} silenced, {} admitted under a hold, \
+                     {} delivered after",
                     f.states,
                     f.depth,
                     f.refused.len(),
                     f.doubled,
                     f.stalled,
+                    f.stale,
                     f.blocked,
                     f.silenced,
                     f.held_admits,
@@ -2034,6 +2106,7 @@ mod tests {
                     ("(c) counterexample", &f.first_refusal),
                     ("double delivery", &f.first_double),
                     ("silent stall", &f.first_stall),
+                    ("stale declare", &f.first_stale),
                     ("admission under a hold", &f.first_held_admit),
                     ("delivery after a stop", &f.first_after_stop),
                 ];
@@ -2048,24 +2121,26 @@ mod tests {
                     }
                 }
                 let stops = (f.held_admits, f.after_stop);
-                found.push((f.refused.len(), f.doubled, f.stalled, stops));
+                found.push((f.refused.len(), f.doubled, f.stalled, f.stale, stops));
                 states += f.states;
             }
             println!("{states} states in all");
             assert_eq!(
                 found,
                 [
-                    (0, 0, 0, (0, 0)),
-                    (0, 0, 0, (0, 0)),
-                    (0, 0, 0, (0, 0)),
-                    (0, 0, 0, (0, 0)),
-                    (0, 0, 0, (0, 0)),
-                    (0, 126, 0, (0, 0)),
-                    (0, 0, 0, (0, 0)),
-                    (0, 0, 0, (0, 0)),
+                    (0, 0, 0, 0, (0, 0)),
+                    (0, 0, 0, 0, (0, 0)),
+                    (0, 0, 0, 0, (0, 0)),
+                    (0, 0, 0, 0, (0, 0)),
+                    (0, 0, 0, 0, (0, 0)),
+                    (0, 126, 0, 0, (0, 0)),
+                    (0, 0, 0, 0, (0, 0)),
+                    (0, 0, 0, 0, (0, 0)),
+                    (0, 16, 4, 0, (0, 0)),
                 ],
                 "(distinct (c) refusals, double-delivering states, silently stalled ends, \
-                 (steps admitting under a hold, delivering after a stop)) a model"
+                 stale declares, (steps admitting under a hold, delivering after a stop)) \
+                 a model"
             );
             assert!(
                 unreached.is_empty(),

@@ -99,6 +99,9 @@ pub enum Message {
     DeadmanPing {
         /// The sender.
         from: CubId,
+        /// Its life: the successor, the cub that would declare it, learns
+        /// each of its restarts here.
+        life: u32,
     },
     /// A restarted cub announces it is back: receivers clear their failure
     /// belief about it and re-baseline their deadman clocks; its ring

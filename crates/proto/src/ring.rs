@@ -260,9 +260,10 @@ impl RingMachine {
     }
 
     /// Input: a deadman ping (or any sign of life) from `from`. Returns
-    /// true when the sender is a *zombie* — a cub this machine already
-    /// declared dead — which the driver must answer with a failure
-    /// notice so the zombie fences itself off.
+    /// true when the sender is believed failed: a *zombie*, unless the
+    /// ping names a newer life than the one declared
+    /// ([`RingDriver::on_ring_message`] asks), which the driver must
+    /// answer with a failure notice so the zombie fences itself off.
     pub fn on_ping(&mut self, from: CubId, now: SimTime) -> bool {
         self.last_heard[from.index()] = now;
         self.members.is_failed(from)
@@ -376,12 +377,12 @@ impl RingMachine {
     /// Restart with empty protocol state: a restarted process knows
     /// nothing about who is down; it assumes the full striped ring is
     /// alive (spares stay marked failed — they are not ring members)
-    /// and learns real failures from rejoin acks. It keeps only its own
-    /// life, raised, as a boot counter would.
+    /// and learns real failures from rejoin acks. It keeps the lives it
+    /// saw, its own raised, as a boot counter would: a life only grows,
+    /// so a kept one is never newer than its cub's, and the notice of a
+    /// later declare names the life its peers know.
     pub fn restart(&mut self, now: SimTime, striped_cubs: u32) {
-        let life = self.life(self.id) + 1;
-        self.lives.fill(0);
-        self.lives[self.id.index()] = life;
+        self.lives[self.id.index()] += 1;
         for c in 0..self.members.len() as u32 {
             self.members.set_failed(CubId(c), c >= striped_cubs);
         }
@@ -447,7 +448,8 @@ pub trait RingDriver {
         };
         self.record(TraceEvent::DeadmanPing { to: succ.raw() });
         let from = self.ring().id();
-        self.send(succ, Message::DeadmanPing { from });
+        let life = self.ring().life(from);
+        self.send(succ, Message::DeadmanPing { from, life });
     }
 
     /// The periodic silence check on the predecessor: one silent past the
@@ -498,10 +500,15 @@ pub trait RingDriver {
     /// dropped, the zombie-ping reply to a restarted cub included.
     fn on_ring_message(&mut self, now: SimTime, cfg: &RingConfig, msg: Message) -> Option<Message> {
         match msg {
-            Message::DeadmanPing { from } => {
-                // A zombie's ping: tell it, so it fences itself off.
-                if self.ring().on_ping(from, now) {
-                    let life = self.ring().life(from);
+            Message::DeadmanPing { from, life } => {
+                // A zombie's ping, in the life declared or an older one:
+                // tell it, so it fences itself off. A newer life is a
+                // restarted cub whose rejoin request is on its way. A
+                // living cub's life is kept: the cub that would declare it
+                // learns each restart from its pings.
+                if !self.ring().on_ping(from, now) {
+                    self.ring().sees_life(from, life);
+                } else if life <= self.ring().life(from) {
                     self.send(from, Message::FailureNotice { failed: from, life });
                 }
             }
@@ -984,7 +991,10 @@ mod tests {
         assert_eq!(d.take(), ["record cub-fenced cub=2", "fence"]);
         assert!(!d.ring.believes_failed(CubId(2)));
 
-        let ping = |from| Message::DeadmanPing { from: CubId(from) };
+        let ping = |from| Message::DeadmanPing {
+            from: CubId(from),
+            life: 0,
+        };
         assert_eq!(d.on_ring_message(t, &cfg(), ping(1)), None);
         assert!(d.take().is_empty(), "a living predecessor's ping");
         d.declare(t, CubId(1));
@@ -1034,11 +1044,55 @@ mod tests {
         assert_eq!(d.take(), ["record cub-fenced cub=2", "fence"]);
     }
 
+    /// The cub that declares its predecessor names the life the peers
+    /// know: it keeps the lives it saw across its own restart, and learns
+    /// a restart it missed from the predecessor's pings. A ping in the
+    /// life declared is a zombie's and is told so; a ping of a newer life
+    /// is a restarted cub's whose request is on its way, and is not.
+    #[test]
+    fn a_declarer_names_the_life_of_its_predecessor_across_its_own_restart() {
+        let (mut d, t) = (Log::new(2, 4), SimTime::from_secs(2));
+        let request = Message::RejoinRequest {
+            from: CubId(1),
+            life: 1,
+        };
+        assert_eq!(d.on_ring_message(t, &cfg(), request), None);
+        d.rejoin(t, 4);
+        d.take();
+        assert_eq!(d.ring.life(CubId(2)), 1, "its own life, raised");
+        d.declare(t, CubId(1));
+        d.announce(CubId(1));
+        assert_eq!(
+            &d.take()[4..],
+            [
+                "send c0 NOTICE 1 1",
+                "send c3 NOTICE 1 1",
+                "controller NOTICE 1 1"
+            ]
+        );
+
+        let mut d = Log::new(2, 4);
+        let ping = |life| Message::DeadmanPing {
+            from: CubId(1),
+            life,
+        };
+        assert_eq!(d.on_ring_message(t, &cfg(), ping(2)), None);
+        assert!(d.take().is_empty(), "a living predecessor's ping");
+        assert_eq!(d.ring.life(CubId(1)), 2, "a missed restart, learnt");
+        d.declare(t, CubId(1));
+        d.take();
+        assert_eq!(d.on_ring_message(t, &cfg(), ping(2)), None);
+        assert_eq!(d.take(), ["send c1 NOTICE 1 2"], "a zombie is told");
+        assert_eq!(d.on_ring_message(t, &cfg(), ping(3)), None);
+        assert!(d.take().is_empty(), "a restarted cub is not");
+        assert_eq!(d.ring.life(CubId(1)), 2, "its request will tell");
+    }
+
     #[test]
     fn a_ping_a_restart_and_other_messages() {
         let mut d = Log::new(1, 4);
         d.ping();
-        assert_eq!(d.take(), ["record deadman-ping to=2", "send c2 PING 1"]);
+        assert_eq!(d.take(), ["record deadman-ping to=2", "send c2 PING 1 0"]);
         d.declare(SimTime::from_secs(2), CubId(2));
         d.rejoin(SimTime::from_secs(3), 4);
         assert_eq!(

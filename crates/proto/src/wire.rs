@@ -11,7 +11,7 @@
 //! COMMIT <viewer>,<inc> <slot> <file> <first-send-ns>
 //! STOP <viewer>,<inc>
 //! FIN <viewer>,<inc>
-//! PING <from>
+//! PING <from> <life>
 //! REJOIN <from> <life>
 //! RACK <from> <c,c,...|->                  failure beliefs ('-' = none)
 //! RPLY <from> <vs> <vs> ...                retired-log replay (may be empty)
@@ -248,7 +248,7 @@ wire_messages! {
     "COMMIT" => InsertCommitted { instance, slot, file, first_send },
     "STOP" => StopRequest { instance },
     "FIN" => ViewerFinished { instance },
-    "PING" => DeadmanPing { from },
+    "PING" => DeadmanPing { from, life },
     "REJOIN" => RejoinRequest { from, life },
     "RACK" => RejoinAck { from, failed },
     "RPLY" => RetiredReplay { from, states },
@@ -357,7 +357,10 @@ pub fn exemplars() -> Vec<Message> {
         Message::ViewerFinished {
             instance: inst(12, 0),
         },
-        Message::DeadmanPing { from: CubId(2) },
+        Message::DeadmanPing {
+            from: CubId(2),
+            life: 3,
+        },
         Message::RejoinRequest {
             from: CubId(1),
             life: 2,

@@ -36,7 +36,7 @@ const EXEMPLAR_LINES: &[&str] = &[
     "COMMIT 12,0 40 3 2000000000",
     "STOP 12,0",
     "FIN 12,0",
-    "PING 2",
+    "PING 2 3",
     "REJOIN 1 2",
     "RACK 0 -",
     "RACK 0 1,3",
@@ -175,6 +175,7 @@ fn message(rng: &mut SimRng, variant: u32) -> Message {
         },
         8 => Message::DeadmanPing {
             from: CubId(edge_u32(rng)),
+            life: edge_u32(rng),
         },
         9 => Message::RejoinRequest {
             from: CubId(edge_u32(rng)),
@@ -236,9 +237,10 @@ fn sample_digest() -> u64 {
 
 /// The sample digest the hand-rolled codec wrote (under the normal
 /// build's `DetHasher`; `--cfg tiger_alt_hash` changes its multiplier),
-/// re-pinned when failure notices and rejoin requests gained a life: the
-/// generator draws one more field for each, so the whole sample moved.
-const SAMPLE_DIGEST: u64 = 0xbb73_9eeb_2a1d_8625;
+/// re-pinned when failure notices, rejoin requests and deadman pings
+/// gained a life: the generator draws one more field for each, so the
+/// whole sample moved.
+const SAMPLE_DIGEST: u64 = 0x637f_eeae_4636_9d4f;
 
 #[test]
 fn a_fixed_sample_encodes_to_the_pinned_digest() {
@@ -281,10 +283,13 @@ fn a_fixed_sample_encodes_to_the_pinned_digest() {
         .any(|m| matches!(m, Message::RejoinAck { failed, .. } if failed.is_empty())));
     assert!(sample
         .iter()
-        .any(|m| matches!(m, Message::DeadmanPing { from } if from.raw() == u32::MAX)));
+        .any(|m| matches!(m, Message::DeadmanPing { from, .. } if from.raw() == u32::MAX)));
     assert!(sample
         .iter()
         .any(|m| matches!(m, Message::FailureNotice { life, .. } if *life == u32::MAX)));
+    assert!(sample
+        .iter()
+        .any(|m| matches!(m, Message::DeadmanPing { life, .. } if *life == u32::MAX)));
 
     assert_eq!(sample_digest(), SAMPLE_DIGEST, "{:#018x}", sample_digest());
 }

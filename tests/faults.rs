@@ -39,7 +39,13 @@ fn stall_declares(stall: SimDuration, partitioned: bool) -> Vec<(u32, u64)> {
     // exactly that length.
     let t0 = SimTime::from_secs(1);
     sys.with_cub_mut(CubId(1), |cub, sh| {
-        let (dst, msg) = (sh.cub_node(cub.id), Message::DeadmanPing { from: CubId(0) });
+        let (dst, msg) = (
+            sh.cub_node(cub.id),
+            Message::DeadmanPing {
+                from: CubId(0),
+                life: 0,
+            },
+        );
         cub.on_event(sh, t0, Event::Deliver { dst, msg });
         cub.on_event(sh, t0 + stall, Event::DeadmanCheck { cub: cub.id });
     });

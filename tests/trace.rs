@@ -59,7 +59,15 @@ fn ping_at_exactly_deadman_timeout_is_not_a_failure() {
         let mut sys = traced_system();
         let t0 = SimTime::from_secs(1);
         sys.with_cub_mut(CubId(1), |cub, sh| {
-            deliver(cub, sh, t0, Message::DeadmanPing { from: CubId(0) });
+            deliver(
+                cub,
+                sh,
+                t0,
+                Message::DeadmanPing {
+                    from: CubId(0),
+                    life: 0,
+                },
+            );
             cub.on_event(sh, t0 + silence, Event::DeadmanCheck { cub: cub.id });
         });
         sys

@@ -48,6 +48,9 @@ pub struct Controller {
     /// the same sans-io [`Membership`] vector the cubs' ring machines use.
     /// A restripe cut-over resets it from the ground-truth map.
     pub(crate) believes_failed: Membership,
+    /// The last life seen of each cub: a failure notice naming an older
+    /// one predates that cub's rejoin.
+    lives: Vec<u32>,
 }
 
 impl Controller {
@@ -59,6 +62,7 @@ impl Controller {
             requests: Counter::default(),
             active_streams: 0,
             believes_failed: Membership::with_spares(total_cubs, striped),
+            lives: vec![0; total_cubs as usize],
         }
     }
 
@@ -212,20 +216,36 @@ impl Controller {
                 }
                 self.on_viewer_finished(instance);
             }
-            Message::FailureNotice { failed, .. } => {
-                let first = !self.believes_failed.is_failed(failed);
-                self.believes_failed.set_failed(failed, true);
-                return first.then_some(failed);
+            Message::FailureNotice { failed, life } => {
+                return self.on_failure_notice(failed, life).then_some(failed);
             }
-            Message::RejoinRequest { from, .. } => {
-                // A restarted cub is routable again.
-                self.believes_failed.set_failed(from, false);
-            }
+            Message::RejoinRequest { from, life } => self.on_rejoin_request(from, life),
             other => {
                 debug_assert!(false, "controller received unexpected message: {other:?}");
             }
         }
         None
+    }
+
+    /// A failure notice: whether it is the first that `failed` is dead,
+    /// now believed. A notice naming a life older than the last seen
+    /// predates `failed`'s rejoin, and is dropped: its declarer and the
+    /// rejoiner send from different cubs, so they race here as at a cub.
+    fn on_failure_notice(&mut self, failed: CubId, life: u32) -> bool {
+        let seen = &mut self.lives[failed.index()];
+        if life < *seen || self.believes_failed.is_failed(failed) {
+            return false;
+        }
+        *seen = life;
+        self.believes_failed.set_failed(failed, true);
+        true
+    }
+
+    /// A restarted cub, in `life`, is routable again.
+    fn on_rejoin_request(&mut self, from: CubId, life: u32) {
+        let seen = &mut self.lives[from.index()];
+        *seen = life.max(*seen);
+        self.believes_failed.set_failed(from, false);
     }
 
     /// Routes a deschedule for `instance` if its slot is known: the
@@ -386,6 +406,21 @@ mod tests {
         assert_eq!(c.active_streams(), 0);
         c.on_viewer_finished(inst(2)); // idempotent
         assert_eq!(c.active_streams(), 0);
+    }
+
+    /// A declare's notice may reach the controller after the rejoin
+    /// request of the cub it names: naming the life before, it is dropped,
+    /// and the rejoiner stays routable. A notice of the new life declares.
+    #[test]
+    fn a_notice_arriving_after_the_rejoin_request_of_its_cub_is_dropped() {
+        let mut c = Controller::new(4, 4);
+        assert!(c.on_failure_notice(CubId(1), 0));
+        assert!(!c.on_failure_notice(CubId(1), 0), "already believed");
+        c.on_rejoin_request(CubId(1), 1);
+        assert!(!c.on_failure_notice(CubId(1), 0), "the life before");
+        assert!(!c.believes_failed.is_failed(CubId(1)));
+        assert!(c.on_failure_notice(CubId(1), 1));
+        assert!(c.believes_failed.is_failed(CubId(1)));
     }
 
     #[test]

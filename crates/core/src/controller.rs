@@ -48,9 +48,6 @@ pub struct Controller {
     /// the same sans-io [`Membership`] vector the cubs' ring machines use.
     /// A restripe cut-over resets it from the ground-truth map.
     pub(crate) believes_failed: Membership,
-    /// The last life seen of each cub: a failure notice naming an older
-    /// one predates that cub's rejoin.
-    lives: Vec<u32>,
 }
 
 impl Controller {
@@ -62,7 +59,6 @@ impl Controller {
             requests: Counter::default(),
             active_streams: 0,
             believes_failed: Membership::with_spares(total_cubs, striped),
-            lives: vec![0; total_cubs as usize],
         }
     }
 
@@ -228,23 +224,21 @@ impl Controller {
     }
 
     /// A failure notice: whether it is the first that `failed` is dead,
-    /// now believed. A notice naming a life older than the last seen
-    /// predates `failed`'s rejoin, and is dropped: its declarer and the
-    /// rejoiner send from different cubs, so they race here as at a cub.
+    /// now believed. One naming a life older than the last seen predates
+    /// `failed`'s rejoin and is dropped: declarer and rejoiner send from
+    /// different cubs, so they race here as at a cub.
     fn on_failure_notice(&mut self, failed: CubId, life: u32) -> bool {
-        let seen = &mut self.lives[failed.index()];
-        if life < *seen || self.believes_failed.is_failed(failed) {
-            return false;
+        let members = &mut self.believes_failed;
+        let first = members.sees_life(failed, life) && !members.is_failed(failed);
+        if first {
+            members.set_failed(failed, true);
         }
-        *seen = life;
-        self.believes_failed.set_failed(failed, true);
-        true
+        first
     }
 
     /// A restarted cub, in `life`, is routable again.
     fn on_rejoin_request(&mut self, from: CubId, life: u32) {
-        let seen = &mut self.lives[from.index()];
-        *seen = life.max(*seen);
+        self.believes_failed.sees_life(from, life);
         self.believes_failed.set_failed(from, false);
     }
 

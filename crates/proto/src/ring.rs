@@ -45,7 +45,8 @@ impl RingConfig {
     }
 }
 
-/// A ring liveness-belief vector: which members are believed failed.
+/// A ring liveness-belief vector: which members are believed failed, and
+/// the last life (restart count) seen of each.
 ///
 /// Ring scans are deterministic walks from a starting member; the
 /// *within* variants bound the walk to the first `n` members, which is
@@ -54,6 +55,7 @@ impl RingConfig {
 #[derive(Clone, Debug)]
 pub struct Membership {
     failed: Vec<bool>,
+    lives: Vec<u32>,
 }
 
 impl Membership {
@@ -61,6 +63,7 @@ impl Membership {
     pub fn all_living(n: usize) -> Self {
         Membership {
             failed: vec![false; n],
+            lives: vec![0; n],
         }
     }
 
@@ -70,6 +73,7 @@ impl Membership {
     pub fn with_spares(total: u32, striped: u32) -> Self {
         Membership {
             failed: (0..total).map(|c| c >= striped).collect(),
+            lives: vec![0; total as usize],
         }
     }
 
@@ -93,9 +97,25 @@ impl Membership {
         self.failed[cub.index()] = failed;
     }
 
-    /// Replaces the whole vector (restripe cut-over ground truth).
+    /// Replaces the whole vector (restripe cut-over ground truth); the
+    /// lives are kept.
     pub fn reset_from(&mut self, failed: &[bool]) {
         self.failed = failed.to_vec();
+        self.lives.resize(failed.len(), 0);
+    }
+
+    /// The last life seen of `cub`.
+    pub fn life(&self, cub: CubId) -> u32 {
+        self.lives[cub.index()]
+    }
+
+    /// Input: a message naming `cub` in `life`. Whether that life is no
+    /// older than the last seen, which it then becomes: a failure notice
+    /// that names an older life predates a rejoin and is dropped.
+    pub fn sees_life(&mut self, cub: CubId, life: u32) -> bool {
+        let seen = &mut self.lives[cub.index()];
+        *seen = life.max(*seen);
+        life == *seen
     }
 
     /// Raw ids of every member currently believed failed, ascending.
@@ -167,8 +187,6 @@ pub struct RingMachine {
     last_heard: Vec<SimTime>,
     /// Per-cub "recently rejoined until" horizon.
     rejoin_until: Vec<SimTime>,
-    /// The last life seen of each cub, this one's own included.
-    lives: Vec<u32>,
     /// Open mirror hand-back window: `(rejoiner, until)`.
     handback: Option<(CubId, SimTime)>,
 }
@@ -181,7 +199,6 @@ impl RingMachine {
             members: Membership::all_living(num_cubs as usize),
             last_heard: vec![SimTime::ZERO; num_cubs as usize],
             rejoin_until: vec![SimTime::ZERO; num_cubs as usize],
-            lives: vec![0; num_cubs as usize],
             handback: None,
         }
     }
@@ -201,18 +218,14 @@ impl RingMachine {
         self.members.is_failed(cub)
     }
 
-    /// The last life seen of `cub`.
+    /// The last life seen of `cub`, this cub's own included.
     pub fn life(&self, cub: CubId) -> u32 {
-        self.lives[cub.index()]
+        self.members.life(cub)
     }
 
-    /// Input: a message naming `cub` in `life`. Whether that life is no
-    /// older than the last seen, which it then becomes: a failure notice
-    /// that names an older life predates a rejoin and is dropped.
+    /// Input: a message naming `cub` in `life` ([`Membership::sees_life`]).
     pub fn sees_life(&mut self, cub: CubId, life: u32) -> bool {
-        let seen = &mut self.lives[cub.index()];
-        *seen = life.max(*seen);
-        life == *seen
+        self.members.sees_life(cub, life)
     }
 
     /// The answer to a rejoin request: this cub's failure beliefs.
@@ -382,7 +395,7 @@ impl RingMachine {
     /// so a kept one is never newer than its cub's, and the notice of a
     /// later declare names the life its peers know.
     pub fn restart(&mut self, now: SimTime, striped_cubs: u32) {
-        self.lives[self.id.index()] += 1;
+        self.members.sees_life(self.id, self.life(self.id) + 1);
         for c in 0..self.members.len() as u32 {
             self.members.set_failed(CubId(c), c >= striped_cubs);
         }
@@ -409,7 +422,6 @@ impl RingMachine {
         self.members.reset_from(failed);
         self.last_heard = vec![now; failed.len()];
         self.rejoin_until = vec![SimTime::ZERO; failed.len()];
-        self.lives.resize(failed.len(), 0);
     }
 }
 

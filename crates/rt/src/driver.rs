@@ -193,11 +193,10 @@ impl CubThread {
                 RESTARTING => {
                     // Mirror of `TigerSystem::restart_cub`: drain what
                     // arrived while dead, reset the machine to knowing
-                    // nothing but the lives it saw, its own raised as a
-                    // boot counter would be, announce the rejoin, and
-                    // resume periodic work with the check one full timeout
-                    // out (the fresh baseline never declares on stale
-                    // silence).
+                    // only the lives it saw (its own raised, a boot
+                    // counter), announce the rejoin, and resume periodic
+                    // work with the check one full timeout out (the fresh
+                    // baseline never declares on stale silence).
                     while self.sock.recv_from(&mut buf).is_ok() {}
                     let now = self.now();
                     self.fenced = false;

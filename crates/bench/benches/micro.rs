@@ -318,75 +318,74 @@ fn bench_forward_pass(c: &mut Runner) {
     let client = sys.add_client();
     // Every (slot, local disk) meeting of the schedule's first lap, by due
     // time: (due, first position of the file on that disk, slot).
-    let (lap_len, mut meetings) = sys.with_cub_mut(ME, |cub, sh| {
+    let (lap_len, mut meetings) = {
+        let world = sys.world();
         let mut meetings = Vec::new();
-        for pos in 0..sh.params.stripe().num_disks() {
-            let loc = sh.catalog.locate(file, BlockNum(pos)).expect("in range");
-            if loc.cub != cub.id {
+        for pos in 0..world.params.stripe().num_disks() {
+            let loc = world.catalog.locate(file, BlockNum(pos)).expect("in range");
+            if loc.cub != ME {
                 continue;
             }
-            for slot in 0..sh.params.capacity() {
-                let due = sh
-                    .params
-                    .slot_send_time(loc.disk, SlotId(slot), SimTime::ZERO);
+            for slot in 0..world.params.capacity() {
+                let due = (world.params).slot_send_time(loc.disk, SlotId(slot), SimTime::ZERO);
                 meetings.push((due, pos, slot));
             }
         }
-        (sh.params.schedule_len(), meetings)
-    });
+        (world.params.schedule_len(), meetings)
+    };
     meetings.sort_unstable();
     let (mut now, mut fed, mut lap, mut seq) = (SimTime::ZERO, 0usize, 0u32, 0u32);
     // One forward interval of cub 0's life up to (not including) the pass.
+    let client_node = sys.world().client_node(client).raw();
+    let disks = sys.world().params.stripe().num_disks();
     let mut advance = |sys: &mut TigerSystem| {
         now += interval;
-        sys.with_cub_mut(ME, |cub, sh| {
-            while let Some((at, ev)) = sh.queue.pop_until(now) {
-                match ev {
-                    Event::ReadIssue { cub: ME, .. }
-                    | Event::PoolFloor { cub: ME }
-                    | Event::DiskDone { cub: ME, .. }
-                    | Event::SendDue { cub: ME, .. }
-                    | Event::SendDone { cub: ME, .. } => cub.on_event(sh, at, ev),
-                    // Someone else's, or cub 0's own periodic work: the
-                    // rest of the ring is not run, and the pass is timed
-                    // apart.
-                    _ => {}
+        while let Some((at, ev)) = sys.pop_until(now) {
+            match ev {
+                Event::ReadIssue { cub: ME, .. }
+                | Event::PoolFloor { cub: ME }
+                | Event::DiskDone { cub: ME, .. }
+                | Event::SendDue { cub: ME, .. }
+                | Event::SendDone { cub: ME, .. } => {
+                    sys.with_cub_mut(ME, at, |cub, cx| cub.on_event(cx, ev));
                 }
+                // Someone else's, or cub 0's own periodic work: the rest
+                // of the ring is not run, and the pass is timed apart.
+                _ => {}
             }
-            loop {
-                let (due, pos, slot) = meetings[fed];
-                if due + lap_len.mul_u64(u64::from(lap)) > now + lead {
-                    break;
-                }
-                let state = ViewerState {
-                    file,
-                    client: sh.client_node(client).raw(),
-                    position: BlockNum(pos + sh.params.stripe().num_disks() * (lap % 32)),
-                    ..vs(slot, u64::from(slot), seq)
-                };
-                let (dst, msg) = (sh.cub_node(ME), Message::ViewerState(state));
-                cub.on_event(sh, now, Event::Deliver { dst, msg });
-                (fed, seq) = (fed + 1, seq + 1);
-                if fed == meetings.len() {
-                    (fed, lap) = (0, lap + 1);
-                }
+        }
+        loop {
+            let (due, pos, slot) = meetings[fed];
+            if due + lap_len.mul_u64(u64::from(lap)) > now + lead {
+                break;
             }
-        });
+            let state = ViewerState {
+                file,
+                client: client_node,
+                position: BlockNum(pos + disks * (lap % 32)),
+                ..vs(slot, u64::from(slot), seq)
+            };
+            sys.deliver(ME, now, Message::ViewerState(state));
+            (fed, seq) = (fed + 1, seq + 1);
+            if fed == meetings.len() {
+                (fed, lap) = (0, lap + 1);
+            }
+        }
         now
     };
     for _ in 0..60 {
         let now = advance(&mut sys);
-        sys.with_cub_mut(ME, |cub, sh| cub.on_event(sh, now, PASS));
+        sys.with_cub_mut(ME, now, |cub, cx| cub.on_event(cx, PASS));
     }
-    let held = sys.with_cub_mut(ME, |cub, _| cub.schedule_information_held());
+    let held = sys.cubs()[ME.index()].schedule_information_held();
     // ≈430 active + ≈430 view entries + ≈390 retired (a 9 s retention).
     assert!((1_150..1_350).contains(&held), "steady state holds {held}");
     c.bench_function("cub/forward_pass_430_active_20_due", |b| {
         b.iter_timed(|| {
             let now = advance(&mut sys);
-            sys.with_cub_mut(ME, |cub, sh| {
+            sys.with_cub_mut(ME, now, |cub, cx| {
                 let start = std::time::Instant::now();
-                cub.on_event(sh, now, PASS);
+                cub.on_event(cx, PASS);
                 start.elapsed()
             })
         })
@@ -476,7 +475,7 @@ fn bench_index(c: &mut Runner) {
     use tiger_workload::{populate_catalog, CatalogSpec};
     let mut sys = TigerSystem::new(TigerConfig::sosp97());
     populate_catalog(&mut sys, &CatalogSpec::sosp97());
-    let lap = sys.shared().cfg.stripe.num_disks();
+    let lap = sys.world().cfg.stripe.num_disks();
     let index = sys.cubs()[0].index();
     // Every key cub 0 holds, in round-robin order: by the block's lap,
     // then file, then disk and piece.
@@ -1017,29 +1016,30 @@ fn bench_coded(c: &mut Runner) {
         // disk and the best one, and the reservation made 1,024 blocks
         // earlier — 2.6 s of 392 streams' blocks — is released. Homes and
         // due times walk the ring as the streams do.
-        use tiger_core::{Backend, RedundancyMode, TigerConfig};
+        use tiger_core::backend::Loads;
+        use tiger_core::{RedundancyMode, TigerConfig};
         const LIVE: u64 = 1_024;
         let mut cfg = TigerConfig::sosp97();
         cfg.stripe = StripeConfig::new(14, 4, 2);
         cfg.redundancy = RedundancyMode::Coded;
-        let mut backend = Backend::new(&cfg);
+        let mut loads = Loads::new(&cfg);
         let block = |i: u64| {
             let home = DiskId((i * 7 % 56) as u32);
             let at = SimTime::from_nanos(3_000_000_000 + i * 2_551_000);
             (vs((i % 392) as u32, i % 392, (i / 392) as u32), home, at)
         };
-        let reserve = |backend: &mut Backend, i: u64| {
+        let reserve = |loads: &mut Loads, i: u64| {
             let (state, home, at) = block(i);
-            let ranked = backend.rank_holders(home, at, 1, |_| true);
-            backend.reserve(&state, home, at, ranked)
+            let ranked = loads.rank_holders(home, at, 1, |_| true);
+            loads.reserve(&state, home, at, ranked)
         };
-        let mut held: Vec<u32> = (0..LIVE).map(|i| reserve(&mut backend, i)).collect();
+        let mut held: Vec<u32> = (0..LIVE).map(|i| reserve(&mut loads, i)).collect();
         let mut i = LIVE;
         b.iter(|| {
             let (state, home, at) = block(i - LIVE);
             let slot = (i % LIVE) as usize;
-            backend.release(&state, home, at, held[slot]);
-            held[slot] = reserve(&mut backend, i);
+            loads.release(&state, home, at, held[slot]);
+            held[slot] = reserve(&mut loads, i);
             i += 1;
         })
     });

@@ -251,10 +251,10 @@ mod tests {
         let wide = scenarios().into_iter().find(|s| s.2 == Topo::Wide);
         let s = campaign(&wide.expect("a wide scenario"), 30, 1997);
         let mut sys = TigerSystem::new(s.tiger.clone());
-        assert_eq!(sys.shared().cfg.stripe.num_cubs, 8);
+        assert_eq!(sys.world().cfg.stripe.num_cubs, 8);
         let files = populate_catalog(&mut sys, &s.catalog);
         let drive = s.demand.drive(&mut sys, &files);
-        let capacity = sys.shared().params.capacity();
+        let capacity = sys.world().params.capacity();
         assert_eq!(
             drive.starts.len(),
             capacity.div_ceil(2) as usize,

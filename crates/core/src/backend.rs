@@ -17,19 +17,23 @@ use tiger_sim::{ByteSize, SimDuration, SimTime};
 use crate::config::TigerConfig;
 
 /// A Tiger system's redundancy backend, built from its configuration and
-/// rebuilt at a restripe cut-over.
+/// rebuilt at a restripe cut-over: where a block's pieces lie.
 #[derive(Debug)]
 pub enum Backend {
     /// Declustered mirroring: one full secondary copy in `decluster`
     /// pieces.
     Mirrored(MirrorPlacement),
-    /// Network coding — any `k` of a block's `2k` shards rebuild it — with
-    /// the load its coordinator ranks shard holders by: bits/s per disk
-    /// (a row) and slot of one block play time (the second field),
-    /// `num_disks` slots a lap. It never rejects; a block's primary entry
-    /// adds its bitrate on every disk that sends it, and subtracts it.
-    Coded(CodedPlacement, SimDuration, Vec<u64>),
+    /// Network coding: any `k` of a block's `2k` shards rebuild it.
+    Coded(CodedPlacement),
 }
+
+/// The load the coded coordinator ranks shard holders by, rebuilt with
+/// the backend: bits/s per disk (a row) and slot of one block play time
+/// (the second field), `num_disks` slots a lap, of the coded placement
+/// (the first); none under mirroring. It never rejects; a block's primary
+/// entry adds its bitrate on every disk that sends it, and subtracts it.
+#[derive(Debug, Default)]
+pub struct Loads(Option<(CodedPlacement, SimDuration, Vec<u64>)>);
 
 /// The most remote holders a coded block has: `2k − 1` at the largest `k`
 /// `CodedPlacement` accepts, 16.
@@ -38,19 +42,16 @@ const MAX_HOLDERS: usize = 31;
 impl Backend {
     /// The backend `cfg` names, on `cfg`'s stripe.
     pub fn new(cfg: &TigerConfig) -> Self {
-        let stripe = cfg.stripe;
-        if cfg.redundancy == RedundancyMode::Mirrored {
-            return Backend::Mirrored(MirrorPlacement::new(stripe));
+        match cfg.redundancy {
+            RedundancyMode::Mirrored => Backend::Mirrored(MirrorPlacement::new(cfg.stripe)),
+            RedundancyMode::Coded => Backend::Coded(CodedPlacement::new(cfg.stripe)),
         }
-        let n = stripe.num_disks() as usize;
-        let loads = vec![0; n * n];
-        Backend::Coded(CodedPlacement::new(stripe), cfg.block_play_time, loads)
     }
 
     fn config(&self) -> StripeConfig {
         match self {
             Backend::Mirrored(p) => p.config(),
-            Backend::Coded(p, ..) => p.config(),
+            Backend::Coded(p) => p.config(),
         }
     }
 
@@ -59,7 +60,7 @@ impl Backend {
     pub fn shards(&self) -> u32 {
         match self {
             Backend::Mirrored(_) => 1,
-            Backend::Coded(p, ..) => p.k(),
+            Backend::Coded(p) => p.k(),
         }
     }
 
@@ -76,7 +77,7 @@ impl Backend {
     pub(crate) fn secondary_pieces(&self, block: ByteSize) -> Vec<Piece> {
         match self {
             Backend::Mirrored(p) => p.pieces(block).collect(),
-            Backend::Coded(p, ..) => (1..p.n())
+            Backend::Coded(p) => (1..p.n())
                 .map(|j| Piece {
                     piece: j,
                     shift: j,
@@ -90,7 +91,7 @@ impl Backend {
     pub fn holder(&self, home: DiskId, piece: u32) -> DiskId {
         match self {
             Backend::Mirrored(p) => p.piece_disk(home, piece),
-            Backend::Coded(p, ..) => p.shard_disk(home, piece),
+            Backend::Coded(p) => p.shard_disk(home, piece),
         }
     }
 
@@ -104,6 +105,21 @@ impl Backend {
             StreamKind::Mirror { piece, .. } => (Some(piece), self.config().decluster),
             StreamKind::Coded { shard, .. } => (Some(shard), self.shards()),
         }
+    }
+}
+
+impl Loads {
+    /// An empty table for `cfg`'s backend and stripe.
+    pub fn new(cfg: &TigerConfig) -> Self {
+        let (stripe, bpt) = (cfg.stripe, cfg.block_play_time);
+        let n = stripe.num_disks() as usize;
+        let coded = cfg.redundancy == RedundancyMode::Coded;
+        Loads(coded.then(|| (CodedPlacement::new(stripe), bpt, vec![0; n * n])))
+    }
+
+    /// The load held across the table, in bits/s.
+    pub fn total(&self) -> u64 {
+        self.0.iter().flat_map(|(_, _, loads)| loads).sum()
     }
 
     /// The remote holders of the coded block homed on `home` on cubs
@@ -119,7 +135,7 @@ impl Backend {
         alive: impl Fn(CubId) -> bool,
     ) -> Take<array::IntoIter<u32, MAX_HOLDERS>> {
         let (mut ranked, mut len) = ([(0, 0); MAX_HOLDERS], 0);
-        if let Backend::Coded(p, bpt, loads) = self {
+        if let Some((p, bpt, loads)) = &self.0 {
             for j in 1..p.n() {
                 let d = p.shard_disk(home, j);
                 if alive(p.config().cub_of(d)) {
@@ -135,7 +151,7 @@ impl Backend {
     /// Adds block `vs`'s bitrate in the slot `at` falls in on every disk
     /// that sends it — the home, then each `chosen` holder — so later
     /// choices see this block's load. Returns the shards it loaded, a bit
-    /// each, for [`Backend::release`]. Nothing under mirroring.
+    /// each, for [`Loads::release`]. Nothing under mirroring.
     pub fn reserve(
         &mut self,
         vs: &ViewerState,
@@ -148,7 +164,7 @@ impl Backend {
         shards
     }
 
-    /// Subtracts what [`Backend::reserve`] added for block `vs`, homed on
+    /// Subtracts what [`Loads::reserve`] added for block `vs`, homed on
     /// `home` and due at `at`, on the disks of `shards`.
     pub fn release(&mut self, vs: &ViewerState, home: DiskId, at: SimTime, shards: u32) {
         self.charge(home, at, shards, |load| *load -= vs.bitrate.bits_per_sec());
@@ -156,7 +172,7 @@ impl Backend {
 
     /// Applies `f` to the load in `at`'s slot of each disk in `shards`.
     fn charge(&mut self, home: DiskId, at: SimTime, shards: u32, f: impl Fn(&mut u64)) {
-        if let Backend::Coded(p, bpt, loads) = self {
+        if let Some((p, bpt, loads)) = &mut self.0 {
             for j in (0..p.n()).filter(|j| shards >> j & 1 == 1) {
                 f(&mut loads[cell(p, *bpt, p.shard_disk(home, j), at)]);
             }
@@ -178,11 +194,15 @@ mod tests {
     use tiger_sched::{NetworkSchedule, SlotId};
     use tiger_sim::Bandwidth;
 
-    fn backend(mode: RedundancyMode, decluster: u32) -> Backend {
+    fn cfg(mode: RedundancyMode, decluster: u32) -> TigerConfig {
         let mut cfg = TigerConfig::small_test();
         cfg.stripe = StripeConfig::new(14, 4, decluster);
         cfg.redundancy = mode;
-        Backend::new(&cfg)
+        cfg
+    }
+
+    fn backend(mode: RedundancyMode, decluster: u32) -> Backend {
+        Backend::new(&cfg(mode, decluster))
     }
 
     /// A primary block of viewer `viewer` at `mbit` Mbit/s.
@@ -202,20 +222,12 @@ mod tests {
         }
     }
 
-    /// The load held across the table, in bits/s.
-    fn held(b: &Backend) -> u64 {
-        match b {
-            Backend::Mirrored(_) => 0,
-            Backend::Coded(_, _, loads) => loads.iter().sum(),
-        }
-    }
-
     /// Whether every block survives this set of simultaneous disk
     /// failures, as the backend's placement answers it.
     fn survives(b: &Backend, failed: &[DiskId]) -> bool {
         match b {
             Backend::Mirrored(p) => p.survives(failed),
-            Backend::Coded(p, ..) => p.survives_failures(failed),
+            Backend::Coded(p) => p.survives_failures(failed),
         }
     }
 
@@ -281,7 +293,7 @@ mod tests {
 
     #[test]
     fn reservations_are_released_per_block() {
-        let mut b = backend(RedundancyMode::Coded, 2);
+        let mut b = Loads::new(&cfg(RedundancyMode::Coded, 2));
         let (vs, rate) = (block(7, 2), 2_000_000);
         let at = SimTime::from_secs(3);
         let ranked = b.rank_holders(DiskId(5), at, 1, |_| true);
@@ -289,22 +301,22 @@ mod tests {
         let first = b.reserve(&vs, DiskId(5), at, ranked.clone());
         let next = b.reserve(&vs, DiskId(6), at, ranked.clone());
         assert_eq!((first, next), (0b11, 0b11), "the home and shard 1");
-        assert_eq!(held(&b), 4 * rate);
+        assert_eq!(b.total(), 4 * rate);
         // The loaded holder now ranks last.
         assert!(b.rank_holders(DiskId(5), at, 3, |_| true).eq([3, 2, 1]));
         b.release(&vs, DiskId(5), at, first);
-        assert_eq!(held(&b), 2 * rate, "the next block keeps its own");
+        assert_eq!(b.total(), 2 * rate, "the next block keeps its own");
         b.release(&vs, DiskId(6), at, next);
-        assert_eq!(held(&b), 0);
-        let mut m = backend(RedundancyMode::Mirrored, 2);
+        assert_eq!(b.total(), 0);
+        let mut m = Loads::new(&cfg(RedundancyMode::Mirrored, 2));
         let shards = m.reserve(&vs, DiskId(5), at, ranked);
         m.release(&vs, DiskId(5), at, shards);
         assert_eq!(m.rank_holders(DiskId(5), at, 1, |_| true).len(), 0);
     }
 
-    /// The load the backend holds on `disk` in ring slot `slot`.
-    fn slot_load(b: &Backend, disk: u32, slot: u64) -> u64 {
-        let Backend::Coded(p, _, loads) = b else {
+    /// The load the table holds on `disk` in ring slot `slot`.
+    fn slot_load(b: &Loads, disk: u32, slot: u64) -> u64 {
+        let Some((p, _, loads)) = &b.0 else {
             return 0;
         };
         loads[(u64::from(disk) * u64::from(p.config().num_disks()) + slot) as usize]
@@ -343,7 +355,7 @@ mod tests {
             let stripe = cfg.stripe;
             let (disks, bpt) = (stripe.num_disks(), cfg.block_play_time);
             let n = 2 * decluster;
-            let mut b = Backend::new(&cfg);
+            let mut b = Loads::new(&cfg);
             // The model: one unbounded `NetworkSchedule` a disk, each
             // reservation an instance of its own, placed at `at`'s ring
             // position rounded down to an entry boundary.
@@ -372,7 +384,7 @@ mod tests {
             let mut live: Vec<Held> = Vec::new();
             let mut next_key = 0u64;
             let mut cut = false;
-            let release = |b: &mut Backend, rings: &mut [NetworkSchedule], h: Held| {
+            let release = |b: &mut Loads, rings: &mut [NetworkSchedule], h: Held| {
                 b.release(&h.vs, h.home, h.at, h.shards);
                 for d in &h.disks {
                     rings[d.index()].remove_instance(h.vs.instance);

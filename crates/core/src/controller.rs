@@ -21,9 +21,9 @@ use tiger_proto::msg::Message;
 use tiger_proto::Membership;
 use tiger_sched::{Deschedule, ScheduleParams, SlotId};
 use tiger_sim::{Counter, SimTime};
-use tiger_trace::{TraceEvent, CTRL};
+use tiger_trace::TraceEvent;
 
-use crate::system::Shared;
+use crate::ctx::{Ctx, World};
 
 /// What the controller remembers about one viewer.
 #[derive(Clone, Copy, Debug)]
@@ -146,12 +146,7 @@ impl Controller {
 
     /// Handles a message delivered to the controller. Returns a cub it
     /// just learned has failed, for the caller to shield.
-    pub(crate) fn on_message(
-        &mut self,
-        sh: &mut Shared,
-        now: SimTime,
-        msg: Message,
-    ) -> Option<CubId> {
+    pub(crate) fn on_message(&mut self, cx: &mut Ctx, msg: Message) -> Option<CubId> {
         match msg {
             Message::StartRequest {
                 client,
@@ -161,8 +156,8 @@ impl Controller {
                 requested_at,
             } => {
                 // Admission control (disabled for the §5 tests).
-                if let Some(limit) = sh.cfg.admission_limit {
-                    let cap = f64::from(sh.params.capacity());
+                if let Some(limit) = cx.world.cfg.admission_limit {
+                    let cap = f64::from(cx.world.params.capacity());
                     if f64::from(self.active_streams) >= limit * cap {
                         return None; // Rejected; the client never starts.
                     }
@@ -170,31 +165,25 @@ impl Controller {
                 if !self.on_start_request(instance) {
                     return None; // Duplicate.
                 }
-                let loc = sh.catalog.locate(file, BlockNum(from_block))?;
-                let home = sh.params.stripe().cub_of(loc.disk);
-                let (primary, redundant) = self.living_pair(sh, home);
-                sh.tracer.record(
-                    now,
-                    CTRL,
-                    TraceEvent::CtrlRouteStart {
-                        viewer: instance.viewer.raw(),
-                        inc: instance.incarnation,
-                        primary: primary.raw(),
-                        redundant: redundant.map_or(u32::MAX, CubId::raw),
-                    },
-                );
-                self.send_pair(sh, now, (primary, redundant), |redundant| {
-                    Message::RoutedStart {
-                        client,
-                        instance,
-                        file,
-                        from_block,
-                        requested_at,
-                        redundant,
-                    }
+                let loc = cx.world.catalog.locate(file, BlockNum(from_block))?;
+                let home = cx.world.params.stripe().cub_of(loc.disk);
+                let (primary, redundant) = self.living_pair(cx.world, home);
+                cx.trace(TraceEvent::CtrlRouteStart {
+                    viewer: instance.viewer.raw(),
+                    inc: instance.incarnation,
+                    primary: primary.raw(),
+                    redundant: redundant.map_or(u32::MAX, CubId::raw),
+                });
+                Self::send_pair(cx, (primary, redundant), |redundant| Message::RoutedStart {
+                    client,
+                    instance,
+                    file,
+                    from_block,
+                    requested_at,
+                    redundant,
                 });
             }
-            Message::StopRequest { instance } => self.route_deschedule(sh, now, instance),
+            Message::StopRequest { instance } => self.route_deschedule(cx, instance),
             Message::InsertCommitted { instance, slot, .. } => {
                 if self.on_insert_committed(instance, slot) {
                     // The viewer was stopped while its start was still
@@ -202,13 +191,13 @@ impl Controller {
                     // has committed it into a slot, honour the stop —
                     // otherwise the stream would play on with nobody left
                     // to deschedule it.
-                    self.route_deschedule(sh, now, instance);
+                    self.route_deschedule(cx, instance);
                 }
             }
             Message::ViewerFinished { instance } => {
                 let slot = self.viewer(&instance).and_then(|rec| rec.slot);
-                if let (Some(slot), Some(omni)) = (slot, sh.omniscient.as_mut()) {
-                    omni.on_remove(slot, instance, now);
+                if let (Some(slot), Some(omni)) = (slot, cx.omniscient.as_mut()) {
+                    omni.on_remove(slot, instance, cx.now);
                 }
                 self.on_viewer_finished(instance);
             }
@@ -247,43 +236,37 @@ impl Controller {
     /// kill. A viewer without a committed slot is tombstoned inside
     /// [`Controller::on_stop_request`] and descheduled when its
     /// `InsertCommitted` arrives.
-    fn route_deschedule(&mut self, sh: &mut Shared, now: SimTime, instance: ViewerInstance) {
-        let routed = self.on_stop_request(instance, &sh.params, now);
+    fn route_deschedule(&mut self, cx: &mut Ctx, instance: ViewerInstance) {
+        let (world, now) = (cx.world, cx.now);
+        let routed = self.on_stop_request(instance, &world.params, now);
         let Some((slot, cub)) = routed else {
             return;
         };
-        sh.tracer.record(
-            now,
-            CTRL,
-            TraceEvent::CtrlRouteDesched {
-                viewer: instance.viewer.raw(),
-                inc: instance.incarnation,
-                slot: slot.raw(),
-                target: cub.raw(),
-            },
-        );
-        if let Some(omni) = sh.omniscient.as_mut() {
+        cx.trace(TraceEvent::CtrlRouteDesched {
+            viewer: instance.viewer.raw(),
+            inc: instance.incarnation,
+            slot: slot.raw(),
+            target: cub.raw(),
+        });
+        if let Some(omni) = cx.omniscient.as_mut() {
             omni.on_remove(slot, instance, now);
         }
         // §4.1.2: deschedules propagate "until they're more than
         // maxVStateLead in front of the slot being descheduled".
-        let cfg = &sh.cfg;
+        let cfg = &world.cfg;
         let reach = cfg.deschedule_reach().as_nanos();
         let lead_cubs = reach.div_ceil(cfg.block_play_time.as_nanos()) as u32;
         let hops_left = (lead_cubs + 2).min(cfg.stripe.num_cubs);
         let request = Deschedule { instance, slot };
-        let pair = self.living_pair(sh, cub);
-        self.send_pair(sh, now, pair, |_| Message::Deschedule {
-            request,
-            hops_left,
-        });
+        let pair = self.living_pair(world, cub);
+        Self::send_pair(cx, pair, |_| Message::Deschedule { request, hops_left });
     }
 
     /// The first living cub at or after `cub` and its living successor,
     /// per the controller's beliefs: every routed request goes to both
     /// (§4.1.3's redundant start, §4.1.2's doubled deschedule).
-    fn living_pair(&self, sh: &Shared, cub: CubId) -> (CubId, Option<CubId>) {
-        let n = sh.cfg.stripe.num_cubs;
+    fn living_pair(&self, world: &World, cub: CubId) -> (CubId, Option<CubId>) {
+        let n = world.cfg.stripe.num_cubs;
         let target = self.believes_failed.first_living_at(cub, n);
         (target, self.believes_failed.next_living_within(target, n))
     }
@@ -291,16 +274,13 @@ impl Controller {
     /// Sends `msg(false)` to the pair's target and `msg(true)` to its
     /// successor, from the controller's address.
     fn send_pair(
-        &self,
-        sh: &mut Shared,
-        now: SimTime,
+        cx: &mut Ctx,
         (target, successor): (CubId, Option<CubId>),
         msg: impl Fn(bool) -> Message,
     ) {
-        let node = sh.controller_node();
-        sh.send_control(now, node, sh.cub_node(target), msg(false));
+        cx.send(target, msg(false));
         if let Some(succ) = successor {
-            sh.send_control(now, node, sh.cub_node(succ), msg(true));
+            cx.send(succ, msg(true));
         }
     }
 }

@@ -23,11 +23,11 @@ use std::collections::{HashMap, VecDeque};
 use tiger_disk::{DiskError, DiskRequest, RequestKind};
 use tiger_layout::{BlockNum, CubId, DiskId, FileId, StripeConfig};
 use tiger_sim::{ByteSize, SimDuration, SimTime};
-use tiger_trace::{TraceEvent, CTRL};
+use tiger_trace::TraceEvent;
 
+use crate::ctx::Ctx;
 use crate::cub::Cub;
 use crate::event::Event;
-use crate::system::Shared;
 
 /// Retry delay after a transient read error on a source disk.
 const TRANSIENT_RETRY: SimDuration = SimDuration::from_millis(100);
@@ -155,7 +155,8 @@ impl CopyPipeline {
     /// The periodic pump: issue one background read per idle, eligible
     /// source disk. Disks whose machine or drive is down are skipped —
     /// their jobs wait for a restart.
-    pub(crate) fn pump(&mut self, sh: &mut Shared, cubs: &mut [Cub], now: SimTime) {
+    pub(crate) fn pump(&mut self, cx: &mut Ctx, cubs: &mut [Cub]) {
+        let now = cx.now;
         let mut issued = false;
         // A disk held back only by pacing (or a busy head) is idle time the
         // admission gate bought, not a stall.
@@ -205,7 +206,7 @@ impl CopyPipeline {
                     // Pacing: rest at least as long as the read ran.
                     self.next_eligible[d] = done + done.saturating_since(now);
                     let lane = self.lane;
-                    sh.queue.schedule(done, Event::CopyRead { lane, idx });
+                    cx.schedule(done, Event::CopyRead { lane, idx });
                     issued = true;
                 }
                 Err(DiskError::Transient) => {
@@ -227,21 +228,14 @@ impl CopyPipeline {
             self.stalled = true;
             if self.lane == Lane::Restripe {
                 let pending = self.pending as u32;
-                sh.tracer
-                    .record(now, CTRL, TraceEvent::RestripeStall { pending });
+                cx.trace(TraceEvent::RestripeStall { pending });
             }
         }
     }
 
     /// A background read finished on its source disk: hand the data to
     /// the network.
-    pub(crate) fn on_read_done(
-        &mut self,
-        sh: &mut Shared,
-        cubs: &mut [Cub],
-        now: SimTime,
-        idx: u32,
-    ) {
+    pub(crate) fn on_read_done(&mut self, cx: &mut Ctx, cubs: &mut [Cub], idx: u32) {
         if self.stage[idx as usize] != Stage::Reading {
             return;
         }
@@ -256,15 +250,13 @@ impl CopyPipeline {
             self.requeue(idx);
             return;
         }
-        cub.disks_mut()[local].complete(now);
-        let (src, dst) = (sh.cub_node(src_cub), sh.cub_node(job.dst));
-        let sent = sh.net.send_data(now, src, dst);
-        sh.trace_injection(now, src, dst, sent);
-        match sent.at {
+        cub.disks_mut()[local].complete(cx.now);
+        let (src, dst) = (cx.world.cub_node(src_cub), cx.world.cub_node(job.dst));
+        match cx.send_data(src, dst) {
             Some(at) => {
                 self.stage[idx as usize] = Stage::Transferring;
                 let lane = self.lane;
-                sh.queue.schedule(at, Event::CopyArrive { lane, idx });
+                cx.schedule(at, Event::CopyArrive { lane, idx });
             }
             // Dropped or the destination is down: the read is repeated.
             None => self.requeue(idx),
@@ -274,7 +266,7 @@ impl CopyPipeline {
     /// The data landed on its destination machine: commit it into the
     /// destination disk's space map and index, and trace the batch if
     /// this was its last job.
-    pub(crate) fn on_arrive(&mut self, sh: &mut Shared, cubs: &mut [Cub], now: SimTime, idx: u32) {
+    pub(crate) fn on_arrive(&mut self, cx: &mut Ctx, cubs: &mut [Cub], idx: u32) {
         if self.stage[idx as usize] != Stage::Transferring {
             return;
         }
@@ -314,7 +306,7 @@ impl CopyPipeline {
             },
             // The span is ready: the cover path may route to the spare.
             Some(piece) => {
-                sh.shield.mark_ready(job.index_as, piece, job.dst);
+                cx.shield.mark_ready(job.index_as, piece, job.dst);
                 TraceEvent::SpareShadow {
                     spare: job.dst.raw(),
                     disk: job.index_as.raw(),
@@ -323,7 +315,7 @@ impl CopyPipeline {
                 }
             }
         };
-        sh.tracer.record(now, CTRL, ev);
+        cx.trace(ev);
     }
 
     fn requeue(&mut self, idx: u32) {

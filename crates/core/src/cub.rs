@@ -25,9 +25,9 @@ use tiger_sim::{ByteSize, Counter, SimDuration, SimTime};
 use tiger_trace::TraceEvent;
 
 use crate::config::{ForwardingPolicy, TigerConfig, BUFFER_CACHE};
+use crate::ctx::{Ctx, World};
 use crate::event::Event;
 use crate::pool::BufferPool;
-use crate::system::Shared;
 
 pub use tiger_proto::insert::PendingStart;
 
@@ -253,37 +253,36 @@ impl Cub {
     // --- Message entry point ----------------------------------------------
 
     /// Handles a delivered control message.
-    fn on_message(&mut self, sh: &mut Shared, now: SimTime, msg: Message) {
+    fn on_message(&mut self, cx: &mut Ctx, msg: Message) {
+        let states = match &msg {
+            Message::ViewerState(vs) => std::slice::from_ref(vs),
+            Message::ViewerStates(batch) => batch,
+            _ => &[],
+        };
         if self.failed {
             // Narrow spare-shield allowance: a spare holding ready shield
             // spans serves the mirror records the cover path routes to it,
             // while remaining a non-member for every other purpose (no
             // ring work, no forwarding, no primary service).
-            if sh.shield.is_serving_spare(self.id) {
-                match msg {
-                    Message::ViewerState(vs) => self.on_shield_state(sh, now, vs),
-                    Message::ViewerStates(ref batch) => {
-                        for &vs in batch.iter() {
-                            self.on_shield_state(sh, now, vs);
-                        }
-                    }
-                    _ => {}
+            if cx.shield.is_serving_spare(self.id) {
+                for &vs in states {
+                    self.on_shield_state(cx, vs);
                 }
             }
             return;
         }
         self.msgs_processed.incr();
+        let now = cx.now;
         match msg {
-            Message::ViewerState(vs) => self.on_viewer_state(sh, now, vs),
-            Message::ViewerStates(batch) => {
-                for &vs in batch.iter() {
-                    self.on_viewer_state(sh, now, vs);
+            Message::ViewerState(_) | Message::ViewerStates(_) => {
+                for &vs in states {
+                    self.on_viewer_state(cx, vs);
                 }
             }
             Message::Deschedule { request, hops_left } => {
-                if !self.refuses(sh, now, request) {
-                    let until = now + sh.cfg.deschedule_reach();
-                    Driver { cub: self, sh, now }.on_deschedule(now, request, hops_left, until);
+                if !Self::refuses(cx, request) {
+                    let until = now + cx.world.cfg.deschedule_reach();
+                    Driver { cub: self, cx }.on_deschedule(now, request, hops_left, until);
                 }
             }
             Message::RoutedStart {
@@ -294,18 +293,14 @@ impl Cub {
                 requested_at,
                 redundant,
             } => {
-                self.on_routed_start(
-                    sh,
-                    now,
-                    PendingStart {
-                        instance,
-                        client,
-                        file,
-                        from_block: BlockNum(from_block),
-                        requested_at,
-                    },
-                    redundant,
-                );
+                let pending = PendingStart {
+                    instance,
+                    client,
+                    file,
+                    from_block: BlockNum(from_block),
+                    requested_at,
+                };
+                self.on_routed_start(cx, pending, redundant);
             }
             Message::RetiredReplay { from, states } => {
                 // The predecessor's retired-log tail, already advanced to
@@ -315,14 +310,14 @@ impl Cub {
                 // also delivers.
                 self.ring.heard_from(from, now);
                 for &vs in states.iter() {
-                    self.on_viewer_state(sh, now, vs);
+                    self.on_viewer_state(cx, vs);
                 }
             }
             // The ring's own messages: pings, failure notices, rejoin
             // requests and their acks.
             msg => {
-                let cfg = sh.cfg.ring();
-                let unhandled = Driver { cub: self, sh, now }.on_ring_message(now, &cfg, msg);
+                let cfg = cx.world.cfg.ring();
+                let unhandled = Driver { cub: self, cx }.on_ring_message(now, &cfg, msg);
                 debug_assert!(unhandled.is_none(), "cub received {unhandled:?}");
             }
         }
@@ -330,28 +325,21 @@ impl Cub {
 
     // --- Viewer-state handling (§4.1.1) -----------------------------------
 
-    /// Records `event` as this cub's, at `now`.
-    #[inline]
-    fn trace(&self, sh: &mut Shared, now: SimTime, event: TraceEvent) {
-        sh.tracer.record(now, self.id.raw(), event);
-    }
-
     /// Whether a received record names a slot outside the schedule, which
     /// it then refuses as a traced drop: the wire decoder parses any
     /// `u32`, and the tables indexed by slot must not grow past capacity.
-    fn refuses(&self, sh: &mut Shared, now: SimTime, d: Deschedule) -> bool {
+    fn refuses(cx: &mut Ctx, d: Deschedule) -> bool {
         let slot = d.slot.raw();
-        let refused = slot >= sh.params.capacity();
+        let refused = slot >= cx.world.params.capacity();
         if refused {
             let (viewer, inc) = (d.instance.viewer.raw(), d.instance.incarnation);
-            let event = TraceEvent::SlotRefused { slot, viewer, inc };
-            self.trace(sh, now, event);
+            cx.trace(TraceEvent::SlotRefused { slot, viewer, inc });
         }
         refused
     }
 
-    fn on_viewer_state(&mut self, sh: &mut Shared, now: SimTime, vs: ViewerState) {
-        if self.refuses(sh, now, Deschedule::of(&vs)) {
+    fn on_viewer_state(&mut self, cx: &mut Ctx, vs: ViewerState) {
+        if Self::refuses(cx, Deschedule::of(&vs)) {
             return;
         }
         // Any sighting of a viewer state supersedes a redundant start we
@@ -359,11 +347,14 @@ impl Cub {
         self.ins.superseded_by_sighting(&vs.instance);
 
         match vs.kind {
-            StreamKind::Primary => Driver { cub: self, sh, now }.on_record(now, vs),
-            StreamKind::Mirror { failed_disk, piece } => {
-                self.on_mirror_state(sh, now, vs, failed_disk, piece);
+            StreamKind::Primary => {
+                let now = cx.now;
+                Driver { cub: self, cx }.on_record(now, vs);
             }
-            StreamKind::Coded { .. } => self.on_coded_state(sh, now, vs),
+            StreamKind::Mirror { failed_disk, piece } => {
+                self.on_mirror_state(cx, vs, failed_disk, piece);
+            }
+            StreamKind::Coded { .. } => self.on_coded_state(cx, vs),
         }
     }
 
@@ -372,19 +363,20 @@ impl Cub {
     /// Periodic batching pass: forward viewer states whose receiver lead
     /// has dropped to `maxVStateLead`, to the successor and (policy
     /// permitting) the second successor.
-    fn on_forward_pass(&mut self, sh: &mut Shared, now: SimTime) {
+    fn on_forward_pass(&mut self, cx: &mut Ctx) {
         if self.failed {
             return;
         }
+        let (w, now) = (cx.world, cx.now);
         let mut finished: Vec<ViewerInstance> = Vec::new();
         self.services.forward_due(|entry| {
-            let due_next = entry.send_at + sh.params.block_play_time();
-            if now < due_next.saturating_sub(sh.cfg.max_vstate_lead) {
+            let due_next = entry.send_at + w.params.block_play_time();
+            if now < due_next.saturating_sub(w.cfg.max_vstate_lead) {
                 return false;
             }
             entry.forward();
             let advanced = entry.vs.advanced(1);
-            let meta = sh.catalog.get(advanced.file).copied();
+            let meta = w.catalog.get(advanced.file).copied();
             let at_eof = meta.is_none_or(|m| advanced.position.raw() >= m.num_blocks);
             if at_eof {
                 finished.push(advanced.instance);
@@ -393,126 +385,105 @@ impl Cub {
             }
             true
         });
-        self.reclaim_finished(sh, now);
-        self.drain_pool(sh, now);
+        self.reclaim_finished(cx);
+        self.drain_pool(cx);
         debug_assert!(self.services.iter().all(|(_, e)| !e.finished()));
         let batch = std::mem::take(&mut self.pass_batch);
-        Driver { cub: self, sh, now }.pass(now, &finished, &batch);
+        Driver { cub: self, cx }.pass(now, &finished, &batch);
         self.pass_batch = batch;
         self.pass_batch.clear();
         // Retired-log GC: keep one failure-detection window, as the
         // machine keeps its cover and end-of-file memories; its shadows
         // expire a deschedule hold past their due time.
-        let retention = sh.cfg.retired_retention();
+        let retention = w.cfg.retired_retention();
         self.services.prune_retired(now, retention);
         // Each hold expiry is observed at this pass's granularity.
-        let (me, tracer, hold) = (self.id.raw(), &mut sh.tracer, sh.cfg.deschedule_hold);
-        self.fwd.on_pass(now, hold, retention, |d| {
-            let expire = TraceEvent::DeschedExpire {
-                slot: d.slot.raw(),
-                viewer: d.instance.viewer.raw(),
-                inc: d.instance.incarnation,
-            };
-            tracer.record(now, me, expire);
-        });
+        self.fwd
+            .on_pass(now, w.cfg.deschedule_hold, retention, |d| {
+                let (viewer, inc) = (d.instance.viewer.raw(), d.instance.incarnation);
+                let slot = d.slot.raw();
+                cx.trace(TraceEvent::DeschedExpire { slot, viewer, inc });
+            });
     }
 
     // --- Insertion (§4.1.3) -----------------------------------------------
 
-    fn on_routed_start(
-        &mut self,
-        sh: &mut Shared,
-        now: SimTime,
-        pending: PendingStart,
-        redundant: bool,
-    ) {
+    fn on_routed_start(&mut self, cx: &mut Ctx, pending: PendingStart, redundant: bool) {
         // Idempotent like a viewer state (§4.1.2): a duplicate arriving after
         // the start was inserted must not insert it into a second slot.
         let carried = self.services.carries_instance(&pending.instance);
         if self.ins.on_routed_start(pending, redundant, carried) {
-            self.schedule_insert_attempt(sh, now + SimDuration::from_nanos(1));
+            self.schedule_insert_attempt(cx);
         }
     }
 
-    fn schedule_insert_attempt(&mut self, sh: &mut Shared, at: SimTime) {
+    /// Arms the insertion attempt a nanosecond out, unless one is armed.
+    fn schedule_insert_attempt(&mut self, cx: &mut Ctx) {
         if self.ins.arm_attempt() {
-            sh.queue.schedule(
-                at.max(sh.queue.now()),
-                Event::InsertAttempt { cub: self.id },
-            );
+            let at = cx.now + SimDuration::from_nanos(1);
+            cx.schedule(at, Event::InsertAttempt { cub: self.id });
         }
     }
 
     /// The disk that should source the first requested block — and the
     /// pointer whose ownership windows gate the insertion.
-    fn start_disk(&self, sh: &Shared, pending: &PendingStart) -> Option<DiskId> {
-        sh.catalog
-            .locate(pending.file, pending.from_block)
-            .map(|loc| loc.disk)
+    fn start_disk(world: &World, pending: &PendingStart) -> Option<DiskId> {
+        let loc = world.catalog.locate(pending.file, pending.from_block)?;
+        Some(loc.disk)
     }
 
     /// Attempts to insert queued starts into currently-owned empty slots.
-    fn on_insert_attempt(&mut self, sh: &mut Shared, now: SimTime) {
+    fn on_insert_attempt(&mut self, cx: &mut Ctx) {
         self.ins.attempt_due();
         if self.failed {
             return;
         }
+        let (world, now) = (cx.world, cx.now);
         // The machine leaves the cub for the pass: no commit feeds it an
         // input.
         let mut ins = std::mem::take(&mut self.ins);
         ins.attempt(|pending| {
-            let Some(d0) = self.start_disk(sh, pending) else {
+            let Some(d0) = Self::start_disk(world, pending) else {
                 return AttemptDecision::Drop; // Unknown file or out-of-range block.
             };
             // We may insert via d0's pointer if d0 is ours, or if we are
             // the acting successor of d0's dead cub.
-            let d0_cub = sh.params.stripe().cub_of(d0);
+            let d0_cub = world.params.stripe().cub_of(d0);
             let responsible = d0_cub == self.id || self.ring.covers(d0_cub);
             if !responsible {
                 return AttemptDecision::Drop; // Another cub will run this insertion.
             }
-            let owned = sh.params.owned_slot_range(d0, now);
+            let owned = world.params.owned_slot_range(d0, now);
             let slot = owned
                 .into_iter()
                 .find(|&s| self.services.view_primary(s).is_none());
             if let Some(slot) = slot {
-                self.commit_insert(sh, now, *pending, d0, slot);
+                self.commit_insert(cx, *pending, d0, slot);
                 return AttemptDecision::Commit;
             }
-            self.trace(
-                sh,
-                now,
-                TraceEvent::InsertMiss {
-                    viewer: pending.instance.viewer.raw(),
-                    inc: pending.instance.incarnation,
-                    disk: d0.raw(),
-                },
-            );
+            cx.trace(TraceEvent::InsertMiss {
+                viewer: pending.instance.viewer.raw(),
+                inc: pending.instance.incarnation,
+                disk: d0.raw(),
+            });
             AttemptDecision::Miss
         });
         self.ins = ins;
         if let Some(head) = self.ins.head().copied() {
             // Retry when the next ownership window opens for the head's
             // start disk.
-            if let Some(d0) = self.start_disk(sh, &head) {
-                let dt = sh.params.time_to_next_ownership(d0, now) + SimDuration::from_nanos(1);
+            if let Some(d0) = Self::start_disk(world, &head) {
+                let dt = world.params.time_to_next_ownership(d0, now) + SimDuration::from_nanos(1);
                 self.ins.arm_attempt();
-                sh.queue
-                    .schedule(now + dt, Event::InsertAttempt { cub: self.id });
+                cx.schedule(now + dt, Event::InsertAttempt { cub: self.id });
             }
         }
     }
 
-    fn commit_insert(
-        &mut self,
-        sh: &mut Shared,
-        now: SimTime,
-        pending: PendingStart,
-        d0: DiskId,
-        slot: SlotId,
-    ) {
+    fn commit_insert(&mut self, cx: &mut Ctx, pending: PendingStart, d0: DiskId, slot: SlotId) {
+        let (world, now) = (cx.world, cx.now);
         // `start_disk` located the file, and no file ever leaves the catalog.
-        let meta = sh.catalog.get(pending.file).copied().expect("file known");
+        let meta = world.catalog.get(pending.file).expect("file known");
         let vs = ViewerState {
             instance: pending.instance,
             client: pending.client,
@@ -523,54 +494,49 @@ impl Cub {
             bitrate: meta.bitrate,
             kind: StreamKind::Primary,
         };
-        self.trace(
-            sh,
-            now,
-            TraceEvent::InsertCommit {
-                slot: slot.raw(),
-                viewer: pending.instance.viewer.raw(),
-                inc: pending.instance.incarnation,
-                disk: d0.raw(),
-            },
-        );
-        if let Some(omni) = sh.omniscient.as_mut() {
+        cx.trace(TraceEvent::InsertCommit {
+            slot: slot.raw(),
+            viewer: pending.instance.viewer.raw(),
+            inc: pending.instance.incarnation,
+            disk: d0.raw(),
+        });
+        if let Some(omni) = cx.omniscient.as_mut() {
             omni.on_insert(vs, now);
         }
         // The start disk is this cub's or one it covers, and nothing of the
         // instance is here (a sighting drops a queued start), so this is
         // served, or covered via mirrors straight away.
-        let mut driver = Driver { cub: self, sh, now };
-        driver.on_record(now, vs);
+        Driver { cub: self, cx }.on_record(now, vs);
         // Commit: tell the controller (the insertion "becomes part of the
         // coherent hallucination when a message to that effect makes it to
         // at least one other machine").
         let (instance, file) = (pending.instance, pending.file);
-        let first_send = driver.sh.params.slot_send_time(d0, slot, now);
+        let first_send = world.params.slot_send_time(d0, slot, now);
         let committed = Message::InsertCommitted {
             instance,
             slot,
             file,
             first_send,
         };
-        driver.to_controller(committed);
+        cx.send_to_controller(committed);
         // Hasten propagation of the fresh insert.
-        self.hasten_forward(&mut sh.queue, now);
+        self.hasten_forward(cx);
     }
 
     // --- Deadman protocol (§2.3) -------------------------------------------
 
     /// The deadman's periodic half: the heartbeat to the successor, or the
     /// silence check on the predecessor.
-    fn on_deadman(&mut self, sh: &mut Shared, now: SimTime, ping: bool) {
+    fn on_deadman(&mut self, cx: &mut Ctx, ping: bool) {
         if self.failed {
             return;
         }
-        let cfg = sh.cfg.ring();
-        let mut ring = Driver { cub: self, sh, now };
+        let (cfg, now) = (cx.world.cfg.ring(), cx.now);
+        let mut ring = Driver { cub: self, cx };
         if ping {
             ring.ping();
         } else if let Some(failed) = ring.check(now, &cfg) {
-            ring.sh.metrics.failure_detections.push((now, failed.raw()));
+            cx.metrics.failure_detections.push((now, failed.raw()));
         }
     }
 
@@ -635,49 +601,42 @@ impl Cub {
     /// assignments), let in-flight transmissions finish, and prevent any
     /// old-incarnation record from propagating by marking everything
     /// forwarded and fencing the old instances with deschedules.
-    pub(crate) fn cutover_reset(
-        &mut self,
-        sh: &mut Shared,
-        now: SimTime,
-        fences: &[Deschedule],
-        hold_until: SimTime,
-    ) {
+    pub(crate) fn cutover_reset(&mut self, cx: &mut Ctx, fences: &[Deschedule], until: SimTime) {
         self.services.cut_over();
         self.pool.clear_waiting(); // Unsent, every one: dropped just now.
-        self.reclaim_finished(sh, now);
+        self.reclaim_finished(cx);
         self.reset_viewer_state(true);
         for &d in fences {
-            self.fwd.on_deschedule(d, now, hold_until);
+            self.fwd.on_deschedule(d, cx.now, until);
         }
         self.ring.clear_handback();
     }
 }
 
-/// A cub at `now` as the driver of its ring machine: the §2.3 sequence is
-/// [`RingDriver`]'s, the hooks are this cub's sends, trace records,
-/// fence (a power cut), retired replay, gap bridge and takeover.
-struct Driver<'a> {
+/// A cub with its context as the driver of its machines: the §2.3
+/// sequence is [`RingDriver`]'s and §4.1's is [`ForwardDriver`]'s; the
+/// hooks are this cub's sends, trace records, fence (a power cut), retired
+/// replay, gap bridge, takeover, service and cover.
+struct Driver<'a, 'w> {
     cub: &'a mut Cub,
-    sh: &'a mut Shared,
-    now: SimTime,
+    cx: &'a mut Ctx<'w>,
 }
 
-impl RingDriver for Driver<'_> {
+impl RingDriver for Driver<'_, '_> {
     fn ring(&mut self) -> &mut RingMachine {
         &mut self.cub.ring
     }
 
     fn send(&mut self, to: CubId, msg: Message) {
-        let (me, to) = (self.sh.cub_node(self.cub.id), self.sh.cub_node(to));
-        self.sh.send_control(self.now, me, to, msg);
+        self.cx.send(to, msg);
     }
 
     fn record(&mut self, event: TraceEvent) {
-        self.cub.trace(self.sh, self.now, event);
+        self.cx.trace(event);
     }
 
     fn fence(&mut self) {
-        self.cub.power_cut(self.sh, self.now);
+        self.cub.power_cut(self.cx);
     }
 
     /// Sub-interval rejoin: as the rejoiner's ring predecessor, replay the
@@ -685,13 +644,13 @@ impl RingDriver for Driver<'_> {
     /// in-flight viewer state the moment the batch arrives instead of
     /// waiting up to a forward interval for natural circulation.
     fn replay(&mut self, to: CubId) {
-        let (cub, sh) = (&*self.cub, &*self.sh);
+        let (cub, w) = (&*self.cub, self.cx.world);
         // A record reaches its owner, or the acting successor covering it,
         // up to `legit_lead` early, plus one forward interval of cadence.
-        let horizon = sh.cfg.legit_lead() + sh.cfg.forward_interval;
-        let (bpt, owner) = (sh.params.block_play_time(), |f, p| Self::owner(sh, f, p));
+        let horizon = w.cfg.legit_lead() + w.cfg.forward_interval;
+        let (bpt, owner) = (w.params.block_play_time(), |f, p| Self::owner(w, f, p));
         let retired = cub.services.retired();
-        let states = replay_batch(retired, self.now, bpt, horizon, &cub.ring, owner, to);
+        let states = replay_batch(retired, self.cx.now, bpt, horizon, &cub.ring, owner, to);
         let (dst, count) = (to.raw(), states.len() as u32);
         self.record(TraceEvent::RetiredReplay { to: dst, count });
         if !states.is_empty() {
@@ -699,16 +658,15 @@ impl RingDriver for Driver<'_> {
             self.send(to, Message::RetiredReplay { from, states });
         }
         // Aged active entries due to forward into the rejoiner.
-        self.cub.hasten_forward(&mut self.sh.queue, self.now);
+        self.cub.hasten_forward(self.cx);
     }
 
     fn to_controller(&mut self, msg: Message) {
-        let me = self.sh.cub_node(self.cub.id);
-        self.sh.send_to_controller(self.now, me, msg);
+        self.cx.send_to_controller(msg);
     }
 
     fn bridge(&mut self) {
-        if self.sh.cfg.gap_recovery {
+        if self.cx.world.cfg.gap_recovery {
             ForwardDriver::bridge(self);
         }
     }
@@ -716,16 +674,15 @@ impl RingDriver for Driver<'_> {
     /// The acting successor's duties on a failure: promote the redundant
     /// starts of files homed on the failed cub, then re-drive the shadows.
     fn take_over(&mut self, failed: CubId) {
-        let (cub, sh, now) = (&mut *self.cub, &mut *self.sh, self.now);
-        let (stripe, catalog) = (sh.params.stripe(), &sh.catalog);
+        let (cub, world) = (&mut *self.cub, self.cx.world);
+        let (stripe, catalog) = (world.params.stripe(), &world.catalog);
         let homed = |m: &FileMeta| stripe.cub_of(m.start_disk) == failed;
         cub.ins
             .promote_where(|p| catalog.get(p.file).is_some_and(homed));
         if cub.ins.queued() > 0 {
-            cub.schedule_insert_attempt(sh, now + SimDuration::from_nanos(1));
+            cub.schedule_insert_attempt(self.cx);
         }
-        let bpt = sh.params.block_play_time();
-        self.re_drive(now, bpt);
+        self.re_drive(self.cx.now, world.params.block_play_time());
     }
 
     /// Mirror catch-up (the covering partner's half of a rejoin) hands
@@ -735,7 +692,7 @@ impl RingDriver for Driver<'_> {
     /// the shadow branch. The window relays freshly shadowed records until
     /// the rejoiner's own lead pipeline is warm (one minVStateLead).
     fn handing_back(&mut self, to: CubId) {
-        let catalog = &self.sh.catalog;
+        let catalog = &self.cx.world.catalog;
         debug_assert!(
             !self.cub.fwd.shadows().any(|s| catalog
                 .locate(s.vs.file, s.vs.position)
@@ -748,24 +705,24 @@ impl RingDriver for Driver<'_> {
 /// A cub's §4.1 hooks: a block is located in the catalog and dated by the
 /// schedule, served through `accept_service` and covered through
 /// `cover_failed_disk`.
-impl ForwardDriver for Driver<'_> {
+impl ForwardDriver for Driver<'_, '_> {
     /// The block's disk and payload, from its one catalog read.
     type Place = (DiskId, ByteSize);
-    type Layout = Shared;
+    type Layout = World;
 
-    fn machines(&mut self) -> (&mut ForwardMachine, &mut RingMachine, &Shared) {
-        (&mut self.cub.fwd, &mut self.cub.ring, self.sh)
+    fn machines(&mut self) -> (&mut ForwardMachine, &mut RingMachine, &World) {
+        (&mut self.cub.fwd, &mut self.cub.ring, self.cx.world)
     }
 
-    fn locate(sh: &Shared, file: FileId, pos: BlockNum) -> Option<(Option<CubId>, Self::Place)> {
-        let meta = sh.catalog.get(file)?;
-        let loc = sh.params.stripe().block_location(meta.start_disk, pos);
+    fn locate(w: &World, file: FileId, pos: BlockNum) -> Option<(Option<CubId>, Self::Place)> {
+        let meta = w.catalog.get(file)?;
+        let loc = w.params.stripe().block_location(meta.start_disk, pos);
         let owner = (pos.raw() < meta.num_blocks).then_some(loc.cub);
         Some((owner, (loc.disk, meta.payload_size)))
     }
 
-    fn due(sh: &Shared, now: SimTime, vs: &ViewerState, &(disk, _): &Self::Place) -> SimTime {
-        sh.params.slot_send_time(disk, vs.slot, now)
+    fn due(w: &World, now: SimTime, vs: &ViewerState, &(disk, _): &Self::Place) -> SimTime {
+        w.params.slot_send_time(disk, vs.slot, now)
     }
 
     fn progress(&self, vs: &ViewerState) -> Progress {
@@ -773,39 +730,39 @@ impl ForwardDriver for Driver<'_> {
     }
 
     fn hops(&self) -> usize {
-        1 + usize::from(self.sh.cfg.forwarding == ForwardingPolicy::Double)
+        1 + usize::from(self.cx.world.cfg.forwarding == ForwardingPolicy::Double)
     }
 
     fn serve(&mut self, vs: ViewerState, (disk, block): Self::Place) {
-        self.cub.accept_service(self.sh, self.now, vs, disk, block);
+        self.cub.accept_service(self.cx, vs, disk, block);
     }
 
     fn cover(&mut self, vs: ViewerState, (disk, _): Self::Place) {
-        self.cub.cover_failed_disk(self.sh, self.now, vs, disk);
+        self.cub.cover_failed_disk(self.cx, vs, disk);
     }
 
     /// The view entry, the queued starts and the services not yet sent, in
     /// any order: reclaiming one returns its buffer and coded reservation
     /// (or its read's completion does), and none reaches the retired log.
     fn kill(&mut self, d: &Deschedule) -> u32 {
-        let (cub, sh, now) = (&mut *self.cub, &mut *self.sh, self.now);
+        let cub = &mut *self.cub;
         cub.services.view_deschedule(d);
         let (mut killed, mut from) = (0, 0);
         while let Some((token, entry)) = cub.services.next_match(d, from) {
             from = token + 1;
             if entry.kill() {
                 killed += 1;
-                cub.reclaim_if_finished(sh, now, token);
+                cub.reclaim_if_finished(self.cx, token);
             }
         }
         cub.ins.drop_instance(&d.instance);
         killed
     }
 
-    fn reforward(&mut self, gap: impl Fn(&ViewerState, &RingMachine, &Shared) -> bool) {
-        let (cub, sh) = (&mut *self.cub, &*self.sh);
-        if cub.services.reforward(|vs| gap(vs, &cub.ring, sh)) {
-            cub.hasten_forward(&mut self.sh.queue, self.now);
+    fn reforward(&mut self, gap: impl Fn(&ViewerState, &RingMachine, &World) -> bool) {
+        let (cub, world) = (&mut *self.cub, self.cx.world);
+        if cub.services.reforward(|vs| gap(vs, &cub.ring, world)) {
+            cub.hasten_forward(self.cx);
         }
     }
 

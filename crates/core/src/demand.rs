@@ -16,7 +16,7 @@ use tiger_layout::ids::ViewerInstance;
 use tiger_layout::{FileId, ViewerId};
 use tiger_proto::msg::Message;
 use tiger_sim::{EventQueue, SimTime};
-use tiger_trace::{TraceEvent, CTRL};
+use tiger_trace::TraceEvent;
 
 use crate::event::Event;
 use crate::system::TigerSystem;
@@ -102,7 +102,7 @@ impl Scripts {
 impl TigerSystem {
     /// A fresh viewer requested from `client`: its first play instance.
     fn new_viewer(&mut self, client: u32) -> ViewerInstance {
-        assert!(client < self.shared.cfg.num_clients, "unknown client");
+        assert!(client < self.world().cfg.num_clients, "unknown client");
         let viewer = ViewerId(self.owner.len() as u64);
         self.owner.push(client);
         ViewerInstance {
@@ -135,7 +135,7 @@ impl TigerSystem {
         from_block: u32,
     ) -> ViewerInstance {
         let instance = self.new_viewer(client);
-        self.shared.queue.schedule(
+        self.schedule(
             at,
             Event::ClientStart {
                 client,
@@ -149,9 +149,7 @@ impl TigerSystem {
 
     /// Schedules a stop request for `instance` at time `at`.
     pub fn request_stop(&mut self, at: SimTime, instance: ViewerInstance) {
-        self.shared
-            .queue
-            .schedule(at, Event::ClientStop { instance });
+        self.schedule(at, Event::ClientStop { instance });
     }
 
     /// Schedules a pause: the viewer leaves the schedule (a deschedule),
@@ -166,9 +164,7 @@ impl TigerSystem {
     /// §4.1.2) starting at the first block the paused instance did not
     /// receive. Returns the resumed instance.
     pub fn request_resume(&mut self, at: SimTime, instance: ViewerInstance) -> ViewerInstance {
-        self.shared
-            .queue
-            .schedule(at, Event::ClientResume { instance });
+        self.schedule(at, Event::ClientResume { instance });
         instance.next_incarnation()
     }
 
@@ -180,9 +176,7 @@ impl TigerSystem {
         instance: ViewerInstance,
         to_block: u32,
     ) -> ViewerInstance {
-        self.shared
-            .queue
-            .schedule(at, Event::ClientSeek { instance, to_block });
+        self.schedule(at, Event::ClientSeek { instance, to_block });
         instance.next_incarnation()
     }
 
@@ -228,7 +222,7 @@ impl TigerSystem {
     /// were scripted, and enters the first start. From here on the plan
     /// enters the queue as it comes due; nothing more can be scripted.
     pub fn release_scripts(&mut self) {
-        let scripts = &mut self.scripts;
+        let (scripts, queue) = self.scripts_and_queue();
         assert!(!scripts.released, "a system runs one scripted plan");
         assert!(scripts.ops.len() < u32::MAX as usize, "op indices are u32");
         scripts.released = true;
@@ -238,7 +232,6 @@ impl TigerSystem {
                 (*next, following) = (following, i as u32);
             }
         }
-        let queue = &mut self.shared.queue;
         scripts.first_rank = queue.reserve_ranks(scripts.ops.len() as u64);
         if !scripts.ops.is_empty() {
             scripts.enter(queue, 0);
@@ -255,14 +248,14 @@ impl TigerSystem {
         from_block: u32,
         instance: ViewerInstance,
     ) {
-        let Some(meta) = self.shared.catalog.get(file).copied() else {
+        let Some(meta) = self.world().catalog.get(file).copied() else {
             return;
         };
         if from_block >= meta.num_blocks {
             return; // Nothing to play.
         }
         let load = f64::from(self.controller().active_streams())
-            / f64::from(self.shared.params.capacity());
+            / f64::from(self.world().params.capacity());
         self.clients[client as usize].on_request(
             instance,
             file,
@@ -271,18 +264,14 @@ impl TigerSystem {
             now,
             load,
         );
-        let node = self.shared.client_node(client);
-        self.shared.send_to_controller(
-            now,
-            node,
-            Message::StartRequest {
-                client: node.raw(),
-                instance,
-                file,
-                from_block,
-                requested_at: now,
-            },
-        );
+        let mut cx = self.client_cx(now, client);
+        cx.send_to_controller(Message::StartRequest {
+            client: cx.node.raw(),
+            instance,
+            file,
+            from_block,
+            requested_at: now,
+        });
     }
 
     /// The one VCR transition: starts `instance`'s next incarnation (the
@@ -308,16 +297,13 @@ impl TigerSystem {
         }
         let next = instance.next_incarnation();
         let to_block = seek_to.unwrap_or(resume_at);
-        self.shared.tracer.record(
-            now,
-            CTRL,
-            TraceEvent::SessionTransition {
+        self.client_cx(now, client)
+            .trace(TraceEvent::SessionTransition {
                 viewer: next.viewer.raw(),
                 inc: next.incarnation,
                 kind: if seek_to.is_some() { 2 } else { 1 },
                 to_block,
-            },
-        );
+            });
         self.on_client_start(now, client, file, to_block, next);
     }
 
@@ -331,9 +317,8 @@ impl TigerSystem {
         if !self.clients[client as usize].on_stopped(instance) {
             return; // Never requested, or already stopped.
         }
-        let node = self.shared.client_node(client);
-        self.shared
-            .send_to_controller(now, node, Message::StopRequest { instance });
+        self.client_cx(now, client)
+            .send_to_controller(Message::StopRequest { instance });
     }
 }
 

@@ -38,6 +38,7 @@ pub mod config;
 pub mod controller;
 pub mod copy;
 pub mod cpu;
+pub mod ctx;
 pub mod cub;
 mod demand;
 pub mod event;
@@ -54,6 +55,7 @@ pub use client::{Client, ClientReport};
 pub use config::{ForwardingPolicy, TigerConfig};
 pub use controller::Controller;
 pub use cpu::CpuModel;
+pub use ctx::{Ctx, World};
 pub use cub::Cub;
 pub use mbr::{MbrConfig, MbrDistStats, MbrSystem};
 pub use metrics::{LossReport, Metrics, WindowSample};

@@ -1,15 +1,16 @@
 //! The seam between the event loop and one cub: `Cub::on_event` runs
-//! every event `TigerSystem` assigns the cub, the three periodic chains
-//! (forwarding pass, deadman ping, deadman check) keep their due times
-//! here, and a life is armed, cut and restarted here. A child module of
-//! `cub.rs`, its file beside it, to share the private fields.
+//! every event `TigerSystem` assigns the cub, in the cub's context (`Ctx`),
+//! the three periodic chains (forwarding pass, deadman ping, deadman
+//! check) keep their due times here, and a life is armed, cut and
+//! restarted here. A child module of `cub.rs`, its file beside it, to
+//! share the private fields.
 
 use tiger_proto::RingDriver;
-use tiger_sim::{EventQueue, SimDuration, SimTime};
+use tiger_sim::SimDuration;
 
 use super::{Cub, Driver};
+use crate::ctx::Ctx;
 use crate::event::Event;
-use crate::system::Shared;
 
 impl Cub {
     /// Runs one of this cub's events: a delivery to its node, or a timer
@@ -21,21 +22,22 @@ impl Cub {
     /// one-shot (`hasten_forward`): it runs but starts no second chain.
     /// An earlier ping or check was queued by a previous life: it dies.
     #[inline]
-    pub fn on_event(&mut self, sh: &mut Shared, now: SimTime, event: Event) {
+    pub fn on_event(&mut self, cx: &mut Ctx, event: Event) {
+        let now = cx.now;
         match event {
-            Event::Deliver { msg, .. } => self.on_message(sh, now, msg),
-            Event::ReadIssue { token, .. } => self.on_read_issue(sh, now, token),
-            Event::PoolFloor { .. } => self.on_pool_floor(sh, now),
-            Event::DiskDone { token, .. } => self.on_disk_done(sh, now, token),
-            Event::SendDue { token, .. } => self.on_send_due(sh, now, token),
-            Event::SendDone { token, .. } => self.on_send_done(sh, now, token),
-            Event::InsertAttempt { .. } => self.on_insert_attempt(sh, now),
+            Event::Deliver { msg, .. } => self.on_message(cx, msg),
+            Event::ReadIssue { token, .. } => self.on_read_issue(cx, token),
+            Event::PoolFloor { .. } => self.on_pool_floor(cx),
+            Event::DiskDone { token, .. } => self.on_disk_done(cx, token),
+            Event::SendDue { token, .. } => self.on_send_due(cx, token),
+            Event::SendDone { token, .. } => self.on_send_done(cx, token),
+            Event::InsertAttempt { .. } => self.on_insert_attempt(cx),
             Event::ForwardPass { .. } => {
                 let chained = self.next_forward_pass <= now;
-                self.on_forward_pass(sh, now);
+                self.on_forward_pass(cx);
                 if chained && !self.failed {
-                    self.next_forward_pass = now + sh.cfg.forward_interval;
-                    sh.queue.schedule(self.next_forward_pass, event);
+                    self.next_forward_pass = now + cx.world.cfg.forward_interval;
+                    cx.schedule(self.next_forward_pass, event);
                 }
             }
             Event::DeadmanPing { .. } | Event::DeadmanCheck { .. } => {
@@ -46,11 +48,11 @@ impl Cub {
                     &mut self.next_deadman_check
                 };
                 if *due <= now {
-                    *due = now + sh.cfg.deadman_interval;
+                    *due = now + cx.world.cfg.deadman_interval;
                     let next = *due;
-                    self.on_deadman(sh, now, ping);
+                    self.on_deadman(cx, ping);
                     if !self.failed {
-                        sh.queue.schedule(next, event);
+                        cx.schedule(next, event);
                     }
                 }
             }
@@ -69,8 +71,8 @@ impl Cub {
     /// absorbed cub starts a full interval out — its deadman check one
     /// full timeout after `restart` reset every last-heard clock, so the
     /// fresh baseline can never declare a predecessor on stale silence.
-    pub(crate) fn arm_periodic(&mut self, sh: &mut Shared, now: SimTime, startup: bool) {
-        let (cfg, me) = (&sh.cfg, u64::from(self.id.raw()));
+    pub(crate) fn arm_periodic(&mut self, cx: &mut Ctx, startup: bool) {
+        let (cfg, me, now) = (&cx.world.cfg, u64::from(self.id.raw()), cx.now);
         let slice = |interval: SimDuration| {
             let nanos = interval.as_nanos() * me / u64::from(cfg.stripe.num_cubs);
             SimDuration::from_nanos(if startup { nanos } else { 0 })
@@ -89,36 +91,35 @@ impl Cub {
         self.next_deadman_ping = ping;
         self.next_deadman_check = check;
         let cub = self.id;
-        sh.queue.schedule(forward, Event::ForwardPass { cub });
-        sh.queue.schedule(ping, Event::DeadmanPing { cub });
-        sh.queue.schedule(check, Event::DeadmanCheck { cub });
+        cx.schedule(forward, Event::ForwardPass { cub });
+        cx.schedule(ping, Event::DeadmanPing { cub });
+        cx.schedule(check, Event::DeadmanCheck { cub });
     }
 
     /// A one-shot forward pass 1 ms out: records due to forward go now,
     /// not at the next periodic cadence.
-    pub(super) fn hasten_forward(&self, queue: &mut EventQueue<Event>, now: SimTime) {
+    pub(super) fn hasten_forward(&self, cx: &mut Ctx) {
         let pass = Event::ForwardPass { cub: self.id };
-        queue.schedule(now + SimDuration::from_millis(1), pass);
+        cx.schedule(cx.now + SimDuration::from_millis(1), pass);
     }
 
     /// Power-cut: the cub stops doing anything, its disks die with it and
     /// its node leaves the network.
-    pub(crate) fn power_cut(&mut self, sh: &mut Shared, now: SimTime) {
+    pub(crate) fn power_cut(&mut self, cx: &mut Ctx) {
         if !self.failed {
             // Only a living member holds load-table reservations.
             for (_, e) in self.services.iter() {
-                self.release_load(sh, e);
+                self.release_load(cx, e);
             }
         }
         self.failed = true;
         for d in &mut self.disks {
-            d.fail(now);
+            d.fail(cx.now);
         }
         self.services.clear();
         self.reset_viewer_state(false);
         self.pool.reset();
-        let node = sh.cub_node(self.id);
-        sh.net.fail_node(node);
+        cx.net.fail_node(cx.node);
     }
 
     /// Restarts a power-cut or fenced cub with empty schedule state. The
@@ -128,9 +129,9 @@ impl Cub {
     /// the ring. Everything protocol-visible is reset; the node comes
     /// back, the rejoin is announced (`RingDriver::rejoin`) and the
     /// chains are armed afresh.
-    pub(crate) fn restart(&mut self, sh: &mut Shared, now: SimTime) {
-        let (striped, node) = (sh.cfg.stripe.num_cubs, sh.cub_node(self.id));
-        sh.net.revive_node(now, node);
+    pub(crate) fn restart(&mut self, cx: &mut Ctx) {
+        let (striped, now) = (cx.world.cfg.stripe.num_cubs, cx.now);
+        cx.net.revive_node(now, cx.node);
         self.failed = false;
         for d in &mut self.disks {
             d.revive(now);
@@ -148,8 +149,8 @@ impl Cub {
         // monitoring; ring neighbours answer with their own belief lists
         // (bounded-view exchange) and the covering mirror partner opens
         // its hand-back window.
-        Driver { cub: self, sh, now }.rejoin(now, striped);
-        self.arm_periodic(sh, now, false);
+        Driver { cub: self, cx }.rejoin(now, striped);
+        self.arm_periodic(cx, false);
     }
 }
 
@@ -183,7 +184,7 @@ mod tests {
             c.next_deadman_check,
         ];
         let mut queued: [Vec<SimTime>; 3] = Default::default();
-        while let Some((at, ev)) = sys.shared.queue.pop() {
+        while let Some((at, ev)) = sys.pop_until(SimTime::MAX) {
             match ev {
                 Event::ForwardPass { cub: C1 } => queued[0].push(at),
                 Event::DeadmanPing { cub: C1 } => queued[1].push(at),
@@ -196,11 +197,7 @@ mod tests {
 
     #[test]
     fn one_periodic_chain_per_living_cub() {
-        let one_shot = |sys: &mut TigerSystem, at| {
-            sys.shared
-                .queue
-                .schedule(at, Event::ForwardPass { cub: C1 });
-        };
+        let one_shot = |sys: &mut TigerSystem, at| sys.schedule(at, Event::ForwardPass { cub: C1 });
         // One-shot passes before the chain's 1.125 s pass and after it:
         // both run, neither starts a second chain.
         let mut sys = TigerSystem::new(TigerConfig::small_test());

@@ -13,13 +13,14 @@ use tiger_layout::{
 };
 use tiger_sched::Deschedule;
 use tiger_sim::{SimDuration, SimTime};
-use tiger_trace::{TraceEvent, CTRL};
+use tiger_trace::TraceEvent;
 
-use crate::backend::Backend;
+use crate::backend::{Backend, Loads};
 use crate::copy::{CopyJob, CopyPipeline, Lane};
+use crate::ctx::Ctx;
 use crate::cub::Cub;
 use crate::event::Event;
-use crate::system::{Shared, TigerSystem};
+use crate::system::TigerSystem;
 
 /// Interval between pumps of a copy lane with work outstanding.
 const COPY_TICK: SimDuration = SimDuration::from_millis(100);
@@ -66,7 +67,7 @@ impl TigerSystem {
     /// back with empty schedule state and re-learns its slots via the
     /// rejoin protocol.
     pub fn restart_cub_at(&mut self, at: SimTime, cub: CubId) {
-        self.shared.queue.schedule(at, Event::RestartCub { cub });
+        self.schedule(at, Event::RestartCub { cub });
     }
 
     /// Schedules a live restripe at time `at` that absorbs `add_cubs` of
@@ -114,8 +115,8 @@ impl TigerSystem {
             "a restripe step adds or removes cubs, not both (add={add}, remove={remove})"
         );
         // Project membership through the executing step and the queue.
-        let mut striped = self.shared.cfg.stripe.num_cubs;
-        let mut spares = self.shared.cfg.spare_cubs;
+        let mut striped = self.shared.world.cfg.stripe.num_cubs;
+        let mut spares = self.shared.world.cfg.spare_cubs;
         let executing = self.reconfig.step.iter().map(|(step, _)| step);
         for step in executing.chain(self.reconfig.queue.iter()) {
             striped = striped + step.add - step.remove;
@@ -129,28 +130,26 @@ impl TigerSystem {
             remove < striped,
             "restripe removes {remove} of {striped} (projected) striped cubs; at least one must remain"
         );
-        let disks = (striped - remove) * self.shared.cfg.stripe.disks_per_cub;
-        for (holds, sentence) in self.shared.cfg.preconditions(disks) {
+        let disks = (striped - remove) * self.shared.world.cfg.stripe.disks_per_cub;
+        for (holds, sentence) in self.shared.world.cfg.preconditions(disks) {
             assert!(holds, "restripe to {disks} disks: {sentence}");
         }
         self.reconfig.queue.push_back(RestripeStep { add, remove });
-        self.shared.queue.schedule(at, Event::RestripeStart);
+        self.schedule(at, Event::RestripeStart);
     }
 
     /// Handles [`Event::RestartCub`]: the cub revives with empty schedule
     /// state, announces the rejoin and arms its periodic work under a
     /// fresh monitoring baseline (`Cub::restart`).
     pub(crate) fn restart_cub(&mut self, now: SimTime, cub: CubId) {
-        if cub.raw() >= self.shared.cfg.stripe.num_cubs {
+        if cub.raw() >= self.shared.world.cfg.stripe.num_cubs {
             return; // Spares join via a restripe cut-over, not a rejoin.
         }
         if !self.cubs[cub.index()].failed {
             return; // Never crashed, or already restarted.
         }
-        self.shared
-            .tracer
-            .record(now, CTRL, TraceEvent::CubRestart { cub: cub.raw() });
-        self.cubs[cub.index()].restart(&mut self.shared, now);
+        self.trace(now, TraceEvent::CubRestart { cub: cub.raw() });
+        self.cubs[cub.index()].restart(&mut self.shared.cub_cx(now, cub));
     }
 
     /// Handles [`Event::RestripeStart`]: pop the next queued step and
@@ -167,20 +166,15 @@ impl TigerSystem {
             return;
         };
         // Plan the step and launch its background move pipeline.
-        let old = self.shared.cfg.stripe;
+        let old = self.shared.world.cfg.stripe;
         let new = StripeConfig::new(
             old.num_cubs + step.add - step.remove,
             old.disks_per_cub,
             old.decluster,
         );
-        let plan = RestripePlan::plan(&self.shared.catalog, old, new);
-        self.shared.tracer.record(
-            now,
-            CTRL,
-            TraceEvent::RestripeStart {
-                moves: plan.moves().len() as u32,
-            },
-        );
+        let plan = RestripePlan::plan(&self.shared.world.catalog, old, new);
+        let moves = plan.moves().len() as u32;
+        self.trace(now, TraceEvent::RestripeStart { moves });
         let mut pipe = CopyPipeline::new(Lane::Restripe, old, now);
         pipe.extend(plan.moves().iter().map(|mv| {
             let src_cub = old.cub_of(mv.from);
@@ -204,7 +198,7 @@ impl TigerSystem {
             self.restripe_cutover(now);
         } else {
             self.reconfig.pipes[Lane::Restripe as usize] = Some(pipe);
-            self.with_lane(now, Lane::Restripe, |p, sh, cubs| p.pump(sh, cubs, now));
+            self.with_lane(now, Lane::Restripe, |p, cx, cubs| p.pump(cx, cubs));
             self.arm_copy_tick(now, Lane::Restripe);
         }
     }
@@ -221,13 +215,8 @@ impl TigerSystem {
         };
         let old = plan.old_config();
         let new = plan.new_config();
-        self.shared.tracer.record(
-            now,
-            CTRL,
-            TraceEvent::RestripeCutover {
-                moved: plan.moves().len() as u32,
-            },
-        );
+        let moved = plan.moves().len() as u32;
+        self.trace(now, TraceEvent::RestripeCutover { moved });
         // 1. Collect the live viewers (deterministically: clients in index
         // order, instances sorted) before any state is torn down.
         let mut live: Vec<(u32, ViewerInstance, FileId, u32)> = (0u32..)
@@ -250,23 +239,25 @@ impl TigerSystem {
                 Some(Deschedule { instance, slot })
             })
             .collect();
-        let hold_until = now + self.shared.cfg.deschedule_reach();
+        let hold_until = now + self.shared.world.cfg.deschedule_reach();
         for &(ci, inst, _, _) in &live {
             self.ctl.on_viewer_finished(inst);
             self.clients[ci as usize].on_stopped(inst);
         }
         for cub in &mut self.cubs {
-            cub.cutover_reset(&mut self.shared, now, &fences, hold_until);
+            cub.cutover_reset(&mut self.shared.cub_cx(now, cub.id), &fences, hold_until);
         }
         // 3. Swap the geometry: config, derived parameters, catalog
         // start-disks, redundancy backend (fresh load table: every carried
         // viewer is re-inserted). Absorbed spares leave the spare pool;
         // shrunk-out members rejoin it.
-        self.shared.cfg.stripe = new;
-        self.shared.cfg.spare_cubs = self.shared.cfg.spare_cubs + old.num_cubs - new.num_cubs;
-        self.shared.params = self.shared.cfg.schedule_params();
-        self.shared.catalog.restripe(new);
-        self.shared.backend = Backend::new(&self.shared.cfg);
+        let world = &mut self.shared.world;
+        world.cfg.stripe = new;
+        world.cfg.spare_cubs = world.cfg.spare_cubs + old.num_cubs - new.num_cubs;
+        world.params = world.cfg.schedule_params();
+        world.catalog.restripe(new);
+        world.backend = Backend::new(&world.cfg);
+        self.shared.loads = Loads::new(&world.cfg);
         // 4. Layout: drop the source entries of every moved block (the
         // copy already landed at its destination during the background
         // phase) and re-derive the mirror layout wholesale.
@@ -285,9 +276,7 @@ impl TigerSystem {
         }
         for j in new.num_cubs..old.num_cubs {
             self.cubs[j as usize].failed = true;
-            self.shared
-                .tracer
-                .record(now, CTRL, TraceEvent::ShrinkFence { cub: j });
+            self.trace(now, TraceEvent::ShrinkFence { cub: j });
         }
         let failed_map: Vec<bool> = self.cubs.iter().map(|c| c.failed).collect();
         for cub in &mut self.cubs {
@@ -295,7 +284,7 @@ impl TigerSystem {
         }
         self.ctl.believes_failed.reset_from(&failed_map);
         for j in old.num_cubs..new.num_cubs {
-            self.cubs[j as usize].arm_periodic(&mut self.shared, now, false);
+            self.cubs[j as usize].arm_periodic(&mut self.shared.cub_cx(now, CubId(j)), false);
         }
         // 6. The omniscient checker's materialized schedule is keyed to
         // the old geometry; rebuild it fresh (with its insertion grace).
@@ -330,14 +319,14 @@ impl TigerSystem {
     /// passes keep a file's primary runs, which every block read looks
     /// up, together on the heap.
     pub(crate) fn lay_file(&mut self, meta: &FileMeta, primary: bool) {
-        let (sh, stripe) = (&self.shared, self.shared.params.stripe());
-        let size = sh.backend.primary_extent(meta.block_size);
+        let (world, stripe) = (&self.shared.world, self.shared.world.params.stripe());
+        let size = world.backend.primary_extent(meta.block_size);
         let home = [Piece {
             piece: 0,
             shift: 0,
             size,
         }];
-        let pieces = sh.backend.secondary_pieces(meta.block_size);
+        let pieces = world.backend.secondary_pieces(meta.block_size);
         let cubs = &mut self.cubs;
         let mut lay = |region, pieces: &[Piece]| {
             for disk in (0..stripe.num_disks()).map(DiskId) {
@@ -355,7 +344,7 @@ impl TigerSystem {
         for cub in &mut self.cubs {
             cub.clear_secondary_layout();
         }
-        for meta in self.shared.catalog.files().to_vec() {
+        for meta in self.shared.world.catalog.files().to_vec() {
             self.lay_file(&meta, false);
         }
     }
@@ -366,8 +355,8 @@ impl TigerSystem {
     /// spans) onto the spare, which serves them if a second failure lands
     /// before the restripe cut-over rebuilds permanent redundancy.
     pub(crate) fn maybe_shield(&mut self, now: SimTime, failed: CubId) {
-        let stripe = self.shared.cfg.stripe;
-        if self.shared.cfg.redundancy != RedundancyMode::Mirrored
+        let stripe = self.shared.world.cfg.stripe;
+        if self.shared.world.cfg.redundancy != RedundancyMode::Mirrored
             || failed.raw() >= stripe.num_cubs
             || self.reconfig.shield_done.contains(&failed)
         {
@@ -376,7 +365,7 @@ impl TigerSystem {
         // Lowest free spare: powered, not a stripe member, not already
         // holding another campaign's copies. (None free: a later
         // declaration may find one.)
-        let total = self.shared.cfg.total_cubs();
+        let total = self.shared.world.cfg.total_cubs();
         let Some(spare) = (stripe.num_cubs..total).map(CubId).find(|&s| {
             self.cubs[s.index()].failed
                 && !self.reconfig.shield_spares_used.contains(&s)
@@ -391,8 +380,8 @@ impl TigerSystem {
         let mut copies = Vec::new();
         for l in 0..stripe.disks_per_cub {
             let home = stripe.disk_of(failed, l);
-            for meta in self.shared.catalog.files() {
-                let pieces = self.shared.backend.secondary_pieces(meta.block_size);
+            for meta in self.shared.world.catalog.files() {
+                let pieces = self.shared.world.backend.secondary_pieces(meta.block_size);
                 let run = stripe.run_on(meta.start_disk, meta.num_blocks, home);
                 for block in run.blocks() {
                     for piece in &pieces {
@@ -426,7 +415,7 @@ impl TigerSystem {
         let was_idle = lane.is_none();
         lane.get_or_insert_with(|| CopyPipeline::new(Lane::Shield, stripe, now))
             .extend(copies);
-        self.with_lane(now, Lane::Shield, |p, sh, cubs| p.pump(sh, cubs, now));
+        self.with_lane(now, Lane::Shield, |p, cx, cubs| p.pump(cx, cubs));
         if was_idle && self.reconfig.pipes[Lane::Shield as usize].is_some() {
             self.arm_copy_tick(now, Lane::Shield);
         }
@@ -440,7 +429,7 @@ impl TigerSystem {
         if now < self.reconfig.tick_due[lane as usize] {
             return; // A finished chain's last tick; the lane has a newer one.
         }
-        self.with_lane(now, lane, |p, sh, cubs| p.pump(sh, cubs, now));
+        self.with_lane(now, lane, |p, cx, cubs| p.pump(cx, cubs));
         if self.reconfig.pipes[lane as usize].is_some() {
             self.arm_copy_tick(now, lane);
         }
@@ -450,7 +439,7 @@ impl TigerSystem {
     fn arm_copy_tick(&mut self, now: SimTime, lane: Lane) {
         let at = now + COPY_TICK;
         self.reconfig.tick_due[lane as usize] = at;
-        self.shared.queue.schedule(at, Event::CopyTick { lane });
+        self.schedule(at, Event::CopyTick { lane });
     }
 
     /// Runs `f` against `lane`'s pipeline (no-op if idle), then drops the
@@ -460,12 +449,13 @@ impl TigerSystem {
         &mut self,
         now: SimTime,
         lane: Lane,
-        f: impl FnOnce(&mut CopyPipeline, &mut Shared, &mut [Cub]),
+        f: impl FnOnce(&mut CopyPipeline, &mut Ctx, &mut [Cub]),
     ) {
         let Some(pipe) = self.reconfig.pipes[lane as usize].as_mut() else {
             return;
         };
-        f(pipe, &mut self.shared, &mut self.cubs);
+        let cx = &mut self.shared.cx(now, self.shared.world.controller_node());
+        f(pipe, cx, &mut self.cubs);
         if pipe.pending() == 0 {
             self.reconfig.pipes[lane as usize] = None;
             if lane == Lane::Restripe {

@@ -25,8 +25,8 @@ use tiger_trace::TraceEvent;
 
 use super::{Cub, Driver};
 use crate::backend::Backend;
+use crate::ctx::Ctx;
 use crate::event::{Event, ServiceToken};
-use crate::system::Shared;
 
 pub(super) use life::{Active, Outcome, SendDue};
 
@@ -344,13 +344,8 @@ impl Cub {
     /// Commits this cub to serve `vs` as `spec` describes: the schedule
     /// view takes the record, a held deschedule's victims, duplicates and
     /// late arrivals are turned away, and the read and the send scheduled.
-    fn admit(
-        &mut self,
-        sh: &mut Shared,
-        now: SimTime,
-        mut vs: ViewerState,
-        spec: PieceSpec,
-    ) -> Admit {
+    fn admit(&mut self, cx: &mut Ctx, mut vs: ViewerState, spec: PieceSpec) -> Admit {
+        let (world, now) = (cx.world, cx.now);
         vs.kind = spec.kind;
         if self.fwd.blocks(&vs, now) {
             return Admit::Blocked;
@@ -364,7 +359,7 @@ impl Cub {
         if self.services.serves(&vs) {
             return Admit::Duplicate;
         }
-        let block_due = sh.params.slot_send_time(spec.dating_disk, vs.slot, now);
+        let block_due = world.params.slot_send_time(spec.dating_disk, vs.slot, now);
         let send_at = block_due + spec.offset;
         // A record can only legitimately be up to `legit_lead` early (the
         // cover chain advances past each dead disk instantly); a due time
@@ -373,57 +368,44 @@ impl Cub {
         // late. §4.1.2 prescribes discarding such late arrivals (the viewer
         // is "spontaneously descheduled" in the worst case). On rings too
         // short to tell the two cases apart, skip the guard.
-        let max_legit_lead = sh.cfg.legit_lead();
-        let wrapped = max_legit_lead < sh.params.schedule_len()
+        let max_legit_lead = world.cfg.legit_lead();
+        let wrapped = max_legit_lead < world.params.schedule_len()
             && block_due.saturating_since(now) > max_legit_lead;
-        let me = self.id.raw();
-        let (slot, viewer, inc) = vs.trace_key();
+        let ((slot, viewer, inc), play_seq) = (vs.trace_key(), vs.play_seq);
         if wrapped || (spec.late_guard && send_at <= now + SimDuration::from_millis(5)) {
-            sh.tracer.record(
-                now,
-                me,
-                TraceEvent::VsLate {
-                    slot,
-                    viewer,
-                    inc,
-                    play_seq: vs.play_seq,
-                },
-            );
-            sh.metrics.loss.failover_lost += 1;
+            cx.trace(TraceEvent::VsLate {
+                slot,
+                viewer,
+                inc,
+                play_seq,
+            });
+            cx.metrics.loss.failover_lost += 1;
             self.services.view_retire(&vs);
             return Admit::Late;
         }
         match vs.kind {
-            StreamKind::Primary => sh.tracer.record(
-                now,
-                me,
-                TraceEvent::VsAccept {
-                    slot,
-                    viewer,
-                    inc,
-                    play_seq: vs.play_seq,
-                    position: u64::from(vs.position.raw()),
-                },
-            ),
-            StreamKind::Mirror { piece, .. } => sh.tracer.record(
-                now,
-                me,
-                TraceEvent::MirrorAccept {
-                    slot,
-                    viewer,
-                    inc,
-                    piece,
-                },
-            ),
+            StreamKind::Primary => cx.trace(TraceEvent::VsAccept {
+                slot,
+                viewer,
+                inc,
+                play_seq,
+                position: u64::from(vs.position.raw()),
+            }),
+            StreamKind::Mirror { piece, .. } => cx.trace(TraceEvent::MirrorAccept {
+                slot,
+                viewer,
+                inc,
+                piece,
+            }),
             StreamKind::Coded { .. } => {}
         }
         let token = self.services.insert(Active::new(vs, &spec, send_at));
         let read_at = send_at
-            .saturating_sub(sh.cfg.scheduling_lead.mul_u64(spec.read_leads))
+            .saturating_sub(world.cfg.scheduling_lead.mul_u64(spec.read_leads))
             .max(now);
         let cub = self.id;
-        sh.queue.schedule(read_at, Event::ReadIssue { cub, token });
-        sh.queue.schedule(send_at, Event::SendDue { cub, token });
+        cx.schedule(read_at, Event::ReadIssue { cub, token });
+        cx.schedule(send_at, Event::SendDue { cub, token });
         Admit::Accepted(send_at, token)
     }
 
@@ -431,24 +413,21 @@ impl Cub {
     /// of its file, on local disk `disk`.
     pub(super) fn accept_service(
         &mut self,
-        sh: &mut Shared,
-        now: SimTime,
+        cx: &mut Ctx,
         vs: ViewerState,
         disk: DiskId,
         block: ByteSize,
     ) {
-        let spec = PieceSpec::primary(&sh.params, block, disk, sh.backend.shards());
-        let me = self.id.raw();
+        let world = cx.world;
+        let spec = PieceSpec::primary(&world.params, block, disk, world.backend.shards());
         let (slot, viewer, inc) = vs.trace_key();
-        let (send_at, token) = match self.admit(sh, now, vs, spec) {
+        let (send_at, token) = match self.admit(cx, vs, spec) {
             Admit::Accepted(send_at, token) => (send_at, token),
-            Admit::Duplicate => return Driver { cub: self, sh, now }.duplicate(&vs),
-            Admit::Blocked => {
-                return self.trace(sh, now, TraceEvent::VsBlocked { slot, viewer, inc })
-            }
+            Admit::Duplicate => return Driver { cub: self, cx }.duplicate(&vs),
+            Admit::Blocked => return cx.trace(TraceEvent::VsBlocked { slot, viewer, inc }),
             Admit::Conflict => {
-                self.trace(sh, now, TraceEvent::VsConflict { slot, viewer, inc });
-                sh.metrics.violations.push(format!(
+                cx.trace(TraceEvent::VsConflict { slot, viewer, inc });
+                cx.metrics.violations.push(format!(
                     "{}: conflicting viewer state for {} in {}",
                     self.id, vs.instance, vs.slot
                 ));
@@ -459,36 +438,29 @@ impl Cub {
         if self.rejoined_at.take().is_some() {
             // First primary acceptance of this cub's new life: the rejoin
             // has converged (the ring is feeding it schedule state again).
-            sh.tracer
-                .record(now, me, TraceEvent::RejoinDone { cub: me });
+            cx.trace(TraceEvent::RejoinDone { cub: self.id.raw() });
         }
-        sh.metrics.loss.blocks_scheduled += 1;
-        self.drive_coded(sh, now, vs, disk, send_at, Some(token));
+        cx.metrics.loss.blocks_scheduled += 1;
+        self.drive_coded(cx, vs, disk, send_at, Some(token));
         // If waiting for the next periodic pass would let the successor's
         // lead fall below minVStateLead ("Cubs endeavor to keep the
         // schedule updated at least minVStateLead into the future"),
         // forward promptly instead of batching. This is what keeps freshly
         // inserted streams alive while their lead pipeline builds up.
         let successor_breach =
-            (send_at + sh.params.block_play_time()).saturating_sub(sh.cfg.min_vstate_lead);
+            (send_at + world.params.block_play_time()).saturating_sub(world.cfg.min_vstate_lead);
         if successor_breach < self.next_forward_pass {
-            self.hasten_forward(&mut sh.queue, now);
+            self.hasten_forward(cx);
         }
     }
 
     /// Acting-successor work for a viewer state addressed to a failed
     /// disk: drive the block's redundant copies — declustered mirror
     /// pieces, or `k` surviving coded shards (§4.1.1, Figure 5).
-    pub(super) fn cover_failed_disk(
-        &mut self,
-        sh: &mut Shared,
-        now: SimTime,
-        vs: ViewerState,
-        failed_disk: DiskId,
-    ) {
-        let block_due = sh.params.slot_send_time(failed_disk, vs.slot, now);
+    pub(super) fn cover_failed_disk(&mut self, cx: &mut Ctx, vs: ViewerState, failed_disk: DiskId) {
+        let block_due = cx.world.params.slot_send_time(failed_disk, vs.slot, cx.now);
         let (slot, viewer, inc) = vs.trace_key();
-        let coded = matches!(sh.backend, Backend::Coded(..));
+        let coded = matches!(cx.world.backend, Backend::Coded(..));
         let ev = if coded {
             TraceEvent::CodedRepair {
                 slot,
@@ -504,13 +476,13 @@ impl Cub {
                 failed_disk: failed_disk.raw(),
             }
         };
-        sh.tracer.record(now, self.id.raw(), ev);
-        sh.metrics.loss.blocks_scheduled += 1;
+        cx.trace(ev);
+        cx.metrics.loss.blocks_scheduled += 1;
         if coded {
             // Shard 0 died with the home: drive `k` of the block's
             // surviving remote holders, by the same load-ranked
             // choice the home makes in healthy operation.
-            self.drive_coded(sh, now, vs, failed_disk, block_due, None);
+            self.drive_coded(cx, vs, failed_disk, block_due, None);
         } else {
             // "When the succeeding cub makes this decision, it creates
             // a special kind of viewer state called a mirror viewer
@@ -518,7 +490,7 @@ impl Cub {
             // along the ring of piece-holding cubs "much like normal
             // ones": each holder serves its piece and forwards the
             // record for the next piece.
-            self.on_mirror_state(sh, now, vs, failed_disk, 0);
+            self.on_mirror_state(cx, vs, failed_disk, 0);
         }
     }
 
@@ -527,18 +499,18 @@ impl Cub {
     /// and coded receivers' common step. Whether it was accepted.
     fn accept_piece(
         &mut self,
-        sh: &mut Shared,
-        now: SimTime,
+        cx: &mut Ctx,
         vs: ViewerState,
         home: DiskId,
         piece: u32,
         disk_local: u8,
     ) -> bool {
-        let Some(block) = sh.catalog.get(vs.file).map(|m| m.payload_size) else {
+        let w = cx.world;
+        let Some(block) = w.catalog.get(vs.file).map(|m| m.payload_size) else {
             return false;
         };
-        let spec = PieceSpec::piece(&sh.params, &sh.backend, block, home, piece, disk_local);
-        matches!(self.admit(sh, now, vs, spec), Admit::Accepted(..))
+        let spec = PieceSpec::piece(&w.params, &w.backend, block, home, piece, disk_local);
+        matches!(self.admit(cx, vs, spec), Admit::Accepted(..))
     }
 
     /// Accepts mirror service for the declustered piece this cub holds,
@@ -550,17 +522,16 @@ impl Cub {
     /// the skipped pieces are unrecoverable, §2.3).
     pub(super) fn on_mirror_state(
         &mut self,
-        sh: &mut Shared,
-        now: SimTime,
+        cx: &mut Ctx,
         vs: ViewerState,
         failed_disk: DiskId,
         expected_piece: u32,
     ) {
-        let stripe = sh.params.stripe();
+        let (stripe, backend) = (cx.world.params.stripe(), &cx.world.backend);
         // Which piece of this failed disk lives on one of our disks?
         // Consecutive disks are on consecutive cubs, so at most one does.
         let Some(piece) = (0..stripe.decluster)
-            .find(|&i| stripe.cub_of(sh.backend.holder(failed_disk, i)) == self.id)
+            .find(|&i| stripe.cub_of(backend.holder(failed_disk, i)) == self.id)
         else {
             return; // No piece of this block here (over-forwarded copy).
         };
@@ -570,10 +541,10 @@ impl Cub {
         // Pieces between the expected one and ours were skipped: by
         // double-forwarded copies, whose holders are alive and serve from
         // their own copies, or because their holders are dead.
-        let lost = self.shield_dead_holders(sh, now, vs, failed_disk, expected_piece..piece);
-        sh.metrics.loss.failover_lost += lost;
-        let holder = stripe.local_index_of(sh.backend.holder(failed_disk, piece));
-        if !self.accept_piece(sh, now, vs, failed_disk, piece, holder) {
+        let lost = self.shield_dead_holders(cx, vs, failed_disk, expected_piece..piece);
+        cx.metrics.loss.failover_lost += lost;
+        let holder = stripe.local_index_of(backend.holder(failed_disk, piece));
+        if !self.accept_piece(cx, vs, failed_disk, piece, holder) {
             return;
         }
         // Forward the mirror record toward the next piece's holder, doubly
@@ -584,7 +555,7 @@ impl Cub {
                 failed_disk,
                 piece: piece + 1,
             };
-            Driver { cub: self, sh, now }.forward_pair(1, Message::ViewerState(next));
+            Driver { cub: self, cx }.forward_pair(1, Message::ViewerState(next));
         }
         // Dead holders *ahead* of this piece: the living chain never
         // reaches pieces past its last living holder (the successor
@@ -592,7 +563,7 @@ impl Cub {
         // holders the next living holder's receive loop routes a
         // duplicate (the spare's service table dedups it) and counts
         // the losses; so only the ones behind this piece count here.
-        self.shield_dead_holders(sh, now, vs, failed_disk, piece + 1..stripe.decluster);
+        self.shield_dead_holders(cx, vs, failed_disk, piece + 1..stripe.decluster);
     }
 
     /// The one place a mirror piece's dead holder is settled: a living
@@ -602,25 +573,24 @@ impl Cub {
     /// returns how many were lost.
     fn shield_dead_holders(
         &self,
-        sh: &mut Shared,
-        now: SimTime,
+        cx: &mut Ctx,
         mut vs: ViewerState,
         failed_disk: DiskId,
         pieces: std::ops::Range<u32>,
     ) -> u64 {
-        let (stripe, me) = (sh.params.stripe(), sh.cub_node(self.id));
+        let (stripe, backend) = (cx.world.params.stripe(), &cx.world.backend);
         let mut lost = 0;
         for piece in pieces {
-            let holder = stripe.cub_of(sh.backend.holder(failed_disk, piece));
+            let holder = stripe.cub_of(backend.holder(failed_disk, piece));
             if !self.ring.believes_failed(holder) {
                 continue;
             }
-            let Some(spare) = sh.shield.serving_spare(failed_disk, piece) else {
+            let Some(spare) = cx.shield.serving_spare(failed_disk, piece) else {
                 lost += 1;
                 continue;
             };
             vs.kind = StreamKind::Mirror { failed_disk, piece };
-            sh.send_control(now, me, sh.cub_node(spare), Message::ViewerState(vs));
+            cx.send(spare, Message::ViewerState(vs));
         }
         lost
     }
@@ -634,18 +604,18 @@ impl Cub {
     /// the spare's local disk that mirrors the failed home's local index,
     /// and nothing is forwarded (the living holders' chain does that; the
     /// spare only fills dead holders' gaps).
-    pub(super) fn on_shield_state(&mut self, sh: &mut Shared, now: SimTime, vs: ViewerState) {
+    pub(super) fn on_shield_state(&mut self, cx: &mut Ctx, vs: ViewerState) {
         let StreamKind::Mirror { failed_disk, piece } = vs.kind else {
             return;
         };
-        if self.refuses(sh, now, Deschedule::of(&vs)) {
+        if Self::refuses(cx, Deschedule::of(&vs)) {
             return;
         }
-        if sh.shield.serving_spare(failed_disk, piece) != Some(self.id) {
+        if cx.shield.serving_spare(failed_disk, piece) != Some(self.id) {
             return;
         }
-        let local = sh.params.stripe().local_index_of(failed_disk);
-        self.accept_piece(sh, now, vs, failed_disk, piece, local);
+        let local = cx.world.params.stripe().local_index_of(failed_disk);
+        self.accept_piece(cx, vs, failed_disk, piece, local);
     }
 
     // --- Coded-backend holder choice (tiger-coded) ---------------------------
@@ -661,39 +631,36 @@ impl Cub {
     /// lost; the home still sends what it has, the successor nothing.
     fn drive_coded(
         &mut self,
-        sh: &mut Shared,
-        now: SimTime,
+        cx: &mut Ctx,
         vs: ViewerState,
         home_disk: DiskId,
         block_due: SimTime,
         token: Option<ServiceToken>,
     ) {
-        if !matches!(sh.backend, Backend::Coded(..)) {
+        let (stripe, backend) = (cx.world.params.stripe(), &cx.world.backend);
+        if !matches!(backend, Backend::Coded(..)) {
             return;
         }
-        let want = sh.backend.shards() as usize - usize::from(token.is_some());
+        let want = backend.shards() as usize - usize::from(token.is_some());
         let alive = |cub| !self.ring.believes_failed(cub);
-        let ranked = sh.backend.rank_holders(home_disk, block_due, want, alive);
+        let ranked = cx.loads.rank_holders(home_disk, block_due, want, alive);
         if ranked.len() < want {
-            sh.metrics.loss.failover_lost += 1;
+            cx.metrics.loss.failover_lost += 1;
             if token.is_none() {
                 return;
             }
         }
         if let Some(e) = token.and_then(|token| self.services.get_mut(token)) {
-            e.reserved = sh
-                .backend
-                .reserve(&vs, home_disk, block_due, ranked.clone());
+            e.reserved = cx.loads.reserve(&vs, home_disk, block_due, ranked.clone());
         }
-        let (stripe, me) = (sh.params.stripe(), sh.cub_node(self.id));
         for shard in ranked {
             let mut cvs = vs;
             cvs.kind = StreamKind::Coded { home_disk, shard };
-            let holder_cub = stripe.cub_of(sh.backend.holder(home_disk, shard));
+            let holder_cub = stripe.cub_of(backend.holder(home_disk, shard));
             if holder_cub == self.id {
-                self.on_coded_state(sh, now, cvs);
+                self.on_coded_state(cx, cvs);
             } else {
-                sh.send_control(now, me, sh.cub_node(holder_cub), Message::ViewerState(cvs));
+                cx.send(holder_cub, Message::ViewerState(cvs));
             }
         }
     }
@@ -706,37 +673,34 @@ impl Cub {
     /// Unlike mirror viewer states, coded records do not chain along a
     /// piece ring: the coordinator picked the exact holders, so each
     /// record is final and never forwarded.
-    pub(super) fn on_coded_state(&mut self, sh: &mut Shared, now: SimTime, vs: ViewerState) {
-        let (StreamKind::Coded { home_disk, shard }, Backend::Coded(placement, ..)) =
-            (vs.kind, &sh.backend)
+    pub(super) fn on_coded_state(&mut self, cx: &mut Ctx, vs: ViewerState) {
+        let world = cx.world;
+        let (StreamKind::Coded { home_disk, shard }, Backend::Coded(placement)) =
+            (vs.kind, &world.backend)
         else {
             return; // Not a coded record, or a stray one under mirroring.
         };
         if shard == 0 || shard >= placement.n() {
             return;
         }
-        let stripe = sh.params.stripe();
-        let holder = sh.backend.holder(home_disk, shard);
+        let stripe = world.params.stripe();
+        let holder = world.backend.holder(home_disk, shard);
         if stripe.cub_of(holder) != self.id {
             return; // Misrouted copy.
         }
         let local = stripe.local_index_of(holder);
-        if self.accept_piece(sh, now, vs, home_disk, shard, local)
+        if self.accept_piece(cx, vs, home_disk, shard, local)
             && self.ring.believes_failed(stripe.cub_of(home_disk))
         {
             // Degraded service: this shard stands in for data whose home
             // machine is down.
             let (slot, viewer, inc) = vs.trace_key();
-            sh.tracer.record(
-                now,
-                self.id.raw(),
-                TraceEvent::DegradedPieceRead {
-                    slot,
-                    viewer,
-                    inc,
-                    shard,
-                },
-            );
+            cx.trace(TraceEvent::DegradedPieceRead {
+                slot,
+                viewer,
+                inc,
+                shard,
+            });
         }
     }
 
@@ -745,8 +709,8 @@ impl Cub {
     /// A power-cut cub serves nothing — except a spare holding ready
     /// shield spans, which keeps the narrow data path (read, send,
     /// reclaim) alive for the pieces the cover path routes to it.
-    fn out_of_service(&self, sh: &Shared) -> bool {
-        self.failed && !sh.shield.is_serving_spare(self.id)
+    fn out_of_service(&self, cx: &Ctx) -> bool {
+        self.failed && !cx.shield.is_serving_spare(self.id)
     }
 
     /// The read for `token` is due (`read_leads` scheduling leads early).
@@ -756,54 +720,54 @@ impl Cub {
     /// performance", §3.1): when the 20 MB cache is full the read waits in
     /// the pool for a returned buffer, down to a hard floor of one
     /// scheduling lead before the send, when it goes out regardless.
-    pub(super) fn on_read_issue(&mut self, sh: &mut Shared, now: SimTime, token: ServiceToken) {
-        if self.out_of_service(sh) {
+    pub(super) fn on_read_issue(&mut self, cx: &mut Ctx, token: ServiceToken) {
+        if self.out_of_service(cx) {
             return;
         }
         let live = self.services.get(token);
         let Some(entry) = live.filter(|e| e.outcome() != Outcome::Dropped) else {
             return; // Descheduled before the read was due.
         };
-        let floor = entry.send_at.saturating_sub(sh.cfg.scheduling_lead);
-        if now < floor && !self.pool.has_room() {
+        let floor = entry.send_at.saturating_sub(cx.world.cfg.scheduling_lead);
+        if cx.now < floor && !self.pool.has_room() {
             if let Some(at) = self.pool.park(floor, token) {
-                sh.queue.schedule(at, Event::PoolFloor { cub: self.id });
+                cx.schedule(at, Event::PoolFloor { cub: self.id });
             }
             return;
         }
-        self.issue_read(sh, now, token);
+        self.issue_read(cx, token);
     }
 
     /// The cub's floor timer: whatever reached its floor still waiting
     /// goes out now, pool full or not, and the timer moves on to the new
     /// head of the wait set.
-    pub(super) fn on_pool_floor(&mut self, sh: &mut Shared, now: SimTime) {
-        if !self.pool.timer_fired(now) || self.out_of_service(sh) {
+    pub(super) fn on_pool_floor(&mut self, cx: &mut Ctx) {
+        if !self.pool.timer_fired(cx.now) || self.out_of_service(cx) {
             return;
         }
-        while let Some(token) = self.pool.pop_due(now) {
+        while let Some(token) = self.pool.pop_due(cx.now) {
             let full = !self.pool.has_room();
-            if self.issue_read(sh, now, token) && full {
+            if self.issue_read(cx, token) && full {
                 self.pool.forced.incr();
             }
         }
         if let Some(at) = self.pool.arm() {
-            sh.queue.schedule(at, Event::PoolFloor { cub: self.id });
+            cx.schedule(at, Event::PoolFloor { cub: self.id });
         }
     }
 
     /// Hands the pool's room to its waiters, earliest floor first. Every
     /// path that returns a buffer ends here.
-    pub(super) fn drain_pool(&mut self, sh: &mut Shared, now: SimTime) {
+    pub(super) fn drain_pool(&mut self, cx: &mut Ctx) {
         while let Some(token) = self.pool.next_ready() {
-            self.issue_read(sh, now, token);
+            self.issue_read(cx, token);
         }
     }
 
     /// Issues the disk read for `token`, if its service still wants one
     /// (a waiter may have been descheduled meanwhile). Returns whether a
     /// buffer was taken for it.
-    fn issue_read(&mut self, sh: &mut Shared, now: SimTime, token: ServiceToken) -> bool {
+    fn issue_read(&mut self, cx: &mut Ctx, token: ServiceToken) -> bool {
         let live = self.services.get_mut(token);
         let Some(entry) = live.filter(|e| e.outcome() != Outcome::Dropped) else {
             return false;
@@ -814,7 +778,7 @@ impl Cub {
             // home disk: spares have no ids in the stripe's disk
             // namespace (only their physical `local` index is real).
             StreamKind::Mirror { failed_disk, .. } if self.failed => failed_disk,
-            _ => sh.params.stripe().disk_of(self.id, u32::from(local)),
+            _ => cx.world.params.stripe().disk_of(self.id, u32::from(local)),
         };
         if entry.vs.kind == StreamKind::Primary {
             // Buffer-cache check (§5 measured <0.05% hits: staggered
@@ -845,33 +809,29 @@ impl Cub {
                 len: extent.length(),
                 kind,
             };
-            (req, self.disks[local as usize].submit(now, req))
+            (req, self.disks[local as usize].submit(cx.now, req))
         });
         match submitted {
             Some((req, Ok(done))) => {
                 let (slot, viewer, inc) = entry.vs.trace_key();
-                sh.tracer.record(
-                    now,
-                    self.id.raw(),
-                    TraceEvent::DiskIssue {
-                        slot,
-                        viewer,
-                        inc,
-                        disk: disk_id.raw(),
-                    },
-                );
+                cx.trace(TraceEvent::DiskIssue {
+                    slot,
+                    viewer,
+                    inc,
+                    disk: disk_id.raw(),
+                });
                 let bytes = u32::try_from(req.len.as_bytes()).expect("an extent is under 1 GiB");
                 entry.read_issued(bytes);
                 self.pool.charge(req.len.as_bytes());
                 if entry.vs.kind == StreamKind::Primary {
                     let key = (disk_id, entry.vs.file, entry.vs.position);
                     self.cache_resident.push_back(key);
-                    while self.cache_resident.len() > sh.cfg.buffer_blocks() as usize {
+                    while self.cache_resident.len() > cx.world.cfg.buffer_blocks() as usize {
                         self.cache_resident.pop_front();
                     }
                 }
                 let cub = self.id;
-                sh.queue.schedule(done, Event::DiskDone { cub, token });
+                cx.schedule(done, Event::DiskDone { cub, token });
                 true
             }
             Some((_, Err(DiskError::OutOfRange))) => {
@@ -884,7 +844,7 @@ impl Cub {
                 // deadline leaves no slack for one). The block is lost; the
                 // disk and the viewer both continue.
                 entry.read_lost();
-                sh.metrics.loss.failover_lost += 1;
+                cx.metrics.loss.failover_lost += 1;
                 let (slot, viewer, inc) = entry.vs.trace_key();
                 if !self.failed {
                     // The next forward pass reclaims the entry. (A serving
@@ -892,16 +852,12 @@ impl Cub {
                     self.services.reclaim_at_pass(token);
                 }
                 if let Some((_, Err(DiskError::Transient))) = lost {
-                    sh.tracer.record(
-                        now,
-                        self.id.raw(),
-                        TraceEvent::DiskTransient {
-                            slot,
-                            viewer,
-                            inc,
-                            disk: disk_id.raw(),
-                        },
-                    );
+                    cx.trace(TraceEvent::DiskTransient {
+                        slot,
+                        viewer,
+                        inc,
+                        disk: disk_id.raw(),
+                    });
                 }
                 false
             }
@@ -909,8 +865,8 @@ impl Cub {
     }
 
     /// Handles a disk-read completion.
-    pub(super) fn on_disk_done(&mut self, sh: &mut Shared, now: SimTime, token: ServiceToken) {
-        if self.out_of_service(sh) {
+    pub(super) fn on_disk_done(&mut self, cx: &mut Ctx, token: ServiceToken) {
+        if self.out_of_service(cx) {
             return;
         }
         let Some(entry) = self.services.get_mut(token) else {
@@ -924,31 +880,32 @@ impl Cub {
             // arrived. The block is lost; the viewer continues. (Its read
             // never completes, so the entry is never finished.)
             entry.read_lost();
-            sh.metrics.loss.failover_lost += 1;
-            return self.reclaim_if_finished(sh, now, token);
+            cx.metrics.loss.failover_lost += 1;
+            return self.reclaim_if_finished(cx, token);
         }
         entry.read_done();
         let (vs, disk_local) = (entry.vs, entry.disk_local);
         let (slot, viewer, inc) = vs.trace_key();
-        self.trace(sh, now, TraceEvent::DiskDone { slot, viewer, inc });
+        cx.trace(TraceEvent::DiskDone { slot, viewer, inc });
         // The buffer pool recycles aggressively (§2.2's zero-copy path
         // keeps no long-lived cache), so a block is shareable only while
         // its read is in flight — I/O coalescing, which is what keeps the
         // §5 buffer-cache hit rate "less than 0.05%".
         if vs.kind == StreamKind::Primary {
-            let disk_id = sh.params.stripe().disk_of(self.id, u32::from(disk_local));
+            let stripe = cx.world.params.stripe();
+            let disk_id = stripe.disk_of(self.id, u32::from(disk_local));
             let key = (disk_id, vs.file, vs.position);
             if let Some(pos) = self.cache_resident.iter().position(|k| *k == key) {
                 self.cache_resident.remove(pos);
             }
         }
-        self.disks[disk_local as usize].complete(now);
-        self.reclaim_if_finished(sh, now, token);
+        self.disks[disk_local as usize].complete(cx.now);
+        self.reclaim_if_finished(cx, token);
     }
 
     /// The block (or piece) for `token` is due at the network.
-    pub(super) fn on_send_due(&mut self, sh: &mut Shared, now: SimTime, token: ServiceToken) {
-        if self.out_of_service(sh) {
+    pub(super) fn on_send_due(&mut self, cx: &mut Ctx, token: ServiceToken) {
+        if self.out_of_service(cx) {
             return;
         }
         let Some(entry) = self.services.get_mut(token) else {
@@ -959,52 +916,47 @@ impl Cub {
             return;
         }
         let (slot, viewer, inc) = entry.vs.trace_key();
-        sh.tracer.record(
-            now,
-            self.id.raw(),
-            TraceEvent::SendDue {
-                slot,
-                viewer,
-                inc,
-                ok: due == SendDue::Send,
-            },
-        );
+        let ok = due == SendDue::Send;
+        cx.trace(TraceEvent::SendDue {
+            slot,
+            viewer,
+            inc,
+            ok,
+        });
         if due == SendDue::Late {
             // "the server failed to place 15 blocks on the network, each
             // because the disk read hadn't completed in time" — the block
             // is dropped, not sent late, and the viewer continues with its
             // subsequent blocks (the entry still gets forwarded).
-            sh.metrics.loss.server_missed += 1;
+            cx.metrics.loss.server_missed += 1;
             if entry.vs.kind != StreamKind::Primary {
-                sh.metrics.loss.mirror_missed += 1;
+                cx.metrics.loss.mirror_missed += 1;
             }
         }
-        if due != SendDue::Send {
+        if !ok {
             // Lost just now, or already by the read path.
-            return self.reclaim_if_finished(sh, now, token);
+            return self.reclaim_if_finished(cx, token);
         }
-        let node = sh.cub_node(self.id);
-        if !sh.net.begin_stream(now, node, entry.vs.bitrate) {
+        let now = cx.now;
+        if !cx.begin_stream(entry.vs.bitrate) {
             // NIC overcommitted — the schedule should prevent this; report
             // it as a violation but keep sending (degraded).
-            sh.metrics
-                .violations
-                .push(format!("{}: NIC overcommit at {now}", self.id));
+            let overcommit = format!("{}: NIC overcommit at {now}", self.id);
+            cx.metrics.violations.push(overcommit);
         }
         if entry.vs.kind == StreamKind::Primary {
-            if let Some(omni) = sh.omniscient.as_mut() {
+            if let Some(omni) = cx.omniscient.as_mut() {
                 omni.on_send(&entry.vs, now);
             }
         }
-        let pacing = PieceSpec::pacing(&sh.params, sh.backend.shards(), entry.vs.kind);
-        let cub = self.id;
-        sh.queue
-            .schedule(now + pacing, Event::SendDone { cub, token });
+        let (cub, w) = (self.id, cx.world);
+        let pacing = PieceSpec::pacing(&w.params, w.backend.shards(), entry.vs.kind);
+        cx.schedule(now + pacing, Event::SendDone { cub, token });
     }
 
     /// A paced transmission finished: free the NIC, deliver to the client.
-    pub(super) fn on_send_done(&mut self, sh: &mut Shared, now: SimTime, token: ServiceToken) {
-        if self.out_of_service(sh) {
+    pub(super) fn on_send_done(&mut self, cx: &mut Ctx, token: ServiceToken) {
+        if self.out_of_service(cx) {
             return;
         }
         let Some(entry) = self.services.get_mut(token) else {
@@ -1013,68 +965,56 @@ impl Cub {
         entry.send_done();
         let entry = *entry;
         let (slot, viewer, inc) = entry.vs.trace_key();
-        self.trace(sh, now, TraceEvent::SendDone { slot, viewer, inc });
-        let node = sh.cub_node(self.id);
+        cx.trace(TraceEvent::SendDone { slot, viewer, inc });
         let bytes = u64::from(entry.payload);
-        sh.net.end_stream(now, node, entry.vs.bitrate, bytes);
-        sh.metrics.loss.blocks_sent += 1;
+        cx.end_stream(entry.vs.bitrate, bytes);
+        cx.metrics.loss.blocks_sent += 1;
         // Deliver to the client (receive time = last byte arrival, §5).
         let client = tiger_net::NetNode(entry.vs.client);
-        let sent = sh.net.send_data(now, node, client);
-        sh.trace_injection(now, node, client, sent);
-        if let Some(at) = sent.at {
-            let (piece, total) = sh.backend.stream_data(entry.vs.kind);
-            sh.queue.schedule(
-                at,
-                Event::Deliver {
-                    dst: client,
-                    msg: Message::StreamData {
-                        instance: entry.vs.instance,
-                        block: entry.vs.position.raw(),
-                        piece,
-                        total_pieces: total,
-                        bytes,
-                    },
-                },
-            );
+        if let Some(at) = cx.send_data(cx.node, client) {
+            let (piece, total_pieces) = cx.world.backend.stream_data(entry.vs.kind);
+            let msg = Message::StreamData {
+                instance: entry.vs.instance,
+                block: entry.vs.position.raw(),
+                piece,
+                total_pieces,
+                bytes,
+            };
+            cx.schedule(at, Event::Deliver { dst: client, msg });
         }
         self.services.view_retire(&entry.vs);
-        self.reclaim_if_finished(sh, now, token);
+        self.reclaim_if_finished(cx, token);
         // Otherwise forwarding has not happened yet (fresh inserts with
         // very short leads); the next forward pass reclaims the entry.
     }
 
     /// Reclaims `token`'s entry once nothing is outstanding on it.
-    pub(super) fn reclaim_if_finished(
-        &mut self,
-        sh: &mut Shared,
-        now: SimTime,
-        token: ServiceToken,
-    ) {
+    pub(super) fn reclaim_if_finished(&mut self, cx: &mut Ctx, token: ServiceToken) {
         if self.services.get(token).is_some_and(Active::finished) {
-            self.reclaim(sh, now, token);
-            self.drain_pool(sh, now);
+            self.reclaim(cx, token);
+            self.drain_pool(cx);
         }
     }
 
     /// Reclaims the services noted since the last call (by a forward pass,
     /// a lost read, or a cut-over) that have nothing outstanding, in token
     /// order.
-    pub(super) fn reclaim_finished(&mut self, sh: &mut Shared, now: SimTime) {
+    pub(super) fn reclaim_finished(&mut self, cx: &mut Ctx) {
         let noted = self.services.take_reclaims();
         for &token in &noted {
             if self.services.get(token).is_some_and(Active::finished) {
-                self.reclaim(sh, now, token);
+                self.reclaim(cx, token);
             }
         }
         self.services.recycle(noted);
     }
 
     /// Releases what entry `e` reserved on the coded backend's load table.
-    pub(super) fn release_load(&self, sh: &mut Shared, e: &Active) {
+    pub(super) fn release_load(&self, cx: &mut Ctx, e: &Active) {
         if e.reserved != 0 {
-            let home = sh.params.stripe().disk_of(self.id, u32::from(e.disk_local));
-            sh.backend.release(&e.vs, home, e.send_at, e.reserved);
+            let stripe = cx.world.params.stripe();
+            let home = stripe.disk_of(self.id, u32::from(e.disk_local));
+            cx.loads.release(&e.vs, home, e.send_at, e.reserved);
         }
     }
 
@@ -1083,7 +1023,7 @@ impl Cub {
     /// failure-detection window (gap bridging, §2.3). Retiring the home's
     /// primary entry releases what it reserved on the coded backend's
     /// load table.
-    pub(super) fn reclaim(&mut self, sh: &mut Shared, now: SimTime, token: ServiceToken) {
+    pub(super) fn reclaim(&mut self, cx: &mut Ctx, token: ServiceToken) {
         let Some(e) = self.services.get(token).copied() else {
             return;
         };
@@ -1096,13 +1036,13 @@ impl Cub {
             self.services.view_retire(&e.vs);
         }
         if let Some(record) = PrimaryRecord::new(&e.vs).filter(|_| serviced) {
-            self.services.retire(now, record);
+            self.services.retire(cx.now, record);
         }
         self.services.remove(token);
         if let Some(bytes) = e.buffer() {
             self.pool.release(bytes);
         }
-        self.release_load(sh, &e);
+        self.release_load(cx, &e);
     }
 }
 

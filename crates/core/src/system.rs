@@ -3,21 +3,21 @@
 
 use tiger_disk::Disk;
 use tiger_faults::{
-    DiskFaultKind, DiskFaults, FaultPlan, NetFaults, NetPerturb, ProcFaults, ProcessFault, Topology,
+    DiskFaultKind, DiskFaults, FaultPlan, NetFaults, ProcFaults, ProcessFault, Topology,
 };
 use tiger_layout::{CubId, FileCatalog, FileId};
-use tiger_net::{NetNode, Network, Sent};
+use tiger_net::{NetNode, Network};
 use tiger_proto::msg::Message;
 use tiger_sched::disk_schedule::Omniscient;
-use tiger_sched::ScheduleParams;
 use tiger_sim::{Bandwidth, EventQueue, RngTree, SimDuration, SimTime};
 use tiger_trace::{TraceEvent, Tracer, CTRL};
 
-use crate::backend::Backend;
+use crate::backend::{Backend, Loads};
 use crate::client::{Client, ClientReport};
 use crate::config::TigerConfig;
 use crate::controller::Controller;
 use crate::cpu::CpuModel;
+use crate::ctx::{Ctx, World};
 use crate::cub::Cub;
 use crate::demand::Scripts;
 use crate::event::Event;
@@ -25,23 +25,14 @@ use crate::metrics::{Metrics, WindowSample};
 use crate::reconfig::Reconfig;
 use crate::shield::ShieldMap;
 
-/// State shared by all component handlers: the event queue, the network,
-/// static configuration, and measurement sinks.
+/// The system's state outside its cubs, clients and controller: the
+/// world, and the dynamic half every handler reaches only through a
+/// [`Ctx`] (the queue, the network, the measurement sinks, the shield
+/// map and the coded load table).
 #[derive(Debug)]
 pub struct Shared {
-    /// Static configuration.
-    pub cfg: TigerConfig,
-    /// Derived schedule parameters.
-    pub params: ScheduleParams,
-    /// The network node numbering. It counts *total* cub machines
-    /// (striped plus spare), so nothing shifts when spares join the
-    /// stripe at a restripe cut-over; fault plans compile against it.
-    pub topology: Topology,
-    /// The (replicated) file catalog.
-    pub catalog: FileCatalog,
-    /// The redundancy backend: mirrored or coded placement, and the
-    /// coded backend's per-disk load table.
-    pub backend: Backend,
+    /// The static half.
+    pub world: World,
     /// The deterministic event queue.
     pub queue: EventQueue<Event>,
     /// The switched network.
@@ -64,77 +55,36 @@ pub struct Shared {
     /// costing one hash probe on the failure paths only) unless a shield
     /// campaign completed spans.
     pub shield: ShieldMap,
+    /// The coded backend's per-disk load table (empty under mirroring).
+    pub loads: Loads,
 }
 
 impl Shared {
-    /// The controller's network node.
-    pub fn controller_node(&self) -> NetNode {
-        NetNode(0)
-    }
-
-    /// Sends a controller-bound notice to the controller.
-    pub fn send_to_controller(&mut self, now: SimTime, src: NetNode, msg: Message) {
-        let ctrl = self.controller_node();
-        self.send_control(now, src, ctrl, msg);
-    }
-
     /// The network node of `cub`.
     pub fn cub_node(&self, cub: CubId) -> NetNode {
-        NetNode(self.topology.cub_node(cub.raw()))
+        self.world.cub_node(cub)
     }
 
-    /// The cub machine at network node `node`, if it is one (the inverse
-    /// of [`Shared::cub_node`]).
-    pub fn cub_at(&self, node: NetNode) -> Option<CubId> {
-        let c = node.raw().wrapping_sub(self.topology.cub_node(0));
-        (c < self.topology.num_cubs).then_some(CubId(c))
-    }
-
-    /// The network node of client machine `client` (0-based).
-    pub fn client_node(&self, client: u32) -> NetNode {
-        NetNode(self.topology.client_node(client))
-    }
-
-    /// Sends a control message and schedules its delivery event, an
-    /// injected duplicate's first.
-    pub fn send_control(&mut self, now: SimTime, src: NetNode, dst: NetNode, msg: Message) {
-        let sent = self.net.send_control(now, src, dst, msg.control_bytes());
-        self.trace_injection(now, src, dst, sent);
-        if let Some(at) = sent.dup_at {
-            let msg = msg.clone();
-            self.queue.schedule(at, Event::Deliver { dst, msg });
-        }
-        if let Some(at) = sent.at {
-            self.queue.schedule(at, Event::Deliver { dst, msg });
+    /// The context at `now` of the actor at `node`: a cub, the controller or a client.
+    pub(crate) fn cx(&mut self, now: SimTime, node: NetNode) -> Ctx<'_> {
+        Ctx {
+            world: &self.world,
+            now,
+            node,
+            lane: self.world.cub_at(node).map_or(CTRL, CubId::raw),
+            queue: &mut self.queue,
+            net: &mut self.net,
+            tracer: &mut self.tracer,
+            metrics: &mut self.metrics,
+            omniscient: &mut self.omniscient,
+            shield: &mut self.shield,
+            loads: &mut self.loads,
         }
     }
 
-    /// Traces what fault injection did to one send from `src` to `dst`,
-    /// on the sender's lane: a cub's own, else CTRL.
-    pub(crate) fn trace_injection(&mut self, now: SimTime, src: NetNode, dst: NetNode, sent: Sent) {
-        let Some(perturb) = sent.perturb else { return };
-        let lane = self.cub_at(src).map_or(CTRL, CubId::raw);
-        let (src, dst) = (src.raw(), dst.raw());
-        let tracer = &mut self.tracer;
-        match perturb {
-            NetPerturb::Drop { partition } => {
-                let ev = TraceEvent::NetDrop {
-                    src,
-                    dst,
-                    partition,
-                };
-                tracer.record(now, lane, ev);
-            }
-            NetPerturb::Tweak { extra, duplicate } => {
-                if !extra.is_zero() {
-                    let extra_ns = extra.as_nanos();
-                    tracer.record(now, lane, TraceEvent::NetDelay { src, dst, extra_ns });
-                }
-                if duplicate {
-                    tracer.record(now, lane, TraceEvent::NetDup { src, dst });
-                }
-            }
-        }
+    /// `cub`'s context at `now`.
+    pub(crate) fn cub_cx(&mut self, now: SimTime, cub: CubId) -> Ctx<'_> {
+        self.cx(now, self.world.cub_node(cub))
     }
 }
 
@@ -178,14 +128,8 @@ impl TigerSystem {
         let net = Network::new(nodes, cfg.nic_capacity, cfg.latency, rng.fork("net", 0));
         let mut cubs = Vec::with_capacity(total_cubs as usize);
         for c in 0..total_cubs {
-            let disks: Vec<Disk> = (0..cfg.stripe.disks_per_cub)
-                .map(|l| {
-                    Disk::new(
-                        cfg.disk.clone(),
-                        rng.fork("disk", u64::from(c) * 1000 + u64::from(l)),
-                    )
-                })
-                .collect();
+            let disk = |l| Disk::new(cfg.disk.clone(), rng.fork("disk", disk_key(c, l)));
+            let disks = (0..cfg.stripe.disks_per_cub).map(disk).collect();
             let mut cub = Cub::new(CubId(c), total_cubs, disks, &cfg);
             // Spares are powered machines with live disks (they receive
             // moved blocks during a live restripe) but not ring members:
@@ -202,7 +146,7 @@ impl TigerSystem {
             }
         }
         let clients = (0..cfg.num_clients).map(|_| Client::new()).collect();
-        let backend = Backend::new(&cfg);
+        let (backend, loads) = (Backend::new(&cfg), Loads::new(&cfg));
         let striped = cfg.stripe.num_cubs;
         // Pre-size the event queue's slab for full load, so no run regrows
         // it: viewer state runs up to `max_vstate_lead` ahead of the sends,
@@ -215,11 +159,13 @@ impl TigerSystem {
         let queue_hint = params.capacity() as usize * per_stream + nodes as usize * 4 + 128;
         let mut sys = TigerSystem {
             shared: Shared {
-                cfg,
-                params,
-                topology,
-                catalog,
-                backend,
+                world: World {
+                    cfg,
+                    params,
+                    topology,
+                    catalog,
+                    backend,
+                },
                 queue: EventQueue::with_capacity(queue_hint),
                 net,
                 metrics: Metrics::new(),
@@ -227,6 +173,7 @@ impl TigerSystem {
                 tracer: Tracer::from_env(),
                 faults: ProcFaults::disabled(),
                 shield: ShieldMap::default(),
+                loads,
             },
             cubs,
             clients,
@@ -240,7 +187,7 @@ impl TigerSystem {
             dispatched_by_kind: [0; Event::KIND_NAMES.len()],
         };
         for cub in &mut sys.cubs[..striped as usize] {
-            cub.arm_periodic(&mut sys.shared, SimTime::ZERO, true);
+            cub.arm_periodic(&mut sys.shared.cub_cx(SimTime::ZERO, cub.id), true);
         }
         sys
     }
@@ -252,11 +199,9 @@ impl TigerSystem {
     /// one block play time: an end-of-file notice (and hence the checker's
     /// removal) can run that far ahead of the stream's final block send.
     pub fn enable_omniscient(&mut self) {
-        let grace = self.shared.cfg.max_vstate_lead
-            + self.shared.cfg.block_play_time
-            + SimDuration::from_millis(500);
-        self.shared.omniscient =
-            Some(Omniscient::new(self.shared.params.clone()).with_grace(grace));
+        let World { cfg, params, .. } = &self.shared.world;
+        let grace = cfg.max_vstate_lead + cfg.block_play_time + SimDuration::from_millis(500);
+        self.shared.omniscient = Some(Omniscient::new(params.clone()).with_grace(grace));
     }
 
     /// Turns on protocol tracing with a ring of `cap` events,
@@ -272,12 +217,58 @@ impl TigerSystem {
         &self.shared.tracer
     }
 
-    /// Runs `f` with direct mutable access to one cub and the shared
-    /// state. Test support: the deadman edge-case tests run single events
-    /// (`Cub::on_event`, a deadman check at an exact instant) without
-    /// steering the whole event loop there.
-    pub fn with_cub_mut<R>(&mut self, cub: CubId, f: impl FnOnce(&mut Cub, &mut Shared) -> R) -> R {
-        f(&mut self.cubs[cub.index()], &mut self.shared)
+    /// Runs `f` on one cub and its context at `at`. Test support: the
+    /// deadman edge-case tests run single events (`Cub::on_event`, a
+    /// deadman check at an exact instant) without steering the whole
+    /// event loop there.
+    pub fn with_cub_mut<R>(
+        &mut self,
+        cub: CubId,
+        at: SimTime,
+        f: impl FnOnce(&mut Cub, &mut Ctx<'_>) -> R,
+    ) -> R {
+        let cx = &mut self.shared.cub_cx(at, cub);
+        f(&mut self.cubs[cub.index()], cx)
+    }
+
+    /// Delivers `msg` to `cub` at `at`, outside the event loop (test
+    /// support, as [`TigerSystem::with_cub_mut`]).
+    pub fn deliver(&mut self, cub: CubId, at: SimTime, msg: Message) {
+        let dst = self.shared.world.cub_node(cub);
+        let event = Event::Deliver { dst, msg };
+        self.with_cub_mut(cub, at, |cub, cx| cub.on_event(cx, event));
+    }
+
+    /// Takes the next event due by `horizon` off the queue, not run (test
+    /// support: a bench drives one cub by [`TigerSystem::with_cub_mut`]).
+    #[doc(hidden)]
+    pub fn pop_until(&mut self, horizon: SimTime) -> Option<(SimTime, Event)> {
+        self.shared.queue.pop_until(horizon)
+    }
+
+    /// The static half: configuration, geometry, catalog and placement.
+    pub fn world(&self) -> &World {
+        &self.shared.world
+    }
+
+    /// Schedules `event` at `at`.
+    pub(crate) fn schedule(&mut self, at: SimTime, event: Event) {
+        self.shared.queue.schedule(at, event);
+    }
+
+    /// Records `ev` at `now` on the `CTRL` lane.
+    pub(crate) fn trace(&mut self, now: SimTime, ev: TraceEvent) {
+        self.shared.tracer.record(now, CTRL, ev);
+    }
+
+    /// Client machine `client`'s context at `now`.
+    pub(crate) fn client_cx(&mut self, now: SimTime, client: u32) -> Ctx<'_> {
+        self.shared.cx(now, self.shared.world.client_node(client))
+    }
+
+    /// The script store and the queue its operations enter.
+    pub(crate) fn scripts_and_queue(&mut self) -> (&mut Scripts, &mut EventQueue<Event>) {
+        (&mut self.scripts, &mut self.shared.queue)
     }
 
     // --- Content loading ---------------------------------------------------
@@ -285,8 +276,8 @@ impl TigerSystem {
     /// Adds a file of `bitrate` and `duration`, laying its primary blocks
     /// and declustered mirror pieces out across every disk (§2.2–§2.3).
     pub fn add_file(&mut self, bitrate: Bandwidth, duration: SimDuration) -> FileId {
-        let file = self.shared.catalog.add_file(bitrate, duration);
-        let meta = *self.shared.catalog.get(file).expect("just added");
+        let file = self.shared.world.catalog.add_file(bitrate, duration);
+        let meta = *self.shared.world.catalog.get(file).expect("just added");
         self.lay_file(&meta, true);
         file
     }
@@ -294,14 +285,14 @@ impl TigerSystem {
     /// Hands out a client machine index (round-robin over the
     /// `TigerConfig::num_clients` pre-allocated client machines).
     pub fn add_client(&mut self) -> u32 {
-        let idx = self.clients_handed % self.shared.cfg.num_clients;
+        let idx = self.clients_handed % self.shared.world.cfg.num_clients;
         self.clients_handed += 1;
         idx
     }
 
     /// Schedules a power-cut of `cub` at time `at`.
     pub fn fail_cub_at(&mut self, at: SimTime, cub: CubId) {
-        self.shared.queue.schedule(at, Event::FailCub { cub });
+        self.schedule(at, Event::FailCub { cub });
     }
 
     /// Schedules a controller-attributed trace annotation at `at` —
@@ -315,8 +306,7 @@ impl TigerSystem {
 
     /// Schedules trace marker `ev` on `lane` (a cub id, or `CTRL`) at `at`.
     fn note_at(&mut self, at: SimTime, lane: u32, ev: TraceEvent) {
-        let note = Event::FaultNote { cub: lane, ev };
-        self.shared.queue.schedule(at, note);
+        self.schedule(at, Event::FaultNote { cub: lane, ev });
     }
 
     /// Compiles and installs a declarative fault plan (see
@@ -330,21 +320,16 @@ impl TigerSystem {
         if plan.is_empty() {
             return;
         }
-        let topo = self.shared.topology;
-        let disks_per_cub = self.shared.cfg.stripe.disks_per_cub;
-        let tree = RngTree::new(self.shared.cfg.seed).subtree("faults", 0);
+        let topo = self.shared.world.topology;
+        let disks_per_cub = self.shared.world.cfg.stripe.disks_per_cub;
+        let tree = RngTree::new(self.shared.world.cfg.seed).subtree("faults", 0);
         let net_faults = NetFaults::compile(plan, topo, tree.fork("net", 0));
         if net_faults.active() {
             self.shared.net.set_faults(net_faults);
         }
         for c in 0..topo.num_cubs {
             for l in 0..disks_per_cub {
-                let df = DiskFaults::compile(
-                    plan,
-                    c,
-                    l,
-                    tree.fork("disk", u64::from(c) * 1000 + u64::from(l)),
-                );
+                let df = DiskFaults::compile(plan, c, l, tree.fork("disk", disk_key(c, l)));
                 if df.active() {
                     self.cubs[c as usize].disks_mut()[l as usize].set_faults(df);
                 }
@@ -373,13 +358,8 @@ impl TigerSystem {
         }
         for df in &plan.disks {
             if let DiskFaultKind::Death { at } = df.kind {
-                self.shared.queue.schedule(
-                    at,
-                    Event::FailDisk {
-                        cub: CubId(df.cub),
-                        disk_local: df.disk,
-                    },
-                );
+                let (cub, disk_local) = (CubId(df.cub), df.disk);
+                self.schedule(at, Event::FailDisk { cub, disk_local });
             }
         }
         for w in plan.windows() {
@@ -397,9 +377,9 @@ impl TigerSystem {
     /// vacuous and reports nothing.
     pub fn check_view_lead(&self) -> Vec<String> {
         let now = self.shared.queue.now();
-        let params = &self.shared.params;
+        let params = &self.shared.world.params;
         let stripe = params.stripe();
-        let max_lead = self.shared.cfg.legit_lead();
+        let max_lead = self.shared.world.cfg.legit_lead();
         if max_lead >= params.schedule_len() {
             return Vec::new();
         }
@@ -436,7 +416,7 @@ impl TigerSystem {
     /// streams continue unaffected but no new viewer can start or stop
     /// (the paper's §2.3 single-point-of-failure caveat).
     pub fn fail_controller_at(&mut self, at: SimTime) {
-        self.shared.queue.schedule(at, Event::FailController);
+        self.schedule(at, Event::FailController);
     }
 
     // --- Event loop ----------------------------------------------------------
@@ -468,34 +448,35 @@ impl TigerSystem {
                 // until the resume instant. Arrival order is preserved
                 // (the queue breaks timestamp ties by insertion order),
                 // so a thaw replays the backlog in the original order.
-                return self.shared.queue.schedule(resume, event);
+                return self.schedule(resume, event);
             }
-            return self.cubs[cub.index()].on_event(&mut self.shared, now, event);
+            let cx = &mut self.shared.cub_cx(now, cub);
+            return self.cubs[cub.index()].on_event(cx, event);
         }
         match event {
             Event::Deliver { dst, msg } => self.on_deliver(now, dst, msg),
             Event::FailCub { cub } => {
-                self.shared
-                    .tracer
-                    .record(now, CTRL, TraceEvent::PowerCut { cub: cub.raw() });
-                self.cubs[cub.index()].power_cut(&mut self.shared, now);
+                self.trace(now, TraceEvent::PowerCut { cub: cub.raw() });
+                self.cubs[cub.index()].power_cut(&mut self.shared.cub_cx(now, cub));
             }
-            Event::FailDisk { cub, disk_local } => {
-                self.shared.tracer.record(
+            Event::FailDisk {
+                cub,
+                disk_local: disk,
+            } => {
+                self.trace(
                     now,
-                    CTRL,
                     TraceEvent::DiskDeath {
                         cub: cub.raw(),
-                        disk: disk_local,
+                        disk,
                     },
                 );
-                self.cubs[cub.index()].disks_mut()[disk_local as usize].fail(now);
+                self.cubs[cub.index()].disks_mut()[disk as usize].fail(now);
             }
             Event::FaultNote { cub, ev } => {
                 self.shared.tracer.record(now, cub, ev);
             }
             Event::FailController => {
-                let node = self.shared.controller_node();
+                let node = self.shared.world.controller_node();
                 self.shared.net.fail_node(node);
             }
             Event::ClientStart {
@@ -515,10 +496,10 @@ impl TigerSystem {
             Event::RestripeStart => self.restripe_start(now),
             Event::CopyTick { lane } => self.copy_tick(now, lane),
             Event::CopyRead { lane, idx } => {
-                self.with_lane(now, lane, |p, sh, cubs| p.on_read_done(sh, cubs, now, idx));
+                self.with_lane(now, lane, |p, cx, cubs| p.on_read_done(cx, cubs, idx));
             }
             Event::CopyArrive { lane, idx } => {
-                self.with_lane(now, lane, |p, sh, cubs| p.on_arrive(sh, cubs, now, idx));
+                self.with_lane(now, lane, |p, cx, cubs| p.on_arrive(cx, cubs, idx));
             }
             event => unreachable!("{event:?} runs in Cub::on_event or as its script"),
         }
@@ -531,7 +512,7 @@ impl TigerSystem {
     /// nothing else.
     fn frozen_target(&self, event: &Event) -> Option<CubId> {
         match event {
-            Event::Deliver { dst, .. } => self.shared.cub_at(*dst),
+            Event::Deliver { dst, .. } => self.shared.world.cub_at(*dst),
             Event::ReadIssue { cub, .. }
             | Event::PoolFloor { cub }
             | Event::DiskDone { cub, .. }
@@ -548,12 +529,13 @@ impl TigerSystem {
     /// A delivery to the controller or a client (a cub's runs in
     /// `Cub::on_event`).
     fn on_deliver(&mut self, now: SimTime, dst: NetNode, msg: Message) {
-        if dst == self.shared.controller_node() {
-            if let Some(failed) = self.ctl.on_message(&mut self.shared, now, msg) {
+        if dst == self.shared.world.controller_node() {
+            let cx = &mut self.shared.cx(now, dst);
+            if let Some(failed) = self.ctl.on_message(cx, msg) {
                 self.maybe_shield(now, failed);
             }
         } else {
-            let client = dst.raw() - self.shared.client_node(0).raw();
+            let client = dst.raw() - self.shared.world.client_node(0).raw();
             self.on_client_message(now, client, msg);
         }
     }
@@ -643,18 +625,14 @@ impl TigerSystem {
         self,
         new_stripe: tiger_layout::StripeConfig,
     ) -> (TigerSystem, tiger_layout::RestripePlan) {
-        let old_stripe = self.shared.cfg.stripe;
-        let plan = tiger_layout::RestripePlan::plan(&self.shared.catalog, old_stripe, new_stripe);
-        let mut cfg = self.shared.cfg.clone();
-        cfg.stripe = new_stripe;
-        let mut sys = TigerSystem::new(cfg);
+        let World { cfg, catalog, .. } = &self.shared.world;
+        let plan = tiger_layout::RestripePlan::plan(catalog, cfg.stripe, new_stripe);
+        let mut new_cfg = cfg.clone();
+        new_cfg.stripe = new_stripe;
+        let mut sys = TigerSystem::new(new_cfg);
         // Reload the catalog in file order so ids are preserved.
-        for meta in self.shared.catalog.files() {
-            let duration = self
-                .shared
-                .cfg
-                .block_play_time
-                .mul_u64(u64::from(meta.num_blocks));
+        for meta in catalog.files() {
+            let duration = cfg.block_play_time.mul_u64(u64::from(meta.num_blocks));
             let id = sys.add_file(meta.bitrate, duration);
             debug_assert_eq!(id, meta.id, "file ids must survive a restripe");
         }
@@ -683,67 +661,42 @@ impl TigerSystem {
         report_cub: CubId,
         disk_report_cub: Option<CubId>,
     ) -> WindowSample {
-        let mut cub_cpu_sum = 0.0;
-        let mut living = 0u32;
-        for cub in &self.cubs {
-            if cub.failed {
-                continue;
-            }
-            living += 1;
-            let node = self.shared.cub_node(cub.id);
-            let bytes = self.shared.net.nic(node).window_bytes_per_sec(now);
+        let (world, net, cpu) = (&self.shared.world, &self.shared.net, &self.cpu);
+        let living = || self.cubs.iter().filter(|c| !c.failed);
+        let cub_cpu = mean(living().map(|cub| {
+            let node = world.cub_node(cub.id);
             let ios: f64 = cub
                 .disks()
                 .iter()
                 .map(|d| d.window_reads_per_sec(now))
                 .sum();
-            let msgs = self.shared.net.control_msg_rate(now, node) + cub.msgs_processed_rate(now);
-            cub_cpu_sum += self.cpu.cub_load(bytes, ios, msgs);
-        }
+            let msgs = net.control_msg_rate(now, node) + cub.msgs_processed_rate(now);
+            cpu.cub_load(net.nic(node).window_bytes_per_sec(now), ios, msgs)
+        }));
         // NIC utilization is reported for the selected cub, matching the
         // paper's per-cub send-rate quotes (a mirroring cub in the failed
         // test).
-        let report_node = self.shared.cub_node(report_cub);
-        let nic_util = self.shared.net.nic_mut(report_node).window_utilization(now);
-        let controller_cpu = self.cpu.controller_load(
-            self.controller().request_rate(now),
-            self.shared
-                .net
-                .control_msg_rate(now, self.shared.controller_node()),
-        );
-        let disk_load = {
-            let cubs: Vec<&Cub> = match disk_report_cub {
-                Some(c) => vec![&self.cubs[c.index()]],
-                None => self.cubs.iter().filter(|c| !c.failed).collect(),
-            };
-            let mut sum = 0.0;
-            let mut n = 0u32;
-            for cub in cubs {
-                for d in cub.disks() {
-                    if !d.is_failed() {
-                        sum += d.load_window(now);
-                        n += 1;
-                    }
-                }
-            }
-            if n == 0 {
-                0.0
-            } else {
-                sum / f64::from(n)
-            }
+        let report_node = world.cub_node(report_cub);
+        let nic_utilization = self.shared.net.nic_mut(report_node).window_utilization(now);
+        let net = &self.shared.net;
+        let ctl_msgs = net.control_msg_rate(now, world.controller_node());
+        let controller_cpu = cpu.controller_load(self.ctl.request_rate(now), ctl_msgs);
+        let disks: Vec<&Cub> = match disk_report_cub {
+            Some(c) => vec![&self.cubs[c.index()]],
+            None => living().collect(),
         };
+        let disks = disks
+            .into_iter()
+            .flat_map(Cub::disks)
+            .filter(|d| !d.is_failed());
         let sample = WindowSample {
             at: now,
-            streams: self.controller().active_streams(),
-            cub_cpu: if living == 0 {
-                0.0
-            } else {
-                cub_cpu_sum / f64::from(living)
-            },
+            streams: self.ctl.active_streams(),
+            cub_cpu,
             controller_cpu,
-            disk_load,
-            control_bytes_per_sec: self.shared.net.control_rate(now, report_node),
-            nic_utilization: nic_util,
+            disk_load: mean(disks.map(|d| d.load_window(now))),
+            control_bytes_per_sec: net.control_rate(now, report_node),
+            nic_utilization,
         };
         self.shared.metrics.windows.push(sample.clone());
         self.reset_windows(now);
@@ -756,5 +709,20 @@ impl TigerSystem {
         for cub in &mut self.cubs {
             cub.reset_window(now);
         }
+    }
+}
+
+/// The key of local disk `l` of cub `c` in an RNG tree's `"disk"` forks.
+fn disk_key(c: u32, l: u32) -> u64 {
+    u64::from(c) * 1000 + u64::from(l)
+}
+
+/// The mean of `xs`, 0 of none.
+fn mean(xs: impl Iterator<Item = f64>) -> f64 {
+    let (sum, n) = xs.fold((0.0, 0u32), |(sum, n), x| (sum + x, n + 1));
+    if n == 0 {
+        0.0
+    } else {
+        sum / f64::from(n)
     }
 }

@@ -857,7 +857,7 @@ mod tests {
             Bandwidth::from_mbit_per_sec(2),
             SimDuration::from_secs(3_000),
         );
-        let fill = u64::from(sys.shared().params.capacity()) * 9 / 10;
+        let fill = u64::from(sys.world().params.capacity()) * 9 / 10;
         let mut live: Vec<ViewerInstance> = (0..fill)
             .map(|i| {
                 let client = sys.add_client();

@@ -34,7 +34,7 @@ fn full_load_allocates_little_per_block() {
     let mut cfg = TigerConfig::sosp97();
     cfg.disk = cfg.disk.without_blips();
     let mut sys = TigerSystem::new(cfg);
-    let capacity = sys.shared().params.capacity();
+    let capacity = sys.world().params.capacity();
     let file = sys.add_file(Bandwidth::from_mbit_per_sec(2), SimDuration::from_secs(400));
     for i in 0..u64::from(capacity) {
         let client = sys.add_client();

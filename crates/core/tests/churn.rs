@@ -25,7 +25,7 @@ fn stop_start_churn_at_high_load_stays_coherent() {
     let mut sys = TigerSystem::new(cfg);
     sys.enable_omniscient();
     let file = sys.add_file(rate(), SimDuration::from_secs(600));
-    let capacity = sys.shared().params.capacity();
+    let capacity = sys.world().params.capacity();
 
     // Fill to ~90%.
     let fill = capacity * 9 / 10;
@@ -88,7 +88,7 @@ fn chaos_runs_stay_coherent_across_seeds() {
             .map(|_| sys.add_file(rate(), SimDuration::from_secs(120)))
             .collect();
         let mut rng = RngTree::new(seed).fork("chaos", 0);
-        let capacity = sys.shared().params.capacity();
+        let capacity = sys.world().params.capacity();
         let mut live: Vec<ViewerInstance> = Vec::new();
         let mut t = SimTime::from_millis(100);
         let kill_at = SimTime::from_secs(30 + rng.gen_range(0u64..20));

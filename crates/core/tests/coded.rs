@@ -3,7 +3,7 @@
 //! is covered by degraded reads from any `k` surviving shards, and the
 //! mirrored default is byte-identical with the backend compiled in.
 
-use tiger_core::{Backend, RedundancyMode, TigerConfig, TigerSystem};
+use tiger_core::{RedundancyMode, TigerConfig, TigerSystem};
 use tiger_layout::{CubId, StripeConfig};
 use tiger_sim::{Bandwidth, SimDuration, SimTime};
 use tiger_trace::TraceEvent;
@@ -81,8 +81,8 @@ fn coded_capacity_exceeds_mirrored_at_k2() {
     // see docs/CODED.md.)
     let mirrored = TigerSystem::new(TigerConfig::small_test());
     let coded = TigerSystem::new(coded_config());
-    let m = mirrored.shared().params.capacity();
-    let c = coded.shared().params.capacity();
+    let m = mirrored.world().params.capacity();
+    let c = coded.world().params.capacity();
     assert!(c > m, "coded capacity {c} should exceed mirrored {m}");
 }
 
@@ -157,11 +157,7 @@ fn load_rings_are_empty_once_every_stream_ends() {
             0,
             "streams still running"
         );
-        let load: u64 = match &sys.shared().backend {
-            Backend::Coded(_, _, loads) => loads.iter().sum(),
-            Backend::Mirrored(_) => 0,
-        };
-        (load, transmitting_at_cutover(&sys))
+        (sys.shared().loads.total(), transmitting_at_cutover(&sys))
     };
     let cut = |sys: &mut TigerSystem| sys.fail_cub_at(SimTime::from_secs(20), CubId(3));
     assert_eq!(run(&|_| {}), (0, None), "healthy");

@@ -377,7 +377,7 @@ fn half_loaded_small_ring(plan: &str) -> TigerSystem {
         .map(|_| sys.add_file(rate, SimDuration::from_secs(320)))
         .collect();
     let mut chooser = RngTree::new(seed).fork("chaos-files", 0);
-    let want = (f64::from(sys.shared().params.capacity()) * 0.5).round() as u64;
+    let want = (f64::from(sys.world().params.capacity()) * 0.5).round() as u64;
     for i in 0..want {
         let client = sys.add_client();
         let file = files[chooser.gen_range(0..files.len())];

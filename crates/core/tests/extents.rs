@@ -129,7 +129,7 @@ fn grow_cutover_extents() {
     let mut sys = restripe_system();
     sys.request_restripe(SimTime::from_secs(5), 2);
     sys.run_until(SimTime::from_secs(140));
-    assert_eq!(sys.shared().cfg.stripe.num_cubs, 8, "grow cut over");
+    assert_eq!(sys.world().cfg.stripe.num_cubs, 8, "grow cut over");
     check("grow", &sys, 240 * 3, 0x76b6_7e91_f583_a5ce);
 }
 
@@ -138,6 +138,6 @@ fn shrink_cutover_extents() {
     let mut sys = restripe_system();
     sys.request_restripe_remove(SimTime::from_secs(5), 1);
     sys.run_until(SimTime::from_secs(160));
-    assert_eq!(sys.shared().cfg.stripe.num_cubs, 5, "shrink cut over");
+    assert_eq!(sys.world().cfg.stripe.num_cubs, 5, "shrink cut over");
     check("shrink", &sys, 240 * 3, 0x070c_203e_7c87_ad85);
 }

@@ -163,8 +163,8 @@ fn starts_route_around_a_dead_cub() {
     let mut file = None;
     for _ in 0..64 {
         let f = sys.add_file(rate(), SimDuration::from_secs(40));
-        let meta = *sys.shared().catalog.get(f).expect("exists");
-        if sys.shared().params.stripe().cub_of(meta.start_disk) == CubId(2) {
+        let meta = *sys.world().catalog.get(f).expect("exists");
+        if sys.world().params.stripe().cub_of(meta.start_disk) == CubId(2) {
             file = Some(f);
             break;
         }
@@ -197,8 +197,8 @@ fn redundant_start_survives_primary_target_failure() {
     let mut file = None;
     for _ in 0..64 {
         let f = sys.add_file(rate(), SimDuration::from_secs(40));
-        let meta = *sys.shared().catalog.get(f).expect("exists");
-        if sys.shared().params.stripe().cub_of(meta.start_disk) == CubId(6) {
+        let meta = *sys.world().catalog.get(f).expect("exists");
+        if sys.world().params.stripe().cub_of(meta.start_disk) == CubId(6) {
             file = Some(f);
             break;
         }

@@ -33,14 +33,14 @@ fn sosp97_catalog_leaves_at_most_0_6_bytes_an_extent() {
         );
     }
     let bytes = common::live() - before;
-    let shared = sys.shared();
-    let blocks: u64 = shared
+    let world = sys.world();
+    let blocks: u64 = world
         .catalog
         .files()
         .iter()
         .map(|f| u64::from(f.num_blocks))
         .sum();
-    let extents = blocks * u64::from(1 + shared.cfg.stripe.decluster);
+    let extents = blocks * u64::from(1 + world.cfg.stripe.decluster);
     assert_eq!(extents, 1_152_000);
     let per_extent = bytes as f64 / extents as f64;
     println!(

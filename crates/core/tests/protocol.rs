@@ -115,7 +115,7 @@ fn deschedule_stops_delivery_and_frees_slot() {
 fn capacity_is_never_exceeded() {
     let mut sys = TigerSystem::new(quiet_config());
     sys.enable_omniscient();
-    let capacity = sys.shared().params.capacity();
+    let capacity = sys.world().params.capacity();
     let file = sys.add_file(rate(), SimDuration::from_secs(300));
     for i in 0..u64::from(capacity) + 10 {
         let client = sys.add_client();
@@ -140,7 +140,7 @@ fn capacity_is_never_exceeded() {
 fn startup_latency_grows_with_load() {
     let mut sys = TigerSystem::new(quiet_config());
     let file = sys.add_file(rate(), SimDuration::from_secs(600));
-    let capacity = u64::from(sys.shared().params.capacity());
+    let capacity = u64::from(sys.world().params.capacity());
     // Fill ~90% of the schedule.
     let fill = capacity * 9 / 10;
     for i in 0..fill {
@@ -353,7 +353,7 @@ fn sosp97_filling_to_capacity() -> (TigerSystem, u32) {
     let mut cfg = TigerConfig::sosp97();
     cfg.disk = cfg.disk.without_blips();
     let mut sys = TigerSystem::new(cfg);
-    let capacity = sys.shared().params.capacity();
+    let capacity = sys.world().params.capacity();
     let file = sys.add_file(rate(), SimDuration::from_secs(400));
     for i in 0..u64::from(capacity) {
         let client = sys.add_client();
@@ -422,7 +422,6 @@ fn full_load_dispatches_what_a_block_needs() {
 /// each, and changes nothing the cub holds.
 #[test]
 fn a_slot_past_capacity_is_refused_as_a_traced_drop() {
-    use tiger_core::event::Event;
     use tiger_core::Message;
     use tiger_layout::BlockNum;
     use tiger_sched::{Deschedule, SlotId, StreamKind, ViewerState};
@@ -436,7 +435,7 @@ fn a_slot_past_capacity_is_refused_as_a_traced_drop() {
     sys.run_until(SimTime::from_secs(5));
     let vs = ViewerState {
         instance,
-        client: sys.shared().client_node(0).0,
+        client: sys.world().client_node(0).0,
         file,
         position: BlockNum(3),
         slot: SlotId(u32::MAX),
@@ -460,10 +459,7 @@ fn a_slot_past_capacity_is_refused_as_a_traced_drop() {
     {
         let held = sys.cubs()[0].schedule_information_held();
         assert!(held > 0, "the cub holds the stream's records");
-        sys.with_cub_mut(CubId(0), |cub, sh| {
-            let (now, dst) = (sh.queue.now(), sh.cub_node(cub.id));
-            cub.on_event(sh, now, Event::Deliver { dst, msg });
-        });
+        sys.deliver(CubId(0), sys.now(), msg);
         assert_eq!(sys.cubs()[0].schedule_information_held(), held);
         assert_eq!(refused(&sys), sent + 1, "one traced drop a message");
     }

@@ -95,7 +95,7 @@ fn grow_restripe_under_streaming_load() {
         1,
         "restripe never cut over"
     );
-    assert_eq!(sys.shared().cfg.stripe.num_cubs, 8);
+    assert_eq!(sys.world().cfg.stripe.num_cubs, 8);
     assert_eq!(digest, 0x0439_685e_19e2_e8d9);
 }
 

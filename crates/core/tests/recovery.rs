@@ -69,8 +69,8 @@ fn rejoin_restores_service_and_converges() {
     // Convergence bound: the successor relays covered states as they come
     // due, so the first re-accepted slot lands within the hand-back window
     // plus scheduling slack.
-    let bound = sys.shared().cfg.min_vstate_lead
-        + sys.shared().cfg.forward_interval.mul_u64(2)
+    let bound = sys.world().cfg.min_vstate_lead
+        + sys.world().cfg.forward_interval.mul_u64(2)
         + SimDuration::from_secs(2);
     assert!(
         done_at.saturating_since(restart_at) <= bound,
@@ -395,7 +395,7 @@ fn sub_interval_restart_keeps_one_deadman_chain() {
     sys.fail_cub_at(SimTime::from_secs(10), CubId(1));
     sys.restart_cub_at(SimTime::from_millis(10_100), CubId(1));
     sys.run_until(SimTime::from_millis(20_100));
-    let interval = sys.shared().cfg.deadman_interval;
+    let interval = sys.world().cfg.deadman_interval;
     let pings = sys
         .tracer()
         .records()

@@ -3,7 +3,6 @@
 //! lifetime of the acting successor's cover memory.
 
 use tiger_core::cub::service::PieceSpec;
-use tiger_core::event::Event;
 use tiger_core::{Backend, Message, RedundancyMode, TigerConfig, TigerSystem};
 use tiger_layout::ids::ViewerInstance;
 use tiger_layout::{BlockNum, CubId, DiskId, StripeConfig, ViewerId};
@@ -31,7 +30,7 @@ fn piece_geometry_tiles_the_block_play_time() {
     };
     for d in 1..=8u32 {
         let sys = TigerSystem::new(cfg_with(d, RedundancyMode::Mirrored));
-        let params = &sys.shared().params;
+        let params = &sys.world().params;
         let bpt = params.block_play_time();
         let end_of = |s: &PieceSpec| s.offset + s.duration;
         let mirrored = Backend::new(&cfg_with(d, RedundancyMode::Mirrored));
@@ -154,8 +153,8 @@ fn covered_last_block() -> (TigerSystem, ViewerState) {
     let (file, last) = (20..28)
         .find_map(|secs| {
             let file = sys.add_file(rate(), SimDuration::from_secs(secs));
-            let last = BlockNum(sys.shared().catalog.get(file)?.num_blocks - 1);
-            (sys.shared().catalog.locate(file, last)?.cub == CubId(3)).then_some((file, last))
+            let last = BlockNum(sys.world().catalog.get(file)?.num_blocks - 1);
+            (sys.world().catalog.locate(file, last)?.cub == CubId(3)).then_some((file, last))
         })
         .expect("eight consecutive lengths end on every cub once");
     sys.fail_cub_at(SimTime::from_secs(1), CubId(3));
@@ -166,10 +165,10 @@ fn covered_last_block() -> (TigerSystem, ViewerState) {
             viewer: ViewerId(900),
             incarnation: 0,
         },
-        client: sys.shared().client_node(0).0,
+        client: sys.world().client_node(0).0,
         file,
         position: last,
-        slot: SlotId(sys.shared().params.capacity() - 1),
+        slot: SlotId(sys.world().params.capacity() - 1),
         play_seq: 7,
         bitrate: rate(),
         kind: StreamKind::Primary,
@@ -178,14 +177,7 @@ fn covered_last_block() -> (TigerSystem, ViewerState) {
 }
 
 fn deliver_to_successor(sys: &mut TigerSystem, vs: ViewerState) {
-    sys.with_cub_mut(CubId(4), |cub, sh| {
-        let (now, dst, msg) = (
-            sh.queue.now(),
-            sh.cub_node(cub.id),
-            Message::ViewerState(vs),
-        );
-        cub.on_event(sh, now, Event::Deliver { dst, msg });
-    });
+    sys.deliver(CubId(4), sys.now(), Message::ViewerState(vs));
 }
 
 fn covers(sys: &TigerSystem) -> usize {
@@ -200,9 +192,9 @@ fn covers(sys: &TigerSystem) -> usize {
 #[test]
 fn cover_memory_outlives_the_block_by_the_retention_window() {
     let (mut sys, vs) = covered_last_block();
-    let retention = sys.shared().cfg.retired_retention();
+    let retention = sys.world().cfg.retired_retention();
     let due = sys
-        .shared()
+        .world()
         .params
         .slot_send_time(DiskId(3), vs.slot, sys.now());
     let blocks_before = sys.metrics().loss.blocks_scheduled;

@@ -58,6 +58,6 @@ mod tests {
         let spec = CatalogSpec::sized_for(SimDuration::from_secs(10), 4);
         let files = populate_catalog(&mut sys, &spec);
         assert_eq!(files.len(), 4);
-        assert_eq!(sys.shared().catalog.len(), 4);
+        assert_eq!(sys.world().catalog.len(), 4);
     }
 }

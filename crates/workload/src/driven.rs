@@ -51,7 +51,7 @@ pub fn drive_plan(sys: &mut TigerSystem, plan: &WorkloadPlan, files: &[FileId]) 
         files.len(),
         plan.titles()
     );
-    let tree = RngTree::new(sys.shared().cfg.seed).subtree("workgen", 0);
+    let tree = RngTree::new(sys.world().cfg.seed).subtree("workgen", 0);
     let mut w = plan.compile(&tree);
     let horizon = SimTime::ZERO + plan.horizon;
 
@@ -79,7 +79,7 @@ pub fn drive_plan(sys: &mut TigerSystem, plan: &WorkloadPlan, files: &[FileId]) 
         stats.starts.push((at, client, current));
 
         let file_blocks = sys
-            .shared()
+            .world()
             .catalog
             .get(file)
             .expect("populated file")

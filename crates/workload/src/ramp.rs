@@ -108,7 +108,7 @@ pub fn run_ramp(cfg: &RampConfig) -> RampResult {
         sys.run_until(SimTime::from_millis(10) + cfg.tiger.deadman_timeout.mul_u64(2));
     }
 
-    let capacity = sys.shared().params.capacity();
+    let capacity = sys.world().params.capacity();
     let target = cfg.target.unwrap_or(capacity).min(capacity);
     let mut launched = 0u32;
     let mut now = sys.now();

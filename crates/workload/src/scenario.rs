@@ -127,7 +127,7 @@ impl Demand {
         match *self {
             Demand::Plan(ref plan) => drive_plan(sys, plan, files),
             Demand::Paced { starts, every } => {
-                let mut chooser = RngTree::new(sys.shared().cfg.seed).fork("reconfig-files", 0);
+                let mut chooser = RngTree::new(sys.world().cfg.seed).fork("reconfig-files", 0);
                 let mut stats = DriveStats {
                     arrivals: starts,
                     ..DriveStats::default()
@@ -226,7 +226,7 @@ impl Run {
     /// live stream's blocks still in flight at the horizon are not lost.
     /// Viewers come in no particular order.
     pub fn lost_blocks(&self) -> impl Iterator<Item = (ViewerInstance, u32, f64)> + '_ {
-        let bpt = self.sys.shared().cfg.block_play_time.as_secs_f64();
+        let bpt = self.sys.world().cfg.block_play_time.as_secs_f64();
         let viewers = self.sys.clients().iter().flat_map(|c| c.viewers());
         viewers.flat_map(move |(&vi, v)| {
             let played = v.high_water.zip(v.first_block_at);
@@ -243,7 +243,7 @@ impl Run {
     /// The block due at the horizon of a stalled viewer ([`Run::stalled`]).
     fn stall(&self, v: &ViewerProgress) -> Option<u32> {
         let (high, first) = v.high_water.zip(v.first_block_at)?;
-        let cfg = &self.sys.shared().cfg;
+        let cfg = &self.sys.world().cfg;
         let bare = cfg.forwarding == ForwardingPolicy::Single && !cfg.gap_recovery;
         if v.stopped || high + 1 >= v.num_blocks || bare {
             return None;
@@ -264,7 +264,7 @@ impl Run {
     /// high water, the block due at the horizon, and when the high water's
     /// block was expected.
     pub fn stalled(&self) -> Vec<(ViewerInstance, u32, u32, SimTime)> {
-        let bpt = self.sys.shared().cfg.block_play_time;
+        let bpt = self.sys.world().cfg.block_play_time;
         let viewers = self.sys.clients().iter().flat_map(|c| c.viewers());
         let mut stalled: Vec<_> = viewers
             .filter_map(|(&vi, v)| {
@@ -435,7 +435,7 @@ pub fn run(s: &Scenario) -> Run {
             old.disks_per_cub,
             old.decluster,
         );
-        let plan = RestripePlan::plan(&sys.shared().catalog, old, new);
+        let plan = RestripePlan::plan(&sys.world().catalog, old, new);
         // Fastest conceivable drain: bottleneck bytes at the outermost
         // zone rate with the whole NIC — a hard lower bound on any
         // schedule that actually moves the bytes.
@@ -530,7 +530,7 @@ fn check(
     let grace = cfg.deadman_interval + cfg.latency.worst_case() + injected_delay;
     violations.extend(check_deadman_justified(
         plan,
-        sys.shared().topology,
+        sys.world().topology,
         &run.declares(),
         &observed_stalls,
         cfg.deadman_timeout,

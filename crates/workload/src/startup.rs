@@ -98,7 +98,7 @@ pub fn run_startup(cfg: &StartupConfig) -> StartupResult {
         sys.run_until(SimTime::from_millis(10) + cfg.tiger.deadman_timeout.mul_u64(2));
     }
 
-    let capacity = sys.shared().params.capacity();
+    let capacity = sys.world().params.capacity();
     let mut filled = 0u32;
     for &load in &cfg.loads {
         let want = ((capacity as f64) * load).round() as u32;

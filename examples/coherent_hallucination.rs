@@ -32,7 +32,7 @@ fn main() {
     sys.run_until(SimTime::from_secs(20));
 
     // Snapshot: what does each cub believe about slots 0..capacity?
-    let capacity = sys.shared().params.capacity();
+    let capacity = sys.world().params.capacity();
     println!(
         "t = {}  —  {} slots, one column per cub's view",
         sys.now(),

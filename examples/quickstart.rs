@@ -18,7 +18,7 @@ fn main() {
     let film = sys.add_file(Bandwidth::from_mbit_per_sec(2), SimDuration::from_secs(30));
     println!(
         "loaded {film:?}: {} blocks",
-        sys.shared().catalog.get(film).unwrap().num_blocks
+        sys.world().catalog.get(film).unwrap().num_blocks
     );
 
     // A client asks the controller to start playing.

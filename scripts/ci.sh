@@ -237,6 +237,18 @@ if grep -rn --include=Cargo.toml -E '^\s*(rand|proptest|criterion|serde)\b' .; t
     exit 1
 fi
 
+# A cub, the controller and the copy pipeline act through their context
+# (`Ctx`, crates/core/src/ctx.rs): the world to read and the fields of
+# the dynamic half a handler uses. None names `Shared`, which stays the
+# event loop's own (system.rs, reconfig.rs). Lines before a file's first
+# `#[cfg(test)]` count, as for the size ratchet below.
+for f in cub service life controller copy; do
+    if awk '/#\[cfg\(test\)\]/ { exit } /(^|[^A-Za-z0-9_])Shared([^A-Za-z0-9_]|$)/ { print FILENAME ":" FNR ": " $0; found = 1 } END { exit !found }' "crates/core/src/$f.rs" >&2; then
+        echo "ERROR: crates/core/src/$f.rs names Shared outside its tests" >&2
+        exit 1
+    fi
+done
+
 # Size ratchet. A file counts its lines before its first `#[cfg(test)]`
 # (a model test has to sit beside the private type it checks), a crate
 # its top-level files (a `bin/` is not counted). Each limit is what the

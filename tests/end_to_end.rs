@@ -46,9 +46,9 @@ fn sosp_scale_run_respects_the_hallucination() {
 fn sosp_scale_capacity_is_602() {
     let cfg = TigerConfig::sosp97();
     let sys = TigerSystem::new(cfg);
-    assert_eq!(sys.shared().params.capacity(), 602);
+    assert_eq!(sys.world().params.capacity(), 602);
     assert_eq!(
-        sys.shared().params.schedule_len(),
+        sys.world().params.schedule_len(),
         SimDuration::from_secs(56)
     );
 }

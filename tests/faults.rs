@@ -38,16 +38,13 @@ fn stall_declares(stall: SimDuration, partitioned: bool) -> Vec<(u32, u64)> {
     // `stall`, so the deadman check that ends the stall sees silence of
     // exactly that length.
     let t0 = SimTime::from_secs(1);
-    sys.with_cub_mut(CubId(1), |cub, sh| {
-        let (dst, msg) = (
-            sh.cub_node(cub.id),
-            Message::DeadmanPing {
-                from: CubId(0),
-                life: 0,
-            },
-        );
-        cub.on_event(sh, t0, Event::Deliver { dst, msg });
-        cub.on_event(sh, t0 + stall, Event::DeadmanCheck { cub: cub.id });
+    let ping = Message::DeadmanPing {
+        from: CubId(0),
+        life: 0,
+    };
+    sys.deliver(CubId(1), t0, ping);
+    sys.with_cub_mut(CubId(1), t0 + stall, |cub, cx| {
+        cub.on_event(cx, Event::DeadmanCheck { cub: cub.id });
     });
     sys.tracer()
         .records()

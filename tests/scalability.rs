@@ -25,7 +25,7 @@ fn peak_schedule_information(cubs: u32) -> usize {
         &mut sys,
         &CatalogSpec::sized_for(SimDuration::from_secs(200), 8),
     );
-    let capacity = sys.shared().params.capacity();
+    let capacity = sys.world().params.capacity();
     let target = capacity * 7 / 10;
     let mut chooser = RngTree::new(3).fork("files", 0);
     for i in 0..u64::from(target) {

@@ -9,8 +9,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use tiger::core::event::Event;
-use tiger::core::system::Shared;
-use tiger::core::{Cub, Message, TigerConfig, TigerSystem};
+use tiger::core::{Message, TigerConfig, TigerSystem};
 use tiger::layout::ids::ViewerInstance;
 use tiger::layout::{BlockNum, CubId, ViewerId};
 use tiger::sched::{Deschedule, SlotId, StreamKind, ViewerState};
@@ -27,12 +26,6 @@ fn traced_system() -> TigerSystem {
     let mut sys = TigerSystem::new(small());
     sys.enable_trace(16_384);
     sys
-}
-
-/// Delivers `msg` to `cub` at `at`, as the event loop would.
-fn deliver(cub: &mut Cub, sh: &mut Shared, at: SimTime, msg: Message) {
-    let dst = sh.cub_node(cub.id);
-    cub.on_event(sh, at, Event::Deliver { dst, msg });
 }
 
 /// Event names recorded on `cub`, in order.
@@ -58,17 +51,13 @@ fn ping_at_exactly_deadman_timeout_is_not_a_failure() {
     let check_after = |silence: SimDuration| {
         let mut sys = traced_system();
         let t0 = SimTime::from_secs(1);
-        sys.with_cub_mut(CubId(1), |cub, sh| {
-            deliver(
-                cub,
-                sh,
-                t0,
-                Message::DeadmanPing {
-                    from: CubId(0),
-                    life: 0,
-                },
-            );
-            cub.on_event(sh, t0 + silence, Event::DeadmanCheck { cub: cub.id });
+        let ping = Message::DeadmanPing {
+            from: CubId(0),
+            life: 0,
+        };
+        sys.deliver(CubId(1), t0, ping);
+        sys.with_cub_mut(CubId(1), t0 + silence, |cub, cx| {
+            cub.on_event(cx, Event::DeadmanCheck { cub: cub.id });
         });
         sys
     };
@@ -105,14 +94,14 @@ fn failure_notice_racing_deschedule_hold() {
         let mut sys = traced_system();
         let film = sys.add_file(Bandwidth::from_mbit_per_sec(2), SimDuration::from_secs(10));
         let loc = sys
-            .shared()
+            .world()
             .catalog
             .locate(film, BlockNum(0))
             .expect("block 0 exists");
         let target = loc.cub;
         // A cub whose failure target is *not* acting-successor-covered by
         // `target`, so the notice itself adds no takeover events.
-        let far = CubId((target.raw() + 2) % sys.shared().cfg.stripe.num_cubs);
+        let far = CubId((target.raw() + 2) % sys.world().cfg.stripe.num_cubs);
         let instance = ViewerInstance {
             viewer: ViewerId(7),
             incarnation: 0,
@@ -130,29 +119,23 @@ fn failure_notice_racing_deschedule_hold() {
         };
         let d = Deschedule { instance, slot };
         let t = SimTime::from_secs(1);
-        sys.with_cub_mut(target, |cub, sh| {
-            let desched = Message::Deschedule {
-                request: d,
-                hops_left: 2,
-            };
-            let notice = Message::FailureNotice {
-                failed: far,
-                life: 0,
-            };
-            if notice_first {
-                deliver(cub, sh, t, notice);
-                deliver(cub, sh, t + SimDuration::from_millis(1), desched);
-            } else {
-                deliver(cub, sh, t, desched);
-                deliver(cub, sh, t + SimDuration::from_millis(1), notice);
-            }
-            deliver(
-                cub,
-                sh,
-                t + SimDuration::from_millis(2),
-                Message::ViewerState(vs),
-            );
-        });
+        let desched = Message::Deschedule {
+            request: d,
+            hops_left: 2,
+        };
+        let notice = Message::FailureNotice {
+            failed: far,
+            life: 0,
+        };
+        let (first, second) = if notice_first {
+            (notice, desched)
+        } else {
+            (desched, notice)
+        };
+        sys.deliver(target, t, first);
+        sys.deliver(target, t + SimDuration::from_millis(1), second);
+        let state = Message::ViewerState(vs);
+        sys.deliver(target, t + SimDuration::from_millis(2), state);
         (names_on(&sys, target), sys)
     };
 

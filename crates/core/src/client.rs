@@ -280,6 +280,12 @@ impl Client {
     /// The aggregate report.
     pub fn report(&self) -> ClientReport {
         let mut r = ClientReport::default();
+        self.add_to(&mut r);
+        r
+    }
+
+    /// Adds this client's viewers to `r`.
+    pub(crate) fn add_to(&self, r: &mut ClientReport) {
         for v in self.viewers.values() {
             r.blocks_received += u64::from(v.blocks_received());
             r.blocks_missing += u64::from(v.blocks_missing());
@@ -292,7 +298,6 @@ impl Client {
                 r.completed_viewers += 1;
             }
         }
-        r
     }
 }
 

@@ -19,8 +19,8 @@ use crate::event::Event;
 use crate::metrics::Metrics;
 use crate::shield::ShieldMap;
 
-/// The static half of the system: what every handler reads and only
-/// [`TigerSystem`] writes, when it loads content or cuts over a restripe.
+/// The static half of the system: every handler reads it, and only
+/// [`crate::TigerSystem`] writes it (loading content, a restripe cut-over).
 #[derive(Debug)]
 pub struct World {
     /// Static configuration.
@@ -108,7 +108,8 @@ impl Ctx<'_> {
     /// Sends a control message from this node and schedules its delivery
     /// event, an injected duplicate's first.
     fn send_control(&mut self, dst: NetNode, msg: Message) {
-        let sent = (self.net).send_control(self.now, self.node, dst, msg.control_bytes());
+        let bytes = msg.control_bytes();
+        let sent = self.net.send_control(self.now, self.node, dst, bytes);
         self.trace_injection(self.node, dst, sent);
         if let Some(at) = sent.dup_at {
             let msg = msg.clone();
@@ -146,14 +147,11 @@ impl Ctx<'_> {
         let (src, dst) = (src.raw(), dst.raw());
         let mut record = |ev| self.tracer.record(self.now, lane, ev);
         match perturb {
-            NetPerturb::Drop { partition } => {
-                let ev = TraceEvent::NetDrop {
-                    src,
-                    dst,
-                    partition,
-                };
-                record(ev);
-            }
+            NetPerturb::Drop { partition } => record(TraceEvent::NetDrop {
+                src,
+                dst,
+                partition,
+            }),
             NetPerturb::Tweak { extra, duplicate } => {
                 if !extra.is_zero() {
                     let extra_ns = extra.as_nanos();

@@ -135,15 +135,13 @@ impl TigerSystem {
         from_block: u32,
     ) -> ViewerInstance {
         let instance = self.new_viewer(client);
-        self.schedule(
-            at,
-            Event::ClientStart {
-                client,
-                file,
-                from_block,
-                instance,
-            },
-        );
+        let start = Event::ClientStart {
+            client,
+            file,
+            from_block,
+            instance,
+        };
+        self.schedule(at, start);
         instance
     }
 

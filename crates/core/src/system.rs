@@ -135,9 +135,7 @@ impl TigerSystem {
             // moved blocks during a live restripe) but not ring members:
             // they run no protocol work until the cut-over activates them,
             // and every ring member starts out believing them failed.
-            if c >= cfg.stripe.num_cubs {
-                cub.failed = true;
-            }
+            cub.failed = c >= cfg.stripe.num_cubs;
             cubs.push(cub);
         }
         for cub in &mut cubs {
@@ -593,13 +591,7 @@ impl TigerSystem {
     pub fn all_clients_report(&self) -> ClientReport {
         let mut total = ClientReport::default();
         for c in &self.clients {
-            let r = c.report();
-            total.completed_viewers += r.completed_viewers;
-            total.stopped_viewers += r.stopped_viewers;
-            total.never_started += r.never_started;
-            total.blocks_received += r.blocks_received;
-            total.blocks_missing += r.blocks_missing;
-            total.dup_blocks += r.dup_blocks;
+            c.add_to(&mut total);
         }
         total
     }

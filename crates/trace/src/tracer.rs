@@ -94,7 +94,7 @@ impl Ring {
     }
 }
 
-/// The protocol event recorder threaded through `Shared`.
+/// The protocol event recorder each handler's context (`tiger_core::Ctx`) records on.
 ///
 /// Disabled (`ring: None`) it records nothing and costs one pointer test
 /// per hook. Construct with [`Tracer::from_env`] in production paths and

@@ -257,7 +257,8 @@ done
 # CHANGES.md keeps every change of a limit and its reason. One reason a
 # limit:
 # - system.rs: the event loop grew ~400 lines in two PRs before it was
-#   split by concern; a cub's work runs behind `Cub::on_event`.
+#   split by concern; a cub's work runs behind `Cub::on_event`, and
+#   every handler acts through a `Ctx`, not `Shared`.
 # - service.rs: one degraded-read path serves mirror, shield and coded
 #   pieces; the three pipelines it replaced may not grow back.
 # - cub.rs: the driver of the tiger_proto machines; their decisions may
@@ -283,9 +284,9 @@ done
 nontest() { awk '/#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$1"; }
 for f in crates/core/src/*.rs; do
     limit=635
-    [ "$f" = crates/core/src/system.rs ] && limit=760
-    [ "$f" = crates/core/src/service.rs ] && limit=1108
-    [ "$f" = crates/core/src/cub.rs ] && limit=815
+    [ "$f" = crates/core/src/system.rs ] && limit=720
+    [ "$f" = crates/core/src/service.rs ] && limit=1048
+    [ "$f" = crates/core/src/cub.rs ] && limit=772
     lines=$(nontest "$f")
     if [ "$lines" -gt "$limit" ]; then
         echo "ERROR: $f is $lines lines before its tests (limit $limit)" >&2
@@ -297,7 +298,7 @@ if [ "$lines" -gt 604 ]; then
     echo "ERROR: crates/bench/src/fleet.rs is $lines lines before its tests (limit 604)" >&2
     exit 1
 fi
-for dir_limit in crates/core/src:6607 crates/faults/src:1238 crates/net/src:497 \
+for dir_limit in crates/core/src:6599 crates/faults/src:1238 crates/net/src:497 \
     crates/workload/src:1218 crates/bench/src:2811 \
     crates/sched/src:1668 crates/proto/src:2260 crates/rt/src:385 \
     crates/layout/src:1589; do
